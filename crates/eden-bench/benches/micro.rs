@@ -169,8 +169,10 @@ fn bench_table_scaling(c: &mut Criterion) {
 }
 
 /// Ablation: per-packet cost as the live message-state table grows — the
-/// enclave's per-message state is a hash map, and the paper's functions
-/// touch it on every packet.
+/// enclave's per-message state is a flat open-addressing table over a
+/// slab (`eden_core::state::MsgShard`, one probe per packet on a hit), and
+/// the paper's functions touch it on every packet. Past a few thousand
+/// live messages the rows measure cache misses, not probing.
 fn bench_message_state_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_msg_state");
     for live in [16u64, 4_096, 65_000] {

@@ -20,15 +20,11 @@ pub struct FuncId(pub usize);
 /// HeaderMaps, read-only enforcement, and scoping apply equally.
 pub struct NativeEnv<'a> {
     host: &'a mut dyn Host,
-    effects: Vec<Effect>,
 }
 
 impl<'a> NativeEnv<'a> {
     pub(crate) fn new(host: &'a mut dyn Host) -> NativeEnv<'a> {
-        NativeEnv {
-            host,
-            effects: Vec::new(),
-        }
+        NativeEnv { host }
     }
 
     /// Read packet field `slot`.
@@ -103,9 +99,7 @@ impl<'a> NativeEnv<'a> {
 
     /// Direct the packet to rate-limited queue `queue` charging `charge`.
     pub fn set_queue(&mut self, queue: i64, charge: i64) -> Result<(), VmError> {
-        self.host.effect(Effect::SetQueue { queue, charge })?;
-        self.effects.push(Effect::SetQueue { queue, charge });
-        Ok(())
+        self.host.effect(Effect::SetQueue { queue, charge })
     }
 
     /// Drop the packet (the function should `return Ok(Outcome::Dropped)`

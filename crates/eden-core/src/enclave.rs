@@ -1537,7 +1537,6 @@ impl Enclave {
             .map(|_| Vec::with_capacity(self.functions.len()))
             .collect();
         for (state, repl) in self.states.iter_mut().zip(self.repl.iter()) {
-            let msg_slots = state.msg_slots();
             let (shards, global, arrays) = state.split_shards();
             let repl = repl.as_ref().map(|h| ReplShared {
                 spec: h.spec(),
@@ -1548,7 +1547,6 @@ impl Enclave {
             for (lane, shard) in shards.into_iter().enumerate() {
                 lane_states[lane].push(LaneFnState {
                     shard,
-                    msg_slots,
                     global,
                     arrays,
                     repl,
@@ -2254,7 +2252,6 @@ struct LaneFunc<'a> {
 /// read-only globals.
 struct LaneFnState<'a> {
     shard: &'a mut MsgShard,
-    msg_slots: usize,
     global: &'a [i64],
     arrays: &'a [Vec<i64>],
     /// Read-only replica view (replicated functions only). Lanes never
@@ -2292,13 +2289,12 @@ impl Invoker for LaneInvoker<'_, '_> {
         direction: FlowDirection,
     ) -> InvokeOut {
         let st = &mut self.states[fid];
-        if !st.shard.contains_key(&msg_id) {
+        let (msg, created) = st.shard.touch(msg_id);
+        if created {
             // headroom was verified before the fan-out: creating here can
             // never force an eviction, so FIFO replay at merge suffices
-            st.shard.insert(msg_id, vec![0; st.msg_slots]);
             self.created.push((self.batch_idx, fid, msg_id));
         }
-        let msg = st.shard.get_mut(&msg_id).expect("inserted above");
         let func = &self.funcs[fid];
         let mut host = InvocationHost {
             packet,

@@ -12,6 +12,8 @@
 //! the stack uses for trace packet ids) so two hosts' spans can be merged
 //! without collisions and without coordination.
 
+use std::collections::VecDeque;
+
 use crate::json::{Json, ToJson};
 
 /// The in-band trace context: which trace a message belongs to, which
@@ -124,7 +126,7 @@ pub struct SpanSink {
     host: u32,
     seq: u64,
     open: Vec<OpenSpan>,
-    done: Vec<Span>,
+    done: VecDeque<Span>,
     capacity: usize,
     /// Completed spans evicted because the sink was full.
     pub dropped: u64,
@@ -137,7 +139,7 @@ impl SpanSink {
             host,
             seq: 0,
             open: Vec::new(),
-            done: Vec::new(),
+            done: VecDeque::new(),
             capacity: capacity.max(1),
             dropped: 0,
         }
@@ -191,10 +193,10 @@ impl SpanSink {
     /// Record an already-completed span.
     pub fn push(&mut self, span: Span) {
         if self.done.len() == self.capacity {
-            self.done.remove(0);
+            self.done.pop_front();
             self.dropped += 1;
         }
-        self.done.push(span);
+        self.done.push_back(span);
     }
 
     /// Record a completed span in one call (the common agent path).

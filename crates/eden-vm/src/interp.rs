@@ -199,7 +199,15 @@ impl Interpreter {
     /// [`Program::new`]), so operand-stack underflow and wild jumps cannot
     /// occur; the checks that remain at runtime are the dynamic ones:
     /// limits, division by zero, array bounds, unknown state slots.
-    pub fn run(&mut self, program: &Program, host: &mut dyn Host) -> Result<Outcome, VmError> {
+    ///
+    /// Generic over the host so a caller that knows its host type (the
+    /// enclave's invokers) gets the state accessors inlined into the
+    /// dispatch loop; `?Sized` keeps `&mut dyn Host` callers working.
+    pub fn run<H: Host + ?Sized>(
+        &mut self,
+        program: &Program,
+        host: &mut H,
+    ) -> Result<Outcome, VmError> {
         // Wall-clock accounting is sampled: reading the clock twice per
         // invocation costs more than interpreting a short action function,
         // so one run in TIMING_SAMPLE is timed and scaled up. Action
@@ -212,9 +220,9 @@ impl Interpreter {
             None
         };
         let result = if self.profile.is_some() {
-            self.run_inner::<true>(program, host)
+            self.run_inner::<true, H>(program, host)
         } else {
-            self.run_inner::<false>(program, host)
+            self.run_inner::<false, H>(program, host)
         };
         self.counters.invocations += 1;
         self.counters.traps += result.is_err() as u64;
@@ -227,10 +235,10 @@ impl Interpreter {
         result
     }
 
-    fn run_inner<const PROFILE: bool>(
+    fn run_inner<const PROFILE: bool, H: Host + ?Sized>(
         &mut self,
         program: &Program,
-        host: &mut dyn Host,
+        host: &mut H,
     ) -> Result<Outcome, VmError> {
         self.stack.clear();
         self.locals.clear();
