@@ -142,19 +142,6 @@ pub struct InstalledFunction {
     pub schema: Schema,
     pub effects: StateEffects,
     pub concurrency: Concurrency,
-    /// Invocations completed without a trap.
-    pub invocations: u64,
-    /// Invocations terminated by a trap (the packet fails open: it is
-    /// forwarded unmodified, per §3.4.3's isolation guarantee).
-    pub faults: u64,
-    /// Invocations that returned a drop verdict.
-    pub drops: u64,
-    /// Invocations that punted the packet to the controller.
-    pub punts: u64,
-    /// Packet-header fields this function wrote.
-    pub header_modifies: u64,
-    /// Bytes this function charged to queue verdicts (Pulsar accounting).
-    pub enqueue_charge_bytes: u64,
 }
 
 impl InstalledFunction {
@@ -166,12 +153,6 @@ impl InstalledFunction {
             effects: compiled.effects,
             schema: compiled.schema,
             action: ActionImpl::Interpreted(compiled.program),
-            invocations: 0,
-            faults: 0,
-            drops: 0,
-            punts: 0,
-            header_modifies: 0,
-            enqueue_charge_bytes: 0,
         }
     }
 
@@ -191,12 +172,6 @@ impl InstalledFunction {
             schema,
             effects: StateEffects::default(),
             concurrency,
-            invocations: 0,
-            faults: 0,
-            drops: 0,
-            punts: 0,
-            header_modifies: 0,
-            enqueue_charge_bytes: 0,
         })
     }
 
@@ -215,12 +190,6 @@ impl InstalledFunction {
             schema,
             effects: StateEffects::default(),
             concurrency,
-            invocations: 0,
-            faults: 0,
-            drops: 0,
-            punts: 0,
-            header_modifies: 0,
-            enqueue_charge_bytes: 0,
         }
     }
 }

@@ -18,15 +18,18 @@
 //! * *execute* walks the table pipeline, running the matched function —
 //!   and any `GotoTable` continuations — against the packet and its state.
 //!
-//! [`Enclave::process_dir`] runs the stages for one packet;
-//! [`Enclave::process_batch`] runs them for a batch, and — when every
-//! installed function's derived concurrency level (§3.4.4) permits —
-//! executes the batch on parallel worker lanes partitioned by message id:
-//! *read-only* and *per-message serial* functions parallelize (a message
-//! never spans two lanes), *fully serial* (global-writer) functions force
-//! the bit-identical serial fallback. The batch path is verdict-for-verdict
-//! and state-for-state equivalent to the per-packet path, pinned by a
-//! property test.
+//! [`Enclave::process_dir`] runs the stages for one packet, and it is the
+//! only code that takes a packet through them on the caller's thread:
+//! [`Enclave::process_batch`] either loops it or — when every installed
+//! function's derived concurrency level (§3.4.4) permits and the batch is
+//! large enough — fans the batch out to parallel worker lanes partitioned
+//! by message id. *Read-only* and *per-message serial* functions
+//! parallelize (a message never spans two lanes); *fully serial*
+//! (global-writer) functions keep every batch on the caller's thread. A
+//! lane runs the same `walk_packet`, `invoke` and per-packet epilogue as
+//! the caller's thread — over its own message shards and its own counter
+//! blocks — and a property test pins the fan-out verdict-for-verdict and
+//! state-for-state to the per-packet path.
 //!
 //! Besides stage-assigned classes, the enclave can classify on its own at
 //! packet granularity (Table 2's last row): five-tuple rules assign classes
@@ -116,8 +119,6 @@ impl MatchSpec {
 pub struct Rule {
     pub spec: MatchSpec,
     pub func: FuncId,
-    /// Packets that matched this rule (telemetry).
-    pub hits: u64,
     /// Configuration epoch this rule was installed under. The two-phase
     /// update protocol guarantees every rule in a served table carries the
     /// enclave's active epoch (checked by [`Enclave::serves_single_epoch`]).
@@ -128,7 +129,8 @@ pub struct Rule {
 /// single-class rules — resolves by hash lookup instead of a linear scan.
 /// First-match-wins order is preserved: the index stores the *earliest*
 /// rule per class, and `general` keeps the (ordered) `Any`/`AnyOf` rules
-/// that still need a scan.
+/// that still need a scan. Read-only on the data path: what a lookup
+/// counts goes to a [`TableCounts`] block.
 #[derive(Debug, Default)]
 struct MatchActionTable {
     rules: Vec<Rule>,
@@ -137,12 +139,6 @@ struct MatchActionTable {
     class_index: ClassIndex,
     /// Ordered indices of `Any` / `AnyOf` rules.
     general: Vec<usize>,
-    /// Lookups performed against this table (telemetry).
-    lookups: u64,
-    /// Lookups that hit some rule.
-    matched: u64,
-    /// Lookups that hit no rule.
-    missed: u64,
 }
 
 impl MatchActionTable {
@@ -382,7 +378,12 @@ impl EnclaveStats {
 pub struct Enclave {
     config: EnclaveConfig,
     tables: Vec<MatchActionTable>,
+    /// Lookup and per-rule hit counters, parallel to `tables` (and each
+    /// block's `rule_hits` to its table's rules).
+    table_counts: Vec<TableCounts>,
     functions: Vec<InstalledFunction>,
+    /// Per-function invocation counters, parallel to `functions`.
+    func_counts: Vec<FuncCounts>,
     /// Precomputed per-function packet-slot bindings: (header map, access).
     pkt_bindings: Vec<Vec<(Option<HeaderField>, Access)>>,
     states: Vec<FunctionState>,
@@ -393,7 +394,7 @@ pub struct Enclave {
     /// so the data path reads them with zero synchronization.
     repl: Vec<Option<HostRepl>>,
     flow_rules: Vec<(FiveTupleMatch, ClassId)>,
-    /// One interpreter per worker lane; lane 0 is the serial path's.
+    /// One interpreter per worker lane; lane 0 is the caller thread's.
     pool: InterpreterPool,
     /// `true` while every installed function may run on a worker lane:
     /// interpreted (native closures are not `Send`) and not `Serialized`.
@@ -408,11 +409,12 @@ pub struct Enclave {
     /// pops it for O(1) oldest-eviction when the ring is full.
     punt_rx: Consumer<Packet>,
     pub stats: EnclaveStats,
-    /// Batches that ran the serial staged path (small or lane-unsafe).
+    /// Batches that ran packet by packet on the caller's thread (small
+    /// or lane-unsafe).
     batches_serial: u64,
     /// Batches that fanned out to the worker lanes.
     batches_parallel: u64,
-    /// Reused struct-of-arrays scratch for the batched stages.
+    /// Reused struct-of-arrays scratch for the lane fan-out.
     batch: BatchScratch,
     /// Scratch for unmapped packet fields (packet lifetime).
     scratch: Vec<i64>,
@@ -436,7 +438,7 @@ pub struct Enclave {
     /// Sampled per-function execution latency, parallel to `functions`.
     func_latency: Vec<LogHistogram>,
     /// Flight recorder: one single-writer event ring per worker lane
-    /// (ring 0 doubles as the serial path's and the control plane's).
+    /// (ring 0 doubles as the caller thread's and the control plane's).
     flight: Vec<FlightRing>,
     /// The most recent frozen flight-recorder dump.
     last_dump: Option<FlightDump>,
@@ -499,7 +501,9 @@ impl Enclave {
         Enclave {
             config,
             tables: vec![MatchActionTable::default()],
+            table_counts: vec![TableCounts::default()],
             functions: Vec::new(),
+            func_counts: Vec::new(),
             pkt_bindings: Vec::new(),
             states: Vec::new(),
             repl: Vec::new(),
@@ -536,6 +540,7 @@ impl Enclave {
     /// Create an additional match-action table; returns its id.
     pub fn create_table(&mut self) -> TableId {
         self.tables.push(MatchActionTable::default());
+        self.table_counts.push(TableCounts::default());
         TableId(self.tables.len() - 1)
     }
 
@@ -565,6 +570,7 @@ impl Enclave {
         }));
         self.pkt_bindings.push(bindings);
         self.functions.push(function);
+        self.func_counts.push(FuncCounts::default());
         self.states.push(state);
         self.func_latency.push(LogHistogram::new());
         FuncId(self.functions.len() - 1)
@@ -574,12 +580,8 @@ impl Enclave {
     pub fn install_rule(&mut self, table: TableId, spec: MatchSpec, func: FuncId) {
         assert!(func.0 < self.functions.len(), "unknown function");
         let epoch = self.active_epoch;
-        self.tables[table.0].push_rule(Rule {
-            spec,
-            func,
-            hits: 0,
-            epoch,
-        });
+        self.tables[table.0].push_rule(Rule { spec, func, epoch });
+        self.table_counts[table.0].rule_hits.push(0);
     }
 
     /// Remove rule `rule` (by position) from `table`; later rules shift
@@ -592,12 +594,14 @@ impl Enclave {
             return false;
         }
         t.remove_rule(rule);
+        self.table_counts[table.0].rule_hits.remove(rule);
         true
     }
 
     /// Remove all rules from `table`.
     pub fn clear_table(&mut self, table: TableId) {
         self.tables[table.0].clear();
+        self.table_counts[table.0].rule_hits.clear();
     }
 
     /// Add an enclave-level five-tuple classification rule.
@@ -650,7 +654,7 @@ impl Enclave {
     }
 
     /// Interpreter resource usage of the most recent interpreted run on
-    /// the serial path (for §5.4 footprint reporting).
+    /// the caller's thread (for §5.4 footprint reporting).
     pub fn last_usage(&self) -> eden_vm::Usage {
         self.pool.lane(0).usage()
     }
@@ -930,7 +934,10 @@ impl Enclave {
     fn reset_config(&mut self) {
         self.tables.clear();
         self.tables.push(MatchActionTable::default());
+        self.table_counts.clear();
+        self.table_counts.push(TableCounts::default());
         self.functions.clear();
+        self.func_counts.clear();
         self.pkt_bindings.clear();
         self.states.clear();
         self.repl.clear();
@@ -1129,9 +1136,6 @@ impl Enclave {
         let msg_id = message_id(packet);
         let mut prng = rng.fork_packet();
 
-        // packet-lifetime scratch for unmapped fields
-        self.scratch.iter_mut().for_each(|v| *v = 0);
-
         // sampled packet: open a fresh trace rooted at a "pkt" span, with
         // the classify stage already timed and recorded
         let at = now.as_nanos();
@@ -1158,42 +1162,33 @@ impl Enclave {
             (trace_id, root, classify_ns, std::time::Instant::now())
         });
 
-        // --- match + execute: serial walk on lane 0 --------------------
+        // --- match + execute + epilogue, on lane 0's interpreter ---------
         let mut func_samples = Vec::new();
-        let walk = {
-            let mut tables = DirectTables(&mut self.tables);
-            let mut inv = SerialInvoker {
+        let (walk, punted) = Walker {
+            tables: &self.tables,
+            bindings: &self.pkt_bindings,
+            funcs: Funcs::Owner {
                 functions: &mut self.functions,
-                bindings: &self.pkt_bindings,
                 states: &mut self.states,
                 repl: &mut self.repl,
-                interp: self.pool.lane_mut(0),
-                timed: sampled,
-                samples: &mut func_samples,
-                ring: &mut self.flight[0],
-                lane: 0,
-            };
-            walk_packet(
-                &mut tables,
-                &mut inv,
-                &self.classes,
-                msg_id,
-                packet,
-                &mut self.scratch,
-                &mut prng,
-                now,
-                direction,
-                self.config.fail_open,
-                None,
-            )
-        };
-        if walk.punt {
-            // zero-copy punt: move the packet into the mailbox, leaving
-            // the canonical consumed placeholder (the verdict is Drop, so
-            // the caller releases its slot either way)
-            self.push_punt(std::mem::replace(packet, Packet::consumed()));
+            },
+            table_counts: &mut self.table_counts,
+            func_counts: &mut self.func_counts,
+            stats: &mut self.stats,
+            interp: self.pool.lane_mut(0),
+            ring: &mut self.flight[0],
+            samples: &mut func_samples,
+            scratch: &mut self.scratch,
+            lane: 0,
+            batch_idx: 0,
+            now,
+            direction,
+            fail_open: self.config.fail_open,
         }
-        self.stats.account_walk(&walk);
+        .packet(&self.classes, msg_id, packet, &mut prng, sampled, None);
+        if let Some(p) = punted {
+            self.push_punt(p);
+        }
         for (fid, ns) in func_samples {
             self.func_latency[fid].record(ns);
         }
@@ -1206,25 +1201,7 @@ impl Enclave {
                 at + classify_ns,
                 at + classify_ns + walk_ns,
             );
-            if walk.punt {
-                self.flight[0].record(FlightEvent {
-                    at_ns: at,
-                    lane: 0,
-                    kind: FlightKind::Punt,
-                    a: u64::from(self.classes.first().copied().unwrap_or(0)),
-                    b: 0,
-                });
-            }
             self.spans.end(root, at + classify_ns + walk_ns);
-        }
-        if walk.loop_abort {
-            self.flight[0].record(FlightEvent {
-                at_ns: at,
-                lane: 0,
-                kind: FlightKind::TableLoop,
-                a: 0,
-                b: 0,
-            });
         }
         if walk.fault {
             self.freeze_flight("vm_trap");
@@ -1236,10 +1213,10 @@ impl Enclave {
     ///
     /// Equivalent — verdict for verdict, header byte for header byte,
     /// state word for state word — to calling [`process`](Self::process)
-    /// on each packet in order; the batch path exists so the stages can
-    /// amortize per-call costs and, when every installed function is
-    /// interpreted and non-`Serialized`, execute message lanes on a
-    /// scoped worker pool.
+    /// on each packet in order. On the caller's thread it *is* that loop;
+    /// when every installed function is interpreted and non-`Serialized`
+    /// and the batch is large enough, message lanes execute on the worker
+    /// pool instead.
     pub fn process_batch(
         &mut self,
         packets: &mut [Packet],
@@ -1292,7 +1269,11 @@ impl Enclave {
             self.process_batch_parallel(packets, rng, now, direction, out);
         } else {
             self.batches_serial += 1;
-            self.process_batch_serial(packets, rng, now, direction, out);
+            out.reserve(packets.len());
+            for p in packets.iter_mut() {
+                let v = self.process_dir(p, rng, now, direction);
+                out.push(v);
+            }
         }
     }
 
@@ -1301,7 +1282,7 @@ impl Enclave {
     /// enough — in total and per lane — to pay for the worker handoff,
     /// and enough message-state headroom that lane-side block creation
     /// can never trigger a FIFO eviction (eviction order is only defined
-    /// on the serial path).
+    /// on the caller's thread).
     fn parallel_eligible(&self, n: usize) -> bool {
         self.lane_safe
             && !self.functions.is_empty()
@@ -1311,145 +1292,11 @@ impl Enclave {
             && self.states.iter().all(|s| s.headroom() >= n)
     }
 
-    /// The serial batch path, staged struct-of-arrays style: classify
-    /// every packet into flat columns (class keys, ranges, message ids,
-    /// RNG forks), batch-probe the class→rule index, then execute the
-    /// whole batch on lane 0's interpreter through one
-    /// [`InterpreterPool::run_lane_batch`] call. Equivalent to per-packet
-    /// [`process_dir`](Self::process_dir) by construction: the same
-    /// `walk_packet` runs in the same packet order against the same
-    /// state, and RNG forks happen in batch order. With tracing enabled
-    /// it *is* the per-packet path, so span and sampler behavior stay
-    /// bit-identical.
-    fn process_batch_serial(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-        out: &mut Vec<HookVerdict>,
-    ) {
-        if self.sampler.enabled() {
-            // per-packet spans and sampler draws: the staged path would
-            // change what gets recorded, so fall back wholesale
-            for p in packets.iter_mut() {
-                let v = self.process_dir(p, rng, now, direction);
-                out.push(v);
-            }
-            return;
-        }
-        let n = packets.len();
-        self.stats.packets += n as u64;
-        self.last_now = now;
-        let mut bs = std::mem::take(&mut self.batch);
-        bs.clear_columns();
-
-        // --- classify: SoA columns, batch order (RNG fork order must
-        // match the per-packet path) ------------------------------------
-        for p in packets.iter() {
-            let start = bs.key_col.len() as u32;
-            classify(p, &self.flow_rules, &mut bs.key_col);
-            bs.ranges.push((start, bs.key_col.len() as u32 - start));
-            bs.msg_ids.push(message_id(p));
-            bs.prngs.push(rng.fork_packet());
-        }
-
-        // --- match: batch-probe table 0 over the flat key column --------
-        {
-            let BatchScratch {
-                key_col,
-                ranges,
-                firsts,
-                ..
-            } = &mut bs;
-            let mut tables = DirectTables(&mut self.tables);
-            for &(start, len) in ranges.iter() {
-                let classes = &key_col[start as usize..(start + len) as usize];
-                firsts.push(tables.lookup(0, classes));
-            }
-        }
-
-        // --- execute: lane 0, one pool call for the whole batch ---------
-        let fail_open = self.config.fail_open;
-        let max_punted = self.config.max_punted;
-        let mut faulted = false;
-        let mut samples: Vec<(usize, u64)> = Vec::new();
-        {
-            let BatchScratch {
-                key_col,
-                ranges,
-                msg_ids,
-                prngs,
-                firsts,
-                ..
-            } = &mut bs;
-            self.pool.run_lane_batch(0, n, |interp, i| {
-                self.scratch.iter_mut().for_each(|v| *v = 0);
-                let (start, len) = ranges[i];
-                let classes = &key_col[start as usize..(start + len) as usize];
-                let packet = &mut packets[i];
-                let walk = {
-                    let mut tables = DirectTables(&mut self.tables);
-                    let mut inv = SerialInvoker {
-                        functions: &mut self.functions,
-                        bindings: &self.pkt_bindings,
-                        states: &mut self.states,
-                        repl: &mut self.repl,
-                        interp,
-                        timed: false,
-                        samples: &mut samples,
-                        ring: &mut self.flight[0],
-                        lane: 0,
-                    };
-                    walk_packet(
-                        &mut tables,
-                        &mut inv,
-                        classes,
-                        msg_ids[i],
-                        packet,
-                        &mut self.scratch,
-                        &mut prngs[i],
-                        now,
-                        direction,
-                        fail_open,
-                        Some(firsts[i]),
-                    )
-                };
-                if walk.punt {
-                    // zero-copy punt: move the packet into the mailbox,
-                    // leaving the same consumed placeholder the
-                    // per-packet path leaves
-                    push_punt_raw(
-                        &mut self.punt_tx,
-                        &mut self.punt_rx,
-                        &mut self.stats,
-                        max_punted,
-                        std::mem::replace(packet, Packet::consumed()),
-                    );
-                }
-                self.stats.account_walk(&walk);
-                if walk.loop_abort {
-                    self.flight[0].record(FlightEvent {
-                        at_ns: now.as_nanos(),
-                        lane: 0,
-                        kind: FlightKind::TableLoop,
-                        a: 0,
-                        b: 0,
-                    });
-                }
-                faulted |= walk.fault;
-                out.push(walk.verdict);
-            });
-        }
-        for (fid, ns) in samples {
-            self.func_latency[fid].record(ns);
-        }
-        self.batch = bs;
-        if faulted {
-            self.freeze_flight("vm_trap");
-        }
-    }
-
+    /// The lane fan-out: classify and resolve table 0 for the whole batch
+    /// on the caller's thread (RNG forks and sampler draws in batch
+    /// order), partition by message id, let each lane walk its share, then
+    /// merge counters and replay punts and block creations in packet
+    /// order.
     fn process_batch_parallel(
         &mut self,
         packets: &mut [Packet],
@@ -1477,7 +1324,7 @@ impl Enclave {
         bs.clear_columns();
 
         // --- classify stage: SoA columns, batch order (RNG forks and
-        // sampler draws must match the serial path) ----------------------
+        // sampler draws must match the per-packet path) ------------------
         for p in packets.iter() {
             let start = bs.key_col.len() as u32;
             classify(p, &self.flow_rules, &mut bs.key_col);
@@ -1497,9 +1344,9 @@ impl Enclave {
                 firsts,
                 ..
             } = &mut bs;
-            let mut tables = DirectTables(&mut self.tables);
             for &(start, len) in ranges.iter() {
-                firsts.push(tables.lookup(0, &key_col[start as usize..(start + len) as usize]));
+                let classes = &key_col[start as usize..(start + len) as usize];
+                firsts.push(lookup(&self.tables, &mut self.table_counts, 0, classes));
             }
         }
         let match_ns = t_match.map(|t| t.elapsed().as_nanos() as u64);
@@ -1522,21 +1369,17 @@ impl Enclave {
         for scr in bs.lane_scratch.iter_mut() {
             scr.reset(&rule_counts, nfuncs, scratch_len);
         }
-        let lane_funcs: Vec<LaneFunc<'_>> = self
+        let mut lane_funcs: Vec<Vec<LaneFn<'_>>> =
+            (0..lanes).map(|_| Vec::with_capacity(nfuncs)).collect();
+        for ((f, state), repl) in self
             .functions
             .iter()
-            .map(|f| match &f.action {
-                ActionImpl::Interpreted(program) => LaneFunc {
-                    program,
-                    concurrency: f.concurrency,
-                },
-                ActionImpl::Native(_) => unreachable!("parallel path requires interpreted"),
-            })
-            .collect();
-        let mut lane_states: Vec<Vec<LaneFnState<'_>>> = (0..lanes)
-            .map(|_| Vec::with_capacity(self.functions.len()))
-            .collect();
-        for (state, repl) in self.states.iter_mut().zip(self.repl.iter()) {
+            .zip(self.states.iter_mut())
+            .zip(self.repl.iter())
+        {
+            let ActionImpl::Interpreted(program) = &f.action else {
+                unreachable!("lane fan-out requires interpreted functions");
+            };
             let (shards, global, arrays) = state.split_shards();
             let repl = repl.as_ref().map(|h| ReplShared {
                 spec: h.spec(),
@@ -1545,7 +1388,9 @@ impl Enclave {
             });
             debug_assert_eq!(shards.len(), lanes, "shard count tracks lane count");
             for (lane, shard) in shards.into_iter().enumerate() {
-                lane_states[lane].push(LaneFnState {
+                lane_funcs[lane].push(LaneFn {
+                    program,
+                    concurrency: f.concurrency,
                     shard,
                     global,
                     arrays,
@@ -1576,11 +1421,11 @@ impl Enclave {
             let mut tasks: Vec<LaneTask<'_, '_>> = lane_idx
                 .iter()
                 .zip(lane_scratch.iter_mut())
-                .zip(lane_states)
+                .zip(lane_funcs)
                 .zip(self.pool.lanes_mut().iter_mut())
                 .zip(self.flight.iter_mut())
                 .enumerate()
-                .map(|(lane, ((((idxs, scr), states), interp), ring))| LaneTask {
+                .map(|(lane, ((((idxs, scr), funcs), interp), ring))| LaneTask {
                     idxs,
                     key_col,
                     ranges,
@@ -1590,9 +1435,8 @@ impl Enclave {
                     firsts,
                     slab: &slab,
                     tables: &self.tables,
-                    funcs: &lane_funcs,
                     bindings: &self.pkt_bindings,
-                    states,
+                    funcs,
                     interp,
                     ring,
                     scr,
@@ -1618,16 +1462,11 @@ impl Enclave {
                 self.func_latency[fid].record(ns);
             }
             self.stats.merge(&scr.stats);
-            for (tbl, d) in self.tables.iter_mut().zip(&scr.table_deltas) {
-                tbl.lookups += d.lookups;
-                tbl.matched += d.matched;
-                tbl.missed += d.missed;
-                for (rule, &hits) in tbl.rules.iter_mut().zip(&d.rule_hits) {
-                    rule.hits += hits;
-                }
+            for (total, d) in self.table_counts.iter_mut().zip(&scr.table_counts) {
+                total.merge(d);
             }
-            for (f, d) in self.functions.iter_mut().zip(&scr.func_deltas) {
-                d.apply_to(f);
+            for (total, d) in self.func_counts.iter_mut().zip(&scr.func_counts) {
+                total.merge(d);
             }
             for (idx, v) in scr.verdicts.drain(..) {
                 out[base + idx as usize] = v;
@@ -1637,7 +1476,7 @@ impl Enclave {
         }
         // replay lane-side message-block creations and punts in packet
         // arrival order, so FIFO bookkeeping and the mailbox match the
-        // serial path exactly (sorts are stable; each packet lives on one
+        // per-packet path exactly (sorts are stable; each packet lives on one
         // lane, so its entries are already internally ordered)
         all_created.sort_by_key(|&(idx, _, _)| idx);
         for (_, fid, msg_id) in all_created {
@@ -1671,16 +1510,19 @@ impl Enclave {
         }
     }
 
-    /// Append to the bounded punt mailbox, evicting the oldest punt (and
-    /// counting it) when full.
+    /// Append to the bounded punt mailbox: when full, pop (and count) the
+    /// oldest punt first — O(1) on the ring.
     fn push_punt(&mut self, packet: Packet) {
-        push_punt_raw(
-            &mut self.punt_tx,
-            &mut self.punt_rx,
-            &mut self.stats,
-            self.config.max_punted,
-            packet,
-        );
+        if self.config.max_punted == 0 {
+            self.stats.punt_drops += 1;
+            return;
+        }
+        if let Err(packet) = self.punt_tx.push(packet) {
+            let _ = self.punt_rx.pop();
+            self.stats.punt_drops += 1;
+            let pushed = self.punt_tx.push(packet).is_ok();
+            debug_assert!(pushed, "punt ring has a free slot after eviction");
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1697,42 +1539,45 @@ impl Enclave {
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let enclave = self.enclave_counters();
         let tables = self
-            .tables
+            .table_counts
             .iter()
             .enumerate()
-            .map(|(i, t)| TableCounters {
+            .map(|(i, c)| TableCounters {
                 table: i,
-                lookups: t.lookups,
-                matches: t.matched,
-                misses: t.missed,
+                lookups: c.lookups,
+                matches: c.matched,
+                misses: c.missed,
             })
             .collect();
         let rules = self
             .tables
             .iter()
+            .zip(&self.table_counts)
             .enumerate()
-            .flat_map(|(ti, t)| {
-                t.rules.iter().enumerate().map(move |(ri, r)| RuleCounters {
+            .flat_map(|(ti, (t, c))| {
+                let hits = t.rules.iter().zip(&c.rule_hits).enumerate();
+                hits.map(move |(ri, (r, &hits))| RuleCounters {
                     table: ti,
                     rule: ri,
                     func: r.func.0,
-                    hits: r.hits,
+                    hits,
                 })
             })
             .collect();
         let functions = self
             .functions
             .iter()
+            .zip(&self.func_counts)
             .enumerate()
-            .map(|(i, f)| FunctionCounters {
+            .map(|(i, (f, c))| FunctionCounters {
                 func: i,
                 name: f.name.clone(),
-                invocations: f.invocations,
-                faults: f.faults,
-                drops: f.drops,
-                punts: f.punts,
-                header_modifies: f.header_modifies,
-                enqueue_charge_bytes: f.enqueue_charge_bytes,
+                invocations: c.invocations,
+                faults: c.faults,
+                drops: c.drops,
+                punts: c.punts,
+                header_modifies: c.header_modifies,
+                enqueue_charge_bytes: c.enqueue_charge_bytes,
             })
             .collect();
         let vmc = self.pool.counters();
@@ -1784,8 +1629,8 @@ impl Enclave {
         }
     }
 
-    /// Which batch path ran, `(serial, parallel)` — satellite telemetry
-    /// for the per-lane fan-out gate.
+    /// How batches ran, `(packet by packet on the caller's thread, fanned
+    /// out to lanes)` — telemetry for the per-lane fan-out gate.
     pub fn batch_path_counts(&self) -> (u64, u64) {
         (self.batches_serial, self.batches_parallel)
     }
@@ -2004,76 +1849,60 @@ enum Lookup {
     Hit(usize),
 }
 
-/// How a walk reaches the tables: the serial path counts hits in place;
-/// worker lanes see the tables read-only and record deltas.
-trait TableAccess {
-    fn lookup(&mut self, table: usize, classes: &[u32]) -> Lookup;
-}
-
-struct DirectTables<'a>(&'a mut [MatchActionTable]);
-
-impl TableAccess for DirectTables<'_> {
-    fn lookup(&mut self, table: usize, classes: &[u32]) -> Lookup {
-        let Some(tbl) = self.0.get_mut(table) else {
-            return Lookup::NoTable;
-        };
-        tbl.lookups += 1;
-        match tbl.find(classes) {
-            Some(idx) => {
-                tbl.matched += 1;
-                tbl.rules[idx].hits += 1;
-                Lookup::Hit(tbl.rules[idx].func.0)
-            }
-            None => {
-                tbl.missed += 1;
-                Lookup::Miss
-            }
-        }
-    }
-}
-
-/// Per-table counter deltas accumulated by one worker lane.
-#[derive(Debug)]
-struct TableDelta {
+/// Per-table counters, kept apart from the read-only
+/// [`MatchActionTable`] so worker lanes can share the tables while each
+/// counts into a block of its own. The enclave's blocks hold the totals;
+/// a lane's are merged into them after every fan-out.
+#[derive(Debug, Default)]
+struct TableCounts {
     lookups: u64,
+    /// Lookups that hit some rule.
     matched: u64,
+    /// Lookups that hit no rule.
     missed: u64,
+    /// Packets that matched each rule, parallel to the table's rules.
     rule_hits: Vec<u64>,
 }
 
-impl TableDelta {
-    fn for_rules(rules: usize) -> TableDelta {
-        TableDelta {
-            lookups: 0,
-            matched: 0,
-            missed: 0,
+impl TableCounts {
+    fn for_rules(rules: usize) -> TableCounts {
+        TableCounts {
             rule_hits: vec![0; rules],
+            ..TableCounts::default()
+        }
+    }
+
+    fn merge(&mut self, d: &TableCounts) {
+        self.lookups += d.lookups;
+        self.matched += d.matched;
+        self.missed += d.missed;
+        for (total, &hits) in self.rule_hits.iter_mut().zip(&d.rule_hits) {
+            *total += hits;
         }
     }
 }
 
-struct SharedTables<'a, 'b> {
-    tables: &'a [MatchActionTable],
-    deltas: &'b mut [TableDelta],
-}
-
-impl TableAccess for SharedTables<'_, '_> {
-    fn lookup(&mut self, table: usize, classes: &[u32]) -> Lookup {
-        let Some(tbl) = self.tables.get(table) else {
-            return Lookup::NoTable;
-        };
-        let d = &mut self.deltas[table];
-        d.lookups += 1;
-        match tbl.find(classes) {
-            Some(idx) => {
-                d.matched += 1;
-                d.rule_hits[idx] += 1;
-                Lookup::Hit(tbl.rules[idx].func.0)
-            }
-            None => {
-                d.missed += 1;
-                Lookup::Miss
-            }
+/// Resolve `classes` against `table`, counting into `counts[table]`.
+fn lookup(
+    tables: &[MatchActionTable],
+    counts: &mut [TableCounts],
+    table: usize,
+    classes: &[u32],
+) -> Lookup {
+    let Some(tbl) = tables.get(table) else {
+        return Lookup::NoTable;
+    };
+    let c = &mut counts[table];
+    c.lookups += 1;
+    match tbl.find(classes) {
+        Some(idx) => {
+            c.matched += 1;
+            c.rule_hits[idx] += 1;
+            Lookup::Hit(tbl.rules[idx].func.0)
+        }
+        None => {
+            c.missed += 1;
+            Lookup::Miss
         }
     }
 }
@@ -2089,18 +1918,28 @@ struct InvokeOut {
     header_modifies: u64,
 }
 
-/// Per-function counter deltas for one invocation (or one lane's worth).
+/// Per-function counters, kept apart from the read-only
+/// [`InstalledFunction`] for the same reason as [`TableCounts`]: the
+/// enclave's blocks hold the totals, a lane's are merged into them after
+/// every fan-out.
 #[derive(Debug, Default, Clone)]
-struct FuncDelta {
+struct FuncCounts {
+    /// Invocations completed without a trap.
     invocations: u64,
+    /// Invocations terminated by a trap (the packet then fails open or
+    /// closed, per §3.4.3's isolation guarantee).
     faults: u64,
+    /// Invocations that returned a drop verdict.
     drops: u64,
+    /// Invocations that punted the packet to the controller.
     punts: u64,
+    /// Packet-header fields the function wrote.
     header_modifies: u64,
+    /// Bytes the function charged to queue verdicts (Pulsar accounting).
     enqueue_charge_bytes: u64,
 }
 
-impl FuncDelta {
+impl FuncCounts {
     fn record(&mut self, out: &InvokeOut) {
         self.header_modifies += out.header_modifies;
         match &out.result {
@@ -2119,138 +1958,21 @@ impl FuncDelta {
         }
     }
 
-    fn apply_to(&self, f: &mut InstalledFunction) {
-        f.invocations += self.invocations;
-        f.faults += self.faults;
-        f.drops += self.drops;
-        f.punts += self.punts;
-        f.header_modifies += self.header_modifies;
-        f.enqueue_charge_bytes += self.enqueue_charge_bytes;
+    fn merge(&mut self, d: &FuncCounts) {
+        self.invocations += d.invocations;
+        self.faults += d.faults;
+        self.drops += d.drops;
+        self.punts += d.punts;
+        self.header_modifies += d.header_modifies;
+        self.enqueue_charge_bytes += d.enqueue_charge_bytes;
     }
 }
 
-/// How a walk runs one action function: the serial path owns every
-/// function and its full state (and supports native closures); a worker
-/// lane owns one message shard per function and its own interpreter.
-trait Invoker {
-    #[allow(clippy::too_many_arguments)]
-    fn invoke(
-        &mut self,
-        fid: usize,
-        msg_id: u64,
-        packet: &mut Packet,
-        scratch: &mut [i64],
-        rng: &mut PacketRng,
-        now: Time,
-        direction: FlowDirection,
-    ) -> InvokeOut;
-}
-
-struct SerialInvoker<'a> {
-    functions: &'a mut [InstalledFunction],
-    bindings: &'a [Vec<(Option<HeaderField>, Access)>],
-    states: &'a mut [FunctionState],
-    repl: &'a mut [Option<HostRepl>],
-    interp: &'a mut Interpreter,
-    /// Sampled packet: time this invocation and record an Execute event.
-    timed: bool,
-    /// Sampled `(function, elapsed ns)` pairs, merged into the enclave's
-    /// per-function histograms after the walk.
-    samples: &'a mut Vec<(usize, u64)>,
-    ring: &'a mut FlightRing,
-    lane: u16,
-}
-
-impl Invoker for SerialInvoker<'_> {
-    fn invoke(
-        &mut self,
-        fid: usize,
-        msg_id: u64,
-        packet: &mut Packet,
-        scratch: &mut [i64],
-        rng: &mut PacketRng,
-        now: Time,
-        direction: FlowDirection,
-    ) -> InvokeOut {
-        let concurrency = self.functions[fid].concurrency;
-        let (msg, global, arrays) = self.states[fid].split_for(msg_id);
-        let repl = match self.repl[fid].as_mut() {
-            Some(h) => ReplRef::Excl(h),
-            None => ReplRef::Off,
-        };
-        let mut host = InvocationHost {
-            packet,
-            bindings: &self.bindings[fid],
-            scratch,
-            msg,
-            state: GlobalView::Excl { global, arrays },
-            repl,
-            rng,
-            now,
-            direction,
-            queue: None,
-            header_modifies: 0,
-            concurrency,
-        };
-        let func = &mut self.functions[fid];
-        let t = self.timed.then(std::time::Instant::now);
-        let result = match &mut func.action {
-            ActionImpl::Interpreted(program) => self.interp.run(program, &mut host),
-            ActionImpl::Native(f) => {
-                let mut env = NativeEnv::new(&mut host);
-                f(&mut env)
-            }
-        };
-        if let Some(t) = t {
-            let ns = t.elapsed().as_nanos() as u64;
-            self.samples.push((fid, ns));
-            self.ring.record(FlightEvent {
-                at_ns: now.as_nanos(),
-                lane: self.lane,
-                kind: FlightKind::Execute,
-                a: fid as u64,
-                b: ns,
-            });
-        }
-        if result.is_err() {
-            // native faults have no trap site; use the kind-count sentinel
-            let (a, b) = match &func.action {
-                ActionImpl::Interpreted(_) => self
-                    .interp
-                    .last_trap()
-                    .map(|s| (s.op_kind as u64, u64::from(s.pc)))
-                    .unwrap_or((eden_vm::Op::KIND_COUNT as u64, 0)),
-                ActionImpl::Native(_) => (eden_vm::Op::KIND_COUNT as u64, 0),
-            };
-            self.ring.record(FlightEvent {
-                at_ns: now.as_nanos(),
-                lane: self.lane,
-                kind: FlightKind::VmTrap,
-                a,
-                b,
-            });
-        }
-        let out = InvokeOut {
-            result,
-            queue: host.queue,
-            header_modifies: host.header_modifies,
-        };
-        let mut d = FuncDelta::default();
-        d.record(&out);
-        d.apply_to(func);
-        out
-    }
-}
-
-/// A lane's view of one interpreted function.
-struct LaneFunc<'a> {
+/// A worker lane's handle on one installed function: the program, this
+/// lane's message shard, and the globals every lane shares read-only.
+struct LaneFn<'a> {
     program: &'a Program,
     concurrency: Concurrency,
-}
-
-/// A lane's view of one function's state: its own message shard, shared
-/// read-only globals.
-struct LaneFnState<'a> {
     shard: &'a mut MsgShard,
     global: &'a [i64],
     arrays: &'a [Vec<i64>],
@@ -2259,101 +1981,287 @@ struct LaneFnState<'a> {
     repl: Option<ReplShared<'a>>,
 }
 
-struct LaneInvoker<'a, 'b> {
-    funcs: &'a [LaneFunc<'a>],
-    bindings: &'a [Vec<(Option<HeaderField>, Access)>],
-    states: &'b mut [LaneFnState<'a>],
-    func_deltas: &'b mut [FuncDelta],
-    interp: &'b mut Interpreter,
-    /// (batch index, function, message) of blocks this lane created, for
-    /// packet-order FIFO replay at merge time.
-    created: &'b mut Vec<(usize, usize, u64)>,
-    batch_idx: usize,
-    /// Sampled packet: time this invocation and record an Execute event.
-    timed: bool,
-    /// Sampled `(function, elapsed ns)` pairs, merged at batch-merge time.
-    samples: &'b mut Vec<(usize, u64)>,
-    ring: &'b mut FlightRing,
-    lane: u16,
+/// How a thread reaches the installed functions and their state.
+enum Funcs<'w, 'f> {
+    /// The caller's thread: every function and its whole state, held
+    /// exclusively — native closures run, creating a message block may
+    /// evict, globals are writable and sequenced stores queue.
+    Owner {
+        functions: &'w mut [InstalledFunction],
+        states: &'w mut [FunctionState],
+        repl: &'w mut [Option<HostRepl>],
+    },
+    /// A worker lane: interpreted functions over this lane's shards.
+    /// Headroom was verified before the fan-out, so creating a block here
+    /// never evicts; `created` lists `(batch index, function, message)`
+    /// for the packet-order FIFO replay at merge time.
+    Lane {
+        funcs: &'w mut [LaneFn<'f>],
+        created: &'w mut Vec<(usize, usize, u64)>,
+    },
 }
 
-impl Invoker for LaneInvoker<'_, '_> {
+/// The code one invocation runs.
+enum ActionRef<'a> {
+    Interpreted(&'a Program),
+    Native(&'a mut NativeFn),
+}
+
+/// Everything one thread takes packets through match + execute with: the
+/// read-only configuration, its view of the functions, and the counters,
+/// interpreter, flight ring and scratch it alone writes. The caller's
+/// thread builds one per packet over the enclave's own fields; a worker
+/// lane builds one per batch over its [`LaneTask`]. Both then run the
+/// same [`packet`](Self::packet), which is what makes lane/per-packet
+/// equivalence structural rather than a property to re-prove after every
+/// change.
+struct Walker<'w, 'f> {
+    tables: &'w [MatchActionTable],
+    bindings: &'w [Vec<(Option<HeaderField>, Access)>],
+    funcs: Funcs<'w, 'f>,
+    table_counts: &'w mut [TableCounts],
+    func_counts: &'w mut [FuncCounts],
+    stats: &'w mut EnclaveStats,
+    interp: &'w mut Interpreter,
+    ring: &'w mut FlightRing,
+    /// Sampled `(function, elapsed ns)` pairs, folded into the enclave's
+    /// per-function histograms once the walker is done.
+    samples: &'w mut Vec<(usize, u64)>,
+    /// Packet-lifetime scratch for unmapped fields.
+    scratch: &'w mut [i64],
+    lane: u16,
+    /// Position of the current packet in its batch.
+    batch_idx: usize,
+    now: Time,
+    direction: FlowDirection,
+    fail_open: bool,
+}
+
+impl Walker<'_, '_> {
+    fn flight(&mut self, kind: FlightKind, a: u64, b: u64) {
+        self.ring.record(FlightEvent {
+            at_ns: self.now.as_nanos(),
+            lane: self.lane,
+            kind,
+            a,
+            b,
+        });
+    }
+
+    /// One packet through match + execute and the per-packet epilogue:
+    /// fold the walk into the counters, leave its flight events, and move
+    /// a punted packet out of its slot. The punt is returned for the
+    /// caller to queue in packet order; the slot keeps the canonical
+    /// consumed placeholder (the verdict is `Drop`, so the stack releases
+    /// it either way).
+    ///
+    /// Forced inline, with [`walk_packet`](Self::walk_packet): built and
+    /// consumed in one frame the walker's fields stay in registers; as
+    /// calls they measured +15 ns a packet (34 → 49 ns on a miss).
+    #[inline(always)]
+    fn packet(
+        &mut self,
+        classes: &[u32],
+        msg_id: u64,
+        packet: &mut Packet,
+        rng: &mut PacketRng,
+        sampled: bool,
+        first: Option<Lookup>,
+    ) -> (WalkResult, Option<Packet>) {
+        // not `fill(0)`: on an empty scratch (no function installed) that
+        // measured ~100 ns a packet on the miss path
+        self.scratch.iter_mut().for_each(|v| *v = 0);
+        let walk = self.walk_packet(classes, msg_id, packet, rng, sampled, first);
+        self.stats.account_walk(&walk);
+        if walk.punt && sampled {
+            let class = classes.first().copied().unwrap_or(0);
+            self.flight(FlightKind::Punt, u64::from(class), 0);
+        }
+        if walk.loop_abort {
+            self.flight(FlightKind::TableLoop, 0, 0);
+        }
+        let punted = walk
+            .punt
+            .then(|| std::mem::replace(packet, Packet::consumed()));
+        (walk, punted)
+    }
+
+    /// Run function `fid` against one packet and count the outcome.
+    /// `timed` (a sampled packet) also times the invocation and leaves an
+    /// `Execute` flight event.
     fn invoke(
         &mut self,
         fid: usize,
         msg_id: u64,
         packet: &mut Packet,
-        scratch: &mut [i64],
         rng: &mut PacketRng,
-        now: Time,
-        direction: FlowDirection,
+        timed: bool,
     ) -> InvokeOut {
-        let st = &mut self.states[fid];
-        let (msg, created) = st.shard.touch(msg_id);
-        if created {
-            // headroom was verified before the fan-out: creating here can
-            // never force an eviction, so FIFO replay at merge suffices
-            self.created.push((self.batch_idx, fid, msg_id));
-        }
-        let func = &self.funcs[fid];
+        let (action, concurrency, msg, state, repl) = match &mut self.funcs {
+            Funcs::Owner {
+                functions,
+                states,
+                repl,
+            } => {
+                let f = &mut functions[fid];
+                let action = match &mut f.action {
+                    ActionImpl::Interpreted(program) => ActionRef::Interpreted(program),
+                    ActionImpl::Native(native) => ActionRef::Native(native),
+                };
+                let (msg, global, arrays) = states[fid].split_for(msg_id);
+                let repl = match repl[fid].as_mut() {
+                    Some(h) => ReplRef::Excl(h),
+                    None => ReplRef::Off,
+                };
+                let state = GlobalView::Excl { global, arrays };
+                (action, f.concurrency, msg, state, repl)
+            }
+            Funcs::Lane { funcs, created } => {
+                let f = &mut funcs[fid];
+                let (msg, was_created) = f.shard.touch(msg_id);
+                if was_created {
+                    created.push((self.batch_idx, fid, msg_id));
+                }
+                let repl = match f.repl {
+                    Some(s) => ReplRef::Shared(s),
+                    None => ReplRef::Off,
+                };
+                let state = GlobalView::Shared {
+                    global: f.global,
+                    arrays: f.arrays,
+                };
+                let action = ActionRef::Interpreted(f.program);
+                (action, f.concurrency, msg, state, repl)
+            }
+        };
         let mut host = InvocationHost {
             packet,
             bindings: &self.bindings[fid],
-            scratch,
+            scratch: &mut *self.scratch,
             msg,
-            state: GlobalView::Shared {
-                global: st.global,
-                arrays: st.arrays,
-            },
-            repl: match st.repl {
-                Some(s) => ReplRef::Shared(s),
-                None => ReplRef::Off,
-            },
+            state,
+            repl,
             rng,
-            now,
-            direction,
+            now: self.now,
+            direction: self.direction,
             queue: None,
             header_modifies: 0,
-            concurrency: func.concurrency,
+            concurrency,
         };
-        let t = self.timed.then(std::time::Instant::now);
-        let result = self.interp.run(func.program, &mut host);
-        if let Some(t) = t {
-            let ns = t.elapsed().as_nanos() as u64;
-            self.samples.push((fid, ns));
-            self.ring.record(FlightEvent {
-                at_ns: now.as_nanos(),
-                lane: self.lane,
-                kind: FlightKind::Execute,
-                a: fid as u64,
-                b: ns,
-            });
-        }
-        if result.is_err() {
-            let (a, b) = self
-                .interp
-                .last_trap()
-                .map(|s| (s.op_kind as u64, u64::from(s.pc)))
-                .unwrap_or((eden_vm::Op::KIND_COUNT as u64, 0));
-            self.ring.record(FlightEvent {
-                at_ns: now.as_nanos(),
-                lane: self.lane,
-                kind: FlightKind::VmTrap,
-                a,
-                b,
-            });
-        }
+        let native = matches!(action, ActionRef::Native(_));
+        let t = timed.then(std::time::Instant::now);
+        let result = match action {
+            ActionRef::Interpreted(program) => self.interp.run(program, &mut host),
+            ActionRef::Native(f) => f(&mut NativeEnv::new(&mut host)),
+        };
         let out = InvokeOut {
             result,
             queue: host.queue,
             header_modifies: host.header_modifies,
         };
-        self.func_deltas[fid].record(&out);
+        if let Some(t) = t {
+            let ns = t.elapsed().as_nanos() as u64;
+            self.samples.push((fid, ns));
+            self.flight(FlightKind::Execute, fid as u64, ns);
+        }
+        if out.result.is_err() {
+            // native faults have no trap site; use the kind-count sentinel
+            let site = self.interp.last_trap().filter(|_| !native);
+            let (a, b) = site
+                .map(|s| (s.op_kind as u64, u64::from(s.pc)))
+                .unwrap_or((eden_vm::Op::KIND_COUNT as u64, 0));
+            self.flight(FlightKind::VmTrap, a, b);
+        }
+        self.func_counts[fid].record(&out);
         out
+    }
+
+    /// The table walk: lookup → invoke → verdict, with `GotoTable`
+    /// continuations.
+    #[inline(always)]
+    fn walk_packet(
+        &mut self,
+        classes: &[u32],
+        msg_id: u64,
+        packet: &mut Packet,
+        rng: &mut PacketRng,
+        timed: bool,
+        mut first: Option<Lookup>,
+    ) -> WalkResult {
+        let mut res = WalkResult {
+            verdict: HookVerdict::Pass,
+            punt: false,
+            matched_any: false,
+            fault: false,
+            header_modifies: 0,
+            loop_abort: false,
+        };
+        let mut verdict_queue: Option<(i64, i64)> = None;
+        let mut table = 0usize;
+        let mut hops = 0u32;
+        'walk: loop {
+            hops += 1;
+            if hops > 8 {
+                res.loop_abort = true; // table-loop guard: fail open, counted
+                break 'walk;
+            }
+            let lookup = match first.take() {
+                Some(precomputed) => precomputed,
+                None => lookup(self.tables, self.table_counts, table, classes),
+            };
+            let fid = match lookup {
+                Lookup::NoTable | Lookup::Miss => break 'walk,
+                Lookup::Hit(fid) => fid,
+            };
+            res.matched_any = true;
+            let out = self.invoke(fid, msg_id, packet, rng, timed);
+            // header writes happened even if the function later trapped or
+            // dropped, so they are merged on every exit path
+            res.header_modifies += out.header_modifies;
+            match out.result {
+                Ok(outcome) => {
+                    if let Some(q) = out.queue {
+                        verdict_queue = Some(q);
+                    }
+                    match outcome {
+                        Outcome::Done => break 'walk,
+                        Outcome::Dropped => {
+                            res.verdict = HookVerdict::Drop;
+                            return res;
+                        }
+                        Outcome::SentToController => {
+                            res.verdict = HookVerdict::Drop;
+                            res.punt = true;
+                            return res;
+                        }
+                        Outcome::GotoTable(t) => {
+                            table = t as usize;
+                            continue 'walk;
+                        }
+                    }
+                }
+                Err(_trap) => {
+                    res.fault = true;
+                    if self.fail_open {
+                        break 'walk;
+                    }
+                    res.verdict = HookVerdict::Drop;
+                    return res;
+                }
+            }
+        }
+        res.verdict = match verdict_queue {
+            Some((queue, charge)) => HookVerdict::Queue {
+                queue: queue.max(0) as usize,
+                charge: charge.max(0) as u64,
+            },
+            None => HookVerdict::Pass,
+        };
+        res
     }
 }
 
-/// Reused struct-of-arrays scratch for the batched stages. Taken with
+/// Reused struct-of-arrays scratch for the lane fan-out. Taken with
 /// `mem::take` at batch start and restored after, so steady-state batches
 /// run entirely out of recycled allocations.
 #[derive(Debug, Default)]
@@ -2366,14 +2274,13 @@ struct BatchScratch {
     msg_ids: Vec<u64>,
     /// Per-packet forked RNG column (fork order = batch order).
     prngs: Vec<PacketRng>,
-    /// Trace-sampled flags (parallel path; the serial staged path only
-    /// runs with tracing off).
+    /// Trace-sampled flags (draw order = batch order).
     sampled: Vec<bool>,
     /// Match-stage output: table-0 resolution per packet.
     firsts: Vec<Lookup>,
-    /// Per-lane packet-index partitions (parallel path).
+    /// Per-lane packet-index partitions.
     lane_idx: Vec<Vec<u32>>,
-    /// Per-lane execute-stage scratch and outputs (parallel path).
+    /// Per-lane execute-stage scratch and outputs.
     lane_scratch: Vec<LaneScratch>,
 }
 
@@ -2393,10 +2300,9 @@ impl BatchScratch {
 struct LaneScratch {
     verdicts: Vec<(u32, HookVerdict)>,
     stats: EnclaveStats,
-    table_deltas: Vec<TableDelta>,
-    func_deltas: Vec<FuncDelta>,
-    /// `(batch index, packet)` punts, *moved* out of the slab (the slot
-    /// keeps the consumed placeholder, same as the serial path).
+    table_counts: Vec<TableCounts>,
+    func_counts: Vec<FuncCounts>,
+    /// `(batch index, packet)` punts, *moved* out of the slab.
     punts: Vec<(u32, Packet)>,
     /// `(batch index, function, message)` of state blocks this lane
     /// created, for packet-order FIFO replay at merge time.
@@ -2411,11 +2317,11 @@ impl LaneScratch {
     fn reset(&mut self, rule_counts: &[usize], funcs: usize, scratch_len: usize) {
         self.verdicts.clear();
         self.stats = EnclaveStats::default();
-        self.table_deltas.clear();
-        self.table_deltas
-            .extend(rule_counts.iter().map(|&n| TableDelta::for_rules(n)));
-        self.func_deltas.clear();
-        self.func_deltas.resize(funcs, FuncDelta::default());
+        self.table_counts.clear();
+        self.table_counts
+            .extend(rule_counts.iter().map(|&n| TableCounts::for_rules(n)));
+        self.func_counts.clear();
+        self.func_counts.resize(funcs, FuncCounts::default());
         self.punts.clear();
         self.created.clear();
         self.func_samples.clear();
@@ -2440,9 +2346,8 @@ struct LaneTask<'a, 'p> {
     firsts: &'a [Lookup],
     slab: &'a PacketSlab<'p>,
     tables: &'a [MatchActionTable],
-    funcs: &'a [LaneFunc<'a>],
     bindings: &'a [Vec<(Option<HeaderField>, Access)>],
-    states: Vec<LaneFnState<'a>>,
+    funcs: Vec<LaneFn<'a>>,
     interp: &'a mut Interpreter,
     ring: &'a mut FlightRing,
     scr: &'a mut LaneScratch,
@@ -2452,187 +2357,66 @@ struct LaneTask<'a, 'p> {
     lane: u16,
 }
 
-/// The per-lane execute stage: one [`Interpreter::run_batch`] call walks
-/// every packet index assigned to this lane, reading the shared SoA
-/// columns and writing packets in place through the [`PacketSlab`].
+/// The per-lane execute stage: walk every packet index assigned to this
+/// lane, reading the shared SoA columns and writing packets in place
+/// through the [`PacketSlab`].
 fn run_lane_task(_lane: usize, t: &mut LaneTask<'_, '_>) {
-    let interp = &mut *t.interp;
-    interp.run_batch(t.idxs.len(), |interp, k| {
-        let i = t.idxs[k] as usize;
+    let scr = &mut *t.scr;
+    let mut walker = Walker {
+        tables: t.tables,
+        bindings: t.bindings,
+        funcs: Funcs::Lane {
+            funcs: &mut t.funcs,
+            created: &mut scr.created,
+        },
+        table_counts: &mut scr.table_counts,
+        func_counts: &mut scr.func_counts,
+        stats: &mut scr.stats,
+        interp: &mut *t.interp,
+        ring: &mut *t.ring,
+        samples: &mut scr.func_samples,
+        scratch: &mut scr.pkt_scratch,
+        lane: t.lane,
+        batch_idx: 0,
+        now: t.now,
+        direction: t.direction,
+        fail_open: t.fail_open,
+    };
+    for &idx in t.idxs {
+        let i = idx as usize;
         let (start, len) = t.ranges[i];
         let classes = &t.key_col[start as usize..(start + len) as usize];
         let mut prng = t.prngs[i].clone();
         // SAFETY: lanes partition batch indices disjointly, so no other
         // lane touches this packet slot, and `LanePool::run`'s barrier
         // keeps the slab alive until every lane is done.
-        let packet = unsafe { t.slab.pkt_mut(PacketRef(t.idxs[k])) };
-        t.scr.pkt_scratch.iter_mut().for_each(|v| *v = 0);
-        let walk = {
-            let mut tables = SharedTables {
-                tables: t.tables,
-                deltas: &mut t.scr.table_deltas,
-            };
-            let mut inv = LaneInvoker {
-                funcs: t.funcs,
-                bindings: t.bindings,
-                states: &mut t.states,
-                func_deltas: &mut t.scr.func_deltas,
-                interp,
-                created: &mut t.scr.created,
-                batch_idx: i,
-                timed: t.sampled[i],
-                samples: &mut t.scr.func_samples,
-                ring: &mut *t.ring,
-                lane: t.lane,
-            };
-            walk_packet(
-                &mut tables,
-                &mut inv,
-                classes,
-                t.msg_ids[i],
-                packet,
-                &mut t.scr.pkt_scratch,
-                &mut prng,
-                t.now,
-                t.direction,
-                t.fail_open,
-                Some(t.firsts[i]),
-            )
-        };
-        if walk.punt {
-            // zero-copy punt: move out of the slab, leaving the same
-            // consumed placeholder the serial path leaves
-            t.scr
-                .punts
-                .push((i as u32, std::mem::replace(packet, Packet::consumed())));
+        let packet = unsafe { t.slab.pkt_mut(PacketRef(idx)) };
+        walker.batch_idx = i;
+        let first = Some(t.firsts[i]);
+        let (walk, punted) = walker.packet(
+            classes,
+            t.msg_ids[i],
+            packet,
+            &mut prng,
+            t.sampled[i],
+            first,
+        );
+        if let Some(p) = punted {
+            scr.punts.push((idx, p));
         }
-        t.scr.stats.account_walk(&walk);
-        t.scr.verdicts.push((i as u32, walk.verdict));
-    });
-}
-
-/// Append to the bounded punt-mailbox ring: when full, pop (and count)
-/// the oldest punt first — O(1), where the old `Vec::remove(0)` mailbox
-/// shifted every queued punt on each eviction.
-fn push_punt_raw(
-    tx: &mut Producer<Packet>,
-    rx: &mut Consumer<Packet>,
-    stats: &mut EnclaveStats,
-    max_punted: usize,
-    packet: Packet,
-) {
-    if max_punted == 0 {
-        stats.punt_drops += 1;
-        return;
-    }
-    if let Err(packet) = tx.push(packet) {
-        let _ = rx.pop();
-        stats.punt_drops += 1;
-        let pushed = tx.push(packet).is_ok();
-        debug_assert!(pushed, "punt ring has a free slot after eviction");
+        scr.verdicts.push((idx, walk.verdict));
     }
 }
 
 /// One packet's trip through the execute stage.
 struct WalkResult {
     verdict: HookVerdict,
-    /// Verdict was a controller punt (the caller clones into the mailbox).
+    /// Verdict was a controller punt (the epilogue moves the packet out).
     punt: bool,
     matched_any: bool,
     fault: bool,
     header_modifies: u64,
     loop_abort: bool,
-}
-
-/// The table walk: lookup → invoke → verdict, with `GotoTable`
-/// continuations. One implementation serves both the serial path and the
-/// worker lanes — the [`TableAccess`]/[`Invoker`] pair carries the
-/// difference — which is what makes batch/serial equivalence structural
-/// rather than a property to re-prove after every change.
-#[allow(clippy::too_many_arguments)]
-fn walk_packet<T: TableAccess, I: Invoker>(
-    tables: &mut T,
-    inv: &mut I,
-    classes: &[u32],
-    msg_id: u64,
-    packet: &mut Packet,
-    scratch: &mut [i64],
-    rng: &mut PacketRng,
-    now: Time,
-    direction: FlowDirection,
-    fail_open: bool,
-    mut first: Option<Lookup>,
-) -> WalkResult {
-    let mut res = WalkResult {
-        verdict: HookVerdict::Pass,
-        punt: false,
-        matched_any: false,
-        fault: false,
-        header_modifies: 0,
-        loop_abort: false,
-    };
-    let mut verdict_queue: Option<(i64, i64)> = None;
-    let mut table = 0usize;
-    let mut hops = 0u32;
-    'walk: loop {
-        hops += 1;
-        if hops > 8 {
-            res.loop_abort = true; // table-loop guard: fail open, counted
-            break 'walk;
-        }
-        let lookup = match first.take() {
-            Some(precomputed) => precomputed,
-            None => tables.lookup(table, classes),
-        };
-        let fid = match lookup {
-            Lookup::NoTable | Lookup::Miss => break 'walk,
-            Lookup::Hit(fid) => fid,
-        };
-        res.matched_any = true;
-        let out = inv.invoke(fid, msg_id, packet, scratch, rng, now, direction);
-        // header writes happened even if the function later trapped or
-        // dropped, so they are merged on every exit path
-        res.header_modifies += out.header_modifies;
-        match out.result {
-            Ok(outcome) => {
-                if let Some(q) = out.queue {
-                    verdict_queue = Some(q);
-                }
-                match outcome {
-                    Outcome::Done => break 'walk,
-                    Outcome::Dropped => {
-                        res.verdict = HookVerdict::Drop;
-                        return res;
-                    }
-                    Outcome::SentToController => {
-                        res.verdict = HookVerdict::Drop;
-                        res.punt = true;
-                        return res;
-                    }
-                    Outcome::GotoTable(t) => {
-                        table = t as usize;
-                        continue 'walk;
-                    }
-                }
-            }
-            Err(_trap) => {
-                res.fault = true;
-                if fail_open {
-                    break 'walk;
-                }
-                res.verdict = HookVerdict::Drop;
-                return res;
-            }
-        }
-    }
-    res.verdict = match verdict_queue {
-        Some((queue, charge)) => HookVerdict::Queue {
-            queue: queue.max(0) as usize,
-            charge: charge.max(0) as u64,
-        },
-        None => HookVerdict::Pass,
-    };
-    res
 }
 
 /// Shared read-only replica view for a worker lane: the spec plus the
@@ -3001,7 +2785,6 @@ mod tests {
             t.push_rule(Rule {
                 spec,
                 func: FuncId(func),
-                hits: 0,
                 epoch: 0,
             });
         }
@@ -3014,13 +2797,11 @@ mod tests {
         t2.push_rule(Rule {
             spec: MatchSpec::AnyOf(vec![ClassId(3)]),
             func: FuncId(0),
-            hits: 0,
             epoch: 0,
         });
         t2.push_rule(Rule {
             spec: MatchSpec::Class(ClassId(5)),
             func: FuncId(1),
-            hits: 0,
             epoch: 0,
         });
         assert_eq!(t2.find(&[5]), Some(1));
@@ -3342,15 +3123,59 @@ mod tests {
     }
 
     #[test]
-    fn sampled_tracing_records_spans_and_latencies() {
+    fn table_loop_on_a_lane_leaves_a_flight_event() {
         let mut e = Enclave::new(EnclaveConfig {
-            trace_sample: 2,
+            lanes: 4,
             ..EnclaveConfig::default()
         });
+        let t1 = e.create_table();
+        let ping = e.install_function(interp_fn(
+            "fun (packet, msg, _global) -> gotoTable (1)",
+            Schema::new(),
+        ));
+        let pong = e.install_function(interp_fn(
+            "fun (packet, msg, _global) -> gotoTable (0)",
+            Schema::new(),
+        ));
+        e.install_rule(TableId(0), MatchSpec::Any, ping);
+        e.install_rule(t1, MatchSpec::Any, pong);
+
+        // one flow per packet, so the batch spreads over the lanes
+        let mut batch: Vec<Packet> = (0..64u16)
+            .map(|i| {
+                let udp = netsim::UdpHeader {
+                    src_port: 1000 + i,
+                    dst_port: 80,
+                };
+                Packet::udp(1, 2, udp, 100)
+            })
+            .collect();
+        let mut rng = SimRng::new(1);
+        let verdicts = e.process_batch(&mut batch, &mut rng, Time::from_nanos(5));
+        assert_eq!(e.batch_path_counts(), (0, 1), "the batch took the lanes");
+        assert!(verdicts.iter().all(|v| *v == HookVerdict::Pass));
+        assert_eq!(e.stats.table_loop_aborts, 64);
+
+        e.freeze_flight("test");
+        let dump = e.last_flight_dump().expect("frozen above");
+        let loops = dump
+            .events
+            .iter()
+            .filter(|ev| matches!(ev.kind, FlightKind::TableLoop));
+        assert_eq!(loops.count(), 64, "one per aborted walk, from the lanes");
+    }
+
+    #[test]
+    fn sampled_tracing_records_spans_and_latencies() {
+        let config = EnclaveConfig {
+            trace_sample: 2,
+            ..EnclaveConfig::default()
+        };
+        let mut e = Enclave::new(config);
         let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
         let f = e.install_function(interp_fn(
             "fun (packet, msg, _global) -> packet.Priority <- 1",
-            schema,
+            schema.clone(),
         ));
         e.install_rule(TableId(0), MatchSpec::Any, f);
         let mut rng = SimRng::new(1);
@@ -3358,13 +3183,36 @@ mod tests {
             let mut p = Packet::udp(1, 2, netsim::UdpHeader::default(), 100);
             e.process(&mut p, &mut rng, Time::from_nanos(i));
         }
+
+        // the same eight packets as one batch below the lane threshold: a
+        // caller-thread batch is the per-packet path, tracing included
+        let mut b = Enclave::new(config);
+        let f = b.install_function(interp_fn(
+            "fun (packet, msg, _global) -> packet.Priority <- 1",
+            schema,
+        ));
+        b.install_rule(TableId(0), MatchSpec::Any, f);
+        let mut batch: Vec<Packet> = (0..8)
+            .map(|_| Packet::udp(1, 2, netsim::UdpHeader::default(), 100))
+            .collect();
+        let mut verdicts = Vec::new();
+        b.process_batch_into(&mut batch, &mut SimRng::new(1), Time::ZERO, &mut verdicts);
+        assert_eq!(b.batch_path_counts(), (1, 0));
+        assert_eq!(b.pending_spans(), e.pending_spans());
+        assert_eq!(b.stats, e.stats);
+        let span_names = |e: &mut Enclave| -> Vec<String> {
+            let spans = e.drain_spans(100);
+            spans.into_iter().map(|s| s.name).collect()
+        };
+        let batch_names = span_names(&mut b);
         // 1-in-2 sampling: 4 traced packets, each completing 3 spans
         // (classify + execute + the "pkt" root)
         assert_eq!(e.pending_spans(), 12);
-        let spans = e.drain_spans(100);
-        assert!(spans.iter().any(|s| s.name == "pkt"));
-        assert!(spans.iter().any(|s| s.name == "classify"));
-        assert!(spans.iter().any(|s| s.name == "execute"));
+        let spans = span_names(&mut e);
+        assert_eq!(batch_names, spans);
+        assert!(spans.iter().any(|s| s == "pkt"));
+        assert!(spans.iter().any(|s| s == "classify"));
+        assert!(spans.iter().any(|s| s == "execute"));
         assert_eq!(e.pending_spans(), 0);
 
         let snap = e.stats_snapshot();

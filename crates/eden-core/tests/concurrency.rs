@@ -10,15 +10,14 @@
 //! The single-threaded simulator only records the level; this test
 //! demonstrates the discipline is *sufficient* on real threads: programs
 //! run under their declared level produce the same results as sequential
-//! execution, with `parking_lot` locks standing in for the enclave's
+//! execution, with `std::sync::Mutex` locks standing in for the enclave's
 //! authoritative-state synchronization.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use eden_apps::functions;
 use eden_lang::{compile, Concurrency};
 use eden_vm::{Host, Interpreter, Limits, VecHost, VmError};
-use parking_lot::Mutex;
 
 /// A host whose global scalars live behind a shared lock (the enclave's
 /// authoritative copy), while packet/message state is invocation-local.
@@ -43,6 +42,7 @@ impl Host for SharedGlobalHost {
     fn load_glob(&mut self, slot: u8) -> Result<i64, VmError> {
         self.global
             .lock()
+            .expect("no invocation panics while holding the lock")
             .get(slot as usize)
             .copied()
             .ok_or(VmError::BadStateSlot {
@@ -51,7 +51,11 @@ impl Host for SharedGlobalHost {
             })
     }
     fn store_glob(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        match self.global.lock().get_mut(slot as usize) {
+        let mut global = self
+            .global
+            .lock()
+            .expect("no invocation panics while holding the lock");
+        match global.get_mut(slot as usize) {
             Some(g) => {
                 *g = v;
                 Ok(())
@@ -92,10 +96,10 @@ fn parallel_functions_run_concurrently_without_coordination() {
 
     let threads = 8;
     let per_thread = 5_000u64;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let program = Arc::clone(&program);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut interp = Interpreter::new(Limits::default());
                 let mut host = VecHost::with_slots(2, 0, 0);
                 host.arrays
@@ -112,8 +116,7 @@ fn parallel_functions_run_concurrently_without_coordination() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 }
 
 #[test]
@@ -131,15 +134,15 @@ fn serialized_function_is_correct_under_the_global_lock() {
 
     let threads = 8;
     let per_thread = 2_000u64;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let program = Arc::clone(&program);
             let global = Arc::clone(&global);
             let invocation_lock = Arc::clone(&invocation_lock);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut interp = Interpreter::new(Limits::default());
                 for _ in 0..per_thread {
-                    let _serialized = invocation_lock.lock();
+                    let _serialized = invocation_lock.lock().expect("peers do not panic");
                     let mut host = SharedGlobalHost {
                         local: VecHost::with_slots(1, 2, 0),
                         global: Arc::clone(&global),
@@ -149,10 +152,9 @@ fn serialized_function_is_correct_under_the_global_lock() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
-    let g = global.lock();
+    let g = global.lock().expect("every thread joined cleanly");
     assert_eq!(g[0], threads as i64 * per_thread as i64 * 100, "TotalBytes");
     assert_eq!(g[1], threads as i64 * per_thread as i64, "TotalPackets");
 }

@@ -251,7 +251,7 @@ impl SpanSink {
 /// The controller's view: every collected span, queryable as trees.
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
-    spans: Vec<Span>,
+    spans: VecDeque<Span>,
     capacity: usize,
     /// Spans evicted because the store was full.
     pub dropped: u64,
@@ -261,7 +261,7 @@ impl TraceStore {
     /// A store holding at most `capacity` spans (min 1).
     pub fn new(capacity: usize) -> TraceStore {
         TraceStore {
-            spans: Vec::new(),
+            spans: VecDeque::new(),
             capacity: capacity.max(1),
             dropped: 0,
         }
@@ -279,10 +279,10 @@ impl TraceStore {
             return;
         }
         if self.spans.len() == self.capacity {
-            self.spans.remove(0);
+            self.spans.pop_front();
             self.dropped += 1;
         }
-        self.spans.push(span);
+        self.spans.push_back(span);
     }
 
     /// Total spans held.
@@ -461,7 +461,18 @@ mod tests {
             end_ns: 1,
         };
         store.ingest(s.clone());
-        store.ingest(s);
+        store.ingest(s.clone());
         assert_eq!(store.len(), 1, "retried delivery must not duplicate");
+
+        // past capacity the oldest span goes, order otherwise preserved
+        for trace_id in 2..=5 {
+            store.ingest(Span {
+                trace_id,
+                ..s.clone()
+            });
+        }
+        assert_eq!(store.len(), 4, "capacity bound holds");
+        assert_eq!(store.dropped, 1);
+        assert_eq!(store.trace_ids(), vec![2, 3, 4, 5]);
     }
 }

@@ -4,26 +4,13 @@
 //! lanes in parallel; each lane needs its own [`Interpreter`] because the
 //! execution context (operand stack, locals arena, counters) is reusable
 //! mutable state. The pool owns one interpreter per lane — lane 0 doubles
-//! as the serial path's interpreter — and rolls the per-lane counters and
+//! as the caller thread's interpreter — and rolls the per-lane counters and
 //! opcode histograms up into one telemetry view, so a stats pull cannot
 //! tell (and does not care) which lane ran an invocation.
 
 use crate::interp::{Interpreter, VmCounters};
 use crate::limits::Limits;
 use crate::op::Op;
-
-impl Interpreter {
-    /// Batch-at-a-time execution seam: run `each(self, i)` for every
-    /// index in `0..count`. Today this is a plain loop, but it is the
-    /// single point where a whole lane-batch enters the VM — a future
-    /// JIT (or superinstruction specializer) can translate once per
-    /// batch here instead of once per packet.
-    pub fn run_batch<F: FnMut(&mut Interpreter, usize)>(&mut self, count: usize, mut each: F) {
-        for i in 0..count {
-            each(self, i);
-        }
-    }
-}
 
 /// One [`Interpreter`] per worker lane, with merged telemetry.
 #[derive(Debug)]
@@ -58,18 +45,6 @@ impl InterpreterPool {
     /// Borrow all lanes at once (split across scoped worker threads).
     pub fn lanes_mut(&mut self) -> &mut [Interpreter] {
         &mut self.lanes
-    }
-
-    /// Run a whole batch on one lane's interpreter — see
-    /// [`Interpreter::run_batch`] for why batches enter through a single
-    /// call.
-    pub fn run_lane_batch<F: FnMut(&mut Interpreter, usize)>(
-        &mut self,
-        lane: usize,
-        count: usize,
-        each: F,
-    ) {
-        self.lanes[lane].run_batch(count, each);
     }
 
     /// Counters summed over every lane.
