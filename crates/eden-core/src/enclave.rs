@@ -42,183 +42,29 @@
 //! then fails open (forwarded unmodified) or closed (dropped) per
 //! [`EnclaveConfig::fail_open`] — and the rest of the system continues.
 
-use eden_lang::{Access, Concurrency, HeaderField, ReplMode, Schema, Scope};
-use eden_repl::{merged_read, merged_store, HostRepl, ReplSpec, SeqTarget};
-use eden_telemetry::{
-    EnclaveCounters, FlightDump, FlightEvent, FlightKind, FlightRing, FunctionCounters,
-    LatencyStat, LogHistogram, RuleCounters, Sampler, Span, SpanSink, StatsSnapshot, TableCounters,
-    Telemetry, TraceContext, VmCounters,
-};
-use eden_vm::{Effect, Host, Interpreter, InterpreterPool, Limits, Outcome, Program, VmError};
-use netsim::arena::{PacketRef, PacketSlab};
-use netsim::{Packet, PacketRng, SimRng, Time};
+use eden_lang::{Access, Concurrency, HeaderField, Schema, Scope};
+use eden_repl::{merged_read, HostRepl, ReplSpec, SeqTarget};
+use eden_telemetry::{FlightDump, FlightRing, LogHistogram, Sampler, SpanSink};
+use eden_vm::{InterpreterPool, Limits};
+use netsim::{Packet, Time};
 use transport::{HookEnv, HookVerdict, PacketHook};
 
-use crate::action::{ActionImpl, FuncId, InstalledFunction, NativeEnv, NativeFn};
-use crate::class::{ClassId, ClassIndex};
+use crate::action::{ActionImpl, FuncId, InstalledFunction, NativeFn};
+use crate::class::ClassId;
 use crate::lanes::LanePool;
-use crate::ops::{ApplyError, EnclaveOp};
 use crate::ring::{spsc, Consumer, Producer};
-use crate::state::{FunctionState, MsgShard};
+use crate::state::FunctionState;
 
-/// Minimal FNV-1a, for the structural configuration digest.
-struct Fnv(u64);
+mod epoch;
+mod host;
+mod pipeline;
+mod tables;
+mod telemetry;
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Identifies a match-action table within an enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableId(pub usize);
-
-/// What a rule matches on: the packet's class list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatchSpec {
-    /// Matches every packet (default/fallback rules).
-    Any,
-    /// Packet carries this class.
-    Class(ClassId),
-    /// Packet carries any of these classes.
-    AnyOf(Vec<ClassId>),
-}
-
-impl MatchSpec {
-    fn matches(&self, classes: &[u32]) -> bool {
-        match self {
-            MatchSpec::Any => true,
-            MatchSpec::Class(c) => classes.contains(&c.0),
-            MatchSpec::AnyOf(cs) => cs.iter().any(|c| classes.contains(&c.0)),
-        }
-    }
-}
-
-/// `match on class → action function` (Table 4).
-#[derive(Debug, Clone)]
-pub struct Rule {
-    pub spec: MatchSpec,
-    pub func: FuncId,
-    /// Configuration epoch this rule was installed under. The two-phase
-    /// update protocol guarantees every rule in a served table carries the
-    /// enclave's active epoch (checked by [`Enclave::serves_single_epoch`]).
-    pub epoch: u64,
-}
-
-/// One match-action table, with a class→rule index so the common case —
-/// single-class rules — resolves by hash lookup instead of a linear scan.
-/// First-match-wins order is preserved: the index stores the *earliest*
-/// rule per class, and `general` keeps the (ordered) `Any`/`AnyOf` rules
-/// that still need a scan. Read-only on the data path: what a lookup
-/// counts goes to a [`TableCounts`] block.
-#[derive(Debug, Default)]
-struct MatchActionTable {
-    rules: Vec<Rule>,
-    /// class → index of the first `MatchSpec::Class` rule for it (flat
-    /// open-addressing probe, no SipHash on the per-packet path).
-    class_index: ClassIndex,
-    /// Ordered indices of `Any` / `AnyOf` rules.
-    general: Vec<usize>,
-}
-
-impl MatchActionTable {
-    fn push_rule(&mut self, rule: Rule) {
-        let idx = self.rules.len();
-        match &rule.spec {
-            MatchSpec::Class(c) => {
-                self.class_index.insert_first(c.0, idx as u32);
-            }
-            MatchSpec::Any | MatchSpec::AnyOf(_) => self.general.push(idx),
-        }
-        self.rules.push(rule);
-    }
-
-    fn clear(&mut self) {
-        self.rules.clear();
-        self.class_index.clear();
-        self.general.clear();
-    }
-
-    /// Remove the rule at `idx` (later rules shift down) and rebuild the
-    /// class index and general list, preserving first-match-wins order.
-    fn remove_rule(&mut self, idx: usize) {
-        self.rules.remove(idx);
-        self.class_index.clear();
-        self.general.clear();
-        for (i, rule) in self.rules.iter().enumerate() {
-            match &rule.spec {
-                MatchSpec::Class(c) => {
-                    self.class_index.insert_first(c.0, i as u32);
-                }
-                MatchSpec::Any | MatchSpec::AnyOf(_) => self.general.push(i),
-            }
-        }
-    }
-
-    /// First-match-wins rule lookup via the class index.
-    fn find(&self, classes: &[u32]) -> Option<usize> {
-        let mut best = usize::MAX;
-        for &c in classes {
-            if let Some(i) = self.class_index.get(c) {
-                best = best.min(i as usize);
-            }
-        }
-        for &gi in &self.general {
-            if gi >= best {
-                break; // an earlier single-class rule already won
-            }
-            if self.rules[gi].spec.matches(classes) {
-                best = gi;
-                break;
-            }
-        }
-        (best != usize::MAX).then_some(best)
-    }
-}
-
-/// A five-tuple classifier for the enclave's own packet-granularity
-/// classification (`None` = wildcard).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FiveTupleMatch {
-    pub src_ip: Option<u32>,
-    pub dst_ip: Option<u32>,
-    pub src_port: Option<u16>,
-    pub dst_port: Option<u16>,
-    pub proto: Option<u8>,
-}
-
-impl FiveTupleMatch {
-    fn matches(&self, p: &Packet) -> bool {
-        let Some((si, sp, di, dp, pr)) = p.five_tuple() else {
-            return false;
-        };
-        self.src_ip.is_none_or(|v| v == si)
-            && self.dst_ip.is_none_or(|v| v == di)
-            && self.src_port.is_none_or(|v| v == sp)
-            && self.dst_port.is_none_or(|v| v == dp)
-            && self.proto.is_none_or(|v| v == pr)
-    }
-}
+use epoch::StagedEpoch;
+use pipeline::{BatchScratch, FuncCounts, WalkResult};
+pub use tables::{FiveTupleMatch, MatchSpec, Rule, TableId};
+use tables::{MatchActionTable, TableCounts};
 
 /// Which direction of the host stack a packet is traversing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -449,50 +295,6 @@ const STAGE_CLASSIFY: usize = 0;
 const STAGE_MATCH: usize = 1;
 const STAGE_EXECUTE: usize = 2;
 const STAGE_NAMES: [&str; 3] = ["stage.classify", "stage.match", "stage.execute"];
-
-/// A fully validated epoch awaiting commit: every op checked against the
-/// shape the configuration will have at that point in the sequence, and
-/// every shipped program already decoded and re-verified — so commit
-/// itself is infallible and atomic between packets.
-struct StagedEpoch {
-    epoch: u64,
-    ops: Vec<ReadyOp>,
-}
-
-/// [`EnclaveOp`] after stage-time validation (programs decoded).
-enum ReadyOp {
-    Reset,
-    CreateTable,
-    ClearTable(usize),
-    InstallFunction(Box<InstalledFunction>),
-    InstallRule {
-        table: usize,
-        spec: MatchSpec,
-        func: usize,
-    },
-    RemoveRule {
-        table: usize,
-        rule: usize,
-    },
-    SetGlobal {
-        func: usize,
-        slot: usize,
-        value: i64,
-    },
-    SetArray {
-        func: usize,
-        array: usize,
-        values: Vec<i64>,
-    },
-}
-
-/// Shape of an enclave configuration, tracked during stage-time
-/// validation: per-table rule counts and per-function (global slots,
-/// array count).
-struct ConfigShape {
-    rules_per_table: Vec<usize>,
-    funcs: Vec<(usize, usize)>,
-}
 
 impl Enclave {
     /// An enclave with one empty table.
@@ -759,1005 +561,6 @@ impl Enclave {
             None => local,
         }
     }
-
-    // ------------------------------------------------------------------
-    // epoch-based configuration updates (two-phase, eden-ctrl)
-    // ------------------------------------------------------------------
-
-    /// Configuration epoch the data path currently serves.
-    pub fn active_epoch(&self) -> u64 {
-        self.active_epoch
-    }
-
-    /// Epoch staged by [`stage_epoch`](Self::stage_epoch), if any.
-    pub fn staged_epoch(&self) -> Option<u64> {
-        self.staged.as_ref().map(|s| s.epoch)
-    }
-
-    /// Phase one of a two-phase update: validate `ops` as a unit and hold
-    /// them ready. Nothing the data path observes changes. Every op is
-    /// checked against the configuration shape it will meet at its point
-    /// in the sequence, and every shipped program is decoded and
-    /// re-verified — any error rejects the whole epoch and leaves prior
-    /// staged state untouched only if the epoch differs; restaging the
-    /// same or a newer epoch replaces the previous staging (controller
-    /// retries are idempotent).
-    pub fn stage_epoch(&mut self, epoch: u64, ops: &[EnclaveOp]) -> Result<(), ApplyError> {
-        let ready = self.validate_ops(ops)?;
-        self.staged = Some(StagedEpoch { epoch, ops: ready });
-        self.flight_record(FlightKind::EpochStage, epoch, 0);
-        Ok(())
-    }
-
-    /// [`stage_epoch`](Self::stage_epoch) anchored against a config
-    /// digest: the delta's ops were planned as a *diff* from the
-    /// configuration whose digest is `base_digest`, so they are only
-    /// safe to stage if this enclave still holds exactly that
-    /// configuration. On mismatch nothing changes and
-    /// [`ApplyError::DigestMismatch`] is returned — the controller's cue
-    /// to fall back to a full-table ship, mirroring `ReplHub`'s snapshot
-    /// resync for laggards.
-    pub fn stage_epoch_delta(
-        &mut self,
-        epoch: u64,
-        base_digest: u64,
-        ops: &[EnclaveOp],
-    ) -> Result<(), ApplyError> {
-        let have = self.config_digest();
-        if have != base_digest {
-            return Err(ApplyError::DigestMismatch {
-                have,
-                want: base_digest,
-            });
-        }
-        self.stage_epoch(epoch, ops)
-    }
-
-    /// Phase two: atomically apply the staged epoch. Called between
-    /// packets (the simulator's event loop never interleaves a commit
-    /// with a batch), so the data path observes the old configuration for
-    /// every packet before this call and the new one for every packet
-    /// after — never a mix. Returns `false` when `epoch` is not the
-    /// staged epoch (nothing happens); a duplicate commit of the already
-    /// active epoch is reported as success.
-    pub fn commit_epoch(&mut self, epoch: u64) -> bool {
-        match self.staged.as_ref() {
-            Some(s) if s.epoch == epoch => {}
-            _ => return self.active_epoch == epoch && self.staged.is_none(),
-        }
-        let staged = self.staged.take().expect("matched above");
-        self.active_epoch = epoch;
-        for op in staged.ops {
-            self.apply_ready(op);
-        }
-        // A delta epoch carries no `Reset`, so rules that survive from the
-        // previous configuration still wear the old epoch stamp. The commit
-        // adopts them into the new epoch wholesale — the whole table was
-        // validated as one unit, so `serves_single_epoch` must keep holding.
-        for t in &mut self.tables {
-            for r in &mut t.rules {
-                r.epoch = epoch;
-            }
-        }
-        self.flight_record(FlightKind::EpochCommit, epoch, 0);
-        true
-    }
-
-    /// Abort a prepared update: discard the staged epoch if it matches.
-    /// An effective abort freezes the flight recorder — a controller
-    /// backing out of phase two is exactly the moment to keep the black
-    /// box.
-    pub fn abort_epoch(&mut self, epoch: u64) {
-        if self.staged.as_ref().is_some_and(|s| s.epoch == epoch) {
-            self.staged = None;
-            self.flight_record(FlightKind::EpochAbort, epoch, 0);
-            self.freeze_flight("epoch_abort");
-        }
-    }
-
-    /// Validate and apply one op immediately, outside any epoch (local
-    /// administration; the control plane goes through
-    /// [`stage_epoch`](Self::stage_epoch) / [`commit_epoch`](Self::commit_epoch)).
-    pub fn apply_op(&mut self, op: EnclaveOp) -> Result<(), ApplyError> {
-        let mut ready = self.validate_ops(std::slice::from_ref(&op))?;
-        self.apply_ready(ready.remove(0));
-        Ok(())
-    }
-
-    /// Every rule in every table was installed under the active epoch —
-    /// the invariant the two-phase protocol maintains; property-tested
-    /// under loss, reordering, and partitions.
-    pub fn serves_single_epoch(&self) -> bool {
-        self.tables
-            .iter()
-            .flat_map(|t| t.rules.iter())
-            .all(|r| r.epoch == self.active_epoch)
-    }
-
-    /// FNV-1a digest of the *structural* configuration: tables and rules
-    /// (spec + function index), installed functions (name, concurrency,
-    /// schema, and bytecode for interpreted functions). Runtime state and
-    /// counters are excluded, so the digest is stable across traffic. The
-    /// controller compares an enclave's reported digest against a shadow
-    /// enclave holding the desired configuration to detect drift.
-    pub fn config_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(self.tables.len());
-        for t in &self.tables {
-            h.write_usize(t.rules.len());
-            for r in &t.rules {
-                match &r.spec {
-                    MatchSpec::Any => h.write_u64(1),
-                    MatchSpec::Class(c) => {
-                        h.write_u64(2);
-                        h.write_u64(u64::from(c.0));
-                    }
-                    MatchSpec::AnyOf(cs) => {
-                        h.write_u64(3);
-                        h.write_usize(cs.len());
-                        for c in cs {
-                            h.write_u64(u64::from(c.0));
-                        }
-                    }
-                }
-                h.write_usize(r.func.0);
-            }
-        }
-        h.write_usize(self.functions.len());
-        for f in &self.functions {
-            h.write_bytes(f.name.as_bytes());
-            h.write_u64(match f.concurrency {
-                Concurrency::Parallel => 0,
-                Concurrency::PerMessage => 1,
-                Concurrency::Serialized => 2,
-            });
-            h.write_usize(f.schema.fields().len());
-            for fd in f.schema.fields() {
-                h.write_bytes(fd.name.as_bytes());
-                h.write_u64(fd.slot as u64);
-            }
-            h.write_usize(f.schema.arrays().len());
-            for a in f.schema.arrays() {
-                h.write_bytes(a.name.as_bytes());
-                h.write_usize(a.stride());
-            }
-            match &f.action {
-                ActionImpl::Interpreted(p) => h.write_bytes(&eden_vm::encode_program(p)),
-                ActionImpl::Native(_) => h.write_bytes(b"<native>"),
-            }
-        }
-        h.finish()
-    }
-
-    /// Drop every table (recreating empty table 0), every function, and
-    /// all function state — the anchor of a full-replacement epoch.
-    fn reset_config(&mut self) {
-        self.tables.clear();
-        self.tables.push(MatchActionTable::default());
-        self.table_counts.clear();
-        self.table_counts.push(TableCounts::default());
-        self.functions.clear();
-        self.func_counts.clear();
-        self.pkt_bindings.clear();
-        self.states.clear();
-        self.repl.clear();
-        self.func_latency.clear();
-        self.lane_safe = true;
-    }
-
-    /// Current configuration shape, the starting point for validation.
-    fn shape(&self) -> ConfigShape {
-        ConfigShape {
-            rules_per_table: self.tables.iter().map(|t| t.rules.len()).collect(),
-            funcs: self
-                .functions
-                .iter()
-                .map(|f| (f.schema.scope_len(Scope::Global), f.schema.arrays().len()))
-                .collect(),
-        }
-    }
-
-    /// Check `ops` against the evolving configuration shape and decode
-    /// shipped programs; all-or-nothing.
-    fn validate_ops(&self, ops: &[EnclaveOp]) -> Result<Vec<ReadyOp>, ApplyError> {
-        let mut shape = self.shape();
-        let mut ready = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let r =
-                match op {
-                    EnclaveOp::Reset => {
-                        shape.rules_per_table = vec![0];
-                        shape.funcs.clear();
-                        ReadyOp::Reset
-                    }
-                    EnclaveOp::CreateTable => {
-                        shape.rules_per_table.push(0);
-                        ReadyOp::CreateTable
-                    }
-                    EnclaveOp::ClearTable { table } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        *n = 0;
-                        ReadyOp::ClearTable(*table)
-                    }
-                    EnclaveOp::InstallFunction {
-                        name,
-                        bytecode,
-                        schema,
-                        concurrency,
-                    } => {
-                        let f = InstalledFunction::from_shipped(
-                            name,
-                            bytecode,
-                            schema.clone(),
-                            *concurrency,
-                        )
-                        .map_err(|e| ApplyError::BadBytecode {
-                            op: i,
-                            reason: format!("{e:?}"),
-                        })?;
-                        shape
-                            .funcs
-                            .push((schema.scope_len(Scope::Global), schema.arrays().len()));
-                        ReadyOp::InstallFunction(Box::new(f))
-                    }
-                    EnclaveOp::InstallRule { table, spec, func } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        if *func >= shape.funcs.len() {
-                            return Err(ApplyError::NoSuchFunction { op: i, func: *func });
-                        }
-                        *n += 1;
-                        ReadyOp::InstallRule {
-                            table: *table,
-                            spec: spec.clone(),
-                            func: *func,
-                        }
-                    }
-                    EnclaveOp::RemoveRule { table, rule } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        if *rule >= *n {
-                            return Err(ApplyError::NoSuchRule { op: i, rule: *rule });
-                        }
-                        *n -= 1;
-                        ReadyOp::RemoveRule {
-                            table: *table,
-                            rule: *rule,
-                        }
-                    }
-                    EnclaveOp::SetGlobal { func, slot, value } => {
-                        let &(slots, _) = shape
-                            .funcs
-                            .get(*func)
-                            .ok_or(ApplyError::NoSuchFunction { op: i, func: *func })?;
-                        if *slot >= slots {
-                            return Err(ApplyError::NoSuchSlot { op: i, slot: *slot });
-                        }
-                        ReadyOp::SetGlobal {
-                            func: *func,
-                            slot: *slot,
-                            value: *value,
-                        }
-                    }
-                    EnclaveOp::SetArray {
-                        func,
-                        array,
-                        values,
-                    } => {
-                        let &(_, arrays) = shape
-                            .funcs
-                            .get(*func)
-                            .ok_or(ApplyError::NoSuchFunction { op: i, func: *func })?;
-                        if *array >= arrays {
-                            return Err(ApplyError::NoSuchArray {
-                                op: i,
-                                array: *array,
-                            });
-                        }
-                        ReadyOp::SetArray {
-                            func: *func,
-                            array: *array,
-                            values: values.clone(),
-                        }
-                    }
-                };
-            ready.push(r);
-        }
-        Ok(ready)
-    }
-
-    /// Apply one validated op. Infallible by construction: validation
-    /// checked every index against the shape this op meets.
-    fn apply_ready(&mut self, op: ReadyOp) {
-        match op {
-            ReadyOp::Reset => self.reset_config(),
-            ReadyOp::CreateTable => {
-                self.create_table();
-            }
-            ReadyOp::ClearTable(t) => self.clear_table(TableId(t)),
-            ReadyOp::InstallFunction(f) => {
-                self.install_function(*f);
-            }
-            ReadyOp::InstallRule { table, spec, func } => {
-                self.install_rule(TableId(table), spec, FuncId(func));
-            }
-            ReadyOp::RemoveRule { table, rule } => {
-                let removed = self.remove_rule(TableId(table), rule);
-                debug_assert!(removed, "validated rule index");
-            }
-            ReadyOp::SetGlobal { func, slot, value } => self.set_global(FuncId(func), slot, value),
-            ReadyOp::SetArray {
-                func,
-                array,
-                values,
-            } => self.set_array(FuncId(func), array, values),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // data path
-    // ------------------------------------------------------------------
-
-    /// Run the match-action pipeline on one egress packet. This is the
-    /// routine the microbenchmarks time; `on_egress` is a thin wrapper.
-    pub fn process(&mut self, packet: &mut Packet, rng: &mut SimRng, now: Time) -> HookVerdict {
-        self.process_dir(packet, rng, now, FlowDirection::Egress)
-    }
-
-    /// Run the match-action pipeline with an explicit direction.
-    pub fn process_dir(
-        &mut self,
-        packet: &mut Packet,
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-    ) -> HookVerdict {
-        self.stats.packets += 1;
-        self.last_now = now;
-        let sampled = self.sampler.sample();
-        let stage_t = sampled.then(std::time::Instant::now);
-
-        // --- classify: class list, message identity, per-packet RNG ----
-        self.classes.clear();
-        classify(packet, &self.flow_rules, &mut self.classes);
-        let msg_id = message_id(packet);
-        let mut prng = rng.fork_packet();
-
-        // sampled packet: open a fresh trace rooted at a "pkt" span, with
-        // the classify stage already timed and recorded
-        let at = now.as_nanos();
-        let trace = stage_t.map(|t0| {
-            let classify_ns = t0.elapsed().as_nanos() as u64;
-            self.stage_hists[STAGE_CLASSIFY].record(classify_ns);
-            let trace_id = self.spans.next_span_id();
-            let root = self
-                .spans
-                .begin(TraceContext::sampled(trace_id, 0), "pkt", at);
-            self.spans.record(
-                TraceContext::sampled(trace_id, root),
-                "classify",
-                at,
-                at + classify_ns,
-            );
-            self.flight[0].record(FlightEvent {
-                at_ns: at,
-                lane: 0,
-                kind: FlightKind::Classify,
-                a: u64::from(self.classes.first().copied().unwrap_or(0)),
-                b: classify_ns,
-            });
-            (trace_id, root, classify_ns, std::time::Instant::now())
-        });
-
-        // --- match + execute + epilogue, on lane 0's interpreter ---------
-        let mut func_samples = Vec::new();
-        let (walk, punted) = Walker {
-            tables: &self.tables,
-            bindings: &self.pkt_bindings,
-            funcs: Funcs::Owner {
-                functions: &mut self.functions,
-                states: &mut self.states,
-                repl: &mut self.repl,
-            },
-            table_counts: &mut self.table_counts,
-            func_counts: &mut self.func_counts,
-            stats: &mut self.stats,
-            interp: self.pool.lane_mut(0),
-            ring: &mut self.flight[0],
-            samples: &mut func_samples,
-            scratch: &mut self.scratch,
-            lane: 0,
-            batch_idx: 0,
-            now,
-            direction,
-            fail_open: self.config.fail_open,
-        }
-        .packet(&self.classes, msg_id, packet, &mut prng, sampled, None);
-        if let Some(p) = punted {
-            self.push_punt(p);
-        }
-        for (fid, ns) in func_samples {
-            self.func_latency[fid].record(ns);
-        }
-        if let Some((trace_id, root, classify_ns, t_walk)) = trace {
-            let walk_ns = t_walk.elapsed().as_nanos() as u64;
-            self.stage_hists[STAGE_EXECUTE].record(walk_ns);
-            self.spans.record(
-                TraceContext::sampled(trace_id, root),
-                "execute",
-                at + classify_ns,
-                at + classify_ns + walk_ns,
-            );
-            self.spans.end(root, at + classify_ns + walk_ns);
-        }
-        if walk.fault {
-            self.freeze_flight("vm_trap");
-        }
-        walk.verdict
-    }
-
-    /// Run the match-action pipeline on a batch of egress packets.
-    ///
-    /// Equivalent — verdict for verdict, header byte for header byte,
-    /// state word for state word — to calling [`process`](Self::process)
-    /// on each packet in order. On the caller's thread it *is* that loop;
-    /// when every installed function is interpreted and non-`Serialized`
-    /// and the batch is large enough, message lanes execute on the worker
-    /// pool instead.
-    pub fn process_batch(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-    ) -> Vec<HookVerdict> {
-        self.process_batch_dir(packets, rng, now, FlowDirection::Egress)
-    }
-
-    /// Batch processing with an explicit direction.
-    pub fn process_batch_dir(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-    ) -> Vec<HookVerdict> {
-        let mut out = Vec::with_capacity(packets.len());
-        self.process_batch_dir_into(packets, rng, now, direction, &mut out);
-        out
-    }
-
-    /// Allocation-free egress batch entry point: one verdict per packet
-    /// is *appended* to `out` in packet order, so a caller can reuse a
-    /// single verdict buffer across batches.
-    pub fn process_batch_into(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        out: &mut Vec<HookVerdict>,
-    ) {
-        self.process_batch_dir_into(packets, rng, now, FlowDirection::Egress, out);
-    }
-
-    /// Allocation-free batch processing with an explicit direction.
-    pub fn process_batch_dir_into(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-        out: &mut Vec<HookVerdict>,
-    ) {
-        if packets.is_empty() {
-            return;
-        }
-        if self.parallel_eligible(packets.len()) {
-            self.batches_parallel += 1;
-            self.process_batch_parallel(packets, rng, now, direction, out);
-        } else {
-            self.batches_serial += 1;
-            out.reserve(packets.len());
-            for p in packets.iter_mut() {
-                let v = self.process_dir(p, rng, now, direction);
-                out.push(v);
-            }
-        }
-    }
-
-    /// May this batch take the parallel path? All functions lane-safe
-    /// (interpreted, not `Serialized`), more than one lane, batch large
-    /// enough — in total and per lane — to pay for the worker handoff,
-    /// and enough message-state headroom that lane-side block creation
-    /// can never trigger a FIFO eviction (eviction order is only defined
-    /// on the caller's thread).
-    fn parallel_eligible(&self, n: usize) -> bool {
-        self.lane_safe
-            && !self.functions.is_empty()
-            && self.pool.lanes() > 1
-            && n >= self.config.parallel_batch_min.max(1)
-            && n / self.pool.lanes() >= self.config.parallel_per_lane_min.max(1)
-            && self.states.iter().all(|s| s.headroom() >= n)
-    }
-
-    /// The lane fan-out: classify and resolve table 0 for the whole batch
-    /// on the caller's thread (RNG forks and sampler draws in batch
-    /// order), partition by message id, let each lane walk its share, then
-    /// merge counters and replay punts and block creations in packet
-    /// order.
-    fn process_batch_parallel(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-        out: &mut Vec<HookVerdict>,
-    ) {
-        let n = packets.len();
-        let lanes = self.pool.lanes();
-        self.stats.packets += n as u64;
-        self.last_now = now;
-        let tracing = self.sampler.enabled();
-        if tracing {
-            self.flight[0].record(FlightEvent {
-                at_ns: now.as_nanos(),
-                lane: 0,
-                kind: FlightKind::BatchStart,
-                a: n as u64,
-                b: 0,
-            });
-        }
-        let t_classify = tracing.then(std::time::Instant::now);
-        let mut bs = std::mem::take(&mut self.batch);
-        bs.clear_columns();
-
-        // --- classify stage: SoA columns, batch order (RNG forks and
-        // sampler draws must match the per-packet path) ------------------
-        for p in packets.iter() {
-            let start = bs.key_col.len() as u32;
-            classify(p, &self.flow_rules, &mut bs.key_col);
-            bs.ranges.push((start, bs.key_col.len() as u32 - start));
-            bs.msg_ids.push(message_id(p));
-            bs.prngs.push(rng.fork_packet());
-            bs.sampled.push(self.sampler.sample());
-        }
-        let classify_ns = t_classify.map(|t| t.elapsed().as_nanos() as u64);
-        let t_match = tracing.then(std::time::Instant::now);
-
-        // --- match stage: batch-probe table 0 over the flat key column --
-        {
-            let BatchScratch {
-                key_col,
-                ranges,
-                firsts,
-                ..
-            } = &mut bs;
-            for &(start, len) in ranges.iter() {
-                let classes = &key_col[start as usize..(start + len) as usize];
-                firsts.push(lookup(&self.tables, &mut self.table_counts, 0, classes));
-            }
-        }
-        let match_ns = t_match.map(|t| t.elapsed().as_nanos() as u64);
-        let t_execute = tracing.then(std::time::Instant::now);
-
-        // --- partition into lanes by message id -------------------------
-        bs.lane_idx.resize_with(lanes, Vec::new);
-        for v in bs.lane_idx.iter_mut() {
-            v.clear();
-        }
-        for (i, &m) in bs.msg_ids.iter().enumerate() {
-            bs.lane_idx[(m % lanes as u64) as usize].push(i as u32);
-        }
-
-        // --- execute stage: persistent worker lanes ---------------------
-        let rule_counts: Vec<usize> = self.tables.iter().map(|t| t.rules.len()).collect();
-        let scratch_len = self.scratch.len();
-        let nfuncs = self.functions.len();
-        bs.lane_scratch.resize_with(lanes, LaneScratch::default);
-        for scr in bs.lane_scratch.iter_mut() {
-            scr.reset(&rule_counts, nfuncs, scratch_len);
-        }
-        let mut lane_funcs: Vec<Vec<LaneFn<'_>>> =
-            (0..lanes).map(|_| Vec::with_capacity(nfuncs)).collect();
-        for ((f, state), repl) in self
-            .functions
-            .iter()
-            .zip(self.states.iter_mut())
-            .zip(self.repl.iter())
-        {
-            let ActionImpl::Interpreted(program) = &f.action else {
-                unreachable!("lane fan-out requires interpreted functions");
-            };
-            let (shards, global, arrays) = state.split_shards();
-            let repl = repl.as_ref().map(|h| ReplShared {
-                spec: h.spec(),
-                remote: h.remote_globals(),
-                remote_arrays: h.remote_arrays(),
-            });
-            debug_assert_eq!(shards.len(), lanes, "shard count tracks lane count");
-            for (lane, shard) in shards.into_iter().enumerate() {
-                lane_funcs[lane].push(LaneFn {
-                    program,
-                    concurrency: f.concurrency,
-                    shard,
-                    global,
-                    arrays,
-                    repl,
-                });
-            }
-        }
-
-        let slab = PacketSlab::new(packets);
-        let fail_open = self.config.fail_open;
-        {
-            let BatchScratch {
-                key_col,
-                ranges,
-                msg_ids,
-                prngs,
-                sampled,
-                firsts,
-                lane_idx,
-                lane_scratch,
-            } = &mut bs;
-            let key_col: &[u32] = key_col;
-            let ranges: &[(u32, u32)] = ranges;
-            let msg_ids: &[u64] = msg_ids;
-            let prngs: &[PacketRng] = prngs;
-            let sampled: &[bool] = sampled;
-            let firsts: &[Lookup] = firsts;
-            let mut tasks: Vec<LaneTask<'_, '_>> = lane_idx
-                .iter()
-                .zip(lane_scratch.iter_mut())
-                .zip(lane_funcs)
-                .zip(self.pool.lanes_mut().iter_mut())
-                .zip(self.flight.iter_mut())
-                .enumerate()
-                .map(|(lane, ((((idxs, scr), funcs), interp), ring))| LaneTask {
-                    idxs,
-                    key_col,
-                    ranges,
-                    msg_ids,
-                    prngs,
-                    sampled,
-                    firsts,
-                    slab: &slab,
-                    tables: &self.tables,
-                    bindings: &self.pkt_bindings,
-                    funcs,
-                    interp,
-                    ring,
-                    scr,
-                    now,
-                    direction,
-                    fail_open,
-                    lane: lane as u16,
-                })
-                .collect();
-            self.lane_pool.run(&mut tasks, run_lane_task);
-        }
-        let execute_ns = t_execute.map(|t| t.elapsed().as_nanos() as u64);
-
-        // --- merge stage: counters in lane order, packet-ordered queues --
-        let base = out.len();
-        out.resize(base + n, HookVerdict::Pass);
-        let mut all_punts: Vec<(u32, Packet)> = Vec::new();
-        let mut all_created: Vec<(usize, usize, u64)> = Vec::new();
-        let mut faulted = false;
-        for scr in bs.lane_scratch.iter_mut() {
-            faulted |= scr.stats.faults > 0;
-            for &(fid, ns) in &scr.func_samples {
-                self.func_latency[fid].record(ns);
-            }
-            self.stats.merge(&scr.stats);
-            for (total, d) in self.table_counts.iter_mut().zip(&scr.table_counts) {
-                total.merge(d);
-            }
-            for (total, d) in self.func_counts.iter_mut().zip(&scr.func_counts) {
-                total.merge(d);
-            }
-            for (idx, v) in scr.verdicts.drain(..) {
-                out[base + idx as usize] = v;
-            }
-            all_punts.append(&mut scr.punts);
-            all_created.append(&mut scr.created);
-        }
-        // replay lane-side message-block creations and punts in packet
-        // arrival order, so FIFO bookkeeping and the mailbox match the
-        // per-packet path exactly (sorts are stable; each packet lives on one
-        // lane, so its entries are already internally ordered)
-        all_created.sort_by_key(|&(idx, _, _)| idx);
-        for (_, fid, msg_id) in all_created {
-            self.states[fid].note_created(msg_id);
-        }
-        all_punts.sort_by_key(|&(idx, _)| idx);
-        for (_, p) in all_punts {
-            self.push_punt(p);
-        }
-        self.batch = bs;
-        // batch-level stage trace: one root span with the three pipeline
-        // stages as children, laid out back to back from the batch instant
-        if let (Some(c), Some(m), Some(e)) = (classify_ns, match_ns, execute_ns) {
-            self.stage_hists[STAGE_CLASSIFY].record(c);
-            self.stage_hists[STAGE_MATCH].record(m);
-            self.stage_hists[STAGE_EXECUTE].record(e);
-            let at = now.as_nanos();
-            let trace_id = self.spans.next_span_id();
-            let root = self
-                .spans
-                .begin(TraceContext::sampled(trace_id, 0), "batch", at);
-            let ctx = TraceContext::sampled(trace_id, root);
-            self.spans.record(ctx, "classify", at, at + c);
-            self.spans.record(ctx, "match", at + c, at + c + m);
-            self.spans
-                .record(ctx, "execute", at + c + m, at + c + m + e);
-            self.spans.end(root, at + c + m + e);
-        }
-        if faulted {
-            self.freeze_flight("vm_trap");
-        }
-    }
-
-    /// Append to the bounded punt mailbox: when full, pop (and count) the
-    /// oldest punt first — O(1) on the ring.
-    fn push_punt(&mut self, packet: Packet) {
-        if self.config.max_punted == 0 {
-            self.stats.punt_drops += 1;
-            return;
-        }
-        if let Err(packet) = self.punt_tx.push(packet) {
-            let _ = self.punt_rx.pop();
-            self.stats.punt_drops += 1;
-            let pushed = self.punt_tx.push(packet).is_ok();
-            debug_assert!(pushed, "punt ring has a free slot after eviction");
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // telemetry (stats-pull API)
-    // ------------------------------------------------------------------
-
-    /// Copy every data-path counter into a point-in-time
-    /// [`StatsSnapshot`]: enclave totals, per-table and per-rule match
-    /// counts, per-function invocation/fault/verdict counts, and the
-    /// interpreter pool's accumulated cost (summed over lanes). `flows` is
-    /// empty and `host` is `None` — the controller merges those in from
-    /// the host stack (see
-    /// [`Controller::pull_host_stats`](crate::Controller::pull_host_stats)).
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let enclave = self.enclave_counters();
-        let tables = self
-            .table_counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| TableCounters {
-                table: i,
-                lookups: c.lookups,
-                matches: c.matched,
-                misses: c.missed,
-            })
-            .collect();
-        let rules = self
-            .tables
-            .iter()
-            .zip(&self.table_counts)
-            .enumerate()
-            .flat_map(|(ti, (t, c))| {
-                let hits = t.rules.iter().zip(&c.rule_hits).enumerate();
-                hits.map(move |(ri, (r, &hits))| RuleCounters {
-                    table: ti,
-                    rule: ri,
-                    func: r.func.0,
-                    hits,
-                })
-            })
-            .collect();
-        let functions = self
-            .functions
-            .iter()
-            .zip(&self.func_counts)
-            .enumerate()
-            .map(|(i, (f, c))| FunctionCounters {
-                func: i,
-                name: f.name.clone(),
-                invocations: c.invocations,
-                faults: c.faults,
-                drops: c.drops,
-                punts: c.punts,
-                header_modifies: c.header_modifies,
-                enqueue_charge_bytes: c.enqueue_charge_bytes,
-            })
-            .collect();
-        let vmc = self.pool.counters();
-        let opcode_counts = match self.pool.opcode_histogram() {
-            Some(hist) => hist
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n > 0)
-                .map(|(i, &n)| (eden_vm::Op::kind_name(i).to_string(), n))
-                .collect(),
-            None => Vec::new(),
-        };
-        StatsSnapshot {
-            captured_at_ns: self.last_now.as_nanos(),
-            enclave,
-            tables,
-            rules,
-            functions,
-            vm: VmCounters {
-                invocations: vmc.invocations,
-                traps: vmc.traps,
-                steps: vmc.steps,
-                elapsed_ns: vmc.elapsed_ns,
-                opcode_counts,
-            },
-            flows: Vec::new(),
-            host: None,
-            latencies: self.latency_stats(),
-        }
-    }
-
-    /// The enclave-total counters as the telemetry type.
-    fn enclave_counters(&self) -> EnclaveCounters {
-        EnclaveCounters {
-            processed: self.stats.packets,
-            matched: self.stats.matched,
-            misses: self.stats.missed,
-            forwarded: self.stats.forwarded,
-            dropped: self.stats.dropped,
-            punted: self.stats.punted_to_controller,
-            queued: self.stats.queued,
-            faults: self.stats.faults,
-            header_modifies: self.stats.header_modifies,
-            enqueue_charge_bytes: self.stats.enqueue_charge_bytes,
-            punt_drops: self.stats.punt_drops,
-            table_loop_aborts: self.stats.table_loop_aborts,
-            batches_serial: self.batches_serial,
-            batches_parallel: self.batches_parallel,
-        }
-    }
-
-    /// How batches ran, `(packet by packet on the caller's thread, fanned
-    /// out to lanes)` — telemetry for the per-lane fan-out gate.
-    pub fn batch_path_counts(&self) -> (u64, u64) {
-        (self.batches_serial, self.batches_parallel)
-    }
-
-    /// Named latency histograms for a snapshot: pipeline stages, sampled
-    /// VM execution, and per-function cost. Empty (and the section
-    /// entirely absent) unless tracing is enabled, so default snapshots —
-    /// and the serial/batch equivalence they are compared by — carry no
-    /// wall-clock noise.
-    fn latency_stats(&self) -> Vec<LatencyStat> {
-        if !self.sampler.enabled() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (name, h) in STAGE_NAMES.iter().zip(&self.stage_hists) {
-            if !h.is_empty() {
-                out.push(LatencyStat::new(*name, h.clone()));
-            }
-        }
-        let vm = self.pool.latency_histogram();
-        if !vm.is_empty() {
-            out.push(LatencyStat::new("vm.exec", vm));
-        }
-        for (f, h) in self.functions.iter().zip(&self.func_latency) {
-            if !h.is_empty() {
-                out.push(LatencyStat::new(format!("func.{}", f.name), h.clone()));
-            }
-        }
-        out
-    }
-
-    /// Enable or disable the interpreter pool's per-opcode histogram (off
-    /// by default; see [`eden_vm::Interpreter::set_opcode_profiling`]).
-    pub fn set_opcode_profiling(&mut self, enabled: bool) {
-        self.pool.set_opcode_profiling(enabled);
-    }
-
-    // ------------------------------------------------------------------
-    // tracing + flight recorder
-    // ------------------------------------------------------------------
-
-    /// Change the data-path trace sampling rate at runtime (0 disables;
-    /// see [`EnclaveConfig::trace_sample`]).
-    pub fn set_trace_sample(&mut self, every: u32) {
-        self.config.trace_sample = every;
-        self.sampler = Sampler::every(every);
-    }
-
-    /// Whether data-path tracing is enabled at all.
-    pub fn tracing_enabled(&self) -> bool {
-        self.sampler.enabled()
-    }
-
-    /// Set the host address spans (and flight dumps) are stamped with —
-    /// agents learn theirs at install time.
-    pub fn set_trace_host(&mut self, host: u32) {
-        self.spans.set_host(host);
-    }
-
-    /// Record a completed control-plane span against this host's sink
-    /// (the agent's prepare/commit handlers use this). Returns the span id.
-    pub fn record_span(
-        &mut self,
-        ctx: TraceContext,
-        name: impl Into<String>,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> u64 {
-        self.spans.record(ctx, name, start_ns, end_ns)
-    }
-
-    /// Remove and return up to `max` completed spans, oldest first (the
-    /// agent ships these back to the controller).
-    pub fn drain_spans(&mut self, max: usize) -> Vec<Span> {
-        self.spans.drain(max)
-    }
-
-    /// Completed spans waiting for collection.
-    pub fn pending_spans(&self) -> usize {
-        self.spans.pending()
-    }
-
-    /// Record a control-plane flight event into ring 0, stamped with the
-    /// enclave's last-seen packet time.
-    pub fn flight_record(&mut self, kind: FlightKind, a: u64, b: u64) {
-        self.flight[0].record(FlightEvent {
-            at_ns: self.last_now.as_nanos(),
-            lane: 0,
-            kind,
-            a,
-            b,
-        });
-    }
-
-    /// Freeze the per-lane event rings into a [`FlightDump`] (last
-    /// events, open spans, and a counter snapshot), emit it per
-    /// `EDEN_FLIGHT`, and keep it for
-    /// [`last_flight_dump`](Self::last_flight_dump).
-    pub fn freeze_flight(&mut self, reason: &str) {
-        let dump = FlightDump::freeze(
-            reason,
-            self.spans.host(),
-            self.last_now.as_nanos(),
-            &self.flight,
-            self.spans.open_spans(),
-            self.enclave_counters(),
-        );
-        dump.emit();
-        self.last_dump = Some(dump);
-    }
-
-    /// The most recent flight-recorder dump, if anything froze it.
-    pub fn last_flight_dump(&self) -> Option<&FlightDump> {
-        self.last_dump.as_ref()
-    }
-
-    /// Remove and return the most recent flight-recorder dump (the
-    /// fuzzer attaches these to repro files).
-    pub fn take_flight_dump(&mut self) -> Option<FlightDump> {
-        self.last_dump.take()
-    }
-}
-
-impl Telemetry for Enclave {
-    fn snapshot(&self) -> StatsSnapshot {
-        self.stats_snapshot()
-    }
 }
 
 impl PacketHook for Enclave {
@@ -1787,972 +590,6 @@ impl PacketHook for Enclave {
     }
 }
 
-// ----------------------------------------------------------------------
-// classify stage
-// ----------------------------------------------------------------------
-
-/// Derive the class list: stage-assigned metadata plus enclave five-tuple
-/// rules.
-fn classify(packet: &Packet, flow_rules: &[(FiveTupleMatch, ClassId)], out: &mut Vec<u32>) {
-    if let Some(meta) = &packet.meta {
-        out.extend_from_slice(&meta.classes);
-    }
-    for (spec, class) in flow_rules {
-        if spec.matches(packet) {
-            out.push(class.0);
-        }
-    }
-}
-
-/// Message identity: stage metadata, else flow-as-message.
-fn message_id(packet: &Packet) -> u64 {
-    match &packet.meta {
-        Some(m) if m.msg_id != 0 => m.msg_id,
-        _ => flow_msg_id(packet),
-    }
-}
-
-/// Flow-as-message identity for unclassified traffic: a stable,
-/// direction-canonical hash of the five-tuple, offset so it cannot collide
-/// with stage message ids. Both directions of a connection map to the same
-/// message id, which is what lets one function's flow state implement
-/// connection tracking across egress and ingress.
-fn flow_msg_id(p: &Packet) -> u64 {
-    match p.five_tuple() {
-        Some((si, sp, di, dp, pr)) => {
-            let a = (u64::from(si) << 16) | u64::from(sp);
-            let b = (u64::from(di) << 16) | u64::from(dp);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let mut h: u64 = 0xcbf29ce484222325;
-            for v in [lo, hi, u64::from(pr)] {
-                h ^= v;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h | (1 << 63)
-        }
-        None => 1 << 63,
-    }
-}
-
-// ----------------------------------------------------------------------
-// match stage
-// ----------------------------------------------------------------------
-
-/// Outcome of one table lookup.
-#[derive(Debug, Clone, Copy)]
-enum Lookup {
-    /// The table id does not exist (bad `GotoTable`).
-    NoTable,
-    /// No rule matched.
-    Miss,
-    /// First matching rule's action function.
-    Hit(usize),
-}
-
-/// Per-table counters, kept apart from the read-only
-/// [`MatchActionTable`] so worker lanes can share the tables while each
-/// counts into a block of its own. The enclave's blocks hold the totals;
-/// a lane's are merged into them after every fan-out.
-#[derive(Debug, Default)]
-struct TableCounts {
-    lookups: u64,
-    /// Lookups that hit some rule.
-    matched: u64,
-    /// Lookups that hit no rule.
-    missed: u64,
-    /// Packets that matched each rule, parallel to the table's rules.
-    rule_hits: Vec<u64>,
-}
-
-impl TableCounts {
-    fn for_rules(rules: usize) -> TableCounts {
-        TableCounts {
-            rule_hits: vec![0; rules],
-            ..TableCounts::default()
-        }
-    }
-
-    fn merge(&mut self, d: &TableCounts) {
-        self.lookups += d.lookups;
-        self.matched += d.matched;
-        self.missed += d.missed;
-        for (total, &hits) in self.rule_hits.iter_mut().zip(&d.rule_hits) {
-            *total += hits;
-        }
-    }
-}
-
-/// Resolve `classes` against `table`, counting into `counts[table]`.
-fn lookup(
-    tables: &[MatchActionTable],
-    counts: &mut [TableCounts],
-    table: usize,
-    classes: &[u32],
-) -> Lookup {
-    let Some(tbl) = tables.get(table) else {
-        return Lookup::NoTable;
-    };
-    let c = &mut counts[table];
-    c.lookups += 1;
-    match tbl.find(classes) {
-        Some(idx) => {
-            c.matched += 1;
-            c.rule_hits[idx] += 1;
-            Lookup::Hit(tbl.rules[idx].func.0)
-        }
-        None => {
-            c.missed += 1;
-            Lookup::Miss
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// execute stage
-// ----------------------------------------------------------------------
-
-/// What one invocation produced.
-struct InvokeOut {
-    result: Result<Outcome, VmError>,
-    queue: Option<(i64, i64)>,
-    header_modifies: u64,
-}
-
-/// Per-function counters, kept apart from the read-only
-/// [`InstalledFunction`] for the same reason as [`TableCounts`]: the
-/// enclave's blocks hold the totals, a lane's are merged into them after
-/// every fan-out.
-#[derive(Debug, Default, Clone)]
-struct FuncCounts {
-    /// Invocations completed without a trap.
-    invocations: u64,
-    /// Invocations terminated by a trap (the packet then fails open or
-    /// closed, per §3.4.3's isolation guarantee).
-    faults: u64,
-    /// Invocations that returned a drop verdict.
-    drops: u64,
-    /// Invocations that punted the packet to the controller.
-    punts: u64,
-    /// Packet-header fields the function wrote.
-    header_modifies: u64,
-    /// Bytes the function charged to queue verdicts (Pulsar accounting).
-    enqueue_charge_bytes: u64,
-}
-
-impl FuncCounts {
-    fn record(&mut self, out: &InvokeOut) {
-        self.header_modifies += out.header_modifies;
-        match &out.result {
-            Ok(outcome) => {
-                self.invocations += 1;
-                if let Some((_, charge)) = out.queue {
-                    self.enqueue_charge_bytes += charge.max(0) as u64;
-                }
-                match outcome {
-                    Outcome::Dropped => self.drops += 1,
-                    Outcome::SentToController => self.punts += 1,
-                    Outcome::Done | Outcome::GotoTable(_) => {}
-                }
-            }
-            Err(_) => self.faults += 1,
-        }
-    }
-
-    fn merge(&mut self, d: &FuncCounts) {
-        self.invocations += d.invocations;
-        self.faults += d.faults;
-        self.drops += d.drops;
-        self.punts += d.punts;
-        self.header_modifies += d.header_modifies;
-        self.enqueue_charge_bytes += d.enqueue_charge_bytes;
-    }
-}
-
-/// A worker lane's handle on one installed function: the program, this
-/// lane's message shard, and the globals every lane shares read-only.
-struct LaneFn<'a> {
-    program: &'a Program,
-    concurrency: Concurrency,
-    shard: &'a mut MsgShard,
-    global: &'a [i64],
-    arrays: &'a [Vec<i64>],
-    /// Read-only replica view (replicated functions only). Lanes never
-    /// write globals, so no exclusive form is needed here.
-    repl: Option<ReplShared<'a>>,
-}
-
-/// How a thread reaches the installed functions and their state.
-enum Funcs<'w, 'f> {
-    /// The caller's thread: every function and its whole state, held
-    /// exclusively — native closures run, creating a message block may
-    /// evict, globals are writable and sequenced stores queue.
-    Owner {
-        functions: &'w mut [InstalledFunction],
-        states: &'w mut [FunctionState],
-        repl: &'w mut [Option<HostRepl>],
-    },
-    /// A worker lane: interpreted functions over this lane's shards.
-    /// Headroom was verified before the fan-out, so creating a block here
-    /// never evicts; `created` lists `(batch index, function, message)`
-    /// for the packet-order FIFO replay at merge time.
-    Lane {
-        funcs: &'w mut [LaneFn<'f>],
-        created: &'w mut Vec<(usize, usize, u64)>,
-    },
-}
-
-/// The code one invocation runs.
-enum ActionRef<'a> {
-    Interpreted(&'a Program),
-    Native(&'a mut NativeFn),
-}
-
-/// Everything one thread takes packets through match + execute with: the
-/// read-only configuration, its view of the functions, and the counters,
-/// interpreter, flight ring and scratch it alone writes. The caller's
-/// thread builds one per packet over the enclave's own fields; a worker
-/// lane builds one per batch over its [`LaneTask`]. Both then run the
-/// same [`packet`](Self::packet), which is what makes lane/per-packet
-/// equivalence structural rather than a property to re-prove after every
-/// change.
-struct Walker<'w, 'f> {
-    tables: &'w [MatchActionTable],
-    bindings: &'w [Vec<(Option<HeaderField>, Access)>],
-    funcs: Funcs<'w, 'f>,
-    table_counts: &'w mut [TableCounts],
-    func_counts: &'w mut [FuncCounts],
-    stats: &'w mut EnclaveStats,
-    interp: &'w mut Interpreter,
-    ring: &'w mut FlightRing,
-    /// Sampled `(function, elapsed ns)` pairs, folded into the enclave's
-    /// per-function histograms once the walker is done.
-    samples: &'w mut Vec<(usize, u64)>,
-    /// Packet-lifetime scratch for unmapped fields.
-    scratch: &'w mut [i64],
-    lane: u16,
-    /// Position of the current packet in its batch.
-    batch_idx: usize,
-    now: Time,
-    direction: FlowDirection,
-    fail_open: bool,
-}
-
-impl Walker<'_, '_> {
-    fn flight(&mut self, kind: FlightKind, a: u64, b: u64) {
-        self.ring.record(FlightEvent {
-            at_ns: self.now.as_nanos(),
-            lane: self.lane,
-            kind,
-            a,
-            b,
-        });
-    }
-
-    /// One packet through match + execute and the per-packet epilogue:
-    /// fold the walk into the counters, leave its flight events, and move
-    /// a punted packet out of its slot. The punt is returned for the
-    /// caller to queue in packet order; the slot keeps the canonical
-    /// consumed placeholder (the verdict is `Drop`, so the stack releases
-    /// it either way).
-    ///
-    /// Forced inline, with [`walk_packet`](Self::walk_packet): built and
-    /// consumed in one frame the walker's fields stay in registers; as
-    /// calls they measured +15 ns a packet (34 → 49 ns on a miss).
-    #[inline(always)]
-    fn packet(
-        &mut self,
-        classes: &[u32],
-        msg_id: u64,
-        packet: &mut Packet,
-        rng: &mut PacketRng,
-        sampled: bool,
-        first: Option<Lookup>,
-    ) -> (WalkResult, Option<Packet>) {
-        // not `fill(0)`: on an empty scratch (no function installed) that
-        // measured ~100 ns a packet on the miss path
-        self.scratch.iter_mut().for_each(|v| *v = 0);
-        let walk = self.walk_packet(classes, msg_id, packet, rng, sampled, first);
-        self.stats.account_walk(&walk);
-        if walk.punt && sampled {
-            let class = classes.first().copied().unwrap_or(0);
-            self.flight(FlightKind::Punt, u64::from(class), 0);
-        }
-        if walk.loop_abort {
-            self.flight(FlightKind::TableLoop, 0, 0);
-        }
-        let punted = walk
-            .punt
-            .then(|| std::mem::replace(packet, Packet::consumed()));
-        (walk, punted)
-    }
-
-    /// Run function `fid` against one packet and count the outcome.
-    /// `timed` (a sampled packet) also times the invocation and leaves an
-    /// `Execute` flight event.
-    fn invoke(
-        &mut self,
-        fid: usize,
-        msg_id: u64,
-        packet: &mut Packet,
-        rng: &mut PacketRng,
-        timed: bool,
-    ) -> InvokeOut {
-        let (action, concurrency, msg, state, repl) = match &mut self.funcs {
-            Funcs::Owner {
-                functions,
-                states,
-                repl,
-            } => {
-                let f = &mut functions[fid];
-                let action = match &mut f.action {
-                    ActionImpl::Interpreted(program) => ActionRef::Interpreted(program),
-                    ActionImpl::Native(native) => ActionRef::Native(native),
-                };
-                let (msg, global, arrays) = states[fid].split_for(msg_id);
-                let repl = match repl[fid].as_mut() {
-                    Some(h) => ReplRef::Excl(h),
-                    None => ReplRef::Off,
-                };
-                let state = GlobalView::Excl { global, arrays };
-                (action, f.concurrency, msg, state, repl)
-            }
-            Funcs::Lane { funcs, created } => {
-                let f = &mut funcs[fid];
-                let (msg, was_created) = f.shard.touch(msg_id);
-                if was_created {
-                    created.push((self.batch_idx, fid, msg_id));
-                }
-                let repl = match f.repl {
-                    Some(s) => ReplRef::Shared(s),
-                    None => ReplRef::Off,
-                };
-                let state = GlobalView::Shared {
-                    global: f.global,
-                    arrays: f.arrays,
-                };
-                let action = ActionRef::Interpreted(f.program);
-                (action, f.concurrency, msg, state, repl)
-            }
-        };
-        let mut host = InvocationHost {
-            packet,
-            bindings: &self.bindings[fid],
-            scratch: &mut *self.scratch,
-            msg,
-            state,
-            repl,
-            rng,
-            now: self.now,
-            direction: self.direction,
-            queue: None,
-            header_modifies: 0,
-            concurrency,
-        };
-        let native = matches!(action, ActionRef::Native(_));
-        let t = timed.then(std::time::Instant::now);
-        let result = match action {
-            ActionRef::Interpreted(program) => self.interp.run(program, &mut host),
-            ActionRef::Native(f) => f(&mut NativeEnv::new(&mut host)),
-        };
-        let out = InvokeOut {
-            result,
-            queue: host.queue,
-            header_modifies: host.header_modifies,
-        };
-        if let Some(t) = t {
-            let ns = t.elapsed().as_nanos() as u64;
-            self.samples.push((fid, ns));
-            self.flight(FlightKind::Execute, fid as u64, ns);
-        }
-        if out.result.is_err() {
-            // native faults have no trap site; use the kind-count sentinel
-            let site = self.interp.last_trap().filter(|_| !native);
-            let (a, b) = site
-                .map(|s| (s.op_kind as u64, u64::from(s.pc)))
-                .unwrap_or((eden_vm::Op::KIND_COUNT as u64, 0));
-            self.flight(FlightKind::VmTrap, a, b);
-        }
-        self.func_counts[fid].record(&out);
-        out
-    }
-
-    /// The table walk: lookup → invoke → verdict, with `GotoTable`
-    /// continuations.
-    #[inline(always)]
-    fn walk_packet(
-        &mut self,
-        classes: &[u32],
-        msg_id: u64,
-        packet: &mut Packet,
-        rng: &mut PacketRng,
-        timed: bool,
-        mut first: Option<Lookup>,
-    ) -> WalkResult {
-        let mut res = WalkResult {
-            verdict: HookVerdict::Pass,
-            punt: false,
-            matched_any: false,
-            fault: false,
-            header_modifies: 0,
-            loop_abort: false,
-        };
-        let mut verdict_queue: Option<(i64, i64)> = None;
-        let mut table = 0usize;
-        let mut hops = 0u32;
-        'walk: loop {
-            hops += 1;
-            if hops > 8 {
-                res.loop_abort = true; // table-loop guard: fail open, counted
-                break 'walk;
-            }
-            let lookup = match first.take() {
-                Some(precomputed) => precomputed,
-                None => lookup(self.tables, self.table_counts, table, classes),
-            };
-            let fid = match lookup {
-                Lookup::NoTable | Lookup::Miss => break 'walk,
-                Lookup::Hit(fid) => fid,
-            };
-            res.matched_any = true;
-            let out = self.invoke(fid, msg_id, packet, rng, timed);
-            // header writes happened even if the function later trapped or
-            // dropped, so they are merged on every exit path
-            res.header_modifies += out.header_modifies;
-            match out.result {
-                Ok(outcome) => {
-                    if let Some(q) = out.queue {
-                        verdict_queue = Some(q);
-                    }
-                    match outcome {
-                        Outcome::Done => break 'walk,
-                        Outcome::Dropped => {
-                            res.verdict = HookVerdict::Drop;
-                            return res;
-                        }
-                        Outcome::SentToController => {
-                            res.verdict = HookVerdict::Drop;
-                            res.punt = true;
-                            return res;
-                        }
-                        Outcome::GotoTable(t) => {
-                            table = t as usize;
-                            continue 'walk;
-                        }
-                    }
-                }
-                Err(_trap) => {
-                    res.fault = true;
-                    if self.fail_open {
-                        break 'walk;
-                    }
-                    res.verdict = HookVerdict::Drop;
-                    return res;
-                }
-            }
-        }
-        res.verdict = match verdict_queue {
-            Some((queue, charge)) => HookVerdict::Queue {
-                queue: queue.max(0) as usize,
-                charge: charge.max(0) as u64,
-            },
-            None => HookVerdict::Pass,
-        };
-        res
-    }
-}
-
-/// Reused struct-of-arrays scratch for the lane fan-out. Taken with
-/// `mem::take` at batch start and restored after, so steady-state batches
-/// run entirely out of recycled allocations.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Flat class-key column: every packet's class list, back to back.
-    key_col: Vec<u32>,
-    /// Per-packet `(start, len)` spans into `key_col`.
-    ranges: Vec<(u32, u32)>,
-    /// Message-identity column.
-    msg_ids: Vec<u64>,
-    /// Per-packet forked RNG column (fork order = batch order).
-    prngs: Vec<PacketRng>,
-    /// Trace-sampled flags (draw order = batch order).
-    sampled: Vec<bool>,
-    /// Match-stage output: table-0 resolution per packet.
-    firsts: Vec<Lookup>,
-    /// Per-lane packet-index partitions.
-    lane_idx: Vec<Vec<u32>>,
-    /// Per-lane execute-stage scratch and outputs.
-    lane_scratch: Vec<LaneScratch>,
-}
-
-impl BatchScratch {
-    fn clear_columns(&mut self) {
-        self.key_col.clear();
-        self.ranges.clear();
-        self.msg_ids.clear();
-        self.prngs.clear();
-        self.sampled.clear();
-        self.firsts.clear();
-    }
-}
-
-/// One worker lane's reusable execute-stage scratch and outputs.
-#[derive(Debug, Default)]
-struct LaneScratch {
-    verdicts: Vec<(u32, HookVerdict)>,
-    stats: EnclaveStats,
-    table_counts: Vec<TableCounts>,
-    func_counts: Vec<FuncCounts>,
-    /// `(batch index, packet)` punts, *moved* out of the slab.
-    punts: Vec<(u32, Packet)>,
-    /// `(batch index, function, message)` of state blocks this lane
-    /// created, for packet-order FIFO replay at merge time.
-    created: Vec<(usize, usize, u64)>,
-    /// Sampled `(function, elapsed ns)` pairs from this lane.
-    func_samples: Vec<(usize, u64)>,
-    /// Packet-lifetime scratch for unmapped fields.
-    pkt_scratch: Vec<i64>,
-}
-
-impl LaneScratch {
-    fn reset(&mut self, rule_counts: &[usize], funcs: usize, scratch_len: usize) {
-        self.verdicts.clear();
-        self.stats = EnclaveStats::default();
-        self.table_counts.clear();
-        self.table_counts
-            .extend(rule_counts.iter().map(|&n| TableCounts::for_rules(n)));
-        self.func_counts.clear();
-        self.func_counts.resize(funcs, FuncCounts::default());
-        self.punts.clear();
-        self.created.clear();
-        self.func_samples.clear();
-        self.pkt_scratch.clear();
-        self.pkt_scratch.resize(scratch_len, 0);
-    }
-}
-
-/// Everything one worker lane needs for the execute stage: its packet
-/// indices, shared read-only views of the SoA columns / tables /
-/// functions, its own state shards and interpreter, and its
-/// [`LaneScratch`] outputs. Packets are written in place through the
-/// shared [`PacketSlab`]; soundness rests on the lane partition being
-/// disjoint (each batch index appears in exactly one lane's `idxs`).
-struct LaneTask<'a, 'p> {
-    idxs: &'a [u32],
-    key_col: &'a [u32],
-    ranges: &'a [(u32, u32)],
-    msg_ids: &'a [u64],
-    prngs: &'a [PacketRng],
-    sampled: &'a [bool],
-    firsts: &'a [Lookup],
-    slab: &'a PacketSlab<'p>,
-    tables: &'a [MatchActionTable],
-    bindings: &'a [Vec<(Option<HeaderField>, Access)>],
-    funcs: Vec<LaneFn<'a>>,
-    interp: &'a mut Interpreter,
-    ring: &'a mut FlightRing,
-    scr: &'a mut LaneScratch,
-    now: Time,
-    direction: FlowDirection,
-    fail_open: bool,
-    lane: u16,
-}
-
-/// The per-lane execute stage: walk every packet index assigned to this
-/// lane, reading the shared SoA columns and writing packets in place
-/// through the [`PacketSlab`].
-fn run_lane_task(_lane: usize, t: &mut LaneTask<'_, '_>) {
-    let scr = &mut *t.scr;
-    let mut walker = Walker {
-        tables: t.tables,
-        bindings: t.bindings,
-        funcs: Funcs::Lane {
-            funcs: &mut t.funcs,
-            created: &mut scr.created,
-        },
-        table_counts: &mut scr.table_counts,
-        func_counts: &mut scr.func_counts,
-        stats: &mut scr.stats,
-        interp: &mut *t.interp,
-        ring: &mut *t.ring,
-        samples: &mut scr.func_samples,
-        scratch: &mut scr.pkt_scratch,
-        lane: t.lane,
-        batch_idx: 0,
-        now: t.now,
-        direction: t.direction,
-        fail_open: t.fail_open,
-    };
-    for &idx in t.idxs {
-        let i = idx as usize;
-        let (start, len) = t.ranges[i];
-        let classes = &t.key_col[start as usize..(start + len) as usize];
-        let mut prng = t.prngs[i].clone();
-        // SAFETY: lanes partition batch indices disjointly, so no other
-        // lane touches this packet slot, and `LanePool::run`'s barrier
-        // keeps the slab alive until every lane is done.
-        let packet = unsafe { t.slab.pkt_mut(PacketRef(idx)) };
-        walker.batch_idx = i;
-        let first = Some(t.firsts[i]);
-        let (walk, punted) = walker.packet(
-            classes,
-            t.msg_ids[i],
-            packet,
-            &mut prng,
-            t.sampled[i],
-            first,
-        );
-        if let Some(p) = punted {
-            scr.punts.push((idx, p));
-        }
-        scr.verdicts.push((idx, walk.verdict));
-    }
-}
-
-/// One packet's trip through the execute stage.
-struct WalkResult {
-    verdict: HookVerdict,
-    /// Verdict was a controller punt (the epilogue moves the packet out).
-    punt: bool,
-    matched_any: bool,
-    fault: bool,
-    header_modifies: u64,
-    loop_abort: bool,
-}
-
-/// Shared read-only replica view for a worker lane: the spec plus the
-/// remote-contribution snapshots. Only mutated between batches, so lanes
-/// read it without synchronization.
-#[derive(Clone, Copy)]
-struct ReplShared<'a> {
-    spec: &'a ReplSpec,
-    remote: &'a [i64],
-    remote_arrays: &'a [Vec<i64>],
-}
-
-/// A function's view of its replication runtime during one invocation.
-/// `Off` for non-replicated functions — the common case, one branch on
-/// every global access. Writers (always `Serialized`, hence serial-path
-/// only) get the exclusive form, which can queue sequenced ops; lanes get
-/// the shared read-only form.
-enum ReplRef<'a> {
-    Off,
-    Excl(&'a mut HostRepl),
-    Shared(ReplShared<'a>),
-}
-
-impl ReplRef<'_> {
-    /// Effective value of global `slot` given its local contribution.
-    #[inline]
-    fn read_global(&self, slot: usize, local: i64) -> i64 {
-        let (spec, remote) = match self {
-            ReplRef::Off => return local,
-            ReplRef::Excl(h) => (h.spec(), h.remote_globals()),
-            ReplRef::Shared(s) => (s.spec, s.remote),
-        };
-        match spec.global_mode(slot) {
-            Some(mode) => merged_read(mode, remote.get(slot).copied().unwrap_or(0), local),
-            None => local,
-        }
-    }
-
-    /// Effective value of array cell `(id, index)` given its local value.
-    #[inline]
-    fn read_array(&self, id: usize, index: usize, local: i64) -> i64 {
-        let (spec, remote) = match self {
-            ReplRef::Off => return local,
-            ReplRef::Excl(h) => (h.spec(), h.remote_array(id)),
-            ReplRef::Shared(s) => (
-                s.spec,
-                s.remote_arrays.get(id).map_or(&[][..], Vec::as_slice),
-            ),
-        };
-        match spec.array_mode(id) {
-            Some(mode) => merged_read(mode, remote.get(index).copied().unwrap_or(0), local),
-            None => local,
-        }
-    }
-
-    /// Route a store to global `slot`: `Some(new_local)` writes the local
-    /// slot, `None` means the write was queued for controller sequencing
-    /// (the slot changes only when the ordered entry comes back).
-    #[inline]
-    fn store_global(&mut self, slot: usize, value: i64) -> Option<i64> {
-        match self {
-            ReplRef::Off | ReplRef::Shared(_) => Some(value),
-            ReplRef::Excl(h) => match h.spec().global_mode(slot) {
-                None => Some(value),
-                Some(ReplMode::Sequenced) => {
-                    h.seq_store_global(slot as u8, value);
-                    None
-                }
-                Some(mode) => Some(merged_store(
-                    mode,
-                    h.remote_globals().get(slot).copied().unwrap_or(0),
-                    value,
-                )),
-            },
-        }
-    }
-
-    /// Route a store to array cell `(id, index)`; same contract as
-    /// [`store_global`](Self::store_global).
-    #[inline]
-    fn store_array(&mut self, id: usize, index: usize, value: i64) -> Option<i64> {
-        match self {
-            ReplRef::Off | ReplRef::Shared(_) => Some(value),
-            ReplRef::Excl(h) => match h.spec().array_mode(id) {
-                None => Some(value),
-                Some(ReplMode::Sequenced) => {
-                    h.seq_store_array(id as u8, index as u32, value);
-                    None
-                }
-                Some(mode) => Some(merged_store(
-                    mode,
-                    h.remote_array(id).get(index).copied().unwrap_or(0),
-                    value,
-                )),
-            },
-        }
-    }
-}
-
-/// A function's view of the shared globals: the serial path holds them
-/// exclusively; worker lanes share them read-only (safe because only
-/// `Serialized` functions may write, and those never reach a lane).
-enum GlobalView<'a> {
-    Excl {
-        global: &'a mut [i64],
-        arrays: &'a mut [Vec<i64>],
-    },
-    Shared {
-        global: &'a [i64],
-        arrays: &'a [Vec<i64>],
-    },
-}
-
-impl GlobalView<'_> {
-    fn global(&self, slot: usize) -> Option<i64> {
-        match self {
-            GlobalView::Excl { global, .. } => global.get(slot).copied(),
-            GlobalView::Shared { global, .. } => global.get(slot).copied(),
-        }
-    }
-
-    fn array(&self, array: usize) -> Option<&[i64]> {
-        match self {
-            GlobalView::Excl { arrays, .. } => arrays.get(array).map(|a| a.as_slice()),
-            GlobalView::Shared { arrays, .. } => arrays.get(array).map(|a| a.as_slice()),
-        }
-    }
-}
-
-/// The per-invocation state view the VM (or a native function) runs
-/// against. Mapped packet slots read/write real header fields through the
-/// HeaderMap; unmapped slots use packet-lifetime scratch. The function's
-/// derived concurrency level (§3.4.4) is enforced here: a `Parallel`
-/// (read-only) function may not write message or global state, a
-/// `PerMessage` function may not write global state — violations trap like
-/// any other fault, on the serial path and on lanes alike.
-struct InvocationHost<'a> {
-    packet: &'a mut Packet,
-    bindings: &'a [(Option<HeaderField>, Access)],
-    scratch: &'a mut [i64],
-    msg: &'a mut [i64],
-    state: GlobalView<'a>,
-    repl: ReplRef<'a>,
-    rng: &'a mut PacketRng,
-    now: Time,
-    direction: FlowDirection,
-    queue: Option<(i64, i64)>,
-    /// Mapped header fields written during this invocation (telemetry).
-    header_modifies: u64,
-    concurrency: Concurrency,
-}
-
-impl Host for InvocationHost<'_> {
-    fn load_pkt(&mut self, slot: u8) -> Result<i64, VmError> {
-        match self.bindings.get(slot as usize) {
-            Some((Some(HeaderField::Direction), _)) => Ok(match self.direction {
-                FlowDirection::Egress => 0,
-                FlowDirection::Ingress => 1,
-            }),
-            Some((Some(field), _)) => Ok(crate::headermap::read_header_field(self.packet, *field)),
-            Some((None, _)) => Ok(self.scratch[slot as usize]),
-            None => Err(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Packet,
-                slot,
-            }),
-        }
-    }
-
-    fn store_pkt(&mut self, slot: u8, value: i64) -> Result<(), VmError> {
-        match self.bindings.get(slot as usize) {
-            Some((_, Access::ReadOnly)) => Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Packet,
-                slot,
-            }),
-            Some((Some(field), _)) => {
-                crate::headermap::write_header_field(self.packet, *field, value);
-                self.header_modifies += 1;
-                Ok(())
-            }
-            Some((None, _)) => {
-                self.scratch[slot as usize] = value;
-                Ok(())
-            }
-            None => Err(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Packet,
-                slot,
-            }),
-        }
-    }
-
-    fn load_msg(&mut self, slot: u8) -> Result<i64, VmError> {
-        self.msg
-            .get(slot as usize)
-            .copied()
-            .ok_or(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Message,
-                slot,
-            })
-    }
-
-    fn store_msg(&mut self, slot: u8, value: i64) -> Result<(), VmError> {
-        if self.concurrency == Concurrency::Parallel {
-            // a read-only function writing message state would invalidate
-            // its derived concurrency level — trap instead of racing
-            return Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Message,
-                slot,
-            });
-        }
-        match self.msg.get_mut(slot as usize) {
-            Some(s) => {
-                *s = value;
-                Ok(())
-            }
-            None => Err(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Message,
-                slot,
-            }),
-        }
-    }
-
-    fn load_glob(&mut self, slot: u8) -> Result<i64, VmError> {
-        let local = self
-            .state
-            .global(slot as usize)
-            .ok_or(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            })?;
-        Ok(self.repl.read_global(slot as usize, local))
-    }
-
-    fn store_glob(&mut self, slot: u8, value: i64) -> Result<(), VmError> {
-        if self.concurrency != Concurrency::Serialized {
-            return Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            });
-        }
-        match &mut self.state {
-            GlobalView::Excl { global, .. } => match global.get_mut(slot as usize) {
-                Some(s) => {
-                    if let Some(v) = self.repl.store_global(slot as usize, value) {
-                        *s = v;
-                    }
-                    Ok(())
-                }
-                None => Err(VmError::BadStateSlot {
-                    scope: eden_vm::StateScope::Global,
-                    slot,
-                }),
-            },
-            // unreachable in practice: Serialized functions never run on a
-            // lane, but fail safe rather than assume
-            GlobalView::Shared { .. } => Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            }),
-        }
-    }
-
-    fn arr_load(&mut self, array: u8, index: i64) -> Result<i64, VmError> {
-        let arr = self
-            .state
-            .array(array as usize)
-            .ok_or(VmError::BadArrayAccess { array, index })?;
-        let i = usize::try_from(index)
-            .ok()
-            .filter(|&i| i < arr.len())
-            .ok_or(VmError::BadArrayAccess { array, index })?;
-        Ok(self.repl.read_array(array as usize, i, arr[i]))
-    }
-
-    fn arr_store(&mut self, array: u8, index: i64, value: i64) -> Result<(), VmError> {
-        if self.concurrency != Concurrency::Serialized {
-            return Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot: array,
-            });
-        }
-        match &mut self.state {
-            GlobalView::Excl { arrays, .. } => {
-                let arr = arrays
-                    .get_mut(array as usize)
-                    .ok_or(VmError::BadArrayAccess { array, index })?;
-                let i = usize::try_from(index)
-                    .ok()
-                    .filter(|&i| i < arr.len())
-                    .ok_or(VmError::BadArrayAccess { array, index })?;
-                if let Some(v) = self.repl.store_array(array as usize, i, value) {
-                    arr[i] = v;
-                }
-                Ok(())
-            }
-            GlobalView::Shared { .. } => Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot: array,
-            }),
-        }
-    }
-
-    fn arr_len(&mut self, array: u8) -> Result<i64, VmError> {
-        self.state
-            .array(array as usize)
-            .map(|a| a.len() as i64)
-            .ok_or(VmError::BadArrayAccess { array, index: -1 })
-    }
-
-    fn rand64(&mut self) -> i64 {
-        self.rng.next_i64()
-    }
-
-    fn now_ns(&mut self) -> i64 {
-        self.now.as_nanos() as i64
-    }
-
-    fn effect(&mut self, effect: Effect) -> Result<(), VmError> {
-        match effect {
-            Effect::SetQueue { queue, charge } => {
-                if queue < 0 {
-                    return Err(VmError::BadQueue(queue));
-                }
-                self.queue = Some((queue, charge));
-                Ok(())
-            }
-            Effect::GotoTable { table } => {
-                if !(0..=u8::MAX as i64).contains(&table) {
-                    return Err(VmError::BadTable(table));
-                }
-                Ok(())
-            }
-            Effect::Drop | Effect::ToController => Ok(()),
-        }
-    }
-}
-
 /// Convenience: build a native [`InstalledFunction`] in one call.
 pub fn native_function(
     name: &str,
@@ -2766,7 +603,11 @@ pub fn native_function(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_lang::compile;
+    use crate::ops::{ApplyError, EnclaveOp};
+    use eden_lang::{compile, ReplMode};
+    use eden_telemetry::FlightKind;
+    use eden_vm::Outcome;
+    use netsim::SimRng;
 
     fn interp_fn(src: &str, schema: Schema) -> InstalledFunction {
         let compiled = compile("t", src, &schema).expect("test source compiles");
