@@ -2,15 +2,14 @@
 //!
 //! The zero-copy data path hands whole batches of [`Packet`]s from the
 //! transport [`Stack`](../../transport) through the enclave stages to
-//! egress without per-packet allocation. Three pieces live here:
+//! egress without allocating a batch per call. Three pieces live here:
 //!
-//! * [`PacketArena`] — a free-list of batch buffers (`Vec<Packet>`) and
-//!   [`EdenMeta`] carcasses. A `Vec<Packet>` that has finished its trip
-//!   through stack → enclave → egress is recycled rather than dropped, so
-//!   steady-state batches are contiguous reused allocations and the only
-//!   heap traffic left is growth. Metadata salvage matters because
-//!   `EdenMeta.classes` is the one per-packet heap allocation on the hot
-//!   path: recycling keeps its capacity alive across packets.
+//! * [`PacketArena`] — a free-list of batch buffers (`Vec<Packet>`). A
+//!   `Vec<Packet>` that has finished its trip through stack → enclave →
+//!   egress is recycled rather than dropped, so steady-state batches are
+//!   contiguous reused allocations and the only heap traffic left is
+//!   growth. Packets themselves are not recycled: `EdenMeta.classes` is
+//!   cloned per segment from its message and freed with the packet.
 //! * [`PacketRef`] — a 32-bit index into the current batch. Enclave lanes
 //!   partition a batch by message id and pass *indices*, not packets, so
 //!   the batch slab itself never moves or clones.
@@ -18,11 +17,11 @@
 //!   `PacketRef` sets into disjoint `&mut Packet`s across worker lanes.
 //!
 //! Invariant ("no reuse before drain"): a buffer handed out by
-//! [`PacketArena::take_batch`] is always empty — recycling drains and
-//! salvages whatever the caller left behind *before* the buffer rejoins
-//! the free list, never when it is handed back out.
+//! [`PacketArena::take_batch`] is always empty — recycling drops whatever
+//! the caller left behind *before* the buffer rejoins the free list, never
+//! when it is handed back out.
 
-use crate::packet::{EdenMeta, Packet};
+use crate::packet::Packet;
 
 /// Index of a packet within the current batch slab.
 ///
@@ -39,7 +38,7 @@ impl PacketRef {
     }
 }
 
-/// Free-lists of batch buffers and metadata carcasses.
+/// Free-list of batch buffers.
 ///
 /// Not a bump allocator: packets are structured (headers + option fields),
 /// so "arena" here means *recycled contiguous batches* — the property the
@@ -48,18 +47,15 @@ impl PacketRef {
 #[derive(Debug, Default)]
 pub struct PacketArena {
     batches: Vec<Vec<Packet>>,
-    metas: Vec<EdenMeta>,
-    ctrl_bufs: Vec<Vec<u8>>,
 }
 
-/// Keep at most this many idle batch buffers / metadata carcasses. The
-/// data path needs a handful in flight; anything beyond that is a leak
-/// from a burst and is returned to the allocator.
+/// Keep at most this many idle batch buffers. The data path needs a
+/// handful in flight; anything beyond that is a leak from a burst and is
+/// returned to the allocator.
 const MAX_FREE_BATCHES: usize = 32;
-const MAX_FREE_METAS: usize = 4096;
 
 impl PacketArena {
-    /// An arena with empty free lists.
+    /// An arena with an empty free list.
     pub fn new() -> PacketArena {
         PacketArena::default()
     }
@@ -75,62 +71,18 @@ impl PacketArena {
         }
     }
 
-    /// Return a batch buffer. Any packets still inside are salvaged
-    /// (metadata capacity recovered) and dropped *now*, so the buffer
-    /// rejoins the free list empty.
+    /// Return a batch buffer. Any packets still inside are dropped *now*,
+    /// so the buffer rejoins the free list empty.
     pub fn recycle_batch(&mut self, mut batch: Vec<Packet>) {
-        for packet in batch.drain(..) {
-            self.salvage(packet);
-        }
+        batch.clear();
         if self.batches.len() < MAX_FREE_BATCHES {
             self.batches.push(batch);
         }
     }
 
-    /// Recycle a single packet, salvaging its heap parts.
-    pub fn recycle_packet(&mut self, packet: Packet) {
-        self.salvage(packet);
-    }
-
-    /// A cleared [`EdenMeta`] — recycled `classes` capacity when available.
-    pub fn take_meta(&mut self) -> EdenMeta {
-        self.metas.pop().unwrap_or_default()
-    }
-
-    /// A cleared control-payload buffer with warm capacity when available.
-    pub fn take_ctrl_buf(&mut self) -> Vec<u8> {
-        self.ctrl_bufs.pop().unwrap_or_default()
-    }
-
     /// Number of idle batch buffers (test/telemetry hook).
     pub fn free_batches(&self) -> usize {
         self.batches.len()
-    }
-
-    /// Number of idle metadata carcasses (test/telemetry hook).
-    pub fn free_metas(&self) -> usize {
-        self.metas.len()
-    }
-
-    fn salvage(&mut self, packet: Packet) {
-        if let Some(mut meta) = packet.meta {
-            if self.metas.len() < MAX_FREE_METAS {
-                meta.classes.clear();
-                // reset the scalar fields so a recycled meta is
-                // indistinguishable from EdenMeta::default()
-                let fresh = EdenMeta {
-                    classes: std::mem::take(&mut meta.classes),
-                    ..EdenMeta::default()
-                };
-                self.metas.push(fresh);
-            }
-        }
-        if let Some(mut ctrl) = packet.ctrl {
-            if self.ctrl_bufs.len() < MAX_FREE_METAS {
-                ctrl.clear();
-                self.ctrl_bufs.push(ctrl);
-            }
-        }
     }
 }
 
@@ -193,7 +145,7 @@ impl<'a> PacketSlab<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::UdpHeader;
+    use crate::packet::{EdenMeta, UdpHeader};
 
     fn pkt_with_meta(msg_id: u64) -> Packet {
         let mut p = Packet::udp(1, 2, UdpHeader::default(), 64);
@@ -220,35 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn meta_salvage_keeps_capacity_and_clears_fields() {
-        let mut arena = PacketArena::new();
-        let mut batch = arena.take_batch();
-        batch.push(pkt_with_meta(42));
-        arena.recycle_batch(batch);
-        assert_eq!(arena.free_metas(), 1);
-        let meta = arena.take_meta();
-        assert_eq!(meta, EdenMeta::default(), "recycled meta is cleared");
-        assert!(meta.classes.capacity() >= 3, "classes capacity survives");
-    }
-
-    #[test]
-    fn free_lists_are_bounded() {
+    fn free_list_is_bounded() {
         let mut arena = PacketArena::new();
         for _ in 0..(MAX_FREE_BATCHES + 10) {
             arena.recycle_batch(vec![pkt_with_meta(1)]);
         }
         assert!(arena.free_batches() <= MAX_FREE_BATCHES);
-        assert!(arena.free_metas() <= MAX_FREE_METAS);
-    }
-
-    #[test]
-    fn ctrl_buffers_are_salvaged() {
-        let mut arena = PacketArena::new();
-        let p = Packet::ctrl(1, 2, UdpHeader::default(), vec![9; 128]);
-        arena.recycle_packet(p);
-        let buf = arena.take_ctrl_buf();
-        assert!(buf.is_empty());
-        assert!(buf.capacity() >= 128);
     }
 
     #[test]

@@ -116,13 +116,16 @@ pub struct Network {
     queue: EventQueue<Ev>,
     nodes: Vec<Box<dyn Node>>,
     ports: Vec<Vec<PortRef>>,
+    /// Link rate of each node's ports, bits/second, recorded as
+    /// [`connect`](Self::connect) attaches them: what a [`Ctx`] shows its
+    /// node.
+    port_rates: Vec<Vec<u64>>,
     links: Vec<Link>,
     rng: SimRng,
     packet_seq: u64,
     events_processed: u64,
-    /// Scratch buffers reused across dispatches.
+    /// Scratch buffer reused across dispatches.
     actions: Vec<Action>,
-    port_rates_scratch: Vec<u64>,
 }
 
 impl Network {
@@ -132,12 +135,12 @@ impl Network {
             queue: EventQueue::new(),
             nodes: Vec::new(),
             ports: Vec::new(),
+            port_rates: Vec::new(),
             links: Vec::new(),
             rng: SimRng::new(seed),
             packet_seq: 1,
             events_processed: 0,
             actions: Vec::new(),
-            port_rates_scratch: Vec::new(),
         }
     }
 
@@ -151,10 +154,17 @@ impl Network {
         self.events_processed
     }
 
+    /// Events scheduled and not yet dispatched: packets in flight,
+    /// transmit completions and timers.
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Add a node; returns its id.
     pub fn add_node(&mut self, node: impl Node) -> NodeId {
         self.nodes.push(Box::new(node));
         self.ports.push(Vec::new());
+        self.port_rates.push(Vec::new());
         NodeId(self.nodes.len() - 1)
     }
 
@@ -176,6 +186,8 @@ impl Network {
         });
         self.ports[a.0].push(PortRef { link, side: 0 });
         self.ports[b.0].push(PortRef { link, side: 1 });
+        self.port_rates[a.0].push(spec.rate_bps);
+        self.port_rates[b.0].push(spec.rate_bps);
         (pa, pb)
     }
 
@@ -275,19 +287,12 @@ impl Network {
         let Ev::Node { node, event } = ev;
         self.events_processed += 1;
 
-        // Populate per-port rates for the node's ctx.
-        self.port_rates_scratch.clear();
-        for pr in &self.ports[node.0] {
-            self.port_rates_scratch
-                .push(self.links[pr.link.0].spec.rate_bps);
-        }
-
         debug_assert!(self.actions.is_empty());
         let mut ctx = Ctx {
             now: self.queue.now(),
             rng: &mut self.rng,
             actions: &mut self.actions,
-            port_rates: &self.port_rates_scratch,
+            port_rates: &self.port_rates[node.0],
         };
         self.nodes[node.0].on_event(event, &mut ctx);
 

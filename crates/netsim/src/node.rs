@@ -16,10 +16,11 @@ use crate::time::Time;
 
 /// Events delivered to a node.
 ///
-/// `Packet` dwarfs the other variants, but events live only on the heap
-/// inside the simulator's event queue and are consumed immediately;
-/// boxing the packet would add an allocation per delivered packet on the
-/// hottest path for no resident-size win.
+/// `Packet` dwarfs the other variants, but an event is written once into
+/// the event queue's payload slab and read once at dispatch; the heap
+/// sifts 24-byte keys, never events. Boxing the packet would add an
+/// allocation per delivered packet on the hottest path, to shrink slots
+/// the slab recycles anyway.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum NodeEvent {

@@ -3,10 +3,7 @@
 //! The invariant under test is "no reuse before drain": whatever a caller
 //! leaves in a batch when recycling it, the next [`PacketArena::take_batch`]
 //! must hand out an *empty* buffer — stale packets from a previous
-//! transmission opportunity must never leak into the next one. The
-//! punt-heavy property hammers single-packet recycling (the punt path's
-//! shape) and checks that metadata salvage always yields a carcass
-//! indistinguishable from a fresh `EdenMeta`.
+//! transmission opportunity must never leak into the next one.
 
 use netsim::{EdenMeta, Packet, PacketArena, UdpHeader};
 use proptest::prelude::*;
@@ -25,23 +22,20 @@ fn pkt(classes: Vec<u32>, msg_id: u64, payload: usize) -> Packet {
 }
 
 /// One step of an arena workout: take a batch and fill it with `fills`
-/// packets, recycle the oldest outstanding batch, or recycle a lone
-/// packet (the punt path's shape).
+/// packets, or recycle the oldest outstanding batch.
 #[derive(Debug, Clone)]
 enum Op {
     Take { fills: Vec<(Vec<u32>, u64)> },
     RecycleOldest,
-    RecyclePacket { classes: Vec<u32> },
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let classes = proptest::collection::vec(1u32..100, 0..4);
     proptest::collection::vec(
         prop_oneof![
-            proptest::collection::vec((classes.clone(), any::<u64>()), 0..6)
+            proptest::collection::vec((classes, any::<u64>()), 0..6)
                 .prop_map(|fills| Op::Take { fills }),
             Just(Op::RecycleOldest),
-            classes.prop_map(|classes| Op::RecyclePacket { classes }),
         ],
         1..200,
     )
@@ -51,8 +45,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary take/fill/recycle interleavings never hand out a buffer
-    /// that still holds packets, and the free lists stay within their
-    /// caps no matter how lopsided the traffic is.
+    /// that still holds packets, and the free list stays within its cap
+    /// no matter how lopsided the traffic is.
     #[test]
     fn no_reuse_before_drain(ops in ops()) {
         let mut arena = PacketArena::new();
@@ -76,12 +70,8 @@ proptest! {
                         arena.recycle_batch(outstanding.remove(0));
                     }
                 }
-                Op::RecyclePacket { classes } => {
-                    arena.recycle_packet(pkt(classes, 7, 64));
-                }
             }
             prop_assert!(arena.free_batches() <= 32, "batch free list is bounded");
-            prop_assert!(arena.free_metas() <= 4096, "meta free list is bounded");
         }
         // every buffer still out there recycles cleanly and comes back empty
         for batch in outstanding {
@@ -89,32 +79,5 @@ proptest! {
         }
         let batch = arena.take_batch();
         prop_assert!(batch.is_empty());
-    }
-
-    /// Punt-heavy workload: packets recycled one at a time, metadata
-    /// salvaged every time. A recycled carcass must be indistinguishable
-    /// from `EdenMeta::default()` — any scalar bleeding through would
-    /// corrupt the packet that next wears it.
-    #[test]
-    fn punt_heavy_salvage_is_clean(
-        punts in proptest::collection::vec(
-            (proptest::collection::vec(1u32..100, 1..5), any::<u64>(), 1usize..1500),
-            1..300,
-        )
-    ) {
-        let mut arena = PacketArena::new();
-        let n = punts.len();
-        for (classes, msg_id, payload) in punts {
-            arena.recycle_packet(pkt(classes, msg_id, payload));
-        }
-        prop_assert!(arena.free_metas() <= n.min(4096));
-        // drain the salvage: every carcass is cleared but keeps capacity
-        while arena.free_metas() > 0 {
-            let meta = arena.take_meta();
-            prop_assert_eq!(&meta, &EdenMeta::default(), "salvaged meta is cleared");
-            prop_assert!(meta.classes.capacity() >= 1, "classes capacity survives");
-        }
-        // fresh metas after the free list empties are just defaults
-        prop_assert_eq!(arena.take_meta(), EdenMeta::default());
     }
 }

@@ -9,7 +9,7 @@
 //! Packet path up: NIC → [`PacketHook::on_ingress`] → TCP demux →
 //! application events.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use eden_telemetry::{FlowCounters, HostCounters, TimeSeries, TraceLayer, TraceRing, TraceVerdict};
 use netsim::{Ctx, EdenMeta, Packet, PacketArena, PortId, PriorityPort, Time};
@@ -73,12 +73,70 @@ pub(crate) fn token(subsystem: u64, payload: u64) -> u64 {
     (subsystem << 56) | (payload & TOKEN_PAYLOAD_MASK)
 }
 
+/// One of a connection's timers as the stack runs it. [`Conn`] says
+/// whether the timer is armed; the stack holds when it is due and keeps one
+/// event queued for it however often the deadline moves later — TCP
+/// restarts its RTO on every new ACK, and an event per restart would sit in
+/// the simulator's queue until its own deadline only to be discarded.
+#[derive(Debug, Clone, Copy, Default)]
+struct ConnTimer {
+    /// When the timer is due; read only while `Conn` has it armed.
+    deadline: Time,
+    /// When the event queued for this timer fires: never after `deadline`
+    /// while armed. `None`: no event is queued.
+    queued: Option<Time>,
+}
+
+impl ConnTimer {
+    /// The timer is due at `deadline` from now on. Queues an event (carrying
+    /// `token`) only when none is queued or the queued one would come late.
+    fn arm(&mut self, deadline: Time, token: u64, ctx: &mut Ctx<'_>) {
+        self.deadline = deadline;
+        if self.queued.is_none_or(|at| deadline < at) {
+            self.queued = Some(deadline);
+            ctx.timer_at(deadline, token);
+        }
+    }
+
+    /// An event of this timer fired; `armed` is the connection's word.
+    /// True when the timer is due now and its handler must run. Otherwise
+    /// the event came early and re-queues itself at the deadline, or the
+    /// timer was disarmed and the event lapses.
+    fn fired(&mut self, armed: bool, token: u64, ctx: &mut Ctx<'_>) -> bool {
+        let now = ctx.now();
+        if self.queued != Some(now) {
+            // left behind when the deadline moved earlier than this event;
+            // the event queued then has fired, or will
+            return false;
+        }
+        self.queued = None;
+        if !armed {
+            return false;
+        }
+        if self.deadline > now {
+            self.arm(self.deadline, token, ctx);
+            return false;
+        }
+        true
+    }
+}
+
+/// The stack's side of a connection's two timers.
+#[derive(Debug, Clone, Copy, Default)]
+struct ConnTimers {
+    rto: ConnTimer,
+    reorder: ConnTimer,
+}
+
 /// The host network stack.
 pub struct Stack {
     /// This host's IPv4 address.
     pub addr: u32,
     cfg: StackConfig,
     conns: Vec<Conn>,
+    /// Deadline and queued event of each connection's timers, by
+    /// connection index.
+    timers: Vec<ConnTimers>,
     /// (remote ip, remote port, local port) → connection index.
     demux: HashMap<(u32, u16, u16), usize>,
     listeners: HashSet<u16>,
@@ -93,7 +151,7 @@ pub struct Stack {
     limiters: Vec<TokenBucket>,
     limiter_armed: Vec<bool>,
     nic: PriorityPort,
-    events: Vec<AppEvent>,
+    events: VecDeque<AppEvent>,
     /// Packets dropped by the hook's `Drop` verdict.
     pub hook_drops: u64,
     /// Packets dropped at the NIC queues (overflow).
@@ -113,8 +171,7 @@ pub struct Stack {
     /// Recycled batch buffers: every [`TcpOutput`] batch is taken from
     /// here and returned after egress, so steady-state transmission
     /// opportunities reuse warm allocations instead of churning
-    /// `Vec<Packet>` per TCP call. Dropped packets are salvaged through
-    /// it too (metadata capacity recovery).
+    /// `Vec<Packet>` per TCP call.
     arena: PacketArena,
     /// Recycled verdict buffer for the batch egress path.
     verdict_buf: Vec<HookVerdict>,
@@ -144,6 +201,7 @@ impl Stack {
             addr,
             cfg,
             conns: Vec::new(),
+            timers: Vec::new(),
             demux: HashMap::new(),
             listeners: HashSet::new(),
             next_ephemeral: 40_000,
@@ -154,7 +212,7 @@ impl Stack {
             limiters: Vec::new(),
             limiter_armed: Vec::new(),
             nic: PriorityPort::new(cfg.nic_queue_bytes),
-            events: Vec::new(),
+            events: VecDeque::new(),
             hook_drops: 0,
             nic_drops: 0,
             bad_queue_drops: 0,
@@ -311,11 +369,18 @@ impl Stack {
             ctx.now(),
             &mut out,
         );
-        let idx = self.conns.len();
-        self.conns.push(conn);
-        self.demux.insert((remote_ip, remote_port, local_port), idx);
+        let idx = self.add_conn(conn, (remote_ip, remote_port, local_port));
         self.apply_output(idx, out, ctx);
         ConnId(idx)
+    }
+
+    /// Register `conn` under its demux `key`; returns its index.
+    fn add_conn(&mut self, conn: Conn, key: (u32, u16, u16)) -> usize {
+        let idx = self.conns.len();
+        self.conns.push(conn);
+        self.timers.push(ConnTimers::default());
+        self.demux.insert(key, idx);
+        idx
     }
 
     /// The paper's extended send primitive (§4.2): send `bytes` as one
@@ -373,6 +438,11 @@ impl Stack {
         self.conns[conn.0].cwnd()
     }
 
+    /// Current retransmission timeout.
+    pub fn conn_rto(&self, conn: ConnId) -> Time {
+        self.conns[conn.0].rto()
+    }
+
     /// Smoothed RTT, nanoseconds.
     pub fn conn_srtt_ns(&self, conn: ConnId) -> u64 {
         self.conns[conn.0].srtt_ns()
@@ -400,11 +470,7 @@ impl Stack {
 
     /// Drain application events produced by the last stack call.
     pub fn take_event(&mut self) -> Option<AppEvent> {
-        if self.events.is_empty() {
-            None
-        } else {
-            Some(self.events.remove(0))
-        }
+        self.events.pop_front()
     }
 
     // ------------------------------------------------------------------
@@ -480,13 +546,12 @@ impl Stack {
                             TraceVerdict::Drop,
                         );
                     }
-                    self.arena.recycle_packet(packet);
                     return;
                 }
             }
         }
         let Some(hdr) = packet.tcp_header().copied() else {
-            self.events.push(AppEvent::Raw(packet));
+            self.events.push_back(AppEvent::Raw(packet));
             return;
         };
         let key = (packet.ip.src, hdr.src_port, hdr.dst_port);
@@ -504,9 +569,7 @@ impl Stack {
                 ctx.now(),
                 &mut out,
             );
-            let idx = self.conns.len();
-            self.conns.push(conn);
-            self.demux.insert(key, idx);
+            let idx = self.add_conn(conn, key);
             self.apply_output(idx, out, ctx);
         }
         // else: no socket — silently dropped (no RST machinery)
@@ -531,30 +594,35 @@ impl Stack {
         }
     }
 
-    /// An RTO timer fired; `payload` encodes (conn, generation).
+    /// An event of the RTO timer of connection `payload` fired.
     pub(crate) fn handle_rto_timer(&mut self, payload: u64, ctx: &mut Ctx<'_>) {
-        let idx = (payload >> 24) as usize;
-        let generation = payload & ((1 << 24) - 1);
-        let Some(conn) = self.conns.get_mut(idx) else {
+        let idx = payload as usize;
+        let Some(conn) = self.conns.get(idx) else {
             return;
         };
-        if !conn.rto_armed || (conn.rto_gen & ((1 << 24) - 1)) != generation {
-            return; // stale timer
+        if !self.timers[idx]
+            .rto
+            .fired(conn.rto_armed, token(TOKEN_RTO, payload), ctx)
+        {
+            return;
         }
         let mut out = self.new_output();
         self.conns[idx].on_rto(ctx.now(), &mut out);
         self.apply_output(idx, out, ctx);
     }
 
-    /// A reorder-tolerance timer fired; `payload` encodes (conn, generation).
+    /// An event of the reorder-tolerance timer of connection `payload`
+    /// fired.
     pub(crate) fn handle_reorder_timer(&mut self, payload: u64, ctx: &mut Ctx<'_>) {
-        let idx = (payload >> 24) as usize;
-        let generation = payload & ((1 << 24) - 1);
-        let Some(conn) = self.conns.get_mut(idx) else {
+        let idx = payload as usize;
+        let Some(conn) = self.conns.get(idx) else {
             return;
         };
-        if !conn.reorder_armed || (conn.reorder_gen & ((1 << 24) - 1)) != generation {
-            return; // resolved or superseded
+        if !self.timers[idx]
+            .reorder
+            .fired(conn.reorder_armed, token(TOKEN_REORDER, payload), ctx)
+        {
+            return;
         }
         let mut out = self.new_output();
         self.conns[idx].on_reorder_timeout(ctx.now(), &mut out);
@@ -581,7 +649,7 @@ impl Stack {
     fn apply_output(&mut self, idx: usize, out: TcpOutput, ctx: &mut Ctx<'_>) {
         for ev in out.events {
             let conn = ConnId(idx);
-            self.events.push(match ev {
+            self.events.push_back(match ev {
                 TcpEvent::Connected => AppEvent::Connected(conn),
                 TcpEvent::Accepted => AppEvent::Accepted(conn),
                 TcpEvent::Data { bytes } => AppEvent::Data { conn, bytes },
@@ -594,15 +662,14 @@ impl Stack {
                 TcpEvent::Closed => AppEvent::Closed(conn),
             });
         }
+        let timers = &mut self.timers[idx];
         if let Some(deadline) = out.arm_rto {
-            let generation = self.conns[idx].rto_gen & ((1 << 24) - 1);
-            let payload = ((idx as u64) << 24) | generation;
-            ctx.timer_at(deadline, token(TOKEN_RTO, payload));
+            timers.rto.arm(deadline, token(TOKEN_RTO, idx as u64), ctx);
         }
         if let Some(deadline) = out.arm_reorder {
-            let generation = self.conns[idx].reorder_gen & ((1 << 24) - 1);
-            let payload = ((idx as u64) << 24) | generation;
-            ctx.timer_at(deadline, token(TOKEN_REORDER, payload));
+            timers
+                .reorder
+                .arm(deadline, token(TOKEN_REORDER, idx as u64), ctx);
         }
         // Everything TCP emitted in this transmission opportunity leaves as
         // one batch, so a hook with a real batch path (the enclave's staged
@@ -700,7 +767,6 @@ impl Stack {
             HookVerdict::Pass => self.nic_enqueue(packet, ctx),
             HookVerdict::Drop => {
                 self.hook_drops += 1;
-                self.arena.recycle_packet(packet);
             }
             HookVerdict::Queue { queue, charge } => {
                 if queue >= self.limiters.len() {
@@ -714,7 +780,6 @@ impl Stack {
                             TraceVerdict::Drop,
                         );
                     }
-                    self.arena.recycle_packet(packet);
                     return;
                 }
                 if let Some(t) = self.trace.as_mut() {

@@ -16,7 +16,7 @@
 //! tagged with its message's [`EdenMeta`] (and an [`AppMarker`] on the
 //! final segment), including on retransmission.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use netsim::{AppMarker, EdenMeta, Packet, TcpFlags, TcpHeader, Time};
 
@@ -145,12 +145,12 @@ pub struct Conn {
     rto: Time,
     /// Outstanding RTT probe: (sequence that must be acked, send time).
     rtt_probe: Option<(u32, Time)>,
-    /// Generation counter: a fired timer is valid only if it carries the
-    /// current generation (rearming bumps it, implicitly cancelling).
-    pub(crate) rto_gen: u64,
+    /// Whether the RTO timer is running. The stack holds its deadline
+    /// (the last [`TcpOutput::arm_rto`]) and asks this flag when the
+    /// timer's event fires, so disarming is just clearing it.
     pub(crate) rto_armed: bool,
-    /// Reorder-tolerance timer state (see [`TcpConfig::reorder_window`]).
-    pub(crate) reorder_gen: u64,
+    /// The same for the reorder-tolerance timer (see
+    /// [`TcpConfig::reorder_window`]).
     pub(crate) reorder_armed: bool,
     /// The unacked sequence the pending reorder timer is watching.
     reorder_hole: u32,
@@ -159,8 +159,9 @@ pub struct Conn {
     rcv_nxt: u32,
     /// Out-of-order segments: start seq → (len, marker).
     ooo: BTreeMap<u32, (u32, Option<AppMarker>)>,
-    /// Markers whose message end has not yet been delivered in order.
-    pending_markers: Vec<AppMarker>,
+    /// Markers whose message end has not yet been delivered in order,
+    /// sorted by `end_seq` (arrival order among equals).
+    pending_markers: VecDeque<AppMarker>,
     peer_fin_at: Option<u32>,
     peer_closed_delivered: bool,
 
@@ -175,10 +176,11 @@ pub struct TcpOutput {
     pub packets: Vec<Packet>,
     /// Application-visible events.
     pub events: Vec<TcpEvent>,
-    /// `Some(deadline)`: (re)arm the RTO timer; `None`: leave as is. The
-    /// stack reads `rto_armed == false` to cancel.
+    /// `Some(deadline)`: the RTO timer is now due at `deadline`, replacing
+    /// any earlier deadline; `None`: leave as is. The stack reads
+    /// `rto_armed == false` to cancel.
     pub arm_rto: Option<Time>,
-    /// `Some(deadline)`: arm the reorder-tolerance timer.
+    /// `Some(deadline)`: the same for the reorder-tolerance timer.
     pub arm_reorder: Option<Time>,
 }
 
@@ -207,14 +209,12 @@ impl Conn {
             rttvar: 0.0,
             rto: Time::from_millis(200),
             rtt_probe: None,
-            rto_gen: 0,
             rto_armed: false,
-            reorder_gen: 0,
             reorder_armed: false,
             reorder_hole: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            pending_markers: Vec::new(),
+            pending_markers: VecDeque::new(),
             peer_fin_at: None,
             peer_closed_delivered: false,
             stats: ConnStats::default(),
@@ -440,13 +440,11 @@ impl Conn {
     }
 
     fn arm_rto(&mut self, now: Time, out: &mut TcpOutput) {
-        self.rto_gen += 1;
         self.rto_armed = true;
         out.arm_rto = Some(now + self.rto);
     }
 
     fn cancel_rto(&mut self) {
-        self.rto_gen += 1;
         self.rto_armed = false;
     }
 
@@ -550,7 +548,6 @@ impl Conn {
             if self.reorder_armed {
                 // hole filled: benign reordering, cancel the pending cut
                 self.reorder_armed = false;
-                self.reorder_gen += 1;
                 self.stats.reorder_events += 1;
             }
 
@@ -606,7 +603,6 @@ impl Conn {
                     Some(window) => {
                         if !self.reorder_armed {
                             self.reorder_armed = true;
-                            self.reorder_gen += 1;
                             self.reorder_hole = self.snd_una;
                             out.arm_reorder = Some(now + window);
                         }
@@ -633,7 +629,7 @@ impl Conn {
             let new_end = seq + len;
             self.rcv_nxt = new_end;
             if let Some(m) = packet.app_marker {
-                self.pending_markers.push(m);
+                self.queue_marker(m);
             }
             // drain contiguous out-of-order segments
             while let Some((&s, &(l, marker))) = self.ooo.iter().next() {
@@ -646,7 +642,7 @@ impl Conn {
                     self.rcv_nxt = seg_end;
                 }
                 if let Some(m) = marker {
-                    self.pending_markers.push(m);
+                    self.queue_marker(m);
                 }
             }
             // everything newly contiguous counts: the fresh segment plus
@@ -655,17 +651,15 @@ impl Conn {
                 bytes: self.rcv_nxt - before,
             });
             // deliver completed messages in order
-            self.pending_markers.sort_by_key(|m| m.end_seq);
-            while let Some(m) = self.pending_markers.first().copied() {
-                if m.end_seq <= self.rcv_nxt {
-                    self.pending_markers.remove(0);
-                    out.events.push(TcpEvent::Message {
-                        app_tag: m.app_tag,
-                        size: m.msg_size,
-                    });
-                } else {
+            while let Some(m) = self.pending_markers.front().copied() {
+                if m.end_seq > self.rcv_nxt {
                     break;
                 }
+                self.pending_markers.pop_front();
+                out.events.push(TcpEvent::Message {
+                    app_tag: m.app_tag,
+                    size: m.msg_size,
+                });
             }
             // FIN that arrived earlier out of order
             if let Some(fin_seq) = self.peer_fin_at {
@@ -691,6 +685,15 @@ impl Conn {
         );
         self.stats.packets_sent += 1;
         out.packets.push(ack);
+    }
+
+    /// Keep `pending_markers` sorted by `end_seq`. Markers almost always
+    /// arrive in order, so this is a push at the back.
+    fn queue_marker(&mut self, m: AppMarker) {
+        let at = self
+            .pending_markers
+            .partition_point(|q| q.end_seq <= m.end_seq);
+        self.pending_markers.insert(at, m);
     }
 
     fn rtt_sample(&mut self, rtt: Time) {
@@ -742,7 +745,7 @@ impl Conn {
         }
     }
 
-    /// The RTO timer fired (stack verified the generation matches).
+    /// The RTO timer fired (the stack verified it is armed and due).
     pub fn on_rto(&mut self, now: Time, out: &mut TcpOutput) {
         self.rto_armed = false;
         match self.state {

@@ -447,3 +447,201 @@ fn deterministic_across_runs() {
     };
     assert_eq!(run(), run());
 }
+
+// ----------------------------------------------------------------------
+// connection timers: one queued event per timer, fired at the deadline
+// ----------------------------------------------------------------------
+
+/// The most events pending in `net` at any 10 µs step until `until`.
+fn max_pending_events(net: &mut Network, until: Time) -> usize {
+    let (mut max, mut t) = (0, net.now());
+    while t < until {
+        t += Time::from_micros(10);
+        net.run_until(t);
+        max = max.max(net.pending_events());
+    }
+    max
+}
+
+#[test]
+fn clean_transfer_keeps_a_handful_of_events_queued() {
+    let (mut net, _c, s) = pair(
+        LinkSpec::ten_gbps(),
+        Client {
+            server: 2,
+            port: 7000,
+            send_bytes: 10_000_000,
+            ..Default::default()
+        },
+        Server::default(),
+    );
+    let max = max_pending_events(&mut net, Time::from_millis(100));
+    assert_eq!(net.node::<SHost>(s).app.requests.len(), 1, "flow completed");
+    // Per direction of each of the two links: a transmit completion and the
+    // frames inside the 1 µs of propagation; plus one event per timer: 11
+    // here. An event per RTO restart makes it 1,664: an ACK every 1.2 µs,
+    // each leaving a timer queued for 2 ms.
+    assert!(
+        max <= 16,
+        "{max} events queued at once for one connection on two links"
+    );
+}
+
+/// Hook noting when the stack sent each data segment and when the last ACK
+/// that acknowledged new data came in.
+#[derive(Default)]
+struct SendTimes {
+    data_sent_at: Vec<Time>,
+    highest_ack: u32,
+    last_new_ack_at: Time,
+}
+
+impl PacketHook for SendTimes {
+    fn on_egress(&mut self, packet: &mut Packet, env: &mut HookEnv<'_>) -> HookVerdict {
+        if packet.payload_len > 0 {
+            self.data_sent_at.push(env.now);
+        }
+        HookVerdict::Pass
+    }
+
+    fn on_ingress(&mut self, packet: &mut Packet, env: &mut HookEnv<'_>) -> HookVerdict {
+        if let Some(hdr) = packet.tcp_header() {
+            if hdr.flags.ack && hdr.ack > self.highest_ack {
+                self.highest_ack = hdr.ack;
+                self.last_new_ack_at = env.now;
+            }
+        }
+        HookVerdict::Pass
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn rto_fires_at_last_arm_plus_rto_and_doubles() {
+    let (mut net, c, _s) = pair(
+        LinkSpec::ten_gbps(),
+        Client {
+            server: 2,
+            port: 7000,
+            send_bytes: 10_000_000,
+            ..Default::default()
+        },
+        Server::default(),
+    );
+    net.node_mut::<CHost>(c)
+        .stack
+        .set_hook(SendTimes::default());
+    // Mid-transfer the client's link dies. Frames already on it land; then
+    // the client hears nothing, and only its RTO makes it send again.
+    let down_at = Time::from_millis(1);
+    net.run_until(down_at);
+    let (link, _) = net.port_link(c, PortId(0));
+    net.set_link_down(link, true);
+    net.run_until(down_at + Time::from_micros(100));
+
+    let client = net.node_mut::<CHost>(c);
+    let conn = client.app.conn.expect("connected");
+    assert!(!client.stack.conn_all_acked(conn), "cut mid-transfer");
+    let rto = client.stack.conn_rto(conn);
+    let hook = client.stack.hook_mut::<SendTimes>().expect("installed");
+    // every new ACK restarted the timer; the last restart stands
+    let last_arm = hook.last_new_ack_at;
+    assert!(last_arm > down_at - Time::from_micros(100) && last_arm < down_at + rto);
+    let quiet_from = hook.data_sent_at.len();
+
+    net.run_until(down_at + Time::from_millis(100));
+    let client = net.node_mut::<CHost>(c);
+    let timeouts = client.stack.conn_stats(conn).timeouts;
+    let hook = client.stack.hook_mut::<SendTimes>().expect("installed");
+    let fires = &hook.data_sent_at[quiet_from..];
+    assert!(fires.len() >= 4, "RTOs in 100 ms: {fires:?}");
+    let mut expect = last_arm + rto;
+    let mut backoff = rto;
+    for (i, &at) in fires.iter().take(4).enumerate() {
+        assert_eq!(at, expect, "RTO {i} of {fires:?}, first timeout {rto}");
+        backoff = Time::from_nanos(backoff.as_nanos() * 2);
+        expect = at + backoff;
+    }
+    assert_eq!(timeouts, fires.len() as u64);
+}
+
+/// What a sender's connection did and when the server had its message:
+/// `(packets_sent, retransmits, fast_retransmits, timeouts, reorder_events,
+/// bytes_acked, completion ns)`.
+type FlowOutcome = (u64, u64, u64, u64, u64, u64, u64);
+
+/// Two senders share a lossy, jittery link to one server; the senders
+/// tolerate reordering for 100 µs, so RTO and reorder timers are armed,
+/// restarted, cancelled and fired throughout.
+fn lossy_reordering_two_flows(seed: u64) -> [FlowOutcome; 2] {
+    let cfg = StackConfig {
+        tcp: transport::TcpConfig {
+            reorder_window: Some(Time::from_micros(100)),
+            ..Default::default()
+        },
+        ..StackConfig::default()
+    };
+    // sizes differ so the server's two requests can be told apart
+    const BYTES: [u32; 2] = [3_000_000, 2_000_000];
+    let sender = |send_bytes| Client {
+        server: 2,
+        port: 7000,
+        send_bytes,
+        ..Default::default()
+    };
+    let mut net = Network::new(seed);
+    let senders = [
+        net.add_node(Host::new(Stack::new(1, cfg), sender(BYTES[0]))),
+        net.add_node(Host::new(Stack::new(3, cfg), sender(BYTES[1]))),
+    ];
+    let s = net.add_node(Host::new(Stack::new(2, cfg), Server::default()));
+    let sw = net.add_node(netsim::Switch::new(netsim::SwitchConfig::default()));
+    for (node, addr) in [(senders[0], 1), (senders[1], 3), (s, 2)] {
+        let (_, port) = net.connect(node, sw, LinkSpec::ten_gbps());
+        net.node_mut::<netsim::Switch>(sw).install_route(addr, port);
+    }
+    let (shared, _) = net.port_link(s, PortId(0));
+    net.set_link_loss_permille(shared, 5);
+    net.set_link_jitter(shared, Time::from_micros(20));
+    net.schedule_timer(s, Time::ZERO, app_timer_token(0));
+    net.schedule_timer(senders[0], Time::from_nanos(10), app_timer_token(0));
+    net.schedule_timer(senders[1], Time::from_micros(3), app_timer_token(0));
+    net.run_until(Time::from_secs(5));
+
+    let requests = &net.node::<SHost>(s).app.requests;
+    [0, 1].map(|i| {
+        let client = net.node::<CHost>(senders[i]);
+        let st = client.stack.conn_stats(client.app.conn.expect("connected"));
+        let (done, ..) = requests
+            .iter()
+            .find(|&&(_, _, size)| size == BYTES[i])
+            .expect("the flow completed");
+        (
+            st.packets_sent,
+            st.retransmits,
+            st.fast_retransmits,
+            st.timeouts,
+            st.reorder_events,
+            st.bytes_acked,
+            done.as_nanos(),
+        )
+    })
+}
+
+/// Recorded at commit 5f7824c, where every timer restart queued its own
+/// generation-stamped event. One event per timer must fire the handlers at
+/// the same nanoseconds, so TCP's decisions and the flows' finish times
+/// stay the same to the packet.
+#[test]
+fn lossy_reordering_outcome_is_unchanged_by_the_timer_rewrite() {
+    assert_eq!(
+        lossy_reordering_two_flows(0x5eed),
+        [
+            (2068, 11, 11, 0, 55, 3_000_000, 6_601_409),
+            (1386, 12, 10, 2, 37, 2_000_000, 9_799_488),
+        ]
+    );
+}
