@@ -228,6 +228,9 @@ pub struct Enclave {
     /// block's `rule_hits` to its table's rules).
     table_counts: Vec<TableCounts>,
     functions: Vec<InstalledFunction>,
+    /// Each function's share of [`config_digest`](Self::config_digest),
+    /// parallel to `functions`, hashed once at install.
+    func_digests: Vec<u64>,
     /// Per-function invocation counters, parallel to `functions`.
     func_counts: Vec<FuncCounts>,
     /// Precomputed per-function packet-slot bindings: (header map, access).
@@ -305,6 +308,7 @@ impl Enclave {
             tables: vec![MatchActionTable::default()],
             table_counts: vec![TableCounts::default()],
             functions: Vec::new(),
+            func_digests: Vec::new(),
             func_counts: Vec::new(),
             pkt_bindings: Vec::new(),
             states: Vec::new(),
@@ -341,7 +345,7 @@ impl Enclave {
 
     /// Create an additional match-action table; returns its id.
     pub fn create_table(&mut self) -> TableId {
-        self.tables.push(MatchActionTable::default());
+        self.tables.push(MatchActionTable::new(self.active_epoch));
         self.table_counts.push(TableCounts::default());
         TableId(self.tables.len() - 1)
     }
@@ -371,6 +375,7 @@ impl Enclave {
             HostRepl::new(spec, &lens)
         }));
         self.pkt_bindings.push(bindings);
+        self.func_digests.push(epoch::function_digest(&function));
         self.functions.push(function);
         self.func_counts.push(FuncCounts::default());
         self.states.push(state);
@@ -381,13 +386,13 @@ impl Enclave {
     /// Append `rule` to `table` (first match wins).
     pub fn install_rule(&mut self, table: TableId, spec: MatchSpec, func: FuncId) {
         assert!(func.0 < self.functions.len(), "unknown function");
-        let epoch = self.active_epoch;
-        self.tables[table.0].push_rule(Rule { spec, func, epoch });
+        self.tables[table.0].push_rule(Rule { spec, func });
         self.table_counts[table.0].rule_hits.push(0);
     }
 
     /// Remove rule `rule` (by position) from `table`; later rules shift
-    /// down. Returns `false` when no such rule exists.
+    /// down. Returns `false` when no such rule exists. Costs the number of
+    /// rules behind `rule`: removing a table's last rule is O(1).
     pub fn remove_rule(&mut self, table: TableId, rule: usize) -> bool {
         let Some(t) = self.tables.get_mut(table.0) else {
             return false;
@@ -626,7 +631,6 @@ mod tests {
             t.push_rule(Rule {
                 spec,
                 func: FuncId(func),
-                epoch: 0,
             });
         }
         assert_eq!(t.find(&[7]), Some(0));
@@ -638,12 +642,10 @@ mod tests {
         t2.push_rule(Rule {
             spec: MatchSpec::AnyOf(vec![ClassId(3)]),
             func: FuncId(0),
-            epoch: 0,
         });
         t2.push_rule(Rule {
             spec: MatchSpec::Class(ClassId(5)),
             func: FuncId(1),
-            epoch: 0,
         });
         assert_eq!(t2.find(&[5]), Some(1));
         assert_eq!(t2.find(&[3, 5]), Some(0), "earlier AnyOf wins");
@@ -903,6 +905,56 @@ mod tests {
         );
         assert_eq!(e.staged_epoch(), None, "nothing staged on mismatch");
         assert_eq!(e.config_digest(), have, "config untouched");
+    }
+
+    #[test]
+    fn digest_and_rule_index_stay_exact_under_random_edits() {
+        let mut e = Enclave::new(EnclaveConfig::default());
+        let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
+        for prio in 1..=2 {
+            e.install_function(interp_fn(
+                &format!("fun (packet, msg, _global) -> packet.Priority <- {prio}"),
+                schema.clone(),
+            ));
+        }
+        e.create_table();
+        let mut rng = SimRng::new(0xD16E);
+        for step in 0..3000 {
+            let table = rng.below(2) as usize;
+            let len = e.tables[table].rules.len();
+            match rng.below(16) {
+                0 => e.clear_table(TableId(table)),
+                1..=6 if len > 0 => {
+                    // the last rule as often as any other: the O(1) case
+                    let at = if rng.below(2) == 0 {
+                        len - 1
+                    } else {
+                        rng.below(len as u64) as usize
+                    };
+                    assert!(e.remove_rule(TableId(table), at));
+                }
+                _ => {
+                    let class = |rng: &mut SimRng| ClassId(rng.below(6) as u32);
+                    let spec = match rng.below(8) {
+                        0 => MatchSpec::Any,
+                        1 => MatchSpec::AnyOf(vec![class(&mut rng), class(&mut rng)]),
+                        _ => MatchSpec::Class(class(&mut rng)),
+                    };
+                    e.install_rule(TableId(table), spec, FuncId(rng.below(2) as usize));
+                }
+            }
+            assert_eq!(
+                e.config_digest(),
+                e.config_digest_from_scratch(),
+                "step {step}"
+            );
+            for t in &e.tables {
+                for classes in [&[][..], &[0], &[1], &[2], &[3], &[4], &[5], &[7], &[5, 0]] {
+                    let first = t.rules.iter().position(|r| r.spec.matches(classes));
+                    assert_eq!(t.find(classes), first, "step {step}, classes {classes:?}");
+                }
+            }
+        }
     }
 
     #[test]

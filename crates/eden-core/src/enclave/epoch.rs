@@ -4,38 +4,10 @@
 use eden_lang::{Concurrency, Scope};
 use eden_telemetry::FlightKind;
 
-use super::tables::{MatchActionTable, MatchSpec, TableCounts, TableId};
+use super::tables::{mix, mix_bytes, MatchActionTable, TableCounts, TableId};
 use super::Enclave;
 use crate::action::{ActionImpl, FuncId, InstalledFunction};
 use crate::ops::{ApplyError, EnclaveOp};
-
-/// Minimal FNV-1a, for the structural configuration digest.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A fully validated epoch awaiting commit: every op checked against the
 /// shape the configuration will have at that point in the sequence, and
@@ -43,34 +15,12 @@ impl Fnv {
 /// itself is infallible and atomic between packets.
 pub(super) struct StagedEpoch {
     pub(super) epoch: u64,
-    ops: Vec<ReadyOp>,
-}
-
-/// [`EnclaveOp`] after stage-time validation (programs decoded).
-enum ReadyOp {
-    Reset,
-    CreateTable,
-    ClearTable(usize),
-    InstallFunction(Box<InstalledFunction>),
-    InstallRule {
-        table: usize,
-        spec: MatchSpec,
-        func: usize,
-    },
-    RemoveRule {
-        table: usize,
-        rule: usize,
-    },
-    SetGlobal {
-        func: usize,
-        slot: usize,
-        value: i64,
-    },
-    SetArray {
-        func: usize,
-        array: usize,
-        values: Vec<i64>,
-    },
+    ops: Vec<EnclaveOp>,
+    /// The `InstallFunction` ops' programs, decoded, in op order.
+    funcs: Vec<InstalledFunction>,
+    /// Rules each table holds once the epoch has applied: what commit
+    /// reserves before the first `InstallRule` lands.
+    final_rules: Vec<usize>,
 }
 
 /// Shape of an enclave configuration, tracked during stage-time
@@ -101,8 +51,20 @@ impl Enclave {
     /// same or a newer epoch replaces the previous staging (controller
     /// retries are idempotent).
     pub fn stage_epoch(&mut self, epoch: u64, ops: &[EnclaveOp]) -> Result<(), ApplyError> {
-        let ready = self.validate_ops(ops)?;
-        self.staged = Some(StagedEpoch { epoch, ops: ready });
+        self.stage_epoch_owned(epoch, ops.to_vec())
+    }
+
+    /// [`stage_epoch`](Self::stage_epoch) for a caller that is done with
+    /// its ops (the agent has just decoded them off the wire): they are
+    /// held as they are until commit, not copied.
+    pub fn stage_epoch_owned(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError> {
+        let (funcs, shape) = self.validate_ops(&ops)?;
+        self.staged = Some(StagedEpoch {
+            epoch,
+            ops,
+            funcs,
+            final_rules: shape.rules_per_table,
+        });
         self.flight_record(FlightKind::EpochStage, epoch, 0);
         Ok(())
     }
@@ -121,6 +83,17 @@ impl Enclave {
         base_digest: u64,
         ops: &[EnclaveOp],
     ) -> Result<(), ApplyError> {
+        self.stage_epoch_delta_owned(epoch, base_digest, ops.to_vec())
+    }
+
+    /// [`stage_epoch_delta`](Self::stage_epoch_delta), taking the ops by
+    /// value like [`stage_epoch_owned`](Self::stage_epoch_owned).
+    pub fn stage_epoch_delta_owned(
+        &mut self,
+        epoch: u64,
+        base_digest: u64,
+        ops: Vec<EnclaveOp>,
+    ) -> Result<(), ApplyError> {
         let have = self.config_digest();
         if have != base_digest {
             return Err(ApplyError::DigestMismatch {
@@ -128,7 +101,7 @@ impl Enclave {
                 want: base_digest,
             });
         }
-        self.stage_epoch(epoch, ops)
+        self.stage_epoch_owned(epoch, ops)
     }
 
     /// Phase two: atomically apply the staged epoch. Called between
@@ -145,17 +118,16 @@ impl Enclave {
         }
         let staged = self.staged.take().expect("matched above");
         self.active_epoch = epoch;
+        let mut funcs = staged.funcs.into_iter();
         for op in staged.ops {
-            self.apply_ready(op);
+            self.apply_valid(op, &mut funcs, &staged.final_rules);
         }
-        // A delta epoch carries no `Reset`, so rules that survive from the
+        // A delta epoch carries no `Reset`, so tables that survive from the
         // previous configuration still wear the old epoch stamp. The commit
-        // adopts them into the new epoch wholesale — the whole table was
+        // adopts them into the new epoch wholesale — the configuration was
         // validated as one unit, so `serves_single_epoch` must keep holding.
         for t in &mut self.tables {
-            for r in &mut t.rules {
-                r.epoch = epoch;
-            }
+            t.epoch = epoch;
         }
         self.flight_record(FlightKind::EpochCommit, epoch, 0);
         true
@@ -177,84 +149,60 @@ impl Enclave {
     /// administration; the control plane goes through
     /// [`stage_epoch`](Self::stage_epoch) / [`commit_epoch`](Self::commit_epoch)).
     pub fn apply_op(&mut self, op: EnclaveOp) -> Result<(), ApplyError> {
-        let mut ready = self.validate_ops(std::slice::from_ref(&op))?;
-        self.apply_ready(ready.remove(0));
+        let (funcs, shape) = self.validate_ops(std::slice::from_ref(&op))?;
+        self.apply_valid(op, &mut funcs.into_iter(), &shape.rules_per_table);
         Ok(())
     }
 
-    /// Every rule in every table was installed under the active epoch —
-    /// the invariant the two-phase protocol maintains; property-tested
-    /// under loss, reordering, and partitions.
+    /// Every table was adopted by the active epoch's commit — the
+    /// invariant the two-phase protocol maintains; property-tested under
+    /// loss, reordering, and partitions.
     pub fn serves_single_epoch(&self) -> bool {
-        self.tables
-            .iter()
-            .flat_map(|t| t.rules.iter())
-            .all(|r| r.epoch == self.active_epoch)
+        self.tables.iter().all(|t| t.epoch == self.active_epoch)
     }
 
-    /// FNV-1a digest of the *structural* configuration: tables and rules
-    /// (spec + function index), installed functions (name, concurrency,
-    /// schema, and bytecode for interpreted functions). Runtime state and
-    /// counters are excluded, so the digest is stable across traffic. The
+    /// Digest of the *structural* configuration: how many tables, each
+    /// table's rules in order (spec + function index), how many functions,
+    /// each function's name, concurrency, schema, and bytecode if it is
+    /// interpreted. Runtime state, counters, epoch stamps and the op
+    /// sequence that built the configuration are excluded, so the digest
+    /// is stable across traffic and equal for equal configurations. It is
+    /// *maintained*: every table keeps the digest of its rule list current
+    /// as rules come and go and every function is hashed once at install,
+    /// so this call folds a few words per table and one per function. The
     /// controller compares an enclave's reported digest against a shadow
     /// enclave holding the desired configuration to detect drift.
     pub fn config_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(self.tables.len());
-        for t in &self.tables {
-            h.write_usize(t.rules.len());
+        fold_digest(
+            self.tables.iter().map(|t| (t.rules.len(), t.digest())),
+            &self.func_digests,
+        )
+    }
+
+    /// [`config_digest`](Self::config_digest) recomputed from the rules and
+    /// functions themselves, trusting nothing that is maintained.
+    #[cfg(test)]
+    pub(super) fn config_digest_from_scratch(&self) -> u64 {
+        let tables = self.tables.iter().map(|t| {
+            let mut fresh = MatchActionTable::default();
             for r in &t.rules {
-                match &r.spec {
-                    MatchSpec::Any => h.write_u64(1),
-                    MatchSpec::Class(c) => {
-                        h.write_u64(2);
-                        h.write_u64(u64::from(c.0));
-                    }
-                    MatchSpec::AnyOf(cs) => {
-                        h.write_u64(3);
-                        h.write_usize(cs.len());
-                        for c in cs {
-                            h.write_u64(u64::from(c.0));
-                        }
-                    }
-                }
-                h.write_usize(r.func.0);
+                fresh.push_rule(r.clone());
             }
-        }
-        h.write_usize(self.functions.len());
-        for f in &self.functions {
-            h.write_bytes(f.name.as_bytes());
-            h.write_u64(match f.concurrency {
-                Concurrency::Parallel => 0,
-                Concurrency::PerMessage => 1,
-                Concurrency::Serialized => 2,
-            });
-            h.write_usize(f.schema.fields().len());
-            for fd in f.schema.fields() {
-                h.write_bytes(fd.name.as_bytes());
-                h.write_u64(fd.slot as u64);
-            }
-            h.write_usize(f.schema.arrays().len());
-            for a in f.schema.arrays() {
-                h.write_bytes(a.name.as_bytes());
-                h.write_usize(a.stride());
-            }
-            match &f.action {
-                ActionImpl::Interpreted(p) => h.write_bytes(&eden_vm::encode_program(p)),
-                ActionImpl::Native(_) => h.write_bytes(b"<native>"),
-            }
-        }
-        h.finish()
+            (t.rules.len(), fresh.digest())
+        });
+        let funcs: Vec<u64> = self.functions.iter().map(function_digest).collect();
+        fold_digest(tables, &funcs)
     }
 
     /// Drop every table (recreating empty table 0), every function, and
     /// all function state — the anchor of a full-replacement epoch.
     fn reset_config(&mut self) {
         self.tables.clear();
-        self.tables.push(MatchActionTable::default());
+        self.tables.push(MatchActionTable::new(self.active_epoch));
         self.table_counts.clear();
         self.table_counts.push(TableCounts::default());
         self.functions.clear();
+        self.func_digests.clear();
         self.func_counts.clear();
         self.pkt_bindings.clear();
         self.states.clear();
@@ -276,152 +224,170 @@ impl Enclave {
     }
 
     /// Check `ops` against the evolving configuration shape and decode
-    /// shipped programs; all-or-nothing.
-    fn validate_ops(&self, ops: &[EnclaveOp]) -> Result<Vec<ReadyOp>, ApplyError> {
+    /// shipped programs; all-or-nothing. Returns the decoded programs in
+    /// op order and the shape the configuration ends in.
+    fn validate_ops(
+        &self,
+        ops: &[EnclaveOp],
+    ) -> Result<(Vec<InstalledFunction>, ConfigShape), ApplyError> {
         let mut shape = self.shape();
-        let mut ready = Vec::with_capacity(ops.len());
+        let mut decoded = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            let r =
-                match op {
-                    EnclaveOp::Reset => {
-                        shape.rules_per_table = vec![0];
-                        shape.funcs.clear();
-                        ReadyOp::Reset
-                    }
-                    EnclaveOp::CreateTable => {
-                        shape.rules_per_table.push(0);
-                        ReadyOp::CreateTable
-                    }
-                    EnclaveOp::ClearTable { table } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        *n = 0;
-                        ReadyOp::ClearTable(*table)
-                    }
-                    EnclaveOp::InstallFunction {
+            let no_table = |table: usize| ApplyError::NoSuchTable { op: i, table };
+            let no_func = |func: usize| ApplyError::NoSuchFunction { op: i, func };
+            match op {
+                EnclaveOp::Reset => {
+                    shape.rules_per_table = vec![0];
+                    shape.funcs.clear();
+                }
+                EnclaveOp::CreateTable => shape.rules_per_table.push(0),
+                EnclaveOp::ClearTable { table } => {
+                    *shape
+                        .rules_per_table
+                        .get_mut(*table)
+                        .ok_or(no_table(*table))? = 0;
+                }
+                EnclaveOp::InstallFunction {
+                    name,
+                    bytecode,
+                    schema,
+                    concurrency,
+                } => {
+                    let f = InstalledFunction::from_shipped(
                         name,
                         bytecode,
-                        schema,
-                        concurrency,
-                    } => {
-                        let f = InstalledFunction::from_shipped(
-                            name,
-                            bytecode,
-                            schema.clone(),
-                            *concurrency,
-                        )
-                        .map_err(|e| ApplyError::BadBytecode {
+                        schema.clone(),
+                        *concurrency,
+                    )
+                    .map_err(|e| ApplyError::BadBytecode {
+                        op: i,
+                        reason: format!("{e:?}"),
+                    })?;
+                    shape
+                        .funcs
+                        .push((schema.scope_len(Scope::Global), schema.arrays().len()));
+                    decoded.push(f);
+                }
+                EnclaveOp::InstallRule { table, func, .. } => {
+                    let n = shape
+                        .rules_per_table
+                        .get_mut(*table)
+                        .ok_or(no_table(*table))?;
+                    if *func >= shape.funcs.len() {
+                        return Err(no_func(*func));
+                    }
+                    *n += 1;
+                }
+                EnclaveOp::RemoveRule { table, rule } => {
+                    let n = shape
+                        .rules_per_table
+                        .get_mut(*table)
+                        .ok_or(no_table(*table))?;
+                    if *rule >= *n {
+                        return Err(ApplyError::NoSuchRule { op: i, rule: *rule });
+                    }
+                    *n -= 1;
+                }
+                EnclaveOp::SetGlobal { func, slot, .. } => {
+                    let &(slots, _) = shape.funcs.get(*func).ok_or(no_func(*func))?;
+                    if *slot >= slots {
+                        return Err(ApplyError::NoSuchSlot { op: i, slot: *slot });
+                    }
+                }
+                EnclaveOp::SetArray { func, array, .. } => {
+                    let &(_, arrays) = shape.funcs.get(*func).ok_or(no_func(*func))?;
+                    if *array >= arrays {
+                        return Err(ApplyError::NoSuchArray {
                             op: i,
-                            reason: format!("{e:?}"),
-                        })?;
-                        shape
-                            .funcs
-                            .push((schema.scope_len(Scope::Global), schema.arrays().len()));
-                        ReadyOp::InstallFunction(Box::new(f))
-                    }
-                    EnclaveOp::InstallRule { table, spec, func } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        if *func >= shape.funcs.len() {
-                            return Err(ApplyError::NoSuchFunction { op: i, func: *func });
-                        }
-                        *n += 1;
-                        ReadyOp::InstallRule {
-                            table: *table,
-                            spec: spec.clone(),
-                            func: *func,
-                        }
-                    }
-                    EnclaveOp::RemoveRule { table, rule } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        if *rule >= *n {
-                            return Err(ApplyError::NoSuchRule { op: i, rule: *rule });
-                        }
-                        *n -= 1;
-                        ReadyOp::RemoveRule {
-                            table: *table,
-                            rule: *rule,
-                        }
-                    }
-                    EnclaveOp::SetGlobal { func, slot, value } => {
-                        let &(slots, _) = shape
-                            .funcs
-                            .get(*func)
-                            .ok_or(ApplyError::NoSuchFunction { op: i, func: *func })?;
-                        if *slot >= slots {
-                            return Err(ApplyError::NoSuchSlot { op: i, slot: *slot });
-                        }
-                        ReadyOp::SetGlobal {
-                            func: *func,
-                            slot: *slot,
-                            value: *value,
-                        }
-                    }
-                    EnclaveOp::SetArray {
-                        func,
-                        array,
-                        values,
-                    } => {
-                        let &(_, arrays) = shape
-                            .funcs
-                            .get(*func)
-                            .ok_or(ApplyError::NoSuchFunction { op: i, func: *func })?;
-                        if *array >= arrays {
-                            return Err(ApplyError::NoSuchArray {
-                                op: i,
-                                array: *array,
-                            });
-                        }
-                        ReadyOp::SetArray {
-                            func: *func,
                             array: *array,
-                            values: values.clone(),
-                        }
+                        });
                     }
-                };
-            ready.push(r);
+                }
+            }
         }
-        Ok(ready)
+        Ok((decoded, shape))
     }
 
-    /// Apply one validated op. Infallible by construction: validation
+    /// Apply one validated op; an `InstallFunction` takes its decoded
+    /// program from `funcs`. Infallible by construction: validation
     /// checked every index against the shape this op meets.
-    fn apply_ready(&mut self, op: ReadyOp) {
+    fn apply_valid(
+        &mut self,
+        op: EnclaveOp,
+        funcs: &mut impl Iterator<Item = InstalledFunction>,
+        final_rules: &[usize],
+    ) {
         match op {
-            ReadyOp::Reset => self.reset_config(),
-            ReadyOp::CreateTable => {
+            EnclaveOp::Reset => self.reset_config(),
+            EnclaveOp::CreateTable => {
                 self.create_table();
             }
-            ReadyOp::ClearTable(t) => self.clear_table(TableId(t)),
-            ReadyOp::InstallFunction(f) => {
-                self.install_function(*f);
+            EnclaveOp::ClearTable { table } => self.clear_table(TableId(table)),
+            EnclaveOp::InstallFunction { .. } => {
+                self.install_function(funcs.next().expect("decoded at validation"));
             }
-            ReadyOp::InstallRule { table, spec, func } => {
+            EnclaveOp::InstallRule { table, spec, func } => {
+                // room for every rule the epoch leaves here, made once: a
+                // Reset-led epoch grows each table in one step, not by
+                // doubling
+                let held = self.tables[table].rules.len();
+                let room = final_rules.get(table).map_or(0, |n| n.saturating_sub(held));
+                if room > self.tables[table].rules.capacity() - held {
+                    self.tables[table].reserve(room);
+                    self.table_counts[table].rule_hits.reserve(room);
+                }
                 self.install_rule(TableId(table), spec, FuncId(func));
             }
-            ReadyOp::RemoveRule { table, rule } => {
+            EnclaveOp::RemoveRule { table, rule } => {
                 let removed = self.remove_rule(TableId(table), rule);
                 debug_assert!(removed, "validated rule index");
             }
-            ReadyOp::SetGlobal { func, slot, value } => self.set_global(FuncId(func), slot, value),
-            ReadyOp::SetArray {
+            EnclaveOp::SetGlobal { func, slot, value } => {
+                self.set_global(FuncId(func), slot, value)
+            }
+            EnclaveOp::SetArray {
                 func,
                 array,
                 values,
             } => self.set_array(FuncId(func), array, values),
         }
+    }
+}
+
+/// The configuration digest over what the enclave maintains: per table
+/// its rule count and rule-list digest, and one digest per function.
+fn fold_digest(tables: impl ExactSizeIterator<Item = (usize, u64)>, funcs: &[u64]) -> u64 {
+    let mut h = mix(0, tables.len() as u64);
+    for (rules, digest) in tables {
+        h = mix(mix(h, rules as u64), digest);
+    }
+    funcs
+        .iter()
+        .fold(mix(h, funcs.len() as u64), |h, &f| mix(h, f))
+}
+
+/// What one installed function contributes to the configuration digest.
+/// Computed once, at install: encoding the program is the costly part.
+pub(super) fn function_digest(f: &InstalledFunction) -> u64 {
+    let mut h = mix_bytes(0, f.name.as_bytes());
+    h = mix(
+        h,
+        match f.concurrency {
+            Concurrency::Parallel => 0,
+            Concurrency::PerMessage => 1,
+            Concurrency::Serialized => 2,
+        },
+    );
+    h = mix(h, f.schema.fields().len() as u64);
+    for fd in f.schema.fields() {
+        h = mix(mix_bytes(h, fd.name.as_bytes()), fd.slot as u64);
+    }
+    h = mix(h, f.schema.arrays().len() as u64);
+    for a in f.schema.arrays() {
+        h = mix(mix_bytes(h, a.name.as_bytes()), a.stride() as u64);
+    }
+    match &f.action {
+        ActionImpl::Interpreted(p) => mix_bytes(h, &eden_vm::encode_program(p)),
+        ActionImpl::Native(_) => mix_bytes(h, b"<native>"),
     }
 }

@@ -22,7 +22,7 @@ pub enum MatchSpec {
 }
 
 impl MatchSpec {
-    fn matches(&self, classes: &[u32]) -> bool {
+    pub(super) fn matches(&self, classes: &[u32]) -> bool {
         match self {
             MatchSpec::Any => true,
             MatchSpec::Class(c) => classes.contains(&c.0),
@@ -36,10 +36,43 @@ impl MatchSpec {
 pub struct Rule {
     pub spec: MatchSpec,
     pub func: FuncId,
-    /// Configuration epoch this rule was installed under. The two-phase
-    /// update protocol guarantees every rule in a served table carries the
-    /// enclave's active epoch (checked by [`Enclave::serves_single_epoch`]).
-    pub epoch: u64,
+}
+
+/// One step of the structural digest: fold the word `w` into `h`. A
+/// multiply by an odd constant and a xor-shift, so every input bit reaches
+/// the high half and then the low half before the next word arrives.
+pub(super) fn mix(h: u64, w: u64) -> u64 {
+    let x = (h.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+/// [`mix`] over a byte string, eight bytes at a time, its length first.
+pub(super) fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
+    let mut h = mix(h, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(last));
+    }
+    h
+}
+
+/// What one rule contributes to its table's digest: its spec and the
+/// function it selects.
+fn rule_hash(rule: &Rule) -> u64 {
+    let spec = match &rule.spec {
+        MatchSpec::Any => 1,
+        MatchSpec::Class(c) => mix(2, u64::from(c.0)),
+        MatchSpec::AnyOf(cs) => cs
+            .iter()
+            .fold(mix(3, cs.len() as u64), |h, c| mix(h, u64::from(c.0))),
+    };
+    mix(spec, rule.func.0 as u64)
 }
 
 /// One match-action table, with a class→rule index so the common case —
@@ -56,9 +89,29 @@ pub(super) struct MatchActionTable {
     class_index: ClassIndex,
     /// Ordered indices of `Any` / `AnyOf` rules.
     general: Vec<usize>,
+    /// Digest of every prefix of `rules`, parallel to it:
+    /// `prefix[i] = mix(prefix[i - 1], rule_hash(rules[i]))`. The last
+    /// entry is the whole table's digest, so an append costs one `mix` and
+    /// a removal re-hashes only the rules behind it.
+    prefix: Vec<u64>,
+    /// Configuration epoch whose commit last adopted this table (or the
+    /// epoch active when it was created). A commit validates the whole
+    /// configuration as one unit and stamps every table, so a served table
+    /// always carries the enclave's active epoch (checked by
+    /// [`Enclave::serves_single_epoch`](super::Enclave::serves_single_epoch))
+    /// without a delta epoch having to touch the rules it leaves alone.
+    pub(super) epoch: u64,
 }
 
 impl MatchActionTable {
+    /// An empty table created under `epoch`.
+    pub(super) fn new(epoch: u64) -> MatchActionTable {
+        MatchActionTable {
+            epoch,
+            ..MatchActionTable::default()
+        }
+    }
+
     pub(super) fn push_rule(&mut self, rule: Rule) {
         let idx = self.rules.len();
         match &rule.spec {
@@ -67,6 +120,7 @@ impl MatchActionTable {
             }
             MatchSpec::Any | MatchSpec::AnyOf(_) => self.general.push(idx),
         }
+        self.prefix.push(mix(self.digest(), rule_hash(&rule)));
         self.rules.push(rule);
     }
 
@@ -74,21 +128,58 @@ impl MatchActionTable {
         self.rules.clear();
         self.class_index.clear();
         self.general.clear();
+        self.prefix.clear();
     }
 
-    /// Remove the rule at `idx` (later rules shift down) and rebuild the
-    /// class index and general list, preserving first-match-wins order.
+    /// Digest of the rules in order (0 for an empty table; the enclave's
+    /// digest folds the rule count in beside it).
+    pub(super) fn digest(&self) -> u64 {
+        self.prefix.last().copied().unwrap_or(0)
+    }
+
+    /// Make room for `additional` more rules.
+    pub(super) fn reserve(&mut self, additional: usize) {
+        self.rules.reserve(additional);
+        self.prefix.reserve(additional);
+        self.class_index.reserve(additional);
+    }
+
+    /// Remove the rule at `idx`; later rules shift down by one. Costs the
+    /// length of the tail behind `idx` — nothing at all past the `Vec`
+    /// removals when `idx` is the last rule — and preserves
+    /// first-match-wins: a class whose first rule this was falls through
+    /// to the next rule that holds it.
     pub(super) fn remove_rule(&mut self, idx: usize) {
-        self.rules.remove(idx);
-        self.class_index.clear();
-        self.general.clear();
-        for (i, rule) in self.rules.iter().enumerate() {
-            match &rule.spec {
-                MatchSpec::Class(c) => {
-                    self.class_index.insert_first(c.0, i as u32);
+        let removed = self.rules.remove(idx);
+        match &removed.spec {
+            MatchSpec::Class(c) => {
+                if self.class_index.get(c.0) == Some(idx as u32) {
+                    self.class_index.remove(c.0);
                 }
-                MatchSpec::Any | MatchSpec::AnyOf(_) => self.general.push(i),
             }
+            MatchSpec::Any | MatchSpec::AnyOf(_) => {
+                let at = self.general.partition_point(|&g| g < idx);
+                self.general.remove(at);
+            }
+        }
+        let moved = self.general.partition_point(|&g| g < idx);
+        for g in &mut self.general[moved..] {
+            *g -= 1;
+        }
+        self.prefix.truncate(idx);
+        let mut h = self.digest();
+        for (i, rule) in self.rules.iter().enumerate().skip(idx) {
+            // `i` is the rule's new position; it sat at `i + 1`.
+            if let MatchSpec::Class(c) = &rule.spec {
+                match self.class_index.get(c.0) {
+                    Some(at) if at as usize == i + 1 => self.class_index.set(c.0, i as u32),
+                    Some(_) => {}
+                    // only the removed rule's class can be unmapped here
+                    None => self.class_index.set(c.0, i as u32),
+                }
+            }
+            h = mix(h, rule_hash(rule));
+            self.prefix.push(h);
         }
     }
 

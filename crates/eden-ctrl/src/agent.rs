@@ -159,7 +159,7 @@ impl EnclaveAgent {
                         phase: AckPhase::Prepare,
                     };
                 }
-                match self.enclave.stage_epoch(epoch, &ops) {
+                match self.enclave.stage_epoch_owned(epoch, ops) {
                     Ok(()) => CtrlReply::Ack {
                         re,
                         epoch,
@@ -241,7 +241,10 @@ impl EnclaveAgent {
                 // A digest mismatch nacks like any validation error; the
                 // controller reads the reason and falls back to a full
                 // Prepare.
-                match self.enclave.stage_epoch_delta(epoch, base_digest, &ops) {
+                match self
+                    .enclave
+                    .stage_epoch_delta_owned(epoch, base_digest, ops)
+                {
                     Ok(()) => CtrlReply::Ack {
                         re,
                         epoch,

@@ -33,6 +33,8 @@
 //! net.schedule_timer(agg_node, Time::ZERO, transport::app_timer_token(TICK));
 //! ```
 
+use std::rc::Rc;
+
 use eden_core::{Enclave, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView};
 use eden_telemetry::Span;
@@ -40,16 +42,12 @@ use netsim::{Ctx, L4Header, Packet, Time, UdpHeader};
 use transport::{App, Stack};
 
 use crate::agent::EnclaveAgent;
-use crate::controller::{CtrlConfig, HostStatus, WireCounters, TICK};
-use crate::delta::{self, ConfigModel};
+use crate::controller::{transmit, CtrlConfig, HostStatus, WireCounters, TICK};
+use crate::delta::{ConfigEntry, ConfigHistory, ConfigModel, Plan};
 use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
 
 /// Most child spans one AggPong relays to the root.
 const AGG_SPAN_BUDGET: usize = 64;
-/// Config versions the aggregator remembers as delta anchors for child
-/// resyncs (the root keeps full history; shards only need a recent
-/// window).
-const AGG_HISTORY: usize = 8;
 
 /// Aggregator knobs: the shared control-plane timing plus this tier's
 /// own sizing, re-exported so scenarios configure one struct.
@@ -58,19 +56,12 @@ pub struct AggConfig {
     pub ctrl: CtrlConfig,
 }
 
-/// One committed configuration version, kept as a delta anchor.
-struct AggEntry {
-    epoch: u64,
-    digest: u64,
-    model: ConfigModel,
-    /// Reset-led rebuild of `model` — the full ship for children whose
-    /// base is unknown (the ReplHub-snapshot analogue).
-    full_ops: Vec<EnclaveOp>,
-}
-
 struct ChildInflight {
     msg_id: u32,
-    msg: CtrlMsg,
+    /// The encoded request as first sent; a retry re-sends these bytes.
+    payload: Rc<[u8]>,
+    /// The request is a `DeltaPrepare` (a Nack falls back to the full).
+    is_delta: bool,
     phase: AckPhase,
     is_round: bool,
     retries: u32,
@@ -114,17 +105,36 @@ struct VirtualShard {
     seq: u32,
 }
 
+impl VirtualShard {
+    /// Every child receives the request `bytes` and answers as the
+    /// template does; the wire tally scales by `count`.
+    fn exchange(&mut self, bytes: &[u8], wire: &mut WireCounters) -> CtrlReply {
+        let msg = proto::decode_msg(bytes).expect("this endpoint's own encoding");
+        self.seq = self.seq.wrapping_add(1);
+        let reply = self.agent.handle(self.seq, msg);
+        for _ in 0..self.count {
+            wire.sent(bytes.len(), true);
+        }
+        wire.msgs_received += self.count as u64;
+        wire.bytes_received += (proto::encode_reply(&reply).len() * self.count) as u64;
+        reply
+    }
+}
+
 /// A rack/pod aggregation tier endpoint (see module docs).
 pub struct AggregatorApp {
     cfg: CtrlConfig,
     /// Shadow enclave holding the shard's committed configuration.
     shadow: Enclave,
-    /// Ops staged but not yet committed (the shadow tracks validation;
-    /// this keeps the raw ops so the model can apply them on commit).
-    staged_ops: Option<(u64, Vec<EnclaveOp>)>,
+    /// The configuration the staged epoch leads to (the shadow holds the
+    /// ops themselves until commit).
+    staged_model: Option<(u64, ConfigModel)>,
     /// Root controller address, learned from its first request.
     parent: Option<u32>,
-    history: Vec<AggEntry>,
+    /// Committed versions; each entry's ops are the Reset-led rebuild of
+    /// its model — the full ship for children whose base is unknown (the
+    /// ReplHub-snapshot analogue).
+    history: ConfigHistory,
     children: Vec<ChildState>,
     virtual_shard: Option<VirtualShard>,
     round: Option<ShardRound>,
@@ -148,16 +158,11 @@ impl AggregatorApp {
     /// An aggregator fronting the enclave agents at `children`.
     pub fn new(cfg: AggConfig, children: &[u32]) -> AggregatorApp {
         let shadow = Enclave::new(EnclaveConfig::default());
-        let history = vec![AggEntry {
-            epoch: 0,
-            digest: shadow.config_digest(),
-            model: ConfigModel::new(),
-            full_ops: Vec::new(),
-        }];
+        let history = ConfigHistory::new(shadow.config_digest());
         AggregatorApp {
             cfg: cfg.ctrl,
             shadow,
-            staged_ops: None,
+            staged_model: None,
             parent: None,
             history,
             children: children
@@ -242,52 +247,8 @@ impl AggregatorApp {
         self.wire
     }
 
-    fn current(&self) -> &AggEntry {
-        self.history.last().expect("history never empty")
-    }
-
-    fn digest_of(&self, epoch: u64) -> Option<u64> {
-        self.history
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .map(|e| e.digest)
-    }
-
-    /// Same plan choice the root makes (see `ControllerApp::plan_prepare`):
-    /// a digest-anchored delta when the child's report matches a history
-    /// entry and the diff is cheaper, else the full Reset-led rebuild.
-    fn plan_child_prepare(&self, reported: Option<(u64, u64)>) -> CtrlMsg {
-        let entry = self.current();
-        let full = CtrlMsg::Prepare {
-            epoch: entry.epoch,
-            ops: entry.full_ops.clone(),
-        };
-        if !self.cfg.delta_updates {
-            return full;
-        }
-        let Some((re, rd)) = reported else {
-            return full;
-        };
-        let Some(base) = self
-            .history
-            .iter()
-            .find(|e| e.epoch == re && e.digest == rd)
-        else {
-            return full;
-        };
-        let Some(ops) = delta::diff(&base.model, &entry.model) else {
-            return full;
-        };
-        let planned = CtrlMsg::DeltaPrepare {
-            epoch: entry.epoch,
-            base_digest: base.digest,
-            ops,
-        };
-        if proto::encode_msg(&planned).len() < proto::encode_msg(&full).len() {
-            planned
-        } else {
-            full
-        }
+    fn current(&self) -> &ConfigEntry {
+        self.history.current()
     }
 
     // ------------------------------------------------------------------
@@ -307,22 +268,13 @@ impl AggregatorApp {
                 ops,
             } => self.stage(re, epoch, Some(base_digest), ops),
             CtrlMsg::Commit { epoch } => {
-                let had_staged = self.staged_ops.as_ref().is_some_and(|(e, _)| *e == epoch);
+                let had_staged = self.staged_model.as_ref().is_some_and(|(e, _)| *e == epoch);
                 if self.shadow.commit_epoch(epoch) {
                     if had_staged {
-                        let (_, ops) = self.staged_ops.take().expect("checked above");
-                        let mut model = self.current().model.clone();
-                        model.apply(&ops);
+                        let (_, model) = self.staged_model.take().expect("checked above");
                         let full_ops = model.to_full_ops();
-                        self.history.push(AggEntry {
-                            epoch,
-                            digest: self.shadow.config_digest(),
-                            model,
-                            full_ops,
-                        });
-                        if self.history.len() > AGG_HISTORY {
-                            self.history.remove(0);
-                        }
+                        self.history
+                            .push(epoch, self.shadow.config_digest(), model, full_ops);
                         // The root's round is done with us; now walk the
                         // shard through the epoch in our own round.
                         self.want_round = true;
@@ -342,8 +294,8 @@ impl AggregatorApp {
             }
             CtrlMsg::Abort { epoch } => {
                 self.shadow.abort_epoch(epoch);
-                if self.staged_ops.as_ref().is_some_and(|(e, _)| *e == epoch) {
-                    self.staged_ops = None;
+                if self.staged_model.as_ref().is_some_and(|(e, _)| *e == epoch) {
+                    self.staged_model = None;
                 }
                 // Children never saw the aborted epoch: the shard round
                 // only starts at commit.
@@ -401,13 +353,15 @@ impl AggregatorApp {
                 phase: AckPhase::Prepare,
             };
         }
+        let mut model = self.current().model.clone();
+        model.apply(&ops);
         let staged = match base {
-            Some(digest) => self.shadow.stage_epoch_delta(epoch, digest, &ops),
-            None => self.shadow.stage_epoch(epoch, &ops),
+            Some(digest) => self.shadow.stage_epoch_delta_owned(epoch, digest, ops),
+            None => self.shadow.stage_epoch_owned(epoch, ops),
         };
         match staged {
             Ok(()) => {
-                self.staged_ops = Some((epoch, ops));
+                self.staged_model = Some((epoch, model));
                 CtrlReply::Ack {
                     re,
                     epoch,
@@ -471,31 +425,26 @@ impl AggregatorApp {
     // child face
     // ------------------------------------------------------------------
 
+    /// Install `plan` as the child's tracked request and transmit its
+    /// shared bytes under a fresh message id.
     fn send_child(
         &mut self,
         child_idx: usize,
-        msg: CtrlMsg,
+        plan: Plan,
         phase: AckPhase,
         is_round: bool,
         stack: &mut Stack,
         ctx: &mut Ctx<'_>,
     ) {
         self.msg_seq = self.msg_seq.wrapping_add(1);
-        let id = self.msg_seq;
         let to = self.children[child_idx].addr;
-        let udp = UdpHeader {
-            src_port: self.cfg.src_port,
-            dst_port: self.cfg.ctrl_port,
-        };
-        let payload = proto::encode_msg(&msg);
-        self.wire.sent(&msg, payload.len());
-        for frame in proto::fragment(id, &payload) {
-            stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-        }
+        self.wire.sent(plan.bytes.len(), true);
+        transmit(&self.cfg, to, self.msg_seq, &plan.bytes, stack, ctx);
         let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
         self.children[child_idx].inflight = Some(ChildInflight {
-            msg_id: id,
-            msg,
+            msg_id: self.msg_seq,
+            payload: plan.bytes,
+            is_delta: plan.is_delta,
             phase,
             is_round,
             retries: 0,
@@ -538,16 +487,9 @@ impl AggregatorApp {
                 .map(|(_, v)| v.clone())
                 .collect();
             self.msg_seq = self.msg_seq.wrapping_add(1);
-            let id = self.msg_seq;
-            let udp = UdpHeader {
-                src_port: self.cfg.src_port,
-                dst_port: self.cfg.ctrl_port,
-            };
             let payload = proto::encode_msg_synced(&msg, &views, None);
-            self.wire.sent(&msg, payload.len());
-            for frame in proto::fragment(id, &payload) {
-                stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-            }
+            self.wire.sent(payload.len(), false);
+            transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
             self.children[i].next_heartbeat = now + self.cfg.heartbeat_every;
         }
 
@@ -563,18 +505,16 @@ impl AggregatorApp {
                 self.mark_down(i);
                 continue;
             }
+            self.wire.sent(inflight.payload.len(), true);
             let to = self.children[i].addr;
-            let inflight = self.children[i].inflight.as_ref().unwrap();
-            let (id, msg) = (inflight.msg_id, inflight.msg.clone());
-            let udp = UdpHeader {
-                src_port: self.cfg.src_port,
-                dst_port: self.cfg.ctrl_port,
-            };
-            let payload = proto::encode_msg(&msg);
-            self.wire.sent(&msg, payload.len());
-            for frame in proto::fragment(id, &payload) {
-                stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-            }
+            transmit(
+                &self.cfg,
+                to,
+                inflight.msg_id,
+                &inflight.payload,
+                stack,
+                ctx,
+            );
             let inflight = self.children[i].inflight.as_mut().unwrap();
             inflight.retries += 1;
             inflight.sent_at = now;
@@ -627,33 +567,19 @@ impl AggregatorApp {
             return;
         };
         let e = v.agent.enclave();
-        let prep = self.plan_child_prepare(Some((e.active_epoch(), e.config_digest())));
-        let commit = CtrlMsg::Commit { epoch };
-        for msg in [prep, commit] {
-            let bytes = proto::encode_msg(&msg).len();
-            v.seq = v.seq.wrapping_add(1);
-            let reply = v.agent.handle(v.seq, msg.clone());
-            for _ in 0..v.count {
-                self.wire.sent(&msg, bytes);
-            }
-            self.wire.msgs_received += v.count as u64;
-            self.wire.bytes_received += (proto::encode_reply(&reply).len() * v.count) as u64;
-            if matches!(reply, CtrlReply::Nack { .. }) {
-                // Digest anchor missed (template diverged): full resync.
-                v.seq = v.seq.wrapping_add(1);
-                let full = CtrlMsg::Prepare {
-                    epoch,
-                    ops: self.current().full_ops.clone(),
-                };
-                let bytes = proto::encode_msg(&full).len();
-                v.agent.handle(v.seq, full.clone());
-                for _ in 0..v.count {
-                    self.wire.sent(&full, bytes);
-                }
-                v.seq = v.seq.wrapping_add(1);
-                v.agent.handle(v.seq, CtrlMsg::Commit { epoch });
-            }
+        let at = (e.active_epoch(), e.config_digest());
+        let prep = self
+            .history
+            .plan_prepare(Some(at), self.cfg.delta_updates, None);
+        if matches!(
+            v.exchange(&prep.bytes, &mut self.wire),
+            CtrlReply::Nack { .. }
+        ) {
+            // Digest anchor missed (template diverged): full resync.
+            v.exchange(&self.history.plan_full(None).bytes, &mut self.wire);
         }
+        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
+        v.exchange(&commit.bytes, &mut self.wire);
         self.virtual_shard = Some(v);
     }
 
@@ -666,20 +592,22 @@ impl AggregatorApp {
             return;
         }
         let mut pending = Vec::with_capacity(targets.len());
-        let mut plans: Vec<((u64, u64), CtrlMsg)> = Vec::new();
+        // One plan per distinct base, encoded once: the rack shares its
+        // bytes, and so does every retry.
+        let mut plans: Vec<(Option<(u64, u64)>, Plan)> = Vec::new();
         for i in targets {
-            let msg = match self.children[i].reported {
-                Some(base) => match plans.iter().find(|(b, _)| *b == base) {
-                    Some((_, m)) => m.clone(),
-                    None => {
-                        let m = self.plan_child_prepare(Some(base));
-                        plans.push((base, m.clone()));
-                        m
-                    }
-                },
-                None => self.plan_child_prepare(None),
+            let base = self.children[i].reported;
+            let plan = match plans.iter().find(|(b, _)| *b == base) {
+                Some((_, p)) => p.clone(),
+                None => {
+                    let p = self
+                        .history
+                        .plan_prepare(base, self.cfg.delta_updates, None);
+                    plans.push((base, p.clone()));
+                    p
+                }
             };
-            self.send_child(i, msg, AckPhase::Prepare, true, stack, ctx);
+            self.send_child(i, plan, AckPhase::Prepare, true, stack, ctx);
             pending.push(self.children[i].addr);
         }
         self.round = Some(ShardRound {
@@ -705,20 +633,14 @@ impl AggregatorApp {
                     self.round = None;
                     return;
                 }
+                let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
                 let mut pending = Vec::with_capacity(acked.len());
                 for addr in acked {
                     if let Some(i) = self.children.iter().position(|c| c.addr == addr) {
                         if self.children[i].status != HostStatus::Up {
                             continue;
                         }
-                        self.send_child(
-                            i,
-                            CtrlMsg::Commit { epoch },
-                            AckPhase::Commit,
-                            true,
-                            stack,
-                            ctx,
-                        );
+                        self.send_child(i, commit.clone(), AckPhase::Commit, true, stack, ctx);
                         pending.push(addr);
                     }
                 }
@@ -755,8 +677,10 @@ impl AggregatorApp {
             if reported == want || reported.0 >= want.0 {
                 continue;
             }
-            let msg = self.plan_child_prepare(Some(reported));
-            self.send_child(i, msg, AckPhase::Prepare, false, stack, ctx);
+            let plan = self
+                .history
+                .plan_prepare(Some(reported), self.cfg.delta_updates, None);
+            self.send_child(i, plan, AckPhase::Prepare, false, stack, ctx);
         }
     }
 
@@ -810,7 +734,7 @@ impl AggregatorApp {
                         self.push_shard_phase(stack, ctx);
                     }
                     (true, AckPhase::Commit) => {
-                        if let Some(d) = self.digest_of(epoch) {
+                        if let Some(d) = self.history.digest_of(epoch) {
                             self.children[i].reported = Some((epoch, d));
                         }
                         if let Some(round) = self.round.as_mut() {
@@ -819,17 +743,11 @@ impl AggregatorApp {
                         self.push_shard_phase(stack, ctx);
                     }
                     (false, AckPhase::Prepare) => {
-                        self.send_child(
-                            i,
-                            CtrlMsg::Commit { epoch },
-                            AckPhase::Commit,
-                            false,
-                            stack,
-                            ctx,
-                        );
+                        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
+                        self.send_child(i, commit, AckPhase::Commit, false, stack, ctx);
                     }
                     (false, AckPhase::Commit) => {
-                        if let Some(d) = self.digest_of(epoch) {
+                        if let Some(d) = self.history.digest_of(epoch) {
                             self.children[i].reported = Some((epoch, d));
                         }
                         self.children[i].resync_backoff = Time::ZERO;
@@ -848,21 +766,14 @@ impl AggregatorApp {
                 }
                 let (was_delta, is_round, phase) = {
                     let f = self.children[i].inflight.as_ref().unwrap();
-                    (
-                        matches!(f.msg, CtrlMsg::DeltaPrepare { .. }),
-                        f.is_round,
-                        f.phase,
-                    )
+                    (f.is_delta, f.is_round, f.phase)
                 };
                 self.children[i].inflight = None;
                 if was_delta && phase == AckPhase::Prepare && epoch == self.current().epoch {
                     // Digest anchor missed: the same fallback the root
                     // uses — full rebuild on the same track.
-                    let msg = CtrlMsg::Prepare {
-                        epoch,
-                        ops: self.current().full_ops.clone(),
-                    };
-                    self.send_child(i, msg, AckPhase::Prepare, is_round, stack, ctx);
+                    let full = self.history.plan_full(None);
+                    self.send_child(i, full, AckPhase::Prepare, is_round, stack, ctx);
                     return;
                 }
                 if is_round {
@@ -954,6 +865,7 @@ impl App for AggregatorApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testnet::{star, table_ops, Star, Tap};
     use eden_core::MatchSpec;
     use eden_lang::{Access, HeaderField, Schema};
 
@@ -994,7 +906,7 @@ mod tests {
         assert_eq!(a.committed_epoch(), 1);
         assert!(a.want_round, "commit queues the shard round");
         assert_eq!(a.history.len(), 2);
-        assert_eq!(a.current().full_ops[0], EnclaveOp::Reset);
+        assert_eq!(a.current().ops[0], EnclaveOp::Reset);
     }
 
     #[test]
@@ -1111,6 +1023,124 @@ mod tests {
         // prepare + commit, each fanned to every virtual child
         assert_eq!(a.wire().msgs_sent, 2000);
         assert!(a.wire().config_bytes_sent > 0);
+    }
+
+    const RACK: [u32; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];
+
+    /// A 16-child rack whose children have all reported in.
+    fn rack() -> Star<AggregatorApp> {
+        let cfg = AggConfig::default();
+        let agg = AggregatorApp::new(cfg.clone(), &RACK);
+        let mut rack = star(900, agg, &RACK, &cfg.ctrl);
+        rack.run_ms(2);
+        rack
+    }
+
+    /// The root pushes `ops` as `epoch`: prepare, then commit.
+    fn push(rack: &mut Star<AggregatorApp>, epoch: u64, ops: Vec<EnclaveOp>) {
+        let r = rack
+            .app()
+            .handle_parent_msg(1, CtrlMsg::Prepare { epoch, ops });
+        assert!(matches!(r, CtrlReply::Ack { .. }), "{r:?}");
+        let r = rack.app().handle_parent_msg(2, CtrlMsg::Commit { epoch });
+        assert!(matches!(r, CtrlReply::Ack { .. }), "{r:?}");
+    }
+
+    /// The frames of the message `id`, its id zeroed.
+    fn frames_of(tap: &Tap, id: u32) -> Vec<Vec<u8>> {
+        let of_id = tap.frames.iter().filter(|f| f[2..6] == id.to_le_bytes());
+        of_id
+            .map(|f| {
+                let mut f = f.clone();
+                f[2..6].fill(0);
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_rack_on_one_base_is_sent_one_encoding() {
+        let mut rack = rack();
+        // 100 rules: the prepare spans several fragments
+        push(&mut rack, 1, table_ops(5, 0..100));
+        rack.run_ms(2);
+        assert_eq!(rack.app().shard_synced(), 16);
+
+        let mut ids = Vec::new();
+        let mut first: Option<Vec<Vec<u8>>> = None;
+        for child in 0..16 {
+            let tap = rack.tap(child);
+            let requests = tap.requests();
+            let [(prepare, 1), (_, 2)] = requests[..] else {
+                panic!("child {child} saw {requests:?}, not one prepare and one commit");
+            };
+            ids.push(prepare);
+            let frames = frames_of(tap, prepare);
+            assert!(frames.len() > 1, "{} frames", frames.len());
+            match &first {
+                None => first = Some(frames),
+                Some(f) => assert_eq!(&frames, f, "child {child} differs beyond the message id"),
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 16, "a fresh message id per child");
+    }
+
+    #[test]
+    fn a_retry_resends_the_same_bytes_under_the_same_id() {
+        let mut rack = rack();
+        rack.tap(0).mute = true;
+        push(&mut rack, 1, table_ops(5, 0..100));
+        rack.run_ms(2); // retry_base is 0.5 ms: at least one retransmit
+
+        let tap = rack.tap(0);
+        let (id, tag) = tap.requests()[0];
+        assert_eq!(tag, 1, "the prepare");
+        assert!(
+            tap.requests().iter().all(|&r| r == (id, 1)),
+            "only ever the prepare, under one id: {:?}",
+            tap.requests()
+        );
+        let frames = frames_of(tap, id);
+        let copies = tap.requests().len();
+        assert!(copies >= 2, "retransmitted");
+        assert_eq!(frames.len() % copies, 0);
+        let once = frames.len() / copies;
+        for copy in frames.chunks(once) {
+            assert_eq!(copy, &frames[..once]);
+        }
+    }
+
+    #[test]
+    fn a_delta_nacked_for_its_digest_gets_the_full_prepare_on_the_same_track() {
+        let mut rack = rack();
+        push(&mut rack, 1, table_ops(5, 0..100));
+        rack.run_ms(2);
+        assert_eq!(rack.app().shard_synced(), 16);
+        rack.net.run_until(Time::from_micros(4_050)); // between heartbeats
+
+        // Child 3 drifts after its last report: the aggregator still
+        // believes it holds epoch 1's configuration.
+        let e = rack.tap(3).agent.enclave_mut();
+        assert!(e.remove_rule(eden_core::TableId(0), 7));
+        for child in 0..16 {
+            rack.tap(child).frames.clear();
+        }
+        push(&mut rack, 2, table_ops(5, 0..101));
+        rack.run_ms(2);
+
+        let tags = |tap: &Tap| tap.requests().iter().map(|r| r.1).collect::<Vec<u8>>();
+        assert_eq!(tags(rack.tap(0)), [7, 2], "delta prepare, commit");
+        assert_eq!(
+            tags(rack.tap(3)),
+            [7, 1, 2],
+            "delta prepare (nacked), full prepare, commit — one round"
+        );
+        assert!(rack.app().round.is_none(), "the shard round closed");
+        assert_eq!(rack.app().shard_synced(), 16);
+        let want = rack.app().current().digest;
+        assert_eq!(rack.tap(3).agent.enclave().config_digest(), want);
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! net.schedule_timer(ctrl_node, Time::ZERO, transport::app_timer_token(eden_ctrl::TICK));
 //! ```
 
+use std::rc::Rc;
+
 use eden_core::{ApplyError, Enclave, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView, ReplHub, ReplSpec};
 use eden_telemetry::{
@@ -42,7 +44,7 @@ use eden_telemetry::{
 use netsim::{Ctx, Packet, Time, UdpHeader};
 use transport::{App, Stack};
 
-use crate::delta::{self, ConfigModel};
+use crate::delta::{ConfigEntry, ConfigHistory, Plan};
 use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
 
 /// Timer payload of the controller's periodic tick (pass through
@@ -123,19 +125,33 @@ pub struct WireCounters {
 }
 
 impl WireCounters {
-    /// Record one sent message of `payload_len` encoded bytes.
-    pub(crate) fn sent(&mut self, msg: &CtrlMsg, payload_len: usize) {
+    /// Record one sent message of `payload_len` encoded bytes;
+    /// `epoch_config` marks a Prepare / DeltaPrepare / Commit / Abort.
+    pub(crate) fn sent(&mut self, payload_len: usize, epoch_config: bool) {
         self.msgs_sent += 1;
         self.bytes_sent += payload_len as u64;
-        if matches!(
-            msg,
-            CtrlMsg::Prepare { .. }
-                | CtrlMsg::DeltaPrepare { .. }
-                | CtrlMsg::Commit { .. }
-                | CtrlMsg::Abort { .. }
-        ) {
+        if epoch_config {
             self.config_bytes_sent += payload_len as u64;
         }
+    }
+}
+
+/// Put the encoded message `payload` on the wire to `to` as one or more
+/// control frames under message id `id` (which replies echo as `re`).
+pub(crate) fn transmit(
+    cfg: &CtrlConfig,
+    to: u32,
+    id: u32,
+    payload: &[u8],
+    stack: &mut Stack,
+    ctx: &mut Ctx<'_>,
+) {
+    let udp = UdpHeader {
+        src_port: cfg.src_port,
+        dst_port: cfg.ctrl_port,
+    };
+    for frame in proto::fragment(id, payload) {
+        stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
     }
 }
 
@@ -159,12 +175,17 @@ enum Origin {
 #[derive(Debug)]
 struct Inflight {
     msg_id: u32,
-    msg: CtrlMsg,
+    /// The encoded request, trace trailer included, as first sent: a
+    /// retry puts the same bytes back on the wire under the same id.
+    payload: Rc<[u8]>,
+    /// The request is a `DeltaPrepare` (a Nack falls back to the full).
+    is_delta: bool,
     phase: AckPhase,
     origin: Origin,
     retries: u32,
     next_retry: Time,
-    /// Trace context the frames carry (retransmits must re-append it).
+    /// Trace context the payload carries: a delta's full-ship fallback
+    /// stays in the same trace.
     ctx: Option<TraceContext>,
     /// When the most recent transmission left, for the RTT histogram.
     sent_at: Time,
@@ -220,16 +241,6 @@ struct Round {
     opened_at: Time,
 }
 
-/// One version of desired state.
-struct DesiredEntry {
-    epoch: u64,
-    ops: Vec<EnclaveOp>,
-    digest: u64,
-    /// Value model of this configuration — the diff anchor for
-    /// [`CtrlMsg::DeltaPrepare`] planning against later entries.
-    model: ConfigModel,
-}
-
 fn new_host_state(addr: u32) -> HostState {
     HostState {
         addr,
@@ -256,8 +267,9 @@ pub struct ControllerApp {
     pub core: eden_core::Controller,
     hosts: Vec<HostState>,
     /// Desired-state history; the last entry is current. Kept so a
-    /// nacked round can roll back to the previous version.
-    history: Vec<DesiredEntry>,
+    /// nacked round can roll back to the previous version, and so a host
+    /// on a recent version can be sent a delta.
+    history: ConfigHistory,
     /// Shadow enclave replaying desired state (validation + digest).
     shadow: Enclave,
     round: Option<Round>,
@@ -296,12 +308,7 @@ impl ControllerApp {
     /// A controller managing the enclave agents at `hosts`.
     pub fn new(cfg: CtrlConfig, hosts: &[u32]) -> ControllerApp {
         let shadow = Enclave::new(EnclaveConfig::default());
-        let history = vec![DesiredEntry {
-            epoch: 0,
-            ops: Vec::new(),
-            digest: shadow.config_digest(),
-            model: ConfigModel::new(),
-        }];
+        let history = ConfigHistory::new(shadow.config_digest());
         ControllerApp {
             cfg,
             core: eden_core::Controller::new(),
@@ -356,15 +363,10 @@ impl ControllerApp {
         let epoch = self.desired().epoch + 1;
         self.shadow.stage_epoch(epoch, &ops)?;
         assert!(self.shadow.commit_epoch(epoch));
-        let digest = self.shadow.config_digest();
         let mut model = self.desired().model.clone();
         model.apply(&ops);
-        self.history.push(DesiredEntry {
-            epoch,
-            ops,
-            digest,
-            model,
-        });
+        self.history
+            .push(epoch, self.shadow.config_digest(), model, ops);
         self.sync_repl_from_shadow();
         self.want_round = true;
         Ok(epoch)
@@ -480,8 +482,8 @@ impl ControllerApp {
     // internals
     // ------------------------------------------------------------------
 
-    fn desired(&self) -> &DesiredEntry {
-        self.history.last().expect("history never empty")
+    fn desired(&self) -> &ConfigEntry {
+        self.history.current()
     }
 
     /// Mirror the shadow enclave's replication layout into the hub. The
@@ -507,93 +509,31 @@ impl ControllerApp {
         }
     }
 
-    fn digest_of(&self, epoch: u64) -> Option<u64> {
-        self.history
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .map(|e| e.digest)
-    }
-
-    /// Choose the cheapest safe prepare for a host whose last report is
-    /// `reported`. When the report matches a history entry exactly (epoch
-    /// *and* digest — the host provably holds that configuration), a
-    /// diff from that entry to desired state ships as a digest-anchored
-    /// [`CtrlMsg::DeltaPrepare`]; anything else — unknown base,
-    /// undiffable shapes, or a diff that is not actually smaller on the
-    /// wire — ships the full Reset-led table. The agent's digest check
-    /// backstops any stale plan: a mismatch nacks and the controller
-    /// falls back to the full ship.
-    fn plan_prepare(&self, reported: Option<(u64, u64)>) -> CtrlMsg {
-        let entry = self.desired();
-        let full = CtrlMsg::Prepare {
-            epoch: entry.epoch,
-            ops: entry.ops.clone(),
-        };
-        if !self.cfg.delta_updates {
-            return full;
-        }
-        let Some((re, rd)) = reported else {
-            return full;
-        };
-        let Some(base) = self
-            .history
-            .iter()
-            .find(|e| e.epoch == re && e.digest == rd)
-        else {
-            return full;
-        };
-        let Some(ops) = delta::diff(&base.model, &entry.model) else {
-            return full;
-        };
-        let planned = CtrlMsg::DeltaPrepare {
-            epoch: entry.epoch,
-            base_digest: base.digest,
-            ops,
-        };
-        if proto::encode_msg(&planned).len() < proto::encode_msg(&full).len() {
-            planned
-        } else {
-            full
-        }
-    }
-
-    /// Send `msg` to `to` as one or more control frames, returning the
-    /// message id (which replies echo as `re`). A trace context rides as
-    /// the frame trailer when given.
-    #[allow(clippy::too_many_arguments)]
+    /// Send the untracked request `msg` to `to`, returning its message id.
     fn send(
         seq: &mut u32,
         wire: &mut WireCounters,
         cfg: &CtrlConfig,
         to: u32,
         msg: &CtrlMsg,
-        trace: Option<&TraceContext>,
         stack: &mut Stack,
         ctx: &mut Ctx<'_>,
     ) -> u32 {
         *seq = seq.wrapping_add(1);
-        let id = *seq;
-        let udp = UdpHeader {
-            src_port: cfg.src_port,
-            dst_port: cfg.ctrl_port,
-        };
-        let payload = match trace {
-            Some(t) => proto::encode_msg_traced(msg, t),
-            None => proto::encode_msg(msg),
-        };
-        wire.sent(msg, payload.len());
-        for frame in proto::fragment(id, &payload) {
-            stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-        }
-        id
+        let payload = proto::encode_msg(msg);
+        wire.sent(payload.len(), false);
+        transmit(cfg, to, *seq, &payload, stack, ctx);
+        *seq
     }
 
-    /// Install `msg` as the host's tracked request and transmit it.
+    /// Install the epoch-phase request `plan` (already encoded, `trace`
+    /// trailer included) as the host's tracked request and transmit it
+    /// under a fresh message id.
     #[allow(clippy::too_many_arguments)]
     fn send_tracked(
         &mut self,
         host_idx: usize,
-        msg: CtrlMsg,
+        plan: Plan,
         phase: AckPhase,
         origin: Origin,
         trace: Option<TraceContext>,
@@ -601,20 +541,14 @@ impl ControllerApp {
         ctx: &mut Ctx<'_>,
     ) {
         let to = self.hosts[host_idx].addr;
-        let id = Self::send(
-            &mut self.msg_seq,
-            &mut self.wire,
-            &self.cfg,
-            to,
-            &msg,
-            trace.as_ref(),
-            stack,
-            ctx,
-        );
+        self.msg_seq = self.msg_seq.wrapping_add(1);
+        self.wire.sent(plan.bytes.len(), true);
+        transmit(&self.cfg, to, self.msg_seq, &plan.bytes, stack, ctx);
         let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
         self.hosts[host_idx].inflight = Some(Inflight {
-            msg_id: id,
-            msg,
+            msg_id: self.msg_seq,
+            payload: plan.bytes,
+            is_delta: plan.is_delta,
             phase,
             origin,
             retries: 0,
@@ -651,7 +585,7 @@ impl ControllerApp {
                 // An aggregator gets one AggSync carrying the views of
                 // every host in its shard, host-tagged; a plain host gets
                 // its own views on a regular heartbeat.
-                let (msg, payload) = match self.hosts[i].subtree.as_deref() {
+                let payload = match self.hosts[i].subtree.as_deref() {
                     Some(children) => {
                         let mut views = Vec::new();
                         for &c in children {
@@ -661,12 +595,10 @@ impl ControllerApp {
                                 }
                             }
                         }
-                        let msg = CtrlMsg::AggSync {
+                        proto::encode_msg(&CtrlMsg::AggSync {
                             nonce: self.nonce_seq,
                             views,
-                        };
-                        let payload = proto::encode_msg(&msg);
-                        (msg, payload)
+                        })
                     }
                     None => {
                         let msg = CtrlMsg::Heartbeat {
@@ -676,20 +608,12 @@ impl ControllerApp {
                             .iter()
                             .filter_map(|&f| self.repl.view_for(to, f))
                             .collect();
-                        let payload = proto::encode_msg_synced(&msg, &views, None);
-                        (msg, payload)
+                        proto::encode_msg_synced(&msg, &views, None)
                     }
                 };
                 self.msg_seq = self.msg_seq.wrapping_add(1);
-                let id = self.msg_seq;
-                let udp = UdpHeader {
-                    src_port: self.cfg.src_port,
-                    dst_port: self.cfg.ctrl_port,
-                };
-                self.wire.sent(&msg, payload.len());
-                for frame in proto::fragment(id, &payload) {
-                    stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-                }
+                self.wire.sent(payload.len(), false);
+                transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
                 self.hosts[i].next_heartbeat = now + self.cfg.heartbeat_every;
             }
         }
@@ -705,7 +629,6 @@ impl ControllerApp {
                         &self.cfg,
                         to,
                         &CtrlMsg::PullStats,
-                        None,
                         stack,
                         ctx,
                     );
@@ -718,7 +641,6 @@ impl ControllerApp {
                             &CtrlMsg::PullTrace {
                                 max: self.cfg.pull_trace_max,
                             },
-                            None,
                             stack,
                             ctx,
                         );
@@ -741,24 +663,19 @@ impl ControllerApp {
                 self.mark_down(i, now);
                 continue;
             }
+            // Retries reuse the message id and the bytes: the agent-side
+            // reassembler and handlers are idempotent, and the reply still
+            // correlates.
+            self.wire.sent(inflight.payload.len(), true);
             let to = self.hosts[i].addr;
-            let msg = self.hosts[i].inflight.as_ref().unwrap().msg.clone();
-            // Retries reuse the message id: the agent-side reassembler
-            // and handlers are idempotent, and the reply still correlates.
-            let id = self.hosts[i].inflight.as_ref().unwrap().msg_id;
-            let trace = self.hosts[i].inflight.as_ref().unwrap().ctx;
-            let udp = UdpHeader {
-                src_port: self.cfg.src_port,
-                dst_port: self.cfg.ctrl_port,
-            };
-            let payload = match trace.as_ref() {
-                Some(t) => proto::encode_msg_traced(&msg, t),
-                None => proto::encode_msg(&msg),
-            };
-            self.wire.sent(&msg, payload.len());
-            for frame in proto::fragment(id, &payload) {
-                stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-            }
+            transmit(
+                &self.cfg,
+                to,
+                inflight.msg_id,
+                &inflight.payload,
+                stack,
+                ctx,
+            );
             let inflight = self.hosts[i].inflight.as_mut().unwrap();
             inflight.retries += 1;
             // RTT measures the *latest* transmission, not the first try.
@@ -843,22 +760,23 @@ impl ControllerApp {
         let trace = (trace_id != 0).then(|| TraceContext::sampled(trace_id, root_span));
         let mut pending = Vec::with_capacity(targets.len());
         // Most of a converged fleet shares one base config, so plans are
-        // cached per reported (epoch, digest) — one diff serves the rack.
-        let mut plans: Vec<((u64, u64), CtrlMsg)> = Vec::new();
+        // cached per reported (epoch, digest) — one diff, encoded once,
+        // serves every host on that base and each of their retries.
+        let mut plans: Vec<(Option<(u64, u64)>, Plan)> = Vec::new();
         for i in targets {
-            let msg = match self.hosts[i].reported {
-                Some(base) => match plans.iter().find(|(b, _)| *b == base) {
-                    Some((_, m)) => m.clone(),
-                    None => {
-                        let m = self.plan_prepare(Some(base));
-                        plans.push((base, m.clone()));
-                        m
-                    }
-                },
-                None => self.plan_prepare(None),
+            let base = self.hosts[i].reported;
+            let plan = match plans.iter().find(|(b, _)| *b == base) {
+                Some((_, p)) => p.clone(),
+                None => {
+                    let p = self
+                        .history
+                        .plan_prepare(base, self.cfg.delta_updates, trace.as_ref());
+                    plans.push((base, p.clone()));
+                    p
+                }
             };
             // An individual resync in flight is superseded by the round.
-            self.send_tracked(i, msg, AckPhase::Prepare, Origin::Round, trace, stack, ctx);
+            self.send_tracked(i, plan, AckPhase::Prepare, Origin::Round, trace, stack, ctx);
             pending.push(self.hosts[i].addr);
         }
         self.round = Some(Round {
@@ -905,27 +823,22 @@ impl ControllerApp {
                 self.shadow
                     .flight_record(FlightKind::Divergence, u64::from(addr), reported_digest);
                 self.shadow.freeze_flight("divergence");
-                let entry = self.desired();
                 let epoch = ahead + 1;
-                let ops = entry.ops.clone();
+                let (ops, model) = (self.desired().ops.clone(), self.desired().model.clone());
                 self.shadow
                     .stage_epoch(epoch, &ops)
                     .expect("desired ops validated when set");
                 assert!(self.shadow.commit_epoch(epoch));
-                let digest = self.shadow.config_digest();
-                let model = self.desired().model.clone();
-                self.history.push(DesiredEntry {
-                    epoch,
-                    ops,
-                    digest,
-                    model,
-                });
+                self.history
+                    .push(epoch, self.shadow.config_digest(), model, ops);
                 self.sync_repl_from_shadow();
                 self.want_round = true;
                 return;
             }
-            let msg = self.plan_prepare(Some(reported));
-            self.send_tracked(i, msg, AckPhase::Prepare, Origin::Resync, None, stack, ctx);
+            let plan = self
+                .history
+                .plan_prepare(Some(reported), self.cfg.delta_updates, None);
+            self.send_tracked(i, plan, AckPhase::Prepare, Origin::Resync, None, stack, ctx);
         }
     }
 
@@ -1000,15 +913,17 @@ impl ControllerApp {
             self.round = None;
             return;
         }
+        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, trace.as_ref());
         let mut pending = Vec::with_capacity(acked.len());
         for addr in acked {
             if let Some(i) = self.hosts.iter().position(|h| h.addr == addr) {
                 if self.hosts[i].status != HostStatus::Up {
                     continue;
                 }
+                let commit = commit.clone();
                 self.send_tracked(
                     i,
-                    CtrlMsg::Commit { epoch },
+                    commit,
                     AckPhase::Commit,
                     Origin::Round,
                     trace,
@@ -1032,9 +947,8 @@ impl ControllerApp {
         let epoch = round.epoch;
         let trace =
             (round.trace_id != 0).then(|| TraceContext::sampled(round.trace_id, round.root_span));
-        // Roll back desired state (the initial entry always stays).
-        if self.history.len() > 1 && self.desired().epoch == epoch {
-            self.history.pop();
+        // Roll back desired state (the oldest remembered entry stays).
+        if self.history.roll_back(epoch) {
             self.rebuild_shadow();
         }
         let scope: Vec<u32> = self
@@ -1043,18 +957,12 @@ impl ControllerApp {
             .filter(|h| h.status == HostStatus::Up)
             .map(|h| h.addr)
             .collect();
+        let abort = Plan::phase(&CtrlMsg::Abort { epoch }, trace.as_ref());
         let mut pending = Vec::with_capacity(scope.len());
         for addr in scope {
             let i = self.hosts.iter().position(|h| h.addr == addr).unwrap();
-            self.send_tracked(
-                i,
-                CtrlMsg::Abort { epoch },
-                AckPhase::Abort,
-                Origin::Round,
-                trace,
-                stack,
-                ctx,
-            );
+            let abort = abort.clone();
+            self.send_tracked(i, abort, AckPhase::Abort, Origin::Round, trace, stack, ctx);
             pending.push(addr);
         }
         let round = self.round.as_mut().unwrap();
@@ -1200,8 +1108,7 @@ impl ControllerApp {
                         self.push_round_phase(stack, ctx);
                     }
                     (Origin::Round, AckPhase::Commit) => {
-                        let digest = self.digest_of(epoch);
-                        if let Some(d) = digest {
+                        if let Some(d) = self.history.digest_of(epoch) {
                             self.hosts[i].reported = Some((epoch, d));
                         }
                         if let Some(round) = self.round.as_mut() {
@@ -1216,9 +1123,10 @@ impl ControllerApp {
                         self.advance_round_if_done(now);
                     }
                     (Origin::Resync, AckPhase::Prepare) => {
+                        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
                         self.send_tracked(
                             i,
-                            CtrlMsg::Commit { epoch },
+                            commit,
                             AckPhase::Commit,
                             Origin::Resync,
                             None,
@@ -1227,7 +1135,7 @@ impl ControllerApp {
                         );
                     }
                     (Origin::Resync, AckPhase::Commit) => {
-                        if let Some(d) = self.digest_of(epoch) {
+                        if let Some(d) = self.history.digest_of(epoch) {
                             self.hosts[i].reported = Some((epoch, d));
                         }
                         self.hosts[i].resync_backoff = Time::ZERO;
@@ -1248,12 +1156,7 @@ impl ControllerApp {
                     let f = self.hosts[i].inflight.as_ref().unwrap();
                     self.rtt
                         .record(now.as_nanos().saturating_sub(f.sent_at.as_nanos()));
-                    (
-                        f.origin,
-                        f.phase,
-                        matches!(f.msg, CtrlMsg::DeltaPrepare { .. }),
-                        f.ctx,
-                    )
+                    (f.origin, f.phase, f.is_delta, f.ctx)
                 };
                 self.refresh_ctrl_latencies();
                 self.hosts[i].inflight = None;
@@ -1263,11 +1166,8 @@ impl ControllerApp {
                     // validation there: fall back to the full Reset-led
                     // ship on the same track — a round host stays in the
                     // round's pending set, a resync stays a resync.
-                    let msg = CtrlMsg::Prepare {
-                        epoch,
-                        ops: self.desired().ops.clone(),
-                    };
-                    self.send_tracked(i, msg, AckPhase::Prepare, origin, trace, stack, ctx);
+                    let full = self.history.plan_full(trace.as_ref());
+                    self.send_tracked(i, full, AckPhase::Prepare, origin, trace, stack, ctx);
                     return;
                 }
                 match (origin, phase) {
@@ -1323,5 +1223,95 @@ impl App for ControllerApp {
             return;
         };
         self.handle_reply(from, reply, deltas, stack, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::delta::AGG_HISTORY;
+    use crate::testnet::{star, table_ops, Star};
+
+    /// A root over two directly managed hosts that have reported in.
+    fn pair() -> Star<ControllerApp> {
+        let cfg = CtrlConfig::default();
+        let mut c = star(900, ControllerApp::new(cfg.clone(), &[1, 2]), &[1, 2], &cfg);
+        c.run_ms(2);
+        assert!(c.app().all_in_sync());
+        c
+    }
+
+    /// Push one more configuration (a table `rules` long) and let it land.
+    fn push(c: &mut Star<ControllerApp>, rules: u32) -> u64 {
+        let epoch = c.app().set_desired(table_ops(5, 0..rules)).expect("valid");
+        c.run_ms(8);
+        epoch
+    }
+
+    #[test]
+    fn history_is_bounded_and_a_forgotten_base_gets_the_full_prepare() {
+        let mut c = pair();
+        assert_eq!(push(&mut c, 10), 1);
+        assert!(c.app().all_in_sync());
+        let digest_1 = c.app().desired_digest();
+
+        // Host 2 drops off the network holding epoch 1; desired state
+        // moves on past what the history remembers.
+        c.tap(1).mute = true;
+        for i in 0..AGG_HISTORY as u32 + 4 {
+            push(&mut c, 11 + i);
+            assert!(c.app().history.len() <= AGG_HISTORY);
+        }
+        assert_eq!(c.app().history.len(), AGG_HISTORY);
+        assert_eq!(c.app().history.digest_of(1), None, "epoch 1 is forgotten");
+        assert_eq!(c.app().in_sync_count(), 1);
+        let plan = c
+            .app()
+            .history
+            .plan_prepare(Some((1, digest_1)), true, None);
+        assert!(!plan.is_delta, "unknown base: Reset-led full prepare");
+
+        // It comes back still reporting epoch 1, and converges.
+        let tap = c.tap(1);
+        assert_eq!(tap.agent.enclave().active_epoch(), 1);
+        tap.mute = false;
+        tap.frames.clear();
+        c.run_ms(10);
+        let tags: Vec<u8> = c.tap(1).requests().iter().map(|r| r.1).collect();
+        assert_eq!(tags, [1, 2], "full prepare, commit");
+        assert!(c.app().all_in_sync());
+        let want = c.app().desired_digest();
+        assert_eq!(c.tap(1).agent.enclave().config_digest(), want);
+    }
+
+    #[test]
+    fn a_round_nacked_with_the_history_full_rolls_back_to_the_previous_digest() {
+        let mut c = pair();
+        for i in 0..AGG_HISTORY as u32 + 2 {
+            push(&mut c, 10 + i);
+        }
+        assert!(c.app().all_in_sync());
+        assert_eq!(c.app().history.len(), AGG_HISTORY);
+        let (epoch, digest) = (c.app().desired_epoch(), c.app().desired_digest());
+
+        // Host 2 bumps itself to a far-future epoch: the next prepare is
+        // stale there, it nacks, and the round aborts everywhere.
+        let e = c.tap(1).agent.enclave_mut();
+        e.stage_epoch(500, &[]).unwrap();
+        assert!(e.commit_epoch(500));
+        let nacked = c.app().set_desired(table_ops(6, 0..3)).expect("valid");
+        assert_eq!(nacked, epoch + 1);
+        c.net.run_until(c.net.now() + Time::from_micros(400));
+        assert_eq!(c.app().desired_digest(), digest, "content rolled back");
+        assert_eq!(c.app().history.digest_of(nacked), None);
+        assert_eq!(c.app().shadow.config_digest(), digest, "shadow rebuilt");
+
+        // The reconciler then re-issues the rolled-back content above the
+        // bump, and the fleet converges on it.
+        c.run_ms(10);
+        assert!(c.app().all_in_sync());
+        assert_eq!(c.app().desired_digest(), digest);
+        assert!(c.app().desired_epoch() > 500);
+        assert!(c.app().history.len() <= AGG_HISTORY);
     }
 }

@@ -5,9 +5,10 @@
 //! them simple but quadratic at fleet scale: every rule of every table
 //! re-ships to every host on every change. [`ConfigModel`] is a pure
 //! value model of an enclave's *configuration* (not its runtime state) —
-//! the controller keeps one per [`DesiredEntry`](crate::controller) in
-//! history and calls [`diff`] to plan a [`CtrlMsg::DeltaPrepare`]
-//! (crate::CtrlMsg::DeltaPrepare) anchored at the base's config digest.
+//! both reconcilers keep one per version in a bounded `ConfigHistory`,
+//! which calls [`diff`] to plan a [`CtrlMsg::DeltaPrepare`] anchored at
+//! the base's config digest, encodes each plan once, and hands it out as
+//! shared bytes.
 //!
 //! `diff` is deliberately conservative: it only claims a plan when the
 //! base is a *structural prefix* of the target (functions append-only,
@@ -23,9 +24,14 @@
 //! config-only change that is exactly what an operator wants — the
 //! full-replacement path zeroed counters as collateral damage.
 
-use std::collections::BTreeMap;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use eden_core::{EnclaveOp, MatchSpec};
+use eden_telemetry::TraceContext;
+
+use crate::proto::{self, CtrlMsg};
 
 /// A pure value model of an enclave's configuration, as produced by a
 /// sequence of [`EnclaveOp`]s applied to an empty enclave. Mirrors the
@@ -202,6 +208,184 @@ pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> 
         }
     }
     Some(ops)
+}
+
+/// Config versions a reconciler remembers as delta anchors and rollback
+/// targets, at the root and at every aggregator alike. A peer reporting
+/// an older base than that is simply an unknown base: it gets the full
+/// Reset-led ship.
+pub(crate) const AGG_HISTORY: usize = 8;
+
+/// One version of the configuration a reconciler drives its peers to.
+pub(crate) struct ConfigEntry {
+    pub(crate) epoch: u64,
+    /// What an enclave holding this version reports.
+    pub(crate) digest: u64,
+    /// Value model of this version — the diff anchor for later ones.
+    pub(crate) model: ConfigModel,
+    /// Reset-led ops that build this version on any enclave: the full
+    /// ship, and what a shadow enclave replays.
+    pub(crate) ops: Vec<EnclaveOp>,
+    /// `ops` encoded as a full [`CtrlMsg::Prepare`], built the first time
+    /// a plan needs it (or its length) and shared from then on.
+    full: OnceCell<Rc<[u8]>>,
+}
+
+impl ConfigEntry {
+    fn full(&self) -> &Rc<[u8]> {
+        self.full
+            .get_or_init(|| proto::encode_prepare(self.epoch, &self.ops).into())
+    }
+}
+
+/// An epoch-phase request ready for the wire: encoded once, shared by
+/// every peer it goes to and by every retry. All of it counts as epoch
+/// configuration in [`WireCounters`](crate::WireCounters).
+#[derive(Clone)]
+pub(crate) struct Plan {
+    /// The encoded message, trace trailer included.
+    pub(crate) bytes: Rc<[u8]>,
+    /// A digest-anchored [`CtrlMsg::DeltaPrepare`]: a Nack falls back to
+    /// [`ConfigHistory::plan_full`] on the same track.
+    pub(crate) is_delta: bool,
+}
+
+impl Plan {
+    /// A `Commit` or `Abort`, encoded once for a whole fan-out.
+    pub(crate) fn phase(msg: &CtrlMsg, trace: Option<&TraceContext>) -> Plan {
+        Plan {
+            bytes: seal(proto::encode_msg(msg), trace),
+            is_delta: false,
+        }
+    }
+}
+
+/// The bounded history of configuration versions both reconcilers keep
+/// (the root's desired state, an aggregator's committed state): the last
+/// entry is current, the rest are delta anchors and rollback targets.
+pub(crate) struct ConfigHistory {
+    entries: VecDeque<ConfigEntry>,
+}
+
+impl ConfigHistory {
+    /// A history holding only the configuration of a fresh enclave, whose
+    /// digest is `digest`, as epoch 0.
+    pub(crate) fn new(digest: u64) -> ConfigHistory {
+        let mut h = ConfigHistory {
+            entries: VecDeque::with_capacity(AGG_HISTORY + 1),
+        };
+        h.push(0, digest, ConfigModel::new(), Vec::new());
+        h
+    }
+
+    /// The version peers should converge to.
+    pub(crate) fn current(&self) -> &ConfigEntry {
+        self.entries.back().expect("history never empty")
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Make `(epoch, digest, model, ops)` current, forgetting the oldest
+    /// version beyond [`AGG_HISTORY`].
+    pub(crate) fn push(
+        &mut self,
+        epoch: u64,
+        digest: u64,
+        model: ConfigModel,
+        ops: Vec<EnclaveOp>,
+    ) {
+        // only the current version is ever shipped in full
+        if let Some(superseded) = self.entries.back_mut() {
+            superseded.full.take();
+        }
+        self.entries.push_back(ConfigEntry {
+            epoch,
+            digest,
+            model,
+            ops,
+            full: OnceCell::new(),
+        });
+        if self.entries.len() > AGG_HISTORY {
+            self.entries.pop_front();
+        }
+    }
+
+    /// Roll back from epoch `epoch` to the version before it, if `epoch`
+    /// is current and there is one. Returns whether anything changed.
+    pub(crate) fn roll_back(&mut self, epoch: u64) -> bool {
+        let can = self.entries.len() > 1 && self.current().epoch == epoch;
+        if can {
+            self.entries.pop_back();
+        }
+        can
+    }
+
+    /// The digest version `epoch` had, while it is remembered.
+    pub(crate) fn digest_of(&self, epoch: u64) -> Option<u64> {
+        let found = self.entries.iter().rev().find(|e| e.epoch == epoch);
+        found.map(|e| e.digest)
+    }
+
+    /// The current version as a full Reset-led [`CtrlMsg::Prepare`].
+    pub(crate) fn plan_full(&self, trace: Option<&TraceContext>) -> Plan {
+        Plan {
+            bytes: match trace {
+                None => Rc::clone(self.current().full()),
+                Some(_) => seal(self.current().full().to_vec(), trace),
+            },
+            is_delta: false,
+        }
+    }
+
+    /// Choose the cheapest safe prepare for a peer whose last report is
+    /// `reported`. When the report matches a remembered version exactly
+    /// (epoch *and* digest — the peer provably holds that configuration),
+    /// a diff from that version to the current one ships as a
+    /// digest-anchored [`CtrlMsg::DeltaPrepare`]; anything else — deltas
+    /// switched off, unknown or forgotten base, undiffable shapes, or a
+    /// diff that is not actually smaller on the wire — ships the full
+    /// Reset-led table. The receiver's digest check backstops any stale
+    /// plan: a mismatch nacks and the sender falls back to
+    /// [`plan_full`](Self::plan_full).
+    pub(crate) fn plan_prepare(
+        &self,
+        reported: Option<(u64, u64)>,
+        delta_updates: bool,
+        trace: Option<&TraceContext>,
+    ) -> Plan {
+        let entry = self.current();
+        let delta = reported
+            .filter(|_| delta_updates)
+            .and_then(|(e, d)| self.entries.iter().find(|x| x.epoch == e && x.digest == d))
+            .and_then(|base| {
+                let ops = diff(&base.model, &entry.model)?;
+                Some(proto::encode_msg(&CtrlMsg::DeltaPrepare {
+                    epoch: entry.epoch,
+                    base_digest: base.digest,
+                    ops,
+                }))
+            })
+            .filter(|bytes| bytes.len() < entry.full().len());
+        match delta {
+            Some(bytes) => Plan {
+                bytes: seal(bytes, trace),
+                is_delta: true,
+            },
+            None => self.plan_full(trace),
+        }
+    }
+}
+
+/// Finish an encoded message: the round's trace trailer, if it has one,
+/// then into the shared form.
+fn seal(mut bytes: Vec<u8>, trace: Option<&TraceContext>) -> Rc<[u8]> {
+    if let Some(t) = trace {
+        proto::push_trace_trailer(&mut bytes, t);
+    }
+    bytes.into()
 }
 
 #[cfg(test)]

@@ -51,6 +51,8 @@ pub mod aggregator;
 pub mod controller;
 pub mod delta;
 pub mod proto;
+#[cfg(test)]
+mod testnet;
 
 pub use agent::EnclaveAgent;
 pub use aggregator::{AggConfig, AggregatorApp};

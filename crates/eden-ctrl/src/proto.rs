@@ -1100,14 +1100,7 @@ pub fn repl_deltas_wire_len(deltas: &[FuncDelta]) -> usize {
 pub fn encode_msg(msg: &CtrlMsg) -> Vec<u8> {
     let mut w = Writer::default();
     match msg {
-        CtrlMsg::Prepare { epoch, ops } => {
-            w.u8(1);
-            w.u64(*epoch);
-            w.u16(ops.len() as u16);
-            for op in ops {
-                put_op(&mut w, op);
-            }
-        }
+        CtrlMsg::Prepare { epoch, ops } => return encode_prepare(*epoch, ops),
         CtrlMsg::Commit { epoch } => {
             w.u8(2);
             w.u64(*epoch);
@@ -1151,17 +1144,37 @@ pub fn encode_msg(msg: &CtrlMsg) -> Vec<u8> {
     w.0
 }
 
+/// [`encode_msg`] of a [`CtrlMsg::Prepare`] whose ops the caller keeps:
+/// a config history encodes each version's full ship from the ops it
+/// holds, without cloning them into a message first.
+pub fn encode_prepare(epoch: u64, ops: &[EnclaveOp]) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(1);
+    w.u64(epoch);
+    w.u16(ops.len() as u16);
+    for op in ops {
+        put_op(&mut w, op);
+    }
+    w.0
+}
+
 /// Serialize a controller → agent message with a trace-context trailer.
 /// The trailer rides *after* the message fields, where an untraced
 /// decoder never looks — old agents decode the message and simply miss
 /// the context.
 pub fn encode_msg_traced(msg: &CtrlMsg, ctx: &TraceContext) -> Vec<u8> {
     let mut buf = encode_msg(msg);
+    push_trace_trailer(&mut buf, ctx);
+    buf
+}
+
+/// Append the [`TRACE_TRAILER`]-byte trace-context trailer to an encoded
+/// message (after any replication section: the trailer is always last).
+pub fn push_trace_trailer(buf: &mut Vec<u8>, ctx: &TraceContext) {
     buf.extend_from_slice(&TRACE_MARK.to_le_bytes());
     buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
     buf.extend_from_slice(&ctx.parent_span.to_le_bytes());
     buf.push(u8::from(ctx.sampled));
-    buf
 }
 
 /// Parse a controller → agent message.
@@ -1192,10 +1205,7 @@ pub fn encode_msg_synced(msg: &CtrlMsg, views: &[FuncView], ctx: Option<&TraceCo
     }
     let mut buf = w.0;
     if let Some(ctx) = ctx {
-        buf.extend_from_slice(&TRACE_MARK.to_le_bytes());
-        buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
-        buf.extend_from_slice(&ctx.parent_span.to_le_bytes());
-        buf.push(u8::from(ctx.sampled));
+        push_trace_trailer(&mut buf, ctx);
     }
     buf
 }
@@ -1564,6 +1574,10 @@ impl Reassembler {
     /// Feed one received frame; returns the full message payload once the
     /// last missing fragment arrives. Duplicate fragments are ignored; a
     /// frame whose `count` disagrees with the pending entry is rejected.
+    /// A one-frame message nothing is pending for — every delta, commit,
+    /// ack, heartbeat and pong — is its own payload and never enters the
+    /// pending list, so a duplicate of it yields the payload again
+    /// (handlers are idempotent).
     pub fn accept(&mut self, from: u32, frame: &[u8]) -> Result<Option<Vec<u8>>, ProtoError> {
         if frame.len() < FRAG_HEADER {
             return Err(ProtoError::Truncated);
@@ -1591,6 +1605,7 @@ impl Reassembler {
                 }
                 pos
             }
+            None if count == 1 => return Ok(Some(chunk.to_vec())),
             None => {
                 if self.pending.len() >= self.capacity {
                     self.pending.remove(0);
@@ -2189,6 +2204,31 @@ mod tests {
         f.extend_from_slice(&count.to_le_bytes());
         f.extend_from_slice(chunk);
         f
+    }
+
+    #[test]
+    fn single_fragment_messages_bypass_the_pending_list() {
+        let mut r = Reassembler::new(4);
+        let f = fragment(7, &[1, 2, 3]).remove(0);
+        assert_eq!(r.accept(1, &f).unwrap(), Some(vec![1, 2, 3]));
+        assert_eq!(
+            r.accept(1, &f).unwrap(),
+            Some(vec![1, 2, 3]),
+            "a duplicated frame yields the payload again"
+        );
+        assert_eq!(r.pending_messages(), 0);
+
+        // a one-frame message colliding with a pending multi-fragment
+        // entry is still an inconsistent count, and does not disturb it
+        let big = vec![5u8; MAX_CHUNK + 1];
+        let frames = fragment(9, &big);
+        assert_eq!(r.accept(1, &frames[0]).unwrap(), None);
+        assert_eq!(
+            r.accept(1, &raw_frame(9, 0, 1, &[1])),
+            Err(ProtoError::BadFragment)
+        );
+        assert_eq!(r.pending_messages(), 1);
+        assert_eq!(r.accept(1, &frames[1]).unwrap(), Some(big));
     }
 
     // Pinned by the fuzz harness: a single 11-byte spoofed frame used to

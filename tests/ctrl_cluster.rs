@@ -7,10 +7,13 @@
 //! host's link goes down, and desired-state reconciliation after the
 //! partition heals.
 
-use eden::core::{Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, TICK};
+use eden::core::{ClassId, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
+use eden::ctrl::{
+    AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, WireCounters,
+    TICK,
+};
 use eden::lang::{Access, HeaderField, Schema};
-use eden::netsim::{LinkId, LinkSpec, Network, NodeId, Switch, SwitchConfig, Time};
+use eden::netsim::{LinkId, LinkSpec, Network, NodeId, Switch, SwitchConfig, Time, TwoTier};
 use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
 
 /// Agent hosts run no application — the enclave agent on the hook does
@@ -262,5 +265,104 @@ fn nacked_prepare_aborts_the_round_everywhere_and_rolls_back() {
         app.desired_epoch() > 50,
         "fresh epoch outbids the divergence (got {})",
         app.desired_epoch()
+    );
+}
+
+/// What goes on the wire, and when, is part of the control plane's
+/// contract: a two-rack tree under loss, driven through full pushes, delta
+/// pushes and the retries both need, must leave every reconciler's wire
+/// counters exactly where they were recorded (at commit 9792264, before
+/// plans were encoded once and shared). A change that alters a message's
+/// bytes, sends one more or one fewer, or moves a retry shows up here.
+#[test]
+fn wire_load_under_loss_is_pinned() {
+    const RACKS: usize = 2;
+    const PER_RACK: u32 = 4;
+    let cfg = CtrlConfig::default();
+    let mut net = Network::new(0x5eed);
+    let topo = TwoTier::build(&mut net, RACKS, LinkSpec::forty_gbps());
+    let mut ctrl = ControllerApp::new(cfg.clone(), &[]);
+    let mut aggs = Vec::new();
+    let mut leaves = Vec::new();
+    for rack in 0..RACKS {
+        let children: Vec<u32> = (1..=PER_RACK).map(|i| rack as u32 * PER_RACK + i).collect();
+        for &addr in &children {
+            let mut stack = Stack::new(addr, StackConfig::default());
+            stack.set_hook(EnclaveAgent::new(Enclave::new(EnclaveConfig::default())));
+            stack.set_ctrl_port(cfg.ctrl_port);
+            let node = net.add_node(Host::new(stack, Idle));
+            let link = topo.attach(&mut net, rack, node, addr, LinkSpec::ten_gbps());
+            net.set_link_loss_permille(link, 50);
+            leaves.push(node);
+        }
+        let addr = 50 + rack as u32;
+        let agg = net.add_node(Host::new(
+            Stack::new(addr, StackConfig::default()),
+            AggregatorApp::new(AggConfig { ctrl: cfg.clone() }, &children),
+        ));
+        topo.attach(&mut net, rack, agg, addr, LinkSpec::ten_gbps());
+        net.set_link_loss_permille(topo.racks[rack].uplink, 100);
+        net.schedule_timer(agg, Time::ZERO, app_timer_token(TICK));
+        ctrl.manage_aggregator(addr, children);
+        aggs.push(agg);
+    }
+    let root = net.add_node(Host::new(
+        Stack::new(CTRL_ADDR, StackConfig::default()),
+        ctrl,
+    ));
+    topo.attach_core(&mut net, root, CTRL_ADDR, LinkSpec::forty_gbps());
+    net.schedule_timer(root, Time::ZERO, app_timer_token(TICK));
+
+    // A 100-rule table (a multi-fragment full prepare), three pushes that
+    // change its last rule (deltas), then a new function (full again).
+    let table = |prio: u8, last: u32| -> Vec<EnclaveOp> {
+        let mut ops = prio_ops(prio);
+        ops.pop();
+        ops.extend((0..99).chain([last]).map(|c| EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Class(ClassId(c)),
+            func: 0,
+        }));
+        ops
+    };
+    let mut now = Time::from_millis(3);
+    net.run_until(now);
+    for (prio, last) in [(1, 100), (1, 101), (1, 102), (1, 103), (2, 103)] {
+        let app = &mut net.node_mut::<Host<ControllerApp>>(root).app;
+        app.set_desired(table(prio, last)).expect("valid");
+        now += Time::from_millis(40);
+        net.run_until(now);
+    }
+
+    let app = &net.node_mut::<Host<ControllerApp>>(root).app;
+    assert!(app.all_in_sync(), "tree converged on the last push");
+    let want = app.desired_digest();
+    let root_wire = app.wire();
+    for leaf in leaves {
+        let stack = &mut net.node_mut::<Host<Idle>>(leaf).stack;
+        let e = stack.hook_mut::<EnclaveAgent>().unwrap().enclave();
+        assert_eq!(e.config_digest(), want);
+    }
+    let tuple = |w: WireCounters| {
+        [
+            w.msgs_sent,
+            w.bytes_sent,
+            w.msgs_received,
+            w.bytes_received,
+            w.config_bytes_sent,
+        ]
+    };
+    let agg_wires: Vec<[u64; 5]> = aggs
+        .iter()
+        .map(|&a| tuple(net.node_mut::<Host<AggregatorApp>>(a).app.wire()))
+        .collect();
+    assert_eq!(tuple(root_wire), [431, 15662, 353, 16930, 11174], "root");
+    assert_eq!(
+        agg_wires,
+        [
+            [1055, 35107, 971, 28822, 18573],
+            [1057, 33744, 955, 29739, 17046]
+        ],
+        "aggregators"
     );
 }
