@@ -407,49 +407,30 @@ pub fn new_bundle_checks(costs: &[InterpCost]) -> Vec<NewBundleCheck> {
 }
 
 /// §5.4: interpreter operand-stack/heap footprint of the case-study
-/// programs ("in the order of 64 and 256 bytes respectively").
+/// programs ("in the order of 64 and 256 bytes respectively") — the static
+/// worst case the verifier derives, which is what the enclave admits a
+/// program on.
 pub fn footprints() -> Vec<Footprint> {
-    use eden_vm::{Interpreter, Limits, VecHost};
-
-    let mut out = Vec::new();
-    for (bundle, setup) in [
-        (functions::pias_fig7(), 1usize),
-        (functions::sff(), 2),
-        (functions::wcmp(), 3),
-        (functions::pulsar(), 4),
-    ] {
+    [
+        functions::pias_fig7(),
+        functions::sff(),
+        functions::wcmp(),
+        functions::pulsar(),
+    ]
+    .into_iter()
+    .map(|bundle| {
         let compiled = eden_lang::compile(bundle.name, &bundle.source, &bundle.schema())
             .expect("catalogue compiles");
-        let mut host = VecHost::with_slots(8, 8, 8);
-        match setup {
-            1 | 2 => host
-                .arrays
-                .push(vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]),
-            3 => {
-                host.arrays.push(vec![1, 10, 2, 1]);
-                host.global[0] = 11;
-            }
-            _ => host.arrays.push(vec![0, 1, 2, 3, 4, 5, 6, 7]),
-        }
-        if setup == 1 {
-            host.msg[1] = 7; // desired priority ≥ 1 → consult the thresholds
-        }
-        let mut interp = Interpreter::new(Limits::default());
-        let mut peak_stack = 0;
-        let mut peak_heap = 0;
-        for i in 0..64 {
-            host.packet[0] = 1460 * (i + 1);
-            interp
-                .run(&compiled.program, &mut host)
-                .expect("case-study program must not trap");
-            peak_stack = peak_stack.max(interp.usage().peak_stack_bytes());
-            peak_heap = peak_heap.max(interp.usage().peak_heap_bytes());
-        }
-        out.push(Footprint {
+        let bound = compiled
+            .program
+            .envelope()
+            .bound
+            .expect("case-study programs do not recurse");
+        Footprint {
             name: bundle.name,
-            stack_bytes: peak_stack,
-            heap_bytes: peak_heap,
-        });
-    }
-    out
+            stack_bytes: bound.stack * 8,
+            heap_bytes: bound.heap * 8,
+        }
+    })
+    .collect()
 }

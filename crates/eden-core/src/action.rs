@@ -8,69 +8,144 @@
 //! computation engine differs, which is exactly what Figures 9, 10 and 12
 //! isolate.
 
-use eden_lang::{CompiledFunction, Concurrency, Schema, StateEffects};
-use eden_vm::{Effect, Host, Outcome, VmError};
+use eden_lang::{Access, CompiledFunction, Concurrency, Schema};
+use eden_vm::{Effect, Host, Outcome, StateScope, VmError};
+
+use crate::enclave::PktSlot;
 
 /// Identifies an installed function within an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FuncId(pub usize);
 
+/// What a native function's schema and declared concurrency level allow
+/// it: the bounds [`NativeEnv`] checks every access against.
+pub(crate) struct NativeView<'a> {
+    pub(crate) pkt: &'a [(PktSlot, Access)],
+    pub(crate) msg_slots: usize,
+    pub(crate) global_slots: usize,
+    pub(crate) arrays: usize,
+    pub(crate) concurrency: Concurrency,
+}
+
 /// Typed accessors native functions use to touch exactly the same state the
 /// interpreter would — through the enclave's [`Host`] binding, so
-/// HeaderMaps, read-only enforcement, and scoping apply equally.
+/// HeaderMaps and scoping apply equally. An interpreted program has its
+/// slots, its stores and its concurrency level checked once, when it is
+/// installed; compiled Rust cannot be analysed, so this façade is where
+/// the same rules are enforced for it, per access: an unknown slot, a
+/// store to a read-only packet field and a store the declared level
+/// forbids (§3.4.4: `Parallel` writes no message or global state,
+/// `PerMessage` no global state) each return the trap.
 pub struct NativeEnv<'a> {
     host: &'a mut dyn Host,
+    view: NativeView<'a>,
 }
 
 impl<'a> NativeEnv<'a> {
-    pub(crate) fn new(host: &'a mut dyn Host) -> NativeEnv<'a> {
-        NativeEnv { host }
+    pub(crate) fn new(host: &'a mut dyn Host, view: NativeView<'a>) -> NativeEnv<'a> {
+        NativeEnv { host, view }
+    }
+
+    fn known(have: usize, scope: StateScope, slot: u8) -> Result<(), VmError> {
+        if (slot as usize) < have {
+            Ok(())
+        } else {
+            Err(VmError::BadStateSlot { scope, slot })
+        }
+    }
+
+    fn known_array(&self, array: u8, index: i64) -> Result<(), VmError> {
+        if (array as usize) < self.view.arrays {
+            Ok(())
+        } else {
+            Err(VmError::BadArrayAccess { array, index })
+        }
+    }
+
+    /// Only a `Serialized` function may write global scalars and arrays.
+    fn may_write_globals(&self, slot: u8) -> Result<(), VmError> {
+        if self.view.concurrency == Concurrency::Serialized {
+            Ok(())
+        } else {
+            Err(VmError::ReadOnlyViolation {
+                scope: StateScope::Global,
+                slot,
+            })
+        }
     }
 
     /// Read packet field `slot`.
     pub fn pkt(&mut self, slot: u8) -> Result<i64, VmError> {
-        self.host.load_pkt(slot)
+        Self::known(self.view.pkt.len(), StateScope::Packet, slot)?;
+        Ok(self.host.load_pkt(slot))
     }
 
     /// Write packet field `slot`.
     pub fn set_pkt(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        self.host.store_pkt(slot, v)
+        Self::known(self.view.pkt.len(), StateScope::Packet, slot)?;
+        if self.view.pkt[slot as usize].1 == Access::ReadOnly {
+            return Err(VmError::ReadOnlyViolation {
+                scope: StateScope::Packet,
+                slot,
+            });
+        }
+        self.host.store_pkt(slot, v);
+        Ok(())
     }
 
     /// Read message state field `slot`.
     pub fn msg(&mut self, slot: u8) -> Result<i64, VmError> {
-        self.host.load_msg(slot)
+        Self::known(self.view.msg_slots, StateScope::Message, slot)?;
+        Ok(self.host.load_msg(slot))
     }
 
     /// Write message state field `slot`.
     pub fn set_msg(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        self.host.store_msg(slot, v)
+        if self.view.concurrency == Concurrency::Parallel {
+            // a read-only function writing message state would invalidate
+            // its declared concurrency level — trap instead of racing
+            return Err(VmError::ReadOnlyViolation {
+                scope: StateScope::Message,
+                slot,
+            });
+        }
+        Self::known(self.view.msg_slots, StateScope::Message, slot)?;
+        self.host.store_msg(slot, v);
+        Ok(())
     }
 
     /// Read global state field `slot`.
     pub fn global(&mut self, slot: u8) -> Result<i64, VmError> {
-        self.host.load_glob(slot)
+        Self::known(self.view.global_slots, StateScope::Global, slot)?;
+        Ok(self.host.load_glob(slot))
     }
 
     /// Write global state field `slot`.
     pub fn set_global(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        self.host.store_glob(slot, v)
+        self.may_write_globals(slot)?;
+        Self::known(self.view.global_slots, StateScope::Global, slot)?;
+        self.host.store_glob(slot, v);
+        Ok(())
     }
 
     /// Read global array `array` at flat slot `index`.
     pub fn arr(&mut self, array: u8, index: i64) -> Result<i64, VmError> {
+        self.known_array(array, index)?;
         self.host.arr_load(array, index)
     }
 
     /// Write global array `array` at flat slot `index`.
     pub fn set_arr(&mut self, array: u8, index: i64, v: i64) -> Result<(), VmError> {
+        self.may_write_globals(array)?;
+        self.known_array(array, index)?;
         self.host.arr_store(array, index, v)
     }
 
     /// Raw slot count of global array `array` (divide by the stride for
     /// the element count).
     pub fn arr_len(&mut self, array: u8) -> Result<i64, VmError> {
-        self.host.arr_len(array)
+        self.known_array(array, -1)?;
+        Ok(self.host.arr_len(array))
     }
 
     /// Uniform non-negative random value.
@@ -118,6 +193,10 @@ impl<'a> NativeEnv<'a> {
 pub type NativeFn = Box<dyn FnMut(&mut NativeEnv<'_>) -> Result<Outcome, VmError> + 'static>;
 
 /// The two execution forms of an action function.
+// A program carries its envelope (a few hundred bytes of slot sets) inline:
+// an enclave holds a handful of functions and reads the program on every
+// packet, so the size is cheaper than a pointer chase would be.
+#[allow(clippy::large_enum_variant)]
 pub enum ActionImpl {
     /// Controller-compiled bytecode, run by the Eden interpreter.
     Interpreted(eden_vm::Program),
@@ -140,7 +219,6 @@ pub struct InstalledFunction {
     pub name: String,
     pub action: ActionImpl,
     pub schema: Schema,
-    pub effects: StateEffects,
     pub concurrency: Concurrency,
 }
 
@@ -150,15 +228,17 @@ impl InstalledFunction {
         InstalledFunction {
             name: name.to_string(),
             concurrency: compiled.concurrency,
-            effects: compiled.effects,
             schema: compiled.schema,
             action: ActionImpl::Interpreted(compiled.program),
         }
     }
 
-    /// Install bytecode received over the wire (controller shipping path).
+    /// Wrap bytecode received over the wire (controller shipping path).
     /// The blob is decoded and **re-verified**; `schema` and `concurrency`
-    /// travel as enclave configuration, exactly like table rules do.
+    /// travel as enclave configuration, exactly like table rules do — and
+    /// are believed no more than the bytecode is: installing the result
+    /// links the program against both, and refuses a function whose code
+    /// writes what its declared level says it does not.
     pub fn from_shipped(
         name: &str,
         bytecode: &[u8],
@@ -170,7 +250,6 @@ impl InstalledFunction {
             name: name.to_string(),
             action: ActionImpl::Interpreted(program),
             schema,
-            effects: StateEffects::default(),
             concurrency,
         })
     }
@@ -188,7 +267,6 @@ impl InstalledFunction {
             name: name.to_string(),
             action: ActionImpl::Native(f),
             schema,
-            effects: StateEffects::default(),
             concurrency,
         }
     }

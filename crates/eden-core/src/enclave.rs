@@ -42,9 +42,9 @@
 //! then fails open (forwarded unmodified) or closed (dropped) per
 //! [`EnclaveConfig::fail_open`] — and the rest of the system continues.
 
-use eden_lang::{Access, Concurrency, HeaderField, Schema, Scope};
+use eden_lang::{Access, Concurrency, Schema};
 use eden_repl::{merged_read, HostRepl, ReplSpec, SeqTarget};
-use eden_telemetry::{FlightDump, FlightRing, LogHistogram, Sampler, SpanSink};
+use eden_telemetry::{FlightDump, FlightKind, FlightRing, LogHistogram, Sampler, SpanSink};
 use eden_vm::{InterpreterPool, Limits};
 use netsim::{Packet, Time};
 use transport::{HookEnv, HookVerdict, PacketHook};
@@ -57,11 +57,14 @@ use crate::state::FunctionState;
 
 mod epoch;
 mod host;
+mod link;
 mod pipeline;
 mod tables;
 mod telemetry;
 
 use epoch::StagedEpoch;
+use link::Linked;
+pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
 use pipeline::{BatchScratch, FuncCounts, WalkResult};
 pub use tables::{FiveTupleMatch, MatchSpec, Rule, TableId};
 use tables::{MatchActionTable, TableCounts};
@@ -233,8 +236,9 @@ pub struct Enclave {
     func_digests: Vec<u64>,
     /// Per-function invocation counters, parallel to `functions`.
     func_counts: Vec<FuncCounts>,
-    /// Precomputed per-function packet-slot bindings: (header map, access).
-    pkt_bindings: Vec<Vec<(Option<HeaderField>, Access)>>,
+    /// Per-function packet-slot descriptors, resolved when the function
+    /// was linked: (where the slot lives, access).
+    pkt_bindings: Vec<Vec<(PktSlot, Access)>>,
     states: Vec<FunctionState>,
     /// Per-function replication runtime, parallel to `functions` — `None`
     /// for the common case of a schema that replicates nothing, keeping
@@ -350,22 +354,43 @@ impl Enclave {
         TableId(self.tables.len() - 1)
     }
 
-    /// Install `function`; returns its id for use in rules.
+    /// Install `function`; returns its id for use in rules. Panics with
+    /// the [`LinkError`] if the function cannot be linked — for a caller
+    /// whose functions come out of its own compiler. Anything that arrives
+    /// from outside goes through
+    /// [`try_install_function`](Self::try_install_function) or an epoch.
     pub fn install_function(&mut self, function: InstalledFunction) -> FuncId {
+        let name = function.name.clone();
+        self.try_install_function(function)
+            .unwrap_or_else(|e| panic!("function '{name}' does not link: {e}"))
+    }
+
+    /// Link `function` against this enclave's limits, its own schema and
+    /// its declared concurrency level, and install it if it links. A
+    /// refusal changes nothing and leaves an `install_refused` flight
+    /// event; the error says which check the function failed.
+    pub fn try_install_function(
+        &mut self,
+        function: InstalledFunction,
+    ) -> Result<FuncId, LinkError> {
+        match link::link(function, &self.config.limits) {
+            Ok(linked) => Ok(self.install_linked(linked)),
+            Err(e) => {
+                self.flight_record(FlightKind::InstallRefused, self.active_epoch, e.code());
+                Err(e)
+            }
+        }
+    }
+
+    fn install_linked(&mut self, linked: Linked) -> FuncId {
+        let Linked { function, pkt } = linked;
         let state = FunctionState::for_schema_sharded(
             &function.schema,
             self.config.max_messages_per_function,
             self.pool.lanes(),
         );
-        let bindings = function
-            .schema
-            .fields()
-            .iter()
-            .filter(|f| f.scope == Scope::Packet)
-            .map(|f| (f.header, f.access))
-            .collect::<Vec<_>>();
-        if bindings.len() > self.scratch.len() {
-            self.scratch.resize(bindings.len(), 0);
+        if pkt.len() > self.scratch.len() {
+            self.scratch.resize(pkt.len(), 0);
         }
         self.lane_safe &= matches!(function.action, ActionImpl::Interpreted(_))
             && function.concurrency != Concurrency::Serialized;
@@ -374,7 +399,7 @@ impl Enclave {
             let lens: Vec<usize> = state.arrays.iter().map(Vec::len).collect();
             HostRepl::new(spec, &lens)
         }));
-        self.pkt_bindings.push(bindings);
+        self.pkt_bindings.push(pkt);
         self.func_digests.push(epoch::function_digest(&function));
         self.functions.push(function);
         self.func_counts.push(FuncCounts::default());
@@ -446,6 +471,12 @@ impl Enclave {
         self.functions[func.0].concurrency
     }
 
+    /// What linking settled about `func`: its static envelope and what
+    /// each of its slots is bound to, by name.
+    pub fn link_info(&self, func: FuncId) -> LinkInfo {
+        LinkInfo::of(&self.functions[func.0])
+    }
+
     /// Drain packets punted to the controller, oldest first.
     pub fn take_punted(&mut self) -> Vec<Packet> {
         let mut out = Vec::with_capacity(self.punt_rx.len());
@@ -460,8 +491,8 @@ impl Enclave {
         self.punt_rx.len()
     }
 
-    /// Interpreter resource usage of the most recent interpreted run on
-    /// the caller's thread (for §5.4 footprint reporting).
+    /// Steps and static memory bound of the most recent interpreted run
+    /// on the caller's thread (for §5.4 footprint reporting).
     pub fn last_usage(&self) -> eden_vm::Usage {
         self.pool.lane(0).usage()
     }
@@ -609,8 +640,7 @@ pub fn native_function(
 mod tests {
     use super::*;
     use crate::ops::{ApplyError, EnclaveOp};
-    use eden_lang::{compile, ReplMode};
-    use eden_telemetry::FlightKind;
+    use eden_lang::{compile, HeaderField, ReplMode};
     use eden_vm::Outcome;
     use netsim::SimRng;
 

@@ -4,6 +4,7 @@
 use eden_lang::{Concurrency, Scope};
 use eden_telemetry::FlightKind;
 
+use super::link::{self, Linked};
 use super::tables::{mix, mix_bytes, MatchActionTable, TableCounts, TableId};
 use super::Enclave;
 use crate::action::{ActionImpl, FuncId, InstalledFunction};
@@ -11,13 +12,13 @@ use crate::ops::{ApplyError, EnclaveOp};
 
 /// A fully validated epoch awaiting commit: every op checked against the
 /// shape the configuration will have at that point in the sequence, and
-/// every shipped program already decoded and re-verified — so commit
-/// itself is infallible and atomic between packets.
+/// every shipped program already decoded, re-verified and linked — so
+/// commit itself is infallible and atomic between packets.
 pub(super) struct StagedEpoch {
     pub(super) epoch: u64,
     ops: Vec<EnclaveOp>,
-    /// The `InstallFunction` ops' programs, decoded, in op order.
-    funcs: Vec<InstalledFunction>,
+    /// The `InstallFunction` ops' functions, linked, in op order.
+    funcs: Vec<Linked>,
     /// Rules each table holds once the epoch has applied: what commit
     /// reserves before the first `InstallRule` lands.
     final_rules: Vec<usize>,
@@ -45,8 +46,8 @@ impl Enclave {
     /// Phase one of a two-phase update: validate `ops` as a unit and hold
     /// them ready. Nothing the data path observes changes. Every op is
     /// checked against the configuration shape it will meet at its point
-    /// in the sequence, and every shipped program is decoded and
-    /// re-verified — any error rejects the whole epoch and leaves prior
+    /// in the sequence, and every shipped program is decoded, re-verified
+    /// and linked — any error rejects the whole epoch and leaves prior
     /// staged state untouched only if the epoch differs; restaging the
     /// same or a newer epoch replaces the previous staging (controller
     /// retries are idempotent).
@@ -58,7 +59,17 @@ impl Enclave {
     /// its ops (the agent has just decoded them off the wire): they are
     /// held as they are until commit, not copied.
     pub fn stage_epoch_owned(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError> {
-        let (funcs, shape) = self.validate_ops(&ops)?;
+        let (funcs, shape) = match self.validate_ops(&ops) {
+            Ok(valid) => valid,
+            Err(e) => {
+                // why did this epoch not commit? — answerable from the
+                // black box too, not only from the nack
+                if let ApplyError::Unlinkable { error, .. } = &e {
+                    self.flight_record(FlightKind::InstallRefused, epoch, error.code());
+                }
+                return Err(e);
+            }
+        };
         self.staged = Some(StagedEpoch {
             epoch,
             ops,
@@ -223,13 +234,10 @@ impl Enclave {
         }
     }
 
-    /// Check `ops` against the evolving configuration shape and decode
-    /// shipped programs; all-or-nothing. Returns the decoded programs in
-    /// op order and the shape the configuration ends in.
-    fn validate_ops(
-        &self,
-        ops: &[EnclaveOp],
-    ) -> Result<(Vec<InstalledFunction>, ConfigShape), ApplyError> {
+    /// Check `ops` against the evolving configuration shape, and decode
+    /// and link shipped programs; all-or-nothing. Returns the linked
+    /// functions in op order and the shape the configuration ends in.
+    fn validate_ops(&self, ops: &[EnclaveOp]) -> Result<(Vec<Linked>, ConfigShape), ApplyError> {
         let mut shape = self.shape();
         let mut decoded = Vec::new();
         for (i, op) in ops.iter().enumerate() {
@@ -263,10 +271,12 @@ impl Enclave {
                         op: i,
                         reason: format!("{e:?}"),
                     })?;
+                    let linked = link::link(f, &self.config.limits)
+                        .map_err(|error| ApplyError::Unlinkable { op: i, error })?;
                     shape
                         .funcs
                         .push((schema.scope_len(Scope::Global), schema.arrays().len()));
-                    decoded.push(f);
+                    decoded.push(linked);
                 }
                 EnclaveOp::InstallRule { table, func, .. } => {
                     let n = shape
@@ -308,13 +318,13 @@ impl Enclave {
         Ok((decoded, shape))
     }
 
-    /// Apply one validated op; an `InstallFunction` takes its decoded
-    /// program from `funcs`. Infallible by construction: validation
+    /// Apply one validated op; an `InstallFunction` takes its linked
+    /// function from `funcs`. Infallible by construction: validation
     /// checked every index against the shape this op meets.
     fn apply_valid(
         &mut self,
         op: EnclaveOp,
-        funcs: &mut impl Iterator<Item = InstalledFunction>,
+        funcs: &mut impl Iterator<Item = Linked>,
         final_rules: &[usize],
     ) {
         match op {
@@ -324,7 +334,7 @@ impl Enclave {
             }
             EnclaveOp::ClearTable { table } => self.clear_table(TableId(table)),
             EnclaveOp::InstallFunction { .. } => {
-                self.install_function(funcs.next().expect("decoded at validation"));
+                self.install_linked(funcs.next().expect("linked at validation"));
             }
             EnclaveOp::InstallRule { table, spec, func } => {
                 // room for every rule the epoch leaves here, made once: a

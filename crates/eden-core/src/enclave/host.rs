@@ -1,11 +1,12 @@
 //! The per-invocation state view an action function runs against:
 //! [`InvocationHost`] and the global / replica views it is built from.
 
-use eden_lang::{Access, Concurrency, HeaderField, ReplMode};
+use eden_lang::{Access, ReplMode};
 use eden_repl::{merged_read, merged_store, HostRepl, ReplSpec};
-use eden_vm::{Effect, Host, VmError};
+use eden_vm::{Effect, Host, StateUse, VmError};
 use netsim::{Packet, PacketRng, Time};
 
+use super::link::PktSlot;
 use super::FlowDirection;
 
 /// Shared read-only replica view for a worker lane: the spec plus the
@@ -120,31 +121,41 @@ pub(super) enum GlobalView<'a> {
 }
 
 impl GlobalView<'_> {
-    fn global(&self, slot: usize) -> Option<i64> {
+    pub(super) fn global(&self) -> &[i64] {
         match self {
-            GlobalView::Excl { global, .. } => global.get(slot).copied(),
-            GlobalView::Shared { global, .. } => global.get(slot).copied(),
+            GlobalView::Excl { global, .. } => global,
+            GlobalView::Shared { global, .. } => global,
         }
     }
 
-    fn array(&self, array: usize) -> Option<&[i64]> {
+    pub(super) fn arrays(&self) -> &[Vec<i64>] {
         match self {
-            GlobalView::Excl { arrays, .. } => arrays.get(array).map(|a| a.as_slice()),
-            GlobalView::Shared { arrays, .. } => arrays.get(array).map(|a| a.as_slice()),
+            GlobalView::Excl { arrays, .. } => arrays,
+            GlobalView::Shared { arrays, .. } => arrays,
         }
     }
 }
 
+/// A store to the globals from a worker lane. Linking refuses an
+/// interpreted function that stores globals unless it is declared
+/// `Serialized`, a `Serialized` function keeps every batch on the
+/// caller's thread, and native closures never run on a lane.
+const LANE_STORE: &str = "linked: a function that stores globals never runs on a lane";
+
 /// The per-invocation state view the VM (or a native function) runs
 /// against. Mapped packet slots read/write real header fields through the
-/// HeaderMap; unmapped slots use packet-lifetime scratch. The function's
-/// derived concurrency level (§3.4.4) is enforced here: a `Parallel`
-/// (read-only) function may not write message or global state, a
-/// `PerMessage` function may not write global state — violations trap like
-/// any other fault, on the serial path and on lanes alike.
+/// descriptors linking resolved; unmapped slots use packet-lifetime
+/// scratch.
+///
+/// The accessors check nothing per access. An interpreted function was
+/// linked at install: every slot its program touches is in its schema,
+/// it stores to no read-only field, and its stores fit its concurrency
+/// level (§3.4.4) — so the view can hand out slots by index. A native
+/// function reaches the same view only through
+/// [`NativeEnv`](crate::NativeEnv), which makes those checks per access.
 pub(super) struct InvocationHost<'a> {
     pub(super) packet: &'a mut Packet,
-    pub(super) bindings: &'a [(Option<HeaderField>, Access)],
+    pub(super) bindings: &'a [(PktSlot, Access)],
     pub(super) scratch: &'a mut [i64],
     pub(super) msg: &'a mut [i64],
     pub(super) state: GlobalView<'a>,
@@ -155,123 +166,63 @@ pub(super) struct InvocationHost<'a> {
     pub(super) queue: Option<(i64, i64)>,
     /// Mapped header fields written during this invocation (telemetry).
     pub(super) header_modifies: u64,
-    pub(super) concurrency: Concurrency,
 }
 
 impl Host for InvocationHost<'_> {
-    fn load_pkt(&mut self, slot: u8) -> Result<i64, VmError> {
-        match self.bindings.get(slot as usize) {
-            Some((Some(HeaderField::Direction), _)) => Ok(match self.direction {
+    /// Nothing to ask: the function was linked against this view's schema
+    /// when it was installed.
+    fn admit(&self, _needs: &StateUse) -> Result<(), VmError> {
+        Ok(())
+    }
+
+    fn load_pkt(&mut self, slot: u8) -> i64 {
+        match self.bindings[slot as usize].0 {
+            PktSlot::Header(field) => crate::headermap::read_header_field(self.packet, field),
+            PktSlot::Scratch => self.scratch[slot as usize],
+            PktSlot::Direction => match self.direction {
                 FlowDirection::Egress => 0,
                 FlowDirection::Ingress => 1,
-            }),
-            Some((Some(field), _)) => Ok(crate::headermap::read_header_field(self.packet, *field)),
-            Some((None, _)) => Ok(self.scratch[slot as usize]),
-            None => Err(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Packet,
-                slot,
-            }),
-        }
-    }
-
-    fn store_pkt(&mut self, slot: u8, value: i64) -> Result<(), VmError> {
-        match self.bindings.get(slot as usize) {
-            Some((_, Access::ReadOnly)) => Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Packet,
-                slot,
-            }),
-            Some((Some(field), _)) => {
-                crate::headermap::write_header_field(self.packet, *field, value);
-                self.header_modifies += 1;
-                Ok(())
-            }
-            Some((None, _)) => {
-                self.scratch[slot as usize] = value;
-                Ok(())
-            }
-            None => Err(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Packet,
-                slot,
-            }),
-        }
-    }
-
-    fn load_msg(&mut self, slot: u8) -> Result<i64, VmError> {
-        self.msg
-            .get(slot as usize)
-            .copied()
-            .ok_or(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Message,
-                slot,
-            })
-    }
-
-    fn store_msg(&mut self, slot: u8, value: i64) -> Result<(), VmError> {
-        if self.concurrency == Concurrency::Parallel {
-            // a read-only function writing message state would invalidate
-            // its derived concurrency level — trap instead of racing
-            return Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Message,
-                slot,
-            });
-        }
-        match self.msg.get_mut(slot as usize) {
-            Some(s) => {
-                *s = value;
-                Ok(())
-            }
-            None => Err(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Message,
-                slot,
-            }),
-        }
-    }
-
-    fn load_glob(&mut self, slot: u8) -> Result<i64, VmError> {
-        let local = self
-            .state
-            .global(slot as usize)
-            .ok_or(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            })?;
-        Ok(self.repl.read_global(slot as usize, local))
-    }
-
-    fn store_glob(&mut self, slot: u8, value: i64) -> Result<(), VmError> {
-        if self.concurrency != Concurrency::Serialized {
-            return Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            });
-        }
-        match &mut self.state {
-            GlobalView::Excl { global, .. } => match global.get_mut(slot as usize) {
-                Some(s) => {
-                    if let Some(v) = self.repl.store_global(slot as usize, value) {
-                        *s = v;
-                    }
-                    Ok(())
-                }
-                None => Err(VmError::BadStateSlot {
-                    scope: eden_vm::StateScope::Global,
-                    slot,
-                }),
             },
-            // unreachable in practice: Serialized functions never run on a
-            // lane, but fail safe rather than assume
-            GlobalView::Shared { .. } => Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            }),
+        }
+    }
+
+    fn store_pkt(&mut self, slot: u8, value: i64) {
+        match self.bindings[slot as usize].0 {
+            PktSlot::Header(field) => {
+                crate::headermap::write_header_field(self.packet, field, value);
+                self.header_modifies += 1;
+            }
+            PktSlot::Scratch => self.scratch[slot as usize] = value,
+            // the runtime pseudo-field: not packet data, counted as a
+            // header write like any mapped slot
+            PktSlot::Direction => self.header_modifies += 1,
+        }
+    }
+
+    fn load_msg(&mut self, slot: u8) -> i64 {
+        self.msg[slot as usize]
+    }
+
+    fn store_msg(&mut self, slot: u8, value: i64) {
+        self.msg[slot as usize] = value;
+    }
+
+    fn load_glob(&mut self, slot: u8) -> i64 {
+        let local = self.state.global()[slot as usize];
+        self.repl.read_global(slot as usize, local)
+    }
+
+    fn store_glob(&mut self, slot: u8, value: i64) {
+        let GlobalView::Excl { global, .. } = &mut self.state else {
+            unreachable!("{LANE_STORE}");
+        };
+        if let Some(v) = self.repl.store_global(slot as usize, value) {
+            global[slot as usize] = v;
         }
     }
 
     fn arr_load(&mut self, array: u8, index: i64) -> Result<i64, VmError> {
-        let arr = self
-            .state
-            .array(array as usize)
-            .ok_or(VmError::BadArrayAccess { array, index })?;
+        let arr = &self.state.arrays()[array as usize];
         let i = usize::try_from(index)
             .ok()
             .filter(|&i| i < arr.len())
@@ -280,38 +231,22 @@ impl Host for InvocationHost<'_> {
     }
 
     fn arr_store(&mut self, array: u8, index: i64, value: i64) -> Result<(), VmError> {
-        if self.concurrency != Concurrency::Serialized {
-            return Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot: array,
-            });
+        let GlobalView::Excl { arrays, .. } = &mut self.state else {
+            unreachable!("{LANE_STORE}");
+        };
+        let arr = &mut arrays[array as usize];
+        let i = usize::try_from(index)
+            .ok()
+            .filter(|&i| i < arr.len())
+            .ok_or(VmError::BadArrayAccess { array, index })?;
+        if let Some(v) = self.repl.store_array(array as usize, i, value) {
+            arr[i] = v;
         }
-        match &mut self.state {
-            GlobalView::Excl { arrays, .. } => {
-                let arr = arrays
-                    .get_mut(array as usize)
-                    .ok_or(VmError::BadArrayAccess { array, index })?;
-                let i = usize::try_from(index)
-                    .ok()
-                    .filter(|&i| i < arr.len())
-                    .ok_or(VmError::BadArrayAccess { array, index })?;
-                if let Some(v) = self.repl.store_array(array as usize, i, value) {
-                    arr[i] = v;
-                }
-                Ok(())
-            }
-            GlobalView::Shared { .. } => Err(VmError::ReadOnlyViolation {
-                scope: eden_vm::StateScope::Global,
-                slot: array,
-            }),
-        }
+        Ok(())
     }
 
-    fn arr_len(&mut self, array: u8) -> Result<i64, VmError> {
-        self.state
-            .array(array as usize)
-            .map(|a| a.len() as i64)
-            .ok_or(VmError::BadArrayAccess { array, index: -1 })
+    fn arr_len(&mut self, array: u8) -> i64 {
+        self.state.arrays()[array as usize].len() as i64
     }
 
     fn rand64(&mut self) -> i64 {

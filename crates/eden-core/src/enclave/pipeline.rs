@@ -1,7 +1,7 @@
 //! The data path: classify → match → execute for one packet on the
 //! caller's thread, and the lane fan-out for eligible batches.
 
-use eden_lang::{Access, Concurrency, HeaderField};
+use eden_lang::Access;
 use eden_repl::HostRepl;
 use eden_telemetry::{FlightEvent, FlightKind, FlightRing, TraceContext};
 use eden_vm::{Interpreter, Outcome, Program, VmError};
@@ -10,9 +10,10 @@ use netsim::{Packet, PacketRng, SimRng, Time};
 use transport::HookVerdict;
 
 use super::host::{GlobalView, InvocationHost, ReplRef, ReplShared};
+use super::link::PktSlot;
 use super::tables::{lookup, FiveTupleMatch, Lookup, MatchActionTable, TableCounts};
 use super::{Enclave, EnclaveStats, FlowDirection, STAGE_CLASSIFY, STAGE_EXECUTE, STAGE_MATCH};
-use crate::action::{ActionImpl, InstalledFunction, NativeEnv, NativeFn};
+use crate::action::{ActionImpl, InstalledFunction, NativeEnv, NativeFn, NativeView};
 use crate::class::ClassId;
 use crate::state::{FunctionState, MsgShard};
 
@@ -296,7 +297,6 @@ impl Enclave {
             for (lane, shard) in shards.into_iter().enumerate() {
                 lane_funcs[lane].push(LaneFn {
                     program,
-                    concurrency: f.concurrency,
                     shard,
                     global,
                     arrays,
@@ -544,7 +544,6 @@ impl FuncCounts {
 /// lane's message shard, and the globals every lane shares read-only.
 struct LaneFn<'a> {
     program: &'a Program,
-    concurrency: Concurrency,
     shard: &'a mut MsgShard,
     global: &'a [i64],
     arrays: &'a [Vec<i64>],
@@ -573,10 +572,11 @@ enum Funcs<'w, 'f> {
     },
 }
 
-/// The code one invocation runs.
+/// The code one invocation runs. A native closure comes with its
+/// declared concurrency level, which only [`NativeEnv`] enforces.
 enum ActionRef<'a> {
     Interpreted(&'a Program),
-    Native(&'a mut NativeFn),
+    Native(&'a mut NativeFn, eden_lang::Concurrency),
 }
 
 /// Everything one thread takes packets through match + execute with: the
@@ -589,7 +589,7 @@ enum ActionRef<'a> {
 /// change.
 struct Walker<'w, 'f> {
     tables: &'w [MatchActionTable],
-    bindings: &'w [Vec<(Option<HeaderField>, Access)>],
+    bindings: &'w [Vec<(PktSlot, Access)>],
     funcs: Funcs<'w, 'f>,
     table_counts: &'w mut [TableCounts],
     func_counts: &'w mut [FuncCounts],
@@ -669,7 +669,7 @@ impl Walker<'_, '_> {
         rng: &mut PacketRng,
         timed: bool,
     ) -> InvokeOut {
-        let (action, concurrency, msg, state, repl) = match &mut self.funcs {
+        let (action, msg, state, repl) = match &mut self.funcs {
             Funcs::Owner {
                 functions,
                 states,
@@ -678,7 +678,7 @@ impl Walker<'_, '_> {
                 let f = &mut functions[fid];
                 let action = match &mut f.action {
                     ActionImpl::Interpreted(program) => ActionRef::Interpreted(program),
-                    ActionImpl::Native(native) => ActionRef::Native(native),
+                    ActionImpl::Native(native) => ActionRef::Native(native, f.concurrency),
                 };
                 let (msg, global, arrays) = states[fid].split_for(msg_id);
                 let repl = match repl[fid].as_mut() {
@@ -686,7 +686,7 @@ impl Walker<'_, '_> {
                     None => ReplRef::Off,
                 };
                 let state = GlobalView::Excl { global, arrays };
-                (action, f.concurrency, msg, state, repl)
+                (action, msg, state, repl)
             }
             Funcs::Lane { funcs, created } => {
                 let f = &mut funcs[fid];
@@ -703,7 +703,7 @@ impl Walker<'_, '_> {
                     arrays: f.arrays,
                 };
                 let action = ActionRef::Interpreted(f.program);
-                (action, f.concurrency, msg, state, repl)
+                (action, msg, state, repl)
             }
         };
         let mut host = InvocationHost {
@@ -718,13 +718,21 @@ impl Walker<'_, '_> {
             direction: self.direction,
             queue: None,
             header_modifies: 0,
-            concurrency,
         };
-        let native = matches!(action, ActionRef::Native(_));
+        let native = matches!(action, ActionRef::Native(..));
         let t = timed.then(std::time::Instant::now);
         let result = match action {
             ActionRef::Interpreted(program) => self.interp.run(program, &mut host),
-            ActionRef::Native(f) => f(&mut NativeEnv::new(&mut host)),
+            ActionRef::Native(f, concurrency) => {
+                let view = NativeView {
+                    pkt: host.bindings,
+                    msg_slots: host.msg.len(),
+                    global_slots: host.state.global().len(),
+                    arrays: host.state.arrays().len(),
+                    concurrency,
+                };
+                f(&mut NativeEnv::new(&mut host, view))
+            }
         };
         let out = InvokeOut {
             result,
@@ -918,7 +926,7 @@ struct LaneTask<'a, 'p> {
     firsts: &'a [Lookup],
     slab: &'a PacketSlab<'p>,
     tables: &'a [MatchActionTable],
-    bindings: &'a [Vec<(Option<HeaderField>, Access)>],
+    bindings: &'a [Vec<(PktSlot, Access)>],
     funcs: Vec<LaneFn<'a>>,
     interp: &'a mut Interpreter,
     ring: &'a mut FlightRing,

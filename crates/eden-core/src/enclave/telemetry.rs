@@ -142,10 +142,19 @@ impl Enclave {
         out
     }
 
-    /// Enable or disable the interpreter pool's per-opcode histogram (off
-    /// by default; see [`eden_vm::Interpreter::set_opcode_profiling`]).
+    /// Enable or disable the interpreter pool's profiling: the per-opcode
+    /// histogram and the dynamic high-water marks (off by default; see
+    /// [`eden_vm::Interpreter::set_opcode_profiling`]).
     pub fn set_opcode_profiling(&mut self, enabled: bool) {
         self.pool.set_opcode_profiling(enabled);
+    }
+
+    /// Stack, heap and call depth the most recent interpreted run on the
+    /// caller's thread actually reached; `None` unless profiling is on.
+    /// [`last_usage`](Self::last_usage) has the static bound they stay
+    /// under.
+    pub fn observed_peaks(&self) -> Option<eden_vm::Bound> {
+        self.pool.lane(0).observed_peaks()
     }
 
     // ------------------------------------------------------------------

@@ -43,7 +43,7 @@ pub use controller::{Controller, PathSpec};
 pub use eden_telemetry::{StatsSnapshot, Telemetry};
 pub use enclave::{
     native_function, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
-    MatchSpec, Rule, TableId,
+    LinkError, LinkInfo, MatchSpec, PktSlot, Rule, SlotLink, SlotTarget, TableId,
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;

@@ -4,14 +4,15 @@
 //! `eden-ctrl` carries that API over the wire as a sequence of
 //! [`EnclaveOp`]s grouped into an *epoch*. An epoch is staged as a whole
 //! ([`Enclave::stage_epoch`](crate::Enclave::stage_epoch)) — every op
-//! validated and every shipped program decoded and re-verified up front —
+//! validated and every shipped program decoded, re-verified and linked up
+//! front —
 //! and later committed atomically between packets
 //! ([`Enclave::commit_epoch`](crate::Enclave::commit_epoch)), so the data
 //! path never observes a rule table mixing configuration from two epochs.
 
 use eden_lang::{Concurrency, Schema};
 
-use crate::enclave::MatchSpec;
+use crate::enclave::{LinkError, MatchSpec};
 
 /// One enclave configuration operation, as carried by the control plane.
 ///
@@ -75,6 +76,10 @@ pub enum ApplyError {
     NoSuchArray { op: usize, array: usize },
     /// Shipped bytecode failed to decode or re-verify.
     BadBytecode { op: usize, reason: String },
+    /// A shipped function verified but does not link: over the enclave's
+    /// limits, outside its own schema, storing to read-only state, or
+    /// declared at a weaker concurrency level than its code writes.
+    Unlinkable { op: usize, error: LinkError },
     /// A delta epoch was anchored against a config digest this enclave
     /// does not currently have — the sender's picture of our config is
     /// stale, so applying the diff would corrupt it. The remedy is a
@@ -100,6 +105,9 @@ impl std::fmt::Display for ApplyError {
             }
             ApplyError::BadBytecode { op, reason } => {
                 write!(f, "op {op}: bad bytecode: {reason}")
+            }
+            ApplyError::Unlinkable { op, error } => {
+                write!(f, "op {op}: function does not link: {error}")
             }
             ApplyError::DigestMismatch { have, want } => {
                 write!(f, "digest mismatch: have {have:#018x} want {want:#018x}")

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use eden_apps::functions;
 use eden_lang::{compile, Concurrency};
-use eden_vm::{Host, Interpreter, Limits, VecHost, VmError};
+use eden_vm::{Host, Interpreter, Limits, StateUse, VecHost, VmError};
 
 /// A host whose global scalars live behind a shared lock (the enclave's
 /// authoritative copy), while packet/message state is invocation-local.
@@ -26,45 +26,47 @@ struct SharedGlobalHost {
     global: Arc<Mutex<Vec<i64>>>,
 }
 
-impl Host for SharedGlobalHost {
-    fn load_pkt(&mut self, s: u8) -> Result<i64, VmError> {
-        self.local.load_pkt(s)
-    }
-    fn store_pkt(&mut self, s: u8, v: i64) -> Result<(), VmError> {
-        self.local.store_pkt(s, v)
-    }
-    fn load_msg(&mut self, s: u8) -> Result<i64, VmError> {
-        self.local.load_msg(s)
-    }
-    fn store_msg(&mut self, s: u8, v: i64) -> Result<(), VmError> {
-        self.local.store_msg(s, v)
-    }
-    fn load_glob(&mut self, slot: u8) -> Result<i64, VmError> {
+impl SharedGlobalHost {
+    fn globals(&self) -> std::sync::MutexGuard<'_, Vec<i64>> {
         self.global
             .lock()
             .expect("no invocation panics while holding the lock")
-            .get(slot as usize)
-            .copied()
-            .ok_or(VmError::BadStateSlot {
-                scope: eden_vm::StateScope::Global,
-                slot,
-            })
     }
-    fn store_glob(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        let mut global = self
-            .global
-            .lock()
-            .expect("no invocation panics while holding the lock");
-        match global.get_mut(slot as usize) {
-            Some(g) => {
-                *g = v;
-                Ok(())
-            }
-            None => Err(VmError::BadStateSlot {
+}
+
+impl Host for SharedGlobalHost {
+    /// The shared copy answers for the global slots, the local host for
+    /// everything else.
+    fn admit(&self, needs: &StateUse) -> Result<(), VmError> {
+        let have = self.globals().len();
+        if needs.global.slots() > have {
+            return Err(VmError::BadStateSlot {
                 scope: eden_vm::StateScope::Global,
-                slot,
-            }),
+                slot: (needs.global.slots() - 1) as u8,
+            });
         }
+        self.local.admit(&StateUse {
+            global: Default::default(),
+            ..*needs
+        })
+    }
+    fn load_pkt(&mut self, s: u8) -> i64 {
+        self.local.load_pkt(s)
+    }
+    fn store_pkt(&mut self, s: u8, v: i64) {
+        self.local.store_pkt(s, v)
+    }
+    fn load_msg(&mut self, s: u8) -> i64 {
+        self.local.load_msg(s)
+    }
+    fn store_msg(&mut self, s: u8, v: i64) {
+        self.local.store_msg(s, v)
+    }
+    fn load_glob(&mut self, slot: u8) -> i64 {
+        self.globals()[slot as usize]
+    }
+    fn store_glob(&mut self, slot: u8, v: i64) {
+        self.globals()[slot as usize] = v;
     }
     fn arr_load(&mut self, a: u8, i: i64) -> Result<i64, VmError> {
         self.local.arr_load(a, i)
@@ -72,7 +74,7 @@ impl Host for SharedGlobalHost {
     fn arr_store(&mut self, a: u8, i: i64, v: i64) -> Result<(), VmError> {
         self.local.arr_store(a, i, v)
     }
-    fn arr_len(&mut self, a: u8) -> Result<i64, VmError> {
+    fn arr_len(&mut self, a: u8) -> i64 {
         self.local.arr_len(a)
     }
     fn rand64(&mut self) -> i64 {

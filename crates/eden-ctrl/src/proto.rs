@@ -2294,6 +2294,74 @@ mod tests {
         assert_eq!(decode_msg(&w.0), Err(ProtoError::BadSchema));
     }
 
+    // A frame no honest controller sends: bytecode that stores message
+    // state (`mstore 0`), shipped under a `Parallel` declaration. Nothing
+    // about it is malformed, so it decodes; the agent's enclave links the
+    // function against its declaration while staging, nacks the epoch with
+    // the reason, and keeps serving what it served.
+    #[test]
+    fn crafted_parallel_function_with_mstore_is_nacked_at_prepare() {
+        use crate::agent::EnclaveAgent;
+        use eden_core::{Enclave, EnclaveConfig};
+
+        let honest = eden_core::Controller::new()
+            .plan_function(
+                "quiet-writer",
+                "fun (packet, msg, _global) -> msg.Seen <- 1",
+                &Schema::new().msg_field("Seen", Access::ReadWrite),
+            )
+            .expect("compiles");
+        let EnclaveOp::InstallFunction {
+            bytecode,
+            concurrency: Concurrency::PerMessage,
+            ..
+        } = honest
+        else {
+            panic!("a message writer compiles to a PerMessage function");
+        };
+        let mut w = Writer::default();
+        w.u8(1); // Prepare
+        w.u64(1); // epoch
+        w.u16(3); // three ops
+        w.u8(0); // Reset
+        w.u8(3); // InstallFunction
+        w.str("quiet-writer");
+        w.bytes(&bytecode);
+        w.u16(1); // one field
+        w.str("Seen");
+        w.u8(1); // scope: message
+        w.u8(1); // access: read-write
+        w.u8(0); // no header, not replicated
+        w.u16(0); // no arrays
+        w.u8(0); // concurrency: parallel — the lie
+        w.u8(4); // InstallRule
+        w.u32(0); // table 0
+        w.u8(0); // MatchSpec::Any
+        w.u32(0); // func 0
+        let msg = decode_msg(&w.0).expect("well-formed frame");
+        assert!(matches!(&msg, CtrlMsg::Prepare { epoch: 1, ops } if ops.len() == 3));
+
+        let mut agent = EnclaveAgent::new(Enclave::new(EnclaveConfig::default()));
+        let digest = agent.enclave().config_digest();
+        match agent.handle(1, msg) {
+            CtrlReply::Nack { re, epoch, reason } => {
+                assert_eq!((re, epoch), (1, 1));
+                assert!(
+                    reason.contains("op 1") && reason.contains("declared parallel"),
+                    "nack names the op and the check: {reason}"
+                );
+            }
+            other => panic!("expected a nack, got {other:?}"),
+        }
+        let e = agent.enclave();
+        assert_eq!(e.staged_epoch(), None);
+        assert_eq!((e.active_epoch(), e.config_digest()), (0, digest));
+        assert!(matches!(
+            agent.handle(2, CtrlMsg::Commit { epoch: 1 }),
+            CtrlReply::Nack { re: 2, .. }
+        ));
+    }
+
     // A schema frame from the pre-replication encoder: the field's third
     // byte is exactly 0/1 (header absent/present) and the array's trailing
     // byte is exactly the access mode. Both parse unchanged as flag bytes

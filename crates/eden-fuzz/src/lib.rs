@@ -13,11 +13,14 @@
 //! * **exec-diff** — every catalogue function's interpreted and native
 //!   forms must agree packet for packet (and the batched path must agree
 //!   with the serial path — the PR 2 equivalence, re-checked from random
-//!   streams here).
+//!   streams here), and no interpreted run may reach past the static
+//!   envelope the function was installed on.
 //! * **verifier** — any program accepted by `eden_vm::verify` must never
 //!   trap with a verifier-class error (underflow, bad jump/local/function,
-//!   top-level ret) at runtime; rejected programs are tallied per pinned
-//!   [`eden_vm::VerifyError`] variant.
+//!   top-level ret) at runtime, and one the interpreter admits must never
+//!   trap on stack, heap, call depth or a state slot, nor leave its
+//!   envelope; rejected programs are tallied per pinned
+//!   [`eden_vm::VerifyError`] variant, refused ones as such.
 //! * **codec** — mutated `eden-vm` wire bytes and `eden-ctrl` proto
 //!   frames must round-trip or return an error: never panic, never
 //!   over-allocate past the reassembler bound.

@@ -5,11 +5,15 @@
 //! machine-independent IR passes (`optimize: true, fuse: false`), and with
 //! codec-v2 superinstruction fusion on top (`optimize: true, fuse: true`).
 //! All builds must agree on the verdict, every header/state word, every
-//! recorded effect, the clock, and the host RNG stream. Resource-limit
-//! traps (fuel, operand stack, call depth, heap) are the one place the
-//! optimizer is *allowed* to change behaviour — a folded expression
-//! legitimately needs less stack and fewer steps — so a case where any
-//! build hits one is skipped, not flagged.
+//! recorded effect, the clock, and the host RNG stream. Resources are the
+//! one place the optimizer is *allowed* to change behaviour — a folded
+//! expression legitimately needs less stack and fewer steps. Memory is
+//! settled before a program starts: a case where any build's static
+//! envelope is over the limits (non-tail recursion, mostly) is counted as
+//! refused at admission and not run. Steps are not: a case where any
+//! build runs out of fuel is counted and skipped. What is left has no
+//! excuse — an admitted build that traps on stack, heap or call depth, or
+//! reaches past its envelope, is a finding like any divergence.
 
 use crate::gen_source::{body_lines, gen_case, render, SchemaDesc, SourceCase};
 use crate::minimize::ddmin;
@@ -19,7 +23,7 @@ use eden_lang::{compile_with_options, CompileOptions, Schema};
 use eden_vm::{Host, Interpreter, Limits, Outcome, VecHost, VmError};
 
 /// Generous but bounded: catalogues-scale programs need hundreds of
-/// steps; only genuinely runaway recursion burns this.
+/// steps; only genuinely runaway loops burn this.
 const FUEL: u64 = 200_000;
 const MINIMIZE_BUDGET: usize = 400;
 
@@ -101,37 +105,51 @@ struct Observed {
     result: Result<Outcome, VmError>,
     host: VecHost,
     post_rng: i64,
+    /// How far past its static envelope the run reached, if it did.
+    overran: Option<String>,
 }
 
-fn execute(program: &eden_vm::Program, spec: &HostSpec) -> Observed {
+/// Run one build, or `None` if it is refused at admission.
+fn execute(program: &eden_vm::Program, spec: &HostSpec) -> Option<Observed> {
     let mut host = build_host(spec);
-    let mut interp = Interpreter::new(Limits {
+    let limits = Limits {
         fuel: Some(FUEL),
         ..Limits::default()
-    });
+    };
+    let envelope = program.envelope();
+    let bound = envelope.fits(&limits).ok()?;
+    host.admit(&envelope.state).ok()?;
+    let mut interp = Interpreter::new(limits);
+    interp.set_opcode_profiling(true);
     let result = interp.run(program, &mut host);
+    let seen = interp.observed_peaks().expect("profiling is on");
+    let overran =
+        (seen.stack > bound.stack || seen.heap > bound.heap || seen.call_depth > bound.call_depth)
+            .then(|| format!("reached {seen:?} past its envelope {bound:?}"));
     let post_rng = host.rand64();
-    Observed {
+    Some(Observed {
         result,
         host,
         post_rng,
-    }
+        overran,
+    })
 }
 
-fn is_resource_trap(r: &Result<Outcome, VmError>) -> bool {
+/// A trap admission exists to rule out.
+fn is_memory_trap(r: &Result<Outcome, VmError>) -> bool {
     matches!(
         r,
-        Err(VmError::OutOfFuel
-            | VmError::StackOverflow
-            | VmError::CallDepthExceeded
-            | VmError::HeapOverflow)
+        Err(VmError::StackOverflow | VmError::CallDepthExceeded | VmError::HeapOverflow)
     )
 }
 
 /// What one case did, for the report's tallies.
 enum CaseResult {
     Agree(&'static str),
-    ResourceSkip,
+    /// Some build's envelope is over the limits: nothing was run.
+    RefusedAtAdmission,
+    /// Some build ran out of steps; how far each got is its own business.
+    OutOfFuel,
     CompileError,
     Diverged(String),
     /// Not every build compiled — itself a differential failure.
@@ -221,12 +239,29 @@ fn check(source: &str, schema: &Schema, spec: &HostSpec) -> CaseResult {
             "build '{name}' fails to compile while {ok:?} succeed: {e}"
         ));
     }
-    let observed: Vec<(&str, Observed)> = builds
+    let observed: Option<Vec<(&str, Observed)>> = builds
         .into_iter()
-        .map(|(name, b)| (name, execute(&b.expect("checked above").program, spec)))
+        .map(|(name, b)| Some((name, execute(&b.expect("checked above").program, spec)?)))
         .collect();
-    if observed.iter().any(|(_, o)| is_resource_trap(&o.result)) {
-        return CaseResult::ResourceSkip;
+    let Some(observed) = observed else {
+        return CaseResult::RefusedAtAdmission;
+    };
+    for (name, o) in &observed {
+        if is_memory_trap(&o.result) {
+            return CaseResult::Diverged(format!(
+                "build '{name}' was admitted and then trapped: {:?}",
+                o.result
+            ));
+        }
+        if let Some(detail) = &o.overran {
+            return CaseResult::Diverged(format!("build '{name}' {detail}"));
+        }
+    }
+    if observed
+        .iter()
+        .any(|(_, o)| o.result == Err(VmError::OutOfFuel))
+    {
+        return CaseResult::OutOfFuel;
     }
     let (_, reference) = &observed[0];
     for (name, other) in &observed[1..] {
@@ -273,9 +308,13 @@ pub fn run(seed: u64, start: u64, cases: u64) -> OracleReport {
         }
         match check(&case.source, &schema, &spec) {
             CaseResult::Agree(tag) => rep.note(tag, 1),
-            CaseResult::ResourceSkip => {
+            CaseResult::RefusedAtAdmission => {
                 rep.skips += 1;
-                rep.note("resource_skips", 1);
+                rep.note("refused_at_admission", 1);
+            }
+            CaseResult::OutOfFuel => {
+                rep.skips += 1;
+                rep.note("out_of_fuel", 1);
             }
             CaseResult::CompileError => rep.note("compile_errors", 1),
             CaseResult::Diverged(detail) => {

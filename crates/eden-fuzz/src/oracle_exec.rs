@@ -197,6 +197,13 @@ fn diff_state(a: &mut Enclave, b: &mut Enclave, f: FuncId, what: &str) -> Option
 fn diff_interp_native(bundle: &FunctionBundle, specs: &[PktSpec], seed: u64) -> Option<String> {
     let (mut interp, f) = build_enclave(bundle, false, EnclaveConfig::default());
     let (mut native, _) = build_enclave(bundle, true, EnclaveConfig::default());
+    // the function was admitted on its static envelope; hold every run to it
+    let bound = interp
+        .link_info(f)
+        .envelope
+        .and_then(|e| e.bound)
+        .expect("installed, so interpreted and bounded");
+    interp.set_opcode_profiling(true);
     let mut r1 = SimRng::new(seed);
     let mut r2 = SimRng::new(seed);
     for (i, s) in specs.iter().enumerate() {
@@ -205,6 +212,13 @@ fn diff_interp_native(bundle: &FunctionBundle, specs: &[PktSpec], seed: u64) -> 
         let mut b = build_packet(s);
         let va = interp.process(&mut a, &mut r1, now);
         let vb = native.process(&mut b, &mut r2, now);
+        let seen = interp.observed_peaks().expect("profiling is on");
+        if seen.stack > bound.stack || seen.heap > bound.heap || seen.call_depth > bound.call_depth
+        {
+            return Some(format!(
+                "packet {i}: run left its envelope: reached {seen:?}, bound {bound:?}"
+            ));
+        }
         if va != vb {
             return Some(format!(
                 "packet {i}: verdict diverged: interpreted={va:?} native={vb:?}"

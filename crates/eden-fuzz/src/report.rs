@@ -26,8 +26,8 @@ pub struct Failure {
 pub struct OracleReport {
     pub oracle: &'static str,
     pub cases: u64,
-    /// Cases skipped because optimized/unoptimized resource usage
-    /// legitimately differs (fuel, stack, call depth).
+    /// Cases not compared because resource use legitimately differs
+    /// between builds: refused at admission, or out of fuel.
     pub skips: u64,
     pub notes: Vec<(String, u64)>,
     pub failures: Vec<Failure>,

@@ -131,7 +131,10 @@ fun (p, m, g) ->
 }
 
 #[test]
-fn non_tail_recursion_uses_call_frames() {
+fn non_tail_recursion_is_refused_at_admission() {
+    // A self-call outside tail position stays a `call`: every level of
+    // the recursion holds a frame, so the program has no static bound and
+    // fits no finite call-depth budget — it never starts.
     let schema = Schema::new().packet_field("Out", Access::ReadWrite, None);
     let src = r#"
 fun (p, m, g) ->
@@ -140,10 +143,16 @@ fun (p, m, g) ->
         else n + tri (n - 1)
     p.Out <- tri (10)
 "#;
+    let compiled = compile("t", src, &schema).expect("compiles");
+    assert_eq!(compiled.program.envelope().bound, None);
     let mut h = VecHost::with_slots(1, 0, 0);
-    let (_, usage) = run_with(src, &schema, &mut h);
-    assert_eq!(h.packet[0], 55);
-    assert!(usage.peak_call_depth >= 10);
+    let mut interp = Interpreter::new(Limits::default());
+    assert_eq!(
+        interp.run(&compiled.program, &mut h),
+        Err(eden_vm::VmError::CallDepthExceeded)
+    );
+    assert_eq!(interp.usage().steps, 0);
+    assert_eq!(h.packet[0], 0);
 }
 
 #[test]

@@ -43,6 +43,10 @@ pub enum FlightKind {
     CtrlMsg,
     /// The controller observed divergence on a host; `a` = host addr.
     Divergence,
+    /// A function failed install-time linking and was refused; `a` = the
+    /// epoch being staged (the active one for a direct install), `b` = the
+    /// link error's code.
+    InstallRefused,
 }
 
 impl FlightKind {
@@ -61,6 +65,7 @@ impl FlightKind {
             FlightKind::TableLoop => "table_loop",
             FlightKind::CtrlMsg => "ctrl_msg",
             FlightKind::Divergence => "divergence",
+            FlightKind::InstallRefused => "install_refused",
         }
     }
 }

@@ -2,14 +2,22 @@
 //!
 //! An [`Interpreter`] is a reusable execution context — the enclave keeps
 //! one per worker and runs every action function through it, so the operand
-//! stack and locals arena are allocated once and reused across millions of
+//! stack and locals frames are allocated once and reused across millions of
 //! packets. This is the component whose overhead Figure 12 of the paper
 //! quantifies; `eden-bench`'s `micro` and `fig12_overheads` benches measure
 //! this exact code.
+//!
+//! A run has two parts. *Admission* compares the program's static
+//! [`Envelope`](crate::Envelope) with the [`Limits`] and asks the host
+//! whether it holds every slot the program touches — a handful of
+//! compares, and the only place `StackOverflow`, `HeapOverflow`,
+//! `CallDepthExceeded` and `BadStateSlot` can come from. The *dispatch
+//! loop* then runs with none of those checks: pushes, pops, locals and
+//! scalar state accesses cannot fail.
 
 use crate::error::VmError;
 use crate::host::{Effect, Host};
-use crate::limits::{Limits, Usage};
+use crate::limits::{Bound, Limits, Usage, FRAME_SLOTS};
 use crate::op::Op;
 use crate::program::Program;
 
@@ -78,17 +86,29 @@ impl VmCounters {
 /// so per-invocation timing would dominate what it measures.
 const TIMING_SAMPLE: u64 = 64;
 
-/// Reusable execution context (operand stack + locals arena + call stack).
+/// Index mask of the two fixed frames. Admission keeps every stack
+/// position and every local below `FRAME_SLOTS`, so masking never changes
+/// an index — it tells the compiler so.
+const FRAME_MASK: usize = FRAME_SLOTS - 1;
+const _: () = assert!(FRAME_SLOTS.is_power_of_two());
+
+/// Reusable execution context (operand stack + locals frame + call stack).
 #[derive(Debug)]
 pub struct Interpreter {
     limits: Limits,
-    stack: Vec<i64>,
-    locals: Vec<i64>,
+    /// Operand stack. Slots at and above the stack pointer hold leftovers
+    /// of earlier runs; a verified program never reads them.
+    stack: [i64; FRAME_SLOTS],
+    /// Locals of every live frame, back to back, zeroed as frames open.
+    locals: [i64; FRAME_SLOTS],
     frames: Vec<Frame>,
     usage: Usage,
+    /// Dynamic high-water marks of the most recent run, tracked only
+    /// while profiling.
+    observed: Bound,
     counters: VmCounters,
     /// Per-opcode execution histogram, allocated only while profiling is
-    /// enabled so the disabled cost is a single well-predicted branch.
+    /// enabled; the dispatch loop is compiled once with and once without.
     profile: Option<Box<[u64; Op::KIND_COUNT]>>,
     /// Log2 histogram of sampled per-invocation wall-clock costs (fed by
     /// the same 1-in-`TIMING_SAMPLE` clock reads as `elapsed_ns`, so it
@@ -122,10 +142,11 @@ impl Interpreter {
     pub fn new(limits: Limits) -> Self {
         Interpreter {
             limits,
-            stack: Vec::with_capacity(limits.max_stack),
-            locals: Vec::with_capacity(limits.max_heap_slots),
-            frames: Vec::with_capacity(limits.max_call_depth),
+            stack: [0; FRAME_SLOTS],
+            locals: [0; FRAME_SLOTS],
+            frames: Vec::with_capacity(limits.max_call_depth.min(FRAME_SLOTS)),
             usage: Usage::default(),
+            observed: Bound::default(),
             counters: VmCounters::default(),
             profile: None,
             latency: eden_telemetry::LogHistogram::new(),
@@ -138,9 +159,20 @@ impl Interpreter {
         self.limits
     }
 
-    /// High-water marks from the most recent [`run`](Self::run).
+    /// Accounting for the most recent [`run`](Self::run): the steps it
+    /// executed and the program's static memory bound (all zero for a run
+    /// refused at admission).
     pub fn usage(&self) -> Usage {
         self.usage
+    }
+
+    /// Stack, heap and call-depth high-water marks the most recent run
+    /// actually reached — tracked only while
+    /// [opcode profiling](Self::set_opcode_profiling) is on, `None`
+    /// otherwise. Never above the program's static bound; the envelope
+    /// soundness tests and the fuzz oracles hold the verifier to that.
+    pub fn observed_peaks(&self) -> Option<Bound> {
+        self.profile.as_ref().map(|_| self.observed)
     }
 
     /// Counters accumulated over all [`run`](Self::run) calls since
@@ -173,9 +205,10 @@ impl Interpreter {
         self.last_trap.map(|(pc, op_kind)| TrapSite { pc, op_kind })
     }
 
-    /// Enable or disable the per-opcode histogram. Enabling allocates the
-    /// histogram (zeroed); disabling drops it. Off by default — when off,
-    /// the dispatch loop pays one predictable branch per instruction.
+    /// Enable or disable profiling: the per-opcode histogram and the
+    /// dynamic high-water marks. Enabling allocates the histogram
+    /// (zeroed); disabling drops it. Off by default — the dispatch loop is
+    /// compiled once per setting, so when off it pays nothing.
     pub fn set_opcode_profiling(&mut self, enabled: bool) {
         if enabled {
             if self.profile.is_none() {
@@ -197,8 +230,14 @@ impl Interpreter {
     ///
     /// The program must have been verified (guaranteed by
     /// [`Program::new`]), so operand-stack underflow and wild jumps cannot
-    /// occur; the checks that remain at runtime are the dynamic ones:
-    /// limits, division by zero, array bounds, unknown state slots.
+    /// occur. It is first *admitted*: its envelope against this
+    /// interpreter's limits, its state use against the host. A refusal is
+    /// the `StackOverflow` / `HeapOverflow` / `CallDepthExceeded` /
+    /// `BadStateSlot` the program could have run into, returned before its
+    /// first instruction and before any host effect. What can still trap
+    /// once it runs depends on run-time values only: division by zero, an
+    /// array index, a `randrange` bound, a queue or table id, and the
+    /// fuel budget if one is set.
     ///
     /// Generic over the host so a caller that knows its host type (the
     /// enclave's invokers) gets the state accessors inlined into the
@@ -219,10 +258,22 @@ impl Interpreter {
         } else {
             None
         };
-        let result = if self.profile.is_some() {
-            self.run_inner::<true, H>(program, host)
-        } else {
-            self.run_inner::<false, H>(program, host)
+        let envelope = program.envelope();
+        let admitted = envelope
+            .fits(&self.limits)
+            .and_then(|bound| host.admit(&envelope.state).map(|()| bound));
+        let result = match admitted {
+            Err(refusal) => {
+                self.usage = Usage::default();
+                self.last_trap = None;
+                Err(refusal)
+            }
+            Ok(bound) => match (self.profile.is_some(), self.limits.fuel) {
+                (false, None) => self.run_inner::<false, false, H>(program, host, bound),
+                (false, Some(_)) => self.run_inner::<false, true, H>(program, host, bound),
+                (true, None) => self.run_inner::<true, false, H>(program, host, bound),
+                (true, Some(_)) => self.run_inner::<true, true, H>(program, host, bound),
+            },
         };
         self.counters.invocations += 1;
         self.counters.traps += result.is_err() as u64;
@@ -235,58 +286,68 @@ impl Interpreter {
         result
     }
 
-    fn run_inner<const PROFILE: bool, H: Host + ?Sized>(
+    /// The dispatch loop, over an admitted program. `PROFILE` compiles in
+    /// the opcode histogram and the high-water marks, `FUEL` the
+    /// instruction budget.
+    fn run_inner<const PROFILE: bool, const FUEL: bool, H: Host + ?Sized>(
         &mut self,
         program: &Program,
         host: &mut H,
+        bound: Bound,
     ) -> Result<Outcome, VmError> {
-        self.stack.clear();
-        self.locals.clear();
         self.frames.clear();
-        self.usage = Usage::default();
-
         let entry_locals = program.entry_locals() as usize;
-        if entry_locals > self.limits.max_heap_slots {
-            return Err(VmError::HeapOverflow);
+        for local in &mut self.locals[..entry_locals] {
+            *local = 0;
         }
-        self.locals.resize(entry_locals, 0);
-        self.usage.peak_heap_slots = entry_locals;
 
         // Hot-loop state lives in locals so it can stay in registers; the
         // `usage` write-back happens once, after the dispatch loop exits
         // (on traps too — the closure funnels every return through here).
-        let max_stack = self.limits.max_stack;
         let fuel_limit = self.limits.fuel.unwrap_or(u64::MAX);
         let mut steps: u64 = 0;
-        let mut peak_stack: usize = 0;
+        let mut observed = Bound {
+            heap: entry_locals,
+            ..Bound::default()
+        };
 
         // `pc` lives outside the dispatch closure so the trap exit path
         // below can attribute a fault to the instruction that raised it.
         let mut pc: usize = 0;
         let result = (|| -> Result<Outcome, VmError> {
             let ops = program.ops();
+            // Operand-stack depth, and where the current frame's locals
+            // start and end. Admission bounded all three by FRAME_SLOTS.
+            let mut sp: usize = 0;
             let mut locals_base: usize = 0;
+            let mut locals_top: usize = entry_locals;
 
             macro_rules! push {
                 ($v:expr) => {{
-                    if self.stack.len() >= max_stack {
-                        return Err(VmError::StackOverflow);
-                    }
-                    self.stack.push($v);
-                    if self.stack.len() > peak_stack {
-                        peak_stack = self.stack.len();
+                    let v = $v;
+                    self.stack[sp & FRAME_MASK] = v;
+                    sp += 1;
+                    if PROFILE {
+                        observed.stack = observed.stack.max(sp);
                     }
                 }};
             }
-            // Pop is infallible on verified programs; the error path is kept for
-            // defence in depth (a Host could not cause it, but a future op bug
-            // should trap, not panic).
+            // Verification rules out underflow; the wrapping keeps even a
+            // verifier bug from being a panic.
             macro_rules! pop {
+                () => {{
+                    sp = sp.wrapping_sub(1);
+                    self.stack[sp & FRAME_MASK]
+                }};
+            }
+            macro_rules! top {
                 () => {
-                    match self.stack.pop() {
-                        Some(v) => v,
-                        None => return Err(VmError::StackUnderflow),
-                    }
+                    self.stack[sp.wrapping_sub(1) & FRAME_MASK]
+                };
+            }
+            macro_rules! local {
+                ($s:expr) => {
+                    self.locals[(locals_base + $s as usize) & FRAME_MASK]
                 };
             }
             macro_rules! binop {
@@ -299,7 +360,7 @@ impl Interpreter {
             }
 
             loop {
-                if steps >= fuel_limit {
+                if FUEL && steps >= fuel_limit {
                     return Err(VmError::OutOfFuel);
                 }
                 steps += 1;
@@ -318,47 +379,26 @@ impl Interpreter {
 
                 match op {
                     Op::Push(v) => push!(v),
-                    Op::Dup => {
-                        let v = *self.stack.last().ok_or(VmError::StackUnderflow)?;
-                        push!(v);
-                    }
+                    Op::Dup => push!(top!()),
                     Op::Pop => {
                         pop!();
                     }
                     Op::Swap => {
-                        let n = self.stack.len();
-                        if n < 2 {
-                            return Err(VmError::StackUnderflow);
-                        }
-                        self.stack.swap(n - 1, n - 2);
+                        let b = pop!();
+                        let a = pop!();
+                        push!(b);
+                        push!(a);
                     }
 
-                    Op::LoadLocal(s) => {
-                        let idx = locals_base + s as usize;
-                        let v = *self.locals.get(idx).ok_or(VmError::BadLocal(s))?;
-                        push!(v);
-                    }
-                    Op::StoreLocal(s) => {
-                        let v = pop!();
-                        let idx = locals_base + s as usize;
-                        *self.locals.get_mut(idx).ok_or(VmError::BadLocal(s))? = v;
-                    }
+                    Op::LoadLocal(s) => push!(local!(s)),
+                    Op::StoreLocal(s) => local!(s) = pop!(),
 
-                    Op::LoadPkt(s) => push!(host.load_pkt(s)?),
-                    Op::StorePkt(s) => {
-                        let v = pop!();
-                        host.store_pkt(s, v)?;
-                    }
-                    Op::LoadMsg(s) => push!(host.load_msg(s)?),
-                    Op::StoreMsg(s) => {
-                        let v = pop!();
-                        host.store_msg(s, v)?;
-                    }
-                    Op::LoadGlob(s) => push!(host.load_glob(s)?),
-                    Op::StoreGlob(s) => {
-                        let v = pop!();
-                        host.store_glob(s, v)?;
-                    }
+                    Op::LoadPkt(s) => push!(host.load_pkt(s)),
+                    Op::StorePkt(s) => host.store_pkt(s, pop!()),
+                    Op::LoadMsg(s) => push!(host.load_msg(s)),
+                    Op::StoreMsg(s) => host.store_msg(s, pop!()),
+                    Op::LoadGlob(s) => push!(host.load_glob(s)),
+                    Op::StoreGlob(s) => host.store_glob(s, pop!()),
 
                     Op::ArrLoad(a) => {
                         let idx = pop!();
@@ -369,7 +409,7 @@ impl Interpreter {
                         let idx = pop!();
                         host.arr_store(a, idx, v)?;
                     }
-                    Op::ArrLen(a) => push!(host.arr_len(a)?),
+                    Op::ArrLen(a) => push!(host.arr_len(a)),
 
                     Op::Add => binop!(|a: i64, b: i64| a.wrapping_add(b)),
                     Op::Sub => binop!(|a: i64, b: i64| a.wrapping_sub(b)),
@@ -390,17 +430,11 @@ impl Interpreter {
                         }
                         push!(a.wrapping_rem(b));
                     }
-                    Op::Neg => {
-                        let a = pop!();
-                        push!(a.wrapping_neg());
-                    }
+                    Op::Neg => top!() = top!().wrapping_neg(),
                     Op::And => binop!(|a: i64, b: i64| a & b),
                     Op::Or => binop!(|a: i64, b: i64| a | b),
                     Op::Xor => binop!(|a: i64, b: i64| a ^ b),
-                    Op::Not => {
-                        let a = pop!();
-                        push!(if a == 0 { 1 } else { 0 });
-                    }
+                    Op::Not => top!() = (top!() == 0) as i64,
                     Op::Shl => binop!(|a: i64, b: i64| a.wrapping_shl(b as u32 & 63)),
                     Op::Shr => binop!(|a: i64, b: i64| a.wrapping_shr(b as u32 & 63)),
 
@@ -428,36 +462,31 @@ impl Interpreter {
                             .funcs()
                             .get(id as usize)
                             .ok_or(VmError::BadFunction(id))?;
-                        if self.frames.len() >= self.limits.max_call_depth {
-                            return Err(VmError::CallDepthExceeded);
-                        }
-                        let new_base = self.locals.len();
-                        if new_base + func.n_locals as usize > self.limits.max_heap_slots {
-                            return Err(VmError::HeapOverflow);
-                        }
-                        self.locals.resize(new_base + func.n_locals as usize, 0);
-                        if self.locals.len() > self.usage.peak_heap_slots {
-                            self.usage.peak_heap_slots = self.locals.len();
-                        }
-                        // pop args right-to-left into locals 0..arity
-                        for i in (0..func.arity).rev() {
-                            let v = pop!();
-                            self.locals[new_base + i as usize] = v;
-                        }
                         self.frames.push(Frame {
                             ret_pc: pc as u32,
                             locals_base: locals_base as u32,
                         });
-                        if self.frames.len() > self.usage.peak_call_depth {
-                            self.usage.peak_call_depth = self.frames.len();
+                        // the callee's frame opens above the caller's:
+                        // arguments popped right-to-left into locals
+                        // 0..arity, the rest zeroed
+                        locals_base = locals_top;
+                        locals_top += func.n_locals as usize;
+                        for i in (0..func.arity).rev() {
+                            local!(i) = pop!();
                         }
-                        locals_base = new_base;
+                        for i in func.arity..func.n_locals {
+                            local!(i) = 0;
+                        }
+                        if PROFILE {
+                            observed.heap = observed.heap.max(locals_top);
+                            observed.call_depth = observed.call_depth.max(self.frames.len());
+                        }
                         pc = func.entry as usize;
                     }
                     Op::Ret => {
                         let frame = self.frames.pop().ok_or(VmError::ReturnFromTopLevel)?;
                         // callee's locals are freed; its result stays on the stack
-                        self.locals.truncate(locals_base);
+                        locals_top = locals_base;
                         locals_base = frame.locals_base as usize;
                         pc = frame.ret_pc as usize;
                     }
@@ -505,28 +534,18 @@ impl Interpreter {
 
                     // Superinstructions: one dispatch, no intermediate stack
                     // traffic — the fused operand lives in the op itself.
-                    Op::AddImm(v) => {
-                        let t = self.stack.last_mut().ok_or(VmError::StackUnderflow)?;
-                        *t = t.wrapping_add(v);
-                    }
-                    Op::MulImm(v) => {
-                        let t = self.stack.last_mut().ok_or(VmError::StackUnderflow)?;
-                        *t = t.wrapping_mul(v);
-                    }
-                    Op::LoadPktAddImm(s, v) => push!(host.load_pkt(s)?.wrapping_add(v)),
-                    Op::LoadPktMulImm(s, v) => push!(host.load_pkt(s)?.wrapping_mul(v)),
-                    Op::IncrLocal(s, v) => {
-                        let idx = locals_base + s as usize;
-                        let p = self.locals.get_mut(idx).ok_or(VmError::BadLocal(s))?;
-                        *p = p.wrapping_add(v);
-                    }
+                    Op::AddImm(v) => top!() = top!().wrapping_add(v),
+                    Op::MulImm(v) => top!() = top!().wrapping_mul(v),
+                    Op::LoadPktAddImm(s, v) => push!(host.load_pkt(s).wrapping_add(v)),
+                    Op::LoadPktMulImm(s, v) => push!(host.load_pkt(s).wrapping_mul(v)),
+                    Op::IncrLocal(s, v) => local!(s) = local!(s).wrapping_add(v),
                     Op::IncrMsg(s, v) => {
-                        let cur = host.load_msg(s)?;
-                        host.store_msg(s, cur.wrapping_add(v))?;
+                        let cur = host.load_msg(s);
+                        host.store_msg(s, cur.wrapping_add(v));
                     }
                     Op::IncrGlob(s, v) => {
-                        let cur = host.load_glob(s)?;
-                        host.store_glob(s, cur.wrapping_add(v))?;
+                        let cur = host.load_glob(s);
+                        host.store_glob(s, cur.wrapping_add(v));
                     }
                     Op::CmpBr(c, t) => {
                         let b = pop!();
@@ -545,12 +564,19 @@ impl Interpreter {
             }
         })();
 
-        self.usage.steps = steps;
-        self.usage.peak_stack = peak_stack;
+        self.usage = Usage {
+            peak_stack: bound.stack,
+            peak_heap_slots: bound.heap,
+            peak_call_depth: bound.call_depth,
+            steps,
+        };
+        if PROFILE {
+            self.observed = observed;
+        }
         if result.is_err() {
             // `pc` was already advanced past the faulting instruction for
-            // execution traps; fuel/entry faults fall back to the last
-            // instruction dispatched (or none, if the program never ran).
+            // execution traps; a fuel fault falls back to the last
+            // instruction dispatched (or none, if the budget was zero).
             self.last_trap = pc
                 .checked_sub(1)
                 .and_then(|at| program.ops().get(at).map(|op| (at as u32, op.kind_index())));
@@ -738,29 +764,187 @@ mod tests {
         assert_eq!(i.usage().peak_call_depth, 1);
     }
 
+    /// Run `p` under `limits` on a host that would record an effect from
+    /// the very first instruction, and check the run was refused before it.
+    fn assert_refused(p: &Program, limits: Limits, refusal: VmError) {
+        let mut h = VecHost::default();
+        let mut i = Interpreter::new(limits);
+        assert_eq!(i.run(p, &mut h), Err(refusal));
+        assert_eq!(i.usage().steps, 0, "refused before the first instruction");
+        assert!(h.effects.is_empty(), "no host effect recorded");
+        assert_eq!(i.last_trap(), None, "no instruction to attribute");
+        assert_eq!(i.counters().traps, 1);
+    }
+
     #[test]
     fn deep_recursion_hits_call_depth() {
-        // f() = f()  — infinite recursion
+        // f() = f()  — infinite recursion; the top level could drop the
+        // packet first, so an interpreter that started running would show it
         let p = Program::new(
             "t",
             vec![
-                Op::Call(0),
+                Op::Push(0),
+                Op::JmpIfNot(3),
+                Op::Drop,
+                Op::Call(0), // 3
                 Op::Pop,
                 Op::Halt,
-                Op::Call(0), // 3: f calls f
+                Op::Call(0), // 6: f calls f
                 Op::Ret,
             ],
             vec![FuncInfo {
-                entry: 3,
+                entry: 6,
                 arity: 0,
                 n_locals: 0,
             }],
             0,
         )
         .unwrap();
+        assert_eq!(p.envelope().bound, None, "recursion has no bound");
+        assert_refused(&p, Limits::default(), VmError::CallDepthExceeded);
+    }
+
+    #[test]
+    fn call_chain_deeper_than_the_budget_is_refused() {
+        // f0 -> f1 -> f2, no recursion: depth 3
+        let mut ops = vec![Op::Call(0), Op::Pop, Op::Halt];
+        let mut funcs = Vec::new();
+        for id in 0..3u16 {
+            funcs.push(FuncInfo {
+                entry: ops.len() as u32,
+                arity: 0,
+                n_locals: 1,
+            });
+            if id < 2 {
+                ops.extend([Op::Call(id + 1), Op::Ret]);
+            } else {
+                ops.extend([Op::Push(7), Op::Ret]);
+            }
+        }
+        let p = Program::new("chain", ops, funcs, 2).unwrap();
+        let bound = p.envelope().bound.expect("acyclic");
+        assert_eq!((bound.stack, bound.heap, bound.call_depth), (1, 5, 3));
+        let tight = |max_call_depth| Limits {
+            max_call_depth,
+            ..Limits::default()
+        };
+        assert_refused(&p, tight(2), VmError::CallDepthExceeded);
         let mut h = VecHost::default();
-        let e = Interpreter::new(Limits::default()).run(&p, &mut h);
-        assert_eq!(e, Err(VmError::CallDepthExceeded));
+        assert_eq!(
+            Interpreter::new(tight(3)).run(&p, &mut h),
+            Ok(Outcome::Done)
+        );
+    }
+
+    #[test]
+    fn heap_overflow_enforced() {
+        // 4 entry locals + a callee with 6: 10 live at once (the Drop
+        // would show on the host if the program were started)
+        let p = Program::new(
+            "t",
+            vec![
+                Op::Push(0),
+                Op::JmpIfNot(3),
+                Op::Drop,
+                Op::Call(0), // 3
+                Op::Pop,
+                Op::Halt,
+                Op::LoadLocal(5), // 6
+                Op::Ret,
+            ],
+            vec![FuncInfo {
+                entry: 6,
+                arity: 0,
+                n_locals: 6,
+            }],
+            4,
+        )
+        .unwrap();
+        assert_eq!(p.envelope().bound.unwrap().heap, 10);
+        let tight = |max_heap_slots| Limits {
+            max_heap_slots,
+            ..Limits::default()
+        };
+        assert_refused(&p, tight(9), VmError::HeapOverflow);
+        let mut h = VecHost::default();
+        assert_eq!(
+            Interpreter::new(tight(10)).run(&p, &mut h),
+            Ok(Outcome::Done)
+        );
+    }
+
+    #[test]
+    fn unknown_state_slot_is_refused_before_any_effect() {
+        // sets a queue, then reads a packet slot the host does not hold
+        let p = Program::new(
+            "t",
+            vec![
+                Op::Push(1),
+                Op::Push(100),
+                Op::SetQueue,
+                Op::LoadPkt(3),
+                Op::Pop,
+                Op::Halt,
+            ],
+            vec![],
+            0,
+        )
+        .unwrap();
+        let mut h = VecHost::with_slots(3, 0, 0);
+        let mut i = Interpreter::new(Limits::default());
+        assert_eq!(
+            i.run(&p, &mut h),
+            Err(VmError::BadStateSlot {
+                scope: crate::error::StateScope::Packet,
+                slot: 3
+            })
+        );
+        assert_eq!(i.usage().steps, 0);
+        assert!(h.effects.is_empty(), "the SetQueue ahead of it never ran");
+        h.packet.push(0);
+        assert_eq!(i.run(&p, &mut h), Ok(Outcome::Done));
+        assert_eq!(h.effects.len(), 1);
+    }
+
+    #[test]
+    fn callee_frames_open_zeroed_above_the_caller() {
+        // g(a) has a second local it reads before writing: must be 0 even
+        // though the previous call left 99 in that slot
+        let p = Program::new(
+            "t",
+            vec![
+                Op::Push(5),
+                Op::Call(0),
+                Op::StorePkt(0),
+                Op::Push(6),
+                Op::Call(0),
+                Op::StorePkt(1),
+                Op::Halt,
+                Op::LoadLocal(1), // 7: g
+                Op::LoadLocal(0),
+                Op::Add,
+                Op::Push(99),
+                Op::StoreLocal(1),
+                Op::Ret,
+            ],
+            vec![FuncInfo {
+                entry: 7,
+                arity: 1,
+                n_locals: 2,
+            }],
+            3,
+        )
+        .unwrap();
+        let mut h = VecHost::with_slots(2, 0, 0);
+        let mut i = Interpreter::new(Limits::default());
+        i.set_opcode_profiling(true);
+        i.run(&p, &mut h).unwrap();
+        assert_eq!(h.packet, vec![5, 6]);
+        let bound = p.envelope().bound.unwrap();
+        assert_eq!((bound.stack, bound.heap, bound.call_depth), (2, 5, 1));
+        assert_eq!(i.observed_peaks(), Some(bound), "straight line: exact");
+        i.set_opcode_profiling(false);
+        assert_eq!(i.observed_peaks(), None);
     }
 
     #[test]
@@ -818,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn usage_tracks_stack_high_water() {
+    fn usage_reports_the_static_bound() {
         let mut h = VecHost::default();
         let p = Program::new(
             "t",
@@ -871,14 +1055,15 @@ mod tests {
 
     #[test]
     fn stack_overflow_enforced() {
-        // The verifier statically rejects loops that grow the stack, so at
-        // runtime an overflow means the program's (verified, finite) peak
-        // depth exceeds this interpreter's configured budget.
+        // The verifier statically rejects loops that grow the stack, so
+        // every verified program has a finite peak depth; one whose peak
+        // exceeds this interpreter's configured budget never starts.
         let limits = Limits {
             max_stack: 4,
             ..Limits::default()
         };
         let mut b = ProgramBuilder::new();
+        b.push(1).push(100).set_queue();
         for i in 0..6 {
             b.push(i);
         }
@@ -887,9 +1072,8 @@ mod tests {
         }
         b.halt();
         let p = b.build().unwrap();
-        let mut h = VecHost::default();
-        let e = Interpreter::new(limits).run(&p, &mut h);
-        assert_eq!(e, Err(VmError::StackOverflow));
+        assert_eq!(p.envelope().bound.unwrap().stack, 6);
+        assert_refused(&p, limits, VmError::StackOverflow);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * no objects, no exceptions, no floating point, no JIT;
 //! * bounded operand stack and heap (the paper reports ~64 B stack and
-//!   ~256 B heap for its case-study programs, see [`Limits`]);
+//!   ~256 B heap for its case-study programs, see [`Limits`]), bounded
+//!   statically: the verifier derives each program's worst case
+//!   ([`Envelope`]) and a program over budget never starts;
 //! * the only environment access is through the [`Host`] trait: packet
 //!   header fields, per-message state, per-function global state, random
 //!   numbers, a high-frequency clock, and a fixed set of side effects
@@ -56,9 +58,9 @@ pub use codec::{
 };
 pub use disasm::{disassemble, opcode_histogram};
 pub use error::{StateScope, VmError};
-pub use host::{Effect, Host, VecHost};
+pub use host::{Effect, Host, ScopeUse, SlotSet, StateUse, VecHost};
 pub use interp::{hash2, Interpreter, Outcome, TrapSite, VmCounters};
-pub use limits::{Limits, Usage};
+pub use limits::{Bound, Envelope, Limits, Usage, FRAME_SLOTS};
 pub use op::{Cmp, Op};
 pub use pool::InterpreterPool;
 pub use program::{FuncInfo, Program};

@@ -8,8 +8,26 @@
 //! — the administrator decides. We expose all three budgets; the instruction
 //! budget (`fuel`) defaults to unlimited to match the paper's stance, while
 //! stack and heap default to generous multiples of the paper's footprint.
+//!
+//! The memory budgets are enforced *statically*: the verifier derives each
+//! program's worst-case [`Envelope`], and a program whose envelope exceeds
+//! the budgets is refused before its first instruction
+//! ([`Envelope::fits`]). Nothing is compared per push or per call; only
+//! the instruction budget, when one is set, is counted down at run time.
+
+use crate::error::VmError;
+use crate::host::StateUse;
+
+/// Slots in each of the interpreter's two fixed frames (operand stack,
+/// locals). A memory budget above it is clamped to it.
+pub const FRAME_SLOTS: usize = 256;
 
 /// Resource limits for one action-function execution.
+///
+/// The three memory budgets bound a program's static [`Envelope`], checked
+/// once at admission; `max_stack` and `max_heap_slots` are clamped to
+/// [`FRAME_SLOTS`]. A recursive program has no finite envelope and fits
+/// no budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Maximum operand-stack depth, in 8-byte slots.
@@ -18,8 +36,8 @@ pub struct Limits {
     /// the interpreter's "heap" in the paper's terminology: all
     /// function-local state lives here.
     pub max_heap_slots: usize,
-    /// Maximum call-frame depth (the paper's programs are small; recursion
-    /// is expected to be compiled to loops when it is tail recursion).
+    /// Maximum call-frame depth (the paper's programs are small; tail
+    /// recursion is compiled to loops, any other recursion is refused).
     pub max_call_depth: usize,
     /// Optional instruction budget. `None` (the default) reproduces the
     /// paper's choice of not capping data-plane computation.
@@ -64,29 +82,78 @@ impl Limits {
     }
 }
 
-/// High-water marks observed during execution; reset per run.
+/// A program's static worst-case memory demand along its deepest call
+/// chain, in 8-byte slots. Exact for straight-line code; an upper bound
+/// wherever control flow decides (both arms of a branch count, whether or
+/// not both can be taken).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bound {
+    /// Operand-stack depth: each frame's own peak on top of what its
+    /// callers left below it.
+    pub stack: usize,
+    /// Locals ("heap") live at once: the top level's plus every frame's
+    /// down the chain.
+    pub heap: usize,
+    /// Call frames down the chain (`0`: the program never calls).
+    pub call_depth: usize,
+}
+
+/// What the verifier learns about a program beyond "it is well formed":
+/// the memory it can need and the state it can touch. Everything an
+/// interpreter or an enclave has to check about a program before running
+/// it, so that nothing about it is checked while it runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Envelope {
+    /// `None` when a function reachable from the top level can reach
+    /// itself: each turn of the cycle adds a frame, so no finite bound
+    /// exists.
+    pub bound: Option<Bound>,
+    /// State slots read and written by the reachable code.
+    pub state: StateUse,
+}
+
+impl Envelope {
+    /// Does the program fit `limits`? The refusal is the trap the program
+    /// could otherwise have run into, raised before it starts.
+    pub fn fits(&self, limits: &Limits) -> Result<Bound, VmError> {
+        let bound = self.bound.ok_or(VmError::CallDepthExceeded)?;
+        if bound.stack > limits.max_stack.min(FRAME_SLOTS) {
+            Err(VmError::StackOverflow)
+        } else if bound.heap > limits.max_heap_slots.min(FRAME_SLOTS) {
+            Err(VmError::HeapOverflow)
+        } else if bound.call_depth > limits.max_call_depth {
+            Err(VmError::CallDepthExceeded)
+        } else {
+            Ok(bound)
+        }
+    }
+}
+
+/// Resource accounting for the most recent run.
 ///
-/// The `fig12` harness reads these to reproduce the paper's §5.4 footprint
+/// The three memory figures are the program's static [`Bound`] — an upper
+/// bound on what a run can reach, not a high-water mark it did reach.
+/// The `fig12` harness reads them to reproduce the paper's §5.4 footprint
 /// numbers for our ports of the case-study programs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Usage {
-    /// Deepest operand stack reached, in slots.
+    /// Operand-stack bound, in slots.
     pub peak_stack: usize,
-    /// Most locals live at once across all frames, in slots.
+    /// Bound on locals live at once across all frames, in slots.
     pub peak_heap_slots: usize,
-    /// Deepest call nesting reached.
+    /// Bound on call nesting.
     pub peak_call_depth: usize,
     /// Instructions executed.
     pub steps: u64,
 }
 
 impl Usage {
-    /// Stack high-water mark in bytes (8-byte slots).
+    /// Stack bound in bytes (8-byte slots).
     pub fn peak_stack_bytes(&self) -> usize {
         self.peak_stack * 8
     }
 
-    /// Heap high-water mark in bytes (8-byte slots).
+    /// Heap bound in bytes (8-byte slots).
     pub fn peak_heap_bytes(&self) -> usize {
         self.peak_heap_slots * 8
     }
@@ -132,6 +199,47 @@ mod tests {
         let l = Limits::paper_footprint();
         assert_eq!(l.max_stack * 8, 64);
         assert_eq!(l.max_heap_slots * 8, 256);
+    }
+
+    #[test]
+    fn envelope_is_checked_against_clamped_budgets() {
+        let fits = |stack, heap, call_depth, limits: &Limits| {
+            Envelope {
+                bound: Some(Bound {
+                    stack,
+                    heap,
+                    call_depth,
+                }),
+                state: StateUse::default(),
+            }
+            .fits(limits)
+            .map(|_| ())
+        };
+        let l = Limits::default();
+        assert_eq!(fits(64, 256, 16, &l), Ok(()));
+        assert_eq!(fits(65, 0, 0, &l), Err(VmError::StackOverflow));
+        assert_eq!(fits(0, 257, 0, &l), Err(VmError::HeapOverflow));
+        assert_eq!(fits(0, 0, 17, &l), Err(VmError::CallDepthExceeded));
+        // a budget beyond the fixed frame buys nothing
+        let wide = Limits {
+            max_stack: 10_000,
+            max_heap_slots: 10_000,
+            ..l
+        };
+        assert_eq!(fits(FRAME_SLOTS, FRAME_SLOTS, 0, &wide), Ok(()));
+        assert_eq!(
+            fits(FRAME_SLOTS + 1, 0, 0, &wide),
+            Err(VmError::StackOverflow)
+        );
+        assert_eq!(
+            fits(0, FRAME_SLOTS + 1, 0, &wide),
+            Err(VmError::HeapOverflow)
+        );
+        // recursion has no bound to compare
+        assert_eq!(
+            Envelope::default().fits(&wide),
+            Err(VmError::CallDepthExceeded)
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Compiled action-function programs.
 
+use crate::limits::Envelope;
 use crate::op::Op;
 use crate::verify::{self, VerifyError};
 
@@ -20,9 +21,11 @@ pub struct FuncInfo {
 /// Programs are produced either by the `eden-lang` compiler (the normal
 /// path: controller compiles DSL source, ships bytecode to enclaves) or by
 /// [`ProgramBuilder`](crate::ProgramBuilder) directly. Construction runs the
-/// verifier, so an [`Interpreter`](crate::Interpreter) can dispatch without
-/// per-instruction bounds anxiety — any residual trap (division by zero,
-/// array index, limits) is a clean [`VmError`](crate::VmError).
+/// verifier and keeps the [`Envelope`] it derives, so an
+/// [`Interpreter`](crate::Interpreter) can admit the program in O(1) and
+/// then dispatch without per-instruction bounds anxiety — any residual trap
+/// (division by zero, array index, bad effect operand, fuel) is a clean
+/// [`VmError`](crate::VmError).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     ops: Vec<Op>,
@@ -32,6 +35,8 @@ pub struct Program {
     /// Optional human-readable name (shows up in disassembly and enclave
     /// table dumps).
     name: String,
+    /// Worst-case memory and state demand, derived by the verifier.
+    envelope: Envelope,
 }
 
 impl Program {
@@ -42,13 +47,14 @@ impl Program {
         funcs: Vec<FuncInfo>,
         entry_locals: u8,
     ) -> Result<Self, VerifyError> {
-        let p = Program {
+        let mut p = Program {
             ops,
             funcs,
             entry_locals,
             name: name.into(),
+            envelope: Envelope::default(),
         };
-        verify::verify(&p)?;
+        p.envelope = verify::verify(&p)?;
         Ok(p)
     }
 
@@ -65,6 +71,12 @@ impl Program {
     /// Locals required by the top-level body.
     pub fn entry_locals(&self) -> u8 {
         self.entry_locals
+    }
+
+    /// The static worst case the verifier derived: stack, heap and call
+    /// depth, and the state slots the program reads and writes.
+    pub fn envelope(&self) -> &Envelope {
+        &self.envelope
     }
 
     /// Program name, for diagnostics.

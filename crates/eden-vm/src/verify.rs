@@ -9,10 +9,19 @@
 //! a real function-table entry. This mirrors what BPF-style in-kernel
 //! interpreters do and what the paper's filter-language ancestors [41, 43]
 //! pioneered.
+//!
+//! The same pass knows the exact operand depth before every instruction,
+//! which locals each frame holds and who calls whom, so it also returns
+//! the program's [`Envelope`]: its worst-case stack, heap and call depth
+//! and the state slots it reads and writes. That is what lets the
+//! interpreter admit a program once and then run it without a
+//! per-push, per-call or per-access check.
 
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::host::StateUse;
+use crate::limits::{Bound, Envelope};
 use crate::op::Op;
 use crate::program::Program;
 
@@ -45,6 +54,10 @@ pub enum VerifyError {
     /// `Ret` appears in top-level code (top level must end with `Halt`,
     /// `Drop`, or `ToController`).
     RetAtTopLevel { at: usize },
+    /// `Ret` with more than the result on the function's stack: the extra
+    /// operands would stay behind on the caller's, deeper than `Call`'s
+    /// modelled effect.
+    RetLeavesOperands { at: usize, depth: i32 },
     /// Program too large for u32 jump targets.
     TooLarge(usize),
     /// Program has no instructions.
@@ -76,6 +89,9 @@ impl fmt::Display for VerifyError {
             }
             ArityExceedsLocals { id } => write!(f, "function {id}: arity exceeds declared locals"),
             RetAtTopLevel { at } => write!(f, "op {at}: ret in top-level code"),
+            RetLeavesOperands { at, depth } => {
+                write!(f, "op {at}: ret with {depth} operands, expected exactly 1")
+            }
             TooLarge(n) => write!(f, "program of {n} ops exceeds the maximum size"),
             Empty => write!(f, "program has no instructions"),
         }
@@ -84,8 +100,9 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verify `program`; called automatically by [`Program::new`].
-pub fn verify(program: &Program) -> Result<(), VerifyError> {
+/// Verify `program` and derive its [`Envelope`]; called automatically by
+/// [`Program::new`].
+pub fn verify(program: &Program) -> Result<Envelope, VerifyError> {
     let ops = program.ops();
     if ops.is_empty() {
         return Err(VerifyError::Empty);
@@ -107,12 +124,25 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
 
     // Walk each entry region independently: the top level (entry 0, ends in
     // Halt/Drop/ToController) and each function (ends in Ret or the
-    // terminators).
-    check_region(program, 0, program.entry_locals(), true)?;
+    // terminators). Region 0 is the top level, region `id + 1` function `id`.
+    let mut regions = Vec::with_capacity(program.funcs().len() + 1);
+    regions.push(check_region(program, 0, program.entry_locals(), true)?);
     for func in program.funcs() {
-        check_region(program, func.entry, func.n_locals, false)?;
+        regions.push(check_region(program, func.entry, func.n_locals, false)?);
     }
-    Ok(())
+    Ok(fold_envelope(&regions))
+}
+
+/// What one region contributes to the envelope.
+struct Region {
+    /// Locals its frame holds.
+    locals: usize,
+    /// Deepest operand stack its own ops reach, from depth 0 at entry.
+    peak: usize,
+    /// Its call sites: `(callee region, operand depth the callee starts
+    /// on)` — the caller's depth once the arguments are popped.
+    calls: Vec<(usize, usize)>,
+    state: StateUse,
 }
 
 /// Dataflow over stack depth starting from one entry point.
@@ -121,8 +151,14 @@ fn check_region(
     entry: u32,
     n_locals: u8,
     top_level: bool,
-) -> Result<(), VerifyError> {
+) -> Result<Region, VerifyError> {
     let ops = program.ops();
+    let mut region = Region {
+        locals: n_locals as usize,
+        peak: 0,
+        calls: Vec::new(),
+        state: StateUse::default(),
+    };
     // depth[i] = operand-stack depth *before* executing op i; -1 = unseen.
     let mut depth = vec![-1i32; ops.len()];
     let mut work = VecDeque::new();
@@ -143,6 +179,7 @@ fn check_region(
                 });
             }
         }
+        note_state(&mut region.state, op);
 
         let (need, delta) = match op {
             Op::Call(id) => {
@@ -152,11 +189,14 @@ fn check_region(
                     .ok_or(VerifyError::UnknownFunction { at, id })?;
                 (func.arity as i32, 1 - func.arity as i32)
             }
-            // Ret consumes the callee's return value from the callee stack;
-            // within this region it needs one operand and ends the path.
+            // Ret hands the callee's one operand, its result, to the
+            // caller and ends the path.
             Op::Ret => {
                 if top_level {
                     return Err(VerifyError::RetAtTopLevel { at });
+                }
+                if d > 1 {
+                    return Err(VerifyError::RetLeavesOperands { at, depth: d });
                 }
                 (1, 0)
             }
@@ -167,6 +207,10 @@ fn check_region(
             return Err(VerifyError::Underflow { at, need, have: d });
         }
         let after = d + delta;
+        region.peak = region.peak.max(after as usize);
+        if let Op::Call(id) = op {
+            region.calls.push((id as usize + 1, (d - need) as usize));
+        }
 
         let mut push_edge = |target: usize, depth_in: i32| -> Result<(), VerifyError> {
             if target >= ops.len() {
@@ -207,7 +251,86 @@ fn check_region(
             }
         }
     }
-    Ok(())
+    Ok(region)
+}
+
+/// Record the state access `op` makes, if any.
+fn note_state(state: &mut StateUse, op: Op) {
+    match op {
+        Op::LoadPkt(s) | Op::LoadPktAddImm(s, _) | Op::LoadPktMulImm(s, _) => state.packet.read(s),
+        Op::StorePkt(s) => state.packet.write(s),
+        Op::LoadMsg(s) => state.message.read(s),
+        Op::StoreMsg(s) => state.message.write(s),
+        Op::IncrMsg(s, _) => {
+            state.message.read(s);
+            state.message.write(s);
+        }
+        Op::LoadGlob(s) => state.global.read(s),
+        Op::StoreGlob(s) => state.global.write(s),
+        Op::IncrGlob(s, _) => {
+            state.global.read(s);
+            state.global.write(s);
+        }
+        Op::ArrLoad(a) | Op::ArrLen(a) => state.arrays.read(a),
+        Op::ArrStore(a) => state.arrays.write(a),
+        _ => {}
+    }
+}
+
+/// Fold the regions reachable from the top level into one envelope: a
+/// post-order walk of the call graph, so every callee's bound is final
+/// before its callers add their own share on top. A call edge back into a
+/// region still on the walk's path is recursion: no bound. The walk keeps
+/// its own stack — a hostile function table may chain 65 536 deep.
+fn fold_envelope(regions: &[Region]) -> Envelope {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        Unseen,
+        OnPath,
+        Done,
+    }
+    let mut mark = vec![Mark::Unseen; regions.len()];
+    let mut bound = vec![Bound::default(); regions.len()];
+    let mut state = StateUse::default();
+    let mut recursive = false;
+    // (region, index of the next call site to descend into)
+    let mut path = vec![(0usize, 0usize)];
+    mark[0] = Mark::OnPath;
+    while let Some(&(r, next)) = path.last() {
+        if let Some(&(callee, _)) = regions[r].calls.get(next) {
+            path.last_mut().expect("just read").1 += 1;
+            match mark[callee] {
+                Mark::Unseen => {
+                    mark[callee] = Mark::OnPath;
+                    path.push((callee, 0));
+                }
+                Mark::OnPath => recursive = true,
+                Mark::Done => {}
+            }
+            continue;
+        }
+        let region = &regions[r];
+        let mut b = Bound {
+            stack: region.peak,
+            heap: 0,
+            call_depth: 0,
+        };
+        for &(callee, base) in &region.calls {
+            let c = bound[callee];
+            b.stack = b.stack.max(base.saturating_add(c.stack));
+            b.heap = b.heap.max(c.heap);
+            b.call_depth = b.call_depth.max(c.call_depth + 1);
+        }
+        b.heap = b.heap.saturating_add(region.locals);
+        bound[r] = b;
+        state.merge(&region.state);
+        mark[r] = Mark::Done;
+        path.pop();
+    }
+    Envelope {
+        bound: (!recursive).then_some(bound[0]),
+        state,
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +378,236 @@ mod tests {
     fn ret_at_top_level_rejected() {
         let e = prog(vec![Op::Push(0), Op::Ret]).unwrap_err();
         assert!(matches!(e, VerifyError::RetAtTopLevel { at: 1 }));
+    }
+
+    fn func(entry: u32, arity: u8, n_locals: u8) -> FuncInfo {
+        FuncInfo {
+            entry,
+            arity,
+            n_locals,
+        }
+    }
+
+    fn bound_of(p: &Program) -> (usize, usize, usize) {
+        let b = p.envelope().bound.expect("not recursive");
+        (b.stack, b.heap, b.call_depth)
+    }
+
+    #[test]
+    fn ret_must_leave_exactly_the_result() {
+        // the callee returns with two operands: the spare one would stay
+        // on the caller's stack, below what `Call` is modelled to leave
+        let e = Program::new(
+            "t",
+            vec![
+                Op::Call(0),
+                Op::Pop,
+                Op::Halt,
+                Op::Push(1), // 3
+                Op::Push(2),
+                Op::Ret,
+            ],
+            vec![func(3, 0, 0)],
+            0,
+        )
+        .unwrap_err();
+        assert_eq!(e, VerifyError::RetLeavesOperands { at: 5, depth: 2 });
+    }
+
+    #[test]
+    fn envelope_is_exact_on_straight_lines_and_takes_the_deeper_arm() {
+        let line = prog(vec![
+            Op::Push(1),
+            Op::Push(2),
+            Op::Push(3),
+            Op::Add,
+            Op::Add,
+            Op::Pop,
+            Op::Halt,
+        ])
+        .unwrap();
+        assert_eq!(bound_of(&line), (3, 4, 0), "4 entry locals, no calls");
+
+        // one arm goes three deep, the other one: both count, whichever
+        // a run takes
+        let branchy = prog(vec![
+            Op::LoadPkt(0),
+            Op::JmpIfNot(7),
+            Op::Push(1),
+            Op::Push(2),
+            Op::Push(3),
+            Op::Add,
+            Op::Jmp(9),
+            Op::Push(4), // 7
+            Op::Push(5),
+            Op::Add, // 9: join at depth 2
+            Op::StorePkt(1),
+            Op::Halt,
+        ])
+        .unwrap();
+        assert_eq!(bound_of(&branchy).0, 3);
+    }
+
+    #[test]
+    fn envelope_stacks_callee_frames_on_the_caller() {
+        // top: two operands parked, then f(7); f: one local beyond its
+        // argument, calls g with two operands of its own parked; g: leaf
+        let p = Program::new(
+            "t",
+            vec![
+                Op::Push(10),
+                Op::Push(20),
+                Op::Push(7),
+                Op::Call(0),
+                Op::Add,
+                Op::Add,
+                Op::StorePkt(0),
+                Op::Halt,
+                // f at 8: arity 1, 2 locals
+                Op::LoadLocal(0),
+                Op::Push(1),
+                Op::Call(1),
+                Op::Add,
+                Op::Add,
+                Op::Ret,
+                // g at 14: arity 0, 3 locals
+                Op::Push(1),
+                Op::Push(2),
+                Op::Push(3),
+                Op::Add,
+                Op::Add,
+                Op::Ret,
+                // h at 20: never called, huge — must not count
+                Op::Push(0),
+                Op::Push(0),
+                Op::Push(0),
+                Op::Push(0),
+                Op::Push(0),
+                Op::Push(0),
+                Op::Add,
+                Op::Add,
+                Op::Add,
+                Op::Add,
+                Op::Add,
+                Op::StoreGlob(9),
+                Op::Push(0),
+                Op::Ret,
+            ],
+            vec![func(8, 1, 2), func(14, 0, 3), func(20, 0, 200)],
+            1,
+        )
+        .unwrap();
+        // stack: 2 parked by top + 2 parked by f + g's own 3
+        // heap: 1 + 2 + 3; depth: top -> f -> g
+        assert_eq!(bound_of(&p), (7, 6, 2));
+        let state = &p.envelope().state;
+        assert_eq!(state.packet.writes().iter().collect::<Vec<_>>(), vec![0]);
+        assert!(
+            state.global.writes().is_empty(),
+            "the uncalled function's store is not the program's"
+        );
+    }
+
+    #[test]
+    fn recursion_direct_or_mutual_has_no_bound() {
+        let direct = Program::new(
+            "t",
+            vec![Op::Call(0), Op::Pop, Op::Halt, Op::Call(0), Op::Ret],
+            vec![func(3, 0, 0)],
+            0,
+        )
+        .unwrap();
+        assert_eq!(direct.envelope().bound, None);
+
+        let mutual = Program::new(
+            "t",
+            vec![
+                Op::Call(0),
+                Op::Pop,
+                Op::Halt,
+                Op::Call(1), // 3: f -> g
+                Op::Ret,
+                Op::Call(0), // 5: g -> f
+                Op::Ret,
+            ],
+            vec![func(3, 0, 0), func(5, 0, 0)],
+            0,
+        )
+        .unwrap();
+        assert_eq!(mutual.envelope().bound, None);
+
+        // a cycle nobody reaches from the top level is nobody's problem
+        let unreached = Program::new(
+            "t",
+            vec![Op::Halt, Op::Call(0), Op::Ret],
+            vec![func(1, 0, 0)],
+            0,
+        )
+        .unwrap();
+        assert_eq!(bound_of(&unreached), (0, 0, 0));
+
+        // the same callee from two sites is a diamond, not a cycle
+        let diamond = Program::new(
+            "t",
+            vec![
+                Op::Call(0),
+                Op::Call(1),
+                Op::Add,
+                Op::Pop,
+                Op::Halt,
+                Op::Call(1), // 5: f -> g
+                Op::Ret,
+                Op::Push(1), // 7: g
+                Op::Ret,
+            ],
+            vec![func(5, 0, 0), func(7, 0, 0)],
+            0,
+        )
+        .unwrap();
+        assert_eq!(bound_of(&diamond), (2, 0, 2));
+    }
+
+    #[test]
+    fn state_use_is_read_off_fused_ops_too() {
+        let p = prog(vec![
+            Op::IncrMsg(2, 1),
+            Op::IncrGlob(5, -1),
+            Op::LoadPktAddImm(3, 1),
+            Op::LoadPktMulImm(1, 2),
+            Op::Add,
+            Op::ArrLoad(1),
+            Op::Pop,
+            Op::ArrLen(2),
+            Op::Push(0),
+            Op::ArrStore(0),
+            Op::Halt,
+        ])
+        .unwrap();
+        let s = &p.envelope().state;
+        let ids = |set: &crate::host::SlotSet| set.iter().collect::<Vec<_>>();
+        assert_eq!(ids(s.packet.reads()), vec![1, 3]);
+        assert!(s.packet.writes().is_empty());
+        assert_eq!(
+            (ids(s.message.reads()), ids(s.message.writes())),
+            (vec![2], vec![2])
+        );
+        assert_eq!(
+            (ids(s.global.reads()), ids(s.global.writes())),
+            (vec![5], vec![5])
+        );
+        assert_eq!(
+            (ids(s.arrays.reads()), ids(s.arrays.writes())),
+            (vec![1, 2], vec![0])
+        );
+        assert_eq!(
+            (
+                s.packet.slots(),
+                s.message.slots(),
+                s.global.slots(),
+                s.arrays.slots()
+            ),
+            (4, 3, 6, 3)
+        );
     }
 
     #[test]

@@ -169,19 +169,30 @@ proptest! {
     }
 
     #[test]
-    fn usage_peaks_never_exceed_limits(e in arb_expr(), pkt in proptest::collection::vec(-5i64..5, 4)) {
+    fn envelope_bounds_every_run_and_is_exact_without_branches(
+        e in arb_expr(), pkt in proptest::collection::vec(-5i64..5, 4),
+    ) {
         let mut ops = Vec::new();
         emit(&e, &mut ops);
         ops.push(Op::Pop);
         ops.push(Op::Halt);
+        // no jump in the stream: the one path the verifier walks is the
+        // one a run takes, so what a run reaches *is* the static bound
+        let straight = !ops.iter().any(|op| matches!(op, Op::Jmp(_) | Op::JmpIfNot(_)));
         let program = Program::new("prop", ops, vec![], 4).unwrap();
         let limits = Limits { max_stack: 256, ..Limits::default() };
         let mut host = VecHost::with_slots(4, 0, 0);
         host.packet.copy_from_slice(&pkt);
         let mut interp = Interpreter::new(limits);
-        if interp.run(&program, &mut host).is_ok() {
-            prop_assert!(interp.usage().peak_stack <= limits.max_stack);
-            prop_assert!(interp.usage().peak_heap_slots <= limits.max_heap_slots);
+        interp.set_opcode_profiling(true);
+        let bound = program.envelope().fits(&limits).expect("expression depth is small");
+        interp.run(&program, &mut host).expect("the expression language cannot trap");
+        let seen = interp.observed_peaks().expect("profiling is on");
+        prop_assert_eq!(interp.usage().peak_stack, bound.stack);
+        prop_assert_eq!((seen.heap, seen.call_depth), (4, 0));
+        prop_assert!(seen.stack <= bound.stack, "reached {:?}, bound {:?}", seen, bound);
+        if straight {
+            prop_assert_eq!(seen, bound);
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Developer tool: compile a DSL action function and inspect everything the
 //! controller would learn about it — effects, concurrency, bytecode,
-//! shipped size — the debugging convenience §6 attributes to the DSL
-//! approach ("run and debug the programs locally").
+//! shipped size — and everything an enclave settles when it installs it:
+//! the static stack/heap/call-depth envelope it is admitted on and what
+//! each of its slots is linked to. The debugging convenience §6 attributes
+//! to the DSL approach ("run and debug the programs locally").
 //!
 //! Usage:
 //!   cargo run --example compile_inspect            # inspects built-in PIAS
@@ -9,9 +11,11 @@
 //!                                                  # the PIAS schema
 //!
 //! Exits non-zero with a rendered diagnostic (source line + caret) on
-//! compile errors, so it doubles as a syntax checker.
+//! compile errors, so it doubles as a syntax checker; and non-zero with
+//! the link error if a default enclave would refuse the function.
 
 use eden::apps::functions;
+use eden::core::{Enclave, EnclaveConfig, InstalledFunction, SlotTarget};
 use eden::lang::Scope;
 use eden::vm::disassemble;
 
@@ -79,6 +83,56 @@ fn main() {
     );
     println!("{}", disassemble(&compiled.program));
 
+    // what an enclave with the default limits makes of it at install
+    let mut enclave = Enclave::new(EnclaveConfig::default());
+    let func = match enclave
+        .try_install_function(InstalledFunction::interpreted("inspect", compiled.clone()))
+    {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("a default enclave refuses this function: {e}");
+            std::process::exit(1);
+        }
+    };
+    let info = enclave.link_info(func);
+
+    println!("== static envelope (what the enclave admits it on) ==");
+    match info.envelope.and_then(|e| e.bound) {
+        Some(b) => {
+            println!(
+                "  operand stack {:>3} slots = {:>4} B",
+                b.stack,
+                b.stack * 8
+            );
+            println!("  heap (locals) {:>3} slots = {:>4} B", b.heap, b.heap * 8);
+            println!("  call depth    {:>3} (not recursive)", b.call_depth);
+        }
+        None => println!("  recursive: no finite stack, heap or call depth"),
+    }
+
+    println!("\n== linked slot table ==");
+    for s in &info.slots {
+        let (scope, target) = match s.target {
+            SlotTarget::Packet(bound) => ("packet", format!("{bound:?}")),
+            SlotTarget::Message => ("message", "message block".to_string()),
+            SlotTarget::Global => ("global", "global scalar".to_string()),
+            SlotTarget::Array => ("array", "global array".to_string()),
+        };
+        let uses = match (s.read, s.written) {
+            (true, true) => "read+written",
+            (true, false) => "read",
+            (false, true) => "written",
+            (false, false) => "untouched",
+        };
+        println!(
+            "  {scope:<8}{:>3}  {:<12} -> {target:<28} {:?}, {uses}; may write: {}",
+            s.slot,
+            s.name,
+            s.access,
+            s.writers()
+        );
+    }
+
     let msg_slots = schema.scope_len(Scope::Message);
-    println!("enclave will keep {msg_slots} i64 slot(s) of state per live message");
+    println!("\nenclave will keep {msg_slots} i64 slot(s) of state per live message");
 }

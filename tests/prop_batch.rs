@@ -225,49 +225,85 @@ proptest! {
 }
 
 /// Concurrency enforcement: a function *declared* read-only but shipped
-/// with message-writing bytecode traps (`ReadOnlyViolation`) instead of
-/// racing — identically on the serial path and on worker lanes, failing
-/// open like any other fault.
+/// with message-writing bytecode is refused where it arrives — at install,
+/// and as a whole epoch at staging — instead of being installed and then
+/// trapping (and failing open) on every packet it is handed.
 #[test]
-fn dishonest_concurrency_declaration_traps_identically() {
+fn dishonest_concurrency_declaration_is_refused_at_install() {
+    use eden::core::{ApplyError, EnclaveOp, LinkError};
+
     let bundle = functions::pias(); // writes msg.Size; honestly PerMessage
     let compiled = compile(bundle.name, &bundle.source, &bundle.schema()).unwrap();
+    assert_eq!(compiled.concurrency, Concurrency::PerMessage);
     let bytecode = encode_program(&compiled.program);
-    let mk = || {
-        let mut e = Enclave::new(batchy_config());
-        let f = e.install_function(
-            InstalledFunction::from_shipped(
-                "dishonest-pias",
-                &bytecode,
-                bundle.schema(),
-                Concurrency::Parallel, // lie: claims read-only
-            )
-            .unwrap(),
-        );
-        e.set_array(f, 0, vec![i64::MAX, 1]);
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-        e
+    let shipped = |declared| {
+        InstalledFunction::from_shipped("dishonest-pias", &bytecode, bundle.schema(), declared)
+            .expect("the bytecode itself decodes and verifies")
     };
 
-    let mut serial = mk();
-    let mut batched = mk();
-    let mut rng_a = SimRng::new(7);
-    let mut rng_b = SimRng::new(7);
+    let mut e = Enclave::new(batchy_config());
+    let honest = install(&mut e, &functions::sff(), true, 1);
+    let refusal = e
+        .try_install_function(shipped(Concurrency::Parallel)) // lie: claims read-only
+        .expect_err("code that writes message state is not Parallel");
+    assert_eq!(
+        refusal,
+        LinkError::ConcurrencyTooWeak {
+            declared: Concurrency::Parallel,
+            needs: Concurrency::PerMessage,
+        }
+    );
+    // declared at its true level, or a stricter one, the same bytes link
+    let mut other = Enclave::new(batchy_config());
+    other
+        .try_install_function(shipped(Concurrency::PerMessage))
+        .expect("honest declaration");
+    other
+        .try_install_function(shipped(Concurrency::Serialized))
+        .expect("a stricter level than needed is safe");
+
+    // the same function inside an epoch: the whole epoch is refused and
+    // nothing of it shows — not the rule that follows the function, not a
+    // staged epoch, not a changed digest
+    let (digest, epoch) = (e.config_digest(), e.active_epoch());
+    let ops = vec![
+        EnclaveOp::InstallFunction {
+            name: "dishonest-pias".into(),
+            bytecode: bytecode.clone(),
+            schema: bundle.schema(),
+            concurrency: Concurrency::Parallel,
+        },
+        EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Class(ClassId(2)),
+            func: 1,
+        },
+    ];
+    let err = e
+        .stage_epoch(epoch + 1, &ops)
+        .expect_err("epoch carries an unlinkable function");
+    assert!(
+        matches!(&err, ApplyError::Unlinkable { op: 0, error } if *error == refusal),
+        "{err:?}"
+    );
+    assert_eq!(e.staged_epoch(), None);
+    assert!(!e.commit_epoch(epoch + 1), "nothing to commit");
+    assert_eq!((e.config_digest(), e.active_epoch()), (digest, epoch));
+
+    // and the data path never met the function: class-2 traffic misses,
+    // class-1 traffic still runs the honest function, nothing faults
+    let mut rng = SimRng::new(7);
     let now = Time::from_nanos(1);
-
-    let mut pkts_a: Vec<Packet> = (0..64).map(|i| packet(1, i % 4, 700, 0)).collect();
-    let mut pkts_b = pkts_a.clone();
-    let verdicts_a: Vec<_> = pkts_a
-        .iter_mut()
-        .map(|p| serial.process(p, &mut rng_a, now))
+    let mut pkts: Vec<Packet> = (0..64)
+        .map(|i| packet(1 + i % 2, i as u64 % 4, 700, 0))
         .collect();
-    let verdicts_b = batched.process_batch(&mut pkts_b, &mut rng_b, now);
-
-    assert_eq!(verdicts_a, verdicts_b);
-    assert_eq!(pkts_a, pkts_b);
-    assert_eq!(serial.stats, batched.stats);
-    assert_eq!(serial.stats.faults, 64, "every invocation trapped");
-    assert_eq!(serial.stats.forwarded, 64, "faults fail open");
+    e.process_batch(&mut pkts, &mut rng, now);
+    assert_eq!(e.stats.faults, 0);
+    assert_eq!(e.stats.matched, 32);
+    assert_eq!(e.stats.missed, 32);
+    let snap = e.stats_snapshot();
+    assert_eq!(snap.functions.len(), 1);
+    assert_eq!(snap.functions[honest.0].invocations, 32);
 }
 
 /// The punt mailbox is bounded: overflowing it evicts the oldest punt and
