@@ -3,7 +3,7 @@
 //! The evaluation compares "Eden" (bytecode through the interpreter) with
 //! "native" (the same logic hard-coded in the enclave, "similar to a
 //! typical implementation through a customised layer in the OS", §5.1).
-//! Both forms run behind the same [`eden_vm::Host`]-shaped state interface,
+//! Both forms run against the same per-invocation state view,
 //! so state management and the concurrency model are identical — only the
 //! computation engine differs, which is exactly what Figures 9, 10 and 12
 //! isolate.
@@ -11,39 +11,35 @@
 use eden_lang::{Access, CompiledFunction, Concurrency, Schema};
 use eden_vm::{Effect, Host, Outcome, StateScope, VmError};
 
-use crate::enclave::PktSlot;
+use crate::enclave::InvocationHost;
 
 /// Identifies an installed function within an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FuncId(pub usize);
 
-/// What a native function's schema and declared concurrency level allow
-/// it: the bounds [`NativeEnv`] checks every access against.
-pub(crate) struct NativeView<'a> {
-    pub(crate) pkt: &'a [(PktSlot, Access)],
-    pub(crate) msg_slots: usize,
-    pub(crate) global_slots: usize,
-    pub(crate) arrays: usize,
-    pub(crate) concurrency: Concurrency,
-}
-
 /// Typed accessors native functions use to touch exactly the same state the
-/// interpreter would — through the enclave's [`Host`] binding, so
-/// HeaderMaps and scoping apply equally. An interpreted program has its
-/// slots, its stores and its concurrency level checked once, when it is
-/// installed; compiled Rust cannot be analysed, so this façade is where
-/// the same rules are enforced for it, per access: an unknown slot, a
-/// store to a read-only packet field and a store the declared level
-/// forbids (§3.4.4: `Parallel` writes no message or global state,
-/// `PerMessage` no global state) each return the trap.
+/// interpreter would — the same per-invocation view, so HeaderMaps and
+/// scoping apply equally. An interpreted program has its slots, its stores
+/// and its concurrency level checked once, when it is installed; compiled
+/// Rust cannot be analysed, so this façade is where the same rules are
+/// enforced for it, per access: an unknown slot, a store to a read-only
+/// packet field and a store the declared level forbids (§3.4.4: `Parallel`
+/// writes no message or global state, `PerMessage` no global state) each
+/// return the trap.
 pub struct NativeEnv<'a> {
-    host: &'a mut dyn Host,
-    view: NativeView<'a>,
+    host: &'a mut InvocationHost<'a>,
+    concurrency: Concurrency,
 }
 
 impl<'a> NativeEnv<'a> {
-    pub(crate) fn new(host: &'a mut dyn Host, view: NativeView<'a>) -> NativeEnv<'a> {
-        NativeEnv { host, view }
+    pub(crate) fn new(host: &'a mut InvocationHost<'a>, concurrency: Concurrency) -> NativeEnv<'a> {
+        NativeEnv { host, concurrency }
+    }
+
+    /// What the closure left on the view: the queue verdict and the count
+    /// of header fields it wrote.
+    pub(crate) fn outcome(&self) -> (Option<(i64, i64)>, u64) {
+        (self.host.queue, self.host.header_modifies)
     }
 
     fn known(have: usize, scope: StateScope, slot: u8) -> Result<(), VmError> {
@@ -55,7 +51,7 @@ impl<'a> NativeEnv<'a> {
     }
 
     fn known_array(&self, array: u8, index: i64) -> Result<(), VmError> {
-        if (array as usize) < self.view.arrays {
+        if (array as usize) < self.host.state.arrays().len() {
             Ok(())
         } else {
             Err(VmError::BadArrayAccess { array, index })
@@ -64,7 +60,7 @@ impl<'a> NativeEnv<'a> {
 
     /// Only a `Serialized` function may write global scalars and arrays.
     fn may_write_globals(&self, slot: u8) -> Result<(), VmError> {
-        if self.view.concurrency == Concurrency::Serialized {
+        if self.concurrency == Concurrency::Serialized {
             Ok(())
         } else {
             Err(VmError::ReadOnlyViolation {
@@ -76,14 +72,14 @@ impl<'a> NativeEnv<'a> {
 
     /// Read packet field `slot`.
     pub fn pkt(&mut self, slot: u8) -> Result<i64, VmError> {
-        Self::known(self.view.pkt.len(), StateScope::Packet, slot)?;
+        Self::known(self.host.bindings.len(), StateScope::Packet, slot)?;
         Ok(self.host.load_pkt(slot))
     }
 
     /// Write packet field `slot`.
     pub fn set_pkt(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        Self::known(self.view.pkt.len(), StateScope::Packet, slot)?;
-        if self.view.pkt[slot as usize].1 == Access::ReadOnly {
+        Self::known(self.host.bindings.len(), StateScope::Packet, slot)?;
+        if self.host.bindings[slot as usize].1 == Access::ReadOnly {
             return Err(VmError::ReadOnlyViolation {
                 scope: StateScope::Packet,
                 slot,
@@ -95,13 +91,13 @@ impl<'a> NativeEnv<'a> {
 
     /// Read message state field `slot`.
     pub fn msg(&mut self, slot: u8) -> Result<i64, VmError> {
-        Self::known(self.view.msg_slots, StateScope::Message, slot)?;
+        Self::known(self.host.msg.len(), StateScope::Message, slot)?;
         Ok(self.host.load_msg(slot))
     }
 
     /// Write message state field `slot`.
     pub fn set_msg(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
-        if self.view.concurrency == Concurrency::Parallel {
+        if self.concurrency == Concurrency::Parallel {
             // a read-only function writing message state would invalidate
             // its declared concurrency level — trap instead of racing
             return Err(VmError::ReadOnlyViolation {
@@ -109,21 +105,21 @@ impl<'a> NativeEnv<'a> {
                 slot,
             });
         }
-        Self::known(self.view.msg_slots, StateScope::Message, slot)?;
+        Self::known(self.host.msg.len(), StateScope::Message, slot)?;
         self.host.store_msg(slot, v);
         Ok(())
     }
 
     /// Read global state field `slot`.
     pub fn global(&mut self, slot: u8) -> Result<i64, VmError> {
-        Self::known(self.view.global_slots, StateScope::Global, slot)?;
+        Self::known(self.host.state.global().len(), StateScope::Global, slot)?;
         Ok(self.host.load_glob(slot))
     }
 
     /// Write global state field `slot`.
     pub fn set_global(&mut self, slot: u8, v: i64) -> Result<(), VmError> {
         self.may_write_globals(slot)?;
-        Self::known(self.view.global_slots, StateScope::Global, slot)?;
+        Self::known(self.host.state.global().len(), StateScope::Global, slot)?;
         self.host.store_glob(slot, v);
         Ok(())
     }

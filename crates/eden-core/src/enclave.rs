@@ -63,6 +63,7 @@ mod tables;
 mod telemetry;
 
 use epoch::StagedEpoch;
+pub(crate) use host::InvocationHost;
 use link::Linked;
 pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
 use pipeline::{BatchScratch, FuncCounts, WalkResult};

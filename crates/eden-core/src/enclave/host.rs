@@ -109,7 +109,7 @@ impl ReplRef<'_> {
 /// A function's view of the shared globals: the serial path holds them
 /// exclusively; worker lanes share them read-only (safe because only
 /// `Serialized` functions may write, and those never reach a lane).
-pub(super) enum GlobalView<'a> {
+pub(crate) enum GlobalView<'a> {
     Excl {
         global: &'a mut [i64],
         arrays: &'a mut [Vec<i64>],
@@ -121,14 +121,14 @@ pub(super) enum GlobalView<'a> {
 }
 
 impl GlobalView<'_> {
-    pub(super) fn global(&self) -> &[i64] {
+    pub(crate) fn global(&self) -> &[i64] {
         match self {
             GlobalView::Excl { global, .. } => global,
             GlobalView::Shared { global, .. } => global,
         }
     }
 
-    pub(super) fn arrays(&self) -> &[Vec<i64>] {
+    pub(crate) fn arrays(&self) -> &[Vec<i64>] {
         match self {
             GlobalView::Excl { arrays, .. } => arrays,
             GlobalView::Shared { arrays, .. } => arrays,
@@ -152,20 +152,21 @@ const LANE_STORE: &str = "linked: a function that stores globals never runs on a
 /// it stores to no read-only field, and its stores fit its concurrency
 /// level (§3.4.4) — so the view can hand out slots by index. A native
 /// function reaches the same view only through
-/// [`NativeEnv`](crate::NativeEnv), which makes those checks per access.
-pub(super) struct InvocationHost<'a> {
+/// [`NativeEnv`](crate::NativeEnv), which borrows it for the call and
+/// makes those checks per access.
+pub(crate) struct InvocationHost<'a> {
     pub(super) packet: &'a mut Packet,
-    pub(super) bindings: &'a [(PktSlot, Access)],
+    pub(crate) bindings: &'a [(PktSlot, Access)],
     pub(super) scratch: &'a mut [i64],
-    pub(super) msg: &'a mut [i64],
-    pub(super) state: GlobalView<'a>,
+    pub(crate) msg: &'a mut [i64],
+    pub(crate) state: GlobalView<'a>,
     pub(super) repl: ReplRef<'a>,
     pub(super) rng: &'a mut PacketRng,
     pub(super) now: Time,
     pub(super) direction: FlowDirection,
-    pub(super) queue: Option<(i64, i64)>,
+    pub(crate) queue: Option<(i64, i64)>,
     /// Mapped header fields written during this invocation (telemetry).
-    pub(super) header_modifies: u64,
+    pub(crate) header_modifies: u64,
 }
 
 impl Host for InvocationHost<'_> {

@@ -161,9 +161,9 @@ fn check(
         check_scope(schema, scope, used)?;
     }
     let arrays = schema.arrays();
-    if state.arrays.slots() > arrays.len() {
+    if let Some(array) = state.arrays.beyond(arrays.len()) {
         return Err(LinkError::NoSuchArray {
-            array: (state.arrays.slots() - 1) as u8,
+            array,
             declared: arrays.len(),
         });
     }
@@ -177,12 +177,7 @@ fn check(
     }
     // `Parallel` writes nothing, `PerMessage` writes no global
     let needs = derived_level(state);
-    let permitted = match declared {
-        Concurrency::Serialized => true,
-        Concurrency::PerMessage => needs != Concurrency::Serialized,
-        Concurrency::Parallel => needs == Concurrency::Parallel,
-    };
-    if !permitted {
+    if needs > declared {
         return Err(LinkError::ConcurrencyTooWeak { declared, needs });
     }
     Ok(())
@@ -190,10 +185,10 @@ fn check(
 
 fn check_scope(schema: &Schema, scope: Scope, used: &ScopeUse) -> Result<(), LinkError> {
     let declared = schema.scope_len(scope);
-    if used.slots() > declared {
+    if let Some(slot) = used.beyond(declared) {
         return Err(LinkError::NoSuchSlot {
             scope,
-            slot: (used.slots() - 1) as u8,
+            slot,
             declared,
         });
     }

@@ -13,7 +13,7 @@ use super::host::{GlobalView, InvocationHost, ReplRef, ReplShared};
 use super::link::PktSlot;
 use super::tables::{lookup, FiveTupleMatch, Lookup, MatchActionTable, TableCounts};
 use super::{Enclave, EnclaveStats, FlowDirection, STAGE_CLASSIFY, STAGE_EXECUTE, STAGE_MATCH};
-use crate::action::{ActionImpl, InstalledFunction, NativeEnv, NativeFn, NativeView};
+use crate::action::{ActionImpl, InstalledFunction, NativeEnv, NativeFn};
 use crate::class::ClassId;
 use crate::state::{FunctionState, MsgShard};
 
@@ -721,23 +721,24 @@ impl Walker<'_, '_> {
         };
         let native = matches!(action, ActionRef::Native(..));
         let t = timed.then(std::time::Instant::now);
-        let result = match action {
-            ActionRef::Interpreted(program) => self.interp.run(program, &mut host),
+        // A native closure borrows the view for as long as the view's own
+        // borrows live, so each arm reads the verdict off it while it can.
+        let (result, queue, header_modifies) = match action {
+            ActionRef::Interpreted(program) => {
+                let result = self.interp.run(program, &mut host);
+                (result, host.queue, host.header_modifies)
+            }
             ActionRef::Native(f, concurrency) => {
-                let view = NativeView {
-                    pkt: host.bindings,
-                    msg_slots: host.msg.len(),
-                    global_slots: host.state.global().len(),
-                    arrays: host.state.arrays().len(),
-                    concurrency,
-                };
-                f(&mut NativeEnv::new(&mut host, view))
+                let mut env = NativeEnv::new(&mut host, concurrency);
+                let result = f(&mut env);
+                let (queue, header_modifies) = env.outcome();
+                (result, queue, header_modifies)
             }
         };
         let out = InvokeOut {
             result,
-            queue: host.queue,
-            header_modifies: host.header_modifies,
+            queue,
+            header_modifies,
         };
         if let Some(t) = t {
             let ns = t.elapsed().as_nanos() as u64;

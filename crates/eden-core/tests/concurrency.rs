@@ -38,11 +38,10 @@ impl Host for SharedGlobalHost {
     /// The shared copy answers for the global slots, the local host for
     /// everything else.
     fn admit(&self, needs: &StateUse) -> Result<(), VmError> {
-        let have = self.globals().len();
-        if needs.global.slots() > have {
+        if let Some(slot) = needs.global.beyond(self.globals().len()) {
             return Err(VmError::BadStateSlot {
                 scope: eden_vm::StateScope::Global,
-                slot: (needs.global.slots() - 1) as u8,
+                slot,
             });
         }
         self.local.admit(&StateUse {

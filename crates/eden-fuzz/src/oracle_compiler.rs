@@ -124,8 +124,7 @@ fn execute(program: &eden_vm::Program, spec: &HostSpec) -> Option<Observed> {
     let result = interp.run(program, &mut host);
     let seen = interp.observed_peaks().expect("profiling is on");
     let overran =
-        (seen.stack > bound.stack || seen.heap > bound.heap || seen.call_depth > bound.call_depth)
-            .then(|| format!("reached {seen:?} past its envelope {bound:?}"));
+        (!bound.covers(&seen)).then(|| format!("reached {seen:?} past its envelope {bound:?}"));
     let post_rng = host.rand64();
     Some(Observed {
         result,

@@ -213,8 +213,7 @@ fn diff_interp_native(bundle: &FunctionBundle, specs: &[PktSpec], seed: u64) -> 
         let va = interp.process(&mut a, &mut r1, now);
         let vb = native.process(&mut b, &mut r2, now);
         let seen = interp.observed_peaks().expect("profiling is on");
-        if seen.stack > bound.stack || seen.heap > bound.heap || seen.call_depth > bound.call_depth
-        {
+        if !bound.covers(&seen) {
             return Some(format!(
                 "packet {i}: run left its envelope: reached {seen:?}, bound {bound:?}"
             ));

@@ -104,14 +104,9 @@ fn run_program(p: &Program, host_seed: u64) -> Ran {
     let seen = interp.observed_peaks().expect("profiling is on");
     Ran::Admitted(match &r {
         Err(e) if is_forbidden_trap(e) => Err(format!("admitted program trapped with {e:?}")),
-        _ if seen.stack > bound.stack
-            || seen.heap > bound.heap
-            || seen.call_depth > bound.call_depth =>
-        {
-            Err(format!(
-                "admitted program left its envelope: reached {seen:?}, bound {bound:?}"
-            ))
-        }
+        _ if !bound.covers(&seen) => Err(format!(
+            "admitted program left its envelope: reached {seen:?}, bound {bound:?}"
+        )),
         _ => Ok(r),
     })
 }
@@ -216,7 +211,7 @@ mod tests {
             );
             let seen = interp.observed_peaks().unwrap();
             assert!(
-                seen.stack <= bound.stack && seen.heap <= bound.heap && seen.call_depth == 0,
+                bound.covers(&seen),
                 "reached {seen:?}, bound {bound:?}\n{:?}",
                 raw.ops
             );

@@ -418,7 +418,9 @@ impl StateEffects {
 }
 
 /// How many invocations of a function may run concurrently (§3.4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordered from the level that permits most concurrency — and writes
+/// least — to the one that permits none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Concurrency {
     /// Only packet state is written: any number of invocations in parallel.
     Parallel,

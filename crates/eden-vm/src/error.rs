@@ -5,20 +5,32 @@
 //! rest of the system." Every error below terminates the offending program;
 //! the enclave then applies its fail-open/fail-closed policy to the packet
 //! and keeps forwarding.
+//!
+//! They come from three places. Verification makes some unreachable. The
+//! budget and slot errors are raised at *admission*, before a program's
+//! first instruction, from its static envelope — an enclave raises them
+//! earlier still, when the function is installed. Only what depends on
+//! run-time values is left to trap mid-run: `DivideByZero`,
+//! `BadArrayAccess`, `BadRandRange`, `BadQueue`, `BadTable`, and
+//! `OutOfFuel` when a budget is set.
 
 use std::fmt;
 
 /// Why an action function was terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmError {
-    /// Operand stack exceeded [`Limits::max_stack`](crate::Limits).
+    /// The program's static operand-stack bound exceeds
+    /// [`Limits::max_stack`](crate::Limits). Raised at admission.
     StackOverflow,
     /// An op needed more operands than the stack held. Unreachable for
     /// verified programs.
     StackUnderflow,
-    /// Locals arena ("heap") exceeded [`Limits::max_heap_slots`](crate::Limits).
+    /// The program's static locals ("heap") bound exceeds
+    /// [`Limits::max_heap_slots`](crate::Limits). Raised at admission.
     HeapOverflow,
-    /// Call depth exceeded [`Limits::max_call_depth`](crate::Limits).
+    /// The program's static call depth exceeds
+    /// [`Limits::max_call_depth`](crate::Limits), or it recurses and has
+    /// none. Raised at admission.
     CallDepthExceeded,
     /// The optional instruction budget ran out.
     OutOfFuel,
@@ -33,14 +45,17 @@ pub enum VmError {
     BadFunction(u16),
     /// A local slot index was out of range for the current frame.
     BadLocal(u8),
-    /// The host rejected a state slot (packet/message/global field id not in
-    /// the bound schema).
+    /// The host does not hold a state slot the program touches
+    /// (packet/message/global field id not in the bound schema). Raised at
+    /// admission, for the highest such slot.
     BadStateSlot { scope: StateScope, slot: u8 },
-    /// A global-array access was out of bounds or referenced an unknown
-    /// array.
+    /// A global-array access was out of bounds (mid-run: the index is a
+    /// run-time value), or the program references an array the host does
+    /// not hold (at admission, `index` −1).
     BadArrayAccess { array: u8, index: i64 },
-    /// The host refused a write (e.g. the schema marks the field read-only;
-    /// defence in depth — the compiler rejects these statically too).
+    /// The host refuses a store the program makes (e.g. the schema marks
+    /// the field read-only, or a native function writes beyond its declared
+    /// concurrency level). For an interpreted program raised at admission.
     ReadOnlyViolation { scope: StateScope, slot: u8 },
     /// `Ret` executed with no call frame (top level uses `Halt`).
     ReturnFromTopLevel,

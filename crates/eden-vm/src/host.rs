@@ -110,6 +110,12 @@ impl ScopeUse {
     pub fn slots(&self) -> usize {
         self.slots as usize
     }
+
+    /// The highest slot touched, if a scope of `have` slots does not hold
+    /// it: what an admission refusal names.
+    pub fn beyond(&self, have: usize) -> Option<u8> {
+        (self.slots() > have).then(|| (self.slots - 1) as u8)
+    }
 }
 
 /// Every state access a program can make, per scope. Part of the
@@ -249,17 +255,15 @@ impl VecHost {
 }
 
 impl Host for VecHost {
+    #[inline]
     fn admit(&self, needs: &StateUse) -> Result<(), VmError> {
         for (scope, used, have) in [
             (StateScope::Packet, &needs.packet, self.packet.len()),
             (StateScope::Message, &needs.message, self.msg.len()),
             (StateScope::Global, &needs.global, self.global.len()),
         ] {
-            if used.slots() > have {
-                return Err(VmError::BadStateSlot {
-                    scope,
-                    slot: (used.slots() - 1) as u8,
-                });
+            if let Some(slot) = used.beyond(have) {
+                return Err(VmError::BadStateSlot { scope, slot });
             }
             if let Some(&(scope, slot)) = self
                 .read_only
@@ -269,11 +273,8 @@ impl Host for VecHost {
                 return Err(VmError::ReadOnlyViolation { scope, slot });
             }
         }
-        if needs.arrays.slots() > self.arrays.len() {
-            return Err(VmError::BadArrayAccess {
-                array: (needs.arrays.slots() - 1) as u8,
-                index: -1,
-            });
+        if let Some(array) = needs.arrays.beyond(self.arrays.len()) {
+            return Err(VmError::BadArrayAccess { array, index: -1 });
         }
         Ok(())
     }

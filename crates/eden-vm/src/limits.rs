@@ -98,6 +98,13 @@ pub struct Bound {
     pub call_depth: usize,
 }
 
+impl Bound {
+    /// Did a run that reached `seen` stay inside this bound?
+    pub fn covers(&self, seen: &Bound) -> bool {
+        seen.stack <= self.stack && seen.heap <= self.heap && seen.call_depth <= self.call_depth
+    }
+}
+
 /// What the verifier learns about a program beyond "it is well formed":
 /// the memory it can need and the state it can touch. Everything an
 /// interpreter or an enclave has to check about a program before running
@@ -115,6 +122,7 @@ pub struct Envelope {
 impl Envelope {
     /// Does the program fit `limits`? The refusal is the trap the program
     /// could otherwise have run into, raised before it starts.
+    #[inline]
     pub fn fits(&self, limits: &Limits) -> Result<Bound, VmError> {
         let bound = self.bound.ok_or(VmError::CallDepthExceeded)?;
         if bound.stack > limits.max_stack.min(FRAME_SLOTS) {

@@ -61,9 +61,7 @@ fn no_catalogue_run_reaches_past_its_envelope() {
         let bound = program.envelope().bound.expect("not recursive");
         let within = |seen: eden::vm::Bound, what: &str| {
             assert!(
-                seen.stack <= bound.stack
-                    && seen.heap <= bound.heap
-                    && seen.call_depth <= bound.call_depth,
+                bound.covers(&seen),
                 "{} ({what}): reached {seen:?}, static bound {bound:?}",
                 bundle.name
             );
