@@ -44,7 +44,9 @@
 
 use eden_lang::{Access, Concurrency, Schema};
 use eden_repl::{merged_read, HostRepl, ReplSpec, SeqTarget};
-use eden_telemetry::{FlightDump, FlightKind, FlightRing, LogHistogram, Sampler, SpanSink};
+use eden_telemetry::{
+    FlightDump, FlightKind, FlightRing, FuncCounts, LogHistogram, RuleHits, Sampler, SpanSink,
+};
 use eden_vm::{InterpreterPool, Limits};
 use netsim::{Packet, Time};
 use transport::{HookEnv, HookVerdict, PacketHook};
@@ -66,7 +68,7 @@ use epoch::StagedEpoch;
 pub(crate) use host::InvocationHost;
 use link::Linked;
 pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
-use pipeline::{BatchScratch, FuncCounts, WalkResult};
+use pipeline::BatchScratch;
 pub use tables::{FiveTupleMatch, MatchSpec, Rule, TableId};
 use tables::{MatchActionTable, TableCounts};
 
@@ -138,91 +140,10 @@ impl Default for EnclaveConfig {
     }
 }
 
-/// Data-path counters.
-///
-/// Conservation invariant: every processed packet leaves the enclave
-/// exactly one way, so `packets == forwarded + dropped +
-/// punted_to_controller` at all times (checked by
-/// [`EnclaveStats::conserved`], pinned by a property test).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnclaveStats {
-    pub packets: u64,
-    /// Packets for which at least one rule matched.
-    pub matched: u64,
-    /// Packets that matched no rule in any table walked.
-    pub missed: u64,
-    /// Packets that left toward the NIC (pass or queue verdicts).
-    pub forwarded: u64,
-    pub dropped: u64,
-    pub punted_to_controller: u64,
-    /// Of the forwarded packets, those steered to a NIC priority queue.
-    pub queued: u64,
-    pub faults: u64,
-    /// Packet-header fields written by action functions.
-    pub header_modifies: u64,
-    /// Bytes charged to queue verdicts (Pulsar-style accounting, §2.1.2).
-    pub enqueue_charge_bytes: u64,
-    /// Punted packets evicted from the bounded mailbox (see
-    /// [`EnclaveConfig::max_punted`]).
-    pub punt_drops: u64,
-    /// Table walks aborted by the `GotoTable` loop guard.
-    pub table_loop_aborts: u64,
-}
-
-impl EnclaveStats {
-    /// Every processed packet left the enclave exactly one way.
-    pub fn conserved(&self) -> bool {
-        self.packets == self.forwarded + self.dropped + self.punted_to_controller
-    }
-
-    /// Fold one packet's walk outcome into the counters (everything except
-    /// the `packets` count and the punt mailbox, which the caller owns).
-    fn account_walk(&mut self, w: &WalkResult) {
-        if w.matched_any {
-            self.matched += 1;
-        } else {
-            self.missed += 1;
-        }
-        if w.fault {
-            self.faults += 1;
-        }
-        if w.loop_abort {
-            self.table_loop_aborts += 1;
-        }
-        self.header_modifies += w.header_modifies;
-        match w.verdict {
-            HookVerdict::Pass => self.forwarded += 1,
-            HookVerdict::Queue { charge, .. } => {
-                self.forwarded += 1;
-                self.queued += 1;
-                self.enqueue_charge_bytes += charge;
-            }
-            HookVerdict::Drop => {
-                if w.punt {
-                    self.punted_to_controller += 1;
-                } else {
-                    self.dropped += 1;
-                }
-            }
-        }
-    }
-
-    /// Add a worker lane's partial counters (batch merge).
-    fn merge(&mut self, d: &EnclaveStats) {
-        self.packets += d.packets;
-        self.matched += d.matched;
-        self.missed += d.missed;
-        self.forwarded += d.forwarded;
-        self.dropped += d.dropped;
-        self.punted_to_controller += d.punted_to_controller;
-        self.queued += d.queued;
-        self.faults += d.faults;
-        self.header_modifies += d.header_modifies;
-        self.enqueue_charge_bytes += d.enqueue_charge_bytes;
-        self.punt_drops += d.punt_drops;
-        self.table_loop_aborts += d.table_loop_aborts;
-    }
-}
+/// Data-path counters: the `enclave` group of a telemetry snapshot,
+/// incremented in place (see [`EnclaveStats::conserved`] for the
+/// conservation invariant a property test pins).
+pub use eden_telemetry::EnclaveCounters as EnclaveStats;
 
 /// The programmable data plane at one end host.
 pub struct Enclave {
@@ -263,11 +184,6 @@ pub struct Enclave {
     /// pops it for O(1) oldest-eviction when the ring is full.
     punt_rx: Consumer<Packet>,
     pub stats: EnclaveStats,
-    /// Batches that ran packet by packet on the caller's thread (small
-    /// or lane-unsafe).
-    batches_serial: u64,
-    /// Batches that fanned out to the worker lanes.
-    batches_parallel: u64,
     /// Reused struct-of-arrays scratch for the lane fan-out.
     batch: BatchScratch,
     /// Scratch for unmapped packet fields (packet lifetime).
@@ -325,8 +241,6 @@ impl Enclave {
             punt_tx,
             punt_rx,
             stats: EnclaveStats::default(),
-            batches_serial: 0,
-            batches_parallel: 0,
             batch: BatchScratch::default(),
             scratch: Vec::new(),
             classes: Vec::new(),
@@ -413,7 +327,9 @@ impl Enclave {
     pub fn install_rule(&mut self, table: TableId, spec: MatchSpec, func: FuncId) {
         assert!(func.0 < self.functions.len(), "unknown function");
         self.tables[table.0].push_rule(Rule { spec, func });
-        self.table_counts[table.0].rule_hits.push(0);
+        self.table_counts[table.0]
+            .rule_hits
+            .push(RuleHits::default());
     }
 
     /// Remove rule `rule` (by position) from `table`; later rules shift
@@ -1123,7 +1039,11 @@ mod tests {
         b.process_batch_into(&mut batch, &mut SimRng::new(1), Time::ZERO, &mut verdicts);
         assert_eq!(b.batch_path_counts(), (1, 0));
         assert_eq!(b.pending_spans(), e.pending_spans());
-        assert_eq!(b.stats, e.stats);
+        let packet_counts = EnclaveStats {
+            batches_serial: 0,
+            ..b.stats
+        };
+        assert_eq!(packet_counts, e.stats);
         let span_names = |e: &mut Enclave| -> Vec<String> {
             let spans = e.drain_spans(100);
             spans.into_iter().map(|s| s.name).collect()

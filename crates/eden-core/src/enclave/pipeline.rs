@@ -3,7 +3,7 @@
 
 use eden_lang::Access;
 use eden_repl::HostRepl;
-use eden_telemetry::{FlightEvent, FlightKind, FlightRing, TraceContext};
+use eden_telemetry::{FlightEvent, FlightKind, FlightRing, FuncCounts, TraceContext};
 use eden_vm::{Interpreter, Outcome, Program, VmError};
 use netsim::arena::{PacketRef, PacketSlab};
 use netsim::{Packet, PacketRng, SimRng, Time};
@@ -172,10 +172,10 @@ impl Enclave {
             return;
         }
         if self.parallel_eligible(packets.len()) {
-            self.batches_parallel += 1;
+            self.stats.batches_parallel += 1;
             self.process_batch_parallel(packets, rng, now, direction, out);
         } else {
-            self.batches_serial += 1;
+            self.stats.batches_serial += 1;
             out.reserve(packets.len());
             for p in packets.iter_mut() {
                 let v = self.process_dir(p, rng, now, direction);
@@ -490,53 +490,57 @@ struct InvokeOut {
     header_modifies: u64,
 }
 
-/// Per-function counters, kept apart from the read-only
-/// [`InstalledFunction`] for the same reason as [`TableCounts`]: the
-/// enclave's blocks hold the totals, a lane's are merged into them after
-/// every fan-out.
-#[derive(Debug, Default, Clone)]
-pub(super) struct FuncCounts {
-    /// Invocations completed without a trap.
-    pub(super) invocations: u64,
-    /// Invocations terminated by a trap (the packet then fails open or
-    /// closed, per §3.4.3's isolation guarantee).
-    pub(super) faults: u64,
-    /// Invocations that returned a drop verdict.
-    pub(super) drops: u64,
-    /// Invocations that punted the packet to the controller.
-    pub(super) punts: u64,
-    /// Packet-header fields the function wrote.
-    pub(super) header_modifies: u64,
-    /// Bytes the function charged to queue verdicts (Pulsar accounting).
-    pub(super) enqueue_charge_bytes: u64,
+/// Fold one invocation's outcome into its function's counters. The
+/// blocks are kept apart from the read-only [`InstalledFunction`] for the
+/// same reason as [`TableCounts`]: the enclave's hold the totals, a lane's
+/// are merged into them after every fan-out.
+fn record_invocation(c: &mut FuncCounts, out: &InvokeOut) {
+    c.header_modifies += out.header_modifies;
+    match &out.result {
+        Ok(outcome) => {
+            c.invocations += 1;
+            if let Some((_, charge)) = out.queue {
+                c.enqueue_charge_bytes += charge.max(0) as u64;
+            }
+            match outcome {
+                Outcome::Dropped => c.drops += 1,
+                Outcome::SentToController => c.punts += 1,
+                Outcome::Done | Outcome::GotoTable(_) => {}
+            }
+        }
+        Err(_) => c.faults += 1,
+    }
 }
 
-impl FuncCounts {
-    fn record(&mut self, out: &InvokeOut) {
-        self.header_modifies += out.header_modifies;
-        match &out.result {
-            Ok(outcome) => {
-                self.invocations += 1;
-                if let Some((_, charge)) = out.queue {
-                    self.enqueue_charge_bytes += charge.max(0) as u64;
-                }
-                match outcome {
-                    Outcome::Dropped => self.drops += 1,
-                    Outcome::SentToController => self.punts += 1,
-                    Outcome::Done | Outcome::GotoTable(_) => {}
-                }
-            }
-            Err(_) => self.faults += 1,
-        }
+/// Fold one packet's walk outcome into the enclave's counters (everything
+/// except the `packets` count and the punt mailbox, which the caller owns).
+fn account_walk(stats: &mut EnclaveStats, w: &WalkResult) {
+    if w.matched_any {
+        stats.matched += 1;
+    } else {
+        stats.missed += 1;
     }
-
-    fn merge(&mut self, d: &FuncCounts) {
-        self.invocations += d.invocations;
-        self.faults += d.faults;
-        self.drops += d.drops;
-        self.punts += d.punts;
-        self.header_modifies += d.header_modifies;
-        self.enqueue_charge_bytes += d.enqueue_charge_bytes;
+    if w.fault {
+        stats.faults += 1;
+    }
+    if w.loop_abort {
+        stats.table_loop_aborts += 1;
+    }
+    stats.header_modifies += w.header_modifies;
+    match w.verdict {
+        HookVerdict::Pass => stats.forwarded += 1,
+        HookVerdict::Queue { charge, .. } => {
+            stats.forwarded += 1;
+            stats.queued += 1;
+            stats.enqueue_charge_bytes += charge;
+        }
+        HookVerdict::Drop => {
+            if w.punt {
+                stats.punted_to_controller += 1;
+            } else {
+                stats.dropped += 1;
+            }
+        }
     }
 }
 
@@ -644,7 +648,7 @@ impl Walker<'_, '_> {
         // measured ~100 ns a packet on the miss path
         self.scratch.iter_mut().for_each(|v| *v = 0);
         let walk = self.walk_packet(classes, msg_id, packet, rng, sampled, first);
-        self.stats.account_walk(&walk);
+        account_walk(self.stats, &walk);
         if walk.punt && sampled {
             let class = classes.first().copied().unwrap_or(0);
             self.flight(FlightKind::Punt, u64::from(class), 0);
@@ -753,7 +757,7 @@ impl Walker<'_, '_> {
                 .unwrap_or((eden_vm::Op::KIND_COUNT as u64, 0));
             self.flight(FlightKind::VmTrap, a, b);
         }
-        self.func_counts[fid].record(&out);
+        record_invocation(&mut self.func_counts[fid], &out);
         out
     }
 
@@ -990,12 +994,12 @@ fn run_lane_task(_lane: usize, t: &mut LaneTask<'_, '_>) {
 }
 
 /// One packet's trip through the execute stage.
-pub(super) struct WalkResult {
-    pub(super) verdict: HookVerdict,
+struct WalkResult {
+    verdict: HookVerdict,
     /// Verdict was a controller punt (the epilogue moves the packet out).
-    pub(super) punt: bool,
-    pub(super) matched_any: bool,
-    pub(super) fault: bool,
-    pub(super) header_modifies: u64,
-    pub(super) loop_abort: bool,
+    punt: bool,
+    matched_any: bool,
+    fault: bool,
+    header_modifies: u64,
+    loop_abort: bool,
 }

@@ -1,6 +1,7 @@
 //! Match-action tables: what a rule matches on, the class→rule index,
 //! and the counters a lookup feeds.
 
+use eden_telemetry::{RuleHits, TableLookups};
 use netsim::Packet;
 
 use crate::action::FuncId;
@@ -245,29 +246,23 @@ pub(super) enum Lookup {
 /// a lane's are merged into them after every fan-out.
 #[derive(Debug, Default)]
 pub(super) struct TableCounts {
-    pub(super) lookups: u64,
-    /// Lookups that hit some rule.
-    pub(super) matched: u64,
-    /// Lookups that hit no rule.
-    pub(super) missed: u64,
+    pub(super) totals: TableLookups,
     /// Packets that matched each rule, parallel to the table's rules.
-    pub(super) rule_hits: Vec<u64>,
+    pub(super) rule_hits: Vec<RuleHits>,
 }
 
 impl TableCounts {
     pub(super) fn for_rules(rules: usize) -> TableCounts {
         TableCounts {
-            rule_hits: vec![0; rules],
+            rule_hits: vec![RuleHits::default(); rules],
             ..TableCounts::default()
         }
     }
 
     pub(super) fn merge(&mut self, d: &TableCounts) {
-        self.lookups += d.lookups;
-        self.matched += d.matched;
-        self.missed += d.missed;
-        for (total, &hits) in self.rule_hits.iter_mut().zip(&d.rule_hits) {
-            *total += hits;
+        self.totals.merge(&d.totals);
+        for (total, hits) in self.rule_hits.iter_mut().zip(&d.rule_hits) {
+            total.merge(hits);
         }
     }
 }
@@ -283,15 +278,15 @@ pub(super) fn lookup(
         return Lookup::NoTable;
     };
     let c = &mut counts[table];
-    c.lookups += 1;
+    c.totals.lookups += 1;
     match tbl.find(classes) {
         Some(idx) => {
-            c.matched += 1;
-            c.rule_hits[idx] += 1;
+            c.totals.matched += 1;
+            c.rule_hits[idx].hits += 1;
             Lookup::Hit(tbl.rules[idx].func.0)
         }
         None => {
-            c.missed += 1;
+            c.totals.missed += 1;
             Lookup::Miss
         }
     }

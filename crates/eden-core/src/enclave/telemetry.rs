@@ -2,8 +2,8 @@
 //! and the flight recorder.
 
 use eden_telemetry::{
-    EnclaveCounters, FlightDump, FlightEvent, FlightKind, FunctionCounters, LatencyStat,
-    RuleCounters, Sampler, Span, StatsSnapshot, TableCounters, Telemetry, TraceContext, VmCounters,
+    FlightDump, FlightEvent, FlightKind, FunctionCounters, LatencyStat, RuleCounters, Sampler,
+    Span, StatsSnapshot, TableCounters, Telemetry, TraceContext,
 };
 
 use super::{Enclave, STAGE_NAMES};
@@ -17,16 +17,13 @@ impl Enclave {
     /// the host stack (see
     /// [`Controller::pull_host_stats`](crate::Controller::pull_host_stats)).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let enclave = self.enclave_counters();
         let tables = self
             .table_counts
             .iter()
             .enumerate()
-            .map(|(i, c)| TableCounters {
-                table: i,
-                lookups: c.lookups,
-                matches: c.matched,
-                misses: c.missed,
+            .map(|(table, c)| TableCounters {
+                table,
+                counts: c.totals,
             })
             .collect();
         let rules = self
@@ -34,13 +31,13 @@ impl Enclave {
             .iter()
             .zip(&self.table_counts)
             .enumerate()
-            .flat_map(|(ti, (t, c))| {
+            .flat_map(|(table, (t, c))| {
                 let hits = t.rules.iter().zip(&c.rule_hits).enumerate();
-                hits.map(move |(ri, (r, &hits))| RuleCounters {
-                    table: ti,
-                    rule: ri,
+                hits.map(move |(rule, (r, &counts))| RuleCounters {
+                    table,
+                    rule,
                     func: r.func.0,
-                    hits,
+                    counts,
                 })
             })
             .collect();
@@ -49,18 +46,12 @@ impl Enclave {
             .iter()
             .zip(&self.func_counts)
             .enumerate()
-            .map(|(i, (f, c))| FunctionCounters {
-                func: i,
+            .map(|(func, (f, &counts))| FunctionCounters {
+                func,
                 name: f.name.clone(),
-                invocations: c.invocations,
-                faults: c.faults,
-                drops: c.drops,
-                punts: c.punts,
-                header_modifies: c.header_modifies,
-                enqueue_charge_bytes: c.enqueue_charge_bytes,
+                counts,
             })
             .collect();
-        let vmc = self.pool.counters();
         let opcode_counts = match self.pool.opcode_histogram() {
             Some(hist) => hist
                 .iter()
@@ -72,47 +63,22 @@ impl Enclave {
         };
         StatsSnapshot {
             captured_at_ns: self.last_now.as_nanos(),
-            enclave,
+            enclave: self.stats,
             tables,
             rules,
             functions,
-            vm: VmCounters {
-                invocations: vmc.invocations,
-                traps: vmc.traps,
-                steps: vmc.steps,
-                elapsed_ns: vmc.elapsed_ns,
-                opcode_counts,
-            },
+            vm: self.pool.counters(),
+            opcode_counts,
             flows: Vec::new(),
             host: None,
             latencies: self.latency_stats(),
         }
     }
 
-    /// The enclave-total counters as the telemetry type.
-    fn enclave_counters(&self) -> EnclaveCounters {
-        EnclaveCounters {
-            processed: self.stats.packets,
-            matched: self.stats.matched,
-            misses: self.stats.missed,
-            forwarded: self.stats.forwarded,
-            dropped: self.stats.dropped,
-            punted: self.stats.punted_to_controller,
-            queued: self.stats.queued,
-            faults: self.stats.faults,
-            header_modifies: self.stats.header_modifies,
-            enqueue_charge_bytes: self.stats.enqueue_charge_bytes,
-            punt_drops: self.stats.punt_drops,
-            table_loop_aborts: self.stats.table_loop_aborts,
-            batches_serial: self.batches_serial,
-            batches_parallel: self.batches_parallel,
-        }
-    }
-
     /// How batches ran, `(packet by packet on the caller's thread, fanned
     /// out to lanes)` — telemetry for the per-lane fan-out gate.
     pub fn batch_path_counts(&self) -> (u64, u64) {
-        (self.batches_serial, self.batches_parallel)
+        (self.stats.batches_serial, self.stats.batches_parallel)
     }
 
     /// Named latency histograms for a snapshot: pipeline stages, sampled
@@ -225,7 +191,7 @@ impl Enclave {
             self.last_now.as_nanos(),
             &self.flight,
             self.spans.open_spans(),
-            self.enclave_counters(),
+            self.stats,
         );
         dump.emit();
         self.last_dump = Some(dump);

@@ -393,7 +393,7 @@ fn faulting_function_fails_open_and_isolates() {
     let v = enclave.process(&mut p, &mut rng, Time::ZERO);
     assert_eq!(v, HookVerdict::Pass, "fail-open forwards");
     assert_eq!(enclave.stats.faults, 1);
-    assert_eq!(enclave.stats_snapshot().functions[f.0].faults, 1);
+    assert_eq!(enclave.stats_snapshot().functions[f.0].counts.faults, 1);
 
     // fail-closed configuration drops instead
     let mut enclave = Enclave::new(EnclaveConfig {

@@ -273,7 +273,7 @@ fn hit_rule(e: &mut Enclave, classes: &[u32]) -> Option<usize> {
     let hits = |e: &Enclave| -> Vec<u64> {
         let rules = e.stats_snapshot().rules;
         let table0 = rules.iter().filter(|r| r.table == 0);
-        table0.map(|r| r.hits).collect()
+        table0.map(|r| r.counts.hits).collect()
     };
     let before = hits(e);
     e.process(&mut packet(classes), &mut SimRng::new(1), Time::ZERO);

@@ -110,31 +110,8 @@ impl Default for CtrlConfig {
 }
 
 /// Message/byte tallies for everything this endpoint puts on or takes
-/// off the control wire — the root-load metric the hierarchical tier
-/// exists to shrink. Counted at message granularity (encoded payload
-/// bytes, before fragmentation headers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireCounters {
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub msgs_received: u64,
-    pub bytes_received: u64,
-    /// Bytes of epoch-configuration traffic only (Prepare / DeltaPrepare
-    /// / Commit / Abort) — the delta-vs-full comparison metric.
-    pub config_bytes_sent: u64,
-}
-
-impl WireCounters {
-    /// Record one sent message of `payload_len` encoded bytes;
-    /// `epoch_config` marks a Prepare / DeltaPrepare / Commit / Abort.
-    pub(crate) fn sent(&mut self, payload_len: usize, epoch_config: bool) {
-        self.msgs_sent += 1;
-        self.bytes_sent += payload_len as u64;
-        if epoch_config {
-            self.config_bytes_sent += payload_len as u64;
-        }
-    }
-}
+/// off the control wire: the `ctrl_wire` group of the telemetry tables.
+pub use eden_telemetry::WireCounters;
 
 /// Put the encoded message `payload` on the wire to `to` as one or more
 /// control frames under message id `id` (which replies echo as `re`).

@@ -663,44 +663,20 @@ fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
     })
 }
 
+/// The `Stats` counter section: the enclave group's rows as `u64`s, in
+/// table order.
 fn put_counters(w: &mut Writer, c: &EnclaveCounters) {
-    for v in [
-        c.processed,
-        c.matched,
-        c.misses,
-        c.forwarded,
-        c.dropped,
-        c.punted,
-        c.queued,
-        c.faults,
-        c.header_modifies,
-        c.enqueue_charge_bytes,
-        c.punt_drops,
-        c.table_loop_aborts,
-        c.batches_serial,
-        c.batches_parallel,
-    ] {
+    for v in c.values() {
         w.u64(v);
     }
 }
 
 fn get_counters(r: &mut Reader<'_>) -> Result<EnclaveCounters, ProtoError> {
-    Ok(EnclaveCounters {
-        processed: r.u64()?,
-        matched: r.u64()?,
-        misses: r.u64()?,
-        forwarded: r.u64()?,
-        dropped: r.u64()?,
-        punted: r.u64()?,
-        queued: r.u64()?,
-        faults: r.u64()?,
-        header_modifies: r.u64()?,
-        enqueue_charge_bytes: r.u64()?,
-        punt_drops: r.u64()?,
-        table_loop_aborts: r.u64()?,
-        batches_serial: r.u64()?,
-        batches_parallel: r.u64()?,
-    })
+    let mut values = [0; EnclaveCounters::ROWS.len()];
+    for v in &mut values {
+        *v = r.u64()?;
+    }
+    Ok(EnclaveCounters::from_values(values))
 }
 
 fn put_span(w: &mut Writer, s: &Span) {
@@ -2089,7 +2065,7 @@ mod tests {
                 digest: 1,
                 captured_at_ns: 99,
                 counters: EnclaveCounters {
-                    processed: 10,
+                    packets: 10,
                     forwarded: 9,
                     dropped: 1,
                     ..Default::default()

@@ -188,11 +188,11 @@ fn gen_ctrl_reply(rng: &mut FuzzRng) -> CtrlReply {
             digest: rng.next_u64(),
             captured_at_ns: rng.next_u64(),
             counters: EnclaveCounters {
-                processed: rng.below(1 << 20),
+                packets: rng.below(1 << 20),
                 matched: rng.below(1 << 20),
                 forwarded: rng.below(1 << 20),
                 dropped: rng.below(1 << 20),
-                punted: rng.below(1 << 20),
+                punted_to_controller: rng.below(1 << 20),
                 faults: rng.below(1 << 20),
                 ..EnclaveCounters::default()
             },

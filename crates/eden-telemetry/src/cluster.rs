@@ -7,9 +7,36 @@
 //! struct, one JSON shape, so convergence benchmarks and dashboards read
 //! the same thing the controller acts on.
 
+use crate::counters::counters;
 use crate::hist::LatencyStat;
 use crate::json::{Json, ToJson};
 use crate::snapshot::EnclaveCounters;
+
+counters! {
+    /// Message/byte tallies for everything a control-plane endpoint puts
+    /// on or takes off the wire — the root-load metric the hierarchical
+    /// tier exists to shrink. Counted at message granularity (encoded
+    /// payload bytes, before fragmentation headers).
+    pub struct WireCounters, group "ctrl_wire" {
+        msgs_sent: Counter, "Control messages sent, retries included.";
+        bytes_sent: Counter, "Encoded payload bytes of the messages sent.";
+        msgs_received: Counter, "Control messages reassembled off the wire.";
+        bytes_received: Counter, "Encoded payload bytes of the messages received.";
+        config_bytes_sent: Counter, "Of the bytes sent, epoch configuration only (Prepare / DeltaPrepare / Commit / Abort) — the delta-vs-full comparison metric.";
+    }
+}
+
+impl WireCounters {
+    /// Record one sent message of `payload_len` encoded bytes;
+    /// `epoch_config` marks a Prepare / DeltaPrepare / Commit / Abort.
+    pub fn sent(&mut self, payload_len: usize, epoch_config: bool) {
+        self.msgs_sent += 1;
+        self.bytes_sent += payload_len as u64;
+        if epoch_config {
+            self.config_bytes_sent += payload_len as u64;
+        }
+    }
+}
 
 /// One host's most recent report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -123,21 +150,7 @@ impl ClusterStats {
     pub fn totals(&self) -> EnclaveCounters {
         let mut t = EnclaveCounters::default();
         for r in &self.reports {
-            let e = &r.enclave;
-            t.processed += e.processed;
-            t.matched += e.matched;
-            t.misses += e.misses;
-            t.forwarded += e.forwarded;
-            t.dropped += e.dropped;
-            t.punted += e.punted;
-            t.queued += e.queued;
-            t.faults += e.faults;
-            t.header_modifies += e.header_modifies;
-            t.enqueue_charge_bytes += e.enqueue_charge_bytes;
-            t.punt_drops += e.punt_drops;
-            t.table_loop_aborts += e.table_loop_aborts;
-            t.batches_serial += e.batches_serial;
-            t.batches_parallel += e.batches_parallel;
+            t.merge(&r.enclave);
         }
         t
     }
@@ -184,7 +197,7 @@ mod tests {
             digest: 7,
             captured_at_ns: 1,
             enclave: EnclaveCounters {
-                processed,
+                packets: processed,
                 forwarded: processed,
                 ..Default::default()
             },
@@ -199,8 +212,8 @@ mod tests {
         c.record(report(2, 1, 20));
         c.record(report(1, 2, 15));
         assert_eq!(c.host_count(), 2);
-        assert_eq!(c.host(1).unwrap().enclave.processed, 15);
-        assert_eq!(c.totals().processed, 35);
+        assert_eq!(c.host(1).unwrap().enclave.packets, 15);
+        assert_eq!(c.totals().packets, 35);
     }
 
     #[test]

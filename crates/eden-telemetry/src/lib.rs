@@ -19,6 +19,7 @@
 //! can use it without layering concerns.
 
 mod cluster;
+mod counters;
 mod flight;
 mod hist;
 mod json;
@@ -28,15 +29,16 @@ mod snapshot;
 mod span;
 mod trace;
 
-pub use cluster::{ClusterStats, HostReport, ReplLag};
+pub use cluster::{ClusterStats, HostReport, ReplLag, WireCounters};
+pub use counters::{Block, Kind, Label, LabelValue, Row};
 pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing};
 pub use hist::{bucket_bound, bucket_of, LatencyStat, LogHistogram, HIST_BUCKETS};
 pub use json::{Json, JsonParseError, ToJson};
 pub use prom::{render_cluster, render_snapshot};
 pub use series::TimeSeries;
 pub use snapshot::{
-    EnclaveCounters, FlowCounters, FunctionCounters, HostCounters, RuleCounters, StatsSnapshot,
-    TableCounters, Telemetry, VmCounters,
+    ConnStats, EnclaveCounters, FlowCounters, FuncCounts, FunctionCounters, HostCounters,
+    RuleCounters, RuleHits, StatsSnapshot, TableCounters, TableLookups, Telemetry, VmCounters,
 };
 pub use span::{Sampler, Span, SpanSink, TraceContext, TraceStore};
 pub use trace::{TraceEvent, TraceLayer, TraceRing, TraceVerdict};

@@ -8,35 +8,67 @@
 //! are documented in the README's observability table.
 
 use crate::cluster::ClusterStats;
+use crate::counters::{Block, LabelValue};
 use crate::hist::LatencyStat;
-use crate::snapshot::{EnclaveCounters, StatsSnapshot};
+use crate::snapshot::StatsSnapshot;
+
+/// Append `v` in decimal. An exposition is mostly numbers, and going
+/// through `fmt` for each costs a fifth of a whole render.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// Append `{k="v",...}` — nothing for no labels — escaping text values.
+fn label_set<'a>(out: &mut String, labels: impl Iterator<Item = (&'a str, LabelValue<'a>)>) {
+    let mut open = false;
+    for (k, v) in labels {
+        out.push(if open { ',' } else { '{' });
+        open = true;
+        out.push_str(k);
+        out.push_str("=\"");
+        match v {
+            LabelValue::Num(n) => push_u64(out, n),
+            // minimal escaping: the only hostile chars possible in our
+            // label values (function names) are quotes and backslashes
+            LabelValue::Text(s) => {
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        c => out.push(c),
+                    }
+                }
+            }
+        }
+        out.push('"');
+    }
+    if open {
+        out.push('}');
+    }
+}
+
+fn text_labels<'a>(
+    labels: &'a [(&'a str, &'a str)],
+) -> impl Iterator<Item = (&'a str, LabelValue<'a>)> {
+    labels.iter().map(|&(k, v)| (k, LabelValue::Text(v)))
+}
 
 fn line(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
     out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            // minimal escaping: the only hostile chars possible in our
-            // label values (function names) are quotes and backslashes
-            for c in v.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        out.push('}');
-    }
+    label_set(out, text_labels(labels));
     out.push(' ');
-    out.push_str(&value.to_string());
+    push_u64(out, value);
     out.push('\n');
 }
 
@@ -48,31 +80,39 @@ fn typ(out: &mut String, name: &str, kind: &str) {
     out.push('\n');
 }
 
-fn enclave_counters(out: &mut String, c: &EnclaveCounters, labels: &[(&str, &str)]) {
-    let fields: [(&str, u64); 14] = [
-        ("eden_enclave_processed_total", c.processed),
-        ("eden_enclave_matched_total", c.matched),
-        ("eden_enclave_misses_total", c.misses),
-        ("eden_enclave_forwarded_total", c.forwarded),
-        ("eden_enclave_dropped_total", c.dropped),
-        ("eden_enclave_punted_total", c.punted),
-        ("eden_enclave_queued_total", c.queued),
-        ("eden_enclave_faults_total", c.faults),
-        ("eden_enclave_header_modifies_total", c.header_modifies),
-        (
-            "eden_enclave_enqueue_charge_bytes_total",
-            c.enqueue_charge_bytes,
-        ),
-        ("eden_enclave_punt_drops_total", c.punt_drops),
-        ("eden_enclave_table_loop_aborts_total", c.table_loop_aborts),
-        ("eden_enclave_batches_serial_total", c.batches_serial),
-        ("eden_enclave_batches_parallel_total", c.batches_parallel),
-    ];
-    for (name, v) in fields {
-        if labels.is_empty() {
-            typ(out, name, "counter");
+/// One sample per row of `block`, labelled with the block's own labels
+/// and then `extra`; `typed` puts each row's `# TYPE` line before it.
+fn block<B: Block>(out: &mut String, block: &B, extra: &[(&str, &str)], typed: bool) {
+    let own = block.labels();
+    let own = own.as_ref().iter().filter(|l| !l.1.is_empty());
+    let mut labels = String::new();
+    label_set(
+        &mut labels,
+        own.map(|l| (l.1, l.2)).chain(text_labels(extra)),
+    );
+    for (row, &v) in B::ROWS.iter().zip(block.values().as_ref()) {
+        if typed {
+            typ(out, row.prom, row.kind.as_str());
         }
-        line(out, name, labels, v);
+        out.push_str(row.prom);
+        out.push_str(&labels);
+        out.push(' ');
+        push_u64(out, v);
+        out.push('\n');
+    }
+}
+
+/// A snapshot section holding one block per table, rule, function or
+/// flow: every row's `# TYPE` line once, then each block's samples.
+fn section<B: Block>(out: &mut String, blocks: &[B]) {
+    if blocks.is_empty() {
+        return;
+    }
+    for row in B::ROWS {
+        typ(out, row.prom, row.kind.as_str());
+    }
+    for b in blocks {
+        block(out, b, &[], false);
     }
 }
 
@@ -101,91 +141,24 @@ fn latencies(out: &mut String, stats: &[LatencyStat], extra: &[(&str, &str)]) {
 
 /// Render one host's [`StatsSnapshot`] as Prometheus text exposition.
 pub fn render_snapshot(snap: &StatsSnapshot) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(8 << 10);
     typ(&mut out, "eden_captured_at_ns", "gauge");
     line(&mut out, "eden_captured_at_ns", &[], snap.captured_at_ns);
-    enclave_counters(&mut out, &snap.enclave, &[]);
-
-    if !snap.tables.is_empty() {
-        typ(&mut out, "eden_table_lookups_total", "counter");
-        typ(&mut out, "eden_table_matches_total", "counter");
-        typ(&mut out, "eden_table_misses_total", "counter");
-        for t in &snap.tables {
-            let id = t.table.to_string();
-            let l = [("table", id.as_str())];
-            line(&mut out, "eden_table_lookups_total", &l, t.lookups);
-            line(&mut out, "eden_table_matches_total", &l, t.matches);
-            line(&mut out, "eden_table_misses_total", &l, t.misses);
+    block(&mut out, &snap.enclave, &[], true);
+    section(&mut out, &snap.tables);
+    section(&mut out, &snap.rules);
+    section(&mut out, &snap.functions);
+    block(&mut out, &snap.vm, &[], true);
+    if !snap.opcode_counts.is_empty() {
+        typ(&mut out, "eden_vm_opcode_total", "counter");
+        for (op, n) in &snap.opcode_counts {
+            line(&mut out, "eden_vm_opcode_total", &[("op", op.as_str())], *n);
         }
     }
-    if !snap.rules.is_empty() {
-        typ(&mut out, "eden_rule_hits_total", "counter");
-        for r in &snap.rules {
-            let (t, ru, f) = (r.table.to_string(), r.rule.to_string(), r.func.to_string());
-            line(
-                &mut out,
-                "eden_rule_hits_total",
-                &[
-                    ("table", t.as_str()),
-                    ("rule", ru.as_str()),
-                    ("func", f.as_str()),
-                ],
-                r.hits,
-            );
-        }
-    }
-    if !snap.functions.is_empty() {
-        typ(&mut out, "eden_function_invocations_total", "counter");
-        typ(&mut out, "eden_function_faults_total", "counter");
-        typ(&mut out, "eden_function_drops_total", "counter");
-        typ(&mut out, "eden_function_punts_total", "counter");
-        for f in &snap.functions {
-            let l = [("function", f.name.as_str())];
-            line(
-                &mut out,
-                "eden_function_invocations_total",
-                &l,
-                f.invocations,
-            );
-            line(&mut out, "eden_function_faults_total", &l, f.faults);
-            line(&mut out, "eden_function_drops_total", &l, f.drops);
-            line(&mut out, "eden_function_punts_total", &l, f.punts);
-        }
-    }
-
-    typ(&mut out, "eden_vm_invocations_total", "counter");
-    line(
-        &mut out,
-        "eden_vm_invocations_total",
-        &[],
-        snap.vm.invocations,
-    );
-    typ(&mut out, "eden_vm_traps_total", "counter");
-    line(&mut out, "eden_vm_traps_total", &[], snap.vm.traps);
-    typ(&mut out, "eden_vm_steps_total", "counter");
-    line(&mut out, "eden_vm_steps_total", &[], snap.vm.steps);
-    typ(&mut out, "eden_vm_elapsed_ns_total", "counter");
-    line(
-        &mut out,
-        "eden_vm_elapsed_ns_total",
-        &[],
-        snap.vm.elapsed_ns,
-    );
-
+    section(&mut out, &snap.flows);
     if let Some(h) = &snap.host {
-        typ(&mut out, "eden_host_hook_drops_total", "counter");
-        line(&mut out, "eden_host_hook_drops_total", &[], h.hook_drops);
-        typ(&mut out, "eden_host_nic_drops_total", "counter");
-        line(&mut out, "eden_host_nic_drops_total", &[], h.nic_drops);
-        typ(&mut out, "eden_host_bad_queue_drops_total", "counter");
-        line(
-            &mut out,
-            "eden_host_bad_queue_drops_total",
-            &[],
-            h.bad_queue_drops,
-        );
+        block(&mut out, h, &[], true);
     }
-
     latencies(&mut out, &snap.latencies, &[]);
     out
 }
@@ -201,7 +174,7 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
         &[],
         cluster.host_count() as u64,
     );
-    enclave_counters(&mut out, &cluster.totals(), &[("host", "all")]);
+    block(&mut out, &cluster.totals(), &[("host", "all")], false);
     typ(&mut out, "eden_host_epoch", "gauge");
     for r in cluster.reports() {
         let host = r.host.to_string();
@@ -214,7 +187,7 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
     }
     for r in cluster.reports() {
         let host = r.host.to_string();
-        enclave_counters(&mut out, &r.enclave, &[("host", host.as_str())]);
+        block(&mut out, &r.enclave, &[("host", host.as_str())], false);
         latencies(&mut out, &r.latencies, &[("host", host.as_str())]);
     }
     latencies(&mut out, &cluster.ctrl_latencies, &[("host", "controller")]);
@@ -244,7 +217,10 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
 mod tests {
     use super::*;
     use crate::hist::LogHistogram;
-    use crate::snapshot::{FunctionCounters, TableCounters, VmCounters};
+    use crate::snapshot::{
+        ConnStats, EnclaveCounters, FlowCounters, FuncCounts, FunctionCounters, TableCounters,
+        TableLookups, VmCounters,
+    };
 
     /// Golden: the exposition for a fixed snapshot is pinned byte-for-byte.
     /// If this fails because of an intentional format change, update the
@@ -259,12 +235,12 @@ mod tests {
         let snap = StatsSnapshot {
             captured_at_ns: 42,
             enclave: EnclaveCounters {
-                processed: 10,
+                packets: 10,
                 matched: 9,
-                misses: 1,
+                missed: 1,
                 forwarded: 8,
                 dropped: 1,
-                punted: 1,
+                punted_to_controller: 1,
                 queued: 2,
                 faults: 1,
                 header_modifies: 4,
@@ -276,26 +252,39 @@ mod tests {
             },
             tables: vec![TableCounters {
                 table: 0,
-                lookups: 10,
-                matches: 9,
-                misses: 1,
+                counts: TableLookups {
+                    lookups: 10,
+                    matched: 9,
+                    missed: 1,
+                },
             }],
             rules: vec![],
             functions: vec![FunctionCounters {
                 func: 0,
                 name: "sff".into(),
-                invocations: 9,
-                faults: 1,
-                ..Default::default()
+                counts: FuncCounts {
+                    invocations: 9,
+                    faults: 1,
+                    ..Default::default()
+                },
             }],
             vm: VmCounters {
                 invocations: 9,
                 traps: 1,
                 steps: 120,
                 elapsed_ns: 900,
-                opcode_counts: vec![],
             },
-            flows: vec![],
+            opcode_counts: vec![("push".into(), 5)],
+            flows: vec![FlowCounters {
+                conn: 0,
+                state: "Established".into(),
+                counts: ConnStats {
+                    packets_sent: 7,
+                    dup_acks_received: 3,
+                    cwnd_bytes: 14600,
+                    ..Default::default()
+                },
+            }],
             host: None,
             latencies: vec![LatencyStat::new("vm.exec", hist)],
         };
@@ -340,10 +329,14 @@ eden_table_misses_total{table=\"0\"} 1
 # TYPE eden_function_faults_total counter
 # TYPE eden_function_drops_total counter
 # TYPE eden_function_punts_total counter
+# TYPE eden_function_header_modifies_total counter
+# TYPE eden_function_enqueue_charge_bytes_total counter
 eden_function_invocations_total{function=\"sff\"} 9
 eden_function_faults_total{function=\"sff\"} 1
 eden_function_drops_total{function=\"sff\"} 0
 eden_function_punts_total{function=\"sff\"} 0
+eden_function_header_modifies_total{function=\"sff\"} 0
+eden_function_enqueue_charge_bytes_total{function=\"sff\"} 0
 # TYPE eden_vm_invocations_total counter
 eden_vm_invocations_total 9
 # TYPE eden_vm_traps_total counter
@@ -352,6 +345,28 @@ eden_vm_traps_total 1
 eden_vm_steps_total 120
 # TYPE eden_vm_elapsed_ns_total counter
 eden_vm_elapsed_ns_total 900
+# TYPE eden_vm_opcode_total counter
+eden_vm_opcode_total{op=\"push\"} 5
+# TYPE eden_flow_packets_sent_total counter
+# TYPE eden_flow_bytes_acked_total counter
+# TYPE eden_flow_retransmits_total counter
+# TYPE eden_flow_fast_retransmits_total counter
+# TYPE eden_flow_timeouts_total counter
+# TYPE eden_flow_dup_acks_total counter
+# TYPE eden_flow_reorder_events_total counter
+# TYPE eden_flow_cwnd_bytes gauge
+# TYPE eden_flow_srtt_ns gauge
+# TYPE eden_flow_in_flight gauge
+eden_flow_packets_sent_total{conn=\"0\"} 7
+eden_flow_bytes_acked_total{conn=\"0\"} 0
+eden_flow_retransmits_total{conn=\"0\"} 0
+eden_flow_fast_retransmits_total{conn=\"0\"} 0
+eden_flow_timeouts_total{conn=\"0\"} 0
+eden_flow_dup_acks_total{conn=\"0\"} 3
+eden_flow_reorder_events_total{conn=\"0\"} 0
+eden_flow_cwnd_bytes{conn=\"0\"} 14600
+eden_flow_srtt_ns{conn=\"0\"} 0
+eden_flow_in_flight{conn=\"0\"} 0
 # TYPE eden_latency_ns summary
 # TYPE eden_latency_samples_total counter
 eden_latency_ns{name=\"vm.exec\",quantile=\"0.5\"} 127
@@ -386,7 +401,7 @@ eden_latency_samples_total{name=\"vm.exec\"} 100
             digest: 7,
             captured_at_ns: 1,
             enclave: EnclaveCounters {
-                processed: 5,
+                packets: 5,
                 forwarded: 5,
                 ..Default::default()
             },

@@ -8,103 +8,132 @@
 //! integers copied out at snapshot time; taking a snapshot never perturbs
 //! the counters themselves.
 
+use crate::counters::LabelValue::{Num, Text};
+use crate::counters::{counters, Block, Label, Row};
 use crate::hist::LatencyStat;
 use crate::json::{Json, ToJson};
 
-/// Enclave-level packet accounting.
-///
-/// The conservation invariant (checked by [`EnclaveCounters::conserved`])
-/// is that every packet the enclave processed left it exactly one way:
-/// `processed == forwarded + dropped + punted`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnclaveCounters {
-    /// Packets that entered the match-action pipeline.
-    pub processed: u64,
-    /// Packets that matched at least one rule.
-    pub matched: u64,
-    /// Packets that matched no rule in any table walked.
-    pub misses: u64,
-    /// Packets that left toward the NIC (pass or queue verdicts).
-    pub forwarded: u64,
-    /// Packets dropped by an action function (or fail-closed fault).
-    pub dropped: u64,
-    /// Packets punted to the controller.
-    pub punted: u64,
-    /// Of the forwarded packets, those steered to a NIC priority queue.
-    pub queued: u64,
-    /// Action-function faults (trap, fuel exhaustion, …).
-    pub faults: u64,
-    /// Packet-header fields written by action functions.
-    pub header_modifies: u64,
-    /// Bytes charged to queue verdicts (enqueue-charge accounting).
-    pub enqueue_charge_bytes: u64,
-    /// Punted packets evicted from the bounded controller mailbox before
-    /// the controller picked them up.
-    pub punt_drops: u64,
-    /// Table walks aborted by the table-loop guard (a `GotoTable` cycle);
-    /// the packet still fails open, but the controller should know its
-    /// pipeline is looping.
-    pub table_loop_aborts: u64,
-    /// Batches that ran the serial staged path (small batch, thin
-    /// per-lane share, or a lane-unsafe function mix).
-    pub batches_serial: u64,
-    /// Batches that fanned out to the parallel worker lanes.
-    pub batches_parallel: u64,
+counters! {
+    /// Enclave-level packet accounting: the block the data path
+    /// increments (`eden_core::EnclaveStats` is this type), the one a
+    /// stats pull ships and the one cluster totals sum.
+    ///
+    /// Conservation invariant (checked by [`EnclaveCounters::conserved`],
+    /// pinned by a property test): every packet the enclave processed
+    /// left it exactly one way, so `packets == forwarded + dropped +
+    /// punted_to_controller` at all times.
+    pub struct EnclaveCounters, group "enclave" {
+        packets as processed: Counter, "Packets that entered the match-action pipeline.";
+        matched: Counter, "Packets that matched at least one rule.";
+        missed as misses: Counter, "Packets that matched no rule in any table walked.";
+        forwarded: Counter, "Packets that left toward the NIC (pass or queue verdicts).";
+        dropped: Counter, "Packets dropped by an action function (or a fail-closed fault).";
+        punted_to_controller as punted: Counter, "Packets punted to the controller.";
+        queued: Counter, "Of the forwarded packets, those steered to a NIC priority queue.";
+        faults: Counter, "Action-function faults (trap, fuel exhaustion, ...).";
+        header_modifies: Counter, "Packet-header fields written by action functions.";
+        enqueue_charge_bytes: Counter, "Bytes charged to queue verdicts (Pulsar-style accounting, §2.1.2).";
+        punt_drops: Counter, "Punted packets evicted from the bounded controller mailbox before the controller picked them up.";
+        table_loop_aborts: Counter, "Table walks aborted by the `GotoTable` loop guard; the packet still fails open, but the pipeline is looping.";
+        batches_serial: Counter, "Batches that ran packet by packet on the caller's thread (small batch, thin per-lane share, or a lane-unsafe function mix).";
+        batches_parallel: Counter, "Batches that fanned out to the parallel worker lanes.";
+    }
 }
 
 impl EnclaveCounters {
     /// Every processed packet left the enclave exactly one way.
     pub fn conserved(&self) -> bool {
-        self.processed == self.forwarded + self.dropped + self.punted
+        self.packets == self.forwarded + self.dropped + self.punted_to_controller
     }
 }
 
-impl ToJson for EnclaveCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("processed", self.processed.into()),
-            ("matched", self.matched.into()),
-            ("misses", self.misses.into()),
-            ("forwarded", self.forwarded.into()),
-            ("dropped", self.dropped.into()),
-            ("punted", self.punted.into()),
-            ("queued", self.queued.into()),
-            ("faults", self.faults.into()),
-            ("header_modifies", self.header_modifies.into()),
-            ("enqueue_charge_bytes", self.enqueue_charge_bytes.into()),
-            ("punt_drops", self.punt_drops.into()),
-            ("table_loop_aborts", self.table_loop_aborts.into()),
-            ("batches_serial", self.batches_serial.into()),
-            ("batches_parallel", self.batches_parallel.into()),
-        ])
+counters! {
+    /// What lookups against one match-action table came to.
+    pub struct TableLookups, group "table" {
+        lookups: Counter, "Lookups performed against this table.";
+        matched as matches: Counter, "Lookups that hit some rule.";
+        missed as misses: Counter, "Lookups that hit no rule.";
     }
 }
 
-/// Per-table lookup accounting.
+counters! {
+    /// How often one rule won a lookup.
+    pub struct RuleHits, group "rule" {
+        hits: Counter, "Packets that matched this rule.";
+    }
+}
+
+counters! {
+    /// Per-action-function accounting.
+    pub struct FuncCounts, group "function" {
+        invocations: Counter, "Invocations completed without a trap.";
+        faults: Counter, "Invocations terminated by a trap (the packet then fails open or closed, §3.4.3).";
+        drops: Counter, "Invocations that returned a drop verdict.";
+        punts: Counter, "Invocations that punted the packet to the controller.";
+        header_modifies: Counter, "Packet-header fields this function wrote.";
+        enqueue_charge_bytes: Counter, "Bytes this function charged to queue verdicts.";
+    }
+}
+
+counters! {
+    /// Interpreter accounting, accumulated across `Interpreter::run`
+    /// calls and summed over an enclave's lanes.
+    pub struct VmCounters, group "vm" {
+        invocations: Counter, "Bytecode program runs (including trapped ones).";
+        traps: Counter, "Runs that ended in a trap.";
+        steps: Counter, "Instructions executed, across all runs.";
+        elapsed_ns: Counter, "Wall-clock nanoseconds spent interpreting (sampled and scaled), across all runs.";
+    }
+}
+
+counters! {
+    /// Per-connection transport accounting. The counters are kept by the
+    /// connection; the gauges are read off it when the block is copied
+    /// out.
+    pub struct ConnStats, group "flow" {
+        packets_sent: Counter, "Segments sent, retransmissions included.";
+        bytes_acked: Counter, "Payload bytes the peer acknowledged.";
+        retransmits: Counter, "Segments sent again, for any reason.";
+        fast_retransmits: Counter, "Retransmissions triggered by duplicate ACKs.";
+        timeouts: Counter, "Retransmission timeouts fired.";
+        dup_acks_received as dup_acks: Counter, "Duplicate ACKs received.";
+        reorder_events: Counter, "Dup-ACK episodes that resolved as reordering (no window cut).";
+        cwnd_bytes: Gauge, "Congestion window, bytes.";
+        srtt_ns: Gauge, "Smoothed RTT, nanoseconds (0 if unsampled).";
+        in_flight: Gauge, "Bytes in flight.";
+    }
+}
+
+counters! {
+    /// Host-stack drop accounting outside the enclave.
+    pub struct HostCounters, group "host" {
+        hook_drops: Counter, "Packets dropped by packet hooks (egress + ingress).";
+        nic_drops: Counter, "Packets dropped at the NIC queue (overflow).";
+        bad_queue_drops: Counter, "Packets dropped for targeting a nonexistent NIC queue.";
+    }
+}
+
+/// One table's [`TableLookups`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TableCounters {
     /// Table index in the enclave pipeline.
     pub table: usize,
-    /// Lookups performed against this table.
-    pub lookups: u64,
-    /// Lookups that hit some rule.
-    pub matches: u64,
-    /// Lookups that hit no rule.
-    pub misses: u64,
+    pub counts: TableLookups,
 }
 
-impl ToJson for TableCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("table", self.table.into()),
-            ("lookups", self.lookups.into()),
-            ("matches", self.matches.into()),
-            ("misses", self.misses.into()),
-        ])
+impl Block for TableCounters {
+    const ROWS: &'static [Row] = TableLookups::ROWS;
+
+    fn labels(&self) -> impl AsRef<[Label<'_>]> {
+        [("table", "table", Num(self.table as u64))]
+    }
+
+    fn values(&self) -> impl AsRef<[u64]> {
+        self.counts.values()
     }
 }
 
-/// Per-rule hit accounting.
+/// One rule's [`RuleHits`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleCounters {
     /// Table index the rule lives in.
@@ -113,151 +142,74 @@ pub struct RuleCounters {
     pub rule: usize,
     /// Function id the rule invokes.
     pub func: usize,
-    /// Packets that matched this rule.
-    pub hits: u64,
+    pub counts: RuleHits,
 }
 
-impl ToJson for RuleCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("table", self.table.into()),
-            ("rule", self.rule.into()),
-            ("func", self.func.into()),
-            ("hits", self.hits.into()),
-        ])
+impl Block for RuleCounters {
+    const ROWS: &'static [Row] = RuleHits::ROWS;
+
+    fn labels(&self) -> impl AsRef<[Label<'_>]> {
+        [
+            ("table", "table", Num(self.table as u64)),
+            ("rule", "rule", Num(self.rule as u64)),
+            ("func", "func", Num(self.func as u64)),
+        ]
+    }
+
+    fn values(&self) -> impl AsRef<[u64]> {
+        self.counts.values()
     }
 }
 
-/// Per-action-function accounting.
+/// One installed function's [`FuncCounts`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FunctionCounters {
     /// Function id in the enclave's function store.
     pub func: usize,
     pub name: String,
-    /// Completed invocations (faults counted separately).
-    pub invocations: u64,
-    pub faults: u64,
-    /// Invocations that returned a drop verdict.
-    pub drops: u64,
-    /// Invocations that punted to the controller.
-    pub punts: u64,
-    /// Header fields this function wrote.
-    pub header_modifies: u64,
-    /// Bytes this function charged to queue verdicts.
-    pub enqueue_charge_bytes: u64,
+    pub counts: FuncCounts,
 }
 
-impl ToJson for FunctionCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("func", self.func.into()),
-            ("name", self.name.as_str().into()),
-            ("invocations", self.invocations.into()),
-            ("faults", self.faults.into()),
-            ("drops", self.drops.into()),
-            ("punts", self.punts.into()),
-            ("header_modifies", self.header_modifies.into()),
-            ("enqueue_charge_bytes", self.enqueue_charge_bytes.into()),
-        ])
+impl Block for FunctionCounters {
+    const ROWS: &'static [Row] = FuncCounts::ROWS;
+
+    /// Prometheus identifies a function by its name alone.
+    fn labels(&self) -> impl AsRef<[Label<'_>]> {
+        [
+            ("func", "", Num(self.func as u64)),
+            ("name", "function", Text(&self.name)),
+        ]
+    }
+
+    fn values(&self) -> impl AsRef<[u64]> {
+        self.counts.values()
     }
 }
 
-/// Interpreter-level accounting, aggregated over all bytecode invocations.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VmCounters {
-    /// Bytecode program runs.
-    pub invocations: u64,
-    /// Runs that ended in a trap (fault).
-    pub traps: u64,
-    /// Instructions executed across all runs.
-    pub steps: u64,
-    /// Wall-clock nanoseconds spent interpreting, across all runs.
-    pub elapsed_ns: u64,
-    /// Per-opcode execution counts, present only when opcode profiling
-    /// was enabled; `(mnemonic, count)` pairs with non-zero counts.
-    pub opcode_counts: Vec<(String, u64)>,
-}
-
-impl ToJson for VmCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("invocations", self.invocations.into()),
-            ("traps", self.traps.into()),
-            ("steps", self.steps.into()),
-            ("elapsed_ns", self.elapsed_ns.into()),
-            (
-                "opcode_counts",
-                Json::Obj(
-                    self.opcode_counts
-                        .iter()
-                        .map(|(name, n)| (name.clone(), (*n).into()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Per-flow transport accounting (one entry per TCP connection).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One TCP connection's [`ConnStats`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowCounters {
     /// Connection index within the host stack.
     pub conn: usize,
     /// Connection state name (e.g. `"Established"`).
     pub state: String,
-    pub packets_sent: u64,
-    pub bytes_acked: u64,
-    pub retransmits: u64,
-    pub fast_retransmits: u64,
-    /// Retransmission timeouts fired.
-    pub timeouts: u64,
-    pub dup_acks: u64,
-    pub reorder_events: u64,
-    /// Congestion window at snapshot time, bytes.
-    pub cwnd_bytes: u64,
-    /// Smoothed RTT at snapshot time, nanoseconds (0 if unsampled).
-    pub srtt_ns: u64,
-    /// Bytes in flight at snapshot time.
-    pub in_flight: u64,
+    pub counts: ConnStats,
 }
 
-impl ToJson for FlowCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("conn", self.conn.into()),
-            ("state", self.state.as_str().into()),
-            ("packets_sent", self.packets_sent.into()),
-            ("bytes_acked", self.bytes_acked.into()),
-            ("retransmits", self.retransmits.into()),
-            ("fast_retransmits", self.fast_retransmits.into()),
-            ("timeouts", self.timeouts.into()),
-            ("dup_acks", self.dup_acks.into()),
-            ("reorder_events", self.reorder_events.into()),
-            ("cwnd_bytes", self.cwnd_bytes.into()),
-            ("srtt_ns", self.srtt_ns.into()),
-            ("in_flight", self.in_flight.into()),
-        ])
+impl Block for FlowCounters {
+    const ROWS: &'static [Row] = ConnStats::ROWS;
+
+    /// The state changes over a connection's life, so it stays out of
+    /// the series' identity.
+    fn labels(&self) -> impl AsRef<[Label<'_>]> {
+        [
+            ("conn", "conn", Num(self.conn as u64)),
+            ("state", "", Text(&self.state)),
+        ]
     }
-}
 
-/// Host-stack drop accounting outside the enclave.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HostCounters {
-    /// Packets dropped by packet hooks (egress + ingress).
-    pub hook_drops: u64,
-    /// Packets dropped at the NIC queue (overflow).
-    pub nic_drops: u64,
-    /// Packets dropped for targeting a nonexistent NIC queue.
-    pub bad_queue_drops: u64,
-}
-
-impl ToJson for HostCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("hook_drops", self.hook_drops.into()),
-            ("nic_drops", self.nic_drops.into()),
-            ("bad_queue_drops", self.bad_queue_drops.into()),
-        ])
+    fn values(&self) -> impl AsRef<[u64]> {
+        self.counts.values()
     }
 }
 
@@ -275,6 +227,10 @@ pub struct StatsSnapshot {
     pub rules: Vec<RuleCounters>,
     pub functions: Vec<FunctionCounters>,
     pub vm: VmCounters,
+    /// Per-opcode execution counts, present only when opcode profiling
+    /// was enabled; `(mnemonic, count)` pairs with non-zero counts.
+    /// Rendered inside the `vm` section.
+    pub opcode_counts: Vec<(String, u64)>,
     pub flows: Vec<FlowCounters>,
     pub host: Option<HostCounters>,
     /// Named latency histograms (`stage.*`, `vm.exec`, `func.*`, ...),
@@ -288,13 +244,19 @@ impl ToJson for StatsSnapshot {
         fn arr<T: ToJson>(items: &[T]) -> Json {
             Json::Arr(items.iter().map(|i| i.to_json()).collect())
         }
+        let mut vm = self.vm.to_json();
+        if let Json::Obj(fields) = &mut vm {
+            let counts = self.opcode_counts.iter();
+            let counts = counts.map(|(name, n)| (name.clone(), (*n).into()));
+            fields.push(("opcode_counts".to_string(), Json::Obj(counts.collect())));
+        }
         Json::obj(vec![
             ("captured_at_ns", self.captured_at_ns.into()),
             ("enclave", self.enclave.to_json()),
             ("tables", arr(&self.tables)),
             ("rules", arr(&self.rules)),
             ("functions", arr(&self.functions)),
-            ("vm", self.vm.to_json()),
+            ("vm", vm),
             ("flows", arr(&self.flows)),
             (
                 "host",
@@ -322,10 +284,10 @@ mod tests {
     fn conservation_holds_and_breaks() {
         let mut c = EnclaveCounters::default();
         assert!(c.conserved());
-        c.processed = 10;
+        c.packets = 10;
         c.forwarded = 7;
         c.dropped = 2;
-        c.punted = 1;
+        c.punted_to_controller = 1;
         assert!(c.conserved());
         c.dropped = 3;
         assert!(!c.conserved());
@@ -336,35 +298,39 @@ mod tests {
         let snap = StatsSnapshot {
             captured_at_ns: 42,
             enclave: EnclaveCounters {
-                processed: 1,
+                packets: 1,
                 matched: 1,
                 forwarded: 1,
                 ..Default::default()
             },
             tables: vec![TableCounters {
                 table: 0,
-                lookups: 1,
-                matches: 1,
-                misses: 0,
+                counts: TableLookups {
+                    lookups: 1,
+                    matched: 1,
+                    missed: 0,
+                },
             }],
             rules: vec![RuleCounters {
                 table: 0,
                 rule: 0,
                 func: 3,
-                hits: 1,
+                counts: RuleHits { hits: 1 },
             }],
             functions: vec![FunctionCounters {
                 func: 3,
                 name: "pias".into(),
-                invocations: 1,
-                ..Default::default()
+                counts: FuncCounts {
+                    invocations: 1,
+                    ..Default::default()
+                },
             }],
             vm: VmCounters {
                 invocations: 1,
                 steps: 12,
-                opcode_counts: vec![("push".into(), 5)],
                 ..Default::default()
             },
+            opcode_counts: vec![("push".into(), 5)],
             flows: vec![],
             host: None,
             latencies: vec![],

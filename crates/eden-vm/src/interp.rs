@@ -15,6 +15,8 @@
 //! loop* then runs with none of those checks: pushes, pops, locals and
 //! scalar state accesses cannot fail.
 
+use eden_telemetry::VmCounters;
+
 use crate::error::VmError;
 use crate::host::{Effect, Host};
 use crate::limits::{Bound, Limits, Usage, FRAME_SLOTS};
@@ -51,33 +53,6 @@ pub enum Outcome {
 struct Frame {
     ret_pc: u32,
     locals_base: u32,
-}
-
-/// Cheap always-on counters accumulated across [`Interpreter::run`] calls.
-///
-/// These are the interpreter's contribution to a telemetry
-/// `StatsSnapshot`; the enclave copies them out on a stats pull. Cleared
-/// by [`Interpreter::reset_counters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmCounters {
-    /// Completed `run` calls (including trapped ones).
-    pub invocations: u64,
-    /// `run` calls that ended in a trap.
-    pub traps: u64,
-    /// Instructions executed, across all runs.
-    pub steps: u64,
-    /// Wall-clock nanoseconds spent inside `run`, across all runs.
-    pub elapsed_ns: u64,
-}
-
-impl VmCounters {
-    /// Fold another interpreter's counters into this one (pool rollup).
-    pub fn merge(&mut self, other: VmCounters) {
-        self.invocations += other.invocations;
-        self.traps += other.traps;
-        self.steps += other.steps;
-        self.elapsed_ns += other.elapsed_ns;
-    }
 }
 
 /// One in this many [`Interpreter::run`] calls is wall-clock timed for

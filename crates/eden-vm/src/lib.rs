@@ -57,9 +57,12 @@ pub use codec::{
     decode as decode_program, encode as encode_program, CodecError, MIN_VERSION, VERSION,
 };
 pub use disasm::{disassemble, opcode_histogram};
+/// The interpreter's counters — the `vm` group of a telemetry snapshot,
+/// incremented in place by [`Interpreter::run`].
+pub use eden_telemetry::VmCounters;
 pub use error::{StateScope, VmError};
 pub use host::{Effect, Host, ScopeUse, SlotSet, StateUse, VecHost};
-pub use interp::{hash2, Interpreter, Outcome, TrapSite, VmCounters};
+pub use interp::{hash2, Interpreter, Outcome, TrapSite};
 pub use limits::{Bound, Envelope, Limits, Usage, FRAME_SLOTS};
 pub use op::{Cmp, Op};
 pub use pool::InterpreterPool;

@@ -8,7 +8,9 @@
 //! opcode histograms up into one telemetry view, so a stats pull cannot
 //! tell (and does not care) which lane ran an invocation.
 
-use crate::interp::{Interpreter, VmCounters};
+use eden_telemetry::VmCounters;
+
+use crate::interp::Interpreter;
 use crate::limits::Limits;
 use crate::op::Op;
 
@@ -51,7 +53,7 @@ impl InterpreterPool {
     pub fn counters(&self) -> VmCounters {
         let mut total = VmCounters::default();
         for lane in &self.lanes {
-            total.merge(lane.counters());
+            total.merge(&lane.counters());
         }
         total
     }

@@ -152,12 +152,9 @@ pub struct Stack {
     limiter_armed: Vec<bool>,
     nic: PriorityPort,
     events: VecDeque<AppEvent>,
-    /// Packets dropped by the hook's `Drop` verdict.
-    pub hook_drops: u64,
-    /// Packets dropped at the NIC queues (overflow).
-    pub nic_drops: u64,
-    /// Packets directed to a queue id that does not exist.
-    pub bad_queue_drops: u64,
+    /// Packets dropped below TCP: by a hook verdict, at a full NIC queue,
+    /// or for naming a queue that does not exist.
+    drops: HostCounters,
     /// Packet-path trace ring; `None` (the default) records nothing and
     /// costs one branch per trace point. Enabled by the `EDEN_TRACE` env
     /// var or [`Stack::enable_trace`].
@@ -213,9 +210,7 @@ impl Stack {
             limiter_armed: Vec::new(),
             nic: PriorityPort::new(cfg.nic_queue_bytes),
             events: VecDeque::new(),
-            hook_drops: 0,
-            nic_drops: 0,
-            bad_queue_drops: 0,
+            drops: HostCounters::default(),
             trace,
             trace_pkt_seq: 0,
             cwnd_series: Vec::new(),
@@ -266,27 +261,14 @@ impl Stack {
             .map(|(i, c)| FlowCounters {
                 conn: i,
                 state: format!("{:?}", c.state),
-                packets_sent: c.stats.packets_sent,
-                bytes_acked: c.stats.bytes_acked,
-                retransmits: c.stats.retransmits,
-                fast_retransmits: c.stats.fast_retransmits,
-                timeouts: c.stats.timeouts,
-                dup_acks: c.stats.dup_acks_received,
-                reorder_events: c.stats.reorder_events,
-                cwnd_bytes: u64::from(c.cwnd()),
-                srtt_ns: c.srtt_ns(),
-                in_flight: u64::from(c.in_flight()),
+                counts: c.counters(),
             })
             .collect()
     }
 
     /// Host-level drop counters outside the enclave.
     pub fn host_counters(&self) -> HostCounters {
-        HostCounters {
-            hook_drops: self.hook_drops,
-            nic_drops: self.nic_drops,
-            bad_queue_drops: self.bad_queue_drops,
-        }
+        self.drops
     }
 
     /// Append one cwnd sample per connection to the per-flow time series
@@ -430,7 +412,7 @@ impl Stack {
 
     /// Connection counters.
     pub fn conn_stats(&self, conn: ConnId) -> ConnStats {
-        self.conns[conn.0].stats
+        self.conns[conn.0].counters()
     }
 
     /// Congestion window, bytes.
@@ -536,7 +518,7 @@ impl Stack {
                 HookVerdict::Drop | HookVerdict::Queue { .. } => {
                     // a Queue verdict on ingress is not part of the model
                     // and drops like a Drop verdict
-                    self.hook_drops += 1;
+                    self.drops.hook_drops += 1;
                     if let Some(t) = self.trace.as_mut() {
                         t.record(
                             ctx.now().as_nanos(),
@@ -766,11 +748,11 @@ impl Stack {
         match verdict {
             HookVerdict::Pass => self.nic_enqueue(packet, ctx),
             HookVerdict::Drop => {
-                self.hook_drops += 1;
+                self.drops.hook_drops += 1;
             }
             HookVerdict::Queue { queue, charge } => {
                 if queue >= self.limiters.len() {
-                    self.bad_queue_drops += 1;
+                    self.drops.bad_queue_drops += 1;
                     if let Some(t) = self.trace.as_mut() {
                         t.record(
                             ctx.now().as_nanos(),
@@ -842,7 +824,7 @@ impl Stack {
         let (pid, pclass) = (packet.id, pkt_class(&packet));
         let accepted = self.nic.enqueue_with_class(packet, class);
         if !accepted {
-            self.nic_drops += 1;
+            self.drops.nic_drops += 1;
         }
         if let Some(t) = self.trace.as_mut() {
             t.record(

@@ -18,6 +18,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+/// Counters kept per connection: the `flow` group of a telemetry
+/// snapshot, incremented in place.
+pub use eden_telemetry::ConnStats;
 use netsim::{AppMarker, EdenMeta, Packet, TcpFlags, TcpHeader, Time};
 
 /// Maximum segment size, bytes of payload per packet (1500 MTU − 40).
@@ -68,19 +71,6 @@ pub enum ConnState {
     FinWait,
     /// Both sides are done.
     Closed,
-}
-
-/// Counters kept per connection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConnStats {
-    pub packets_sent: u64,
-    pub bytes_acked: u64,
-    pub retransmits: u64,
-    pub fast_retransmits: u64,
-    pub timeouts: u64,
-    pub dup_acks_received: u64,
-    /// Dup-ACK episodes that resolved as reordering (no window cut).
-    pub reorder_events: u64,
 }
 
 /// One application message's place in the sequence space (§4.2: "we record
@@ -331,6 +321,16 @@ impl Conn {
     /// Bytes currently in flight (sent, unacked).
     pub fn in_flight(&self) -> u32 {
         self.snd_nxt.saturating_sub(self.snd_una)
+    }
+
+    /// The connection's counters, with the gauges read off it now.
+    pub fn counters(&self) -> ConnStats {
+        ConnStats {
+            cwnd_bytes: u64::from(self.cwnd()),
+            srtt_ns: self.srtt_ns(),
+            in_flight: u64::from(self.in_flight()),
+            ..self.stats
+        }
     }
 
     // ------------------------------------------------------------------

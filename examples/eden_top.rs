@@ -156,7 +156,7 @@ fn main() {
                     "{:<5} {:>6} {:>10} {:>10} {:>6} {:>6} {:>16} {:>16} {:>10}",
                     addr,
                     r.epoch,
-                    r.enclave.processed,
+                    r.enclave.packets,
                     r.enclave.forwarded,
                     r.enclave.dropped,
                     r.enclave.faults,

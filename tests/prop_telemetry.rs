@@ -100,7 +100,7 @@ proptest! {
         // the snapshot reports the same invariant
         let snap = e.snapshot();
         prop_assert!(snap.enclave.conserved());
-        prop_assert_eq!(snap.enclave.processed, e.stats.packets);
+        prop_assert_eq!(snap.enclave, e.stats);
     }
 
     /// The punt mailbox and the punt counter agree: `take_punted` yields

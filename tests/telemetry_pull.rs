@@ -108,33 +108,33 @@ fn controller_pulls_snapshot_from_running_enclave() {
         .pull_host_stats(stack)
         .expect("sender stack has an enclave hook");
 
-    assert!(snap.enclave.processed > 0, "enclave saw traffic");
+    assert!(snap.enclave.packets > 0, "enclave saw traffic");
     assert!(snap.enclave.conserved(), "conservation invariant");
-    assert_eq!(snap.enclave.forwarded, snap.enclave.processed);
+    assert_eq!(snap.enclave.forwarded, snap.enclave.packets);
     assert!(snap.captured_at_ns > 0, "stamped with enclave time");
 
     // per-table / per-rule / per-function attribution
     assert_eq!(snap.tables.len(), 1);
-    assert!(snap.tables[0].lookups > 0);
+    assert!(snap.tables[0].counts.lookups > 0);
     assert_eq!(snap.rules.len(), 1);
-    assert!(snap.rules[0].hits > 0, "the SFF rule matched");
+    assert!(snap.rules[0].counts.hits > 0, "the SFF rule matched");
     assert_eq!(snap.functions.len(), 1);
     assert_eq!(snap.functions[0].name, "sff");
-    assert!(snap.functions[0].invocations > 0);
-    assert_eq!(snap.functions[0].faults, 0);
+    assert!(snap.functions[0].counts.invocations > 0);
+    assert_eq!(snap.functions[0].counts.faults, 0);
 
     // interpreter counters + the opcode histogram we enabled
     assert!(snap.vm.invocations > 0, "interpreted function ran");
     assert!(snap.vm.steps > 0);
     assert_eq!(snap.vm.traps, 0);
     assert!(
-        !snap.vm.opcode_counts.is_empty(),
+        !snap.opcode_counts.is_empty(),
         "opcode profiling was enabled"
     );
 
     // host-stack views merged in by pull_host_stats
     assert!(!snap.flows.is_empty(), "per-flow TCP stats present");
-    assert!(snap.flows[0].packets_sent > 0);
+    assert!(snap.flows[0].counts.packets_sent > 0);
     let host = snap.host.as_ref().expect("host counters present");
     assert_eq!(host.hook_drops, 0, "the SFF function drops nothing");
 
@@ -155,7 +155,7 @@ fn controller_pulls_snapshot_from_running_enclave() {
         let e = stack.hook_mut::<Enclave>().expect("hook present");
         controller.pull_stats(e)
     };
-    assert_eq!(hook_snap.enclave.processed, snap.enclave.processed);
+    assert_eq!(hook_snap.enclave.packets, snap.enclave.packets);
     assert!(hook_snap.flows.is_empty());
     assert!(hook_snap.host.is_none());
 
