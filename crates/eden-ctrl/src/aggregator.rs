@@ -8,7 +8,11 @@
 //! [`CtrlMsg::AggSync`] with an [`CtrlReply::AggPong`] summarizing its
 //! whole shard — children total, children converged, the highest epoch
 //! any child reports, a divergence flag, the shard's replication deltas
-//! (host-tagged), and its trace spans. To its *children* it looks like
+//! (host-tagged), and its trace spans. A `PullStats` is answered with the
+//! sum of the last `Stats` each child returned — the shadow enclave
+//! never sees a packet — and makes it pull its children again, so the
+//! root reads a rack's counters one pull interval late. To its
+//! *children* it looks like
 //! the controller: per-child heartbeats, tracked requests with retry and
 //! backoff, failure detection, two-phase shard rounds, and per-child
 //! delta-planned resync.
@@ -37,7 +41,7 @@ use std::rc::Rc;
 
 use eden_core::{Enclave, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView};
-use eden_telemetry::Span;
+use eden_telemetry::{ClusterStats, EnclaveCounters, HostReport, Span};
 use netsim::{Ctx, L4Header, Packet, Time, UdpHeader};
 use transport::{App, Stack};
 
@@ -110,10 +114,11 @@ impl VirtualShard {
     /// template does; the wire tally scales by `count`.
     fn exchange(&mut self, bytes: &[u8], wire: &mut WireCounters) -> CtrlReply {
         let msg = proto::decode_msg(bytes).expect("this endpoint's own encoding");
+        let epoch_config = !matches!(msg, CtrlMsg::PullStats);
         self.seq = self.seq.wrapping_add(1);
         let reply = self.agent.handle(self.seq, msg);
         for _ in 0..self.count {
-            wire.sent(bytes.len(), true);
+            wire.sent(bytes.len(), epoch_config);
         }
         wire.msgs_received += self.count as u64;
         wire.bytes_received += (proto::encode_reply(&reply).len() * self.count) as u64;
@@ -147,6 +152,13 @@ pub struct AggregatorApp {
     deltas_up: Vec<(u32, FuncDelta)>,
     /// Child spans awaiting relay.
     spans_up: Vec<Span>,
+    /// The last `Stats` each child returned (a virtual shard's whole
+    /// fleet under one entry): what a parent's `PullStats` is answered
+    /// from.
+    shard_stats: ClusterStats,
+    /// The parent pulled stats; pull the children's when the stack is
+    /// next in hand.
+    want_stats: bool,
     reasm: Reassembler,
     msg_seq: u32,
     reply_seq: u32,
@@ -184,6 +196,8 @@ impl AggregatorApp {
             views_down: Vec::new(),
             deltas_up: Vec::new(),
             spans_up: Vec::new(),
+            shard_stats: ClusterStats::new(),
+            want_stats: false,
             reasm: Reassembler::default(),
             msg_seq: 0,
             reply_seq: 0,
@@ -317,14 +331,17 @@ impl AggregatorApp {
                 self.agg_pong(re, nonce)
             }
             CtrlMsg::PullStats => {
-                let snap = self.shadow.stats_snapshot();
+                // The shadow enclave never sees a packet: the shard's
+                // stats are its children's, as of the previous pull.
+                self.want_stats = true;
+                let reports = self.shard_stats.reports();
                 CtrlReply::Stats {
                     re,
                     epoch: self.shadow.active_epoch(),
                     digest: self.shadow.config_digest(),
-                    captured_at_ns: snap.captured_at_ns,
-                    counters: snap.enclave,
-                    latencies: snap.latencies,
+                    captured_at_ns: reports.iter().map(|r| r.captured_at_ns).max().unwrap_or(0),
+                    counters: self.shard_stats.totals(),
+                    latencies: self.shard_stats.merged_latencies(),
                 }
             }
             CtrlMsg::PullTrace { max } => {
@@ -540,6 +557,9 @@ impl AggregatorApp {
     /// Open a pending shard round and/or push its phase; reconcile
     /// stragglers when idle. Called wherever the stack is in hand.
     fn drive(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+        if std::mem::take(&mut self.want_stats) {
+            self.pull_shard_stats(stack, ctx);
+        }
         if self.virtual_shard.is_some() {
             self.drive_virtual();
             return;
@@ -552,6 +572,50 @@ impl AggregatorApp {
         if self.round.is_none() {
             self.reconcile(stack, ctx);
         }
+    }
+
+    /// Ask every child for its stats. A virtual shard's template answers
+    /// for the fleet: its counters times `count`, its histograms as they
+    /// are (their percentiles do not change with the number of copies).
+    fn pull_shard_stats(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+        let payload = proto::encode_msg(&CtrlMsg::PullStats);
+        if let Some(v) = self.virtual_shard.as_mut() {
+            let (reply, copies) = (v.exchange(&payload, &mut self.wire), v.count as u64);
+            self.record_stats(0, copies, reply);
+            return;
+        }
+        for i in 0..self.children.len() {
+            if self.children[i].status == HostStatus::Up {
+                self.msg_seq = self.msg_seq.wrapping_add(1);
+                self.wire.sent(payload.len(), false);
+                let to = self.children[i].addr;
+                transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
+            }
+        }
+    }
+
+    /// Keep a `Stats` reply as `host`'s report, standing for `copies`
+    /// hosts that would all have sent it.
+    fn record_stats(&mut self, host: u32, copies: u64, reply: CtrlReply) {
+        let CtrlReply::Stats {
+            epoch,
+            digest,
+            captured_at_ns,
+            counters,
+            latencies,
+            ..
+        } = reply
+        else {
+            return;
+        };
+        self.shard_stats.record(HostReport {
+            host,
+            epoch,
+            digest,
+            captured_at_ns,
+            enclave: EnclaveCounters::from_values(counters.values().map(|c| c * copies)),
+            latencies,
+        });
     }
 
     /// The virtual shard converges synchronously: every child would see
@@ -794,8 +858,9 @@ impl AggregatorApp {
                 self.children[i].next_resync = now + Time::from_nanos(next);
             }
             CtrlReply::Spans { spans, .. } => self.buffer_spans(spans),
-            // Stats / AggPong from a child are unexpected here; drop.
-            _ => {}
+            stats @ CtrlReply::Stats { .. } => self.record_stats(from, 1, stats),
+            // An AggPong from a child is unexpected here; drop.
+            CtrlReply::AggPong { .. } => {}
         }
     }
 
@@ -1023,6 +1088,34 @@ mod tests {
         // prepare + commit, each fanned to every virtual child
         assert_eq!(a.wire().msgs_sent, 2000);
         assert!(a.wire().config_bytes_sent > 0);
+    }
+
+    #[test]
+    fn virtual_shard_stats_are_the_templates_times_the_fleet() {
+        let cfg = AggConfig::default();
+        let agg = AggregatorApp::with_virtual_children(cfg.clone(), 1000, EnclaveConfig::default());
+        let mut rack = star(900, agg, &[], &cfg.ctrl);
+        let template = rack.app().virtual_shard.as_mut().expect("virtual");
+        for _ in 0..3 {
+            let mut p = netsim::Packet::udp(1, 2, UdpHeader::default(), 100);
+            let enclave = template.agent.enclave_mut();
+            enclave.process(&mut p, &mut netsim::SimRng::new(1), Time::ZERO);
+        }
+        // the first pull is answered before any child was asked
+        let first = rack.app().handle_parent_msg(1, CtrlMsg::PullStats);
+        assert!(
+            matches!(first, CtrlReply::Stats { counters, .. } if counters == EnclaveCounters::default())
+        );
+        rack.run_ms(1);
+        let CtrlReply::Stats { counters, .. } = rack.app().handle_parent_msg(2, CtrlMsg::PullStats)
+        else {
+            panic!("expected stats");
+        };
+        assert_eq!(counters.packets, 3000);
+        assert!(counters.conserved());
+        let wire = rack.app().wire();
+        assert_eq!(wire.msgs_sent, 1000, "one pull to every virtual child");
+        assert_eq!(wire.config_bytes_sent, 0, "a pull is not configuration");
     }
 
     const RACK: [u32; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];

@@ -155,6 +155,19 @@ impl ClusterStats {
         t
     }
 
+    /// Every host's latency histograms, merged by name in first-seen
+    /// order.
+    pub fn merged_latencies(&self) -> Vec<LatencyStat> {
+        let mut merged: Vec<LatencyStat> = Vec::new();
+        for l in self.reports.iter().flat_map(|r| &r.latencies) {
+            match merged.iter_mut().find(|m| m.name == l.name) {
+                Some(m) => m.hist.merge(&l.hist),
+                None => merged.push(l.clone()),
+            }
+        }
+        merged
+    }
+
     /// Whether every reporting host serves `epoch` with `digest` — the
     /// controller's convergence predicate (it additionally requires that
     /// every *known* host has reported).

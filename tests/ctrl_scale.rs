@@ -9,12 +9,12 @@
 //! savings through the tree, the digest-mismatch → full-resync fallback,
 //! and the virtual-shard mode the six-figure sweeps use.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
+use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, EnclaveStats, MatchSpec};
 use eden::ctrl::{
     AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, TICK,
 };
 use eden::lang::{Access, HeaderField, Schema};
-use eden::netsim::{LinkId, LinkSpec, Network, NodeId, Time, TwoTier};
+use eden::netsim::{LinkId, LinkSpec, Network, NodeId, Packet, SimRng, Time, TwoTier, UdpHeader};
 use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
 
 struct Idle;
@@ -159,6 +159,44 @@ fn hierarchy_converges_and_every_leaf_serves_the_epoch() {
             assert!(e.serves_single_epoch());
         }
     }
+}
+
+#[test]
+fn stats_pulled_through_an_aggregator_are_the_leaves_stats() {
+    let pull_every = Time::from_millis(1);
+    let cfg = CtrlConfig {
+        stats_every: pull_every,
+        ..CtrlConfig::default()
+    };
+    let mut tree = build_tree(19, 2, 3, cfg);
+    let t = run_until(&mut tree, Time::ZERO, |app| app.all_in_sync());
+    root(&mut tree).set_desired(prio_ops(5)).expect("valid ops");
+    let t = run_until(&mut tree, t, |app| app.all_in_sync());
+
+    // Traffic on the leaves, a different amount on each.
+    let mut rng = SimRng::new(5);
+    let mut sum = EnclaveStats::default();
+    for rack in 0..2 {
+        for child in 0..3 {
+            let node = tree.racks[rack][child].0;
+            let agent = tree.net.node_mut::<Host<Idle>>(node).stack.hook_mut();
+            let enclave = agent.map(EnclaveAgent::enclave_mut).expect("agent");
+            for _ in 0..10 * (1 + rack * 3 + child) {
+                let mut p = Packet::udp(1, 2, UdpHeader::default(), 200);
+                enclave.process(&mut p, &mut rng, t);
+            }
+            sum.merge(&enclave.stats);
+        }
+    }
+    assert_eq!(sum.packets, 10 * (1 + 2 + 3 + 4 + 5 + 6));
+
+    // One pull makes each aggregator ask its children, the next one
+    // brings their answers up.
+    tree.net.run_until(t + pull_every + pull_every + pull_every);
+    let cluster = root(&mut tree).cluster();
+    assert_eq!(cluster.host_count(), 2, "one report per rack");
+    assert_eq!(cluster.totals(), sum);
+    assert!(cluster.totals().conserved());
 }
 
 #[test]
