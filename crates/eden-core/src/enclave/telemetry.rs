@@ -2,8 +2,8 @@
 //! and the flight recorder.
 
 use eden_telemetry::{
-    FlightDump, FlightEvent, FlightKind, FunctionCounters, LatencyStat, RuleCounters, Sampler,
-    Span, StatsSnapshot, TableCounters, Telemetry, TraceContext,
+    FlightDump, FlightEvent, FlightKind, FuncCounts, FunctionCounters, LatencyStat, RuleCounters,
+    Sampler, Span, StatsSnapshot, TableCounters, Telemetry, TraceContext,
 };
 
 use super::{Enclave, STAGE_NAMES};
@@ -45,11 +45,16 @@ impl Enclave {
             .functions
             .iter()
             .zip(&self.func_counts)
+            .zip(&self.states)
             .enumerate()
-            .map(|(func, (f, &counts))| FunctionCounters {
+            .map(|(func, ((f, &counts), state))| FunctionCounters {
                 func,
                 name: f.name.clone(),
-                counts,
+                counts: FuncCounts {
+                    evictions: state.evictions,
+                    live_messages: state.live_messages() as u64,
+                    ..counts
+                },
             })
             .collect();
         let opcode_counts = match self.pool.opcode_histogram() {

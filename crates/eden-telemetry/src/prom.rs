@@ -265,6 +265,8 @@ mod tests {
                 counts: FuncCounts {
                     invocations: 9,
                     faults: 1,
+                    evictions: 3,
+                    live_messages: 64,
                     ..Default::default()
                 },
             }],
@@ -331,12 +333,16 @@ eden_table_misses_total{table=\"0\"} 1
 # TYPE eden_function_punts_total counter
 # TYPE eden_function_header_modifies_total counter
 # TYPE eden_function_enqueue_charge_bytes_total counter
+# TYPE eden_function_evictions_total counter
+# TYPE eden_function_live_messages gauge
 eden_function_invocations_total{function=\"sff\"} 9
 eden_function_faults_total{function=\"sff\"} 1
 eden_function_drops_total{function=\"sff\"} 0
 eden_function_punts_total{function=\"sff\"} 0
 eden_function_header_modifies_total{function=\"sff\"} 0
 eden_function_enqueue_charge_bytes_total{function=\"sff\"} 0
+eden_function_evictions_total{function=\"sff\"} 3
+eden_function_live_messages{function=\"sff\"} 64
 # TYPE eden_vm_invocations_total counter
 eden_vm_invocations_total 9
 # TYPE eden_vm_traps_total counter

@@ -72,6 +72,8 @@ counters! {
         punts: Counter, "Invocations that punted the packet to the controller.";
         header_modifies: Counter, "Packet-header fields this function wrote.";
         enqueue_charge_bytes: Counter, "Bytes this function charged to queue verdicts.";
+        evictions: Counter, "Message-state blocks evicted to keep the function's table under its cap.";
+        live_messages: Gauge, "Message-state blocks the function holds.";
     }
 }
 
