@@ -277,8 +277,6 @@ pub struct ControllerApp {
     repl_staleness: LogHistogram,
     /// Wire size of each pong's delta section.
     repl_delta_bytes: LogHistogram,
-    /// Control-wire load at this (root) endpoint.
-    wire: WireCounters,
 }
 
 impl ControllerApp {
@@ -306,7 +304,6 @@ impl ControllerApp {
             repl: ReplHub::new(),
             repl_staleness: LogHistogram::new(),
             repl_delta_bytes: LogHistogram::new(),
-            wire: WireCounters::default(),
         }
     }
 
@@ -413,9 +410,10 @@ impl ControllerApp {
             .sum()
     }
 
-    /// Control-wire load counters at this (root) endpoint.
+    /// Control-wire load counters at this (root) endpoint (kept in
+    /// [`ClusterStats::wire`], so they render with the cluster).
     pub fn wire(&self) -> WireCounters {
-        self.wire
+        self.cluster.wire
     }
 
     /// Liveness verdict for `addr` (None if unmanaged).
@@ -519,7 +517,7 @@ impl ControllerApp {
     ) {
         let to = self.hosts[host_idx].addr;
         self.msg_seq = self.msg_seq.wrapping_add(1);
-        self.wire.sent(plan.bytes.len(), true);
+        self.cluster.wire.sent(plan.bytes.len(), true);
         transmit(&self.cfg, to, self.msg_seq, &plan.bytes, stack, ctx);
         let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
         self.hosts[host_idx].inflight = Some(Inflight {
@@ -589,7 +587,7 @@ impl ControllerApp {
                     }
                 };
                 self.msg_seq = self.msg_seq.wrapping_add(1);
-                self.wire.sent(payload.len(), false);
+                self.cluster.wire.sent(payload.len(), false);
                 transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
                 self.hosts[i].next_heartbeat = now + self.cfg.heartbeat_every;
             }
@@ -602,7 +600,7 @@ impl ControllerApp {
                     let to = self.hosts[i].addr;
                     Self::send(
                         &mut self.msg_seq,
-                        &mut self.wire,
+                        &mut self.cluster.wire,
                         &self.cfg,
                         to,
                         &CtrlMsg::PullStats,
@@ -612,7 +610,7 @@ impl ControllerApp {
                     if self.cfg.pull_trace_max > 0 {
                         Self::send(
                             &mut self.msg_seq,
-                            &mut self.wire,
+                            &mut self.cluster.wire,
                             &self.cfg,
                             to,
                             &CtrlMsg::PullTrace {
@@ -643,7 +641,7 @@ impl ControllerApp {
             // Retries reuse the message id and the bytes: the agent-side
             // reassembler and handlers are idempotent, and the reply still
             // correlates.
-            self.wire.sent(inflight.payload.len(), true);
+            self.cluster.wire.sent(inflight.payload.len(), true);
             let to = self.hosts[i].addr;
             transmit(
                 &self.cfg,
@@ -1194,8 +1192,8 @@ impl App for ControllerApp {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return,
         };
-        self.wire.msgs_received += 1;
-        self.wire.bytes_received += payload.len() as u64;
+        self.cluster.wire.msgs_received += 1;
+        self.cluster.wire.bytes_received += payload.len() as u64;
         let Ok((reply, deltas)) = proto::decode_reply_synced(&payload) else {
             return;
         };

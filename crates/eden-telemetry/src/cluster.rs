@@ -115,6 +115,9 @@ pub struct ClusterStats {
     /// Per-host replica lag, refreshed from the replication hub whenever
     /// replicated functions are installed (empty otherwise).
     pub repl_lags: Vec<ReplLag>,
+    /// Control-wire load at the endpoint that keeps these stats (the
+    /// root).
+    pub wire: WireCounters,
 }
 
 impl ClusterStats {
@@ -195,6 +198,7 @@ impl ToJson for ClusterStats {
                 "repl_lags",
                 Json::Arr(self.repl_lags.iter().map(|l| l.to_json()).collect()),
             ),
+            ("wire", self.wire.to_json()),
         ])
     }
 }
@@ -249,5 +253,6 @@ mod tests {
         assert!(text.contains(r#""host":9"#));
         assert!(text.contains(r#""epoch":3"#));
         assert!(text.contains(r#""processed":5"#));
+        assert!(text.contains(r#""wire":{"msgs_sent":0,"#), "{text}");
     }
 }
