@@ -640,6 +640,9 @@ impl AggregatorApp {
             CtrlReply::Nack { .. }
         ) {
             // Digest anchor missed (template diverged): full resync.
+            if prep.is_delta {
+                self.wire.delta_fallbacks += v.count as u64;
+            }
             v.exchange(&self.history.plan_full(None).bytes, &mut self.wire);
         }
         let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
@@ -836,6 +839,7 @@ impl AggregatorApp {
                 if was_delta && phase == AckPhase::Prepare && epoch == self.current().epoch {
                     // Digest anchor missed: the same fallback the root
                     // uses — full rebuild on the same track.
+                    self.wire.delta_fallbacks += 1;
                     let full = self.history.plan_full(None);
                     self.send_child(i, full, AckPhase::Prepare, is_round, stack, ctx);
                     return;
@@ -1232,6 +1236,7 @@ mod tests {
         );
         assert!(rack.app().round.is_none(), "the shard round closed");
         assert_eq!(rack.app().shard_synced(), 16);
+        assert_eq!(rack.app().wire().delta_fallbacks, 1);
         let want = rack.app().current().digest;
         assert_eq!(rack.tap(3).agent.enclave().config_digest(), want);
     }

@@ -1141,6 +1141,7 @@ impl ControllerApp {
                     // validation there: fall back to the full Reset-led
                     // ship on the same track — a round host stays in the
                     // round's pending set, a resync stays a resync.
+                    self.cluster.wire.delta_fallbacks += 1;
                     let full = self.history.plan_full(trace.as_ref());
                     self.send_tracked(i, full, AckPhase::Prepare, origin, trace, stack, ctx);
                     return;

@@ -23,6 +23,7 @@ counters! {
         msgs_received: Counter, "Control messages reassembled off the wire.";
         bytes_received: Counter, "Encoded payload bytes of the messages received.";
         config_bytes_sent: Counter, "Of the bytes sent, epoch configuration only (Prepare / DeltaPrepare / Commit / Abort) — the delta-vs-full comparison metric.";
+        delta_fallbacks: Counter, "Delta prepares a child nacked (its digest anchor missed or the diff did not validate there) and that were re-sent as the full configuration.";
     }
 }
 

@@ -425,10 +425,9 @@ eden_latency_samples_total{name=\"vm.exec\"} 100
             "{text}"
         );
         assert!(text.contains(r#"eden_host_epoch{host="3"} 2"#), "{text}");
-        assert!(
-            text.ends_with("# TYPE eden_ctrl_wire_config_bytes_sent_total counter\neden_ctrl_wire_config_bytes_sent_total 0\n"),
-            "{text}"
-        );
+        let wire =
+            "# TYPE eden_ctrl_wire_msgs_sent_total counter\neden_ctrl_wire_msgs_sent_total 0\n";
+        assert!(text.contains(wire), "{text}");
         assert!(
             text.contains(r#"eden_enclave_processed_total{host="3"} 5"#),
             "{text}"

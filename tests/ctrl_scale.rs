@@ -9,7 +9,7 @@
 //! savings through the tree, the digest-mismatch → full-resync fallback,
 //! and the virtual-shard mode the six-figure sweeps use.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, EnclaveStats, MatchSpec};
+use eden::core::{ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, EnclaveStats, MatchSpec};
 use eden::ctrl::{
     AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, TICK,
 };
@@ -311,10 +311,16 @@ fn sabotaged_leaf_falls_back_to_full_resync() {
 
     // Push the next epoch immediately — before a heartbeat can refresh
     // the report — so the controller plans a delta against the stale
-    // digest and must take the Nack → full-Prepare fallback.
-    app(&mut net, ctrl)
-        .set_desired(prio_ops(7))
-        .expect("valid ops");
+    // digest and must take the Nack → full-Prepare fallback. The same
+    // function and one more rule: a one-op diff, which is what makes the
+    // plan a delta at all (a changed function ships as the full table).
+    let mut next = prio_ops(5);
+    next.push(EnclaveOp::InstallRule {
+        table: 0,
+        spec: MatchSpec::Class(ClassId(9)),
+        func: 0,
+    });
+    app(&mut net, ctrl).set_desired(next).expect("valid ops");
     converge(&mut net, t);
     let e = net
         .node_mut::<Host<Idle>>(host)
@@ -324,6 +330,14 @@ fn sabotaged_leaf_falls_back_to_full_resync() {
         .enclave();
     assert_eq!(e.active_epoch(), 2);
     assert!(e.serves_single_epoch());
+    // the fallback is counted, and rendered with the cluster's stats
+    let app = app(&mut net, ctrl);
+    assert_eq!(app.wire().delta_fallbacks, 1);
+    let prom = eden::telemetry::render_cluster(app.cluster());
+    assert!(
+        prom.contains("eden_ctrl_wire_delta_fallbacks_total 1\n"),
+        "{prom}"
+    );
 }
 
 #[test]
