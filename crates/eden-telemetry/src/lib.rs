@@ -34,7 +34,7 @@ pub use counters::{Block, Kind, Label, LabelValue, Row};
 pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing};
 pub use hist::{bucket_bound, bucket_of, LatencyStat, LogHistogram, HIST_BUCKETS};
 pub use json::{Json, JsonParseError, ToJson};
-pub use prom::{render_cluster, render_snapshot};
+pub use prom::{metric_table_markdown, render_cluster, render_snapshot};
 pub use series::TimeSeries;
 pub use snapshot::{
     ConnStats, EnclaveCounters, FlowCounters, FuncCounts, FunctionCounters, HostCounters,

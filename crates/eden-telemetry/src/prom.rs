@@ -5,12 +5,18 @@
 //! format is lines of `name{label="v"} value`. Output order is fully
 //! deterministic (struct field order, then collection order) so the
 //! exposition can be pinned by a golden test. The exported metric names
-//! are documented in the README's observability table.
+//! are the `prom` column of the counter tables; [`metric_table_markdown`]
+//! prints them as the table README's Telemetry section carries.
 
-use crate::cluster::ClusterStats;
+use std::fmt::Write as _;
+
+use crate::cluster::{ClusterStats, WireCounters};
 use crate::counters::{Block, LabelValue};
 use crate::hist::LatencyStat;
-use crate::snapshot::StatsSnapshot;
+use crate::snapshot::{
+    EnclaveCounters, FlowCounters, FunctionCounters, HostCounters, RuleCounters, StatsSnapshot,
+    TableCounters, VmCounters,
+};
 
 /// Append `v` in decimal. An exposition is mostly numbers, and going
 /// through `fmt` for each costs a fifth of a whole render.
@@ -214,14 +220,42 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
     out
 }
 
+/// The README's metric table: a line per row of every group's table, in
+/// exposition order (a test holds `README.md` to it).
+pub fn metric_table_markdown() -> String {
+    fn group<B: Block + Default>(out: &mut String) {
+        let block = B::default();
+        let labels = block.labels();
+        let labels = labels.as_ref().iter().map(|l| l.1);
+        let labels: Vec<&str> = labels.filter(|l| !l.is_empty()).collect();
+        let labels = labels.join(", ");
+        for row in B::ROWS {
+            let (prom, kind, help) = (row.prom, row.kind.as_str(), row.help);
+            let (key, field) = (row.name, row.field);
+            let _ = writeln!(
+                out,
+                "| `{prom}` | {kind} | `{key}` | `{field}` | {labels} | {help} |"
+            );
+        }
+    }
+    let mut out = String::from("| Metric | Type | JSON key | Field | Labels | Counts |\n");
+    out.push_str("|---|---|---|---|---|---|\n");
+    group::<EnclaveCounters>(&mut out);
+    group::<TableCounters>(&mut out);
+    group::<RuleCounters>(&mut out);
+    group::<FunctionCounters>(&mut out);
+    group::<VmCounters>(&mut out);
+    group::<FlowCounters>(&mut out);
+    group::<HostCounters>(&mut out);
+    group::<WireCounters>(&mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hist::LogHistogram;
-    use crate::snapshot::{
-        ConnStats, EnclaveCounters, FlowCounters, FuncCounts, FunctionCounters, TableCounters,
-        TableLookups, VmCounters,
-    };
+    use crate::snapshot::{ConnStats, FuncCounts, TableLookups};
 
     /// Golden: the exposition for a fixed snapshot is pinned byte-for-byte.
     /// If this fails because of an intentional format change, update the
