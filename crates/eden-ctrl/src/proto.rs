@@ -2034,6 +2034,41 @@ mod tests {
         assert!(latencies[1].hist.is_empty());
     }
 
+    /// The bytes of one `Stats` reply, captured from the hand-written codec
+    /// before the counter section was derived from the enclave group's
+    /// table: field order is wire order, so a reordered, inserted or
+    /// removed row shows here.
+    #[test]
+    fn stats_reply_bytes_are_pinned() {
+        let mut h = LogHistogram::new();
+        for v in [100u64, 100, 7000] {
+            h.record(v);
+        }
+        let reply = CtrlReply::Stats {
+            re: 0x0D0C_0B0A,
+            epoch: 3,
+            digest: 0x1122_3344_5566_7788,
+            captured_at_ns: 99,
+            counters: EnclaveCounters::from_values(std::array::from_fn(|i| 101 + i as u64)),
+            latencies: vec![LatencyStat::new("vm.exec", h)],
+        };
+        let pinned = "040a0b0c0d030000000000000088776655443322116300000000000000650000\
+             0000000000660000000000000067000000000000006800000000000000690000\
+             00000000006a000000000000006b000000000000006c000000000000006d0000\
+             00000000006e000000000000006f000000000000007000000000000000710000\
+             00000000007200000000000000010007000000766d2e65786563201c00000000\
+             0000020702000000000000000d0100000000000000";
+        let hex: String = encode_reply(&reply)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, pinned);
+        let bytes: Vec<u8> = (0..pinned.len() / 2)
+            .map(|i| u8::from_str_radix(&pinned[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(decode_reply(&bytes), Ok(reply));
+    }
+
     #[test]
     fn replies_round_trip() {
         let replies = vec![

@@ -187,15 +187,7 @@ fn gen_ctrl_reply(rng: &mut FuzzRng) -> CtrlReply {
             epoch: rng.next_u64(),
             digest: rng.next_u64(),
             captured_at_ns: rng.next_u64(),
-            counters: EnclaveCounters {
-                packets: rng.below(1 << 20),
-                matched: rng.below(1 << 20),
-                forwarded: rng.below(1 << 20),
-                dropped: rng.below(1 << 20),
-                punted_to_controller: rng.below(1 << 20),
-                faults: rng.below(1 << 20),
-                ..EnclaveCounters::default()
-            },
+            counters: EnclaveCounters::from_values(std::array::from_fn(|_| rng.below(1 << 20))),
             latencies: gen_latencies(rng),
         },
     }
