@@ -64,10 +64,7 @@ impl ToJson for HostReport {
             ("digest", self.digest.into()),
             ("captured_at_ns", self.captured_at_ns.into()),
             ("enclave", self.enclave.to_json()),
-            (
-                "latencies",
-                Json::Arr(self.latencies.iter().map(|l| l.to_json()).collect()),
-            ),
+            ("latencies", Json::arr(&self.latencies)),
         ])
     }
 }
@@ -187,18 +184,9 @@ impl ToJson for ClusterStats {
         Json::obj(vec![
             ("hosts", self.host_count().into()),
             ("totals", self.totals().to_json()),
-            (
-                "reports",
-                Json::Arr(self.reports.iter().map(|r| r.to_json()).collect()),
-            ),
-            (
-                "ctrl_latencies",
-                Json::Arr(self.ctrl_latencies.iter().map(|l| l.to_json()).collect()),
-            ),
-            (
-                "repl_lags",
-                Json::Arr(self.repl_lags.iter().map(|l| l.to_json()).collect()),
-            ),
+            ("reports", Json::arr(&self.reports)),
+            ("ctrl_latencies", Json::arr(&self.ctrl_latencies)),
+            ("repl_lags", Json::arr(&self.repl_lags)),
             ("wire", self.wire.to_json()),
         ])
     }

@@ -36,6 +36,11 @@ impl Json {
         )
     }
 
+    /// An array of every item's JSON form.
+    pub fn arr<T: ToJson>(items: &[T]) -> Json {
+        Json::Arr(items.iter().map(ToJson::to_json).collect())
+    }
+
     /// Render to a compact JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();

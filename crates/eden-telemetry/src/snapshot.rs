@@ -123,18 +123,6 @@ pub struct TableCounters {
     pub counts: TableLookups,
 }
 
-impl Block for TableCounters {
-    const ROWS: &'static [Row] = TableLookups::ROWS;
-
-    fn labels(&self) -> impl AsRef<[Label<'_>]> {
-        [("table", "table", Num(self.table as u64))]
-    }
-
-    fn values(&self) -> impl AsRef<[u64]> {
-        self.counts.values()
-    }
-}
-
 /// One rule's [`RuleHits`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleCounters {
@@ -147,22 +135,6 @@ pub struct RuleCounters {
     pub counts: RuleHits,
 }
 
-impl Block for RuleCounters {
-    const ROWS: &'static [Row] = RuleHits::ROWS;
-
-    fn labels(&self) -> impl AsRef<[Label<'_>]> {
-        [
-            ("table", "table", Num(self.table as u64)),
-            ("rule", "rule", Num(self.rule as u64)),
-            ("func", "func", Num(self.func as u64)),
-        ]
-    }
-
-    fn values(&self) -> impl AsRef<[u64]> {
-        self.counts.values()
-    }
-}
-
 /// One installed function's [`FuncCounts`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FunctionCounters {
@@ -170,22 +142,6 @@ pub struct FunctionCounters {
     pub func: usize,
     pub name: String,
     pub counts: FuncCounts,
-}
-
-impl Block for FunctionCounters {
-    const ROWS: &'static [Row] = FuncCounts::ROWS;
-
-    /// Prometheus identifies a function by its name alone.
-    fn labels(&self) -> impl AsRef<[Label<'_>]> {
-        [
-            ("func", "", Num(self.func as u64)),
-            ("name", "function", Text(&self.name)),
-        ]
-    }
-
-    fn values(&self) -> impl AsRef<[u64]> {
-        self.counts.values()
-    }
 }
 
 /// One TCP connection's [`ConnStats`].
@@ -198,22 +154,42 @@ pub struct FlowCounters {
     pub counts: ConnStats,
 }
 
-impl Block for FlowCounters {
-    const ROWS: &'static [Row] = ConnStats::ROWS;
+/// [`Block`] for a snapshot row that holds labels beside its group's
+/// block (`counts`): which group, and the labels read off the row.
+macro_rules! labelled {
+    ($row:ident holds $group:ident, |$r:ident| $labels:expr) => {
+        impl Block for $row {
+            const ROWS: &'static [Row] = $group::ROWS;
 
-    /// The state changes over a connection's life, so it stays out of
-    /// the series' identity.
-    fn labels(&self) -> impl AsRef<[Label<'_>]> {
-        [
-            ("conn", "conn", Num(self.conn as u64)),
-            ("state", "", Text(&self.state)),
-        ]
-    }
+            fn labels(&self) -> impl AsRef<[Label<'_>]> {
+                let $r = self;
+                $labels
+            }
 
-    fn values(&self) -> impl AsRef<[u64]> {
-        self.counts.values()
-    }
+            fn values(&self) -> impl AsRef<[u64]> {
+                self.counts.values()
+            }
+        }
+    };
 }
+
+labelled!(TableCounters holds TableLookups, |t| [("table", "table", Num(t.table as u64))]);
+labelled!(RuleCounters holds RuleHits, |r| [
+    ("table", "table", Num(r.table as u64)),
+    ("rule", "rule", Num(r.rule as u64)),
+    ("func", "func", Num(r.func as u64)),
+]);
+// Prometheus identifies a function by its name alone.
+labelled!(FunctionCounters holds FuncCounts, |f| [
+    ("func", "", Num(f.func as u64)),
+    ("name", "function", Text(&f.name)),
+]);
+// The state changes over a connection's life, so it stays out of the
+// series' identity.
+labelled!(FlowCounters holds ConnStats, |f| [
+    ("conn", "conn", Num(f.conn as u64)),
+    ("state", "", Text(&f.state)),
+]);
 
 /// A point-in-time snapshot of every counter a layer exposes.
 ///
@@ -243,9 +219,6 @@ pub struct StatsSnapshot {
 
 impl ToJson for StatsSnapshot {
     fn to_json(&self) -> Json {
-        fn arr<T: ToJson>(items: &[T]) -> Json {
-            Json::Arr(items.iter().map(|i| i.to_json()).collect())
-        }
         let mut vm = self.vm.to_json();
         if let Json::Obj(fields) = &mut vm {
             let counts = self.opcode_counts.iter();
@@ -255,11 +228,11 @@ impl ToJson for StatsSnapshot {
         Json::obj(vec![
             ("captured_at_ns", self.captured_at_ns.into()),
             ("enclave", self.enclave.to_json()),
-            ("tables", arr(&self.tables)),
-            ("rules", arr(&self.rules)),
-            ("functions", arr(&self.functions)),
+            ("tables", Json::arr(&self.tables)),
+            ("rules", Json::arr(&self.rules)),
+            ("functions", Json::arr(&self.functions)),
             ("vm", vm),
-            ("flows", arr(&self.flows)),
+            ("flows", Json::arr(&self.flows)),
             (
                 "host",
                 match &self.host {
@@ -267,7 +240,7 @@ impl ToJson for StatsSnapshot {
                     None => Json::Null,
                 },
             ),
-            ("latencies", arr(&self.latencies)),
+            ("latencies", Json::arr(&self.latencies)),
         ])
     }
 }
