@@ -114,6 +114,7 @@ impl VirtualShard {
     /// template does; the wire tally scales by `count`.
     fn exchange(&mut self, bytes: &[u8], wire: &mut WireCounters) -> CtrlReply {
         let msg = proto::decode_msg(bytes).expect("this endpoint's own encoding");
+        // prepares and commits are exchanged here, and stats pulls
         let epoch_config = !matches!(msg, CtrlMsg::PullStats);
         self.seq = self.seq.wrapping_add(1);
         let reply = self.agent.handle(self.seq, msg);

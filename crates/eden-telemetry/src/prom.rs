@@ -11,7 +11,8 @@
 use std::fmt::Write as _;
 
 use crate::cluster::{ClusterStats, WireCounters};
-use crate::counters::{Block, LabelValue};
+use crate::counters::Block;
+use crate::counters::LabelValue::{self, Num, Text};
 use crate::hist::LatencyStat;
 use crate::snapshot::{
     EnclaveCounters, FlowCounters, FunctionCounters, HostCounters, RuleCounters, StatsSnapshot,
@@ -43,10 +44,10 @@ fn label_set<'a>(out: &mut String, labels: impl Iterator<Item = (&'a str, LabelV
         out.push_str(k);
         out.push_str("=\"");
         match v {
-            LabelValue::Num(n) => push_u64(out, n),
+            Num(n) => push_u64(out, n),
             // minimal escaping: the only hostile chars possible in our
             // label values (function names) are quotes and backslashes
-            LabelValue::Text(s) => {
+            Text(s) => {
                 for c in s.chars() {
                     match c {
                         '"' => out.push_str("\\\""),
@@ -64,18 +65,19 @@ fn label_set<'a>(out: &mut String, labels: impl Iterator<Item = (&'a str, LabelV
     }
 }
 
-fn text_labels<'a>(
-    labels: &'a [(&'a str, &'a str)],
-) -> impl Iterator<Item = (&'a str, LabelValue<'a>)> {
-    labels.iter().map(|&(k, v)| (k, LabelValue::Text(v)))
-}
-
-fn line(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
+/// One sample; `labels` is a rendered [`label_set`].
+fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
     out.push_str(name);
-    label_set(out, text_labels(labels));
+    out.push_str(labels);
     out.push(' ');
     push_u64(out, value);
     out.push('\n');
+}
+
+fn line(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
+    let mut set = String::new();
+    label_set(&mut set, labels.iter().map(|&(k, v)| (k, Text(v))));
+    sample(out, name, &set, value);
 }
 
 fn typ(out: &mut String, name: &str, kind: &str) {
@@ -87,24 +89,19 @@ fn typ(out: &mut String, name: &str, kind: &str) {
 }
 
 /// One sample per row of `block`, labelled with the block's own labels
-/// and then `extra`; `typed` puts each row's `# TYPE` line before it.
-fn block<B: Block>(out: &mut String, block: &B, extra: &[(&str, &str)], typed: bool) {
+/// and then `host` if the exposition covers several; `typed` puts each
+/// row's `# TYPE` line before it.
+fn block<B: Block>(out: &mut String, block: &B, host: Option<&str>, typed: bool) {
     let own = block.labels();
-    let own = own.as_ref().iter().filter(|l| !l.1.is_empty());
+    let own = own.as_ref().iter().map(|l| (l.1, l.2));
+    let own = own.filter(|l| !l.0.is_empty());
     let mut labels = String::new();
-    label_set(
-        &mut labels,
-        own.map(|l| (l.1, l.2)).chain(text_labels(extra)),
-    );
+    label_set(&mut labels, own.chain(host.map(|h| ("host", Text(h)))));
     for (row, &v) in B::ROWS.iter().zip(block.values().as_ref()) {
         if typed {
             typ(out, row.prom, row.kind.as_str());
         }
-        out.push_str(row.prom);
-        out.push_str(&labels);
-        out.push(' ');
-        push_u64(out, v);
-        out.push('\n');
+        sample(out, row.prom, &labels, v);
     }
 }
 
@@ -118,7 +115,7 @@ fn section<B: Block>(out: &mut String, blocks: &[B]) {
         typ(out, row.prom, row.kind.as_str());
     }
     for b in blocks {
-        block(out, b, &[], false);
+        block(out, b, None, false);
     }
 }
 
@@ -147,14 +144,14 @@ fn latencies(out: &mut String, stats: &[LatencyStat], extra: &[(&str, &str)]) {
 
 /// Render one host's [`StatsSnapshot`] as Prometheus text exposition.
 pub fn render_snapshot(snap: &StatsSnapshot) -> String {
-    let mut out = String::with_capacity(8 << 10);
+    let mut out = String::new();
     typ(&mut out, "eden_captured_at_ns", "gauge");
     line(&mut out, "eden_captured_at_ns", &[], snap.captured_at_ns);
-    block(&mut out, &snap.enclave, &[], true);
+    block(&mut out, &snap.enclave, None, true);
     section(&mut out, &snap.tables);
     section(&mut out, &snap.rules);
     section(&mut out, &snap.functions);
-    block(&mut out, &snap.vm, &[], true);
+    block(&mut out, &snap.vm, None, true);
     if !snap.opcode_counts.is_empty() {
         typ(&mut out, "eden_vm_opcode_total", "counter");
         for (op, n) in &snap.opcode_counts {
@@ -163,7 +160,7 @@ pub fn render_snapshot(snap: &StatsSnapshot) -> String {
     }
     section(&mut out, &snap.flows);
     if let Some(h) = &snap.host {
-        block(&mut out, h, &[], true);
+        block(&mut out, h, None, true);
     }
     latencies(&mut out, &snap.latencies, &[]);
     out
@@ -180,7 +177,7 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
         &[],
         cluster.host_count() as u64,
     );
-    block(&mut out, &cluster.totals(), &[("host", "all")], false);
+    block(&mut out, &cluster.totals(), Some("all"), false);
     typ(&mut out, "eden_host_epoch", "gauge");
     for r in cluster.reports() {
         let host = r.host.to_string();
@@ -193,7 +190,7 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
     }
     for r in cluster.reports() {
         let host = r.host.to_string();
-        block(&mut out, &r.enclave, &[("host", host.as_str())], false);
+        block(&mut out, &r.enclave, Some(&host), false);
         latencies(&mut out, &r.latencies, &[("host", host.as_str())]);
     }
     latencies(&mut out, &cluster.ctrl_latencies, &[("host", "controller")]);
@@ -216,7 +213,7 @@ pub fn render_cluster(cluster: &ClusterStats) -> String {
             );
         }
     }
-    block(&mut out, &cluster.wire, &[], true);
+    block(&mut out, &cluster.wire, None, true);
     out
 }
 
