@@ -85,6 +85,9 @@ pub enum ApplyError {
     /// stale, so applying the diff would corrupt it. The remedy is a
     /// full-table resync.
     DigestMismatch { have: u64, want: u64 },
+    /// The epoch's `ops` ops do not fit one control message: refused by
+    /// the controller before anything stages them.
+    TooLarge { ops: usize },
 }
 
 impl std::fmt::Display for ApplyError {
@@ -111,6 +114,9 @@ impl std::fmt::Display for ApplyError {
             }
             ApplyError::DigestMismatch { have, want } => {
                 write!(f, "digest mismatch: have {have:#018x} want {want:#018x}")
+            }
+            ApplyError::TooLarge { ops } => {
+                write!(f, "an epoch of {ops} ops does not fit one control message")
             }
         }
     }

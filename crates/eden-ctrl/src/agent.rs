@@ -2,31 +2,18 @@
 //! endpoint.
 //!
 //! [`EnclaveAgent`] is a [`PacketHook`] that delegates the whole data path
-//! to the enclave it wraps and additionally answers the control protocol
-//! on `on_ctrl`. Install it with `Stack::set_hook` + `Stack::set_ctrl_port`
-//! and the host speaks both planes over the same NIC.
-//!
-//! Every handler is idempotent, because the fabric may duplicate messages
-//! (controller retries reuse message ids, and a retried multi-fragment
-//! message can complete reassembly twice):
-//!
-//! * `Prepare{e}` — re-staging the same epoch replaces the staging and
-//!   re-acks; an epoch already *active* acks without touching anything; a
-//!   *stale* epoch (below active) nacks.
-//! * `Commit{e}` — committing the active epoch again acks ("already
-//!   done"); an unknown epoch nacks so the controller knows to re-prepare.
-//! * `Abort{e}` — drops a matching staged epoch, acks either way.
+//! to the enclave it wraps and additionally plays the
+//! [`participant`] role on `on_ctrl`. Install it with `Stack::set_hook` +
+//! `Stack::set_ctrl_port` and the host speaks both planes over the same
+//! NIC.
 
 use eden_core::Enclave;
-use eden_repl::{FuncDelta, FuncView};
-use eden_telemetry::{FlightKind, TraceContext};
+use eden_telemetry::FlightKind;
 use transport::{HookEnv, HookVerdict, PacketHook};
 
-use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
-
-/// Most spans a single pong piggybacks. Keeps heartbeat replies inside
-/// one fragment; a backlog beyond this drains via `PullTrace`.
-pub const PONG_SPAN_BUDGET: usize = 16;
+use crate::participant;
+pub use crate::participant::PONG_SPAN_BUDGET;
+use crate::proto::{self, CtrlMsg, CtrlReply, Reassembler, Request, Response};
 
 /// An enclave plus the control-plane endpoint that manages it.
 pub struct EnclaveAgent {
@@ -64,70 +51,40 @@ impl EnclaveAgent {
         &mut self.enclave
     }
 
-    /// Handle one fully reassembled control message. Public for direct
-    /// unit testing; the wire path goes through [`PacketHook::on_ctrl`].
-    pub fn handle(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
-        self.handle_traced(re, msg, None, 0)
-    }
-
-    /// [`handle`](Self::handle), plus the trace context the controller
-    /// appended (if any) and the virtual receive time. A sampled context
+    /// Handle one fully reassembled request, whose message id is `re`,
+    /// received at virtual time `now_ns`. Public for direct unit testing;
+    /// the wire path goes through [`PacketHook::on_ctrl`].
+    ///
+    /// The replication views the frame carries are applied *before* the
+    /// message is answered (between packet batches by construction — the
+    /// control path never runs mid-batch), and a Heartbeat's Pong carries
+    /// the host's current delta for every replicated function back out:
+    /// the heartbeat cadence is the sync cadence. A sampled trace context
     /// on an epoch-phase message records a span under the controller's
     /// round root, which is how one epoch update becomes one cross-host
     /// trace tree.
-    pub fn handle_traced(
-        &mut self,
-        re: u32,
-        msg: CtrlMsg,
-        ctx: Option<TraceContext>,
-        now_ns: u64,
-    ) -> CtrlReply {
-        let (tag, epoch) = match &msg {
-            CtrlMsg::Prepare { epoch, .. } => (1, *epoch),
-            CtrlMsg::Commit { epoch } => (2, *epoch),
-            CtrlMsg::Abort { epoch } => (3, *epoch),
-            CtrlMsg::Heartbeat { .. } => (4, 0),
-            CtrlMsg::PullStats => (5, 0),
-            CtrlMsg::PullTrace { .. } => (6, 0),
-            CtrlMsg::DeltaPrepare { epoch, .. } => (7, *epoch),
-            CtrlMsg::AggSync { .. } => (8, 0),
+    pub fn handle(&mut self, re: u32, frame: Request, now_ns: u64) -> Response {
+        for view in &frame.repl {
+            self.enclave.apply_repl_view(view, now_ns);
+        }
+        let msg = frame.body;
+        let (epoch, span_name) = match &msg {
+            CtrlMsg::Prepare { epoch, .. } | CtrlMsg::DeltaPrepare { epoch, .. } => {
+                (*epoch, Some("prepare"))
+            }
+            CtrlMsg::Commit { epoch } => (*epoch, Some("commit")),
+            CtrlMsg::Abort { epoch } => (*epoch, Some("abort")),
+            _ => (0, None),
         };
-        self.enclave.flight_record(FlightKind::CtrlMsg, tag, epoch);
-        let span_name = match &msg {
-            CtrlMsg::Prepare { .. } | CtrlMsg::DeltaPrepare { .. } => Some("prepare"),
-            CtrlMsg::Commit { .. } => Some("commit"),
-            CtrlMsg::Abort { .. } => Some("abort"),
-            _ => None,
-        };
-        let reply = self.dispatch(re, msg);
-        if let (Some(ctx), Some(name)) = (ctx.filter(|c| c.sampled), span_name) {
+        self.enclave
+            .flight_record(FlightKind::CtrlMsg, u64::from(msg.tag()), epoch);
+        let reply = participant::answer(&mut self.enclave, re, msg);
+        if let (Some(ctx), Some(name)) = (frame.trace.filter(|c| c.sampled), span_name) {
             // Handling is instantaneous in virtual time; the span marks
             // *when this host* processed the phase, parented under the
             // controller's round span.
             self.enclave.record_span(ctx, name, now_ns, now_ns);
         }
-        reply
-    }
-
-    /// [`handle_traced`](Self::handle_traced), plus the replication sync:
-    /// the views the controller piggybacked on the message are applied
-    /// *before* dispatch (between packet batches by construction — the
-    /// control path never runs mid-batch), and a Heartbeat's Pong carries
-    /// the host's current delta for every replicated function back out.
-    /// Other replies carry no deltas; the heartbeat cadence is the sync
-    /// cadence.
-    pub fn handle_synced(
-        &mut self,
-        re: u32,
-        msg: CtrlMsg,
-        views: &[FuncView],
-        ctx: Option<TraceContext>,
-        now_ns: u64,
-    ) -> (CtrlReply, Vec<FuncDelta>) {
-        for view in views {
-            self.enclave.apply_repl_view(view, now_ns);
-        }
-        let reply = self.handle_traced(re, msg, ctx, now_ns);
         let deltas = if matches!(reply, CtrlReply::Pong { .. }) {
             self.enclave
                 .repl_funcs()
@@ -137,134 +94,9 @@ impl EnclaveAgent {
         } else {
             Vec::new()
         };
-        (reply, deltas)
-    }
-
-    fn dispatch(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
-        match msg {
-            CtrlMsg::Prepare { epoch, ops } => {
-                let active = self.enclave.active_epoch();
-                if epoch < active {
-                    return CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: format!("stale epoch {epoch} < active {active}"),
-                    };
-                }
-                if epoch == active {
-                    // Duplicate of an already-committed update.
-                    return CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    };
-                }
-                match self.enclave.stage_epoch_owned(epoch, ops) {
-                    Ok(()) => CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    },
-                    Err(e) => CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: e.to_string(),
-                    },
-                }
-            }
-            CtrlMsg::Commit { epoch } => {
-                if self.enclave.commit_epoch(epoch) {
-                    CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Commit,
-                    }
-                } else {
-                    CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: format!("epoch {epoch} not prepared"),
-                    }
-                }
-            }
-            CtrlMsg::Abort { epoch } => {
-                self.enclave.abort_epoch(epoch);
-                CtrlReply::Ack {
-                    re,
-                    epoch,
-                    phase: AckPhase::Abort,
-                }
-            }
-            CtrlMsg::Heartbeat { nonce } => CtrlReply::Pong {
-                re,
-                nonce,
-                epoch: self.enclave.active_epoch(),
-                digest: self.enclave.config_digest(),
-                spans: self.enclave.drain_spans(PONG_SPAN_BUDGET),
-            },
-            CtrlMsg::PullStats => {
-                let snap = self.enclave.stats_snapshot();
-                CtrlReply::Stats {
-                    re,
-                    epoch: self.enclave.active_epoch(),
-                    digest: self.enclave.config_digest(),
-                    captured_at_ns: snap.captured_at_ns,
-                    counters: snap.enclave,
-                    latencies: snap.latencies,
-                }
-            }
-            CtrlMsg::PullTrace { max } => CtrlReply::Spans {
-                re,
-                spans: self.enclave.drain_spans(max as usize),
-            },
-            CtrlMsg::DeltaPrepare {
-                epoch,
-                base_digest,
-                ops,
-            } => {
-                let active = self.enclave.active_epoch();
-                if epoch < active {
-                    return CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: format!("stale epoch {epoch} < active {active}"),
-                    };
-                }
-                if epoch == active {
-                    // Duplicate of an already-committed update.
-                    return CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    };
-                }
-                // A digest mismatch nacks like any validation error; the
-                // controller reads the reason and falls back to a full
-                // Prepare.
-                match self
-                    .enclave
-                    .stage_epoch_delta_owned(epoch, base_digest, ops)
-                {
-                    Ok(()) => CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    },
-                    Err(e) => CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: e.to_string(),
-                    },
-                }
-            }
-            // Only aggregators answer AggSync; a plain host nacking it
-            // tells a misconfigured parent immediately instead of
-            // timing out.
-            CtrlMsg::AggSync { .. } => CtrlReply::Nack {
-                re,
-                epoch: self.enclave.active_epoch(),
-                reason: "not an aggregator".into(),
-            },
+        Response {
+            repl: deltas,
+            ..reply.into()
         }
     }
 }
@@ -296,13 +128,15 @@ impl PacketHook for EnclaveAgent {
         };
         // The request's message id doubles as the correlation id `re`.
         let re = u32::from_le_bytes(frame[2..6].try_into().unwrap());
-        let (msg, views, ctx) = match proto::decode_msg_synced(&payload) {
-            Ok(decoded) => decoded,
-            Err(_) => return Vec::new(),
+        let Ok(request) = Request::decode(&payload) else {
+            return Vec::new();
         };
-        let (reply, deltas) = self.handle_synced(re, msg, &views, ctx, env.now.as_nanos());
+        // So is a reply too large for the wire.
+        let Ok(reply) = self.handle(re, request, env.now.as_nanos()).encode() else {
+            return Vec::new();
+        };
         self.reply_seq = self.reply_seq.wrapping_add(1);
-        proto::fragment(self.reply_seq, &proto::encode_reply_synced(&reply, &deltas))
+        proto::fragment(self.reply_seq, &reply)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -313,8 +147,10 @@ impl PacketHook for EnclaveAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::AckPhase;
     use eden_core::{EnclaveConfig, EnclaveOp, MatchSpec};
     use eden_lang::{Access, HeaderField, Schema};
+    use eden_telemetry::TraceContext;
 
     fn schema() -> Schema {
         Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
@@ -341,10 +177,25 @@ mod tests {
         EnclaveAgent::new(Enclave::new(EnclaveConfig::default()))
     }
 
+    /// The reply to the bare message `msg`, handled at time zero.
+    fn ask(a: &mut EnclaveAgent, re: u32, msg: CtrlMsg) -> CtrlReply {
+        a.handle(re, msg.into(), 0).body
+    }
+
+    /// `msg` under the trace context `ctx`, handled at `now_ns`.
+    fn ask_traced(a: &mut EnclaveAgent, re: u32, msg: CtrlMsg, ctx: TraceContext, now_ns: u64) {
+        let frame = Request {
+            trace: Some(ctx),
+            ..msg.into()
+        };
+        a.handle(re, frame, now_ns);
+    }
+
     #[test]
     fn two_phase_update_through_handle() {
         let mut a = agent();
-        let r = a.handle(
+        let r = ask(
+            &mut a,
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
@@ -360,7 +211,7 @@ mod tests {
             }
         );
         assert_eq!(a.enclave().active_epoch(), 0, "prepare must not activate");
-        let r = a.handle(2, CtrlMsg::Commit { epoch: 1 });
+        let r = ask(&mut a, 2, CtrlMsg::Commit { epoch: 1 });
         assert_eq!(
             r,
             CtrlReply::Ack {
@@ -376,17 +227,18 @@ mod tests {
     #[test]
     fn duplicate_and_stale_messages_are_idempotent() {
         let mut a = agent();
-        a.handle(
+        ask(
+            &mut a,
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
                 ops: epoch_ops(5),
             },
         );
-        a.handle(2, CtrlMsg::Commit { epoch: 1 });
+        ask(&mut a, 2, CtrlMsg::Commit { epoch: 1 });
         // duplicate commit: ack, nothing changes
         assert_eq!(
-            a.handle(3, CtrlMsg::Commit { epoch: 1 }),
+            ask(&mut a, 3, CtrlMsg::Commit { epoch: 1 }),
             CtrlReply::Ack {
                 re: 3,
                 epoch: 1,
@@ -395,7 +247,8 @@ mod tests {
         );
         // duplicate prepare of the committed epoch: ack without staging
         assert_eq!(
-            a.handle(
+            ask(
+                &mut a,
                 4,
                 CtrlMsg::Prepare {
                     epoch: 1,
@@ -411,7 +264,8 @@ mod tests {
         assert_eq!(a.enclave().staged_epoch(), None);
         // stale prepare: nack
         assert!(matches!(
-            a.handle(
+            ask(
+                &mut a,
                 5,
                 CtrlMsg::Prepare {
                     epoch: 0,
@@ -422,7 +276,7 @@ mod tests {
         ));
         // commit of an unknown epoch: nack
         assert!(matches!(
-            a.handle(6, CtrlMsg::Commit { epoch: 9 }),
+            ask(&mut a, 6, CtrlMsg::Commit { epoch: 9 }),
             CtrlReply::Nack { re: 6, .. }
         ));
     }
@@ -430,7 +284,8 @@ mod tests {
     #[test]
     fn abort_discards_and_heartbeat_reports() {
         let mut a = agent();
-        a.handle(
+        ask(
+            &mut a,
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
@@ -438,7 +293,7 @@ mod tests {
             },
         );
         assert_eq!(
-            a.handle(2, CtrlMsg::Abort { epoch: 1 }),
+            ask(&mut a, 2, CtrlMsg::Abort { epoch: 1 }),
             CtrlReply::Ack {
                 re: 2,
                 epoch: 1,
@@ -446,7 +301,7 @@ mod tests {
             }
         );
         assert_eq!(a.enclave().staged_epoch(), None);
-        match a.handle(3, CtrlMsg::Heartbeat { nonce: 77 }) {
+        match ask(&mut a, 3, CtrlMsg::Heartbeat { nonce: 77 }) {
             CtrlReply::Pong {
                 re,
                 nonce,
@@ -466,18 +321,19 @@ mod tests {
     fn traced_epoch_phases_record_spans_under_the_round_root() {
         let mut a = EnclaveAgent::new_with_addr(9, Enclave::new(EnclaveConfig::default()));
         let ctx = TraceContext::sampled(0x42, 0x1000);
-        a.handle_traced(
+        ask_traced(
+            &mut a,
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
                 ops: epoch_ops(5),
             },
-            Some(ctx),
+            ctx,
             100,
         );
-        a.handle_traced(2, CtrlMsg::Commit { epoch: 1 }, Some(ctx), 200);
+        ask_traced(&mut a, 2, CtrlMsg::Commit { epoch: 1 }, ctx, 200);
 
-        let reply = a.handle(4, CtrlMsg::PullTrace { max: 16 });
+        let reply = ask(&mut a, 4, CtrlMsg::PullTrace { max: 16 });
         let CtrlReply::Spans { re: 4, spans } = reply else {
             panic!("expected spans, got {reply:?}");
         };
@@ -492,13 +348,13 @@ mod tests {
         }
         // drained means drained
         assert!(matches!(
-            a.handle(5, CtrlMsg::PullTrace { max: 16 }),
+            ask(&mut a, 5, CtrlMsg::PullTrace { max: 16 }),
             CtrlReply::Spans { spans, .. } if spans.is_empty()
         ));
 
         // a later traced phase rides the next pong instead
-        a.handle_traced(6, CtrlMsg::Abort { epoch: 9 }, Some(ctx), 400);
-        match a.handle(7, CtrlMsg::Heartbeat { nonce: 1 }) {
+        ask_traced(&mut a, 6, CtrlMsg::Abort { epoch: 9 }, ctx, 400);
+        match ask(&mut a, 7, CtrlMsg::Heartbeat { nonce: 1 }) {
             CtrlReply::Pong { spans, .. } => {
                 assert_eq!(spans.len(), 1);
                 assert_eq!(spans[0].name, "abort");
@@ -515,17 +371,18 @@ mod tests {
             parent_span: 1,
             sampled: false,
         };
-        a.handle_traced(
+        ask_traced(
+            &mut a,
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
                 ops: epoch_ops(5),
             },
-            Some(ctx),
+            ctx,
             100,
         );
         assert!(matches!(
-            a.handle(2, CtrlMsg::PullTrace { max: 16 }),
+            ask(&mut a, 2, CtrlMsg::PullTrace { max: 16 }),
             CtrlReply::Spans { spans, .. } if spans.is_empty()
         ));
     }
@@ -538,7 +395,7 @@ mod tests {
             spec: MatchSpec::Any,
             func: 0,
         }];
-        match a.handle(1, CtrlMsg::Prepare { epoch: 1, ops: bad }) {
+        match ask(&mut a, 1, CtrlMsg::Prepare { epoch: 1, ops: bad }) {
             CtrlReply::Nack {
                 re: 1,
                 epoch: 1,
@@ -558,7 +415,7 @@ mod tests {
             epoch: 1,
             ops: epoch_ops(6),
         };
-        let frames = proto::fragment(42, &proto::encode_msg(&msg));
+        let frames = proto::fragment(42, &Request::from(msg).encode().unwrap());
         let mut rng = netsim::SimRng::new(1);
         let mut env = HookEnv {
             now: netsim::Time::ZERO,
@@ -572,7 +429,7 @@ mod tests {
         let mut r = Reassembler::default();
         let payload = r.accept(1, &replies[0]).unwrap().unwrap();
         assert_eq!(
-            proto::decode_reply(&payload).unwrap(),
+            Response::decode(&payload).unwrap().body,
             CtrlReply::Ack {
                 re: 42,
                 epoch: 1,

@@ -1,21 +1,21 @@
 //! The rack/pod aggregator: a mid-tier controller that makes root load
 //! O(#aggregators) instead of O(#hosts).
 //!
-//! [`AggregatorApp`] faces both ways. To the *root* controller it looks
-//! like one well-behaved host: it answers `Prepare` / `DeltaPrepare` /
-//! `Commit` / `Abort` against a local shadow enclave (validating ops and
-//! computing the config digest exactly as a leaf would), and it answers
-//! [`CtrlMsg::AggSync`] with an [`CtrlReply::AggPong`] summarizing its
-//! whole shard — children total, children converged, the highest epoch
-//! any child reports, a divergence flag, the shard's replication deltas
-//! (host-tagged), and its trace spans. A `PullStats` is answered with the
-//! sum of the last `Stats` each child returned — the shadow enclave
-//! never sees a packet — and makes it pull its children again, so the
-//! root reads a rack's counters one pull interval late. To its
-//! *children* it looks like
-//! the controller: per-child heartbeats, tracked requests with retry and
-//! backoff, failure detection, two-phase shard rounds, and per-child
-//! delta-planned resync.
+//! [`AggregatorApp`] is the two roles of the protocol composed. To the
+//! *root* controller it is a [`participant`]: it answers `Prepare` /
+//! `DeltaPrepare` / `Commit` / `Abort` on a local shadow enclave
+//! (validating ops and computing the config digest exactly as a leaf
+//! would). To its *children* it is a [`Coordinator`]: heartbeats, tracked
+//! requests with retry and backoff, failure detection, two-phase shard
+//! rounds, and per-child delta-planned resync. What is its own is the
+//! roll-up between the two: [`CtrlMsg::AggSync`] is answered with a
+//! [`CtrlReply::AggPong`] summarizing its whole shard — children total,
+//! children converged, the highest epoch any child reports, a divergence
+//! flag, the shard's replication deltas (host-tagged), and its trace
+//! spans. A `PullStats` is answered with the sum of the last `Stats` each
+//! child returned — the shadow enclave never sees a packet — and makes it
+//! pull its children again, so the root reads a rack's counters one pull
+//! interval late.
 //!
 //! The key design choice is that the shard is **autonomous**: the
 //! aggregator acks the root's `Commit` as soon as its own shadow commits,
@@ -26,7 +26,13 @@
 //! convergence predicate ([`ControllerApp::all_in_sync`]
 //! (crate::ControllerApp::all_in_sync)) still waits for every shard to
 //! finish, so nothing observable weakens for callers that wait for
-//! convergence; only the failure domain shrinks.
+//! convergence; only the failure domain shrinks. The same choice fixes
+//! this tier's answer to a child that nacks the shard round's prepare:
+//! the root has already committed the epoch, so the shard goes on without
+//! the child, and a child it cannot heal — one *ahead* of the shard, or
+//! at its epoch with the wrong digest; the aggregator cannot mint epochs
+//! — is reported up via AggPong's `max_epoch`/`diverged` for the root to
+//! outbid.
 //!
 //! Wiring: the aggregator's stack must *not* set a ctrl port — both the
 //! root's requests (dst port = `ctrl_port`) and the children's replies
@@ -37,18 +43,18 @@
 //! net.schedule_timer(agg_node, Time::ZERO, transport::app_timer_token(TICK));
 //! ```
 
-use std::rc::Rc;
-
-use eden_core::{Enclave, EnclaveConfig, EnclaveOp};
+use eden_core::{Enclave, EnclaveConfig};
 use eden_repl::{FuncDelta, FuncView};
 use eden_telemetry::{ClusterStats, EnclaveCounters, HostReport, Span};
-use netsim::{Ctx, L4Header, Packet, Time, UdpHeader};
+use netsim::{Ctx, L4Header, Packet, UdpHeader};
 use transport::{App, Stack};
 
 use crate::agent::EnclaveAgent;
-use crate::controller::{transmit, CtrlConfig, HostStatus, WireCounters, TICK};
-use crate::delta::{ConfigEntry, ConfigHistory, ConfigModel, Plan};
-use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
+use crate::controller::{transmit, CtrlConfig, WireCounters, TICK};
+use crate::coordinator::{Coordinator, Event};
+use crate::delta::{encode_shared, ConfigEntry, ConfigHistory, ConfigModel, Plan};
+use crate::participant;
+use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler, Request, Response};
 
 /// Most child spans one AggPong relays to the root.
 const AGG_SPAN_BUDGET: usize = 64;
@@ -58,43 +64,6 @@ const AGG_SPAN_BUDGET: usize = 64;
 #[derive(Debug, Clone, Default)]
 pub struct AggConfig {
     pub ctrl: CtrlConfig,
-}
-
-struct ChildInflight {
-    msg_id: u32,
-    /// The encoded request as first sent; a retry re-sends these bytes.
-    payload: Rc<[u8]>,
-    /// The request is a `DeltaPrepare` (a Nack falls back to the full).
-    is_delta: bool,
-    phase: AckPhase,
-    is_round: bool,
-    retries: u32,
-    next_retry: Time,
-    sent_at: Time,
-}
-
-struct ChildState {
-    addr: u32,
-    status: HostStatus,
-    last_heard: Time,
-    reported: Option<(u64, u64)>,
-    inflight: Option<ChildInflight>,
-    next_heartbeat: Time,
-    next_resync: Time,
-    resync_backoff: Time,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardPhase {
-    Preparing,
-    Committing,
-}
-
-struct ShardRound {
-    epoch: u64,
-    phase: ShardPhase,
-    pending: Vec<u32>,
-    acked: Vec<u32>,
 }
 
 /// In-process children for very large sweeps: `count` identical lossless
@@ -113,38 +82,36 @@ impl VirtualShard {
     /// Every child receives the request `bytes` and answers as the
     /// template does; the wire tally scales by `count`.
     fn exchange(&mut self, bytes: &[u8], wire: &mut WireCounters) -> CtrlReply {
-        let msg = proto::decode_msg(bytes).expect("this endpoint's own encoding");
+        let request = Request::decode(bytes).expect("this endpoint's own encoding");
         // prepares and commits are exchanged here, and stats pulls
-        let epoch_config = !matches!(msg, CtrlMsg::PullStats);
+        let epoch_config = !matches!(request.body, CtrlMsg::PullStats);
         self.seq = self.seq.wrapping_add(1);
-        let reply = self.agent.handle(self.seq, msg);
+        let reply = self.agent.handle(self.seq, request, 0);
         for _ in 0..self.count {
             wire.sent(bytes.len(), epoch_config);
         }
+        let reply_len = reply.encode().expect("the template's reply").len();
         wire.msgs_received += self.count as u64;
-        wire.bytes_received += (proto::encode_reply(&reply).len() * self.count) as u64;
-        reply
+        wire.bytes_received += (reply_len * self.count) as u64;
+        reply.body
     }
 }
 
 /// A rack/pod aggregation tier endpoint (see module docs).
 pub struct AggregatorApp {
-    cfg: CtrlConfig,
-    /// Shadow enclave holding the shard's committed configuration.
+    /// Shadow enclave holding the shard's committed configuration: what
+    /// the participant role is played on.
     shadow: Enclave,
     /// The configuration the staged epoch leads to (the shadow holds the
     /// ops themselves until commit).
     staged_model: Option<(u64, ConfigModel)>,
-    /// Root controller address, learned from its first request.
-    parent: Option<u32>,
     /// Committed versions; each entry's ops are the Reset-led rebuild of
     /// its model — the full ship for children whose base is unknown (the
     /// ReplHub-snapshot analogue).
     history: ConfigHistory,
-    children: Vec<ChildState>,
+    /// The coordinator role, over the children.
+    coord: Coordinator,
     virtual_shard: Option<VirtualShard>,
-    round: Option<ShardRound>,
-    want_round: bool,
     /// Host-tagged replication views from the last AggSync, fanned down
     /// on each child's next heartbeat.
     views_down: Vec<(u32, FuncView)>,
@@ -161,9 +128,7 @@ pub struct AggregatorApp {
     /// next in hand.
     want_stats: bool,
     reasm: Reassembler,
-    msg_seq: u32,
     reply_seq: u32,
-    nonce_seq: u64,
     wire: WireCounters,
 }
 
@@ -173,36 +138,18 @@ impl AggregatorApp {
         let shadow = Enclave::new(EnclaveConfig::default());
         let history = ConfigHistory::new(shadow.config_digest());
         AggregatorApp {
-            cfg: cfg.ctrl,
             shadow,
             staged_model: None,
-            parent: None,
             history,
-            children: children
-                .iter()
-                .map(|&addr| ChildState {
-                    addr,
-                    status: HostStatus::Up,
-                    last_heard: Time::ZERO,
-                    reported: None,
-                    inflight: None,
-                    next_heartbeat: Time::ZERO,
-                    next_resync: Time::ZERO,
-                    resync_backoff: Time::ZERO,
-                })
-                .collect(),
+            coord: Coordinator::new(cfg.ctrl, children),
             virtual_shard: None,
-            round: None,
-            want_round: false,
             views_down: Vec::new(),
             deltas_up: Vec::new(),
             spans_up: Vec::new(),
             shard_stats: ClusterStats::new(),
             want_stats: false,
             reasm: Reassembler::default(),
-            msg_seq: 0,
             reply_seq: 0,
-            nonce_seq: 0,
             wire: WireCounters::default(),
         }
     }
@@ -233,28 +180,13 @@ impl AggregatorApp {
     pub fn shard_size(&self) -> usize {
         match &self.virtual_shard {
             Some(v) => v.count,
-            None => self.children.len(),
+            None => self.coord.peers().len(),
         }
     }
 
     /// Children currently converged to the shard's committed config.
     pub fn shard_synced(&self) -> usize {
-        let want = (self.shadow.active_epoch(), self.shadow.config_digest());
-        match &self.virtual_shard {
-            Some(v) => {
-                let e = v.agent.enclave();
-                if (e.active_epoch(), e.config_digest()) == want {
-                    v.count
-                } else {
-                    0
-                }
-            }
-            None => self
-                .children
-                .iter()
-                .filter(|c| c.reported == Some(want))
-                .count(),
-        }
+        self.roll_up().0 as usize
     }
 
     /// Control-wire load counters at this endpoint (both faces).
@@ -270,63 +202,12 @@ impl AggregatorApp {
     // parent face
     // ------------------------------------------------------------------
 
-    /// Handle one reassembled root request. Pure with respect to the
-    /// network: child fan-out happens in [`drive`](Self::drive) /
-    /// [`tick`](Self::tick), which hold the stack. Public for direct
-    /// unit testing.
+    /// Handle one reassembled root request, whose message id is `re`.
+    /// Pure with respect to the network: child fan-out waits for
+    /// [`App::on_raw`] / [`App::on_timer`], which hold the stack. Public
+    /// for direct unit testing.
     pub fn handle_parent_msg(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
         match msg {
-            CtrlMsg::Prepare { epoch, ops } => self.stage(re, epoch, None, ops),
-            CtrlMsg::DeltaPrepare {
-                epoch,
-                base_digest,
-                ops,
-            } => self.stage(re, epoch, Some(base_digest), ops),
-            CtrlMsg::Commit { epoch } => {
-                let had_staged = self.staged_model.as_ref().is_some_and(|(e, _)| *e == epoch);
-                if self.shadow.commit_epoch(epoch) {
-                    if had_staged {
-                        let (_, model) = self.staged_model.take().expect("checked above");
-                        let full_ops = model.to_full_ops();
-                        self.history
-                            .push(epoch, self.shadow.config_digest(), model, full_ops);
-                        // The root's round is done with us; now walk the
-                        // shard through the epoch in our own round.
-                        self.want_round = true;
-                    }
-                    CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Commit,
-                    }
-                } else {
-                    CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: format!("epoch {epoch} not prepared"),
-                    }
-                }
-            }
-            CtrlMsg::Abort { epoch } => {
-                self.shadow.abort_epoch(epoch);
-                if self.staged_model.as_ref().is_some_and(|(e, _)| *e == epoch) {
-                    self.staged_model = None;
-                }
-                // Children never saw the aborted epoch: the shard round
-                // only starts at commit.
-                CtrlReply::Ack {
-                    re,
-                    epoch,
-                    phase: AckPhase::Abort,
-                }
-            }
-            CtrlMsg::Heartbeat { nonce } => CtrlReply::Pong {
-                re,
-                nonce,
-                epoch: self.shadow.active_epoch(),
-                digest: self.shadow.config_digest(),
-                spans: Vec::new(),
-            },
             CtrlMsg::AggSync { nonce, views } => {
                 self.views_down = views;
                 self.agg_pong(re, nonce)
@@ -352,85 +233,100 @@ impl AggregatorApp {
                     spans: self.spans_up.drain(..take).collect(),
                 }
             }
+            phase => self.participate(re, phase),
         }
     }
 
-    fn stage(&mut self, re: u32, epoch: u64, base: Option<u64>, ops: Vec<EnclaveOp>) -> CtrlReply {
-        let active = self.shadow.active_epoch();
-        if epoch < active {
-            return CtrlReply::Nack {
-                re,
-                epoch,
-                reason: format!("stale epoch {epoch} < active {active}"),
-            };
-        }
-        if epoch == active {
-            return CtrlReply::Ack {
-                re,
-                epoch,
-                phase: AckPhase::Prepare,
-            };
-        }
-        let mut model = self.current().model.clone();
-        model.apply(&ops);
-        let staged = match base {
-            Some(digest) => self.shadow.stage_epoch_delta_owned(epoch, digest, ops),
-            None => self.shadow.stage_epoch_owned(epoch, ops),
+    /// The participant role, on the shadow, and what joins it to the
+    /// coordinator role: the version an epoch leads to is worked out when
+    /// the root prepares it and becomes the shard's current one — which
+    /// the children are then walked to — when the root commits it.
+    fn participate(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
+        let staging = match &msg {
+            CtrlMsg::Prepare { epoch, ops } | CtrlMsg::DeltaPrepare { epoch, ops, .. }
+                if *epoch > self.shadow.active_epoch() =>
+            {
+                let mut model = self.current().model.clone();
+                model.apply(ops);
+                Some((*epoch, model))
+            }
+            _ => None,
         };
-        match staged {
-            Ok(()) => {
-                self.staged_model = Some((epoch, model));
-                CtrlReply::Ack {
-                    re,
-                    epoch,
-                    phase: AckPhase::Prepare,
+        let mut committing = None;
+        if let CtrlMsg::Commit { epoch } = &msg {
+            if let Some((epoch, model)) = self.staged_model.take_if(|(e, _)| e == epoch) {
+                let ops = model.to_full_ops();
+                match proto::encode_prepare(epoch, &ops, None) {
+                    Ok(full) => committing = Some((model, ops, full)),
+                    // A version this tier could not ship in full to a
+                    // child is not committed: the root's resync keeps
+                    // asking, with backoff, and the other racks converge.
+                    Err(e) => {
+                        self.shadow.abort_epoch(epoch);
+                        let reason = format!("the shard's full ship: {e}");
+                        return CtrlReply::Nack { re, epoch, reason };
+                    }
                 }
             }
-            Err(e) => CtrlReply::Nack {
-                re,
-                epoch,
-                reason: e.to_string(),
-            },
         }
+        let reply = participant::answer(&mut self.shadow, re, msg);
+        if let CtrlReply::Ack { epoch, phase, .. } = reply {
+            match phase {
+                AckPhase::Prepare if staging.is_some() => self.staged_model = staging,
+                AckPhase::Prepare => {} // a duplicate of the active epoch
+                AckPhase::Commit => {
+                    if let Some((model, ops, full)) = committing {
+                        let digest = self.shadow.config_digest();
+                        self.history.push(epoch, digest, model, ops, full);
+                        // The root's round is done with us; now walk the
+                        // shard through the epoch in our own round.
+                        match self.virtual_shard.take() {
+                            Some(v) => self.virtual_shard = Some(self.converge_virtual(v)),
+                            None => self.coord.request_round(None),
+                        }
+                    }
+                }
+                // Children never saw the aborted epoch: the shard round
+                // only starts at commit.
+                AckPhase::Abort => {
+                    self.staged_model.take_if(|(e, _)| *e == epoch);
+                }
+            }
+        }
+        reply
+    }
+
+    /// `(children converged, highest epoch a child reports, some child
+    /// at or past the shard's epoch without holding its config)`.
+    fn roll_up(&self) -> (u32, u64, bool) {
+        let want = (self.shadow.active_epoch(), self.shadow.config_digest());
+        if let Some(v) = &self.virtual_shard {
+            let e = v.agent.enclave();
+            let at = (e.active_epoch(), e.config_digest());
+            return (if at == want { v.count as u32 } else { 0 }, at.0, false);
+        }
+        let (mut synced, mut max_epoch, mut diverged) = (0, 0, false);
+        for r in self.coord.peers().iter().filter_map(|c| c.report) {
+            max_epoch = max_epoch.max(r.epoch);
+            if (r.epoch, r.digest) == want {
+                synced += 1;
+            } else if r.epoch >= want.0 {
+                diverged = true;
+            }
+        }
+        (synced, max_epoch, diverged)
     }
 
     /// Summarize the shard for the root.
     fn agg_pong(&mut self, re: u32, nonce: u64) -> CtrlReply {
-        let epoch = self.shadow.active_epoch();
-        let digest = self.shadow.config_digest();
-        let (hosts_total, hosts_synced, max_epoch, diverged) = match &self.virtual_shard {
-            Some(v) => {
-                let e = v.agent.enclave();
-                let synced = if (e.active_epoch(), e.config_digest()) == (epoch, digest) {
-                    v.count as u32
-                } else {
-                    0
-                };
-                (v.count as u32, synced, e.active_epoch(), false)
-            }
-            None => {
-                let mut synced = 0u32;
-                let mut max_epoch = 0u64;
-                let mut diverged = false;
-                for c in &self.children {
-                    let Some(r) = c.reported else { continue };
-                    max_epoch = max_epoch.max(r.0);
-                    if r == (epoch, digest) {
-                        synced += 1;
-                    } else if r.0 >= epoch {
-                        diverged = true;
-                    }
-                }
-                (self.children.len() as u32, synced, max_epoch, diverged)
-            }
-        };
+        let (hosts_synced, max_epoch, diverged) = self.roll_up();
         let take = AGG_SPAN_BUDGET.min(self.spans_up.len());
         CtrlReply::AggPong {
             re,
             nonce,
-            epoch,
-            digest,
-            hosts_total,
+            epoch: self.shadow.active_epoch(),
+            digest: self.shadow.config_digest(),
+            hosts_total: self.shard_size() as u32,
             hosts_synced,
             max_epoch,
             diverged,
@@ -443,155 +339,55 @@ impl AggregatorApp {
     // child face
     // ------------------------------------------------------------------
 
-    /// Install `plan` as the child's tracked request and transmit its
-    /// shared bytes under a fresh message id.
-    fn send_child(
-        &mut self,
-        child_idx: usize,
-        plan: Plan,
-        phase: AckPhase,
-        is_round: bool,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) {
-        self.msg_seq = self.msg_seq.wrapping_add(1);
-        let to = self.children[child_idx].addr;
-        self.wire.sent(plan.bytes.len(), true);
-        transmit(&self.cfg, to, self.msg_seq, &plan.bytes, stack, ctx);
-        let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-        self.children[child_idx].inflight = Some(ChildInflight {
-            msg_id: self.msg_seq,
-            payload: plan.bytes,
-            is_delta: plan.is_delta,
-            phase,
-            is_round,
-            retries: 0,
-            next_retry: ctx.now() + self.cfg.retry_base + jitter,
-            sent_at: ctx.now(),
-        });
-    }
-
     fn tick(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-
-        // Failure detection mirrors the root's: silence past the
-        // threshold drops a child from the current shard round; its
-        // next pong flips it back Up and reconciliation catches it up.
-        for i in 0..self.children.len() {
-            let silent = now
-                .as_nanos()
-                .saturating_sub(self.children[i].last_heard.as_nanos())
-                > self.cfg.fail_after.as_nanos();
-            if self.children[i].status == HostStatus::Up && silent {
-                self.mark_down(i);
-            }
-        }
-
-        // Per-child heartbeats, carrying that child's replication views
-        // from the last AggSync fan-down.
-        for i in 0..self.children.len() {
-            if now < self.children[i].next_heartbeat {
-                continue;
-            }
-            self.nonce_seq += 1;
-            let to = self.children[i].addr;
-            let msg = CtrlMsg::Heartbeat {
-                nonce: self.nonce_seq,
-            };
-            let views: Vec<FuncView> = self
-                .views_down
-                .iter()
-                .filter(|(h, _)| *h == to)
-                .map(|(_, v)| v.clone())
-                .collect();
-            self.msg_seq = self.msg_seq.wrapping_add(1);
-            let payload = proto::encode_msg_synced(&msg, &views, None);
-            self.wire.sent(payload.len(), false);
-            transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
-            self.children[i].next_heartbeat = now + self.cfg.heartbeat_every;
-        }
-
-        // Retransmits with backoff; exhausted retries mark the child down.
-        for i in 0..self.children.len() {
-            let Some(inflight) = self.children[i].inflight.as_ref() else {
-                continue;
-            };
-            if now < inflight.next_retry {
-                continue;
-            }
-            if inflight.retries >= self.cfg.max_retries {
-                self.mark_down(i);
-                continue;
-            }
-            self.wire.sent(inflight.payload.len(), true);
-            let to = self.children[i].addr;
-            transmit(
-                &self.cfg,
-                to,
-                inflight.msg_id,
-                &inflight.payload,
-                stack,
-                ctx,
-            );
-            let inflight = self.children[i].inflight.as_mut().unwrap();
-            inflight.retries += 1;
-            inflight.sent_at = now;
-            let base = self.cfg.retry_base.as_nanos() << inflight.retries.min(20);
-            let backoff = Time::from_nanos(base.min(self.cfg.retry_max.as_nanos()));
-            let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-            self.children[i].inflight.as_mut().unwrap().next_retry = now + backoff + jitter;
-        }
-
-        self.drive(stack, ctx);
-        ctx.timer_in(self.cfg.tick_every, transport::app_timer_token(TICK));
+        // Each child's heartbeat carries its replication views from the
+        // last AggSync fan-down.
+        let views_down = &self.views_down;
+        self.coord
+            .tick(ctx.now(), ctx.rng(), &self.history, |to, nonce| {
+                let views = views_down.iter().filter(|(h, _)| *h == to);
+                let frame = Request {
+                    repl: views.map(|(_, v)| v.clone()).collect(),
+                    ..CtrlMsg::Heartbeat { nonce }.into()
+                };
+                frame.encode().expect("a heartbeat's views fit one message")
+            });
+        self.settle(stack, ctx);
+        ctx.timer_in(self.coord.cfg.tick_every, transport::app_timer_token(TICK));
     }
 
-    fn mark_down(&mut self, i: usize) {
-        self.children[i].status = HostStatus::Down;
-        self.children[i].inflight = None;
-        let addr = self.children[i].addr;
-        if let Some(round) = self.round.as_mut() {
-            round.pending.retain(|&a| a != addr);
-        }
-    }
-
-    /// Open a pending shard round and/or push its phase; reconcile
-    /// stragglers when idle. Called wherever the stack is in hand.
-    fn drive(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+    /// Act on what the coordinator left to this tier, then put what it
+    /// queued on the wire. Called wherever the stack is in hand.
+    fn settle(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         if std::mem::take(&mut self.want_stats) {
-            self.pull_shard_stats(stack, ctx);
+            self.pull_shard_stats();
         }
-        if self.virtual_shard.is_some() {
-            self.drive_virtual();
-            return;
+        while let Some(event) = self.coord.next_event() {
+            match event {
+                Event::Count(bump) => bump(&mut self.wire),
+                // The shard cannot abort — the root already committed
+                // this epoch.
+                Event::PrepareNacked { peer } => self.coord.shelve(peer, ctx.now(), ctx.rng()),
+                // What only a root acts on: it keeps the round-trip and
+                // convergence histograms, and a child ahead of the shard
+                // reaches it in the next AggPong.
+                Event::Rtt(_) | Event::RoundDone { .. } | Event::Ahead { .. } => {}
+            }
         }
-        if self.want_round && self.round.is_none() {
-            self.want_round = false;
-            self.open_shard_round(stack, ctx);
-        }
-        self.push_shard_phase(stack, ctx);
-        if self.round.is_none() {
-            self.reconcile(stack, ctx);
-        }
+        transmit(&mut self.coord, &mut self.wire, stack, ctx);
     }
 
     /// Ask every child for its stats. A virtual shard's template answers
     /// for the fleet: its counters times `count`, its histograms as they
     /// are (their percentiles do not change with the number of copies).
-    fn pull_shard_stats(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let payload = proto::encode_msg(&CtrlMsg::PullStats);
-        if let Some(v) = self.virtual_shard.as_mut() {
-            let (reply, copies) = (v.exchange(&payload, &mut self.wire), v.count as u64);
-            self.record_stats(0, copies, reply);
-            return;
-        }
-        for i in 0..self.children.len() {
-            if self.children[i].status == HostStatus::Up {
-                self.msg_seq = self.msg_seq.wrapping_add(1);
-                self.wire.sent(payload.len(), false);
-                let to = self.children[i].addr;
-                transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
+    fn pull_shard_stats(&mut self) {
+        let pull = encode_shared(CtrlMsg::PullStats, None);
+        match self.virtual_shard.as_mut() {
+            Some(v) => {
+                let (reply, copies) = (v.exchange(&pull, &mut self.wire), v.count as u64);
+                self.record_stats(0, copies, reply);
             }
+            None => self.coord.post_up(&[pull]),
         }
     }
 
@@ -622,20 +418,12 @@ impl AggregatorApp {
     /// The virtual shard converges synchronously: every child would see
     /// the same frames and answer identically, so one template agent
     /// executes the exchange and the wire tally scales by `count`.
-    fn drive_virtual(&mut self) {
-        if !self.want_round {
-            return;
-        }
-        self.want_round = false;
+    fn converge_virtual(&mut self, mut v: VirtualShard) -> VirtualShard {
         let epoch = self.current().epoch;
-        let Some(mut v) = self.virtual_shard.take() else {
-            return;
-        };
         let e = v.agent.enclave();
         let at = (e.active_epoch(), e.config_digest());
-        let prep = self
-            .history
-            .plan_prepare(Some(at), self.cfg.delta_updates, None);
+        let delta_updates = self.coord.cfg.delta_updates;
+        let prep = self.history.plan_prepare(Some(at), delta_updates, None);
         if matches!(
             v.exchange(&prep.bytes, &mut self.wire),
             CtrlReply::Nack { .. }
@@ -646,227 +434,51 @@ impl AggregatorApp {
             }
             v.exchange(&self.history.plan_full(None).bytes, &mut self.wire);
         }
-        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
+        let commit = Plan::phase(CtrlMsg::Commit { epoch }, None);
         v.exchange(&commit.bytes, &mut self.wire);
-        self.virtual_shard = Some(v);
-    }
-
-    fn open_shard_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let epoch = self.current().epoch;
-        let targets: Vec<usize> = (0..self.children.len())
-            .filter(|&i| self.children[i].status == HostStatus::Up)
-            .collect();
-        if targets.is_empty() {
-            return;
-        }
-        let mut pending = Vec::with_capacity(targets.len());
-        // One plan per distinct base, encoded once: the rack shares its
-        // bytes, and so does every retry.
-        let mut plans: Vec<(Option<(u64, u64)>, Plan)> = Vec::new();
-        for i in targets {
-            let base = self.children[i].reported;
-            let plan = match plans.iter().find(|(b, _)| *b == base) {
-                Some((_, p)) => p.clone(),
-                None => {
-                    let p = self
-                        .history
-                        .plan_prepare(base, self.cfg.delta_updates, None);
-                    plans.push((base, p.clone()));
-                    p
-                }
-            };
-            self.send_child(i, plan, AckPhase::Prepare, true, stack, ctx);
-            pending.push(self.children[i].addr);
-        }
-        self.round = Some(ShardRound {
-            epoch,
-            phase: ShardPhase::Preparing,
-            pending,
-            acked: Vec::new(),
-        });
-    }
-
-    fn push_shard_phase(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        if !round.pending.is_empty() {
-            return;
-        }
-        match round.phase {
-            ShardPhase::Preparing => {
-                let epoch = round.epoch;
-                let acked = round.acked.clone();
-                if acked.is_empty() {
-                    self.round = None;
-                    return;
-                }
-                let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
-                let mut pending = Vec::with_capacity(acked.len());
-                for addr in acked {
-                    if let Some(i) = self.children.iter().position(|c| c.addr == addr) {
-                        if self.children[i].status != HostStatus::Up {
-                            continue;
-                        }
-                        self.send_child(i, commit.clone(), AckPhase::Commit, true, stack, ctx);
-                        pending.push(addr);
-                    }
-                }
-                let round = self.round.as_mut().unwrap();
-                round.phase = ShardPhase::Committing;
-                round.pending = pending;
-                if self.round.as_ref().unwrap().pending.is_empty() {
-                    self.round = None;
-                }
-            }
-            ShardPhase::Committing => {
-                self.round = None;
-            }
-        }
-    }
-
-    /// Children whose report differs from the shard's committed config
-    /// get an individual delta-planned prepare/commit. A child *ahead*
-    /// of the shard (or at its epoch with the wrong digest) cannot be
-    /// healed here — the aggregator cannot mint epochs — so it is only
-    /// reported up via AggPong's `max_epoch`/`diverged` and the root
-    /// re-issues a fresh epoch.
-    fn reconcile(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let want = (self.shadow.active_epoch(), self.shadow.config_digest());
-        for i in 0..self.children.len() {
-            let c = &self.children[i];
-            if c.status != HostStatus::Up || c.inflight.is_some() || now < c.next_resync {
-                continue;
-            }
-            let Some(reported) = c.reported else {
-                continue;
-            };
-            if reported == want || reported.0 >= want.0 {
-                continue;
-            }
-            let plan = self
-                .history
-                .plan_prepare(Some(reported), self.cfg.delta_updates, None);
-            self.send_child(i, plan, AckPhase::Prepare, false, stack, ctx);
-        }
+        v
     }
 
     fn handle_child_reply(
         &mut self,
         from: u32,
-        reply: CtrlReply,
-        deltas: Vec<FuncDelta>,
+        frame: Response,
         stack: &mut Stack,
         ctx: &mut Ctx<'_>,
     ) {
         let now = ctx.now();
-        let Some(i) = self.children.iter().position(|c| c.addr == from) else {
+        let Some(child) = self.coord.heard(from, now) else {
             return;
         };
-        self.children[i].last_heard = now;
-        if self.children[i].status == HostStatus::Down {
-            self.children[i].status = HostStatus::Up;
-        }
-        match reply {
+        match frame.body {
             CtrlReply::Pong {
                 epoch,
                 digest,
                 spans,
                 ..
             } => {
-                self.children[i].reported = Some((epoch, digest));
+                child.said(epoch, digest);
                 self.buffer_spans(spans);
-                for d in deltas {
+                for d in frame.repl {
                     self.deltas_up
                         .retain(|(h, existing)| !(*h == from && existing.func == d.func));
                     self.deltas_up.push((from, d));
                 }
             }
             CtrlReply::Ack { re, epoch, phase } => {
-                let matches = self.children[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re && f.phase == phase);
-                if !matches {
-                    return;
-                }
-                let is_round = self.children[i].inflight.as_ref().unwrap().is_round;
-                self.children[i].inflight = None;
-                match (is_round, phase) {
-                    (true, AckPhase::Prepare) => {
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                            round.acked.push(from);
-                        }
-                        self.push_shard_phase(stack, ctx);
-                    }
-                    (true, AckPhase::Commit) => {
-                        if let Some(d) = self.history.digest_of(epoch) {
-                            self.children[i].reported = Some((epoch, d));
-                        }
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.push_shard_phase(stack, ctx);
-                    }
-                    (false, AckPhase::Prepare) => {
-                        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
-                        self.send_child(i, commit, AckPhase::Commit, false, stack, ctx);
-                    }
-                    (false, AckPhase::Commit) => {
-                        if let Some(d) = self.history.digest_of(epoch) {
-                            self.children[i].reported = Some((epoch, d));
-                        }
-                        self.children[i].resync_backoff = Time::ZERO;
-                        self.children[i].next_resync = now;
-                    }
-                    (_, AckPhase::Abort) => {}
-                }
+                let (rng, history) = (ctx.rng(), &self.history);
+                self.coord.ack(from, re, epoch, phase, now, rng, history);
             }
             CtrlReply::Nack { re, epoch, .. } => {
-                let matches = self.children[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re);
-                if !matches {
-                    return;
-                }
-                let (was_delta, is_round, phase) = {
-                    let f = self.children[i].inflight.as_ref().unwrap();
-                    (f.is_delta, f.is_round, f.phase)
-                };
-                self.children[i].inflight = None;
-                if was_delta && phase == AckPhase::Prepare && epoch == self.current().epoch {
-                    // Digest anchor missed: the same fallback the root
-                    // uses — full rebuild on the same track.
-                    self.wire.delta_fallbacks += 1;
-                    let full = self.history.plan_full(None);
-                    self.send_child(i, full, AckPhase::Prepare, is_round, stack, ctx);
-                    return;
-                }
-                if is_round {
-                    // The shard cannot abort — the root already committed
-                    // this epoch. Drop the child from the round; the
-                    // reconciler (with backoff) keeps trying.
-                    if let Some(round) = self.round.as_mut() {
-                        round.pending.retain(|&a| a != from);
-                    }
-                    self.push_shard_phase(stack, ctx);
-                }
-                let b = self.children[i].resync_backoff.as_nanos();
-                let next = (b * 2).clamp(
-                    self.cfg.retry_base.as_nanos(),
-                    self.cfg.fail_after.as_nanos() * 4,
-                );
-                self.children[i].resync_backoff = Time::from_nanos(next);
-                self.children[i].next_resync = now + Time::from_nanos(next);
+                let (rng, history) = (ctx.rng(), &self.history);
+                self.coord.nack(from, re, epoch, now, rng, history);
             }
             CtrlReply::Spans { spans, .. } => self.buffer_spans(spans),
             stats @ CtrlReply::Stats { .. } => self.record_stats(from, 1, stats),
             // An AggPong from a child is unexpected here; drop.
             CtrlReply::AggPong { .. } => {}
         }
+        self.settle(stack, ctx);
     }
 
     fn buffer_spans(&mut self, spans: Vec<Span>) {
@@ -900,20 +512,23 @@ impl App for AggregatorApp {
         };
         self.wire.msgs_received += 1;
         self.wire.bytes_received += payload.len() as u64;
-        if udp.dst_port == self.cfg.ctrl_port {
+        if udp.dst_port == self.coord.cfg.ctrl_port {
             // Root request. The request's message id doubles as `re`.
             let re = u32::from_le_bytes(frame[2..6].try_into().unwrap());
-            let Ok((msg, _views, _ctx)) = proto::decode_msg_synced(&payload) else {
+            let Ok(request) = Request::decode(&payload) else {
                 return;
             };
-            self.parent = Some(from);
-            let reply = self.handle_parent_msg(re, msg);
+            // (a reply too large for the wire is dropped like a frame
+            // that does not decode: the root's retry covers both)
+            let reply = Response::from(self.handle_parent_msg(re, request.body));
+            let Ok(encoded) = reply.encode() else {
+                return;
+            };
             self.reply_seq = self.reply_seq.wrapping_add(1);
             let udp_out = UdpHeader {
-                src_port: self.cfg.ctrl_port,
+                src_port: self.coord.cfg.ctrl_port,
                 dst_port: udp.src_port,
             };
-            let encoded = proto::encode_reply(&reply);
             self.wire.msgs_sent += 1;
             self.wire.bytes_sent += encoded.len() as u64;
             for f in proto::fragment(self.reply_seq, &encoded) {
@@ -921,13 +536,14 @@ impl App for AggregatorApp {
             }
             // A commit may have queued the shard round: open it now
             // rather than waiting out the tick.
-            self.drive(stack, ctx);
-        } else if udp.dst_port == self.cfg.src_port {
+            self.coord.step(ctx.now(), ctx.rng(), &self.history);
+            self.settle(stack, ctx);
+        } else if udp.dst_port == self.coord.cfg.src_port {
             // Child reply.
-            let Ok((reply, deltas)) = proto::decode_reply_synced(&payload) else {
+            let Ok(reply) = Response::decode(&payload) else {
                 return;
             };
-            self.handle_child_reply(from, reply, deltas, stack, ctx);
+            self.handle_child_reply(from, reply, stack, ctx);
         }
     }
 }
@@ -936,8 +552,9 @@ impl App for AggregatorApp {
 mod tests {
     use super::*;
     use crate::testnet::{star, table_ops, Star, Tap};
-    use eden_core::MatchSpec;
+    use eden_core::{EnclaveOp, MatchSpec};
     use eden_lang::{Access, HeaderField, Schema};
+    use netsim::Time;
 
     fn schema() -> Schema {
         Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
@@ -974,7 +591,7 @@ mod tests {
         let r = a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
         assert!(matches!(r, CtrlReply::Ack { epoch: 1, .. }));
         assert_eq!(a.committed_epoch(), 1);
-        assert!(a.want_round, "commit queues the shard round");
+        assert!(a.coord.round_active(), "commit queues the shard round");
         assert_eq!(a.history.len(), 2);
         assert_eq!(a.current().ops[0], EnclaveOp::Reset);
     }
@@ -1028,6 +645,35 @@ mod tests {
         }
     }
 
+    // A delta can lead to a version whose Reset-led rebuild no longer fits
+    // one message although every message that built it did.
+    #[test]
+    fn a_version_the_shard_could_not_ship_in_full_is_not_committed() {
+        let mut a = AggregatorApp::new(AggConfig::default(), &[11]);
+        let table = table_ops(5, 0..60_000);
+        let ack = |r: CtrlReply| assert!(matches!(r, CtrlReply::Ack { .. }), "{r:?}");
+        ack(a.handle_parent_msg(
+            1,
+            CtrlMsg::Prepare {
+                epoch: 1,
+                ops: table,
+            },
+        ));
+        ack(a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 }));
+        let more = CtrlMsg::DeltaPrepare {
+            epoch: 2,
+            base_digest: a.current().digest,
+            ops: table_ops(5, 60_000..70_000).split_off(2),
+        };
+        ack(a.handle_parent_msg(3, more));
+        match a.handle_parent_msg(4, CtrlMsg::Commit { epoch: 2 }) {
+            CtrlReply::Nack { reason, .. } => assert!(reason.contains("full ship"), "{reason}"),
+            other => panic!("expected a nack, got {other:?}"),
+        }
+        assert_eq!((a.committed_epoch(), a.current().epoch), (1, 1));
+        assert_eq!(a.shadow.staged_epoch(), None);
+    }
+
     #[test]
     fn agg_pong_summarizes_children() {
         let mut a = AggregatorApp::new(AggConfig::default(), &[11, 12, 13]);
@@ -1040,9 +686,11 @@ mod tests {
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
         let want = (a.current().epoch, a.current().digest);
-        a.children[0].reported = Some(want);
-        a.children[1].reported = Some((0, 7)); // lagging
-        a.children[2].reported = Some((want.0, 999)); // diverged
+        let reports = [want, (0, 7), (want.0, 999)]; // in sync, lagging, diverged
+        for (child, (epoch, digest)) in [11, 12, 13].into_iter().zip(reports) {
+            let heard = a.coord.heard(child, Time::ZERO).expect("a child");
+            heard.said(epoch, digest);
+        }
 
         let r = a.handle_parent_msg(
             3,
@@ -1087,7 +735,6 @@ mod tests {
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
-        a.drive_virtual();
         assert_eq!(a.shard_size(), 1000);
         assert_eq!(a.shard_synced(), 1000);
         // prepare + commit, each fanned to every virtual child
@@ -1235,7 +882,7 @@ mod tests {
             [7, 1, 2],
             "delta prepare (nacked), full prepare, commit — one round"
         );
-        assert!(rack.app().round.is_none(), "the shard round closed");
+        assert!(!rack.app().coord.round_active(), "the shard round closed");
         assert_eq!(rack.app().shard_synced(), 16);
         assert_eq!(rack.app().wire().delta_fallbacks, 1);
         let want = rack.app().current().digest;

@@ -1,31 +1,25 @@
-//! The controller application: desired state, two-phase pushes, failure
-//! detection, and reconciliation — all driven by one periodic timer.
+//! The root controller application: desired state, epoch minting and the
+//! cluster-wide view, over a [`Coordinator`] driven by one periodic timer.
 //!
 //! [`ControllerApp`] runs as a [`transport::App`] on an ordinary host, so
 //! every control message pays real wire time on the same links the data
 //! plane uses (§3.2: the controller "communicates with enclaves over the
-//! network"). The state machine:
+//! network"). The two-phase rounds, retries, failure detection and
+//! per-peer resync are the coordinator's (see [`crate::coordinator`]);
+//! what makes this tier the root is what it alone decides:
 //!
 //! * **Desired state** is a Reset-led op list tagged with an epoch. A
 //!   shadow enclave on the controller replays it, which both validates the
 //!   ops before anything touches the wire and yields the expected config
 //!   digest for convergence checks.
-//! * **Pushes are two-phase**: `Prepare` to every live host, and only when
-//!   *all* of them ack does `Commit` go out — so the fleet can never serve
-//!   a mix of old and new epochs because half the hosts raced ahead. A
-//!   `Nack` aborts the round everywhere and rolls desired state back.
-//! * **Failure detection** is heartbeat-driven: a host that stays silent
-//!   past `fail_after` is marked [`HostStatus::Down`] and dropped from the
-//!   current round (2PC over an asynchronous network cannot wait forever);
-//!   heartbeats keep flowing so its rejoin is noticed.
-//! * **Reconciliation** closes the loop: every pong carries the host's
-//!   epoch + digest, and any host that differs from desired state while no
-//!   round is active gets an individual prepare/commit resync — this is
-//!   how a partitioned host catches up after the partition heals.
-//!
-//! Message loss is handled with per-request retries under exponential
-//! backoff with jitter; message ids correlate replies, so a late duplicate
-//! ack can never be mistaken for the answer to a newer request.
+//! * **A nacked prepare aborts** the round everywhere and rolls desired
+//!   state back.
+//! * **A peer ahead of desired state is outbid**: same or newer epoch
+//!   with a wrong digest (its own, or one its aggregator vouches for)
+//!   cannot be resynced, so desired state is re-issued under a fresh
+//!   epoch and a plain prepare/commit replay heals the whole fleet.
+//! * **Heartbeats carry the replication sync** (see `eden-repl`), and
+//!   stats, spans, round-trip and convergence times are collected here.
 //!
 //! The driver must kick the timer wheel once:
 //!
@@ -33,10 +27,10 @@
 //! net.schedule_timer(ctrl_node, Time::ZERO, transport::app_timer_token(eden_ctrl::TICK));
 //! ```
 
-use std::rc::Rc;
+use std::collections::BTreeMap;
 
 use eden_core::{ApplyError, Enclave, EnclaveConfig, EnclaveOp};
-use eden_repl::{FuncDelta, FuncView, ReplHub, ReplSpec};
+use eden_repl::{FuncDelta, ReplHub, ReplSpec};
 use eden_telemetry::{
     ClusterStats, FlightKind, HostReport, LatencyStat, LogHistogram, ReplLag, Span, TraceContext,
     TraceStore,
@@ -44,12 +38,16 @@ use eden_telemetry::{
 use netsim::{Ctx, Packet, Time, UdpHeader};
 use transport::{App, Stack};
 
-use crate::delta::{ConfigEntry, ConfigHistory, Plan};
-use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
+use crate::coordinator::{Coordinator, Event, HostStatus, Peer, Report};
+use crate::delta::{encode_shared, ConfigEntry, ConfigHistory};
+use crate::proto::{self, CtrlMsg, CtrlReply, Reassembler, Request, Response};
 
 /// Timer payload of the controller's periodic tick (pass through
 /// [`transport::app_timer_token`] when scheduling the first one).
 pub const TICK: u64 = 0x71C4;
+
+/// Most spans requested per `PullTrace` (sent with the stats pulls).
+const PULL_TRACE_MAX: u16 = 256;
 
 /// Timing and port knobs. The defaults suit the workspace's default
 /// fabric (10 Gb/s links, microsecond propagation); everything scales
@@ -64,7 +62,8 @@ pub struct CtrlConfig {
     pub tick_every: Time,
     /// Heartbeat interval per host.
     pub heartbeat_every: Time,
-    /// Stats-pull interval per host; `Time::ZERO` disables pulling.
+    /// Stats-pull interval per host (each pull drains trace spans too);
+    /// `Time::ZERO` disables pulling.
     pub stats_every: Time,
     /// First retransmit delay; doubles per retry (plus jitter).
     pub retry_base: Time,
@@ -79,10 +78,6 @@ pub struct CtrlConfig {
     /// prepare/commit spans assemble under one per-round trace tree.
     /// Rounds are rare control events, so this defaults on.
     pub trace_rounds: bool,
-    /// Most spans requested per `PullTrace` (sent with the stats pulls);
-    /// 0 disables explicit pulls and leaves heartbeat piggybacking as
-    /// the only collection path.
-    pub pull_trace_max: u16,
     /// Ship config changes as digest-anchored [`CtrlMsg::DeltaPrepare`]
     /// diffs when a host's last report matches a known history entry and
     /// the diff is smaller on the wire. Off forces full-table ships —
@@ -103,7 +98,6 @@ impl Default for CtrlConfig {
             max_retries: 10,
             fail_after: Time::from_micros(5_000),
             trace_rounds: true,
-            pull_trace_max: 256,
             delta_updates: true,
         }
     }
@@ -113,150 +107,46 @@ impl Default for CtrlConfig {
 /// off the control wire: the `ctrl_wire` group of the telemetry tables.
 pub use eden_telemetry::WireCounters;
 
-/// Put the encoded message `payload` on the wire to `to` as one or more
-/// control frames under message id `id` (which replies echo as `re`).
+/// Put everything `coord` queued on the wire, in order, as one or more
+/// control frames each (replies echo a message's id as `re`), and tally
+/// it on `wire`.
 pub(crate) fn transmit(
-    cfg: &CtrlConfig,
-    to: u32,
-    id: u32,
-    payload: &[u8],
+    coord: &mut Coordinator,
+    wire: &mut WireCounters,
     stack: &mut Stack,
     ctx: &mut Ctx<'_>,
 ) {
     let udp = UdpHeader {
-        src_port: cfg.src_port,
-        dst_port: cfg.ctrl_port,
+        src_port: coord.cfg.src_port,
+        dst_port: coord.cfg.ctrl_port,
     };
-    for frame in proto::fragment(id, payload) {
-        stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-    }
-}
-
-/// Liveness verdict for one managed host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostStatus {
-    /// Answering heartbeats (or not yet past the silence threshold).
-    Up,
-    /// Silent past `fail_after`, or exhausted a request's retries.
-    Down,
-}
-
-/// Whether an in-flight request belongs to a cluster-wide round or a
-/// single-host resync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    Round,
-    Resync,
-}
-
-#[derive(Debug)]
-struct Inflight {
-    msg_id: u32,
-    /// The encoded request, trace trailer included, as first sent: a
-    /// retry puts the same bytes back on the wire under the same id.
-    payload: Rc<[u8]>,
-    /// The request is a `DeltaPrepare` (a Nack falls back to the full).
-    is_delta: bool,
-    phase: AckPhase,
-    origin: Origin,
-    retries: u32,
-    next_retry: Time,
-    /// Trace context the payload carries: a delta's full-ship fallback
-    /// stays in the same trace.
-    ctx: Option<TraceContext>,
-    /// When the most recent transmission left, for the RTT histogram.
-    sent_at: Time,
-}
-
-#[derive(Debug)]
-struct HostState {
-    addr: u32,
-    status: HostStatus,
-    last_heard: Time,
-    ever_heard: bool,
-    /// Last `(epoch, digest)` the host reported (pong or stats).
-    reported: Option<(u64, u64)>,
-    inflight: Option<Inflight>,
-    next_heartbeat: Time,
-    /// Earliest time the reconciler may try this host again after a
-    /// failed resync (doubles per failure, resets on success).
-    next_resync: Time,
-    resync_backoff: Time,
-    /// `Some(children)` marks this entry as a rack/pod aggregator
-    /// fronting those hosts: heartbeats become [`CtrlMsg::AggSync`] and
-    /// its pongs summarize the whole shard.
-    subtree: Option<Vec<u32>>,
-    /// From the last AggPong: children converged to the agg's epoch.
-    subtree_synced: u32,
-    /// From the last AggPong: highest epoch any child reports, and
-    /// whether some child serves the epoch with a wrong digest.
-    subtree_max_epoch: u64,
-    subtree_diverged: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundPhase {
-    Preparing,
-    Committing,
-    Aborting,
-}
-
-#[derive(Debug)]
-struct Round {
-    epoch: u64,
-    phase: RoundPhase,
-    /// Hosts whose ack for the current phase is still outstanding.
-    pending: Vec<u32>,
-    /// Hosts that acked `Prepare` (the commit/abort fan-out set).
-    acked: Vec<u32>,
-    /// Trace this round's messages belong to (0 = untraced).
-    trace_id: u64,
-    /// Root span id agents parent their phase spans under.
-    root_span: u64,
-    /// When the round opened — the root span's start and the
-    /// `epoch.converge` sample's origin.
-    opened_at: Time,
-}
-
-fn new_host_state(addr: u32) -> HostState {
-    HostState {
-        addr,
-        status: HostStatus::Up,
-        last_heard: Time::ZERO,
-        ever_heard: false,
-        reported: None,
-        inflight: None,
-        next_heartbeat: Time::ZERO,
-        next_resync: Time::ZERO,
-        resync_backoff: Time::ZERO,
-        subtree: None,
-        subtree_synced: 0,
-        subtree_max_epoch: 0,
-        subtree_diverged: false,
+    for out in coord.outbox.drain(..) {
+        wire.sent(out.bytes.len(), out.is_config);
+        for frame in proto::fragment(out.id, &out.bytes) {
+            stack.send_raw(Packet::ctrl(stack.addr, out.to, udp, frame), ctx);
+        }
     }
 }
 
 /// The cluster controller, run as a host [`App`].
 pub struct ControllerApp {
-    cfg: CtrlConfig,
     /// Compilation front end, for building [`EnclaveOp`] lists
     /// (`core.plan_function(...)`).
     pub core: eden_core::Controller,
-    hosts: Vec<HostState>,
+    /// The coordinator role, over every directly managed endpoint.
+    coord: Coordinator,
+    /// The endpoints that are rack/pod aggregators, with the hosts each
+    /// fronts: their heartbeats are [`CtrlMsg::AggSync`] and their pongs
+    /// summarize the whole shard.
+    subtrees: BTreeMap<u32, Vec<u32>>,
     /// Desired-state history; the last entry is current. Kept so a
     /// nacked round can roll back to the previous version, and so a host
     /// on a recent version can be sent a delta.
     history: ConfigHistory,
     /// Shadow enclave replaying desired state (validation + digest).
     shadow: Enclave,
-    round: Option<Round>,
-    /// Set by [`set_desired`](Self::set_desired); the next tick opens the
-    /// round (sending needs the stack, which only event handlers hold).
-    want_round: bool,
     cluster: ClusterStats,
     reasm: Reassembler,
-    msg_seq: u32,
-    nonce_seq: u64,
     next_stats: Time,
     /// Cross-host span assembly (pong piggybacks + `PullTrace` replies +
     /// the controller's own round roots).
@@ -285,17 +175,13 @@ impl ControllerApp {
         let shadow = Enclave::new(EnclaveConfig::default());
         let history = ConfigHistory::new(shadow.config_digest());
         ControllerApp {
-            cfg,
             core: eden_core::Controller::new(),
-            hosts: hosts.iter().map(|&addr| new_host_state(addr)).collect(),
+            coord: Coordinator::new(cfg, hosts),
+            subtrees: BTreeMap::new(),
             history,
             shadow,
-            round: None,
-            want_round: false,
             cluster: ClusterStats::new(),
             reasm: Reassembler::default(),
-            msg_seq: 0,
-            nonce_seq: 0,
             next_stats: Time::ZERO,
             trace: TraceStore::new(4096),
             span_seq: 0,
@@ -314,14 +200,10 @@ impl ControllerApp {
     /// one [`CtrlReply::AggPong`] — root message count is
     /// O(#aggregators), not O(#hosts).
     pub fn manage_aggregator(&mut self, addr: u32, children: Vec<u32>) {
-        match self.hosts.iter_mut().find(|h| h.addr == addr) {
-            Some(h) => h.subtree = Some(children),
-            None => {
-                let mut h = new_host_state(addr);
-                h.subtree = Some(children);
-                self.hosts.push(h);
-            }
+        if self.coord.peer(addr).is_none() {
+            self.coord.add_peer(addr);
         }
+        self.subtrees.insert(addr, children);
     }
 
     // ------------------------------------------------------------------
@@ -329,20 +211,23 @@ impl ControllerApp {
     // ------------------------------------------------------------------
 
     /// Replace desired state with `ops` (validated against the shadow
-    /// enclave first). Returns the new epoch; the push itself starts on
-    /// the next tick. `ops` should be Reset-led — a full description of
-    /// the intended configuration — so that resyncing a diverged host is
-    /// always a plain replay.
+    /// enclave first, and refused with [`ApplyError::TooLarge`] if their
+    /// full `Prepare` would not fit the wire). Returns the new epoch; the
+    /// push itself starts on the next tick. `ops` should be Reset-led — a
+    /// full description of the intended configuration — so that resyncing
+    /// a diverged host is always a plain replay.
     pub fn set_desired(&mut self, ops: Vec<EnclaveOp>) -> Result<u64, ApplyError> {
         let epoch = self.desired().epoch + 1;
+        let full = proto::encode_prepare(epoch, &ops, None)
+            .map_err(|_| ApplyError::TooLarge { ops: ops.len() })?;
         self.shadow.stage_epoch(epoch, &ops)?;
         assert!(self.shadow.commit_epoch(epoch));
         let mut model = self.desired().model.clone();
         model.apply(&ops);
         self.history
-            .push(epoch, self.shadow.config_digest(), model, ops);
+            .push(epoch, self.shadow.config_digest(), model, ops, full);
         self.sync_repl_from_shadow();
-        self.want_round = true;
+        self.request_round();
         Ok(epoch)
     }
 
@@ -362,12 +247,11 @@ impl ControllerApp {
     /// additionally vouches for its shard: every child it fronts must
     /// have converged too.
     pub fn all_in_sync(&self) -> bool {
-        let want = (self.desired().epoch, self.desired().digest);
-        self.hosts.iter().all(|h| {
-            h.reported == Some(want)
-                && h.subtree
-                    .as_ref()
-                    .is_none_or(|c| h.subtree_synced as usize == c.len())
+        self.coord.peers().iter().all(|p| {
+            self.in_sync(p).is_some_and(|r| {
+                let children = self.subtrees.get(&p.addr);
+                children.is_none_or(|c| r.synced as usize == c.len())
+            })
         })
     }
 
@@ -375,39 +259,26 @@ impl ControllerApp {
     /// digest (an aggregator counts as one endpoint here; see
     /// [`in_sync_hosts`](Self::in_sync_hosts) for the leaf count).
     pub fn in_sync_count(&self) -> usize {
-        let want = (self.desired().epoch, self.desired().digest);
-        self.hosts
-            .iter()
-            .filter(|h| h.reported == Some(want))
-            .count()
+        let in_sync = |p: &&Peer| self.in_sync(p).is_some();
+        self.coord.peers().iter().filter(in_sync).count()
     }
 
     /// Total enclave-bearing hosts under management: direct hosts plus
     /// every aggregator's children.
     pub fn fleet_size(&self) -> usize {
-        self.hosts
-            .iter()
-            .map(|h| h.subtree.as_ref().map_or(1, Vec::len))
-            .sum()
+        let behind = |p: &Peer| self.subtrees.get(&p.addr).map_or(1, Vec::len);
+        self.coord.peers().iter().map(behind).sum()
     }
 
     /// Leaf hosts currently converged to desired state, counting each
     /// aggregator's last-reported shard tally.
     pub fn in_sync_hosts(&self) -> usize {
-        let want = (self.desired().epoch, self.desired().digest);
-        self.hosts
-            .iter()
-            .map(|h| match &h.subtree {
-                Some(_) => {
-                    if h.reported == Some(want) {
-                        h.subtree_synced as usize
-                    } else {
-                        0
-                    }
-                }
-                None => usize::from(h.reported == Some(want)),
-            })
-            .sum()
+        let synced = |p: &Peer| match self.in_sync(p) {
+            Some(r) if self.subtrees.contains_key(&p.addr) => r.synced as usize,
+            Some(_) => 1,
+            None => 0,
+        };
+        self.coord.peers().iter().map(synced).sum()
     }
 
     /// Control-wire load counters at this (root) endpoint (kept in
@@ -418,12 +289,12 @@ impl ControllerApp {
 
     /// Liveness verdict for `addr` (None if unmanaged).
     pub fn host_status(&self, addr: u32) -> Option<HostStatus> {
-        self.hosts.iter().find(|h| h.addr == addr).map(|h| h.status)
+        self.coord.peer(addr).map(|p| p.status)
     }
 
     /// Whether a cluster-wide update round is still in flight.
     pub fn round_active(&self) -> bool {
-        self.round.is_some() || self.want_round
+        self.coord.round_active()
     }
 
     /// Aggregated per-host stats (filled by `stats_every` pulls).
@@ -461,6 +332,22 @@ impl ControllerApp {
         self.history.current()
     }
 
+    /// The peer's report, if it is the desired epoch and digest.
+    fn in_sync(&self, peer: &Peer) -> Option<Report> {
+        let want = (self.desired().epoch, self.desired().digest);
+        peer.report.filter(|r| (r.epoch, r.digest) == want)
+    }
+
+    /// Ask the coordinator for a round to desired state, traced under a
+    /// fresh root span if rounds are traced.
+    fn request_round(&mut self) {
+        let trace = self.coord.cfg.trace_rounds.then(|| {
+            self.span_seq += 2;
+            TraceContext::sampled(self.span_seq - 1, self.span_seq)
+        });
+        self.coord.request_round(trace);
+    }
+
     /// Mirror the shadow enclave's replication layout into the hub. The
     /// shadow has already replayed desired state, so its per-function
     /// specs *are* what every host will install on commit. Re-installing
@@ -484,202 +371,113 @@ impl ControllerApp {
         }
     }
 
-    /// Send the untracked request `msg` to `to`, returning its message id.
-    fn send(
-        seq: &mut u32,
-        wire: &mut WireCounters,
-        cfg: &CtrlConfig,
-        to: u32,
-        msg: &CtrlMsg,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) -> u32 {
-        *seq = seq.wrapping_add(1);
-        let payload = proto::encode_msg(msg);
-        wire.sent(payload.len(), false);
-        transmit(cfg, to, *seq, &payload, stack, ctx);
-        *seq
-    }
-
-    /// Install the epoch-phase request `plan` (already encoded, `trace`
-    /// trailer included) as the host's tracked request and transmit it
-    /// under a fresh message id.
-    #[allow(clippy::too_many_arguments)]
-    fn send_tracked(
-        &mut self,
-        host_idx: usize,
-        plan: Plan,
-        phase: AckPhase,
-        origin: Origin,
-        trace: Option<TraceContext>,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let to = self.hosts[host_idx].addr;
-        self.msg_seq = self.msg_seq.wrapping_add(1);
-        self.cluster.wire.sent(plan.bytes.len(), true);
-        transmit(&self.cfg, to, self.msg_seq, &plan.bytes, stack, ctx);
-        let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-        self.hosts[host_idx].inflight = Some(Inflight {
-            msg_id: self.msg_seq,
-            payload: plan.bytes,
-            is_delta: plan.is_delta,
-            phase,
-            origin,
-            retries: 0,
-            next_retry: ctx.now() + self.cfg.retry_base + jitter,
-            ctx: trace,
-            sent_at: ctx.now(),
-        });
-    }
-
     fn tick(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
 
-        // Failure detection: silence past the threshold takes a host out
-        // of the current round (and marks it Down). Heartbeats continue,
-        // so a later pong flips it back Up.
-        for i in 0..self.hosts.len() {
-            let silent = now
-                .as_nanos()
-                .saturating_sub(self.hosts[i].last_heard.as_nanos())
-                > self.cfg.fail_after.as_nanos();
-            if self.hosts[i].status == HostStatus::Up && silent {
-                self.mark_down(i, now);
-            }
-        }
-
-        // Heartbeats (fire-and-forget; the reply, not the send, is
-        // tracked — via last_heard). Each one carries this host's
-        // replication views — the fan-out half of the sync loop.
-        for i in 0..self.hosts.len() {
-            if now >= self.hosts[i].next_heartbeat {
-                self.nonce_seq += 1;
-                let to = self.hosts[i].addr;
-                let funcs = self.repl.active_funcs();
-                // An aggregator gets one AggSync carrying the views of
-                // every host in its shard, host-tagged; a plain host gets
-                // its own views on a regular heartbeat.
-                let payload = match self.hosts[i].subtree.as_deref() {
-                    Some(children) => {
-                        let mut views = Vec::new();
-                        for &c in children {
-                            for &f in &funcs {
-                                if let Some(v) = self.repl.view_for(c, f) {
-                                    views.push((c, v));
-                                }
-                            }
-                        }
-                        proto::encode_msg(&CtrlMsg::AggSync {
-                            nonce: self.nonce_seq,
-                            views,
-                        })
-                    }
-                    None => {
-                        let msg = CtrlMsg::Heartbeat {
-                            nonce: self.nonce_seq,
-                        };
-                        let views: Vec<FuncView> = funcs
-                            .iter()
-                            .filter_map(|&f| self.repl.view_for(to, f))
-                            .collect();
-                        proto::encode_msg_synced(&msg, &views, None)
-                    }
-                };
-                self.msg_seq = self.msg_seq.wrapping_add(1);
-                self.cluster.wire.sent(payload.len(), false);
-                transmit(&self.cfg, to, self.msg_seq, &payload, stack, ctx);
-                self.hosts[i].next_heartbeat = now + self.cfg.heartbeat_every;
-            }
-        }
+        // Each heartbeat carries its host's replication views — the
+        // fan-out half of the sync loop. An aggregator gets one AggSync
+        // carrying the views of every host in its shard, host-tagged.
+        let (repl, subtrees) = (&mut self.repl, &self.subtrees);
+        self.coord.tick(now, ctx.rng(), &self.history, |to, nonce| {
+            let funcs = repl.active_funcs();
+            let mut views_of = |host| {
+                let views = funcs.iter().filter_map(|&f| repl.view_for(host, f));
+                views.collect::<Vec<_>>()
+            };
+            let frame = match subtrees.get(&to) {
+                Some(children) => {
+                    let tagged = |&c| views_of(c).into_iter().map(move |v| (c, v));
+                    let views = children.iter().flat_map(tagged).collect();
+                    CtrlMsg::AggSync { nonce, views }.into()
+                }
+                None => Request {
+                    repl: views_of(to),
+                    ..CtrlMsg::Heartbeat { nonce }.into()
+                },
+            };
+            frame.encode().expect("a heartbeat's views fit one message")
+        });
 
         // Periodic stats pulls (plus a trace drain on the same cadence).
-        if self.cfg.stats_every > Time::ZERO && now >= self.next_stats {
-            for i in 0..self.hosts.len() {
-                if self.hosts[i].status == HostStatus::Up {
-                    let to = self.hosts[i].addr;
-                    Self::send(
-                        &mut self.msg_seq,
-                        &mut self.cluster.wire,
-                        &self.cfg,
-                        to,
-                        &CtrlMsg::PullStats,
-                        stack,
-                        ctx,
-                    );
-                    if self.cfg.pull_trace_max > 0 {
-                        Self::send(
-                            &mut self.msg_seq,
-                            &mut self.cluster.wire,
-                            &self.cfg,
-                            to,
-                            &CtrlMsg::PullTrace {
-                                max: self.cfg.pull_trace_max,
-                            },
-                            stack,
-                            ctx,
-                        );
-                    }
-                }
-            }
-            self.next_stats = now + self.cfg.stats_every;
-        }
-
-        // Retransmits, with exponential backoff + jitter. Exhausted
-        // retries count as host failure.
-        for i in 0..self.hosts.len() {
-            let Some(inflight) = self.hosts[i].inflight.as_ref() else {
-                continue;
+        if self.coord.cfg.stats_every > Time::ZERO && now >= self.next_stats {
+            let spans = CtrlMsg::PullTrace {
+                max: PULL_TRACE_MAX,
             };
-            if now < inflight.next_retry {
-                continue;
-            }
-            if inflight.retries >= self.cfg.max_retries {
-                self.mark_down(i, now);
-                continue;
-            }
-            // Retries reuse the message id and the bytes: the agent-side
-            // reassembler and handlers are idempotent, and the reply still
-            // correlates.
-            self.cluster.wire.sent(inflight.payload.len(), true);
-            let to = self.hosts[i].addr;
-            transmit(
-                &self.cfg,
-                to,
-                inflight.msg_id,
-                &inflight.payload,
-                stack,
-                ctx,
-            );
-            let inflight = self.hosts[i].inflight.as_mut().unwrap();
-            inflight.retries += 1;
-            // RTT measures the *latest* transmission, not the first try.
-            inflight.sent_at = now;
-            let base = self.cfg.retry_base.as_nanos() << inflight.retries.min(20);
-            let backoff = Time::from_nanos(base.min(self.cfg.retry_max.as_nanos()));
-            let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-            self.hosts[i].inflight.as_mut().unwrap().next_retry = now + backoff + jitter;
+            let pulls = [CtrlMsg::PullStats, spans].map(|pull| encode_shared(pull, None));
+            self.coord.post_up(&pulls);
+            self.next_stats = now + self.coord.cfg.stats_every;
         }
 
-        // A Preparing round whose last pending host was just marked down
-        // needs its phase pushed here (mark_down cannot send).
-        self.push_round_phase(stack, ctx);
-
-        // Open a pending cluster round.
-        if self.want_round && self.round.is_none() {
-            self.want_round = false;
-            self.open_round(stack, ctx);
-        }
-
-        // Reconciliation: with no round in flight, any host whose report
-        // differs from desired gets an individual resync.
-        if self.round.is_none() {
-            self.reconcile(stack, ctx);
-        }
-
+        self.settle(stack, ctx);
         self.refresh_repl_lags(now.as_nanos());
 
-        ctx.timer_in(self.cfg.tick_every, transport::app_timer_token(TICK));
+        ctx.timer_in(self.coord.cfg.tick_every, transport::app_timer_token(TICK));
+    }
+
+    /// Act on what the coordinator left to this tier, then put what it
+    /// queued on the wire.
+    fn settle(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        // (first peer found ahead, its digest, highest epoch to outbid)
+        let mut ahead: Option<(u32, u64, u64)> = None;
+        while let Some(event) = self.coord.next_event() {
+            match event {
+                Event::Rtt(ns) => {
+                    self.rtt.record(ns);
+                    self.refresh_ctrl_latencies();
+                }
+                Event::Count(bump) => bump(&mut self.cluster.wire),
+                Event::RoundDone {
+                    committed,
+                    opened_at,
+                    trace,
+                } => self.finish_round(committed, opened_at, trace, now),
+                Event::PrepareNacked { .. } => {
+                    // Abort everywhere and roll desired state back (the
+                    // oldest remembered entry stays).
+                    if let Some(epoch) = self.coord.abort_round(now, ctx.rng()) {
+                        if self.history.roll_back(epoch) {
+                            self.rebuild_shadow();
+                        }
+                    }
+                }
+                Event::Ahead {
+                    peer,
+                    epoch,
+                    digest,
+                } => {
+                    let (peer, digest, highest) = ahead.unwrap_or((peer, digest, epoch));
+                    ahead = Some((peer, digest, highest.max(epoch)));
+                }
+            }
+        }
+        if let Some((peer, digest, highest)) = ahead {
+            self.outbid(peer, digest, highest);
+        }
+        transmit(&mut self.coord, &mut self.cluster.wire, stack, ctx);
+    }
+
+    /// `peer` reports `digest` at an epoch at or past desired state's
+    /// without holding it (or vouches for a shard that does). Freeze the
+    /// shadow's flight recorder (the controller-side record of what it
+    /// believed) and re-issue desired state under an epoch past
+    /// `highest`, so a plain prepare/commit replay heals the whole fleet.
+    fn outbid(&mut self, peer: u32, digest: u64, highest: u64) {
+        self.shadow
+            .flight_record(FlightKind::Divergence, u64::from(peer), digest);
+        self.shadow.freeze_flight("divergence");
+        let epoch = highest + 1;
+        let (ops, model) = (self.desired().ops.clone(), self.desired().model.clone());
+        self.shadow
+            .stage_epoch(epoch, &ops)
+            .expect("desired ops validated when set");
+        assert!(self.shadow.commit_epoch(epoch));
+        let full = proto::encode_prepare(epoch, &ops, None)
+            .expect("desired ops fit the wire under their first epoch");
+        self.history
+            .push(epoch, self.shadow.config_digest(), model, ops, full);
+        self.sync_repl_from_shadow();
+        self.request_round();
     }
 
     /// Mirror the hub's per-host replica age into [`ClusterStats`], so
@@ -704,157 +502,28 @@ impl ControllerApp {
             .collect();
     }
 
-    fn mark_down(&mut self, i: usize, now: Time) {
-        self.hosts[i].status = HostStatus::Down;
-        self.hosts[i].inflight = None;
-        let addr = self.hosts[i].addr;
-        if let Some(round) = self.round.as_mut() {
-            round.pending.retain(|&a| a != addr);
-        }
-        self.advance_round_if_done(now);
-    }
-
-    fn open_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let epoch = self.desired().epoch;
-        let targets: Vec<usize> = (0..self.hosts.len())
-            .filter(|&i| self.hosts[i].status == HostStatus::Up)
-            .collect();
-        if targets.is_empty() {
-            // Nobody reachable: desired state stands, reconciliation
-            // will push it to hosts as they come back.
-            return;
-        }
-        let (trace_id, root_span) = if self.cfg.trace_rounds {
-            self.span_seq += 1;
-            let trace_id = self.span_seq;
-            self.span_seq += 1;
-            (trace_id, self.span_seq)
-        } else {
-            (0, 0)
-        };
-        let trace = (trace_id != 0).then(|| TraceContext::sampled(trace_id, root_span));
-        let mut pending = Vec::with_capacity(targets.len());
-        // Most of a converged fleet shares one base config, so plans are
-        // cached per reported (epoch, digest) — one diff, encoded once,
-        // serves every host on that base and each of their retries.
-        let mut plans: Vec<(Option<(u64, u64)>, Plan)> = Vec::new();
-        for i in targets {
-            let base = self.hosts[i].reported;
-            let plan = match plans.iter().find(|(b, _)| *b == base) {
-                Some((_, p)) => p.clone(),
-                None => {
-                    let p = self
-                        .history
-                        .plan_prepare(base, self.cfg.delta_updates, trace.as_ref());
-                    plans.push((base, p.clone()));
-                    p
-                }
-            };
-            // An individual resync in flight is superseded by the round.
-            self.send_tracked(i, plan, AckPhase::Prepare, Origin::Round, trace, stack, ctx);
-            pending.push(self.hosts[i].addr);
-        }
-        self.round = Some(Round {
-            epoch,
-            phase: RoundPhase::Preparing,
-            pending,
-            acked: Vec::new(),
-            trace_id,
-            root_span,
-            opened_at: ctx.now(),
-        });
-    }
-
-    fn reconcile(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let want = (self.desired().epoch, self.desired().digest);
-        for i in 0..self.hosts.len() {
-            let h = &self.hosts[i];
-            if h.status != HostStatus::Up || h.inflight.is_some() || now < h.next_resync {
-                continue;
-            }
-            let Some(reported) = h.reported else {
-                continue; // never heard: wait for the first pong
-            };
-            // An aggregator whose own config converged can still be
-            // vouching for a diverged or run-ahead child (it cannot mint
-            // epochs itself); the root heals the shard the same way it
-            // heals a directly-managed diverged host — a fresh epoch.
-            let subtree_ahead = h.subtree.is_some()
-                && reported == want
-                && (h.subtree_diverged || h.subtree_max_epoch > want.0);
-            if reported == want && !subtree_ahead {
-                continue;
-            }
-            if reported.0 >= want.0 || subtree_ahead {
-                // Same (or newer) epoch but wrong digest: the host
-                // diverged. Freeze the shadow's flight recorder (the
-                // controller-side record of what it believed) and
-                // re-issue desired state under a fresh epoch so a plain
-                // prepare/commit replay heals the whole fleet.
-                let addr = h.addr;
-                let reported_digest = reported.1;
-                let ahead = reported.0.max(h.subtree_max_epoch);
-                self.shadow
-                    .flight_record(FlightKind::Divergence, u64::from(addr), reported_digest);
-                self.shadow.freeze_flight("divergence");
-                let epoch = ahead + 1;
-                let (ops, model) = (self.desired().ops.clone(), self.desired().model.clone());
-                self.shadow
-                    .stage_epoch(epoch, &ops)
-                    .expect("desired ops validated when set");
-                assert!(self.shadow.commit_epoch(epoch));
-                self.history
-                    .push(epoch, self.shadow.config_digest(), model, ops);
-                self.sync_repl_from_shadow();
-                self.want_round = true;
-                return;
-            }
-            let plan = self
-                .history
-                .plan_prepare(Some(reported), self.cfg.delta_updates, None);
-            self.send_tracked(i, plan, AckPhase::Prepare, Origin::Resync, None, stack, ctx);
-        }
-    }
-
-    fn advance_round_if_done(&mut self, now: Time) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        if !round.pending.is_empty() {
-            return;
-        }
-        match round.phase {
-            // Phase transitions that need the stack are handled where the
-            // triggering ack arrives (handle_reply); an empty pending set
-            // reached via mark_down on the *last* pending host is resolved
-            // on the next ack or tick through round_needs_push.
-            RoundPhase::Preparing => {}
-            RoundPhase::Committing | RoundPhase::Aborting => {
-                self.finish_round(now);
-            }
-        }
-    }
-
-    /// Close out a completed round: record its convergence latency (for
-    /// committed rounds) and ingest the trace root so the collected
-    /// per-host spans hang off a tree.
-    fn finish_round(&mut self, now: Time) {
-        let Some(round) = self.round.take() else {
-            return;
-        };
-        if round.phase == RoundPhase::Committing {
+    /// Close out a finished round: record its convergence latency (if it
+    /// committed) and ingest the trace root so the collected per-host
+    /// spans hang off a tree.
+    fn finish_round(
+        &mut self,
+        committed: bool,
+        opened_at: Time,
+        trace: Option<TraceContext>,
+        now: Time,
+    ) {
+        if committed {
             self.converge
-                .record(now.as_nanos().saturating_sub(round.opened_at.as_nanos()));
+                .record(now.as_nanos().saturating_sub(opened_at.as_nanos()));
         }
-        if round.trace_id != 0 {
+        if let Some(trace) = trace {
             self.trace.ingest(Span {
-                trace_id: round.trace_id,
-                span_id: round.root_span,
+                trace_id: trace.trace_id,
+                span_id: trace.parent_span,
                 parent_span: 0,
                 host: 0,
                 name: "epoch".into(),
-                start_ns: round.opened_at.as_nanos(),
+                start_ns: opened_at.as_nanos(),
                 end_ns: now.as_nanos(),
             });
         }
@@ -868,83 +537,6 @@ impl ControllerApp {
             LatencyStat::new("repl.staleness", self.repl_staleness.clone()),
             LatencyStat::new("repl.delta_bytes", self.repl_delta_bytes.clone()),
         ];
-    }
-
-    /// Move a fully prepare-acked round into its commit fan-out. Called
-    /// from contexts that hold the stack.
-    fn push_round_phase(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        if round.phase != RoundPhase::Preparing || !round.pending.is_empty() {
-            return;
-        }
-        let epoch = round.epoch;
-        let acked = round.acked.clone();
-        let trace =
-            (round.trace_id != 0).then(|| TraceContext::sampled(round.trace_id, round.root_span));
-        if acked.is_empty() {
-            // Every target died mid-prepare; nothing to commit.
-            self.round = None;
-            return;
-        }
-        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, trace.as_ref());
-        let mut pending = Vec::with_capacity(acked.len());
-        for addr in acked {
-            if let Some(i) = self.hosts.iter().position(|h| h.addr == addr) {
-                if self.hosts[i].status != HostStatus::Up {
-                    continue;
-                }
-                let commit = commit.clone();
-                self.send_tracked(
-                    i,
-                    commit,
-                    AckPhase::Commit,
-                    Origin::Round,
-                    trace,
-                    stack,
-                    ctx,
-                );
-                pending.push(addr);
-            }
-        }
-        let round = self.round.as_mut().unwrap();
-        round.phase = RoundPhase::Committing;
-        round.pending = pending;
-        self.advance_round_if_done(ctx.now());
-    }
-
-    /// A prepare was nacked: abort everywhere and roll desired state back.
-    fn abort_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        let epoch = round.epoch;
-        let trace =
-            (round.trace_id != 0).then(|| TraceContext::sampled(round.trace_id, round.root_span));
-        // Roll back desired state (the oldest remembered entry stays).
-        if self.history.roll_back(epoch) {
-            self.rebuild_shadow();
-        }
-        let scope: Vec<u32> = self
-            .hosts
-            .iter()
-            .filter(|h| h.status == HostStatus::Up)
-            .map(|h| h.addr)
-            .collect();
-        let abort = Plan::phase(&CtrlMsg::Abort { epoch }, trace.as_ref());
-        let mut pending = Vec::with_capacity(scope.len());
-        for addr in scope {
-            let i = self.hosts.iter().position(|h| h.addr == addr).unwrap();
-            let abort = abort.clone();
-            self.send_tracked(i, abort, AckPhase::Abort, Origin::Round, trace, stack, ctx);
-            pending.push(addr);
-        }
-        let round = self.round.as_mut().unwrap();
-        round.phase = RoundPhase::Aborting;
-        round.pending = pending;
-        round.acked.clear();
-        self.advance_round_if_done(ctx.now());
     }
 
     /// Reset the shadow enclave to the (possibly rolled-back) desired
@@ -962,34 +554,23 @@ impl ControllerApp {
         self.sync_repl_from_shadow();
     }
 
-    fn handle_reply(
-        &mut self,
-        from: u32,
-        reply: CtrlReply,
-        deltas: Vec<FuncDelta>,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn handle_reply(&mut self, from: u32, frame: Response, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let Some(i) = self.hosts.iter().position(|h| h.addr == from) else {
+        let Some(peer) = self.coord.heard(from, now) else {
             return; // not one of ours
         };
-        self.hosts[i].last_heard = now;
-        self.hosts[i].ever_heard = true;
-        if self.hosts[i].status == HostStatus::Down {
-            self.hosts[i].status = HostStatus::Up;
-        }
-        match reply {
+        match frame.body {
             CtrlReply::Pong {
                 epoch,
                 digest,
                 spans,
                 ..
             } => {
-                self.hosts[i].reported = Some((epoch, digest));
+                peer.said(epoch, digest);
                 for span in spans {
                     self.trace.ingest(span);
                 }
+                let deltas = frame.repl;
                 if !deltas.is_empty() {
                     let now_ns = now.as_nanos();
                     // Staleness = gap since this host's previous delta;
@@ -1021,10 +602,13 @@ impl ControllerApp {
                 spans,
                 ..
             } => {
-                self.hosts[i].reported = Some((epoch, digest));
-                self.hosts[i].subtree_synced = hosts_synced;
-                self.hosts[i].subtree_max_epoch = max_epoch;
-                self.hosts[i].subtree_diverged = diverged;
+                peer.report = Some(Report {
+                    epoch,
+                    digest,
+                    synced: hosts_synced,
+                    max_epoch,
+                    diverged,
+                });
                 for span in spans {
                     self.trace.ingest(span);
                 }
@@ -1050,7 +634,7 @@ impl ControllerApp {
                 latencies,
                 ..
             } => {
-                self.hosts[i].reported = Some((epoch, digest));
+                peer.said(epoch, digest);
                 self.cluster.record(HostReport {
                     host: from,
                     epoch,
@@ -1061,119 +645,15 @@ impl ControllerApp {
                 });
             }
             CtrlReply::Ack { re, epoch, phase } => {
-                let matches = self.hosts[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re && f.phase == phase);
-                if !matches {
-                    return; // stale or duplicate ack
-                }
-                let inflight = self.hosts[i].inflight.as_ref().unwrap();
-                let origin = inflight.origin;
-                self.rtt
-                    .record(now.as_nanos().saturating_sub(inflight.sent_at.as_nanos()));
-                self.refresh_ctrl_latencies();
-                self.hosts[i].inflight = None;
-                match (origin, phase) {
-                    (Origin::Round, AckPhase::Prepare) => {
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                            round.acked.push(from);
-                        }
-                        self.push_round_phase(stack, ctx);
-                    }
-                    (Origin::Round, AckPhase::Commit) => {
-                        if let Some(d) = self.history.digest_of(epoch) {
-                            self.hosts[i].reported = Some((epoch, d));
-                        }
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.advance_round_if_done(now);
-                    }
-                    (Origin::Round, AckPhase::Abort) => {
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.advance_round_if_done(now);
-                    }
-                    (Origin::Resync, AckPhase::Prepare) => {
-                        let commit = Plan::phase(&CtrlMsg::Commit { epoch }, None);
-                        self.send_tracked(
-                            i,
-                            commit,
-                            AckPhase::Commit,
-                            Origin::Resync,
-                            None,
-                            stack,
-                            ctx,
-                        );
-                    }
-                    (Origin::Resync, AckPhase::Commit) => {
-                        if let Some(d) = self.history.digest_of(epoch) {
-                            self.hosts[i].reported = Some((epoch, d));
-                        }
-                        self.hosts[i].resync_backoff = Time::ZERO;
-                        self.hosts[i].next_resync = now;
-                    }
-                    (Origin::Resync, AckPhase::Abort) => {}
-                }
+                let (rng, history) = (ctx.rng(), &self.history);
+                self.coord.ack(from, re, epoch, phase, now, rng, history);
             }
             CtrlReply::Nack { re, epoch, .. } => {
-                let matches = self.hosts[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re);
-                if !matches {
-                    return;
-                }
-                let (origin, phase, was_delta, trace) = {
-                    let f = self.hosts[i].inflight.as_ref().unwrap();
-                    self.rtt
-                        .record(now.as_nanos().saturating_sub(f.sent_at.as_nanos()));
-                    (f.origin, f.phase, f.is_delta, f.ctx)
-                };
-                self.refresh_ctrl_latencies();
-                self.hosts[i].inflight = None;
-                if was_delta && phase == AckPhase::Prepare && epoch == self.desired().epoch {
-                    // The digest anchor missed (the host's config is not
-                    // what its last report promised) or the diff failed
-                    // validation there: fall back to the full Reset-led
-                    // ship on the same track — a round host stays in the
-                    // round's pending set, a resync stays a resync.
-                    self.cluster.wire.delta_fallbacks += 1;
-                    let full = self.history.plan_full(trace.as_ref());
-                    self.send_tracked(i, full, AckPhase::Prepare, origin, trace, stack, ctx);
-                    return;
-                }
-                match (origin, phase) {
-                    (Origin::Round, AckPhase::Prepare) => self.abort_round(stack, ctx),
-                    (Origin::Round, _) => {
-                        // A commit/abort nack means the host lost its
-                        // staging (e.g. rebooted mid-round). Drop it from
-                        // the round; reconciliation will resync it.
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.advance_round_if_done(now);
-                    }
-                    (Origin::Resync, _) => {
-                        // Back off before retrying this host so a
-                        // persistently unhappy host cannot hot-loop.
-                        let b = self.hosts[i].resync_backoff.as_nanos();
-                        let next = (b * 2).clamp(
-                            self.cfg.retry_base.as_nanos(),
-                            self.cfg.fail_after.as_nanos() * 4,
-                        );
-                        self.hosts[i].resync_backoff = Time::from_nanos(next);
-                        self.hosts[i].next_resync = now + Time::from_nanos(next);
-                    }
-                }
+                let (rng, history) = (ctx.rng(), &self.history);
+                self.coord.nack(from, re, epoch, now, rng, history);
             }
         }
-        // A round stuck in Preparing with an emptied pending set (last
-        // pending host died) still needs its push.
-        self.push_round_phase(stack, ctx);
+        self.settle(stack, ctx);
     }
 }
 
@@ -1195,10 +675,10 @@ impl App for ControllerApp {
         };
         self.cluster.wire.msgs_received += 1;
         self.cluster.wire.bytes_received += payload.len() as u64;
-        let Ok((reply, deltas)) = proto::decode_reply_synced(&payload) else {
+        let Ok(reply) = Response::decode(&payload) else {
             return;
         };
-        self.handle_reply(from, reply, deltas, stack, ctx);
+        self.handle_reply(from, reply, stack, ctx);
     }
 }
 
@@ -1255,9 +735,49 @@ mod tests {
         c.run_ms(10);
         let tags: Vec<u8> = c.tap(1).requests().iter().map(|r| r.1).collect();
         assert_eq!(tags, [1, 2], "full prepare, commit");
+        assert_eq!(c.app().wire().unknown_base_fulls, 1, "and it is counted");
         assert!(c.app().all_in_sync());
         let want = c.app().desired_digest();
         assert_eq!(c.tap(1).agent.enclave().config_digest(), want);
+    }
+
+    // The op count of a Prepare used to be written `ops.len() as u16`:
+    // 65,542 ops went out as a well-formed 6-op table, which every host
+    // staged, acked and served under the right epoch and a wrong digest.
+    #[test]
+    fn a_configuration_too_large_for_the_wire_is_refused_before_anything_commits() {
+        let mut c = pair();
+        push(&mut c, 10);
+        let (epoch, digest) = (c.app().desired_epoch(), c.app().desired_digest());
+
+        let long = table_ops(5, 0..65_540);
+        assert_eq!(long.len(), 65_542);
+        assert_eq!(
+            c.app().set_desired(long),
+            Err(ApplyError::TooLarge { ops: 65_542 })
+        );
+        // Few enough ops and too many bytes: over a mebibyte of rules,
+        // which used to panic the root inside `fragment` on its next tick.
+        let mut wide = table_ops(5, 0..0);
+        wide.extend((0..40_000).map(|c| EnclaveOp::InstallRule {
+            table: 0,
+            spec: eden_core::MatchSpec::AnyOf((c..c + 4).map(eden_core::ClassId).collect()),
+            func: 0,
+        }));
+        assert_eq!(
+            c.app().set_desired(wide),
+            Err(ApplyError::TooLarge { ops: 40_002 })
+        );
+
+        assert_eq!(
+            (c.app().desired_epoch(), c.app().desired_digest()),
+            (epoch, digest)
+        );
+        assert_eq!(c.app().shadow.config_digest(), digest);
+        assert_eq!(c.app().shadow.staged_epoch(), None);
+        assert!(!c.app().round_active());
+        c.run_ms(2);
+        assert!(c.app().all_in_sync());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! them simple but quadratic at fleet scale: every rule of every table
 //! re-ships to every host on every change. [`ConfigModel`] is a pure
 //! value model of an enclave's *configuration* (not its runtime state) —
-//! both reconcilers keep one per version in a bounded `ConfigHistory`,
+//! both tiers keep one per version in a bounded `ConfigHistory`,
 //! which calls [`diff`] to plan a [`CtrlMsg::DeltaPrepare`] anchored at
 //! the base's config digest, encodes each plan once, and hands it out as
 //! shared bytes.
@@ -24,14 +24,13 @@
 //! config-only change that is exactly what an operator wants — the
 //! full-replacement path zeroed counters as collateral damage.
 
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use eden_core::{EnclaveOp, MatchSpec};
 use eden_telemetry::TraceContext;
 
-use crate::proto::{self, CtrlMsg};
+use crate::proto::{self, CtrlMsg, Request};
 
 /// A pure value model of an enclave's configuration, as produced by a
 /// sequence of [`EnclaveOp`]s applied to an empty enclave. Mirrors the
@@ -210,13 +209,13 @@ pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> 
     Some(ops)
 }
 
-/// Config versions a reconciler remembers as delta anchors and rollback
+/// Config versions a coordinator remembers as delta anchors and rollback
 /// targets, at the root and at every aggregator alike. A peer reporting
 /// an older base than that is simply an unknown base: it gets the full
 /// Reset-led ship.
 pub(crate) const AGG_HISTORY: usize = 8;
 
-/// One version of the configuration a reconciler drives its peers to.
+/// One version of the configuration a coordinator drives its peers to.
 pub(crate) struct ConfigEntry {
     pub(crate) epoch: u64,
     /// What an enclave holding this version reports.
@@ -226,16 +225,6 @@ pub(crate) struct ConfigEntry {
     /// Reset-led ops that build this version on any enclave: the full
     /// ship, and what a shadow enclave replays.
     pub(crate) ops: Vec<EnclaveOp>,
-    /// `ops` encoded as a full [`CtrlMsg::Prepare`], built the first time
-    /// a plan needs it (or its length) and shared from then on.
-    full: OnceCell<Rc<[u8]>>,
-}
-
-impl ConfigEntry {
-    fn full(&self) -> &Rc<[u8]> {
-        self.full
-            .get_or_init(|| proto::encode_prepare(self.epoch, &self.ops).into())
-    }
 }
 
 /// An epoch-phase request ready for the wire: encoded once, shared by
@@ -243,7 +232,7 @@ impl ConfigEntry {
 /// configuration in [`WireCounters`](crate::WireCounters).
 #[derive(Clone)]
 pub(crate) struct Plan {
-    /// The encoded message, trace trailer included.
+    /// The encoded frame, trace trailer included.
     pub(crate) bytes: Rc<[u8]>,
     /// A digest-anchored [`CtrlMsg::DeltaPrepare`]: a Nack falls back to
     /// [`ConfigHistory::plan_full`] on the same track.
@@ -252,19 +241,35 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// A `Commit` or `Abort`, encoded once for a whole fan-out.
-    pub(crate) fn phase(msg: &CtrlMsg, trace: Option<&TraceContext>) -> Plan {
+    pub(crate) fn phase(msg: CtrlMsg, trace: Option<TraceContext>) -> Plan {
         Plan {
-            bytes: seal(proto::encode_msg(msg), trace),
+            bytes: encode_shared(msg, trace),
             is_delta: false,
         }
     }
 }
 
-/// The bounded history of configuration versions both reconcilers keep
-/// (the root's desired state, an aggregator's committed state): the last
+/// A message with no ops and no replication section (a phase, a pull),
+/// encoded once for every peer it goes to.
+pub(crate) fn encode_shared(msg: CtrlMsg, trace: Option<TraceContext>) -> Rc<[u8]> {
+    let frame = Request {
+        trace,
+        ..msg.into()
+    };
+    frame.encode().expect("a few bytes").into()
+}
+
+/// The bounded history of configuration versions both tiers keep (the
+/// root's desired state, an aggregator's committed state): the last
 /// entry is current, the rest are delta anchors and rollback targets.
 pub(crate) struct ConfigHistory {
     entries: VecDeque<ConfigEntry>,
+    /// The current version's ops as an untraced full [`CtrlMsg::Prepare`]
+    /// ([`proto::encode_prepare`]) — only the current version is ever
+    /// shipped in full. Whoever makes a version encodes it: that is where
+    /// a configuration too large for the wire is refused, which has to
+    /// happen before anything commits to it.
+    full: Rc<[u8]>,
 }
 
 impl ConfigHistory {
@@ -273,8 +278,10 @@ impl ConfigHistory {
     pub(crate) fn new(digest: u64) -> ConfigHistory {
         let mut h = ConfigHistory {
             entries: VecDeque::with_capacity(AGG_HISTORY + 1),
+            full: Rc::new([]),
         };
-        h.push(0, digest, ConfigModel::new(), Vec::new());
+        let full = proto::encode_prepare(0, &[], None).expect("an empty prepare");
+        h.push(0, digest, ConfigModel::new(), Vec::new(), full);
         h
     }
 
@@ -288,25 +295,23 @@ impl ConfigHistory {
         self.entries.len()
     }
 
-    /// Make `(epoch, digest, model, ops)` current, forgetting the oldest
-    /// version beyond [`AGG_HISTORY`].
+    /// Make `(epoch, digest, model, ops)` current, `full` being
+    /// [`proto::encode_prepare`] of `epoch` and `ops`; the oldest version
+    /// beyond [`AGG_HISTORY`] is forgotten.
     pub(crate) fn push(
         &mut self,
         epoch: u64,
         digest: u64,
         model: ConfigModel,
         ops: Vec<EnclaveOp>,
+        full: Vec<u8>,
     ) {
-        // only the current version is ever shipped in full
-        if let Some(superseded) = self.entries.back_mut() {
-            superseded.full.take();
-        }
+        self.full = full.into();
         self.entries.push_back(ConfigEntry {
             epoch,
             digest,
             model,
             ops,
-            full: OnceCell::new(),
         });
         if self.entries.len() > AGG_HISTORY {
             self.entries.pop_front();
@@ -319,6 +324,9 @@ impl ConfigHistory {
         let can = self.entries.len() > 1 && self.current().epoch == epoch;
         if can {
             self.entries.pop_back();
+            let now = self.current();
+            let full = proto::encode_prepare(now.epoch, &now.ops, None);
+            self.full = full.expect("fit the wire when it was made current").into();
         }
         can
     }
@@ -331,10 +339,13 @@ impl ConfigHistory {
 
     /// The current version as a full Reset-led [`CtrlMsg::Prepare`].
     pub(crate) fn plan_full(&self, trace: Option<&TraceContext>) -> Plan {
+        let entry = self.current();
         Plan {
             bytes: match trace {
-                None => Rc::clone(self.current().full()),
-                Some(_) => seal(self.current().full().to_vec(), trace),
+                None => Rc::clone(&self.full),
+                Some(_) => proto::encode_prepare(entry.epoch, &entry.ops, trace)
+                    .expect("every frame is encoded with room for the trailer")
+                    .into(),
             },
             is_delta: false,
         }
@@ -357,35 +368,31 @@ impl ConfigHistory {
         trace: Option<&TraceContext>,
     ) -> Plan {
         let entry = self.current();
+        let trailer = trace.map_or(0, |_| proto::TRACE_TRAILER);
         let delta = reported
             .filter(|_| delta_updates)
             .and_then(|(e, d)| self.entries.iter().find(|x| x.epoch == e && x.digest == d))
             .and_then(|base| {
-                let ops = diff(&base.model, &entry.model)?;
-                Some(proto::encode_msg(&CtrlMsg::DeltaPrepare {
-                    epoch: entry.epoch,
-                    base_digest: base.digest,
-                    ops,
-                }))
+                let frame = Request {
+                    trace: trace.copied(),
+                    ..CtrlMsg::DeltaPrepare {
+                        epoch: entry.epoch,
+                        base_digest: base.digest,
+                        ops: diff(&base.model, &entry.model)?,
+                    }
+                    .into()
+                };
+                frame.encode().ok()
             })
-            .filter(|bytes| bytes.len() < entry.full().len());
+            .filter(|bytes| bytes.len() - trailer < self.full.len());
         match delta {
             Some(bytes) => Plan {
-                bytes: seal(bytes, trace),
+                bytes: bytes.into(),
                 is_delta: true,
             },
             None => self.plan_full(trace),
         }
     }
-}
-
-/// Finish an encoded message: the round's trace trailer, if it has one,
-/// then into the shared form.
-fn seal(mut bytes: Vec<u8>, trace: Option<&TraceContext>) -> Rc<[u8]> {
-    if let Some(t) = trace {
-        proto::push_trace_trailer(&mut bytes, t);
-    }
-    bytes.into()
 }
 
 #[cfg(test)]

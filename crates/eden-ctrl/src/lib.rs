@@ -7,10 +7,23 @@
 //! application on one simulated host ([`ControllerApp`]), each managed
 //! enclave is wrapped in an [`EnclaveAgent`] answering a control endpoint
 //! on its host's stack, and everything they say to each other is
-//! serialized ([`proto`]), fragmented to MTU-sized frames, and carried
-//! *in-band* over the same links as data traffic.
+//! serialized ([`proto`]: one [`Request`] or [`Response`] frame per
+//! message), fragmented to MTU-sized frames, and carried *in-band* over
+//! the same links as data traffic.
 //!
-//! Three guarantees the crate is built around:
+//! The two-phase protocol has two roles, each written once. The
+//! *coordinator* (`coordinator.rs`: peer table, round, tracked requests
+//! with retry and backoff, failure detection, resync, delta → full
+//! fallback) is a state machine with no I/O that a tier steps with
+//! virtual time and the simulation RNG. The *participant*
+//! (`participant.rs`) is the one answer to each request over an enclave.
+//! The root [`ControllerApp`] is a coordinator plus desired state and
+//! epoch minting; an [`EnclaveAgent`] is a participant on its host's
+//! enclave; a rack [`AggregatorApp`] is a participant towards the root on
+//! a shadow enclave, a coordinator over its children, and the roll-up
+//! between the two.
+//!
+//! Four guarantees the crate is built around:
 //!
 //! 1. **Atomic updates.** Configuration changes ship as whole epochs via
 //!    two-phase commit — validate-and-stage on every host, then commit.
@@ -49,13 +62,16 @@
 pub mod agent;
 pub mod aggregator;
 pub mod controller;
+mod coordinator;
 pub mod delta;
+mod participant;
 pub mod proto;
 #[cfg(test)]
 mod testnet;
 
 pub use agent::EnclaveAgent;
 pub use aggregator::{AggConfig, AggregatorApp};
-pub use controller::{ControllerApp, CtrlConfig, HostStatus, WireCounters, TICK};
+pub use controller::{ControllerApp, CtrlConfig, WireCounters, TICK};
+pub use coordinator::HostStatus;
 pub use delta::ConfigModel;
-pub use proto::{AckPhase, CtrlMsg, CtrlReply, ProtoError, Reassembler};
+pub use proto::{AckPhase, CtrlMsg, CtrlReply, ProtoError, Reassembler, Request, Response};

@@ -8,6 +8,18 @@
 //! so duplicate and reordered fragments are harmless; receivers must treat
 //! duplicate *messages* as idempotent (every handler in this crate does).
 //!
+//! A message is one [`Frame`] in either direction:
+//!
+//! ```text
+//! body                   tag byte, then the verb's fields
+//! [REPL_MARK  u16 n  n × item]   replication section: views down, deltas up
+//! [TRACE_MARK  trace id  parent span  flags]   the trace trailer, always last
+//! ```
+//!
+//! Both sections are optional and sit *after* the body, where a decoder
+//! that predates them never looks; an absent section costs no byte, so a
+//! frame without them is the bare body such a decoder always read.
+//!
 //! Encoding is hand-rolled little-endian TLV — the workspace builds
 //! offline, and the message set is small enough that a serde dependency
 //! would be all cost.
@@ -22,10 +34,8 @@ use eden_telemetry::{
 /// First two bytes of every control frame.
 pub const MAGIC: u16 = 0xED0C;
 
-/// Marker opening the optional trace-context trailer appended to a
-/// controller → agent message by [`encode_msg_traced`]. Decoders that
-/// read only the message fields ([`decode_msg`]) never look at trailing
-/// bytes, so a traced frame stays decodable by an untraced peer.
+/// Marker opening the optional trace-context trailer that closes a
+/// [`Frame`] whose `trace` is set.
 pub const TRACE_MARK: u16 = 0x7E57;
 
 /// Wire size of the trace trailer: mark (2) + trace id (8) + parent
@@ -35,10 +45,8 @@ pub const TRACE_TRAILER: usize = 19;
 /// Marker opening the optional replication sync section. It rides the
 /// existing heartbeat cadence: a Heartbeat grows a [`FuncView`] section
 /// (controller → host), its Pong grows a [`FuncDelta`] section (host →
-/// controller). Like the trace trailer, the section sits *after* the
-/// message fields where a repl-unaware decoder never looks — old peers
-/// decode the message and simply miss the sync. Distinct from
-/// [`TRACE_MARK`], so a synced decoder can tell the two apart by peeking.
+/// controller). Distinct from [`TRACE_MARK`], so the decoder tells the
+/// two apart by peeking.
 pub const REPL_MARK: u16 = 0x5EED;
 
 /// Longest span name accepted off the wire. Real names are short dotted
@@ -58,7 +66,8 @@ pub const MAX_CHUNK: usize = 1024;
 /// u16; without this bound a single 10-byte frame claiming 65535
 /// fragments would make the reassembler pre-allocate for all of them,
 /// letting a spoofed-frame stream pin megabytes per pending entry.
-/// [`fragment`] asserts the same bound on the send side.
+/// [`fragment`] asserts the same bound on the send side, and the encoder
+/// refuses a frame that would not fit it.
 pub const MAX_FRAGS: usize = 1024;
 
 /// Controller → enclave-agent messages. `InstallFunction` / `InstallRule`
@@ -100,6 +109,25 @@ pub enum CtrlMsg {
         nonce: u64,
         views: Vec<(u32, FuncView)>,
     },
+}
+
+/// Tag of [`CtrlMsg::Prepare`].
+const PREPARE: u8 = 1;
+
+impl CtrlMsg {
+    /// The verb's tag: the first byte of its encoding.
+    pub fn tag(&self) -> u8 {
+        match self {
+            CtrlMsg::Prepare { .. } => PREPARE,
+            CtrlMsg::Commit { .. } => 2,
+            CtrlMsg::Abort { .. } => 3,
+            CtrlMsg::Heartbeat { .. } => 4,
+            CtrlMsg::PullStats => 5,
+            CtrlMsg::PullTrace { .. } => 6,
+            CtrlMsg::DeltaPrepare { .. } => 7,
+            CtrlMsg::AggSync { .. } => 8,
+        }
+    }
 }
 
 /// Which request an [`CtrlReply::Ack`] acknowledges.
@@ -169,7 +197,7 @@ pub enum CtrlReply {
     },
 }
 
-/// Decode failures. A malformed frame or message is dropped by the
+/// Codec failures. A malformed frame or message is dropped by the
 /// receiver — the sender's retry (same message id) covers the loss.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
@@ -183,6 +211,10 @@ pub enum ProtoError {
     /// here so crafted bytes can never reach the panicking
     /// [`Schema`] builder asserts.
     BadSchema,
+    /// The encoder's refusal: a sequence longer than its count prefix can
+    /// say, or a message over [`MAX_FRAGS`] fragments. Never sent
+    /// truncated or with a wrapped count.
+    TooLong,
 }
 
 impl std::fmt::Display for ProtoError {
@@ -194,6 +226,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadString => write!(f, "invalid utf-8 string"),
             ProtoError::BadFragment => write!(f, "inconsistent fragment header"),
             ProtoError::BadSchema => write!(f, "inconsistent schema"),
+            ProtoError::TooLong => write!(f, "message does not fit the wire"),
         }
     }
 }
@@ -205,30 +238,61 @@ impl std::error::Error for ProtoError {}
 // ----------------------------------------------------------------------
 
 #[derive(Default)]
-struct Writer(Vec<u8>);
+struct Writer {
+    buf: Vec<u8>,
+    /// Some length did not fit its count prefix: [`Writer::finish`]
+    /// refuses the message.
+    overflowed: bool,
+}
 
 impl Writer {
     fn u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.buf.push(v);
     }
     fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// The length `n` as a `width`-byte count prefix. The one place a
+    /// length is narrowed to its wire width: one that does not fit marks
+    /// the writer instead of wrapping.
+    fn count(&mut self, width: usize, n: usize) {
+        let n = n as u64;
+        self.overflowed |= n >> (8 * width) != 0;
+        self.buf.extend_from_slice(&n.to_le_bytes()[..width]);
+    }
+    /// A count-prefixed sequence: `items.len()` in `width` bytes, then
+    /// each item as `put` writes it.
+    fn seq<T>(&mut self, width: usize, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
+        self.count(width, items.len());
+        for item in items {
+            put(self, item);
+        }
     }
     fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.0.extend_from_slice(v);
+        self.count(4, v.len());
+        self.buf.extend_from_slice(v);
     }
     fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+    /// The encoded message, unless it cannot go on the wire as written.
+    /// Every message must leave room for a trace trailer, so tracing a
+    /// round never pushes a configuration that fit over the limit.
+    fn finish(self, traced: bool) -> Result<Vec<u8>, ProtoError> {
+        let room = if traced { 0 } else { TRACE_TRAILER };
+        if self.overflowed || self.buf.len() + room > MAX_FRAGS * MAX_CHUNK {
+            return Err(ProtoError::TooLong);
+        }
+        Ok(self.buf)
     }
 }
 
@@ -264,14 +328,33 @@ impl<'a> Reader<'a> {
     fn i64(&mut self) -> Result<i64, ProtoError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// A `width`-byte count prefix.
+    fn count(&mut self, width: usize) -> Result<usize, ProtoError> {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(self.take(width)?);
+        Ok(u64::from_le_bytes(le) as usize)
+    }
+    /// A count-prefixed sequence of items as `get` reads them. The count
+    /// is the sender's word: the pre-allocation is capped at what the
+    /// rest of the buffer could hold at `min` bytes an item, so a lying
+    /// count truncates instead of reserving memory.
+    fn seq<T>(
+        &mut self,
+        width: usize,
+        min: usize,
+        mut get: impl FnMut(&mut Reader<'a>) -> Result<T, ProtoError>,
+    ) -> Result<Vec<T>, ProtoError> {
+        let n = self.count(width)?;
+        let mut items = Vec::with_capacity(n.min(self.remaining() / min));
+        for _ in 0..n {
+            items.push(get(self)?);
+        }
+        Ok(items)
+    }
     fn bytes(&mut self) -> Result<&'a [u8], ProtoError> {
-        let n = self.u32()? as usize;
+        let n = self.count(4)?;
         self.take(n)
     }
-    /// Bytes left in the buffer — the honest upper bound for any
-    /// count-prefixed pre-allocation (`Vec::with_capacity` from a length
-    /// field the sender controls must never exceed what the frame could
-    /// actually contain).
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -284,6 +367,14 @@ impl<'a> Reader<'a> {
     }
     fn str(&mut self) -> Result<String, ProtoError> {
         let b = self.bytes()?;
+        String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadString)
+    }
+    /// A string no longer than [`MAX_SPAN_NAME`].
+    fn name(&mut self) -> Result<String, ProtoError> {
+        let b = self.bytes()?;
+        if b.len() > MAX_SPAN_NAME {
+            return Err(ProtoError::BadString);
+        }
         String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadString)
     }
 }
@@ -387,8 +478,7 @@ fn concurrency_from_u8(v: u8) -> Result<Concurrency, ProtoError> {
 }
 
 fn put_schema(w: &mut Writer, s: &Schema) {
-    w.u16(s.fields().len() as u16);
-    for f in s.fields() {
+    w.seq(2, s.fields(), |w, f| {
         w.str(&f.name);
         w.u8(match f.scope {
             eden_lang::Scope::Packet => 0,
@@ -415,14 +505,10 @@ fn put_schema(w: &mut Writer, s: &Schema) {
         if let Some(m) = f.repl {
             w.u8(repl_to_u8(m));
         }
-    }
-    w.u16(s.arrays().len() as u16);
-    for a in s.arrays() {
+    });
+    w.seq(2, s.arrays(), |w, a| {
         w.str(&a.name);
-        w.u16(a.fields.len() as u16);
-        for f in &a.fields {
-            w.str(f);
-        }
+        w.seq(2, &a.fields, |w, f| w.str(f));
         // Same trick as the field flags: bit 0 is the access mode (the
         // whole byte in the pre-replication encoding), bit 1 announces a
         // replication-mode byte.
@@ -434,7 +520,7 @@ fn put_schema(w: &mut Writer, s: &Schema) {
         if let Some(m) = a.repl {
             w.u8(repl_to_u8(m));
         }
-    }
+    });
 }
 
 fn get_schema(r: &mut Reader<'_>) -> Result<Schema, ProtoError> {
@@ -442,9 +528,8 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema, ProtoError> {
     // overflow — fine for programmer-built schemas, fatal for bytes off
     // the wire. Validate everything here and return errors instead.
     let mut s = Schema::new();
-    let nfields = r.u16()?;
-    let mut seen: Vec<(u8, String)> = Vec::with_capacity((nfields as usize).min(r.remaining()));
-    for _ in 0..nfields {
+    // a field costs at least its name's length prefix and three bytes
+    let fields = r.seq(2, 7, |r| {
         let name = r.str()?;
         let scope = r.u8()?;
         let access = access_from_u8(r.u8()?)?;
@@ -465,34 +550,28 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema, ProtoError> {
         if scope > 2 {
             return Err(ProtoError::BadTag(scope));
         }
-        if seen.iter().any(|(sc, n)| *sc == scope && *n == name) {
+        Ok((scope, name, access, header, repl))
+    })?;
+    for (i, (scope, name, access, header, repl)) in fields.iter().enumerate() {
+        let same_scope = || fields[..i].iter().filter(|f| f.0 == *scope);
+        if same_scope().any(|f| f.1 == *name) || same_scope().count() > u8::MAX as usize {
             return Err(ProtoError::BadSchema);
         }
-        if seen.iter().filter(|(sc, _)| *sc == scope).count() > u8::MAX as usize {
-            return Err(ProtoError::BadSchema);
-        }
-        seen.push((scope, name.clone()));
         s = match scope {
-            0 => s.packet_field(&name, access, header),
-            1 => s.msg_field(&name, access),
-            _ => s.global_field(&name, access),
+            0 => s.packet_field(name, *access, *header),
+            1 => s.msg_field(name, *access),
+            _ => s.global_field(name, *access),
         };
         if let Some(m) = repl {
-            s = s.replicated(m);
+            s = s.replicated(*m);
         }
     }
-    let narrays = r.u16()?;
-    if narrays as usize > u8::MAX as usize + 1 {
-        return Err(ProtoError::BadSchema);
-    }
-    for _ in 0..narrays {
+    // an array costs at least its name's and field list's prefixes and
+    // its flags byte
+    let arrays = r.seq(2, 7, |r| {
         let name = r.str()?;
-        let nf = r.u16()?;
         // each field name costs at least its 4-byte length prefix
-        let mut fields = Vec::with_capacity((nf as usize).min(r.remaining() / 4));
-        for _ in 0..nf {
-            fields.push(r.str()?);
-        }
+        let fields = r.seq(2, 4, Reader::str)?;
         let flags = r.u8()?;
         if flags & !0x03 != 0 {
             return Err(ProtoError::BadTag(flags));
@@ -503,6 +582,12 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema, ProtoError> {
         } else {
             None
         };
+        Ok((name, fields, access, repl))
+    })?;
+    if arrays.len() > u8::MAX as usize + 1 {
+        return Err(ProtoError::BadSchema);
+    }
+    for (name, fields, access, repl) in arrays {
         if s.arrays().iter().any(|a| a.name == name) {
             return Err(ProtoError::BadSchema);
         }
@@ -529,10 +614,7 @@ fn put_spec(w: &mut Writer, spec: &MatchSpec) {
         }
         MatchSpec::AnyOf(cs) => {
             w.u8(2);
-            w.u16(cs.len() as u16);
-            for c in cs {
-                w.u32(c.0);
-            }
+            w.seq(2, cs, |w, c| w.u32(c.0));
         }
     }
 }
@@ -541,15 +623,7 @@ fn get_spec(r: &mut Reader<'_>) -> Result<MatchSpec, ProtoError> {
     Ok(match r.u8()? {
         0 => MatchSpec::Any,
         1 => MatchSpec::Class(ClassId(r.u32()?)),
-        2 => {
-            let n = r.u16()?;
-            // each class id needs 4 more bytes of input
-            let mut cs = Vec::with_capacity((n as usize).min(r.remaining() / 4));
-            for _ in 0..n {
-                cs.push(ClassId(r.u32()?));
-            }
-            MatchSpec::AnyOf(cs)
-        }
+        2 => MatchSpec::AnyOf(r.seq(2, 4, |r| r.u32().map(ClassId))?),
         other => return Err(ProtoError::BadTag(other)),
     })
 }
@@ -599,10 +673,7 @@ fn put_op(w: &mut Writer, op: &EnclaveOp) {
             w.u8(7);
             w.u32(*func as u32);
             w.u32(*array as u32);
-            w.u32(values.len() as u32);
-            for v in values {
-                w.i64(*v);
-            }
+            put_i64s(w, values);
         }
     }
 }
@@ -642,25 +713,31 @@ fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
             let value = r.i64()?;
             EnclaveOp::SetGlobal { func, slot, value }
         }
-        7 => {
-            let func = r.u32()? as usize;
-            let array = r.u32()? as usize;
-            let n = r.u32()? as usize;
-            // `n` is attacker-controlled (up to 4 Gi elements = 32 GiB);
-            // every element needs 8 more input bytes, so cap the
-            // pre-allocation at what the frame can actually deliver
-            let mut values = Vec::with_capacity(n.min(r.remaining() / 8));
-            for _ in 0..n {
-                values.push(r.i64()?);
-            }
-            EnclaveOp::SetArray {
-                func,
-                array,
-                values,
-            }
-        }
+        7 => EnclaveOp::SetArray {
+            func: r.u32()? as usize,
+            array: r.u32()? as usize,
+            values: get_i64s(r)?,
+        },
         other => return Err(ProtoError::BadTag(other)),
     })
+}
+
+/// An epoch's ops; every op costs at least its 1-byte tag.
+fn put_ops(w: &mut Writer, ops: &[EnclaveOp]) {
+    w.seq(2, ops, put_op);
+}
+
+fn get_ops(r: &mut Reader<'_>) -> Result<Vec<EnclaveOp>, ProtoError> {
+    r.seq(2, 1, get_op)
+}
+
+/// Array elements, counted in four bytes.
+fn put_i64s(w: &mut Writer, values: &[i64]) {
+    w.seq(4, values, |w, v| w.i64(*v));
+}
+
+fn get_i64s(r: &mut Reader<'_>) -> Result<Vec<i64>, ProtoError> {
+    r.seq(4, 8, Reader::i64)
 }
 
 /// The `Stats` counter section: the enclave group's rows as `u64`s, in
@@ -690,47 +767,27 @@ fn put_span(w: &mut Writer, s: &Span) {
 }
 
 /// Minimum wire bytes per span: three u64 ids + host u32 + empty-name
-/// length prefix + two u64 timestamps. The honest divisor for count-
-/// prefixed pre-allocation.
+/// length prefix + two u64 timestamps.
 const SPAN_WIRE_MIN: usize = 8 * 5 + 4 + 4;
 
 fn get_span(r: &mut Reader<'_>) -> Result<Span, ProtoError> {
-    let trace_id = r.u64()?;
-    let span_id = r.u64()?;
-    let parent_span = r.u64()?;
-    let host = r.u32()?;
-    let name_bytes = r.bytes()?;
-    if name_bytes.len() > MAX_SPAN_NAME {
-        return Err(ProtoError::BadString);
-    }
-    let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| ProtoError::BadString)?;
-    let start_ns = r.u64()?;
-    let end_ns = r.u64()?;
     Ok(Span {
-        trace_id,
-        span_id,
-        parent_span,
-        host,
-        name,
-        start_ns,
-        end_ns,
+        trace_id: r.u64()?,
+        span_id: r.u64()?,
+        parent_span: r.u64()?,
+        host: r.u32()?,
+        name: r.name()?,
+        start_ns: r.u64()?,
+        end_ns: r.u64()?,
     })
 }
 
 fn put_spans(w: &mut Writer, spans: &[Span]) {
-    w.u16(spans.len() as u16);
-    for s in spans {
-        put_span(w, s);
-    }
+    w.seq(2, spans, put_span);
 }
 
 fn get_spans(r: &mut Reader<'_>) -> Result<Vec<Span>, ProtoError> {
-    let n = r.u16()? as usize;
-    let mut spans = Vec::with_capacity(n.min(r.remaining() / SPAN_WIRE_MIN));
-    for _ in 0..n {
-        spans.push(get_span(r)?);
-    }
-    Ok(spans)
+    r.seq(2, SPAN_WIRE_MIN, get_span)
 }
 
 /// Histograms travel sparse: name, sample sum, then only the non-zero
@@ -747,23 +804,17 @@ fn put_latency(w: &mut Writer, l: &LatencyStat) {
         .filter(|(_, &c)| c != 0)
         .map(|(i, &c)| (i, c))
         .collect();
-    w.u8(nonzero.len() as u8);
-    for (i, c) in nonzero {
+    w.seq(1, &nonzero, |w, &(i, c)| {
         w.u8(i as u8);
         w.u64(c);
-    }
+    });
 }
 
 fn get_latency(r: &mut Reader<'_>) -> Result<LatencyStat, ProtoError> {
-    let name_bytes = r.bytes()?;
-    if name_bytes.len() > MAX_SPAN_NAME {
-        return Err(ProtoError::BadString);
-    }
-    let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| ProtoError::BadString)?;
+    let name = r.name()?;
     let sum = r.u64()?;
-    let n = r.u8()?;
     let mut buckets = [0u64; HIST_BUCKETS];
-    for _ in 0..n {
+    for _ in 0..r.count(1)? {
         let i = r.u8()?;
         if i as usize >= HIST_BUCKETS {
             return Err(ProtoError::BadTag(i));
@@ -774,23 +825,6 @@ fn get_latency(r: &mut Reader<'_>) -> Result<LatencyStat, ProtoError> {
         name,
         LogHistogram::from_buckets(buckets, sum),
     ))
-}
-
-fn put_latencies(w: &mut Writer, ls: &[LatencyStat]) {
-    w.u16(ls.len() as u16);
-    for l in ls {
-        put_latency(w, l);
-    }
-}
-
-fn get_latencies(r: &mut Reader<'_>) -> Result<Vec<LatencyStat>, ProtoError> {
-    let n = r.u16()? as usize;
-    // each stat costs at least its name length prefix + sum + pair count
-    let mut ls = Vec::with_capacity(n.min(r.remaining() / 13));
-    for _ in 0..n {
-        ls.push(get_latency(r)?);
-    }
-    Ok(ls)
 }
 
 // ----------------------------------------------------------------------
@@ -857,80 +891,43 @@ fn get_seq_entry(r: &mut Reader<'_>) -> Result<SeqEntry, ProtoError> {
 
 /// `(slot, value)` pair lists — merged contributions and views.
 fn put_slot_pairs(w: &mut Writer, pairs: &[(u8, i64)]) {
-    w.u16(pairs.len() as u16);
-    for &(slot, v) in pairs {
+    w.seq(2, pairs, |w, &(slot, v)| {
         w.u8(slot);
         w.i64(v);
-    }
+    });
 }
 
 fn get_slot_pairs(r: &mut Reader<'_>) -> Result<Vec<(u8, i64)>, ProtoError> {
-    let n = r.u16()? as usize;
-    let mut pairs = Vec::with_capacity(n.min(r.remaining() / 9));
-    for _ in 0..n {
-        pairs.push((r.u8()?, r.i64()?));
-    }
-    Ok(pairs)
+    r.seq(2, 9, |r| Ok((r.u8()?, r.i64()?)))
 }
 
 /// `(array id, elements)` lists — merged array contributions and views.
 fn put_array_pairs(w: &mut Writer, arrays: &[(u8, Vec<i64>)]) {
-    w.u16(arrays.len() as u16);
-    for (id, vals) in arrays {
+    w.seq(2, arrays, |w, (id, vals)| {
         w.u8(*id);
-        w.u32(vals.len() as u32);
-        for &v in vals {
-            w.i64(v);
-        }
-    }
+        put_i64s(w, vals);
+    });
 }
 
 fn get_array_pairs(r: &mut Reader<'_>) -> Result<Vec<(u8, Vec<i64>)>, ProtoError> {
-    let n = r.u16()? as usize;
-    let mut arrays = Vec::with_capacity(n.min(r.remaining() / 5));
-    for _ in 0..n {
-        let id = r.u8()?;
-        let len = r.u32()? as usize;
-        let mut vals = Vec::with_capacity(len.min(r.remaining() / 8));
-        for _ in 0..len {
-            vals.push(r.i64()?);
-        }
-        arrays.push((id, vals));
-    }
-    Ok(arrays)
+    r.seq(2, 5, |r| Ok((r.u8()?, get_i64s(r)?)))
 }
 
 fn put_snapshot(w: &mut Writer, s: &SeqSnapshot) {
     w.u64(s.seq);
-    w.u16(s.globals.len() as u16);
-    for &(slot, v) in &s.globals {
-        w.u8(slot);
-        w.i64(v);
-    }
-    w.u32(s.cells.len() as u32);
-    for &(id, index, v) in &s.cells {
+    put_slot_pairs(w, &s.globals);
+    w.seq(4, &s.cells, |w, &(id, index, v)| {
         w.u8(id);
         w.u32(index);
         w.i64(v);
-    }
+    });
 }
 
 fn get_snapshot(r: &mut Reader<'_>) -> Result<SeqSnapshot, ProtoError> {
-    let seq = r.u64()?;
-    let n = r.u16()? as usize;
-    let mut globals = Vec::with_capacity(n.min(r.remaining() / 9));
-    for _ in 0..n {
-        globals.push((r.u8()?, r.i64()?));
-    }
-    let n = r.u32()? as usize;
-    let mut cells = Vec::with_capacity(n.min(r.remaining() / 13));
-    for _ in 0..n {
-        cells.push((r.u8()?, r.u32()?, r.i64()?));
-    }
     Ok(SeqSnapshot {
-        seq,
-        globals,
-        cells,
+        seq: r.u64()?,
+        globals: get_slot_pairs(r)?,
+        cells: r.seq(4, 13, |r| Ok((r.u8()?, r.u32()?, r.i64()?)))?,
     })
 }
 
@@ -938,10 +935,7 @@ fn put_delta(w: &mut Writer, d: &FuncDelta) {
     w.u32(d.func);
     put_slot_pairs(w, &d.merged);
     put_array_pairs(w, &d.merged_arrays);
-    w.u16(d.seq_ops.len() as u16);
-    for op in &d.seq_ops {
-        put_seq_op(w, op);
-    }
+    w.seq(2, &d.seq_ops, put_seq_op);
     w.u64(d.applied_seq);
     w.u64(d.digest);
 }
@@ -951,19 +945,11 @@ fn put_delta(w: &mut Writer, d: &FuncDelta) {
 const DELTA_WIRE_MIN: usize = 4 + 2 + 2 + 2 + 8 + 8;
 
 fn get_delta(r: &mut Reader<'_>) -> Result<FuncDelta, ProtoError> {
-    let func = r.u32()?;
-    let merged = get_slot_pairs(r)?;
-    let merged_arrays = get_array_pairs(r)?;
-    let n = r.u16()? as usize;
-    let mut seq_ops = Vec::with_capacity(n.min(r.remaining() / SEQ_OP_WIRE_MIN));
-    for _ in 0..n {
-        seq_ops.push(get_seq_op(r)?);
-    }
     Ok(FuncDelta {
-        func,
-        merged,
-        merged_arrays,
-        seq_ops,
+        func: r.u32()?,
+        merged: get_slot_pairs(r)?,
+        merged_arrays: get_array_pairs(r)?,
+        seq_ops: r.seq(2, SEQ_OP_WIRE_MIN, get_seq_op)?,
         applied_seq: r.u64()?,
         digest: r.u64()?,
     })
@@ -981,10 +967,7 @@ fn put_view(w: &mut Writer, v: &FuncView) {
             put_snapshot(w, s);
         }
     }
-    w.u16(v.entries.len() as u16);
-    for e in &v.entries {
-        put_seq_entry(w, e);
-    }
+    w.seq(2, &v.entries, put_seq_entry);
     w.u64(v.acked_op_id);
     w.u64(v.digest);
     w.u8(u8::from(v.divergent));
@@ -995,286 +978,100 @@ fn put_view(w: &mut Writer, v: &FuncView) {
 const VIEW_WIRE_MIN: usize = 4 + 8 + 2 + 2 + 1 + 2 + 8 + 8 + 1;
 
 fn get_view(r: &mut Reader<'_>) -> Result<FuncView, ProtoError> {
-    let func = r.u32()?;
-    let version = r.u64()?;
-    let remote = get_slot_pairs(r)?;
-    let remote_arrays = get_array_pairs(r)?;
-    let snapshot = match r.u8()? {
-        0 => None,
-        1 => Some(get_snapshot(r)?),
-        other => return Err(ProtoError::BadTag(other)),
-    };
-    let n = r.u16()? as usize;
-    let mut entries = Vec::with_capacity(n.min(r.remaining() / SEQ_ENTRY_WIRE_MIN));
-    for _ in 0..n {
-        entries.push(get_seq_entry(r)?);
-    }
     Ok(FuncView {
-        func,
-        version,
-        remote,
-        remote_arrays,
-        snapshot,
-        entries,
+        func: r.u32()?,
+        version: r.u64()?,
+        remote: get_slot_pairs(r)?,
+        remote_arrays: get_array_pairs(r)?,
+        snapshot: match r.u8()? {
+            0 => None,
+            1 => Some(get_snapshot(r)?),
+            other => return Err(ProtoError::BadTag(other)),
+        },
+        entries: r.seq(2, SEQ_ENTRY_WIRE_MIN, get_seq_entry)?,
         acked_op_id: r.u64()?,
         digest: r.u64()?,
         divergent: r.u8()? != 0,
     })
 }
 
-fn put_repl_views(w: &mut Writer, views: &[FuncView]) {
-    w.u16(REPL_MARK);
-    w.u16(views.len() as u16);
-    for v in views {
-        put_view(w, v);
+/// The replication section: [`REPL_MARK`], then the counted items. An
+/// empty section is not written at all.
+fn put_repl<T>(w: &mut Writer, items: &[T], put: impl FnMut(&mut Writer, &T)) {
+    if !items.is_empty() {
+        w.u16(REPL_MARK);
+        w.seq(2, items, put);
     }
-}
-
-fn get_repl_views(r: &mut Reader<'_>) -> Result<Vec<FuncView>, ProtoError> {
-    let n = r.u16()? as usize;
-    let mut views = Vec::with_capacity(n.min(r.remaining() / VIEW_WIRE_MIN));
-    for _ in 0..n {
-        views.push(get_view(r)?);
-    }
-    Ok(views)
-}
-
-fn put_repl_deltas(w: &mut Writer, deltas: &[FuncDelta]) {
-    w.u16(REPL_MARK);
-    w.u16(deltas.len() as u16);
-    for d in deltas {
-        put_delta(w, d);
-    }
-}
-
-fn get_repl_deltas(r: &mut Reader<'_>) -> Result<Vec<FuncDelta>, ProtoError> {
-    let n = r.u16()? as usize;
-    let mut deltas = Vec::with_capacity(n.min(r.remaining() / DELTA_WIRE_MIN));
-    for _ in 0..n {
-        deltas.push(get_delta(r)?);
-    }
-    Ok(deltas)
 }
 
 /// Wire size of the delta section carrying `deltas` (0 when empty) — the
 /// sample telemetry records as `repl.delta_bytes` without re-encoding
 /// the surrounding frame.
 pub fn repl_deltas_wire_len(deltas: &[FuncDelta]) -> usize {
-    if deltas.is_empty() {
-        return 0;
-    }
     let mut w = Writer::default();
-    put_repl_deltas(&mut w, deltas);
-    w.0.len()
+    put_repl(&mut w, deltas, put_delta);
+    w.buf.len()
 }
 
 // ----------------------------------------------------------------------
 // message codecs
 // ----------------------------------------------------------------------
 
-/// Serialize a controller → agent message.
-pub fn encode_msg(msg: &CtrlMsg) -> Vec<u8> {
-    let mut w = Writer::default();
+fn put_msg(w: &mut Writer, msg: &CtrlMsg) {
+    w.u8(msg.tag());
     match msg {
-        CtrlMsg::Prepare { epoch, ops } => return encode_prepare(*epoch, ops),
-        CtrlMsg::Commit { epoch } => {
-            w.u8(2);
+        CtrlMsg::Prepare { epoch, ops } => {
             w.u64(*epoch);
+            put_ops(w, ops);
         }
-        CtrlMsg::Abort { epoch } => {
-            w.u8(3);
-            w.u64(*epoch);
-        }
-        CtrlMsg::Heartbeat { nonce } => {
-            w.u8(4);
-            w.u64(*nonce);
-        }
-        CtrlMsg::PullStats => w.u8(5),
-        CtrlMsg::PullTrace { max } => {
-            w.u8(6);
-            w.u16(*max);
-        }
+        CtrlMsg::Commit { epoch } | CtrlMsg::Abort { epoch } => w.u64(*epoch),
+        CtrlMsg::Heartbeat { nonce } => w.u64(*nonce),
+        CtrlMsg::PullStats => {}
+        CtrlMsg::PullTrace { max } => w.u16(*max),
         CtrlMsg::DeltaPrepare {
             epoch,
             base_digest,
             ops,
         } => {
-            w.u8(7);
             w.u64(*epoch);
             w.u64(*base_digest);
-            w.u16(ops.len() as u16);
-            for op in ops {
-                put_op(&mut w, op);
-            }
+            put_ops(w, ops);
         }
         CtrlMsg::AggSync { nonce, views } => {
-            w.u8(8);
             w.u64(*nonce);
-            w.u16(views.len() as u16);
-            for (host, v) in views {
+            w.seq(2, views, |w, (host, v)| {
                 w.u32(*host);
-                put_view(&mut w, v);
-            }
+                put_view(w, v);
+            });
         }
     }
-    w.0
 }
 
-/// [`encode_msg`] of a [`CtrlMsg::Prepare`] whose ops the caller keeps:
-/// a config history encodes each version's full ship from the ops it
-/// holds, without cloning them into a message first.
-pub fn encode_prepare(epoch: u64, ops: &[EnclaveOp]) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.u8(1);
-    w.u64(epoch);
-    w.u16(ops.len() as u16);
-    for op in ops {
-        put_op(&mut w, op);
-    }
-    w.0
-}
-
-/// Serialize a controller → agent message with a trace-context trailer.
-/// The trailer rides *after* the message fields, where an untraced
-/// decoder never looks — old agents decode the message and simply miss
-/// the context.
-pub fn encode_msg_traced(msg: &CtrlMsg, ctx: &TraceContext) -> Vec<u8> {
-    let mut buf = encode_msg(msg);
-    push_trace_trailer(&mut buf, ctx);
-    buf
-}
-
-/// Append the [`TRACE_TRAILER`]-byte trace-context trailer to an encoded
-/// message (after any replication section: the trailer is always last).
-pub fn push_trace_trailer(buf: &mut Vec<u8>, ctx: &TraceContext) {
-    buf.extend_from_slice(&TRACE_MARK.to_le_bytes());
-    buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
-    buf.extend_from_slice(&ctx.parent_span.to_le_bytes());
-    buf.push(u8::from(ctx.sampled));
-}
-
-/// Parse a controller → agent message.
-pub fn decode_msg(buf: &[u8]) -> Result<CtrlMsg, ProtoError> {
-    read_msg(&mut Reader::new(buf))
-}
-
-/// Parse a controller → agent message plus its trace-context trailer, if
-/// the sender appended one. A frame without a trailer (or with trailing
-/// bytes that aren't one) decodes with `None` — never an error.
-pub fn decode_msg_traced(buf: &[u8]) -> Result<(CtrlMsg, Option<TraceContext>), ProtoError> {
-    let mut r = Reader::new(buf);
-    let msg = read_msg(&mut r)?;
-    let ctx = read_trace_trailer(&mut r);
-    Ok((msg, ctx))
-}
-
-/// Serialize a controller → agent message with a replication view
-/// section and (optionally) a trace-context trailer. Section order is
-/// fixed: message fields, then the [`REPL_MARK`] view section, then the
-/// trailer — the trailer stays last because untraced decoders find it by
-/// its fixed size from the end. An empty `views` emits no section, so
-/// the frame is byte-identical to [`encode_msg`] / [`encode_msg_traced`].
-pub fn encode_msg_synced(msg: &CtrlMsg, views: &[FuncView], ctx: Option<&TraceContext>) -> Vec<u8> {
-    let mut w = Writer(encode_msg(msg));
-    if !views.is_empty() {
-        put_repl_views(&mut w, views);
-    }
-    let mut buf = w.0;
-    if let Some(ctx) = ctx {
-        push_trace_trailer(&mut buf, ctx);
-    }
-    buf
-}
-
-/// Parse a controller → agent message plus its optional replication view
-/// section and trace trailer. Frames without either section decode with
-/// empty views / `None` — never an error — so pre-replication senders
-/// stay compatible. A frame whose trailing bytes *open* with
-/// [`REPL_MARK`] must carry a well-formed section: garbage there is
-/// rejected (the sender's retry covers the drop), exactly like any other
-/// malformed message.
-pub fn decode_msg_synced(
-    buf: &[u8],
-) -> Result<(CtrlMsg, Vec<FuncView>, Option<TraceContext>), ProtoError> {
-    let mut r = Reader::new(buf);
-    let msg = read_msg(&mut r)?;
-    let views = if r.peek_u16() == Some(REPL_MARK) {
-        r.u16()?; // consume the marker
-        get_repl_views(&mut r)?
-    } else {
-        Vec::new()
-    };
-    let ctx = read_trace_trailer(&mut r);
-    Ok((msg, views, ctx))
-}
-
-fn read_trace_trailer(r: &mut Reader<'_>) -> Option<TraceContext> {
-    if r.remaining() != TRACE_TRAILER {
-        return None;
-    }
-    if r.u16().ok()? != TRACE_MARK {
-        return None;
-    }
-    let trace_id = r.u64().ok()?;
-    let parent_span = r.u64().ok()?;
-    let sampled = r.u8().ok()? != 0;
-    Some(TraceContext {
-        trace_id,
-        parent_span,
-        sampled,
-    })
-}
-
-fn read_msg(r: &mut Reader<'_>) -> Result<CtrlMsg, ProtoError> {
-    let msg = match r.u8()? {
-        1 => {
-            let epoch = r.u64()?;
-            let n = r.u16()?;
-            // every op costs at least its 1-byte tag
-            let mut ops = Vec::with_capacity((n as usize).min(r.remaining()));
-            for _ in 0..n {
-                ops.push(get_op(r)?);
-            }
-            CtrlMsg::Prepare { epoch, ops }
-        }
+fn get_msg(r: &mut Reader<'_>) -> Result<CtrlMsg, ProtoError> {
+    Ok(match r.u8()? {
+        1 => CtrlMsg::Prepare {
+            epoch: r.u64()?,
+            ops: get_ops(r)?,
+        },
         2 => CtrlMsg::Commit { epoch: r.u64()? },
         3 => CtrlMsg::Abort { epoch: r.u64()? },
         4 => CtrlMsg::Heartbeat { nonce: r.u64()? },
         5 => CtrlMsg::PullStats,
         6 => CtrlMsg::PullTrace { max: r.u16()? },
-        7 => {
-            let epoch = r.u64()?;
-            let base_digest = r.u64()?;
-            let n = r.u16()?;
-            // every op costs at least its 1-byte tag
-            let mut ops = Vec::with_capacity((n as usize).min(r.remaining()));
-            for _ in 0..n {
-                ops.push(get_op(r)?);
-            }
-            CtrlMsg::DeltaPrepare {
-                epoch,
-                base_digest,
-                ops,
-            }
-        }
-        8 => {
-            let nonce = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut views = Vec::with_capacity(n.min(r.remaining() / (4 + VIEW_WIRE_MIN)));
-            for _ in 0..n {
-                let host = r.u32()?;
-                views.push((host, get_view(r)?));
-            }
-            CtrlMsg::AggSync { nonce, views }
-        }
+        7 => CtrlMsg::DeltaPrepare {
+            epoch: r.u64()?,
+            base_digest: r.u64()?,
+            ops: get_ops(r)?,
+        },
+        8 => CtrlMsg::AggSync {
+            nonce: r.u64()?,
+            views: r.seq(2, 4 + VIEW_WIRE_MIN, |r| Ok((r.u32()?, get_view(r)?)))?,
+        },
         other => return Err(ProtoError::BadTag(other)),
-    };
-    Ok(msg)
+    })
 }
 
-/// Serialize an agent → controller reply.
-pub fn encode_reply(reply: &CtrlReply) -> Vec<u8> {
-    let mut w = Writer::default();
+fn put_reply(w: &mut Writer, reply: &CtrlReply) {
     match reply {
         CtrlReply::Ack { re, epoch, phase } => {
             w.u8(1);
@@ -1304,7 +1101,7 @@ pub fn encode_reply(reply: &CtrlReply) -> Vec<u8> {
             w.u64(*nonce);
             w.u64(*epoch);
             w.u64(*digest);
-            put_spans(&mut w, spans);
+            put_spans(w, spans);
         }
         CtrlReply::Stats {
             re,
@@ -1319,13 +1116,13 @@ pub fn encode_reply(reply: &CtrlReply) -> Vec<u8> {
             w.u64(*epoch);
             w.u64(*digest);
             w.u64(*captured_at_ns);
-            put_counters(&mut w, counters);
-            put_latencies(&mut w, latencies);
+            put_counters(w, counters);
+            w.seq(2, latencies, put_latency);
         }
         CtrlReply::Spans { re, spans } => {
             w.u8(5);
             w.u32(*re);
-            put_spans(&mut w, spans);
+            put_spans(w, spans);
         }
         CtrlReply::AggPong {
             re,
@@ -1348,148 +1145,201 @@ pub fn encode_reply(reply: &CtrlReply) -> Vec<u8> {
             w.u32(*hosts_synced);
             w.u64(*max_epoch);
             w.u8(u8::from(*diverged));
-            w.u16(deltas.len() as u16);
-            for (host, d) in deltas {
+            w.seq(2, deltas, |w, (host, d)| {
                 w.u32(*host);
-                put_delta(&mut w, d);
-            }
-            put_spans(&mut w, spans);
+                put_delta(w, d);
+            });
+            put_spans(w, spans);
         }
     }
-    w.0
 }
 
-/// Serialize an agent → controller reply with a replication delta
-/// section appended. An empty `deltas` emits no section (byte-identical
-/// to [`encode_reply`]). Only replies that end in an *explicit* section
-/// may grow this trailer — [`encode_reply`] always emits Pong's span
-/// section and Stats' latency section, so the delta marker can never be
-/// mistaken for their optional tails.
-pub fn encode_reply_synced(reply: &CtrlReply, deltas: &[FuncDelta]) -> Vec<u8> {
-    let mut w = Writer(encode_reply(reply));
-    if !deltas.is_empty() {
-        put_repl_deltas(&mut w, deltas);
-    }
-    w.0
-}
-
-/// Parse an agent → controller reply plus its optional replication delta
-/// section. A frame without the section decodes with no deltas — never
-/// an error.
-pub fn decode_reply_synced(buf: &[u8]) -> Result<(CtrlReply, Vec<FuncDelta>), ProtoError> {
-    let mut r = Reader::new(buf);
-    let reply = read_reply(&mut r)?;
-    let deltas = if r.peek_u16() == Some(REPL_MARK) {
-        r.u16()?; // consume the marker
-        get_repl_deltas(&mut r)?
-    } else {
-        Vec::new()
-    };
-    Ok((reply, deltas))
-}
-
-/// Parse an agent → controller reply.
-pub fn decode_reply(buf: &[u8]) -> Result<CtrlReply, ProtoError> {
-    read_reply(&mut Reader::new(buf))
-}
-
-fn read_reply(r: &mut Reader<'_>) -> Result<CtrlReply, ProtoError> {
-    let reply = match r.u8()? {
-        1 => {
-            let re = r.u32()?;
-            let epoch = r.u64()?;
-            let phase = match r.u8()? {
+fn get_reply(r: &mut Reader<'_>) -> Result<CtrlReply, ProtoError> {
+    Ok(match r.u8()? {
+        1 => CtrlReply::Ack {
+            re: r.u32()?,
+            epoch: r.u64()?,
+            phase: match r.u8()? {
                 0 => AckPhase::Prepare,
                 1 => AckPhase::Commit,
                 2 => AckPhase::Abort,
                 other => return Err(ProtoError::BadTag(other)),
-            };
-            CtrlReply::Ack { re, epoch, phase }
-        }
-        2 => {
-            let re = r.u32()?;
-            let epoch = r.u64()?;
-            let reason = r.str()?;
-            CtrlReply::Nack { re, epoch, reason }
-        }
-        3 => {
-            let re = r.u32()?;
-            let nonce = r.u64()?;
-            let epoch = r.u64()?;
-            let digest = r.u64()?;
+            },
+        },
+        2 => CtrlReply::Nack {
+            re: r.u32()?,
+            epoch: r.u64()?,
+            reason: r.str()?,
+        },
+        3 => CtrlReply::Pong {
+            re: r.u32()?,
+            nonce: r.u64()?,
+            epoch: r.u64()?,
+            digest: r.u64()?,
             // The span section was appended to Pong later; a frame from
             // a pre-tracing encoder simply ends here.
-            let spans = if r.remaining() == 0 {
+            spans: if r.remaining() == 0 {
                 Vec::new()
             } else {
                 get_spans(r)?
-            };
-            CtrlReply::Pong {
-                re,
-                nonce,
-                epoch,
-                digest,
-                spans,
-            }
-        }
-        4 => {
-            let re = r.u32()?;
-            let epoch = r.u64()?;
-            let digest = r.u64()?;
-            let captured_at_ns = r.u64()?;
-            let counters = get_counters(r)?;
-            // Same append-only evolution as Pong's span section.
-            let latencies = if r.remaining() == 0 {
+            },
+        },
+        4 => CtrlReply::Stats {
+            re: r.u32()?,
+            epoch: r.u64()?,
+            digest: r.u64()?,
+            captured_at_ns: r.u64()?,
+            counters: get_counters(r)?,
+            // Same append-only evolution as Pong's span section; each
+            // stat costs at least its name prefix + sum + pair count.
+            latencies: if r.remaining() == 0 {
                 Vec::new()
             } else {
-                get_latencies(r)?
-            };
-            CtrlReply::Stats {
-                re,
-                epoch,
-                digest,
-                captured_at_ns,
-                counters,
-                latencies,
-            }
-        }
-        5 => {
-            let re = r.u32()?;
-            let spans = get_spans(r)?;
-            CtrlReply::Spans { re, spans }
-        }
-        6 => {
-            let re = r.u32()?;
-            let nonce = r.u64()?;
-            let epoch = r.u64()?;
-            let digest = r.u64()?;
-            let hosts_total = r.u32()?;
-            let hosts_synced = r.u32()?;
-            let max_epoch = r.u64()?;
-            let diverged = r.u8()? != 0;
-            let n = r.u16()? as usize;
-            let mut deltas = Vec::with_capacity(n.min(r.remaining() / (4 + DELTA_WIRE_MIN)));
-            for _ in 0..n {
-                let host = r.u32()?;
-                deltas.push((host, get_delta(r)?));
-            }
-            let spans = get_spans(r)?;
-            CtrlReply::AggPong {
-                re,
-                nonce,
-                epoch,
-                digest,
-                hosts_total,
-                hosts_synced,
-                max_epoch,
-                diverged,
-                deltas,
-                spans,
-            }
-        }
+                r.seq(2, 13, get_latency)?
+            },
+        },
+        5 => CtrlReply::Spans {
+            re: r.u32()?,
+            spans: get_spans(r)?,
+        },
+        6 => CtrlReply::AggPong {
+            re: r.u32()?,
+            nonce: r.u64()?,
+            epoch: r.u64()?,
+            digest: r.u64()?,
+            hosts_total: r.u32()?,
+            hosts_synced: r.u32()?,
+            max_epoch: r.u64()?,
+            diverged: r.u8()? != 0,
+            deltas: r.seq(2, 4 + DELTA_WIRE_MIN, |r| Ok((r.u32()?, get_delta(r)?)))?,
+            spans: get_spans(r)?,
+        },
         other => return Err(ProtoError::BadTag(other)),
+    })
+}
+
+// ----------------------------------------------------------------------
+// the frame
+// ----------------------------------------------------------------------
+
+/// One logical message, either direction: the body, then the optional
+/// trailing sections in their fixed wire order (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame<B, R> {
+    pub body: B,
+    /// The replication section: a host's [`FuncView`]s on the way down,
+    /// its [`FuncDelta`]s on the way up. Empty means no section.
+    pub repl: Vec<R>,
+    /// The trace context the sender parents this exchange's spans under.
+    pub trace: Option<TraceContext>,
+}
+
+/// Controller → participant.
+pub type Request = Frame<CtrlMsg, FuncView>;
+/// Participant → controller.
+pub type Response = Frame<CtrlReply, FuncDelta>;
+
+/// A bare body: no sections.
+impl<B, R> From<B> for Frame<B, R> {
+    fn from(body: B) -> Frame<B, R> {
+        Frame {
+            body,
+            repl: Vec::new(),
+            trace: None,
+        }
+    }
+}
+
+impl Request {
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        let body = |w: &mut Writer| put_msg(w, &self.body);
+        encode(body, &self.repl, put_view, self.trace.as_ref())
+    }
+
+    pub fn decode(buf: &[u8]) -> Result<Request, ProtoError> {
+        decode(buf, get_msg, VIEW_WIRE_MIN, get_view)
+    }
+}
+
+impl Response {
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        let body = |w: &mut Writer| put_reply(w, &self.body);
+        encode(body, &self.repl, put_delta, self.trace.as_ref())
+    }
+
+    pub fn decode(buf: &[u8]) -> Result<Response, ProtoError> {
+        decode(buf, get_reply, DELTA_WIRE_MIN, get_delta)
+    }
+}
+
+/// The [`Request`] carrying `Prepare { epoch, ops }`, for a caller that
+/// keeps the ops: a config history encodes each version's full ship from
+/// the ops it holds, without cloning them into a message first.
+pub fn encode_prepare(
+    epoch: u64,
+    ops: &[EnclaveOp],
+    trace: Option<&TraceContext>,
+) -> Result<Vec<u8>, ProtoError> {
+    let body = |w: &mut Writer| {
+        w.u8(PREPARE);
+        w.u64(epoch);
+        put_ops(w, ops);
     };
-    Ok(reply)
+    encode(body, &[], put_view, trace)
+}
+
+/// The one encoder: body, replication section, trace trailer. Refuses
+/// ([`ProtoError::TooLong`]) what cannot go on the wire as written.
+fn encode<R>(
+    body: impl FnOnce(&mut Writer),
+    repl: &[R],
+    put_item: impl FnMut(&mut Writer, &R),
+    trace: Option<&TraceContext>,
+) -> Result<Vec<u8>, ProtoError> {
+    let mut w = Writer::default();
+    body(&mut w);
+    put_repl(&mut w, repl, put_item);
+    if let Some(t) = trace {
+        w.u16(TRACE_MARK);
+        w.u64(t.trace_id);
+        w.u64(t.parent_span);
+        w.u8(u8::from(t.sampled));
+    }
+    w.finish(trace.is_some())
+}
+
+/// The one decoder. A frame without a section decodes with it empty —
+/// never an error — and trailing bytes that are not a trailer are not a
+/// context either. A frame whose trailing bytes *open* with
+/// [`REPL_MARK`] must carry a well-formed section: garbage there is
+/// rejected (the sender's retry covers the drop), exactly like any other
+/// malformed message.
+fn decode<'a, B, R>(
+    buf: &'a [u8],
+    get_body: impl FnOnce(&mut Reader<'a>) -> Result<B, ProtoError>,
+    item_min: usize,
+    get_item: impl FnMut(&mut Reader<'a>) -> Result<R, ProtoError>,
+) -> Result<Frame<B, R>, ProtoError> {
+    let mut r = Reader::new(buf);
+    let body = get_body(&mut r)?;
+    let repl = if r.peek_u16() == Some(REPL_MARK) {
+        r.u16()?; // consume the marker
+        r.seq(2, item_min, get_item)?
+    } else {
+        Vec::new()
+    };
+    // the trailer is recognised by its fixed size from the end
+    let trace = if r.remaining() == TRACE_TRAILER && r.peek_u16() == Some(TRACE_MARK) {
+        r.u16()?;
+        Some(TraceContext {
+            trace_id: r.u64()?,
+            parent_span: r.u64()?,
+            sampled: r.u8()? != 0,
+        })
+    } else {
+        None
+    };
+    Ok(Frame { body, repl, trace })
 }
 
 // ----------------------------------------------------------------------
@@ -1637,6 +1487,32 @@ impl Reassembler {
 mod tests {
     use super::*;
 
+    fn encode_msg(msg: &CtrlMsg) -> Vec<u8> {
+        Request::from(msg.clone()).encode().expect("fits the wire")
+    }
+
+    fn decode_msg(buf: &[u8]) -> Result<CtrlMsg, ProtoError> {
+        Request::decode(buf).map(|f| f.body)
+    }
+
+    fn encode_reply(reply: &CtrlReply) -> Vec<u8> {
+        Response::from(reply.clone())
+            .encode()
+            .expect("fits the wire")
+    }
+
+    fn decode_reply(buf: &[u8]) -> Result<CtrlReply, ProtoError> {
+        Response::decode(buf).map(|f| f.body)
+    }
+
+    /// A writer that continues the encoded message `bytes`.
+    fn continuing(bytes: Vec<u8>) -> Writer {
+        Writer {
+            buf: bytes,
+            overflowed: false,
+        }
+    }
+
     fn sample_ops() -> Vec<EnclaveOp> {
         vec![
             EnclaveOp::Reset,
@@ -1698,6 +1574,61 @@ mod tests {
         }
     }
 
+    // A count that does not fit its prefix used to be written `len() as
+    // u16`: 65,542 ops went out as a well-formed Prepare of 6.
+    #[test]
+    fn a_sequence_longer_than_its_count_prefix_is_refused_not_wrapped() {
+        let prepare = |n: usize| CtrlMsg::Prepare {
+            epoch: 1,
+            ops: vec![EnclaveOp::Reset; n],
+        };
+        let most = Request::from(prepare(u16::MAX as usize));
+        assert_eq!(Request::decode(&most.encode().unwrap()), Ok(most));
+        let over = Request::from(prepare(u16::MAX as usize + 7));
+        assert_eq!(over.encode(), Err(ProtoError::TooLong));
+        assert_eq!(
+            encode_prepare(1, &vec![EnclaveOp::Reset; 65_542], None),
+            Err(ProtoError::TooLong)
+        );
+
+        // every width: one-byte bucket counts, four-byte element counts
+        let mut w = Writer::default();
+        w.seq(1, &[0u8; 255], |w, b| w.u8(*b));
+        assert!(!w.overflowed);
+        w.seq(1, &[0u8; 256], |w, b| w.u8(*b));
+        assert!(w.overflowed);
+        assert_eq!(w.finish(false), Err(ProtoError::TooLong));
+    }
+
+    #[test]
+    fn a_message_over_the_fragment_limit_is_refused_with_or_without_its_trailer() {
+        let array = |n: usize| CtrlMsg::Prepare {
+            epoch: 1,
+            ops: vec![EnclaveOp::SetArray {
+                func: 0,
+                array: 0,
+                values: vec![7; n],
+            }],
+        };
+        // tag, epoch, op count, op tag, func, array, element count
+        let fixed = 1 + 8 + 2 + 1 + 4 + 4 + 4;
+        let fits = (MAX_FRAGS * MAX_CHUNK - TRACE_TRAILER - fixed) / 8;
+        let ctx = TraceContext::sampled(1, 2);
+        for trace in [None, Some(ctx)] {
+            let frame = Request {
+                trace,
+                ..array(fits).into()
+            };
+            let bytes = frame.encode().expect("leaves room for the trailer");
+            assert_eq!(fragment(1, &bytes).len(), MAX_FRAGS);
+            let frame = Request {
+                trace,
+                ..array(fits + 1).into()
+            };
+            assert_eq!(frame.encode(), Err(ProtoError::TooLong));
+        }
+    }
+
     fn sample_spans() -> Vec<Span> {
         vec![
             Span {
@@ -1722,30 +1653,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_trailer_round_trips_and_is_invisible_to_untraced_decoders() {
+    fn trace_trailer_round_trips_and_costs_an_untraced_frame_nothing() {
         let msg = CtrlMsg::Commit { epoch: 8 };
         let ctx = TraceContext::sampled(0xABCD, (3u64 << 40) | 7);
-        let traced = encode_msg_traced(&msg, &ctx);
+        let traced = Request {
+            trace: Some(ctx),
+            ..msg.clone().into()
+        };
+        let bytes = traced.encode().unwrap();
+        assert_eq!(Request::decode(&bytes), Ok(traced));
 
-        // a traced-aware decoder recovers both halves
-        let (m, got) = decode_msg_traced(&traced).unwrap();
-        assert_eq!(m, msg);
-        assert_eq!(got, Some(ctx));
-
-        // an untraced decoder ignores the trailer entirely
-        assert_eq!(decode_msg(&traced).unwrap(), msg);
-
-        // a frame without a trailer decodes with no context
-        let (m, got) = decode_msg_traced(&encode_msg(&msg)).unwrap();
-        assert_eq!(m, msg);
-        assert_eq!(got, None);
+        // the trailer follows the bare body, which is all an untraced
+        // frame is
+        let bare = encode_msg(&msg);
+        assert_eq!(bytes.len(), bare.len() + TRACE_TRAILER);
+        assert_eq!(bytes[..bare.len()], bare[..]);
+        assert_eq!(Request::decode(&bare), Ok(msg.clone().into()));
 
         // trailing bytes that are not a trailer are not a context either
-        let mut junk = encode_msg(&msg);
+        let mut junk = bare;
         junk.extend_from_slice(&[0u8; TRACE_TRAILER]);
-        let (m, got) = decode_msg_traced(&junk).unwrap();
-        assert_eq!(m, msg);
-        assert_eq!(got, None);
+        assert_eq!(Request::decode(&junk), Ok(msg.into()));
     }
 
     fn sample_views() -> Vec<FuncView> {
@@ -1798,31 +1726,30 @@ mod tests {
     #[test]
     fn repl_view_section_rides_heartbeats_next_to_the_trace_trailer() {
         let msg = CtrlMsg::Heartbeat { nonce: 4 };
-        let views = sample_views();
         let ctx = TraceContext::sampled(0x77, 0x2000);
+        let bare = encode_msg(&msg);
 
-        // with trailer: msg → views → trailer, all three recovered
-        let buf = encode_msg_synced(&msg, &views, Some(&ctx));
-        let (m, v, c) = decode_msg_synced(&buf).unwrap();
-        assert_eq!((m, v, c), (msg.clone(), views.clone(), Some(ctx)));
-        // a repl-unaware decoder still reads the message
-        assert_eq!(decode_msg(&buf).unwrap(), msg);
+        // body → views → trailer, all three recovered, with and without
+        // the trailer
+        for trace in [Some(ctx), None] {
+            let frame = Request {
+                body: msg.clone(),
+                repl: sample_views(),
+                trace,
+            };
+            let buf = frame.encode().unwrap();
+            assert_eq!(buf[..bare.len()], bare[..], "the body leads");
+            assert_eq!(Request::decode(&buf), Ok(frame));
 
-        // without trailer
-        let buf = encode_msg_synced(&msg, &views, None);
-        let (m, v, c) = decode_msg_synced(&buf).unwrap();
-        assert_eq!((m, v, c), (msg.clone(), views.clone(), None));
-
-        // no views: byte-identical to the plain encodings
-        assert_eq!(encode_msg_synced(&msg, &[], None), encode_msg(&msg));
-        assert_eq!(
-            encode_msg_synced(&msg, &[], Some(&ctx)),
-            encode_msg_traced(&msg, &ctx)
-        );
-
-        // pre-replication frames decode with empty views
-        let (m, v, c) = decode_msg_synced(&encode_msg_traced(&msg, &ctx)).unwrap();
-        assert_eq!((m, v, c), (msg, Vec::new(), Some(ctx)));
+            // no views: no section, not an empty one
+            let plain = Request {
+                body: msg.clone(),
+                repl: Vec::new(),
+                trace,
+            };
+            let trailer = trace.map_or(0, |_| TRACE_TRAILER);
+            assert_eq!(plain.encode().unwrap().len(), bare.len() + trailer);
+        }
     }
 
     #[test]
@@ -1834,53 +1761,54 @@ mod tests {
             digest: 6,
             spans: sample_spans(),
         };
-        let deltas = sample_deltas();
-        let buf = encode_reply_synced(&reply, &deltas);
-        let (got, d) = decode_reply_synced(&buf).unwrap();
-        assert_eq!((got, d), (reply.clone(), deltas.clone()));
-        // a repl-unaware decoder still reads the reply (spans intact)
-        assert_eq!(decode_reply(&buf).unwrap(), reply);
-        // no deltas: byte-identical; old frames decode with none
-        assert_eq!(encode_reply_synced(&reply, &[]), encode_reply(&reply));
-        let (got, d) = decode_reply_synced(&encode_reply(&reply)).unwrap();
-        assert_eq!((got, d), (reply, Vec::new()));
-        // the telemetry sample matches the actual section size
-        let plain = encode_reply_synced(
-            &CtrlReply::Pong {
-                re: 3,
-                nonce: 4,
-                epoch: 5,
-                digest: 6,
-                spans: sample_spans(),
-            },
-            &[],
+        let plain = encode_reply(&reply);
+        let frame = Response {
+            repl: sample_deltas(),
+            ..reply.clone().into()
+        };
+        let buf = frame.encode().unwrap();
+        assert_eq!(
+            buf[..plain.len()],
+            plain[..],
+            "the body leads, spans intact"
         );
-        assert_eq!(repl_deltas_wire_len(&deltas), buf.len() - plain.len());
+        assert_eq!(Response::decode(&buf), Ok(frame));
+        // a frame without the section decodes with no deltas
+        assert_eq!(Response::decode(&plain), Ok(reply.into()));
+        // the telemetry sample matches the actual section size
+        assert_eq!(
+            repl_deltas_wire_len(&sample_deltas()),
+            buf.len() - plain.len()
+        );
         assert_eq!(repl_deltas_wire_len(&[]), 0);
     }
 
     #[test]
     fn hostile_repl_sections_rejected_without_overallocation() {
         // view count lie: u16::MAX views claimed, no data follows
-        let mut w = Writer(encode_msg(&CtrlMsg::Heartbeat { nonce: 1 }));
+        let mut w = continuing(encode_msg(&CtrlMsg::Heartbeat { nonce: 1 }));
         w.u16(REPL_MARK);
         w.u16(u16::MAX);
-        assert_eq!(decode_msg_synced(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::Truncated));
 
         // bad snapshot flag inside a view
         let mut views = sample_views();
         views[0].snapshot = None;
         views[0].entries.clear();
-        let mut buf = encode_msg_synced(&CtrlMsg::Heartbeat { nonce: 1 }, &views, None);
+        let frame = Request {
+            repl: views,
+            ..CtrlMsg::Heartbeat { nonce: 1 }.into()
+        };
+        let mut buf = frame.encode().unwrap();
         // the tail after the flag: empty entry count + acked + digest +
         // divergent byte
         let flag_at = buf.len() - (2 + 8 + 8 + 1) - 1;
         assert_eq!(buf[flag_at], 0, "located the snapshot flag");
         buf[flag_at] = 9;
-        assert_eq!(decode_msg_synced(&buf), Err(ProtoError::BadTag(9)));
+        assert_eq!(decode_msg(&buf), Err(ProtoError::BadTag(9)));
 
         // bad sequenced-target tag inside a delta
-        let mut w = Writer(encode_reply(&CtrlReply::Ack {
+        let mut w = continuing(encode_reply(&CtrlReply::Ack {
             re: 1,
             epoch: 1,
             phase: AckPhase::Commit,
@@ -1893,10 +1821,10 @@ mod tests {
         w.u16(1); // one seq op
         w.u64(1); // op id
         w.u8(7); // bogus target tag
-        assert_eq!(decode_reply_synced(&w.0), Err(ProtoError::BadTag(7)));
+        assert_eq!(decode_reply(&w.buf), Err(ProtoError::BadTag(7)));
 
         // delta count lie on a pong
-        let mut w = Writer(encode_reply(&CtrlReply::Pong {
+        let mut w = continuing(encode_reply(&CtrlReply::Pong {
             re: 1,
             nonce: 1,
             epoch: 1,
@@ -1905,7 +1833,7 @@ mod tests {
         }));
         w.u16(REPL_MARK);
         w.u16(u16::MAX);
-        assert_eq!(decode_reply_synced(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_reply(&w.buf), Err(ProtoError::Truncated));
     }
 
     #[test]
@@ -1943,7 +1871,7 @@ mod tests {
         w.u64(3);
         w.u64(0xDEADBEEF);
         assert_eq!(
-            decode_reply(&w.0).unwrap(),
+            decode_reply(&w.buf).unwrap(),
             CtrlReply::Pong {
                 re: 12,
                 nonce: 5,
@@ -1961,7 +1889,7 @@ mod tests {
         w.u64(99);
         put_counters(&mut w, &EnclaveCounters::default());
         assert!(matches!(
-            decode_reply(&w.0).unwrap(),
+            decode_reply(&w.buf).unwrap(),
             CtrlReply::Stats { re: 13, latencies, .. } if latencies.is_empty()
         ));
     }
@@ -1980,14 +1908,14 @@ mod tests {
         w.bytes(&[b'x'; MAX_SPAN_NAME + 1]);
         w.u64(0);
         w.u64(0);
-        assert_eq!(decode_reply(&w.0), Err(ProtoError::BadString));
+        assert_eq!(decode_reply(&w.buf), Err(ProtoError::BadString));
 
         // span count lie: u16::MAX spans claimed, no data follows
         let mut w = Writer::default();
         w.u8(5);
         w.u32(1);
         w.u16(u16::MAX);
-        assert_eq!(decode_reply(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_reply(&w.buf), Err(ProtoError::Truncated));
 
         // latency bucket index out of range
         let mut w = Writer::default();
@@ -2003,7 +1931,7 @@ mod tests {
         w.u8(1); // one bucket pair
         w.u8(64); // index >= HIST_BUCKETS
         w.u64(1);
-        assert_eq!(decode_reply(&w.0), Err(ProtoError::BadTag(64)));
+        assert_eq!(decode_reply(&w.buf), Err(ProtoError::BadTag(64)));
     }
 
     #[test]
@@ -2279,7 +2207,7 @@ mod tests {
         }
         w.u16(0); // no arrays
         w.u8(0); // concurrency
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::BadSchema));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::BadSchema));
     }
 
     // Pinned by the fuzz harness: same panic through the duplicate-array
@@ -2302,7 +2230,7 @@ mod tests {
             w.u8(0); // access
         }
         w.u8(0);
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::BadSchema));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::BadSchema));
     }
 
     // A frame no honest controller sends: bytecode that stores message
@@ -2349,12 +2277,12 @@ mod tests {
         w.u32(0); // table 0
         w.u8(0); // MatchSpec::Any
         w.u32(0); // func 0
-        let msg = decode_msg(&w.0).expect("well-formed frame");
+        let msg = decode_msg(&w.buf).expect("well-formed frame");
         assert!(matches!(&msg, CtrlMsg::Prepare { epoch: 1, ops } if ops.len() == 3));
 
         let mut agent = EnclaveAgent::new(Enclave::new(EnclaveConfig::default()));
         let digest = agent.enclave().config_digest();
-        match agent.handle(1, msg) {
+        match agent.handle(1, msg.into(), 0).body {
             CtrlReply::Nack { re, epoch, reason } => {
                 assert_eq!((re, epoch), (1, 1));
                 assert!(
@@ -2368,7 +2296,7 @@ mod tests {
         assert_eq!(e.staged_epoch(), None);
         assert_eq!((e.active_epoch(), e.config_digest()), (0, digest));
         assert!(matches!(
-            agent.handle(2, CtrlMsg::Commit { epoch: 1 }),
+            agent.handle(2, CtrlMsg::Commit { epoch: 1 }.into(), 0).body,
             CtrlReply::Nack { re: 2, .. }
         ));
     }
@@ -2402,7 +2330,7 @@ mod tests {
         w.str("V");
         w.u8(1); // old encoding: bare access byte (read-write)
         w.u8(1); // concurrency
-        let CtrlMsg::Prepare { ops, .. } = decode_msg(&w.0).unwrap() else {
+        let CtrlMsg::Prepare { ops, .. } = decode_msg(&w.buf).unwrap() else {
             panic!("expected prepare");
         };
         let EnclaveOp::InstallFunction { schema, .. } = &ops[0] else {
@@ -2435,7 +2363,7 @@ mod tests {
         w.u8(0); // MergedSum
         w.u16(0); // no arrays
         w.u8(1); // concurrency
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::BadSchema));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::BadSchema));
     }
 
     #[test]
@@ -2454,7 +2382,7 @@ mod tests {
         w.u8(0x84); // flags with undefined bits set
         w.u16(0);
         w.u8(0);
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::BadTag(0x84)));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::BadTag(0x84)));
     }
 
     // Pinned by the fuzz harness: a `SetArray` op whose length field says
@@ -2470,7 +2398,7 @@ mod tests {
         w.u32(0); // func
         w.u32(0); // array
         w.u32(u32::MAX); // claimed element count, no data follows
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::Truncated));
     }
 
     #[test]
@@ -2537,23 +2465,25 @@ mod tests {
 
     // The delta/aggregation verbs compose with the optional trailing
     // sections the same way every verb before them does: repl section
-    // after the message, trace trailer always last, section-unaware
-    // decoders see only their slice.
+    // after the message, trace trailer always last.
     #[test]
     fn delta_and_agg_verbs_compose_with_trailing_sections() {
-        let msg = CtrlMsg::DeltaPrepare {
-            epoch: 3,
-            base_digest: 0xB00,
-            ops: vec![EnclaveOp::RemoveRule { table: 0, rule: 2 }],
+        let frame = Request {
+            body: CtrlMsg::DeltaPrepare {
+                epoch: 3,
+                base_digest: 0xB00,
+                ops: vec![EnclaveOp::RemoveRule { table: 0, rule: 2 }],
+            },
+            repl: sample_views(),
+            trace: Some(TraceContext::sampled(0x99, 0x4000)),
         };
-        let ctx = TraceContext::sampled(0x99, 0x4000);
-        let buf = encode_msg_synced(&msg, &sample_views(), Some(&ctx));
-        let (m, v, c) = decode_msg_synced(&buf).unwrap();
-        assert_eq!((m, v, c), (msg.clone(), sample_views(), Some(ctx)));
-        assert_eq!(decode_msg(&buf).unwrap(), msg);
+        let buf = frame.encode().unwrap();
+        let bare = encode_msg(&frame.body);
+        assert_eq!(buf[..bare.len()], bare[..]);
+        assert_eq!(Request::decode(&buf), Ok(frame));
 
-        // AggPong spans live inside the verb, not the trailer, so the
-        // synced reply decoder must pass it through with no delta section.
+        // AggPong's deltas and spans live inside the verb, not in the
+        // sections: it decodes with an empty replication section.
         let pong = CtrlReply::AggPong {
             re: 1,
             nonce: 2,
@@ -2566,9 +2496,7 @@ mod tests {
             deltas: vec![(9, sample_deltas().remove(0))],
             spans: sample_spans(),
         };
-        let (r, extra) = decode_reply_synced(&encode_reply(&pong)).unwrap();
-        assert_eq!(r, pong);
-        assert!(extra.is_empty());
+        assert_eq!(Response::decode(&encode_reply(&pong)), Ok(pong.into()));
     }
 
     // Wire pin for `DeltaPrepare`: byte-for-byte layout a third-party
@@ -2591,7 +2519,7 @@ mod tests {
         w.u32(0);
         w.u32(1);
         assert_eq!(
-            decode_msg(&w.0).unwrap(),
+            decode_msg(&w.buf).unwrap(),
             CtrlMsg::DeltaPrepare {
                 epoch: 21,
                 base_digest: 0xC0FFEE,
@@ -2652,7 +2580,7 @@ mod tests {
         w.u8(8);
         w.u64(1); // nonce
         w.u16(u16::MAX);
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::Truncated));
 
         // AggPong claiming u16::MAX host-tagged deltas with no data
         let mut w = Writer::default();
@@ -2666,7 +2594,7 @@ mod tests {
         w.u64(1); // max_epoch
         w.u8(0); // diverged
         w.u16(u16::MAX);
-        assert_eq!(decode_reply(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_reply(&w.buf), Err(ProtoError::Truncated));
 
         // DeltaPrepare claiming u16::MAX ops with no data
         let mut w = Writer::default();
@@ -2674,6 +2602,6 @@ mod tests {
         w.u64(1);
         w.u64(1);
         w.u16(u16::MAX);
-        assert_eq!(decode_msg(&w.0), Err(ProtoError::Truncated));
+        assert_eq!(decode_msg(&w.buf), Err(ProtoError::Truncated));
     }
 }

@@ -16,11 +16,9 @@ use crate::report::{Failure, OracleReport};
 use crate::rng::FuzzRng;
 use eden_core::{ClassId, EnclaveOp, MatchSpec};
 use eden_ctrl::proto::{
-    decode_msg, decode_msg_synced, decode_msg_traced, decode_reply, decode_reply_synced,
-    encode_msg, encode_msg_synced, encode_msg_traced, encode_reply, encode_reply_synced, fragment,
-    repl_deltas_wire_len, Reassembler, MAX_CHUNK, MAX_FRAGS, MAX_SPAN_NAME,
+    fragment, repl_deltas_wire_len, Reassembler, MAX_CHUNK, MAX_FRAGS, MAX_SPAN_NAME, TRACE_TRAILER,
 };
-use eden_ctrl::{AckPhase, CtrlMsg, CtrlReply};
+use eden_ctrl::{AckPhase, CtrlMsg, CtrlReply, Request, Response};
 use eden_lang::Concurrency;
 use eden_repl::{FuncDelta, FuncView, SeqEntry, SeqOp, SeqSnapshot, SeqTarget};
 use eden_telemetry::{EnclaveCounters, LatencyStat, LogHistogram, Span, TraceContext};
@@ -356,51 +354,60 @@ fn check_vm_mutation(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
     rep.note(outcome, 1);
 }
 
-fn check_ctrl_roundtrip(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
-    let msg = gen_ctrl_msg(rng);
-    let bytes = encode_msg(&msg);
-    match decode_msg(&bytes) {
-        Ok(back) if back == msg => rep.note("ctrl.msg_roundtrip_ok", 1),
-        other => rep.failures.push(Failure {
-            oracle: "codec",
-            index,
-            detail: format!("CtrlMsg round-trip mismatch: sent {msg:?}, got {other:?}"),
-            repro: hex(&bytes),
-        }),
-    }
-    // traced envelope: the trailer must round-trip through the traced
-    // decoder AND stay invisible to the plain one
-    let ctx = TraceContext {
+/// Encode a frame the generators built: those always fit the wire.
+fn encoded(frame: Result<Vec<u8>, eden_ctrl::ProtoError>) -> Vec<u8> {
+    frame.expect("generated frames fit the wire")
+}
+
+fn gen_trace(rng: &mut FuzzRng) -> TraceContext {
+    TraceContext {
         trace_id: rng.next_u64(),
         parent_span: rng.next_u64(),
         sampled: rng.chance(1, 2),
+    }
+}
+
+fn check_ctrl_roundtrip(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
+    let bare = Request::from(gen_ctrl_msg(rng));
+    let bytes = encoded(bare.encode());
+    match Request::decode(&bytes) {
+        Ok(back) if back == bare => rep.note("ctrl.msg_roundtrip_ok", 1),
+        other => rep.failures.push(Failure {
+            oracle: "codec",
+            index,
+            detail: format!("CtrlMsg round-trip mismatch: sent {bare:?}, got {other:?}"),
+            repro: hex(&bytes),
+        }),
+    }
+    // traced: the trailer must round-trip, and must be exactly the
+    // fixed-size tail after the bytes of the untraced frame
+    let traced = Request {
+        trace: Some(gen_trace(rng)),
+        ..bare
     };
-    let traced = encode_msg_traced(&msg, &ctx);
-    match decode_msg_traced(&traced) {
-        Ok((back, Some(got))) if back == msg && got == ctx => {
-            rep.note("ctrl.traced_roundtrip_ok", 1)
-        }
+    let with_trailer = encoded(traced.encode());
+    match Request::decode(&with_trailer) {
+        Ok(back) if back == traced => rep.note("ctrl.traced_roundtrip_ok", 1),
         other => rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: format!(
-                "traced CtrlMsg round-trip mismatch: sent {msg:?} + {ctx:?}, got {other:?}"
-            ),
-            repro: hex(&traced),
+            detail: format!("traced CtrlMsg round-trip mismatch: sent {traced:?}, got {other:?}"),
+            repro: hex(&with_trailer),
         }),
     }
-    match decode_msg(&traced) {
-        Ok(back) if back == msg => rep.note("ctrl.traced_backcompat_ok", 1),
-        other => rep.failures.push(Failure {
+    if with_trailer.len() == bytes.len() + TRACE_TRAILER && with_trailer.starts_with(&bytes) {
+        rep.note("ctrl.traced_backcompat_ok", 1);
+    } else {
+        rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: format!("untraced decoder choked on traced frame: {other:?}"),
-            repro: hex(&traced),
-        }),
+            detail: "the trace trailer is not a fixed-size tail of the untraced frame".into(),
+            repro: hex(&with_trailer),
+        });
     }
-    let reply = gen_ctrl_reply(rng);
-    let bytes = encode_reply(&reply);
-    match decode_reply(&bytes) {
+    let reply = Response::from(gen_ctrl_reply(rng));
+    let bytes = encoded(reply.encode());
+    match Response::decode(&bytes) {
         Ok(back) if back == reply => rep.note("ctrl.reply_roundtrip_ok", 1),
         other => rep.failures.push(Failure {
             oracle: "codec",
@@ -415,135 +422,135 @@ fn check_repl_roundtrip(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
     // heartbeat-direction: message + view section (+ optional trailer)
     let msg = gen_ctrl_msg(rng);
     let views: Vec<FuncView> = (0..rng.range(1, 4)).map(|_| gen_view(rng)).collect();
-    let ctx = if rng.chance(1, 2) {
-        Some(TraceContext {
-            trace_id: rng.next_u64(),
-            parent_span: rng.next_u64(),
-            sampled: rng.chance(1, 2),
-        })
+    let trace = rng.chance(1, 2).then(|| gen_trace(rng));
+    let synced = Request {
+        body: msg,
+        repl: views,
+        trace,
+    };
+    let bytes = encoded(synced.encode());
+    match Request::decode(&bytes) {
+        Ok(back) if back == synced => rep.note("repl.msg_roundtrip_ok", 1),
+        other => rep.failures.push(Failure {
+            oracle: "codec",
+            index,
+            detail: format!("synced CtrlMsg round-trip mismatch: sent {synced:?}, got {other:?}"),
+            repro: hex(&bytes),
+        }),
+    }
+    // an empty view section is no section at all: the frame is the body
+    // (and trailer) a sender that never heard of replication writes, and
+    // it decodes with no views
+    let plain = Request {
+        repl: Vec::new(),
+        ..synced
+    };
+    let plain_bytes = encoded(plain.encode());
+    let body_len = plain_bytes.len() - trace.map_or(0, |_| TRACE_TRAILER);
+    if bytes.starts_with(&plain_bytes[..body_len]) {
+        rep.note("repl.msg_backcompat_ok", 1);
     } else {
-        None
-    };
-    let synced = encode_msg_synced(&msg, &views, ctx.as_ref());
-    match decode_msg_synced(&synced) {
-        Ok((m, v, c)) if m == msg && v == views && c == ctx => {
-            rep.note("repl.msg_roundtrip_ok", 1)
-        }
-        other => rep.failures.push(Failure {
-            oracle: "codec",
-            index,
-            detail: format!(
-                "synced CtrlMsg round-trip mismatch: sent {msg:?} + {} views + {ctx:?}, got {other:?}",
-                views.len()
-            ),
-            repro: hex(&synced),
-        }),
-    }
-    // a pre-replication decoder must still read the message fields and
-    // simply never look at the view section
-    match decode_msg(&synced) {
-        Ok(m) if m == msg => rep.note("repl.msg_backcompat_ok", 1),
-        other => rep.failures.push(Failure {
-            oracle: "codec",
-            index,
-            detail: format!("plain decoder choked on synced frame: {other:?}"),
-            repro: hex(&synced),
-        }),
-    }
-    // and the synced decoder must accept pre-replication frames: plain
-    // and traced encodings decode with an empty view section
-    let plain = match ctx.as_ref() {
-        Some(c) => encode_msg_traced(&msg, c),
-        None => encode_msg(&msg),
-    };
-    match decode_msg_synced(&plain) {
-        Ok((m, v, c)) if m == msg && v.is_empty() && c == ctx => rep.note("repl.msg_plain_ok", 1),
-        other => rep.failures.push(Failure {
-            oracle: "codec",
-            index,
-            detail: format!("synced decoder misread a plain frame: {other:?}"),
-            repro: hex(&plain),
-        }),
-    }
-    // empty views emit no section at all — byte-identical frames
-    if encode_msg_synced(&msg, &[], ctx.as_ref()) != plain {
         rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: "empty view section changed the frame bytes".into(),
-            repro: hex(&plain),
+            detail: "the view section is not a tail after the message's own bytes".into(),
+            repro: hex(&bytes),
         });
+    }
+    match Request::decode(&plain_bytes) {
+        Ok(back) if back == plain => rep.note("repl.msg_plain_ok", 1),
+        other => rep.failures.push(Failure {
+            oracle: "codec",
+            index,
+            detail: format!("a frame without a view section was misread: {other:?}"),
+            repro: hex(&plain_bytes),
+        }),
     }
 
     // pong-direction: reply + delta section
     let reply = gen_ctrl_reply(rng);
     let deltas: Vec<FuncDelta> = (0..rng.range(1, 4)).map(|_| gen_delta(rng)).collect();
-    let synced = encode_reply_synced(&reply, &deltas);
-    match decode_reply_synced(&synced) {
-        Ok((r, d)) if r == reply && d == deltas => rep.note("repl.reply_roundtrip_ok", 1),
+    let synced = Response {
+        repl: deltas,
+        ..reply.into()
+    };
+    let bytes = encoded(synced.encode());
+    match Response::decode(&bytes) {
+        Ok(back) if back == synced => rep.note("repl.reply_roundtrip_ok", 1),
         other => rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: format!(
-                "synced CtrlReply round-trip mismatch: sent {reply:?} + {} deltas, got {other:?}",
-                deltas.len()
-            ),
-            repro: hex(&synced),
+            detail: format!("synced CtrlReply round-trip mismatch: sent {synced:?}, got {other:?}"),
+            repro: hex(&bytes),
         }),
     }
-    match decode_reply(&synced) {
-        Ok(r) if r == reply => rep.note("repl.reply_backcompat_ok", 1),
-        other => rep.failures.push(Failure {
+    let plain = Response::from(synced.body.clone());
+    let plain_bytes = encoded(plain.encode());
+    if bytes.starts_with(&plain_bytes) {
+        rep.note("repl.reply_backcompat_ok", 1);
+    } else {
+        rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: format!("plain reply decoder choked on synced frame: {other:?}"),
-            repro: hex(&synced),
-        }),
+            detail: "the delta section is not a tail after the reply's own bytes".into(),
+            repro: hex(&bytes),
+        });
     }
-    let plain = encode_reply(&reply);
-    match decode_reply_synced(&plain) {
-        Ok((r, d)) if r == reply && d.is_empty() => rep.note("repl.reply_plain_ok", 1),
+    match Response::decode(&plain_bytes) {
+        Ok(back) if back == plain => rep.note("repl.reply_plain_ok", 1),
         other => rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: format!("synced reply decoder misread a plain frame: {other:?}"),
-            repro: hex(&plain),
+            detail: format!("a reply without a delta section was misread: {other:?}"),
+            repro: hex(&plain_bytes),
         }),
     }
     // the telemetry helper must agree with the real encoder about the
     // section's wire cost
-    if synced.len() != plain.len() + repl_deltas_wire_len(&deltas) {
+    if bytes.len() != plain_bytes.len() + repl_deltas_wire_len(&synced.repl) {
         rep.failures.push(Failure {
             oracle: "codec",
             index,
             detail: format!(
                 "repl_deltas_wire_len disagrees with the encoder: {} != {} + {}",
-                synced.len(),
-                plain.len(),
-                repl_deltas_wire_len(&deltas)
+                bytes.len(),
+                plain_bytes.len(),
+                repl_deltas_wire_len(&synced.repl)
             ),
-            repro: hex(&synced),
+            repro: hex(&bytes),
         });
     }
 }
 
 fn check_ctrl_mutation(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
-    let mut bytes = match rng.below(5) {
-        0 => encode_msg(&gen_ctrl_msg(rng)),
-        1 => encode_msg_traced(
-            &gen_ctrl_msg(rng),
-            &TraceContext::sampled(rng.next_u64(), 0),
-        ),
+    let mut bytes = encoded(match rng.below(5) {
+        0 => Request::from(gen_ctrl_msg(rng)).encode(),
+        1 => Request {
+            body: gen_ctrl_msg(rng),
+            repl: Vec::new(),
+            trace: Some(TraceContext::sampled(rng.next_u64(), 0)),
+        }
+        .encode(),
         2 => {
             let views: Vec<FuncView> = (0..rng.range(1, 3)).map(|_| gen_view(rng)).collect();
-            encode_msg_synced(&gen_ctrl_msg(rng), &views, None)
+            Request {
+                body: gen_ctrl_msg(rng),
+                repl: views,
+                trace: None,
+            }
+            .encode()
         }
         3 => {
             let deltas: Vec<FuncDelta> = (0..rng.range(1, 3)).map(|_| gen_delta(rng)).collect();
-            encode_reply_synced(&gen_ctrl_reply(rng), &deltas)
+            Response {
+                body: gen_ctrl_reply(rng),
+                repl: deltas,
+                trace: None,
+            }
+            .encode()
         }
-        _ => encode_reply(&gen_ctrl_reply(rng)),
-    };
+        _ => Response::from(gen_ctrl_reply(rng)).encode(),
+    });
     if rng.chance(1, 4) {
         bytes = (0..rng.range(0, 200))
             .map(|_| rng.next_u64() as u8)
@@ -553,12 +560,9 @@ fn check_ctrl_mutation(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
     }
     let mut outcome = "ctrl.mutate_err";
     if panics(|| {
-        let a = decode_msg(&bytes).is_ok();
-        let b = decode_reply(&bytes).is_ok();
-        let c = decode_msg_traced(&bytes).is_ok();
-        let d = decode_msg_synced(&bytes).is_ok();
-        let e = decode_reply_synced(&bytes).is_ok();
-        if a || b || c || d || e {
+        let a = Request::decode(&bytes).is_ok();
+        let b = Response::decode(&bytes).is_ok();
+        if a || b {
             outcome = "ctrl.mutate_ok";
         }
     }) {

@@ -24,6 +24,7 @@ counters! {
         bytes_received: Counter, "Encoded payload bytes of the messages received.";
         config_bytes_sent: Counter, "Of the bytes sent, epoch configuration only (Prepare / DeltaPrepare / Commit / Abort) — the delta-vs-full comparison metric.";
         delta_fallbacks: Counter, "Delta prepares a child nacked (its digest anchor missed or the diff did not validate there) and that were re-sent as the full configuration.";
+        unknown_base_fulls: Counter, "Prepares planned as the full configuration up front because the peer's reported epoch and digest match no version the bounded history still remembers.";
     }
 }
 

@@ -7,8 +7,7 @@
 
 use eden::apps::functions::pias;
 use eden::core::{ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
-use eden::ctrl::proto::{decode_reply, encode_reply};
-use eden::ctrl::{CtrlReply, WireCounters};
+use eden::ctrl::{CtrlReply, Response, WireCounters};
 use eden::netsim::{EdenMeta, Packet, SimRng, Time, UdpHeader};
 use eden::telemetry::{
     metric_table_markdown, render_cluster, render_snapshot, Block, ClusterStats, ConnStats,
@@ -101,22 +100,22 @@ fn every_row_reaches_every_sink() {
     // the wire: a fixed 29-byte header, the enclave group's rows as
     // little-endian `u64`s in table order, then the latency section (here
     // its two-byte count alone)
-    let reply = CtrlReply::Stats {
+    let reply = Response::from(CtrlReply::Stats {
         re: 1,
         epoch: 2,
         digest: 3,
         captured_at_ns: 4,
         counters: snap.enclave,
         latencies: Vec::new(),
-    };
-    let bytes = encode_reply(&reply);
+    });
+    let bytes = reply.encode().expect("fits the wire");
     assert_eq!(bytes.len(), 29 + 8 * EnclaveCounters::ROWS.len() + 2);
     for (i, v) in snap.enclave.values().into_iter().enumerate() {
         let at = 29 + 8 * i;
         let row = EnclaveCounters::ROWS[i].field;
         assert_eq!(bytes[at..at + 8], v.to_le_bytes(), "row {i} ({row})");
     }
-    assert_eq!(decode_reply(&bytes), Ok(reply));
+    assert_eq!(Response::decode(&bytes), Ok(reply));
 }
 
 /// A `flow-churn`-shaped run: message ids that never recur against a small

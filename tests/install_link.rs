@@ -308,13 +308,11 @@ fn an_unlinkable_epoch_is_nacked_with_its_reason_and_leaves_nothing() {
     ];
     let mut agent = EnclaveAgent::new(Enclave::new(EnclaveConfig::default()));
     let digest = agent.enclave().config_digest();
-    match agent.handle(
-        1,
-        CtrlMsg::Prepare {
-            epoch: 1,
-            ops: ops.clone(),
-        },
-    ) {
+    let prepare = CtrlMsg::Prepare {
+        epoch: 1,
+        ops: ops.clone(),
+    };
+    match agent.handle(1, prepare.into(), 0).body {
         CtrlReply::Nack { reason, .. } => assert_eq!(
             reason,
             "op 1: function does not link: declared per-message but the program's stores need \
