@@ -105,13 +105,14 @@ pub struct EnclaveConfig {
     /// controller's pickup.
     pub max_punted: usize,
     /// Smallest batch worth fanning out to worker lanes; below it the
-    /// batch runs on the serial path (thread handoff would dominate).
+    /// batch runs packet by packet on the caller's thread (thread handoff
+    /// would dominate).
     pub parallel_batch_min: usize,
     /// Smallest *per-lane* share (`batch_size / lanes`) worth fanning
     /// out: a batch that would hand each lane only a couple of packets
-    /// pays the wake/merge overhead without amortizing it, so it runs on
-    /// the serial batch path instead. The chosen path is counted in
-    /// `batches_serial` / `batches_parallel`.
+    /// pays the wake/merge overhead without amortizing it, so it too stays
+    /// on the caller's thread — a loop over `process_dir`, nothing staged.
+    /// The choice is counted in `batches_serial` / `batches_parallel`.
     pub parallel_per_lane_min: usize,
     /// Data-path trace sampling: one in this many packets gets spans,
     /// stage timing, and per-function latency recorded. `0` disables
@@ -701,6 +702,30 @@ mod tests {
         assert_eq!(e.staged_epoch(), None);
         assert_eq!(run_one(&mut e), 3);
         assert!(e.serves_single_epoch());
+    }
+
+    /// The burst loop's lookahead resolves table 0 off the books. Once a
+    /// Reset-led epoch has left table 0 empty and no function installed it
+    /// must find nothing to index and count nothing the walk does not.
+    #[test]
+    fn burst_after_a_reset_epoch_peeks_at_nothing() {
+        let mut e = Enclave::new(EnclaveConfig::default());
+        e.stage_epoch(1, &epoch_ops(3)).expect("valid epoch");
+        assert!(e.commit_epoch(1));
+        e.stage_epoch(2, &[EnclaveOp::Reset]).expect("valid epoch");
+        assert!(e.commit_epoch(2));
+
+        let mut burst = vec![Packet::udp(1, 2, netsim::UdpHeader::default(), 100); 9];
+        let mut rng = SimRng::new(1);
+        let verdicts = e.process_batch(&mut burst, &mut rng, Time::ZERO);
+        assert!(verdicts.iter().all(|v| *v == HookVerdict::Pass));
+        assert_eq!(e.batch_path_counts(), (1, 0), "no function, no fan-out");
+        let snap = e.stats_snapshot();
+        assert!(snap.functions.is_empty() && snap.rules.is_empty());
+        assert_eq!(snap.tables.len(), 1);
+        let counts = snap.tables[0].counts;
+        assert_eq!((counts.lookups, counts.matched, counts.missed), (9, 0, 9));
+        assert_eq!(snap.enclave.missed, 9);
     }
 
     #[test]

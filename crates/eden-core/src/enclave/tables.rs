@@ -23,6 +23,7 @@ pub enum MatchSpec {
 }
 
 impl MatchSpec {
+    #[inline]
     pub(super) fn matches(&self, classes: &[u32]) -> bool {
         match self {
             MatchSpec::Any => true,
@@ -184,7 +185,11 @@ impl MatchActionTable {
         }
     }
 
-    /// First-match-wins rule lookup via the class index.
+    /// First-match-wins rule lookup via the class index. Inlined (with
+    /// [`MatchSpec::matches`]) into its two callers, the counting
+    /// [`lookup`] and the burst loop's uncounted peek: left to itself the
+    /// compiler keeps one shared copy and every `lookup` pays a call.
+    #[inline]
     pub(super) fn find(&self, classes: &[u32]) -> Option<usize> {
         let mut best = usize::MAX;
         for &c in classes {

@@ -22,6 +22,18 @@
 //! Copy-in/copy-out consistency: the VM works on this state through the
 //! host interface during one invocation; the concurrency level (derived
 //! from the annotations) dictates how many invocations may overlap.
+//!
+//! Two cache hints hide the index's memory latency. A full index is tens
+//! of megabytes and a new id's home bucket is a line nobody has touched,
+//! so a creation at the cap waits on memory twice: once probing for the
+//! new id, once in [`MsgShard::remove`] for the evictee. *Evict-ahead*:
+//! when `create` has popped its evictee it asks for the home bucket of the
+//! id now at the front of the FIFO — the one the next creation removes.
+//! *Lookahead*: [`FunctionState::hint`] asks for the home bucket of an id
+//! a caller expects to touch soon (the enclave's burst loop, a few packets
+//! ahead). Both end in [`prefetch`], which reads and writes nothing the
+//! program can observe: a hint that is wrong, stale or never followed up
+//! costs a cache line, not a result.
 
 use std::collections::VecDeque;
 
@@ -45,6 +57,25 @@ const VACANT: u32 = u32::MAX;
 /// 2^64 / φ — the 64-bit form of [`class::ClassIndex`](crate::class)'s
 /// multiplicative hash constant.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Ask for the cache line holding `r` ahead of its use. A request, not an
+/// access: nothing is read, nothing can fault, no result depends on it.
+/// Compiles to nothing off x86_64 and under miri (which has no shim for
+/// the intrinsic, and nothing to check in it).
+#[inline(always)]
+fn prefetch<T>(r: &T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` is `unsafe` for its raw-pointer argument
+        // and its target feature. The pointer comes from a live reference
+        // (and `prefetcht0` faults on no address anyway); SSE is part of
+        // the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(r).cast::<i8>()) }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = r;
+}
 
 /// One shard of a function's message state: an open-addressing index
 /// (`msg_id → slot`) over a slab of fixed-size blocks.
@@ -126,6 +157,15 @@ impl MsgShard {
                 return Ok(i);
             }
             i = (i + 1) & mask;
+        }
+    }
+
+    /// Ask for `id`'s home bucket, where its probe starts.
+    #[inline]
+    fn hint(&self, id: u64) {
+        // `get`: an empty index has no buckets (and no meaningful `shift`)
+        if let Some(b) = self.buckets.get(self.home(id)) {
+            prefetch(b);
         }
     }
 
@@ -317,11 +357,24 @@ impl FunctionState {
                 if old_shard == shard {
                     vacant = None; // the removal shifted this shard's buckets
                 }
+                // evict-ahead: the next creation in this function removes
+                // the id now at the front
+                if let Some(&next) = self.msg_order.front() {
+                    self.hint(next);
+                }
             }
         }
         self.live += 1;
         self.msg_order.push_back(msg_id);
         self.shards[shard].insert(msg_id, vacant)
+    }
+
+    /// Cache hint: `msg_id` is about to be looked up. Asks for the bucket
+    /// its probe starts at and changes nothing — not the table, not the
+    /// FIFO, not a counter.
+    #[inline]
+    pub fn hint(&self, msg_id: u64) {
+        self.shards[self.shard_of(msg_id)].hint(msg_id);
     }
 
     /// Borrow (creating if absent) the state block of message `msg_id`.
@@ -448,6 +501,22 @@ mod tests {
         assert_eq!(st.evictions, 7);
         // oldest evicted; re-touching restarts from zero
         assert_eq!(st.msg_block(0)[0], 0);
+    }
+
+    #[test]
+    fn hints_change_nothing() {
+        let mut hinted = FunctionState::for_schema_sharded(&schema(), 3, 2);
+        let mut plain = FunctionState::for_schema_sharded(&schema(), 3, 2);
+        hinted.hint(7); // an empty index has no bucket to ask for
+        for id in [9, 4, 11, 2, 9, 5, 4, 7] {
+            hinted.hint(id);
+            hinted.msg_block(id)[0] += 1;
+            hinted.hint(id + 1); // absent, or about to be evicted
+            plain.msg_block(id)[0] += 1;
+        }
+        assert_eq!(hinted.evictions, plain.evictions);
+        assert_eq!(hinted.msg_dump(), plain.msg_dump());
+        assert_eq!(hinted.msg_order, plain.msg_order);
     }
 
     #[test]

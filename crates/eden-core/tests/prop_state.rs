@@ -6,7 +6,10 @@
 //! random touch / lane-touch / `end_message` sequences must leave the
 //! table and the model with the same blocks, the same eviction count and
 //! the same live count after every step, for every shard count and for
-//! caps small enough that most touches evict.
+//! caps small enough that most touches evict. Cache hints run in between
+//! and the model knows nothing of them: a hint may change no step's
+//! outcome, whatever id it names and whatever the FIFO front has just
+//! become.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -125,6 +128,12 @@ enum Op {
     /// headroom, as the enclave's eligibility gate does).
     Lane(usize, usize, i64),
     End(usize),
+    /// `end_message` of the id at the FIFO front: the next creation's
+    /// evict-ahead hint reads a front that has just changed.
+    EndFront,
+    /// `FunctionState::hint(id)`, present or not; the model has no such
+    /// step.
+    Hint(usize),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -136,7 +145,9 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             (key.clone(), slot.clone(), delta.clone()).prop_map(|(k, s, d)| Op::Touch(k, s, d)),
             (key.clone(), slot.clone(), delta.clone()).prop_map(|(k, s, d)| Op::Split(k, s, d)),
             (key.clone(), slot, delta).prop_map(|(k, s, d)| Op::Lane(k, s, d)),
-            key.prop_map(Op::End),
+            key.clone().prop_map(Op::End),
+            Just(Op::EndFront),
+            key.prop_map(Op::Hint),
         ],
         1..300,
     )
@@ -203,6 +214,13 @@ proptest! {
                     table.end_message(keys[k]);
                     model.end_message(keys[k]);
                 }
+                Op::EndFront => {
+                    if let Some(&front) = model.order.front() {
+                        table.end_message(front);
+                        model.end_message(front);
+                    }
+                }
+                Op::Hint(k) => table.hint(keys[k]),
             }
             prop_assert_eq!(table.msg_dump(), model.dump());
             prop_assert_eq!(table.evictions, model.evictions);

@@ -9,15 +9,19 @@
 //! fallback. The properties below drive both paths over arbitrary packet
 //! streams, chunkings, and RNG seeds, then compare everything observable:
 //! verdicts, the packets themselves, enclave counters, punt mailboxes,
-//! per-function message state, globals, arrays, and eviction counts.
+//! per-function message state, globals, arrays, eviction counts, and every
+//! per-table, per-rule, per-function and interpreter count — the last four
+//! are what pin "a lookahead hint counts nothing" on the caller-thread
+//! burst loop.
 
 use eden::apps::functions::{self, FunctionBundle};
 use eden::core::{
-    ClassId, Enclave, EnclaveConfig, EnclaveStats, FuncId, InstalledFunction, MatchSpec, TableId,
+    native_function, ClassId, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FuncId,
+    InstalledFunction, MatchSpec, TableId,
 };
-use eden::lang::{compile, Concurrency};
-use eden::netsim::{EdenMeta, Packet, PacketArena, SimRng, TcpHeader, Time};
-use eden::vm::encode_program;
+use eden::lang::{compile, Access, Concurrency, Schema};
+use eden::netsim::{EdenMeta, Packet, PacketArena, SimRng, TcpHeader, Time, UdpHeader};
+use eden::vm::{encode_program, Outcome};
 use proptest::prelude::*;
 
 /// Install a catalogue function (interpreted or native) with the state its
@@ -52,10 +56,26 @@ fn batchy_config() -> EnclaveConfig {
     }
 }
 
-/// A packet carrying `class` (0 = no metadata at all, so it misses) and a
-/// message id from a small pool, to force same-message collisions within
-/// and across batches.
+/// A packet carrying `class` (0 = no metadata at all, so it misses unless
+/// a flow rule classifies it) and a message id from a small pool, to force
+/// same-message collisions within and across batches. Classes from 5 up
+/// are not classes but the other shapes a burst can hold, drawn only by
+/// the lookahead arm: 5 a metadata-less UDP datagram (no TCP flow rule
+/// matches it), 6 the placeholder a punt leaves behind, 7 metadata without
+/// a message id (stage classes, flow-as-message identity).
 fn packet(class: u32, msg: u64, payload: usize, port: u16) -> Packet {
+    match class {
+        5 => {
+            let hdr = UdpHeader {
+                src_port: 9000 + port,
+                dst_port: 53,
+            };
+            return Packet::udp(1, 2, hdr, payload.max(1));
+        }
+        6 => return Packet::consumed(),
+        7 => return packet(1 + u32::from(port) % 4, 0, payload, port),
+        _ => {}
+    }
     let hdr = TcpHeader {
         src_port: 9000 + port,
         dst_port: 80,
@@ -131,6 +151,18 @@ fn assert_equivalent(
     prop_assert_eq!(serial.stats, packet_counts);
     prop_assert!(serial.stats.conserved());
     prop_assert_eq!(serial.take_punted(), batched.take_punted());
+    // a hint counts nothing: what a peek of the burst loop resolves must
+    // not show in any table, rule, function or interpreter count
+    // (`vm.elapsed_ns` is sampled wall-clock and differs)
+    let (a, b) = (serial.stats_snapshot(), batched.stats_snapshot());
+    prop_assert_eq!(&a.tables, &b.tables);
+    prop_assert_eq!(&a.rules, &b.rules);
+    prop_assert_eq!(&a.functions, &b.functions);
+    prop_assert_eq!(&a.opcode_counts, &b.opcode_counts);
+    prop_assert_eq!(
+        (a.vm.invocations, a.vm.traps, a.vm.steps),
+        (b.vm.invocations, b.vm.traps, b.vm.steps)
+    );
     for &f in &funcs {
         let (a, b) = (serial.function_state(f), batched.function_state(f));
         prop_assert_eq!(a.msg_dump(), b.msg_dump(), "message state of func {}", f.0);
@@ -230,6 +262,74 @@ proptest! {
             (e, vec![a, b, c, d])
         }, &stream, chunk, seed)?;
     }
+
+    /// What the caller-thread burst loop reads ahead of the walk, before
+    /// the walk has vetted any of it: packets without metadata (classes
+    /// from flow rules, flow-as-message ids), datagrams no flow rule
+    /// matches, consumed placeholders, an `Any` fallback behind the class
+    /// rules, a table-0 function that goes on to a second table (the
+    /// function whose state was asked for is not the last one run), and a
+    /// punting function inside the lookahead window (its slot is emptied
+    /// behind the peek). Bursts of one, of the lookahead distance (four)
+    /// and of one more sit beside arbitrary ones; a cap of three messages
+    /// makes most creations evict, so evict-ahead runs too.
+    #[test]
+    fn lookahead_reads_unvetted_packets_and_changes_nothing(
+        stream in proptest::collection::vec((0u32..8, 0u64..6, 1usize..1460, 0u16..5), 1..200),
+        chunk in prop_oneof![Just(1usize), Just(4), Just(5), 2usize..80],
+        seed in any::<u64>(),
+    ) {
+        assert_equivalent(lookahead_enclave, &stream, chunk, seed)?;
+    }
+}
+
+/// A native function that punts every packet it is handed.
+fn punt_everything() -> InstalledFunction {
+    native_function(
+        "punt-everything",
+        Schema::new(),
+        Concurrency::Parallel,
+        Box::new(|env| {
+            env.to_controller()?;
+            Ok(Outcome::SentToController)
+        }),
+    )
+}
+
+/// The enclave of the lookahead arm: a `Serialized` function keeps every
+/// burst on the caller's thread.
+fn lookahead_enclave() -> (Enclave, Vec<FuncId>) {
+    let mut e = Enclave::new(EnclaveConfig {
+        max_messages_per_function: 3,
+        ..batchy_config()
+    });
+    e.set_opcode_profiling(true);
+    let counter = install(&mut e, &functions::flow_counter(), true, 1);
+    // class 2: count the hop in message state, then on to table 1
+    let schema = Schema::new().msg_field("Hops", Access::ReadWrite);
+    let src = "fun (p, m, g) ->\n    m.Hops <- m.Hops + 1\n    gotoTable (1)\n";
+    let compiled = compile("hop", src, &schema).expect("hop compiles");
+    let hop = e.install_function(InstalledFunction::interpreted("hop", compiled));
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(2)), hop);
+    let t1 = e.create_table();
+    let pias = e.install_function(functions::pias().interpreted());
+    e.set_array(pias, 0, vec![10_000, 7, 1_000_000, 5, i64::MAX, 1]);
+    e.install_rule(t1, MatchSpec::Any, pias);
+    let punt = e.install_function(punt_everything());
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(3)), punt);
+    let fallback = e.install_function(functions::fixed_priority().interpreted());
+    e.set_global(fallback, 0, 3);
+    e.install_rule(TableId(0), MatchSpec::Any, fallback);
+    // metadata-less TCP packets get their classes here, by source port
+    for class in 1..=3u16 {
+        let spec = FiveTupleMatch {
+            src_port: Some(9000 + class),
+            proto: Some(6),
+            ..FiveTupleMatch::default()
+        };
+        e.add_flow_rule(spec, ClassId(u32::from(class)));
+    }
+    (e, vec![counter, hop, pias, punt, fallback])
 }
 
 /// Concurrency enforcement: a function *declared* read-only but shipped
@@ -319,23 +419,11 @@ fn dishonest_concurrency_declaration_is_refused_at_install() {
 /// without bound.
 #[test]
 fn punt_mailbox_is_bounded() {
-    use eden::core::native_function;
-    use eden::lang::Schema;
-    use eden::vm::Outcome;
-
     let mut e = Enclave::new(EnclaveConfig {
         max_punted: 8,
         ..EnclaveConfig::default()
     });
-    let f = e.install_function(native_function(
-        "punt-everything",
-        Schema::new(),
-        Concurrency::Parallel,
-        Box::new(|env| {
-            env.to_controller()?;
-            Ok(Outcome::SentToController)
-        }),
-    ));
+    let f = e.install_function(punt_everything());
     e.install_rule(TableId(0), MatchSpec::Any, f);
 
     let mut rng = SimRng::new(1);
