@@ -251,7 +251,6 @@ fn bench_batch_process(c: &mut Criterion) {
         let bundle = functions::sff();
         let mut enclave = Enclave::new(EnclaveConfig {
             lanes,
-            parallel_batch_min: 2,
             ..EnclaveConfig::default()
         });
         let f = enclave.install_function(bundle.interpreted());

@@ -88,7 +88,6 @@ fn make_packet(i: u64) -> Packet {
 fn build(bundle: &FunctionBundle, lanes: usize) -> Enclave {
     let mut e = Enclave::new(EnclaveConfig {
         lanes,
-        parallel_batch_min: 2,
         // the smallest parallel point is batch 8 on 4 lanes = 2 per lane;
         // keep the per-lane headroom gate below that so the series stays
         // on the worker-lane path

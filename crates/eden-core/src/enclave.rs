@@ -26,10 +26,10 @@
 //! by message id. *Read-only* and *per-message serial* functions
 //! parallelize (a message never spans two lanes); *fully serial*
 //! (global-writer) functions keep every batch on the caller's thread. A
-//! lane runs the same `walk_packet`, `invoke` and per-packet epilogue as
-//! the caller's thread — over its own message shards and its own counter
-//! blocks — and a property test pins the fan-out verdict-for-verdict and
-//! state-for-state to the per-packet path.
+//! lane takes its own packets through the same `classify`, `walk_packet`,
+//! `invoke` and per-packet epilogue as the caller's thread — over its own
+//! message shards and its own counter blocks — and a property test pins the
+//! fan-out verdict-for-verdict and state-for-state to the per-packet path.
 //!
 //! Besides stage-assigned classes, the enclave can classify on its own at
 //! packet granularity (Table 2's last row): five-tuple rules assign classes
@@ -41,6 +41,8 @@
 //! Fault isolation (§3.4.3): a trapping function terminates — the packet
 //! then fails open (forwarded unmodified) or closed (dropped) per
 //! [`EnclaveConfig::fail_open`] — and the rest of the system continues.
+
+use std::collections::VecDeque;
 
 use eden_lang::{Access, Concurrency, Schema};
 use eden_repl::{merged_read, HostRepl, ReplSpec, SeqTarget};
@@ -54,7 +56,6 @@ use transport::{HookEnv, HookVerdict, PacketHook};
 use crate::action::{ActionImpl, FuncId, InstalledFunction, NativeFn};
 use crate::class::ClassId;
 use crate::lanes::LanePool;
-use crate::ring::{spsc, Consumer, Producer};
 use crate::state::FunctionState;
 
 mod epoch;
@@ -68,7 +69,7 @@ use epoch::StagedEpoch;
 pub(crate) use host::InvocationHost;
 use link::Linked;
 pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
-use pipeline::BatchScratch;
+use pipeline::LaneScratch;
 pub use tables::{FiveTupleMatch, MatchSpec, Rule, TableId};
 use tables::{MatchActionTable, TableCounts};
 
@@ -104,14 +105,10 @@ pub struct EnclaveConfig {
     /// counted in `punt_drops`) when a punt-heavy workload outruns the
     /// controller's pickup.
     pub max_punted: usize,
-    /// Smallest batch worth fanning out to worker lanes; below it the
-    /// batch runs packet by packet on the caller's thread (thread handoff
-    /// would dominate).
-    pub parallel_batch_min: usize,
     /// Smallest *per-lane* share (`batch_size / lanes`) worth fanning
     /// out: a batch that would hand each lane only a couple of packets
-    /// pays the wake/merge overhead without amortizing it, so it too stays
-    /// on the caller's thread — a loop over `process_dir`, nothing staged.
+    /// pays the wake/merge overhead without amortizing it, so it stays on
+    /// the caller's thread — a loop over `process_dir`, nothing staged.
     /// The choice is counted in `batches_serial` / `batches_parallel`.
     pub parallel_per_lane_min: usize,
     /// Data-path trace sampling: one in this many packets gets spans,
@@ -133,7 +130,6 @@ impl Default for EnclaveConfig {
             process_ingress: false,
             lanes: 4,
             max_punted: 1024,
-            parallel_batch_min: 32,
             parallel_per_lane_min: 8,
             trace_sample: 0,
             flight_capacity: 256,
@@ -176,17 +172,15 @@ pub struct Enclave {
     /// interpreted (native closures are not `Send`) and not `Serialized`.
     lane_safe: bool,
     /// Persistent lane worker threads (spawned lazily on the first
-    /// parallel batch; per-batch dispatch is two SPSC ring ops per lane).
+    /// parallel batch; per-batch dispatch is one send and one receive per
+    /// lane).
     lane_pool: LanePool,
-    /// Punt mailbox, producer half: packets punted to the controller are
-    /// *moved* here (no clone), bounded by [`EnclaveConfig::max_punted`].
-    punt_tx: Producer<Packet>,
-    /// Punt mailbox, consumer half: `take_punted` drains it; `push_punt`
-    /// pops it for O(1) oldest-eviction when the ring is full.
-    punt_rx: Consumer<Packet>,
+    /// Punt mailbox: packets punted to the controller are *moved* here (no
+    /// clone), oldest first, bounded by [`EnclaveConfig::max_punted`].
+    punted: VecDeque<Packet>,
     pub stats: EnclaveStats,
-    /// Reused struct-of-arrays scratch for the lane fan-out.
-    batch: BatchScratch,
+    /// Each worker lane's outputs and scratch, reused across fan-outs.
+    lane_scratch: Vec<LaneScratch>,
     /// Scratch for unmapped packet fields (packet lifetime).
     scratch: Vec<i64>,
     /// Scratch for the packet's class list.
@@ -203,9 +197,9 @@ pub struct Enclave {
     sampler: Sampler,
     /// Completed (and open) spans awaiting collection by the agent.
     spans: SpanSink,
-    /// Per-stage batch latency: classify / match / execute, recorded only
-    /// while tracing is enabled.
-    stage_hists: [LogHistogram; 3],
+    /// Per-stage latency: classify / execute, recorded only while tracing
+    /// is enabled.
+    stage_hists: [LogHistogram; 2],
     /// Sampled per-function execution latency, parallel to `functions`.
     func_latency: Vec<LogHistogram>,
     /// Flight recorder: one single-writer event ring per worker lane
@@ -217,14 +211,12 @@ pub struct Enclave {
 
 /// Indices into [`Enclave::stage_hists`].
 const STAGE_CLASSIFY: usize = 0;
-const STAGE_MATCH: usize = 1;
-const STAGE_EXECUTE: usize = 2;
-const STAGE_NAMES: [&str; 3] = ["stage.classify", "stage.match", "stage.execute"];
+const STAGE_EXECUTE: usize = 1;
+const STAGE_NAMES: [&str; 2] = ["stage.classify", "stage.execute"];
 
 impl Enclave {
     /// An enclave with one empty table.
     pub fn new(config: EnclaveConfig) -> Enclave {
-        let (punt_tx, punt_rx) = spsc(config.max_punted.max(1));
         Enclave {
             config,
             tables: vec![MatchActionTable::default()],
@@ -239,10 +231,9 @@ impl Enclave {
             pool: InterpreterPool::new(config.limits, config.lanes),
             lane_safe: true,
             lane_pool: LanePool::new(),
-            punt_tx,
-            punt_rx,
+            punted: VecDeque::new(),
             stats: EnclaveStats::default(),
-            batch: BatchScratch::default(),
+            lane_scratch: Vec::new(),
             scratch: Vec::new(),
             classes: Vec::new(),
             last_now: Time::ZERO,
@@ -397,16 +388,12 @@ impl Enclave {
 
     /// Drain packets punted to the controller, oldest first.
     pub fn take_punted(&mut self) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(self.punt_rx.len());
-        while let Some(p) = self.punt_rx.pop() {
-            out.push(p);
-        }
-        out
+        self.punted.drain(..).collect()
     }
 
     /// Number of punted packets awaiting controller pickup.
     pub fn punted_len(&self) -> usize {
-        self.punt_rx.len()
+        self.punted.len()
     }
 
     /// Steps and static memory bound of the most recent interpreted run
@@ -602,7 +589,7 @@ mod tests {
 
     #[test]
     fn parallel_eligibility_gates() {
-        // default config: 4 lanes, batch minimum 32
+        // default config: 4 lanes, at least 8 packets for each
         let mut e = Enclave::new(EnclaveConfig::default());
         assert!(!e.parallel_eligible(64), "no functions installed");
         let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
@@ -612,7 +599,7 @@ mod tests {
         ));
         e.install_rule(TableId(0), MatchSpec::Any, f);
         assert!(e.parallel_eligible(32));
-        assert!(!e.parallel_eligible(31), "below the batch minimum");
+        assert!(!e.parallel_eligible(31), "under 8 packets a lane");
 
         // a native function is not Send: the whole enclave falls back
         e.install_function(native_function(
@@ -640,7 +627,6 @@ mod tests {
     fn headroom_gate_blocks_oversized_batches() {
         let mut e = Enclave::new(EnclaveConfig {
             max_messages_per_function: 10,
-            parallel_batch_min: 1,
             parallel_per_lane_min: 1,
             ..EnclaveConfig::default()
         });
@@ -1101,7 +1087,6 @@ mod tests {
     fn batch_path_records_stage_histograms() {
         let mut e = Enclave::new(EnclaveConfig {
             trace_sample: 4,
-            parallel_batch_min: 1,
             ..EnclaveConfig::default()
         });
         let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
@@ -1118,12 +1103,31 @@ mod tests {
         let snap = e.stats_snapshot();
         let names: Vec<&str> = snap.latencies.iter().map(|l| l.name.as_str()).collect();
         assert!(names.contains(&"stage.classify"), "{names:?}");
-        assert!(names.contains(&"stage.match"), "{names:?}");
         assert!(names.contains(&"stage.execute"), "{names:?}");
         assert!(names.contains(&"func.t"), "{names:?}");
         let spans = e.drain_spans(100);
         assert!(spans.iter().any(|s| s.name == "batch"));
-        assert!(spans.iter().any(|s| s.name == "match"));
+
+        // each of the 16 sampled packets left its three steps, in order, in
+        // the flight ring of the lane that ran it
+        e.freeze_flight("test");
+        let dump = e.last_flight_dump().expect("frozen above");
+        let steps: Vec<FlightKind> = dump
+            .events
+            .iter()
+            .map(|ev| ev.kind)
+            .filter(|k| !matches!(k, FlightKind::BatchStart))
+            .collect();
+        assert_eq!(steps.len(), 3 * 16);
+        for packet in steps.chunks(3) {
+            assert!(
+                matches!(
+                    packet,
+                    [FlightKind::Classify, FlightKind::Match, FlightKind::Execute]
+                ),
+                "{packet:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,14 +6,13 @@ use eden_lang::Access;
 use eden_repl::HostRepl;
 use eden_telemetry::{FlightEvent, FlightKind, FlightRing, FuncCounts, TraceContext};
 use eden_vm::{Interpreter, Outcome, Program, VmError};
-use netsim::arena::{PacketRef, PacketSlab};
 use netsim::{Packet, PacketRng, SimRng, Time};
 use transport::HookVerdict;
 
 use super::host::{GlobalView, InvocationHost, ReplRef, ReplShared};
 use super::link::PktSlot;
 use super::tables::{lookup, FiveTupleMatch, Lookup, MatchActionTable, TableCounts};
-use super::{Enclave, EnclaveStats, FlowDirection, STAGE_CLASSIFY, STAGE_EXECUTE, STAGE_MATCH};
+use super::{Enclave, EnclaveStats, FlowDirection, STAGE_CLASSIFY, STAGE_EXECUTE};
 use crate::action::{ActionImpl, InstalledFunction, NativeEnv, NativeFn};
 use crate::class::ClassId;
 use crate::state::{FunctionState, MsgShard};
@@ -97,7 +96,7 @@ impl Enclave {
             direction,
             fail_open: self.config.fail_open,
         }
-        .packet(&self.classes, msg_id, packet, &mut prng, sampled, None);
+        .packet(&self.classes, msg_id, packet, &mut prng, sampled);
         if let Some(p) = punted {
             self.push_punt(p);
         }
@@ -213,25 +212,25 @@ impl Enclave {
     }
 
     /// May this batch take the parallel path? All functions lane-safe
-    /// (interpreted, not `Serialized`), more than one lane, batch large
-    /// enough — in total and per lane — to pay for the worker handoff,
-    /// and enough message-state headroom that lane-side block creation
-    /// can never trigger a FIFO eviction (eviction order is only defined
-    /// on the caller's thread).
+    /// (interpreted, not `Serialized`), more than one lane, every lane's
+    /// share large enough to pay for the worker handoff, and enough
+    /// message-state headroom that lane-side block creation can never
+    /// trigger a FIFO eviction (eviction order is only defined on the
+    /// caller's thread).
     pub(super) fn parallel_eligible(&self, n: usize) -> bool {
         self.lane_safe
             && !self.functions.is_empty()
             && self.pool.lanes() > 1
-            && n >= self.config.parallel_batch_min.max(1)
             && n / self.pool.lanes() >= self.config.parallel_per_lane_min.max(1)
             && self.states.iter().all(|s| s.headroom() >= n)
     }
 
-    /// The lane fan-out: classify and resolve table 0 for the whole batch
-    /// on the caller's thread (RNG forks and sampler draws in batch
-    /// order), partition by message id, let each lane walk its share, then
-    /// merge counters and replay punts and block creations in packet
-    /// order.
+    /// The lane fan-out. The caller's one pass over the burst does only what
+    /// has an order — message id, RNG fork and sampler draw, in batch order
+    /// — and deals each packet to the lane its message id selects. A lane
+    /// then takes its packets through classify → match → execute to
+    /// completion; the merge adds the lanes' counters and replays punts and
+    /// block creations in packet order.
     fn process_batch_parallel(
         &mut self,
         packets: &mut [Packet],
@@ -254,58 +253,48 @@ impl Enclave {
                 b: 0,
             });
         }
-        let t_classify = tracing.then(std::time::Instant::now);
-        let mut bs = std::mem::take(&mut self.batch);
-        bs.clear_columns();
-
-        // --- classify stage: SoA columns, batch order (RNG forks and
-        // sampler draws must match the per-packet path) ------------------
-        for p in packets.iter() {
-            let start = bs.key_col.len() as u32;
-            classify(p, &self.flow_rules, &mut bs.key_col);
-            bs.ranges.push((start, bs.key_col.len() as u32 - start));
-            bs.msg_ids.push(message_id(p));
-            bs.prngs.push(rng.fork_packet());
-            bs.sampled.push(self.sampler.sample());
-        }
-        let classify_ns = t_classify.map(|t| t.elapsed().as_nanos() as u64);
-        let t_match = tracing.then(std::time::Instant::now);
-
-        // --- match stage: batch-probe table 0 over the flat key column --
-        {
-            let BatchScratch {
-                key_col,
-                ranges,
-                firsts,
-                ..
-            } = &mut bs;
-            for &(start, len) in ranges.iter() {
-                let classes = &key_col[start as usize..(start + len) as usize];
-                firsts.push(lookup(&self.tables, &mut self.table_counts, 0, classes));
-            }
-        }
-        let match_ns = t_match.map(|t| t.elapsed().as_nanos() as u64);
-        let t_execute = tracing.then(std::time::Instant::now);
-
-        // --- partition into lanes by message id -------------------------
-        bs.lane_idx.resize_with(lanes, Vec::new);
-        for v in bs.lane_idx.iter_mut() {
-            v.clear();
-        }
-        for (i, &m) in bs.msg_ids.iter().enumerate() {
-            bs.lane_idx[(m % lanes as u64) as usize].push(i as u32);
-        }
-
-        // --- execute stage: persistent worker lanes ---------------------
         let rule_counts: Vec<usize> = self.tables.iter().map(|t| t.rules.len()).collect();
-        let scratch_len = self.scratch.len();
         let nfuncs = self.functions.len();
-        bs.lane_scratch.resize_with(lanes, LaneScratch::default);
-        for scr in bs.lane_scratch.iter_mut() {
-            scr.reset(&rule_counts, nfuncs, scratch_len);
+        self.lane_scratch.resize_with(lanes, LaneScratch::default);
+        for scr in self.lane_scratch.iter_mut() {
+            scr.reset(&rule_counts, nfuncs, self.scratch.len());
         }
-        let mut lane_funcs: Vec<Vec<LaneFn<'_>>> =
-            (0..lanes).map(|_| Vec::with_capacity(nfuncs)).collect();
+        let mut tasks: Vec<LaneTask<'_>> = self
+            .lane_scratch
+            .iter_mut()
+            .zip(self.pool.lanes_mut())
+            .zip(&mut self.flight)
+            .map(|((scr, interp), ring)| LaneTask {
+                packets: Vec::with_capacity(n),
+                flow_rules: &self.flow_rules,
+                tables: &self.tables,
+                bindings: &self.pkt_bindings,
+                funcs: Vec::with_capacity(nfuncs),
+                interp,
+                ring,
+                scr,
+                now,
+                direction,
+                fail_open: self.config.fail_open,
+            })
+            .collect();
+
+        let t_deal = tracing.then(std::time::Instant::now);
+        for (idx, packet) in packets.iter_mut().enumerate() {
+            let msg_id = message_id(packet);
+            tasks[(msg_id % lanes as u64) as usize]
+                .packets
+                .push(LanePacket {
+                    idx,
+                    msg_id,
+                    rng: rng.fork_packet(),
+                    sampled: self.sampler.sample(),
+                    packet,
+                });
+        }
+        let deal_ns = t_deal.map(|t| t.elapsed().as_nanos() as u64);
+
+        let t_lanes = tracing.then(std::time::Instant::now);
         for ((f, state), repl) in self
             .functions
             .iter()
@@ -322,8 +311,8 @@ impl Enclave {
                 remote_arrays: h.remote_arrays(),
             });
             debug_assert_eq!(shards.len(), lanes, "shard count tracks lane count");
-            for (lane, shard) in shards.into_iter().enumerate() {
-                lane_funcs[lane].push(LaneFn {
+            for (task, shard) in tasks.iter_mut().zip(shards) {
+                task.funcs.push(LaneFn {
                     program,
                     shard,
                     global,
@@ -332,65 +321,17 @@ impl Enclave {
                 });
             }
         }
+        self.lane_pool.run(&mut tasks, run_lane_task);
+        drop(tasks);
+        let lanes_ns = t_lanes.map(|t| t.elapsed().as_nanos() as u64);
 
-        let slab = PacketSlab::new(packets);
-        let fail_open = self.config.fail_open;
-        {
-            let BatchScratch {
-                key_col,
-                ranges,
-                msg_ids,
-                prngs,
-                sampled,
-                firsts,
-                lane_idx,
-                lane_scratch,
-            } = &mut bs;
-            let key_col: &[u32] = key_col;
-            let ranges: &[(u32, u32)] = ranges;
-            let msg_ids: &[u64] = msg_ids;
-            let prngs: &[PacketRng] = prngs;
-            let sampled: &[bool] = sampled;
-            let firsts: &[Lookup] = firsts;
-            let mut tasks: Vec<LaneTask<'_, '_>> = lane_idx
-                .iter()
-                .zip(lane_scratch.iter_mut())
-                .zip(lane_funcs)
-                .zip(self.pool.lanes_mut().iter_mut())
-                .zip(self.flight.iter_mut())
-                .enumerate()
-                .map(|(lane, ((((idxs, scr), funcs), interp), ring))| LaneTask {
-                    idxs,
-                    key_col,
-                    ranges,
-                    msg_ids,
-                    prngs,
-                    sampled,
-                    firsts,
-                    slab: &slab,
-                    tables: &self.tables,
-                    bindings: &self.pkt_bindings,
-                    funcs,
-                    interp,
-                    ring,
-                    scr,
-                    now,
-                    direction,
-                    fail_open,
-                    lane: lane as u16,
-                })
-                .collect();
-            self.lane_pool.run(&mut tasks, run_lane_task);
-        }
-        let execute_ns = t_execute.map(|t| t.elapsed().as_nanos() as u64);
-
-        // --- merge stage: counters in lane order, packet-ordered queues --
+        // --- merge: counters in lane order, packet-ordered queues --------
         let base = out.len();
         out.resize(base + n, HookVerdict::Pass);
-        let mut all_punts: Vec<(u32, Packet)> = Vec::new();
+        let mut all_punts: Vec<(usize, Packet)> = Vec::new();
         let mut all_created: Vec<(usize, usize, u64)> = Vec::new();
         let mut faulted = false;
-        for scr in bs.lane_scratch.iter_mut() {
+        for scr in self.lane_scratch.iter_mut() {
             faulted |= scr.stats.faults > 0;
             for &(fid, ns) in &scr.func_samples {
                 self.func_latency[fid].record(ns);
@@ -403,7 +344,7 @@ impl Enclave {
                 total.merge(d);
             }
             for (idx, v) in scr.verdicts.drain(..) {
-                out[base + idx as usize] = v;
+                out[base + idx] = v;
             }
             all_punts.append(&mut scr.punts);
             all_created.append(&mut scr.created);
@@ -420,12 +361,10 @@ impl Enclave {
         for (_, p) in all_punts {
             self.push_punt(p);
         }
-        self.batch = bs;
-        // batch-level stage trace: one root span with the three pipeline
-        // stages as children, laid out back to back from the batch instant
-        if let (Some(c), Some(m), Some(e)) = (classify_ns, match_ns, execute_ns) {
+        // batch-level stage trace: one root span with the caller's pass and
+        // the lanes' run as children, back to back from the batch instant
+        if let (Some(c), Some(e)) = (deal_ns, lanes_ns) {
             self.stage_hists[STAGE_CLASSIFY].record(c);
-            self.stage_hists[STAGE_MATCH].record(m);
             self.stage_hists[STAGE_EXECUTE].record(e);
             let at = now.as_nanos();
             let trace_id = self.spans.next_span_id();
@@ -434,29 +373,24 @@ impl Enclave {
                 .begin(TraceContext::sampled(trace_id, 0), "batch", at);
             let ctx = TraceContext::sampled(trace_id, root);
             self.spans.record(ctx, "classify", at, at + c);
-            self.spans.record(ctx, "match", at + c, at + c + m);
-            self.spans
-                .record(ctx, "execute", at + c + m, at + c + m + e);
-            self.spans.end(root, at + c + m + e);
+            self.spans.record(ctx, "execute", at + c, at + c + e);
+            self.spans.end(root, at + c + e);
         }
         if faulted {
             self.freeze_flight("vm_trap");
         }
     }
 
-    /// Append to the bounded punt mailbox: when full, pop (and count) the
-    /// oldest punt first — O(1) on the ring.
+    /// Append to the bounded punt mailbox: when full, the oldest punt
+    /// makes room and is counted.
     fn push_punt(&mut self, packet: Packet) {
-        if self.config.max_punted == 0 {
+        if self.punted.len() >= self.config.max_punted {
             self.stats.punt_drops += 1;
-            return;
+            if self.punted.pop_front().is_none() {
+                return; // a mailbox of zero keeps nothing
+            }
         }
-        if let Err(packet) = self.punt_tx.push(packet) {
-            let _ = self.punt_rx.pop();
-            self.stats.punt_drops += 1;
-            let pushed = self.punt_tx.push(packet).is_ok();
-            debug_assert!(pushed, "punt ring has a free slot after eviction");
-        }
+        self.punted.push_back(packet);
     }
 }
 
@@ -670,12 +604,11 @@ impl Walker<'_, '_> {
         packet: &mut Packet,
         rng: &mut PacketRng,
         sampled: bool,
-        first: Option<Lookup>,
     ) -> (WalkResult, Option<Packet>) {
         // not `fill(0)`: on an empty scratch (no function installed) that
         // measured ~100 ns a packet on the miss path
         self.scratch.iter_mut().for_each(|v| *v = 0);
-        let walk = self.walk_packet(classes, msg_id, packet, rng, sampled, first);
+        let walk = self.walk_packet(classes, msg_id, packet, rng, sampled);
         account_walk(self.stats, &walk);
         if walk.punt && sampled {
             let class = classes.first().copied().unwrap_or(0);
@@ -799,7 +732,6 @@ impl Walker<'_, '_> {
         packet: &mut Packet,
         rng: &mut PacketRng,
         timed: bool,
-        mut first: Option<Lookup>,
     ) -> WalkResult {
         let mut res = WalkResult {
             verdict: HookVerdict::Pass,
@@ -818,15 +750,14 @@ impl Walker<'_, '_> {
                 res.loop_abort = true; // table-loop guard: fail open, counted
                 break 'walk;
             }
-            let lookup = match first.take() {
-                Some(precomputed) => precomputed,
-                None => lookup(self.tables, self.table_counts, table, classes),
-            };
-            let fid = match lookup {
+            let fid = match lookup(self.tables, self.table_counts, table, classes) {
                 Lookup::NoTable | Lookup::Miss => break 'walk,
                 Lookup::Hit(fid) => fid,
             };
             res.matched_any = true;
+            if timed {
+                self.flight(FlightKind::Match, table as u64, fid as u64);
+            }
             let out = self.invoke(fid, msg_id, packet, rng, timed);
             // header writes happened even if the function later trapped or
             // dropped, so they are merged on every exit path
@@ -874,60 +805,26 @@ impl Walker<'_, '_> {
     }
 }
 
-/// Reused struct-of-arrays scratch for the lane fan-out. Taken with
-/// `mem::take` at batch start and restored after, so the per-packet
-/// columns, the lane partitions and each lane's [`LaneScratch`] keep their
-/// capacity from one fan-out to the next. That is not every allocation of
-/// a fan-out: `process_batch_parallel` still builds `rule_counts`,
-/// `lane_funcs` (one `Vec` per lane), `tasks`, `all_punts` and
-/// `all_created` afresh per batch, and a lane's `table_counts` re-makes
-/// its per-rule vectors in `reset`. A batch that stays on the caller's
-/// thread uses none of this.
+/// One worker lane's outputs and scratch. The enclave keeps one per lane
+/// from fan-out to fan-out, so their vectors keep their capacity; what a
+/// fan-out still allocates is `tasks` with each lane's packet and function
+/// lists, the two replay lists and the per-rule vectors `reset` re-makes.
 #[derive(Debug, Default)]
-pub(super) struct BatchScratch {
-    /// Flat class-key column: every packet's class list, back to back.
-    key_col: Vec<u32>,
-    /// Per-packet `(start, len)` spans into `key_col`.
-    ranges: Vec<(u32, u32)>,
-    /// Message-identity column.
-    msg_ids: Vec<u64>,
-    /// Per-packet forked RNG column (fork order = batch order).
-    prngs: Vec<PacketRng>,
-    /// Trace-sampled flags (draw order = batch order).
-    sampled: Vec<bool>,
-    /// Match-stage output: table-0 resolution per packet.
-    firsts: Vec<Lookup>,
-    /// Per-lane packet-index partitions.
-    lane_idx: Vec<Vec<u32>>,
-    /// Per-lane execute-stage scratch and outputs.
-    lane_scratch: Vec<LaneScratch>,
-}
-
-impl BatchScratch {
-    fn clear_columns(&mut self) {
-        self.key_col.clear();
-        self.ranges.clear();
-        self.msg_ids.clear();
-        self.prngs.clear();
-        self.sampled.clear();
-        self.firsts.clear();
-    }
-}
-
-/// One worker lane's reusable execute-stage scratch and outputs.
-#[derive(Debug, Default)]
-struct LaneScratch {
-    verdicts: Vec<(u32, HookVerdict)>,
+pub(super) struct LaneScratch {
+    /// `(batch index, verdict)` of every packet this lane ran.
+    verdicts: Vec<(usize, HookVerdict)>,
     stats: EnclaveStats,
     table_counts: Vec<TableCounts>,
     func_counts: Vec<FuncCounts>,
-    /// `(batch index, packet)` punts, *moved* out of the slab.
-    punts: Vec<(u32, Packet)>,
+    /// `(batch index, packet)` punts, *moved* out of the batch.
+    punts: Vec<(usize, Packet)>,
     /// `(batch index, function, message)` of state blocks this lane
     /// created, for packet-order FIFO replay at merge time.
     created: Vec<(usize, usize, u64)>,
     /// Sampled `(function, elapsed ns)` pairs from this lane.
     func_samples: Vec<(usize, u64)>,
+    /// The current packet's class list.
+    classes: Vec<u32>,
     /// Packet-lifetime scratch for unmapped fields.
     pkt_scratch: Vec<i64>,
 }
@@ -949,21 +846,22 @@ impl LaneScratch {
     }
 }
 
-/// Everything one worker lane needs for the execute stage: its packet
-/// indices, shared read-only views of the SoA columns / tables /
-/// functions, its own state shards and interpreter, and its
-/// [`LaneScratch`] outputs. Packets are written in place through the
-/// shared [`PacketSlab`]; soundness rests on the lane partition being
-/// disjoint (each batch index appears in exactly one lane's `idxs`).
-struct LaneTask<'a, 'p> {
-    idxs: &'a [u32],
-    key_col: &'a [u32],
-    ranges: &'a [(u32, u32)],
-    msg_ids: &'a [u64],
-    prngs: &'a [PacketRng],
-    sampled: &'a [bool],
-    firsts: &'a [Lookup],
-    slab: &'a PacketSlab<'p>,
+/// One packet of a lane's share: its place in the batch and what the
+/// caller's pass drew for it in batch order.
+struct LanePacket<'a> {
+    idx: usize,
+    msg_id: u64,
+    rng: PacketRng,
+    sampled: bool,
+    packet: &'a mut Packet,
+}
+
+/// Everything one worker lane runs its share with: its packets, the
+/// read-only configuration, its own state shards, interpreter and flight
+/// ring, and its [`LaneScratch`] outputs.
+struct LaneTask<'a> {
+    packets: Vec<LanePacket<'a>>,
+    flow_rules: &'a [(FiveTupleMatch, ClassId)],
     tables: &'a [MatchActionTable],
     bindings: &'a [Vec<(PktSlot, Access)>],
     funcs: Vec<LaneFn<'a>>,
@@ -973,13 +871,11 @@ struct LaneTask<'a, 'p> {
     now: Time,
     direction: FlowDirection,
     fail_open: bool,
-    lane: u16,
 }
 
-/// The per-lane execute stage: walk every packet index assigned to this
-/// lane, reading the shared SoA columns and writing packets in place
-/// through the [`PacketSlab`].
-fn run_lane_task(_lane: usize, t: &mut LaneTask<'_, '_>) {
+/// A lane's run: every packet dealt to it, classify → match → execute, in
+/// batch order.
+fn run_lane_task(lane: usize, t: &mut LaneTask<'_>) {
     let scr = &mut *t.scr;
     let mut walker = Walker {
         tables: t.tables,
@@ -995,35 +891,27 @@ fn run_lane_task(_lane: usize, t: &mut LaneTask<'_, '_>) {
         ring: &mut *t.ring,
         samples: &mut scr.func_samples,
         scratch: &mut scr.pkt_scratch,
-        lane: t.lane,
+        lane: lane as u16,
         batch_idx: 0,
         now: t.now,
         direction: t.direction,
         fail_open: t.fail_open,
     };
-    for &idx in t.idxs {
-        let i = idx as usize;
-        let (start, len) = t.ranges[i];
-        let classes = &t.key_col[start as usize..(start + len) as usize];
-        let mut prng = t.prngs[i].clone();
-        // SAFETY: lanes partition batch indices disjointly, so no other
-        // lane touches this packet slot, and `LanePool::run`'s barrier
-        // keeps the slab alive until every lane is done.
-        let packet = unsafe { t.slab.pkt_mut(PacketRef(idx)) };
-        walker.batch_idx = i;
-        let first = Some(t.firsts[i]);
-        let (walk, punted) = walker.packet(
-            classes,
-            t.msg_ids[i],
-            packet,
-            &mut prng,
-            t.sampled[i],
-            first,
-        );
-        if let Some(p) = punted {
-            scr.punts.push((idx, p));
+    for p in t.packets.iter_mut() {
+        let t_classify = p.sampled.then(std::time::Instant::now);
+        scr.classes.clear();
+        classify(p.packet, t.flow_rules, &mut scr.classes);
+        if let Some(t0) = t_classify {
+            let class = scr.classes.first().copied().unwrap_or(0);
+            let ns = t0.elapsed().as_nanos() as u64;
+            walker.flight(FlightKind::Classify, u64::from(class), ns);
         }
-        scr.verdicts.push((idx, walk.verdict));
+        walker.batch_idx = p.idx;
+        let (walk, punted) = walker.packet(&scr.classes, p.msg_id, p.packet, &mut p.rng, p.sampled);
+        if let Some(punt) = punted {
+            scr.punts.push((p.idx, punt));
+        }
+        scr.verdicts.push((p.idx, walk.verdict));
     }
 }
 

@@ -1,12 +1,11 @@
 //! Persistent worker threads for the enclave's parallel lanes.
 //!
-//! PR 2's batch path spawned a `crossbeam::scope` per batch: thread
-//! creation plus teardown cost ~60–70 µs per batch, which is why 4-lane
-//! batch-8 measured ~25× *worse* than serial. This pool spawns each lane
-//! worker once (lazily, on the first parallel batch — fuzzers construct
-//! millions of enclaves that never go parallel) and dispatches per-batch
-//! work over the lock-free SPSC [`ring`](crate::ring)s, so steady-state
-//! fan-out is two ring operations and an unpark per lane.
+//! Each lane worker is spawned once (lazily, on the first parallel batch —
+//! fuzzers construct millions of enclaves that never go parallel) and is
+//! handed per-batch work over a pair of `std::sync::mpsc` channels, so
+//! steady-state fan-out is one send, one receive and an unpark per lane.
+//! Both ends poll with `try_recv` — spin, then yield, then (the worker)
+//! park: lanes are latency-bound, and a blocking `recv` measured slower.
 //!
 //! [`LanePool::run`] is a *barrier*: lane 0 runs inline on the caller's
 //! thread, lanes 1.. run on workers, and the call returns only after
@@ -15,9 +14,9 @@
 //! erasure below — the borrowed task data in `Job` cannot outlive `run`
 //! because `run` does not return while any worker still holds a `Job`.
 
-use crate::ring::{spsc, Consumer, Producer};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
 
 /// A lifetime-erased unit of lane work. `slot` points at a `TaskSlot<T>`
@@ -48,46 +47,39 @@ unsafe fn trampoline<T>(slot: *mut (), lane: usize) {
     (slot.f)(lane, unsafe { &mut *slot.task });
 }
 
-enum Msg {
-    Run(Job),
-    Shutdown,
-}
-
 /// `Ok` or the payload of a worker panic, re-raised on the coordinator.
 type Done = Result<(), Box<dyn Any + Send>>;
 
+/// A worker exits when its `work` sender is dropped.
 struct Worker {
-    work: Producer<Msg>,
-    done: Consumer<Done>,
-    handle: std::thread::Thread,
-    join: Option<JoinHandle<()>>,
+    work: SyncSender<Job>,
+    done: Receiver<Done>,
+    join: JoinHandle<()>,
 }
 
 impl Worker {
     fn spawn(index: usize) -> Worker {
-        // capacity 2: at most one outstanding job plus a shutdown message
-        let (work_tx, mut work_rx) = spsc::<Msg>(2);
-        let (mut done_tx, done_rx) = spsc::<Done>(2);
+        // capacity 1: `run` has at most one job outstanding per worker
+        let (work, work_rx) = sync_channel::<Job>(1);
+        let (done_tx, done) = sync_channel::<Done>(1);
         let join = std::thread::Builder::new()
             .name(format!("eden-lane-{}", index + 1))
             .spawn(move || {
-                // spin briefly between batches (lanes are latency-bound),
-                // then park until the coordinator pushes and unparks
                 let mut idle = 0u32;
                 loop {
-                    match work_rx.pop() {
-                        Some(Msg::Run(job)) => {
+                    match work_rx.try_recv() {
+                        Ok(job) => {
                             idle = 0;
                             let result = catch_unwind(AssertUnwindSafe(|| {
                                 // SAFETY: see `Job` — pointee valid until
                                 // the coordinator's barrier releases.
                                 unsafe { (job.call)(job.slot, job.lane) }
                             }));
-                            // capacity can't be exceeded: one done per job
-                            let _ = done_tx.push(result);
+                            // fails only once the pool is being dropped
+                            let _ = done_tx.send(result);
                         }
-                        Some(Msg::Shutdown) => break,
-                        None => {
+                        Err(TryRecvError::Disconnected) => break,
+                        Err(TryRecvError::Empty) => {
                             // Spin only briefly, then yield before parking:
                             // on a single-core host an idle worker spinning
                             // through its timeslice starves the coordinator
@@ -105,28 +97,28 @@ impl Worker {
                 }
             })
             .expect("spawn lane worker");
-        Worker {
-            work: work_tx,
-            done: done_rx,
-            handle: join.thread().clone(),
-            join: Some(join),
-        }
+        Worker { work, done, join }
     }
 
-    fn send(&mut self, msg: Msg) {
-        let pushed = self.work.push(msg).is_ok();
-        debug_assert!(pushed, "lane work ring overflow (protocol violation)");
-        self.handle.unpark();
+    fn send(&self, job: Job) {
+        self.work
+            .send(job)
+            .expect("a lane worker lives as long as its pool");
+        self.join.thread().unpark();
     }
 
-    fn wait_done(&mut self) -> Done {
+    fn wait_done(&self) -> Done {
         // Short spin for the multicore fast path, then yield: the worker
         // may need this very core to produce the result we are polling
         // for, and yield_now is near-free when nothing else is runnable.
         let mut idle = 0u32;
         loop {
-            if let Some(done) = self.done.pop() {
-                return done;
+            match self.done.try_recv() {
+                Ok(done) => return done,
+                Err(TryRecvError::Disconnected) => {
+                    unreachable!("a lane worker lives as long as its pool")
+                }
+                Err(TryRecvError::Empty) => {}
             }
             idle += 1;
             if idle < 64 {
@@ -189,18 +181,18 @@ impl LanePool {
                 task: task as *mut T,
             })
             .collect();
-        for (i, (worker, slot)) in self.workers.iter_mut().zip(slots.iter_mut()).enumerate() {
-            worker.send(Msg::Run(Job {
+        for (i, (worker, slot)) in self.workers.iter().zip(slots.iter_mut()).enumerate() {
+            worker.send(Job {
                 slot: (slot as *mut TaskSlot<T>).cast(),
                 call: trampoline::<T>,
                 lane: i + 1,
-            }));
+            });
         }
         let inline = catch_unwind(AssertUnwindSafe(|| f(0, lane0)));
         // barrier: wait for EVERY dispatched worker even if one (or the
         // inline lane) panicked — otherwise task borrows would escape
         let mut panic: Option<Box<dyn Any + Send>> = None;
-        for worker in self.workers.iter_mut().take(lanes - 1) {
+        for worker in self.workers.iter().take(lanes - 1) {
             if let Err(payload) = worker.wait_done() {
                 panic = Some(payload);
             }
@@ -216,13 +208,10 @@ impl LanePool {
 
 impl Drop for LanePool {
     fn drop(&mut self) {
-        for worker in &mut self.workers {
-            worker.send(Msg::Shutdown);
-        }
-        for worker in &mut self.workers {
-            if let Some(join) = worker.join.take() {
-                let _ = join.join();
-            }
+        for Worker { work, join, .. } in self.workers.drain(..) {
+            drop(work);
+            join.thread().unpark();
+            let _ = join.join();
         }
     }
 }

@@ -33,7 +33,6 @@ pub mod enclave;
 pub mod headermap;
 pub mod lanes;
 pub mod ops;
-pub mod ring;
 pub mod stage;
 pub mod state;
 
@@ -47,7 +46,7 @@ pub use enclave::{
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;
-pub use netsim::arena::{PacketArena, PacketRef, PacketSlab};
+pub use netsim::arena::PacketArena;
 pub use ops::{ApplyError, EnclaveOp};
 pub use stage::{FieldValue, Matcher, Stage, StageInfo, StageRule};
 pub use state::FunctionState;

@@ -139,7 +139,6 @@ fn build_enclave(
 fn batchy_config() -> EnclaveConfig {
     EnclaveConfig {
         lanes: 4,
-        parallel_batch_min: 1,
         ..EnclaveConfig::default()
     }
 }

@@ -36,7 +36,7 @@ pub mod time;
 pub mod topo;
 pub mod wire;
 
-pub use arena::{PacketArena, PacketRef, PacketSlab};
+pub use arena::PacketArena;
 pub use event::EventQueue;
 pub use monitor::{QueueMonitor, SwitchSeries};
 pub use net::{LinkId, LinkSpec, Network, NodeId, PortId};

@@ -4,7 +4,7 @@
 //! `process` on each packet in order — verdict for verdict, header byte
 //! for header byte, state word for state word — for every concurrency
 //! level: `Parallel` and `PerMessage` functions actually execute on
-//! worker lanes (the batch minimum is forced to 1 here, so even tiny
+//! worker lanes (the per-lane minimum is forced to 1 here, so even tiny
 //! chunks fan out), `Serialized` and native functions take the serial
 //! fallback. The properties below drive both paths over arbitrary packet
 //! streams, chunkings, and RNG seeds, then compare everything observable:
@@ -46,11 +46,10 @@ fn install(e: &mut Enclave, bundle: &FunctionBundle, interpreted: bool, class: u
 }
 
 /// Enclave config that forces the parallel path whenever the installed
-/// functions allow it: four lanes, no minimum batch size.
+/// functions allow it: four lanes, one packet a lane is enough.
 fn batchy_config() -> EnclaveConfig {
     EnclaveConfig {
         lanes: 4,
-        parallel_batch_min: 1,
         parallel_per_lane_min: 1,
         ..EnclaveConfig::default()
     }
@@ -416,26 +415,57 @@ fn dishonest_concurrency_declaration_is_refused_at_install() {
 
 /// The punt mailbox is bounded: overflowing it evicts the oldest punt and
 /// counts the eviction, so a punt-heavy workload cannot grow memory
-/// without bound.
+/// without bound. What stays is the newest `max_punted` punts in arrival
+/// order — whether the packets came one by one through a native function
+/// or as one burst through an interpreted one on the lanes, whose punts
+/// reach the mailbox through the packet-order replay.
 #[test]
 fn punt_mailbox_is_bounded() {
-    let mut e = Enclave::new(EnclaveConfig {
-        max_punted: 8,
-        ..EnclaveConfig::default()
-    });
-    let f = e.install_function(punt_everything());
-    e.install_rule(TableId(0), MatchSpec::Any, f);
+    let stream: Vec<Packet> = (0..40u64)
+        .map(|i| {
+            let mut p = packet(1, i, 100, (i % 4) as u16);
+            p.id = i;
+            p
+        })
+        .collect();
+    for cap in [0usize, 1, 8] {
+        let config = EnclaveConfig {
+            max_punted: cap,
+            ..EnclaveConfig::default()
+        };
+        let mut e = Enclave::new(config);
+        let f = e.install_function(punt_everything());
+        e.install_rule(TableId(0), MatchSpec::Any, f);
+        let mut rng = SimRng::new(1);
+        for (i, p) in stream.iter().enumerate() {
+            e.process(&mut p.clone(), &mut rng, Time::from_nanos(i as u64));
+        }
 
-    let mut rng = SimRng::new(1);
-    for i in 0..20u64 {
-        let mut p = packet(1, i, 100, (i % 4) as u16);
-        e.process(&mut p, &mut rng, Time::from_nanos(i));
+        let mut laned = Enclave::new(config);
+        let compiled = compile("punt", "fun (p, m, g) -> toController ()", &Schema::new())
+            .expect("punt compiles");
+        let f = laned.install_function(InstalledFunction::interpreted("punt", compiled));
+        laned.install_rule(TableId(0), MatchSpec::Any, f);
+        let mut burst = stream.clone();
+        laned.process_batch(&mut burst, &mut SimRng::new(1), Time::from_nanos(1));
+        assert_eq!(
+            laned.batch_path_counts(),
+            (0, 1),
+            "the burst took the lanes"
+        );
+        assert!(burst.iter().all(|p| *p == Packet::consumed()));
+
+        let dropped = (stream.len() - cap) as u64;
+        for e in [&mut e, &mut laned] {
+            assert_eq!(e.stats.punted_to_controller, 40);
+            assert_eq!(e.stats.punt_drops, dropped, "evicted punts are counted");
+            assert_eq!(e.stats_snapshot().enclave.punt_drops, dropped);
+            assert_eq!(e.punted_len(), cap, "mailbox stays at its cap");
+            let kept = e.take_punted();
+            assert_eq!(kept, stream[stream.len() - cap..], "newest, oldest first");
+            assert_eq!(e.punted_len(), 0);
+        }
     }
-    assert_eq!(e.stats.punted_to_controller, 20);
-    assert_eq!(e.stats.punt_drops, 12, "evicted punts are counted");
-    assert_eq!(e.punted_len(), 8, "mailbox stays at its cap");
-    let snap = e.stats_snapshot();
-    assert_eq!(snap.enclave.punt_drops, 12);
 }
 
 /// Small batches take the serial fallback, large ones fan out — and the
@@ -445,20 +475,19 @@ fn punt_mailbox_is_bounded() {
 fn batch_path_choice_is_counted() {
     let mut e = Enclave::new(EnclaveConfig {
         lanes: 4,
-        parallel_batch_min: 8,
         parallel_per_lane_min: 4,
         ..EnclaveConfig::default()
     });
     install(&mut e, &functions::sff(), true, 1);
     let mut rng = SimRng::new(3);
 
-    // 32 packets across 4 lanes = 8 per lane: clears both thresholds
+    // 32 packets across 4 lanes = 8 per lane: clears the threshold
     let mut big: Vec<Packet> = (0..32).map(|i| packet(1, i, 100, 0)).collect();
     e.process_batch(&mut big, &mut rng, Time::from_nanos(1));
     assert_eq!(e.batch_path_counts(), (0, 1), "large batch fans out");
 
-    // 8 packets meet the batch floor but spread only 2 per lane: the
-    // per-lane headroom gate routes the batch to the serial path
+    // 8 packets spread only 2 per lane: the per-lane gate routes the
+    // batch to the serial path
     let mut small: Vec<Packet> = (0..8).map(|i| packet(1, i, 100, 0)).collect();
     e.process_batch(&mut small, &mut rng, Time::from_nanos(2));
     assert_eq!(e.batch_path_counts(), (1, 1), "thin batch stays serial");
