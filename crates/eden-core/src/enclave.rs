@@ -973,6 +973,44 @@ mod tests {
         assert!(e.last_flight_dump().is_none());
     }
 
+    /// The walk carries a trap as a bare `Err(())`; what a native closure's
+    /// `Err` must still leave behind is everything the payload never fed.
+    #[test]
+    fn native_fault_is_counted_and_leaves_the_sentinel() {
+        for fail_open in [true, false] {
+            let mut e = Enclave::new(EnclaveConfig {
+                fail_open,
+                ..EnclaveConfig::default()
+            });
+            let f = e.install_function(native_function(
+                "broken",
+                Schema::new(),
+                Concurrency::Parallel,
+                Box::new(|_env| Err(eden_vm::VmError::DivideByZero)),
+            ));
+            e.install_rule(TableId(0), MatchSpec::Any, f);
+
+            let mut p = Packet::udp(1, 2, netsim::UdpHeader::default(), 100);
+            let v = e.process(&mut p, &mut SimRng::new(1), Time::from_nanos(5));
+            let want = if fail_open {
+                HookVerdict::Pass
+            } else {
+                HookVerdict::Drop
+            };
+            assert_eq!(v, want, "fail_open {fail_open}");
+            assert_eq!(e.stats.faults, 1);
+            let counts = e.stats_snapshot().functions[f.0].counts;
+            assert_eq!((counts.faults, counts.invocations), (1, 0));
+
+            let dump = e.last_flight_dump().expect("trap froze the recorder");
+            assert_eq!(dump.reason, "vm_trap");
+            let last = dump.last_event().expect("events retained");
+            assert!(matches!(last.kind, FlightKind::VmTrap));
+            // a native fault has no trap site: the kind-count sentinel
+            assert_eq!((last.a, last.b), (eden_vm::Op::KIND_COUNT as u64, 0));
+        }
+    }
+
     #[test]
     fn table_loop_on_a_lane_leaves_a_flight_event() {
         let mut e = Enclave::new(EnclaveConfig {

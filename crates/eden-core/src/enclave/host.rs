@@ -4,7 +4,7 @@
 use eden_lang::{Access, ReplMode};
 use eden_repl::{merged_read, merged_store, HostRepl, ReplSpec};
 use eden_vm::{Effect, Host, StateUse, VmError};
-use netsim::{Packet, PacketRng, Time};
+use netsim::{Packet, Time};
 
 use super::link::PktSlot;
 use super::FlowDirection;
@@ -161,7 +161,11 @@ pub(crate) struct InvocationHost<'a> {
     pub(crate) msg: &'a mut [i64],
     pub(crate) state: GlobalView<'a>,
     pub(super) repl: ReplRef<'a>,
-    pub(super) rng: &'a mut PacketRng,
+    /// The packet's random stream, `PacketRng::next_i64`. A closure and not
+    /// the `&mut PacketRng<'r>` itself, because `'r` (the packet's borrow of
+    /// the host's generator) outlives this view and `&mut` cannot shorten
+    /// it; nothing is drawn, or generated, until a function calls it.
+    pub(super) rand: &'a mut dyn FnMut() -> i64,
     pub(super) now: Time,
     pub(super) direction: FlowDirection,
     pub(crate) queue: Option<(i64, i64)>,
@@ -251,7 +255,7 @@ impl Host for InvocationHost<'_> {
     }
 
     fn rand64(&mut self) -> i64 {
-        self.rng.next_i64()
+        (self.rand)()
     }
 
     fn now_ns(&mut self) -> i64 {

@@ -4,8 +4,8 @@
 //! switch.
 
 use eden_core::{
-    Controller, Enclave, EnclaveConfig, FiveTupleMatch, InstalledFunction, MatchSpec, Matcher,
-    NativeEnv, Stage, TableId,
+    ClassId, Controller, Enclave, EnclaveConfig, FiveTupleMatch, InstalledFunction, MatchSpec,
+    Matcher, NativeEnv, Stage, TableId,
 };
 use eden_lang::{Access, Concurrency, HeaderField, Schema};
 use eden_vm::Outcome;
@@ -464,4 +464,78 @@ fn drop_verdict_from_dsl() {
         enclave.process(&mut p, &mut rng, Time::ZERO),
         HookVerdict::Pass
     );
+}
+
+/// A packet's random draw is reserved when it is classified and computed
+/// only if one of its functions reads it. A rule set that never calls
+/// `rand()` — PIAS interpreted, priority tagging native, and the misses —
+/// therefore runs the generator's cipher not once, per packet or in bursts,
+/// and still leaves the caller's RNG one draw per packet on.
+#[test]
+fn rand_free_rule_sets_generate_no_keystream() {
+    use eden_apps::functions;
+
+    fn rand_free() -> Enclave {
+        let mut e = Enclave::new(EnclaveConfig::default());
+        let pias = e.install_function(functions::pias().interpreted());
+        e.set_array(pias, 0, vec![10_000, 7, 1_000_000, 5, i64::MAX, 1]);
+        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), pias);
+        // a native function is not lane-safe: bursts stay on this thread
+        let tag = e.install_function(functions::fixed_priority().native());
+        e.set_global(tag, 0, 3);
+        e.install_rule(TableId(0), MatchSpec::Class(ClassId(2)), tag);
+        e
+    }
+    let stream = || (0..1000u64).map(|i| tagged_packet(i % 7, vec![1 + (i % 3) as u32], 700));
+    let thousand_and_first = {
+        let mut eager = SimRng::new(5);
+        for _ in 0..1000 {
+            eager.next_u64();
+        }
+        assert_eq!(eager.blocks_generated(), 125);
+        eager.next_u64()
+    };
+
+    // one packet at a time
+    let (mut e, mut rng) = (rand_free(), SimRng::new(5));
+    for mut p in stream() {
+        e.process(&mut p, &mut rng, Time::ZERO);
+    }
+    assert_eq!((e.stats.matched, e.stats.missed), (667, 333));
+    assert_eq!(rng.blocks_generated(), 0);
+    assert_eq!(rng.next_u64(), thousand_and_first);
+
+    // bursts of 64, lookahead and all
+    let (mut e, mut rng) = (rand_free(), SimRng::new(5));
+    for burst in stream().collect::<Vec<_>>().chunks_mut(64) {
+        e.process_batch(burst, &mut rng, Time::ZERO);
+    }
+    assert_eq!(e.batch_path_counts(), (16, 0));
+    assert_eq!(e.stats.matched, 667);
+    assert_eq!(rng.blocks_generated(), 0);
+    assert_eq!(rng.next_u64(), thousand_and_first);
+
+    // an enclave with no rule at all: every packet a table miss
+    let (mut e, mut rng) = (Enclave::new(EnclaveConfig::default()), SimRng::new(5));
+    for mut p in stream() {
+        e.process(&mut p, &mut rng, Time::ZERO);
+    }
+    assert_eq!(e.stats.missed, 1000);
+    assert_eq!(rng.blocks_generated(), 0);
+    assert_eq!(rng.next_u64(), thousand_and_first);
+
+    // and the count is not vacuous: WCMP draws for every packet it is
+    // handed, a third of this stream, so blocks are generated — the eager
+    // 125 or fewer, since a block no class-1 packet fell in stays unread
+    let (mut e, mut rng) = (rand_free(), SimRng::new(5));
+    let wcmp = e.install_function(functions::wcmp().interpreted());
+    e.set_array(wcmp, 0, vec![11, 3, 22, 2, 33, 5]);
+    e.set_global(wcmp, 0, 10);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(3)), wcmp);
+    for mut p in stream() {
+        e.process(&mut p, &mut rng, Time::ZERO);
+    }
+    assert_eq!(e.stats.matched, 1000);
+    assert!((100..=125).contains(&rng.blocks_generated()));
+    assert_eq!(rng.next_u64(), thousand_and_first);
 }

@@ -26,6 +26,10 @@ use crate::packet::Packet;
 #[derive(Debug, Default)]
 pub struct PacketArena {
     batches: Vec<Vec<Packet>>,
+    /// [`take_batch`](Self::take_batch) calls served from the free list.
+    hits: u64,
+    /// Calls that found it empty and handed out a buffer with no capacity.
+    misses: u64,
 }
 
 /// Keep at most this many idle batch buffers. The data path needs a
@@ -44,9 +48,13 @@ impl PacketArena {
         match self.batches.pop() {
             Some(buf) => {
                 debug_assert!(buf.is_empty(), "recycled batches are drained on return");
+                self.hits += 1;
                 buf
             }
-            None => Vec::new(),
+            None => {
+                self.misses += 1;
+                Vec::new()
+            }
         }
     }
 
@@ -62,6 +70,13 @@ impl PacketArena {
     /// Number of idle batch buffers (test/telemetry hook).
     pub fn free_batches(&self) -> usize {
         self.batches.len()
+    }
+
+    /// `(hits, misses)` of [`take_batch`](Self::take_batch) so far: buffers
+    /// that came back warm from the free list, and fresh ones. A steady
+    /// data path misses once per buffer it keeps in flight and then never.
+    pub fn batch_reuse(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 }
 
@@ -92,6 +107,7 @@ mod tests {
         let again = arena.take_batch();
         assert!(again.is_empty(), "recycled batch must be drained");
         assert!(again.capacity() >= 2, "capacity survives recycling");
+        assert_eq!(arena.batch_reuse(), (1, 2), "two cold takes, one warm");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the seed 0..10.
 
 use rand::{RngExt, SeedableRng};
-use rand_chacha::ChaCha12Rng;
+use rand_chacha::{ChaCha12Rng, Reserved};
 
 /// A seeded ChaCha12 RNG with the handful of draws the simulator needs.
 #[derive(Debug, Clone)]
@@ -61,32 +61,77 @@ impl SimRng {
     /// Batch processing partitions packets across worker lanes, so the
     /// packets of one batch cannot share a sequential RNG without the lane
     /// interleaving leaking into the random stream. Instead, every packet
-    /// gets its own [`PacketRng`] seeded here — in arrival order — which
-    /// makes the draws a packet observes a pure function of its position in
-    /// the stream, identical whether the batch runs serial or parallel.
-    pub fn fork_packet(&mut self) -> PacketRng {
-        PacketRng::new(self.next_u64())
+    /// gets its own [`PacketRng`] over the draw reserved for it here — in
+    /// arrival order — which makes the draws a packet observes a pure
+    /// function of its position in the stream, identical whether the batch
+    /// runs serial or parallel.
+    ///
+    /// What arrival order fixes is the draw's *position*; its value is
+    /// computed when the packet's stream is first read, through the
+    /// generator this borrow keeps still, and never for a packet whose
+    /// functions do not call `rand()`. The next draw from `self` is the
+    /// same either way.
+    #[inline]
+    pub fn fork_packet(&mut self) -> PacketRng<'_> {
+        let at = self.inner.reserve_u64();
+        PacketRng {
+            state: 0,
+            reserved: Some((&mut self.inner, at)),
+        }
+    }
+
+    /// Keystream blocks the generator has computed so far: eight draws
+    /// read, or reserved and then read, cost one; draws only reserved
+    /// cost none.
+    pub fn blocks_generated(&self) -> u64 {
+        self.inner.blocks_generated()
     }
 }
 
-/// A minimal splitmix64 stream for one packet's action-function run.
+/// A minimal splitmix64 stream for one packet's action-function run,
+/// seeded from the draw [`SimRng::fork_packet`] reserved — on the first
+/// read, so a packet that never draws never pays for its seed.
 ///
 /// Statistically solid for the handful of draws a function makes (WCMP path
-/// picks, probabilistic sampling) and cheap enough to seed per packet; not
-/// a crypto RNG — the simulator-wide [`SimRng`] remains ChaCha-based.
-#[derive(Debug, Clone)]
-pub struct PacketRng {
+/// picks, probabilistic sampling) and cheap enough to hand to every packet;
+/// not a crypto RNG — the simulator-wide [`SimRng`] remains ChaCha-based.
+#[derive(Debug)]
+pub struct PacketRng<'r> {
     state: u64,
+    /// The generator and the place in its stream of the draw that seeds
+    /// `state`, until the first read takes them.
+    reserved: Option<(&'r mut ChaCha12Rng, Reserved)>,
 }
 
-impl PacketRng {
+impl PacketRng<'static> {
     /// Deterministic stream from a 64-bit seed.
-    pub fn new(seed: u64) -> PacketRng {
-        PacketRng { state: seed }
+    pub fn new(seed: u64) -> Self {
+        PacketRng {
+            state: seed,
+            reserved: None,
+        }
+    }
+}
+
+impl PacketRng<'_> {
+    /// Seed the stream now and let go of the generator: the form a packet
+    /// dealt to another thread carries.
+    #[inline]
+    pub fn resolve(mut self) -> PacketRng<'static> {
+        self.seed();
+        PacketRng::new(self.state)
+    }
+
+    #[inline]
+    fn seed(&mut self) {
+        if let Some((generator, at)) = self.reserved.take() {
+            self.state = generator.resolve_u64(at);
+        }
     }
 
     /// Uniform u64 (splitmix64 step).
     pub fn next_u64(&mut self) -> u64 {
+        self.seed();
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -140,6 +185,19 @@ mod tests {
         assert_eq!(pa, pb);
         // distinct positions get distinct streams
         assert_ne!(pa[0], pa[1]);
+    }
+
+    #[test]
+    fn unread_packet_forks_cost_a_position_and_no_keystream() {
+        let mut a = SimRng::new(4);
+        let mut twin = SimRng::new(4);
+        for _ in 0..1000 {
+            let _unread = a.fork_packet();
+            twin.next_u64();
+        }
+        assert_eq!(a.blocks_generated(), 0);
+        assert_eq!(twin.blocks_generated(), 125);
+        assert_eq!(a.next_u64(), twin.next_u64(), "the 1,001st draw");
     }
 
     #[test]

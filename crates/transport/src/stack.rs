@@ -266,9 +266,15 @@ impl Stack {
             .collect()
     }
 
-    /// Host-level drop counters outside the enclave.
+    /// Host-level counters outside the enclave: drops, and how the arena's
+    /// batch buffers were reused.
     pub fn host_counters(&self) -> HostCounters {
-        self.drops
+        let (batch_buffer_hits, batch_buffer_misses) = self.arena.batch_reuse();
+        HostCounters {
+            batch_buffer_hits,
+            batch_buffer_misses,
+            ..self.drops
+        }
     }
 
     /// Append one cwnd sample per connection to the per-flow time series

@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Where the samples of a scripts/sigprof.c run sit.
+
+    scripts/sigprof-report.py <binary> <samples-file> [--top N] [--callers]
+    scripts/sigprof-report.py <binary> <samples-file> --symbol SUBSTRING
+
+Without --symbol: one line per function of <binary>, by share of all
+samples (symbols from `nm -C -n`), with everything outside the binary
+folded into one line per mapped file (`[libc.so.6]`, `[vdso]`, ...).
+
+With --callers (a run recorded with SIGPROF_DEPTH > 1): a sample outside
+the binary is charged to the first frame of its stack inside it and
+listed as `function <- [libc.so.6]`, which says whose memset or malloc
+the time is.
+
+With --symbol: the function whose demangled name contains SUBSTRING and
+holds the most samples, disassembled with `objdump -d`, each instruction
+with its samples and its share of the function's. A sample sits on the
+instruction after the one that stalled.
+
+<binary> must be the file that was profiled (its path is looked up in the
+recorded /proc/self/maps to find the load address). Needs binutils' `nm`
+and `objdump`; see scripts/sigprof.c for how to record.
+"""
+import argparse
+import bisect
+import collections
+import os
+import re
+import subprocess
+import sys
+
+
+def read_profile(path):
+    """-> (maps, samples): maps = [(start, end, offset, file)], samples = [[pc, caller...]]."""
+    maps, samples, section = [], [], None
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line.startswith("#"):
+                section = line[1:].strip().split()[0]
+                continue
+            if section == "maps":
+                m = re.match(r"([0-9a-f]+)-([0-9a-f]+) \S+ ([0-9a-f]+) \S+ \S+\s*(.*)", line)
+                if m:
+                    start, end, off = (int(g, 16) for g in m.group(1, 2, 3))
+                    maps.append((start, end, off, m.group(4)))
+            elif section == "samples" and line:
+                samples.append([int(a, 16) for a in line.split()])
+    return maps, samples
+
+
+def load_bias(binary, maps):
+    """Runtime address minus link-time address for `binary`'s mappings."""
+    real = os.path.realpath(binary)
+    mine = [m for m in maps if m[3] and os.path.realpath(m[3]) == real]
+    if not mine:
+        sys.exit(f"{binary} is not in the recorded maps; profile and report the same file")
+    first = min(mine, key=lambda m: m[2])  # the mapping of file offset 0
+    headers = subprocess.run(["objdump", "-p", binary], capture_output=True, text=True, check=True)
+    m = re.search(r"LOAD off\s+0x0+\s+vaddr\s+0x([0-9a-f]+)", headers.stdout)
+    vaddr0 = int(m.group(1), 16) if m else 0
+    return first[0] - first[2] - vaddr0, mine
+
+
+def text_symbols(binary):
+    """Sorted [(addr, name)] of the functions `nm` knows."""
+    out = subprocess.run(
+        ["nm", "-C", "-n", "--defined-only", binary], capture_output=True, text=True, check=True
+    ).stdout
+    syms = []
+    for line in out.splitlines():
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[1] in "tTwW":
+            syms.append((int(parts[0], 16), parts[2]))
+    return syms
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("binary")
+    ap.add_argument("samples")
+    ap.add_argument("--top", type=int, default=30, help="functions to list (default 30)")
+    ap.add_argument("--symbol", help="per-instruction shares inside the hottest match")
+    ap.add_argument("--callers", action="store_true",
+                    help="charge samples outside the binary to their first caller inside it")
+    args = ap.parse_args()
+
+    maps, samples = read_profile(args.samples)
+    if not samples:
+        sys.exit("no samples recorded (did the run use any CPU time?)")
+    bias, mine = load_bias(args.binary, maps)
+    syms = text_symbols(args.binary)
+    addrs = [a for a, _ in syms]
+
+    def symbol_of(addr):
+        """Index into `syms` of the function holding runtime address `addr`, or None."""
+        if not any(start <= addr < end for start, end, _, _ in mine):
+            return None
+        i = bisect.bisect_right(addrs, addr - bias) - 1
+        return i if i >= 0 else None
+
+    by_symbol = collections.Counter()
+    inside = collections.defaultdict(collections.Counter)  # symbol index -> {vaddr: n}
+    for pc, *stack in samples:
+        i = symbol_of(pc)
+        if i is not None:
+            by_symbol[i] += 1
+            inside[i][pc - bias] += 1
+            continue
+        where = next((f for s, e, _, f in maps if s <= pc < e), "") or "unmapped"
+        where = "[" + os.path.basename(where.strip("[]")) + "]"
+        if args.callers:
+            # a return address points past its call: look up the byte before
+            caller = next((c for c in (symbol_of(ret - 1) for ret in stack) if c is not None), None)
+            if caller is not None:
+                where = f"{syms[caller][1]} <- {where}"
+        by_symbol[where] += 1
+
+    total = len(samples)
+    name = lambda k: syms[k][1] if isinstance(k, int) else k
+    if not args.symbol:
+        print(f"# {total} samples, {args.binary}")
+        for k, n in by_symbol.most_common(args.top):
+            print(f"{100 * n / total:6.2f}%  {n:7d}  {name(k)}")
+        return
+
+    hits = [(n, k) for k, n in by_symbol.items() if isinstance(k, int) and args.symbol in syms[k][1]]
+    if not hits:
+        sys.exit(f"no sampled function matches {args.symbol!r}")
+    n, k = max(hits)
+    start = syms[k][0]
+    stop = syms[k + 1][0] if k + 1 < len(syms) else start + 0x10000
+    print(f"# {syms[k][1]}: {n} of {total} samples ({100 * n / total:.2f}%)")
+    dis = subprocess.run(
+        ["objdump", "-d", "-C", "--no-show-raw-insn",
+         f"--start-address={start:#x}", f"--stop-address={stop:#x}", args.binary],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    for line in dis.splitlines():
+        m = re.match(r"\s*([0-9a-f]+):\s+(.*)", line)
+        if not m:
+            continue
+        here = inside[k].get(int(m.group(1), 16), 0)
+        share = f"{100 * here / n:6.2f}% {here:6d}" if here else " " * 14
+        print(f"{share}  {m.group(1)}: {m.group(2)}")
+
+
+if __name__ == "__main__":
+    main()

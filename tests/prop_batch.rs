@@ -19,7 +19,7 @@ use eden::core::{
     native_function, ClassId, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FuncId,
     InstalledFunction, MatchSpec, TableId,
 };
-use eden::lang::{compile, Access, Concurrency, Schema};
+use eden::lang::{compile, Access, Concurrency, HeaderField, Schema};
 use eden::netsim::{EdenMeta, Packet, PacketArena, SimRng, TcpHeader, Time, UdpHeader};
 use eden::vm::{encode_program, Outcome};
 use proptest::prelude::*;
@@ -169,8 +169,15 @@ fn assert_equivalent(
         prop_assert_eq!(&a.arrays, &b.arrays, "arrays of func {}", f.0);
         prop_assert_eq!(a.evictions, b.evictions, "evictions of func {}", f.0);
     }
-    // the two RNGs must have advanced in lockstep (one fork per packet)
-    prop_assert_eq!(serial_rng.next_u64(), batched_rng.next_u64());
+    // both RNGs stand exactly one draw per packet on, whether a packet's
+    // draw was read (by a function, or by the lanes' deal) or only reserved
+    let mut eager = SimRng::new(seed);
+    for _ in stream {
+        eager.next_u64();
+    }
+    let next = eager.next_u64();
+    prop_assert_eq!(serial_rng.next_u64(), next);
+    prop_assert_eq!(batched_rng.next_u64(), next);
     Ok(())
 }
 
@@ -262,6 +269,28 @@ proptest! {
         }, &stream, chunk, seed)?;
     }
 
+    /// A packet's draw is reserved when it is classified and computed only
+    /// if a function reads its stream; `dice` reads it for the packets whose
+    /// length says so — once, twice, or not at all — so which draws get
+    /// computed differs from packet to packet and, between the caller's
+    /// thread (on demand) and the lanes (all of them, at the deal), from
+    /// path to path. What every packet sees must not: per-packet against
+    /// the lane fan-out, then per-packet against the caller-thread burst.
+    #[test]
+    fn draws_read_by_some_packets_only_match_serial(
+        stream in streams(), chunk in 1usize..80, seed in any::<u64>(),
+    ) {
+        for config in [batchy_config(), EnclaveConfig { lanes: 1, ..batchy_config() }] {
+            assert_equivalent(|| {
+                let mut e = Enclave::new(config);
+                let dice = e.install_function(dice());
+                e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), dice);
+                let pias = install(&mut e, &functions::pias(), true, 2);
+                (e, vec![dice, pias])
+            }, &stream, chunk, seed)?;
+        }
+    }
+
     /// What the caller-thread burst loop reads ahead of the walk, before
     /// the walk has vetted any of it: packets without metadata (classes
     /// from flow rules, flow-as-message ids), datagrams no flow rule
@@ -280,6 +309,24 @@ proptest! {
     ) {
         assert_equivalent(lookahead_enclave, &stream, chunk, seed)?;
     }
+}
+
+/// An interpreted function that reads its packet's random stream twice,
+/// once or not at all, as the packet's length decides.
+fn dice() -> InstalledFunction {
+    let schema = Schema::new()
+        .packet_field("Size", Access::ReadOnly, Some(HeaderField::Ipv4TotalLength))
+        .packet_field("Label", Access::ReadWrite, Some(HeaderField::Dot1qVid))
+        .msg_field("Rolls", Access::ReadWrite)
+        .msg_field("Last", Access::ReadWrite);
+    let src = "fun (p, m, g) ->\n    \
+        if p.Size % 3 = 0 then (\n        \
+            m.Rolls <- m.Rolls + 1\n        \
+            p.Label <- 1 + randRange (4000)\n        \
+            if p.Size % 2 = 0 then m.Last <- randRange (1000)\n    \
+        )\n";
+    let compiled = compile("dice", src, &schema).expect("dice compiles");
+    InstalledFunction::interpreted("dice", compiled)
 }
 
 /// A native function that punts every packet it is handed.
