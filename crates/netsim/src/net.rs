@@ -315,7 +315,7 @@ impl Network {
         self.actions = actions;
     }
 
-    fn start_tx(&mut self, node: NodeId, port: PortId, mut packet: Packet) {
+    fn start_tx(&mut self, node: NodeId, port: PortId, mut packet: Box<Packet>) {
         let now = self.queue.now();
         let pr = self.ports[node.0][port.0];
         let link = &mut self.links[pr.link.0];
@@ -401,12 +401,12 @@ mod tests {
         fn on_event(&mut self, event: NodeEvent, ctx: &mut Ctx<'_>) {
             match event {
                 NodeEvent::Packet { packet, .. } => {
-                    self.received.push((ctx.now(), packet));
+                    self.received.push((ctx.now(), *packet));
                 }
                 NodeEvent::Timer { .. } => {
                     if !self.port_busy {
                         if let Some(p) = self.to_send.pop() {
-                            ctx.start_tx(PortId(0), p);
+                            ctx.start_tx(PortId(0), Box::new(p));
                             self.port_busy = true;
                         }
                     }
@@ -414,7 +414,7 @@ mod tests {
                 NodeEvent::TxDone { .. } => {
                     self.port_busy = false;
                     if let Some(p) = self.to_send.pop() {
-                        ctx.start_tx(PortId(0), p);
+                        ctx.start_tx(PortId(0), Box::new(p));
                         self.port_busy = true;
                     }
                 }

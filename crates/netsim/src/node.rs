@@ -16,16 +16,20 @@ use crate::time::Time;
 
 /// Events delivered to a node.
 ///
-/// `Packet` dwarfs the other variants, but an event is written once into
-/// the event queue's payload slab and read once at dispatch; the heap
-/// sifts 24-byte keys, never events. Boxing the packet would add an
-/// allocation per delivered packet on the hottest path, to shrink slots
-/// the slab recycles anyway.
-#[allow(clippy::large_enum_variant)]
+/// A packet in flight is a handle: it is boxed once, where it enters its
+/// first queue on the sending host, forwarded by every switch as eight
+/// bytes and freed by the node that consumes it. By value, a 208-byte
+/// `Packet` was moved about sixteen times between one host's TCP and
+/// another's — out of the event slab, through `dispatch`, the switch, its
+/// port queue and back into the slab at every hop — and that `memmove`
+/// was 17.9 % of the samples of a `fullstack` run, against 2.1 % for the
+/// allocator; boxed, the copy reads 4.5 % and the allocator 4.3 % of a
+/// shorter run (EXPERIMENTS.md, PR 24). `event.rs` pins the size, so a
+/// by-value packet cannot creep back.
 #[derive(Debug)]
 pub enum NodeEvent {
     /// A packet finished arriving on `port`.
-    Packet { port: PortId, packet: Packet },
+    Packet { port: PortId, packet: Box<Packet> },
     /// The transmission started earlier on `port` has left the NIC; the
     /// port is idle again and the node may start the next one.
     TxDone { port: PortId },
@@ -36,7 +40,7 @@ pub enum NodeEvent {
 /// Deferred effects a node requests during an event handler.
 #[derive(Debug)]
 pub(crate) enum Action {
-    StartTx { port: PortId, packet: Packet },
+    StartTx { port: PortId, packet: Box<Packet> },
     Timer { at: Time, token: u64 },
 }
 
@@ -65,7 +69,9 @@ impl<'a> Ctx<'a> {
     /// The port must be idle: a node learns idleness from the initial state
     /// (all ports idle) and subsequent [`NodeEvent::TxDone`] events.
     /// Transmitting on a busy port is a node bug and panics at apply time.
-    pub fn start_tx(&mut self, port: PortId, packet: Packet) {
+    /// The packet travels as the handle given here: the receiving node gets
+    /// this allocation in its [`NodeEvent::Packet`].
+    pub fn start_tx(&mut self, port: PortId, packet: Box<Packet>) {
         self.actions.push(Action::StartTx { port, packet });
     }
 

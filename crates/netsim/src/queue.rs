@@ -9,10 +9,12 @@ use std::collections::VecDeque;
 
 use crate::packet::Packet;
 
-/// A byte-bounded FIFO with drop-tail admission.
+/// A byte-bounded FIFO with drop-tail admission. It holds packets by the
+/// handle they travel the fabric as, so admitting and dequeuing one moves
+/// eight bytes.
 #[derive(Debug)]
 pub struct DropTailQueue {
-    queue: VecDeque<Packet>,
+    queue: VecDeque<Box<Packet>>,
     bytes: usize,
     capacity_bytes: usize,
     /// Packets refused because the buffer was full.
@@ -34,7 +36,7 @@ impl DropTailQueue {
     }
 
     /// Admit `packet` or drop it. Returns whether it was admitted.
-    pub fn push(&mut self, packet: Packet) -> bool {
+    pub fn push(&mut self, packet: Box<Packet>) -> bool {
         let len = packet.wire_len();
         if self.bytes + len > self.capacity_bytes {
             self.drops += 1;
@@ -48,7 +50,7 @@ impl DropTailQueue {
     }
 
     /// Dequeue the head packet.
-    pub fn pop(&mut self) -> Option<Packet> {
+    pub fn pop(&mut self) -> Option<Box<Packet>> {
         let p = self.queue.pop_front()?;
         self.bytes -= p.wire_len();
         Some(p)
@@ -93,7 +95,7 @@ impl PriorityPort {
     }
 
     /// Enqueue by the packet's own 802.1p priority. Returns admission.
-    pub fn enqueue(&mut self, packet: Packet) -> bool {
+    pub fn enqueue(&mut self, packet: Box<Packet>) -> bool {
         let pcp = packet.priority().min(7) as usize;
         self.queues[pcp].push(packet)
     }
@@ -101,12 +103,12 @@ impl PriorityPort {
     /// Enqueue into an explicit class, ignoring the wire priority (host
     /// NICs use this to locally prioritize control packets without
     /// touching the 802.1Q header that switches will see).
-    pub fn enqueue_with_class(&mut self, packet: Packet, class: u8) -> bool {
+    pub fn enqueue_with_class(&mut self, packet: Box<Packet>, class: u8) -> bool {
         self.queues[class.min(7) as usize].push(packet)
     }
 
     /// Dequeue from the highest-priority non-empty queue.
-    pub fn dequeue(&mut self) -> Option<Packet> {
+    pub fn dequeue(&mut self) -> Option<Box<Packet>> {
         for q in self.queues.iter_mut().rev() {
             if let Some(p) = q.pop() {
                 return Some(p);
@@ -141,10 +143,10 @@ mod tests {
     use super::*;
     use crate::packet::TcpHeader;
 
-    fn pkt(payload: usize, pcp: u8) -> Packet {
+    fn pkt(payload: usize, pcp: u8) -> Box<Packet> {
         let mut p = Packet::tcp(1, 2, TcpHeader::default(), payload);
         p.set_priority(pcp);
-        p
+        Box::new(p)
     }
 
     #[test]

@@ -168,11 +168,11 @@ mod tests {
     impl Node for Host {
         fn on_event(&mut self, event: NodeEvent, ctx: &mut Ctx<'_>) {
             match event {
-                NodeEvent::Packet { packet, .. } => self.received.push((ctx.now(), packet)),
+                NodeEvent::Packet { packet, .. } => self.received.push((ctx.now(), *packet)),
                 NodeEvent::Timer { .. } | NodeEvent::TxDone { .. } => {
                     self.busy = false;
                     if let Some(p) = self.to_send.pop() {
-                        ctx.start_tx(PortId(0), p);
+                        ctx.start_tx(PortId(0), Box::new(p));
                         self.busy = true;
                     }
                 }

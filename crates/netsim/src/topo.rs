@@ -153,7 +153,7 @@ mod tests {
         fn on_event(&mut self, event: NodeEvent, ctx: &mut Ctx<'_>) {
             if let NodeEvent::Timer { .. } = event {
                 let p = Packet::tcp(self.src, self.dst, TcpHeader::default(), 100);
-                ctx.start_tx(PortId(0), p);
+                ctx.start_tx(PortId(0), Box::new(p));
             }
         }
         fn as_any(&self) -> &dyn Any {

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use netsim::{Packet, Time};
 
 /// A token bucket with an attached FIFO of (packet, charge) waiting for
-/// tokens.
+/// tokens. Packets wait as the handles they will cross the fabric as.
 #[derive(Debug)]
 pub struct TokenBucket {
     /// Refill rate in bytes per second.
@@ -20,7 +20,7 @@ pub struct TokenBucket {
     burst_bytes: f64,
     tokens: f64,
     last_refill: Time,
-    queue: VecDeque<(Packet, u64)>,
+    queue: VecDeque<(Box<Packet>, u64)>,
     /// Packets released so far.
     pub released: u64,
     /// Bytes charged so far (≥ bytes released when charges are inflated).
@@ -55,14 +55,14 @@ impl TokenBucket {
     }
 
     /// Enqueue `packet` charging `charge` bytes.
-    pub fn enqueue(&mut self, packet: Packet, charge: u64, now: Time) {
+    pub fn enqueue(&mut self, packet: Box<Packet>, charge: u64, now: Time) {
         self.refill(now);
         self.queue.push_back((packet, charge));
     }
 
     /// Release every packet whose charge fits the current tokens, in FIFO
     /// order. Returns the released packets.
-    pub fn release(&mut self, now: Time) -> Vec<Packet> {
+    pub fn release(&mut self, now: Time) -> Vec<Box<Packet>> {
         self.refill(now);
         let mut out = Vec::new();
         while let Some((_, charge)) = self.queue.front() {
@@ -103,8 +103,8 @@ mod tests {
     use super::*;
     use netsim::TcpHeader;
 
-    fn pkt(payload: usize) -> Packet {
-        Packet::tcp(1, 2, TcpHeader::default(), payload)
+    fn pkt(payload: usize) -> Box<Packet> {
+        Box::new(Packet::tcp(1, 2, TcpHeader::default(), payload))
     }
 
     #[test]

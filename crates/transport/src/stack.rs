@@ -466,7 +466,7 @@ impl Stack {
     // ------------------------------------------------------------------
 
     /// A packet arrived from the NIC.
-    pub(crate) fn handle_ingress(&mut self, mut packet: Packet, ctx: &mut Ctx<'_>) {
+    pub(crate) fn handle_ingress(&mut self, mut packet: Box<Packet>, ctx: &mut Ctx<'_>) {
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 ctx.now().as_nanos(),
@@ -508,7 +508,7 @@ impl Stack {
                         },
                         bytes,
                     );
-                    self.nic_enqueue(reply, ctx);
+                    self.nic_enqueue(Box::new(reply), ctx);
                 }
                 return;
             }
@@ -539,7 +539,7 @@ impl Stack {
             }
         }
         let Some(hdr) = packet.tcp_header().copied() else {
-            self.events.push_back(AppEvent::Raw(packet));
+            self.events.push_back(AppEvent::Raw(*packet));
             return;
         };
         let key = (packet.ip.src, hdr.src_port, hdr.dst_port);
@@ -690,7 +690,7 @@ impl Stack {
             };
             self.route_egress_verdict(packet, verdict, ctx);
         } else {
-            self.nic_enqueue(packet, ctx);
+            self.nic_enqueue(Box::new(packet), ctx);
         }
     }
 
@@ -713,7 +713,7 @@ impl Stack {
         }
         if self.hook.is_none() {
             for packet in packets.drain(..) {
-                self.nic_enqueue(packet, ctx);
+                self.nic_enqueue(Box::new(packet), ctx);
             }
             self.arena.recycle_batch(packets);
             return;
@@ -752,7 +752,7 @@ impl Stack {
             );
         }
         match verdict {
-            HookVerdict::Pass => self.nic_enqueue(packet, ctx),
+            HookVerdict::Pass => self.nic_enqueue(Box::new(packet), ctx),
             HookVerdict::Drop => {
                 self.drops.hook_drops += 1;
             }
@@ -779,7 +779,7 @@ impl Stack {
                         TraceVerdict::Enqueue,
                     );
                 }
-                self.limiters[queue].enqueue(packet, charge, ctx.now());
+                self.limiters[queue].enqueue(Box::new(packet), charge, ctx.now());
                 let released = self.limiters[queue].release(ctx.now());
                 for p in released {
                     self.nic_enqueue(p, ctx);
@@ -800,7 +800,7 @@ impl Stack {
         }
     }
 
-    fn nic_enqueue(&mut self, packet: Packet, ctx: &mut Ctx<'_>) {
+    fn nic_enqueue(&mut self, packet: Box<Packet>, ctx: &mut Ctx<'_>) {
         if !self.nic.busy && !self.nic.has_backlog() {
             if let Some(t) = self.trace.as_mut() {
                 t.record(

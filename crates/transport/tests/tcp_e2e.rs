@@ -645,3 +645,68 @@ fn lossy_reordering_outcome_is_unchanged_by_the_timer_rewrite() {
         ]
     );
 }
+
+/// One 2 MB transfer from a 10 Gbps host to a 1 Gbps one through a switch
+/// with 30 KB per class (the egress port overflows) over a client link
+/// that loses 3 ‰ of its frames: `(events dispatched, final virtual ns,
+/// client ConnStats, server ConnStats, switch drops)`.
+fn lossy_congested_transfer() -> (u64, u64, [u64; 10], [u64; 10], u64) {
+    let client = Client {
+        server: 2,
+        port: 7000,
+        send_bytes: 2_000_000,
+        ..Default::default()
+    };
+    let mut net = Network::new(0xfab);
+    let c = net.add_node(Host::new(Stack::new(1, StackConfig::default()), client));
+    let s = net.add_node(Host::new(
+        Stack::new(2, StackConfig::default()),
+        Server {
+            respond_bytes: 100_000,
+            ..Default::default()
+        },
+    ));
+    let sw = net.add_node(netsim::Switch::new(netsim::SwitchConfig {
+        per_queue_bytes: 30_000,
+    }));
+    for (node, addr, spec) in [(c, 1, LinkSpec::ten_gbps()), (s, 2, LinkSpec::one_gbps())] {
+        let (_, port) = net.connect(node, sw, spec);
+        net.node_mut::<netsim::Switch>(sw).install_route(addr, port);
+    }
+    let (lossy, _) = net.port_link(c, PortId(0));
+    net.set_link_loss_permille(lossy, 3);
+    net.schedule_timer(s, Time::ZERO, app_timer_token(0));
+    net.schedule_timer(c, Time::from_nanos(10), app_timer_token(0));
+    net.run_to_completion();
+
+    let client = net.node::<CHost>(c);
+    assert_eq!(client.app.response_size, 100_000, "the exchange completed");
+    let sent = client.stack.conn_stats(client.app.conn.expect("connected"));
+    let served = net.node::<SHost>(s).stack.conn_stats(ConnId(0));
+    (
+        net.events_processed(),
+        net.now().as_nanos(),
+        sent.values(),
+        served.values(),
+        net.node::<netsim::Switch>(sw).total_drops(),
+    )
+}
+
+/// Recorded at commit 64cd155, where a packet crossed the fabric by value
+/// and the event heap ordered `(time, sequence)` pairs. Handing it over as
+/// a `Box` and packing the key change who owns a packet's bytes and how a
+/// key compares — not one timestamp, sequence number or tie-break, so the
+/// schedule and every TCP decision stay the same.
+#[test]
+fn lossy_congested_schedule_is_unchanged_by_packet_handles() {
+    assert_eq!(
+        lossy_congested_transfer(),
+        (
+            12_379,
+            200_002_486,
+            [1661, 2_000_000, 102, 16, 1, 703, 0, 22_368, 202_887, 0],
+            [1507, 100_001, 0, 0, 0, 0, 0, 114_601, 61_839, 0],
+            147,
+        )
+    );
+}

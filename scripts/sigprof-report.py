@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Where the samples of a scripts/sigprof.c run sit.
 
-    scripts/sigprof-report.py <binary> <samples-file> [--top N] [--callers]
+    scripts/sigprof-report.py <binary> <samples-file> [--top N] [--callers] [--libs]
     scripts/sigprof-report.py <binary> <samples-file> --symbol SUBSTRING
 
 Without --symbol: one line per function of <binary>, by share of all
@@ -12,6 +12,16 @@ With --callers (a run recorded with SIGPROF_DEPTH > 1): a sample outside
 the binary is charged to the first frame of its stack inside it and
 listed as `function <- [libc.so.6]`, which says whose memset or malloc
 the time is.
+
+With --libs: a sample in a shared library is also named, `[libc.so.6
+~memmove]`, after the nearest symbol below it in `nm -D --defined-only`
+of the file the recorded maps name. That is approximate (hence the `~`):
+only exported symbols are listed, so a sample in a static function is
+charged to whichever export precedes it. In glibc 2.36 the copies
+(`__memmove_avx_unaligned_erms` and its siblings, static, picked by an
+ifunc) show under `__nss_database_lookup` and the allocator's
+`_int_malloc` / `_int_free` under `__default_morecore`; `malloc`, `free`
+and `realloc` are exported and read as themselves.
 
 With --symbol: the function whose demangled name contains SUBSTRING and
 holds the most samples, disassembled with `objdump -d`, each instruction
@@ -63,17 +73,40 @@ def load_bias(binary, maps):
     return first[0] - first[2] - vaddr0, mine
 
 
-def text_symbols(binary):
-    """Sorted [(addr, name)] of the functions `nm` knows."""
+def text_symbols(binary, dynamic=False):
+    """Sorted [(addr, name)] of the functions `nm` knows; with `dynamic`, the exported ones."""
     out = subprocess.run(
-        ["nm", "-C", "-n", "--defined-only", binary], capture_output=True, text=True, check=True
+        ["nm", "-C", "-n", "--defined-only"] + (["-D"] if dynamic else []) + [binary],
+        capture_output=True, text=True, check=True,
     ).stdout
     syms = []
     for line in out.splitlines():
         parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[1] in "tTwW":
-            syms.append((int(parts[0], 16), parts[2]))
+        if len(parts) == 3 and parts[1] in "tTwWi":
+            syms.append((int(parts[0], 16), parts[2].split("@")[0]))
     return syms
+
+
+class Libraries:
+    """Nearest exported symbol below an address in a mapped shared library."""
+
+    def __init__(self, maps):
+        self.maps = maps
+        self.loaded = {}  # file -> (bias, addrs, names), or None if `nm` has nothing
+
+    def symbol(self, path, pc):
+        if path not in self.loaded:
+            self.loaded[path] = None
+            if os.path.isfile(path):
+                syms = text_symbols(path, dynamic=True)
+                if syms:
+                    bias, _ = load_bias(path, self.maps)
+                    self.loaded[path] = (bias, [a for a, _ in syms], [n for _, n in syms])
+        if self.loaded[path] is None:
+            return None
+        bias, addrs, names = self.loaded[path]
+        i = bisect.bisect_right(addrs, pc - bias) - 1
+        return names[i] if i >= 0 else None
 
 
 def main():
@@ -84,6 +117,8 @@ def main():
     ap.add_argument("--symbol", help="per-instruction shares inside the hottest match")
     ap.add_argument("--callers", action="store_true",
                     help="charge samples outside the binary to their first caller inside it")
+    ap.add_argument("--libs", action="store_true",
+                    help="name samples in shared libraries by the nearest exported symbol below")
     args = ap.parse_args()
 
     maps, samples = read_profile(args.samples)
@@ -100,6 +135,7 @@ def main():
         i = bisect.bisect_right(addrs, addr - bias) - 1
         return i if i >= 0 else None
 
+    libs = Libraries(maps) if args.libs else None
     by_symbol = collections.Counter()
     inside = collections.defaultdict(collections.Counter)  # symbol index -> {vaddr: n}
     for pc, *stack in samples:
@@ -108,8 +144,9 @@ def main():
             by_symbol[i] += 1
             inside[i][pc - bias] += 1
             continue
-        where = next((f for s, e, _, f in maps if s <= pc < e), "") or "unmapped"
-        where = "[" + os.path.basename(where.strip("[]")) + "]"
+        path = next((f for s, e, _, f in maps if s <= pc < e), "") or "unmapped"
+        export = libs.symbol(path, pc) if libs else None
+        where = "[" + os.path.basename(path.strip("[]")) + (f" ~{export}]" if export else "]")
         if args.callers:
             # a return address points past its call: look up the byte before
             caller = next((c for c in (symbol_of(ret - 1) for ret in stack) if c is not None), None)
