@@ -702,10 +702,15 @@ impl Stack {
     /// mutates packets in place (zero-copy handoff), the drained `Vec`
     /// goes back to the arena, and the next batch reuses it warm.
     fn egress_batch(&mut self, mut packets: Vec<Packet>, ctx: &mut Ctx<'_>) {
-        if packets.len() == 1 {
-            let packet = packets.pop().expect("length checked");
+        // TCP often emits nothing (an ACK that only advanced the window's
+        // left edge): the hook is not called with an empty batch, and one
+        // packet takes the per-packet path.
+        if packets.len() <= 1 {
+            let packet = packets.pop();
             self.arena.recycle_batch(packets);
-            self.egress(packet, ctx);
+            if let Some(packet) = packet {
+                self.egress(packet, ctx);
+            }
             return;
         }
         for packet in packets.iter_mut() {

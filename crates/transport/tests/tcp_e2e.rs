@@ -710,3 +710,86 @@ fn lossy_congested_schedule_is_unchanged_by_packet_handles() {
         )
     );
 }
+
+/// Hook noting how the stack handed it each transmission opportunity: the
+/// size of every batch, and the packets that came one at a time.
+#[derive(Default)]
+struct BatchSizes {
+    batches: Vec<usize>,
+    singles: u64,
+}
+
+impl PacketHook for BatchSizes {
+    fn on_egress(&mut self, _packet: &mut Packet, _env: &mut HookEnv<'_>) -> HookVerdict {
+        self.singles += 1;
+        HookVerdict::Pass
+    }
+
+    fn on_egress_batch(
+        &mut self,
+        packets: &mut [Packet],
+        _env: &mut HookEnv<'_>,
+        verdicts: &mut Vec<HookVerdict>,
+    ) {
+        self.batches.push(packets.len());
+        verdicts.extend(packets.iter().map(|_| HookVerdict::Pass));
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Most of what TCP is asked produces no packet (an ACK inside a full
+/// window, a segment that only fills the receive buffer's accounting): the
+/// hook hears of a transmission opportunity only when something leaves.
+#[test]
+fn the_hook_never_sees_an_empty_batch() {
+    let (mut net, c, s) = pair(
+        LinkSpec::ten_gbps(),
+        Client {
+            server: 2,
+            port: 7000,
+            send_bytes: 250_000,
+            ..Default::default()
+        },
+        Server {
+            respond_bytes: 50_000,
+            ..Default::default()
+        },
+    );
+    net.node_mut::<CHost>(c)
+        .stack
+        .set_hook(BatchSizes::default());
+    net.node_mut::<SHost>(s)
+        .stack
+        .set_hook(BatchSizes::default());
+    net.run_until(Time::from_millis(100));
+    assert_eq!(net.node::<CHost>(c).app.response_size, 50_000);
+
+    let client = net.node_mut::<CHost>(c);
+    let sent = client
+        .stack
+        .conn_stats(client.app.conn.unwrap())
+        .packets_sent;
+    let hook = client.stack.hook_mut::<BatchSizes>().expect("installed");
+    assert!(!hook.batches.is_empty(), "slow start sends two per ACK");
+    assert_eq!(
+        hook.singles + hook.batches.iter().sum::<usize>() as u64,
+        sent,
+        "every packet passed the hook once"
+    );
+    let mut batches = std::mem::take(&mut hook.batches);
+    let server = net.node_mut::<SHost>(s);
+    batches.append(
+        &mut server
+            .stack
+            .hook_mut::<BatchSizes>()
+            .expect("installed")
+            .batches,
+    );
+    assert!(
+        batches.iter().all(|&n| n >= 2),
+        "a batch call carries a batch: {batches:?}"
+    );
+}
