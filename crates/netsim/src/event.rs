@@ -112,17 +112,18 @@ impl<T> EventQueue<T> {
             "scheduling into the past ({at} < {})",
             self.now
         );
-        let slot = self
-            .free
-            .pop()
-            .map_or(self.slab.len(), |slot| slot as usize);
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => self.slab.len(),
+        };
         let key = Key::new(at, self.seq, slot);
         self.seq += 1;
-        if slot == self.slab.len() {
-            self.slab.push(Some(payload));
-        } else {
-            debug_assert!(self.slab[slot].is_none());
-            self.slab[slot] = Some(payload);
+        match self.slab.get_mut(slot) {
+            Some(free) => {
+                debug_assert!(free.is_none());
+                *free = Some(payload);
+            }
+            None => self.slab.push(Some(payload)),
         }
         self.heap.push(key);
     }
