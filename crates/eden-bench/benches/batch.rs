@@ -1,7 +1,10 @@
 //! Micro: batch-size and parallel-speedup curves of the batched enclave
 //! data path (`Enclave::process_batch`), per catalogue function.
 //!
-//! Emits `BENCH_batch.json`. Set `EDEN_BENCH_SMOKE=1` for a CI-sized run.
+//! Emits `BENCH_batch.json`, wall-clock and so not gated: CI uploads it as
+//! the lane series, with the runner's core count beside it (a 4-lane point
+//! from a box with fewer cores measures time slicing, not lanes). Set
+//! `EDEN_BENCH_SMOKE=1` for a CI-sized run.
 //!
 //! Run with `cargo bench -p eden-bench --bench batch`.
 
@@ -46,8 +49,11 @@ fn main() {
          cores; the batch-size trend above is the machine-independent signal."
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("cores: {cores}");
     let artifact = Json::obj(vec![
         ("smoke", smoke.into()),
+        ("cores", cores.into()),
         ("amortized_all", amortized_all.into()),
         (
             "points",

@@ -1,12 +1,17 @@
 //! Regenerates **Figure 12**: CPU overhead of the Eden components (metadata
 //! API, enclave, interpreter) relative to the vanilla stack, measured on
-//! the real interpreter/enclave code, plus the §5.4 interpreter footprint.
+//! the real interpreter/enclave code, plus the §5.4 interpreter footprint
+//! and the ablations behind the bars (compiler pipeline, table size,
+//! live messages, native vs interpreted per function).
 //!
 //! Paper reference points: total overhead under ~8% average / ~10% p95
 //! while saturating 10 Gbps with 12 flows under SFF; case-study programs
 //! use operand stack/heap "in the order of 64 and 256 bytes".
 //!
-//! Emits `BENCH_fig12.json`. Set `EDEN_BENCH_SMOKE=1` for a CI-sized run.
+//! Every wall-clock number is printed only. `BENCH_fig12.json` holds what
+//! repeats bit for bit: steps per packet, the new bundles' within-2× check
+//! on steps, and footprint bytes. Set `EDEN_BENCH_SMOKE=1` for a CI-sized
+//! run.
 //!
 //! Run with `cargo bench -p eden-bench --bench fig12_overheads`.
 
@@ -22,7 +27,7 @@ fn main() {
         if smoke { " — smoke sizes" } else { "" }
     );
 
-    let (batches, per_batch) = if smoke { (60, 2_000) } else { (200, 5_000) };
+    let (batches, per_batch) = if smoke { (60, 2_048) } else { (200, 5_120) };
     let r = fig12::run(batches, per_batch);
     let mut table = Table::new(&["component", "avg overhead %", "p95 overhead %"]);
     table.row(&[
@@ -42,10 +47,13 @@ fn main() {
     ]);
     println!("{}", table.render());
     println!(
-        "raw per-packet cost: baseline {:.0}ns | +API {:.0}ns | +enclave(native) {:.0}ns | +interpreter {:.0}ns",
-        r.baseline_ns, r.api_ns, r.enclave_ns, r.interpreter_ns
+        "raw per-packet cost: baseline {:.0}ns | +API {:.0}ns | +enclave(native) {:.0}ns | +interpreter {:.0}ns ({:.2} steps)",
+        r.baseline_ns, r.api_ns, r.enclave_ns, r.interpreter_ns, r.interpreter_steps_per_packet
     );
-    println!("paper (testbed): total < ~8% avg / ~10% p95 over vanilla TCP\n");
+    println!(
+        "percentages of a {:.0} ns reference stack; paper (testbed): total < ~8% avg / ~10% p95 over vanilla TCP\n",
+        fig12::REFERENCE_STACK_NS
+    );
 
     println!("== Section 5.4: interpreter footprint of the case-study programs ==");
     let footprints = fig12::footprints();
@@ -61,36 +69,88 @@ fn main() {
     println!("paper: \"in the order of 64 and 256 bytes respectively\"");
 
     println!("\n== Interpreter ablation: compiler pipeline off vs on ==");
-    let (ab_batches, ab_per_batch) = if smoke { (40, 1_000) } else { (100, 2_000) };
+    let (ab_batches, ab_per_batch) = if smoke { (40, 1_024) } else { (100, 2_048) };
     let costs = fig12::interp_costs(ab_batches, ab_per_batch);
-    let mut cost_table = Table::new(&["function", "unopt ns/pkt", "fused ns/pkt", "speedup"]);
+    let mut cost_table = Table::new(&[
+        "function",
+        "unopt ns/pkt",
+        "fused ns/pkt",
+        "unopt steps",
+        "fused steps",
+        "step ratio",
+    ]);
     for c in &costs {
         cost_table.row(&[
             c.function.clone(),
             format!("{:.0}", c.unopt_ns_per_packet),
             format!("{:.0}", c.fused_ns_per_packet),
-            format!("{:.2}x", c.fused_speedup_rate()),
+            format!("{:.2}", c.unopt_steps_per_packet),
+            format!("{:.2}", c.fused_steps_per_packet),
+            format!("{:.2}x", c.step_reduction_rate()),
         ]);
     }
     println!("{}", cost_table.render());
     println!("paper §3.4.4: the compiler \"performs a number of optimizations\"");
+    if let Some(sff) = costs.iter().find(|c| c.function == "sff") {
+        println!(
+            "sff two ways: the +interpreter layer adds {:.0}ns over native at {:.2} steps/pkt \
+             (layer state, 5 MB messages); the ablation interprets it in {:.0}ns at {:.2} steps/pkt \
+             (catalogue state)",
+            r.interpreter_ns - r.enclave_ns,
+            r.interpreter_steps_per_packet,
+            sff.fused_ns_per_packet,
+            sff.fused_steps_per_packet
+        );
+    }
 
-    println!("\n== New Table 1 bundles: cost class vs established peers ==");
+    println!("\n== New Table 1 bundles: steps vs established peers ==");
     let checks = fig12::new_bundle_checks(&costs);
-    let mut check_table = Table::new(&["function", "fused ns/pkt", "peer", "peer ns/pkt", "≤2x"]);
+    let mut check_table = Table::new(&["function", "fused steps", "peer", "peer steps", "≤2x"]);
     for c in &checks {
         check_table.row(&[
             c.function.into(),
-            format!("{:.0}", c.fused_ns_per_packet),
+            format!("{:.2}", c.fused_steps_per_packet),
             c.peer.into(),
-            format!("{:.0}", c.peer_fused_ns_per_packet),
+            format!("{:.2}", c.peer_fused_steps_per_packet),
             if c.within_2x { "yes" } else { "NO" }.into(),
         ]);
     }
     println!("{}", check_table.render());
 
+    println!("\n== Ablation: match-action table size (packet matches the last rule) ==");
+    let mut rules_table = Table::new(&["rules", "ns/pkt"]);
+    for (rules, ns) in fig12::table_scaling(ab_batches, ab_per_batch) {
+        rules_table.row(&[rules.to_string(), format!("{ns:.0}")]);
+    }
+    println!("{}", rules_table.render());
+
+    println!("\n== Ablation: live message-state blocks (interpreted PIAS) ==");
+    let mut live_table = Table::new(&["live messages", "ns/pkt", "steps"]);
+    for (live, ns, steps) in fig12::msg_state_scaling(ab_batches, ab_per_batch) {
+        live_table.row(&[live.to_string(), format!("{ns:.0}"), format!("{steps:.2}")]);
+    }
+    println!("{}", live_table.render());
+
+    println!("\n== Ablation: native vs interpreted through the enclave ==");
+    let mut ratio_table = Table::new(&[
+        "function",
+        "native ns/pkt",
+        "interp ns/pkt",
+        "interp/native",
+        "steps",
+    ]);
+    for e in fig12::engine_ratios(ab_batches, ab_per_batch) {
+        ratio_table.row(&[
+            e.function.into(),
+            format!("{:.0}", e.native_ns_per_packet),
+            format!("{:.0}", e.interp_ns_per_packet),
+            format!("{:.2}x", e.interp_ns_per_packet / e.native_ns_per_packet),
+            format!("{:.2}", e.interp_steps_per_packet),
+        ]);
+    }
+    println!("{}", ratio_table.render());
+
     let artifact = Json::obj(vec![
-        ("overheads", r.to_json()),
         (
             "footprints",
             Json::Arr(footprints.iter().map(|f| f.to_json()).collect()),

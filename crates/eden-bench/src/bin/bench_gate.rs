@@ -13,7 +13,7 @@
 //! only gates fields whose *names* identify a direction:
 //!
 //! * lower-is-better — time-like tokens: `ns`, `us`, `ms`, `latency`,
-//!   `p50`/`p95`/`p99`, `mean`, `max`
+//!   `p50`/`p95`/`p99`, `mean`, `max`; cost counts: `steps`, `bytes`
 //! * higher-is-better — rate-like tokens: `throughput`, `rate`, `sec`,
 //!   `ops`, `gbps`, `mbps`
 //!
@@ -23,12 +23,10 @@
 //! `true -> false`, is also a failure: silent schema drift must not
 //! read as a pass. Exit codes: 0 ok, 1 regression, 2 usage/IO error.
 //!
-//! Timing samples from smoke-sized runs are noisy; `--current` may be
-//! given several times (one directory per repetition) and the gate takes
-//! each metric's *best* sample — min for lower-is-better, max for
-//! higher-is-better — before comparing. Baselines should be captured the
-//! same way (best of N runs) so both sides estimate the same quantity:
-//! the machine's uncontended floor.
+//! Every baseline holds virtual time or counts, so one run is the
+//! measurement: a smoke run repeats bit for bit, and refreshing a baseline
+//! is copying one. Wall-clock time is not gated here; `eden-perf` reads it
+//! in alternating parent/change pairs.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -49,7 +47,7 @@ enum Direction {
 fn direction(name: &str) -> Direction {
     let tokens: Vec<&str> = name.split('_').collect();
     const LOWER: &[&str] = &[
-        "ns", "us", "ms", "latency", "p50", "p95", "p99", "mean", "max",
+        "ns", "us", "ms", "latency", "p50", "p95", "p99", "mean", "max", "steps", "bytes",
     ];
     const HIGHER: &[&str] = &["throughput", "rate", "sec", "ops", "gbps", "mbps"];
     if tokens.iter().any(|t| LOWER.contains(t)) {
@@ -120,18 +118,16 @@ fn as_f64(v: &Json) -> f64 {
     }
 }
 
-/// Identity key for an object inside an array: every string and boolean
-/// field plus every number field that is not itself a gated metric.
-/// Booleans are identity here (e.g. `parallel=true` names a *different
-/// measurement*, not a quality verdict), which also lets `--skip` target
-/// whole point families.
+/// Identity key for an object inside an array: every string field plus
+/// every number field that is not itself a gated metric. A boolean is a
+/// quality flag, not identity, so a point's flag that flips reads as a
+/// flip rather than as a missing point.
 fn element_key(v: &Json) -> Option<String> {
     let Json::Obj(fields) = v else { return None };
     let mut parts = Vec::new();
     for (k, v) in fields {
         match v {
             Json::Str(s) => parts.push(format!("{k}={s}")),
-            Json::Bool(b) => parts.push(format!("{k}={b}")),
             Json::Int(_) | Json::UInt(_) | Json::Float(_) if direction(k) == Direction::Unknown => {
                 parts.push(format!("{k}={}", as_f64(v)))
             }
@@ -174,20 +170,13 @@ fn nearest<'a>(target: &str, candidates: impl Iterator<Item = &'a String>) -> Ve
 }
 
 /// Compare two flattened documents; returns human-readable failures.
-/// Paths containing any `skip` substring are exempt (used for point
-/// families the bench itself documents as machine-dependent, like the
-/// lane-parallel wall-clock timings).
 fn compare(
     baseline: &BTreeMap<String, Metric>,
     current: &BTreeMap<String, Metric>,
     threshold: f64,
-    skip: &[String],
 ) -> Vec<String> {
     let mut failures = Vec::new();
     for (path, base) in baseline {
-        if skip.iter().any(|s| path.contains(s.as_str())) {
-            continue;
-        }
         let Some(cur) = current.get(path) else {
             let hints = nearest(path, current.keys().filter(|k| !baseline.contains_key(*k)));
             let suffix = if hints.is_empty() {
@@ -231,104 +220,16 @@ fn compare(
     failures
 }
 
-/// Element-wise best merge of two structurally identical bench documents
-/// (same bench binary, so array point order matches). Used by
-/// `--merge-out` to distill N repetitions into one baseline file whose
-/// every timing is the machine's observed floor.
-fn merge_docs(a: &Json, b: &Json, field: &str) -> Json {
-    match (a, b) {
-        (Json::Obj(fa), Json::Obj(fb)) => Json::Obj(
-            fa.iter()
-                .map(|(k, va)| {
-                    let merged = match fb.iter().find(|(kb, _)| kb == k) {
-                        Some((_, vb)) => merge_docs(va, vb, k),
-                        None => va.clone(),
-                    };
-                    (k.clone(), merged)
-                })
-                .collect(),
-        ),
-        (Json::Arr(ia), Json::Arr(ib)) => Json::Arr(
-            ia.iter()
-                .enumerate()
-                .map(|(i, va)| match ib.get(i) {
-                    Some(vb) => merge_docs(va, vb, field),
-                    None => va.clone(),
-                })
-                .collect(),
-        ),
-        (Json::Bool(ba), Json::Bool(bb)) if field != "smoke" => Json::Bool(*ba && *bb),
-        _ if matches!(a, Json::Int(_) | Json::UInt(_) | Json::Float(_))
-            && matches!(b, Json::Int(_) | Json::UInt(_) | Json::Float(_)) =>
-        {
-            match direction(field) {
-                Direction::LowerBetter if as_f64(b) < as_f64(a) => b.clone(),
-                Direction::HigherBetter if as_f64(b) > as_f64(a) => b.clone(),
-                _ => a.clone(),
-            }
-        }
-        _ => a.clone(),
-    }
-}
-
 fn load(path: &Path) -> Result<BTreeMap<String, Metric>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(flatten(&doc))
 }
 
-/// Fold repetition `next` into `acc`, keeping each number's best sample.
-/// Flags are AND-ed: a quality bool must hold in *every* repetition.
-fn merge_best(acc: &mut BTreeMap<String, Metric>, next: BTreeMap<String, Metric>) {
-    for (path, m) in next {
-        let merged = match (acc.get(&path), &m) {
-            (Some(Metric::Number(best, d)), Metric::Number(v, _)) => {
-                let b = match d {
-                    Direction::HigherBetter => best.max(*v),
-                    _ => best.min(*v),
-                };
-                Metric::Number(b, *d)
-            }
-            (Some(Metric::Flag(held)), Metric::Flag(v)) => Metric::Flag(*held && *v),
-            _ => m,
-        };
-        acc.insert(path, merged);
-    }
-}
-
-/// Resolve `--baseline`/`--current` into matched file sets: each baseline
-/// file against its counterpart in every repetition directory.
-fn pair_up(baseline: &Path, current: &[PathBuf]) -> Result<Vec<(PathBuf, Vec<PathBuf>)>, String> {
-    if baseline.is_file() {
-        return Ok(vec![(baseline.to_path_buf(), current.to_vec())]);
-    }
-    let mut pairs = Vec::new();
-    let entries =
-        std::fs::read_dir(baseline).map_err(|e| format!("{}: {e}", baseline.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            pairs.push((
-                entry.path(),
-                current.iter().map(|c| c.join(&*name)).collect(),
-            ));
-        }
-    }
-    pairs.sort();
-    if pairs.is_empty() {
-        return Err(format!("no BENCH_*.json files in {}", baseline.display()));
-    }
-    Ok(pairs)
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_gate --baseline <dir|file> --current <dir|file> \
-         [--current <dir|file>]... [--threshold 0.25] [--skip <substring>]...\n\
-         \x20      bench_gate --merge-out <dir> --current <dir> [--current <dir>]...\n\
-         \x20      bench_gate --list --baseline <dir|file> | --list --current <dir|file>"
+        "usage: bench_gate --baseline <dir|file> --current <dir|file> [--threshold 0.25]\n\
+         \x20      bench_gate --list <dir|file>"
     );
     ExitCode::from(2)
 }
@@ -358,9 +259,8 @@ fn bench_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-/// The `--list` mode: dump every flattened metric path so `--skip`
-/// substrings and missing-metric reports can be matched against the real
-/// names instead of guessed.
+/// The `--list` mode: dump every flattened metric path so missing-metric
+/// reports can be matched against the real names instead of guessed.
 fn list_metrics(root: &Path) -> Result<(), String> {
     for file in bench_files(root)? {
         println!("{}:", file.display());
@@ -377,137 +277,32 @@ fn list_metrics(root: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Fold every repetition's `BENCH_*.json` into best-sample baseline files
-/// under `out` (the `--merge-out` mode, for refreshing `baselines/`).
-fn merge_out(out: &Path, current: &[PathBuf]) -> Result<(), String> {
-    let first = current.first().ok_or("no --current directories")?;
-    let entries = std::fs::read_dir(first).map_err(|e| format!("{}: {e}", first.display()))?;
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    names.sort();
-    if names.is_empty() {
-        return Err(format!("no BENCH_*.json files in {}", first.display()));
+/// Each baseline file against its counterpart: the current file itself
+/// for a file baseline, the same name under the current directory for a
+/// directory of baselines.
+fn pair_up(baseline: &Path, current: &Path) -> Result<Vec<(PathBuf, PathBuf)>, String> {
+    if baseline.is_file() {
+        return Ok(vec![(baseline.to_path_buf(), current.to_path_buf())]);
     }
-    std::fs::create_dir_all(out).map_err(|e| format!("{}: {e}", out.display()))?;
-    for name in &names {
-        let mut merged: Option<Json> = None;
-        for dir in current {
-            let path = dir.join(name);
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            merged = Some(match merged {
-                Some(acc) => merge_docs(&acc, &doc, ""),
-                None => doc,
-            });
-        }
-        let target = out.join(name);
-        let text = merged.expect("at least one repetition").render();
-        std::fs::write(&target, text + "\n").map_err(|e| format!("{}: {e}", target.display()))?;
-        println!(
-            "wrote {} (best of {} runs)",
-            target.display(),
-            current.len()
-        );
-    }
-    Ok(())
+    Ok(bench_files(baseline)?
+        .into_iter()
+        .map(|b| {
+            let name = b.file_name().expect("listed files have names").to_owned();
+            (b, current.join(name))
+        })
+        .collect())
 }
 
-fn main() -> ExitCode {
-    let mut baseline: Option<PathBuf> = None;
-    let mut merge_target: Option<PathBuf> = None;
-    let mut current: Vec<PathBuf> = Vec::new();
-    let mut skip: Vec<String> = Vec::new();
-    let mut threshold = 0.25f64;
-    let mut list = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--list" => list = true,
-            "--baseline" => baseline = args.next().map(PathBuf::from),
-            "--merge-out" => merge_target = args.next().map(PathBuf::from),
-            "--current" => match args.next() {
-                Some(c) => current.push(PathBuf::from(c)),
-                None => return usage(),
-            },
-            "--skip" => match args.next() {
-                Some(s) => skip.push(s),
-                None => return usage(),
-            },
-            "--threshold" => {
-                threshold = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(t) => t,
-                    None => return usage(),
-                }
-            }
-            _ => return usage(),
-        }
-    }
-    if list {
-        let root = match (&baseline, current.first()) {
-            (Some(b), _) => b.clone(),
-            (None, Some(c)) => c.clone(),
-            (None, None) => return usage(),
-        };
-        return match list_metrics(&root) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bench_gate: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if current.is_empty() {
-        return usage();
-    }
-    if let Some(out) = merge_target {
-        return match merge_out(&out, &current) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bench_gate: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let Some(baseline) = baseline else {
-        return usage();
-    };
-
-    let pairs = match pair_up(&baseline, &current) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut total_failures = 0usize;
-    for (base_path, cur_paths) in &pairs {
-        let base = match load(base_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("bench_gate: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut cur = BTreeMap::new();
-        for p in cur_paths {
-            match load(p) {
-                Ok(rep) => merge_best(&mut cur, rep),
-                Err(e) => {
-                    eprintln!("bench_gate: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
+/// Gate every baseline against its counterpart; the number of failures.
+fn gate(baseline: &Path, current: &Path, threshold: f64) -> Result<usize, String> {
+    let mut total = 0;
+    for (base_path, cur_path) in pair_up(baseline, current)? {
+        let base = load(&base_path)?;
+        let failures = compare(&base, &load(&cur_path)?, threshold);
         let gated = base
             .values()
             .filter(|m| matches!(m, Metric::Number(..)))
             .count();
-        let failures = compare(&base, &cur, threshold, &skip);
         println!(
             "{}: {} gated metrics, {} regressions",
             base_path.display(),
@@ -517,14 +312,58 @@ fn main() -> ExitCode {
         for f in &failures {
             println!("  REGRESSION {f}");
         }
-        total_failures += failures.len();
+        total += failures.len();
     }
-    if total_failures > 0 {
-        eprintln!("bench_gate: {total_failures} regression(s) past the threshold");
-        ExitCode::FAILURE
-    } else {
-        println!("bench_gate: ok");
-        ExitCode::SUCCESS
+    Ok(total)
+}
+
+fn main() -> ExitCode {
+    let mut baseline: Option<PathBuf> = None;
+    let mut current: Option<PathBuf> = None;
+    let mut list: Option<PathBuf> = None;
+    let mut threshold = 0.25f64;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let slot = match a.as_str() {
+            "--baseline" => &mut baseline,
+            "--current" => &mut current,
+            "--list" => &mut list,
+            "--threshold" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(t) => {
+                    threshold = t;
+                    continue;
+                }
+                None => return usage(),
+            },
+            _ => return usage(),
+        };
+        // each path once: a second `--current` is not a repetition to merge
+        if slot.is_some() {
+            return usage();
+        }
+        match args.next() {
+            Some(path) => *slot = Some(PathBuf::from(path)),
+            None => return usage(),
+        }
+    }
+    let result = match (list, baseline, current) {
+        (Some(root), None, None) => list_metrics(&root).map(|()| 0),
+        (None, Some(baseline), Some(current)) => gate(&baseline, &current, threshold),
+        _ => return usage(),
+    };
+    match result {
+        Ok(0) => {
+            println!("bench_gate: ok");
+            ExitCode::SUCCESS
+        }
+        Ok(n) => {
+            eprintln!("bench_gate: {n} regression(s) past the threshold");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            ExitCode::from(2)
+        }
     }
 }
 
@@ -542,6 +381,8 @@ mod tests {
         assert_eq!(direction("push_mean_us"), Direction::LowerBetter);
         assert_eq!(direction("rejoin_max_us"), Direction::LowerBetter);
         assert_eq!(direction("msgs_per_sec"), Direction::HigherBetter);
+        assert_eq!(direction("fused_steps_per_packet"), Direction::LowerBetter);
+        assert_eq!(direction("stack_bytes"), Direction::LowerBetter);
         // "functions" must not match the "ns" token, "lanes" is identity
         assert_eq!(direction("functions"), Direction::Unknown);
         assert_eq!(direction("lanes"), Direction::Unknown);
@@ -556,7 +397,7 @@ mod tests {
                           {"function":"sff","lanes":4,"ns_per_packet":100}]}"#,
         );
         // the sff point matches across runs even though its index moved
-        assert!(compare(&a, &b, 0.25, &[]).is_empty());
+        assert!(compare(&a, &b, 0.25).is_empty());
     }
 
     #[test]
@@ -565,9 +406,9 @@ mod tests {
         let slower = flat(r#"{"ns_per_packet":126,"msgs_per_sec":1000}"#);
         let faster = flat(r#"{"ns_per_packet":10,"msgs_per_sec":4000}"#);
         let lower_rate = flat(r#"{"ns_per_packet":100,"msgs_per_sec":700}"#);
-        assert_eq!(compare(&base, &slower, 0.25, &[]).len(), 1);
-        assert!(compare(&base, &faster, 0.25, &[]).is_empty());
-        assert_eq!(compare(&base, &lower_rate, 0.25, &[]).len(), 1);
+        assert_eq!(compare(&base, &slower, 0.25).len(), 1);
+        assert!(compare(&base, &faster, 0.25).is_empty());
+        assert_eq!(compare(&base, &lower_rate, 0.25).len(), 1);
     }
 
     #[test]
@@ -575,15 +416,15 @@ mod tests {
         let base = flat(r#"{"amortized_all":true,"ns_per_packet":100}"#);
         let flipped = flat(r#"{"amortized_all":false,"ns_per_packet":100}"#);
         let gone = flat(r#"{"amortized_all":true}"#);
-        assert_eq!(compare(&base, &flipped, 0.25, &[]).len(), 1);
-        assert_eq!(compare(&base, &gone, 0.25, &[]).len(), 1);
+        assert_eq!(compare(&base, &flipped, 0.25).len(), 1);
+        assert_eq!(compare(&base, &gone, 0.25).len(), 1);
     }
 
     #[test]
     fn missing_metric_suggests_the_renamed_counterpart() {
         let base = flat(r#"{"push":{"ns_per_packet":100}}"#);
         let cur = flat(r#"{"push":{"ns_per_pkt":100},"msgs_per_sec":900}"#);
-        let failures = compare(&base, &cur, 0.25, &[]);
+        let failures = compare(&base, &cur, 0.25);
         assert_eq!(failures.len(), 1);
         assert!(
             failures[0].contains("closest in current run: push.ns_per_pkt"),
@@ -598,7 +439,7 @@ mod tests {
     fn missing_metric_with_no_overlap_gets_no_hint() {
         let base = flat(r#"{"ns_per_packet":100}"#);
         let cur = flat(r#"{"qq_zz_mean":1.0}"#);
-        let failures = compare(&base, &cur, 0.25, &[]);
+        let failures = compare(&base, &cur, 0.25);
         assert_eq!(failures.len(), 1);
         assert!(!failures[0].contains("closest"), "{}", failures[0]);
     }
@@ -615,82 +456,37 @@ mod tests {
     }
 
     #[test]
-    fn best_of_n_keeps_the_best_sample_per_direction() {
-        let mut acc = flat(r#"{"ns_per_packet":120,"msgs_per_sec":900,"amortized_all":true}"#);
-        merge_best(
-            &mut acc,
-            flat(r#"{"ns_per_packet":95,"msgs_per_sec":700,"amortized_all":false}"#),
-        );
-        assert_eq!(
-            acc.get("ns_per_packet"),
-            Some(&Metric::Number(95.0, Direction::LowerBetter))
-        );
-        assert_eq!(
-            acc.get("msgs_per_sec"),
-            Some(&Metric::Number(900.0, Direction::HigherBetter))
-        );
-        // a quality flag must hold in every repetition
-        assert_eq!(acc.get("amortized_all"), Some(&Metric::Flag(false)));
-    }
-
-    #[test]
     fn smoke_flag_is_not_gated() {
         let base = flat(r#"{"smoke":true,"ns_per_packet":100}"#);
         let cur = flat(r#"{"smoke":false,"ns_per_packet":100}"#);
-        assert!(compare(&base, &cur, 0.25, &[]).is_empty());
+        assert!(compare(&base, &cur, 0.25).is_empty());
     }
 
     #[test]
-    fn skip_patterns_exempt_machine_dependent_points() {
-        let base = flat(
-            r#"{"points":[{"function":"sff","parallel":true,"ns_per_packet":100},
-                          {"function":"sff","parallel":false,"ns_per_packet":100}]}"#,
+    fn fig12_artifact_gates_steps_rate_bytes_and_the_flag() {
+        let m = flat(
+            r#"{"footprints":[{"name":"sff","stack_bytes":24,"heap_bytes":24}],
+                "interp":[{"function":"sff","unopt_steps_per_packet":30,
+                           "fused_steps_per_packet":20,"step_reduction_rate":1.5}],
+                "new_bundles":[{"function":"l4lb","peer":"wcmp","fused_steps_per_packet":9,
+                                "peer_fused_steps_per_packet":8,"within_2x":true}]}"#,
         );
-        let cur = flat(
-            r#"{"points":[{"function":"sff","parallel":true,"ns_per_packet":900},
-                          {"function":"sff","parallel":false,"ns_per_packet":100}]}"#,
-        );
-        assert_eq!(compare(&base, &cur, 0.25, &[]).len(), 1);
-        let skip = vec!["parallel=true".to_string()];
-        assert!(compare(&base, &cur, 0.25, &skip).is_empty());
-    }
-
-    #[test]
-    fn merge_docs_takes_best_leaf_per_direction() {
-        let a = Json::parse(
-            r#"{"smoke":true,"amortized_all":true,
-                "points":[{"function":"sff","lanes":4,"ns_per_packet":120.0}],
-                "msgs_per_sec":900}"#,
-        )
-        .unwrap();
-        let b = Json::parse(
-            r#"{"smoke":false,"amortized_all":false,
-                "points":[{"function":"sff","lanes":4,"ns_per_packet":95.0}],
-                "msgs_per_sec":700}"#,
-        )
-        .unwrap();
-        let m = merge_docs(&a, &b, "");
-        let text = m.render();
-        assert!(text.contains("\"ns_per_packet\":95"), "{text}");
-        assert!(text.contains("\"msgs_per_sec\":900"), "{text}");
-        // quality flag AND-ed, smoke kept from the first repetition
-        assert!(text.contains("\"amortized_all\":false"), "{text}");
-        assert!(text.contains("\"smoke\":true"), "{text}");
-    }
-
-    #[test]
-    fn real_batch_artifact_shape_round_trips() {
-        let doc = r#"{"smoke":true,"amortized_all":true,"points":[
-            {"function":"sff","concurrency":"parallel","lanes":1,"batch_size":1,
-             "ns_per_packet":388.1,"parallel":false}]}"#;
-        let m = flat(doc);
-        // exactly one gated number (ns_per_packet) and one flag (parallel)
+        let numbers = m
+            .values()
+            .filter(|v| matches!(v, Metric::Number(..)))
+            .count();
+        assert_eq!(numbers, 7, "{m:?}");
         assert_eq!(
-            m.values()
-                .filter(|v| matches!(v, Metric::Number(..)))
-                .count(),
-            1
+            m.get("interp[function=sff].step_reduction_rate"),
+            Some(&Metric::Number(1.5, Direction::HigherBetter))
         );
-        assert!(compare(&m, &m, 0.25, &[]).is_empty());
+        assert_eq!(
+            m.get("footprints[name=sff].heap_bytes"),
+            Some(&Metric::Number(24.0, Direction::LowerBetter))
+        );
+        assert_eq!(
+            m.get("new_bundles[function=l4lb,peer=wcmp].within_2x"),
+            Some(&Metric::Flag(true))
+        );
     }
 }

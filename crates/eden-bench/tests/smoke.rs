@@ -155,6 +155,20 @@ fn fig12_interpreter_overhead_is_modest() {
 }
 
 #[test]
+fn fig12_fused_programs_run_no_more_steps_than_unoptimised() {
+    // step counts are the interpreter's own: the same on every machine
+    for c in fig12::interp_costs(1, 64) {
+        assert!(
+            c.fused_steps_per_packet <= c.unopt_steps_per_packet,
+            "{}: fused {} steps/pkt over unoptimised {}",
+            c.function,
+            c.fused_steps_per_packet,
+            c.unopt_steps_per_packet
+        );
+    }
+}
+
+#[test]
 fn fig12_footprints_match_section_5_4() {
     for fp in fig12::footprints() {
         println!(
