@@ -17,15 +17,11 @@
 //! exactly the control channel (both directions) without touching the
 //! data plane.
 
-use eden_core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden_ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
-use eden_lang::{Access, HeaderField, Schema};
+use eden_core::EnclaveConfig;
+use eden_ctrl::fleet::{prio_epoch, Fleet};
+use eden_ctrl::CtrlConfig;
 use eden_telemetry::{Json, ToJson};
-use netsim::{LinkId, LinkSpec, Network, NodeId, Switch, SwitchConfig, Time};
-use transport::{app_timer_token, App, Host, Stack, StackConfig};
-
-struct Idle;
-impl App for Idle {}
+use netsim::Time;
 
 /// One measured `(hosts, loss)` sweep point, aggregated over seeds.
 #[derive(Debug, Clone)]
@@ -57,127 +53,43 @@ impl ToJson for Point {
     }
 }
 
-const CTRL_ADDR: u32 = 1000;
 /// Measurement granularity: convergence times are resolved to one slice.
 const SLICE: Time = Time::from_micros(50);
 
-struct Cluster {
-    net: Network,
-    ctrl: NodeId,
-    host_links: Vec<LinkId>,
-}
-
-fn desired_ops(prio: u8) -> Vec<EnclaveOp> {
-    let controller = Controller::new();
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-    let func = controller
-        .plan_function("set_prio", &source, &schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
-}
-
-fn build(seed: u64, hosts: usize, loss_permille: u32) -> Cluster {
-    let cfg = CtrlConfig::default();
-    let mut net = Network::new(seed);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
-
-    let mut host_links = Vec::new();
-    for i in 0..hosts {
-        let addr = (i + 1) as u32;
-        let mut stack = Stack::new(addr, StackConfig::default());
-        stack.set_hook(EnclaveAgent::new(Enclave::new(EnclaveConfig::default())));
-        stack.set_ctrl_port(cfg.ctrl_port);
-        let node = net.add_node(Host::new(stack, Idle));
-        let (hp, sp) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sp);
-        host_links.push(net.port_link(node, hp).0);
-    }
-
-    let addrs: Vec<u32> = (1..=hosts as u32).collect();
-    let ctrl = net.add_node(Host::new(
-        Stack::new(CTRL_ADDR, StackConfig::default()),
-        ControllerApp::new(cfg, &addrs),
-    ));
-    let (cp, sp) = net.connect(ctrl, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(CTRL_ADDR, sp);
-    let ctrl_link = net.port_link(ctrl, cp).0;
-    net.set_link_loss_permille(ctrl_link, loss_permille);
-    net.schedule_timer(ctrl, Time::ZERO, app_timer_token(TICK));
-
-    Cluster {
-        net,
-        ctrl,
-        host_links,
-    }
-}
-
-/// Step the network in [`SLICE`] increments until `done` holds on the
-/// controller, returning the first slice boundary where it did.
-fn run_until_converged(
-    cluster: &mut Cluster,
-    mut t: Time,
-    deadline: Time,
-    done: impl Fn(&ControllerApp) -> bool,
-) -> Time {
-    let ctrl = cluster.ctrl;
-    loop {
-        t += SLICE;
-        assert!(
-            t <= deadline,
-            "control plane failed to converge by {deadline:?}"
-        );
-        cluster.net.run_until(t);
-        if done(&cluster.net.node_mut::<Host<ControllerApp>>(ctrl).app) {
-            return t;
-        }
-    }
-}
-
-fn set_desired(cluster: &mut Cluster, prio: u8) {
-    let ctrl = cluster.ctrl;
-    cluster
-        .net
-        .node_mut::<Host<ControllerApp>>(ctrl)
-        .app
-        .set_desired(desired_ops(prio))
-        .expect("valid desired ops");
-}
-
 /// One full scenario at one seed. Returns `(push_us, rejoin_us)`.
 fn run_once(seed: u64, hosts: usize, loss_permille: u32) -> (f64, f64) {
-    let mut cluster = build(seed, hosts, loss_permille);
+    let mut fleet = Fleet::flat(seed, hosts, CtrlConfig::default(), EnclaveConfig::default());
+    fleet
+        .net
+        .set_link_loss_permille(fleet.root_link(), loss_permille);
     let deadline = Time::from_millis(400);
 
     // Bootstrap: heartbeats find every host and establish epoch 0.
-    let t = run_until_converged(&mut cluster, Time::ZERO, deadline, |app| app.all_in_sync());
+    let t = fleet.run_until(Time::ZERO, SLICE, deadline, |app| app.all_in_sync());
 
     // Scenario 1: push a fresh epoch to a fully reachable fleet.
-    set_desired(&mut cluster, 5);
+    fleet
+        .root()
+        .set_desired(prio_epoch(5))
+        .expect("valid desired ops");
     let push_start = t;
-    let t = run_until_converged(&mut cluster, t, deadline, |app| app.all_in_sync());
+    let t = fleet.run_until(t, SLICE, deadline, |app| app.all_in_sync());
     let push_us = (t - push_start).as_nanos() as f64 / 1_000.0;
 
     // Scenario 2: partition one host, push an epoch past it, wait until
     // the controller has written off the victim and finished with the
     // rest, then heal and measure the resync.
-    cluster.net.set_link_down(cluster.host_links[0], true);
-    set_desired(&mut cluster, 7);
-    let t = run_until_converged(&mut cluster, t, deadline, |app| {
+    fleet.net.set_link_down(fleet.leaf_link(0), true);
+    fleet
+        .root()
+        .set_desired(prio_epoch(7))
+        .expect("valid desired ops");
+    let t = fleet.run_until(t, SLICE, deadline, |app| {
         app.in_sync_count() == hosts - 1 && !app.round_active()
     });
-    cluster.net.set_link_down(cluster.host_links[0], false);
+    fleet.net.set_link_down(fleet.leaf_link(0), false);
     let heal = t;
-    let t = run_until_converged(&mut cluster, t, deadline, |app| app.all_in_sync());
+    let t = fleet.run_until(t, SLICE, deadline, |app| app.all_in_sync());
     let rejoin_us = (t - heal).as_nanos() as f64 / 1_000.0;
 
     (push_us, rejoin_us)

@@ -19,20 +19,16 @@
 //!   fleets: real root and aggregator nodes over the simulated fabric,
 //!   each aggregator fronting thousands of in-process template children,
 //!   wire cost tallied arithmetically (see
-//!   [`AggregatorApp::with_virtual_children`]).
+//!   [`eden_ctrl::AggregatorApp::with_virtual_children`]).
 //!
 //! Every metric here is virtual-time/deterministic — identical across
 //! machines at a given seed — so the bench gate thresholds are tight.
 
-use eden_core::{ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden_ctrl::{AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, TICK};
-use eden_lang::{Access, HeaderField, Schema};
+use eden_core::{ClassId, EnclaveConfig, EnclaveOp, MatchSpec};
+use eden_ctrl::fleet::{prio_epoch, Fleet};
+use eden_ctrl::CtrlConfig;
 use eden_telemetry::{Json, ToJson};
-use netsim::{LinkSpec, Network, NodeId, Switch, SwitchConfig, Time, TwoTier};
-use transport::{app_timer_token, App, Host, Stack, StackConfig};
-
-struct Idle;
-impl App for Idle {}
+use netsim::Time;
 
 /// One `(mode, hosts)` sweep point, aggregated over seeds.
 #[derive(Debug, Clone)]
@@ -98,9 +94,8 @@ impl ToJson for DeltaPoint {
     }
 }
 
-const ROOT_ADDR: u32 = 1_000_000;
-const AGG_BASE: u32 = 500_000;
 const SLICE: Time = Time::from_micros(50);
+const DEADLINE: Time = Time::from_millis(2_000);
 
 /// Host sizing for thousand-node fleets: one lane, small mailboxes. The
 /// control plane never touches the data path here, so only the footprint
@@ -124,184 +119,37 @@ pub fn rack_count(hosts: usize) -> usize {
 /// Desired state: one priority-stamping function and `rules` match rules.
 /// `salt` varies the final rule so successive epochs differ by exactly
 /// one rule — the delta experiment's one-line change.
-fn desired_ops(core: &Controller, rules: usize, salt: u16) -> Vec<EnclaveOp> {
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let func = core
-        .plan_function(
-            "set_prio",
-            "fun (packet, msg, _global) -> packet.Priority <- 5",
-            &schema,
-        )
-        .expect("compiles");
-    let mut ops = vec![EnclaveOp::Reset, func];
-    for i in 0..rules {
+fn desired_ops(rules: usize, salt: u16) -> Vec<EnclaveOp> {
+    let mut ops = prio_epoch(5);
+    ops.pop();
+    ops.extend((0..rules).map(|i| {
         let class = if i == rules - 1 {
             1000 + u32::from(salt)
         } else {
             i as u32
         };
-        ops.push(EnclaveOp::InstallRule {
+        EnclaveOp::InstallRule {
             table: 0,
             spec: MatchSpec::Class(ClassId(class)),
             func: 0,
-        });
-    }
-    ops
-}
-
-struct Cluster {
-    net: Network,
-    root: NodeId,
-}
-
-fn agent_stack(addr: u32, cfg: &CtrlConfig) -> Stack {
-    let mut stack = Stack::new(addr, StackConfig::default());
-    stack.set_hook(EnclaveAgent::new(Enclave::new(lean_enclave())));
-    stack.set_ctrl_port(cfg.ctrl_port);
-    stack
-}
-
-/// Flat: every host hangs off one switch, root manages all of them.
-fn build_flat(seed: u64, hosts: usize, cfg: CtrlConfig) -> Cluster {
-    let mut net = Network::new(seed);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
-    for i in 0..hosts {
-        let addr = (i + 1) as u32;
-        let node = net.add_node(Host::new(agent_stack(addr, &cfg), Idle));
-        let (_, sp) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sp);
-    }
-    let addrs: Vec<u32> = (1..=hosts as u32).collect();
-    let root = net.add_node(Host::new(
-        Stack::new(ROOT_ADDR, StackConfig::default()),
-        ControllerApp::new(cfg, &addrs),
-    ));
-    let (_, sp) = net.connect(root, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(ROOT_ADDR, sp);
-    net.schedule_timer(root, Time::ZERO, app_timer_token(TICK));
-    Cluster { net, root }
-}
-
-/// Hierarchical: √n racks behind a core switch, one aggregator per rack
-/// fronting that rack's hosts, root at the core managing only the
-/// aggregators.
-fn build_hier(seed: u64, hosts: usize, cfg: CtrlConfig) -> Cluster {
-    let racks = rack_count(hosts);
-    let mut net = Network::new(seed);
-    let topo = TwoTier::build(&mut net, racks, LinkSpec::forty_gbps());
-
-    let mut ctrl = ControllerApp::new(cfg.clone(), &[]);
-    let mut next = 1u32;
-    for rack in 0..racks {
-        // spread the remainder over the first racks
-        let share = hosts / racks + usize::from(rack < hosts % racks);
-        let children: Vec<u32> = (0..share)
-            .map(|_| {
-                let addr = next;
-                next += 1;
-                let node = net.add_node(Host::new(agent_stack(addr, &cfg), Idle));
-                topo.attach(&mut net, rack, node, addr, LinkSpec::ten_gbps());
-                addr
-            })
-            .collect();
-        let agg_addr = AGG_BASE + rack as u32;
-        let agg = net.add_node(Host::new(
-            Stack::new(agg_addr, StackConfig::default()),
-            AggregatorApp::new(AggConfig { ctrl: cfg.clone() }, &children),
-        ));
-        topo.attach(&mut net, rack, agg, agg_addr, LinkSpec::ten_gbps());
-        net.schedule_timer(agg, Time::ZERO, app_timer_token(TICK));
-        ctrl.manage_aggregator(agg_addr, children);
-    }
-
-    let root = net.add_node(Host::new(
-        Stack::new(ROOT_ADDR, StackConfig::default()),
-        ctrl,
-    ));
-    topo.attach_core(&mut net, root, ROOT_ADDR, LinkSpec::forty_gbps());
-    net.schedule_timer(root, Time::ZERO, app_timer_token(TICK));
-    Cluster { net, root }
-}
-
-/// Virtual hierarchy for six-figure sweeps: real root + aggregator nodes,
-/// template children (no per-host simulation state).
-fn build_virtual(seed: u64, hosts: usize, cfg: CtrlConfig) -> Cluster {
-    let racks = rack_count(hosts);
-    let mut net = Network::new(seed);
-    let topo = TwoTier::build(&mut net, racks, LinkSpec::forty_gbps());
-
-    let mut ctrl = ControllerApp::new(cfg.clone(), &[]);
-    let mut next = 1u32;
-    for rack in 0..racks {
-        let share = hosts / racks + usize::from(rack < hosts % racks);
-        let children: Vec<u32> = (0..share)
-            .map(|_| {
-                let addr = next;
-                next += 1;
-                addr
-            })
-            .collect();
-        let agg_addr = AGG_BASE + rack as u32;
-        let agg = net.add_node(Host::new(
-            Stack::new(agg_addr, StackConfig::default()),
-            AggregatorApp::with_virtual_children(
-                AggConfig { ctrl: cfg.clone() },
-                share,
-                lean_enclave(),
-            ),
-        ));
-        topo.attach(&mut net, rack, agg, agg_addr, LinkSpec::ten_gbps());
-        net.schedule_timer(agg, Time::ZERO, app_timer_token(TICK));
-        ctrl.manage_aggregator(agg_addr, children);
-    }
-
-    let root = net.add_node(Host::new(
-        Stack::new(ROOT_ADDR, StackConfig::default()),
-        ctrl,
-    ));
-    topo.attach_core(&mut net, root, ROOT_ADDR, LinkSpec::forty_gbps());
-    net.schedule_timer(root, Time::ZERO, app_timer_token(TICK));
-    Cluster { net, root }
-}
-
-fn app(cluster: &mut Cluster) -> &mut ControllerApp {
-    let root = cluster.root;
-    &mut cluster.net.node_mut::<Host<ControllerApp>>(root).app
-}
-
-fn run_until_converged(cluster: &mut Cluster, mut t: Time, deadline: Time) -> Time {
-    loop {
-        t += SLICE;
-        assert!(
-            t <= deadline,
-            "control plane failed to converge by {deadline:?} \
-             ({}/{} hosts in sync)",
-            app(cluster).in_sync_hosts(),
-            app(cluster).fleet_size(),
-        );
-        cluster.net.run_until(t);
-        if app(cluster).all_in_sync() {
-            return t;
         }
-    }
+    }));
+    ops
 }
 
 /// One push at one seed: bootstrap, push a fresh epoch, return
 /// `(push_us, root_msgs, root_bytes)` over the push window.
-fn run_push(mut cluster: Cluster, rules: usize) -> (f64, u64, u64) {
-    let deadline = Time::from_millis(2_000);
-    let t = run_until_converged(&mut cluster, Time::ZERO, deadline);
+fn run_push(mut fleet: Fleet, rules: usize) -> (f64, u64, u64) {
+    let t = fleet.run_until(Time::ZERO, SLICE, DEADLINE, |app| app.all_in_sync());
 
-    let ops = {
-        let a = app(&mut cluster);
-        desired_ops(&a.core, rules, 0)
-    };
-    let before = app(&mut cluster).wire();
-    app(&mut cluster).set_desired(ops).expect("valid ops");
+    let before = fleet.root().wire();
+    fleet
+        .root()
+        .set_desired(desired_ops(rules, 0))
+        .expect("valid ops");
     let push_start = t;
-    let t = run_until_converged(&mut cluster, t, deadline);
-    let after = app(&mut cluster).wire();
+    let t = fleet.run_until(t, SLICE, DEADLINE, |app| app.all_in_sync());
+    let after = fleet.root().wire();
 
     let msgs = (after.msgs_sent - before.msgs_sent) + (after.msgs_received - before.msgs_received);
     let bytes =
@@ -310,7 +158,15 @@ fn run_push(mut cluster: Cluster, rules: usize) -> (f64, u64, u64) {
     (push_us, msgs, bytes)
 }
 
-fn aggregate(mode: &'static str, hosts: usize, samples: &[(f64, u64, u64)]) -> ScalePoint {
+/// One push per seed on the fleet `build` makes, aggregated.
+fn sweep(
+    mode: &'static str,
+    hosts: usize,
+    rules: usize,
+    seeds: &[u64],
+    build: impl Fn(u64) -> Fleet,
+) -> ScalePoint {
+    let samples: Vec<_> = seeds.iter().map(|&s| run_push(build(s), rules)).collect();
     let n = samples.len() as f64;
     ScalePoint {
         mode,
@@ -324,29 +180,25 @@ fn aggregate(mode: &'static str, hosts: usize, samples: &[(f64, u64, u64)]) -> S
 
 /// Flat sweep point: root manages every host directly.
 pub fn run_flat(hosts: usize, rules: usize, seeds: &[u64]) -> ScalePoint {
-    let samples: Vec<_> = seeds
-        .iter()
-        .map(|&s| run_push(build_flat(s, hosts, CtrlConfig::default()), rules))
-        .collect();
-    aggregate("flat", hosts, &samples)
+    sweep("flat", hosts, rules, seeds, |s| {
+        Fleet::flat(s, hosts, CtrlConfig::default(), lean_enclave())
+    })
 }
 
 /// Hierarchical sweep point: root manages √n aggregators.
 pub fn run_hier(hosts: usize, rules: usize, seeds: &[u64]) -> ScalePoint {
-    let samples: Vec<_> = seeds
-        .iter()
-        .map(|&s| run_push(build_hier(s, hosts, CtrlConfig::default()), rules))
-        .collect();
-    aggregate("hier", hosts, &samples)
+    let racks = rack_count(hosts);
+    sweep("hier", hosts, rules, seeds, |s| {
+        Fleet::tiered(s, hosts, racks, CtrlConfig::default(), lean_enclave())
+    })
 }
 
 /// Virtual hierarchical sweep point for six-figure fleets (nightly).
 pub fn run_virtual(hosts: usize, rules: usize, seeds: &[u64]) -> ScalePoint {
-    let samples: Vec<_> = seeds
-        .iter()
-        .map(|&s| run_push(build_virtual(s, hosts, CtrlConfig::default()), rules))
-        .collect();
-    aggregate("virtual", hosts, &samples)
+    let racks = rack_count(hosts);
+    sweep("virtual", hosts, rules, seeds, |s| {
+        Fleet::tiered_virtual(s, hosts, racks, CtrlConfig::default(), lean_enclave())
+    })
 }
 
 /// Delta-vs-full experiment: converge a `rules`-sized table, change one
@@ -365,27 +217,20 @@ pub fn run_delta(hosts: usize, rules: usize, seeds: &[u64]) -> DeltaPoint {
                 trace_rounds: false,
                 ..CtrlConfig::default()
             };
-            let mut cluster = build_flat(seed, hosts, cfg);
-            let deadline = Time::from_millis(2_000);
-            let t = run_until_converged(&mut cluster, Time::ZERO, deadline);
+            let mut fleet = Fleet::flat(seed, hosts, cfg, lean_enclave());
+            let t = fleet.run_until(Time::ZERO, SLICE, DEADLINE, |app| app.all_in_sync());
 
             // epoch 1: the big table, fully shipped either way
-            let ops = {
-                let a = app(&mut cluster);
-                desired_ops(&a.core, rules, 0)
-            };
-            app(&mut cluster).set_desired(ops).expect("valid ops");
-            let t = run_until_converged(&mut cluster, t, deadline);
+            let root = fleet.root();
+            root.set_desired(desired_ops(rules, 0)).expect("valid ops");
+            let t = fleet.run_until(t, SLICE, DEADLINE, |app| app.all_in_sync());
 
             // epoch 2: one rule changes
-            let ops = {
-                let a = app(&mut cluster);
-                desired_ops(&a.core, rules, 1)
-            };
-            let before = app(&mut cluster).wire().config_bytes_sent;
-            app(&mut cluster).set_desired(ops).expect("valid ops");
-            run_until_converged(&mut cluster, t, deadline);
-            let bytes = app(&mut cluster).wire().config_bytes_sent - before;
+            let root = fleet.root();
+            let before = root.wire().config_bytes_sent;
+            root.set_desired(desired_ops(rules, 1)).expect("valid ops");
+            fleet.run_until(t, SLICE, DEADLINE, |app| app.all_in_sync());
+            let bytes = fleet.root().wire().config_bytes_sent - before;
             if enable {
                 delta.push(bytes as f64);
             } else {

@@ -23,15 +23,12 @@
 //! metric is deterministic for a given seed: the gate compares exact
 //! numbers, not noisy wall-clock samples.
 
-use eden_core::{Controller, Enclave, EnclaveConfig, EnclaveOp, FuncId, MatchSpec};
-use eden_ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
+use eden_core::{Controller, EnclaveConfig, EnclaveOp, FuncId};
+use eden_ctrl::fleet::Fleet;
+use eden_ctrl::CtrlConfig;
 use eden_lang::{Access, ReplMode, Schema};
 use eden_telemetry::{Json, LatencyStat, ToJson};
-use netsim::{LinkId, LinkSpec, Network, NodeId, Packet, Switch, SwitchConfig, Time, UdpHeader};
-use transport::{app_timer_token, App, Host, Stack, StackConfig};
-
-struct Idle;
-impl App for Idle {}
+use netsim::{Packet, Time, UdpHeader};
 
 /// One measured `(hosts, loss)` sweep point, aggregated over seeds.
 #[derive(Debug, Clone)]
@@ -67,19 +64,11 @@ impl ToJson for Point {
     }
 }
 
-const CTRL_ADDR: u32 = 1000;
 /// Convergence polling granularity.
 const SLICE: Time = Time::from_micros(50);
 /// Data-plane slices per load window and packets a host processes in one.
 const LOAD_SLICES: u64 = 40;
 const PKTS_PER_SLICE: u64 = 3;
-
-struct Cluster {
-    net: Network,
-    ctrl: NodeId,
-    ctrl_link: LinkId,
-    nodes: Vec<NodeId>,
-}
 
 /// The fleet-wide counter: one `replicated(merged)` global, bumped once
 /// per packet.
@@ -89,91 +78,16 @@ fn counter_ops() -> Vec<EnclaveOp> {
         .global_field("Count", Access::ReadWrite)
         .replicated(ReplMode::MergedSum);
     let source = "fun (packet, msg, _global) -> _global.Count <- _global.Count + 1";
-    let func = controller
-        .plan_function("fleet_count", source, &schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
-}
-
-fn build(seed: u64, hosts: usize, loss_permille: u32) -> Cluster {
-    let cfg = CtrlConfig::default();
-    let mut net = Network::new(seed);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
-
-    let mut nodes = Vec::new();
-    for i in 0..hosts {
-        let addr = (i + 1) as u32;
-        let mut stack = Stack::new(addr, StackConfig::default());
-        stack.set_hook(EnclaveAgent::new_with_addr(
-            addr,
-            Enclave::new(EnclaveConfig::default()),
-        ));
-        stack.set_ctrl_port(cfg.ctrl_port);
-        let node = net.add_node(Host::new(stack, Idle));
-        let (_, sp) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sp);
-        nodes.push(node);
-    }
-
-    let addrs: Vec<u32> = (1..=hosts as u32).collect();
-    let ctrl = net.add_node(Host::new(
-        Stack::new(CTRL_ADDR, StackConfig::default()),
-        ControllerApp::new(cfg, &addrs),
-    ));
-    let (cp, sp) = net.connect(ctrl, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(CTRL_ADDR, sp);
-    let ctrl_link = net.port_link(ctrl, cp).0;
-    net.set_link_loss_permille(ctrl_link, loss_permille);
-    net.schedule_timer(ctrl, Time::ZERO, app_timer_token(TICK));
-
-    Cluster {
-        net,
-        ctrl,
-        ctrl_link,
-        nodes,
-    }
-}
-
-fn run_until_converged(
-    cluster: &mut Cluster,
-    mut t: Time,
-    deadline: Time,
-    done: impl Fn(&ControllerApp) -> bool,
-) -> Time {
-    let ctrl = cluster.ctrl;
-    loop {
-        t += SLICE;
-        assert!(
-            t <= deadline,
-            "replication bench failed to converge by {deadline:?}"
-        );
-        cluster.net.run_until(t);
-        if done(&cluster.net.node_mut::<Host<ControllerApp>>(ctrl).app) {
-            return t;
-        }
-    }
+    controller
+        .plan_epoch("fleet_count", source, &schema)
+        .expect("compiles")
 }
 
 /// Process `count` packets through host `i`'s enclave at virtual `now`.
-fn drive(cluster: &mut Cluster, i: usize, count: u64) {
-    let node = cluster.nodes[i];
-    let now = cluster.net.now();
+fn drive(fleet: &mut Fleet, i: usize, count: u64) {
+    let now = fleet.net.now();
     let mut rng = netsim::SimRng::new(now.as_nanos() ^ (i as u64) << 32);
-    let enclave = cluster
-        .net
-        .node_mut::<Host<Idle>>(node)
-        .stack
-        .hook_mut::<EnclaveAgent>()
-        .expect("agent installed")
-        .enclave_mut();
+    let enclave = fleet.enclave(i);
     for _ in 0..count {
         let mut p = Packet::udp(1, 2, UdpHeader::default(), 200);
         enclave.process(&mut p, &mut rng, now);
@@ -187,33 +101,29 @@ fn hist_stat<'a>(stats: &'a [LatencyStat], name: &str) -> Option<&'a LatencyStat
 /// One full scenario at one seed. Returns
 /// `(staleness_mean_us, staleness_p99_us, delta_p50, delta_p99, exact)`.
 fn run_once(seed: u64, hosts: usize, loss_permille: u32) -> (f64, f64, f64, f64, bool) {
-    let mut cluster = build(seed, hosts, loss_permille);
+    let mut fleet = Fleet::flat(seed, hosts, CtrlConfig::default(), EnclaveConfig::default());
+    fleet
+        .net
+        .set_link_loss_permille(fleet.root_link(), loss_permille);
     let deadline = Time::from_millis(400);
 
     // Bootstrap, then push the replicated counter to the whole fleet.
-    let t = run_until_converged(&mut cluster, Time::ZERO, deadline, |app| app.all_in_sync());
-    let ctrl = cluster.ctrl;
-    cluster
-        .net
-        .node_mut::<Host<ControllerApp>>(ctrl)
-        .app
-        .set_desired(counter_ops())
-        .expect("valid ops");
-    let mut t = run_until_converged(&mut cluster, t, deadline, |app| app.all_in_sync());
+    let t = fleet.run_until(Time::ZERO, SLICE, deadline, |app| app.all_in_sync());
+    fleet.root().set_desired(counter_ops()).expect("valid ops");
+    let mut t = fleet.run_until(t, SLICE, deadline, |app| app.all_in_sync());
 
     // Load window: every host counts packets while the replication loop
     // syncs under the configured loss.
     for _ in 0..LOAD_SLICES {
         for i in 0..hosts {
-            drive(&mut cluster, i, PKTS_PER_SLICE);
+            drive(&mut fleet, i, PKTS_PER_SLICE);
         }
         t += Time::from_micros(500);
-        cluster.net.run_until(t);
+        fleet.net.run_until(t);
     }
 
     let (stale_mean, stale_p99, d50, d99) = {
-        let app = &cluster.net.node_mut::<Host<ControllerApp>>(ctrl).app;
-        let lat = &app.cluster().ctrl_latencies;
+        let lat = &fleet.root().cluster().ctrl_latencies;
         let stale = hist_stat(lat, "repl.staleness").expect("staleness recorded");
         let bytes = hist_stat(lat, "repl.delta_bytes").expect("delta bytes recorded");
         (
@@ -225,28 +135,13 @@ fn run_once(seed: u64, hosts: usize, loss_permille: u32) -> (f64, f64, f64, f64,
     };
 
     // Heal and settle: every increment must land exactly once.
-    cluster.net.set_link_loss_permille(cluster.ctrl_link, 0);
+    fleet.net.set_link_loss_permille(fleet.root_link(), 0);
     let settle = t + Time::from_millis(50);
-    cluster.net.run_until(settle);
+    fleet.net.run_until(settle);
     let expected = (hosts as u64 * LOAD_SLICES * PKTS_PER_SLICE) as i64;
-    let mut exact = cluster
-        .net
-        .node_mut::<Host<ControllerApp>>(ctrl)
-        .app
-        .repl()
-        .merged_total(0, 0)
-        == expected;
+    let mut exact = fleet.root().repl().merged_total(0, 0) == expected;
     for i in 0..hosts {
-        let node = cluster.nodes[i];
-        let effective = cluster
-            .net
-            .node_mut::<Host<Idle>>(node)
-            .stack
-            .hook_mut::<EnclaveAgent>()
-            .expect("agent installed")
-            .enclave_mut()
-            .global_effective(FuncId(0), 0);
-        exact &= effective == expected;
+        exact &= fleet.enclave(i).global_effective(FuncId(0), 0) == expected;
     }
     (stale_mean, stale_p99, d50, d99, exact)
 }

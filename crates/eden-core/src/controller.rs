@@ -26,7 +26,7 @@ use netsim::Switch;
 
 use crate::action::{FuncId, InstalledFunction};
 use crate::class::{ClassId, ClassRegistry};
-use crate::enclave::Enclave;
+use crate::enclave::{Enclave, MatchSpec};
 use crate::ops::EnclaveOp;
 use crate::stage::{Matcher, Stage, StageInfo};
 
@@ -169,6 +169,27 @@ impl Controller {
             schema: schema.clone(),
             concurrency: compiled.concurrency,
         })
+    }
+
+    /// A whole Reset-led desired state around one function: `Reset`, the
+    /// [`plan_function`](Self::plan_function) op, and one match-all rule
+    /// in table 0 that runs it on every packet.
+    pub fn plan_epoch(
+        &self,
+        name: &str,
+        source: &str,
+        schema: &Schema,
+    ) -> Result<Vec<EnclaveOp>, CompileError> {
+        let func = self.plan_function(name, source, schema)?;
+        Ok(vec![
+            EnclaveOp::Reset,
+            func,
+            EnclaveOp::InstallRule {
+                table: 0,
+                spec: MatchSpec::Any,
+                func: 0,
+            },
+        ])
     }
 
     // ------------------------------------------------------------------

@@ -651,21 +651,9 @@ mod tests {
         let schema =
             Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
         let src = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-        let compiled = compile("set_prio", &src, &schema).expect("compiles");
-        vec![
-            EnclaveOp::Reset,
-            EnclaveOp::InstallFunction {
-                name: "set_prio".into(),
-                bytecode: eden_vm::encode_program(&compiled.program),
-                schema,
-                concurrency: compiled.concurrency,
-            },
-            EnclaveOp::InstallRule {
-                table: 0,
-                spec: MatchSpec::Any,
-                func: 0,
-            },
-        ]
+        crate::Controller::new()
+            .plan_epoch("set_prio", &src, &schema)
+            .expect("compiles")
     }
 
     fn run_one(e: &mut Enclave) -> u8 {
@@ -678,7 +666,7 @@ mod tests {
     #[test]
     fn staged_epoch_is_invisible_until_commit() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid epoch");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid epoch");
         assert_eq!(e.active_epoch(), 0);
         assert_eq!(e.staged_epoch(), Some(1));
         assert_eq!(run_one(&mut e), 0, "staged config must not process packets");
@@ -696,7 +684,7 @@ mod tests {
     #[test]
     fn burst_after_a_reset_epoch_peeks_at_nothing() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid epoch");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid epoch");
         assert!(e.commit_epoch(1));
         e.stage_epoch(2, &[EnclaveOp::Reset]).expect("valid epoch");
         assert!(e.commit_epoch(2));
@@ -717,7 +705,7 @@ mod tests {
     #[test]
     fn commit_is_idempotent_and_rejects_unknown_epochs() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid");
         assert!(!e.commit_epoch(2), "not the staged epoch");
         assert!(e.commit_epoch(1));
         assert!(e.commit_epoch(1), "duplicate commit of active epoch is ok");
@@ -727,7 +715,7 @@ mod tests {
     #[test]
     fn abort_discards_staged_epoch() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid");
         e.abort_epoch(2);
         assert_eq!(e.staged_epoch(), Some(1), "mismatched abort is a no-op");
         e.abort_epoch(1);
@@ -739,8 +727,8 @@ mod tests {
     #[test]
     fn restaging_replaces_previous_staging() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid");
-        e.stage_epoch(2, &epoch_ops(5)).expect("valid");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid");
+        e.stage_epoch(2, epoch_ops(5)).expect("valid");
         assert_eq!(e.staged_epoch(), Some(2));
         assert!(e.commit_epoch(2));
         assert_eq!(run_one(&mut e), 5);
@@ -755,7 +743,7 @@ mod tests {
             spec: MatchSpec::Any,
             func: 0,
         });
-        let err = e.stage_epoch(1, &ops).expect_err("bad table index");
+        let err = e.stage_epoch(1, ops).expect_err("bad table index");
         assert!(matches!(err, ApplyError::NoSuchTable { table: 7, .. }));
         assert_eq!(e.staged_epoch(), None, "nothing staged on error");
 
@@ -789,9 +777,9 @@ mod tests {
     fn config_digest_tracks_structure_not_counters() {
         let mut a = Enclave::new(EnclaveConfig::default());
         let mut b = Enclave::new(EnclaveConfig::default());
-        a.stage_epoch(1, &epoch_ops(3)).expect("valid");
+        a.stage_epoch(1, epoch_ops(3)).expect("valid");
         assert!(a.commit_epoch(1));
-        b.stage_epoch(1, &epoch_ops(3)).expect("valid");
+        b.stage_epoch(1, epoch_ops(3)).expect("valid");
         assert!(b.commit_epoch(1));
         assert_eq!(a.config_digest(), b.config_digest());
 
@@ -802,7 +790,7 @@ mod tests {
 
         // A different program does move it.
         let mut c = Enclave::new(EnclaveConfig::default());
-        c.stage_epoch(1, &epoch_ops(5)).expect("valid");
+        c.stage_epoch(1, epoch_ops(5)).expect("valid");
         assert!(c.commit_epoch(1));
         assert_ne!(a.config_digest(), c.config_digest());
     }
@@ -810,7 +798,7 @@ mod tests {
     #[test]
     fn delta_epoch_stages_against_matching_digest() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid");
         assert!(e.commit_epoch(1));
 
         // A diff appending one rule, anchored at the current digest.
@@ -820,8 +808,7 @@ mod tests {
             func: 0,
         }];
         let base = e.config_digest();
-        e.stage_epoch_delta(2, base, &delta)
-            .expect("digest matches");
+        e.stage_epoch_delta(2, base, delta).expect("digest matches");
         assert!(e.commit_epoch(2));
         assert_eq!(e.active_epoch(), 2);
         assert_eq!(e.tables[0].rules.len(), 2);
@@ -839,7 +826,7 @@ mod tests {
             spec: MatchSpec::Class(ClassId(1)),
             func: 0,
         });
-        full.stage_epoch(2, &ops).expect("valid");
+        full.stage_epoch(2, ops).expect("valid");
         assert!(full.commit_epoch(2));
         assert_eq!(e.config_digest(), full.config_digest());
     }
@@ -847,7 +834,7 @@ mod tests {
     #[test]
     fn delta_epoch_rejects_stale_digest() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        e.stage_epoch(1, &epoch_ops(3)).expect("valid");
+        e.stage_epoch(1, epoch_ops(3)).expect("valid");
         assert!(e.commit_epoch(1));
         let have = e.config_digest();
 

@@ -51,14 +51,19 @@ impl Enclave {
     /// staged state untouched only if the epoch differs; restaging the
     /// same or a newer epoch replaces the previous staging (controller
     /// retries are idempotent).
-    pub fn stage_epoch(&mut self, epoch: u64, ops: &[EnclaveOp]) -> Result<(), ApplyError> {
-        self.stage_epoch_owned(epoch, ops.to_vec())
+    ///
+    /// The ops are held until commit: a `Vec` handed over by value (the
+    /// agent has just decoded it off the wire) is kept as it is, a slice
+    /// is copied once.
+    pub fn stage_epoch(
+        &mut self,
+        epoch: u64,
+        ops: impl Into<Vec<EnclaveOp>>,
+    ) -> Result<(), ApplyError> {
+        self.stage_ops(epoch, ops.into())
     }
 
-    /// [`stage_epoch`](Self::stage_epoch) for a caller that is done with
-    /// its ops (the agent has just decoded them off the wire): they are
-    /// held as they are until commit, not copied.
-    pub fn stage_epoch_owned(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError> {
+    fn stage_ops(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError> {
         let (funcs, shape) = match self.validate_ops(&ops) {
             Ok(valid) => valid,
             Err(e) => {
@@ -92,18 +97,7 @@ impl Enclave {
         &mut self,
         epoch: u64,
         base_digest: u64,
-        ops: &[EnclaveOp],
-    ) -> Result<(), ApplyError> {
-        self.stage_epoch_delta_owned(epoch, base_digest, ops.to_vec())
-    }
-
-    /// [`stage_epoch_delta`](Self::stage_epoch_delta), taking the ops by
-    /// value like [`stage_epoch_owned`](Self::stage_epoch_owned).
-    pub fn stage_epoch_delta_owned(
-        &mut self,
-        epoch: u64,
-        base_digest: u64,
-        ops: Vec<EnclaveOp>,
+        ops: impl Into<Vec<EnclaveOp>>,
     ) -> Result<(), ApplyError> {
         let have = self.config_digest();
         if have != base_digest {
@@ -112,7 +106,7 @@ impl Enclave {
                 want: base_digest,
             });
         }
-        self.stage_epoch_owned(epoch, ops)
+        self.stage_ops(epoch, ops.into())
     }
 
     /// Phase two: atomically apply the staged epoch. Called between

@@ -110,7 +110,7 @@ impl Model {
     fn digest(&self, pool: &[EnclaveOp]) -> u64 {
         let mut fresh = lean();
         fresh
-            .stage_epoch(1, &self.full_ops(pool))
+            .stage_epoch(1, self.full_ops(pool))
             .expect("model is valid");
         assert!(fresh.commit_epoch(1));
         fresh.config_digest()
@@ -323,14 +323,14 @@ proptest! {
                         }
                     }
                     let epoch = e.active_epoch() + 1;
-                    e.stage_epoch_delta(epoch, e.config_digest(), &ops).expect("valid delta");
+                    e.stage_epoch_delta(epoch, e.config_digest(), ops).expect("valid delta");
                     prop_assert!(e.commit_epoch(epoch));
                     prop_assert!(e.serves_single_epoch());
                 }
                 Step::Full => {
                     let before = e.config_digest();
                     let epoch = e.active_epoch() + 1;
-                    e.stage_epoch(epoch, &model.full_ops(&pool)).expect("valid epoch");
+                    e.stage_epoch(epoch, model.full_ops(&pool)).expect("valid epoch");
                     prop_assert!(e.commit_epoch(epoch));
                     prop_assert_eq!(e.config_digest(), before, "same structure, rebuilt");
                 }

@@ -147,31 +147,10 @@ impl PacketHook for EnclaveAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::prio_epoch;
     use crate::proto::AckPhase;
     use eden_core::{EnclaveConfig, EnclaveOp, MatchSpec};
-    use eden_lang::{Access, HeaderField, Schema};
     use eden_telemetry::TraceContext;
-
-    fn schema() -> Schema {
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
-    }
-
-    fn epoch_ops(prio: u8) -> Vec<EnclaveOp> {
-        let controller = eden_core::Controller::new();
-        let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-        let func = controller
-            .plan_function("set_prio", &source, &schema())
-            .expect("compiles");
-        vec![
-            EnclaveOp::Reset,
-            func,
-            EnclaveOp::InstallRule {
-                table: 0,
-                spec: MatchSpec::Any,
-                func: 0,
-            },
-        ]
-    }
 
     fn agent() -> EnclaveAgent {
         EnclaveAgent::new(Enclave::new(EnclaveConfig::default()))
@@ -199,7 +178,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         assert_eq!(
@@ -232,7 +211,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         ask(&mut a, 2, CtrlMsg::Commit { epoch: 1 });
@@ -252,7 +231,7 @@ mod tests {
                 4,
                 CtrlMsg::Prepare {
                     epoch: 1,
-                    ops: epoch_ops(5)
+                    ops: prio_epoch(5)
                 }
             ),
             CtrlReply::Ack {
@@ -269,7 +248,7 @@ mod tests {
                 5,
                 CtrlMsg::Prepare {
                     epoch: 0,
-                    ops: epoch_ops(2)
+                    ops: prio_epoch(2)
                 }
             ),
             CtrlReply::Nack { re: 5, .. }
@@ -289,7 +268,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         assert_eq!(
@@ -326,7 +305,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
             ctx,
             100,
@@ -376,7 +355,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
             ctx,
             100,
@@ -413,7 +392,7 @@ mod tests {
         let mut a = agent();
         let msg = CtrlMsg::Prepare {
             epoch: 1,
-            ops: epoch_ops(6),
+            ops: prio_epoch(6),
         };
         let frames = proto::fragment(42, &Request::from(msg).encode().unwrap());
         let mut rng = netsim::SimRng::new(1);

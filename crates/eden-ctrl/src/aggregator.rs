@@ -551,30 +551,10 @@ impl App for AggregatorApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::prio_epoch;
     use crate::testnet::{star, table_ops, Star, Tap};
     use eden_core::{EnclaveOp, MatchSpec};
-    use eden_lang::{Access, HeaderField, Schema};
     use netsim::Time;
-
-    fn schema() -> Schema {
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
-    }
-
-    fn epoch_ops(prio: u8) -> Vec<EnclaveOp> {
-        let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-        let func = eden_core::Controller::new()
-            .plan_function("set_prio", &source, &schema())
-            .expect("compiles");
-        vec![
-            EnclaveOp::Reset,
-            func,
-            EnclaveOp::InstallRule {
-                table: 0,
-                spec: MatchSpec::Any,
-                func: 0,
-            },
-        ]
-    }
 
     #[test]
     fn parent_two_phase_lands_in_history_and_queues_shard_round() {
@@ -583,7 +563,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         assert!(matches!(r, CtrlReply::Ack { epoch: 1, .. }));
@@ -603,7 +583,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
@@ -681,7 +661,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
@@ -731,7 +711,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
@@ -896,7 +876,7 @@ mod tests {
             1,
             CtrlMsg::Prepare {
                 epoch: 1,
-                ops: epoch_ops(5),
+                ops: prio_epoch(5),
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
@@ -906,7 +886,7 @@ mod tests {
                 3,
                 CtrlMsg::Prepare {
                     epoch: 1,
-                    ops: epoch_ops(5)
+                    ops: prio_epoch(5)
                 }
             ),
             CtrlReply::Ack { .. }
@@ -917,7 +897,7 @@ mod tests {
                 4,
                 CtrlMsg::Prepare {
                     epoch: 0,
-                    ops: epoch_ops(2)
+                    ops: prio_epoch(2)
                 }
             ),
             CtrlReply::Nack { .. }

@@ -220,7 +220,7 @@ impl ControllerApp {
         let epoch = self.desired().epoch + 1;
         let full = proto::encode_prepare(epoch, &ops, None)
             .map_err(|_| ApplyError::TooLarge { ops: ops.len() })?;
-        self.shadow.stage_epoch(epoch, &ops)?;
+        self.shadow.stage_epoch(epoch, &ops[..])?;
         assert!(self.shadow.commit_epoch(epoch));
         let mut model = self.desired().model.clone();
         model.apply(&ops);
@@ -469,7 +469,7 @@ impl ControllerApp {
         let epoch = highest + 1;
         let (ops, model) = (self.desired().ops.clone(), self.desired().model.clone());
         self.shadow
-            .stage_epoch(epoch, &ops)
+            .stage_epoch(epoch, &ops[..])
             .expect("desired ops validated when set");
         assert!(self.shadow.commit_epoch(epoch));
         let full = proto::encode_prepare(epoch, &ops, None)
@@ -546,7 +546,7 @@ impl ControllerApp {
         let entry = self.desired();
         if entry.epoch > 0 {
             shadow
-                .stage_epoch(entry.epoch, &entry.ops)
+                .stage_epoch(entry.epoch, &entry.ops[..])
                 .expect("desired ops validated when set");
             assert!(shadow.commit_epoch(entry.epoch));
         }

@@ -441,7 +441,7 @@ mod tests {
         via_delta.stage_epoch(1, base_ops).unwrap();
         assert!(via_delta.commit_epoch(1));
         let anchor = via_delta.config_digest();
-        via_delta.stage_epoch_delta(2, anchor, &plan).unwrap();
+        via_delta.stage_epoch_delta(2, anchor, &plan[..]).unwrap();
         assert!(via_delta.commit_epoch(2));
 
         let mut via_full = Enclave::new(EnclaveConfig::default());

@@ -44,8 +44,8 @@
 //!    an anti-entropy digest exchange flags replicas that stopped
 //!    converging (see `eden-repl`).
 //!
-//! Bootstrap sketch (see `examples/ctrl_cluster.rs` for the full
-//! version):
+//! Bootstrap sketch ([`fleet::Fleet`] builds this, flat or over racks of
+//! aggregators, for the workspace's simulated clusters):
 //!
 //! ```ignore
 //! // each managed host: enclave behind an agent, ctrl endpoint open
@@ -64,6 +64,7 @@ pub mod aggregator;
 pub mod controller;
 mod coordinator;
 pub mod delta;
+pub mod fleet;
 mod participant;
 pub mod proto;
 #[cfg(test)]

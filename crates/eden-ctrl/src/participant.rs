@@ -114,8 +114,8 @@ fn stage(
         Ok(())
     } else {
         match base_digest {
-            Some(digest) => enclave.stage_epoch_delta_owned(epoch, digest, ops),
-            None => enclave.stage_epoch_owned(epoch, ops),
+            Some(digest) => enclave.stage_epoch_delta(epoch, digest, ops),
+            None => enclave.stage_epoch(epoch, ops),
         }
     };
     match staged {
@@ -147,7 +147,7 @@ mod tests {
         let one_more = vec![table_ops(5, 3..4).pop().expect("the rule")];
         let anchor = {
             let mut scratch = Enclave::new(EnclaveConfig::default());
-            scratch.stage_epoch(2, &table).unwrap();
+            scratch.stage_epoch(2, &table[..]).unwrap();
             assert!(scratch.commit_epoch(2));
             scratch.config_digest()
         };

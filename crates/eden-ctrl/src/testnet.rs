@@ -3,10 +3,10 @@
 //! endpoint so a test can read the frames a reconciler put on the wire.
 
 use eden_core::{Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden_lang::{Access, HeaderField, Schema};
 use netsim::{LinkSpec, Network, NodeId, Switch, SwitchConfig, Time};
 use transport::{app_timer_token, App, HookEnv, HookVerdict, Host, PacketHook, Stack, StackConfig};
 
+use crate::fleet::prio_epoch;
 use crate::proto::FRAG_HEADER;
 use crate::{CtrlConfig, EnclaveAgent, TICK};
 
@@ -118,16 +118,12 @@ impl<A: App> Star<A> {
 /// A Reset-led configuration: one function that sets priority `prio`, and
 /// one rule per class in `classes`.
 pub(crate) fn table_ops(prio: u8, classes: std::ops::Range<u32>) -> Vec<EnclaveOp> {
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-    let func = eden_core::Controller::new()
-        .plan_function("set_prio", &source, &schema)
-        .expect("compiles");
-    let rules = classes.map(|c| EnclaveOp::InstallRule {
+    let mut ops = prio_epoch(prio);
+    ops.pop();
+    ops.extend(classes.map(|c| EnclaveOp::InstallRule {
         table: 0,
         spec: MatchSpec::Class(eden_core::ClassId(c)),
         func: 0,
-    });
-    [EnclaveOp::Reset, func].into_iter().chain(rules).collect()
+    }));
+    ops
 }

@@ -1,75 +1,28 @@
 //! Distributed control plane quickstart: one controller, three hosts.
 //!
 //! Bootstraps a star topology where every host runs an Eden enclave
-//! behind an [`EnclaveAgent`] control endpoint, and a fourth host runs
-//! the [`ControllerApp`]. The controller pushes a configuration epoch to
-//! the whole fleet with a two-phase update, the fleet converges, then one
-//! host is partitioned, misses the next update, and is reconciled
-//! automatically after the partition heals — all over in-band control
-//! messages that share the links with data traffic.
+//! behind an [`EnclaveAgent`](eden::ctrl::EnclaveAgent) control endpoint,
+//! and a fourth host runs the [`ControllerApp`](eden::ctrl::ControllerApp).
+//! The controller pushes a configuration epoch to the whole fleet with a
+//! two-phase update, the fleet converges, then one host is partitioned,
+//! misses the next update, and is reconciled automatically after the
+//! partition heals — all over in-band control messages that share the
+//! links with data traffic.
 //!
 //! Run with `cargo run --example ctrl_cluster`.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
-use eden::lang::{Access, HeaderField, Schema};
-use eden::netsim::{LinkSpec, Network, Switch, SwitchConfig, Time};
-use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
-
-struct Idle;
-impl App for Idle {}
-
-/// A full desired-state description: wipe, install a fixed-priority
-/// function, match everything.
-fn prio_ops(prio: u8) -> Vec<EnclaveOp> {
-    let controller = Controller::new();
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-    let func = controller
-        .plan_function("set_prio", &source, &schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
-}
+use eden::core::EnclaveConfig;
+use eden::ctrl::fleet::{prio_epoch, Fleet};
+use eden::ctrl::CtrlConfig;
+use eden::netsim::Time;
 
 fn main() {
-    let cfg = CtrlConfig::default();
-    let mut net = Network::new(42);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
+    // Three managed hosts (an enclave behind an agent, control endpoint
+    // open) and the controller, an ordinary application on a fourth.
+    let mut fleet = Fleet::flat(42, 3, CtrlConfig::default(), EnclaveConfig::default());
 
-    // Three managed hosts: enclave behind an agent, control endpoint open.
-    let mut nodes = Vec::new();
-    let mut links = Vec::new();
-    for addr in 1..=3u32 {
-        let mut stack = Stack::new(addr, StackConfig::default());
-        stack.set_hook(EnclaveAgent::new(Enclave::new(EnclaveConfig::default())));
-        stack.set_ctrl_port(cfg.ctrl_port);
-        let node = net.add_node(Host::new(stack, Idle));
-        let (hp, sp) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sp);
-        links.push(net.port_link(node, hp).0);
-        nodes.push(node);
-    }
-
-    // The controller: an ordinary application on a fourth host.
-    let ctrl = net.add_node(Host::new(
-        Stack::new(100, StackConfig::default()),
-        ControllerApp::new(cfg, &[1, 2, 3]),
-    ));
-    let (_, sp) = net.connect(ctrl, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(100, sp);
-    net.schedule_timer(ctrl, Time::ZERO, app_timer_token(TICK));
-
-    let status = |net: &mut Network, label: &str| {
-        let app = &net.node_mut::<Host<ControllerApp>>(ctrl).app;
+    let status = |fleet: &mut Fleet, label: &str| {
+        let app = fleet.root();
         println!(
             "[{label}] desired epoch {}, in sync {}/3, converged: {}",
             app.desired_epoch(),
@@ -79,42 +32,31 @@ fn main() {
     };
 
     // Bootstrap: heartbeats establish liveness and initial sync.
-    net.run_until(Time::from_millis(2));
-    status(&mut net, "bootstrap  2ms");
+    fleet.net.run_until(Time::from_millis(2));
+    status(&mut fleet, "bootstrap  2ms");
 
     // Push epoch 1 (priority 5) to the whole fleet: prepare everywhere,
     // then commit — no host ever serves a half-applied table.
-    net.node_mut::<Host<ControllerApp>>(ctrl)
-        .app
-        .set_desired(prio_ops(5))
-        .expect("valid ops");
-    net.run_until(Time::from_millis(6));
-    status(&mut net, "epoch 1    6ms");
+    fleet.root().set_desired(prio_epoch(5)).expect("valid ops");
+    fleet.net.run_until(Time::from_millis(6));
+    status(&mut fleet, "epoch 1    6ms");
 
     // Partition host 3, then push epoch 2 (priority 7). The controller
     // detects the silent host, finishes the update on the reachable
     // majority, and keeps heartbeating into the void.
-    net.set_link_down(links[2], true);
-    net.node_mut::<Host<ControllerApp>>(ctrl)
-        .app
-        .set_desired(prio_ops(7))
-        .expect("valid ops");
-    net.run_until(Time::from_millis(16));
-    status(&mut net, "partition 16ms");
+    fleet.net.set_link_down(fleet.leaf_link(2), true);
+    fleet.root().set_desired(prio_epoch(7)).expect("valid ops");
+    fleet.net.run_until(Time::from_millis(16));
+    status(&mut fleet, "partition 16ms");
 
     // Heal. The next pong exposes the stale epoch and the reconciler
     // replays desired state onto the lagging host.
-    net.set_link_down(links[2], false);
-    net.run_until(Time::from_millis(30));
-    status(&mut net, "healed    30ms");
+    fleet.net.set_link_down(fleet.leaf_link(2), false);
+    fleet.net.run_until(Time::from_millis(30));
+    status(&mut fleet, "healed    30ms");
 
-    for (i, &node) in nodes.iter().enumerate() {
-        let enclave = net
-            .node_mut::<Host<Idle>>(node)
-            .stack
-            .hook_mut::<EnclaveAgent>()
-            .expect("agent installed")
-            .enclave();
+    for i in 0..3 {
+        let enclave = fleet.enclave(i);
         println!(
             "host {}: epoch {}, digest {:#018x}, single-epoch table: {}",
             i + 1,
@@ -124,8 +66,10 @@ fn main() {
         );
     }
 
-    let app = &net.node_mut::<Host<ControllerApp>>(ctrl).app;
-    assert!(app.all_in_sync(), "fleet must reconverge after the heal");
+    assert!(
+        fleet.root().all_in_sync(),
+        "fleet must reconverge after the heal"
+    );
     println!("\nthe partitioned host missed epoch 2, was detected down,");
     println!("and was reconciled back to the desired state after the heal.");
 }

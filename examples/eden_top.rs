@@ -11,43 +11,13 @@
 //!
 //! Run with `cargo run --example eden_top`.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
+use eden::core::{Controller, EnclaveConfig};
+use eden::ctrl::fleet::Fleet;
+use eden::ctrl::CtrlConfig;
 use eden::lang::{Access, HeaderField, ReplMode, Schema};
-use eden::netsim::{LinkSpec, Network, NodeId, SimRng, Switch, SwitchConfig, Time};
+use eden::netsim::{SimRng, Time};
 use eden::telemetry::{render_cluster, LatencyStat};
-use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
 use netsim::{Packet, UdpHeader};
-
-struct Idle;
-impl App for Idle {}
-
-const CTRL_ADDR: u32 = 100;
-
-fn prio_ops(prio: u8) -> Vec<EnclaveOp> {
-    let controller = Controller::new();
-    // Priority stamping plus a fleet-wide packet counter on merged
-    // replicated state, so the replica-lag column below has a live feed.
-    let schema = Schema::new()
-        .packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
-        .global_field("Count", Access::ReadWrite)
-        .replicated(ReplMode::MergedSum);
-    let source = format!(
-        "fun (packet, msg, _global) ->\n    packet.Priority <- {prio}\n    _global.Count <- _global.Count + 1"
-    );
-    let func = controller
-        .plan_function("set_prio", &source, &schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
-}
 
 /// `p50/p99` of a named histogram in a latency report, as a short cell.
 fn lat_cell(latencies: &[LatencyStat], name: &str) -> String {
@@ -65,61 +35,41 @@ fn main() {
         stats_every: Time::from_micros(500),
         ..CtrlConfig::default()
     };
-    let mut net = Network::new(42);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
+    let enclave = EnclaveConfig {
+        trace_sample: 8,
+        ..EnclaveConfig::default()
+    };
+    let mut fleet = Fleet::flat(42, 3, cfg, enclave);
 
-    let mut nodes: Vec<NodeId> = Vec::new();
-    for addr in 1..=3u32 {
-        let mut stack = Stack::new(addr, StackConfig::default());
-        stack.set_hook(EnclaveAgent::new_with_addr(
-            addr,
-            Enclave::new(EnclaveConfig {
-                trace_sample: 8,
-                ..EnclaveConfig::default()
-            }),
-        ));
-        stack.set_ctrl_port(cfg.ctrl_port);
-        let node = net.add_node(Host::new(stack, Idle));
-        let (_, sp) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sp);
-        nodes.push(node);
-    }
-
-    let ctrl = net.add_node(Host::new(
-        Stack::new(CTRL_ADDR, StackConfig::default()),
-        ControllerApp::new(cfg, &[1, 2, 3]),
-    ));
-    let (_, sp) = net.connect(ctrl, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(CTRL_ADDR, sp);
-    net.schedule_timer(ctrl, Time::ZERO, app_timer_token(TICK));
-
-    // Bootstrap, then push one epoch across the fleet.
-    net.run_until(Time::from_millis(2));
-    net.node_mut::<Host<ControllerApp>>(ctrl)
-        .app
-        .set_desired(prio_ops(5))
-        .expect("valid ops");
+    // Bootstrap, then push one epoch across the fleet: priority stamping
+    // plus a fleet-wide packet counter on merged replicated state, so the
+    // replica-lag column below has a live feed.
+    fleet.net.run_until(Time::from_millis(2));
+    let schema = Schema::new()
+        .packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
+        .global_field("Count", Access::ReadWrite)
+        .replicated(ReplMode::MergedSum);
+    let source = "fun (packet, msg, _global) ->\n    packet.Priority <- 5\n    _global.Count <- _global.Count + 1";
+    let ops = Controller::new()
+        .plan_epoch("set_prio", source, &schema)
+        .expect("compiles");
+    fleet.root().set_desired(ops).expect("valid ops");
 
     // Frames: synthetic load on every host, advance the fabric, render.
     let mut rng = SimRng::new(7);
     for frame in 1..=4u64 {
         let frame_end = Time::from_millis(2 + frame * 4);
-        for (i, &node) in nodes.iter().enumerate() {
-            let enclave = net
-                .node_mut::<Host<Idle>>(node)
-                .stack
-                .hook_mut::<EnclaveAgent>()
-                .expect("agent installed")
-                .enclave_mut();
+        for i in 0..3 {
+            let enclave = fleet.enclave(i);
             // each host sees a different packet rate, so the rows differ
             for n in 0..200 * (i as u64 + 1) {
                 let mut p = Packet::udp(1, 2, UdpHeader::default(), 200);
                 enclave.process(&mut p, &mut rng, frame_end + Time::from_nanos(n));
             }
         }
-        net.run_until(frame_end);
+        fleet.net.run_until(frame_end);
 
-        let app = &net.node_mut::<Host<ControllerApp>>(ctrl).app;
+        let app = fleet.root();
         let cluster = app.cluster();
         println!(
             "── eden_top ── t={:>5}us  epoch {} ({}/3 in sync){}",
@@ -178,7 +128,7 @@ fn main() {
     }
 
     // The epoch update's cross-host trace tree, as the controller sees it.
-    let app = &net.node_mut::<Host<ControllerApp>>(ctrl).app;
+    let app = fleet.root();
     assert!(app.all_in_sync(), "fleet converged");
     let trace = app.trace();
     // the store also holds sampled data-path `pkt` traces; the epoch

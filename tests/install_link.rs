@@ -326,7 +326,7 @@ fn an_unlinkable_epoch_is_nacked_with_its_reason_and_leaves_nothing() {
         (None, 0, digest)
     );
     assert!(matches!(
-        e.stage_epoch(1, &ops),
+        e.stage_epoch(1, &ops[..]),
         Err(ApplyError::Unlinkable { op: 1, .. })
     ));
     e.freeze_flight("test");

@@ -4,85 +4,13 @@
 //! function installed *over the wire* freezes the data-path flight
 //! recorder with the trapping opcode attributed.
 
-use eden::core::{Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
-use eden::lang::{Access, Concurrency, HeaderField, Schema};
-use eden::netsim::{LinkSpec, Network, NodeId, SimRng, Switch, SwitchConfig, Time};
+use eden::core::{EnclaveConfig, EnclaveOp, MatchSpec};
+use eden::ctrl::fleet::{prio_epoch, Fleet};
+use eden::ctrl::CtrlConfig;
+use eden::lang::{Concurrency, Schema};
+use eden::netsim::{SimRng, Time};
 use eden::telemetry::FlightKind;
-use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
 use netsim::{Packet, UdpHeader};
-
-struct Idle;
-impl App for Idle {}
-
-const CTRL_ADDR: u32 = 100;
-
-struct Cluster {
-    net: Network,
-    ctrl: NodeId,
-    hosts: Vec<(NodeId, u32)>,
-}
-
-/// Like the `ctrl_cluster` builder, but agents are constructed with
-/// [`EnclaveAgent::new_with_addr`] so every span they emit is stamped
-/// with the host's fabric address — the property the controller relies
-/// on to keep span ids collision-free across the fleet.
-fn build_cluster(seed: u64, n: usize, cfg: CtrlConfig) -> Cluster {
-    let mut net = Network::new(seed);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
-
-    let mut hosts = Vec::new();
-    for i in 0..n {
-        let addr = (i + 1) as u32;
-        let mut stack = Stack::new(addr, StackConfig::default());
-        stack.set_hook(EnclaveAgent::new_with_addr(
-            addr,
-            Enclave::new(EnclaveConfig::default()),
-        ));
-        stack.set_ctrl_port(cfg.ctrl_port);
-        let node = net.add_node(Host::new(stack, Idle));
-        let (_, sw_port) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sw_port);
-        hosts.push((node, addr));
-    }
-
-    let addrs: Vec<u32> = hosts.iter().map(|&(_, a)| a).collect();
-    let ctrl = net.add_node(Host::new(
-        Stack::new(CTRL_ADDR, StackConfig::default()),
-        ControllerApp::new(cfg, &addrs),
-    ));
-    let (_, port) = net.connect(ctrl, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(CTRL_ADDR, port);
-
-    net.schedule_timer(ctrl, Time::ZERO, app_timer_token(TICK));
-    Cluster { net, ctrl, hosts }
-}
-
-fn controller(cluster: &mut Cluster) -> &mut ControllerApp {
-    &mut cluster
-        .net
-        .node_mut::<Host<ControllerApp>>(cluster.ctrl)
-        .app
-}
-
-fn prio_ops(prio: u8) -> Vec<EnclaveOp> {
-    let controller = eden::core::Controller::new();
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-    let func = controller
-        .plan_function("set_prio", &source, &schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
-}
 
 /// A verifier-legal function that traps on its first packet (1 / 0),
 /// shipped as raw bytecode exactly as the control plane would.
@@ -114,18 +42,18 @@ fn epoch_update_assembles_one_cross_host_trace_tree() {
         stats_every: Time::from_millis(2),
         ..CtrlConfig::default()
     };
-    let mut c = build_cluster(11, 3, cfg);
+    let mut c = Fleet::flat(11, 3, cfg, EnclaveConfig::default());
 
     // Bootstrap, then push one epoch across the fleet.
     c.net.run_until(Time::from_millis(2));
-    let epoch = controller(&mut c).set_desired(prio_ops(5)).expect("valid");
+    let epoch = c.root().set_desired(prio_epoch(5)).expect("valid");
     assert_eq!(epoch, 1);
 
     // Run long enough for the round to complete *and* for the agents'
     // phase spans to ride back on subsequent heartbeats / trace pulls.
     c.net.run_until(Time::from_millis(12));
 
-    let app = controller(&mut c);
+    let app = c.root();
     assert!(app.all_in_sync(), "fleet converged on epoch 1");
     assert!(!app.round_active(), "round completed");
 
@@ -200,27 +128,18 @@ fn epoch_update_assembles_one_cross_host_trace_tree() {
 
 #[test]
 fn wire_installed_faulting_function_freezes_the_flight_recorder() {
-    let mut c = build_cluster(23, 1, CtrlConfig::default());
+    let mut c = Fleet::flat(23, 1, CtrlConfig::default(), EnclaveConfig::default());
 
     c.net.run_until(Time::from_millis(2));
-    controller(&mut c)
-        .set_desired(divzero_ops())
-        .expect("valid");
+    c.root().set_desired(divzero_ops()).expect("valid");
     c.net.run_until(Time::from_millis(8));
     assert!(
-        controller(&mut c).all_in_sync(),
+        c.root().all_in_sync(),
         "faulting epoch committed over the wire"
     );
 
     // Drive one packet through the freshly configured data path.
-    let node = c.hosts[0].0;
-    let enclave = c
-        .net
-        .node_mut::<Host<Idle>>(node)
-        .stack
-        .hook_mut::<EnclaveAgent>()
-        .expect("agent installed")
-        .enclave_mut();
+    let enclave = c.enclave(0);
     let mut p = Packet::udp(1, 2, UdpHeader::default(), 100);
     let mut rng = SimRng::new(1);
     enclave.process(&mut p, &mut rng, Time::from_millis(9));

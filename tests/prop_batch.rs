@@ -434,7 +434,7 @@ fn dishonest_concurrency_declaration_is_refused_at_install() {
         },
     ];
     let err = e
-        .stage_epoch(epoch + 1, &ops)
+        .stage_epoch(epoch + 1, ops)
         .expect_err("epoch carries an unlinkable function");
     assert!(
         matches!(&err, ApplyError::Unlinkable { op: 0, error } if *error == refusal),

@@ -13,9 +13,9 @@
 //!    fleet reports the desired epoch + digest within the run's horizon
 //!    (retries with backoff, no livelock).
 
-use eden::core::{Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
+use eden::core::{Enclave, EnclaveConfig};
+use eden::ctrl::fleet::prio_epoch;
 use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
-use eden::lang::{Access, HeaderField, Schema};
 use eden::netsim::{LinkSpec, Network, Packet, Switch, SwitchConfig, Time, UdpHeader};
 use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
 use proptest::prelude::*;
@@ -71,25 +71,6 @@ impl eden::transport::PacketHook for RecordPrio {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
-}
-
-fn prio_ops(prio: u8) -> Vec<EnclaveOp> {
-    let controller = eden::core::Controller::new();
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-    let func = controller
-        .plan_function("set_prio", &source, &schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
 }
 
 const EPOCH1_PRIO: u8 = 3;
@@ -171,14 +152,14 @@ proptest! {
             if !pushed1 && t >= push1 {
                 net.node_mut::<Host<ControllerApp>>(ctrl)
                     .app
-                    .set_desired(prio_ops(EPOCH1_PRIO))
+                    .set_desired(prio_epoch(EPOCH1_PRIO))
                     .expect("valid ops");
                 pushed1 = true;
             }
             if !pushed2 && t >= push2 {
                 net.node_mut::<Host<ControllerApp>>(ctrl)
                     .app
-                    .set_desired(prio_ops(EPOCH2_PRIO))
+                    .set_desired(prio_epoch(EPOCH2_PRIO))
                     .expect("valid ops");
                 pushed2 = true;
             }

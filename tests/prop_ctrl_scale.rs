@@ -12,14 +12,11 @@
 
 use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
 use eden::ctrl::delta;
-use eden::ctrl::{AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, TICK};
+use eden::ctrl::fleet::Fleet;
+use eden::ctrl::CtrlConfig;
 use eden::lang::{Access, HeaderField, Schema};
-use eden::netsim::{LinkSpec, Network, Time, TwoTier};
-use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
+use eden::netsim::Time;
 use proptest::prelude::*;
-
-struct Idle;
-impl App for Idle {}
 
 fn planned_funcs() -> Vec<EnclaveOp> {
     let controller = Controller::new();
@@ -70,24 +67,21 @@ proptest! {
 
         // enclave A: base config, then the delta
         let mut a = Enclave::new(EnclaveConfig::default());
-        a.stage_epoch(1, &base_ops).expect("base valid");
+        a.stage_epoch(1, base_ops).expect("base valid");
         assert!(a.commit_epoch(1));
         let anchor = a.config_digest();
-        a.stage_epoch_delta(2, anchor, &ops).expect("delta stages");
+        a.stage_epoch_delta(2, anchor, ops).expect("delta stages");
         assert!(a.commit_epoch(2));
 
         // enclave B: the target, replayed whole
         let mut b = Enclave::new(EnclaveConfig::default());
-        b.stage_epoch(2, &target_ops).expect("target valid");
+        b.stage_epoch(2, target_ops).expect("target valid");
         assert!(b.commit_epoch(2));
 
         prop_assert_eq!(a.config_digest(), b.config_digest());
         prop_assert!(a.serves_single_epoch());
     }
 }
-
-const ROOT_ADDR: u32 = 100;
-const AGG_BASE: u32 = 50;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -100,41 +94,13 @@ proptest! {
         uplink_loss in 0u32..150,
         access_loss in 0u32..150,
     ) {
-        let cfg = CtrlConfig::default();
-        let mut net = Network::new(seed);
-        let topo = TwoTier::build(&mut net, 2, LinkSpec::forty_gbps());
-
-        let mut ctrl = ControllerApp::new(cfg.clone(), &[]);
-        let mut leaves = Vec::new();
-        let mut next = 1u32;
-        for rack in 0..2usize {
-            let children: Vec<u32> = (0..2)
-                .map(|_| {
-                    let addr = next;
-                    next += 1;
-                    let mut stack = Stack::new(addr, StackConfig::default());
-                    stack.set_hook(EnclaveAgent::new(Enclave::new(EnclaveConfig::default())));
-                    stack.set_ctrl_port(cfg.ctrl_port);
-                    let node = net.add_node(Host::new(stack, Idle));
-                    let link = topo.attach(&mut net, rack, node, addr, LinkSpec::ten_gbps());
-                    net.set_link_loss_permille(link, access_loss);
-                    leaves.push(node);
-                    addr
-                })
-                .collect();
-            let agg_addr = AGG_BASE + rack as u32;
-            let agg = net.add_node(Host::new(
-                Stack::new(agg_addr, StackConfig::default()),
-                AggregatorApp::new(AggConfig { ctrl: cfg.clone() }, &children),
-            ));
-            topo.attach(&mut net, rack, agg, agg_addr, LinkSpec::ten_gbps());
-            net.set_link_loss_permille(topo.racks[rack].uplink, uplink_loss);
-            net.schedule_timer(agg, Time::ZERO, app_timer_token(TICK));
-            ctrl.manage_aggregator(agg_addr, children);
+        let mut fleet = Fleet::tiered(seed, 4, 2, CtrlConfig::default(), EnclaveConfig::default());
+        for leaf in 0..4 {
+            fleet.net.set_link_loss_permille(fleet.leaf_link(leaf), access_loss);
         }
-        let root = net.add_node(Host::new(Stack::new(ROOT_ADDR, StackConfig::default()), ctrl));
-        topo.attach_core(&mut net, root, ROOT_ADDR, LinkSpec::forty_gbps());
-        net.schedule_timer(root, Time::ZERO, app_timer_token(TICK));
+        for rack in 0..2 {
+            fleet.net.set_link_loss_permille(fleet.uplink(rack), uplink_loss);
+        }
 
         // push the epoch as soon as the fleet bootstraps, then step in
         // 200µs slices checking leaf atomicity until full convergence
@@ -148,17 +114,12 @@ proptest! {
                 t <= horizon,
                 "no convergence under loss ({uplink_loss}/{access_loss} permille)"
             );
-            net.run_until(t);
-            for &leaf in &leaves {
-                let e = net
-                    .node_mut::<Host<Idle>>(leaf)
-                    .stack
-                    .hook_mut::<EnclaveAgent>()
-                    .expect("agent")
-                    .enclave();
+            fleet.net.run_until(t);
+            for leaf in 0..4 {
+                let e = fleet.enclave(leaf);
                 prop_assert!(e.serves_single_epoch(), "mixed-epoch table on a leaf");
             }
-            let app = &mut net.node_mut::<Host<ControllerApp>>(root).app;
+            let app = fleet.root();
             if !pushed && app.all_in_sync() {
                 let rule = full_ops(&[(1, 0), (2, 1)]);
                 app.set_desired(rule).expect("valid ops");
@@ -167,7 +128,7 @@ proptest! {
                 break;
             }
         }
-        let app = &mut net.node_mut::<Host<ControllerApp>>(root).app;
+        let app = fleet.root();
         prop_assert_eq!(app.desired_epoch(), 1);
         prop_assert_eq!(app.in_sync_hosts(), 4);
     }

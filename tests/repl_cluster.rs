@@ -14,92 +14,17 @@
 //!    in the same global order — identical applied logs and identical
 //!    final value everywhere, again under loss.
 
-use eden::core::{Enclave, EnclaveConfig, EnclaveOp, FuncId, MatchSpec};
-use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, TICK};
+use eden::core::{Controller, EnclaveConfig, EnclaveOp, FuncId};
+use eden::ctrl::fleet::Fleet;
+use eden::ctrl::CtrlConfig;
 use eden::lang::{Access, HeaderField, ReplMode, Schema};
-use eden::netsim::{
-    EdenMeta, LinkId, LinkSpec, Network, NodeId, Packet, SimRng, Switch, SwitchConfig, TcpHeader,
-    Time,
-};
-use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
-
-struct Idle;
-impl App for Idle {}
-
-const CTRL_ADDR: u32 = 100;
-
-struct Cluster {
-    net: Network,
-    ctrl: NodeId,
-    hosts: Vec<(NodeId, u32)>,
-    host_links: Vec<LinkId>,
-}
-
-fn build_cluster(seed: u64, n: usize, cfg: CtrlConfig) -> Cluster {
-    let mut net = Network::new(seed);
-    let sw = net.add_node(Switch::new(SwitchConfig::default()));
-
-    let mut hosts = Vec::new();
-    let mut host_links = Vec::new();
-    for i in 0..n {
-        let addr = (i + 1) as u32;
-        let mut stack = Stack::new(addr, StackConfig::default());
-        stack.set_hook(EnclaveAgent::new(Enclave::new(EnclaveConfig::default())));
-        stack.set_ctrl_port(cfg.ctrl_port);
-        let node = net.add_node(Host::new(stack, Idle));
-        let (host_port, sw_port) = net.connect(node, sw, LinkSpec::ten_gbps());
-        net.node_mut::<Switch>(sw).install_route(addr, sw_port);
-        hosts.push((node, addr));
-        host_links.push(net.port_link(node, host_port).0);
-    }
-
-    let addrs: Vec<u32> = hosts.iter().map(|&(_, a)| a).collect();
-    let ctrl = net.add_node(Host::new(
-        Stack::new(CTRL_ADDR, StackConfig::default()),
-        ControllerApp::new(cfg, &addrs),
-    ));
-    let (_, port) = net.connect(ctrl, sw, LinkSpec::ten_gbps());
-    net.node_mut::<Switch>(sw).install_route(CTRL_ADDR, port);
-
-    net.schedule_timer(ctrl, Time::ZERO, app_timer_token(TICK));
-    Cluster {
-        net,
-        ctrl,
-        hosts,
-        host_links,
-    }
-}
-
-fn controller(cluster: &mut Cluster) -> &mut ControllerApp {
-    &mut cluster
-        .net
-        .node_mut::<Host<ControllerApp>>(cluster.ctrl)
-        .app
-}
-
-fn agent_enclave(cluster: &mut Cluster, i: usize) -> &Enclave {
-    let node = cluster.hosts[i].0;
-    cluster
-        .net
-        .node_mut::<Host<Idle>>(node)
-        .stack
-        .hook_mut::<EnclaveAgent>()
-        .expect("agent installed")
-        .enclave()
-}
+use eden::netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
 
 /// Run `k` packets through host `i`'s enclave directly (the data path —
 /// control traffic stays on the simulated fabric).
-fn drive(cluster: &mut Cluster, i: usize, k: usize, msg_size: i64) {
+fn drive(cluster: &mut Fleet, i: usize, k: usize, msg_size: i64) {
     let now = cluster.net.now();
-    let node = cluster.hosts[i].0;
-    let e = cluster
-        .net
-        .node_mut::<Host<Idle>>(node)
-        .stack
-        .hook_mut::<EnclaveAgent>()
-        .expect("agent installed")
-        .enclave_mut();
+    let e = cluster.enclave(i);
     let mut rng = SimRng::new(1000 + i as u64);
     for j in 0..k {
         let mut p = Packet::tcp(1, 2, TcpHeader::default(), 100);
@@ -113,32 +38,18 @@ fn drive(cluster: &mut Cluster, i: usize, k: usize, msg_size: i64) {
     }
 }
 
-fn plan(name: &str, source: &str, schema: &Schema) -> Vec<EnclaveOp> {
-    let controller = eden::core::Controller::new();
-    let func = controller
-        .plan_function(name, source, schema)
-        .expect("compiles");
-    vec![
-        EnclaveOp::Reset,
-        func,
-        EnclaveOp::InstallRule {
-            table: 0,
-            spec: MatchSpec::Any,
-            func: 0,
-        },
-    ]
-}
-
 /// Fleet-wide packet counter on merged state.
 fn counter_ops() -> Vec<EnclaveOp> {
     let schema = Schema::new()
         .global_field("Count", Access::ReadWrite)
         .replicated(ReplMode::MergedSum);
-    plan(
-        "fleet_count",
-        "fun (packet, msg, _global) -> _global.Count <- _global.Count + 1",
-        &schema,
-    )
+    Controller::new()
+        .plan_epoch(
+            "fleet_count",
+            "fun (packet, msg, _global) -> _global.Count <- _global.Count + 1",
+            &schema,
+        )
+        .expect("compiles")
 }
 
 /// Last-writer register on sequenced state, written from packet metadata.
@@ -147,40 +58,40 @@ fn register_ops() -> Vec<EnclaveOp> {
         .packet_field("Val", Access::ReadOnly, Some(HeaderField::MetaMsgSize))
         .global_field("Reg", Access::ReadWrite)
         .replicated(ReplMode::Sequenced);
-    plan(
-        "seq_register",
-        "fun (packet, msg, _global) -> _global.Reg <- packet.Val",
-        &schema,
-    )
+    Controller::new()
+        .plan_epoch(
+            "seq_register",
+            "fun (packet, msg, _global) -> _global.Reg <- packet.Val",
+            &schema,
+        )
+        .expect("compiles")
 }
 
-fn effective_count(cluster: &mut Cluster, i: usize) -> i64 {
-    agent_enclave(cluster, i).global_effective(FuncId(0), 0)
+fn effective_count(cluster: &mut Fleet, i: usize) -> i64 {
+    cluster.enclave(i).global_effective(FuncId(0), 0)
 }
 
 #[test]
 fn merged_counter_reaches_the_exact_global_sum_after_heal() {
-    let mut c = build_cluster(11, 3, CtrlConfig::default());
+    let mut c = Fleet::flat(11, 3, CtrlConfig::default(), EnclaveConfig::default());
     // 5% random loss on every host link, both directions
-    for &l in &c.host_links.clone() {
-        c.net.set_link_loss_permille(l, 50);
+    for i in 0..3 {
+        c.net.set_link_loss_permille(c.leaf_link(i), 50);
     }
 
     c.net.run_until(Time::from_millis(2));
-    controller(&mut c)
-        .set_desired(counter_ops())
-        .expect("valid");
+    c.root().set_desired(counter_ops()).expect("valid");
     c.net.run_until(Time::from_millis(10));
     for i in 0..3 {
         assert_eq!(
-            agent_enclave(&mut c, i).active_epoch(),
+            c.enclave(i).active_epoch(),
             1,
             "host {i} committed despite loss"
         );
     }
 
     // Partition host 3 (index 2), then traffic lands everywhere.
-    let cut = c.host_links[2];
+    let cut = c.leaf_link(2);
     c.net.set_link_down(cut, true);
     drive(&mut c, 0, 40, 0);
     drive(&mut c, 1, 25, 0);
@@ -204,24 +115,22 @@ fn merged_counter_reaches_the_exact_global_sum_after_heal() {
             "host {i}: exact global sum, no lost or double-counted increments"
         );
     }
-    assert_eq!(controller(&mut c).repl().merged_total(0, 0), 100);
+    assert_eq!(c.root().repl().merged_total(0, 0), 100);
     assert!(
-        controller(&mut c).repl().divergent_hosts().is_empty(),
+        c.root().repl().divergent_hosts().is_empty(),
         "convergence must not trip the divergence detector"
     );
 }
 
 #[test]
 fn sequenced_writes_apply_in_controller_order_on_every_host() {
-    let mut c = build_cluster(12, 3, CtrlConfig::default());
-    for &l in &c.host_links.clone() {
-        c.net.set_link_loss_permille(l, 50);
+    let mut c = Fleet::flat(12, 3, CtrlConfig::default(), EnclaveConfig::default());
+    for i in 0..3 {
+        c.net.set_link_loss_permille(c.leaf_link(i), 50);
     }
 
     c.net.run_until(Time::from_millis(2));
-    controller(&mut c)
-        .set_desired(register_ops())
-        .expect("valid");
+    c.root().set_desired(register_ops()).expect("valid");
     c.net.run_until(Time::from_millis(10));
 
     // Interleaved writers: hosts stamp their values in wall-clock order,
@@ -235,12 +144,12 @@ fn sequenced_writes_apply_in_controller_order_on_every_host() {
     c.net.run_until(Time::from_millis(50));
 
     // The controller assigned every op a global sequence number.
-    assert_eq!(controller(&mut c).repl().seq_head(0), 4);
+    assert_eq!(c.root().repl().seq_head(0), 4);
 
     // Every host applied the identical log — same ops, same order.
     let logs: Vec<Vec<(u64, u32, i64)>> = (0..3)
         .map(|i| {
-            agent_enclave(&mut c, i)
+            c.enclave(i)
                 .repl_host(0)
                 .expect("replicated function installed")
                 .applied_log()
@@ -264,10 +173,10 @@ fn sequenced_writes_apply_in_controller_order_on_every_host() {
     let last = logs[0].last().unwrap().2;
     for i in 0..3 {
         assert_eq!(
-            agent_enclave(&mut c, i).global_effective(FuncId(0), 0),
+            c.enclave(i).global_effective(FuncId(0), 0),
             last,
             "host {i} register"
         );
     }
-    assert!(controller(&mut c).repl().divergent_hosts().is_empty());
+    assert!(c.root().repl().divergent_hosts().is_empty());
 }

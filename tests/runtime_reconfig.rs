@@ -7,7 +7,7 @@
 //! anything or losing per-message state.
 
 use eden::apps::functions;
-use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec, TableId};
+use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
 use eden::netsim::{EdenMeta, LinkSpec, Network, Switch, SwitchConfig, Time};
 use eden::transport::{app_timer_token, App, ConnId, Host, Stack, StackConfig};
 use netsim::Ctx;
@@ -95,30 +95,11 @@ impl eden::transport::PacketHook for RecordPrio {
 /// batch across configurations.
 #[test]
 fn epoch_swap_between_batches_is_observed_atomically() {
-    use eden::lang::{Access, HeaderField, Schema};
+    use eden::ctrl::fleet::prio_epoch;
     use eden::netsim::{Packet, SimRng, UdpHeader};
 
-    let schema =
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp));
-    let controller = Controller::new();
-    let epoch_ops = |prio: u8| -> Vec<EnclaveOp> {
-        let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-        let func = controller
-            .plan_function("set_prio", &source, &schema)
-            .expect("compiles");
-        vec![
-            EnclaveOp::Reset,
-            func,
-            EnclaveOp::InstallRule {
-                table: 0,
-                spec: MatchSpec::Any,
-                func: 0,
-            },
-        ]
-    };
-
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    enclave.stage_epoch(1, &epoch_ops(3)).expect("valid");
+    enclave.stage_epoch(1, prio_epoch(3)).expect("valid");
     assert!(enclave.commit_epoch(1));
 
     let mut rng = SimRng::new(5);
@@ -133,7 +114,7 @@ fn epoch_swap_between_batches_is_observed_atomically() {
         // Mid-sequence, swap the rule set: stage after batch 5 (staging
         // alone must be invisible), commit after batch 10.
         if i == 5 {
-            enclave.stage_epoch(2, &epoch_ops(6)).expect("valid");
+            enclave.stage_epoch(2, prio_epoch(6)).expect("valid");
         }
         if i == 10 {
             assert!(enclave.commit_epoch(2));
