@@ -4,25 +4,21 @@
 //! count × control-channel loss.
 //!
 //! Run with `cargo bench -p eden-bench --bench ctrl_convergence`.
-//! Set `EDEN_BENCH_SMOKE=1` for a reduced sweep (CI).
 
 use eden_bench::ctrl;
 use eden_bench::report::{emit_json, Table};
 use eden_telemetry::{Json, ToJson};
 
-fn main() {
-    let smoke = std::env::var_os("EDEN_BENCH_SMOKE").is_some();
-    let (host_counts, losses, seeds): (&[usize], &[u32], &[u64]) = if smoke {
-        (&[2, 4], &[0, 100], &[1])
-    } else {
-        (&[2, 4, 8], &[0, 20, 100], &[1, 2, 3])
-    };
+const HOST_COUNTS: [usize; 3] = [2, 4, 8];
+/// Control-channel loss in per mille.
+const LOSSES: [u32; 3] = [0, 20, 100];
+const SEEDS: [u64; 3] = [1, 2, 3];
 
+fn main() {
     println!("== eden-ctrl: fleet convergence vs host count x control loss ==");
     println!(
-        "virtual time to all-in-sync; {} seed(s) per point{}\n",
-        seeds.len(),
-        if smoke { " [smoke]" } else { "" }
+        "virtual time to all-in-sync; {} seed(s) per point\n",
+        SEEDS.len()
     );
 
     let mut table = Table::new(&[
@@ -34,9 +30,9 @@ fn main() {
         "rejoin max",
     ]);
     let mut points = Vec::new();
-    for &hosts in host_counts {
-        for &loss in losses {
-            let p = ctrl::run(hosts, loss, seeds);
+    for hosts in HOST_COUNTS {
+        for loss in LOSSES {
+            let p = ctrl::run(hosts, loss, &SEEDS);
             table.row(&[
                 format!("{hosts}"),
                 format!("{:.1}%", f64::from(loss) / 10.0),
@@ -52,13 +48,10 @@ fn main() {
     println!("push   = set_desired -> every host at the desired (epoch, digest)");
     println!("rejoin = partition heals -> fleet back in sync (detection + resync)");
 
-    let artifact = Json::obj(vec![
-        ("smoke", Json::Bool(smoke)),
-        (
-            "points",
-            Json::Arr(points.iter().map(|p| p.to_json()).collect()),
-        ),
-    ]);
+    let artifact = Json::obj(vec![(
+        "points",
+        Json::Arr(points.iter().map(|p| p.to_json()).collect()),
+    )]);
     match emit_json("ctrl", &artifact) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\ncould not write BENCH_ctrl.json: {e}"),

@@ -1,33 +1,27 @@
 //! Control-plane scale: root wire load and convergence time of the flat
-//! controller vs the hierarchical aggregator tier, plus the wire savings
-//! of digest-anchored delta updates.
+//! controller vs the hierarchical aggregator tier, a six-figure fleet over
+//! virtual shards, plus the wire savings of digest-anchored delta updates.
 //!
 //! Run with `cargo bench -p eden-bench --bench ctrl_scale`.
-//! Set `EDEN_BENCH_SMOKE=1` for a reduced sweep (CI).
-//! Set `EDEN_CTRL_SCALE_HOSTS=100000` (nightly) to add a virtual-shard
-//! sweep point at that fleet size.
 
 use eden_bench::ctrl_scale::{self, ScalePoint};
 use eden_bench::report::{emit_json, Table};
 use eden_telemetry::{Json, ToJson};
 
 const RULES: usize = 8;
+const HOST_COUNTS: [usize; 2] = [256, 1024];
+const SEEDS: [u64; 3] = [1, 2, 3];
+/// The virtual-shard point: one seed, the scale the paper's datacenter
+/// deployment story implies.
+const VIRTUAL_HOSTS: usize = 100_000;
 const DELTA_HOSTS: usize = 32;
 const DELTA_RULES: usize = 64;
 
 fn main() {
-    let smoke = std::env::var_os("EDEN_BENCH_SMOKE").is_some();
-    let (host_counts, seeds): (&[usize], &[u64]) = if smoke {
-        (&[256, 1024], &[1])
-    } else {
-        (&[256, 1024], &[1, 2, 3])
-    };
-
     println!("== eden-ctrl: flat vs hierarchical control plane at scale ==");
     println!(
-        "root wire load + convergence over the push window; {} seed(s) per point{}\n",
-        seeds.len(),
-        if smoke { " [smoke]" } else { "" }
+        "root wire load + convergence over the push window; {} seed(s) per point\n",
+        SEEDS.len()
     );
 
     let mut table = Table::new(&[
@@ -39,76 +33,41 @@ fn main() {
         "root KiB",
     ]);
     let mut points: Vec<ScalePoint> = Vec::new();
-    for &hosts in host_counts {
-        for mode in ["flat", "hier"] {
-            let p = match mode {
-                "flat" => ctrl_scale::run_flat(hosts, RULES, seeds),
-                _ => ctrl_scale::run_hier(hosts, RULES, seeds),
-            };
-            table.row(&[
-                p.mode.to_string(),
-                format!("{hosts}"),
-                if p.mode == "flat" {
-                    "-".into()
-                } else {
-                    format!("{}", ctrl_scale::rack_count(hosts))
-                },
-                format!("{:.0} us", p.push_mean_us),
-                format!("{:.0}", p.root_msgs_mean),
-                format!("{:.1}", p.root_kb_mean),
-            ]);
-            points.push(p);
-        }
+    for hosts in HOST_COUNTS {
+        points.push(ctrl_scale::run_flat(hosts, RULES, &SEEDS));
+        points.push(ctrl_scale::run_hier(hosts, RULES, &SEEDS));
     }
-
-    // Optional nightly point: a six-figure fleet over virtual shards.
-    if let Some(v) = std::env::var_os("EDEN_CTRL_SCALE_HOSTS") {
-        let hosts: usize = v
-            .to_string_lossy()
-            .parse()
-            .expect("EDEN_CTRL_SCALE_HOSTS must be an integer");
-        let p = ctrl_scale::run_virtual(hosts, RULES, &[1]);
+    points.push(ctrl_scale::run_virtual(VIRTUAL_HOSTS, RULES, &[1]));
+    for p in &points {
         table.row(&[
             p.mode.to_string(),
-            format!("{hosts}"),
-            format!("{}", ctrl_scale::rack_count(hosts)),
+            format!("{}", p.hosts),
+            if p.mode == "flat" {
+                "-".into()
+            } else {
+                format!("{}", ctrl_scale::rack_count(p.hosts))
+            },
             format!("{:.0} us", p.push_mean_us),
             format!("{:.0}", p.root_msgs_mean),
             format!("{:.1}", p.root_kb_mean),
         ]);
-        points.push(p);
     }
     println!("{}", table.render());
 
-    // Headline comparisons at the largest common sweep size.
-    let biggest = *host_counts.last().expect("non-empty sweep");
-    let smallest = host_counts[0];
-    let find = |mode: &str, hosts: usize| {
-        points
-            .iter()
-            .find(|p| p.mode == mode && p.hosts == hosts)
-            .expect("sweep point present")
-            .clone()
-    };
-    let (flat_lo, flat_hi) = (find("flat", smallest), find("flat", biggest));
-    let (hier_lo, hier_hi) = (find("hier", smallest), find("hier", biggest));
-    let reduction = flat_hi.root_msgs_mean / hier_hi.root_msgs_mean;
-    // Sub-linear: growing the fleet grows hier root messages by a
-    // clearly smaller factor than the (linear) flat design's.
-    let flat_growth = flat_hi.root_msgs_mean / flat_lo.root_msgs_mean;
-    let hier_growth = hier_hi.root_msgs_mean / hier_lo.root_msgs_mean;
-    let sublinear = hier_growth < 0.75 * flat_growth && reduction >= 2.0;
+    let [small, large] = HOST_COUNTS;
+    let h = ctrl_scale::headline(&points, small, large);
     println!(
-        "\nroot messages at {biggest} hosts: flat {:.0} vs hier {:.0} ({reduction:.1}x fewer)",
-        flat_hi.root_msgs_mean, hier_hi.root_msgs_mean
+        "\nroot messages at {large} hosts: {:.1}x fewer through the hierarchy",
+        h.reduction
     );
     println!(
-        "root message growth {smallest} -> {biggest} hosts: flat {flat_growth:.2}x, \
-         hier {hier_growth:.2}x (sub-linear: {sublinear})"
+        "root message growth {small} -> {large} hosts: flat {:.2}x, \
+         hier {:.2}x (sub-linear: {})",
+        h.flat_growth, h.hier_growth, h.sublinear
     );
 
     println!("\n== delta updates vs full-table ships ==");
-    let delta = ctrl_scale::run_delta(DELTA_HOSTS, DELTA_RULES, seeds);
+    let delta = ctrl_scale::run_delta(DELTA_HOSTS, DELTA_RULES, &SEEDS);
     println!(
         "one-rule change over a {DELTA_RULES}-rule table, {DELTA_HOSTS} hosts: \
          full {:.2} KiB vs delta {:.2} KiB ({:.1}x fewer config bytes)",
@@ -118,15 +77,14 @@ fn main() {
     );
 
     let artifact = Json::obj(vec![
-        ("smoke", Json::Bool(smoke)),
         (
             "points",
             Json::Arr(points.iter().map(|p| p.to_json()).collect()),
         ),
-        ("hier_root_msg_reduction_rate", Json::Float(reduction)),
-        ("hier_sublinear", Json::Bool(sublinear)),
+        ("hier_root_msg_reduction_rate", Json::Float(h.reduction)),
+        ("hier_sublinear", Json::Bool(h.sublinear)),
         ("delta", delta.to_json()),
-        ("delta_reduction_10x", Json::Bool(delta.reduction() >= 10.0)),
+        ("delta_reduction_10x", Json::Bool(delta.reduction_10x())),
     ]);
     match emit_json("ctrl_scale", &artifact) {
         Ok(path) => println!("\nwrote {}", path.display()),

@@ -10,8 +10,7 @@
 //!
 //! Every wall-clock number is printed only. `BENCH_fig12.json` holds what
 //! repeats bit for bit: steps per packet, the new bundles' within-2× check
-//! on steps, and footprint bytes. Set `EDEN_BENCH_SMOKE=1` for a CI-sized
-//! run.
+//! on steps, and footprint bytes.
 //!
 //! Run with `cargo bench -p eden-bench --bench fig12_overheads`.
 
@@ -19,16 +18,18 @@ use eden_bench::fig12;
 use eden_bench::report::{emit_json, Table};
 use eden_telemetry::{Json, ToJson};
 
-fn main() {
-    let smoke = std::env::var("EDEN_BENCH_SMOKE").is_ok();
-    println!("== Figure 12: CPU overheads of Eden components ==");
-    println!(
-        "per-packet wall-clock cost, SFF policy, 12 flows{}\n",
-        if smoke { " — smoke sizes" } else { "" }
-    );
+/// Batches × packets per batch of the Figure 12 layers.
+const BATCHES: usize = 200;
+const PER_BATCH: usize = 5_120;
+/// Batches × packets per batch of every ablation.
+const AB_BATCHES: usize = 100;
+const AB_PER_BATCH: usize = 2_048;
 
-    let (batches, per_batch) = if smoke { (60, 2_048) } else { (200, 5_120) };
-    let r = fig12::run(batches, per_batch);
+fn main() {
+    println!("== Figure 12: CPU overheads of Eden components ==");
+    println!("per-packet wall-clock cost, SFF policy, 12 flows\n");
+
+    let r = fig12::run(BATCHES, PER_BATCH);
     let mut table = Table::new(&["component", "avg overhead %", "p95 overhead %"]);
     table.row(&[
         "API (metadata)".into(),
@@ -69,8 +70,7 @@ fn main() {
     println!("paper: \"in the order of 64 and 256 bytes respectively\"");
 
     println!("\n== Interpreter ablation: compiler pipeline off vs on ==");
-    let (ab_batches, ab_per_batch) = if smoke { (40, 1_024) } else { (100, 2_048) };
-    let costs = fig12::interp_costs(ab_batches, ab_per_batch);
+    let costs = fig12::interp_costs(AB_BATCHES, AB_PER_BATCH);
     let mut cost_table = Table::new(&[
         "function",
         "unopt ns/pkt",
@@ -119,14 +119,14 @@ fn main() {
 
     println!("\n== Ablation: match-action table size (packet matches the last rule) ==");
     let mut rules_table = Table::new(&["rules", "ns/pkt"]);
-    for (rules, ns) in fig12::table_scaling(ab_batches, ab_per_batch) {
+    for (rules, ns) in fig12::table_scaling(AB_BATCHES, AB_PER_BATCH) {
         rules_table.row(&[rules.to_string(), format!("{ns:.0}")]);
     }
     println!("{}", rules_table.render());
 
     println!("\n== Ablation: live message-state blocks (interpreted PIAS) ==");
     let mut live_table = Table::new(&["live messages", "ns/pkt", "steps"]);
-    for (live, ns, steps) in fig12::msg_state_scaling(ab_batches, ab_per_batch) {
+    for (live, ns, steps) in fig12::msg_state_scaling(AB_BATCHES, AB_PER_BATCH) {
         live_table.row(&[live.to_string(), format!("{ns:.0}"), format!("{steps:.2}")]);
     }
     println!("{}", live_table.render());
@@ -139,7 +139,7 @@ fn main() {
         "interp/native",
         "steps",
     ]);
-    for e in fig12::engine_ratios(ab_batches, ab_per_batch) {
+    for e in fig12::engine_ratios(AB_BATCHES, AB_PER_BATCH) {
         ratio_table.row(&[
             e.function.into(),
             format!("{:.0}", e.native_ns_per_packet),

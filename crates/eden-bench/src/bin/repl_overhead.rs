@@ -1,10 +1,6 @@
 //! Replication overhead gate: the interpreted data path reading and
 //! writing a `replicated(merged)` global versus the identical function on
-//! a host-local global.
-//!
-//! ```text
-//! repl_overhead [--max-overhead 0.05] [--batches N] [--per-batch N]
-//! ```
+//! a host-local global. Takes no arguments.
 //!
 //! The paper's premise — and the subsystem's design constraint — is that
 //! action functions make *local* decisions against a replica view with
@@ -18,14 +14,13 @@
 //!
 //! Configurations are compared on their per-batch *floor* (minimum
 //! per-packet nanoseconds across batches), the noise-resistant estimate
-//! the obs-overhead gate established. Exit codes: 0 within budget, 1
-//! over budget, 2 usage error. Set `EDEN_BENCH_SMOKE=1` for a CI-sized
-//! run. Emits `BENCH_repl_overhead.json` (honours `EDEN_BENCH_DIR`).
+//! the obs-overhead gate established. Exits 0 within the 5 % budget, 1
+//! over it. Emits `BENCH_repl_overhead.json` (honours `EDEN_BENCH_DIR`).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use eden_bench::report::emit_json;
+use eden_bench::report::{emit_json, interleaved};
 use eden_core::{ClassId, Enclave, EnclaveConfig, InstalledFunction, MatchSpec, TableId};
 use eden_lang::{compile, Access, HeaderField, ReplMode, Schema};
 use eden_repl::FuncView;
@@ -38,6 +33,14 @@ use netsim::{wire, EdenMeta, Packet, SimRng, TcpHeader, Time};
 const SOURCE: &str = "fun (packet: Packet, msg: Message, _global: Global) ->
     if _global.Used + packet.Size > _global.Limit then drop ()
     else _global.Used <- _global.Used + packet.Size";
+
+/// The largest data-path cost replica reads may add, as a fraction.
+const MAX_OVERHEAD: f64 = 0.05;
+// batches are cheap here (the function is ~260ns/pkt), so long ones buy a
+// stable floor: short batches make the minimum track scheduler luck
+// instead of the code under test
+const BATCHES: usize = 300;
+const PER_BATCH: usize = 10_000;
 
 fn schema(replicated: bool) -> Schema {
     let s = Schema::new()
@@ -102,10 +105,10 @@ fn build_enclave(replicated: bool) -> Enclave {
 }
 
 /// One timed batch through `e`; returns per-packet nanoseconds.
-fn one_batch(e: &mut Enclave, rng: &mut SimRng, n: &mut u64, per_batch: usize) -> f64 {
+fn one_batch(e: &mut Enclave, rng: &mut SimRng, n: &mut u64) -> f64 {
     let mut sink = 0u64;
     let start = Instant::now();
-    for _ in 0..per_batch {
+    for _ in 0..PER_BATCH {
         let mut p = make_packet(*n);
         let _ = e.process(&mut p, rng, Time::from_nanos(*n));
         sink = sink.wrapping_add(u64::from(wire::encode(&p)[20]));
@@ -113,122 +116,62 @@ fn one_batch(e: &mut Enclave, rng: &mut SimRng, n: &mut u64, per_batch: usize) -
     }
     let elapsed = start.elapsed().as_nanos() as f64;
     std::hint::black_box(sink);
-    elapsed / per_batch as f64
-}
-
-/// Per-batch per-packet nanoseconds for both configurations, batches
-/// *interleaved* so the two arms sample the same noise environment —
-/// a machine-speed drift between separate measurement phases would
-/// otherwise read as overhead (or mask it).
-fn measure_pair(
-    local: &mut Enclave,
-    repl: &mut Enclave,
-    batches: usize,
-    per_batch: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut rng_a = SimRng::new(7);
-    let mut rng_b = SimRng::new(7);
-    let (mut na, mut nb) = (0u64, 0u64);
-    // warmup both arms
-    one_batch(local, &mut rng_a, &mut na, per_batch);
-    one_batch(repl, &mut rng_b, &mut nb, per_batch);
-    let mut local_samples = Vec::with_capacity(batches);
-    let mut repl_samples = Vec::with_capacity(batches);
-    for _ in 0..batches {
-        local_samples.push(one_batch(local, &mut rng_a, &mut na, per_batch));
-        repl_samples.push(one_batch(repl, &mut rng_b, &mut nb, per_batch));
-    }
-    (local_samples, repl_samples)
-}
-
-fn floor(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn mean(samples: &[f64]) -> f64 {
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-fn usage() -> ExitCode {
-    eprintln!("usage: repl_overhead [--max-overhead 0.05] [--batches N] [--per-batch N]");
-    ExitCode::from(2)
+    elapsed / PER_BATCH as f64
 }
 
 fn main() -> ExitCode {
-    let smoke = std::env::var("EDEN_BENCH_SMOKE").is_ok();
-    // batches are cheap here (the function is ~260ns/pkt), so even the
-    // smoke sizing buys a stable floor: short batches make the minimum
-    // track scheduler luck instead of the code under test
-    let (mut batches, mut per_batch) = if smoke { (100, 8_000) } else { (300, 10_000) };
-    let mut max_overhead = 0.05f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let val = args.next();
-        let parsed = match a.as_str() {
-            "--max-overhead" => val.and_then(|v| v.parse::<f64>().ok()).map(|v| {
-                max_overhead = v;
-            }),
-            "--batches" => val.and_then(|v| v.parse().ok()).map(|v| {
-                batches = v;
-            }),
-            "--per-batch" => val.and_then(|v| v.parse().ok()).map(|v| {
-                per_batch = v;
-            }),
-            _ => None,
-        };
-        if parsed.is_none() {
-            return usage();
-        }
-    }
-
     println!("== Replication overhead: replicated(merged) global vs host-local ==");
-    println!("interpreted budget-debit data path, {batches} batches x {per_batch} packets\n");
+    println!("interpreted budget-debit data path, {BATCHES} batches x {PER_BATCH} packets\n");
 
     let mut local = build_enclave(false);
     let mut repl = build_enclave(true);
-    let (local_samples, repl_samples) = measure_pair(&mut local, &mut repl, batches, per_batch);
+    let (mut rng_a, mut rng_b) = (SimRng::new(7), SimRng::new(7));
+    let (mut na, mut nb) = (0u64, 0u64);
+    let (local_cost, repl_cost) = interleaved(
+        BATCHES,
+        || one_batch(&mut local, &mut rng_a, &mut na),
+        || one_batch(&mut repl, &mut rng_b, &mut nb),
+    );
     assert_eq!(
         local.stats.dropped, 0,
         "budget exhausted: the arms stopped doing the same work"
     );
     assert_eq!(repl.stats.dropped, 0, "replicated arm hit the budget");
 
-    let local_floor = floor(&local_samples);
-    let repl_floor = floor(&repl_samples);
+    let (local_floor, repl_floor) = (local_cost.floor, repl_cost.floor);
     let overhead = (repl_floor - local_floor) / local_floor;
 
     println!(
         "host-local : floor {local_floor:.1} ns/pkt (mean {:.1})",
-        mean(&local_samples)
+        local_cost.mean
     );
     println!(
         "replicated : floor {repl_floor:.1} ns/pkt (mean {:.1})",
-        mean(&repl_samples)
+        repl_cost.mean
     );
     println!(
         "overhead   : {:+.2}% (budget {:.1}%)",
         overhead * 100.0,
-        max_overhead * 100.0
+        MAX_OVERHEAD * 100.0
     );
 
     let artifact = Json::obj(vec![
-        ("smoke", smoke.into()),
         ("local_floor_ns", local_floor.into()),
         ("repl_floor_ns", repl_floor.into()),
         ("overhead_fraction", overhead.into()),
-        ("budget_fraction", max_overhead.into()),
-        ("within_budget", (overhead <= max_overhead).into()),
+        ("budget_fraction", MAX_OVERHEAD.into()),
+        ("within_budget", (overhead <= MAX_OVERHEAD).into()),
     ]);
     match emit_json("repl_overhead", &artifact) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_repl_overhead.json: {e}"),
     }
 
-    if overhead > max_overhead {
+    if overhead > MAX_OVERHEAD {
         eprintln!(
             "repl_overhead: replica reads cost {:.2}% > {:.1}% budget",
             overhead * 100.0,
-            max_overhead * 100.0
+            MAX_OVERHEAD * 100.0
         );
         ExitCode::FAILURE
     } else {

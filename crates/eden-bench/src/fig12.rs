@@ -357,7 +357,8 @@ pub struct NewBundleCheck {
     pub peer: &'static str,
     pub fused_steps_per_packet: f64,
     pub peer_fused_steps_per_packet: f64,
-    /// Quality flag the bench gate holds: fused steps ≤ 2× the peer's.
+    /// Quality flag the baseline pins and `tests/smoke.rs` asserts: fused
+    /// steps ≤ 2× the peer's.
     pub within_2x: bool,
 }
 

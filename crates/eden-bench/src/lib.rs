@@ -14,9 +14,9 @@
 //! | [`fig12`] | Figure 12 — CPU overhead of Eden components + §5.4 footprint |
 //! | [`report`] | table-rendering helpers shared by the bench targets |
 //! | [`ctrl`] | control-plane convergence under loss and partitions |
+//! | [`ctrl_scale`] | flat vs hierarchical root load, delta vs full ships |
 //! | [`repl`] | replica staleness and delta wire cost vs hosts × loss |
 
-pub mod batch;
 pub mod ctrl;
 pub mod ctrl_scale;
 pub mod fig09;

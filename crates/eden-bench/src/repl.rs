@@ -16,12 +16,12 @@
 //! After the load window the loss is healed and the point asserts the
 //! merged total is *exact* on the hub and on every replica — the
 //! lost-increment check from `tests/repl_cluster.rs`, here as a quality
-//! flag the bench gate holds (`exact_after_heal` flipping true -> false
+//! flag the baseline pins (`exact_after_heal` flipping true -> false
 //! fails CI).
 //!
 //! Everything runs in virtual time on the simulated fabric, so every
-//! metric is deterministic for a given seed: the gate compares exact
-//! numbers, not noisy wall-clock samples.
+//! metric is deterministic for a given seed: CI compares the file with
+//! its baseline byte for byte, not noisy wall-clock samples.
 
 use eden_core::{Controller, EnclaveConfig, EnclaveOp, FuncId};
 use eden_ctrl::fleet::Fleet;

@@ -1,7 +1,8 @@
 //! Table rendering shared by the bench targets: aligned columns and
 //! paper-vs-measured rows, so `cargo bench` output reads like the paper's
 //! figures — plus machine-readable `BENCH_<figure>.json` emission so runs
-//! can be diffed and plotted without scraping stdout.
+//! can be diffed and plotted without scraping stdout, and the interleaved
+//! two-arm timing the overhead-budget binaries share.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -73,6 +74,38 @@ pub fn emit_json(figure: &str, value: &Json) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
+/// Per-batch nanoseconds per packet of one arm of an overhead budget.
+#[derive(Debug, Clone, Copy)]
+pub struct ArmCost {
+    /// Minimum over batches: the uncontended cost of the code itself, far
+    /// less noisy than the mean on a shared machine.
+    pub floor: f64,
+    pub mean: f64,
+}
+
+/// Time two arms in alternating batches, after one untimed warm-up batch
+/// each, so both sample the same noise: a machine-speed drift between
+/// separate measurement phases would otherwise read as overhead (or mask
+/// it). Each closure runs one batch and returns its ns per packet.
+pub fn interleaved(
+    batches: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (ArmCost, ArmCost) {
+    a();
+    b();
+    let (mut sa, mut sb) = (Vec::with_capacity(batches), Vec::with_capacity(batches));
+    for _ in 0..batches {
+        sa.push(a());
+        sb.push(b());
+    }
+    let cost = |s: &[f64]| ArmCost {
+        floor: s.iter().copied().fold(f64::INFINITY, f64::min),
+        mean: s.iter().sum::<f64>() / s.len() as f64,
+    };
+    (cost(&sa), cost(&sb))
+}
+
 /// Format microseconds with sensible precision.
 pub fn us(v: f64) -> String {
     if v >= 1000.0 {
@@ -122,6 +155,26 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"answer\":42}\n");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn interleaved_alternates_arms_and_drops_the_warm_up() {
+        let log = std::cell::RefCell::new(String::new());
+        let (mut a, mut b) = ([100.0, 3.0, 5.0].into_iter(), [100.0, 4.0, 2.0].into_iter());
+        let (ca, cb) = interleaved(
+            2,
+            || {
+                log.borrow_mut().push('a');
+                a.next().unwrap()
+            },
+            || {
+                log.borrow_mut().push('b');
+                b.next().unwrap()
+            },
+        );
+        assert_eq!(log.into_inner(), "ababab");
+        assert_eq!((ca.floor, ca.mean), (3.0, 4.0));
+        assert_eq!((cb.floor, cb.mean), (2.0, 3.0));
     }
 
     #[test]

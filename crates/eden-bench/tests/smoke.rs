@@ -1,8 +1,51 @@
 //! Scaled-down smoke runs of every figure harness, asserting the paper's
-//! qualitative shape. The full-length runs live in the bench targets.
+//! qualitative shape, and the headline claims the checked-in baselines
+//! record. The full-length runs live in the bench targets.
 
-use eden_bench::{fig09, fig10, fig11, fig12};
+use eden_bench::{ctrl_scale, fig09, fig10, fig11, fig12};
 use netsim::{Summary, Time};
+
+#[test]
+fn ctrl_scale_hierarchy_root_load_grows_sublinearly() {
+    // the bench's own 256 -> 1024 points and rule count, one seed
+    let points: Vec<_> = [256, 1024]
+        .into_iter()
+        .flat_map(|hosts| {
+            [
+                ctrl_scale::run_flat(hosts, 8, &[1]),
+                ctrl_scale::run_hier(hosts, 8, &[1]),
+            ]
+        })
+        .collect();
+    let h = ctrl_scale::headline(&points, 256, 1024);
+    assert!(
+        h.sublinear,
+        "hier_sublinear: flat grows {:.2}x, hier {:.2}x, {:.1}x fewer at 1024",
+        h.flat_growth, h.hier_growth, h.reduction
+    );
+}
+
+#[test]
+fn ctrl_scale_deltas_ship_10x_fewer_config_bytes() {
+    let d = ctrl_scale::run_delta(32, 64, &[1]);
+    assert!(
+        d.reduction_10x(),
+        "delta_reduction_10x: full {:.2} KiB vs delta {:.2} KiB",
+        d.full_kb_mean,
+        d.delta_kb_mean
+    );
+}
+
+#[test]
+fn fig12_new_bundles_stay_within_2x_of_their_peers() {
+    for c in fig12::new_bundle_checks(&fig12::interp_costs(1, 64)) {
+        assert!(
+            c.within_2x,
+            "{}: {:.2} fused steps/pkt vs {} at {:.2}",
+            c.function, c.fused_steps_per_packet, c.peer, c.peer_fused_steps_per_packet
+        );
+    }
+}
 
 #[test]
 fn fig10_wcmp_beats_ecmp_by_about_3x() {
