@@ -12,6 +12,7 @@ use eden_lang::{Access, CompiledFunction, Concurrency, Schema};
 use eden_vm::{Effect, Host, Outcome, StateScope, VmError};
 
 use crate::enclave::InvocationHost;
+use crate::ops::ShippedFunction;
 
 /// Identifies an installed function within an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,17 +237,14 @@ impl InstalledFunction {
     /// links the program against both, and refuses a function whose code
     /// writes what its declared level says it does not.
     pub fn from_shipped(
-        name: &str,
-        bytecode: &[u8],
-        schema: Schema,
-        concurrency: Concurrency,
+        shipped: &ShippedFunction,
     ) -> Result<InstalledFunction, eden_vm::CodecError> {
-        let program = eden_vm::decode_program(bytecode)?;
+        let program = eden_vm::decode_program(&shipped.bytecode)?;
         Ok(InstalledFunction {
-            name: name.to_string(),
+            name: shipped.name.clone(),
             action: ActionImpl::Interpreted(program),
-            schema,
-            concurrency,
+            schema: shipped.schema.clone(),
+            concurrency: shipped.concurrency,
         })
     }
 

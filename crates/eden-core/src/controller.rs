@@ -27,7 +27,7 @@ use netsim::Switch;
 use crate::action::{FuncId, InstalledFunction};
 use crate::class::{ClassId, ClassRegistry};
 use crate::enclave::{Enclave, MatchSpec};
-use crate::ops::EnclaveOp;
+use crate::ops::{EnclaveOp, ShippedFunction};
 use crate::stage::{Matcher, Stage, StageInfo};
 
 /// A candidate network path for weighted load balancing: the controller
@@ -163,12 +163,12 @@ impl Controller {
         schema: &Schema,
     ) -> Result<EnclaveOp, CompileError> {
         let compiled = self.compile_function(name, source, schema)?;
-        Ok(EnclaveOp::InstallFunction {
+        Ok(EnclaveOp::InstallFunction(Box::new(ShippedFunction {
             name: name.to_string(),
             bytecode: eden_vm::encode_program(&compiled.program),
             schema: schema.clone(),
             concurrency: compiled.concurrency,
-        })
+        })))
     }
 
     /// A whole Reset-led desired state around one function: `Reset`, the

@@ -544,7 +544,7 @@ pub fn native_function(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{ApplyError, EnclaveOp};
+    use crate::ops::{ApplyError, EnclaveOp, ShippedFunction};
     use eden_lang::{compile, HeaderField, ReplMode};
     use eden_vm::Outcome;
     use netsim::SimRng;
@@ -762,12 +762,12 @@ mod tests {
         let err = e
             .stage_epoch(
                 1,
-                &[EnclaveOp::InstallFunction {
+                &[EnclaveOp::InstallFunction(Box::new(ShippedFunction {
                     name: "junk".into(),
                     bytecode: vec![0xFF, 0x00, 0x13],
                     schema: Schema::new(),
                     concurrency: Concurrency::Parallel,
-                }],
+                }))],
             )
             .expect_err("garbage bytecode");
         assert!(matches!(err, ApplyError::BadBytecode { .. }));
@@ -928,12 +928,12 @@ mod tests {
         b.push(1).push(0).div().pop().halt();
         let bytecode = eden_vm::encode_program(&b.build().unwrap());
         let f = e.install_function(
-            InstalledFunction::from_shipped(
-                "divzero",
-                &bytecode,
-                Schema::new(),
-                Concurrency::Parallel,
-            )
+            InstalledFunction::from_shipped(&ShippedFunction {
+                name: "divzero".into(),
+                bytecode,
+                schema: Schema::new(),
+                concurrency: Concurrency::Parallel,
+            })
             .unwrap(),
         );
         e.install_rule(TableId(0), MatchSpec::Any, f);

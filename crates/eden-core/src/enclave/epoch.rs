@@ -249,22 +249,14 @@ impl Enclave {
                         .get_mut(*table)
                         .ok_or(no_table(*table))? = 0;
                 }
-                EnclaveOp::InstallFunction {
-                    name,
-                    bytecode,
-                    schema,
-                    concurrency,
-                } => {
-                    let f = InstalledFunction::from_shipped(
-                        name,
-                        bytecode,
-                        schema.clone(),
-                        *concurrency,
-                    )
-                    .map_err(|e| ApplyError::BadBytecode {
-                        op: i,
-                        reason: format!("{e:?}"),
+                EnclaveOp::InstallFunction(shipped) => {
+                    let f = InstalledFunction::from_shipped(shipped).map_err(|e| {
+                        ApplyError::BadBytecode {
+                            op: i,
+                            reason: format!("{e:?}"),
+                        }
                     })?;
+                    let schema = &shipped.schema;
                     let linked = link::link(f, &self.config.limits)
                         .map_err(|error| ApplyError::Unlinkable { op: i, error })?;
                     shape
@@ -327,7 +319,7 @@ impl Enclave {
                 self.create_table();
             }
             EnclaveOp::ClearTable { table } => self.clear_table(TableId(table)),
-            EnclaveOp::InstallFunction { .. } => {
+            EnclaveOp::InstallFunction(_) => {
                 self.install_linked(funcs.next().expect("linked at validation"));
             }
             EnclaveOp::InstallRule { table, spec, func } => {

@@ -29,13 +29,10 @@ pub enum EnclaveOp {
     CreateTable,
     /// Remove all rules from table `table`.
     ClearTable { table: usize },
-    /// Install a compiled function shipped as verified bytecode.
-    InstallFunction {
-        name: String,
-        bytecode: Vec<u8>,
-        schema: Schema,
-        concurrency: Concurrency,
-    },
+    /// Install a compiled function shipped as verified bytecode. Boxed:
+    /// an epoch is mostly rules, and a function inline would make every
+    /// op 112 bytes instead of 48.
+    InstallFunction(Box<ShippedFunction>),
     /// Append a rule to `table` (first match wins).
     InstallRule {
         table: usize,
@@ -58,6 +55,17 @@ pub enum EnclaveOp {
         array: usize,
         values: Vec<i64>,
     },
+}
+
+/// A compiled function as the control plane ships it: verified bytecode
+/// plus the schema and concurrency level the enclave links it against
+/// ([`InstalledFunction::from_shipped`](crate::InstalledFunction::from_shipped)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShippedFunction {
+    pub name: String,
+    pub bytecode: Vec<u8>,
+    pub schema: Schema,
+    pub concurrency: Concurrency,
 }
 
 /// Why an epoch failed to stage. Reported back to the controller in a
@@ -123,3 +131,16 @@ impl std::fmt::Display for ApplyError {
 }
 
 impl std::error::Error for ApplyError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // What an epoch's decoded op list costs per op: 258 ops of a 256-rule
+    // table are 12.4 KB at 48 bytes, and were 28.9 KB with the function
+    // inline.
+    #[test]
+    fn an_op_is_48_bytes_with_the_function_boxed() {
+        assert_eq!(std::mem::size_of::<EnclaveOp>(), 48);
+    }
+}

@@ -134,12 +134,12 @@ fn shipped_bytecode_behaves_like_locally_compiled() {
     let blob = controller
         .ship_function("conntrack", &bundle.source, &bundle.schema())
         .expect("compiles and encodes");
-    let function = eden_core::InstalledFunction::from_shipped(
-        "conntrack",
-        &blob,
-        bundle.schema(),
-        bundle.concurrency,
-    )
+    let function = eden_core::InstalledFunction::from_shipped(&eden_core::ShippedFunction {
+        name: "conntrack".into(),
+        bytecode: blob,
+        schema: bundle.schema(),
+        concurrency: bundle.concurrency,
+    })
     .expect("decodes and verifies");
 
     let mut e = Enclave::new(EnclaveConfig {

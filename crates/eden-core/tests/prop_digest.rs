@@ -56,16 +56,10 @@ fn variants() -> Vec<EnclaveOp> {
 }
 
 fn shipped(op: &EnclaveOp) -> InstalledFunction {
-    let EnclaveOp::InstallFunction {
-        name,
-        bytecode,
-        schema,
-        concurrency,
-    } = op
-    else {
+    let EnclaveOp::InstallFunction(f) = op else {
         panic!("not an InstallFunction: {op:?}");
     };
-    InstalledFunction::from_shipped(name, bytecode, schema.clone(), *concurrency).expect("verifies")
+    InstalledFunction::from_shipped(f).expect("verifies")
 }
 
 fn lean() -> Enclave {
@@ -121,7 +115,7 @@ impl Model {
         match op {
             EnclaveOp::CreateTable => self.tables.push(Vec::new()),
             EnclaveOp::ClearTable { table } => self.tables[*table].clear(),
-            EnclaveOp::InstallFunction { .. } => {
+            EnclaveOp::InstallFunction(_) => {
                 let v = pool.iter().position(|p| p == op).expect("from the pool");
                 self.funcs.push(v);
             }
@@ -246,7 +240,7 @@ fn apply_direct(e: &mut Enclave, op: &EnclaveOp) {
             e.create_table();
         }
         EnclaveOp::ClearTable { table } => e.clear_table(TableId(*table)),
-        EnclaveOp::InstallFunction { .. } => {
+        EnclaveOp::InstallFunction(_) => {
             e.install_function(shipped(op));
         }
         EnclaveOp::InstallRule { table, spec, func } => {
@@ -443,13 +437,11 @@ fn digest_is_sensitive_to_order_placement_and_bytecode() {
 
     // the two `prio` programs are one constant — one byte — apart
     let pool = variants();
-    let (
-        EnclaveOp::InstallFunction { bytecode: x, .. },
-        EnclaveOp::InstallFunction { bytecode: y, .. },
-    ) = (&pool[0], &pool[1])
+    let (EnclaveOp::InstallFunction(x), EnclaveOp::InstallFunction(y)) = (&pool[0], &pool[1])
     else {
         panic!("pool holds InstallFunction ops");
     };
+    let (x, y) = (&x.bytecode, &y.bytecode);
     assert_eq!(x.len(), y.len());
     assert_eq!(x.iter().zip(y).filter(|(p, q)| p != q).count(), 1);
     let with_func = |v| digest_of(&[v], &[vec![a()]]);

@@ -105,9 +105,9 @@ pub struct AggregatorApp {
     /// The configuration the staged epoch leads to (the shadow holds the
     /// ops themselves until commit).
     staged_model: Option<(u64, ConfigModel)>,
-    /// Committed versions; each entry's ops are the Reset-led rebuild of
-    /// its model — the full ship for children whose base is unknown (the
-    /// ReplHub-snapshot analogue).
+    /// Committed versions, each a model and the full `Prepare` this tier
+    /// encodes from it at commit — the ship for children whose base is
+    /// unknown (the ReplHub-snapshot analogue).
     history: ConfigHistory,
     /// The coordinator role, over the children.
     coord: Coordinator,
@@ -255,9 +255,8 @@ impl AggregatorApp {
         let mut committing = None;
         if let CtrlMsg::Commit { epoch } = &msg {
             if let Some((epoch, model)) = self.staged_model.take_if(|(e, _)| e == epoch) {
-                let ops = model.to_full_ops();
-                match proto::encode_prepare(epoch, &ops, None) {
-                    Ok(full) => committing = Some((model, ops, full)),
+                match model.encode_full(epoch) {
+                    Ok(full) => committing = Some((model, full)),
                     // A version this tier could not ship in full to a
                     // child is not committed: the root's resync keeps
                     // asking, with backoff, and the other racks converge.
@@ -275,9 +274,9 @@ impl AggregatorApp {
                 AckPhase::Prepare if staging.is_some() => self.staged_model = staging,
                 AckPhase::Prepare => {} // a duplicate of the active epoch
                 AckPhase::Commit => {
-                    if let Some((model, ops, full)) = committing {
+                    if let Some((model, full)) = committing {
                         let digest = self.shadow.config_digest();
-                        self.history.push(epoch, digest, model, ops, full);
+                        self.history.push(epoch, digest, model, full);
                         // The root's round is done with us; now walk the
                         // shard through the epoch in our own round.
                         match self.virtual_shard.take() {
@@ -573,7 +572,11 @@ mod tests {
         assert_eq!(a.committed_epoch(), 1);
         assert!(a.coord.round_active(), "commit queues the shard round");
         assert_eq!(a.history.len(), 2);
-        assert_eq!(a.current().ops[0], EnclaveOp::Reset);
+        let shipped = Request::decode(&a.current().full).expect("a full prepare");
+        let CtrlMsg::Prepare { epoch: 1, ops } = shipped.body else {
+            panic!("not the epoch's prepare: {:?}", shipped.body);
+        };
+        assert_eq!(ops[0], EnclaveOp::Reset);
     }
 
     #[test]

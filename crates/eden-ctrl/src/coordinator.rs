@@ -683,9 +683,9 @@ mod tests {
         /// Make a `rules`-rule table the current version, as `epoch`.
         fn version(&mut self, epoch: u64, rules: u32) {
             let ops = table_ops(5, 0..rules);
-            let full = proto::encode_prepare(epoch, &ops, None).unwrap();
+            let full = proto::encode_prepare(epoch, &ops).unwrap();
             let model = ConfigModel::from_ops(&ops);
-            self.history.push(epoch, 0xD000 + epoch, model, ops, full);
+            self.history.push(epoch, 0xD000 + epoch, model, full);
         }
 
         /// One tick `STEP` later; the epoch-phase sends it queued.

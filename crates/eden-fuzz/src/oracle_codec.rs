@@ -14,7 +14,7 @@ use crate::gen_bytecode::{gen_structured, mutate_bytes};
 use crate::gen_source::gen_schema;
 use crate::report::{Failure, OracleReport};
 use crate::rng::FuzzRng;
-use eden_core::{ClassId, EnclaveOp, MatchSpec};
+use eden_core::{ClassId, EnclaveOp, MatchSpec, ShippedFunction};
 use eden_ctrl::proto::{
     fragment, repl_deltas_wire_len, Reassembler, MAX_CHUNK, MAX_FRAGS, MAX_SPAN_NAME, TRACE_TRAILER,
 };
@@ -38,7 +38,7 @@ fn gen_enclave_op(rng: &mut FuzzRng) -> EnclaveOp {
         3 => {
             let desc = gen_schema(rng);
             let n = rng.range(0, 64);
-            EnclaveOp::InstallFunction {
+            EnclaveOp::InstallFunction(Box::new(ShippedFunction {
                 name: format!("f{}", rng.below(1000)),
                 bytecode: (0..n).map(|_| rng.next_u64() as u8).collect(),
                 schema: desc.to_schema(),
@@ -47,7 +47,7 @@ fn gen_enclave_op(rng: &mut FuzzRng) -> EnclaveOp {
                     Concurrency::PerMessage,
                     Concurrency::Serialized,
                 ]),
-            }
+            }))
         }
         4 => {
             let spec = match rng.below(3) {

@@ -3,6 +3,7 @@
 
     scripts/sigprof-report.py <binary> <samples-file> [--top N] [--callers] [--libs]
     scripts/sigprof-report.py <binary> <samples-file> --symbol SUBSTRING
+    scripts/sigprof-report.py <binary> <samples-file> --allocs [--top N]
 
 Without --symbol: one line per function of <binary>, by share of all
 samples (symbols from `nm -C -n`), with everything outside the binary
@@ -23,6 +24,15 @@ ifunc) show under `__nss_database_lookup` and the allocator's
 `_int_malloc` / `_int_free` under `__default_morecore`; `malloc`, `free`
 and `realloc` are exported and read as themselves.
 
+With --allocs (a run recorded with SIGPROF_ALLOCS=1): one line per call
+stack of requests of at least 2 KiB, by bytes requested, with the calls
+made. A stack is named by its first three functions inside the binary,
+innermost first and joined by `<-`; the allocator's own
+frames (`alloc::`, `__rust_`, `__rdl_`, ...) are skipped, and stacks
+that name the same functions are summed.
+
+Every report starts with the run's page faults (getrusage at exit).
+
 With --symbol: the function whose demangled name contains SUBSTRING and
 holds the most samples, disassembled with `objdump -d`, each instruction
 with its samples and its share of the function's. A sample sits on the
@@ -42,13 +52,17 @@ import sys
 
 
 def read_profile(path):
-    """-> (maps, samples): maps = [(start, end, offset, file)], samples = [[pc, caller...]]."""
-    maps, samples, section = [], [], None
+    """-> (maps, samples, allocs, faults): maps = [(start, end, offset, file)],
+    samples = [[pc, caller...]], allocs = [(bytes, calls, [return address...])],
+    faults = the `# faults` line's words after the mark, or None."""
+    maps, samples, allocs, faults, section = [], [], [], None, None
     with open(path) as f:
         for line in f:
             line = line.strip()
             if line.startswith("#"):
                 section = line[1:].strip().split()[0]
+                if section == "faults":
+                    faults = line[1:].split()[1:]
                 continue
             if section == "maps":
                 m = re.match(r"([0-9a-f]+)-([0-9a-f]+) \S+ ([0-9a-f]+) \S+ \S+\s*(.*)", line)
@@ -57,7 +71,17 @@ def read_profile(path):
                     maps.append((start, end, off, m.group(4)))
             elif section == "samples" and line:
                 samples.append([int(a, 16) for a in line.split()])
-    return maps, samples
+            elif section == "allocs" and line:
+                bytes_, calls, *stack = line.split()
+                allocs.append((int(bytes_), int(calls), [int(a, 16) for a in stack]))
+    return maps, samples, allocs, faults
+
+
+# Frames of the allocator and of the standard library's growth paths: an
+# allocation is charged to the first frame past them.
+ALLOCATOR_FRAMES = ("alloc::", "<alloc::", "__rust_", "__rdl_", "std::alloc", "core::alloc")
+# Functions of the binary that name an allocation's call stack.
+ALLOC_FRAMES_SHOWN = 3
 
 
 def load_bias(binary, maps):
@@ -119,10 +143,16 @@ def main():
                     help="charge samples outside the binary to their first caller inside it")
     ap.add_argument("--libs", action="store_true",
                     help="name samples in shared libraries by the nearest exported symbol below")
+    ap.add_argument("--allocs", action="store_true",
+                    help="large allocations by call stack (a run with SIGPROF_ALLOCS=1)")
     args = ap.parse_args()
 
-    maps, samples = read_profile(args.samples)
-    if not samples:
+    maps, samples, allocs, faults = read_profile(args.samples)
+    if faults:
+        print(f"# page faults: {' '.join(faults)}")
+    if args.allocs and not allocs:
+        sys.exit("no allocations recorded (was the run made with SIGPROF_ALLOCS=1?)")
+    if not args.allocs and not samples:
         sys.exit("no samples recorded (did the run use any CPU time?)")
     bias, mine = load_bias(args.binary, maps)
     syms = text_symbols(args.binary)
@@ -134,6 +164,27 @@ def main():
             return None
         i = bisect.bisect_right(addrs, addr - bias) - 1
         return i if i >= 0 else None
+
+    if args.allocs:
+        by_stack = collections.defaultdict(lambda: [0, 0])
+        for bytes_, calls, stack in allocs:
+            names = []
+            for ret in stack:
+                i = symbol_of(ret - 1)  # a return address points past its call
+                if i is None or syms[i][1].startswith(ALLOCATOR_FRAMES):
+                    continue
+                if not names or names[-1] != syms[i][1]:
+                    names.append(syms[i][1])
+                if len(names) == ALLOC_FRAMES_SHOWN:
+                    break
+            row = by_stack[" <- ".join(names) or "[outside the binary]"]
+            row[0] += bytes_
+            row[1] += calls
+        total = sum(b for b, _ in by_stack.values())
+        print(f"# {total / 1e9:.3f} GB requested in allocations of >= 2 KiB, {args.binary}")
+        for chain, (bytes_, calls) in sorted(by_stack.items(), key=lambda kv: -kv[1][0])[:args.top]:
+            print(f"{100 * bytes_ / total:6.2f}%  {bytes_ / 1e9:8.3f} GB  {calls:9d} calls  {chain}")
+        return
 
     libs = Libraries(maps) if args.libs else None
     by_symbol = collections.Counter()

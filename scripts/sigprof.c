@@ -28,6 +28,19 @@
  *                    above it, which `sigprof-report.py --callers` uses to
  *                    charge a sample that landed in libc (memset, memcpy,
  *                    malloc) to the function of the binary that called in.
+ *     SIGPROF_ALLOCS  1: also wrap malloc, calloc and realloc, and count the
+ *                    bytes requested and the calls per call stack (up to 8
+ *                    frames) for every request of at least 2 KiB; the
+ *                    sampler runs as without it. `sigprof-report.py
+ *                    --allocs` lists the stacks by bytes. Large requests are
+ *                    where a process's heap grows and shrinks and where its
+ *                    minor page faults come from; small ones it recycles.
+ *                    Each counted request pays a backtrace() (libgcc's
+ *                    unwinder), so the samples of such a run are not the
+ *                    program's own shares.
+ *
+ * Every run also records the process's minor and major page faults
+ * (getrusage at exit), which the report prints first.
  *
  * Reading the numbers:
  *   - The tick is the kernel's (250 Hz on the boxes this was written on)
@@ -50,6 +63,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -98,6 +112,84 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
         row[d] = (uintptr_t)frames[at + d];
 }
 
+/* ---- allocation mode (SIGPROF_ALLOCS=1) ---------------------------------- */
+
+#define ALLOC_MIN 2048
+#define ALLOC_SITES (1u << 14)
+/* backtrace() from inside the wrapper starts at note_alloc and the wrapper */
+#define WRAPPER_FRAMES 2
+
+/* glibc's own entry points, so the wrappers need no dlsym (which allocates) */
+extern void *__libc_malloc(size_t n);
+extern void *__libc_calloc(size_t count, size_t n);
+extern void *__libc_realloc(void *p, size_t n);
+
+/* One call stack that made large requests: return addresses, 0-padded. */
+struct site {
+    uintptr_t stack[MAX_DEPTH];
+    uint64_t bytes;
+    uint64_t calls;
+};
+static struct site sites[ALLOC_SITES];
+static uint32_t sites_used;
+static uint64_t sites_lost; /* requests whose stack found the table full */
+static volatile int allocs; /* set once the constructor has read the switch */
+static volatile char sites_lock;
+/* recursion guard: backtrace() allocates when it first loads libgcc */
+static __thread int in_hook __attribute__((tls_model("initial-exec")));
+
+static __attribute__((noinline)) void note_alloc(size_t n) {
+    if (!allocs || n < ALLOC_MIN || in_hook)
+        return;
+    in_hook = 1;
+    void *frames[MAX_DEPTH + WRAPPER_FRAMES];
+    int got = backtrace(frames, MAX_DEPTH + WRAPPER_FRAMES) - WRAPPER_FRAMES;
+    uintptr_t stack[MAX_DEPTH] = {0};
+    uint64_t h = 1469598103934665603ull; /* FNV-1a over the frames */
+    for (int d = 0; d < got; d++) {
+        stack[d] = (uintptr_t)frames[d + WRAPPER_FRAMES];
+        h = (h ^ stack[d]) * 1099511628211ull;
+    }
+    while (__atomic_test_and_set(&sites_lock, __ATOMIC_ACQUIRE))
+        ;
+    uint32_t i = (uint32_t)h & (ALLOC_SITES - 1);
+    for (uint32_t probes = 0;; probes++, i = (i + 1) & (ALLOC_SITES - 1)) {
+        struct site *s = &sites[i];
+        if (probes == ALLOC_SITES) {
+            sites_lost++;
+            break;
+        }
+        if (s->calls == 0) {
+            memcpy(s->stack, stack, sizeof stack);
+            sites_used++;
+        } else if (memcmp(s->stack, stack, sizeof stack) != 0) {
+            continue;
+        }
+        s->bytes += n;
+        s->calls++;
+        break;
+    }
+    __atomic_clear(&sites_lock, __ATOMIC_RELEASE);
+    in_hook = 0;
+}
+
+void *malloc(size_t n) {
+    note_alloc(n);
+    return __libc_malloc(n);
+}
+
+void *calloc(size_t count, size_t n) {
+    note_alloc(count * n);
+    return __libc_calloc(count, n);
+}
+
+void *realloc(void *p, size_t n) {
+    note_alloc(n);
+    return __libc_realloc(p, n);
+}
+
+/* ---- the sampler ---------------------------------------------------------- */
+
 static void arm(long interval_us) {
     struct itimerval t;
     t.it_interval.tv_sec = 0;
@@ -119,12 +211,17 @@ __attribute__((constructor)) static void sigprof_start(void) {
         depth = atoi(frames);
     if (depth < 1 || depth > MAX_DEPTH)
         depth = 1;
-    if (depth > 1) {
+    const char *want_allocs = getenv("SIGPROF_ALLOCS");
+    int alloc_mode = want_allocs && atoi(want_allocs) == 1;
+    if (depth > 1 || alloc_mode) {
         /* backtrace() loads libgcc on its first call, which a signal
-         * handler must not do: make that call here */
+         * handler must not do, and which allocates: make that call here */
         void *warm[2];
+        in_hook = 1;
         backtrace(warm, 2);
+        in_hook = 0;
     }
+    allocs = alloc_mode;
     const char *hz = getenv("SIGPROF_HZ");
     long rate = hz ? atol(hz) : 1000;
     if (rate < 1 || rate > 1000000)
@@ -134,7 +231,11 @@ __attribute__((constructor)) static void sigprof_start(void) {
 
 __attribute__((destructor)) static void sigprof_stop(void) {
     arm(0); /* a zero it_value disarms the timer */
+    int counted = allocs;
+    allocs = 0; /* what writing the file allocates is not the program's */
     uint32_t n = next_sample < MAX_SAMPLES ? next_sample : MAX_SAMPLES;
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
 
     char path[4096];
     const char *want = getenv("SIGPROF_OUT");
@@ -165,6 +266,21 @@ __attribute__((destructor)) static void sigprof_stop(void) {
         for (int d = 1; d < depth && samples[i][d]; d++)
             fprintf(out, " %lx", (unsigned long)samples[i][d]);
         fputc('\n', out);
+    }
+    fprintf(out, "# faults %ld minor %ld major\n", ru.ru_minflt, ru.ru_majflt);
+    if (counted) {
+        /* one line per stack: bytes, calls, then the return addresses */
+        fprintf(out, "# allocs %u stacks of requests >= %d bytes, %lu requests lost\n",
+                sites_used, ALLOC_MIN, (unsigned long)sites_lost);
+        for (uint32_t i = 0; i < ALLOC_SITES; i++) {
+            struct site *s = &sites[i];
+            if (s->calls == 0)
+                continue;
+            fprintf(out, "%lu %lu", (unsigned long)s->bytes, (unsigned long)s->calls);
+            for (int d = 0; d < MAX_DEPTH && s->stack[d]; d++)
+                fprintf(out, " %lx", (unsigned long)s->stack[d]);
+            fputc('\n', out);
+        }
     }
     fclose(out);
 }

@@ -8,7 +8,7 @@
 
 use eden::core::{
     ApplyError, ClassId, Enclave, EnclaveConfig, EnclaveOp, InstalledFunction, LinkError,
-    MatchSpec, PktSlot, SlotTarget, TableId,
+    MatchSpec, PktSlot, ShippedFunction, SlotTarget, TableId,
 };
 use eden::ctrl::{CtrlMsg, CtrlReply, EnclaveAgent};
 use eden::lang::{Access, Concurrency, HeaderField, Schema, Scope};
@@ -24,8 +24,13 @@ fn shipped(
 ) -> InstalledFunction {
     let mut b = ProgramBuilder::new();
     build(&mut b);
-    let bytecode = encode_program(&b.build().expect("verifies"));
-    InstalledFunction::from_shipped("crafted", &bytecode, schema, declared).expect("decodes")
+    InstalledFunction::from_shipped(&ShippedFunction {
+        name: "crafted".into(),
+        bytecode: encode_program(&b.build().expect("verifies")),
+        schema,
+        concurrency: declared,
+    })
+    .expect("decodes")
 }
 
 fn refusal(f: InstalledFunction) -> LinkError {
@@ -262,10 +267,13 @@ fn a_program_over_the_enclaves_limits_is_refused_not_run() {
     b.call(0).pop().halt();
     let f = b.begin_func(0, 0);
     b.call(f).ret();
-    let bytecode = encode_program(&b.build().expect("recursion verifies"));
-    let recursive =
-        InstalledFunction::from_shipped("rec", &bytecode, Schema::new(), Concurrency::Parallel)
-            .unwrap();
+    let recursive = InstalledFunction::from_shipped(&ShippedFunction {
+        name: "rec".into(),
+        bytecode: encode_program(&b.build().expect("recursion verifies")),
+        schema: Schema::new(),
+        concurrency: Concurrency::Parallel,
+    })
+    .unwrap();
     assert_eq!(
         refusal(recursive),
         LinkError::OverBudget(VmError::CallDepthExceeded)
@@ -294,12 +302,12 @@ fn an_unlinkable_epoch_is_nacked_with_its_reason_and_leaves_nothing() {
     b.incr_glob(0, 1).halt();
     let ops = vec![
         EnclaveOp::Reset,
-        EnclaveOp::InstallFunction {
+        EnclaveOp::InstallFunction(Box::new(ShippedFunction {
             name: "counter".into(),
             bytecode: encode_program(&b.build().unwrap()),
             schema: schema.clone(),
             concurrency: Concurrency::PerMessage, // writes a global
-        },
+        })),
         EnclaveOp::InstallRule {
             table: 0,
             spec: MatchSpec::Class(ClassId(1)),

@@ -4,7 +4,7 @@
 //! function installed *over the wire* freezes the data-path flight
 //! recorder with the trapping opcode attributed.
 
-use eden::core::{EnclaveConfig, EnclaveOp, MatchSpec};
+use eden::core::{EnclaveConfig, EnclaveOp, MatchSpec, ShippedFunction};
 use eden::ctrl::fleet::{prio_epoch, Fleet};
 use eden::ctrl::CtrlConfig;
 use eden::lang::{Concurrency, Schema};
@@ -20,12 +20,12 @@ fn divzero_ops() -> Vec<EnclaveOp> {
     let bytecode = eden::vm::encode_program(&b.build().expect("builds"));
     vec![
         EnclaveOp::Reset,
-        EnclaveOp::InstallFunction {
+        EnclaveOp::InstallFunction(Box::new(ShippedFunction {
             name: "divzero".into(),
             bytecode,
             schema: Schema::new(),
             concurrency: Concurrency::Parallel,
-        },
+        })),
         EnclaveOp::InstallRule {
             table: 0,
             spec: MatchSpec::Any,

@@ -384,21 +384,27 @@ fn lookahead_enclave() -> (Enclave, Vec<FuncId>) {
 /// trapping (and failing open) on every packet it is handed.
 #[test]
 fn dishonest_concurrency_declaration_is_refused_at_install() {
-    use eden::core::{ApplyError, EnclaveOp, LinkError};
+    use eden::core::{ApplyError, EnclaveOp, LinkError, ShippedFunction};
 
     let bundle = functions::pias(); // writes msg.Size; honestly PerMessage
     let compiled = compile(bundle.name, &bundle.source, &bundle.schema()).unwrap();
     assert_eq!(compiled.concurrency, Concurrency::PerMessage);
     let bytecode = encode_program(&compiled.program);
-    let shipped = |declared| {
-        InstalledFunction::from_shipped("dishonest-pias", &bytecode, bundle.schema(), declared)
+    let shipped = |concurrency| ShippedFunction {
+        name: "dishonest-pias".into(),
+        bytecode: bytecode.clone(),
+        schema: bundle.schema(),
+        concurrency,
+    };
+    let installed = |declared| {
+        InstalledFunction::from_shipped(&shipped(declared))
             .expect("the bytecode itself decodes and verifies")
     };
 
     let mut e = Enclave::new(batchy_config());
     let honest = install(&mut e, &functions::sff(), true, 1);
     let refusal = e
-        .try_install_function(shipped(Concurrency::Parallel)) // lie: claims read-only
+        .try_install_function(installed(Concurrency::Parallel)) // lie: claims read-only
         .expect_err("code that writes message state is not Parallel");
     assert_eq!(
         refusal,
@@ -410,10 +416,10 @@ fn dishonest_concurrency_declaration_is_refused_at_install() {
     // declared at its true level, or a stricter one, the same bytes link
     let mut other = Enclave::new(batchy_config());
     other
-        .try_install_function(shipped(Concurrency::PerMessage))
+        .try_install_function(installed(Concurrency::PerMessage))
         .expect("honest declaration");
     other
-        .try_install_function(shipped(Concurrency::Serialized))
+        .try_install_function(installed(Concurrency::Serialized))
         .expect("a stricter level than needed is safe");
 
     // the same function inside an epoch: the whole epoch is refused and
@@ -421,12 +427,7 @@ fn dishonest_concurrency_declaration_is_refused_at_install() {
     // staged epoch, not a changed digest
     let (digest, epoch) = (e.config_digest(), e.active_epoch());
     let ops = vec![
-        EnclaveOp::InstallFunction {
-            name: "dishonest-pias".into(),
-            bytecode: bytecode.clone(),
-            schema: bundle.schema(),
-            concurrency: Concurrency::Parallel,
-        },
+        EnclaveOp::InstallFunction(Box::new(shipped(Concurrency::Parallel))),
         EnclaveOp::InstallRule {
             table: 0,
             spec: MatchSpec::Class(ClassId(2)),

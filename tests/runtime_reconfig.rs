@@ -200,12 +200,12 @@ fn controller_retunes_and_replaces_functions_mid_run() {
             .ship_function("fixed", &fixed.source, &fixed.schema())
             .expect("ships");
         let f2 = enclave.install_function(
-            eden::core::InstalledFunction::from_shipped(
-                "fixed",
-                &blob,
-                fixed.schema(),
-                fixed.concurrency,
-            )
+            eden::core::InstalledFunction::from_shipped(&eden::core::ShippedFunction {
+                name: "fixed".into(),
+                bytecode: blob,
+                schema: fixed.schema(),
+                concurrency: fixed.concurrency,
+            })
             .expect("decodes"),
         );
         enclave.set_global(f2, 0, 2);
