@@ -515,7 +515,7 @@ impl PacketHook for Enclave {
         env: &mut HookEnv<'_>,
         verdicts: &mut Vec<HookVerdict>,
     ) {
-        self.process_batch_dir_into(packets, env.rng, env.now, FlowDirection::Egress, verdicts);
+        self.process_batch_into(packets, env.rng, env.now, verdicts);
     }
 
     fn on_ingress(&mut self, packet: &mut Packet, env: &mut HookEnv<'_>) -> HookVerdict {

@@ -134,25 +134,15 @@ impl Enclave {
         rng: &mut SimRng,
         now: Time,
     ) -> Vec<HookVerdict> {
-        self.process_batch_dir(packets, rng, now, FlowDirection::Egress)
-    }
-
-    /// Batch processing with an explicit direction.
-    pub fn process_batch_dir(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-    ) -> Vec<HookVerdict> {
         let mut out = Vec::with_capacity(packets.len());
-        self.process_batch_dir_into(packets, rng, now, direction, &mut out);
+        self.process_batch_into(packets, rng, now, &mut out);
         out
     }
 
     /// Allocation-free egress batch entry point: one verdict per packet
     /// is *appended* to `out` in packet order, so a caller can reuse a
-    /// single verdict buffer across batches.
+    /// single verdict buffer across batches. Ingress has no batch path:
+    /// it goes packet by packet through [`process_dir`](Self::process_dir).
     pub fn process_batch_into(
         &mut self,
         packets: &mut [Packet],
@@ -160,24 +150,12 @@ impl Enclave {
         now: Time,
         out: &mut Vec<HookVerdict>,
     ) {
-        self.process_batch_dir_into(packets, rng, now, FlowDirection::Egress, out);
-    }
-
-    /// Allocation-free batch processing with an explicit direction.
-    pub fn process_batch_dir_into(
-        &mut self,
-        packets: &mut [Packet],
-        rng: &mut SimRng,
-        now: Time,
-        direction: FlowDirection,
-        out: &mut Vec<HookVerdict>,
-    ) {
         if packets.is_empty() {
             return;
         }
         if self.parallel_eligible(packets.len()) {
             self.stats.batches_parallel += 1;
-            self.process_batch_parallel(packets, rng, now, direction, out);
+            self.process_batch_parallel(packets, rng, now, out);
         } else {
             self.stats.batches_serial += 1;
             out.reserve(packets.len());
@@ -185,7 +163,7 @@ impl Enclave {
                 if let Some(ahead) = packets.get(i + AHEAD) {
                     self.peek(ahead);
                 }
-                let v = self.process_dir(&mut packets[i], rng, now, direction);
+                let v = self.process_dir(&mut packets[i], rng, now, FlowDirection::Egress);
                 out.push(v);
             }
         }
@@ -236,7 +214,6 @@ impl Enclave {
         packets: &mut [Packet],
         rng: &mut SimRng,
         now: Time,
-        direction: FlowDirection,
         out: &mut Vec<HookVerdict>,
     ) {
         let n = packets.len();
@@ -274,7 +251,6 @@ impl Enclave {
                 ring,
                 scr,
                 now,
-                direction,
                 fail_open: self.config.fail_open,
             })
             .collect();
@@ -887,12 +863,11 @@ struct LaneTask<'a> {
     ring: &'a mut FlightRing,
     scr: &'a mut LaneScratch,
     now: Time,
-    direction: FlowDirection,
     fail_open: bool,
 }
 
 /// A lane's run: every packet dealt to it, classify → match → execute, in
-/// batch order.
+/// batch order. Only egress batches fan out.
 fn run_lane_task(lane: usize, t: &mut LaneTask<'_>) {
     let scr = &mut *t.scr;
     let mut walker = Walker {
@@ -912,7 +887,7 @@ fn run_lane_task(lane: usize, t: &mut LaneTask<'_>) {
         lane: lane as u16,
         batch_idx: 0,
         now: t.now,
-        direction: t.direction,
+        direction: FlowDirection::Egress,
         fail_open: t.fail_open,
     };
     for p in t.packets.iter_mut() {

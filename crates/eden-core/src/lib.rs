@@ -46,7 +46,6 @@ pub use enclave::{
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;
-pub use netsim::arena::PacketArena;
 pub use ops::{ApplyError, EnclaveOp, ShippedFunction};
 pub use stage::{FieldValue, Matcher, Stage, StageInfo, StageRule};
 pub use state::FunctionState;

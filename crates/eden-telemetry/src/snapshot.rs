@@ -108,14 +108,11 @@ counters! {
 
 counters! {
     /// Host-stack accounting outside the enclave: the drops the stack
-    /// counts as they happen, and the batch-buffer recycling read off its
-    /// `PacketArena` when the block is copied out.
+    /// counts as they happen.
     pub struct HostCounters, group "host" {
         hook_drops: Counter, "Packets dropped by packet hooks (egress + ingress).";
         nic_drops: Counter, "Packets dropped at the NIC queue (overflow).";
         bad_queue_drops: Counter, "Packets dropped for targeting a nonexistent NIC queue.";
-        batch_buffer_hits: Counter, "Batch buffers the stack took warm from its arena's free list.";
-        batch_buffer_misses: Counter, "Batch buffers taken while the free list was empty (a fresh allocation on first use).";
     }
 }
 

@@ -21,7 +21,6 @@
 //! but every header the Eden enclave can touch through a `HeaderMap`
 //! round-trips through the byte-level encoders in tests.
 
-pub mod arena;
 pub mod event;
 pub mod monitor;
 pub mod net;
@@ -36,7 +35,6 @@ pub mod time;
 pub mod topo;
 pub mod wire;
 
-pub use arena::PacketArena;
 pub use event::EventQueue;
 pub use monitor::{QueueMonitor, SwitchSeries};
 pub use net::{LinkId, LinkSpec, Network, NodeId, PortId};

@@ -11,8 +11,8 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use eden_telemetry::{FlowCounters, HostCounters, TimeSeries, TraceLayer, TraceRing, TraceVerdict};
-use netsim::{Ctx, EdenMeta, Packet, PacketArena, PortId, PriorityPort, Time};
+use eden_telemetry::{FlowCounters, HostCounters, TraceLayer, TraceRing, TraceVerdict};
+use netsim::{Ctx, EdenMeta, Packet, PortId, PriorityPort, Time};
 
 use crate::hook::{HookEnv, HookVerdict, PacketHook};
 use crate::ratelimit::TokenBucket;
@@ -156,20 +156,18 @@ pub struct Stack {
     /// or for naming a queue that does not exist.
     drops: HostCounters,
     /// Packet-path trace ring; `None` (the default) records nothing and
-    /// costs one branch per trace point. Enabled by the `EDEN_TRACE` env
-    /// var or [`Stack::enable_trace`].
+    /// costs one branch per trace point. Enabled by
+    /// [`Stack::enable_trace`].
     trace: Option<TraceRing>,
     /// Per-host sequence for trace packet ids (only advanced while
     /// tracing; ids are namespaced by `addr` so two hosts' traces can be
     /// merged without collisions).
     trace_pkt_seq: u64,
-    /// Per-connection cwnd time series, filled by [`Stack::sample_flows`].
-    cwnd_series: Vec<TimeSeries>,
-    /// Recycled batch buffers: every [`TcpOutput`] batch is taken from
-    /// here and returned after egress, so steady-state transmission
-    /// opportunities reuse warm allocations instead of churning
-    /// `Vec<Packet>` per TCP call.
-    arena: PacketArena,
+    /// Recycled egress batch buffer: every [`TcpOutput`] takes it and
+    /// [`egress_batch`](Self::egress_batch) puts it back drained. A
+    /// transmission opportunity runs to completion before the next one
+    /// starts, so one warm allocation serves them all.
+    batch_buf: Vec<Packet>,
     /// Recycled verdict buffer for the batch egress path.
     verdict_buf: Vec<HookVerdict>,
 }
@@ -185,15 +183,7 @@ fn pkt_class(p: &Packet) -> u32 {
 
 impl Stack {
     /// A stack for a host with address `addr`.
-    ///
-    /// Packet-path tracing starts enabled when the `EDEN_TRACE` env var is
-    /// set to anything but `0`; a numeric value is used as the ring
-    /// capacity (default 4096).
     pub fn new(addr: u32, cfg: StackConfig) -> Stack {
-        let trace = match std::env::var("EDEN_TRACE") {
-            Ok(v) if !v.is_empty() && v != "0" => Some(TraceRing::new(v.parse().unwrap_or(4096))),
-            _ => None,
-        };
         Stack {
             addr,
             cfg,
@@ -211,26 +201,20 @@ impl Stack {
             nic: PriorityPort::new(cfg.nic_queue_bytes),
             events: VecDeque::new(),
             drops: HostCounters::default(),
-            trace,
+            trace: None,
             trace_pkt_seq: 0,
-            cwnd_series: Vec::new(),
-            arena: PacketArena::new(),
+            batch_buf: Vec::new(),
             verdict_buf: Vec::new(),
         }
     }
 
-    /// A [`TcpOutput`] whose packet batch is an arena-recycled buffer;
-    /// [`apply_output`](Self::apply_output) returns it after egress.
+    /// A [`TcpOutput`] whose packet batch is the stack's batch buffer;
+    /// [`apply_output`](Self::apply_output) puts it back after egress.
     fn new_output(&mut self) -> TcpOutput {
         TcpOutput {
-            packets: self.arena.take_batch(),
+            packets: std::mem::take(&mut self.batch_buf),
             ..TcpOutput::default()
         }
-    }
-
-    /// The stack's batch-buffer arena (recycling instrumentation).
-    pub fn arena(&self) -> &PacketArena {
-        &self.arena
     }
 
     // ------------------------------------------------------------------
@@ -248,11 +232,6 @@ impl Stack {
         self.trace.take()
     }
 
-    /// Borrow the trace ring, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceRing> {
-        self.trace.as_ref()
-    }
-
     /// Per-flow TCP counters for every connection ever created here.
     pub fn flow_counters(&self) -> Vec<FlowCounters> {
         self.conns
@@ -266,32 +245,9 @@ impl Stack {
             .collect()
     }
 
-    /// Host-level counters outside the enclave: drops, and how the arena's
-    /// batch buffers were reused.
+    /// Host-level counters outside the enclave: the stack's drops.
     pub fn host_counters(&self) -> HostCounters {
-        let (batch_buffer_hits, batch_buffer_misses) = self.arena.batch_reuse();
-        HostCounters {
-            batch_buffer_hits,
-            batch_buffer_misses,
-            ..self.drops
-        }
-    }
-
-    /// Append one cwnd sample per connection to the per-flow time series
-    /// (call periodically from the driving application or host).
-    pub fn sample_flows(&mut self, now: Time) {
-        for (i, c) in self.conns.iter().enumerate() {
-            if self.cwnd_series.len() <= i {
-                self.cwnd_series
-                    .push(TimeSeries::new(format!("conn{i}.cwnd"), 4096));
-            }
-            self.cwnd_series[i].push(now.as_nanos(), f64::from(c.cwnd()));
-        }
-    }
-
-    /// The cwnd series filled by [`Stack::sample_flows`].
-    pub fn cwnd_series(&self) -> &[TimeSeries] {
-        &self.cwnd_series
+        self.drops
     }
 
     /// Install the enclave (or any packet processor).
@@ -700,14 +656,14 @@ impl Stack {
     /// simulated instant and verdict routing preserves batch order. The
     /// batch buffer and the verdict buffer are both recycled: the hook
     /// mutates packets in place (zero-copy handoff), the drained `Vec`
-    /// goes back to the arena, and the next batch reuses it warm.
+    /// goes back to `batch_buf`, and the next batch reuses it warm.
     fn egress_batch(&mut self, mut packets: Vec<Packet>, ctx: &mut Ctx<'_>) {
         // TCP often emits nothing (an ACK that only advanced the window's
         // left edge): the hook is not called with an empty batch, and one
         // packet takes the per-packet path.
         if packets.len() <= 1 {
             let packet = packets.pop();
-            self.arena.recycle_batch(packets);
+            self.batch_buf = packets;
             if let Some(packet) = packet {
                 self.egress(packet, ctx);
             }
@@ -720,7 +676,7 @@ impl Stack {
             for packet in packets.drain(..) {
                 self.nic_enqueue(Box::new(packet), ctx);
             }
-            self.arena.recycle_batch(packets);
+            self.batch_buf = packets;
             return;
         }
         let mut verdicts = std::mem::take(&mut self.verdict_buf);
@@ -738,7 +694,7 @@ impl Stack {
             self.route_egress_verdict(packet, verdict, ctx);
         }
         self.verdict_buf = verdicts;
-        self.arena.recycle_batch(packets);
+        self.batch_buf = packets;
     }
 
     fn route_egress_verdict(&mut self, packet: Packet, verdict: HookVerdict, ctx: &mut Ctx<'_>) {
@@ -850,5 +806,102 @@ impl Stack {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hook::NullHook;
+    use crate::host::{app_timer_token, App, Host};
+    use netsim::{LinkSpec, Network, Switch, SwitchConfig};
+
+    /// Connects, then sends one message of many segments.
+    struct Sender;
+
+    impl App for Sender {
+        fn on_timer(&mut self, _token: u64, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+            stack.connect(2, 7000, ctx);
+        }
+
+        fn on_connected(&mut self, conn: ConnId, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+            stack.send_message(conn, 200_000, 1, None, ctx);
+        }
+    }
+
+    /// Listens and counts the messages delivered.
+    struct Receiver(u32);
+
+    impl App for Receiver {
+        fn on_timer(&mut self, _token: u64, stack: &mut Stack, _ctx: &mut Ctx<'_>) {
+            stack.listen(7000);
+        }
+
+        fn on_message(
+            &mut self,
+            _c: ConnId,
+            _tag: u64,
+            _s: u32,
+            _st: &mut Stack,
+            _ctx: &mut Ctx<'_>,
+        ) {
+            self.0 += 1;
+        }
+    }
+
+    /// Every transmission opportunity of a hooked stack takes the one batch
+    /// buffer and puts it back drained, so between events it is empty and
+    /// its allocation is only ever replaced by a batch that outgrew it.
+    #[test]
+    fn one_batch_buffer_comes_back_drained_and_warm() {
+        let mut net = Network::new(1);
+        let mut sender = Stack::new(1, StackConfig::default());
+        sender.set_hook(NullHook);
+        let mut receiver = Stack::new(2, StackConfig::default());
+        receiver.set_hook(NullHook);
+        let s = net.add_node(Host::new(sender, Sender));
+        let r = net.add_node(Host::new(receiver, Receiver(0)));
+        let sw = net.add_node(Switch::new(SwitchConfig::default()));
+        let (_, ps) = net.connect(s, sw, LinkSpec::ten_gbps());
+        let (_, pr) = net.connect(r, sw, LinkSpec::ten_gbps());
+        {
+            let swn = net.node_mut::<Switch>(sw);
+            swn.install_route(1, ps);
+            swn.install_route(2, pr);
+        }
+        net.schedule_timer(r, Time::ZERO, app_timer_token(0));
+        net.schedule_timer(s, Time::from_micros(1), app_timer_token(0));
+
+        // (pointer, capacity) of each stack's buffer once it has one
+        let mut warm: [Option<(*const Packet, usize)>; 2] = [None, None];
+        for us in 1..=5_000 {
+            net.run_until(Time::from_micros(us));
+            let bufs = [
+                &net.node::<Host<Sender>>(s).stack.batch_buf,
+                &net.node::<Host<Receiver>>(r).stack.batch_buf,
+            ];
+            for (buf, warm) in bufs.into_iter().zip(&mut warm) {
+                assert!(buf.is_empty(), "batch buffer left full at {us} µs");
+                if buf.capacity() == 0 {
+                    assert!(warm.is_none(), "batch buffer lost at {us} µs");
+                    continue;
+                }
+                let now = (buf.as_ptr(), buf.capacity());
+                if let Some((ptr, cap)) = *warm {
+                    // the sender's SYN allocates it, its first window
+                    // outgrows that once
+                    assert!(
+                        now.0 == ptr || now.1 > cap,
+                        "batch buffer replaced at {us} µs"
+                    );
+                }
+                *warm = Some(now);
+            }
+            if net.node::<Host<Receiver>>(r).app.0 > 0 {
+                break;
+            }
+        }
+        assert_eq!(net.node::<Host<Receiver>>(r).app.0, 1, "message delivered");
+        assert!(warm.iter().all(Option::is_some), "both stacks sent batches");
     }
 }

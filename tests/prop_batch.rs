@@ -20,7 +20,7 @@ use eden::core::{
     InstalledFunction, MatchSpec, TableId,
 };
 use eden::lang::{compile, Access, Concurrency, HeaderField, Schema};
-use eden::netsim::{EdenMeta, Packet, PacketArena, SimRng, TcpHeader, Time, UdpHeader};
+use eden::netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time, UdpHeader};
 use eden::vm::{encode_program, Outcome};
 use proptest::prelude::*;
 
@@ -94,8 +94,8 @@ fn packet(class: u32, msg: u64, payload: usize, port: u16) -> Packet {
 
 /// Run the same stream through a per-packet enclave and a batched enclave
 /// (both built by `mk`) and require every observable to match. The batched
-/// side exercises the zero-copy entry point the stack uses: batch buffers
-/// come from a [`PacketArena`] and are recycled after every chunk, and all
+/// side exercises the zero-copy entry point the stack uses: every chunk
+/// travels in one reused batch buffer, drained after each chunk, and all
 /// verdicts accumulate in one reused buffer via
 /// [`Enclave::process_batch_into`] — so buffer reuse itself is under test
 /// at every concurrency level.
@@ -109,7 +109,7 @@ fn assert_equivalent(
     let (mut batched, _) = mk();
     let mut serial_rng = SimRng::new(seed);
     let mut batched_rng = SimRng::new(seed);
-    let mut arena = PacketArena::new();
+    let mut batch: Vec<Packet> = Vec::new();
 
     let mut serial_pkts: Vec<Packet> = Vec::new();
     let mut serial_verdicts = Vec::new();
@@ -125,8 +125,7 @@ fn assert_equivalent(
             serial_verdicts.push(serial.process(&mut p, &mut serial_rng, now));
             serial_pkts.push(p);
         }
-        let mut batch = arena.take_batch();
-        prop_assert!(batch.is_empty(), "recycled batches must come back drained");
+        prop_assert!(batch.is_empty(), "the batch buffer must come back drained");
         batch.extend(
             chunk_specs
                 .iter()
@@ -136,7 +135,6 @@ fn assert_equivalent(
         batched.process_batch_into(&mut batch, &mut batched_rng, now, &mut batched_verdicts);
         prop_assert_eq!(batched_verdicts.len() - before, batch.len());
         batched_pkts.append(&mut batch);
-        arena.recycle_batch(batch);
     }
 
     prop_assert_eq!(&serial_verdicts, &batched_verdicts);

@@ -137,13 +137,6 @@ fn controller_pulls_snapshot_from_running_enclave() {
     assert!(snap.flows[0].counts.packets_sent > 0);
     let host = snap.host.as_ref().expect("host counters present");
     assert_eq!(host.hook_drops, 0, "the SFF function drops nothing");
-    // every transmission opportunity took a batch buffer from the arena:
-    // the first few before one had come back, the rest warm
-    assert!(host.batch_buffer_misses >= 1);
-    assert!(
-        host.batch_buffer_hits > 10 * host.batch_buffer_misses,
-        "{host:?}"
-    );
 
     // the whole snapshot renders as one JSON document
     let json = snap.to_json().render();
