@@ -2,7 +2,7 @@
 //! packets the enclave source-routes (ECMP/WCMP), and a sink that meters
 //! delivered goodput.
 
-use netsim::{Ctx, EdenMeta, Time};
+use netsim::{Ctx, EdenMeta};
 use transport::{App, ConnId, Stack};
 
 /// A sender pumping `flows` long-running TCP flows to one destination.
@@ -64,15 +64,13 @@ impl App for BulkSender {
     }
 }
 
-/// A sink that meters in-order goodput over a measurement window.
+/// A sink that counts in-order bytes delivered; goodput over a window is
+/// the difference of two readings.
 #[derive(Default)]
 pub struct MeteredSink {
     pub port: u16,
     /// In-order bytes delivered.
     pub bytes: u64,
-    /// First/last delivery timestamps, for throughput math.
-    pub first_at: Option<Time>,
-    pub last_at: Option<Time>,
 }
 
 impl MeteredSink {
@@ -83,14 +81,6 @@ impl MeteredSink {
             ..Default::default()
         }
     }
-
-    /// Average goodput in bits/second over the observed window.
-    pub fn goodput_bps(&self) -> f64 {
-        match (self.first_at, self.last_at) {
-            (Some(a), Some(b)) if b > a => self.bytes as f64 * 8.0 / (b - a).as_secs_f64(),
-            _ => 0.0,
-        }
-    }
 }
 
 impl App for MeteredSink {
@@ -98,11 +88,7 @@ impl App for MeteredSink {
         stack.listen(self.port);
     }
 
-    fn on_data(&mut self, _conn: ConnId, bytes: u32, _stack: &mut Stack, ctx: &mut Ctx<'_>) {
+    fn on_data(&mut self, _conn: ConnId, bytes: u32, _stack: &mut Stack, _ctx: &mut Ctx<'_>) {
         self.bytes += u64::from(bytes);
-        if self.first_at.is_none() {
-            self.first_at = Some(ctx.now());
-        }
-        self.last_at = Some(ctx.now());
     }
 }

@@ -12,7 +12,7 @@
 use eden_apps::apps::bulk::{BulkSender, MeteredSink};
 use eden_apps::functions;
 use eden_core::{Controller, Enclave, EnclaveConfig, MatchSpec, PathSpec, TableId};
-use netsim::{LinkSpec, Network, PortId, Switch, SwitchConfig, Time};
+use netsim::{LinkSpec, Network, Switch, SwitchConfig, Time};
 use transport::{app_timer_token, Host, Stack, StackConfig, TcpConfig};
 
 pub use crate::fig09::Engine;
@@ -153,26 +153,5 @@ pub fn run(balancer: Balancer, engine: Engine, cfg: &Config) -> f64 {
     let b0 = net.node::<Host<MeteredSink>>(receiver).app.bytes;
     net.run_until(cfg.until);
     let b1 = net.node::<Host<MeteredSink>>(receiver).app.bytes;
-    if std::env::var("EDEN_FIG10_DEBUG").is_ok() {
-        let host = net.node::<Host<BulkSender>>(sender);
-        for i in 0..host.stack.conn_count() {
-            let st = host.stack.conn_stats(transport::ConnId(i));
-            eprintln!(
-                "conn {i}: sent {} rexmit {} fast {} rto {} reorder-ok {} cwnd {} inflight {} srtt {}us",
-                st.packets_sent,
-                st.retransmits,
-                st.fast_retransmits,
-                st.timeouts,
-                st.reorder_events,
-                host.stack.conn_cwnd(transport::ConnId(i)),
-                host.stack.conn_in_flight(transport::ConnId(i)),
-                host.stack.conn_srtt_ns(transport::ConnId(i)) / 1000
-            );
-        }
-    }
     (b1 - b0) as f64 * 8.0 / (cfg.until - cfg.warmup).as_secs_f64()
 }
-
-/// `PortId` re-export guard (kept so topology code reads naturally).
-#[allow(dead_code)]
-fn _unused(_: PortId) {}

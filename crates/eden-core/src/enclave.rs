@@ -42,12 +42,10 @@
 //! then fails open (forwarded unmodified) or closed (dropped) per
 //! [`EnclaveConfig::fail_open`] — and the rest of the system continues.
 
-use std::collections::VecDeque;
-
 use eden_lang::{Access, Concurrency, Schema};
 use eden_repl::{merged_read, HostRepl, ReplSpec, SeqTarget};
 use eden_telemetry::{
-    FlightDump, FlightKind, FlightRing, FuncCounts, LogHistogram, RuleHits, Sampler, SpanSink,
+    FlightDump, FlightKind, FlightRing, FuncCounts, LogHistogram, Ring, RuleHits, Sampler, SpanSink,
 };
 use eden_vm::{InterpreterPool, Limits};
 use netsim::{Packet, Time};
@@ -177,7 +175,7 @@ pub struct Enclave {
     lane_pool: LanePool,
     /// Punt mailbox: packets punted to the controller are *moved* here (no
     /// clone), oldest first, bounded by [`EnclaveConfig::max_punted`].
-    punted: VecDeque<Packet>,
+    punted: Ring<Packet>,
     pub stats: EnclaveStats,
     /// Each worker lane's outputs and scratch, reused across fan-outs.
     lane_scratch: Vec<LaneScratch>,
@@ -231,7 +229,7 @@ impl Enclave {
             pool: InterpreterPool::new(config.limits, config.lanes),
             lane_safe: true,
             lane_pool: LanePool::new(),
-            punted: VecDeque::new(),
+            punted: Ring::new(config.max_punted),
             stats: EnclaveStats::default(),
             lane_scratch: Vec::new(),
             scratch: Vec::new(),
@@ -244,7 +242,7 @@ impl Enclave {
             stage_hists: Default::default(),
             func_latency: Vec::new(),
             flight: (0..config.lanes.max(1))
-                .map(|_| FlightRing::new(config.flight_capacity))
+                .map(|_| FlightRing::new(config.flight_capacity.max(1)))
                 .collect(),
             last_dump: None,
         }
@@ -388,7 +386,7 @@ impl Enclave {
 
     /// Drain packets punted to the controller, oldest first.
     pub fn take_punted(&mut self) -> Vec<Packet> {
-        self.punted.drain(..).collect()
+        self.punted.drain(usize::MAX).collect()
     }
 
     /// Number of punted packets awaiting controller pickup.

@@ -63,7 +63,7 @@ impl Enclave {
                 at,
                 at + classify_ns,
             );
-            self.flight[0].record(FlightEvent {
+            self.flight[0].push(FlightEvent {
                 at_ns: at,
                 lane: 0,
                 kind: FlightKind::Classify,
@@ -222,7 +222,7 @@ impl Enclave {
         self.last_now = now;
         let tracing = self.sampler.enabled();
         if tracing {
-            self.flight[0].record(FlightEvent {
+            self.flight[0].push(FlightEvent {
                 at_ns: now.as_nanos(),
                 lane: 0,
                 kind: FlightKind::BatchStart,
@@ -360,15 +360,10 @@ impl Enclave {
     }
 
     /// Append to the bounded punt mailbox: when full, the oldest punt
-    /// makes room and is counted.
+    /// makes room. The mailbox counts evictions; `punt_drops` reports them.
     fn push_punt(&mut self, packet: Packet) {
-        if self.punted.len() >= self.config.max_punted {
-            self.stats.punt_drops += 1;
-            if self.punted.pop_front().is_none() {
-                return; // a mailbox of zero keeps nothing
-            }
-        }
-        self.punted.push_back(packet);
+        self.punted.push(packet);
+        self.stats.punt_drops = self.punted.evicted();
     }
 }
 
@@ -569,8 +564,11 @@ struct Walker<'w, 'f> {
 }
 
 impl Walker<'_, '_> {
+    /// Every caller is a sampled, punted, trapped or looping packet: out of
+    /// line, the event's construction stays off the walk's hot path.
+    #[inline(never)]
     fn flight(&mut self, kind: FlightKind, a: u64, b: u64) {
-        self.ring.record(FlightEvent {
+        self.ring.push(FlightEvent {
             at_ns: self.now.as_nanos(),
             lane: self.lane,
             kind,

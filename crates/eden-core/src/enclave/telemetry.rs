@@ -176,7 +176,7 @@ impl Enclave {
     /// Record a control-plane flight event into ring 0, stamped with the
     /// enclave's last-seen packet time.
     pub fn flight_record(&mut self, kind: FlightKind, a: u64, b: u64) {
-        self.flight[0].record(FlightEvent {
+        self.flight[0].push(FlightEvent {
             at_ns: self.last_now.as_nanos(),
             lane: 0,
             kind,

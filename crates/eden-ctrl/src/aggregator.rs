@@ -45,7 +45,7 @@
 
 use eden_core::{Enclave, EnclaveConfig};
 use eden_repl::{FuncDelta, FuncView};
-use eden_telemetry::{ClusterStats, EnclaveCounters, HostReport, Span};
+use eden_telemetry::{ClusterStats, EnclaveCounters, HostReport, Ring, Span};
 use netsim::{Ctx, L4Header, Packet, UdpHeader};
 use transport::{App, Stack};
 
@@ -118,8 +118,8 @@ pub struct AggregatorApp {
     /// Latest replication delta per (child, function), fanned up on the
     /// next AggPong.
     deltas_up: Vec<(u32, FuncDelta)>,
-    /// Child spans awaiting relay.
-    spans_up: Vec<Span>,
+    /// Child spans awaiting relay: the newest `4 × AGG_SPAN_BUDGET`.
+    spans_up: Ring<Span>,
     /// The last `Stats` each child returned (a virtual shard's whole
     /// fleet under one entry): what a parent's `PullStats` is answered
     /// from.
@@ -145,7 +145,7 @@ impl AggregatorApp {
             virtual_shard: None,
             views_down: Vec::new(),
             deltas_up: Vec::new(),
-            spans_up: Vec::new(),
+            spans_up: Ring::new(AGG_SPAN_BUDGET * 4),
             shard_stats: ClusterStats::new(),
             want_stats: false,
             reasm: Reassembler::default(),
@@ -226,13 +226,10 @@ impl AggregatorApp {
                     latencies: self.shard_stats.merged_latencies(),
                 }
             }
-            CtrlMsg::PullTrace { max } => {
-                let take = (max as usize).min(self.spans_up.len());
-                CtrlReply::Spans {
-                    re,
-                    spans: self.spans_up.drain(..take).collect(),
-                }
-            }
+            CtrlMsg::PullTrace { max } => CtrlReply::Spans {
+                re,
+                spans: self.spans_up.drain(max as usize).collect(),
+            },
             phase => self.participate(re, phase),
         }
     }
@@ -319,7 +316,6 @@ impl AggregatorApp {
     /// Summarize the shard for the root.
     fn agg_pong(&mut self, re: u32, nonce: u64) -> CtrlReply {
         let (hosts_synced, max_epoch, diverged) = self.roll_up();
-        let take = AGG_SPAN_BUDGET.min(self.spans_up.len());
         CtrlReply::AggPong {
             re,
             nonce,
@@ -330,7 +326,7 @@ impl AggregatorApp {
             max_epoch,
             diverged,
             deltas: std::mem::take(&mut self.deltas_up),
-            spans: self.spans_up.drain(..take).collect(),
+            spans: self.spans_up.drain(AGG_SPAN_BUDGET).collect(),
         }
     }
 
@@ -457,7 +453,7 @@ impl AggregatorApp {
                 ..
             } => {
                 child.said(epoch, digest);
-                self.buffer_spans(spans);
+                self.spans_up.extend(spans);
                 for d in frame.repl {
                     self.deltas_up
                         .retain(|(h, existing)| !(*h == from && existing.func == d.func));
@@ -472,21 +468,12 @@ impl AggregatorApp {
                 let (rng, history) = (ctx.rng(), &self.history);
                 self.coord.nack(from, re, epoch, now, rng, history);
             }
-            CtrlReply::Spans { spans, .. } => self.buffer_spans(spans),
+            CtrlReply::Spans { spans, .. } => self.spans_up.extend(spans),
             stats @ CtrlReply::Stats { .. } => self.record_stats(from, 1, stats),
             // An AggPong from a child is unexpected here; drop.
             CtrlReply::AggPong { .. } => {}
         }
         self.settle(stack, ctx);
-    }
-
-    fn buffer_spans(&mut self, spans: Vec<Span>) {
-        self.spans_up.extend(spans);
-        let cap = AGG_SPAN_BUDGET * 4;
-        if self.spans_up.len() > cap {
-            let excess = self.spans_up.len() - cap;
-            self.spans_up.drain(..excess);
-        }
     }
 }
 
@@ -701,6 +688,48 @@ mod tests {
             }
             other => panic!("expected AggPong, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn spans_up_keeps_the_newest_four_budgets() {
+        let mut a = AggregatorApp::new(AggConfig::default(), &[11]);
+        let span = |i: u64| Span {
+            trace_id: 1,
+            span_id: i,
+            parent_span: 0,
+            host: 11,
+            name: "prepare".into(),
+            start_ns: i,
+            end_ns: i,
+        };
+        let cap = 4 * AGG_SPAN_BUDGET as u64;
+        for burst in (0..cap + 100).collect::<Vec<_>>().chunks(48) {
+            a.spans_up.extend(burst.iter().map(|&i| span(i)));
+        }
+        let CtrlReply::AggPong { spans, .. } = a.handle_parent_msg(
+            1,
+            CtrlMsg::AggSync {
+                nonce: 1,
+                views: Vec::new(),
+            },
+        ) else {
+            panic!("expected AggPong");
+        };
+        let first: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+        assert_eq!(
+            first,
+            (100..100 + AGG_SPAN_BUDGET as u64).collect::<Vec<_>>()
+        );
+        let CtrlReply::Spans { spans, .. } =
+            a.handle_parent_msg(2, CtrlMsg::PullTrace { max: u16::MAX })
+        else {
+            panic!("expected Spans");
+        };
+        let rest: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+        assert_eq!(
+            rest,
+            (100 + AGG_SPAN_BUDGET as u64..cap + 100).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -228,11 +228,6 @@ impl ReplHub {
         self.funcs.clear();
     }
 
-    /// Any function replicated at all? Gates the wire sections.
-    pub fn is_active(&self) -> bool {
-        self.funcs.iter().any(Option::is_some)
-    }
-
     /// Ingest one host's delta for one function. Idempotent under
     /// retransmission: contributions are absolute, sequenced ops dedup by
     /// op id. Unknown functions are ignored (stale delta racing an epoch

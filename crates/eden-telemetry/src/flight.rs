@@ -1,17 +1,25 @@
-//! Crash flight recorder: per-lane event rings frozen into a black-box
-//! dump when something goes wrong.
+//! Flight events: the fixed-size records every bounded event trail in
+//! the workspace is made of, and the black-box dump they freeze into.
 //!
-//! Each enclave worker lane owns its own [`FlightRing`] — single-writer,
-//! so recording is lock-free by construction (ownership, not atomics) and
-//! costs one ring-slot write. On a VM trap, an epoch abort, or a
-//! reconciliation divergence the owner freezes the rings into a
-//! [`FlightDump`]: the last N events from every lane (merged in time
-//! order), the spans still open at the moment of the fault, and a counter
-//! snapshot. The dump is handed to a writer chosen by the `EDEN_FLIGHT`
-//! environment variable, and kept in memory for tests and the fuzzer's
-//! repro attachments.
+//! A [`FlightRing`] is a [`Ring`] of [`FlightEvent`]s, used two ways:
+//!
+//! * **Frozen on a fault.** Each enclave worker lane owns its own ring —
+//!   single-writer, so recording is lock-free by construction (ownership,
+//!   not atomics). On a VM trap, an epoch abort, or a reconciliation
+//!   divergence the owner freezes the rings into a [`FlightDump`]: the
+//!   last N events from every lane (merged in time order), the spans
+//!   still open at the moment of the fault, and a counter snapshot. The
+//!   dump is handed to a writer chosen by the `EDEN_FLIGHT` environment
+//!   variable, and kept in memory for tests and the fuzzer's repro
+//!   attachments.
+//! * **Taken whole.** A host stack with tracing enabled records one event
+//!   per layer a packet crosses — `send_message`, the enclave's verdict,
+//!   the rate limiter, the NIC queue, the wire — and
+//!   `Stack::take_trace` hands the ring over; `a` is the packet id (the
+//!   application's message tag at send) and `b` its first Eden class.
 
 use crate::json::{Json, ToJson};
+use crate::ring::Ring;
 use crate::snapshot::EnclaveCounters;
 use crate::span::Span;
 
@@ -47,6 +55,27 @@ pub enum FlightKind {
     /// epoch being staged (the active one for a direct install), `b` = the
     /// link error's code.
     InstallRefused,
+    /// The application handed a message to the host stack; `a` = the
+    /// message's app tag (the packet does not exist yet).
+    StackSend,
+    /// The enclave passed an egress packet on to the NIC.
+    EnclavePass,
+    /// The enclave dropped a packet (egress, or ingress before TCP).
+    EnclaveDrop,
+    /// The enclave steered an egress packet to a rate-limited queue.
+    EnclaveQueue,
+    /// A packet entered its rate limiter's queue.
+    LimiterEnqueue,
+    /// A packet named a rate-limited queue that does not exist.
+    LimiterDrop,
+    /// A packet waits in the NIC queue.
+    NicEnqueue,
+    /// The NIC queue was full and dropped the packet.
+    NicDrop,
+    /// A packet started transmitting on the wire.
+    WireTx,
+    /// A packet arrived from the wire.
+    WireDeliver,
 }
 
 impl FlightKind {
@@ -66,6 +95,16 @@ impl FlightKind {
             FlightKind::CtrlMsg => "ctrl_msg",
             FlightKind::Divergence => "divergence",
             FlightKind::InstallRefused => "install_refused",
+            FlightKind::StackSend => "stack_send",
+            FlightKind::EnclavePass => "enclave_pass",
+            FlightKind::EnclaveDrop => "enclave_drop",
+            FlightKind::EnclaveQueue => "enclave_queue",
+            FlightKind::LimiterEnqueue => "limiter_enqueue",
+            FlightKind::LimiterDrop => "limiter_drop",
+            FlightKind::NicEnqueue => "nic_enqueue",
+            FlightKind::NicDrop => "nic_drop",
+            FlightKind::WireTx => "wire_tx",
+            FlightKind::WireDeliver => "wire_deliver",
         }
     }
 }
@@ -96,72 +135,10 @@ impl ToJson for FlightEvent {
     }
 }
 
-/// A single-writer bounded event ring. The owner (one lane, or the
-/// control plane) records without locks; freezing copies the retained
-/// window out in arrival order.
-#[derive(Debug, Clone)]
-pub struct FlightRing {
-    buf: Vec<FlightEvent>,
-    capacity: usize,
-    /// Index of the oldest retained event.
-    head: usize,
-    /// Events recorded over the ring's lifetime.
-    pub recorded: u64,
-    /// Ordinal of the next event (monotonic across wrap-around).
-    seq: u64,
-    /// Per-event ordinals, parallel to `buf`.
-    seqs: Vec<u64>,
-}
-
-impl FlightRing {
-    /// A ring retaining the last `capacity` events (min 1).
-    pub fn new(capacity: usize) -> FlightRing {
-        let capacity = capacity.max(1);
-        FlightRing {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            recorded: 0,
-            seq: 0,
-            seqs: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Record one event, evicting the oldest when full.
-    #[inline]
-    pub fn record(&mut self, event: FlightEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-            self.seqs.push(self.seq);
-        } else {
-            self.buf[self.head] = event;
-            self.seqs[self.head] = self.seq;
-            self.head = (self.head + 1) % self.capacity;
-        }
-        self.seq += 1;
-        self.recorded += 1;
-    }
-
-    /// Retained events in arrival order, each with its global ordinal.
-    pub fn drain_ordered(&self) -> Vec<(u64, FlightEvent)> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        for i in 0..self.buf.len() {
-            let idx = (self.head + i) % self.buf.len();
-            out.push((self.seqs[idx], self.buf[idx]));
-        }
-        out
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
+/// A bounded trail of flight events, oldest first. Single-writer: the
+/// owner (one lane, the control plane, or a host stack) records without
+/// locks.
+pub type FlightRing = Ring<FlightEvent>;
 
 /// The frozen black box: everything known at the moment of the fault.
 #[derive(Debug, Clone)]
@@ -181,8 +158,9 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    /// Freeze `rings` (one per lane) into a dump. Events are merged by
-    /// `(at_ns, lane, ordinal)` so interleavings are deterministic.
+    /// Freeze `rings` (one per lane) into a dump. Events are merged by a
+    /// stable sort on `(at_ns, lane)`: each ring holds one lane's events
+    /// oldest first, so interleavings are deterministic.
     pub fn freeze(
         reason: impl Into<String>,
         host: u32,
@@ -191,18 +169,14 @@ impl FlightDump {
         open_spans: Vec<Span>,
         counters: EnclaveCounters,
     ) -> FlightDump {
-        let mut tagged: Vec<(u64, u16, u64, FlightEvent)> = Vec::new();
-        for ring in rings {
-            for (seq, ev) in ring.drain_ordered() {
-                tagged.push((ev.at_ns, ev.lane, seq, ev));
-            }
-        }
-        tagged.sort_by_key(|&(at, lane, seq, _)| (at, lane, seq));
+        let mut events: Vec<FlightEvent> =
+            rings.iter().flat_map(FlightRing::iter).copied().collect();
+        events.sort_by_key(|e| (e.at_ns, e.lane));
         FlightDump {
             reason: reason.into(),
             host,
             at_ns,
-            events: tagged.into_iter().map(|(_, _, _, e)| e).collect(),
+            events,
             open_spans,
             counters,
         }
@@ -293,13 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_last_n_in_order() {
-        let mut r = FlightRing::new(3);
+    fn freeze_keeps_each_rings_order_at_equal_times() {
+        let mut lane0 = FlightRing::new(3);
         for i in 0..5u64 {
-            r.record(ev(i, 0, i));
+            lane0.push(ev(7, 0, i));
         }
-        assert_eq!(r.recorded, 5);
-        let kept: Vec<u64> = r.drain_ordered().iter().map(|(_, e)| e.a).collect();
+        let dump = FlightDump::freeze("t", 0, 7, &[lane0], vec![], EnclaveCounters::default());
+        let kept: Vec<u64> = dump.events.iter().map(|e| e.a).collect();
         assert_eq!(kept, vec![2, 3, 4]);
     }
 
@@ -307,9 +281,9 @@ mod tests {
     fn freeze_merges_lanes_by_time() {
         let mut lane0 = FlightRing::new(8);
         let mut lane1 = FlightRing::new(8);
-        lane0.record(ev(10, 0, 1));
-        lane1.record(ev(5, 1, 2));
-        lane0.record(ev(20, 0, 3));
+        lane0.push(ev(10, 0, 1));
+        lane1.push(ev(5, 1, 2));
+        lane0.push(ev(20, 0, 3));
         let dump = FlightDump::freeze(
             "vm_trap",
             7,
@@ -326,7 +300,7 @@ mod tests {
     #[test]
     fn dump_json_names_events() {
         let mut r = FlightRing::new(4);
-        r.record(FlightEvent {
+        r.push(FlightEvent {
             at_ns: 1,
             lane: 0,
             kind: FlightKind::VmTrap,

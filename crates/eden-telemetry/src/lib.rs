@@ -8,8 +8,13 @@
 //!
 //! * [`StatsSnapshot`] + [`Telemetry`] — the point-in-time stats-pull API
 //!   (§3.2: the controller "can poll the enclave for statistics");
-//! * [`TraceRing`] / [`TraceEvent`] — a bounded ring buffer following
-//!   packets from `send_message` through the enclave to the wire;
+//! * [`Ring`] — the one bounded buffer: keeps the newest items, evicts
+//!   the oldest, counts both. Every buffer below is one;
+//! * [`FlightRing`] / [`FlightEvent`] — bounded event trails: per-lane
+//!   flight recorders frozen into a [`FlightDump`] on a fault, and the
+//!   host stack's packet-path trace from `send_message` through the
+//!   enclave to the wire;
+//! * [`Span`] / [`SpanSink`] / [`TraceStore`] — cross-host span trees;
 //! * [`TimeSeries`] — bounded time series for queue occupancy and drop
 //!   sampling in the fabric;
 //! * [`Json`] / [`ToJson`] — a small hand-rolled JSON tree, because the
@@ -24,10 +29,10 @@ mod flight;
 mod hist;
 mod json;
 mod prom;
+mod ring;
 mod series;
 mod snapshot;
 mod span;
-mod trace;
 
 pub use cluster::{ClusterStats, HostReport, ReplLag, WireCounters};
 pub use counters::{Block, Kind, Label, LabelValue, Row};
@@ -35,10 +40,10 @@ pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing};
 pub use hist::{bucket_bound, bucket_of, LatencyStat, LogHistogram, HIST_BUCKETS};
 pub use json::{Json, JsonParseError, ToJson};
 pub use prom::{metric_table_markdown, render_cluster, render_snapshot};
+pub use ring::Ring;
 pub use series::TimeSeries;
 pub use snapshot::{
     ConnStats, EnclaveCounters, FlowCounters, FuncCounts, FunctionCounters, HostCounters,
     RuleCounters, RuleHits, StatsSnapshot, TableCounters, TableLookups, Telemetry, VmCounters,
 };
 pub use span::{Sampler, Span, SpanSink, TraceContext, TraceStore};
-pub use trace::{TraceEvent, TraceLayer, TraceRing, TraceVerdict};

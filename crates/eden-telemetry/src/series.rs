@@ -4,18 +4,14 @@
 //! evicted, keeping the most recent window — and the eviction count is
 //! reported so a consumer knows the series was truncated.
 
-use std::collections::VecDeque;
-
 use crate::json::{Json, ToJson};
+use crate::ring::Ring;
 
 /// A named, capacity-bounded `(t_ns, value)` series.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     name: String,
-    points: VecDeque<(u64, f64)>,
-    capacity: usize,
-    /// Points evicted because the series was full.
-    pub evicted: u64,
+    points: Ring<(u64, f64)>,
 }
 
 impl TimeSeries {
@@ -23,9 +19,7 @@ impl TimeSeries {
     pub fn new(name: impl Into<String>, capacity: usize) -> TimeSeries {
         TimeSeries {
             name: name.into(),
-            points: VecDeque::new(),
-            capacity: capacity.max(1),
-            evicted: 0,
+            points: Ring::new(capacity.max(1)),
         }
     }
 
@@ -36,11 +30,12 @@ impl TimeSeries {
 
     /// Append a sample, evicting the oldest point if full.
     pub fn push(&mut self, at_ns: u64, value: f64) {
-        if self.points.len() == self.capacity {
-            self.points.pop_front();
-            self.evicted += 1;
-        }
-        self.points.push_back((at_ns, value));
+        self.points.push((at_ns, value));
+    }
+
+    /// Points evicted because the series was full.
+    pub fn evicted(&self) -> u64 {
+        self.points.evicted()
     }
 
     /// Number of retained points.
@@ -55,7 +50,7 @@ impl TimeSeries {
 
     /// The most recent sample.
     pub fn last(&self) -> Option<(u64, f64)> {
-        self.points.back().copied()
+        self.points.last().copied()
     }
 
     /// Iterate over retained `(t_ns, value)` points, oldest first.
@@ -87,7 +82,7 @@ impl ToJson for TimeSeries {
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("name", self.name.as_str().into()),
-            ("evicted", self.evicted.into()),
+            ("evicted", self.evicted().into()),
             (
                 "points",
                 Json::Arr(
@@ -111,7 +106,7 @@ mod tests {
             s.push(i * 10, i as f64);
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.evicted, 2);
+        assert_eq!(s.evicted(), 2);
         let pts: Vec<_> = s.iter().collect();
         assert_eq!(pts, vec![(20, 2.0), (30, 3.0), (40, 4.0)]);
         assert_eq!(s.last(), Some((40, 4.0)));

@@ -12,9 +12,8 @@
 //! the stack uses for trace packet ids) so two hosts' spans can be merged
 //! without collisions and without coordination.
 
-use std::collections::VecDeque;
-
 use crate::json::{Json, ToJson};
+use crate::ring::Ring;
 
 /// The in-band trace context: which trace a message belongs to, which
 /// span caused it, and whether receivers should record spans at all.
@@ -120,16 +119,13 @@ struct OpenSpan {
 ///
 /// Completion order is preserved; once `capacity` completed spans are
 /// buffered the *oldest* are evicted (the controller prefers fresh data)
-/// and `dropped` counts the loss.
-#[derive(Debug, Clone, Default)]
+/// and [`dropped`](Self::dropped) counts the loss.
+#[derive(Debug, Clone)]
 pub struct SpanSink {
     host: u32,
     seq: u64,
     open: Vec<OpenSpan>,
-    done: VecDeque<Span>,
-    capacity: usize,
-    /// Completed spans evicted because the sink was full.
-    pub dropped: u64,
+    done: Ring<Span>,
 }
 
 impl SpanSink {
@@ -139,9 +135,7 @@ impl SpanSink {
             host,
             seq: 0,
             open: Vec::new(),
-            done: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
+            done: Ring::new(capacity.max(1)),
         }
     }
 
@@ -192,11 +186,12 @@ impl SpanSink {
 
     /// Record an already-completed span.
     pub fn push(&mut self, span: Span) {
-        if self.done.len() == self.capacity {
-            self.done.pop_front();
-            self.dropped += 1;
-        }
-        self.done.push_back(span);
+        self.done.push(span);
+    }
+
+    /// Completed spans evicted because the sink was full.
+    pub fn dropped(&self) -> u64 {
+        self.done.evicted()
     }
 
     /// Record a completed span in one call (the common agent path).
@@ -227,8 +222,7 @@ impl SpanSink {
 
     /// Remove and return up to `max` completed spans, oldest first.
     pub fn drain(&mut self, max: usize) -> Vec<Span> {
-        let n = max.min(self.done.len());
-        self.done.drain(..n).collect()
+        self.done.drain(max).collect()
     }
 
     /// Snapshot of currently open spans (for flight-recorder dumps).
@@ -249,21 +243,16 @@ impl SpanSink {
 }
 
 /// The controller's view: every collected span, queryable as trees.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceStore {
-    spans: VecDeque<Span>,
-    capacity: usize,
-    /// Spans evicted because the store was full.
-    pub dropped: u64,
+    spans: Ring<Span>,
 }
 
 impl TraceStore {
     /// A store holding at most `capacity` spans (min 1).
     pub fn new(capacity: usize) -> TraceStore {
         TraceStore {
-            spans: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
+            spans: Ring::new(capacity.max(1)),
         }
     }
 
@@ -278,11 +267,12 @@ impl TraceStore {
             *slot = span;
             return;
         }
-        if self.spans.len() == self.capacity {
-            self.spans.pop_front();
-            self.dropped += 1;
-        }
-        self.spans.push_back(span);
+        self.spans.push(span);
+    }
+
+    /// Spans evicted because the store was full.
+    pub fn dropped(&self) -> u64 {
+        self.spans.evicted()
     }
 
     /// Total spans held.
@@ -306,7 +296,7 @@ impl TraceStore {
     /// Distinct trace ids held, in first-seen order.
     pub fn trace_ids(&self) -> Vec<u64> {
         let mut ids = Vec::new();
-        for s in &self.spans {
+        for s in self.spans.iter() {
             if !ids.contains(&s.trace_id) {
                 ids.push(s.trace_id);
             }
@@ -360,7 +350,7 @@ impl ToJson for TraceStore {
                 "spans",
                 Json::Arr(self.spans.iter().map(|s| s.to_json()).collect()),
             ),
-            ("dropped", self.dropped.into()),
+            ("dropped", self.dropped().into()),
         ])
     }
 }
@@ -393,7 +383,7 @@ mod tests {
         a.record(ctx, "y", 1, 2);
         a.record(ctx, "z", 2, 3);
         assert_eq!(a.pending(), 2, "capacity bound holds");
-        assert_eq!(a.dropped, 1);
+        assert_eq!(a.dropped(), 1);
         let drained = a.drain(10);
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].name, "y", "oldest evicted, order preserved");
@@ -472,7 +462,7 @@ mod tests {
             });
         }
         assert_eq!(store.len(), 4, "capacity bound holds");
-        assert_eq!(store.dropped, 1);
+        assert_eq!(store.dropped(), 1);
         assert_eq!(store.trace_ids(), vec![2, 3, 4, 5]);
     }
 }

@@ -90,16 +90,6 @@ impl<'a> Ctx<'a> {
     pub fn num_ports(&self) -> usize {
         self.port_rates.len()
     }
-
-    /// Link rate of `port` in bits per second.
-    pub fn port_rate(&self, port: PortId) -> u64 {
-        self.port_rates[port.0]
-    }
-
-    /// Serialization time of `bytes` on `port`.
-    pub fn tx_time(&self, port: PortId, bytes: usize) -> Time {
-        Time::serialization(bytes, self.port_rates[port.0])
-    }
 }
 
 /// A device attached to the network.

@@ -69,11 +69,6 @@ impl Switch {
         self.dst_table.insert(dst, port);
     }
 
-    /// Remove a label entry.
-    pub fn remove_label(&mut self, label: u16) {
-        self.label_table.remove(&label);
-    }
-
     /// Total egress drops across ports (buffer overflows).
     pub fn total_drops(&self) -> u64 {
         self.ports.iter().map(|p| p.total_drops()).sum()

@@ -36,11 +36,6 @@ impl Time {
         self.0
     }
 
-    /// Microseconds since start (rounded down).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since start, as f64 (for reporting only — the simulator
     /// itself never uses floating point for time).
     pub fn as_secs_f64(self) -> f64 {

@@ -26,9 +26,7 @@ pub mod ratelimit;
 pub mod stack;
 pub mod tcp;
 
-pub use eden_telemetry::{
-    FlowCounters, HostCounters, TraceEvent, TraceLayer, TraceRing, TraceVerdict,
-};
+pub use eden_telemetry::{FlightEvent, FlightKind, FlightRing, FlowCounters, HostCounters};
 pub use hook::{HookEnv, HookVerdict, NullHook, PacketHook};
 pub use host::{app_timer_token, App, Host};
 pub use ratelimit::TokenBucket;

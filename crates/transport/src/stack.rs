@@ -11,12 +11,12 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use eden_telemetry::{FlowCounters, HostCounters, TraceLayer, TraceRing, TraceVerdict};
+use eden_telemetry::{FlightEvent, FlightKind, FlightRing, FlowCounters, HostCounters};
 use netsim::{Ctx, EdenMeta, Packet, PortId, PriorityPort, Time};
 
 use crate::hook::{HookEnv, HookVerdict, PacketHook};
 use crate::ratelimit::TokenBucket;
-use crate::tcp::{Conn, ConnState, ConnStats, TcpConfig, TcpEvent, TcpOutput};
+use crate::tcp::{Conn, ConnStats, TcpConfig, TcpEvent, TcpOutput};
 
 /// Handle to one connection on a host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,10 +155,10 @@ pub struct Stack {
     /// Packets dropped below TCP: by a hook verdict, at a full NIC queue,
     /// or for naming a queue that does not exist.
     drops: HostCounters,
-    /// Packet-path trace ring; `None` (the default) records nothing and
-    /// costs one branch per trace point. Enabled by
-    /// [`Stack::enable_trace`].
-    trace: Option<TraceRing>,
+    /// Packet-path trace: one flight event per layer a packet crosses;
+    /// `None` (the default) records nothing and costs one branch per
+    /// trace point. Enabled by [`Stack::enable_trace`].
+    trace: Option<FlightRing>,
     /// Per-host sequence for trace packet ids (only advanced while
     /// tracing; ids are namespaced by `addr` so two hosts' traces can be
     /// merged without collisions).
@@ -175,10 +175,11 @@ pub struct Stack {
 /// First Eden class on a packet (0 = unclassified) — the class a trace
 /// event is labelled with.
 fn pkt_class(p: &Packet) -> u32 {
-    p.meta
-        .as_ref()
-        .and_then(|m| m.classes.first().copied())
-        .unwrap_or(0)
+    meta_class(p.meta.as_ref())
+}
+
+fn meta_class(meta: Option<&EdenMeta>) -> u32 {
+    meta.and_then(|m| m.classes.first().copied()).unwrap_or(0)
 }
 
 impl Stack {
@@ -222,14 +223,28 @@ impl Stack {
     // ------------------------------------------------------------------
 
     /// Start packet-path tracing into a fresh ring of `capacity` events
-    /// (replaces any existing ring).
+    /// (min 1; replaces any existing ring).
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceRing::new(capacity));
+        self.trace = Some(FlightRing::new(capacity.max(1)));
     }
 
-    /// Stop tracing and hand over the ring (e.g. to dump as JSON).
-    pub fn take_trace(&mut self) -> Option<TraceRing> {
+    /// Stop tracing and hand over the ring of flight events, oldest first.
+    pub fn take_trace(&mut self) -> Option<FlightRing> {
         self.trace.take()
+    }
+
+    /// Record one packet-path event while tracing: `a` = packet id (the
+    /// app tag at send), `b` = class. The class is read only while tracing.
+    fn trace_event(&mut self, kind: FlightKind, now: Time, id: u64, class: impl FnOnce() -> u32) {
+        if let Some(t) = self.trace.as_mut() {
+            t.push(FlightEvent {
+                at_ns: now.as_nanos(),
+                lane: 0,
+                kind,
+                a: id,
+                b: u64::from(class()),
+            });
+        }
     }
 
     /// Per-flow TCP counters for every connection ever created here.
@@ -253,11 +268,6 @@ impl Stack {
     /// Install the enclave (or any packet processor).
     pub fn set_hook(&mut self, hook: impl PacketHook) {
         self.hook = Some(Box::new(hook));
-    }
-
-    /// Remove the hook, returning to the vanilla path.
-    pub fn clear_hook(&mut self) {
-        self.hook = None;
     }
 
     /// Borrow the hook downcast to a concrete type (controller access to an
@@ -339,21 +349,11 @@ impl Stack {
         meta: Option<EdenMeta>,
         ctx: &mut Ctx<'_>,
     ) {
-        if let Some(t) = self.trace.as_mut() {
-            let class = meta
-                .as_ref()
-                .and_then(|m| m.classes.first().copied())
-                .unwrap_or(0);
-            // at the app layer the packet doesn't exist yet; the message's
-            // app_tag stands in as the event id
-            t.record(
-                ctx.now().as_nanos(),
-                app_tag,
-                class,
-                TraceLayer::App,
-                TraceVerdict::Send,
-            );
-        }
+        // the packet doesn't exist yet; the message's app_tag stands in as
+        // the event id
+        self.trace_event(FlightKind::StackSend, ctx.now(), app_tag, || {
+            meta_class(meta.as_ref())
+        });
         let mut out = self.new_output();
         self.conns[conn.0].send_message(bytes, app_tag, meta, ctx.now(), &mut out);
         self.conns[conn.0].gc_messages();
@@ -365,11 +365,6 @@ impl Stack {
         let mut out = self.new_output();
         self.conns[conn.0].close(ctx.now(), &mut out);
         self.apply_output(conn.0, out, ctx);
-    }
-
-    /// Connection state (for tests/instrumentation).
-    pub fn conn_state(&self, conn: ConnId) -> ConnState {
-        self.conns[conn.0].state
     }
 
     /// Connection counters.
@@ -385,11 +380,6 @@ impl Stack {
     /// Current retransmission timeout.
     pub fn conn_rto(&self, conn: ConnId) -> Time {
         self.conns[conn.0].rto()
-    }
-
-    /// Smoothed RTT, nanoseconds.
-    pub fn conn_srtt_ns(&self, conn: ConnId) -> u64 {
-        self.conns[conn.0].srtt_ns()
     }
 
     /// Bytes in flight.
@@ -423,15 +413,9 @@ impl Stack {
 
     /// A packet arrived from the NIC.
     pub(crate) fn handle_ingress(&mut self, mut packet: Box<Packet>, ctx: &mut Ctx<'_>) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(
-                ctx.now().as_nanos(),
-                packet.id,
-                pkt_class(&packet),
-                TraceLayer::Wire,
-                TraceVerdict::Deliver,
-            );
-        }
+        self.trace_event(FlightKind::WireDeliver, ctx.now(), packet.id, || {
+            pkt_class(&packet)
+        });
         // Control-endpoint demux: frames for the control port short-circuit
         // to the hook's control handler before the data-path ingress hook,
         // so a half-updated rule table can never filter its own repairs.
@@ -481,15 +465,9 @@ impl Stack {
                     // a Queue verdict on ingress is not part of the model
                     // and drops like a Drop verdict
                     self.drops.hook_drops += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(
-                            ctx.now().as_nanos(),
-                            packet.id,
-                            pkt_class(&packet),
-                            TraceLayer::Enclave,
-                            TraceVerdict::Drop,
-                        );
-                    }
+                    self.trace_event(FlightKind::EnclaveDrop, ctx.now(), packet.id, || {
+                        pkt_class(&packet)
+                    });
                     return;
                 }
             }
@@ -523,15 +501,7 @@ impl Stack {
     pub(crate) fn handle_tx_done(&mut self, ctx: &mut Ctx<'_>) {
         match self.nic.dequeue() {
             Some(next) => {
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(
-                        ctx.now().as_nanos(),
-                        next.id,
-                        pkt_class(&next),
-                        TraceLayer::Wire,
-                        TraceVerdict::Tx,
-                    );
-                }
+                self.trace_event(FlightKind::WireTx, ctx.now(), next.id, || pkt_class(&next));
                 ctx.start_tx(PortId(0), next)
             }
             None => self.nic.busy = false,
@@ -698,20 +668,12 @@ impl Stack {
     }
 
     fn route_egress_verdict(&mut self, packet: Packet, verdict: HookVerdict, ctx: &mut Ctx<'_>) {
-        if let Some(t) = self.trace.as_mut() {
-            let v = match verdict {
-                HookVerdict::Pass => TraceVerdict::Pass,
-                HookVerdict::Drop => TraceVerdict::Drop,
-                HookVerdict::Queue { .. } => TraceVerdict::Queue,
-            };
-            t.record(
-                ctx.now().as_nanos(),
-                packet.id,
-                pkt_class(&packet),
-                TraceLayer::Enclave,
-                v,
-            );
-        }
+        let kind = match verdict {
+            HookVerdict::Pass => FlightKind::EnclavePass,
+            HookVerdict::Drop => FlightKind::EnclaveDrop,
+            HookVerdict::Queue { .. } => FlightKind::EnclaveQueue,
+        };
+        self.trace_event(kind, ctx.now(), packet.id, || pkt_class(&packet));
         match verdict {
             HookVerdict::Pass => self.nic_enqueue(Box::new(packet), ctx),
             HookVerdict::Drop => {
@@ -720,26 +682,14 @@ impl Stack {
             HookVerdict::Queue { queue, charge } => {
                 if queue >= self.limiters.len() {
                     self.drops.bad_queue_drops += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(
-                            ctx.now().as_nanos(),
-                            packet.id,
-                            pkt_class(&packet),
-                            TraceLayer::Limiter,
-                            TraceVerdict::Drop,
-                        );
-                    }
+                    self.trace_event(FlightKind::LimiterDrop, ctx.now(), packet.id, || {
+                        pkt_class(&packet)
+                    });
                     return;
                 }
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(
-                        ctx.now().as_nanos(),
-                        packet.id,
-                        pkt_class(&packet),
-                        TraceLayer::Limiter,
-                        TraceVerdict::Enqueue,
-                    );
-                }
+                self.trace_event(FlightKind::LimiterEnqueue, ctx.now(), packet.id, || {
+                    pkt_class(&packet)
+                });
                 self.limiters[queue].enqueue(Box::new(packet), charge, ctx.now());
                 let released = self.limiters[queue].release(ctx.now());
                 for p in released {
@@ -763,15 +713,9 @@ impl Stack {
 
     fn nic_enqueue(&mut self, packet: Box<Packet>, ctx: &mut Ctx<'_>) {
         if !self.nic.busy && !self.nic.has_backlog() {
-            if let Some(t) = self.trace.as_mut() {
-                t.record(
-                    ctx.now().as_nanos(),
-                    packet.id,
-                    pkt_class(&packet),
-                    TraceLayer::Wire,
-                    TraceVerdict::Tx,
-                );
-            }
+            self.trace_event(FlightKind::WireTx, ctx.now(), packet.id, || {
+                pkt_class(&packet)
+            });
             self.nic.busy = true;
             ctx.start_tx(PortId(0), packet);
             return;
@@ -793,19 +737,12 @@ impl Stack {
         if !accepted {
             self.drops.nic_drops += 1;
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.record(
-                ctx.now().as_nanos(),
-                pid,
-                pclass,
-                TraceLayer::Nic,
-                if accepted {
-                    TraceVerdict::Enqueue
-                } else {
-                    TraceVerdict::Drop
-                },
-            );
-        }
+        let kind = if accepted {
+            FlightKind::NicEnqueue
+        } else {
+            FlightKind::NicDrop
+        };
+        self.trace_event(kind, ctx.now(), pid, || pclass);
     }
 }
 

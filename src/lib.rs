@@ -16,7 +16,8 @@
 //!   two-phase updates, failure detection, reconciliation
 //! - [`repl`] — replicated cross-host state: merged and sequenced globals
 //! - [`apps`] — example stages, workloads, and the network-function library
-//! - [`telemetry`] — counters, snapshots, time series, and trace rings
+//! - [`telemetry`] — counters, snapshots, time series, bounded rings and
+//!   flight events
 
 pub use eden_apps as apps;
 pub use eden_core as core;

@@ -1,14 +1,16 @@
 //! Property tests for the telemetry layer: the enclave's counter
 //! conservation invariant (`processed = forwarded + dropped + punted`)
 //! must hold for every interleaving of pass/drop/punt/queue verdicts,
-//! the punt counter must agree with the punt mailbox, and the log2
+//! the punt counter must agree with the punt mailbox, the log2
 //! latency histogram's percentiles must bracket the true sample
-//! percentiles within one bucket.
+//! percentiles within one bucket, and the one bounded `Ring` every
+//! telemetry buffer is built on must keep exactly the newest items and
+//! count exactly what it recorded and evicted.
 
 use eden::core::{native_function, ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
 use eden::lang::{Concurrency, Schema};
 use eden::netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
-use eden::telemetry::{bucket_bound, bucket_of, LogHistogram, Telemetry};
+use eden::telemetry::{bucket_bound, bucket_of, LogHistogram, Ring, Telemetry};
 use eden::vm::Outcome;
 use proptest::prelude::*;
 
@@ -128,6 +130,41 @@ proptest! {
             stream.iter().filter(|&&c| c == 3).count() as u64,
             "draining the mailbox must not reset the counter"
         );
+    }
+
+    /// A `Ring` driven by random pushes and drains agrees with a `Vec`
+    /// model: it never holds more than its capacity, it keeps the newest
+    /// items in push order, a drain yields the oldest, and `recorded` /
+    /// `evicted` are exact. Capacity 0 keeps nothing.
+    #[test]
+    fn ring_matches_a_vec_model(
+        capacity in 0usize..6,
+        ops in proptest::collection::vec((0u8..4, 0u32..1000), 0..200),
+    ) {
+        let mut ring = Ring::new(capacity);
+        let mut model: Vec<u32> = Vec::new();
+        let (mut pushed, mut drained) = (0u64, 0u64);
+        for (op, x) in ops {
+            if op < 3 {
+                ring.push(x);
+                model.push(x);
+                pushed += 1;
+                let over = model.len().saturating_sub(capacity);
+                model.drain(..over);
+            } else {
+                let max = (x % 4) as usize;
+                let got: Vec<u32> = ring.drain(max).collect();
+                let n = max.min(model.len());
+                let want: Vec<u32> = model.drain(..n).collect();
+                prop_assert_eq!(got, want, "a drain yields the oldest");
+                drained += n as u64;
+            }
+            prop_assert!(ring.len() <= capacity);
+            let kept: Vec<u32> = ring.iter().copied().collect();
+            prop_assert_eq!(&kept, &model, "the newest items, in order");
+            prop_assert_eq!(ring.recorded(), pushed);
+            prop_assert_eq!(ring.evicted(), pushed - drained - model.len() as u64);
+        }
     }
 
     /// The log2 histogram's quantiles bracket the *true* nearest-rank

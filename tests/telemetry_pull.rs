@@ -1,12 +1,12 @@
 //! Telemetry end-to-end: a controller pulls a `StatsSnapshot` from an
-//! enclave running inside a live host stack, the packet-path trace ring
-//! records the journey, opcode profiling attributes interpreter work,
+//! enclave running inside a live host stack, the stack's packet-path
+//! flight events record the journey, opcode profiling attributes interpreter work,
 //! and the fabric monitor samples switch queues — all without changing
 //! what the data path does.
 
 use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
 use eden::netsim::{LinkSpec, Network, QueueMonitor, Switch, SwitchConfig, Time};
-use eden::telemetry::{ToJson, TraceLayer};
+use eden::telemetry::{FlightKind, ToJson};
 use eden::transport::{app_timer_token, App, ConnId, Host, Stack, StackConfig};
 use netsim::{Ctx, EdenMeta};
 
@@ -159,18 +159,31 @@ fn controller_pulls_snapshot_from_running_enclave() {
     assert!(hook_snap.flows.is_empty());
     assert!(hook_snap.host.is_none());
 
-    // --- packet-path trace ring ----------------------------------------
+    // --- packet-path flight events -------------------------------------
     let trace = stack.take_trace().expect("tracing was enabled");
-    assert!(trace.recorded > 0, "trace events recorded");
-    let layers: Vec<TraceLayer> = trace.iter().map(|ev| ev.layer).collect();
-    assert!(layers.contains(&TraceLayer::App), "send_message traced");
+    assert!(trace.recorded() > 0, "trace events recorded");
+    let kinds: Vec<FlightKind> = trace.iter().map(|ev| ev.kind).collect();
+    let send = trace
+        .iter()
+        .find(|ev| ev.kind == FlightKind::StackSend)
+        .expect("send_message traced");
+    assert_eq!((send.a, send.b), (1, u64::from(class.0)), "app tag, class");
     assert!(
-        layers.contains(&TraceLayer::Enclave),
+        kinds.iter().any(|k| matches!(
+            k,
+            FlightKind::EnclavePass | FlightKind::EnclaveQueue | FlightKind::EnclaveDrop
+        )),
         "enclave verdict traced"
     );
-    assert!(layers.contains(&TraceLayer::Wire), "wire tx/deliver traced");
+    assert!(
+        kinds.contains(&FlightKind::WireTx) && kinds.contains(&FlightKind::WireDeliver),
+        "wire tx/deliver traced"
+    );
     let trace_json = trace.to_json().render();
-    assert!(trace_json.contains("\"events\"") || trace_json.contains("\"at_ns\""));
+    assert!(
+        trace_json.contains(r#""kind":"stack_send""#),
+        "{trace_json:.200}"
+    );
 
     // --- fabric sampling -----------------------------------------------
     assert_eq!(monitor.series().len(), 1, "one switch sampled");
