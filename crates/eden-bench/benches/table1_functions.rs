@@ -34,9 +34,10 @@ fn main() {
         let schema = bundle.schema();
         let compiled = compile(bundle.name, &bundle.source, &schema).expect("catalogue compiles");
 
-        let uses_state = !compiled.effects.msg_writes.is_empty()
-            || !compiled.effects.glob_writes.is_empty()
-            || !compiled.effects.arr_writes.is_empty();
+        let state = &compiled.program.envelope().state;
+        let uses_state = !state.message.writes().is_empty()
+            || !state.global.writes().is_empty()
+            || !state.arrays.writes().is_empty();
         let uses_app_semantics = schema.fields().iter().any(|f| {
             f.scope == Scope::Packet
                 && matches!(
@@ -50,9 +51,9 @@ fn main() {
                             | HeaderField::MetaMsgStart
                     )
                 )
-                && compiled.effects.pkt_reads.contains(&f.slot)
-        }) || !compiled.effects.msg_writes.is_empty()
-            || !compiled.effects.msg_reads.is_empty();
+                && state.packet.reads().contains(f.slot)
+        }) || !state.message.writes().is_empty()
+            || !state.message.reads().is_empty();
         let computes = compiled.program.ops().len() > 3;
 
         // demonstrate out-of-the-box: install and run both engines

@@ -290,7 +290,7 @@ pub fn run(batches: usize, per_batch: usize) -> RunResult {
 const CATALOGUE_ROW: [i64; 4] = [1_000_000, 1, i64::MAX, 0];
 
 /// A bare `VecHost` with the generic catalogue state the ablations use:
-/// every schema array populated with [`CATALOGUE_ROW`], every global set
+/// every schema array populated with `CATALOGUE_ROW`, every global set
 /// to 1 (so divisors are never zero).
 pub fn catalogue_host(bundle: &FunctionBundle) -> eden_vm::VecHost {
     let mut host = eden_vm::VecHost::with_slots(8, 8, 8);
@@ -501,7 +501,7 @@ pub struct EngineRatio {
 }
 
 /// Ablation: interpreted over native per catalogue function, through the
-/// whole `process` walk over [`CATALOGUE_ROW`] state — the interpreter's
+/// whole `process` walk over `CATALOGUE_ROW` state — the interpreter's
 /// cost depends on the program, not just the packet. `conntrack` needs
 /// ingress context and `port-knock` an exact packet sequence; both are
 /// left out.

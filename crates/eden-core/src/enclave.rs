@@ -94,7 +94,7 @@ pub struct EnclaveConfig {
     /// host. Off by default: most Eden functions are egress-side, and the
     /// paper's enclave sits on the send path. Functions can distinguish
     /// directions through a packet field mapped to
-    /// [`HeaderField::Direction`].
+    /// [`HeaderField::Direction`](eden_lang::HeaderField::Direction).
     pub process_ingress: bool,
     /// Worker lanes for the batched data path (interpreters + message-state
     /// shards). `1` disables parallel execution entirely.
@@ -1078,20 +1078,38 @@ mod tests {
             ..b.stats
         };
         assert_eq!(packet_counts, e.stats);
-        let span_names = |e: &mut Enclave| -> Vec<String> {
-            let spans = e.drain_spans(100);
-            spans.into_iter().map(|s| s.name).collect()
+        let shape = |spans: &[eden_telemetry::Span]| -> Vec<(String, u64, u64, u64)> {
+            let ids =
+                |s: &eden_telemetry::Span| (s.name.clone(), s.trace_id, s.span_id, s.parent_span);
+            spans.iter().map(ids).collect()
         };
-        let batch_names = span_names(&mut b);
+        let batch_shape = shape(&b.drain_spans(100));
         // 1-in-2 sampling: 4 traced packets, each completing 3 spans
         // (classify + execute + the "pkt" root)
         assert_eq!(e.pending_spans(), 12);
-        let spans = span_names(&mut e);
-        assert_eq!(batch_names, spans);
-        assert!(spans.iter().any(|s| s == "pkt"));
-        assert!(spans.iter().any(|s| s == "classify"));
-        assert!(spans.iter().any(|s| s == "execute"));
+        let spans = e.drain_spans(100);
         assert_eq!(e.pending_spans(), 0);
+        // per traced packet: the trace id, then the root's id, then one
+        // per child; the root is pushed whole after its two children
+        let mut want = Vec::new();
+        for k in 0..4u64 {
+            let (trace, root) = (4 * k + 1, 4 * k + 2);
+            want.push(("classify".to_string(), trace, root + 1, root));
+            want.push(("execute".to_string(), trace, root + 2, root));
+            want.push(("pkt".to_string(), trace, root, 0));
+        }
+        assert_eq!(shape(&spans), want);
+        assert_eq!(batch_shape, want);
+        for trace in spans.chunks(3) {
+            let [classify, execute, root] = trace else {
+                unreachable!("chunks of three");
+            };
+            assert_eq!(classify.end_ns, execute.start_ns, "back to back");
+            assert_eq!(
+                (root.start_ns, root.end_ns),
+                (classify.start_ns, execute.end_ns)
+            );
+        }
 
         let snap = e.stats_snapshot();
         let names: Vec<&str> = snap.latencies.iter().map(|l| l.name.as_str()).collect();
@@ -1099,6 +1117,24 @@ mod tests {
         assert!(names.contains(&"stage.execute"), "{names:?}");
         assert!(names.contains(&"vm.exec"), "{names:?}");
         assert!(names.contains(&"func.t"), "{names:?}");
+        // `vm.exec` is the interpreted functions' sampled cost: an enclave
+        // that ran only native functions times them, and reports no VM
+        let mut n = Enclave::new(config);
+        let f = n.install_function(native_function(
+            "n",
+            Schema::new(),
+            Concurrency::Parallel,
+            Box::new(|_env| Ok(Outcome::Done)),
+        ));
+        n.install_rule(TableId(0), MatchSpec::Any, f);
+        for i in 0..8u64 {
+            let mut p = Packet::udp(1, 2, netsim::UdpHeader::default(), 100);
+            n.process(&mut p, &mut rng, Time::from_nanos(i));
+        }
+        let snap = n.stats_snapshot();
+        let names: Vec<&str> = snap.latencies.iter().map(|l| l.name.as_str()).collect();
+        assert!(names.contains(&"func.n"), "{names:?}");
+        assert!(!names.contains(&"vm.exec"), "{names:?}");
 
         // with sampling off (the default) snapshots carry no latencies
         let quiet = Enclave::new(EnclaveConfig::default());

@@ -13,7 +13,7 @@
 use std::fmt;
 
 use eden_lang::{Access, Concurrency, HeaderField, Schema, Scope};
-use eden_vm::{Envelope, Limits, ScopeUse, StateUse, VmError};
+use eden_vm::{Envelope, Limits, ScopeUse, VmError};
 
 use crate::action::{ActionImpl, InstalledFunction};
 
@@ -132,17 +132,6 @@ pub(super) fn link(function: InstalledFunction, limits: &Limits) -> Result<Linke
     Ok(Linked { function, pkt })
 }
 
-/// The concurrency level a write set derives (§3.4.4).
-fn derived_level(state: &StateUse) -> Concurrency {
-    if !state.global.writes().is_empty() || !state.arrays.writes().is_empty() {
-        Concurrency::Serialized
-    } else if !state.message.writes().is_empty() {
-        Concurrency::PerMessage
-    } else {
-        Concurrency::Parallel
-    }
-}
-
 /// Hold a program's envelope against the limits, the schema it will run
 /// over and the level it was declared at.
 fn check(
@@ -176,7 +165,7 @@ fn check(
         });
     }
     // `Parallel` writes nothing, `PerMessage` writes no global
-    let needs = derived_level(state);
+    let needs = Concurrency::needed(state);
     if needs > declared {
         return Err(LinkError::ConcurrencyTooWeak { declared, needs });
     }

@@ -4,7 +4,7 @@
 
 use eden_lang::Access;
 use eden_repl::HostRepl;
-use eden_telemetry::{FlightEvent, FlightKind, FlightRing, FuncCounts, TraceContext};
+use eden_telemetry::{FlightEvent, FlightKind, FlightRing, FuncCounts, Span, TraceContext};
 use eden_vm::{Interpreter, Outcome, Program, VmError};
 use netsim::{Packet, PacketRng, SimRng, Time};
 use transport::HookVerdict;
@@ -39,7 +39,7 @@ impl Enclave {
         self.stats.packets += 1;
         self.last_now = now;
         let sampled = self.sampler.sample();
-        let stage_t = sampled.then(std::time::Instant::now);
+        let t_classify = sampled.then(std::time::Instant::now);
 
         // --- classify: class list, message identity, per-packet RNG ----
         self.classes.clear();
@@ -47,22 +47,11 @@ impl Enclave {
         let msg_id = message_id(packet);
         let mut prng = rng.fork_packet();
 
-        // sampled packet: open a fresh trace rooted at a "pkt" span, with
-        // the classify stage already timed and recorded
+        // sampled packet: the end of classify is the start of the walk
         let at = now.as_nanos();
-        let trace = stage_t.map(|t0| {
-            let classify_ns = t0.elapsed().as_nanos() as u64;
-            self.stage_hists[STAGE_CLASSIFY].record(classify_ns);
-            let trace_id = self.spans.next_span_id();
-            let root = self
-                .spans
-                .begin(TraceContext::sampled(trace_id, 0), "pkt", at);
-            self.spans.record(
-                TraceContext::sampled(trace_id, root),
-                "classify",
-                at,
-                at + classify_ns,
-            );
+        let t_walk = t_classify.map(|t0| {
+            let t1 = std::time::Instant::now();
+            let classify_ns = (t1 - t0).as_nanos() as u64;
             self.flight[0].push(FlightEvent {
                 at_ns: at,
                 lane: 0,
@@ -70,7 +59,7 @@ impl Enclave {
                 a: u64::from(self.classes.first().copied().unwrap_or(0)),
                 b: classify_ns,
             });
-            (trace_id, root, classify_ns, std::time::Instant::now())
+            (classify_ns, t1)
         });
 
         // --- match + execute + epilogue, on lane 0's interpreter ---------
@@ -103,16 +92,9 @@ impl Enclave {
         for (fid, ns) in func_samples {
             self.func_latency[fid].record(ns);
         }
-        if let Some((trace_id, root, classify_ns, t_walk)) = trace {
-            let walk_ns = t_walk.elapsed().as_nanos() as u64;
-            self.stage_hists[STAGE_EXECUTE].record(walk_ns);
-            self.spans.record(
-                TraceContext::sampled(trace_id, root),
-                "execute",
-                at + classify_ns,
-                at + classify_ns + walk_ns,
-            );
-            self.spans.end(root, at + classify_ns + walk_ns);
+        if let Some((classify_ns, t1)) = t_walk {
+            let walk_ns = t1.elapsed().as_nanos() as u64;
+            self.record_stages("pkt", at, classify_ns, walk_ns);
         }
         if walk.fault {
             self.freeze_flight("vm_trap");
@@ -270,9 +252,12 @@ impl Enclave {
                     packet,
                 });
         }
-        let deal_ns = t_deal.map(|t| t.elapsed().as_nanos() as u64);
+        // the end of the deal is the start of the lanes' run
+        let t_lanes = t_deal.map(|t0| {
+            let t1 = std::time::Instant::now();
+            ((t1 - t0).as_nanos() as u64, t1)
+        });
 
-        let t_lanes = tracing.then(std::time::Instant::now);
         for ((f, state), repl) in self
             .functions
             .iter()
@@ -301,7 +286,7 @@ impl Enclave {
         }
         self.lane_pool.run(&mut tasks, run_lane_task);
         drop(tasks);
-        let lanes_ns = t_lanes.map(|t| t.elapsed().as_nanos() as u64);
+        let stages = t_lanes.map(|(deal_ns, t1)| (deal_ns, t1.elapsed().as_nanos() as u64));
 
         // --- merge: counters in lane order, packet-ordered queues --------
         let base = out.len();
@@ -339,24 +324,39 @@ impl Enclave {
         for (_, p) in all_punts {
             self.push_punt(p);
         }
-        // batch-level stage trace: one root span with the caller's pass and
-        // the lanes' run as children, back to back from the batch instant
-        if let (Some(c), Some(e)) = (deal_ns, lanes_ns) {
-            self.stage_hists[STAGE_CLASSIFY].record(c);
-            self.stage_hists[STAGE_EXECUTE].record(e);
-            let at = now.as_nanos();
-            let trace_id = self.spans.next_span_id();
-            let root = self
-                .spans
-                .begin(TraceContext::sampled(trace_id, 0), "batch", at);
-            let ctx = TraceContext::sampled(trace_id, root);
-            self.spans.record(ctx, "classify", at, at + c);
-            self.spans.record(ctx, "execute", at + c, at + c + e);
-            self.spans.end(root, at + c + e);
+        // batch-level stage trace: the caller's pass and the lanes' run
+        if let Some((deal_ns, lanes_ns)) = stages {
+            self.record_stages("batch", now.as_nanos(), deal_ns, lanes_ns);
         }
         if faulted {
             self.freeze_flight("vm_trap");
         }
+    }
+
+    /// Record one sampled trace whole: a `root` span (`pkt` or `batch`)
+    /// whose `classify` and `execute` children run back to back from `at`.
+    /// The root's id is allocated first and the root is pushed after its
+    /// children, so ids count up from parent to child while the sink holds
+    /// spans in completion order.
+    fn record_stages(&mut self, root: &str, at: u64, classify_ns: u64, execute_ns: u64) {
+        self.stage_hists[STAGE_CLASSIFY].record(classify_ns);
+        self.stage_hists[STAGE_EXECUTE].record(execute_ns);
+        let trace_id = self.spans.next_span_id();
+        let root_id = self.spans.next_span_id();
+        let ctx = TraceContext::sampled(trace_id, root_id);
+        let walk_at = at + classify_ns;
+        let end_ns = walk_at + execute_ns;
+        self.spans.record(ctx, "classify", at, walk_at);
+        self.spans.record(ctx, "execute", walk_at, end_ns);
+        self.spans.push(Span {
+            trace_id,
+            span_id: root_id,
+            parent_span: 0,
+            host: self.spans.host(),
+            name: root.into(),
+            start_ns: at,
+            end_ns,
+        });
     }
 
     /// Append to the bounded punt mailbox: when full, the oldest punt

@@ -2,11 +2,12 @@
 //! and the flight recorder.
 
 use eden_telemetry::{
-    FlightDump, FlightEvent, FlightKind, FuncCounts, FunctionCounters, LatencyStat, RuleCounters,
-    Sampler, Span, StatsSnapshot, TableCounters, Telemetry, TraceContext,
+    FlightDump, FlightEvent, FlightKind, FuncCounts, FunctionCounters, LatencyStat, LogHistogram,
+    RuleCounters, Sampler, Span, StatsSnapshot, TableCounters, Telemetry, TraceContext,
 };
 
 use super::{Enclave, STAGE_NAMES};
+use crate::action::ActionImpl;
 
 impl Enclave {
     /// Copy every data-path counter into a point-in-time
@@ -87,9 +88,11 @@ impl Enclave {
     }
 
     /// Named latency histograms for a snapshot: pipeline stages, sampled
-    /// VM execution, and per-function cost. Empty (and the section
-    /// entirely absent) unless tracing is enabled, so default snapshots —
-    /// and the serial/batch equivalence they are compared by — carry no
+    /// VM execution, and per-function cost. `vm.exec` is not timed on its
+    /// own: it is the sampled `func.*` histograms of the interpreted
+    /// functions, merged here. Empty (and the section entirely absent)
+    /// unless tracing is enabled, so default snapshots — and the
+    /// serial/batch equivalence they are compared by — carry no
     /// wall-clock noise.
     fn latency_stats(&self) -> Vec<LatencyStat> {
         if !self.sampler.enabled() {
@@ -101,7 +104,12 @@ impl Enclave {
                 out.push(LatencyStat::new(*name, h.clone()));
             }
         }
-        let vm = self.pool.latency_histogram();
+        let mut vm = LogHistogram::new();
+        for (f, h) in self.functions.iter().zip(&self.func_latency) {
+            if matches!(f.action, ActionImpl::Interpreted(_)) {
+                vm.merge(h);
+            }
+        }
         if !vm.is_empty() {
             out.push(LatencyStat::new("vm.exec", vm));
         }
@@ -133,7 +141,7 @@ impl Enclave {
     // ------------------------------------------------------------------
 
     /// Change the data-path trace sampling rate at runtime (0 disables;
-    /// see [`EnclaveConfig::trace_sample`]).
+    /// see [`EnclaveConfig::trace_sample`](crate::EnclaveConfig::trace_sample)).
     pub fn set_trace_sample(&mut self, every: u32) {
         self.config.trace_sample = every;
         self.sampler = Sampler::every(every);
@@ -186,7 +194,7 @@ impl Enclave {
     }
 
     /// Freeze the per-lane event rings into a [`FlightDump`] (last
-    /// events, open spans, and a counter snapshot), emit it per
+    /// events and a counter snapshot), emit it per
     /// `EDEN_FLIGHT`, and keep it for
     /// [`last_flight_dump`](Self::last_flight_dump).
     pub fn freeze_flight(&mut self, reason: &str) {
@@ -195,7 +203,6 @@ impl Enclave {
             self.spans.host(),
             self.last_now.as_nanos(),
             &self.flight,
-            self.spans.open_spans(),
             self.stats,
         );
         dump.emit();

@@ -26,12 +26,12 @@
 //! Two cache hints hide the index's memory latency. A full index is tens
 //! of megabytes and a new id's home bucket is a line nobody has touched,
 //! so a creation at the cap waits on memory twice: once probing for the
-//! new id, once in [`MsgShard::remove`] for the evictee. *Evict-ahead*:
+//! new id, once in `MsgShard::remove` for the evictee. *Evict-ahead*:
 //! when `create` has popped its evictee it asks for the home bucket of the
 //! id now at the front of the FIFO — the one the next creation removes.
 //! *Lookahead*: [`FunctionState::hint`] asks for the home bucket of an id
 //! a caller expects to touch soon (the enclave's burst loop, a few packets
-//! ahead). Both end in [`prefetch`], which reads and writes nothing the
+//! ahead). Both end in `prefetch`, which reads and writes nothing the
 //! program can observe: a hint that is wrong, stale or never followed up
 //! costs a cache line, not a result.
 

@@ -3,7 +3,7 @@
 //!
 //! [`EnclaveAgent`] is a [`PacketHook`] that delegates the whole data path
 //! to the enclave it wraps and additionally plays the
-//! [`participant`] role on `on_ctrl`. Install it with `Stack::set_hook` +
+//! `participant` role on `on_ctrl`. Install it with `Stack::set_hook` +
 //! `Stack::set_ctrl_port` and the host speaks both planes over the same
 //! NIC.
 
@@ -122,12 +122,11 @@ impl PacketHook for EnclaveAgent {
     fn on_ctrl(&mut self, from: u32, frame: &[u8], env: &mut HookEnv<'_>) -> Vec<Vec<u8>> {
         // A frame that fails reassembly or decoding is simply dropped:
         // the controller's retry (same message id) recovers the exchange.
-        let payload = match self.reasm.accept(from, frame) {
-            Ok(Some(payload)) => payload,
+        // The request's message id doubles as the correlation id `re`.
+        let (re, payload) = match self.reasm.accept(from, frame) {
+            Ok(Some(message)) => message,
             Ok(None) | Err(_) => return Vec::new(),
         };
-        // The request's message id doubles as the correlation id `re`.
-        let re = u32::from_le_bytes(frame[2..6].try_into().unwrap());
         let Ok(request) = Request::decode(&payload) else {
             return Vec::new();
         };
@@ -406,7 +405,7 @@ mod tests {
         }
         assert_eq!(replies.len(), 1, "one reply frame after the last fragment");
         let mut r = Reassembler::default();
-        let payload = r.accept(1, &replies[0]).unwrap().unwrap();
+        let (_, payload) = r.accept(1, &replies[0]).unwrap().unwrap();
         assert_eq!(
             Response::decode(&payload).unwrap().body,
             CtrlReply::Ack {

@@ -2,10 +2,10 @@
 //! O(#aggregators) instead of O(#hosts).
 //!
 //! [`AggregatorApp`] is the two roles of the protocol composed. To the
-//! *root* controller it is a [`participant`]: it answers `Prepare` /
+//! *root* controller it is a `participant`: it answers `Prepare` /
 //! `DeltaPrepare` / `Commit` / `Abort` on a local shadow enclave
 //! (validating ops and computing the config digest exactly as a leaf
-//! would). To its *children* it is a [`Coordinator`]: heartbeats, tracked
+//! would). To its *children* it is a `Coordinator`: heartbeats, tracked
 //! requests with retry and backoff, failure detection, two-phase shard
 //! rounds, and per-child delta-planned resync. What is its own is the
 //! roll-up between the two: [`CtrlMsg::AggSync`] is answered with a
@@ -23,8 +23,9 @@
 //! therefore *per-shard* — a slow or partitioned host delays only its
 //! rack's convergence, never the root's round — at the cost of a window
 //! where shards serve different (root-ordered) epochs. The root's
-//! convergence predicate ([`ControllerApp::all_in_sync`]
-//! (crate::ControllerApp::all_in_sync)) still waits for every shard to
+//! convergence predicate
+//! ([`ControllerApp::all_in_sync`](crate::ControllerApp::all_in_sync))
+//! still waits for every shard to
 //! finish, so nothing observable weakens for callers that wait for
 //! convergence; only the failure domain shrinks. The same choice fixes
 //! this tier's answer to a child that nacks the shard round's prepare:
@@ -50,7 +51,7 @@ use netsim::{Ctx, L4Header, Packet, UdpHeader};
 use transport::{App, Stack};
 
 use crate::agent::EnclaveAgent;
-use crate::controller::{transmit, CtrlConfig, WireCounters, TICK};
+use crate::controller::{transmit, CtrlConfig, WireCounters, TICK, TICK_EVERY};
 use crate::coordinator::{Coordinator, Event};
 use crate::delta::{encode_shared, ConfigEntry, ConfigHistory, ConfigModel, Plan};
 use crate::participant;
@@ -155,7 +156,7 @@ impl AggregatorApp {
     }
 
     /// An aggregator fronting `count` in-process virtual children (see
-    /// [`VirtualShard`]); `enclave_cfg` sizes the template enclave —
+    /// `VirtualShard`); `enclave_cfg` sizes the template enclave —
     /// use a lean config for six-figure sweeps.
     pub fn with_virtual_children(
         cfg: AggConfig,
@@ -348,7 +349,7 @@ impl AggregatorApp {
                 frame.encode().expect("a heartbeat's views fit one message")
             });
         self.settle(stack, ctx);
-        ctx.timer_in(self.coord.cfg.tick_every, transport::app_timer_token(TICK));
+        ctx.timer_in(TICK_EVERY, transport::app_timer_token(TICK));
     }
 
     /// Act on what the coordinator left to this tier, then put what it
@@ -492,21 +493,20 @@ impl App for AggregatorApp {
             return;
         };
         let from = packet.ip.src;
-        let payload = match self.reasm.accept(from, frame) {
-            Ok(Some(p)) => p,
+        let (msg_id, payload) = match self.reasm.accept(from, frame) {
+            Ok(Some(message)) => message,
             Ok(None) | Err(_) => return,
         };
         self.wire.msgs_received += 1;
         self.wire.bytes_received += payload.len() as u64;
         if udp.dst_port == self.coord.cfg.ctrl_port {
             // Root request. The request's message id doubles as `re`.
-            let re = u32::from_le_bytes(frame[2..6].try_into().unwrap());
             let Ok(request) = Request::decode(&payload) else {
                 return;
             };
             // (a reply too large for the wire is dropped like a frame
             // that does not decode: the root's retry covers both)
-            let reply = Response::from(self.handle_parent_msg(re, request.body));
+            let reply = Response::from(self.handle_parent_msg(msg_id, request.body));
             let Ok(encoded) = reply.encode() else {
                 return;
             };
@@ -515,8 +515,7 @@ impl App for AggregatorApp {
                 src_port: self.coord.cfg.ctrl_port,
                 dst_port: udp.src_port,
             };
-            self.wire.msgs_sent += 1;
-            self.wire.bytes_sent += encoded.len() as u64;
+            self.wire.sent(encoded.len(), false);
             for f in proto::fragment(self.reply_seq, &encoded) {
                 stack.send_raw(Packet::ctrl(stack.addr, from, udp_out, f), ctx);
             }
@@ -849,7 +848,7 @@ mod tests {
         let mut rack = rack();
         rack.tap(0).mute = true;
         push(&mut rack, 1, table_ops(5, 0..100));
-        rack.run_ms(2); // retry_base is 0.5 ms: at least one retransmit
+        rack.run_ms(2); // RETRY_BASE is 0.5 ms: at least one retransmit
 
         let tap = rack.tap(0);
         let (id, tag) = tap.requests()[0];

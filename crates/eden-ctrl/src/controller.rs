@@ -1,11 +1,11 @@
 //! The root controller application: desired state, epoch minting and the
-//! cluster-wide view, over a [`Coordinator`] driven by one periodic timer.
+//! cluster-wide view, over a `Coordinator` driven by one periodic timer.
 //!
 //! [`ControllerApp`] runs as a [`transport::App`] on an ordinary host, so
 //! every control message pays real wire time on the same links the data
 //! plane uses (§3.2: the controller "communicates with enclaves over the
 //! network"). The two-phase rounds, retries, failure detection and
-//! per-peer resync are the coordinator's (see [`crate::coordinator`]);
+//! per-peer resync are the coordinator's (see `crate::coordinator`);
 //! what makes this tier the root is what it alone decides:
 //!
 //! * **Desired state** is a Reset-led op list tagged with an epoch, kept
@@ -50,29 +50,31 @@ pub const TICK: u64 = 0x71C4;
 /// Most spans requested per `PullTrace` (sent with the stats pulls).
 const PULL_TRACE_MAX: u16 = 256;
 
-/// Timing and port knobs. The defaults suit the workspace's default
-/// fabric (10 Gb/s links, microsecond propagation); everything scales
-/// linearly if a scenario runs slower links.
+/// Cadence of the internal tick of every reconciling tier.
+pub(crate) const TICK_EVERY: Time = Time::from_micros(100);
+/// Heartbeat interval per peer.
+pub(crate) const HEARTBEAT_EVERY: Time = Time::from_micros(1_000);
+/// First retransmit delay; doubles per retry (plus jitter of up to half
+/// of it).
+pub(crate) const RETRY_BASE: Time = Time::from_micros(500);
+/// Retransmit delay ceiling.
+pub(crate) const RETRY_MAX: Time = Time::from_micros(10_000);
+/// Retransmits before a tier gives up on a request and marks the peer
+/// down.
+pub(crate) const MAX_RETRIES: u32 = 10;
+
+/// Port and policy knobs. The timings they leave out (`TICK_EVERY`,
+/// `RETRY_BASE`, ...) are constants that suit the workspace's default
+/// fabric (10 Gb/s links, microsecond propagation).
 #[derive(Debug, Clone)]
 pub struct CtrlConfig {
     /// UDP port the enclave agents listen on (`Stack::set_ctrl_port`).
     pub ctrl_port: u16,
     /// UDP source port for controller-originated messages.
     pub src_port: u16,
-    /// Cadence of the controller's internal tick.
-    pub tick_every: Time,
-    /// Heartbeat interval per host.
-    pub heartbeat_every: Time,
     /// Stats-pull interval per host (each pull drains trace spans too);
     /// `Time::ZERO` disables pulling.
     pub stats_every: Time,
-    /// First retransmit delay; doubles per retry (plus jitter).
-    pub retry_base: Time,
-    /// Retransmit delay ceiling.
-    pub retry_max: Time,
-    /// Retransmits before the controller gives up on a request and marks
-    /// the host down.
-    pub max_retries: u32,
     /// Silence threshold for failure detection.
     pub fail_after: Time,
     /// Whether epoch rounds carry a trace context, so every host's
@@ -91,12 +93,7 @@ impl Default for CtrlConfig {
         CtrlConfig {
             ctrl_port: 799,
             src_port: 7990,
-            tick_every: Time::from_micros(100),
-            heartbeat_every: Time::from_micros(1_000),
             stats_every: Time::ZERO,
-            retry_base: Time::from_micros(500),
-            retry_max: Time::from_micros(10_000),
-            max_retries: 10,
             fail_after: Time::from_micros(5_000),
             trace_rounds: true,
             delta_updates: true,
@@ -155,42 +152,52 @@ pub struct ControllerApp {
     /// Controller-namespace id counter for trace ids and round root
     /// spans (well below the `host << 40` agent namespaces).
     span_seq: u64,
-    /// Request → matching-reply round-trip times.
-    rtt: LogHistogram,
-    /// Round open → commit-fanout completion.
-    converge: LogHistogram,
     /// Replication rendezvous: per-host merged contributions, the global
     /// sequenced order, and anti-entropy. Views fan out on heartbeats;
     /// deltas arrive on pongs.
     repl: ReplHub,
-    /// Gap between consecutive deltas from the same host — how stale its
-    /// replica view runs (the heartbeat cadence plus any loss).
-    repl_staleness: LogHistogram,
-    /// Wire size of each pong's delta section.
-    repl_delta_bytes: LogHistogram,
 }
+
+/// The root's own histograms, in the order `ClusterStats::ctrl_latencies`
+/// holds them:
+/// * `ctrl.rtt` — request → matching-reply round-trip times;
+/// * `epoch.converge` — round open → commit-fanout completion;
+/// * `repl.staleness` — gap between consecutive deltas from the same host,
+///   how stale its replica view runs (the heartbeat cadence plus any loss);
+/// * `repl.delta_bytes` — wire size of each pong's delta section.
+const CTRL_LATENCIES: [&str; 4] = [
+    "ctrl.rtt",
+    "epoch.converge",
+    "repl.staleness",
+    "repl.delta_bytes",
+];
+const RTT: usize = 0;
+const CONVERGE: usize = 1;
+const STALENESS: usize = 2;
+const DELTA_BYTES: usize = 3;
 
 impl ControllerApp {
     /// A controller managing the enclave agents at `hosts`.
     pub fn new(cfg: CtrlConfig, hosts: &[u32]) -> ControllerApp {
         let shadow = Enclave::new(EnclaveConfig::default());
         let history = ConfigHistory::new(shadow.config_digest());
+        let mut cluster = ClusterStats::new();
+        cluster.ctrl_latencies = CTRL_LATENCIES
+            .iter()
+            .map(|&name| LatencyStat::new(name, LogHistogram::new()))
+            .collect();
         ControllerApp {
             core: eden_core::Controller::new(),
             coord: Coordinator::new(cfg, hosts),
             subtrees: BTreeMap::new(),
             history,
             shadow,
-            cluster: ClusterStats::new(),
+            cluster,
             reasm: Reassembler::default(),
             next_stats: Time::ZERO,
             trace: TraceStore::new(4096),
             span_seq: 0,
-            rtt: LogHistogram::new(),
-            converge: LogHistogram::new(),
             repl: ReplHub::new(),
-            repl_staleness: LogHistogram::new(),
-            repl_delta_bytes: LogHistogram::new(),
         }
     }
 
@@ -311,12 +318,12 @@ impl ControllerApp {
 
     /// Controller-side round-trip latency histogram.
     pub fn ctrl_rtt(&self) -> &LogHistogram {
-        &self.rtt
+        &self.cluster.ctrl_latencies[RTT].hist
     }
 
     /// Epoch convergence (round open → commit completion) histogram.
     pub fn convergence(&self) -> &LogHistogram {
-        &self.converge
+        &self.cluster.ctrl_latencies[CONVERGE].hist
     }
 
     /// The replication hub: fleet-wide merged totals, the sequenced
@@ -422,7 +429,7 @@ impl ControllerApp {
         self.settle(stack, ctx);
         self.refresh_repl_lags(now.as_nanos());
 
-        ctx.timer_in(self.coord.cfg.tick_every, transport::app_timer_token(TICK));
+        ctx.timer_in(TICK_EVERY, transport::app_timer_token(TICK));
     }
 
     /// Act on what the coordinator left to this tier, then put what it
@@ -433,10 +440,7 @@ impl ControllerApp {
         let mut ahead: Option<(u32, u64, u64)> = None;
         while let Some(event) = self.coord.next_event() {
             match event {
-                Event::Rtt(ns) => {
-                    self.rtt.record(ns);
-                    self.refresh_ctrl_latencies();
-                }
+                Event::Rtt(ns) => self.latency(RTT).record(ns),
                 Event::Count(bump) => bump(&mut self.cluster.wire),
                 Event::RoundDone {
                     committed,
@@ -524,7 +528,7 @@ impl ControllerApp {
         now: Time,
     ) {
         if committed {
-            self.converge
+            self.latency(CONVERGE)
                 .record(now.as_nanos().saturating_sub(opened_at.as_nanos()));
         }
         if let Some(trace) = trace {
@@ -538,16 +542,11 @@ impl ControllerApp {
                 end_ns: now.as_nanos(),
             });
         }
-        self.refresh_ctrl_latencies();
     }
 
-    fn refresh_ctrl_latencies(&mut self) {
-        self.cluster.ctrl_latencies = vec![
-            LatencyStat::new("ctrl.rtt", self.rtt.clone()),
-            LatencyStat::new("epoch.converge", self.converge.clone()),
-            LatencyStat::new("repl.staleness", self.repl_staleness.clone()),
-            LatencyStat::new("repl.delta_bytes", self.repl_delta_bytes.clone()),
-        ];
+    /// One of the root's histograms, where the cluster report holds it.
+    fn latency(&mut self, slot: usize) -> &mut LogHistogram {
+        &mut self.cluster.ctrl_latencies[slot].hist
     }
 
     /// Reset the shadow enclave to the (possibly rolled-back) desired
@@ -588,14 +587,13 @@ impl ControllerApp {
                     // its first delta has no gap to measure.
                     let prev = self.repl.report(now_ns);
                     if let Some(&(_, lag, _)) = prev.hosts.iter().find(|&&(h, _, _)| h == from) {
-                        self.repl_staleness.record(lag);
+                        self.latency(STALENESS).record(lag);
                     }
-                    self.repl_delta_bytes
+                    self.latency(DELTA_BYTES)
                         .record(proto::repl_deltas_wire_len(&deltas) as u64);
                     for d in &deltas {
                         self.repl.ingest(from, now_ns, d);
                     }
-                    self.refresh_ctrl_latencies();
                 }
             }
             CtrlReply::Spans { spans, .. } => {
@@ -626,7 +624,7 @@ impl ControllerApp {
                 if !deltas.is_empty() {
                     let now_ns = now.as_nanos();
                     let bare: Vec<FuncDelta> = deltas.iter().map(|(_, d)| d.clone()).collect();
-                    self.repl_delta_bytes
+                    self.latency(DELTA_BYTES)
                         .record(proto::repl_deltas_wire_len(&bare) as u64);
                     // Host-tagged fan-in: each child's contribution lands
                     // under its own address, exactly as if it had ponged
@@ -634,7 +632,6 @@ impl ControllerApp {
                     for (host, d) in &deltas {
                         self.repl.ingest(*host, now_ns, d);
                     }
-                    self.refresh_ctrl_latencies();
                 }
             }
             CtrlReply::Stats {
@@ -681,7 +678,7 @@ impl App for ControllerApp {
         };
         let from = packet.ip.src;
         let payload = match self.reasm.accept(from, frame) {
-            Ok(Some(p)) => p,
+            Ok(Some((_, p))) => p,
             Ok(None) | Err(_) => return,
         };
         self.cluster.wire.msgs_received += 1;

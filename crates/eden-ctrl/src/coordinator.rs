@@ -38,7 +38,7 @@ use std::rc::Rc;
 use eden_telemetry::{TraceContext, WireCounters};
 use netsim::{SimRng, Time};
 
-use crate::controller::CtrlConfig;
+use crate::controller::{CtrlConfig, HEARTBEAT_EVERY, MAX_RETRIES, RETRY_BASE, RETRY_MAX};
 use crate::delta::{ConfigHistory, Plan};
 use crate::proto::{AckPhase, CtrlMsg};
 
@@ -172,9 +172,9 @@ pub(crate) enum Event {
     Ahead { peer: u32, epoch: u64, digest: u64 },
 }
 
-/// A fresh draw of retransmit jitter: up to half of `retry_base`.
-fn jitter(cfg: &CtrlConfig, rng: &mut SimRng) -> Time {
-    Time::from_nanos(rng.below(cfg.retry_base.as_nanos() / 2 + 1))
+/// A fresh draw of retransmit jitter: up to half of [`RETRY_BASE`].
+fn jitter(rng: &mut SimRng) -> Time {
+    Time::from_nanos(rng.below(RETRY_BASE.as_nanos() / 2 + 1))
 }
 
 pub(crate) struct Coordinator {
@@ -284,7 +284,7 @@ impl Coordinator {
             phase,
             in_round,
             retries: 0,
-            next_retry: now + self.cfg.retry_base + jitter(&self.cfg, rng),
+            next_retry: now + RETRY_BASE + jitter(rng),
             trace,
             sent_at: now,
         });
@@ -333,7 +333,7 @@ impl Coordinator {
                 self.nonce_seq += 1;
                 let to = self.peers[i].addr;
                 self.post(to, heartbeat(to, self.nonce_seq).into());
-                self.peers[i].next_heartbeat = now + self.cfg.heartbeat_every;
+                self.peers[i].next_heartbeat = now + HEARTBEAT_EVERY;
             }
         }
 
@@ -347,7 +347,7 @@ impl Coordinator {
             if now < tracked.next_retry {
                 continue;
             }
-            if tracked.retries >= self.cfg.max_retries {
+            if tracked.retries >= MAX_RETRIES {
                 self.mark_down(i);
                 continue;
             }
@@ -363,9 +363,9 @@ impl Coordinator {
             tracked.retries += 1;
             // RTT measures the *latest* transmission, not the first try.
             tracked.sent_at = now;
-            let base = self.cfg.retry_base.as_nanos() << tracked.retries.min(20);
-            let backoff = Time::from_nanos(base.min(self.cfg.retry_max.as_nanos()));
-            tracked.next_retry = now + backoff + jitter(&self.cfg, rng);
+            let base = RETRY_BASE.as_nanos() << tracked.retries.min(20);
+            let backoff = Time::from_nanos(base.min(RETRY_MAX.as_nanos()));
+            tracked.next_retry = now + backoff + jitter(rng);
         }
 
         self.step(now, rng, history);
@@ -511,10 +511,8 @@ impl Coordinator {
     /// Hold the reconciler off peer `i`, doubling per failure, so a
     /// persistently unhappy peer cannot hot-loop.
     fn back_off(&mut self, i: usize, now: Time) {
-        let next = (self.peers[i].resync_backoff.as_nanos() * 2).clamp(
-            self.cfg.retry_base.as_nanos(),
-            self.cfg.fail_after.as_nanos() * 4,
-        );
+        let next = (self.peers[i].resync_backoff.as_nanos() * 2)
+            .clamp(RETRY_BASE.as_nanos(), self.cfg.fail_after.as_nanos() * 4);
         self.peers[i].resync_backoff = Time::from_nanos(next);
         self.peers[i].next_resync = now + Time::from_nanos(next);
     }
@@ -778,13 +776,13 @@ mod tests {
                 sent_at.push(d.now);
             }
         }
-        assert_eq!(sent_at.len() as u32, 1 + cfg.max_retries);
-        // the delay before retry k+1 is retry_base << k, capped, plus up
-        // to half of retry_base in jitter (and the tick's granularity)
+        assert_eq!(sent_at.len() as u32, 1 + MAX_RETRIES);
+        // the delay before retry k+1 is RETRY_BASE << k, capped, plus up
+        // to half of RETRY_BASE in jitter (and the tick's granularity)
         for (k, pair) in sent_at.windows(2).enumerate() {
             let gap = (pair[1] - pair[0]).as_nanos();
-            let delay = (cfg.retry_base.as_nanos() << k).min(cfg.retry_max.as_nanos());
-            let slack = cfg.retry_base.as_nanos() / 2 + STEP.as_nanos();
+            let delay = (RETRY_BASE.as_nanos() << k).min(RETRY_MAX.as_nanos());
+            let slack = RETRY_BASE.as_nanos() / 2 + STEP.as_nanos();
             assert!(
                 (delay..=delay + slack).contains(&gap),
                 "retry {k}: {gap} ns"

@@ -16,8 +16,8 @@
 //! tables never dropped, no global write to take back). Anything else
 //! returns `None` and the controller ships the full table — correctness
 //! never depends on the diff being clever, only on the digest anchor
-//! rejecting a stale base ([`Enclave::stage_epoch_delta`]
-//! (eden_core::Enclave::stage_epoch_delta)).
+//! rejecting a stale base
+//! ([`Enclave::stage_epoch_delta`](eden_core::Enclave::stage_epoch_delta)).
 //!
 //! One behavioral difference worth naming: a delta epoch carries no
 //! `Reset`, so function runtime state (globals written by the data path,

@@ -1443,6 +1443,11 @@ struct Pending {
     received: usize,
 }
 
+/// A whole message off the wire: its id (a request's doubles as the
+/// reply's `re`) and its payload, borrowed from the frame when the message
+/// fit in one.
+pub type Reassembled<'f> = (u32, Cow<'f, [u8]>);
+
 /// Per-receiver fragment reassembly, keyed by `(sender, msg id)`.
 /// Bounded: when `capacity` incomplete messages are pending, the oldest
 /// is evicted — its sender's retry rebuilds it.
@@ -1466,9 +1471,10 @@ impl Reassembler {
         }
     }
 
-    /// Feed one received frame; returns the full message payload once the
-    /// last missing fragment arrives. Duplicate fragments are ignored; a
-    /// frame whose `count` disagrees with the pending entry is rejected.
+    /// Feed one received frame; returns the message id and the full
+    /// message payload once the last missing fragment arrives. Duplicate
+    /// fragments are ignored; a frame whose `count` disagrees with the
+    /// pending entry is rejected.
     /// A one-frame message nothing is pending for — every delta, commit,
     /// ack, heartbeat and pong — is its own payload, borrowed from the
     /// frame, and never enters the pending list, so a duplicate of it
@@ -1477,7 +1483,7 @@ impl Reassembler {
         &mut self,
         from: u32,
         frame: &'f [u8],
-    ) -> Result<Option<Cow<'f, [u8]>>, ProtoError> {
+    ) -> Result<Option<Reassembled<'f>>, ProtoError> {
         if frame.len() < FRAG_HEADER {
             return Err(ProtoError::Truncated);
         }
@@ -1504,7 +1510,7 @@ impl Reassembler {
                 }
                 pos
             }
-            None if count == 1 => return Ok(Some(Cow::Borrowed(chunk))),
+            None if count == 1 => return Ok(Some((msg_id, Cow::Borrowed(chunk)))),
             None => {
                 if self.pending.len() >= self.capacity {
                     self.pending.remove(0);
@@ -1533,7 +1539,7 @@ impl Reassembler {
         for part in done.parts {
             payload.extend_from_slice(&part.expect("all fragments received"));
         }
-        Ok(Some(Cow::Owned(payload)))
+        Ok(Some((msg_id, Cow::Owned(payload))))
     }
 
     /// Number of incomplete messages currently held.
@@ -2140,7 +2146,8 @@ mod tests {
             let mut r = Reassembler::new(4);
             let mut out = None;
             for f in &frames {
-                if let Some(p) = r.accept(1, f).unwrap() {
+                if let Some((id, p)) = r.accept(1, f).unwrap() {
+                    assert_eq!(id, 7, "the message id rides with the payload");
                     out = Some(p.into_owned());
                 }
             }
@@ -2159,13 +2166,13 @@ mod tests {
         // interleave, reversed order, with duplicates
         let sequence = [&fb[1], &fa[2], &fb[1], &fa[0], &fb[0], &fa[1], &fa[1]];
         for f in sequence {
-            if let Some(p) = r.accept(9, f).unwrap() {
-                done.push(p.into_owned());
+            if let Some((id, p)) = r.accept(9, f).unwrap() {
+                done.push((id, p.into_owned()));
             }
         }
         assert_eq!(done.len(), 2);
-        assert!(done.contains(&a));
-        assert!(done.contains(&b));
+        assert!(done.contains(&(1, a)));
+        assert!(done.contains(&(2, b)));
     }
 
     #[test]
@@ -2176,7 +2183,10 @@ mod tests {
         assert_eq!(r.accept(1, &frames[0]).unwrap(), None);
         // same msg id, different sender: must not complete host 1's message
         assert_eq!(r.accept(2, &frames[1]).unwrap(), None);
-        assert_eq!(r.accept(1, &frames[1]).unwrap().as_deref(), Some(&msg[..]));
+        assert_eq!(
+            r.accept(1, &frames[1]).unwrap().map(|(_, p)| p).as_deref(),
+            Some(&msg[..])
+        );
     }
 
     #[test]
@@ -2191,7 +2201,10 @@ mod tests {
         let frames = fragment(0, &msg);
         assert_eq!(r.accept(1, &frames[1]).unwrap(), None);
         // but the sender's full retry still lands
-        assert_eq!(r.accept(1, &frames[0]).unwrap().as_deref(), Some(&msg[..]));
+        assert_eq!(
+            r.accept(1, &frames[0]).unwrap().map(|(_, p)| p).as_deref(),
+            Some(&msg[..])
+        );
     }
 
     #[test]
@@ -2224,11 +2237,11 @@ mod tests {
         let f = fragment(7, &[1, 2, 3]).remove(0);
         let payload = r.accept(1, &f).unwrap();
         assert!(
-            matches!(payload, Some(Cow::Borrowed(p)) if *p == [1, 2, 3]),
+            matches!(payload, Some((7, Cow::Borrowed(p))) if *p == [1, 2, 3]),
             "the frame's own bytes: {payload:?}"
         );
         assert_eq!(
-            r.accept(1, &f).unwrap().as_deref(),
+            r.accept(1, &f).unwrap().map(|(_, p)| p).as_deref(),
             Some(&[1, 2, 3][..]),
             "a duplicated frame yields the payload again"
         );
@@ -2244,7 +2257,10 @@ mod tests {
             Err(ProtoError::BadFragment)
         );
         assert_eq!(r.pending_messages(), 1);
-        assert_eq!(r.accept(1, &frames[1]).unwrap().as_deref(), Some(&big[..]));
+        assert_eq!(
+            r.accept(1, &frames[1]).unwrap().map(|(_, p)| p).as_deref(),
+            Some(&big[..])
+        );
     }
 
     // Pinned by the fuzz harness: a single 11-byte spoofed frame used to

@@ -66,7 +66,7 @@ pub fn run_oracle(name: &str, seed: u64, start: u64, cases: u64) -> OracleReport
 /// the most throughput per smoke run.
 const WEIGHTS: [u64; 4] = [3, 1, 1, 1];
 
-/// Run all four oracles, splitting `cases` by [`WEIGHTS`] (the last oracle
+/// Run all four oracles, splitting `cases` by `WEIGHTS` (the last oracle
 /// absorbs rounding), and assemble the full report.
 pub fn run_all(seed: u64, cases: u64) -> Report {
     let total: u64 = WEIGHTS.iter().sum();

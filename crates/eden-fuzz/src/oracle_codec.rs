@@ -600,11 +600,11 @@ fn check_reassembly(rng: &mut FuzzRng, rep: &mut OracleReport, index: u64) {
         }
     }
     match delivered {
-        Some(got) if got == payload => rep.note("frag.reassembled_ok", 1),
+        Some((id, got)) if id == msg_id && got == payload => rep.note("frag.reassembled_ok", 1),
         Some(_) => rep.failures.push(Failure {
             oracle: "codec",
             index,
-            detail: "reassembled payload differs from the original".into(),
+            detail: "reassembled message id or payload differs from the original".into(),
             repro: format!("msg_id={msg_id} payload_len={}", payload.len()),
         }),
         None => rep.failures.push(Failure {

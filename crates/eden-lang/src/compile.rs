@@ -26,19 +26,17 @@ use crate::ir::{self, IrFunc, Terminator};
 use crate::lexer::lex;
 use crate::optimize::fold;
 use crate::parser::parse;
-use crate::schema::{Concurrency, Schema, StateEffects};
+use crate::schema::{Concurrency, Schema};
 use crate::token::Span;
 use crate::typeck::{check, Builtin, HExpr};
 
 /// A fully compiled action function, ready to install into an enclave.
 #[derive(Debug, Clone)]
 pub struct CompiledFunction {
-    /// Verified bytecode.
+    /// Verified bytecode. Its envelope's `state` holds what the function
+    /// reads and writes, per scope.
     pub program: Program,
-    /// State the function reads/writes, per scope — the enclave's
-    /// materialization list.
-    pub effects: StateEffects,
-    /// Concurrency level derived from the write sets (§3.4.4).
+    /// Concurrency level derived from the program's write sets (§3.4.4).
     pub concurrency: Concurrency,
     /// The schema the slot numbers were resolved against; the enclave binds
     /// the same schema to agree on the layout.
@@ -74,9 +72,9 @@ impl Default for CompileOptions {
 /// Compile DSL `source` against `schema` into bytecode named `name`.
 ///
 /// Runs the full pipeline: lex → parse → type check (annotations, access
-/// control, effect inference) → IR code generation (with
-/// tail-call-to-loop) → IR optimization and superinstruction fusion →
-/// lowering → bytecode verification.
+/// control) → IR code generation (with tail-call-to-loop) → IR
+/// optimization and superinstruction fusion → lowering → bytecode
+/// verification, whose envelope gives the concurrency level.
 pub fn compile(
     name: &str,
     source: &str,
@@ -165,9 +163,8 @@ pub fn compile_with_options(
     })?;
 
     Ok(CompiledFunction {
+        concurrency: Concurrency::needed(&program.envelope().state),
         program,
-        concurrency: checked.effects.concurrency(),
-        effects: checked.effects,
         schema: schema.clone(),
     })
 }

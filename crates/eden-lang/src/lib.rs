@@ -69,9 +69,7 @@ pub mod xfsm;
 
 pub use compile::{compile, compile_with_options, CompileOptions, CompiledFunction};
 pub use error::{CompileError, ErrorKind};
-pub use schema::{
-    Access, ArrayDecl, Concurrency, FieldDecl, HeaderField, ReplMode, Schema, Scope, StateEffects,
-};
+pub use schema::{Access, ArrayDecl, Concurrency, FieldDecl, HeaderField, ReplMode, Schema, Scope};
 pub use token::Span;
 pub use xfsm::{Helper, XAction, XBin, XExpr, XState, Xfsm};
 

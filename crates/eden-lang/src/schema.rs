@@ -18,6 +18,8 @@
 
 use std::fmt;
 
+use eden_vm::StateUse;
+
 /// The three state scopes, in parameter order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scope {
@@ -350,73 +352,6 @@ impl Schema {
     }
 }
 
-/// Which state a compiled function actually reads and writes; the compiler
-/// derives it, the enclave uses it to schedule invocations and to know which
-/// header fields to materialize before running the program and write back
-/// after (§3.4.4 "determining its input dependencies").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StateEffects {
-    /// Packet-scope slots read (slot, header mapping if any).
-    pub pkt_reads: Vec<u8>,
-    /// Packet-scope slots written.
-    pub pkt_writes: Vec<u8>,
-    /// Message-scope slots read.
-    pub msg_reads: Vec<u8>,
-    /// Message-scope slots written.
-    pub msg_writes: Vec<u8>,
-    /// Global slots read.
-    pub glob_reads: Vec<u8>,
-    /// Global slots written.
-    pub glob_writes: Vec<u8>,
-    /// Global arrays read.
-    pub arr_reads: Vec<u8>,
-    /// Global arrays written.
-    pub arr_writes: Vec<u8>,
-}
-
-impl StateEffects {
-    fn note(list: &mut Vec<u8>, v: u8) {
-        if !list.contains(&v) {
-            list.push(v);
-        }
-    }
-
-    pub(crate) fn read(&mut self, scope: Scope, slot: u8) {
-        match scope {
-            Scope::Packet => Self::note(&mut self.pkt_reads, slot),
-            Scope::Message => Self::note(&mut self.msg_reads, slot),
-            Scope::Global => Self::note(&mut self.glob_reads, slot),
-        }
-    }
-
-    pub(crate) fn write(&mut self, scope: Scope, slot: u8) {
-        match scope {
-            Scope::Packet => Self::note(&mut self.pkt_writes, slot),
-            Scope::Message => Self::note(&mut self.msg_writes, slot),
-            Scope::Global => Self::note(&mut self.glob_writes, slot),
-        }
-    }
-
-    pub(crate) fn read_array(&mut self, id: u8) {
-        Self::note(&mut self.arr_reads, id);
-    }
-
-    pub(crate) fn write_array(&mut self, id: u8) {
-        Self::note(&mut self.arr_writes, id);
-    }
-
-    /// Derive the paper's concurrency level from the write sets.
-    pub fn concurrency(&self) -> Concurrency {
-        if !self.glob_writes.is_empty() || !self.arr_writes.is_empty() {
-            Concurrency::Serialized
-        } else if !self.msg_writes.is_empty() {
-            Concurrency::PerMessage
-        } else {
-            Concurrency::Parallel
-        }
-    }
-}
-
 /// How many invocations of a function may run concurrently (§3.4.4).
 /// Ordered from the level that permits most concurrency — and writes
 /// least — to the one that permits none.
@@ -428,6 +363,23 @@ pub enum Concurrency {
     PerMessage,
     /// Global state is written: one invocation at a time.
     Serialized,
+}
+
+impl Concurrency {
+    /// The level a program's write sets call for (§3.4.4): global or array
+    /// writes serialize it, message writes allow one packet per message,
+    /// anything else runs in parallel. The compiler derives a function's
+    /// level with this and the enclave's link check holds a declared level
+    /// to it, both over the verifier's [`StateUse`].
+    pub fn needed(state: &StateUse) -> Concurrency {
+        if !state.global.writes().is_empty() || !state.arrays.writes().is_empty() {
+            Concurrency::Serialized
+        } else if !state.message.writes().is_empty() {
+            Concurrency::PerMessage
+        } else {
+            Concurrency::Parallel
+        }
+    }
 }
 
 impl fmt::Display for Concurrency {
@@ -474,23 +426,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_derivation() {
-        let mut e = StateEffects::default();
-        assert_eq!(e.concurrency(), Concurrency::Parallel);
-        e.write(Scope::Packet, 0);
-        assert_eq!(e.concurrency(), Concurrency::Parallel);
-        e.write(Scope::Message, 0);
-        assert_eq!(e.concurrency(), Concurrency::PerMessage);
-        e.write(Scope::Global, 0);
-        assert_eq!(e.concurrency(), Concurrency::Serialized);
-    }
-
-    #[test]
-    fn effects_deduplicate() {
-        let mut e = StateEffects::default();
-        e.read(Scope::Packet, 3);
-        e.read(Scope::Packet, 3);
-        assert_eq!(e.pkt_reads, vec![3]);
+    fn level_follows_the_widest_write() {
+        use eden_vm::{Op, Program};
+        let level = |store: Op| {
+            let ops = vec![Op::Push(1), store, Op::LoadMsg(0), Op::Pop, Op::Halt];
+            let program = Program::new("t", ops, vec![], 0).unwrap();
+            Concurrency::needed(&program.envelope().state)
+        };
+        assert_eq!(level(Op::StorePkt(0)), Concurrency::Parallel);
+        assert_eq!(level(Op::StoreMsg(0)), Concurrency::PerMessage);
+        assert_eq!(level(Op::StoreGlob(0)), Concurrency::Serialized);
+        let arr = vec![Op::Push(0), Op::Push(1), Op::ArrStore(0), Op::Halt];
+        let program = Program::new("a", arr, vec![], 0).unwrap();
+        assert_eq!(
+            Concurrency::needed(&program.envelope().state),
+            Concurrency::Serialized
+        );
     }
 
     #[test]

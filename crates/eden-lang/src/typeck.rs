@@ -1,8 +1,6 @@
 //! Type checking, name resolution, and lowering to a resolved HIR.
 //!
-//! This pass does the work §3.4.4 describes as "the most challenging aspect
-//! of the compilation process": determining a function's input and output
-//! dependencies. Concretely it:
+//! Concretely this pass:
 //!
 //! * resolves every name to a local slot, state field, global array, local
 //!   function, or builtin;
@@ -10,10 +8,14 @@
 //!   permissions … whether the function can update its value");
 //! * types every expression as `Int` / `Unit` — booleans are 0/1 and no
 //!   other value types exist in the language;
-//! * collects the [`StateEffects`] read/write sets the enclave needs for
-//!   state materialization and concurrency control;
 //! * rewrites `let rec` captures into explicit trailing parameters, so the
 //!   code generator only ever sees closed functions.
+//!
+//! What §3.4.4 calls "the most challenging aspect of the compilation
+//! process", a function's input and output dependencies, is not collected
+//! here: the verifier reads the read/write sets off the finished bytecode
+//! (`Program::envelope().state`), and the concurrency level is derived
+//! from them ([`Concurrency::needed`](crate::Concurrency::needed)).
 //!
 //! Capture semantics: a `let rec` body may read outer `let` bindings; a
 //! free-variable pre-scan turns each into a hidden trailing parameter,
@@ -26,7 +28,7 @@ use std::collections::HashMap;
 
 use crate::ast::{builtin_returns_value, BinOp, Expr, ExprKind, Function, LValue};
 use crate::error::{CompileError, ErrorKind};
-use crate::schema::{Access, Schema, Scope, StateEffects};
+use crate::schema::{Access, Schema, Scope};
 use crate::token::Span;
 
 /// Value types. Booleans are `Int` 0/1, as in the VM.
@@ -125,7 +127,6 @@ pub struct Checked {
     pub body: HExpr,
     pub funcs: Vec<HFunc>,
     pub entry_locals: u8,
-    pub effects: StateEffects,
 }
 
 /// Name bindings visible at a program point.
@@ -190,7 +191,6 @@ impl Frame {
 
 struct Checker<'a> {
     schema: &'a Schema,
-    effects: StateEffects,
     funcs: Vec<HFunc>,
 }
 
@@ -206,7 +206,6 @@ pub fn check(function: &Function, schema: &Schema) -> Result<Checked, CompileErr
 
     let mut checker = Checker {
         schema,
-        effects: StateEffects::default(),
         funcs: Vec::new(),
     };
 
@@ -225,7 +224,6 @@ pub fn check(function: &Function, schema: &Schema) -> Result<Checked, CompileErr
         body,
         funcs: checker.funcs,
         entry_locals: top.max_local as u8,
-        effects: checker.effects,
     })
 }
 
@@ -257,7 +255,6 @@ impl<'a> Checker<'a> {
                     let id = *id;
                     if field == "Length" {
                         let stride = self.schema.arrays()[id as usize].stride() as u8;
-                        self.effects.read_array(id);
                         return Ok((HExpr::ArrLen { id, stride }, Ty::Int));
                     }
                     return Err(self.type_err(
@@ -277,7 +274,6 @@ impl<'a> Checker<'a> {
                 let decl = self.schema.field(scope, field).ok_or_else(|| {
                     self.type_err(format!("no field '{field}' in {scope} scope"), span)
                 })?;
-                self.effects.read(scope, decl.slot);
                 Ok((HExpr::LoadField(scope, decl.slot), Ty::Int))
             }
 
@@ -297,7 +293,6 @@ impl<'a> Checker<'a> {
                 let (stride, offset) = self.array_target(id, field.as_deref(), span)?;
                 let (idx, ty) = self.expr(index, frame)?;
                 self.require_int(ty, index.span, "array index")?;
-                self.effects.read_array(id);
                 Ok((
                     HExpr::LoadArr {
                         id,
@@ -604,7 +599,6 @@ impl<'a> Checker<'a> {
                         self.type_err(format!("{scope} field '{field}' is read-only"), span)
                     );
                 }
-                self.effects.write(scope, decl.slot);
                 HExpr::StoreField(scope, decl.slot, Box::new(v))
             }
             LValue::ArrayElem {
@@ -632,7 +626,6 @@ impl<'a> Checker<'a> {
                 let (stride, offset) = self.array_target(id, field.as_deref(), span)?;
                 let (idx, it) = self.expr(index, frame)?;
                 self.require_int(it, span, "array index")?;
-                self.effects.write_array(id);
                 HExpr::StoreArr {
                     id,
                     stride,

@@ -83,9 +83,10 @@ fn figure7_concurrency_is_per_message() {
     // paper's rule (§3.4.4) gives one-packet-per-message concurrency.
     let compiled = compile("pias", PIAS_SRC, &pias_schema()).unwrap();
     assert_eq!(compiled.concurrency, Concurrency::PerMessage);
-    assert!(compiled.effects.msg_writes.contains(&0));
-    assert!(compiled.effects.pkt_writes.contains(&1));
-    assert!(compiled.effects.glob_writes.is_empty());
+    let state = &compiled.program.envelope().state;
+    assert!(state.message.writes().contains(0));
+    assert!(state.packet.writes().contains(1));
+    assert!(state.global.writes().is_empty());
 }
 
 #[test]

@@ -7,11 +7,10 @@
 //!   single-writer, so recording is lock-free by construction (ownership,
 //!   not atomics). On a VM trap, an epoch abort, or a reconciliation
 //!   divergence the owner freezes the rings into a [`FlightDump`]: the
-//!   last N events from every lane (merged in time order), the spans
-//!   still open at the moment of the fault, and a counter snapshot. The
-//!   dump is handed to a writer chosen by the `EDEN_FLIGHT` environment
-//!   variable, and kept in memory for tests and the fuzzer's repro
-//!   attachments.
+//!   last N events from every lane (merged in time order) and a counter
+//!   snapshot. The dump is handed to a writer chosen by the `EDEN_FLIGHT`
+//!   environment variable, and kept in memory for tests and the fuzzer's
+//!   repro attachments.
 //! * **Taken whole.** A host stack with tracing enabled records one event
 //!   per layer a packet crosses — `send_message`, the enclave's verdict,
 //!   the rate limiter, the NIC queue, the wire — and
@@ -21,7 +20,6 @@
 use crate::json::{Json, ToJson};
 use crate::ring::Ring;
 use crate::snapshot::EnclaveCounters;
-use crate::span::Span;
 
 /// What a flight event records. Codes are stable (they appear in dumps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,8 +149,6 @@ pub struct FlightDump {
     pub at_ns: u64,
     /// Retained events from every lane, merged in time order.
     pub events: Vec<FlightEvent>,
-    /// Spans that were open when the recorder froze.
-    pub open_spans: Vec<Span>,
     /// Counter snapshot at freeze time.
     pub counters: EnclaveCounters,
 }
@@ -166,7 +162,6 @@ impl FlightDump {
         host: u32,
         at_ns: u64,
         rings: &[FlightRing],
-        open_spans: Vec<Span>,
         counters: EnclaveCounters,
     ) -> FlightDump {
         let mut events: Vec<FlightEvent> =
@@ -177,7 +172,6 @@ impl FlightDump {
             host,
             at_ns,
             events,
-            open_spans,
             counters,
         }
     }
@@ -243,10 +237,6 @@ impl ToJson for FlightDump {
                 "events",
                 Json::Arr(self.events.iter().map(|e| e.to_json()).collect()),
             ),
-            (
-                "open_spans",
-                Json::Arr(self.open_spans.iter().map(|s| s.to_json()).collect()),
-            ),
             ("counters", self.counters.to_json()),
         ])
     }
@@ -272,7 +262,7 @@ mod tests {
         for i in 0..5u64 {
             lane0.push(ev(7, 0, i));
         }
-        let dump = FlightDump::freeze("t", 0, 7, &[lane0], vec![], EnclaveCounters::default());
+        let dump = FlightDump::freeze("t", 0, 7, &[lane0], EnclaveCounters::default());
         let kept: Vec<u64> = dump.events.iter().map(|e| e.a).collect();
         assert_eq!(kept, vec![2, 3, 4]);
     }
@@ -289,7 +279,6 @@ mod tests {
             7,
             21,
             &[lane0, lane1],
-            vec![],
             EnclaveCounters::default(),
         );
         let order: Vec<u64> = dump.events.iter().map(|e| e.a).collect();
@@ -307,7 +296,7 @@ mod tests {
             a: 9,
             b: 3,
         });
-        let dump = FlightDump::freeze("vm_trap", 1, 2, &[r], vec![], EnclaveCounters::default());
+        let dump = FlightDump::freeze("vm_trap", 1, 2, &[r], EnclaveCounters::default());
         let text = dump.to_json().render();
         assert!(text.contains(r#""reason":"vm_trap""#), "{text}");
         assert!(text.contains(r#""kind":"vm_trap""#), "{text}");

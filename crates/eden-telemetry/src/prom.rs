@@ -306,7 +306,6 @@ mod tests {
                 invocations: 9,
                 traps: 1,
                 steps: 120,
-                elapsed_ns: 900,
             },
             opcode_counts: vec![("push".into(), 5)],
             flows: vec![FlowCounters {
@@ -381,8 +380,6 @@ eden_vm_invocations_total 9
 eden_vm_traps_total 1
 # TYPE eden_vm_steps_total counter
 eden_vm_steps_total 120
-# TYPE eden_vm_elapsed_ns_total counter
-eden_vm_elapsed_ns_total 900
 # TYPE eden_vm_opcode_total counter
 eden_vm_opcode_total{op=\"push\"} 5
 # TYPE eden_flow_packets_sent_total counter

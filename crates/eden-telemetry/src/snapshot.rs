@@ -84,7 +84,6 @@ counters! {
         invocations: Counter, "Bytecode program runs (including trapped ones).";
         traps: Counter, "Runs that ended in a trap.";
         steps: Counter, "Instructions executed, across all runs.";
-        elapsed_ns: Counter, "Wall-clock nanoseconds spent interpreting (sampled and scaled), across all runs.";
     }
 }
 

@@ -104,17 +104,6 @@ impl Sampler {
     }
 }
 
-/// An in-progress span held by a [`SpanSink`] until `end` is called —
-/// these are what a flight-recorder dump lists as "open".
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct OpenSpan {
-    trace_id: u64,
-    span_id: u64,
-    parent_span: u64,
-    name: String,
-    start_ns: u64,
-}
-
 /// Bounded per-host store of completed spans awaiting collection.
 ///
 /// Completion order is preserved; once `capacity` completed spans are
@@ -124,7 +113,6 @@ struct OpenSpan {
 pub struct SpanSink {
     host: u32,
     seq: u64,
-    open: Vec<OpenSpan>,
     done: Ring<Span>,
 }
 
@@ -134,7 +122,6 @@ impl SpanSink {
         SpanSink {
             host,
             seq: 0,
-            open: Vec::new(),
             done: Ring::new(capacity.max(1)),
         }
     }
@@ -153,35 +140,6 @@ impl SpanSink {
     pub fn next_span_id(&mut self) -> u64 {
         self.seq += 1;
         (u64::from(self.host) << 40) | self.seq
-    }
-
-    /// Open a span; returns its id for children and for [`SpanSink::end`].
-    pub fn begin(&mut self, ctx: TraceContext, name: impl Into<String>, start_ns: u64) -> u64 {
-        let span_id = self.next_span_id();
-        self.open.push(OpenSpan {
-            trace_id: ctx.trace_id,
-            span_id,
-            parent_span: ctx.parent_span,
-            name: name.into(),
-            start_ns,
-        });
-        span_id
-    }
-
-    /// Close an open span, moving it to the completed buffer.
-    pub fn end(&mut self, span_id: u64, end_ns: u64) {
-        if let Some(i) = self.open.iter().position(|s| s.span_id == span_id) {
-            let o = self.open.swap_remove(i);
-            self.push(Span {
-                trace_id: o.trace_id,
-                span_id: o.span_id,
-                parent_span: o.parent_span,
-                host: self.host,
-                name: o.name,
-                start_ns: o.start_ns,
-                end_ns: end_ns.max(o.start_ns),
-            });
-        }
     }
 
     /// Record an already-completed span.
@@ -223,22 +181,6 @@ impl SpanSink {
     /// Remove and return up to `max` completed spans, oldest first.
     pub fn drain(&mut self, max: usize) -> Vec<Span> {
         self.done.drain(max).collect()
-    }
-
-    /// Snapshot of currently open spans (for flight-recorder dumps).
-    pub fn open_spans(&self) -> Vec<Span> {
-        self.open
-            .iter()
-            .map(|o| Span {
-                trace_id: o.trace_id,
-                span_id: o.span_id,
-                parent_span: o.parent_span,
-                host: self.host,
-                name: o.name.clone(),
-                start_ns: o.start_ns,
-                end_ns: o.start_ns,
-            })
-            .collect()
     }
 }
 
@@ -388,22 +330,6 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].name, "y", "oldest evicted, order preserved");
         assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    fn open_spans_complete_or_show_in_dump() {
-        let mut sink = SpanSink::new(3, 16);
-        let ctx = TraceContext::sampled(1, 0);
-        let id = sink.begin(ctx, "walk", 100);
-        assert_eq!(sink.open_spans().len(), 1);
-        assert_eq!(sink.open_spans()[0].name, "walk");
-        sink.end(id, 150);
-        assert!(sink.open_spans().is_empty());
-        let spans = sink.drain(10);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].start_ns, 100);
-        assert_eq!(spans[0].end_ns, 150);
-        assert_eq!(spans[0].host, 3);
     }
 
     #[test]

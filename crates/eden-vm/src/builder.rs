@@ -1,7 +1,9 @@
 //! Fluent bytecode assembler with labels and fixups.
 //!
-//! The `eden-lang` compiler emits through this builder; it is also handy for
-//! hand-writing programs in tests and benchmarks. Labels decouple emission
+//! For hand-writing programs in tests. The `eden-lang` compiler does not
+//! use it: its IR (`eden_lang::ir`) lays out and lowers basic blocks to a
+//! flat op list itself and hands that to [`Program::new`]. Labels decouple
+//! emission
 //! order from jump-target resolution: create with [`new_label`], reference
 //! from jumps before or after binding, bind exactly once with [`bind`], and
 //! [`build`] patches every reference and runs the verifier.

@@ -55,12 +55,6 @@ struct Frame {
     locals_base: u32,
 }
 
-/// One in this many [`Interpreter::run`] calls is wall-clock timed for
-/// the `elapsed_ns` counter; the measured cost is scaled by the interval.
-/// Two clock reads cost more than interpreting a short action function,
-/// so per-invocation timing would dominate what it measures.
-const TIMING_SAMPLE: u64 = 64;
-
 /// Index mask of the two fixed frames. Admission keeps every stack
 /// position and every local below `FRAME_SLOTS`, so masking never changes
 /// an index — it tells the compiler so.
@@ -85,10 +79,6 @@ pub struct Interpreter {
     /// Per-opcode execution histogram, allocated only while profiling is
     /// enabled; the dispatch loop is compiled once with and once without.
     profile: Option<Box<[u64; Op::KIND_COUNT]>>,
-    /// Log2 histogram of sampled per-invocation wall-clock costs (fed by
-    /// the same 1-in-`TIMING_SAMPLE` clock reads as `elapsed_ns`, so it
-    /// adds no hot-path cost of its own).
-    latency: eden_telemetry::LogHistogram,
     /// Where the most recent trap happened: `(pc, opcode kind index)` of
     /// the instruction whose execution faulted. Written only on the trap
     /// exit path, so the dispatch loop never touches it.
@@ -124,7 +114,6 @@ impl Interpreter {
             observed: Bound::default(),
             counters: VmCounters::default(),
             profile: None,
-            latency: eden_telemetry::LogHistogram::new(),
             last_trap: None,
         }
     }
@@ -160,17 +149,9 @@ impl Interpreter {
     /// profiling is enabled).
     pub fn reset_counters(&mut self) {
         self.counters = VmCounters::default();
-        self.latency.reset();
         if let Some(hist) = self.profile.as_deref_mut() {
             hist.fill(0);
         }
-    }
-
-    /// Sampled per-invocation wall-clock histogram (1-in-`TIMING_SAMPLE`
-    /// runs contribute a sample; the bucket shape is representative, the
-    /// count is not a run count).
-    pub fn latency_histogram(&self) -> &eden_telemetry::LogHistogram {
-        &self.latency
     }
 
     /// Where the most recent trap happened, if any [`run`](Self::run) has
@@ -222,17 +203,6 @@ impl Interpreter {
         program: &Program,
         host: &mut H,
     ) -> Result<Outcome, VmError> {
-        // Wall-clock accounting is sampled: reading the clock twice per
-        // invocation costs more than interpreting a short action function,
-        // so one run in TIMING_SAMPLE is timed and scaled up. Action
-        // functions are uniform per program, so the estimate converges
-        // fast; `elapsed_ns` stays monotone either way.
-        let sampled = self.counters.invocations % TIMING_SAMPLE == 0;
-        let started = if sampled {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         let envelope = program.envelope();
         let admitted = envelope
             .fits(&self.limits)
@@ -253,11 +223,6 @@ impl Interpreter {
         self.counters.invocations += 1;
         self.counters.traps += result.is_err() as u64;
         self.counters.steps += self.usage.steps;
-        if let Some(t) = started {
-            let dt = t.elapsed().as_nanos() as u64;
-            self.counters.elapsed_ns += dt * TIMING_SAMPLE;
-            self.latency.record(dt);
-        }
         result
     }
 
@@ -621,8 +586,6 @@ mod tests {
         // survives subsequent successful runs (flight recorder reads it late)
         interp.run(&ok, &mut h).unwrap();
         assert_eq!(interp.last_trap(), Some(site));
-        // invocation 0 is always timed, so the latency histogram has samples
-        assert!(!interp.latency_histogram().is_empty());
     }
 
     #[test]
@@ -647,10 +610,6 @@ mod tests {
         assert_eq!(c.invocations, 3);
         assert_eq!(c.traps, 1);
         assert_eq!(c.steps, 3 + 3 + 3); // both programs execute 3 ops
-                                        // wall-clock cost is monotone; exact value is host-dependent
-        let elapsed_after_three = c.elapsed_ns;
-        i.run(&p, &mut h).unwrap();
-        assert!(i.counters().elapsed_ns >= elapsed_after_three);
 
         i.reset_counters();
         assert_eq!(i.counters(), VmCounters::default());

@@ -58,15 +58,6 @@ impl InterpreterPool {
         total
     }
 
-    /// Sampled per-invocation latency histogram merged over every lane.
-    pub fn latency_histogram(&self) -> eden_telemetry::LogHistogram {
-        let mut total = eden_telemetry::LogHistogram::new();
-        for lane in &self.lanes {
-            total.merge(lane.latency_histogram());
-        }
-        total
-    }
-
     /// The most recent trap site across all lanes (None if no lane has
     /// trapped). With multiple trapped lanes, lane order breaks the tie —
     /// good enough for a flight-recorder attribution.

@@ -1,6 +1,6 @@
 //! Classic pcap trace output: dump simulated traffic for Wireshark/tcpdump.
 //!
-//! Every packet is serialized through the real [`wire`](crate::wire)
+//! Every packet is serialized through the real [`wire`]
 //! encoders, so what Wireshark shows — VLAN tags, PCP bits, IPv4 checksums,
 //! TCP flags — is exactly what the simulated switches saw. Virtual
 //! nanoseconds map to pcap's second/microsecond timestamps starting at the

@@ -26,17 +26,18 @@ use netsim::{AppMarker, EdenMeta, Packet, TcpFlags, TcpHeader, Time};
 /// Maximum segment size, bytes of payload per packet (1500 MTU − 40).
 pub const MSS: usize = 1460;
 
+/// Initial congestion window, bytes.
+const INIT_CWND: u32 = 10 * MSS as u32;
+/// Receive window advertised to the peer, bytes.
+const RWND: u32 = 1 << 20;
+/// Upper bound on the retransmission timeout.
+const MAX_RTO: Time = Time::from_secs(2);
+
 /// TCP tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Initial congestion window, bytes.
-    pub init_cwnd: u32,
-    /// Receive window advertised to the peer, bytes.
-    pub rwnd: u32,
     /// Lower bound on the retransmission timeout.
     pub min_rto: Time,
-    /// Upper bound on the retransmission timeout.
-    pub max_rto: Time,
     /// Reordering tolerance (RACK-style): on the third duplicate ACK, wait
     /// this long for the hole to fill before declaring loss. `None` is
     /// classic Reno (immediate fast retransmit). Per-packet multipath
@@ -49,10 +50,7 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            init_cwnd: 10 * MSS as u32,
-            rwnd: 1 << 20,
             min_rto: Time::from_millis(2),
-            max_rto: Time::from_secs(2),
             reorder_window: None,
         }
     }
@@ -186,12 +184,12 @@ impl Conn {
             snd_una: 0,
             snd_nxt: 0,
             buffered_end: 1, // SYN occupies seq 0; data starts at 1
-            cwnd: cfg.init_cwnd as f64,
+            cwnd: INIT_CWND as f64,
             ssthresh: f64::MAX,
             dupacks: 0,
             in_recovery: false,
             recover: 0,
-            peer_wnd: cfg.rwnd,
+            peer_wnd: RWND,
             messages: Vec::new(),
             fin_queued: false,
             fin_sent: false,
@@ -345,7 +343,7 @@ impl Conn {
             ack: self.rcv_nxt,
             flags,
             // advertised window in units of 64 bytes (fixed scale)
-            window: (self.cfg.rwnd / 64).min(u16::MAX as u32) as u16,
+            window: (RWND / 64).min(u16::MAX as u32) as u16,
         }
     }
 
@@ -710,7 +708,7 @@ impl Conn {
         }
         let rto_ns = self.srtt.expect("set above") + (4.0 * self.rttvar).max(1000.0);
         let rto = Time::from_nanos(rto_ns as u64);
-        self.rto = rto.max(self.cfg.min_rto).min(self.cfg.max_rto);
+        self.rto = rto.max(self.cfg.min_rto).min(MAX_RTO);
     }
 
     /// Classic Reno fast retransmit + entry into (New)Reno recovery.
@@ -814,7 +812,7 @@ impl Conn {
             ConnState::Closed => return,
         }
         // exponential backoff
-        self.rto = Time::from_nanos((self.rto.as_nanos() * 2).min(self.cfg.max_rto.as_nanos()));
+        self.rto = Time::from_nanos((self.rto.as_nanos() * 2).min(MAX_RTO.as_nanos()));
         self.arm_rto(now, out);
     }
 

@@ -63,17 +63,19 @@ fn main() {
     }
 
     println!("\n== derived effects ==");
-    let e = &compiled.effects;
-    println!("  packet reads {:?} writes {:?}", e.pkt_reads, e.pkt_writes);
-    println!(
-        "  message reads {:?} writes {:?}",
-        e.msg_reads, e.msg_writes
-    );
-    println!(
-        "  global reads {:?} writes {:?}",
-        e.glob_reads, e.glob_writes
-    );
-    println!("  arrays reads {:?} writes {:?}", e.arr_reads, e.arr_writes);
+    let e = &compiled.program.envelope().state;
+    for (scope, used) in [
+        ("packet", &e.packet),
+        ("message", &e.message),
+        ("global", &e.global),
+        ("arrays", &e.arrays),
+    ] {
+        println!(
+            "  {scope} reads {:?} writes {:?}",
+            used.reads(),
+            used.writes()
+        );
+    }
     println!("  concurrency: {}", compiled.concurrency);
 
     println!(

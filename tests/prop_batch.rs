@@ -150,16 +150,12 @@ fn assert_equivalent(
     prop_assert_eq!(serial.take_punted(), batched.take_punted());
     // a hint counts nothing: what a peek of the burst loop resolves must
     // not show in any table, rule, function or interpreter count
-    // (`vm.elapsed_ns` is sampled wall-clock and differs)
     let (a, b) = (serial.stats_snapshot(), batched.stats_snapshot());
     prop_assert_eq!(&a.tables, &b.tables);
     prop_assert_eq!(&a.rules, &b.rules);
     prop_assert_eq!(&a.functions, &b.functions);
     prop_assert_eq!(&a.opcode_counts, &b.opcode_counts);
-    prop_assert_eq!(
-        (a.vm.invocations, a.vm.traps, a.vm.steps),
-        (b.vm.invocations, b.vm.traps, b.vm.steps)
-    );
+    prop_assert_eq!(a.vm, b.vm);
     for &f in &funcs {
         let (a, b) = (serial.function_state(f), batched.function_state(f));
         prop_assert_eq!(a.msg_dump(), b.msg_dump(), "message state of func {}", f.0);
