@@ -537,6 +537,7 @@ impl App for AggregatorApp {
 mod tests {
     use super::*;
     use crate::fleet::prio_epoch;
+    use crate::proto::read_fragment;
     use crate::testnet::{star, table_ops, Star, Tap};
     use eden_core::{EnclaveOp, MatchSpec};
     use netsim::Time;
@@ -802,15 +803,16 @@ mod tests {
         assert!(matches!(r, CtrlReply::Ack { .. }), "{r:?}");
     }
 
-    /// The frames of the message `id`, its id zeroed.
-    fn frames_of(tap: &Tap, id: u32) -> Vec<Vec<u8>> {
-        let of_id = tap.frames.iter().filter(|f| f[2..6] == id.to_le_bytes());
-        of_id
-            .map(|f| {
-                let mut f = f.clone();
-                f[2..6].fill(0);
-                f
-            })
+    /// The frames of the message `id`: each one's index, count and
+    /// chunk, everything but the id.
+    fn frames_of(tap: &Tap, id: u32) -> Vec<(u16, u16, Vec<u8>)> {
+        let frames = tap
+            .frames
+            .iter()
+            .map(|f| read_fragment(f).expect("a control frame"));
+        frames
+            .filter(|(h, _)| h.msg_id == id)
+            .map(|(h, chunk)| (h.idx, h.count, chunk.to_vec()))
             .collect()
     }
 
@@ -823,7 +825,7 @@ mod tests {
         assert_eq!(rack.app().shard_synced(), 16);
 
         let mut ids = Vec::new();
-        let mut first: Option<Vec<Vec<u8>>> = None;
+        let mut first: Option<Vec<(u16, u16, Vec<u8>)>> = None;
         for child in 0..16 {
             let tap = rack.tap(child);
             let requests = tap.requests();

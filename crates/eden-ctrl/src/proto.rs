@@ -20,15 +20,24 @@
 //! that predates them never looks; an absent section costs no byte, so a
 //! frame without them is the bare body such a decoder always read.
 //!
-//! Encoding is hand-rolled little-endian TLV — the workspace builds
-//! offline, and the message set is small enough that a serde dependency
-//! would be all cost.
+//! Encoding is little-endian TLV written with [`eden_telemetry::le`]'s
+//! `Writer` and `Reader` — the workspace builds offline, and the message
+//! set is small enough that a serde dependency would be all cost. Each
+//! `put_*` function sits beside the `get_*` that reads it back; each enum
+//! tag is the value's position in one `const` table; every count is
+//! narrowed to its prefix by the writer, which refuses a message whose
+//! count does not fit ([`ProtoError::TooLong`]) instead of wrapping it.
+//! A decoder reserves memory for a sequence in proportion to the bytes
+//! left, so a lying count truncates instead of allocating.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use std::borrow::Cow;
 
 use eden_core::{ClassId, EnclaveOp, MatchSpec, ShippedFunction};
-use eden_lang::{Access, Concurrency, HeaderField, ReplMode, Schema};
+use eden_lang::{Access, Concurrency, HeaderField, ReplMode, Schema, Scope};
 use eden_repl::{FuncDelta, FuncView, SeqEntry, SeqOp, SeqSnapshot, SeqTarget};
+use eden_telemetry::le::{self, Reader, Writer};
 use eden_telemetry::{
     EnclaveCounters, LatencyStat, LogHistogram, Span, TraceContext, HIST_BUCKETS,
 };
@@ -140,6 +149,9 @@ pub enum AckPhase {
     Abort,
 }
 
+/// [`AckPhase`] in wire-tag order.
+const ACK_PHASES: [AckPhase; 3] = [AckPhase::Prepare, AckPhase::Commit, AckPhase::Abort];
+
 /// Enclave-agent → controller replies. Every reply carries `re`, the
 /// message id of the request it answers, so a late duplicate reply can
 /// never be mistaken for the answer to a newer request.
@@ -235,303 +247,93 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-// ----------------------------------------------------------------------
-// byte reader/writer
-// ----------------------------------------------------------------------
-
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-    /// Some length did not fit its count prefix: [`Writer::finish`]
-    /// refuses the message.
-    overflowed: bool,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// The length `n` as a `width`-byte count prefix.
-    fn count(&mut self, width: usize, n: usize) {
-        let le = self.narrow(width, n);
-        self.buf.extend_from_slice(&le[..width]);
-    }
-    /// The count prefix written at `at` as a `width`-byte placeholder,
-    /// set to `n` once the items after it are written.
-    fn fill_count(&mut self, at: usize, width: usize, n: usize) {
-        let le = self.narrow(width, n);
-        self.buf[at..at + width].copy_from_slice(&le[..width]);
-    }
-    /// `n`'s little-endian bytes, of which a count prefix takes the first
-    /// `width`. The one place a length is narrowed to its wire width: one
-    /// that does not fit marks the writer instead of wrapping.
-    fn narrow(&mut self, width: usize, n: usize) -> [u8; 8] {
-        let n = n as u64;
-        self.overflowed |= n >> (8 * width) != 0;
-        n.to_le_bytes()
-    }
-    /// A count-prefixed sequence: `items.len()` in `width` bytes, then
-    /// each item as `put` writes it.
-    fn seq<T>(&mut self, width: usize, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
-        self.count(width, items.len());
-        for item in items {
-            put(self, item);
+impl From<le::Error> for ProtoError {
+    fn from(e: le::Error) -> ProtoError {
+        match e {
+            le::Error::Truncated => ProtoError::Truncated,
+            le::Error::BadTag(t) => ProtoError::BadTag(t),
         }
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.count(4, v.len());
-        self.buf.extend_from_slice(v);
-    }
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-    /// The encoded message, unless it cannot go on the wire as written.
-    /// Every message must leave room for a trace trailer, so tracing a
-    /// round never pushes a configuration that fit over the limit.
-    fn finish(self, traced: bool) -> Result<Vec<u8>, ProtoError> {
-        let room = if traced { 0 } else { TRACE_TRAILER };
-        if self.overflowed || self.buf.len() + room > MAX_FRAGS * MAX_CHUNK {
-            return Err(ProtoError::TooLong);
-        }
-        Ok(self.buf)
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_str(r: &mut Reader<'_>) -> Result<String, ProtoError> {
+    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ProtoError::BadString)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+/// A string no longer than [`MAX_SPAN_NAME`].
+fn get_name(r: &mut Reader<'_>) -> Result<String, ProtoError> {
+    let name = get_str(r)?;
+    if name.len() > MAX_SPAN_NAME {
+        return Err(ProtoError::BadString);
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, ProtoError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// A `width`-byte count prefix.
-    fn count(&mut self, width: usize) -> Result<usize, ProtoError> {
-        let mut le = [0u8; 8];
-        le[..width].copy_from_slice(self.take(width)?);
-        Ok(u64::from_le_bytes(le) as usize)
-    }
-    /// A count-prefixed sequence of items as `get` reads them. The count
-    /// is the sender's word: the pre-allocation is capped at what the
-    /// rest of the buffer could hold at `min` bytes an item, so a lying
-    /// count truncates instead of reserving memory.
-    fn seq<T>(
-        &mut self,
-        width: usize,
-        min: usize,
-        mut get: impl FnMut(&mut Reader<'a>) -> Result<T, ProtoError>,
-    ) -> Result<Vec<T>, ProtoError> {
-        let n = self.count(width)?;
-        let mut items = Vec::with_capacity(n.min(self.remaining() / min));
-        for _ in 0..n {
-            items.push(get(self)?);
-        }
-        Ok(items)
-    }
-    fn bytes(&mut self) -> Result<&'a [u8], ProtoError> {
-        let n = self.count(4)?;
-        self.take(n)
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    /// The next u16 without consuming it — how a decoder tells an
-    /// optional trailing section (led by its marker) from the bytes of
-    /// a different section, without committing to a parse.
-    fn peek_u16(&self) -> Option<u16> {
-        let b = self.buf.get(self.pos..self.pos + 2)?;
-        Some(u16::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, ProtoError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadString)
-    }
-    /// A string no longer than [`MAX_SPAN_NAME`].
-    fn name(&mut self) -> Result<String, ProtoError> {
-        let b = self.bytes()?;
-        if b.len() > MAX_SPAN_NAME {
-            return Err(ProtoError::BadString);
-        }
-        String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadString)
-    }
+    Ok(name)
 }
 
 // ----------------------------------------------------------------------
 // schema / op codecs
 // ----------------------------------------------------------------------
 
-fn header_to_u8(h: HeaderField) -> u8 {
-    match h {
-        HeaderField::Ipv4TotalLength => 0,
-        HeaderField::Ipv4Src => 1,
-        HeaderField::Ipv4Dst => 2,
-        HeaderField::Ipv4Protocol => 3,
-        HeaderField::Ipv4Dscp => 4,
-        HeaderField::SrcPort => 5,
-        HeaderField::DstPort => 6,
-        HeaderField::TcpSeq => 7,
-        HeaderField::Dot1qPcp => 8,
-        HeaderField::Dot1qVid => 9,
-        HeaderField::MetaMsgId => 10,
-        HeaderField::MetaMsgType => 11,
-        HeaderField::MetaMsgSize => 12,
-        HeaderField::MetaTenant => 13,
-        HeaderField::MetaKeyHash => 14,
-        HeaderField::MetaMsgStart => 15,
-        HeaderField::Direction => 16,
-    }
-}
-
-fn header_from_u8(v: u8) -> Result<HeaderField, ProtoError> {
-    Ok(match v {
-        0 => HeaderField::Ipv4TotalLength,
-        1 => HeaderField::Ipv4Src,
-        2 => HeaderField::Ipv4Dst,
-        3 => HeaderField::Ipv4Protocol,
-        4 => HeaderField::Ipv4Dscp,
-        5 => HeaderField::SrcPort,
-        6 => HeaderField::DstPort,
-        7 => HeaderField::TcpSeq,
-        8 => HeaderField::Dot1qPcp,
-        9 => HeaderField::Dot1qVid,
-        10 => HeaderField::MetaMsgId,
-        11 => HeaderField::MetaMsgType,
-        12 => HeaderField::MetaMsgSize,
-        13 => HeaderField::MetaTenant,
-        14 => HeaderField::MetaKeyHash,
-        15 => HeaderField::MetaMsgStart,
-        16 => HeaderField::Direction,
-        other => return Err(ProtoError::BadTag(other)),
-    })
-}
-
-fn access_to_u8(a: Access) -> u8 {
-    match a {
-        Access::ReadOnly => 0,
-        Access::ReadWrite => 1,
-    }
-}
-
-fn access_from_u8(v: u8) -> Result<Access, ProtoError> {
-    Ok(match v {
-        0 => Access::ReadOnly,
-        1 => Access::ReadWrite,
-        other => return Err(ProtoError::BadTag(other)),
-    })
-}
-
-fn repl_to_u8(m: ReplMode) -> u8 {
-    match m {
-        ReplMode::MergedSum => 0,
-        ReplMode::MergedMax => 1,
-        ReplMode::Sequenced => 2,
-    }
-}
-
-fn repl_from_u8(v: u8) -> Result<ReplMode, ProtoError> {
-    Ok(match v {
-        0 => ReplMode::MergedSum,
-        1 => ReplMode::MergedMax,
-        2 => ReplMode::Sequenced,
-        other => return Err(ProtoError::BadTag(other)),
-    })
-}
-
-fn concurrency_to_u8(c: Concurrency) -> u8 {
-    match c {
-        Concurrency::Parallel => 0,
-        Concurrency::PerMessage => 1,
-        Concurrency::Serialized => 2,
-    }
-}
-
-fn concurrency_from_u8(v: u8) -> Result<Concurrency, ProtoError> {
-    Ok(match v {
-        0 => Concurrency::Parallel,
-        1 => Concurrency::PerMessage,
-        2 => Concurrency::Serialized,
-        other => return Err(ProtoError::BadTag(other)),
-    })
-}
+// Each enum the schema carries, in wire-tag order: a value's tag is its
+// position in its table.
+const HEADERS: [HeaderField; 17] = [
+    HeaderField::Ipv4TotalLength,
+    HeaderField::Ipv4Src,
+    HeaderField::Ipv4Dst,
+    HeaderField::Ipv4Protocol,
+    HeaderField::Ipv4Dscp,
+    HeaderField::SrcPort,
+    HeaderField::DstPort,
+    HeaderField::TcpSeq,
+    HeaderField::Dot1qPcp,
+    HeaderField::Dot1qVid,
+    HeaderField::MetaMsgId,
+    HeaderField::MetaMsgType,
+    HeaderField::MetaMsgSize,
+    HeaderField::MetaTenant,
+    HeaderField::MetaKeyHash,
+    HeaderField::MetaMsgStart,
+    HeaderField::Direction,
+];
+const SCOPES: [Scope; 3] = [Scope::Packet, Scope::Message, Scope::Global];
+const ACCESS: [Access; 2] = [Access::ReadOnly, Access::ReadWrite];
+const REPL_MODES: [ReplMode; 3] = [
+    ReplMode::MergedSum,
+    ReplMode::MergedMax,
+    ReplMode::Sequenced,
+];
+const CONCURRENCY: [Concurrency; 3] = [
+    Concurrency::Parallel,
+    Concurrency::PerMessage,
+    Concurrency::Serialized,
+];
 
 fn put_schema(w: &mut Writer, s: &Schema) {
     w.seq(2, s.fields(), |w, f| {
         w.str(&f.name);
-        w.u8(match f.scope {
-            eden_lang::Scope::Packet => 0,
-            eden_lang::Scope::Message => 1,
-            eden_lang::Scope::Global => 2,
-        });
-        w.u8(access_to_u8(f.access));
+        w.tag(&SCOPES, &f.scope);
+        w.tag(&ACCESS, &f.access);
         // Flags byte: bit 0 = header mapping follows, bit 1 = replication
         // mode follows. The pre-replication encoding wrote exactly 0 or 1
         // here (header present/absent), so old frames parse as flags with
         // bit 1 clear — byte-compatible in both directions when no field
         // is replicated.
-        let mut flags = 0u8;
-        if f.header.is_some() {
-            flags |= 1;
+        w.u8(u8::from(f.header.is_some()) | u8::from(f.repl.is_some()) << 1);
+        if let Some(h) = &f.header {
+            w.tag(&HEADERS, h);
         }
-        if f.repl.is_some() {
-            flags |= 2;
-        }
-        w.u8(flags);
-        if let Some(h) = f.header {
-            w.u8(header_to_u8(h));
-        }
-        if let Some(m) = f.repl {
-            w.u8(repl_to_u8(m));
+        if let Some(m) = &f.repl {
+            w.tag(&REPL_MODES, m);
         }
     });
     w.seq(2, s.arrays(), |w, a| {
         w.str(&a.name);
         w.seq(2, &a.fields, |w, f| w.str(f));
-        // Same trick as the field flags: bit 0 is the access mode (the
+        // Same trick as the field flags: bit 0 is the access tag (the
         // whole byte in the pre-replication encoding), bit 1 announces a
         // replication-mode byte.
-        let mut flags = access_to_u8(a.access);
-        if a.repl.is_some() {
-            flags |= 2;
-        }
-        w.u8(flags);
-        if let Some(m) = a.repl {
-            w.u8(repl_to_u8(m));
+        w.u8(u8::from(a.access == ACCESS[1]) | u8::from(a.repl.is_some()) << 1);
+        if let Some(m) = &a.repl {
+            w.tag(&REPL_MODES, m);
         }
     });
 }
@@ -541,28 +343,24 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema, ProtoError> {
     // overflow — fine for programmer-built schemas, fatal for bytes off
     // the wire. Validate everything here and return errors instead.
     let mut s = Schema::new();
-    // a field costs at least its name's length prefix and three bytes
-    let fields = r.seq(2, 7, |r| {
-        let name = r.str()?;
-        let scope = r.u8()?;
-        let access = access_from_u8(r.u8()?)?;
+    let fields = r.seq(2, |r| {
+        let name = get_str(r)?;
+        let scope = r.tag(&SCOPES)?;
+        let access = r.tag(&ACCESS)?;
         let flags = r.u8()?;
         if flags & !0x03 != 0 {
             return Err(ProtoError::BadTag(flags));
         }
         let header = if flags & 1 != 0 {
-            Some(header_from_u8(r.u8()?)?)
+            Some(r.tag(&HEADERS)?)
         } else {
             None
         };
         let repl = if flags & 2 != 0 {
-            Some(repl_from_u8(r.u8()?)?)
+            Some(r.tag(&REPL_MODES)?)
         } else {
             None
         };
-        if scope > 2 {
-            return Err(ProtoError::BadTag(scope));
-        }
         Ok((scope, name, access, header, repl))
     })?;
     for (i, (scope, name, access, header, repl)) in fields.iter().enumerate() {
@@ -571,27 +369,24 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema, ProtoError> {
             return Err(ProtoError::BadSchema);
         }
         s = match scope {
-            0 => s.packet_field(name, *access, *header),
-            1 => s.msg_field(name, *access),
-            _ => s.global_field(name, *access),
+            Scope::Packet => s.packet_field(name, *access, *header),
+            Scope::Message => s.msg_field(name, *access),
+            Scope::Global => s.global_field(name, *access),
         };
         if let Some(m) = repl {
             s = s.replicated(*m);
         }
     }
-    // an array costs at least its name's and field list's prefixes and
-    // its flags byte
-    let arrays = r.seq(2, 7, |r| {
-        let name = r.str()?;
-        // each field name costs at least its 4-byte length prefix
-        let fields = r.seq(2, 4, Reader::str)?;
+    let arrays = r.seq(2, |r| {
+        let name = get_str(r)?;
+        let fields = r.seq(2, get_str)?;
         let flags = r.u8()?;
         if flags & !0x03 != 0 {
             return Err(ProtoError::BadTag(flags));
         }
-        let access = access_from_u8(flags & 1)?;
+        let access = ACCESS[usize::from(flags & 1)];
         let repl = if flags & 2 != 0 {
-            Some(repl_from_u8(r.u8()?)?)
+            Some(r.tag(&REPL_MODES)?)
         } else {
             None
         };
@@ -636,7 +431,7 @@ fn get_spec(r: &mut Reader<'_>) -> Result<MatchSpec, ProtoError> {
     Ok(match r.u8()? {
         0 => MatchSpec::Any,
         1 => MatchSpec::Class(ClassId(r.u32()?)),
-        2 => MatchSpec::AnyOf(r.seq(2, 4, |r| r.u32().map(ClassId))?),
+        2 => MatchSpec::AnyOf(r.seq(2, |r| r.u32().map(ClassId))?),
         other => return Err(ProtoError::BadTag(other)),
     })
 }
@@ -647,25 +442,25 @@ fn put_op(w: &mut Writer, op: &EnclaveOp) {
         EnclaveOp::CreateTable => w.u8(1),
         EnclaveOp::ClearTable { table } => {
             w.u8(2);
-            w.u32(*table as u32);
+            w.count(4, *table);
         }
         EnclaveOp::InstallFunction(f) => {
             w.u8(3);
             w.str(&f.name);
             w.bytes(&f.bytecode);
             put_schema(w, &f.schema);
-            w.u8(concurrency_to_u8(f.concurrency));
+            w.tag(&CONCURRENCY, &f.concurrency);
         }
         EnclaveOp::InstallRule { table, spec, func } => put_rule(w, *table, spec, *func),
         EnclaveOp::RemoveRule { table, rule } => {
             w.u8(5);
-            w.u32(*table as u32);
-            w.u32(*rule as u32);
+            w.count(4, *table);
+            w.count(4, *rule);
         }
         EnclaveOp::SetGlobal { func, slot, value } => {
             w.u8(6);
-            w.u32(*func as u32);
-            w.u32(*slot as u32);
+            w.count(4, *func);
+            w.count(4, *slot);
             w.i64(*value);
         }
         EnclaveOp::SetArray {
@@ -679,16 +474,16 @@ fn put_op(w: &mut Writer, op: &EnclaveOp) {
 /// An `InstallRule` op, from its fields.
 fn put_rule(w: &mut Writer, table: usize, spec: &MatchSpec, func: usize) {
     w.u8(4);
-    w.u32(table as u32);
+    w.count(4, table);
     put_spec(w, spec);
-    w.u32(func as u32);
+    w.count(4, func);
 }
 
 /// A `SetArray` op, from its fields.
 fn put_array(w: &mut Writer, func: usize, array: usize, values: &[i64]) {
     w.u8(7);
-    w.u32(func as u32);
-    w.u32(array as u32);
+    w.count(4, func);
+    w.count(4, array);
     put_i64s(w, values);
 }
 
@@ -696,14 +491,12 @@ fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
     Ok(match r.u8()? {
         0 => EnclaveOp::Reset,
         1 => EnclaveOp::CreateTable,
-        2 => EnclaveOp::ClearTable {
-            table: r.u32()? as usize,
-        },
+        2 => EnclaveOp::ClearTable { table: r.count(4)? },
         3 => {
-            let name = r.str()?;
+            let name = get_str(r)?;
             let bytecode = r.bytes()?.to_vec();
             let schema = get_schema(r)?;
-            let concurrency = concurrency_from_u8(r.u8()?)?;
+            let concurrency = r.tag(&CONCURRENCY)?;
             EnclaveOp::InstallFunction(Box::new(ShippedFunction {
                 name,
                 bytecode,
@@ -712,37 +505,37 @@ fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
             }))
         }
         4 => {
-            let table = r.u32()? as usize;
+            let table = r.count(4)?;
             let spec = get_spec(r)?;
-            let func = r.u32()? as usize;
+            let func = r.count(4)?;
             EnclaveOp::InstallRule { table, spec, func }
         }
         5 => EnclaveOp::RemoveRule {
-            table: r.u32()? as usize,
-            rule: r.u32()? as usize,
+            table: r.count(4)?,
+            rule: r.count(4)?,
         },
         6 => {
-            let func = r.u32()? as usize;
-            let slot = r.u32()? as usize;
+            let func = r.count(4)?;
+            let slot = r.count(4)?;
             let value = r.i64()?;
             EnclaveOp::SetGlobal { func, slot, value }
         }
         7 => EnclaveOp::SetArray {
-            func: r.u32()? as usize,
-            array: r.u32()? as usize,
+            func: r.count(4)?,
+            array: r.count(4)?,
             values: get_i64s(r)?,
         },
         other => return Err(ProtoError::BadTag(other)),
     })
 }
 
-/// An epoch's ops; every op costs at least its 1-byte tag.
+/// An epoch's ops.
 fn put_ops(w: &mut Writer, ops: &[EnclaveOp]) {
     w.seq(2, ops, put_op);
 }
 
 fn get_ops(r: &mut Reader<'_>) -> Result<Vec<EnclaveOp>, ProtoError> {
-    r.seq(2, 1, get_op)
+    r.seq(2, get_op)
 }
 
 /// Array elements, counted in four bytes.
@@ -751,7 +544,7 @@ fn put_i64s(w: &mut Writer, values: &[i64]) {
 }
 
 fn get_i64s(r: &mut Reader<'_>) -> Result<Vec<i64>, ProtoError> {
-    r.seq(4, 8, Reader::i64)
+    Ok(r.seq(4, Reader::i64)?)
 }
 
 /// The `Stats` counter section: the enclave group's rows as `u64`s, in
@@ -780,17 +573,13 @@ fn put_span(w: &mut Writer, s: &Span) {
     w.u64(s.end_ns);
 }
 
-/// Minimum wire bytes per span: three u64 ids + host u32 + empty-name
-/// length prefix + two u64 timestamps.
-const SPAN_WIRE_MIN: usize = 8 * 5 + 4 + 4;
-
 fn get_span(r: &mut Reader<'_>) -> Result<Span, ProtoError> {
     Ok(Span {
         trace_id: r.u64()?,
         span_id: r.u64()?,
         parent_span: r.u64()?,
         host: r.u32()?,
-        name: r.name()?,
+        name: get_name(r)?,
         start_ns: r.u64()?,
         end_ns: r.u64()?,
     })
@@ -801,7 +590,7 @@ fn put_spans(w: &mut Writer, spans: &[Span]) {
 }
 
 fn get_spans(r: &mut Reader<'_>) -> Result<Vec<Span>, ProtoError> {
-    r.seq(2, SPAN_WIRE_MIN, get_span)
+    r.seq(2, get_span)
 }
 
 /// Histograms travel sparse: name, sample sum, then only the non-zero
@@ -819,13 +608,13 @@ fn put_latency(w: &mut Writer, l: &LatencyStat) {
         .map(|(i, &c)| (i, c))
         .collect();
     w.seq(1, &nonzero, |w, &(i, c)| {
-        w.u8(i as u8);
+        w.count(1, i);
         w.u64(c);
     });
 }
 
 fn get_latency(r: &mut Reader<'_>) -> Result<LatencyStat, ProtoError> {
-    let name = r.name()?;
+    let name = get_name(r)?;
     let sum = r.u64()?;
     let mut buckets = [0u64; HIST_BUCKETS];
     for _ in 0..r.count(1)? {
@@ -876,9 +665,6 @@ fn put_seq_op(w: &mut Writer, op: &SeqOp) {
     w.i64(op.value);
 }
 
-/// Minimum wire bytes per sequenced op: op id + global target + value.
-const SEQ_OP_WIRE_MIN: usize = 8 + 2 + 8;
-
 fn get_seq_op(r: &mut Reader<'_>) -> Result<SeqOp, ProtoError> {
     Ok(SeqOp {
         op_id: r.u64()?,
@@ -892,8 +678,6 @@ fn put_seq_entry(w: &mut Writer, e: &SeqEntry) {
     w.u32(e.host);
     put_seq_op(w, &e.op);
 }
-
-const SEQ_ENTRY_WIRE_MIN: usize = 8 + 4 + SEQ_OP_WIRE_MIN;
 
 fn get_seq_entry(r: &mut Reader<'_>) -> Result<SeqEntry, ProtoError> {
     Ok(SeqEntry {
@@ -912,7 +696,7 @@ fn put_slot_pairs(w: &mut Writer, pairs: &[(u8, i64)]) {
 }
 
 fn get_slot_pairs(r: &mut Reader<'_>) -> Result<Vec<(u8, i64)>, ProtoError> {
-    r.seq(2, 9, |r| Ok((r.u8()?, r.i64()?)))
+    r.seq(2, |r| Ok((r.u8()?, r.i64()?)))
 }
 
 /// `(array id, elements)` lists — merged array contributions and views.
@@ -924,7 +708,7 @@ fn put_array_pairs(w: &mut Writer, arrays: &[(u8, Vec<i64>)]) {
 }
 
 fn get_array_pairs(r: &mut Reader<'_>) -> Result<Vec<(u8, Vec<i64>)>, ProtoError> {
-    r.seq(2, 5, |r| Ok((r.u8()?, get_i64s(r)?)))
+    r.seq(2, |r| Ok((r.u8()?, get_i64s(r)?)))
 }
 
 fn put_snapshot(w: &mut Writer, s: &SeqSnapshot) {
@@ -941,7 +725,7 @@ fn get_snapshot(r: &mut Reader<'_>) -> Result<SeqSnapshot, ProtoError> {
     Ok(SeqSnapshot {
         seq: r.u64()?,
         globals: get_slot_pairs(r)?,
-        cells: r.seq(4, 13, |r| Ok((r.u8()?, r.u32()?, r.i64()?)))?,
+        cells: r.seq(4, |r| Ok::<_, le::Error>((r.u8()?, r.u32()?, r.i64()?)))?,
     })
 }
 
@@ -954,16 +738,12 @@ fn put_delta(w: &mut Writer, d: &FuncDelta) {
     w.u64(d.digest);
 }
 
-/// Minimum wire bytes per delta: func + three empty section counts +
-/// applied_seq + digest.
-const DELTA_WIRE_MIN: usize = 4 + 2 + 2 + 2 + 8 + 8;
-
 fn get_delta(r: &mut Reader<'_>) -> Result<FuncDelta, ProtoError> {
     Ok(FuncDelta {
         func: r.u32()?,
         merged: get_slot_pairs(r)?,
         merged_arrays: get_array_pairs(r)?,
-        seq_ops: r.seq(2, SEQ_OP_WIRE_MIN, get_seq_op)?,
+        seq_ops: r.seq(2, get_seq_op)?,
         applied_seq: r.u64()?,
         digest: r.u64()?,
     })
@@ -987,10 +767,6 @@ fn put_view(w: &mut Writer, v: &FuncView) {
     w.u8(u8::from(v.divergent));
 }
 
-/// Minimum wire bytes per view: func + version + two empty pair counts +
-/// snapshot flag + empty entry count + acked + digest + divergent.
-const VIEW_WIRE_MIN: usize = 4 + 8 + 2 + 2 + 1 + 2 + 8 + 8 + 1;
-
 fn get_view(r: &mut Reader<'_>) -> Result<FuncView, ProtoError> {
     Ok(FuncView {
         func: r.u32()?,
@@ -1002,7 +778,7 @@ fn get_view(r: &mut Reader<'_>) -> Result<FuncView, ProtoError> {
             1 => Some(get_snapshot(r)?),
             other => return Err(ProtoError::BadTag(other)),
         },
-        entries: r.seq(2, SEQ_ENTRY_WIRE_MIN, get_seq_entry)?,
+        entries: r.seq(2, get_seq_entry)?,
         acked_op_id: r.u64()?,
         digest: r.u64()?,
         divergent: r.u8()? != 0,
@@ -1079,7 +855,7 @@ fn get_msg(r: &mut Reader<'_>) -> Result<CtrlMsg, ProtoError> {
         },
         8 => CtrlMsg::AggSync {
             nonce: r.u64()?,
-            views: r.seq(2, 4 + VIEW_WIRE_MIN, |r| Ok((r.u32()?, get_view(r)?)))?,
+            views: r.seq(2, |r| Ok::<_, ProtoError>((r.u32()?, get_view(r)?)))?,
         },
         other => return Err(ProtoError::BadTag(other)),
     })
@@ -1091,11 +867,7 @@ fn put_reply(w: &mut Writer, reply: &CtrlReply) {
             w.u8(1);
             w.u32(*re);
             w.u64(*epoch);
-            w.u8(match phase {
-                AckPhase::Prepare => 0,
-                AckPhase::Commit => 1,
-                AckPhase::Abort => 2,
-            });
+            w.tag(&ACK_PHASES, phase);
         }
         CtrlReply::Nack { re, epoch, reason } => {
             w.u8(2);
@@ -1173,17 +945,12 @@ fn get_reply(r: &mut Reader<'_>) -> Result<CtrlReply, ProtoError> {
         1 => CtrlReply::Ack {
             re: r.u32()?,
             epoch: r.u64()?,
-            phase: match r.u8()? {
-                0 => AckPhase::Prepare,
-                1 => AckPhase::Commit,
-                2 => AckPhase::Abort,
-                other => return Err(ProtoError::BadTag(other)),
-            },
+            phase: r.tag(&ACK_PHASES)?,
         },
         2 => CtrlReply::Nack {
             re: r.u32()?,
             epoch: r.u64()?,
-            reason: r.str()?,
+            reason: get_str(r)?,
         },
         3 => CtrlReply::Pong {
             re: r.u32()?,
@@ -1204,12 +971,11 @@ fn get_reply(r: &mut Reader<'_>) -> Result<CtrlReply, ProtoError> {
             digest: r.u64()?,
             captured_at_ns: r.u64()?,
             counters: get_counters(r)?,
-            // Same append-only evolution as Pong's span section; each
-            // stat costs at least its name prefix + sum + pair count.
+            // Same append-only evolution as Pong's span section.
             latencies: if r.remaining() == 0 {
                 Vec::new()
             } else {
-                r.seq(2, 13, get_latency)?
+                r.seq(2, get_latency)?
             },
         },
         5 => CtrlReply::Spans {
@@ -1225,7 +991,7 @@ fn get_reply(r: &mut Reader<'_>) -> Result<CtrlReply, ProtoError> {
             hosts_synced: r.u32()?,
             max_epoch: r.u64()?,
             diverged: r.u8()? != 0,
-            deltas: r.seq(2, 4 + DELTA_WIRE_MIN, |r| Ok((r.u32()?, get_delta(r)?)))?,
+            deltas: r.seq(2, |r| Ok::<_, ProtoError>((r.u32()?, get_delta(r)?)))?,
             spans: get_spans(r)?,
         },
         other => return Err(ProtoError::BadTag(other)),
@@ -1271,7 +1037,7 @@ impl Request {
     }
 
     pub fn decode(buf: &[u8]) -> Result<Request, ProtoError> {
-        decode(buf, get_msg, VIEW_WIRE_MIN, get_view)
+        decode(buf, get_msg, get_view)
     }
 }
 
@@ -1282,7 +1048,7 @@ impl Response {
     }
 
     pub fn decode(buf: &[u8]) -> Result<Response, ProtoError> {
-        decode(buf, get_reply, DELTA_WIRE_MIN, get_delta)
+        decode(buf, get_reply, get_delta)
     }
 }
 
@@ -1346,11 +1112,10 @@ impl OpWriter<'_> {
 /// the bytes its encoder would have written with `trace` set. Every frame
 /// is encoded with room for the trailer, so this one fits the wire too.
 pub(crate) fn with_trailer(untraced: &[u8], trace: &TraceContext) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.buf.reserve_exact(untraced.len() + TRACE_TRAILER);
-    w.buf.extend_from_slice(untraced);
+    let mut w = Writer::with_capacity(untraced.len() + TRACE_TRAILER);
+    w.raw(untraced);
     put_trailer(&mut w, trace);
-    w.buf
+    w.finish().expect("a trailer holds no count")
 }
 
 fn put_trailer(w: &mut Writer, t: &TraceContext) {
@@ -1361,7 +1126,10 @@ fn put_trailer(w: &mut Writer, t: &TraceContext) {
 }
 
 /// The one encoder: body, replication section, trace trailer. Refuses
-/// ([`ProtoError::TooLong`]) what cannot go on the wire as written.
+/// ([`ProtoError::TooLong`]) what cannot go on the wire as written: a
+/// count that does not fit its prefix, or a message over [`MAX_FRAGS`]
+/// fragments. Every message must leave room for a trace trailer, so
+/// tracing a round never pushes a configuration that fit over the limit.
 fn encode<R>(
     body: impl FnOnce(&mut Writer),
     repl: &[R],
@@ -1374,7 +1142,11 @@ fn encode<R>(
     if let Some(t) = trace {
         put_trailer(&mut w, t);
     }
-    w.finish(trace.is_some())
+    let room = if trace.is_some() { 0 } else { TRACE_TRAILER };
+    match w.finish() {
+        Some(buf) if buf.len() + room <= MAX_FRAGS * MAX_CHUNK => Ok(buf),
+        _ => Err(ProtoError::TooLong),
+    }
 }
 
 /// The one decoder. A frame without a section decodes with it empty —
@@ -1386,14 +1158,13 @@ fn encode<R>(
 fn decode<'a, B, R>(
     buf: &'a [u8],
     get_body: impl FnOnce(&mut Reader<'a>) -> Result<B, ProtoError>,
-    item_min: usize,
     get_item: impl FnMut(&mut Reader<'a>) -> Result<R, ProtoError>,
 ) -> Result<Frame<B, R>, ProtoError> {
     let mut r = Reader::new(buf);
     let body = get_body(&mut r)?;
     let repl = if r.peek_u16() == Some(REPL_MARK) {
         r.u16()?; // consume the marker
-        r.seq(2, item_min, get_item)?
+        r.seq(2, get_item)?
     } else {
         Vec::new()
     };
@@ -1415,6 +1186,15 @@ fn decode<'a, B, R>(
 // fragmentation
 // ----------------------------------------------------------------------
 
+/// A control frame's fragment header: which message, which of its
+/// fragments, out of how many.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FragHeader {
+    pub(crate) msg_id: u32,
+    pub(crate) idx: u16,
+    pub(crate) count: u16,
+}
+
 /// Split an encoded message into MTU-sized control frames. Always emits
 /// at least one frame; retransmissions must reuse `msg_id` so duplicates
 /// collapse in the reassembler.
@@ -1424,15 +1204,30 @@ pub fn fragment(msg_id: u32, payload: &[u8]) -> Vec<Vec<u8>> {
     let mut frames = Vec::with_capacity(count);
     for idx in 0..count {
         let chunk = &payload[idx * MAX_CHUNK..((idx + 1) * MAX_CHUNK).min(payload.len())];
-        let mut f = Vec::with_capacity(FRAG_HEADER + chunk.len());
-        f.extend_from_slice(&MAGIC.to_le_bytes());
-        f.extend_from_slice(&msg_id.to_le_bytes());
-        f.extend_from_slice(&(idx as u16).to_le_bytes());
-        f.extend_from_slice(&(count as u16).to_le_bytes());
-        f.extend_from_slice(chunk);
-        frames.push(f);
+        let mut w = Writer::with_capacity(FRAG_HEADER + chunk.len());
+        w.u16(MAGIC);
+        w.u32(msg_id);
+        w.count(2, idx);
+        w.count(2, count);
+        w.raw(chunk);
+        frames.push(w.finish().expect("MAX_FRAGS fits the u16 count"));
     }
     frames
+}
+
+/// A frame's fragment header and the payload chunk after it: the one
+/// parse of the header [`fragment`] writes.
+pub(crate) fn read_fragment(frame: &[u8]) -> Result<(FragHeader, &[u8]), ProtoError> {
+    let mut r = Reader::new(frame);
+    let (magic, msg_id, idx, count) = (r.u16()?, r.u32()?, r.u16()?, r.u16()?);
+    if magic != MAGIC {
+        return Err(ProtoError::BadMagic);
+    }
+    if count == 0 || idx >= count || usize::from(count) > MAX_FRAGS {
+        return Err(ProtoError::BadFragment);
+    }
+    let header = FragHeader { msg_id, idx, count };
+    Ok((header, r.take(r.remaining())?))
 }
 
 struct Pending {
@@ -1484,20 +1279,7 @@ impl Reassembler {
         from: u32,
         frame: &'f [u8],
     ) -> Result<Option<Reassembled<'f>>, ProtoError> {
-        if frame.len() < FRAG_HEADER {
-            return Err(ProtoError::Truncated);
-        }
-        let magic = u16::from_le_bytes(frame[0..2].try_into().unwrap());
-        if magic != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let msg_id = u32::from_le_bytes(frame[2..6].try_into().unwrap());
-        let idx = u16::from_le_bytes(frame[6..8].try_into().unwrap());
-        let count = u16::from_le_bytes(frame[8..10].try_into().unwrap());
-        if count == 0 || idx >= count || count as usize > MAX_FRAGS {
-            return Err(ProtoError::BadFragment);
-        }
-        let chunk = &frame[FRAG_HEADER..];
+        let (FragHeader { msg_id, idx, count }, chunk) = read_fragment(frame)?;
 
         let pos = match self
             .pending
@@ -1586,10 +1368,9 @@ mod tests {
 
     /// A writer that continues the encoded message `bytes`.
     fn continuing(bytes: Vec<u8>) -> Writer {
-        Writer {
-            buf: bytes,
-            overflowed: false,
-        }
+        let mut w = Writer::default();
+        w.buf = bytes;
+        w
     }
 
     fn sample_ops() -> Vec<EnclaveOp> {
@@ -1669,14 +1450,6 @@ mod tests {
             encode_prepare(1, &vec![EnclaveOp::Reset; 65_542]),
             Err(ProtoError::TooLong)
         );
-
-        // every width: one-byte bucket counts, four-byte element counts
-        let mut w = Writer::default();
-        w.seq(1, &[0u8; 255], |w, b| w.u8(*b));
-        assert!(!w.overflowed);
-        w.seq(1, &[0u8; 256], |w, b| w.u8(*b));
-        assert!(w.overflowed);
-        assert_eq!(w.finish(false), Err(ProtoError::TooLong));
     }
 
     #[test]
@@ -2136,7 +1909,7 @@ mod tests {
     #[test]
     fn fragmentation_round_trips_any_size() {
         for size in [0usize, 1, MAX_CHUNK - 1, MAX_CHUNK, MAX_CHUNK + 1, 5000] {
-            let payload: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+            let payload: Vec<u8> = (0..size).map(|i| (i % 251).to_le_bytes()[0]).collect();
             let frames = fragment(7, &payload);
             assert_eq!(frames.len(), size.div_ceil(MAX_CHUNK).max(1));
             for f in &frames {
@@ -2273,7 +2046,7 @@ mod tests {
         assert_eq!(r.accept(1, &f), Err(ProtoError::BadFragment));
         assert_eq!(r.pending_messages(), 0);
         // the largest legal count is fine
-        let f = raw_frame(2, 0, MAX_FRAGS as u16, &[0xAB]);
+        let f = raw_frame(2, 0, u16::try_from(MAX_FRAGS).unwrap(), &[0xAB]);
         assert_eq!(r.accept(1, &f), Ok(None));
         assert_eq!(r.pending_messages(), 1);
         assert_eq!(r.buffered_bytes(), 1);

@@ -7,8 +7,8 @@ use netsim::{LinkSpec, Network, NodeId, Switch, SwitchConfig, Time};
 use transport::{app_timer_token, App, HookEnv, HookVerdict, Host, PacketHook, Stack, StackConfig};
 
 use crate::fleet::prio_epoch;
-use crate::proto::FRAG_HEADER;
-use crate::{CtrlConfig, EnclaveAgent, TICK};
+use crate::proto::read_fragment;
+use crate::{CtrlConfig, CtrlMsg, EnclaveAgent, TICK};
 
 /// An [`EnclaveAgent`] that keeps every control frame it is sent, and can
 /// be told to play dead.
@@ -41,15 +41,15 @@ impl Tap {
     /// `(message id, message tag)` of every message whose first fragment
     /// was recorded, heartbeats left out, in arrival order.
     pub(crate) fn requests(&self) -> Vec<(u32, u8)> {
-        let first = self.frames.iter().filter(|f| f[6..8] == [0, 0]);
-        first
-            .map(|f| {
-                (
-                    u32::from_le_bytes(f[2..6].try_into().unwrap()),
-                    f[FRAG_HEADER],
-                )
-            })
-            .filter(|&(_, tag)| tag != 4)
+        let heartbeat = CtrlMsg::Heartbeat { nonce: 0 }.tag();
+        let frames = self
+            .frames
+            .iter()
+            .map(|f| read_fragment(f).expect("a control frame"));
+        frames
+            .filter(|(h, _)| h.idx == 0)
+            .map(|(h, chunk)| (h.msg_id, chunk[0]))
+            .filter(|&(_, tag)| tag != heartbeat)
             .collect()
     }
 }

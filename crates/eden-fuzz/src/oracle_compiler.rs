@@ -433,7 +433,7 @@ fun (packet: Packet, msg: Message, _global: Global) ->
             .program
             .ops()
             .iter()
-            .filter(|op| op.kind_index() >= 47)
+            .filter(|op| op.min_version() >= 2)
             .count();
         assert!(
             fused_v2 > 0,

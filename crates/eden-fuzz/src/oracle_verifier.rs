@@ -46,6 +46,8 @@ fn verify_error_tag(e: &VerifyError) -> &'static str {
         VerifyError::RetAtTopLevel { .. } => "rejected.RetAtTopLevel",
         VerifyError::RetLeavesOperands { .. } => "rejected.RetLeavesOperands",
         VerifyError::TooLarge(_) => "rejected.TooLarge",
+        VerifyError::NameTooLong(_) => "rejected.NameTooLong",
+        VerifyError::TooManyFunctions(_) => "rejected.TooManyFunctions",
         VerifyError::Empty => "rejected.Empty",
     }
 }

@@ -18,7 +18,9 @@
 //! * [`TimeSeries`] — bounded time series for queue occupancy and drop
 //!   sampling in the fabric;
 //! * [`Json`] / [`ToJson`] — a small hand-rolled JSON tree, because the
-//!   build environment is offline and the snapshot types are simple.
+//!   build environment is offline and the snapshot types are simple;
+//! * [`le`] — the little-endian `Writer`/`Reader` the control protocol and
+//!   the bytecode codec are both written in.
 //!
 //! The crate is deliberately dependency-free so that any workspace crate
 //! can use it without layering concerns.
@@ -28,6 +30,7 @@ mod counters;
 mod flight;
 mod hist;
 mod json;
+pub mod le;
 mod prom;
 mod ring;
 mod series;

@@ -9,7 +9,8 @@
 //! corrupted or malicious update could smuggle past the checks — the
 //! trust stays in the interpreter and verifier, exactly as §3.4.3 argues.
 //!
-//! Layout (all integers little-endian):
+//! Layout (all integers little-endian, written with
+//! [`eden_telemetry::le`]):
 //!
 //! ```text
 //! magic   u32   0x4E454445 ("EDEN")
@@ -19,13 +20,23 @@
 //! nops    u32   instruction count
 //! name    u16-prefixed UTF-8
 //! funcs   nfuncs × { entry u32, arity u8, n_locals u8 }
-//! ops     nops × { opcode u8, operand varies }
+//! ops     nops × { opcode u8, operands }
 //! ```
+//!
+//! Each op is its opcode byte, then its operands in declaration order at
+//! their own widths, a comparison selector as its tag in `Cmp::ALL`. The
+//! bytes, operands and mnemonics of every opcode are one table in `op.rs`.
+//! [`Program::new`] refuses a name or function table longer than its
+//! prefix can count, so a verified program always encodes.
 //!
 //! Version history: v1 is the original opcode set; v2 adds the fused
 //! superinstructions (opcode bytes `0x60..` / `0x70..`). Decoding accepts
 //! both, but a blob that declares v1 while using a v2 opcode is rejected —
 //! old enclaves would have refused it, so new ones must too.
+
+#![deny(clippy::cast_possible_truncation)]
+
+use eden_telemetry::le::{self, Reader, Writer};
 
 use crate::op::Op;
 use crate::program::{FuncInfo, Program};
@@ -73,273 +84,43 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// opcode byte assignments (stable across versions within VERSION 1)
-const OP_PUSH: u8 = 0x01;
-const OP_DUP: u8 = 0x02;
-const OP_POP: u8 = 0x03;
-const OP_SWAP: u8 = 0x04;
-const OP_LLOAD: u8 = 0x05;
-const OP_LSTORE: u8 = 0x06;
-const OP_PLOAD: u8 = 0x07;
-const OP_PSTORE: u8 = 0x08;
-const OP_MLOAD: u8 = 0x09;
-const OP_MSTORE: u8 = 0x0A;
-const OP_GLOAD: u8 = 0x0B;
-const OP_GSTORE: u8 = 0x0C;
-const OP_ALOAD: u8 = 0x0D;
-const OP_ASTORE: u8 = 0x0E;
-const OP_ALEN: u8 = 0x0F;
-const OP_ADD: u8 = 0x10;
-const OP_SUB: u8 = 0x11;
-const OP_MUL: u8 = 0x12;
-const OP_DIV: u8 = 0x13;
-const OP_REM: u8 = 0x14;
-const OP_NEG: u8 = 0x15;
-const OP_AND: u8 = 0x16;
-const OP_OR: u8 = 0x17;
-const OP_XOR: u8 = 0x18;
-const OP_NOT: u8 = 0x19;
-const OP_SHL: u8 = 0x1A;
-const OP_SHR: u8 = 0x1B;
-const OP_EQ: u8 = 0x20;
-const OP_NE: u8 = 0x21;
-const OP_LT: u8 = 0x22;
-const OP_LE: u8 = 0x23;
-const OP_GT: u8 = 0x24;
-const OP_GE: u8 = 0x25;
-const OP_JMP: u8 = 0x30;
-const OP_JMPIF: u8 = 0x31;
-const OP_JMPIFNOT: u8 = 0x32;
-const OP_CALL: u8 = 0x33;
-const OP_RET: u8 = 0x34;
-const OP_HALT: u8 = 0x35;
-const OP_RAND: u8 = 0x40;
-const OP_RANDRANGE: u8 = 0x41;
-const OP_NOW: u8 = 0x42;
-const OP_HASH: u8 = 0x43;
-const OP_DROP: u8 = 0x50;
-const OP_SETQUEUE: u8 = 0x51;
-const OP_TOCONTROLLER: u8 = 0x52;
-const OP_GOTOTABLE: u8 = 0x53;
-// v2 superinstructions — everything at or above OP_V2_BASE needs version >= 2
-const OP_V2_BASE: u8 = 0x60;
-const OP_ADDIMM: u8 = 0x60;
-const OP_MULIMM: u8 = 0x61;
-const OP_PLOADADD: u8 = 0x62;
-const OP_PLOADMUL: u8 = 0x63;
-const OP_LINCR: u8 = 0x64;
-const OP_MINCR: u8 = 0x65;
-const OP_GINCR: u8 = 0x66;
-const OP_CMPBR: u8 = 0x70;
-const OP_PUSHCMPBR: u8 = 0x71;
+/// A read past the end is a truncated blob; the one tag table the codec
+/// reads is `Cmp::ALL`, so a tag past its end is a bad selector.
+impl From<le::Error> for CodecError {
+    fn from(e: le::Error) -> CodecError {
+        match e {
+            le::Error::Truncated => CodecError::Truncated,
+            le::Error::BadTag(b) => CodecError::BadCmp(b),
+        }
+    }
+}
 
 /// Serialize `program` into the wire format.
 pub fn encode(program: &Program) -> Vec<u8> {
-    let mut out = Vec::with_capacity(program.wire_size());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(program.entry_locals());
-    out.extend_from_slice(&(program.funcs().len() as u16).to_le_bytes());
-    out.extend_from_slice(&(program.ops().len() as u32).to_le_bytes());
+    let mut w = Writer::default();
+    w.u32(MAGIC);
+    w.u16(VERSION);
+    w.u8(program.entry_locals());
+    w.count(2, program.funcs().len());
+    w.count(4, program.ops().len());
     let name = program.name().as_bytes();
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name);
+    w.count(2, name.len());
+    w.raw(name);
     for f in program.funcs() {
-        out.extend_from_slice(&f.entry.to_le_bytes());
-        out.push(f.arity);
-        out.push(f.n_locals);
+        w.u32(f.entry);
+        w.u8(f.arity);
+        w.u8(f.n_locals);
     }
-    for &op in program.ops() {
-        encode_op(op, &mut out);
+    for op in program.ops() {
+        op.encode(&mut w);
     }
-    out
-}
-
-fn encode_op(op: Op, out: &mut Vec<u8>) {
-    use Op::*;
-    match op {
-        Push(v) => {
-            out.push(OP_PUSH);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Dup => out.push(OP_DUP),
-        Pop => out.push(OP_POP),
-        Swap => out.push(OP_SWAP),
-        LoadLocal(s) => {
-            out.push(OP_LLOAD);
-            out.push(s);
-        }
-        StoreLocal(s) => {
-            out.push(OP_LSTORE);
-            out.push(s);
-        }
-        LoadPkt(s) => {
-            out.push(OP_PLOAD);
-            out.push(s);
-        }
-        StorePkt(s) => {
-            out.push(OP_PSTORE);
-            out.push(s);
-        }
-        LoadMsg(s) => {
-            out.push(OP_MLOAD);
-            out.push(s);
-        }
-        StoreMsg(s) => {
-            out.push(OP_MSTORE);
-            out.push(s);
-        }
-        LoadGlob(s) => {
-            out.push(OP_GLOAD);
-            out.push(s);
-        }
-        StoreGlob(s) => {
-            out.push(OP_GSTORE);
-            out.push(s);
-        }
-        ArrLoad(a) => {
-            out.push(OP_ALOAD);
-            out.push(a);
-        }
-        ArrStore(a) => {
-            out.push(OP_ASTORE);
-            out.push(a);
-        }
-        ArrLen(a) => {
-            out.push(OP_ALEN);
-            out.push(a);
-        }
-        Add => out.push(OP_ADD),
-        Sub => out.push(OP_SUB),
-        Mul => out.push(OP_MUL),
-        Div => out.push(OP_DIV),
-        Rem => out.push(OP_REM),
-        Neg => out.push(OP_NEG),
-        And => out.push(OP_AND),
-        Or => out.push(OP_OR),
-        Xor => out.push(OP_XOR),
-        Not => out.push(OP_NOT),
-        Shl => out.push(OP_SHL),
-        Shr => out.push(OP_SHR),
-        Eq => out.push(OP_EQ),
-        Ne => out.push(OP_NE),
-        Lt => out.push(OP_LT),
-        Le => out.push(OP_LE),
-        Gt => out.push(OP_GT),
-        Ge => out.push(OP_GE),
-        Jmp(t) => {
-            out.push(OP_JMP);
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        JmpIf(t) => {
-            out.push(OP_JMPIF);
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        JmpIfNot(t) => {
-            out.push(OP_JMPIFNOT);
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        Call(id) => {
-            out.push(OP_CALL);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        Ret => out.push(OP_RET),
-        Halt => out.push(OP_HALT),
-        Rand => out.push(OP_RAND),
-        RandRange => out.push(OP_RANDRANGE),
-        Now => out.push(OP_NOW),
-        Hash => out.push(OP_HASH),
-        Drop => out.push(OP_DROP),
-        SetQueue => out.push(OP_SETQUEUE),
-        ToController => out.push(OP_TOCONTROLLER),
-        GotoTable => out.push(OP_GOTOTABLE),
-        AddImm(v) => {
-            out.push(OP_ADDIMM);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        MulImm(v) => {
-            out.push(OP_MULIMM);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        LoadPktAddImm(s, v) => {
-            out.push(OP_PLOADADD);
-            out.push(s);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        LoadPktMulImm(s, v) => {
-            out.push(OP_PLOADMUL);
-            out.push(s);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        IncrLocal(s, v) => {
-            out.push(OP_LINCR);
-            out.push(s);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        IncrMsg(s, v) => {
-            out.push(OP_MINCR);
-            out.push(s);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        IncrGlob(s, v) => {
-            out.push(OP_GINCR);
-            out.push(s);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        CmpBr(c, t) => {
-            out.push(OP_CMPBR);
-            out.push(c.to_byte());
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        PushCmpBr(c, v, t) => {
-            out.push(OP_PUSHCMPBR);
-            out.push(c.to_byte());
-            out.extend_from_slice(&v.to_le_bytes());
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.at + n > self.data.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.data[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    fn cmp(&mut self) -> Result<crate::op::Cmp, CodecError> {
-        let b = self.u8()?;
-        crate::op::Cmp::from_byte(b).ok_or(CodecError::BadCmp(b))
-    }
+    w.finish()
+        .expect("a verified program's counts fit their prefixes")
 }
 
 /// Deserialize and **verify** a program shipped by a controller.
 pub fn decode(data: &[u8]) -> Result<Program, CodecError> {
-    let mut r = Reader { data, at: 0 };
+    let mut r = Reader::new(data);
     if r.u32()? != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -348,14 +129,13 @@ pub fn decode(data: &[u8]) -> Result<Program, CodecError> {
         return Err(CodecError::BadVersion(version));
     }
     let entry_locals = r.u8()?;
-    let nfuncs = r.u16()? as usize;
-    let nops = r.u32()? as usize;
-    let name_len = r.u16()? as usize;
+    let nfuncs = r.count(2)?;
+    let nops = r.count(4)?;
+    let name_len = r.count(2)?;
     let name = std::str::from_utf8(r.take(name_len)?)
         .map_err(|_| CodecError::BadName)?
         .to_string();
-
-    let mut funcs = Vec::with_capacity(nfuncs.min(1024));
+    let mut funcs = r.vec_for(nfuncs);
     for _ in 0..nfuncs {
         funcs.push(FuncInfo {
             entry: r.u32()?,
@@ -363,82 +143,10 @@ pub fn decode(data: &[u8]) -> Result<Program, CodecError> {
             n_locals: r.u8()?,
         });
     }
-
-    let mut ops = Vec::with_capacity(nops.min(1 << 16));
+    let mut ops = r.vec_for(nops);
     for _ in 0..nops {
-        let b = r.u8()?;
-        if b >= OP_V2_BASE && version < 2 {
-            return Err(CodecError::BadOpcode(b));
-        }
-        let op = match b {
-            OP_PUSH => Op::Push(r.i64()?),
-            OP_DUP => Op::Dup,
-            OP_POP => Op::Pop,
-            OP_SWAP => Op::Swap,
-            OP_LLOAD => Op::LoadLocal(r.u8()?),
-            OP_LSTORE => Op::StoreLocal(r.u8()?),
-            OP_PLOAD => Op::LoadPkt(r.u8()?),
-            OP_PSTORE => Op::StorePkt(r.u8()?),
-            OP_MLOAD => Op::LoadMsg(r.u8()?),
-            OP_MSTORE => Op::StoreMsg(r.u8()?),
-            OP_GLOAD => Op::LoadGlob(r.u8()?),
-            OP_GSTORE => Op::StoreGlob(r.u8()?),
-            OP_ALOAD => Op::ArrLoad(r.u8()?),
-            OP_ASTORE => Op::ArrStore(r.u8()?),
-            OP_ALEN => Op::ArrLen(r.u8()?),
-            OP_ADD => Op::Add,
-            OP_SUB => Op::Sub,
-            OP_MUL => Op::Mul,
-            OP_DIV => Op::Div,
-            OP_REM => Op::Rem,
-            OP_NEG => Op::Neg,
-            OP_AND => Op::And,
-            OP_OR => Op::Or,
-            OP_XOR => Op::Xor,
-            OP_NOT => Op::Not,
-            OP_SHL => Op::Shl,
-            OP_SHR => Op::Shr,
-            OP_EQ => Op::Eq,
-            OP_NE => Op::Ne,
-            OP_LT => Op::Lt,
-            OP_LE => Op::Le,
-            OP_GT => Op::Gt,
-            OP_GE => Op::Ge,
-            OP_JMP => Op::Jmp(r.u32()?),
-            OP_JMPIF => Op::JmpIf(r.u32()?),
-            OP_JMPIFNOT => Op::JmpIfNot(r.u32()?),
-            OP_CALL => Op::Call(r.u16()?),
-            OP_RET => Op::Ret,
-            OP_HALT => Op::Halt,
-            OP_RAND => Op::Rand,
-            OP_RANDRANGE => Op::RandRange,
-            OP_NOW => Op::Now,
-            OP_HASH => Op::Hash,
-            OP_DROP => Op::Drop,
-            OP_SETQUEUE => Op::SetQueue,
-            OP_TOCONTROLLER => Op::ToController,
-            OP_GOTOTABLE => Op::GotoTable,
-            OP_ADDIMM => Op::AddImm(r.i64()?),
-            OP_MULIMM => Op::MulImm(r.i64()?),
-            OP_PLOADADD => Op::LoadPktAddImm(r.u8()?, r.i64()?),
-            OP_PLOADMUL => Op::LoadPktMulImm(r.u8()?, r.i64()?),
-            OP_LINCR => Op::IncrLocal(r.u8()?, r.i64()?),
-            OP_MINCR => Op::IncrMsg(r.u8()?, r.i64()?),
-            OP_GINCR => Op::IncrGlob(r.u8()?, r.i64()?),
-            OP_CMPBR => {
-                let c = r.cmp()?;
-                Op::CmpBr(c, r.u32()?)
-            }
-            OP_PUSHCMPBR => {
-                let c = r.cmp()?;
-                let v = r.i64()?;
-                Op::PushCmpBr(c, v, r.u32()?)
-            }
-            other => return Err(CodecError::BadOpcode(other)),
-        };
-        ops.push(op);
+        ops.push(Op::decode(&mut r, version)?);
     }
-
     Program::new(name, ops, funcs, entry_locals).map_err(CodecError::Verify)
 }
 
@@ -529,20 +237,22 @@ mod tests {
         bytes[4] = 1;
         bytes[5] = 0;
         match decode(&bytes) {
-            Err(CodecError::BadOpcode(b)) => assert!(b >= OP_V2_BASE),
+            Err(CodecError::BadOpcode(b)) => assert_eq!(crate::op::first_version(b), 2),
             other => panic!("expected BadOpcode, got {other:?}"),
         }
     }
 
     #[test]
     fn bad_cmp_byte_rejected() {
+        use crate::op::Cmp;
         let p = fused_sample();
         let bytes = encode(&p);
-        // corrupt the selector byte after the first OP_CMPBR-family opcode
+        // corrupt the selector byte after the first compare-branch opcode
         let mut corrupted = bytes.clone();
+        let fused = [Op::CmpBr(Cmp::Eq, 0), Op::PushCmpBr(Cmp::Eq, 0, 0)].map(|op| op.byte());
         let at = corrupted
             .iter()
-            .position(|&b| b == OP_PUSHCMPBR || b == OP_CMPBR)
+            .position(|b| fused.contains(b))
             .expect("fused sample contains a compare-branch");
         corrupted[at + 1] = 0xEE;
         assert_eq!(decode(&corrupted), Err(CodecError::BadCmp(0xEE)));
@@ -565,7 +275,7 @@ mod tests {
         let mut corrupted = bytes.clone();
         let mut found = false;
         for i in 0..corrupted.len() - 4 {
-            if corrupted[i] == OP_JMP {
+            if corrupted[i] == Op::Jmp(0).byte() {
                 corrupted[i + 1..i + 5].copy_from_slice(&9999u32.to_le_bytes());
                 found = true;
                 break;
@@ -578,6 +288,34 @@ mod tests {
         }
     }
 
+    // A name or function table longer than its u16 prefix used to be
+    // narrowed with `as u16`: a verified program with a 70,000-byte name
+    // encoded to a blob its own decoder rejected.
+    #[test]
+    fn names_and_function_tables_longer_than_their_prefix_are_refused() {
+        let max = usize::from(u16::MAX);
+        let named = |n: usize| Program::new("n".repeat(n), vec![Op::Halt], vec![], 0);
+        let p = named(max).expect("the longest name a u16 can count");
+        assert_eq!(decode(&encode(&p)), Ok(p));
+        assert_eq!(named(max + 1), Err(VerifyError::NameTooLong(max + 1)));
+
+        let ret_zero = FuncInfo {
+            entry: 1,
+            arity: 0,
+            n_locals: 0,
+        };
+        let with_funcs = |n: usize| {
+            let ops = vec![Op::Halt, Op::Push(0), Op::Ret];
+            Program::new("f", ops, vec![ret_zero; n], 0)
+        };
+        let p = with_funcs(max).expect("the longest table a u16 can count");
+        assert_eq!(decode(&encode(&p)), Ok(p));
+        assert_eq!(
+            with_funcs(max + 1),
+            Err(VerifyError::TooManyFunctions(max + 1))
+        );
+    }
+
     #[test]
     fn garbage_never_panics() {
         let mut rng_state = 0x12345u64;
@@ -585,7 +323,7 @@ mod tests {
             let bytes: Vec<u8> = (0..len)
                 .map(|_| {
                     rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (rng_state >> 33) as u8
+                    (rng_state >> 33).to_le_bytes()[0]
                 })
                 .collect();
             let _ = decode(&bytes); // may error, must not panic

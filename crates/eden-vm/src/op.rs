@@ -11,6 +11,10 @@
 
 use std::fmt;
 
+use eden_telemetry::le::{Reader, Writer};
+
+use crate::codec::CodecError;
+
 /// Comparison selector carried by the fused compare-and-branch ops.
 ///
 /// Kept out of the opcode space so one `CmpBr`/`PushCmpBr` kind covers all
@@ -27,6 +31,10 @@ pub enum Cmp {
 }
 
 impl Cmp {
+    /// Every relation, in wire-tag order: a selector's tag is its
+    /// position here.
+    pub const ALL: [Cmp; 6] = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge];
+
     /// Evaluate `a ⟨cmp⟩ b`.
     #[inline(always)]
     pub fn eval(self, a: i64, b: i64) -> bool {
@@ -63,30 +71,6 @@ impl Cmp {
             Cmp::Ge => "ge",
         }
     }
-
-    /// Wire byte for the codec (dense, `0..6`).
-    pub(crate) fn to_byte(self) -> u8 {
-        match self {
-            Cmp::Eq => 0,
-            Cmp::Ne => 1,
-            Cmp::Lt => 2,
-            Cmp::Le => 3,
-            Cmp::Gt => 4,
-            Cmp::Ge => 5,
-        }
-    }
-
-    pub(crate) fn from_byte(b: u8) -> Option<Cmp> {
-        Some(match b {
-            0 => Cmp::Eq,
-            1 => Cmp::Ne,
-            2 => Cmp::Lt,
-            3 => Cmp::Le,
-            4 => Cmp::Gt,
-            5 => Cmp::Ge,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for Cmp {
@@ -95,273 +79,255 @@ impl fmt::Display for Cmp {
     }
 }
 
-/// A single VM instruction.
-///
-/// Jump targets are absolute instruction indices. Slot operands index into
-/// the flattened field layout computed by the `eden-lang` compiler from the
-/// state schema; array ids index the global array table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
+/// Declares the instruction set from one table. Each row is a variant
+/// with its named operands, its opcode byte and its mnemonic; the row's doc
+/// comment documents the variant. The table order is the dense kind index
+/// (`Op::kind_index`, the opcode histogram's order); the bytes are the wire
+/// format's and never change. From the rows come the `Op` enum, the kind
+/// index and mnemonics, `Display` (the mnemonic, then each operand) and the
+/// codec's per-op encode and decode.
+macro_rules! opcodes {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $(($($arg:ident: $ty:ident),+))? = $byte:literal $mnemonic:literal;
+    )+) => {
+        /// A single VM instruction.
+        ///
+        /// Jump targets are absolute instruction indices. Slot operands index
+        /// into the flattened field layout computed by the `eden-lang`
+        /// compiler from the state schema; array ids index the global array
+        /// table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Op {
+            $( $(#[$doc])* $variant $(($($ty),+))?, )+
+        }
+
+        /// Mnemonics in kind-index order.
+        const MNEMONICS: &[&str] = &[$($mnemonic),+];
+
+        impl Op {
+            /// Number of opcode kinds — the size of a per-opcode histogram.
+            pub const KIND_COUNT: usize = MNEMONICS.len();
+
+            /// Dense index of this op's kind (operands ignored), in table
+            /// order; always `< KIND_COUNT`. Used by the interpreter's
+            /// optional per-opcode profiling histogram.
+            pub fn kind_index(&self) -> usize {
+                enum Kind { $($variant),+ }
+                match self {
+                    $( Op::$variant { .. } => Kind::$variant as usize, )+
+                }
+            }
+
+            /// This op's opcode byte.
+            pub(crate) fn byte(&self) -> u8 {
+                match self {
+                    $( Op::$variant { .. } => $byte, )+
+                }
+            }
+
+            /// Append this op's opcode byte and operands.
+            pub(crate) fn encode(&self, w: &mut Writer) {
+                w.u8(self.byte());
+                match *self {
+                    $( Op::$variant $(($($arg),+))? => { $($( operand!(put w, $ty, $arg); )+)? } )+
+                }
+            }
+
+            /// Read one op of a blob that declares `version`. An opcode
+            /// newer than `version` is as unknown as a byte no row has.
+            pub(crate) fn decode(r: &mut Reader<'_>, version: u16) -> Result<Op, CodecError> {
+                let byte = r.u8()?;
+                if first_version(byte) > version {
+                    return Err(CodecError::BadOpcode(byte));
+                }
+                Ok(match byte {
+                    $( $byte => Op::$variant $(($( operand!(get r, $ty) ),+))?, )+
+                    other => return Err(CodecError::BadOpcode(other)),
+                })
+            }
+        }
+
+        impl fmt::Display for Op {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $( Op::$variant $(($($arg),+))? => {
+                        f.write_str($mnemonic)?;
+                        $($( write!(f, " {}", $arg)?; )+)?
+                    } )+
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+/// One operand's wire form: a comparison selector is its tag in
+/// [`Cmp::ALL`], an integer its little-endian bytes at its own width.
+macro_rules! operand {
+    (put $w:ident, Cmp, $v:expr) => {
+        $w.tag(&Cmp::ALL, &$v)
+    };
+    (put $w:ident, $ty:ident, $v:expr) => {
+        $w.$ty($v)
+    };
+    (get $r:ident, Cmp) => {
+        $r.tag(&Cmp::ALL)?
+    };
+    (get $r:ident, $ty:ident) => {
+        $r.$ty()?
+    };
+}
+
+/// The codec version that introduced opcode `byte`: v1 is the original
+/// set, v2 added the fused superinstructions at `0x60` and up.
+pub(crate) fn first_version(byte: u8) -> u16 {
+    if byte >= 0x60 {
+        2
+    } else {
+        1
+    }
+}
+
+opcodes! {
     // --- constants & operand-stack shuffling ---------------------------
     /// Push an immediate integer.
-    Push(i64),
+    Push(v: i64) = 0x01 "push";
     /// Duplicate the top of stack.
-    Dup,
+    Dup = 0x02 "dup";
     /// Discard the top of stack.
-    Pop,
+    Pop = 0x03 "pop";
     /// Swap the two top stack values.
-    Swap,
+    Swap = 0x04 "swap";
 
     // --- locals (per-frame registers) ----------------------------------
     /// Push local `slot` of the current frame.
-    LoadLocal(u8),
+    LoadLocal(slot: u8) = 0x05 "lload";
     /// Pop into local `slot` of the current frame.
-    StoreLocal(u8),
+    StoreLocal(slot: u8) = 0x06 "lstore";
 
     // --- scoped state ---------------------------------------------------
     /// Push packet field `slot` (resolved via the schema's HeaderMap).
-    LoadPkt(u8),
+    LoadPkt(slot: u8) = 0x07 "pload";
     /// Pop into packet field `slot`.
-    StorePkt(u8),
+    StorePkt(slot: u8) = 0x08 "pstore";
     /// Push per-message state field `slot`.
-    LoadMsg(u8),
+    LoadMsg(slot: u8) = 0x09 "mload";
     /// Pop into per-message state field `slot`.
-    StoreMsg(u8),
+    StoreMsg(slot: u8) = 0x0A "mstore";
     /// Push global state field `slot`.
-    LoadGlob(u8),
+    LoadGlob(slot: u8) = 0x0B "gload";
     /// Pop into global state field `slot`.
-    StoreGlob(u8),
+    StoreGlob(slot: u8) = 0x0C "gstore";
 
     // --- global arrays ---------------------------------------------------
     /// Pop index, push `array[index]` of global array `id`.
-    ArrLoad(u8),
+    ArrLoad(id: u8) = 0x0D "aload";
     /// Pop value then index, store into global array `id`.
-    ArrStore(u8),
+    ArrStore(id: u8) = 0x0E "astore";
     /// Push the element count of global array `id`.
-    ArrLen(u8),
+    ArrLen(id: u8) = 0x0F "alen";
 
     // --- arithmetic / logic (operate on i64, wrap like release Rust) ----
-    Add,
-    Sub,
-    Mul,
+    Add = 0x10 "add";
+    Sub = 0x11 "sub";
+    Mul = 0x12 "mul";
     /// Signed division; division by zero is a trapped [`VmError::DivideByZero`](crate::VmError).
-    Div,
+    Div = 0x13 "div";
     /// Signed remainder; rem by zero traps like [`Op::Div`].
-    Rem,
-    Neg,
-    And,
-    Or,
-    Xor,
-    Not,
-    Shl,
-    Shr,
+    Rem = 0x14 "rem";
+    Neg = 0x15 "neg";
+    And = 0x16 "and";
+    Or = 0x17 "or";
+    Xor = 0x18 "xor";
+    Not = 0x19 "not";
+    Shl = 0x1A "shl";
+    Shr = 0x1B "shr";
 
     // --- comparisons (push 1 or 0) ---------------------------------------
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+    Eq = 0x20 "eq";
+    Ne = 0x21 "ne";
+    Lt = 0x22 "lt";
+    Le = 0x23 "le";
+    Gt = 0x24 "gt";
+    Ge = 0x25 "ge";
 
     // --- control flow -----------------------------------------------------
     /// Unconditional jump to instruction index.
-    Jmp(u32),
+    Jmp(target: u32) = 0x30 "jmp";
     /// Pop; jump if non-zero.
-    JmpIf(u32),
+    JmpIf(target: u32) = 0x31 "jmpif";
     /// Pop; jump if zero.
-    JmpIfNot(u32),
+    JmpIfNot(target: u32) = 0x32 "jmpifnot";
     /// Call function `id` from the program's function table. Arguments are
     /// popped from the operand stack into the callee's first locals
     /// (argument 0 is popped last, so callers push arguments left to right).
-    Call(u16),
+    Call(id: u16) = 0x33 "call";
     /// Return from the current function; the callee's top of stack (its
     /// result) is pushed onto the caller's stack.
-    Ret,
+    Ret = 0x34 "ret";
     /// Stop execution; the packet proceeds with whatever state/header
     /// mutations have been applied.
-    Halt,
+    Halt = 0x35 "halt";
 
     // --- builtins ("basic functions ... implemented as op-codes") --------
     /// Push a uniformly random non-negative i64 from the host.
-    Rand,
+    Rand = 0x40 "rand";
     /// Pop `n`, push a uniform value in `[0, n)`; traps if `n <= 0`.
-    RandRange,
+    RandRange = 0x41 "randrange";
     /// Push the host's high-frequency clock, in nanoseconds.
-    Now,
+    Now = 0x42 "now";
     /// Pop two values, push a 63-bit mix hash of them.
-    Hash,
+    Hash = 0x43 "hash";
 
     // --- packet disposition side effects ---------------------------------
     /// Drop the packet and stop execution.
-    Drop,
+    Drop = 0x50 "drop";
     /// Pop `charge` then `queue`: direct the packet to rate-limited queue
     /// `queue`, charging it `charge` bytes (Pulsar-style; §2.1.2).
-    SetQueue,
+    SetQueue = 0x51 "setqueue";
     /// Forward the packet to the controller and stop (the OpenFlow-style
     /// punt path).
-    ToController,
+    ToController = 0x52 "tocontroller";
     /// Pop `table`: continue matching in enclave table `table` after this
     /// function finishes.
-    GotoTable,
+    GotoTable = 0x53 "gototable";
 
     // --- superinstructions (codec v2) -------------------------------------
     // Fused forms the IR peephole pass emits so the hot interpreter loop
     // dispatches once where the naive stream would dispatch two or three
     // times — the operand never round-trips through the stack.
     /// Add an immediate to the top of stack in place (`Push v; Add`).
-    AddImm(i64),
+    AddImm(v: i64) = 0x60 "addimm";
     /// Multiply the top of stack by an immediate in place (`Push v; Mul`).
-    MulImm(i64),
+    MulImm(v: i64) = 0x61 "mulimm";
     /// Push `pkt[slot] + v` (`LoadPkt s; Push v; Add`).
-    LoadPktAddImm(u8, i64),
+    LoadPktAddImm(slot: u8, v: i64) = 0x62 "ploadadd";
     /// Push `pkt[slot] * v` (`LoadPkt s; Push v; Mul`).
-    LoadPktMulImm(u8, i64),
+    LoadPktMulImm(slot: u8, v: i64) = 0x63 "ploadmul";
     /// `local[slot] += v` without touching the stack
     /// (`LoadLocal s; Push v; Add; StoreLocal s`).
-    IncrLocal(u8, i64),
+    IncrLocal(slot: u8, v: i64) = 0x64 "lincr";
     /// `msg[slot] += v` without touching the stack.
-    IncrMsg(u8, i64),
+    IncrMsg(slot: u8, v: i64) = 0x65 "mincr";
     /// `glob[slot] += v` without touching the stack.
-    IncrGlob(u8, i64),
+    IncrGlob(slot: u8, v: i64) = 0x66 "gincr";
     /// Pop `b` then `a`; jump if `a ⟨cmp⟩ b` (`⟨cmp⟩; JmpIf t`).
-    CmpBr(Cmp, u32),
+    CmpBr(cmp: Cmp, target: u32) = 0x70 "cmpbr";
     /// Pop `a`; jump if `a ⟨cmp⟩ v` (`Push v; ⟨cmp⟩; JmpIf t`).
-    PushCmpBr(Cmp, i64, u32),
+    PushCmpBr(cmp: Cmp, v: i64, target: u32) = 0x71 "pushcmpbr";
 }
 
-/// Mnemonics indexed by [`Op::kind_index`], in declaration order.
-const KIND_NAMES: [&str; Op::KIND_COUNT] = [
-    "push",
-    "dup",
-    "pop",
-    "swap",
-    "lload",
-    "lstore",
-    "pload",
-    "pstore",
-    "mload",
-    "mstore",
-    "gload",
-    "gstore",
-    "aload",
-    "astore",
-    "alen",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "rem",
-    "neg",
-    "and",
-    "or",
-    "xor",
-    "not",
-    "shl",
-    "shr",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-    "jmp",
-    "jmpif",
-    "jmpifnot",
-    "call",
-    "ret",
-    "halt",
-    "rand",
-    "randrange",
-    "now",
-    "hash",
-    "drop",
-    "setqueue",
-    "tocontroller",
-    "gototable",
-    "addimm",
-    "mulimm",
-    "ploadadd",
-    "ploadmul",
-    "lincr",
-    "mincr",
-    "gincr",
-    "cmpbr",
-    "pushcmpbr",
-];
-
 impl Op {
-    /// Number of opcode kinds — the size of a per-opcode histogram.
-    pub const KIND_COUNT: usize = 56;
-
-    /// Dense index of this op's kind (operands ignored), in declaration
-    /// order; always `< KIND_COUNT`. Used by the interpreter's optional
-    /// per-opcode profiling histogram.
-    pub fn kind_index(&self) -> usize {
-        use Op::*;
-        match self {
-            Push(_) => 0,
-            Dup => 1,
-            Pop => 2,
-            Swap => 3,
-            LoadLocal(_) => 4,
-            StoreLocal(_) => 5,
-            LoadPkt(_) => 6,
-            StorePkt(_) => 7,
-            LoadMsg(_) => 8,
-            StoreMsg(_) => 9,
-            LoadGlob(_) => 10,
-            StoreGlob(_) => 11,
-            ArrLoad(_) => 12,
-            ArrStore(_) => 13,
-            ArrLen(_) => 14,
-            Add => 15,
-            Sub => 16,
-            Mul => 17,
-            Div => 18,
-            Rem => 19,
-            Neg => 20,
-            And => 21,
-            Or => 22,
-            Xor => 23,
-            Not => 24,
-            Shl => 25,
-            Shr => 26,
-            Eq => 27,
-            Ne => 28,
-            Lt => 29,
-            Le => 30,
-            Gt => 31,
-            Ge => 32,
-            Jmp(_) => 33,
-            JmpIf(_) => 34,
-            JmpIfNot(_) => 35,
-            Call(_) => 36,
-            Ret => 37,
-            Halt => 38,
-            Rand => 39,
-            RandRange => 40,
-            Now => 41,
-            Hash => 42,
-            Drop => 43,
-            SetQueue => 44,
-            ToController => 45,
-            GotoTable => 46,
-            AddImm(_) => 47,
-            MulImm(_) => 48,
-            LoadPktAddImm(..) => 49,
-            LoadPktMulImm(..) => 50,
-            IncrLocal(..) => 51,
-            IncrMsg(..) => 52,
-            IncrGlob(..) => 53,
-            CmpBr(..) => 54,
-            PushCmpBr(..) => 55,
-        }
-    }
-
     /// Mnemonic for a kind index (panics if `index >= KIND_COUNT`).
     pub fn kind_name(index: usize) -> &'static str {
-        KIND_NAMES[index]
+        MNEMONICS[index]
+    }
+
+    /// The oldest codec version that can carry this op: 2 for the fused
+    /// superinstructions, 1 for the original set.
+    pub fn min_version(&self) -> u16 {
+        first_version(self.byte())
     }
 
     /// Net change this op applies to the operand stack depth, used by the
@@ -395,70 +361,6 @@ impl Op {
             | Gt | Ge | Hash | SetQueue | CmpBr(..) => 2,
             ArrStore(_) => 2,
             Call(_) | Ret => 0, // handled by the verifier explicitly
-        }
-    }
-}
-
-impl fmt::Display for Op {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Op::*;
-        match self {
-            Push(v) => write!(f, "push {v}"),
-            Dup => write!(f, "dup"),
-            Pop => write!(f, "pop"),
-            Swap => write!(f, "swap"),
-            LoadLocal(s) => write!(f, "lload {s}"),
-            StoreLocal(s) => write!(f, "lstore {s}"),
-            LoadPkt(s) => write!(f, "pload {s}"),
-            StorePkt(s) => write!(f, "pstore {s}"),
-            LoadMsg(s) => write!(f, "mload {s}"),
-            StoreMsg(s) => write!(f, "mstore {s}"),
-            LoadGlob(s) => write!(f, "gload {s}"),
-            StoreGlob(s) => write!(f, "gstore {s}"),
-            ArrLoad(a) => write!(f, "aload {a}"),
-            ArrStore(a) => write!(f, "astore {a}"),
-            ArrLen(a) => write!(f, "alen {a}"),
-            Add => write!(f, "add"),
-            Sub => write!(f, "sub"),
-            Mul => write!(f, "mul"),
-            Div => write!(f, "div"),
-            Rem => write!(f, "rem"),
-            Neg => write!(f, "neg"),
-            And => write!(f, "and"),
-            Or => write!(f, "or"),
-            Xor => write!(f, "xor"),
-            Not => write!(f, "not"),
-            Shl => write!(f, "shl"),
-            Shr => write!(f, "shr"),
-            Eq => write!(f, "eq"),
-            Ne => write!(f, "ne"),
-            Lt => write!(f, "lt"),
-            Le => write!(f, "le"),
-            Gt => write!(f, "gt"),
-            Ge => write!(f, "ge"),
-            Jmp(t) => write!(f, "jmp {t}"),
-            JmpIf(t) => write!(f, "jmpif {t}"),
-            JmpIfNot(t) => write!(f, "jmpifnot {t}"),
-            Call(id) => write!(f, "call {id}"),
-            Ret => write!(f, "ret"),
-            Halt => write!(f, "halt"),
-            Rand => write!(f, "rand"),
-            RandRange => write!(f, "randrange"),
-            Now => write!(f, "now"),
-            Hash => write!(f, "hash"),
-            Drop => write!(f, "drop"),
-            SetQueue => write!(f, "setqueue"),
-            ToController => write!(f, "tocontroller"),
-            GotoTable => write!(f, "gototable"),
-            AddImm(v) => write!(f, "addimm {v}"),
-            MulImm(v) => write!(f, "mulimm {v}"),
-            LoadPktAddImm(s, v) => write!(f, "ploadadd {s} {v}"),
-            LoadPktMulImm(s, v) => write!(f, "ploadmul {s} {v}"),
-            IncrLocal(s, v) => write!(f, "lincr {s} {v}"),
-            IncrMsg(s, v) => write!(f, "mincr {s} {v}"),
-            IncrGlob(s, v) => write!(f, "gincr {s} {v}"),
-            CmpBr(c, t) => write!(f, "cmpbr {c} {t}"),
-            PushCmpBr(c, v, t) => write!(f, "pushcmpbr {c} {v} {t}"),
         }
     }
 }

@@ -83,13 +83,6 @@ impl Program {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Serialized size in bytes if shipped as fixed 10-byte instructions
-    /// (opcode + 8-byte immediate + scope tag). Used by benches to report
-    /// controller→enclave update sizes.
-    pub fn wire_size(&self) -> usize {
-        self.ops.len() * 10 + self.funcs.len() * 8 + 16
-    }
 }
 
 #[cfg(test)]
@@ -107,6 +100,5 @@ mod tests {
         let p = Program::new("ok", vec![Op::Push(1), Op::Pop, Op::Halt], vec![], 0).unwrap();
         assert_eq!(p.ops().len(), 3);
         assert_eq!(p.name(), "ok");
-        assert!(p.wire_size() > 0);
     }
 }

@@ -60,6 +60,11 @@ pub enum VerifyError {
     RetLeavesOperands { at: usize, depth: i32 },
     /// Program too large for u32 jump targets.
     TooLarge(usize),
+    /// Name longer than the wire format's u16 length prefix can say.
+    NameTooLong(usize),
+    /// Function table longer than the wire format's u16 count (and
+    /// `Call`'s u16 id) can say.
+    TooManyFunctions(usize),
     /// Program has no instructions.
     Empty,
 }
@@ -93,6 +98,8 @@ impl fmt::Display for VerifyError {
                 write!(f, "op {at}: ret with {depth} operands, expected exactly 1")
             }
             TooLarge(n) => write!(f, "program of {n} ops exceeds the maximum size"),
+            NameTooLong(n) => write!(f, "program name of {n} bytes exceeds {}", u16::MAX),
+            TooManyFunctions(n) => write!(f, "{n} functions exceed {}", u16::MAX),
             Empty => write!(f, "program has no instructions"),
         }
     }
@@ -109,6 +116,12 @@ pub fn verify(program: &Program) -> Result<Envelope, VerifyError> {
     }
     if ops.len() > MAX_PROGRAM_OPS {
         return Err(VerifyError::TooLarge(ops.len()));
+    }
+    if program.name().len() > usize::from(u16::MAX) {
+        return Err(VerifyError::NameTooLong(program.name().len()));
+    }
+    if program.funcs().len() > usize::from(u16::MAX) {
+        return Err(VerifyError::TooManyFunctions(program.funcs().len()));
     }
     for (id, func) in program.funcs().iter().enumerate() {
         if func.entry as usize >= ops.len() {

@@ -13,7 +13,7 @@
 
 use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, Matcher, Stage, TableId};
 use eden::lang::{Access, HeaderField, Schema};
-use eden::vm::disassemble;
+use eden::vm::{disassemble, encode_program};
 use netsim::{Packet, SimRng, TcpHeader, Time};
 
 const PIAS_SRC: &str = r#"
@@ -83,7 +83,7 @@ fn main() {
         "compiled: {} ops, concurrency = {}, ships as {} bytes",
         compiled.program.ops().len(),
         compiled.concurrency,
-        compiled.program.wire_size()
+        encode_program(&compiled.program).len()
     );
     println!("{}", disassemble(&compiled.program));
 

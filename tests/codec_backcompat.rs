@@ -7,7 +7,7 @@
 //! commit that introduced the blob. If any assertion here fails, the codec
 //! bump broke old programs in the field.
 
-use eden::vm::{decode_program, Effect, Interpreter, Limits, Op, VecHost, MIN_VERSION, VERSION};
+use eden::vm::{decode_program, Effect, Interpreter, Limits, VecHost, MIN_VERSION, VERSION};
 
 const BLOB: &[u8] = include_bytes!("data/program_v1.edenbc");
 
@@ -34,10 +34,7 @@ fn v1_blob_declares_version_one_and_still_decodes() {
     assert_eq!(program.entry_locals(), 4);
     // A v1 blob by definition predates the fused opcodes.
     assert!(
-        program
-            .ops()
-            .iter()
-            .all(|op| op.kind_index() < Op::KIND_COUNT - 9),
+        program.ops().iter().all(|op| op.min_version() == 1),
         "v1 blob must contain no v2 superinstructions"
     );
 }
