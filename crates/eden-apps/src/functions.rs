@@ -96,21 +96,6 @@ fn pias_schema() -> Schema {
         )
 }
 
-/// Pre-XFSM hand-rolled source, kept as the equivalence oracle.
-#[cfg(test)]
-const PIAS_LEGACY_SRC: &str = r#"
-fun (packet: Packet, msg: Message, _global: Global) ->
-    let msg_size = msg.Size + packet.Size
-    msg.Size <- msg_size
-    let priorities = _global.Priorities
-    let rec search index =
-        if index >= priorities.Length then 0
-        elif msg_size <= priorities.[index].MessageSizeLimit then
-            priorities.[index].Priority
-        else search (index + 1)
-    packet.Priority <- search (0)
-"#;
-
 /// The shared PIAS skeleton: accumulate the message's bytes, then look the
 /// running total up in the demotion table. `tag` is the single-state
 /// tagging action.
@@ -163,24 +148,6 @@ pub fn pias() -> FunctionBundle {
         concurrency: Concurrency::PerMessage,
     }
 }
-
-/// Pre-XFSM hand-rolled source, kept as the equivalence oracle.
-#[cfg(test)]
-const PIAS_FIG7_LEGACY_SRC: &str = r#"
-fun (packet: Packet, msg: Message, _global: Global) ->
-    let msg_size = msg.Size + packet.Size
-    msg.Size <- msg_size
-    let priorities = _global.Priorities
-    let rec search index =
-        if index >= priorities.Length then 0
-        elif msg_size <= priorities.[index].MessageSizeLimit then
-            priorities.[index].Priority
-        else search (index + 1)
-    packet.Priority <-
-        let desired = msg.Priority
-        if desired < 1 then desired
-        else search (0)
-"#;
 
 /// The verbatim Figure 7 port: like [`pias`] but honouring a message's
 /// self-declared background priority (`msg.Priority < 1`).
@@ -455,17 +422,6 @@ fn pulsar_schema() -> Schema {
         .global_array("QueueMap", &[""], Access::ReadOnly)
 }
 
-/// Pre-XFSM hand-rolled source, kept as the equivalence oracle.
-#[cfg(test)]
-const PULSAR_LEGACY_SRC: &str = r#"
-fun (packet: Packet, msg: Message, _global: Global) ->
-    let queueMap = _global.QueueMap
-    let size =
-        if packet.MsgType = 1 then packet.MsgSize
-        else packet.Size
-    setQueue (queueMap.[packet.Tenant], size)
-"#;
-
 fn pulsar_machine() -> Xfsm {
     Xfsm::new("pulsar")
         .array("queueMap", "QueueMap")
@@ -569,28 +525,11 @@ fn port_knock_schema() -> Schema {
         .global_field("Protected", Access::ReadOnly)
 }
 
-/// Pre-XFSM hand-rolled source, kept as the equivalence oracle.
-#[cfg(test)]
-const PORT_KNOCK_LEGACY_SRC: &str = r#"
-fun (packet: Packet, msg: Message, _global: Global) ->
-    let port = packet.DstPort
-    if port = _global.Knock1 && _global.Stage = 0 then
-        _global.Stage <- 1
-    elif port = _global.Knock2 && _global.Stage = 1 then
-        _global.Stage <- 2
-    elif port = _global.Knock3 && _global.Stage = 2 then
-        _global.Stage <- 3
-    elif port = _global.Protected then (
-        if _global.Stage < 3 then drop ()
-    )
-    elif _global.Stage < 3 then
-        _global.Stage <- 0
-"#;
-
 /// Port knocking as the textbook XFSM: one state per knock observed, the
 /// protected port droppable from every closed state, any other port a
-/// reset. The explicit reset to 0 in the `otherwise` rows reproduces the
-/// legacy program's (same-value) state write byte for byte.
+/// reset. The explicit reset to 0 in the `otherwise` rows is a same-value
+/// state write, kept so the bytecode pinned by
+/// `tests/golden/port-knock.disasm` stays as it is.
 fn port_knock_machine() -> Xfsm {
     let knock_state = |code: i64, name: &str, knock: &str, next: i64| {
         XState::new(code, name)
@@ -708,20 +647,6 @@ fn qjump_schema() -> Schema {
         .global_array("Levels", &["Priority", "Queue"], Access::ReadOnly)
 }
 
-/// Pre-XFSM hand-rolled source, kept as the equivalence oracle.
-#[cfg(test)]
-const QJUMP_LEGACY_SRC: &str = r#"
-fun (packet: Packet, msg: Message, _global: Global) ->
-    let levels = _global.Levels
-    let level =
-        if packet.Level < levels.Length then packet.Level
-        else 0
-    packet.Priority <- levels.[level].Priority
-    let queue = levels.[level].Queue
-    if queue >= 0 then
-        setQueue (queue, packet.Size)
-"#;
-
 fn qjump_machine() -> Xfsm {
     Xfsm::new("qjump")
         .array("levels", "Levels")
@@ -790,21 +715,9 @@ fn conntrack_schema() -> Schema {
         .global_field("Blocked", Access::ReadWrite)
 }
 
-/// Pre-XFSM hand-rolled source, kept as the equivalence oracle.
-#[cfg(test)]
-const CONNTRACK_LEGACY_SRC: &str = r#"
-fun (packet: Packet, msg: Message, _global: Global) ->
-    if packet.Direction = 0 then
-        msg.Established <- 1
-    elif msg.Established = 0 then (
-        _global.Blocked <- _global.Blocked + 1
-        drop ()
-    )
-"#;
-
 /// Connection tracking as a two-state per-flow machine. The established
-/// state's (same-value) re-write on outbound packets reproduces the
-/// legacy program's unconditional `msg.Established <- 1`.
+/// state's same-value re-write on outbound packets is kept so the
+/// bytecode pinned by `tests/golden/conntrack.disasm` stays as it is.
 fn conntrack_machine() -> Xfsm {
     Xfsm::new("conntrack")
         .state_in_msg("Established")
@@ -1476,20 +1389,12 @@ mod tests {
     /// Install `bundle` (given form) into a fresh enclave matching class 1,
     /// with case-study-ish state.
     fn build(bundle: &FunctionBundle, native: bool) -> Enclave {
-        build_installed(
-            bundle,
-            if native {
-                bundle.native()
-            } else {
-                bundle.interpreted()
-            },
-        )
-    }
-
-    /// Like [`build`], but with a caller-supplied form (the equivalence
-    /// tests install legacy pre-XFSM programs this way).
-    fn build_installed(bundle: &FunctionBundle, form: InstalledFunction) -> Enclave {
         let mut e = Enclave::new(EnclaveConfig::default());
+        let form = if native {
+            bundle.native()
+        } else {
+            bundle.interpreted()
+        };
         let f = e.install_function(form);
         e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
         match bundle.name {
@@ -2099,27 +2004,15 @@ mod tests {
         }
     }
 
-    /// Satellite: the XFSM-lowered programs must be observationally
-    /// equivalent to the pre-refactor hand-rolled sources — verdicts,
-    /// header writes, message/global state, punts, and RNG draw counts —
-    /// on random packet streams, serial and batched, against both the
-    /// legacy interpreter form and the (unchanged) native form.
+    /// The XFSM-lowered programs are observationally equivalent to their
+    /// native forms — verdicts, header writes, message/global state,
+    /// punts, and RNG draw counts — on random packet streams, serial and
+    /// batched. The programs' bytecode is pinned by the disassembly
+    /// goldens in `tests/disasm_golden.rs`.
     mod xfsm_equivalence {
         use super::*;
         use eden_core::FuncId;
         use proptest::prelude::*;
-
-        fn legacy_source(name: &str) -> &'static str {
-            match name {
-                "pias" => PIAS_LEGACY_SRC,
-                "pias-fig7" => PIAS_FIG7_LEGACY_SRC,
-                "pulsar" => PULSAR_LEGACY_SRC,
-                "qjump" => QJUMP_LEGACY_SRC,
-                "port-knock" => PORT_KNOCK_LEGACY_SRC,
-                "conntrack" => CONNTRACK_LEGACY_SRC,
-                other => panic!("no legacy oracle for {other}"),
-            }
-        }
 
         fn refactored() -> Vec<FunctionBundle> {
             vec![
@@ -2130,16 +2023,6 @@ mod tests {
                 port_knock(),
                 conntrack(),
             ]
-        }
-
-        /// The legacy program compiled against the bundle's (unchanged)
-        /// schema — same concurrency class, same bindings.
-        fn legacy_form(bundle: &FunctionBundle) -> InstalledFunction {
-            let src = legacy_source(bundle.name);
-            let compiled = compile(bundle.name, src, &bundle.schema())
-                .unwrap_or_else(|e| panic!("legacy {}: {}", bundle.name, e.render(src)));
-            assert_eq!(compiled.concurrency, bundle.concurrency);
-            InstalledFunction::interpreted(bundle.name, compiled)
         }
 
         #[derive(Debug, Clone)]
@@ -2213,17 +2096,18 @@ mod tests {
             rng_probe: i64,
         }
 
-        /// Run `specs` through an enclave serially (chunked timestamps
-        /// matching the batch leg) or via `process_batch`.
+        /// Run `specs` through an enclave holding `bundle`'s native or
+        /// interpreted form, serially (chunked timestamps matching the
+        /// batch leg) or via `process_batch`.
         fn run(
             bundle: &FunctionBundle,
-            form: InstalledFunction,
+            native: bool,
             specs: &[Spec],
             chunk: usize,
             batched: bool,
             seed: u64,
         ) -> Observed {
-            let mut e = build_installed(bundle, form);
+            let mut e = build(bundle, native);
             let f = FuncId(0);
             let mut rng = SimRng::new(seed);
             let mut verdicts = Vec::new();
@@ -2257,23 +2141,21 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(40))]
 
-            /// XFSM ≡ legacy, interpreted, serial and batched, plus the
-            /// (pre-refactor) native form as a third witness.
+            /// XFSM, interpreted serial and batched, and the native batch
+            /// path all ≡ the native serial run.
             #[test]
-            fn xfsm_matches_legacy_on_random_streams(
+            fn xfsm_matches_native_on_random_streams(
                 specs in proptest::collection::vec(spec(), 1..120),
                 chunk in 1usize..16,
                 seed in 0u64..1000,
             ) {
                 for bundle in refactored() {
-                    let baseline = run(&bundle, legacy_form(&bundle), &specs, chunk, false, seed);
-                    let xfsm_serial = run(&bundle, bundle.interpreted(), &specs, chunk, false, seed);
+                    let baseline = run(&bundle, true, &specs, chunk, false, seed);
+                    let xfsm_serial = run(&bundle, false, &specs, chunk, false, seed);
                     prop_assert_eq!(&baseline, &xfsm_serial, "{}: serial", bundle.name);
-                    let xfsm_batch = run(&bundle, bundle.interpreted(), &specs, chunk, true, seed);
+                    let xfsm_batch = run(&bundle, false, &specs, chunk, true, seed);
                     prop_assert_eq!(&baseline, &xfsm_batch, "{}: batch", bundle.name);
-                    let native_serial = run(&bundle, bundle.native(), &specs, chunk, false, seed);
-                    prop_assert_eq!(&baseline, &native_serial, "{}: native", bundle.name);
-                    let native_batch = run(&bundle, bundle.native(), &specs, chunk, true, seed);
+                    let native_batch = run(&bundle, true, &specs, chunk, true, seed);
                     prop_assert_eq!(&baseline, &native_batch, "{}: native batch", bundle.name);
                 }
             }

@@ -124,11 +124,6 @@ pub fn bps(v: f64) -> String {
     }
 }
 
-/// Format a mean ± half-CI pair.
-pub fn pm(mean: f64, ci: f64, unit: &str) -> String {
-    format!("{mean:.1}±{ci:.1}{unit}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,6 @@
 //! * compilation of action functions from DSL source to bytecode, shipped
 //!   to enclaves;
 //! * stage programming through the Table 3 API;
-//! * switch label-table programming for source routing (§3.5);
 //! * the control-plane halves of the case studies: WCMP path-weight
 //!   computation from topology (§2.1.1), PIAS priority thresholds from the
 //!   datacenter's flow-size distribution (§2.1.3), and Pulsar tenant→queue
@@ -21,8 +20,7 @@
 //! surface* is the paper's, the RPC plumbing is not modelled.
 
 use eden_lang::{compile, CompileError, CompiledFunction, Schema};
-use eden_telemetry::{StatsSnapshot, Telemetry};
-use netsim::Switch;
+use eden_telemetry::StatsSnapshot;
 
 use crate::action::{FuncId, InstalledFunction};
 use crate::class::{ClassId, ClassRegistry};
@@ -193,26 +191,13 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
-    // network programming (§3.5)
-    // ------------------------------------------------------------------
-
-    /// Install `label → egress port` entries into a switch — the
-    /// SPAIN-style label forwarding Eden asks of the network.
-    pub fn install_labels(&self, switch: &mut Switch, entries: &[(u16, netsim::PortId)]) {
-        for &(label, port) in entries {
-            switch.install_label(label, port);
-        }
-    }
-
-    // ------------------------------------------------------------------
     // statistics pull (§3.2: the controller polls enclaves for stats)
     // ------------------------------------------------------------------
 
-    /// Pull a point-in-time [`StatsSnapshot`] from `enclave` — the
-    /// controller-side half of the [`Telemetry`] API. Non-perturbing: the
-    /// enclave's counters keep accumulating.
+    /// Pull a point-in-time [`StatsSnapshot`] from `enclave`.
+    /// Non-perturbing: the enclave's counters keep accumulating.
     pub fn pull_stats(&self, enclave: &Enclave) -> StatsSnapshot {
-        enclave.snapshot()
+        enclave.stats_snapshot()
     }
 
     /// Pull a snapshot from the enclave installed on `stack`, merged with
@@ -223,7 +208,7 @@ impl Controller {
         let flows = stack.flow_counters();
         let host = stack.host_counters();
         let enclave = stack.hook_mut::<Enclave>()?;
-        let mut snap = enclave.snapshot();
+        let mut snap = enclave.stats_snapshot();
         snap.flows = flows;
         snap.host = Some(host);
         Some(snap)

@@ -5,7 +5,8 @@ use eden_telemetry::{RuleHits, TableLookups};
 use netsim::Packet;
 
 use crate::action::FuncId;
-use crate::class::{ClassId, ClassIndex};
+use crate::class::ClassId;
+use crate::index::FlatIndex;
 
 /// Identifies a match-action table within an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +89,7 @@ pub(super) struct MatchActionTable {
     pub(super) rules: Vec<Rule>,
     /// class → index of the first `MatchSpec::Class` rule for it (flat
     /// open-addressing probe, no SipHash on the per-packet path).
-    class_index: ClassIndex,
+    class_index: FlatIndex,
     /// Ordered indices of `Any` / `AnyOf` rules.
     general: Vec<usize>,
     /// Digest of every prefix of `rules`, parallel to it:
@@ -118,7 +119,11 @@ impl MatchActionTable {
         let idx = self.rules.len();
         match &rule.spec {
             MatchSpec::Class(c) => {
-                self.class_index.insert_first(c.0, idx as u32);
+                // first insertion wins: an earlier rule for the class keeps it
+                let key = u64::from(c.0);
+                if let Err(vacant) = self.class_index.probe(key) {
+                    self.class_index.insert(key, idx as u32, Some(vacant));
+                }
             }
             MatchSpec::Any | MatchSpec::AnyOf(_) => self.general.push(idx),
         }
@@ -155,8 +160,8 @@ impl MatchActionTable {
         let removed = self.rules.remove(idx);
         match &removed.spec {
             MatchSpec::Class(c) => {
-                if self.class_index.get(c.0) == Some(idx as u32) {
-                    self.class_index.remove(c.0);
+                if self.class_index.get(u64::from(c.0)) == Some(idx as u32) {
+                    self.class_index.remove(u64::from(c.0));
                 }
             }
             MatchSpec::Any | MatchSpec::AnyOf(_) => {
@@ -173,11 +178,14 @@ impl MatchActionTable {
         for (i, rule) in self.rules.iter().enumerate().skip(idx) {
             // `i` is the rule's new position; it sat at `i + 1`.
             if let MatchSpec::Class(c) = &rule.spec {
-                match self.class_index.get(c.0) {
-                    Some(at) if at as usize == i + 1 => self.class_index.set(c.0, i as u32),
-                    Some(_) => {}
+                let key = u64::from(c.0);
+                match self.class_index.probe(key) {
+                    Ok(at) if self.class_index.value(at) as usize == i + 1 => {
+                        self.class_index.set(at, i as u32);
+                    }
+                    Ok(_) => {}
                     // only the removed rule's class can be unmapped here
-                    None => self.class_index.set(c.0, i as u32),
+                    Err(vacant) => self.class_index.insert(key, i as u32, Some(vacant)),
                 }
             }
             h = mix(h, rule_hash(rule));
@@ -193,7 +201,7 @@ impl MatchActionTable {
     pub(super) fn find(&self, classes: &[u32]) -> Option<usize> {
         let mut best = usize::MAX;
         for &c in classes {
-            if let Some(i) = self.class_index.get(c) {
+            if let Some(i) = self.class_index.get(u64::from(c)) {
                 best = best.min(i as usize);
             }
         }

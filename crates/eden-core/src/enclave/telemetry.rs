@@ -3,7 +3,7 @@
 
 use eden_telemetry::{
     FlightDump, FlightEvent, FlightKind, FuncCounts, FunctionCounters, LatencyStat, LogHistogram,
-    RuleCounters, Sampler, Span, StatsSnapshot, TableCounters, Telemetry, TraceContext,
+    RuleCounters, Sampler, Span, StatsSnapshot, TableCounters, TraceContext,
 };
 
 use super::{Enclave, STAGE_NAMES};
@@ -218,11 +218,5 @@ impl Enclave {
     /// fuzzer attaches these to repro files).
     pub fn take_flight_dump(&mut self) -> Option<FlightDump> {
         self.last_dump.take()
-    }
-}
-
-impl Telemetry for Enclave {
-    fn snapshot(&self) -> StatsSnapshot {
-        self.stats_snapshot()
     }
 }

@@ -18,9 +18,8 @@
 //!
 //! * **[`Controller`]** (§3.2) — the logically centralized coordination
 //!   point. It owns the class-name registry, compiles action functions from
-//!   DSL source, programs stages (Table 3's API) and enclaves, installs
-//!   label-forwarding state into switches (§3.5), and hosts the
-//!   control-plane halves of the case studies: WCMP path weights, PIAS
+//!   DSL source, programs stages (Table 3's API) and enclaves, and hosts
+//!   the control-plane halves of the case studies: WCMP path weights, PIAS
 //!   priority thresholds, Pulsar tenant queue maps.
 //!
 //! The enclave implements [`transport::PacketHook`], so installing Eden on
@@ -31,15 +30,16 @@ pub mod class;
 pub mod controller;
 pub mod enclave;
 pub mod headermap;
+mod index;
 pub mod lanes;
 pub mod ops;
 pub mod stage;
 pub mod state;
 
 pub use action::{ActionImpl, FuncId, InstalledFunction, NativeEnv, NativeFn};
-pub use class::{ClassId, ClassIndex, ClassRegistry};
+pub use class::{ClassId, ClassRegistry};
 pub use controller::{Controller, PathSpec};
-pub use eden_telemetry::{StatsSnapshot, Telemetry};
+pub use eden_telemetry::StatsSnapshot;
 pub use enclave::{
     native_function, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
     LinkError, LinkInfo, MatchSpec, PktSlot, Rule, SlotLink, SlotTarget, TableId,

@@ -31,104 +31,52 @@
 //! id now at the front of the FIFO — the one the next creation removes.
 //! *Lookahead*: [`FunctionState::hint`] asks for the home bucket of an id
 //! a caller expects to touch soon (the enclave's burst loop, a few packets
-//! ahead). Both end in `prefetch`, which reads and writes nothing the
-//! program can observe: a hint that is wrong, stale or never followed up
-//! costs a cache line, not a result.
+//! ahead). Both end in the index's prefetch, which reads and writes
+//! nothing the program can observe: a hint that is wrong, stale or never
+//! followed up costs a cache line, not a result.
 
 use std::collections::VecDeque;
 
 use eden_lang::{Schema, Scope};
 
-/// One index bucket: a message id and the slab slot that holds its block.
-/// Packed to 12 bytes: the index is most of a full table's footprint
-/// (two buckets per live block at least), and padding `slot` out to the
-/// id's alignment would make it a third larger.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
-struct Bucket {
-    id: u64,
-    /// [`VACANT`] marks an empty bucket (every `u64` is a valid id, so the
-    /// marker cannot live in `id`).
-    slot: u32,
-}
+use crate::index::{FlatIndex, VACANT};
 
-const VACANT: u32 = u32::MAX;
-
-/// 2^64 / φ — the 64-bit form of [`class::ClassIndex`](crate::class)'s
-/// multiplicative hash constant.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Ask for the cache line holding `r` ahead of its use. A request, not an
-/// access: nothing is read, nothing can fault, no result depends on it.
-/// Compiles to nothing off x86_64 and under miri (which has no shim for
-/// the intrinsic, and nothing to check in it).
-#[inline(always)]
-fn prefetch<T>(r: &T) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: `_mm_prefetch` is `unsafe` for its raw-pointer argument
-        // and its target feature. The pointer comes from a live reference
-        // (and `prefetcht0` faults on no address anyway); SSE is part of
-        // the x86_64 baseline.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(r).cast::<i8>()) }
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = r;
-}
-
-/// One shard of a function's message state: an open-addressing index
-/// (`msg_id → slot`) over a slab of fixed-size blocks.
+/// One shard of a function's message state: the crate's open-addressing
+/// index (`msg_id → slot`) over a slab of fixed-size blocks.
 ///
-/// Built like [`ClassIndex`](crate::ClassIndex): Fibonacci hash,
-/// power-of-two bucket count, linear probe, at most 50% load. The home
-/// bucket is the hash's *high* bits: every id in a shard shares its low
-/// bits (`id % shards`), and a multiplicative hash only mixes upwards.
-/// Deletion shifts the probe run back instead of leaving a tombstone, so
-/// a table that evicts as fast as it inserts keeps its bucket count
-/// forever. Slot `s` owns `blocks[s * msg_slots..][..msg_slots]`; freed
-/// slots are reused (zeroed) before the slab grows. Index and slab grow on
-/// demand from empty.
+/// Slot `s` owns `blocks[s * msg_slots..][..msg_slots]`; freed slots are
+/// reused (zeroed) before the slab grows. Index and slab grow on demand
+/// from empty.
 #[derive(Debug)]
 pub struct MsgShard {
-    buckets: Vec<Bucket>,
-    /// `64 - log2(buckets.len())`; meaningless while `buckets` is empty.
-    shift: u32,
+    index: FlatIndex,
     blocks: Vec<i64>,
     /// Slots handed out so far (`blocks.len() / msg_slots`, kept apart
     /// because `msg_slots` may be zero).
     slots: u32,
     free: Vec<u32>,
-    len: usize,
     msg_slots: usize,
 }
 
 impl MsgShard {
     fn new(msg_slots: usize) -> MsgShard {
         MsgShard {
-            buckets: Vec::new(),
-            shift: 0,
+            index: FlatIndex::default(),
             blocks: Vec::new(),
             slots: 0,
             free: Vec::new(),
-            len: 0,
             msg_slots,
         }
     }
 
     /// Live blocks in this shard.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Whether the shard holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn home(&self, id: u64) -> usize {
-        (id.wrapping_mul(FIB) >> self.shift) as usize
+        self.len() == 0
     }
 
     /// The one probe of the hot path: `Ok(slot)` of `id`'s block, or
@@ -136,37 +84,7 @@ impl MsgShard {
     /// (valid until the next insert, removal or growth).
     #[inline]
     fn find(&self, id: u64) -> Result<u32, usize> {
-        self.probe(id).map(|bucket| self.buckets[bucket].slot)
-    }
-
-    /// Walk `id`'s probe run: `Ok(bucket)` holding it, or `Err(bucket)`,
-    /// the vacant bucket that ends the run.
-    #[inline]
-    fn probe(&self, id: u64) -> Result<usize, usize> {
-        if self.buckets.is_empty() {
-            return Err(0);
-        }
-        let mask = self.buckets.len() - 1;
-        let mut i = self.home(id);
-        loop {
-            let b = self.buckets[i];
-            if b.slot == VACANT {
-                return Err(i);
-            }
-            if b.id == id {
-                return Ok(i);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Ask for `id`'s home bucket, where its probe starts.
-    #[inline]
-    fn hint(&self, id: u64) {
-        // `get`: an empty index has no buckets (and no meaningful `shift`)
-        if let Some(b) = self.buckets.get(self.home(id)) {
-            prefetch(b);
-        }
+        self.index.probe(id).map(|bucket| self.index.value(bucket))
     }
 
     #[inline]
@@ -177,17 +95,8 @@ impl MsgShard {
 
     /// Insert the absent `id` with a zeroed block; returns its slot.
     /// `vacant` is what [`find`](Self::find) just returned for `id`, or
-    /// `None` if the index changed since (the insert then probes again, as
-    /// it does after growing).
+    /// `None` if the index changed since.
     fn insert(&mut self, id: u64, vacant: Option<usize>) -> u32 {
-        let grew = (self.len + 1) * 2 > self.buckets.len();
-        if grew {
-            self.grow();
-        }
-        let bucket = match vacant {
-            Some(b) if !grew => b,
-            _ => self.probe(id).expect_err("insert of an absent id"),
-        };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.block_mut(slot).fill(0);
@@ -201,23 +110,8 @@ impl MsgShard {
                 slot
             }
         };
-        self.buckets[bucket] = Bucket { id, slot };
-        self.len += 1;
+        self.index.insert(id, slot, vacant);
         slot
-    }
-
-    fn grow(&mut self) {
-        let new_len = (self.buckets.len() * 2).max(8);
-        let vacant = Bucket {
-            id: 0,
-            slot: VACANT,
-        };
-        let old = std::mem::replace(&mut self.buckets, vec![vacant; new_len]);
-        self.shift = 64 - new_len.trailing_zeros();
-        for b in old.into_iter().filter(|b| b.slot != VACANT) {
-            let i = self.probe(b.id).expect_err("ids in the index are distinct");
-            self.buckets[i] = b;
-        }
     }
 
     /// Borrow the block of `id`, creating it zeroed if absent; the flag
@@ -237,40 +131,20 @@ impl MsgShard {
         }
     }
 
-    /// Drop the block of `id`; `false` if there was none. The probe run
-    /// after the freed bucket is shifted back over it, so no tombstone is
-    /// left and lookups stay exact.
+    /// Drop the block of `id`; `false` if there was none.
     fn remove(&mut self, id: u64) -> bool {
-        let Ok(mut hole) = self.probe(id) else {
+        let Some(slot) = self.index.remove(id) else {
             return false;
         };
-        self.free.push(self.buckets[hole].slot);
-        let mask = self.buckets.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let b = self.buckets[j];
-            if b.slot == VACANT {
-                break;
-            }
-            // `b` may move back to `hole` unless its home lies cyclically
-            // in (hole, j] — moving it before its home would hide it
-            let home = self.home(b.id);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.buckets[hole] = b;
-                hole = j;
-            }
-        }
-        self.buckets[hole].slot = VACANT;
-        self.len -= 1;
+        self.free.push(slot);
         true
     }
 
     /// Every live `(id, block)`, in bucket order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[i64])> {
-        self.buckets.iter().filter(|b| b.slot != VACANT).map(|b| {
-            let at = b.slot as usize * self.msg_slots;
-            (b.id, &self.blocks[at..at + self.msg_slots])
+        self.index.iter().map(|(id, slot)| {
+            let at = slot as usize * self.msg_slots;
+            (id, &self.blocks[at..at + self.msg_slots])
         })
     }
 }
@@ -374,7 +248,7 @@ impl FunctionState {
     /// FIFO, not a counter.
     #[inline]
     pub fn hint(&self, msg_id: u64) {
-        self.shards[self.shard_of(msg_id)].hint(msg_id);
+        self.shards[self.shard_of(msg_id)].index.hint(msg_id);
     }
 
     /// Borrow (creating if absent) the state block of message `msg_id`.
@@ -587,7 +461,7 @@ mod tests {
             let footprint = |st: &FunctionState| -> Vec<(usize, usize, usize)> {
                 st.shards
                     .iter()
-                    .map(|s| (s.buckets.len(), s.blocks.len(), s.free.len()))
+                    .map(|s| (s.index.capacity(), s.blocks.len(), s.free.len()))
                     .collect()
             };
             for id in 0..CAP {

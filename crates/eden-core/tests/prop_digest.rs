@@ -12,8 +12,8 @@
 //! `digest_and_rule_index_stay_exact_under_random_edits` uses that one.)
 
 use eden_core::{
-    ClassId, ClassIndex, Controller, Enclave, EnclaveConfig, EnclaveOp, FuncId, InstalledFunction,
-    MatchSpec, TableId,
+    ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, FuncId, InstalledFunction, MatchSpec,
+    TableId,
 };
 use eden_lang::{Access, HeaderField, ReplMode, Schema};
 use netsim::{EdenMeta, Packet, SimRng, Time, UdpHeader};
@@ -355,47 +355,6 @@ proptest! {
                 prop_assert_eq!(hit_rule(&mut e, classes), first, "classes {:?} in {:?}", classes, model);
             }
             prop_assert_eq!(e.config_digest(), before, "traffic is not structure");
-        }
-    }
-
-    /// `ClassIndex` after any mix of first-wins inserts, overwrites and
-    /// removals maps what an index built from scratch maps.
-    #[test]
-    fn class_index_after_remove_equals_a_rebuild(
-        ops in proptest::collection::vec((0u8..4, 0u32..40, 0u32..1000), 1..200),
-    ) {
-        let mut idx = ClassIndex::new();
-        let mut model: Vec<(u32, u32)> = Vec::new();
-        for (kind, key, rule) in ops {
-            let key = key * 8; // collide at every size the table passes through
-            let at = model.iter().position(|&(k, _)| k == key);
-            match (kind, at) {
-                (0 | 1, None) => {
-                    idx.insert_first(key, rule);
-                    model.push((key, rule));
-                }
-                (0 | 1, Some(_)) => idx.insert_first(key, rule),
-                (2, None) => {
-                    idx.set(key, rule);
-                    model.push((key, rule));
-                }
-                (2, Some(at)) => {
-                    idx.set(key, rule);
-                    model[at].1 = rule;
-                }
-                (_, None) => prop_assert_eq!(idx.remove(key), None),
-                (_, Some(at)) => {
-                    prop_assert_eq!(idx.remove(key), Some(model.remove(at).1));
-                }
-            }
-            let mut rebuilt = ClassIndex::new();
-            for &(k, r) in &model {
-                rebuilt.insert_first(k, r);
-            }
-            prop_assert_eq!(idx.len(), rebuilt.len());
-            for k in (0..40).map(|k| k * 8) {
-                prop_assert_eq!(idx.get(k), rebuilt.get(k), "key {}", k);
-            }
         }
     }
 }

@@ -445,41 +445,19 @@ impl Gen {
         ctx: Option<FnCtx>,
     ) -> Result<bool, CompileError> {
         match op {
-            BinOp::And => {
+            BinOp::And | BinOp::Or => {
                 let brhs = self.ir.new_block();
                 let btrue = self.ir.new_block();
                 let bfalse = self.ir.new_block();
                 let bend = self.ir.new_block();
                 self.emit(lhs, ctx)?;
-                self.term(Terminator::Branch {
-                    if_true: brhs,
-                    if_false: bfalse,
-                });
-                self.start(brhs);
-                self.emit(rhs, ctx)?;
-                self.term(Terminator::Branch {
-                    if_true: btrue,
-                    if_false: bfalse,
-                });
-                self.start(btrue);
-                self.inst(Op::Push(1));
-                self.term(Terminator::Jmp(bend));
-                self.start(bfalse);
-                self.inst(Op::Push(0));
-                self.term(Terminator::Jmp(bend));
-                self.start(bend);
-                Ok(false)
-            }
-            BinOp::Or => {
-                let brhs = self.ir.new_block();
-                let btrue = self.ir.new_block();
-                let bfalse = self.ir.new_block();
-                let bend = self.ir.new_block();
-                self.emit(lhs, ctx)?;
-                self.term(Terminator::Branch {
-                    if_true: btrue,
-                    if_false: brhs,
-                });
+                // `&&` evaluates the rhs only if the lhs holds, `||` only
+                // if it fails
+                let (if_true, if_false) = match op {
+                    BinOp::And => (brhs, bfalse),
+                    _ => (btrue, brhs),
+                };
+                self.term(Terminator::Branch { if_true, if_false });
                 self.start(brhs);
                 self.emit(rhs, ctx)?;
                 self.term(Terminator::Branch {

@@ -6,7 +6,7 @@
 //! [`StatsSnapshot`] from a running enclave and the bench harnesses can
 //! dump machine-readable `BENCH_*.json` files without a serde dependency:
 //!
-//! * [`StatsSnapshot`] + [`Telemetry`] — the point-in-time stats-pull API
+//! * [`StatsSnapshot`] — the point-in-time stats-pull API
 //!   (§3.2: the controller "can poll the enclave for statistics");
 //! * [`Ring`] — the one bounded buffer: keeps the newest items, evicts
 //!   the oldest, counts both. Every buffer below is one;
@@ -47,6 +47,6 @@ pub use ring::Ring;
 pub use series::TimeSeries;
 pub use snapshot::{
     ConnStats, EnclaveCounters, FlowCounters, FuncCounts, FunctionCounters, HostCounters,
-    RuleCounters, RuleHits, StatsSnapshot, TableCounters, TableLookups, Telemetry, VmCounters,
+    RuleCounters, RuleHits, StatsSnapshot, TableCounters, TableLookups, VmCounters,
 };
 pub use span::{Sampler, Span, SpanSink, TraceContext, TraceStore};

@@ -1,7 +1,7 @@
 //! The stats-pull API: point-in-time counter snapshots.
 //!
 //! The paper's controller "can poll the enclave for statistics" (§3.2) —
-//! [`Telemetry::snapshot`] is that pull. A [`StatsSnapshot`] aggregates
+//! `Enclave::stats_snapshot` is that pull. A [`StatsSnapshot`] aggregates
 //! counters from every layer that has them: the enclave's match-action
 //! pipeline (per-table, per-rule, per-function), the interpreter, the
 //! host stack's flows, and host-level drop counters. All fields are plain
@@ -193,7 +193,7 @@ labelled!(FlowCounters holds ConnStats, |f| [
 
 /// A point-in-time snapshot of every counter a layer exposes.
 ///
-/// Produced by [`Telemetry::snapshot`]; sections not applicable to the
+/// Produced by `Enclave::stats_snapshot`; sections not applicable to the
 /// producing layer are empty (`flows` for a bare enclave) or `None`
 /// (`host` unless the controller merged host-stack counters in).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -243,12 +243,6 @@ impl ToJson for StatsSnapshot {
             ("latencies", Json::arr(&self.latencies)),
         ])
     }
-}
-
-/// Anything the controller can pull a [`StatsSnapshot`] from.
-pub trait Telemetry {
-    /// Copy out the current counters. Must not reset or perturb them.
-    fn snapshot(&self) -> StatsSnapshot;
 }
 
 #[cfg(test)]
@@ -318,20 +312,5 @@ mod tests {
         assert!(text.contains(r#""host":null"#));
         assert!(text.contains(r#""punt_drops":0"#));
         assert!(text.contains(r#""table_loop_aborts":0"#));
-    }
-
-    #[test]
-    fn telemetry_trait_is_object_safe() {
-        struct Fixed;
-        impl Telemetry for Fixed {
-            fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    captured_at_ns: 5,
-                    ..Default::default()
-                }
-            }
-        }
-        let t: &dyn Telemetry = &Fixed;
-        assert_eq!(t.snapshot().captured_at_ns, 5);
     }
 }

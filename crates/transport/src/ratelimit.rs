@@ -42,12 +42,6 @@ impl TokenBucket {
         }
     }
 
-    /// Change the refill rate (controller updates at runtime).
-    pub fn set_rate(&mut self, rate_bps: u64, now: Time) {
-        self.refill(now);
-        self.rate_bytes_per_sec = rate_bps as f64 / 8.0;
-    }
-
     fn refill(&mut self, now: Time) {
         let dt = now.saturating_sub(self.last_refill).as_nanos() as f64 / 1e9;
         self.tokens = (self.tokens + dt * self.rate_bytes_per_sec).min(self.burst_bytes);
@@ -154,17 +148,5 @@ mod tests {
         // after a long idle period tokens cap at burst
         tb.enqueue(pkt(100), 3000, Time::from_secs(10));
         assert!(tb.release(Time::from_secs(10)).is_empty());
-    }
-
-    #[test]
-    fn rate_change_applies() {
-        let mut tb = TokenBucket::new(8_000, 0); // 1 KB/s, no burst
-        tb.enqueue(pkt(100), 1000, Time::ZERO);
-        assert_eq!(tb.next_release_at(Time::ZERO).unwrap(), Time::from_secs(1));
-        tb.set_rate(8_000_000, Time::ZERO); // 1 MB/s
-        assert_eq!(
-            tb.next_release_at(Time::ZERO).unwrap(),
-            Time::from_millis(1)
-        );
     }
 }

@@ -296,11 +296,6 @@ impl Stack {
         self.limiters.len() - 1
     }
 
-    /// Update a limiter's rate at runtime (controller action).
-    pub fn set_limiter_rate(&mut self, queue: usize, rate_bps: u64, now: Time) {
-        self.limiters[queue].set_rate(rate_bps, now);
-    }
-
     /// Borrow a limiter (stats).
     pub fn limiter(&self, queue: usize) -> &TokenBucket {
         &self.limiters[queue]

@@ -10,7 +10,7 @@
 use eden::core::{native_function, ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
 use eden::lang::{Concurrency, Schema};
 use eden::netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
-use eden::telemetry::{bucket_bound, bucket_of, LogHistogram, Ring, Telemetry};
+use eden::telemetry::{bucket_bound, bucket_of, LogHistogram, Ring};
 use eden::vm::Outcome;
 use proptest::prelude::*;
 
@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(e.stats.faults, 0);
 
         // the snapshot reports the same invariant
-        let snap = e.snapshot();
+        let snap = e.stats_snapshot();
         prop_assert!(snap.enclave.conserved());
         prop_assert_eq!(snap.enclave, e.stats);
     }
