@@ -97,7 +97,11 @@ pub struct EnclaveConfig {
     /// [`HeaderField::Direction`](eden_lang::HeaderField::Direction).
     pub process_ingress: bool,
     /// Worker lanes for the batched data path (interpreters + message-state
-    /// shards). `1` disables parallel execution entirely.
+    /// shards). `1` disables parallel execution entirely. Lanes cost
+    /// nothing until a batch first fans out: until then each function
+    /// holds one message table and the enclave one interpreter, and the
+    /// first fan-out makes the other lanes' interpreters and splits every
+    /// function's table into one shard per lane.
     pub lanes: usize,
     /// Cap on the punted-packet mailbox; the oldest punt is evicted (and
     /// counted in `punt_drops`) when a punt-heavy workload outruns the
@@ -164,7 +168,8 @@ pub struct Enclave {
     /// so the data path reads them with zero synchronization.
     repl: Vec<Option<HostRepl>>,
     flow_rules: Vec<(FiveTupleMatch, ClassId)>,
-    /// One interpreter per worker lane; lane 0 is the caller thread's.
+    /// One interpreter per worker lane; lane 0 is the caller thread's, the
+    /// others are made at the first fan-out.
     pool: InterpreterPool,
     /// `true` while every installed function may run on a worker lane:
     /// interpreted (native closures are not `Send`) and not `Serialized`.
@@ -289,11 +294,8 @@ impl Enclave {
 
     fn install_linked(&mut self, linked: Linked) -> FuncId {
         let Linked { function, pkt } = linked;
-        let state = FunctionState::for_schema_sharded(
-            &function.schema,
-            self.config.max_messages_per_function,
-            self.pool.lanes(),
-        );
+        let state =
+            FunctionState::for_schema(&function.schema, self.config.max_messages_per_function);
         if pkt.len() > self.scratch.len() {
             self.scratch.resize(pkt.len(), 0);
         }
@@ -397,7 +399,7 @@ impl Enclave {
     /// Steps and static memory bound of the most recent interpreted run
     /// on the caller's thread (for §5.4 footprint reporting).
     pub fn last_usage(&self) -> eden_vm::Usage {
-        self.pool.lane(0).usage()
+        self.pool.caller().usage()
     }
 
     // ------------------------------------------------------------------
@@ -994,6 +996,65 @@ mod tests {
             // a native fault has no trap site: the kind-count sentinel
             assert_eq!((last.a, last.b), (eden_vm::Op::KIND_COUNT as u64, 0));
         }
+    }
+
+    /// A burst freezes the recorder once, right after its first trap, so
+    /// the dump ends at that trap however many sampled packets follow it
+    /// in the burst: each leaves three events, and a burst as long as the
+    /// ring would push the trap out of a dump frozen at its end.
+    #[test]
+    fn a_burst_freezes_right_after_its_first_trap() {
+        let config = EnclaveConfig {
+            trace_sample: 1,
+            ..EnclaveConfig::default()
+        };
+        let burst = config.flight_capacity;
+        let mut e = Enclave::new(config);
+        let mut calls = 0u32;
+        let f = e.install_function(native_function(
+            "traps_twice",
+            Schema::new(),
+            Concurrency::Parallel,
+            Box::new(move |_env| {
+                calls += 1;
+                if calls == 1 || calls == 3 {
+                    Err(eden_vm::VmError::DivideByZero)
+                } else {
+                    Ok(Outcome::Done)
+                }
+            }),
+        ));
+        e.install_rule(TableId(0), MatchSpec::Any, f);
+
+        let mut batch: Vec<Packet> = (0..burst)
+            .map(|_| Packet::udp(1, 2, netsim::UdpHeader::default(), 100))
+            .collect();
+        e.process_batch(&mut batch, &mut SimRng::new(1), Time::from_nanos(5));
+        assert_eq!(
+            e.batch_path_counts(),
+            (1, 0),
+            "a native function stays serial"
+        );
+        assert_eq!(e.stats.faults, 2);
+
+        let dump = e.take_flight_dump().expect("the burst trapped");
+        assert_eq!(dump.reason, "vm_trap");
+        assert_eq!(
+            (dump.counters.packets, dump.counters.faults),
+            (1, 1),
+            "frozen at the first trap, not at the second or the burst's end"
+        );
+        let last = dump.last_event().expect("events retained");
+        assert!(matches!(last.kind, FlightKind::VmTrap));
+
+        e.freeze_flight("end");
+        let end = e.last_flight_dump().expect("frozen above");
+        assert!(
+            !end.events
+                .iter()
+                .any(|ev| matches!(ev.kind, FlightKind::VmTrap)),
+            "a freeze at the burst's end has lost both traps"
+        );
     }
 
     #[test]

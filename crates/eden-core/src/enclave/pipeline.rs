@@ -28,8 +28,28 @@ impl Enclave {
         self.process_dir(packet, rng, now, FlowDirection::Egress)
     }
 
-    /// Run the match-action pipeline with an explicit direction.
+    /// Run the match-action pipeline with an explicit direction. A trap
+    /// freezes the flight recorder.
     pub fn process_dir(
+        &mut self,
+        packet: &mut Packet,
+        rng: &mut SimRng,
+        now: Time,
+        direction: FlowDirection,
+    ) -> HookVerdict {
+        let faults = self.stats.faults;
+        let v = self.process_one(packet, rng, now, direction);
+        if self.stats.faults != faults {
+            self.freeze_flight("vm_trap");
+        }
+        v
+    }
+
+    /// [`process_dir`](Self::process_dir) without the freeze: its callers
+    /// decide when a trap freezes the flight recorder. The verdict is all
+    /// that is returned (a wider result read back whole after the callee's
+    /// narrow stores is a failed store-to-load forward; see `InvokeOut`).
+    fn process_one(
         &mut self,
         packet: &mut Packet,
         rng: &mut SimRng,
@@ -75,7 +95,7 @@ impl Enclave {
             table_counts: &mut self.table_counts,
             func_counts: &mut self.func_counts,
             stats: &mut self.stats,
-            interp: self.pool.lane_mut(0),
+            interp: self.pool.caller_mut(),
             ring: &mut self.flight[0],
             samples: &mut func_samples,
             scratch: &mut self.scratch,
@@ -95,9 +115,6 @@ impl Enclave {
         if let Some((classify_ns, t1)) = t_walk {
             let walk_ns = t1.elapsed().as_nanos() as u64;
             self.record_stages("pkt", at, classify_ns, walk_ns);
-        }
-        if walk.fault {
-            self.freeze_flight("vm_trap");
         }
         walk.verdict
     }
@@ -141,12 +158,21 @@ impl Enclave {
         } else {
             self.stats.batches_serial += 1;
             out.reserve(packets.len());
+            // one freeze a burst, right after its first trap, so the dump
+            // still ends at that trap: a trap storm must not copy and sort
+            // the rings once a packet
+            let mut frozen = false;
+            let faults = self.stats.faults;
             for i in 0..packets.len() {
                 if let Some(ahead) = packets.get(i + AHEAD) {
                     self.peek(ahead);
                 }
-                let v = self.process_dir(&mut packets[i], rng, now, FlowDirection::Egress);
+                let v = self.process_one(&mut packets[i], rng, now, FlowDirection::Egress);
                 out.push(v);
+                if !frozen && self.stats.faults != faults {
+                    self.freeze_flight("vm_trap");
+                    frozen = true;
+                }
             }
         }
     }
@@ -267,13 +293,12 @@ impl Enclave {
             let ActionImpl::Interpreted(program) = &f.action else {
                 unreachable!("lane fan-out requires interpreted functions");
             };
-            let (shards, global, arrays) = state.split_shards();
+            let (shards, global, arrays) = state.split_shards(lanes);
             let repl = repl.as_ref().map(|h| ReplShared {
                 spec: h.spec(),
                 remote: h.remote_globals(),
                 remote_arrays: h.remote_arrays(),
             });
-            debug_assert_eq!(shards.len(), lanes, "shard count tracks lane count");
             for (task, shard) in tasks.iter_mut().zip(shards) {
                 task.funcs.push(LaneFn {
                     program,

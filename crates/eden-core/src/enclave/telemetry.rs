@@ -133,7 +133,7 @@ impl Enclave {
     /// [`last_usage`](Self::last_usage) has the static bound they stay
     /// under.
     pub fn observed_peaks(&self) -> Option<eden_vm::Bound> {
-        self.pool.lane(0).observed_peaks()
+        self.pool.caller().observed_peaks()
     }
 
     // ------------------------------------------------------------------

@@ -11,12 +11,15 @@
 //!   first touch, bounded by FIFO eviction (messages are finite; the paper
 //!   keeps state "for the duration of the message").
 //!
-//! Message blocks live in `shards` keyed by `msg_id % shards`, so a batch
-//! of packets partitions into execution lanes that each own a disjoint
-//! shard — two packets of the same message always land in the same lane,
-//! which is what makes the paper's *per-message serial* concurrency level
-//! safe to run with lanes in parallel (see `Enclave::process_batch`). The
-//! FIFO eviction window stays global across shards: shard count is an
+//! Message blocks live in one shard until the enclave first fans a batch
+//! out to its execution lanes. That fan-out splits them, once, into one
+//! shard per lane keyed by `msg_id % lanes`, so the lanes each own a
+//! disjoint shard — two packets of the same message always land in the
+//! same lane, which is what makes the paper's *per-message serial*
+//! concurrency level safe to run with lanes in parallel (see
+//! `Enclave::process_batch`). An enclave that never fans out keeps one
+//! table per function, sized only by what it holds, and picks no shard.
+//! The FIFO eviction window stays global across shards: shard count is an
 //! execution detail and must not change which message gets evicted.
 //!
 //! Copy-in/copy-out consistency: the VM works on this state through the
@@ -46,7 +49,7 @@ use crate::index::{FlatIndex, VACANT};
 ///
 /// Slot `s` owns `blocks[s * msg_slots..][..msg_slots]`; freed slots are
 /// reused (zeroed) before the slab grows. Index and slab grow on demand
-/// from empty.
+/// from empty (a reshard sizes them once for the blocks it moves in).
 #[derive(Debug)]
 pub struct MsgShard {
     index: FlatIndex,
@@ -67,6 +70,17 @@ impl MsgShard {
             free: Vec::new(),
             msg_slots,
         }
+    }
+
+    /// An empty shard with room for `blocks` blocks before either the
+    /// index or the slab grows.
+    fn with_capacity(msg_slots: usize, blocks: usize) -> MsgShard {
+        let mut shard = MsgShard::new(msg_slots);
+        if blocks > 0 {
+            shard.index.reserve(blocks);
+            shard.blocks.reserve_exact(blocks * msg_slots);
+        }
+        shard
     }
 
     /// Live blocks in this shard.
@@ -156,7 +170,9 @@ pub struct FunctionState {
     pub global: Vec<i64>,
     /// Global arrays (flattened; element stride per the schema).
     pub arrays: Vec<Vec<i64>>,
-    /// Live message state blocks, sharded by `msg_id % shards.len()`.
+    /// Live message state blocks: one shard until the first lane fan-out
+    /// ([`split_shards`](Self::split_shards)), then one per lane, keyed by
+    /// `msg_id % shards.len()`.
     shards: Vec<MsgShard>,
     /// Live blocks across all shards. Lane-side creations reach it through
     /// [`note_created`](Self::note_created).
@@ -172,23 +188,10 @@ pub struct FunctionState {
 impl FunctionState {
     /// Sized from the function's schema, with one message shard.
     pub fn for_schema(schema: &Schema, max_messages: usize) -> FunctionState {
-        FunctionState::for_schema_sharded(schema, max_messages, 1)
-    }
-
-    /// Sized from the function's schema, with `shards` message shards (one
-    /// per enclave execution lane; at least one).
-    pub fn for_schema_sharded(
-        schema: &Schema,
-        max_messages: usize,
-        shards: usize,
-    ) -> FunctionState {
-        let msg_slots = schema.scope_len(Scope::Message);
         FunctionState {
             global: vec![0; schema.scope_len(Scope::Global)],
             arrays: schema.arrays().iter().map(|_| Vec::new()).collect(),
-            shards: (0..shards.max(1))
-                .map(|_| MsgShard::new(msg_slots))
-                .collect(),
+            shards: vec![MsgShard::new(schema.scope_len(Scope::Message))],
             live: 0,
             msg_order: VecDeque::new(),
             max_messages,
@@ -196,9 +199,15 @@ impl FunctionState {
         }
     }
 
+    /// The shard `msg_id`'s block lives in. No division while there is
+    /// one shard: that is every function of an enclave that never fanned
+    /// out, on every packet.
     #[inline]
     fn shard_of(&self, msg_id: u64) -> usize {
-        (msg_id % self.shards.len() as u64) as usize
+        match self.shards.len() {
+            1 => 0,
+            n => (msg_id % n as u64) as usize,
+        }
     }
 
     /// Locate (creating if absent) the block of `msg_id`: its shard and
@@ -269,19 +278,50 @@ impl FunctionState {
         )
     }
 
-    /// Split the message shards apart from the (now read-only) globals, so
-    /// each execution lane can own one `&mut` shard while all lanes share
-    /// the global scalars and arrays. Lane `l` must only touch messages
-    /// with `msg_id % lanes == l` — guaranteed by the enclave's lane
-    /// assignment, which uses the same modulus.
-    pub fn split_shards(&mut self) -> (Vec<&mut MsgShard>, &[i64], &[Vec<i64>]) {
+    /// Split the message state into `lanes` shards apart from the (now
+    /// read-only) globals, so each execution lane can own one `&mut` shard
+    /// while all lanes share the global scalars and arrays. Lane `l` must
+    /// only touch messages with `msg_id % lanes == l` — guaranteed by the
+    /// enclave's lane assignment, which uses the same modulus.
+    ///
+    /// The first call reshards: every live block moves into the shard its
+    /// id selects. Later calls with the same `lanes` only borrow.
+    pub fn split_shards(&mut self, lanes: usize) -> (&mut [MsgShard], &[i64], &[Vec<i64>]) {
+        let lanes = lanes.max(1);
+        if self.shards.len() != lanes {
+            self.reshard(lanes);
+        }
         let FunctionState {
             shards,
             global,
             arrays,
             ..
         } = self;
-        (shards.iter_mut().collect(), global, arrays)
+        (shards, global, arrays)
+    }
+
+    /// Move every live `(id, block)` into `lanes` shards by
+    /// `id % lanes`, each sized once for what it receives. The FIFO,
+    /// `live` and `evictions` stay as they are: which blocks exist and
+    /// which one is evicted next do not depend on the shard count.
+    #[cold]
+    fn reshard(&mut self, lanes: usize) {
+        let old = std::mem::take(&mut self.shards);
+        let msg_slots = old[0].msg_slots;
+        let lane_of = |id: u64| (id % lanes as u64) as usize;
+        let mut counts = vec![0; lanes];
+        for (id, _) in old.iter().flat_map(MsgShard::iter) {
+            counts[lane_of(id)] += 1;
+        }
+        self.shards = counts
+            .into_iter()
+            .map(|n| MsgShard::with_capacity(msg_slots, n))
+            .collect();
+        for (id, block) in old.iter().flat_map(MsgShard::iter) {
+            let shard = &mut self.shards[lane_of(id)];
+            let slot = shard.insert(id, None);
+            shard.block_mut(slot).copy_from_slice(block);
+        }
     }
 
     /// Record a message block created lane-side (by [`MsgShard::touch`],
@@ -377,34 +417,96 @@ mod tests {
         assert_eq!(st.msg_block(0)[0], 0);
     }
 
+    /// `st` after its first fan-out to `lanes` lanes.
+    fn split(mut st: FunctionState, lanes: usize) -> FunctionState {
+        st.split_shards(lanes);
+        st
+    }
+
     #[test]
     fn hints_change_nothing() {
-        let mut hinted = FunctionState::for_schema_sharded(&schema(), 3, 2);
-        let mut plain = FunctionState::for_schema_sharded(&schema(), 3, 2);
-        hinted.hint(7); // an empty index has no bucket to ask for
-        for id in [9, 4, 11, 2, 9, 5, 4, 7] {
-            hinted.hint(id);
-            hinted.msg_block(id)[0] += 1;
-            hinted.hint(id + 1); // absent, or about to be evicted
-            plain.msg_block(id)[0] += 1;
+        for lanes in [1, 2] {
+            let mut hinted = split(FunctionState::for_schema(&schema(), 3), lanes);
+            let mut plain = split(FunctionState::for_schema(&schema(), 3), lanes);
+            hinted.hint(7); // an empty index has no bucket to ask for
+            for id in [9, 4, 11, 2, 9, 5, 4, 7] {
+                hinted.hint(id);
+                hinted.msg_block(id)[0] += 1;
+                hinted.hint(id + 1); // absent, or about to be evicted
+                plain.msg_block(id)[0] += 1;
+            }
+            assert_eq!(hinted.evictions, plain.evictions);
+            assert_eq!(hinted.msg_dump(), plain.msg_dump());
+            assert_eq!(hinted.msg_order, plain.msg_order);
         }
-        assert_eq!(hinted.evictions, plain.evictions);
-        assert_eq!(hinted.msg_dump(), plain.msg_dump());
-        assert_eq!(hinted.msg_order, plain.msg_order);
     }
 
     #[test]
     fn fifo_eviction_is_shard_count_independent() {
         // the eviction window is global: the same touch sequence evicts the
         // same messages no matter how the blocks are sharded
-        let mut one = FunctionState::for_schema_sharded(&schema(), 3, 1);
-        let mut four = FunctionState::for_schema_sharded(&schema(), 3, 4);
+        let mut one = FunctionState::for_schema(&schema(), 3);
+        let mut four = split(FunctionState::for_schema(&schema(), 3), 4);
         for id in [9, 4, 11, 2, 9, 5, 4, 7] {
             one.msg_block(id)[0] += 1;
             four.msg_block(id)[0] += 1;
         }
         assert_eq!(one.evictions, four.evictions);
         assert_eq!(one.msg_dump(), four.msg_dump());
+    }
+
+    /// Everything a reshard must leave as it was.
+    #[allow(clippy::type_complexity)]
+    fn observables(st: &FunctionState) -> (Vec<(u64, Vec<i64>)>, Vec<u64>, usize, u64, usize) {
+        (
+            st.msg_dump(),
+            st.msg_order.iter().copied().collect(),
+            st.live_messages(),
+            st.evictions,
+            st.headroom(),
+        )
+    }
+
+    /// Blocks made on the caller's path before the first fan-out are
+    /// moved, not lost: after the split the table is indistinguishable
+    /// from a twin that had four shards from the start, and stays so.
+    #[test]
+    fn first_split_reshards_into_the_twin_of_a_table_split_from_the_start() {
+        let mut late = FunctionState::for_schema(&schema(), 20);
+        let mut early = split(FunctionState::for_schema(&schema(), 20), 4);
+        assert_eq!(late.shards.len(), 1, "one shard until the first fan-out");
+        let before: Vec<u64> = (0..30).chain([3, 40, 41, 7, 42]).collect();
+        for st in [&mut late, &mut early] {
+            for &id in &before {
+                st.msg_block(id)[0] += id as i64 + 1;
+            }
+            st.end_message(25);
+            st.end_message(12);
+        }
+        assert_eq!(late.evictions, 15, "the fill went past the cap");
+        let (shards, global, arrays) = late.split_shards(4);
+        assert_eq!((shards.len(), global.len(), arrays.len()), (4, 1, 1));
+        for (lane, shard) in shards.iter().enumerate() {
+            assert!(shard.iter().all(|(id, _)| id % 4 == lane as u64));
+        }
+        assert_eq!(observables(&late), observables(&early));
+
+        // later touches hit the moved blocks, create beside them and
+        // evict in the same global order; hints still change nothing
+        let after = [13, 14, 40, 99, 7, 100, 101, 13, 102, 5];
+        for &id in &after {
+            late.hint(id);
+            late.hint(id + 1);
+            let got = late.msg_block(id)[0];
+            assert_eq!(got, early.msg_block(id)[0], "block of {id}");
+            late.msg_block(id)[1] += 1;
+            early.msg_block(id)[1] += 1;
+        }
+        assert_eq!(late.msg_block(40)[0], 41, "a moved block kept its value");
+        assert_eq!(observables(&late), observables(&early));
+        // a second split with the same lane count only borrows
+        late.split_shards(4);
+        assert_eq!(observables(&late), observables(&early));
     }
 
     #[test]
@@ -417,26 +519,10 @@ mod tests {
     }
 
     #[test]
-    fn split_shards_partitions_by_modulus() {
-        let mut st = FunctionState::for_schema_sharded(&schema(), 100, 4);
-        for id in 0..8 {
-            st.msg_block(id)[0] = id as i64;
-        }
-        let (shards, global, arrays) = st.split_shards();
-        assert_eq!(shards.len(), 4);
-        assert_eq!(global.len(), 1);
-        assert_eq!(arrays.len(), 1);
-        for (lane, shard) in shards.iter().enumerate() {
-            assert_eq!(shard.len(), 2);
-            assert!(shard.iter().all(|(id, _)| id % 4 == lane as u64));
-        }
-    }
-
-    #[test]
     fn lane_side_touch_creates_once_and_is_counted_by_note_created() {
-        let mut st = FunctionState::for_schema_sharded(&schema(), 100, 2);
+        let mut st = FunctionState::for_schema(&schema(), 100);
         {
-            let (mut shards, _, _) = st.split_shards();
+            let (shards, _, _) = st.split_shards(2);
             let (block, created) = shards[1].touch(7);
             assert!(created);
             block[0] = 5;
@@ -457,7 +543,7 @@ mod tests {
     fn footprint_is_fixed_once_the_cap_is_reached() {
         const CAP: u64 = 300;
         for shards in [1, 4] {
-            let mut st = FunctionState::for_schema_sharded(&schema(), CAP as usize, shards);
+            let mut st = split(FunctionState::for_schema(&schema(), CAP as usize), shards);
             let footprint = |st: &FunctionState| -> Vec<(usize, usize, usize)> {
                 st.shards
                     .iter()

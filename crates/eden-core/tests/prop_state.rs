@@ -5,8 +5,11 @@
 //! FIFO `VecDeque`. That store survives here, as the reference model:
 //! random touch / lane-touch / `end_message` sequences must leave the
 //! table and the model with the same blocks, the same eviction count and
-//! the same live count after every step, for every shard count and for
-//! caps small enough that most touches evict. Cache hints run in between
+//! the same live count after every step, for every lane count and for
+//! caps small enough that most touches evict. The table starts with one
+//! shard, as an enclave's does; its first lane touch splits it into one
+//! shard per lane mid-sequence, moving whatever the caller's path made
+//! before, and the model never notices. Cache hints run in between
 //! and the model knows nothing of them: a hint may change no step's
 //! outcome, whatever id it names and whatever the FIFO front has just
 //! become.
@@ -125,7 +128,8 @@ enum Op {
     /// The same through `split_for`.
     Split(usize, usize, i64),
     /// Lane-side `MsgShard::touch` + `note_created` (skipped without
-    /// headroom, as the enclave's eligibility gate does).
+    /// headroom, as the enclave's eligibility gate does). The first one
+    /// splits the table for the lanes.
     Lane(usize, usize, i64),
     End(usize),
     /// `end_message` of the id at the FIFO front: the next creation's
@@ -172,14 +176,14 @@ proptest! {
 
     #[test]
     fn table_matches_hashmap_model(
-        shards in prop_oneof![Just(1usize), Just(2), Just(4)],
+        lanes in prop_oneof![Just(1usize), Just(2), Just(4)],
         cap in 1usize..24,
         msg_slots in 0usize..4,
         ops in ops(),
     ) {
         let keys = key_pool();
-        let mut table = FunctionState::for_schema_sharded(&schema(msg_slots), cap, shards);
-        let mut model = Model::new(msg_slots, cap, shards);
+        let mut table = FunctionState::for_schema(&schema(msg_slots), cap);
+        let mut model = Model::new(msg_slots, cap, lanes);
         for op in ops {
             match op {
                 Op::Touch(k, slot, delta) => {
@@ -199,8 +203,8 @@ proptest! {
                     let id = keys[k];
                     let present = model.shards[model.shard_of(id)].contains_key(&id);
                     let (got, created) = {
-                        let (mut lanes, _, _) = table.split_shards();
-                        let (block, created) = lanes[(id % shards as u64) as usize].touch(id);
+                        let (shards, _, _) = table.split_shards(lanes);
+                        let (block, created) = shards[(id % lanes as u64) as usize].touch(id);
                         (bump(block, slot, delta), created)
                     };
                     prop_assert_eq!(created, !present);
@@ -228,9 +232,10 @@ proptest! {
             prop_assert_eq!(table.headroom(), cap.saturating_sub(model.live()));
         }
         // every block sits in the shard its id selects
-        let (lanes, _, _) = table.split_shards();
-        for (lane, shard) in lanes.iter().enumerate() {
-            prop_assert!(shard.iter().all(|(id, _)| id % shards as u64 == lane as u64));
+        let (shards, _, _) = table.split_shards(lanes);
+        prop_assert_eq!(shards.len(), lanes);
+        for (lane, shard) in shards.iter().enumerate() {
+            prop_assert!(shard.iter().all(|(id, _)| id % lanes as u64 == lane as u64));
         }
     }
 }

@@ -77,8 +77,8 @@ fn build_packet(s: &PktSpec) -> Packet {
     p
 }
 
-/// Install `bundle` with the case-study state its logic expects (the
-/// same values the eden-apps conformance tests use), matching class 1.
+/// Install `bundle` with the case-study state its logic expects,
+/// matching class 1.
 fn build_enclave(
     bundle: &FunctionBundle,
     native: bool,
@@ -91,7 +91,15 @@ fn build_enclave(
         bundle.interpreted()
     });
     e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    match bundle.name {
+    set_case_state(&mut e, f, bundle.name);
+    (e, f)
+}
+
+/// Give function `f`, an installed copy of the catalogue bundle `name`,
+/// the case-study state its logic expects (the same values the eden-apps
+/// conformance tests use). Bundles that need none are left as they are.
+pub fn set_case_state(e: &mut Enclave, f: FuncId, name: &str) {
+    match name {
         "pias" | "pias-fig7" | "sff" => {
             e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
         }
@@ -133,7 +141,6 @@ fn build_enclave(
         }
         _ => {}
     }
-    (e, f)
 }
 
 fn batchy_config() -> EnclaveConfig {

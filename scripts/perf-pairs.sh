@@ -12,6 +12,14 @@
 # per-layer rows the same way). Every run's output is kept under OUT_DIR
 # (default: a fresh temporary directory, printed at the end).
 #
+# COSCHED=1 runs the two sides of a pair at once instead, both pinned with
+# `taskset` to the same CPU (pair k to CPU (k - 1) mod the CPUs this shell
+# may use), so both meet the same neighbours on a shared box; it then also
+# prints, per pair, the change/parent ratio of cpu_ns_per_op, setup_s and
+# rss_mb. Only the two child processes are pinned. Wall-clock metrics
+# (ops_per_s, op_ns_p50) halve under the shared CPU and are comparable
+# only between the two sides of one pair.
+#
 # Prints one line per run, then per metric: both medians, the parent's
 # quartiles, the change's quartiles, the difference of the medians as a
 # share of the parent's, the parent's quartile distance on the same scale,
@@ -21,7 +29,7 @@
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,28p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 seconds=$4 pairs=$5
@@ -32,12 +40,24 @@ mkdir -p "$out"
 repo=$(cd "$(dirname "$0")/.." && pwd)
 
 extra=("$@")
+cosched=${COSCHED:-0}
+cpus=($(taskset -c -p $$ 2>/dev/null | sed 's/.*: //' | tr ',' ' ' |
+    awk '{ for (i = 1; i <= NF; i++) { n = split($i, r, "-"); for (c = r[1]; c <= r[n]; c++) print c } }'))
+launch() { # side binary pair seed [taskset args…]
+    local side=$1 bin=$2 pair=$3 seed=$4
+    shift 4
+    "$@" "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" ${extra[@]+"${extra[@]}"} \
+        >"$out/$workload-pair$pair-$side.txt" 2>&1
+}
 run_side() { # side binary pair seed
-    local log="$out/$workload-pair$3-$1.txt"
-    if ! "$2" --workload "$workload" --seed "$4" --seconds "$seconds" ${extra[@]+"${extra[@]}"} >"$log" 2>&1; then
-        echo "pair $3 $1: eden-perf exited non-zero, see $log" >&2
+    if ! launch "$@"; then
+        echo "pair $3 $1: eden-perf exited non-zero, see $out/$workload-pair$3-$1.txt" >&2
         exit 1
     fi
+    check_side "$@"
+}
+check_side() { # side binary pair seed
+    local log="$out/$workload-pair$3-$1.txt"
     if ! grep -q '^# attempted=[0-9]* failed=0 ' "$log"; then
         echo "pair $3 $1: $(grep '^# attempted=' "$log" || echo 'no check line'), see $log" >&2
         exit 1
@@ -50,7 +70,23 @@ run_side() { # side binary pair seed
 
 for k in $(seq 1 "$pairs"); do
     seed=$((first_seed + k - 1))
-    if [ $((k % 2)) -eq 1 ]; then
+    if [ "$cosched" = 1 ]; then
+        cpu=${cpus[$(((k - 1) % ${#cpus[@]}))]}
+        launch parent "$parent" "$k" "$seed" taskset -c "$cpu" &
+        p_pid=$!
+        launch change "$change" "$k" "$seed" taskset -c "$cpu" &
+        c_pid=$!
+        for side in parent change; do
+            pid=$p_pid
+            [ "$side" = change ] && pid=$c_pid
+            if ! wait "$pid"; then
+                echo "pair $k $side: eden-perf exited non-zero, see $out/$workload-pair$k-$side.txt" >&2
+                exit 1
+            fi
+        done
+        check_side parent "$parent" "$k" "$seed"
+        check_side change "$change" "$k" "$seed"
+    elif [ $((k % 2)) -eq 1 ]; then
         run_side parent "$parent" "$k" "$seed"
         run_side change "$change" "$k" "$seed"
     else
@@ -106,4 +142,23 @@ done | awk -v spec="$repo/BENCHMARK.json" '
             printf "%-28s %14.6g %31s %14.6g %31s %8s %8s  %d/%d%s\n", name, pm, sprintf("[%.6g, %.6g]", p1, p3), cm, sprintf("[%.6g, %.6g]", c1, c3), diff, iqr, wp, wc, (name in higher) ? "  (higher is better)" : ""
         }
     }'
+if [ "$cosched" = 1 ]; then
+    echo
+    echo "# co-scheduled: change/parent per pair"
+    for k in $(seq 1 "$pairs"); do
+        for side in parent change; do
+            awk -v side="$side" '$1 == "cpu_ns_per_op" || $1 == "setup_s" || $1 == "rss_mb" { print side, $1, $2 }' \
+                "$out/$workload-pair$k-$side.txt"
+        done | awk -v k="$k" '
+            $1 == "parent" { p[$2] = $3 }
+            $1 == "change" { c[$2] = $3 }
+            END {
+                line = "pair " k ":"
+                n = split("cpu_ns_per_op setup_s rss_mb", m, " ")
+                for (i = 1; i <= n; i++)
+                    line = line sprintf("  %s %s", m[i], (m[i] in p) && p[m[i]] != 0 ? sprintf("%.3f", c[m[i]] / p[m[i]]) : "-")
+                print line
+            }'
+    done
+fi
 echo "# runs kept in $out"

@@ -105,6 +105,17 @@ fn assert_equivalent(
     chunk: usize,
     seed: u64,
 ) -> Result<(), TestCaseError> {
+    let chunks: Vec<_> = stream.chunks(chunk).collect();
+    assert_chunks_equivalent(mk, &chunks, seed).map(|_| ())
+}
+
+/// [`assert_equivalent`] over chunks of any sizes, in order; returns how
+/// the batched side ran them (`Enclave::batch_path_counts`).
+fn assert_chunks_equivalent(
+    mk: impl Fn() -> (Enclave, Vec<FuncId>),
+    chunks: &[&[(u32, u64, usize, u16)]],
+    seed: u64,
+) -> Result<(u64, u64), TestCaseError> {
     let (mut serial, funcs) = mk();
     let (mut batched, _) = mk();
     let mut serial_rng = SimRng::new(seed);
@@ -116,7 +127,7 @@ fn assert_equivalent(
     let mut batched_pkts: Vec<Packet> = Vec::new();
     let mut batched_verdicts = Vec::new();
 
-    for (ci, chunk_specs) in stream.chunks(chunk).enumerate() {
+    for (ci, &chunk_specs) in chunks.iter().enumerate() {
         // a batch leaves at one simulated instant, so the per-packet
         // reference uses the same timestamp for the whole chunk
         let now = Time::from_nanos(1 + ci as u64);
@@ -166,13 +177,13 @@ fn assert_equivalent(
     // both RNGs stand exactly one draw per packet on, whether a packet's
     // draw was read (by a function, or by the lanes' deal) or only reserved
     let mut eager = SimRng::new(seed);
-    for _ in stream {
+    for _ in chunks.iter().flat_map(|c| c.iter()) {
         eager.next_u64();
     }
     let next = eager.next_u64();
     prop_assert_eq!(serial_rng.next_u64(), next);
     prop_assert_eq!(batched_rng.next_u64(), next);
-    Ok(())
+    Ok(batched.batch_path_counts())
 }
 
 /// Stream generator: (class, message id, payload, source port).
@@ -261,6 +272,44 @@ proptest! {
             let d = install(&mut e, &functions::message_wcmp(), true, 4);
             (e, vec![a, b, c, d])
         }, &stream, chunk, seed)?;
+    }
+
+    /// Lanes are made at the first fan-out. The first chunks here are too
+    /// thin for it (under 4 packets a lane), so message state is created
+    /// on the caller's path in one shard per function; the first thick
+    /// chunk fans out, which splits every function's table into one shard
+    /// per lane, moving those blocks. Every observable must still equal
+    /// the per-packet run, through the split and the fan-outs after it.
+    #[test]
+    fn caller_path_state_is_resharded_by_the_first_fan_out(
+        stream in proptest::collection::vec((0u32..5, 0u64..24, 1usize..1460, 0u16..4), 80..200),
+        thin in proptest::collection::vec(1usize..16, 1..5),
+        thick in 16usize..80,
+        seed in any::<u64>(),
+    ) {
+        let (head, tail) = stream.split_at(thin.iter().sum());
+        let mut rest = head;
+        let mut chunks: Vec<&[_]> = thin
+            .iter()
+            .map(|&n| {
+                let (chunk, r) = rest.split_at(n);
+                rest = r;
+                chunk
+            })
+            .collect();
+        chunks.extend(tail.chunks(thick));
+        let (serial, parallel) = assert_chunks_equivalent(|| {
+            let mut e = Enclave::new(EnclaveConfig {
+                parallel_per_lane_min: 4,
+                ..batchy_config()
+            });
+            let a = install(&mut e, &functions::pias(), true, 1);
+            let b = install(&mut e, &functions::message_wcmp(), true, 2);
+            let c = install(&mut e, &functions::sff(), true, 3);
+            (e, vec![a, b, c])
+        }, &chunks, seed)?;
+        prop_assert!(serial >= thin.len() as u64, "thin chunks stay on the caller's path");
+        prop_assert!(parallel >= 1, "the first thick chunk fans out");
     }
 
     /// A packet's draw is reserved when it is classified and computed only
