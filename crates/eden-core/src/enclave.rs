@@ -68,7 +68,7 @@ pub(crate) use host::InvocationHost;
 use link::Linked;
 pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
 use pipeline::LaneScratch;
-pub use tables::{FiveTupleMatch, MatchSpec, Rule, TableId};
+pub use tables::{FiveTupleMatch, MatchSpec, RuleList, TableId};
 use tables::{MatchActionTable, TableCounts};
 
 /// Which direction of the host stack a packet is traversing.
@@ -168,8 +168,8 @@ pub struct Enclave {
     /// so the data path reads them with zero synchronization.
     repl: Vec<Option<HostRepl>>,
     flow_rules: Vec<(FiveTupleMatch, ClassId)>,
-    /// One interpreter per worker lane; lane 0 is the caller thread's, the
-    /// others are made at the first fan-out.
+    /// One interpreter per worker lane; lane 0 is the caller thread's, made
+    /// with the first packet, the others are made at the first fan-out.
     pool: InterpreterPool,
     /// `true` while every installed function may run on a worker lane:
     /// interpreted (native closures are not `Send`) and not `Serialized`.
@@ -292,6 +292,20 @@ impl Enclave {
         }
     }
 
+    /// Make room for `n` more functions in every per-function row, exactly
+    /// (nothing when there is room): an epoch knows how many it installs,
+    /// and a row grown by doubling from empty holds four functions' worth
+    /// for one.
+    fn reserve_functions(&mut self, n: usize) {
+        self.functions.reserve_exact(n);
+        self.func_digests.reserve_exact(n);
+        self.func_counts.reserve_exact(n);
+        self.pkt_bindings.reserve_exact(n);
+        self.states.reserve_exact(n);
+        self.repl.reserve_exact(n);
+        self.func_latency.reserve_exact(n);
+    }
+
     fn install_linked(&mut self, linked: Linked) -> FuncId {
         let Linked { function, pkt } = linked;
         let state =
@@ -318,7 +332,7 @@ impl Enclave {
     /// Append `rule` to `table` (first match wins).
     pub fn install_rule(&mut self, table: TableId, spec: MatchSpec, func: FuncId) {
         assert!(func.0 < self.functions.len(), "unknown function");
-        self.tables[table.0].push_rule(Rule { spec, func });
+        self.tables[table.0].push_rule(spec, func.0);
         self.table_counts[table.0]
             .rule_hits
             .push(RuleHits::default());
@@ -397,9 +411,12 @@ impl Enclave {
     }
 
     /// Steps and static memory bound of the most recent interpreted run
-    /// on the caller's thread (for §5.4 footprint reporting).
+    /// on the caller's thread (for §5.4 footprint reporting); all zero
+    /// before the first.
     pub fn last_usage(&self) -> eden_vm::Usage {
-        self.pool.caller().usage()
+        self.pool
+            .caller()
+            .map_or_else(eden_vm::Usage::default, eden_vm::Interpreter::usage)
     }
 
     // ------------------------------------------------------------------
@@ -563,10 +580,7 @@ mod tests {
             (MatchSpec::Class(ClassId(9)), 2),
             (MatchSpec::AnyOf(vec![ClassId(3), ClassId(4)]), 3),
         ] {
-            t.push_rule(Rule {
-                spec,
-                func: FuncId(func),
-            });
+            t.push_rule(spec, func);
         }
         assert_eq!(t.find(&[7]), Some(0));
         assert_eq!(t.find(&[9]), Some(1), "Any precedes the class-9 rule");
@@ -574,17 +588,40 @@ mod tests {
         assert_eq!(t.find(&[]), Some(1));
 
         let mut t2 = MatchActionTable::default();
-        t2.push_rule(Rule {
-            spec: MatchSpec::AnyOf(vec![ClassId(3)]),
-            func: FuncId(0),
-        });
-        t2.push_rule(Rule {
-            spec: MatchSpec::Class(ClassId(5)),
-            func: FuncId(1),
-        });
+        t2.push_rule(MatchSpec::AnyOf(vec![ClassId(3)]), 0);
+        t2.push_rule(MatchSpec::Class(ClassId(5)), 1);
         assert_eq!(t2.find(&[5]), Some(1));
         assert_eq!(t2.find(&[3, 5]), Some(0), "earlier AnyOf wins");
         assert_eq!(t2.find(&[9]), None);
+    }
+
+    /// A rule is one 8-byte word; a general rule's spec waits on the side
+    /// list, and taking a rule back shifts the side list's places behind it.
+    #[test]
+    fn a_rule_list_holds_words_and_general_specs_beside_them() {
+        assert_eq!(std::mem::size_of::<tables::RuleWord>(), 8);
+        let any_of = MatchSpec::AnyOf(vec![ClassId(3), ClassId(4)]);
+        let mut rules = RuleList::default();
+        rules.push(MatchSpec::Any, 0);
+        rules.push(MatchSpec::Class(ClassId(7)), 1);
+        rules.push(any_of.clone(), 2);
+        assert_eq!(rules.words()[1].class(), Some(ClassId(7)));
+        assert_eq!(rules.words()[2].class(), None);
+        assert_eq!(*rules.spec(2), any_of);
+        assert_eq!(rules.general().len(), 2);
+
+        rules.remove(0);
+        let mut fresh = RuleList::default();
+        fresh.push(MatchSpec::Class(ClassId(7)), 1);
+        fresh.push(any_of.clone(), 2);
+        assert_eq!(rules, fresh);
+        assert_eq!(
+            rules.words(),
+            fresh.words(),
+            "the same words once compacted"
+        );
+        assert_eq!(*rules.spec(1), any_of);
+        assert_eq!(rules.func(1), 2);
     }
 
     #[test]
@@ -895,7 +932,7 @@ mod tests {
             );
             for t in &e.tables {
                 for classes in [&[][..], &[0], &[1], &[2], &[3], &[4], &[5], &[7], &[5, 0]] {
-                    let first = t.rules.iter().position(|r| r.spec.matches(classes));
+                    let first = t.rules.iter().position(|(s, _)| s.matches(classes));
                     assert_eq!(t.find(classes), first, "step {step}, classes {classes:?}");
                 }
             }

@@ -56,6 +56,10 @@ impl Enclave {
         now: Time,
         direction: FlowDirection,
     ) -> HookVerdict {
+        // first thing, while only the arguments are live: a path that
+        // makes the interpreter where the walk borrows it cost every
+        // packet a larger frame and more spills
+        self.pool.make_caller();
         self.stats.packets += 1;
         self.last_now = now;
         let sampled = self.sampler.sample();
@@ -95,7 +99,7 @@ impl Enclave {
             table_counts: &mut self.table_counts,
             func_counts: &mut self.func_counts,
             stats: &mut self.stats,
-            interp: self.pool.caller_mut(),
+            interp: self.pool.caller_mut().expect("made on entry"),
             ring: &mut self.flight[0],
             samples: &mut func_samples,
             scratch: &mut self.scratch,
@@ -193,7 +197,7 @@ impl Enclave {
             return;
         };
         if let Some(rule) = table.find(&self.classes) {
-            self.states[table.rules[rule].func.0].hint(message_id(packet));
+            self.states[table.rules.func(rule)].hint(message_id(packet));
         }
     }
 

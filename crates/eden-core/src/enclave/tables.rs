@@ -1,10 +1,11 @@
 //! Match-action tables: what a rule matches on, the class→rule index,
 //! and the counters a lookup feeds.
 
+use std::borrow::Cow;
+
 use eden_telemetry::{RuleHits, TableLookups};
 use netsim::Packet;
 
-use crate::action::FuncId;
 use crate::class::ClassId;
 use crate::index::FlatIndex;
 
@@ -34,11 +35,159 @@ impl MatchSpec {
     }
 }
 
-/// `match on class → action function` (Table 4).
-#[derive(Debug, Clone)]
-pub struct Rule {
-    pub spec: MatchSpec,
-    pub func: FuncId,
+/// One rule — `match on class → action function` (Table 4) — packed into
+/// 8 bytes: the class it matches and the function it selects. A rule
+/// that matches on anything but one class (`Any`, `AnyOf`) keeps its
+/// [`MatchSpec`] on a side list of its [`RuleList`], and a flag in the
+/// function's top bit says so. How a configuration holds its rules,
+/// wherever it is held; converted from and to [`MatchSpec`] only where an
+/// op is read or written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RuleWord {
+    /// The class; 0 for a general rule.
+    class: u32,
+    /// The function, with [`GENERAL`](Self::GENERAL) set on a general rule.
+    func: u32,
+}
+
+impl RuleWord {
+    /// Marks a general rule. A function index never reaches it: every
+    /// rule's function is installed, and 2^31 functions do not fit in
+    /// memory.
+    const GENERAL: u32 = 1 << 31;
+
+    /// The word of the rule `spec → func`.
+    ///
+    /// # Panics
+    /// If `func` is 2^31 or more: an index no installed function has.
+    pub(crate) fn new(spec: &MatchSpec, func: usize) -> RuleWord {
+        let func = u32::try_from(func)
+            .ok()
+            .filter(|f| f & Self::GENERAL == 0)
+            .expect("a function index below 2^31");
+        match spec {
+            MatchSpec::Class(c) => RuleWord { class: c.0, func },
+            MatchSpec::Any | MatchSpec::AnyOf(_) => RuleWord {
+                class: 0,
+                func: func | Self::GENERAL,
+            },
+        }
+    }
+
+    /// The function this rule selects.
+    #[inline]
+    pub(crate) fn func(self) -> usize {
+        (self.func & !Self::GENERAL) as usize
+    }
+
+    /// The one class this rule matches, or `None` for a general rule.
+    #[inline]
+    pub(crate) fn class(self) -> Option<ClassId> {
+        (self.func & Self::GENERAL == 0).then_some(ClassId(self.class))
+    }
+}
+
+/// An ordered rule list (first match wins) as 8-byte words, with the
+/// general rules' specs on a side list in rule order. Equal lists hold
+/// equal rules.
+#[derive(Debug, Clone, Default)]
+pub struct RuleList {
+    words: Vec<RuleWord>,
+    /// Each `Any` / `AnyOf` rule's position in `words` and its spec, in
+    /// rule order.
+    general: Vec<(u32, MatchSpec)>,
+}
+
+impl RuleList {
+    /// Rules held.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the list holds no rule.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The rules as words, in order.
+    pub(crate) fn words(&self) -> &[RuleWord] {
+        &self.words
+    }
+
+    /// The function rule `i` selects.
+    #[inline]
+    pub fn func(&self, i: usize) -> usize {
+        self.words[i].func()
+    }
+
+    /// What rule `i` matches on. A class rule's spec is made on the spot
+    /// (no allocation); a general rule's is borrowed from the side list.
+    pub fn spec(&self, i: usize) -> Cow<'_, MatchSpec> {
+        match self.words[i].class() {
+            Some(c) => Cow::Owned(MatchSpec::Class(c)),
+            None => {
+                let at = self.general.partition_point(|&(p, _)| (p as usize) < i);
+                Cow::Borrowed(&self.general[at].1)
+            }
+        }
+    }
+
+    /// Every rule as `(spec, function)`, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (Cow<'_, MatchSpec>, usize)> + '_ {
+        (0..self.len()).map(|i| (self.spec(i), self.func(i)))
+    }
+
+    /// The general rules as `(position, spec)`, in rule order.
+    pub(crate) fn general(&self) -> &[(u32, MatchSpec)] {
+        &self.general
+    }
+
+    /// Append the rule `spec → func`.
+    ///
+    /// # Panics
+    /// If `func` is 2^31 or more.
+    pub fn push(&mut self, spec: MatchSpec, func: usize) {
+        let word = RuleWord::new(&spec, func);
+        if word.class().is_none() {
+            let at = u32::try_from(self.words.len()).expect("fewer than 2^32 rules");
+            self.general.push((at, spec));
+        }
+        self.words.push(word);
+    }
+
+    /// Remove rule `i`; later rules shift down by one.
+    pub fn remove(&mut self, i: usize) {
+        let removed = self.words.remove(i);
+        let at = self.general.partition_point(|&(p, _)| (p as usize) < i);
+        if removed.class().is_none() {
+            self.general.remove(at);
+        }
+        for (p, _) in &mut self.general[at..] {
+            *p -= 1;
+        }
+    }
+
+    /// Remove every rule.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.general.clear();
+    }
+
+    /// Make room for `additional` more rules.
+    pub fn reserve(&mut self, additional: usize) {
+        self.words.reserve(additional);
+    }
+
+    /// Room for rules without growing.
+    pub(crate) fn capacity(&self) -> usize {
+        self.words.capacity()
+    }
+}
+
+impl PartialEq for RuleList {
+    fn eq(&self, other: &RuleList) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
 }
 
 /// One step of the structural digest: fold the word `w` into `h`. A
@@ -65,35 +214,33 @@ pub(super) fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// What one rule contributes to its table's digest: its spec and the
-/// function it selects.
-fn rule_hash(rule: &Rule) -> u64 {
-    let spec = match &rule.spec {
+/// What rule `i` of `rules` contributes to its table's digest: its spec
+/// and the function it selects.
+fn rule_hash(rules: &RuleList, i: usize) -> u64 {
+    let spec = match &*rules.spec(i) {
         MatchSpec::Any => 1,
         MatchSpec::Class(c) => mix(2, u64::from(c.0)),
         MatchSpec::AnyOf(cs) => cs
             .iter()
             .fold(mix(3, cs.len() as u64), |h, c| mix(h, u64::from(c.0))),
     };
-    mix(spec, rule.func.0 as u64)
+    mix(spec, rules.func(i) as u64)
 }
 
 /// One match-action table, with a class→rule index so the common case —
 /// single-class rules — resolves by hash lookup instead of a linear scan.
 /// First-match-wins order is preserved: the index stores the *earliest*
-/// rule per class, and `general` keeps the (ordered) `Any`/`AnyOf` rules
-/// that still need a scan. Read-only on the data path: what a lookup
-/// counts goes to a [`TableCounts`] block.
+/// rule per class, and the rule list's side list keeps the (ordered)
+/// `Any`/`AnyOf` rules that still need a scan. Read-only on the data
+/// path: what a lookup counts goes to a [`TableCounts`] block.
 #[derive(Debug, Default)]
 pub(super) struct MatchActionTable {
-    pub(super) rules: Vec<Rule>,
+    pub(super) rules: RuleList,
     /// class → index of the first `MatchSpec::Class` rule for it (flat
     /// open-addressing probe, no SipHash on the per-packet path).
-    class_index: FlatIndex,
-    /// Ordered indices of `Any` / `AnyOf` rules.
-    general: Vec<usize>,
+    class_index: FlatIndex<u32>,
     /// Digest of every prefix of `rules`, parallel to it:
-    /// `prefix[i] = mix(prefix[i - 1], rule_hash(rules[i]))`. The last
+    /// `prefix[i] = mix(prefix[i - 1], rule_hash(rules, i))`. The last
     /// entry is the whole table's digest, so an append costs one `mix` and
     /// a removal re-hashes only the rules behind it.
     prefix: Vec<u64>,
@@ -115,26 +262,22 @@ impl MatchActionTable {
         }
     }
 
-    pub(super) fn push_rule(&mut self, rule: Rule) {
+    pub(super) fn push_rule(&mut self, spec: MatchSpec, func: usize) {
         let idx = self.rules.len();
-        match &rule.spec {
-            MatchSpec::Class(c) => {
-                // first insertion wins: an earlier rule for the class keeps it
-                let key = u64::from(c.0);
-                if let Err(vacant) = self.class_index.probe(key) {
-                    self.class_index.insert(key, idx as u32, Some(vacant));
-                }
+        if let MatchSpec::Class(c) = &spec {
+            // first insertion wins: an earlier rule for the class keeps it
+            if let Err(vacant) = self.class_index.probe(c.0) {
+                self.class_index.insert(c.0, idx as u32, Some(vacant));
             }
-            MatchSpec::Any | MatchSpec::AnyOf(_) => self.general.push(idx),
         }
-        self.prefix.push(mix(self.digest(), rule_hash(&rule)));
-        self.rules.push(rule);
+        self.rules.push(spec, func);
+        self.prefix
+            .push(mix(self.digest(), rule_hash(&self.rules, idx)));
     }
 
     pub(super) fn clear(&mut self) {
         self.rules.clear();
         self.class_index.clear();
-        self.general.clear();
         self.prefix.clear();
     }
 
@@ -157,38 +300,27 @@ impl MatchActionTable {
     /// first-match-wins: a class whose first rule this was falls through
     /// to the next rule that holds it.
     pub(super) fn remove_rule(&mut self, idx: usize) {
-        let removed = self.rules.remove(idx);
-        match &removed.spec {
-            MatchSpec::Class(c) => {
-                if self.class_index.get(u64::from(c.0)) == Some(idx as u32) {
-                    self.class_index.remove(u64::from(c.0));
-                }
-            }
-            MatchSpec::Any | MatchSpec::AnyOf(_) => {
-                let at = self.general.partition_point(|&g| g < idx);
-                self.general.remove(at);
+        if let Some(c) = self.rules.words[idx].class() {
+            if self.class_index.get(c.0) == Some(idx as u32) {
+                self.class_index.remove(c.0);
             }
         }
-        let moved = self.general.partition_point(|&g| g < idx);
-        for g in &mut self.general[moved..] {
-            *g -= 1;
-        }
+        self.rules.remove(idx);
         self.prefix.truncate(idx);
         let mut h = self.digest();
-        for (i, rule) in self.rules.iter().enumerate().skip(idx) {
+        for i in idx..self.rules.len() {
             // `i` is the rule's new position; it sat at `i + 1`.
-            if let MatchSpec::Class(c) = &rule.spec {
-                let key = u64::from(c.0);
-                match self.class_index.probe(key) {
+            if let Some(c) = self.rules.words[i].class() {
+                match self.class_index.probe(c.0) {
                     Ok(at) if self.class_index.value(at) as usize == i + 1 => {
                         self.class_index.set(at, i as u32);
                     }
                     Ok(_) => {}
                     // only the removed rule's class can be unmapped here
-                    Err(vacant) => self.class_index.insert(key, i as u32, Some(vacant)),
+                    Err(vacant) => self.class_index.insert(c.0, i as u32, Some(vacant)),
                 }
             }
-            h = mix(h, rule_hash(rule));
+            h = mix(h, rule_hash(&self.rules, i));
             self.prefix.push(h);
         }
     }
@@ -201,16 +333,17 @@ impl MatchActionTable {
     pub(super) fn find(&self, classes: &[u32]) -> Option<usize> {
         let mut best = usize::MAX;
         for &c in classes {
-            if let Some(i) = self.class_index.get(u64::from(c)) {
+            if let Some(i) = self.class_index.get(c) {
                 best = best.min(i as usize);
             }
         }
-        for &gi in &self.general {
-            if gi >= best {
+        for (at, spec) in self.rules.general() {
+            let at = *at as usize;
+            if at >= best {
                 break; // an earlier single-class rule already won
             }
-            if self.rules[gi].spec.matches(classes) {
-                best = gi;
+            if spec.matches(classes) {
+                best = at;
                 break;
             }
         }
@@ -296,7 +429,7 @@ pub(super) fn lookup(
         Some(idx) => {
             c.totals.matched += 1;
             c.rule_hits[idx].hits += 1;
-            Lookup::Hit(tbl.rules[idx].func.0)
+            Lookup::Hit(tbl.rules.func(idx))
         }
         None => {
             c.totals.missed += 1;

@@ -33,11 +33,11 @@ impl Enclave {
             .zip(&self.table_counts)
             .enumerate()
             .flat_map(|(table, (t, c))| {
-                let hits = t.rules.iter().zip(&c.rule_hits).enumerate();
-                hits.map(move |(rule, (r, &counts))| RuleCounters {
+                let hits = t.rules.words().iter().zip(&c.rule_hits).enumerate();
+                hits.map(move |(rule, (w, &counts))| RuleCounters {
                     table,
                     rule,
-                    func: r.func.0,
+                    func: w.func(),
                     counts,
                 })
             })
@@ -133,7 +133,7 @@ impl Enclave {
     /// [`last_usage`](Self::last_usage) has the static bound they stay
     /// under.
     pub fn observed_peaks(&self) -> Option<eden_vm::Bound> {
-        self.pool.caller().observed_peaks()
+        self.pool.observed_peaks()
     }
 
     // ------------------------------------------------------------------

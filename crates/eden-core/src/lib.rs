@@ -42,7 +42,7 @@ pub use controller::{Controller, PathSpec};
 pub use eden_telemetry::StatsSnapshot;
 pub use enclave::{
     native_function, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
-    LinkError, LinkInfo, MatchSpec, PktSlot, Rule, SlotLink, SlotTarget, TableId,
+    LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, SlotLink, SlotTarget, TableId,
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;

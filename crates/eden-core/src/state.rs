@@ -211,8 +211,11 @@ impl FunctionState {
     }
 
     /// Locate (creating if absent) the block of `msg_id`: its shard and
-    /// slot. One probe when the block exists.
-    #[inline]
+    /// slot. One probe when the block exists. Always inlined: it is the
+    /// per-invocation probe in `Walker::invoke`, and left to `#[inline]`
+    /// the compiler kept it as a call there once the index became generic
+    /// over its key.
+    #[inline(always)]
     fn locate(&mut self, msg_id: u64) -> (usize, u32) {
         let shard = self.shard_of(msg_id);
         match self.shards[shard].find(msg_id) {

@@ -615,6 +615,31 @@ mod tests {
         }
     }
 
+    // The shard's model of an epoch is worked out before its shadow
+    // validates the ops: a rule off the wire naming a function index no
+    // table word can hold gets a nack, as any unknown function does.
+    #[test]
+    fn a_rule_past_every_function_is_nacked() {
+        let mut a = AggregatorApp::new(AggConfig::default(), &[11]);
+        let mut ops = prio_epoch(5);
+        ops.push(EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Class(eden_core::ClassId(9)),
+            func: 1 << 31,
+        });
+        let wire = proto::encode_prepare(1, &ops).expect("fits the wire");
+        let prepare = Request::decode(&wire).expect("decodes").body;
+        match a.handle_parent_msg(1, prepare) {
+            CtrlReply::Nack { reason, .. } => assert!(reason.contains("function"), "{reason}"),
+            other => panic!("expected a nack, got {other:?}"),
+        }
+        assert_eq!(a.shadow.staged_epoch(), None);
+        assert!(a.staged_model.is_none(), "the model is not kept");
+        let r = a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
+        assert!(!matches!(r, CtrlReply::Ack { .. }), "{r:?}");
+        assert_eq!(a.committed_epoch(), 0);
+    }
+
     // A delta can lead to a version whose Reset-led rebuild no longer fits
     // one message although every message that built it did.
     #[test]

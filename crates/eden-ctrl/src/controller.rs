@@ -712,6 +712,27 @@ mod tests {
         epoch
     }
 
+    // The controller models the ops before its shadow enclave validates
+    // them: a rule naming a function index no table word can hold is
+    // refused like any other unknown function.
+    #[test]
+    fn a_rule_past_every_function_is_refused() {
+        let mut app = ControllerApp::new(CtrlConfig::default(), &[1]);
+        let mut ops = table_ops(5, 0..2);
+        ops.push(EnclaveOp::InstallRule {
+            table: 0,
+            spec: eden_core::MatchSpec::Class(eden_core::ClassId(9)),
+            func: 1 << 31,
+        });
+        let op = ops.len() - 1;
+        let refused = app.set_desired(ops);
+        assert_eq!(
+            refused,
+            Err(ApplyError::NoSuchFunction { op, func: 1 << 31 })
+        );
+        assert_eq!(app.desired_epoch(), 0, "nothing was adopted");
+    }
+
     #[test]
     fn history_is_bounded_and_a_forgotten_base_gets_the_full_prepare() {
         let mut c = pair();

@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use eden_core::{EnclaveOp, MatchSpec};
+use eden_core::{EnclaveOp, RuleList, ShippedFunction};
 use eden_telemetry::TraceContext;
 
 use crate::proto::{self, CtrlMsg, ProtoError, Request};
@@ -39,12 +39,14 @@ use crate::proto::{self, CtrlMsg, ProtoError, Request};
 /// rule indices shift down on removal).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigModel {
-    /// Installed functions in index order, kept as their original
-    /// `InstallFunction` ops (compared structurally for diffing).
-    funcs: Vec<EnclaveOp>,
-    /// Match-action tables: `(spec, func index)` per rule, first match
-    /// wins. An empty model still has table 0, like a fresh enclave.
-    tables: Vec<Vec<(MatchSpec, usize)>>,
+    /// Installed functions in index order, as shipped (compared
+    /// structurally for diffing). Shared: a cloned model, and a version
+    /// whose Reset-led epoch reinstalls the function its base held at the
+    /// same index, point at the one copy.
+    funcs: Vec<Rc<ShippedFunction>>,
+    /// Match-action tables, each rule one 8-byte word, first match wins.
+    /// An empty model still has table 0, like a fresh enclave.
+    tables: Vec<RuleList>,
     /// Last value written per `(func, slot)` by `SetGlobal`.
     globals: BTreeMap<(usize, usize), i64>,
     /// Last value written per `(func, array)` by `SetArray`.
@@ -57,7 +59,7 @@ impl ConfigModel {
     pub fn new() -> ConfigModel {
         ConfigModel {
             funcs: Vec::new(),
-            tables: vec![Vec::new()],
+            tables: vec![RuleList::default()],
             globals: BTreeMap::new(),
             arrays: BTreeMap::new(),
         }
@@ -71,22 +73,35 @@ impl ConfigModel {
     }
 
     /// Apply `ops` to this model, mirroring the enclave's semantics.
-    /// Out-of-range indices are ignored (the controller only models op
-    /// sequences its shadow enclave already validated).
+    /// Out-of-range indices are ignored, a rule's function index among
+    /// them: a model may be worked out before the shadow enclave refuses
+    /// the ops, and such a model is never kept.
     pub fn apply(&mut self, ops: &[EnclaveOp]) {
+        // What a `Reset` dropped: a function installed again at the index
+        // it had is shared with the version before, not copied.
+        let mut dropped = Vec::new();
         for op in ops {
             match op {
-                EnclaveOp::Reset => *self = ConfigModel::new(),
-                EnclaveOp::CreateTable => self.tables.push(Vec::new()),
+                EnclaveOp::Reset => {
+                    dropped = std::mem::take(&mut self.funcs);
+                    *self = ConfigModel::new();
+                }
+                EnclaveOp::CreateTable => self.tables.push(RuleList::default()),
                 EnclaveOp::ClearTable { table } => {
                     if let Some(t) = self.tables.get_mut(*table) {
                         t.clear();
                     }
                 }
-                EnclaveOp::InstallFunction { .. } => self.funcs.push(op.clone()),
+                EnclaveOp::InstallFunction(shipped) => {
+                    let same = dropped.get(self.funcs.len()).filter(|f| ***f == **shipped);
+                    let f = same.map_or_else(|| Rc::new((**shipped).clone()), Rc::clone);
+                    self.funcs.push(f);
+                }
                 EnclaveOp::InstallRule { table, spec, func } => {
                     if let Some(t) = self.tables.get_mut(*table) {
-                        t.push((spec.clone(), *func));
+                        if *func < self.funcs.len() {
+                            t.push(spec.clone(), *func);
+                        }
                     }
                 }
                 EnclaveOp::RemoveRule { table, rule } => {
@@ -121,14 +136,14 @@ impl ConfigModel {
         proto::encode_prepare_with(epoch, |w| {
             w.op(&EnclaveOp::Reset);
             for f in &self.funcs {
-                w.op(f);
+                w.function(f);
             }
             for _ in 1..self.tables.len() {
                 w.op(&EnclaveOp::CreateTable);
             }
             for (table, rules) in self.tables.iter().enumerate() {
-                for (spec, func) in rules {
-                    w.rule(table, spec, *func);
+                for (spec, func) in rules.iter() {
+                    w.rule(table, &spec, func);
                 }
             }
             for (&(func, slot), &value) in &self.globals {
@@ -142,7 +157,7 @@ impl ConfigModel {
 
     /// Rule count across all tables (bench/telemetry).
     pub fn rule_count(&self) -> usize {
-        self.tables.iter().map(Vec::len).sum()
+        self.tables.iter().map(RuleList::len).sum()
     }
 }
 
@@ -175,12 +190,20 @@ pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> 
     let mut ops = Vec::new();
     // Functions first: rules and state writes below may reference the
     // appended indices.
-    ops.extend(target.funcs[base.funcs.len()..].iter().cloned());
+    let appended = &target.funcs[base.funcs.len()..];
+    ops.extend(
+        appended
+            .iter()
+            .map(|f| EnclaveOp::InstallFunction(Box::new((**f).clone()))),
+    );
     for _ in base.tables.len()..target.tables.len() {
         ops.push(EnclaveOp::CreateTable);
     }
+    let empty = RuleList::default();
     for (table, want) in target.tables.iter().enumerate() {
-        let have: &[(MatchSpec, usize)] = base.tables.get(table).map_or(&[], Vec::as_slice);
+        let have = base.tables.get(table).unwrap_or(&empty);
+        // rule by rule: a general rule's spec is compared, not its place
+        // on either list's side list
         let lcp = have
             .iter()
             .zip(want.iter())
@@ -191,11 +214,11 @@ pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> 
         for rule in (lcp..have.len()).rev() {
             ops.push(EnclaveOp::RemoveRule { table, rule });
         }
-        for (spec, func) in &want[lcp..] {
+        for (spec, func) in want.iter().skip(lcp) {
             ops.push(EnclaveOp::InstallRule {
                 table,
-                spec: spec.clone(),
-                func: *func,
+                spec: spec.into_owned(),
+                func,
             });
         }
     }
@@ -393,7 +416,7 @@ impl ConfigHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_core::{ClassId, Enclave, EnclaveConfig};
+    use eden_core::{ClassId, Enclave, EnclaveConfig, MatchSpec};
     use eden_lang::{Access, HeaderField, Schema};
 
     fn schema() -> Schema {
@@ -549,6 +572,62 @@ mod tests {
             None,
             "cannot unwrite a global"
         );
+    }
+
+    /// Two general rules sit at the same place on their side lists, so
+    /// their words are equal: the diff compares their specs, and a model
+    /// that took a general rule back equals one that never had it.
+    #[test]
+    fn general_rules_compare_by_spec_not_by_side_list_place() {
+        let general = |spec: MatchSpec| EnclaveOp::InstallRule {
+            table: 0,
+            spec,
+            func: 0,
+        };
+        let mut base = base_ops();
+        base.insert(2, general(MatchSpec::Any));
+        let mut target = base_ops();
+        target.insert(2, general(MatchSpec::AnyOf(vec![ClassId(4)])));
+        let plan = assert_diff_converges(&base, &target);
+        assert_eq!(
+            plan.len(),
+            8,
+            "everything from the general rule on: {plan:?}"
+        );
+        assert_eq!(plan[4], general(MatchSpec::AnyOf(vec![ClassId(4)])));
+
+        let mut taken_back = base.clone();
+        taken_back.insert(2, general(MatchSpec::AnyOf(vec![ClassId(9)])));
+        taken_back.push(EnclaveOp::RemoveRule { table: 0, rule: 0 });
+        assert_eq!(
+            ConfigModel::from_ops(&taken_back),
+            ConfigModel::from_ops(&base)
+        );
+        let from = ConfigModel::from_ops(&taken_back);
+        assert_eq!(diff(&from, &ConfigModel::from_ops(&base)), Some(vec![]));
+    }
+
+    /// A version made from the one before shares its functions: a clone
+    /// does, and so does a Reset-led epoch that installs the same function
+    /// at the same index. A different function is a copy of its own.
+    #[test]
+    fn versions_share_their_functions() {
+        let shared = |a: &ConfigModel, b: &ConfigModel| Rc::ptr_eq(&a.funcs[0], &b.funcs[0]);
+        let first = ConfigModel::from_ops(&base_ops());
+        let mut next = first.clone();
+        assert!(shared(&first, &next));
+        let mut full = base_ops();
+        full.push(rule(0, 4, 0));
+        next.apply(&full);
+        assert!(shared(&first, &next), "reinstalled at index 0");
+        assert_eq!(next, ConfigModel::from_ops(&full));
+
+        let mut other = first.clone();
+        let mut changed = base_ops();
+        changed[1] = install(7);
+        other.apply(&changed);
+        assert!(!shared(&first, &other));
+        assert_eq!(other, ConfigModel::from_ops(&changed));
     }
 
     fn counter() -> EnclaveOp {

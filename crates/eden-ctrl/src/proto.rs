@@ -444,13 +444,7 @@ fn put_op(w: &mut Writer, op: &EnclaveOp) {
             w.u8(2);
             w.count(4, *table);
         }
-        EnclaveOp::InstallFunction(f) => {
-            w.u8(3);
-            w.str(&f.name);
-            w.bytes(&f.bytecode);
-            put_schema(w, &f.schema);
-            w.tag(&CONCURRENCY, &f.concurrency);
-        }
+        EnclaveOp::InstallFunction(f) => put_function(w, f),
         EnclaveOp::InstallRule { table, spec, func } => put_rule(w, *table, spec, *func),
         EnclaveOp::RemoveRule { table, rule } => {
             w.u8(5);
@@ -469,6 +463,15 @@ fn put_op(w: &mut Writer, op: &EnclaveOp) {
             values,
         } => put_array(w, *func, *array, values),
     }
+}
+
+/// An `InstallFunction` op, from the function it ships.
+fn put_function(w: &mut Writer, f: &ShippedFunction) {
+    w.u8(3);
+    w.str(&f.name);
+    w.bytes(&f.bytecode);
+    put_schema(w, &f.schema);
+    w.tag(&CONCURRENCY, &f.concurrency);
 }
 
 /// An `InstallRule` op, from its fields.
@@ -1094,6 +1097,11 @@ pub(crate) struct OpWriter<'a> {
 impl OpWriter<'_> {
     pub(crate) fn op(&mut self, op: &EnclaveOp) {
         put_op(self.w, op);
+        self.count += 1;
+    }
+    /// An `InstallFunction`, without building the op.
+    pub(crate) fn function(&mut self, f: &ShippedFunction) {
+        put_function(self.w, f);
         self.count += 1;
     }
     /// An `InstallRule`, without building the op.
