@@ -8,9 +8,12 @@
 //!
 //! Run with `cargo bench -p eden-bench --bench fig09_flow_scheduling`.
 //! `EDEN_RUNS` (default 5) selects the number of seeded runs per arm.
+//! Writes what it prints to `BENCH_fig09.json`: virtual time only, so the
+//! default run repeats byte for byte on any machine.
 
 use eden_bench::fig09::{run, Config, Engine, Scheme};
-use eden_bench::report::{us, Table};
+use eden_bench::report::{emit_json, us, Table};
+use eden_telemetry::Json;
 use netsim::{Summary, Time};
 
 fn env_runs() -> u64 {
@@ -43,6 +46,7 @@ fn main() {
         "interm p95",
         "n",
     ]);
+    let mut rows = Vec::new();
     for (name, scheme, engine, engine_name) in arms {
         let mut small_avg = Vec::new();
         let mut small_p95 = Vec::new();
@@ -72,6 +76,15 @@ fn main() {
             let s = Summary::new(v.to_vec());
             format!("{} ±{}", us(s.mean()), us(s.ci95()))
         };
+        rows.push(Json::obj(vec![
+            ("scheme", Json::Str(name.into())),
+            ("engine", Json::Str(engine_name.into())),
+            ("small_avg_us", mean_ci(&small_avg)),
+            ("small_p95_us", mean_ci(&small_p95)),
+            ("interm_avg_us", mean_ci(&mid_avg)),
+            ("interm_p95_us", mean_ci(&mid_p95)),
+            ("n", Json::UInt(n as u64)),
+        ]));
         table.row(&[
             name.to_string(),
             engine_name.to_string(),
@@ -85,4 +98,19 @@ fn main() {
     println!("{}", table.render());
     println!("paper (testbed):   baseline small avg 363us -> PIAS 274us; p95 1.6ms -> 1.0ms");
     println!("expected shape:    PIAS/SFF << baseline; SFF <= PIAS; native ~= EDEN");
+
+    let artifact = Json::obj(vec![("runs", Json::UInt(runs)), ("arms", Json::Arr(rows))]);
+    match emit_json("fig09", &artifact) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\ncould not write BENCH_fig09.json: {e}"),
+    }
+}
+
+/// The mean of `v` and its 95% confidence interval, as printed.
+fn mean_ci(v: &[f64]) -> Json {
+    let s = Summary::new(v.to_vec());
+    Json::obj(vec![
+        ("mean", Json::Float(s.mean())),
+        ("ci95", Json::Float(s.ci95())),
+    ])
 }

@@ -6,10 +6,13 @@
 //! the slow path); WCMP at 10:1 reaches ~7.8 Gbps — 3× better but below the
 //! 11 Gbps min-cut because reordering trips TCP; Eden ≈ native.
 //!
-//! Run with `cargo bench -p eden-bench --bench fig10_wcmp`.
+//! Run with `cargo bench -p eden-bench --bench fig10_wcmp`. Writes what
+//! it prints to `BENCH_fig10.json`: virtual time only, so the default run
+//! repeats byte for byte on any machine.
 
 use eden_bench::fig10::{run, Balancer, Config, Engine};
-use eden_bench::report::{bps, Table};
+use eden_bench::report::{bps, emit_json, Table};
+use eden_telemetry::Json;
 use netsim::{Summary, Time};
 
 fn main() {
@@ -22,6 +25,7 @@ fn main() {
     println!("topology: two paths (10G, 1G); per-packet balancing; {runs} runs/arm\n");
 
     let mut table = Table::new(&["balancer", "engine", "throughput", "ci95"]);
+    let mut rows = Vec::new();
     for (balancer, bname) in [(Balancer::Ecmp, "ECMP"), (Balancer::Wcmp, "WCMP")] {
         for (engine, ename) in [(Engine::Native, "native"), (Engine::Eden, "EDEN")] {
             let samples: Vec<f64> = (0..runs)
@@ -36,6 +40,12 @@ fn main() {
                 })
                 .collect();
             let s = Summary::new(samples);
+            rows.push(Json::obj(vec![
+                ("balancer", Json::Str(bname.into())),
+                ("engine", Json::Str(ename.into())),
+                ("throughput_bps", Json::Float(s.mean())),
+                ("ci95_bps", Json::Float(s.ci95())),
+            ]));
             table.row(&[
                 bname.to_string(),
                 ename.to_string(),
@@ -53,6 +63,7 @@ fn main() {
     // tolerance window (0 = classic Reno, which collapses).
     println!("\n== ablation: WCMP throughput vs TCP reorder-tolerance window ==");
     let mut ab = Table::new(&["reorder window", "WCMP throughput"]);
+    let mut ablation = Vec::new();
     for window_us in [0u64, 50, 100, 300, 1000] {
         let samples: Vec<f64> = (0..runs.min(3))
             .map(|seed| {
@@ -65,6 +76,10 @@ fn main() {
             })
             .collect();
         let s = Summary::new(samples);
+        ablation.push(Json::obj(vec![
+            ("reorder_window_us", Json::UInt(window_us)),
+            ("wcmp_bps", Json::Float(s.mean())),
+        ]));
         let label = if window_us == 0 {
             "classic Reno".to_string()
         } else {
@@ -73,4 +88,14 @@ fn main() {
         ab.row(&[label, bps(s.mean())]);
     }
     println!("{}", ab.render());
+
+    let artifact = Json::obj(vec![
+        ("runs", Json::UInt(runs)),
+        ("arms", Json::Arr(rows)),
+        ("reorder_ablation", Json::Arr(ablation)),
+    ]);
+    match emit_json("fig10", &artifact) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\ncould not write BENCH_fig10.json: {e}"),
+    }
 }

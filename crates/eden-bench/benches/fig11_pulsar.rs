@@ -6,10 +6,13 @@
 //! isolation; run together, WRITE throughput drops by ~72%; charging READ
 //! requests by operation size equalizes the two.
 //!
-//! Run with `cargo bench -p eden-bench --bench fig11_pulsar`.
+//! Run with `cargo bench -p eden-bench --bench fig11_pulsar`. Writes what
+//! it prints to `BENCH_fig11.json`: virtual time only, so the default run
+//! repeats byte for byte on any machine.
 
 use eden_bench::fig11::{run, Config, Mode};
-use eden_bench::report::Table;
+use eden_bench::report::{emit_json, Table};
+use eden_telemetry::Json;
 use netsim::{Summary, Time};
 
 fn main() {
@@ -30,6 +33,7 @@ fn main() {
     ];
     let mut write_iso = 0.0;
     let mut write_sim = 0.0;
+    let mut rows = Vec::new();
     for (mode, name) in arms {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
@@ -46,6 +50,13 @@ fn main() {
         }
         let rs = Summary::new(reads);
         let ws = Summary::new(writes);
+        rows.push(Json::obj(vec![
+            ("mode", Json::Str(name.into())),
+            ("read_mbps", Json::Float(rs.mean())),
+            ("read_ci95", Json::Float(rs.ci95())),
+            ("write_mbps", Json::Float(ws.mean())),
+            ("write_ci95", Json::Float(ws.ci95())),
+        ]));
         if mode == Mode::WriteIsolated {
             write_iso = ws.mean();
         }
@@ -59,11 +70,22 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    if write_iso > 0.0 {
-        println!(
-            "measured WRITE collapse under contention: {:.0}% (paper: ~72%)",
-            (1.0 - write_sim / write_iso) * 100.0
-        );
+    let collapse = (write_iso > 0.0).then(|| (1.0 - write_sim / write_iso) * 100.0);
+    if let Some(pct) = collapse {
+        println!("measured WRITE collapse under contention: {pct:.0}% (paper: ~72%)");
     }
     println!("paper (testbed): isolated ~110-120 MB/s each; rate control equalizes");
+
+    let artifact = Json::obj(vec![
+        ("runs", Json::UInt(runs)),
+        ("modes", Json::Arr(rows)),
+        (
+            "write_collapse_pct",
+            collapse.map_or(Json::Null, Json::Float),
+        ),
+    ]);
+    match emit_json("fig11", &artifact) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\ncould not write BENCH_fig11.json: {e}"),
+    }
 }

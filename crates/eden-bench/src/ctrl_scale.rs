@@ -134,12 +134,10 @@ impl ToJson for DeltaPoint {
 const SLICE: Time = Time::from_micros(50);
 const DEADLINE: Time = Time::from_millis(2_000);
 
-/// Host sizing for thousand-node fleets: one lane, small mailboxes. The
-/// control plane never touches the data path here, so only the footprint
-/// matters.
+/// Host sizing for thousand-node fleets: small mailboxes. The control
+/// plane never touches the data path here, so only the footprint matters.
 fn lean_enclave() -> EnclaveConfig {
     EnclaveConfig {
-        lanes: 1,
         max_punted: 16,
         max_messages_per_function: 64,
         flight_capacity: 16,

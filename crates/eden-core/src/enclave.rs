@@ -20,10 +20,11 @@
 //!
 //! [`Enclave::process_dir`] runs the stages for one packet, and it is the
 //! only code that takes a packet through them on the caller's thread:
-//! [`Enclave::process_batch`] either loops it or — when every installed
-//! function's derived concurrency level (§3.4.4) permits and the batch is
-//! large enough — fans the batch out to parallel worker lanes partitioned
-//! by message id. *Read-only* and *per-message serial* functions
+//! [`Enclave::process_batch`] either loops it or — when the enclave was
+//! given more than one lane ([`EnclaveConfig::lanes`], opt-in), every
+//! installed function's derived concurrency level (§3.4.4) permits and the
+//! batch is large enough — fans the batch out to parallel worker lanes
+//! partitioned by message id. *Read-only* and *per-message serial* functions
 //! parallelize (a message never spans two lanes); *fully serial*
 //! (global-writer) functions keep every batch on the caller's thread. A
 //! lane takes its own packets through the same `classify`, `walk_packet`,
@@ -97,8 +98,14 @@ pub struct EnclaveConfig {
     /// [`HeaderField::Direction`](eden_lang::HeaderField::Direction).
     pub process_ingress: bool,
     /// Worker lanes for the batched data path (interpreters + message-state
-    /// shards). `1` disables parallel execution entirely. Lanes cost
-    /// nothing until a batch first fans out: until then each function
+    /// shards). Opt-in: the default, `1`, takes every batch through the
+    /// per-packet path on the caller's thread and never starts a worker.
+    /// A host stack hands the enclave about one and a half packets a hook
+    /// call, far below the `parallel_per_lane_min` packets a lane needs,
+    /// so parked workers would only spin, yield and be switched in and out
+    /// around rare fan-outs; a host that wants more cores runs more
+    /// enclaves, each to completion. With more than one lane, lanes still
+    /// cost nothing until a batch first fans out: until then each function
     /// holds one message table and the enclave one interpreter, and the
     /// first fan-out makes the other lanes' interpreters and splits every
     /// function's table into one shard per lane.
@@ -130,7 +137,7 @@ impl Default for EnclaveConfig {
             max_messages_per_function: 65_536,
             fail_open: true,
             process_ingress: false,
-            lanes: 4,
+            lanes: 1,
             max_punted: 1024,
             parallel_per_lane_min: 8,
             trace_sample: 0,
@@ -203,7 +210,9 @@ pub struct Enclave {
     /// Per-stage latency: classify / execute, recorded only while tracing
     /// is enabled.
     stage_hists: [LogHistogram; 2],
-    /// Sampled per-function execution latency, parallel to `functions`.
+    /// Sampled per-function execution latency, parallel to `functions`
+    /// once sampling is on; empty until then, since only a sampled packet
+    /// writes a row.
     func_latency: Vec<LogHistogram>,
     /// Flight recorder: one single-writer event ring per worker lane
     /// (ring 0 doubles as the caller thread's and the control plane's).
@@ -303,7 +312,6 @@ impl Enclave {
         self.pkt_bindings.reserve_exact(n);
         self.states.reserve_exact(n);
         self.repl.reserve_exact(n);
-        self.func_latency.reserve_exact(n);
     }
 
     fn install_linked(&mut self, linked: Linked) -> FuncId {
@@ -325,8 +333,17 @@ impl Enclave {
         self.functions.push(function);
         self.func_counts.push(FuncCounts::default());
         self.states.push(state);
-        self.func_latency.push(LogHistogram::new());
+        self.grow_latency_rows();
         FuncId(self.functions.len() - 1)
+    }
+
+    /// Give every installed function its latency row, once sampling is
+    /// on: with it off no packet is sampled, so no row would be written.
+    fn grow_latency_rows(&mut self) {
+        if self.sampler.enabled() {
+            self.func_latency
+                .resize_with(self.functions.len(), LogHistogram::new);
+        }
     }
 
     /// Append `rule` to `table` (first match wins).
@@ -626,8 +643,11 @@ mod tests {
 
     #[test]
     fn parallel_eligibility_gates() {
-        // default config: 4 lanes, at least 8 packets for each
-        let mut e = Enclave::new(EnclaveConfig::default());
+        // 4 lanes, at least 8 packets for each
+        let mut e = Enclave::new(EnclaveConfig {
+            lanes: 4,
+            ..EnclaveConfig::default()
+        });
         assert!(!e.parallel_eligible(64), "no functions installed");
         let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
         let f = e.install_function(interp_fn(
@@ -650,7 +670,10 @@ mod tests {
 
     #[test]
     fn serialized_function_disables_lanes() {
-        let mut e = Enclave::new(EnclaveConfig::default());
+        let mut e = Enclave::new(EnclaveConfig {
+            lanes: 4,
+            ..EnclaveConfig::default()
+        });
         let schema = Schema::new().global_field("C", Access::ReadWrite);
         let f = e.install_function(interp_fn(
             "fun (packet, msg, _global) -> _global.C <- _global.C + 1",
@@ -663,6 +686,7 @@ mod tests {
     #[test]
     fn headroom_gate_blocks_oversized_batches() {
         let mut e = Enclave::new(EnclaveConfig {
+            lanes: 4,
             max_messages_per_function: 10,
             parallel_per_lane_min: 1,
             ..EnclaveConfig::default()
@@ -1138,6 +1162,36 @@ mod tests {
     }
 
     #[test]
+    fn a_default_enclave_runs_every_burst_on_the_callers_thread() {
+        let mut e = Enclave::new(EnclaveConfig::default());
+        let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
+        let f = e.install_function(interp_fn(
+            "fun (packet, msg, _global) -> packet.Priority <- 1",
+            schema,
+        ));
+        e.install_rule(TableId(0), MatchSpec::Any, f);
+        assert!(
+            e.lane_safe,
+            "interpreted and not Serialized: lanes may run it"
+        );
+
+        // one flow per packet, a burst far past any lane's share
+        let mut burst: Vec<Packet> = (0..256u16)
+            .map(|i| {
+                let udp = netsim::UdpHeader {
+                    src_port: 1000 + i,
+                    dst_port: 80,
+                };
+                Packet::udp(1, 2, udp, 100)
+            })
+            .collect();
+        let verdicts = e.process_batch(&mut burst, &mut SimRng::new(1), Time::ZERO);
+        assert_eq!(verdicts.len(), 256);
+        assert_eq!(e.batch_path_counts(), (1, 0), "the burst stayed serial");
+        assert_eq!(e.lane_pool.spawned(), 0, "no lane worker was started");
+    }
+
+    #[test]
     fn sampled_tracing_records_spans_and_latencies() {
         let config = EnclaveConfig {
             trace_sample: 2,
@@ -1241,8 +1295,32 @@ mod tests {
     }
 
     #[test]
+    fn latency_rows_are_made_once_sampling_is_on() {
+        let src = "fun (packet, msg, _global) -> packet.Priority <- 1";
+        let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
+        let mut e = Enclave::new(EnclaveConfig::default());
+        let f = e.install_function(interp_fn(src, schema.clone()));
+        e.install_rule(TableId(0), MatchSpec::Any, f);
+        assert!(e.func_latency.is_empty(), "nothing sampled, no row held");
+
+        e.set_trace_sample(1);
+        assert_eq!(
+            e.func_latency.len(),
+            1,
+            "turning sampling on makes the rows"
+        );
+        e.install_function(interp_fn(src, schema));
+        assert_eq!(e.func_latency.len(), 2, "an install while on makes its own");
+        let mut p = Packet::udp(1, 2, netsim::UdpHeader::default(), 100);
+        e.process(&mut p, &mut SimRng::new(1), Time::ZERO);
+        let snap = e.stats_snapshot();
+        assert!(snap.latencies.iter().any(|l| l.name == "func.t"));
+    }
+
+    #[test]
     fn batch_path_records_stage_histograms() {
         let mut e = Enclave::new(EnclaveConfig {
+            lanes: 4,
             trace_sample: 4,
             ..EnclaveConfig::default()
         });

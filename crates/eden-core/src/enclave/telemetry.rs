@@ -145,6 +145,7 @@ impl Enclave {
     pub fn set_trace_sample(&mut self, every: u32) {
         self.config.trace_sample = every;
         self.sampler = Sampler::every(every);
+        self.grow_latency_rows();
     }
 
     /// Whether data-path tracing is enabled at all.

@@ -62,13 +62,6 @@ fn shipped(op: &EnclaveOp) -> InstalledFunction {
     InstalledFunction::from_shipped(f).expect("verifies")
 }
 
-fn lean() -> Enclave {
-    Enclave::new(EnclaveConfig {
-        lanes: 1,
-        ..EnclaveConfig::default()
-    })
-}
-
 /// What the configuration is, and nothing about how it got there.
 #[derive(Debug, Clone, PartialEq)]
 struct Model {
@@ -102,7 +95,7 @@ impl Model {
 
     /// The digest of this configuration built from nothing.
     fn digest(&self, pool: &[EnclaveOp]) -> u64 {
-        let mut fresh = lean();
+        let mut fresh = Enclave::new(EnclaveConfig::default());
         fresh
             .stage_epoch(1, self.full_ops(pool))
             .expect("model is valid");
@@ -297,7 +290,7 @@ proptest! {
     #[test]
     fn maintained_digest_and_index_match_a_rebuild(steps in steps()) {
         let pool = variants();
-        let mut e = lean();
+        let mut e = Enclave::new(EnclaveConfig::default());
         let mut model = Model::new();
         apply_direct(&mut e, &pool[0]);
         model.apply(&pool[0], &pool);
@@ -413,7 +406,7 @@ fn digest_ignores_the_op_sequence_that_built_the_configuration() {
     let pool = variants();
     let rule = |c| MatchSpec::Class(ClassId(c));
 
-    let mut one = lean();
+    let mut one = Enclave::new(EnclaveConfig::default());
     one.create_table();
     let f = one.install_function(shipped(&pool[0]));
     one.install_rule(TableId(0), rule(1), f);
@@ -421,7 +414,7 @@ fn digest_ignores_the_op_sequence_that_built_the_configuration() {
 
     // the same configuration by a detour: extra rules that come and go,
     // the tables filled in the other order, a table cleared and refilled
-    let mut two = lean();
+    let mut two = Enclave::new(EnclaveConfig::default());
     let f = two.install_function(shipped(&pool[0]));
     two.install_rule(TableId(0), rule(5), f);
     two.install_rule(TableId(0), rule(1), f);

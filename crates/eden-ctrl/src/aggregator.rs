@@ -116,6 +116,9 @@ pub struct AggregatorApp {
     /// Host-tagged replication views from the last AggSync, fanned down
     /// on each child's next heartbeat.
     views_down: Vec<(u32, FuncView)>,
+    /// Heartbeats sent without their child's views because the views did
+    /// not fit one message.
+    views_refused: u64,
     /// Latest replication delta per (child, function), fanned up on the
     /// next AggPong.
     deltas_up: Vec<(u32, FuncDelta)>,
@@ -145,6 +148,7 @@ impl AggregatorApp {
             coord: Coordinator::new(cfg.ctrl, children),
             virtual_shard: None,
             views_down: Vec::new(),
+            views_refused: 0,
             deltas_up: Vec::new(),
             spans_up: Ring::new(AGG_SPAN_BUDGET * 4),
             shard_stats: ClusterStats::new(),
@@ -193,6 +197,14 @@ impl AggregatorApp {
     /// Control-wire load counters at this endpoint (both faces).
     pub fn wire(&self) -> WireCounters {
         self.wire
+    }
+
+    /// Heartbeats that went to a child without its replication views,
+    /// because the views the parent's `AggSync` gave it did not fit one
+    /// message. The child keeps its previous views until a later sync
+    /// fits.
+    pub fn views_refused(&self) -> u64 {
+        self.views_refused
     }
 
     fn current(&self) -> &ConfigEntry {
@@ -337,8 +349,10 @@ impl AggregatorApp {
 
     fn tick(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         // Each child's heartbeat carries its replication views from the
-        // last AggSync fan-down.
-        let views_down = &self.views_down;
+        // last AggSync fan-down. A parent can hand one child more views
+        // than a message carries: that child's heartbeat goes without
+        // them, and the refusal is counted.
+        let (views_down, refused) = (&self.views_down, &mut self.views_refused);
         self.coord
             .tick(ctx.now(), ctx.rng(), &self.history, |to, nonce| {
                 let views = views_down.iter().filter(|(h, _)| *h == to);
@@ -346,7 +360,11 @@ impl AggregatorApp {
                     repl: views.map(|(_, v)| v.clone()).collect(),
                     ..CtrlMsg::Heartbeat { nonce }.into()
                 };
-                frame.encode().expect("a heartbeat's views fit one message")
+                frame.encode().unwrap_or_else(|_| {
+                    *refused += 1;
+                    let bare = Request::from(CtrlMsg::Heartbeat { nonce });
+                    bare.encode().expect("a heartbeat without views fits")
+                })
             });
         self.settle(stack, ctx);
         ctx.timer_in(TICK_EVERY, transport::app_timer_token(TICK));
@@ -839,6 +857,80 @@ mod tests {
             .filter(|(h, _)| h.msg_id == id)
             .map(|(h, chunk)| (h.idx, h.count, chunk.to_vec()))
             .collect()
+    }
+
+    /// The heartbeat frames child `leaf` recorded, decoded.
+    fn heartbeats(rack: &mut Star<AggregatorApp>, leaf: usize) -> Vec<Request> {
+        let heartbeat = CtrlMsg::Heartbeat { nonce: 0 }.tag();
+        let frames = rack.tap(leaf).frames.iter();
+        let chunks = frames.map(|f| read_fragment(f).expect("a control frame").1);
+        chunks
+            .filter(|chunk| chunk[0] == heartbeat)
+            .map(|chunk| Request::decode(chunk).expect("a heartbeat"))
+            .collect()
+    }
+
+    #[test]
+    fn views_past_one_message_are_refused_and_the_other_children_keep_theirs() {
+        // Two views of over half a message each for the first child, one
+        // small view for the second. The root's encoder refuses a message
+        // this long, but a fragment may be of any length, so it can
+        // arrive: written with the codec's own view encoding, reassembled
+        // and decoded as any AggSync is.
+        let half = proto::MAX_FRAGS * proto::MAX_CHUNK / 2;
+        let view = |func, bytes: usize| FuncView {
+            func,
+            remote_arrays: vec![(0, vec![7; bytes / 8])],
+            ..FuncView::default()
+        };
+        let views = vec![
+            (RACK[0], view(1, half)),
+            (RACK[0], view(2, half)),
+            (RACK[1], view(1, 64)),
+        ];
+        let mut w = eden_telemetry::le::Writer::default();
+        w.u8(CtrlMsg::AggSync {
+            nonce: 0,
+            views: Vec::new(),
+        }
+        .tag());
+        w.u64(9);
+        w.seq(2, &views, |w, (host, v)| {
+            w.u32(*host);
+            proto::put_view(w, v);
+        });
+        let payload = w.finish().expect("counts fit");
+        assert!(payload.len() > proto::MAX_FRAGS * proto::MAX_CHUNK);
+        let mut frame = proto::fragment(5, &[]).remove(0);
+        frame.extend_from_slice(&payload);
+        let mut reasm = Reassembler::default();
+        let (re, bytes) = reasm.accept(900, &frame).expect("a frame").expect("whole");
+        let sync = Request::decode(&bytes).expect("an AggSync").body;
+
+        let mut rack = rack();
+        let r = rack.app().handle_parent_msg(re, sync);
+        assert!(matches!(r, CtrlReply::AggPong { nonce: 9, .. }), "{r:?}");
+        // heartbeats sent before the sync land first
+        rack.run_ms(1);
+        let before = rack.app().views_refused();
+        for child in 0..RACK.len() {
+            rack.tap(child).frames.clear();
+        }
+        rack.run_ms(3);
+
+        let refused = rack.app().views_refused() - before;
+        let to_first = heartbeats(&mut rack, 0);
+        assert!(to_first.len() >= 2, "the aggregator keeps ticking");
+        assert!(to_first.iter().all(|h| h.repl.is_empty()));
+        assert_eq!(refused, to_first.len() as u64, "one refusal a heartbeat");
+        let to_second = heartbeats(&mut rack, 1);
+        assert_eq!(to_second.len(), to_first.len());
+        assert!(to_second.iter().all(|h| h.repl == [views[2].1.clone()]));
+        let to_third = heartbeats(&mut rack, 2);
+        assert!(
+            to_third.iter().all(|h| h.repl.is_empty()),
+            "no views of its own"
+        );
     }
 
     #[test]

@@ -752,7 +752,7 @@ fn get_delta(r: &mut Reader<'_>) -> Result<FuncDelta, ProtoError> {
     })
 }
 
-fn put_view(w: &mut Writer, v: &FuncView) {
+pub(crate) fn put_view(w: &mut Writer, v: &FuncView) {
     w.u32(v.func);
     w.u64(v.version);
     put_slot_pairs(w, &v.remote);

@@ -35,8 +35,8 @@ counters! {
         enqueue_charge_bytes: Counter, "Bytes charged to queue verdicts (Pulsar-style accounting, §2.1.2).";
         punt_drops: Counter, "Punted packets evicted from the bounded controller mailbox before the controller picked them up.";
         table_loop_aborts: Counter, "Table walks aborted by the `GotoTable` loop guard; the packet still fails open, but the pipeline is looping.";
-        batches_serial: Counter, "Batches that ran packet by packet on the caller's thread (small batch, thin per-lane share, or a lane-unsafe function mix).";
-        batches_parallel: Counter, "Batches that fanned out to the parallel worker lanes.";
+        batches_serial: Counter, "Batches that ran packet by packet on the caller's thread (one lane, the default; a small batch, a thin per-lane share, or a lane-unsafe function mix).";
+        batches_parallel: Counter, "Batches that fanned out to the parallel worker lanes; always 0 unless the enclave was configured with more than one lane (opt-in).";
     }
 }
 

@@ -303,7 +303,11 @@ fn the_warm_packet_path_allocates_nothing() {
     );
     assert_eq!(calls, one_freeze, "one freeze for the burst, not {BURST}");
 
-    assert_eq!(e.batch_path_counts().1, 0, "Serialized bundles: no fan-out");
+    assert_eq!(
+        e.batch_path_counts().1,
+        0,
+        "every burst stayed on the caller's thread"
+    );
     assert_eq!(
         e.stats.packets,
         e.stats.forwarded + e.stats.dropped + e.stats.punted_to_controller

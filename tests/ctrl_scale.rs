@@ -177,10 +177,7 @@ fn sabotaged_leaf_falls_back_to_full_resync() {
 
 #[test]
 fn virtual_shards_report_their_whole_fleet() {
-    let enclave = EnclaveConfig {
-        lanes: 1,
-        ..EnclaveConfig::default()
-    };
+    let enclave = EnclaveConfig::default();
     let mut fleet = Fleet::tiered_virtual(29, 1000, 2, CtrlConfig::default(), enclave);
     let t = fleet.run_until(Time::ZERO, SLICE, DEADLINE, |app| app.all_in_sync());
     let app = fleet.root();

@@ -81,8 +81,13 @@ fn enclave_priorities_reach_the_switch_scheduler() {
 
     // SFF-style: priority comes from the stage-declared message size
     let bundle = eden::apps::functions::sff();
+    // four lanes: the bulk flow's bursts fan out, so the lane path is the
+    // one that has to carry the priorities to the switch
     let build_enclave = |controller: &Controller| {
-        let mut e = Enclave::new(EnclaveConfig::default());
+        let mut e = Enclave::new(EnclaveConfig {
+            lanes: 4,
+            ..EnclaveConfig::default()
+        });
         let f = e.install_function(eden::core::InstalledFunction::interpreted(
             "sff",
             controller

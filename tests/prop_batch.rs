@@ -521,6 +521,7 @@ fn punt_mailbox_is_bounded() {
         .collect();
     for cap in [0usize, 1, 8] {
         let config = EnclaveConfig {
+            lanes: 4,
             max_punted: cap,
             ..EnclaveConfig::default()
         };
