@@ -57,6 +57,7 @@ use crate::class::ClassId;
 use crate::lanes::LanePool;
 use crate::state::FunctionState;
 
+mod config;
 mod epoch;
 mod host;
 mod link;
@@ -64,6 +65,7 @@ mod pipeline;
 mod tables;
 mod telemetry;
 
+pub use config::{Config, MAX_ARRAY_LEN};
 use epoch::StagedEpoch;
 pub(crate) use host::InvocationHost;
 use link::Linked;
@@ -913,31 +915,53 @@ mod tests {
         assert_eq!(e.config_digest(), have, "config untouched");
     }
 
+    /// The maintained digest equals the digest of a [`Config`] the same
+    /// edits were applied to as ops, after every edit.
     #[test]
     fn digest_and_rule_index_stay_exact_under_random_edits() {
         let mut e = Enclave::new(EnclaveConfig::default());
+        let mut config = Config::new();
+        let mut both = |e: &mut Enclave, op: EnclaveOp| {
+            config = config.apply(std::slice::from_ref(&op)).unwrap();
+            match op {
+                EnclaveOp::InstallFunction(f) => {
+                    e.install_function(InstalledFunction::from_shipped(&f).unwrap());
+                }
+                EnclaveOp::CreateTable => {
+                    e.create_table();
+                }
+                EnclaveOp::ClearTable { table } => e.clear_table(TableId(table)),
+                EnclaveOp::RemoveRule { table, rule } => {
+                    assert!(e.remove_rule(TableId(table), rule))
+                }
+                EnclaveOp::InstallRule { table, spec, func } => {
+                    e.install_rule(TableId(table), spec, FuncId(func))
+                }
+                other => unreachable!("{other:?}"),
+            }
+            config.digest()
+        };
         let schema = Schema::new().packet_field("Priority", Access::ReadWrite, None);
         for prio in 1..=2 {
-            e.install_function(interp_fn(
-                &format!("fun (packet, msg, _global) -> packet.Priority <- {prio}"),
-                schema.clone(),
-            ));
+            let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
+            let install = crate::Controller::new().plan_function("t", &source, &schema);
+            both(&mut e, install.unwrap());
         }
-        e.create_table();
+        both(&mut e, EnclaveOp::CreateTable);
         let mut rng = SimRng::new(0xD16E);
         for step in 0..3000 {
             let table = rng.below(2) as usize;
             let len = e.tables[table].rules.len();
-            match rng.below(16) {
-                0 => e.clear_table(TableId(table)),
+            let op = match rng.below(16) {
+                0 => EnclaveOp::ClearTable { table },
                 1..=6 if len > 0 => {
                     // the last rule as often as any other: the O(1) case
-                    let at = if rng.below(2) == 0 {
+                    let rule = if rng.below(2) == 0 {
                         len - 1
                     } else {
                         rng.below(len as u64) as usize
                     };
-                    assert!(e.remove_rule(TableId(table), at));
+                    EnclaveOp::RemoveRule { table, rule }
                 }
                 _ => {
                     let class = |rng: &mut SimRng| ClassId(rng.below(6) as u32);
@@ -946,14 +970,12 @@ mod tests {
                         1 => MatchSpec::AnyOf(vec![class(&mut rng), class(&mut rng)]),
                         _ => MatchSpec::Class(class(&mut rng)),
                     };
-                    e.install_rule(TableId(table), spec, FuncId(rng.below(2) as usize));
+                    let func = rng.below(2) as usize;
+                    EnclaveOp::InstallRule { table, spec, func }
                 }
-            }
-            assert_eq!(
-                e.config_digest(),
-                e.config_digest_from_scratch(),
-                "step {step}"
-            );
+            };
+            let want = both(&mut e, op);
+            assert_eq!(e.config_digest(), want, "step {step}");
             for t in &e.tables {
                 for classes in [&[][..], &[0], &[1], &[2], &[3], &[4], &[5], &[7], &[5, 0]] {
                     let first = t.rules.iter().position(|(s, _)| s.matches(classes));

@@ -1,10 +1,11 @@
 //! Epoch-based configuration updates (two-phase, eden-ctrl): stage,
 //! commit, abort, stage-time validation, and the structural digest.
 
-use eden_lang::{Concurrency, Scope};
+use eden_lang::Concurrency;
 use eden_telemetry::FlightKind;
 
-use super::link::{self, Linked};
+use super::config::{self, Shape};
+use super::link::Linked;
 use super::tables::{mix, mix_bytes, MatchActionTable, MatchSpec, RuleWord, TableCounts, TableId};
 use super::Enclave;
 use crate::action::{ActionImpl, FuncId, InstalledFunction};
@@ -44,14 +45,6 @@ enum Step {
 }
 
 const _: () = assert!(std::mem::size_of::<Step>() == 16);
-
-/// Shape of an enclave configuration, tracked during stage-time
-/// validation: per-table rule counts and per-function (global slots,
-/// array count).
-struct ConfigShape {
-    rules_per_table: Vec<usize>,
-    funcs: Vec<(usize, usize)>,
-}
 
 impl Enclave {
     /// Configuration epoch the data path currently serves.
@@ -116,13 +109,7 @@ impl Enclave {
         base_digest: u64,
         ops: impl Into<Vec<EnclaveOp>>,
     ) -> Result<(), ApplyError> {
-        let have = self.config_digest();
-        if have != base_digest {
-            return Err(ApplyError::DigestMismatch {
-                have,
-                want: base_digest,
-            });
-        }
+        ApplyError::check_anchor(self.config_digest(), base_digest)?;
         self.stage_ops(epoch, ops.into())
     }
 
@@ -189,28 +176,14 @@ impl Enclave {
     /// *maintained*: every table keeps the digest of its rule list current
     /// as rules come and go and every function is hashed once at install,
     /// so this call folds a few words per table and one per function. The
-    /// controller compares an enclave's reported digest against a shadow
-    /// enclave holding the desired configuration to detect drift.
+    /// controller compares an enclave's reported digest against the
+    /// [`Config::digest`](crate::Config::digest) of the desired
+    /// configuration to detect drift.
     pub fn config_digest(&self) -> u64 {
         fold_digest(
             self.tables.iter().map(|t| (t.rules.len(), t.digest())),
-            &self.func_digests,
+            self.func_digests.iter().copied(),
         )
-    }
-
-    /// [`config_digest`](Self::config_digest) recomputed from the rules and
-    /// functions themselves, trusting nothing that is maintained.
-    #[cfg(test)]
-    pub(super) fn config_digest_from_scratch(&self) -> u64 {
-        let tables = self.tables.iter().map(|t| {
-            let mut fresh = MatchActionTable::default();
-            for (spec, func) in t.rules.iter() {
-                fresh.push_rule(spec.into_owned(), func);
-            }
-            (t.rules.len(), fresh.digest())
-        });
-        let funcs: Vec<u64> = self.functions.iter().map(function_digest).collect();
-        fold_digest(tables, &funcs)
     }
 
     /// Drop every table (recreating empty table 0), every function, and
@@ -230,23 +203,14 @@ impl Enclave {
         self.lane_safe = true;
     }
 
-    /// Current configuration shape, the starting point for validation.
-    fn shape(&self) -> ConfigShape {
-        ConfigShape {
-            rules_per_table: self.tables.iter().map(|t| t.rules.len()).collect(),
-            funcs: self
-                .functions
-                .iter()
-                .map(|f| (f.schema.scope_len(Scope::Global), f.schema.arrays().len()))
-                .collect(),
-        }
-    }
-
     /// Check `ops` against the evolving configuration shape, decode and
     /// link shipped programs, and keep what commit needs of each op as
     /// `epoch`'s staged form; all-or-nothing.
     fn validate_ops(&self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<StagedEpoch, ApplyError> {
-        let mut shape = self.shape();
+        let mut shape = Shape::new(
+            self.tables.iter().map(|t| t.rules.len()),
+            self.functions.iter().map(|f| &f.schema),
+        );
         let mut staged = StagedEpoch {
             epoch,
             steps: Vec::with_capacity(ops.len()),
@@ -254,75 +218,14 @@ impl Enclave {
             final_rules: Vec::new(),
         };
         for (i, op) in ops.into_iter().enumerate() {
-            let no_table = |table: usize| ApplyError::NoSuchTable { op: i, table };
-            let no_func = |func: usize| ApplyError::NoSuchFunction { op: i, func };
-            match &op {
-                EnclaveOp::Reset => {
-                    shape.rules_per_table = vec![0];
-                    shape.funcs.clear();
-                }
-                EnclaveOp::CreateTable => shape.rules_per_table.push(0),
-                EnclaveOp::ClearTable { table } => {
-                    *shape
-                        .rules_per_table
-                        .get_mut(*table)
-                        .ok_or(no_table(*table))? = 0;
-                }
-                EnclaveOp::InstallFunction(shipped) => {
-                    let f = InstalledFunction::from_shipped(shipped).map_err(|e| {
-                        ApplyError::BadBytecode {
-                            op: i,
-                            reason: format!("{e:?}"),
-                        }
-                    })?;
-                    let schema = &shipped.schema;
-                    let linked = link::link(f, &self.config.limits)
-                        .map_err(|error| ApplyError::Unlinkable { op: i, error })?;
-                    shape
-                        .funcs
-                        .push((schema.scope_len(Scope::Global), schema.arrays().len()));
-                    // the shipped bytecode goes with the op
-                    staged.funcs.push(linked);
-                    staged.steps.push(Step::Function);
-                    continue;
-                }
-                EnclaveOp::InstallRule { table, func, .. } => {
-                    let n = shape
-                        .rules_per_table
-                        .get_mut(*table)
-                        .ok_or(no_table(*table))?;
-                    if *func >= shape.funcs.len() {
-                        return Err(no_func(*func));
-                    }
-                    *n += 1;
-                }
-                EnclaveOp::RemoveRule { table, rule } => {
-                    let n = shape
-                        .rules_per_table
-                        .get_mut(*table)
-                        .ok_or(no_table(*table))?;
-                    if *rule >= *n {
-                        return Err(ApplyError::NoSuchRule { op: i, rule: *rule });
-                    }
-                    *n -= 1;
-                }
-                EnclaveOp::SetGlobal { func, slot, .. } => {
-                    let &(slots, _) = shape.funcs.get(*func).ok_or(no_func(*func))?;
-                    if *slot >= slots {
-                        return Err(ApplyError::NoSuchSlot { op: i, slot: *slot });
-                    }
-                }
-                EnclaveOp::SetArray { func, array, .. } => {
-                    let &(_, arrays) = shape.funcs.get(*func).ok_or(no_func(*func))?;
-                    if *array >= arrays {
-                        return Err(ApplyError::NoSuchArray {
-                            op: i,
-                            array: *array,
-                        });
-                    }
-                }
-            }
+            shape.check(i, &op)?;
             let step = match op {
+                EnclaveOp::InstallFunction(shipped) => {
+                    // the shipped bytecode goes with the op
+                    let linked = config::link_shipped(i, &shipped, &self.config.limits)?;
+                    staged.funcs.push(linked);
+                    Step::Function
+                }
                 EnclaveOp::InstallRule {
                     table,
                     spec: spec @ MatchSpec::Class(_),
@@ -335,7 +238,7 @@ impl Enclave {
             };
             staged.steps.push(step);
         }
-        staged.final_rules = shape.rules_per_table;
+        staged.final_rules = shape.rules;
         // held until commit: a row grown by doubling holds up to twice
         // what it needs (four functions' worth for one)
         staged.funcs.shrink_to_fit();
@@ -421,14 +324,16 @@ impl Enclave {
 
 /// The configuration digest over what the enclave maintains: per table
 /// its rule count and rule-list digest, and one digest per function.
-fn fold_digest(tables: impl ExactSizeIterator<Item = (usize, u64)>, funcs: &[u64]) -> u64 {
+pub(super) fn fold_digest(
+    tables: impl ExactSizeIterator<Item = (usize, u64)>,
+    funcs: impl ExactSizeIterator<Item = u64>,
+) -> u64 {
     let mut h = mix(0, tables.len() as u64);
     for (rules, digest) in tables {
         h = mix(mix(h, rules as u64), digest);
     }
-    funcs
-        .iter()
-        .fold(mix(h, funcs.len() as u64), |h, &f| mix(h, f))
+    let h = mix(h, funcs.len() as u64);
+    funcs.fold(h, mix)
 }
 
 /// What one installed function contributes to the configuration digest.

@@ -216,7 +216,7 @@ pub(super) fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
 
 /// What rule `i` of `rules` contributes to its table's digest: its spec
 /// and the function it selects.
-fn rule_hash(rules: &RuleList, i: usize) -> u64 {
+pub(super) fn rule_hash(rules: &RuleList, i: usize) -> u64 {
     let spec = match &*rules.spec(i) {
         MatchSpec::Any => 1,
         MatchSpec::Class(c) => mix(2, u64::from(c.0)),

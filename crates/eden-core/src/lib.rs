@@ -41,8 +41,9 @@ pub use class::{ClassId, ClassRegistry};
 pub use controller::{Controller, PathSpec};
 pub use eden_telemetry::StatsSnapshot;
 pub use enclave::{
-    native_function, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
+    native_function, Config, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
     LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, SlotLink, SlotTarget, TableId,
+    MAX_ARRAY_LEN,
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;

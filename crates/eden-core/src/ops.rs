@@ -82,6 +82,9 @@ pub enum ApplyError {
     NoSuchSlot { op: usize, slot: usize },
     /// Global array id out of range for the function's schema.
     NoSuchArray { op: usize, array: usize },
+    /// A `SetArray` of `len` values, past
+    /// [`MAX_ARRAY_LEN`](crate::MAX_ARRAY_LEN).
+    ArrayTooLong { op: usize, len: usize },
     /// Shipped bytecode failed to decode or re-verify.
     BadBytecode { op: usize, reason: String },
     /// A shipped function verified but does not link: over the enclave's
@@ -96,6 +99,19 @@ pub enum ApplyError {
     /// The epoch's `ops` ops do not fit one control message: refused by
     /// the controller before anything stages them.
     TooLarge { ops: usize },
+}
+
+impl ApplyError {
+    /// Whether ops planned as a diff from the configuration whose digest
+    /// is `want` may stage on one whose digest is `have`: only if it is
+    /// that configuration, else [`ApplyError::DigestMismatch`].
+    pub fn check_anchor(have: u64, want: u64) -> Result<(), ApplyError> {
+        if have == want {
+            Ok(())
+        } else {
+            Err(ApplyError::DigestMismatch { have, want })
+        }
+    }
 }
 
 impl std::fmt::Display for ApplyError {
@@ -113,6 +129,9 @@ impl std::fmt::Display for ApplyError {
             }
             ApplyError::NoSuchArray { op, array } => {
                 write!(f, "op {op}: global array {array} out of range")
+            }
+            ApplyError::ArrayTooLong { op, len } => {
+                write!(f, "op {op}: an array of {len} values is too long")
             }
             ApplyError::BadBytecode { op, reason } => {
                 write!(f, "op {op}: bad bytecode: {reason}")

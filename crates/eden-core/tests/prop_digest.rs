@@ -7,13 +7,14 @@
 //! are checked against doing the work from scratch: a model of the
 //! configuration is rebuilt on a fresh enclave by one Reset-led epoch
 //! after every step, and the rule a packet hits is compared with a linear
-//! first-match scan of the model. (Integration tests cannot reach the
-//! `#[cfg(test)]` re-hash inside the crate; the unit test
-//! `digest_and_rule_index_stay_exact_under_random_edits` uses that one.)
+//! first-match scan of the model. The same ops build a [`Config`] too,
+//! step by step and from the one Reset-led epoch: both digest as the
+//! enclave does, and an epoch the enclave refuses, the `Config` refuses
+//! with the same error.
 
 use eden_core::{
-    ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, FuncId, InstalledFunction, MatchSpec,
-    TableId,
+    ApplyError, ClassId, Config, Controller, Enclave, EnclaveConfig, EnclaveOp, FuncId,
+    InstalledFunction, MatchSpec, ShippedFunction, TableId, MAX_ARRAY_LEN,
 };
 use eden_lang::{Access, HeaderField, ReplMode, Schema};
 use netsim::{EdenMeta, Packet, SimRng, Time, UdpHeader};
@@ -174,12 +175,63 @@ impl Edit {
     }
 }
 
+/// An op no configuration the steps build accepts: each selector is past
+/// anything there is.
+#[derive(Debug, Clone)]
+enum Bad {
+    Table,
+    Rule,
+    Function,
+    Slot,
+    ArrayLength,
+    Bytecode,
+}
+
+impl Bad {
+    fn op(&self, model: &Model) -> EnclaveOp {
+        match self {
+            Bad::Table => EnclaveOp::ClearTable {
+                table: model.tables.len(),
+            },
+            Bad::Rule => EnclaveOp::RemoveRule {
+                table: 0,
+                rule: model.tables[0].len(),
+            },
+            Bad::Function => EnclaveOp::InstallRule {
+                table: 0,
+                spec: MatchSpec::Any,
+                func: model.funcs.len(),
+            },
+            // function 0 is a `prio` program: no global slots
+            Bad::Slot => EnclaveOp::SetGlobal {
+                func: 0,
+                slot: 0,
+                value: 1,
+            },
+            // too long for any function; one with no array is refused first
+            Bad::ArrayLength => EnclaveOp::SetArray {
+                func: model.funcs.iter().position(|&v| v == 3).unwrap_or(0),
+                array: 0,
+                values: vec![1; MAX_ARRAY_LEN + 1],
+            },
+            Bad::Bytecode => EnclaveOp::InstallFunction(Box::new(ShippedFunction {
+                name: "junk".into(),
+                bytecode: vec![0xFF, 0x00, 0x13],
+                schema: prio_schema(),
+                concurrency: eden_lang::Concurrency::Parallel,
+            })),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Step {
     /// One edit through the enclave's direct API.
     Direct(Edit),
     /// Several edits as one digest-anchored delta epoch.
     Delta(Vec<Edit>),
+    /// Several edits and then a bad op, as one epoch: refused whole.
+    Refused(Vec<Edit>, Bad),
     /// The whole configuration again, as one Reset-led epoch.
     Full,
     /// Traffic and state writes: none of it structure.
@@ -215,14 +267,28 @@ fn edit() -> impl Strategy<Value = Edit> {
     })
 }
 
+fn bad() -> impl Strategy<Value = Bad> {
+    (0u8..6).prop_map(|kind| match kind {
+        0 => Bad::Table,
+        1 => Bad::Rule,
+        2 => Bad::Function,
+        3 => Bad::Slot,
+        4 => Bad::ArrayLength,
+        _ => Bad::Bytecode,
+    })
+}
+
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     let delta = proptest::collection::vec(edit(), 1..6);
-    let step = (0u8..15, edit(), delta, -9i64..10).prop_map(|(kind, edit, delta, v)| match kind {
-        0 => Step::Full,
-        1 => Step::Touch(v),
-        2..=4 => Step::Delta(delta),
-        _ => Step::Direct(edit),
-    });
+    let step = (0u8..16, edit(), delta, -9i64..10, bad()).prop_map(
+        |(kind, edit, delta, v, bad)| match kind {
+            0 => Step::Full,
+            1 => Step::Touch(v),
+            2..=4 => Step::Delta(delta),
+            5 => Step::Refused(delta, bad),
+            _ => Step::Direct(edit),
+        },
+    );
     proptest::collection::vec(step, 1..60)
 }
 
@@ -285,21 +351,27 @@ proptest! {
     /// After every step the maintained digest equals the configuration's
     /// digest built from nothing — so a configuration reached by direct
     /// edits and delta epochs digests equal to the same one shipped as one
-    /// full epoch — and table 0 resolves every class list to the rule a
-    /// linear first-match scan finds.
+    /// full epoch — and equals the digest of the [`Config`] the same ops
+    /// built, step by step and in one Reset-led epoch. An epoch with a bad
+    /// op is refused by the enclave and the `Config` alike, with the same
+    /// error, and the enclave stages nothing. Table 0 resolves every class list to the
+    /// rule a linear first-match scan finds.
     #[test]
     fn maintained_digest_and_index_match_a_rebuild(steps in steps()) {
         let pool = variants();
         let mut e = Enclave::new(EnclaveConfig::default());
         let mut model = Model::new();
+        let mut config = Config::new();
         apply_direct(&mut e, &pool[0]);
         model.apply(&pool[0], &pool);
+        config = config.apply(&pool[..1]).expect("a function");
         for step in steps {
             match step {
                 Step::Direct(edit) => {
                     let Some(op) = edit.resolve(&model, &pool) else { continue };
                     apply_direct(&mut e, &op);
                     model.apply(&op, &pool);
+                    config = config.apply(&[op]).expect("valid op");
                 }
                 Step::Delta(edits) => {
                     let mut ops = Vec::new();
@@ -309,15 +381,47 @@ proptest! {
                             ops.push(op);
                         }
                     }
+                    config = config.apply(&ops).expect("valid delta");
                     let epoch = e.active_epoch() + 1;
                     e.stage_epoch_delta(epoch, e.config_digest(), ops).expect("valid delta");
                     prop_assert!(e.commit_epoch(epoch));
                     prop_assert!(e.serves_single_epoch());
                 }
+                Step::Refused(edits, bad) => {
+                    let mut scratch = model.clone();
+                    let mut ops = Vec::new();
+                    for edit in edits {
+                        if let Some(op) = edit.resolve(&scratch, &pool) {
+                            scratch.apply(&op, &pool);
+                            ops.push(op);
+                        }
+                    }
+                    ops.push(bad.op(&scratch));
+                    let at = ops.len() - 1;
+                    let refused = config.apply(&ops).expect_err("a bad op");
+                    let epoch = e.active_epoch() + 1;
+                    let digest = e.config_digest();
+                    prop_assert_eq!(e.stage_epoch(epoch, ops), Err(refused.clone()));
+                    prop_assert_eq!(e.staged_epoch(), None);
+                    prop_assert_eq!(e.config_digest(), digest);
+                    let op = match refused {
+                        ApplyError::NoSuchTable { op, .. }
+                        | ApplyError::NoSuchRule { op, .. }
+                        | ApplyError::NoSuchFunction { op, .. }
+                        | ApplyError::NoSuchSlot { op, .. }
+                        | ApplyError::NoSuchArray { op, .. }
+                        | ApplyError::ArrayTooLong { op, .. }
+                        | ApplyError::BadBytecode { op, .. } => op,
+                        other => panic!("{other:?}"),
+                    };
+                    prop_assert_eq!(op, at, "the bad op is the one refused");
+                }
                 Step::Full => {
                     let before = e.config_digest();
                     let epoch = e.active_epoch() + 1;
-                    e.stage_epoch(epoch, model.full_ops(&pool)).expect("valid epoch");
+                    let full = model.full_ops(&pool);
+                    config = config.apply(&full).expect("valid epoch");
+                    e.stage_epoch(epoch, full).expect("valid epoch");
                     prop_assert!(e.commit_epoch(epoch));
                     prop_assert_eq!(e.config_digest(), before, "same structure, rebuilt");
                 }
@@ -342,6 +446,9 @@ proptest! {
                 }
             }
             prop_assert_eq!(e.config_digest(), model.digest(&pool), "model {:?}", model);
+            prop_assert_eq!(e.config_digest(), config.digest());
+            let rebuilt = Config::from_ops(&model.full_ops(&pool)).expect("model is valid");
+            prop_assert_eq!(e.config_digest(), rebuilt.digest());
             let before = e.config_digest();
             for classes in [&[][..], &[0], &[1], &[2], &[3], &[4], &[5], &[9], &[5, 0], &[2, 9, 4]] {
                 let first = model.tables[0].iter().position(|(s, _)| matches(s, classes));

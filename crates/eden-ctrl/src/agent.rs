@@ -78,7 +78,7 @@ impl EnclaveAgent {
         };
         self.enclave
             .flight_record(FlightKind::CtrlMsg, u64::from(msg.tag()), epoch);
-        let reply = participant::answer(&mut self.enclave, re, msg);
+        let reply = participant::answer_host(&mut self.enclave, re, msg);
         if let (Some(ctx), Some(name)) = (frame.trace.filter(|c| c.sampled), span_name) {
             // Handling is instantaneous in virtual time; the span marks
             // *when this host* processed the phase, parented under the

@@ -3,9 +3,10 @@
 //!
 //! [`AggregatorApp`] is the two roles of the protocol composed. To the
 //! *root* controller it is a `participant`: it answers `Prepare` /
-//! `DeltaPrepare` / `Commit` / `Abort` on a local shadow enclave
-//! (validating ops and computing the config digest exactly as a leaf
-//! would). To its *children* it is a `Coordinator`: heartbeats, tracked
+//! `DeltaPrepare` / `Commit` / `Abort` on the shard's committed
+//! [`Config`] and at most one staged one (validating ops and computing
+//! the config digest exactly as a leaf would, with no enclave). To its
+//! *children* it is a `Coordinator`: heartbeats, tracked
 //! requests with retry and backoff, failure detection, two-phase shard
 //! rounds, and per-child delta-planned resync. What is its own is the
 //! roll-up between the two: [`CtrlMsg::AggSync`] is answered with a
@@ -13,12 +14,13 @@
 //! children converged, the highest epoch any child reports, a divergence
 //! flag, the shard's replication deltas (host-tagged), and its trace
 //! spans. A `PullStats` is answered with the sum of the last `Stats` each
-//! child returned — the shadow enclave never sees a packet — and makes it
-//! pull its children again, so the root reads a rack's counters one pull
-//! interval late.
+//! child returned — the aggregator serves no packet — and makes it pull
+//! its children again, so the root reads a rack's counters one pull
+//! interval late. An aggregator keeps no flight recorder: it serves no
+//! packet, and its epochs' record is the root's and its children's.
 //!
 //! The key design choice is that the shard is **autonomous**: the
-//! aggregator acks the root's `Commit` as soon as its own shadow commits,
+//! aggregator acks the root's `Commit` as soon as it commits the epoch,
 //! then walks its children through the epoch in its own round. Epochs are
 //! therefore *per-shard* — a slow or partitioned host delays only its
 //! rack's convergence, never the root's round — at the cost of a window
@@ -44,7 +46,7 @@
 //! net.schedule_timer(agg_node, Time::ZERO, transport::app_timer_token(TICK));
 //! ```
 
-use eden_core::{Enclave, EnclaveConfig};
+use eden_core::{ApplyError, Config, Enclave, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView};
 use eden_telemetry::{ClusterStats, EnclaveCounters, HostReport, Ring, Span};
 use netsim::{Ctx, L4Header, Packet, UdpHeader};
@@ -53,9 +55,9 @@ use transport::{App, Stack};
 use crate::agent::EnclaveAgent;
 use crate::controller::{transmit, CtrlConfig, WireCounters, TICK, TICK_EVERY};
 use crate::coordinator::{Coordinator, Event};
-use crate::delta::{encode_shared, ConfigEntry, ConfigHistory, ConfigModel, Plan};
-use crate::participant;
-use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler, Request, Response};
+use crate::delta::{encode_full, encode_shared, ConfigEntry, ConfigHistory, Plan};
+use crate::participant::{self, Participant};
+use crate::proto::{self, CtrlMsg, CtrlReply, Reassembler, Request, Response};
 
 /// Most child spans one AggPong relays to the root.
 const AGG_SPAN_BUDGET: usize = 64;
@@ -100,15 +102,13 @@ impl VirtualShard {
 
 /// A rack/pod aggregation tier endpoint (see module docs).
 pub struct AggregatorApp {
-    /// Shadow enclave holding the shard's committed configuration: what
-    /// the participant role is played on.
-    shadow: Enclave,
-    /// The configuration the staged epoch leads to (the shadow holds the
-    /// ops themselves until commit).
-    staged_model: Option<(u64, ConfigModel)>,
-    /// Committed versions, each a model and the full `Prepare` this tier
-    /// encodes from it at commit — the ship for children whose base is
-    /// unknown (the ReplHub-snapshot analogue).
+    /// The epoch the root prepared and has not yet committed or aborted,
+    /// and the configuration it leads to.
+    staged: Option<(u64, Config)>,
+    /// Committed versions, each a configuration and the full `Prepare`
+    /// this tier encodes from it at commit — the ship for children whose
+    /// base is unknown (the ReplHub-snapshot analogue). The current one
+    /// is the shard's: what the participant role answers for.
     history: ConfigHistory,
     /// The coordinator role, over the children.
     coord: Coordinator,
@@ -139,12 +139,9 @@ pub struct AggregatorApp {
 impl AggregatorApp {
     /// An aggregator fronting the enclave agents at `children`.
     pub fn new(cfg: AggConfig, children: &[u32]) -> AggregatorApp {
-        let shadow = Enclave::new(EnclaveConfig::default());
-        let history = ConfigHistory::new(shadow.config_digest());
         AggregatorApp {
-            shadow,
-            staged_model: None,
-            history,
+            staged: None,
+            history: ConfigHistory::new(),
             coord: Coordinator::new(cfg.ctrl, children),
             virtual_shard: None,
             views_down: Vec::new(),
@@ -178,7 +175,7 @@ impl AggregatorApp {
 
     /// The shard's committed epoch.
     pub fn committed_epoch(&self) -> u64 {
-        self.shadow.active_epoch()
+        self.current().epoch
     }
 
     /// Children (real or virtual) this aggregator fronts.
@@ -226,14 +223,15 @@ impl AggregatorApp {
                 self.agg_pong(re, nonce)
             }
             CtrlMsg::PullStats => {
-                // The shadow enclave never sees a packet: the shard's
-                // stats are its children's, as of the previous pull.
+                // The aggregator serves no packet: the shard's stats are
+                // its children's, as of the previous pull.
                 self.want_stats = true;
                 let reports = self.shard_stats.reports();
+                let (epoch, digest) = self.served();
                 CtrlReply::Stats {
                     re,
-                    epoch: self.shadow.active_epoch(),
-                    digest: self.shadow.config_digest(),
+                    epoch,
+                    digest,
                     captured_at_ns: reports.iter().map(|r| r.captured_at_ns).max().unwrap_or(0),
                     counters: self.shard_stats.totals(),
                     latencies: self.shard_stats.merged_latencies(),
@@ -243,72 +241,14 @@ impl AggregatorApp {
                 re,
                 spans: self.spans_up.drain(max as usize).collect(),
             },
-            phase => self.participate(re, phase),
+            phase => participant::answer(self, re, phase),
         }
-    }
-
-    /// The participant role, on the shadow, and what joins it to the
-    /// coordinator role: the version an epoch leads to is worked out when
-    /// the root prepares it and becomes the shard's current one — which
-    /// the children are then walked to — when the root commits it.
-    fn participate(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
-        let staging = match &msg {
-            CtrlMsg::Prepare { epoch, ops } | CtrlMsg::DeltaPrepare { epoch, ops, .. }
-                if *epoch > self.shadow.active_epoch() =>
-            {
-                let mut model = self.current().model.clone();
-                model.apply(ops);
-                Some((*epoch, model))
-            }
-            _ => None,
-        };
-        let mut committing = None;
-        if let CtrlMsg::Commit { epoch } = &msg {
-            if let Some((epoch, model)) = self.staged_model.take_if(|(e, _)| e == epoch) {
-                match model.encode_full(epoch) {
-                    Ok(full) => committing = Some((model, full)),
-                    // A version this tier could not ship in full to a
-                    // child is not committed: the root's resync keeps
-                    // asking, with backoff, and the other racks converge.
-                    Err(e) => {
-                        self.shadow.abort_epoch(epoch);
-                        let reason = format!("the shard's full ship: {e}");
-                        return CtrlReply::Nack { re, epoch, reason };
-                    }
-                }
-            }
-        }
-        let reply = participant::answer(&mut self.shadow, re, msg);
-        if let CtrlReply::Ack { epoch, phase, .. } = reply {
-            match phase {
-                AckPhase::Prepare if staging.is_some() => self.staged_model = staging,
-                AckPhase::Prepare => {} // a duplicate of the active epoch
-                AckPhase::Commit => {
-                    if let Some((model, full)) = committing {
-                        let digest = self.shadow.config_digest();
-                        self.history.push(epoch, digest, model, full);
-                        // The root's round is done with us; now walk the
-                        // shard through the epoch in our own round.
-                        match self.virtual_shard.take() {
-                            Some(v) => self.virtual_shard = Some(self.converge_virtual(v)),
-                            None => self.coord.request_round(None),
-                        }
-                    }
-                }
-                // Children never saw the aborted epoch: the shard round
-                // only starts at commit.
-                AckPhase::Abort => {
-                    self.staged_model.take_if(|(e, _)| *e == epoch);
-                }
-            }
-        }
-        reply
     }
 
     /// `(children converged, highest epoch a child reports, some child
     /// at or past the shard's epoch without holding its config)`.
     fn roll_up(&self) -> (u32, u64, bool) {
-        let want = (self.shadow.active_epoch(), self.shadow.config_digest());
+        let want = self.served();
         if let Some(v) = &self.virtual_shard {
             let e = v.agent.enclave();
             let at = (e.active_epoch(), e.config_digest());
@@ -329,11 +269,12 @@ impl AggregatorApp {
     /// Summarize the shard for the root.
     fn agg_pong(&mut self, re: u32, nonce: u64) -> CtrlReply {
         let (hosts_synced, max_epoch, diverged) = self.roll_up();
+        let (epoch, digest) = self.served();
         CtrlReply::AggPong {
             re,
             nonce,
-            epoch: self.shadow.active_epoch(),
-            digest: self.shadow.config_digest(),
+            epoch,
+            digest,
             hosts_total: self.shard_size() as u32,
             hosts_synced,
             max_epoch,
@@ -496,6 +437,46 @@ impl AggregatorApp {
     }
 }
 
+/// The parent face: the participant role, played on the shard's
+/// committed version and the one the root staged. What joins it to the
+/// coordinator role is the commit: the staged version becomes the shard's
+/// current one, which the children are then walked to.
+impl Participant for AggregatorApp {
+    fn served(&self) -> (u64, u64) {
+        (self.current().epoch, self.current().digest)
+    }
+
+    fn stage(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError> {
+        self.staged = Some((epoch, self.current().config.apply(&ops)?));
+        Ok(())
+    }
+
+    fn commit(&mut self, epoch: u64) -> Result<bool, String> {
+        let Some((_, config)) = self.staged.take_if(|(e, _)| *e == epoch) else {
+            return Ok(self.current().epoch == epoch && self.staged.is_none());
+        };
+        // A version this tier could not ship in full to a child is not
+        // committed: the root's resync keeps asking, with backoff, and the
+        // other racks converge.
+        let full =
+            encode_full(&config, epoch).map_err(|e| format!("the shard's full ship: {e}"))?;
+        self.history.push(epoch, config, full);
+        // The root's round is done with us; now walk the shard through the
+        // epoch in our own round.
+        match self.virtual_shard.take() {
+            Some(v) => self.virtual_shard = Some(self.converge_virtual(v)),
+            None => self.coord.request_round(None),
+        }
+        Ok(true)
+    }
+
+    // Children never saw the aborted epoch: the shard round only starts at
+    // commit.
+    fn abort(&mut self, epoch: u64) {
+        self.staged.take_if(|(e, _)| *e == epoch);
+    }
+}
+
 impl App for AggregatorApp {
     fn on_timer(&mut self, token: u64, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         if token == TICK {
@@ -585,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_delta_prepare_anchors_on_shadow_digest() {
+    fn parent_delta_prepare_anchors_on_the_committed_digest() {
         let mut a = AggregatorApp::new(AggConfig::default(), &[11]);
         a.handle_parent_msg(
             1,
@@ -614,7 +595,7 @@ mod tests {
         assert!(matches!(r, CtrlReply::Ack { epoch: 2, .. }));
         a.handle_parent_msg(4, CtrlMsg::Commit { epoch: 2 });
         assert_eq!(a.committed_epoch(), 2);
-        assert_eq!(a.current().model.rule_count(), 2);
+        assert_eq!(a.current().config.tables()[0].len(), 2);
 
         // A wrong anchor nacks with the digest-mismatch reason.
         let r = a.handle_parent_msg(
@@ -633,9 +614,8 @@ mod tests {
         }
     }
 
-    // The shard's model of an epoch is worked out before its shadow
-    // validates the ops: a rule off the wire naming a function index no
-    // table word can hold gets a nack, as any unknown function does.
+    // A rule off the wire naming a function index no table word can hold
+    // gets a nack, as any unknown function does, and nothing is staged.
     #[test]
     fn a_rule_past_every_function_is_nacked() {
         let mut a = AggregatorApp::new(AggConfig::default(), &[11]);
@@ -651,8 +631,7 @@ mod tests {
             CtrlReply::Nack { reason, .. } => assert!(reason.contains("function"), "{reason}"),
             other => panic!("expected a nack, got {other:?}"),
         }
-        assert_eq!(a.shadow.staged_epoch(), None);
-        assert!(a.staged_model.is_none(), "the model is not kept");
+        assert!(a.staged.is_none(), "the configuration is not kept");
         let r = a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
         assert!(!matches!(r, CtrlReply::Ack { .. }), "{r:?}");
         assert_eq!(a.committed_epoch(), 0);
@@ -683,8 +662,9 @@ mod tests {
             CtrlReply::Nack { reason, .. } => assert!(reason.contains("full ship"), "{reason}"),
             other => panic!("expected a nack, got {other:?}"),
         }
-        assert_eq!((a.committed_epoch(), a.current().epoch), (1, 1));
-        assert_eq!(a.shadow.staged_epoch(), None);
+        assert_eq!(a.committed_epoch(), 1);
+        assert_eq!(a.current().config.tables()[0].len(), 60_000);
+        assert!(a.staged.is_none(), "the refused version is dropped");
     }
 
     #[test]

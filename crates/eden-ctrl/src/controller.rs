@@ -9,12 +9,12 @@
 //! what makes this tier the root is what it alone decides:
 //!
 //! * **Desired state** is a Reset-led op list tagged with an epoch, kept
-//!   only as its encoded full `Prepare`. A
-//!   shadow enclave on the controller replays it, which both validates the
-//!   ops before anything touches the wire and yields the expected config
-//!   digest for convergence checks.
+//!   as the [`Config`] it builds and its encoded full `Prepare`. Applying
+//!   the ops to a copy of the previous version's `Config` validates them
+//!   exactly as an enclave stages them, before anything touches the wire,
+//!   and yields the config digest every host should report.
 //! * **A nacked prepare aborts** the round everywhere and rolls desired
-//!   state back.
+//!   state back to the version before.
 //! * **A peer ahead of desired state is outbid**: same or newer epoch
 //!   with a wrong digest (its own, or one its aggregator vouches for)
 //!   cannot be resynced, so desired state is re-issued under a fresh
@@ -30,11 +30,11 @@
 
 use std::collections::BTreeMap;
 
-use eden_core::{ApplyError, Enclave, EnclaveConfig, EnclaveOp};
+use eden_core::{ApplyError, Config, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, ReplHub, ReplSpec};
 use eden_telemetry::{
-    ClusterStats, FlightKind, HostReport, LatencyStat, LogHistogram, ReplLag, Span, TraceContext,
-    TraceStore,
+    ClusterStats, EnclaveCounters, FlightDump, FlightEvent, FlightKind, FlightRing, HostReport,
+    LatencyStat, LogHistogram, ReplLag, Span, TraceContext, TraceStore,
 };
 use netsim::{Ctx, Packet, Time, UdpHeader};
 use transport::{App, Stack};
@@ -141,8 +141,17 @@ pub struct ControllerApp {
     /// nacked round can roll back to the previous version, and so a host
     /// on a recent version can be sent a delta.
     history: ConfigHistory,
-    /// Shadow enclave replaying desired state (validation + digest).
-    shadow: Enclave,
+    /// Flight recorder of desired state: each version staged and
+    /// committed (or a function refused), and each peer found diverged.
+    flight: FlightRing,
+    /// The most recent frozen flight-recorder dump.
+    last_dump: Option<FlightDump>,
+    /// Virtual time of the last tick or reply, which stamps flight
+    /// events (a [`set_desired`](Self::set_desired) call has no clock).
+    now: Time,
+    /// Heartbeats and `AggSync`s sent without views, because the views
+    /// did not fit one message.
+    views_refused: u64,
     cluster: ClusterStats,
     reasm: Reassembler,
     next_stats: Time,
@@ -179,8 +188,6 @@ const DELTA_BYTES: usize = 3;
 impl ControllerApp {
     /// A controller managing the enclave agents at `hosts`.
     pub fn new(cfg: CtrlConfig, hosts: &[u32]) -> ControllerApp {
-        let shadow = Enclave::new(EnclaveConfig::default());
-        let history = ConfigHistory::new(shadow.config_digest());
         let mut cluster = ClusterStats::new();
         cluster.ctrl_latencies = CTRL_LATENCIES
             .iter()
@@ -190,8 +197,11 @@ impl ControllerApp {
             core: eden_core::Controller::new(),
             coord: Coordinator::new(cfg, hosts),
             subtrees: BTreeMap::new(),
-            history,
-            shadow,
+            history: ConfigHistory::new(),
+            flight: FlightRing::new(EnclaveConfig::default().flight_capacity),
+            last_dump: None,
+            now: Time::ZERO,
+            views_refused: 0,
             cluster,
             reasm: Reassembler::default(),
             next_stats: Time::ZERO,
@@ -218,24 +228,23 @@ impl ControllerApp {
     // public surface
     // ------------------------------------------------------------------
 
-    /// Replace desired state with `ops` (validated against the shadow
-    /// enclave first, and refused with [`ApplyError::TooLarge`] if their
-    /// full `Prepare` would not fit the wire). Returns the new epoch; the
-    /// push itself starts on the next tick. `ops` should be Reset-led — a
-    /// full description of the intended configuration — so that resyncing
-    /// a diverged host is always a plain replay.
+    /// Replace desired state with `ops`: refused with
+    /// [`ApplyError::TooLarge`] if their full `Prepare` would not fit the
+    /// wire, and with what a host's enclave would refuse them for if they
+    /// do not apply to the current desired state. Returns the new epoch;
+    /// the push itself starts on the next tick. `ops` should be Reset-led
+    /// — a full description of the intended configuration — so that
+    /// resyncing a diverged host is always a plain replay.
     pub fn set_desired(&mut self, ops: Vec<EnclaveOp>) -> Result<u64, ApplyError> {
         let epoch = self.desired().epoch + 1;
         let full = proto::encode_prepare(epoch, &ops)
             .map_err(|_| ApplyError::TooLarge { ops: ops.len() })?;
-        let mut model = self.desired().model.clone();
-        model.apply(&ops);
-        self.shadow.stage_epoch(epoch, ops)?;
-        assert!(self.shadow.commit_epoch(epoch));
-        self.history
-            .push(epoch, self.shadow.config_digest(), model, full);
-        self.sync_repl_from_shadow();
-        self.request_round();
+        let config = self.desired().config.apply(&ops).inspect_err(|e| {
+            if let ApplyError::Unlinkable { error, .. } = e {
+                self.flight_record(FlightKind::InstallRefused, epoch, error.code());
+            }
+        })?;
+        self.adopt(epoch, config, full);
         Ok(epoch)
     }
 
@@ -332,6 +341,21 @@ impl ControllerApp {
         &self.repl
     }
 
+    /// Hosts whose replication views a heartbeat (or an `AggSync`) left
+    /// off, because they did not fit one message, counted once a
+    /// message. The host keeps its previous views until a later
+    /// heartbeat fits.
+    pub fn views_refused(&self) -> u64 {
+        self.views_refused
+    }
+
+    /// The most recent flight-recorder dump: frozen when a peer was found
+    /// diverged (`divergence`), with the versions desired state went
+    /// through before it.
+    pub fn last_flight_dump(&self) -> Option<&FlightDump> {
+        self.last_dump.as_ref()
+    }
+
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
@@ -366,54 +390,54 @@ impl ControllerApp {
         self.coord.request_round(trace);
     }
 
-    /// Mirror the shadow enclave's replication layout into the hub. The
-    /// shadow has already replayed desired state, so its per-function
-    /// specs *are* what every host will install on commit. Re-installing
-    /// an unchanged spec keeps accumulated sync state (epochs re-push
-    /// configuration idempotently); a changed spec resets that function.
-    fn sync_repl_from_shadow(&mut self) {
-        let funcs = self.shadow.repl_funcs();
+    /// Make `config` desired state as `epoch`, `full` being its full
+    /// `Prepare`, and ask for a round to it.
+    fn adopt(&mut self, epoch: u64, config: Config, full: Vec<u8>) {
+        self.flight_record(FlightKind::EpochStage, epoch, 0);
+        self.flight_record(FlightKind::EpochCommit, epoch, 0);
+        self.history.push(epoch, config, full);
+        self.sync_repl();
+        self.request_round();
+    }
+
+    /// Mirror desired state's replication layout into the hub: each
+    /// function's spec, from its schema, is what every host installs on
+    /// commit. Re-installing an unchanged spec keeps accumulated sync
+    /// state (epochs re-push configuration idempotently); a changed spec
+    /// resets that function, and an empty one or a function no longer
+    /// installed drops it.
+    fn sync_repl(&mut self) {
+        let funcs = self.history.current().config.functions();
+        let installed = funcs.len();
+        for (f, shipped) in funcs.enumerate() {
+            self.repl.install(f, ReplSpec::from_schema(&shipped.schema));
+        }
         for f in self.repl.active_funcs() {
-            if !funcs.contains(&f) {
+            if f >= installed {
                 self.repl.install(f, ReplSpec::default());
             }
         }
-        for f in funcs {
-            let spec = self
-                .shadow
-                .repl_host(f)
-                .expect("listed by repl_funcs")
-                .spec()
-                .clone();
-            self.repl.install(f, spec);
-        }
+    }
+
+    /// Record a flight event, stamped with the last virtual time seen.
+    fn flight_record(&mut self, kind: FlightKind, a: u64, b: u64) {
+        self.flight.push(FlightEvent {
+            at_ns: self.now.as_nanos(),
+            lane: 0,
+            kind,
+            a,
+            b,
+        });
     }
 
     fn tick(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        self.now = now;
 
-        // Each heartbeat carries its host's replication views — the
-        // fan-out half of the sync loop. An aggregator gets one AggSync
-        // carrying the views of every host in its shard, host-tagged.
         let (repl, subtrees) = (&mut self.repl, &self.subtrees);
+        let refused = &mut self.views_refused;
         self.coord.tick(now, ctx.rng(), &self.history, |to, nonce| {
-            let funcs = repl.active_funcs();
-            let mut views_of = |host| {
-                let views = funcs.iter().filter_map(|&f| repl.view_for(host, f));
-                views.collect::<Vec<_>>()
-            };
-            let frame = match subtrees.get(&to) {
-                Some(children) => {
-                    let tagged = |&c| views_of(c).into_iter().map(move |v| (c, v));
-                    let views = children.iter().flat_map(tagged).collect();
-                    CtrlMsg::AggSync { nonce, views }.into()
-                }
-                None => Request {
-                    repl: views_of(to),
-                    ..CtrlMsg::Heartbeat { nonce }.into()
-                },
-            };
-            frame.encode().expect("a heartbeat's views fit one message")
+            heartbeat(repl, subtrees.get(&to), to, nonce, refused)
         });
 
         // Periodic stats pulls (plus a trace drain on the same cadence).
@@ -452,7 +476,7 @@ impl ControllerApp {
                     // oldest remembered entry stays).
                     if let Some(epoch) = self.coord.abort_round(now, ctx.rng()) {
                         if self.history.roll_back(epoch) {
-                            self.rebuild_shadow();
+                            self.sync_repl();
                         }
                     }
                 }
@@ -467,32 +491,34 @@ impl ControllerApp {
             }
         }
         if let Some((peer, digest, highest)) = ahead {
-            self.outbid(peer, digest, highest);
+            self.outbid(peer, digest, highest, stack.addr);
         }
         transmit(&mut self.coord, &mut self.cluster.wire, stack, ctx);
     }
 
     /// `peer` reports `digest` at an epoch at or past desired state's
     /// without holding it (or vouches for a shard that does). Freeze the
-    /// shadow's flight recorder (the controller-side record of what it
-    /// believed) and re-issue desired state under an epoch past
-    /// `highest`, so a plain prepare/commit replay heals the whole fleet.
-    fn outbid(&mut self, peer: u32, digest: u64, highest: u64) {
-        self.shadow
-            .flight_record(FlightKind::Divergence, u64::from(peer), digest);
-        self.shadow.freeze_flight("divergence");
+    /// flight recorder (the controller-side record of what it believed)
+    /// as this host's, `host`, and re-issue desired state under an epoch
+    /// past `highest`, so a plain prepare/commit replay heals the whole
+    /// fleet.
+    fn outbid(&mut self, peer: u32, digest: u64, highest: u64, host: u32) {
+        self.flight_record(FlightKind::Divergence, u64::from(peer), digest);
+        let (rings, at_ns) = (std::slice::from_ref(&self.flight), self.now.as_nanos());
+        let counters = EnclaveCounters::default();
+        let dump = FlightDump::freeze("divergence", host, at_ns, rings, counters);
+        dump.emit();
+        self.last_dump = Some(dump);
         let epoch = highest + 1;
-        let (ops, model) = (self.desired_ops(), self.desired().model.clone());
+        let ops = self.desired_ops();
         let full = proto::encode_prepare(epoch, &ops)
             .expect("desired ops fit the wire under their first epoch");
-        self.shadow
-            .stage_epoch(epoch, ops)
+        let config = self
+            .desired()
+            .config
+            .apply(&ops)
             .expect("desired ops validated when set");
-        assert!(self.shadow.commit_epoch(epoch));
-        self.history
-            .push(epoch, self.shadow.config_digest(), model, full);
-        self.sync_repl_from_shadow();
-        self.request_round();
+        self.adopt(epoch, config, full);
     }
 
     /// Mirror the hub's per-host replica age into [`ClusterStats`], so
@@ -549,23 +575,9 @@ impl ControllerApp {
         &mut self.cluster.ctrl_latencies[slot].hist
     }
 
-    /// Reset the shadow enclave to the (possibly rolled-back) desired
-    /// entry by replaying it from scratch.
-    fn rebuild_shadow(&mut self) {
-        let mut shadow = Enclave::new(EnclaveConfig::default());
-        let epoch = self.desired().epoch;
-        if epoch > 0 {
-            shadow
-                .stage_epoch(epoch, self.desired_ops())
-                .expect("desired ops validated when set");
-            assert!(shadow.commit_epoch(epoch));
-        }
-        self.shadow = shadow;
-        self.sync_repl_from_shadow();
-    }
-
     fn handle_reply(&mut self, from: u32, frame: Response, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        self.now = now;
         let Some(peer) = self.coord.heard(from, now) else {
             return; // not one of ours
         };
@@ -665,6 +677,55 @@ impl ControllerApp {
     }
 }
 
+/// The encoded heartbeat for peer `to`, the fan-out half of the sync
+/// loop: a `Heartbeat` carrying its own replication views, or, if `to` is
+/// an aggregator fronting `shard`, one `AggSync` carrying the views of
+/// every host in the shard, host-tagged. Views that do not fit one
+/// message are left off a host at a time: a host's heartbeat goes
+/// without them, and an `AggSync` adds the shard's hosts in order and
+/// leaves off each whose views would overflow it. Each host left off is
+/// counted in `refused` and keeps its previous views until a later
+/// heartbeat fits.
+fn heartbeat(
+    repl: &mut ReplHub,
+    shard: Option<&Vec<u32>>,
+    to: u32,
+    nonce: u64,
+    refused: &mut u64,
+) -> Vec<u8> {
+    let funcs = repl.active_funcs();
+    let mut views_of = |host| {
+        let views = funcs.iter().filter_map(|&f| repl.view_for(host, f));
+        views.collect::<Vec<_>>()
+    };
+    let Some(shard) = shard else {
+        let frame = Request {
+            repl: views_of(to),
+            ..CtrlMsg::Heartbeat { nonce }.into()
+        };
+        return frame.encode().unwrap_or_else(|_| {
+            *refused += 1;
+            let bare = Request::from(CtrlMsg::Heartbeat { nonce });
+            bare.encode().expect("a heartbeat without views fits")
+        });
+    };
+    let mut tagged = |c| views_of(c).into_iter().map(move |v| (c, v));
+    let sync = |views| Request::from(CtrlMsg::AggSync { nonce, views }).encode();
+    let views = shard.iter().flat_map(|&c| tagged(c)).collect();
+    sync(views).unwrap_or_else(|_| {
+        let mut views = Vec::new();
+        for &c in shard {
+            let kept = views.len();
+            views.extend(tagged(c));
+            if sync(views.clone()).is_err() {
+                *refused += 1;
+                views.truncate(kept);
+            }
+        }
+        sync(views).expect("the views kept fit")
+    })
+}
+
 impl App for ControllerApp {
     fn on_timer(&mut self, token: u64, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         if token == TICK {
@@ -694,7 +755,9 @@ impl App for ControllerApp {
 mod tests {
     use super::*;
     use crate::delta::AGG_HISTORY;
+    use crate::proto::read_fragment;
     use crate::testnet::{star, table_ops, Star};
+    use eden_lang::{Access, ReplMode, Schema};
 
     /// A root over two directly managed hosts that have reported in.
     fn pair() -> Star<ControllerApp> {
@@ -712,9 +775,8 @@ mod tests {
         epoch
     }
 
-    // The controller models the ops before its shadow enclave validates
-    // them: a rule naming a function index no table word can hold is
-    // refused like any other unknown function.
+    // A rule naming a function index no table word can hold is refused
+    // like any other unknown function.
     #[test]
     fn a_rule_past_every_function_is_refused() {
         let mut app = ControllerApp::new(CtrlConfig::default(), &[1]);
@@ -731,6 +793,17 @@ mod tests {
             Err(ApplyError::NoSuchFunction { op, func: 1 << 31 })
         );
         assert_eq!(app.desired_epoch(), 0, "nothing was adopted");
+    }
+
+    #[test]
+    fn an_array_past_the_cap_is_refused() {
+        let mut app = ControllerApp::new(CtrlConfig::default(), &[1]);
+        let len = eden_core::MAX_ARRAY_LEN + 1;
+        let refused = app.set_desired(crate::testnet::array_ops(len));
+        assert_eq!(refused, Err(ApplyError::ArrayTooLong { op: 2, len }));
+        assert_eq!(app.desired_epoch(), 0, "nothing was adopted");
+        let at_cap = crate::testnet::array_ops(len - 1);
+        assert_eq!(app.set_desired(at_cap), Ok(1));
     }
 
     #[test]
@@ -802,8 +875,8 @@ mod tests {
             (c.app().desired_epoch(), c.app().desired_digest()),
             (epoch, digest)
         );
-        assert_eq!(c.app().shadow.config_digest(), digest);
-        assert_eq!(c.app().shadow.staged_epoch(), None);
+        let current = c.app().history.current();
+        assert_eq!((current.epoch, current.config.digest()), (epoch, digest));
         assert!(!c.app().round_active());
         c.run_ms(2);
         assert!(c.app().all_in_sync());
@@ -829,7 +902,8 @@ mod tests {
         c.net.run_until(c.net.now() + Time::from_micros(400));
         assert_eq!(c.app().desired_digest(), digest, "content rolled back");
         assert_eq!(c.app().history.digest_of(nacked), None);
-        assert_eq!(c.app().shadow.config_digest(), digest, "shadow rebuilt");
+        let current = &c.app().history.current().config;
+        assert_eq!(current.digest(), digest, "the version before is current");
 
         // The reconciler then re-issues the rolled-back content above the
         // bump, and the fleet converges on it.
@@ -838,5 +912,103 @@ mod tests {
         assert_eq!(c.app().desired_digest(), digest);
         assert!(c.app().desired_epoch() > 500);
         assert!(c.app().history.len() <= AGG_HISTORY);
+
+        // Outbidding host 2 froze the root's flight recorder: the versions
+        // desired state went through, then host 2 found diverged, stamped
+        // with the virtual time it was found at.
+        let dump = c.app().last_flight_dump().expect("the divergence dump");
+        assert_eq!((dump.reason.as_str(), dump.host), ("divergence", 900));
+        let last = dump.last_event().expect("an event");
+        assert_eq!(last.kind, FlightKind::Divergence);
+        assert_eq!((last.a, last.b), (2, digest), "host 2 at its bumped epoch");
+        assert!(last.at_ns > 0 && last.at_ns == dump.at_ns);
+        let staged = |e: &&FlightEvent| e.kind == FlightKind::EpochStage && e.a == nacked;
+        assert!(dump.events.iter().any(|e| staged(&e)), "the nacked version");
+    }
+
+    #[test]
+    fn views_past_one_message_are_refused_and_the_other_host_keeps_its_own() {
+        // Host 2 contributed two arrays of over half a message each: host
+        // 1's views, the merged contributions of every other host, do not
+        // fit one heartbeat. Host 2's own views hold host 1's share only.
+        let mut c = pair();
+        let half = proto::MAX_FRAGS * proto::MAX_CHUNK / 2;
+        let schema = Schema::new()
+            .global_array("Weights", &["W"], Access::ReadWrite)
+            .replicated(ReplMode::MergedSum);
+        for func in 0..2u32 {
+            c.app()
+                .repl
+                .install(func as usize, ReplSpec::from_schema(&schema));
+            let delta = FuncDelta {
+                func,
+                merged_arrays: vec![(0, vec![7; half / 8])],
+                ..FuncDelta::default()
+            };
+            c.app().repl.ingest(2, 0, &delta);
+        }
+        c.run_ms(1);
+        let before = c.app().views_refused();
+        for leaf in 0..2 {
+            c.tap(leaf).frames.clear();
+        }
+        c.run_ms(3);
+
+        let heartbeat = CtrlMsg::Heartbeat { nonce: 0 }.tag();
+        let mut heartbeats = |leaf| -> Vec<Request> {
+            let chunks = c
+                .tap(leaf)
+                .frames
+                .iter()
+                .map(|f| read_fragment(f).unwrap().1);
+            let beats = chunks.filter(|chunk| chunk[0] == heartbeat);
+            beats.map(|chunk| Request::decode(chunk).unwrap()).collect()
+        };
+        let (to_first, to_second) = (heartbeats(0), heartbeats(1));
+        assert!(to_first.len() >= 2, "the root keeps ticking");
+        assert!(to_first.iter().all(|h| h.repl.is_empty()));
+        let refused = c.app().views_refused() - before;
+        assert_eq!(refused, to_first.len() as u64, "one refusal a heartbeat");
+        assert_eq!(to_second.len(), to_first.len());
+        assert!(to_second.iter().all(|h| h.repl.len() == 2));
+        assert!(c.app().all_in_sync());
+    }
+
+    #[test]
+    fn a_shard_past_one_message_leaves_off_the_host_that_overflows_it() {
+        // Host 12 contributed an array of over half a message: the views
+        // of hosts 11 and 13, the merged contributions of the others, are
+        // each over half a message, and host 12's hold theirs only. The
+        // AggSync keeps the shard's views in order while they fit.
+        let mut app = ControllerApp::new(CtrlConfig::default(), &[]);
+        app.manage_aggregator(1, vec![11, 12, 13]);
+        let half = proto::MAX_FRAGS * proto::MAX_CHUNK / 2;
+        let schema = Schema::new()
+            .global_array("Weights", &["W"], Access::ReadWrite)
+            .replicated(ReplMode::MergedSum);
+        app.repl.install(0, ReplSpec::from_schema(&schema));
+        let delta = FuncDelta {
+            func: 0,
+            merged_arrays: vec![(0, vec![7; half / 8 + 64])],
+            ..FuncDelta::default()
+        };
+        app.repl.ingest(12, 0, &delta);
+
+        let ControllerApp {
+            repl,
+            subtrees,
+            views_refused,
+            ..
+        } = &mut app;
+        let sync = heartbeat(repl, subtrees.get(&1), 1, 9, views_refused);
+        let CtrlMsg::AggSync { nonce: 9, views } = Request::decode(&sync).unwrap().body else {
+            panic!("an AggSync");
+        };
+        let hosts: Vec<u32> = views.iter().map(|&(h, _)| h).collect();
+        assert_eq!(hosts, [11, 12], "host 13's views would overflow it");
+        assert_eq!(app.views_refused(), 1);
+        for (host, view) in views {
+            assert_eq!(Some(view), app.repl.view_for(host, 0), "host {host}");
+        }
     }
 }

@@ -654,9 +654,9 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::ConfigModel;
     use crate::proto::{self, Request};
     use crate::testnet::table_ops;
+    use eden_core::Config;
 
     const STEP: Time = Time::from_micros(100);
 
@@ -672,7 +672,7 @@ mod tests {
         fn new(cfg: CtrlConfig, peers: &[u32]) -> Driven {
             Driven {
                 c: Coordinator::new(cfg, peers),
-                history: ConfigHistory::new(0xD000),
+                history: ConfigHistory::new(),
                 rng: SimRng::new(7),
                 now: Time::ZERO,
             }
@@ -682,8 +682,8 @@ mod tests {
         fn version(&mut self, epoch: u64, rules: u32) {
             let ops = table_ops(5, 0..rules);
             let full = proto::encode_prepare(epoch, &ops).unwrap();
-            let model = ConfigModel::from_ops(&ops);
-            self.history.push(epoch, 0xD000 + epoch, model, full);
+            let config = Config::from_ops(&ops).unwrap();
+            self.history.push(epoch, config, full);
         }
 
         /// One tick `STEP` later; the epoch-phase sends it queued.
@@ -871,8 +871,9 @@ mod tests {
     {
         let mut d = Driven::new(CtrlConfig::default(), &[1, 2]);
         d.version(1, 10);
+        let digest = d.history.current().digest;
         for peer in [1, 2] {
-            d.c.heard(peer, d.now).unwrap().said(1, 0xD001);
+            d.c.heard(peer, d.now).unwrap().said(1, digest);
         }
         d.version(2, 11);
         d.c.request_round(None);

@@ -3,13 +3,12 @@
 //!
 //! The controller's full-replacement epochs are `Reset`-led, which makes
 //! them simple but quadratic at fleet scale: every rule of every table
-//! re-ships to every host on every change. [`ConfigModel`] is a pure
-//! value model of an enclave's *configuration* (not its runtime state) —
-//! both tiers keep one per version in a bounded `ConfigHistory`, beside
-//! that version's full `Prepare` as encoded bytes, and nothing else: no
-//! op list. The history calls [`diff`] to plan a
-//! [`CtrlMsg::DeltaPrepare`] anchored at the base's config digest,
-//! encodes each plan once, and hands it out as shared bytes.
+//! re-ships to every host on every change. Both tiers keep one
+//! [`Config`] per version in a bounded `ConfigHistory`, beside that
+//! version's full `Prepare` as encoded bytes, and nothing else: no op
+//! list. The history calls [`diff`] to plan a [`CtrlMsg::DeltaPrepare`]
+//! anchored at the base's config digest, encodes each plan once, and hands
+//! it out as shared bytes.
 //!
 //! `diff` is deliberately conservative: it only claims a plan when the
 //! base is a *structural prefix* of the target (functions append-only,
@@ -25,147 +24,42 @@
 //! config-only change that is exactly what an operator wants — the
 //! full-replacement path zeroed counters as collateral damage.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use eden_core::{EnclaveOp, RuleList, ShippedFunction};
+use eden_core::{Config, EnclaveOp, RuleList};
 use eden_telemetry::TraceContext;
 
 use crate::proto::{self, CtrlMsg, ProtoError, Request};
 
-/// A pure value model of an enclave's configuration, as produced by a
-/// sequence of [`EnclaveOp`]s applied to an empty enclave. Mirrors the
-/// enclave's own apply semantics (`Reset` recreates empty table 0;
-/// rule indices shift down on removal).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigModel {
-    /// Installed functions in index order, as shipped (compared
-    /// structurally for diffing). Shared: a cloned model, and a version
-    /// whose Reset-led epoch reinstalls the function its base held at the
-    /// same index, point at the one copy.
-    funcs: Vec<Rc<ShippedFunction>>,
-    /// Match-action tables, each rule one 8-byte word, first match wins.
-    /// An empty model still has table 0, like a fresh enclave.
-    tables: Vec<RuleList>,
-    /// Last value written per `(func, slot)` by `SetGlobal`.
-    globals: BTreeMap<(usize, usize), i64>,
-    /// Last value written per `(func, array)` by `SetArray`.
-    arrays: BTreeMap<(usize, usize), Vec<i64>>,
-}
-
-impl ConfigModel {
-    /// The configuration of a fresh enclave: one empty table, nothing
-    /// else.
-    pub fn new() -> ConfigModel {
-        ConfigModel {
-            funcs: Vec::new(),
-            tables: vec![RuleList::default()],
-            globals: BTreeMap::new(),
-            arrays: BTreeMap::new(),
+/// `config` as the untraced full [`CtrlMsg::Prepare`] of `epoch` that
+/// builds it on any enclave — the full-table ship the delta path falls
+/// back to — written straight from the configuration. The ops are
+/// `Reset`, the functions, a `CreateTable` for every table past table 0
+/// (`Reset` leaves that one in place), the rules table by table, then the
+/// globals and the arrays. Refused like any message that does not fit the
+/// wire.
+pub fn encode_full(config: &Config, epoch: u64) -> Result<Vec<u8>, ProtoError> {
+    proto::encode_prepare_with(epoch, |w| {
+        w.op(&EnclaveOp::Reset);
+        for f in config.functions() {
+            w.function(f);
         }
-    }
-
-    /// Model the configuration `ops` produce on a fresh enclave.
-    pub fn from_ops(ops: &[EnclaveOp]) -> ConfigModel {
-        let mut m = ConfigModel::new();
-        m.apply(ops);
-        m
-    }
-
-    /// Apply `ops` to this model, mirroring the enclave's semantics.
-    /// Out-of-range indices are ignored, a rule's function index among
-    /// them: a model may be worked out before the shadow enclave refuses
-    /// the ops, and such a model is never kept.
-    pub fn apply(&mut self, ops: &[EnclaveOp]) {
-        // What a `Reset` dropped: a function installed again at the index
-        // it had is shared with the version before, not copied.
-        let mut dropped = Vec::new();
-        for op in ops {
-            match op {
-                EnclaveOp::Reset => {
-                    dropped = std::mem::take(&mut self.funcs);
-                    *self = ConfigModel::new();
-                }
-                EnclaveOp::CreateTable => self.tables.push(RuleList::default()),
-                EnclaveOp::ClearTable { table } => {
-                    if let Some(t) = self.tables.get_mut(*table) {
-                        t.clear();
-                    }
-                }
-                EnclaveOp::InstallFunction(shipped) => {
-                    let same = dropped.get(self.funcs.len()).filter(|f| ***f == **shipped);
-                    let f = same.map_or_else(|| Rc::new((**shipped).clone()), Rc::clone);
-                    self.funcs.push(f);
-                }
-                EnclaveOp::InstallRule { table, spec, func } => {
-                    if let Some(t) = self.tables.get_mut(*table) {
-                        if *func < self.funcs.len() {
-                            t.push(spec.clone(), *func);
-                        }
-                    }
-                }
-                EnclaveOp::RemoveRule { table, rule } => {
-                    if let Some(t) = self.tables.get_mut(*table) {
-                        if *rule < t.len() {
-                            t.remove(*rule);
-                        }
-                    }
-                }
-                EnclaveOp::SetGlobal { func, slot, value } => {
-                    self.globals.insert((*func, *slot), *value);
-                }
-                EnclaveOp::SetArray {
-                    func,
-                    array,
-                    values,
-                } => {
-                    self.arrays.insert((*func, *array), values.clone());
-                }
+        for _ in 1..config.tables().len() {
+            w.op(&EnclaveOp::CreateTable);
+        }
+        for (table, rules) in config.tables().iter().enumerate() {
+            for (spec, func) in rules.iter() {
+                w.rule(table, &spec, func);
             }
         }
-    }
-
-    /// This configuration as the untraced full [`CtrlMsg::Prepare`] of
-    /// `epoch` that builds it on any enclave — the full-table ship the
-    /// delta path falls back to — written straight from the model. The
-    /// ops are `Reset`, the functions, a `CreateTable` for every table
-    /// past table 0 (`Reset` leaves that one in place), the rules table by
-    /// table, then the globals and the arrays. Refused like any message
-    /// that does not fit the wire.
-    pub fn encode_full(&self, epoch: u64) -> Result<Vec<u8>, ProtoError> {
-        proto::encode_prepare_with(epoch, |w| {
-            w.op(&EnclaveOp::Reset);
-            for f in &self.funcs {
-                w.function(f);
-            }
-            for _ in 1..self.tables.len() {
-                w.op(&EnclaveOp::CreateTable);
-            }
-            for (table, rules) in self.tables.iter().enumerate() {
-                for (spec, func) in rules.iter() {
-                    w.rule(table, &spec, func);
-                }
-            }
-            for (&(func, slot), &value) in &self.globals {
-                w.op(&EnclaveOp::SetGlobal { func, slot, value });
-            }
-            for (&(func, array), values) in &self.arrays {
-                w.array(func, array, values);
-            }
-        })
-    }
-
-    /// Rule count across all tables (bench/telemetry).
-    pub fn rule_count(&self) -> usize {
-        self.tables.iter().map(RuleList::len).sum()
-    }
-}
-
-impl Default for ConfigModel {
-    /// [`ConfigModel::new`]: a fresh enclave still has table 0.
-    fn default() -> ConfigModel {
-        ConfigModel::new()
-    }
+        for (&(func, slot), &value) in config.globals() {
+            w.op(&EnclaveOp::SetGlobal { func, slot, value });
+        }
+        for (&(func, array), values) in config.arrays() {
+            w.array(func, array, values);
+        }
+    })
 }
 
 /// Plan the op sequence converting `base` into `target`, or `None` when
@@ -178,30 +72,33 @@ impl Default for ConfigModel {
 /// knew the default of). Within a common table the plan is a
 /// longest-common-prefix splice: pop divergent rules from the tail,
 /// append the target's.
-pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> {
-    if base.funcs.len() > target.funcs.len()
-        || base.funcs[..] != target.funcs[..base.funcs.len()]
-        || base.tables.len() > target.tables.len()
-        || base.globals.keys().any(|k| !target.globals.contains_key(k))
-        || base.arrays.keys().any(|k| !target.arrays.contains_key(k))
+pub fn diff(base: &Config, target: &Config) -> Option<Vec<EnclaveOp>> {
+    let held = base.functions().len();
+    if held > target.functions().len()
+        || base.functions().ne(target.functions().take(held))
+        || base.tables().len() > target.tables().len()
+        || base
+            .globals()
+            .keys()
+            .any(|k| !target.globals().contains_key(k))
+        || base
+            .arrays()
+            .keys()
+            .any(|k| !target.arrays().contains_key(k))
     {
         return None;
     }
     let mut ops = Vec::new();
     // Functions first: rules and state writes below may reference the
     // appended indices.
-    let appended = &target.funcs[base.funcs.len()..];
-    ops.extend(
-        appended
-            .iter()
-            .map(|f| EnclaveOp::InstallFunction(Box::new((**f).clone()))),
-    );
-    for _ in base.tables.len()..target.tables.len() {
+    let appended = target.functions().skip(held);
+    ops.extend(appended.map(|f| EnclaveOp::InstallFunction(Box::new(f.clone()))));
+    for _ in base.tables().len()..target.tables().len() {
         ops.push(EnclaveOp::CreateTable);
     }
     let empty = RuleList::default();
-    for (table, want) in target.tables.iter().enumerate() {
-        let have = base.tables.get(table).unwrap_or(&empty);
+    for (table, want) in target.tables().iter().enumerate() {
+        let have = base.tables().get(table).unwrap_or(&empty);
         // rule by rule: a general rule's spec is compared, not its place
         // on either list's side list
         let lcp = have
@@ -222,13 +119,13 @@ pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> 
             });
         }
     }
-    for (&(func, slot), &value) in &target.globals {
-        if base.globals.get(&(func, slot)) != Some(&value) {
+    for (&(func, slot), &value) in target.globals() {
+        if base.globals().get(&(func, slot)) != Some(&value) {
             ops.push(EnclaveOp::SetGlobal { func, slot, value });
         }
     }
-    for (&(func, array), values) in &target.arrays {
-        if base.arrays.get(&(func, array)) != Some(values) {
+    for (&(func, array), values) in target.arrays() {
+        if base.arrays().get(&(func, array)) != Some(values) {
             ops.push(EnclaveOp::SetArray {
                 func,
                 array,
@@ -246,20 +143,20 @@ pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> 
 pub(crate) const AGG_HISTORY: usize = 8;
 
 /// One version of the configuration a coordinator drives its peers to,
-/// held once: as a model and as the bytes that ship it.
+/// held once: as a configuration and as the bytes that ship it.
 pub(crate) struct ConfigEntry {
     pub(crate) epoch: u64,
     /// What an enclave holding this version reports.
     pub(crate) digest: u64,
-    /// Value model of this version — the diff anchor for later ones.
-    pub(crate) model: ConfigModel,
+    /// This version — the diff anchor for later ones.
+    pub(crate) config: Config,
     /// This version as an untraced full [`CtrlMsg::Prepare`]: what a peer
-    /// whose base is unknown is sent, and, decoded, what a shadow enclave
-    /// replays. Whoever makes a version encodes it — the root from the
-    /// ops it was given ([`proto::encode_prepare`]), an aggregator from
-    /// its model ([`ConfigModel::encode_full`]) — which is where a
-    /// configuration too large for the wire is refused, before anything
-    /// commits to it.
+    /// whose base is unknown is sent, and, decoded, the ops the root
+    /// re-issues when it outbids a peer. Whoever makes a version encodes
+    /// it — the root from the ops it was given ([`proto::encode_prepare`]),
+    /// an aggregator from its configuration ([`encode_full`]) — which is
+    /// where a configuration too large for the wire is refused, before
+    /// anything commits to it.
     pub(crate) full: Rc<[u8]>,
 }
 
@@ -298,21 +195,21 @@ pub(crate) fn encode_shared(msg: CtrlMsg, trace: Option<TraceContext>) -> Rc<[u8
 /// The bounded history of configuration versions both tiers keep (the
 /// root's desired state, an aggregator's committed state): the last
 /// entry is current, the rest are delta anchors and rollback targets.
-/// Each version is one [`ConfigEntry`]: a model and its encoded full
-/// ship, never an op list.
+/// Each version is one [`ConfigEntry`]: a configuration and its encoded
+/// full ship, never an op list.
 pub(crate) struct ConfigHistory {
     entries: VecDeque<ConfigEntry>,
 }
 
 impl ConfigHistory {
-    /// A history holding only the configuration of a fresh enclave, whose
-    /// digest is `digest`, as epoch 0.
-    pub(crate) fn new(digest: u64) -> ConfigHistory {
+    /// A history holding only the configuration of a fresh enclave, as
+    /// epoch 0.
+    pub(crate) fn new() -> ConfigHistory {
         let mut h = ConfigHistory {
             entries: VecDeque::with_capacity(AGG_HISTORY + 1),
         };
         let full = proto::encode_prepare(0, &[]).expect("an empty prepare");
-        h.push(0, digest, ConfigModel::new(), full);
+        h.push(0, Config::new(), full);
         h
     }
 
@@ -326,14 +223,14 @@ impl ConfigHistory {
         self.entries.len()
     }
 
-    /// Make `(epoch, digest, model)` current, `full` being its untraced
-    /// full `Prepare` (see [`ConfigEntry::full`]); the oldest version
-    /// beyond [`AGG_HISTORY`] is forgotten.
-    pub(crate) fn push(&mut self, epoch: u64, digest: u64, model: ConfigModel, full: Vec<u8>) {
+    /// Make `config` current as `epoch`, `full` being its untraced full
+    /// `Prepare` (see [`ConfigEntry::full`]); the oldest version beyond
+    /// [`AGG_HISTORY`] is forgotten.
+    pub(crate) fn push(&mut self, epoch: u64, config: Config, full: Vec<u8>) {
         self.entries.push_back(ConfigEntry {
             epoch,
-            digest,
-            model,
+            digest: config.digest(),
+            config,
             full: full.into(),
         });
         if self.entries.len() > AGG_HISTORY {
@@ -396,7 +293,7 @@ impl ConfigHistory {
                     ..CtrlMsg::DeltaPrepare {
                         epoch: entry.epoch,
                         base_digest: base.digest,
-                        ops: diff(&base.model, &entry.model)?,
+                        ops: diff(&base.config, &entry.config)?,
                     }
                     .into()
                 };
@@ -451,8 +348,8 @@ mod tests {
     /// Applying `diff(base, target)` on a real enclave at `base` lands on
     /// exactly `target`'s digest — the property the wire protocol leans on.
     fn assert_diff_converges(base_ops: &[EnclaveOp], target_ops: &[EnclaveOp]) -> Vec<EnclaveOp> {
-        let base = ConfigModel::from_ops(base_ops);
-        let target = ConfigModel::from_ops(target_ops);
+        let base = Config::from_ops(base_ops).unwrap();
+        let target = Config::from_ops(target_ops).unwrap();
         let plan = diff(&base, &target).expect("diffable");
 
         let mut via_delta = Enclave::new(EnclaveConfig::default());
@@ -513,6 +410,7 @@ mod tests {
     #[test]
     fn global_and_array_writes_diff_by_value() {
         let mut base = base_ops();
+        base[1] = counter();
         base.push(EnclaveOp::SetGlobal {
             func: 0,
             slot: 0,
@@ -525,8 +423,8 @@ mod tests {
             value: 2,
         });
         let plan = diff(
-            &ConfigModel::from_ops(&base),
-            &ConfigModel::from_ops(&target),
+            &Config::from_ops(&base).unwrap(),
+            &Config::from_ops(&target).unwrap(),
         )
         .expect("diffable");
         assert_eq!(
@@ -540,8 +438,8 @@ mod tests {
         // An unchanged write ships nothing.
         assert_eq!(
             diff(
-                &ConfigModel::from_ops(&target),
-                &ConfigModel::from_ops(&target)
+                &Config::from_ops(&target).unwrap(),
+                &Config::from_ops(&target).unwrap()
             ),
             Some(vec![])
         );
@@ -549,33 +447,38 @@ mod tests {
 
     #[test]
     fn structural_regressions_refuse_to_diff() {
-        let base = ConfigModel::from_ops(&base_ops());
+        let base = Config::from_ops(&base_ops()).unwrap();
 
         // fewer functions than base
-        let target = ConfigModel::from_ops(&[EnclaveOp::Reset, rule(0, 1, 0)]);
+        let target = Config::from_ops(&[EnclaveOp::Reset]).unwrap();
         assert_eq!(diff(&base, &target), None);
 
         // a different function at the same index
         let mut swapped = base_ops();
         swapped[1] = install(7);
-        assert_eq!(diff(&base, &ConfigModel::from_ops(&swapped)), None);
+        assert_eq!(diff(&base, &Config::from_ops(&swapped).unwrap()), None);
 
         // a global write the target never made
-        let mut with_global = base_ops();
+        let mut without = base_ops();
+        without.push(counter());
+        let mut with_global = without.clone();
         with_global.push(EnclaveOp::SetGlobal {
-            func: 0,
+            func: 1,
             slot: 0,
             value: 5,
         });
         assert_eq!(
-            diff(&ConfigModel::from_ops(&with_global), &base),
+            diff(
+                &Config::from_ops(&with_global).unwrap(),
+                &Config::from_ops(&without).unwrap()
+            ),
             None,
             "cannot unwrite a global"
         );
     }
 
     /// Two general rules sit at the same place on their side lists, so
-    /// their words are equal: the diff compares their specs, and a model
+    /// their words are equal: the diff compares their specs, and a configuration
     /// that took a general rule back equals one that never had it.
     #[test]
     fn general_rules_compare_by_spec_not_by_side_list_place() {
@@ -600,34 +503,11 @@ mod tests {
         taken_back.insert(2, general(MatchSpec::AnyOf(vec![ClassId(9)])));
         taken_back.push(EnclaveOp::RemoveRule { table: 0, rule: 0 });
         assert_eq!(
-            ConfigModel::from_ops(&taken_back),
-            ConfigModel::from_ops(&base)
+            Config::from_ops(&taken_back).unwrap(),
+            Config::from_ops(&base).unwrap()
         );
-        let from = ConfigModel::from_ops(&taken_back);
-        assert_eq!(diff(&from, &ConfigModel::from_ops(&base)), Some(vec![]));
-    }
-
-    /// A version made from the one before shares its functions: a clone
-    /// does, and so does a Reset-led epoch that installs the same function
-    /// at the same index. A different function is a copy of its own.
-    #[test]
-    fn versions_share_their_functions() {
-        let shared = |a: &ConfigModel, b: &ConfigModel| Rc::ptr_eq(&a.funcs[0], &b.funcs[0]);
-        let first = ConfigModel::from_ops(&base_ops());
-        let mut next = first.clone();
-        assert!(shared(&first, &next));
-        let mut full = base_ops();
-        full.push(rule(0, 4, 0));
-        next.apply(&full);
-        assert!(shared(&first, &next), "reinstalled at index 0");
-        assert_eq!(next, ConfigModel::from_ops(&full));
-
-        let mut other = first.clone();
-        let mut changed = base_ops();
-        changed[1] = install(7);
-        other.apply(&changed);
-        assert!(!shared(&first, &other));
-        assert_eq!(other, ConfigModel::from_ops(&changed));
+        let from = Config::from_ops(&taken_back).unwrap();
+        assert_eq!(diff(&from, &Config::from_ops(&base).unwrap()), Some(vec![]));
     }
 
     fn counter() -> EnclaveOp {
@@ -641,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn the_full_prepare_is_encoded_from_the_model_in_reset_led_order() {
+    fn the_full_prepare_is_encoded_from_the_config_in_reset_led_order() {
         let any_of = |table, classes: &[u32], func| EnclaveOp::InstallRule {
             table,
             spec: MatchSpec::AnyOf(classes.iter().map(|&c| ClassId(c)).collect()),
@@ -671,8 +551,8 @@ mod tests {
             rule(0, 9, 0),
             EnclaveOp::RemoveRule { table: 0, rule: 2 },
         ];
-        let m = ConfigModel::from_ops(&built);
-        assert_eq!(m.rule_count(), 3);
+        let m = Config::from_ops(&built).unwrap();
+        assert_eq!(m.tables().iter().map(RuleList::len).sum::<usize>(), 3);
 
         let reset_led = vec![
             EnclaveOp::Reset,
@@ -685,19 +565,18 @@ mod tests {
             global,
             array,
         ];
-        let full = m.encode_full(5).expect("fits");
+        let full = encode_full(&m, 5).expect("fits");
         assert_eq!(full, proto::encode_prepare(5, &reset_led).unwrap());
         let CtrlMsg::Prepare { epoch: 5, ops } = Request::decode(&full).unwrap().body else {
             panic!("not a prepare of epoch 5");
         };
-        assert_eq!(ConfigModel::from_ops(&ops), m);
+        assert_eq!(Config::from_ops(&ops).unwrap(), m);
     }
 
     #[test]
-    fn a_fresh_model_encodes_as_a_lone_reset() {
-        assert_eq!(ConfigModel::default(), ConfigModel::new());
+    fn a_fresh_config_encodes_as_a_lone_reset() {
         assert_eq!(
-            ConfigModel::default().encode_full(1).unwrap(),
+            encode_full(&Config::new(), 1).unwrap(),
             proto::encode_prepare(1, &[EnclaveOp::Reset]).unwrap()
         );
     }
@@ -705,10 +584,10 @@ mod tests {
     /// A history whose current version is `table_ops(5, 0..rules)` as
     /// epoch 1, pushed the way the root pushes it.
     fn history_at(rules: u32) -> ConfigHistory {
-        let mut h = ConfigHistory::new(0);
+        let mut h = ConfigHistory::new();
         let ops = crate::testnet::table_ops(5, 0..rules);
         let full = proto::encode_prepare(1, &ops).unwrap();
-        h.push(1, 1, ConfigModel::from_ops(&ops), full);
+        h.push(1, Config::from_ops(&ops).unwrap(), full);
         h
     }
 
@@ -737,7 +616,7 @@ mod tests {
         let kept = Rc::clone(&h.current().full);
         let ops = crate::testnet::table_ops(5, 0..11);
         let full = proto::encode_prepare(2, &ops).unwrap();
-        h.push(2, 2, ConfigModel::from_ops(&ops), full);
+        h.push(2, Config::from_ops(&ops).unwrap(), full);
         assert!(!h.roll_back(1), "only the current epoch rolls back");
         assert!(h.roll_back(2));
         assert_eq!(h.current().epoch, 1);

@@ -16,12 +16,16 @@
 //! with retry and backoff, failure detection, resync, delta → full
 //! fallback) is a state machine with no I/O that a tier steps with
 //! virtual time and the simulation RNG. The *participant*
-//! (`participant.rs`) is the one answer to each request over an enclave.
+//! (`participant.rs`) is the one answer to each phase, over a host's
+//! enclave or an aggregator's configurations alike.
 //! The root [`ControllerApp`] is a coordinator plus desired state and
 //! epoch minting; an [`EnclaveAgent`] is a participant on its host's
 //! enclave; a rack [`AggregatorApp`] is a participant towards the root on
-//! a shadow enclave, a coordinator over its children, and the roll-up
-//! between the two.
+//! the shard's configurations, a coordinator over its children, and the
+//! roll-up between the two. Neither the root nor an aggregator holds an
+//! enclave: a configuration without a data path is an
+//! [`eden_core::Config`], which checks ops exactly as an enclave stages
+//! them and digests as an enclave holding it reports.
 //!
 //! Four guarantees the crate is built around:
 //!
@@ -74,5 +78,4 @@ pub use agent::EnclaveAgent;
 pub use aggregator::{AggConfig, AggregatorApp};
 pub use controller::{ControllerApp, CtrlConfig, WireCounters, TICK};
 pub use coordinator::HostStatus;
-pub use delta::ConfigModel;
 pub use proto::{AckPhase, CtrlMsg, CtrlReply, ProtoError, Reassembler, Request, Response};

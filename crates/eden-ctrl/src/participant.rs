@@ -1,10 +1,12 @@
 //! The participant role of the two-phase protocol: the one answer to each
-//! request, over an [`Enclave`].
+//! phase, over anything that can stage a configuration
+//! ([`Participant`]).
 //!
 //! An [`EnclaveAgent`](crate::EnclaveAgent) plays it on its host's
 //! enclave; an [`AggregatorApp`](crate::AggregatorApp) plays it towards
-//! its parent on a shadow enclave, so a coordinator cannot tell a rack
-//! from a host by how its epochs are answered.
+//! its parent on the configurations it holds for its shard (its committed
+//! version and at most one staged one), so a coordinator cannot tell a
+//! rack from a host by how its epochs are answered.
 //!
 //! Every answer is idempotent, because the fabric may duplicate messages
 //! (coordinator retries reuse message ids, and a retried multi-fragment
@@ -18,7 +20,8 @@
 //!   re-prepare.
 //! * `Abort{e}` — drops a matching staged epoch, acks either way.
 
-use eden_core::{Enclave, EnclaveOp};
+use eden_core::{ApplyError, Enclave, EnclaveOp};
+use eden_telemetry::Span;
 
 use crate::proto::{AckPhase, CtrlMsg, CtrlReply};
 
@@ -26,45 +29,46 @@ use crate::proto::{AckPhase, CtrlMsg, CtrlReply};
 /// one fragment; a backlog beyond this drains via `PullTrace`.
 pub const PONG_SPAN_BUDGET: usize = 16;
 
-/// Answer the request `msg`, whose message id is `re`, over `enclave`.
-pub(crate) fn answer(enclave: &mut Enclave, re: u32, msg: CtrlMsg) -> CtrlReply {
+/// What the two phases are played on: the configuration served, and at
+/// most one staged.
+pub(crate) trait Participant {
+    /// The `(epoch, config digest)` served.
+    fn served(&self) -> (u64, u64);
+    /// Validate `ops` as `epoch` and hold them ready.
+    fn stage(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError>;
+    /// Serve the staged `epoch`: `Ok(false)` if it is not staged (and not
+    /// already served with nothing staged), `Err` with why it is refused.
+    fn commit(&mut self, epoch: u64) -> Result<bool, String>;
+    /// Drop the staged `epoch`, if it is the one staged.
+    fn abort(&mut self, epoch: u64);
+}
+
+impl Participant for Enclave {
+    fn served(&self) -> (u64, u64) {
+        (self.active_epoch(), self.config_digest())
+    }
+
+    fn stage(&mut self, epoch: u64, ops: Vec<EnclaveOp>) -> Result<(), ApplyError> {
+        self.stage_epoch(epoch, ops)
+    }
+
+    fn commit(&mut self, epoch: u64) -> Result<bool, String> {
+        Ok(self.commit_epoch(epoch))
+    }
+
+    fn abort(&mut self, epoch: u64) {
+        self.abort_epoch(epoch);
+    }
+}
+
+/// Answer the request `msg`, whose message id is `re`, over a host's
+/// `enclave`.
+pub(crate) fn answer_host(enclave: &mut Enclave, re: u32, msg: CtrlMsg) -> CtrlReply {
     match msg {
-        CtrlMsg::Prepare { epoch, ops } => stage(enclave, re, epoch, None, ops),
-        CtrlMsg::DeltaPrepare {
-            epoch,
-            base_digest,
-            ops,
-        } => stage(enclave, re, epoch, Some(base_digest), ops),
-        CtrlMsg::Commit { epoch } => {
-            if enclave.commit_epoch(epoch) {
-                CtrlReply::Ack {
-                    re,
-                    epoch,
-                    phase: AckPhase::Commit,
-                }
-            } else {
-                CtrlReply::Nack {
-                    re,
-                    epoch,
-                    reason: format!("epoch {epoch} not prepared"),
-                }
-            }
+        CtrlMsg::Heartbeat { nonce } => {
+            let spans = enclave.drain_spans(PONG_SPAN_BUDGET);
+            pong(enclave, re, nonce, spans)
         }
-        CtrlMsg::Abort { epoch } => {
-            enclave.abort_epoch(epoch);
-            CtrlReply::Ack {
-                re,
-                epoch,
-                phase: AckPhase::Abort,
-            }
-        }
-        CtrlMsg::Heartbeat { nonce } => CtrlReply::Pong {
-            re,
-            nonce,
-            epoch: enclave.active_epoch(),
-            digest: enclave.config_digest(),
-            spans: enclave.drain_spans(PONG_SPAN_BUDGET),
-        },
         CtrlMsg::PullStats => {
             let snap = enclave.stats_snapshot();
             CtrlReply::Stats {
@@ -80,43 +84,80 @@ pub(crate) fn answer(enclave: &mut Enclave, re: u32, msg: CtrlMsg) -> CtrlReply 
             re,
             spans: enclave.drain_spans(max as usize),
         },
-        // Only aggregators answer AggSync; a plain host nacking it
-        // tells a misconfigured parent immediately instead of
-        // timing out.
-        CtrlMsg::AggSync { .. } => CtrlReply::Nack {
-            re,
-            epoch: enclave.active_epoch(),
-            reason: "not an aggregator".into(),
-        },
+        msg => answer(enclave, re, msg),
     }
 }
 
-/// Phase one, full or — anchored at `base_digest` — as a diff. A digest
-/// mismatch nacks like any validation error; the coordinator falls back
-/// to a full `Prepare`.
-fn stage(
-    enclave: &mut Enclave,
+/// Answer the request `msg`, whose message id is `re`, over `p`: the two
+/// phases, and a heartbeat with a pong that carries no spans. A tier
+/// answers its own requests before asking here.
+pub(crate) fn answer<P: Participant>(p: &mut P, re: u32, msg: CtrlMsg) -> CtrlReply {
+    let ack = |epoch, phase| CtrlReply::Ack { re, epoch, phase };
+    match msg {
+        CtrlMsg::Prepare { epoch, ops } => stage(p, re, epoch, None, ops),
+        CtrlMsg::DeltaPrepare {
+            epoch,
+            base_digest,
+            ops,
+        } => stage(p, re, epoch, Some(base_digest), ops),
+        CtrlMsg::Commit { epoch } => match p.commit(epoch) {
+            Ok(true) => ack(epoch, AckPhase::Commit),
+            Ok(false) => {
+                let reason = format!("epoch {epoch} not prepared");
+                CtrlReply::Nack { re, epoch, reason }
+            }
+            Err(reason) => CtrlReply::Nack { re, epoch, reason },
+        },
+        CtrlMsg::Abort { epoch } => {
+            p.abort(epoch);
+            ack(epoch, AckPhase::Abort)
+        }
+        CtrlMsg::Heartbeat { nonce } => pong(p, re, nonce, Vec::new()),
+        // A tier's own requests: a host's agent and an aggregator answer
+        // the pulls before asking here, and only an aggregator answers
+        // AggSync; a plain host nacking it tells a misconfigured parent
+        // immediately instead of timing out.
+        CtrlMsg::AggSync { .. } | CtrlMsg::PullStats | CtrlMsg::PullTrace { .. } => {
+            let (epoch, _) = p.served();
+            let reason = "not an aggregator".into();
+            CtrlReply::Nack { re, epoch, reason }
+        }
+    }
+}
+
+/// A pong of what `p` serves, carrying `spans`.
+fn pong<P: Participant>(p: &P, re: u32, nonce: u64, spans: Vec<Span>) -> CtrlReply {
+    let (epoch, digest) = p.served();
+    CtrlReply::Pong {
+        re,
+        nonce,
+        epoch,
+        digest,
+        spans,
+    }
+}
+
+/// Phase one, full or — anchored at `base_digest` — as a diff: staged only
+/// on a participant that still serves the configuration whose digest is
+/// `base_digest`. A digest mismatch nacks like any validation error; the
+/// coordinator falls back to a full `Prepare`.
+fn stage<P: Participant>(
+    p: &mut P,
     re: u32,
     epoch: u64,
     base_digest: Option<u64>,
     ops: Vec<EnclaveOp>,
 ) -> CtrlReply {
-    let active = enclave.active_epoch();
+    let (active, have) = p.served();
     if epoch < active {
-        return CtrlReply::Nack {
-            re,
-            epoch,
-            reason: format!("stale epoch {epoch} < active {active}"),
-        };
+        let reason = format!("stale epoch {epoch} < active {active}");
+        return CtrlReply::Nack { re, epoch, reason };
     }
-    let staged = if epoch == active {
+    let staged = match base_digest {
         // Duplicate of an already-committed update.
-        Ok(())
-    } else {
-        match base_digest {
-            Some(digest) => enclave.stage_epoch_delta(epoch, digest, ops),
-            None => enclave.stage_epoch(epoch, ops),
-        }
+        _ if epoch == active => Ok(()),
+        Some(want) => ApplyError::check_anchor(have, want).and_then(|()| p.stage(epoch, ops)),
+        None => p.stage(epoch, ops),
     };
     match staged {
         Ok(()) => CtrlReply::Ack {
@@ -135,9 +176,9 @@ fn stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testnet::table_ops;
+    use crate::testnet::{array_ops, table_ops};
     use crate::{AggConfig, AggregatorApp, EnclaveAgent};
-    use eden_core::EnclaveConfig;
+    use eden_core::{EnclaveConfig, MAX_ARRAY_LEN};
 
     /// The role is written once: a host's agent and an aggregator's
     /// parent face give the same reply to every step of one sequence.
@@ -193,5 +234,37 @@ mod tests {
         }
         assert_eq!(agent.enclave().staged_epoch(), None);
         assert_eq!(agg.committed_epoch(), 3);
+    }
+
+    /// An array past the cap is refused by the op check both stage with:
+    /// a host and an aggregator nack it alike, and stage nothing.
+    #[test]
+    fn an_array_past_the_cap_is_nacked_by_a_host_and_an_aggregator() {
+        let prepare = |len| CtrlMsg::Prepare {
+            epoch: 1,
+            ops: array_ops(len),
+        };
+        let mut agent = EnclaveAgent::new(Enclave::new(EnclaveConfig::default()));
+        let mut agg = AggregatorApp::new(AggConfig::default(), &[11]);
+        let from_agent = agent.handle(1, prepare(MAX_ARRAY_LEN + 1).into(), 0).body;
+        let from_agg = agg.handle_parent_msg(1, prepare(MAX_ARRAY_LEN + 1));
+        assert_eq!(from_agent, from_agg);
+        let CtrlReply::Nack { reason, .. } = from_agent else {
+            panic!("{from_agent:?}");
+        };
+        assert_eq!(reason, "op 2: an array of 4097 values is too long");
+        assert_eq!(agent.enclave().staged_epoch(), None);
+        let commit = CtrlMsg::Commit { epoch: 1 };
+        let not_prepared = agg.handle_parent_msg(2, commit.clone());
+        assert!(matches!(not_prepared, CtrlReply::Nack { .. }));
+        // at the cap, both take it
+        let from_agent = agent.handle(3, prepare(MAX_ARRAY_LEN).into(), 0).body;
+        assert_eq!(from_agent, agg.handle_parent_msg(3, prepare(MAX_ARRAY_LEN)));
+        assert!(matches!(from_agent, CtrlReply::Ack { .. }));
+        assert!(matches!(
+            agg.handle_parent_msg(4, commit),
+            CtrlReply::Ack { .. }
+        ));
+        assert_eq!(agg.committed_epoch(), 1);
     }
 }

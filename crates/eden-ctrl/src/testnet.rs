@@ -127,3 +127,20 @@ pub(crate) fn table_ops(prio: u8, classes: std::ops::Range<u32>) -> Vec<EnclaveO
     }));
     ops
 }
+
+/// A Reset-led configuration: one function with a global array, and a
+/// `SetArray` of `len` values into it.
+pub(crate) fn array_ops(len: usize) -> Vec<EnclaveOp> {
+    use eden_lang::{Access, Schema};
+    let schema = Schema::new()
+        .packet_field("Priority", Access::ReadWrite, None)
+        .global_array("Weights", &["W"], Access::ReadOnly);
+    let source = "fun (packet, msg, _global) -> packet.Priority <- 1";
+    let f = eden_core::Controller::new().plan_function("w", source, &schema);
+    let set = EnclaveOp::SetArray {
+        func: 0,
+        array: 0,
+        values: vec![7; len],
+    };
+    vec![EnclaveOp::Reset, f.expect("compiles"), set]
+}

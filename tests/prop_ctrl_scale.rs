@@ -3,14 +3,15 @@
 //! 1. **Delta/full equivalence** — for arbitrary pairs of rule-table
 //!    configurations, the planner's digest-anchored diff, staged on a
 //!    real enclave holding the base config, lands on *exactly* the same
-//!    config digest as a full Reset-led replay of the target. This is
+//!    config digest as a full Reset-led replay of the target, and as the
+//!    target's [`Config`]. This is
 //!    the invariant that makes delta updates safe to substitute for
 //!    full-table ships.
 //! 2. **Hierarchical convergence under loss** — a root → aggregators →
 //!    hosts tree over a lossy two-tier fabric still converges within the
 //!    horizon, and no leaf ever serves a mixed-epoch table along the way.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
+use eden::core::{Config, Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
 use eden::ctrl::delta;
 use eden::ctrl::fleet::Fleet;
 use eden::ctrl::CtrlConfig;
@@ -60,9 +61,9 @@ proptest! {
     ) {
         let base_ops = full_ops(&base_rules);
         let target_ops = full_ops(&target_rules);
-        let base_model = delta::ConfigModel::from_ops(&base_ops);
-        let target_model = delta::ConfigModel::from_ops(&target_ops);
-        let ops = delta::diff(&base_model, &target_model)
+        let base = Config::from_ops(&base_ops).expect("base valid");
+        let target = Config::from_ops(&target_ops).expect("target valid");
+        let ops = delta::diff(&base, &target)
             .expect("same function prefix and table count always diffs");
 
         // enclave A: base config, then the delta
@@ -79,6 +80,7 @@ proptest! {
         assert!(b.commit_epoch(2));
 
         prop_assert_eq!(a.config_digest(), b.config_digest());
+        prop_assert_eq!(a.config_digest(), target.digest());
         prop_assert!(a.serves_single_epoch());
     }
 }
