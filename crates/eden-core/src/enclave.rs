@@ -65,7 +65,7 @@ mod pipeline;
 mod tables;
 mod telemetry;
 
-pub use config::{Config, MAX_ARRAY_LEN};
+pub use config::{Config, MAX_ARRAY_LEN, MAX_FUNCTIONS, MAX_RULES_PER_TABLE, MAX_TABLES};
 use epoch::StagedEpoch;
 pub(crate) use host::InvocationHost;
 use link::Linked;
@@ -374,7 +374,7 @@ impl Enclave {
 
     /// Remove all rules from `table`.
     pub fn clear_table(&mut self, table: TableId) {
-        self.tables[table.0].clear();
+        self.tables[table.0].truncate(0);
         self.table_counts[table.0].rule_hits.clear();
     }
 

@@ -13,12 +13,30 @@ use super::epoch::{fold_digest, function_digest};
 use super::link::{self, Linked};
 use super::tables::{mix, rule_hash, RuleList};
 use crate::action::InstalledFunction;
-use crate::ops::{ApplyError, EnclaveOp, ShippedFunction};
+use crate::ops::{ApplyError, Cap, EnclaveOp, ShippedFunction};
 
 /// Longest global array one `SetArray` op may write, in values. Every
 /// array a workload, figure, test, example or fuzz case ships holds at
 /// most 12 values; this is 16× a 256-value array, and 32 KiB of values.
 pub const MAX_ARRAY_LEN: usize = 4096;
+
+/// Most match-action tables a configuration holds. Every configuration a
+/// workload, figure, test, example or fuzz case stages holds at most 4;
+/// this is 16× that.
+pub const MAX_TABLES: usize = 64;
+
+/// Most functions a configuration installs. The most any workload,
+/// figure, test, example or fuzz case stages an epoch over is 21 (the
+/// catalogue's 19 bundles and two more, in `tests/alloc_free.rs`); this
+/// is 16× 32.
+pub const MAX_FUNCTIONS: usize = 512;
+
+/// Most rules one table holds. The largest table anything stages is the
+/// 70,000 rules an aggregator test builds past what one full `Prepare`
+/// carries (the workloads' largest is `ctrl-churn`'s 256); this is about
+/// 30× that, and 80 MB of committed rules at 40 B a rule. It also bounds
+/// what one commit compares and truncates.
+pub const MAX_RULES_PER_TABLE: usize = 1 << 21;
 
 /// What the op check needs of a configuration at one point of an op
 /// sequence: the rules each table holds, and each function's
@@ -55,16 +73,23 @@ impl Shape {
                 self.rules = vec![0];
                 self.funcs.clear();
             }
-            EnclaveOp::CreateTable => self.rules.push(0),
+            EnclaveOp::CreateTable => {
+                room(i, Cap::Tables, self.rules.len())?;
+                self.rules.push(0);
+            }
             EnclaveOp::ClearTable { table } => {
                 *self.rules.get_mut(*table).ok_or(no_table(*table))? = 0;
             }
-            EnclaveOp::InstallFunction(shipped) => self.funcs.push(state_shape(&shipped.schema)),
+            EnclaveOp::InstallFunction(shipped) => {
+                room(i, Cap::Functions, self.funcs.len())?;
+                self.funcs.push(state_shape(&shipped.schema));
+            }
             EnclaveOp::InstallRule { table, func, .. } => {
                 let n = self.rules.get_mut(*table).ok_or(no_table(*table))?;
                 if *func >= self.funcs.len() {
                     return Err(no_func(*func));
                 }
+                room(i, Cap::RulesPerTable, *n)?;
                 *n += 1;
             }
             EnclaveOp::RemoveRule { table, rule } => {
@@ -99,6 +124,16 @@ impl Shape {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether op number `i` may add one more to the `held` that `cap`
+/// bounds.
+fn room(i: usize, cap: Cap, held: usize) -> Result<(), ApplyError> {
+    if held < cap.limit() {
+        Ok(())
+    } else {
+        Err(ApplyError::OverCap { op: i, cap })
     }
 }
 
@@ -306,6 +341,45 @@ mod tests {
         ops.push(EnclaveOp::RemoveRule { table: 1, rule: 0 });
         let refused = config.apply(&ops);
         assert_eq!(refused, Err(ApplyError::NoSuchRule { op: 12, rule: 0 }));
+    }
+
+    /// Each cap takes the configuration to it and refuses one more, with
+    /// the op's index. The rule cap is checked on a shape already at it:
+    /// two million rules are not worth shipping in a test.
+    #[test]
+    fn a_configuration_past_a_cap_is_refused() {
+        let mut ops = table(3, 0);
+        ops.extend((1..MAX_TABLES).map(|_| EnclaveOp::CreateTable));
+        assert_eq!(Config::from_ops(&ops).unwrap().tables().len(), MAX_TABLES);
+        ops.push(EnclaveOp::CreateTable);
+        let cap = Cap::Tables;
+        let refused = Config::from_ops(&ops);
+        assert_eq!(refused, Err(ApplyError::OverCap { op: 65, cap }));
+        let why = refused.unwrap_err().to_string();
+        assert_eq!(why, "op 65: past the cap of 64 tables");
+
+        let mut ops = vec![EnclaveOp::Reset];
+        ops.extend((0..=MAX_FUNCTIONS).map(|_| install(3)));
+        let cap = Cap::Functions;
+        let refused = Config::from_ops(&ops);
+        assert_eq!(refused, Err(ApplyError::OverCap { op: 513, cap }));
+        ops.pop();
+        assert_eq!(Config::from_ops(&ops).unwrap().functions().len(), 512);
+
+        let mut shape = Shape::new([MAX_RULES_PER_TABLE - 1].into_iter(), std::iter::empty());
+        shape.check(0, &install(3)).unwrap();
+        let rule = EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Any,
+            func: 0,
+        };
+        shape.check(1, &rule).unwrap();
+        let cap = Cap::RulesPerTable;
+        assert_eq!(
+            shape.check(2, &rule),
+            Err(ApplyError::OverCap { op: 2, cap })
+        );
+        assert_eq!(shape.rules, [MAX_RULES_PER_TABLE]);
     }
 
     #[test]

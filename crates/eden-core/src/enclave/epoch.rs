@@ -6,7 +6,7 @@ use eden_telemetry::FlightKind;
 
 use super::config::{self, Shape};
 use super::link::Linked;
-use super::tables::{mix, mix_bytes, MatchActionTable, MatchSpec, RuleWord, TableCounts, TableId};
+use super::tables::{mix, mix_bytes, MatchSpec, RuleWord, TableId};
 use super::Enclave;
 use crate::action::{ActionImpl, FuncId, InstalledFunction};
 use crate::ops::{ApplyError, EnclaveOp};
@@ -27,10 +27,24 @@ pub(super) struct StagedEpoch {
     /// where 256 hosts stage at once, boxing each read 0.1-0.4 MB more
     /// peak resident memory.
     funcs: Vec<Linked>,
-    /// Rules each table holds once the epoch has applied: what commit
-    /// reserves before the first `InstallRule` lands.
-    final_rules: Vec<usize>,
+    /// One entry for each table the epoch's ops may name, made here so
+    /// that commit allocates nothing for it.
+    tables: Vec<TablePlan>,
 }
+
+/// What commit knows of one table.
+struct TablePlan {
+    /// Rules the table holds once the epoch has applied: what commit
+    /// reserves before the first rule it appends.
+    rules: usize,
+    /// While a `Reset` holds the table: how many of its rules, from the
+    /// first, the epoch has shipped again so far. [`NOT_HELD`] once
+    /// nothing is held.
+    kept: usize,
+}
+
+/// [`TablePlan::kept`] of a table no `Reset` holds.
+const NOT_HELD: usize = usize::MAX;
 
 /// One op of a staged epoch. 16 bytes: most of an epoch is class rules,
 /// and the rest (a handful of general rules and other ops) is boxed.
@@ -186,13 +200,14 @@ impl Enclave {
         )
     }
 
-    /// Drop every table (recreating empty table 0), every function, and
-    /// all function state — the anchor of a full-replacement epoch.
+    /// Drop every function and all function state, and zero every
+    /// table's counters — the anchor of a full-replacement epoch. The
+    /// tables themselves stay, held for the configuration the epoch
+    /// builds (`apply_staged`).
     fn reset_config(&mut self) {
-        self.tables.clear();
-        self.tables.push(MatchActionTable::new(self.active_epoch));
-        self.table_counts.clear();
-        self.table_counts.push(TableCounts::default());
+        for c in &mut self.table_counts {
+            c.zero();
+        }
         self.functions.clear();
         self.func_digests.clear();
         self.func_counts.clear();
@@ -215,10 +230,13 @@ impl Enclave {
             epoch,
             steps: Vec::with_capacity(ops.len()),
             funcs: Vec::new(),
-            final_rules: Vec::new(),
+            tables: Vec::new(),
         };
+        // tables any op may name: the most there are at any point
+        let mut tables = shape.rules.len();
         for (i, op) in ops.into_iter().enumerate() {
             shape.check(i, &op)?;
+            tables = tables.max(shape.rules.len());
             let step = match op {
                 EnclaveOp::InstallFunction(shipped) => {
                     // the shipped bytecode goes with the op
@@ -238,7 +256,13 @@ impl Enclave {
             };
             staged.steps.push(step);
         }
-        staged.final_rules = shape.rules;
+        let rules = |t| shape.rules.get(t).copied().unwrap_or(0);
+        staged.tables = (0..tables)
+            .map(|t| TablePlan {
+                rules: rules(t),
+                kept: NOT_HELD,
+            })
+            .collect();
         // held until commit: a row grown by doubling holds up to twice
         // what it needs (four functions' worth for one)
         staged.funcs.shrink_to_fit();
@@ -249,42 +273,106 @@ impl Enclave {
     /// construction: validation checked every index against the shape
     /// each step meets. The one apply path, of a commit and of
     /// [`apply_op`](Self::apply_op) alike.
+    ///
+    /// A `Reset` keeps the tables and holds them. Table 0, and then each
+    /// table a `CreateTable` makes, adopts the next held table, with a
+    /// cursor at its first rule. A class rule equal to the held rule at
+    /// the cursor only moves the cursor on; the first rule that differs,
+    /// and any other op that names the table, truncates the table at the
+    /// cursor first. At the end every table is truncated at its cursor and
+    /// the held tables no `CreateTable` adopted are dropped. The result is
+    /// the configuration a rebuild makes, at the cost of the rules it
+    /// keeps compared and the tail that changed rebuilt.
     fn apply_staged(&mut self, staged: StagedEpoch) {
         let StagedEpoch {
             steps,
             funcs,
-            final_rules,
+            mut tables,
             ..
         } = staged;
         let mut funcs = funcs.into_iter();
+        // the configuration's tables; any behind them are held
+        let mut adopted = self.tables.len();
         for step in steps {
             match step {
                 Step::Rule { table, word } => {
-                    let spec = MatchSpec::Class(word.class().expect("a class rule"));
-                    self.install_staged_rule(table as usize, &final_rules, spec, word.func());
+                    let (table, plan) = (table as usize, &mut tables[table as usize]);
+                    let held = self.tables[table].rules.words().get(plan.kept);
+                    if held == Some(&word) {
+                        plan.kept += 1;
+                    } else {
+                        let spec = MatchSpec::Class(word.class().expect("a class rule"));
+                        self.install_staged_rule(table, plan, spec, word.func());
+                    }
                 }
                 Step::Function => {
                     // room for every function still to come, made once
                     self.reserve_functions(funcs.len());
                     self.install_linked(funcs.next().expect("linked at validation"));
                 }
-                Step::Op(op) => self.apply_valid(*op, &final_rules),
+                Step::Op(op) => match *op {
+                    EnclaveOp::Reset => {
+                        self.release_held(adopted, &mut tables);
+                        self.reset_config();
+                        adopted = 0;
+                        self.adopt_table(&mut adopted, &mut tables);
+                    }
+                    EnclaveOp::CreateTable => self.adopt_table(&mut adopted, &mut tables),
+                    op => self.apply_valid(op, &mut tables),
+                },
             }
+        }
+        self.release_held(adopted, &mut tables);
+    }
+
+    /// Give the configuration its next table: the first held table, or a
+    /// new one when none is held.
+    fn adopt_table(&mut self, adopted: &mut usize, tables: &mut [TablePlan]) {
+        match self.tables.get_mut(*adopted) {
+            Some(t) => {
+                t.epoch = self.active_epoch;
+                tables[*adopted].kept = 0;
+            }
+            None => {
+                self.create_table();
+            }
+        }
+        *adopted += 1;
+    }
+
+    /// Stop holding `table`: drop the rules behind the ones the epoch
+    /// kept, with their hit counters.
+    fn cut(&mut self, table: usize, plan: &mut TablePlan) {
+        if plan.kept != NOT_HELD {
+            self.tables[table].truncate(plan.kept);
+            self.table_counts[table].rule_hits.truncate(plan.kept);
+            plan.kept = NOT_HELD;
         }
     }
 
-    /// Append a validated rule to `table`, first making room for every
-    /// rule the epoch leaves there (`final_rules`), once: a Reset-led
-    /// epoch grows each table in one step, not by doubling.
+    /// Cut each of the configuration's `adopted` tables, and drop the
+    /// held tables behind them.
+    fn release_held(&mut self, adopted: usize, tables: &mut [TablePlan]) {
+        for (t, plan) in tables[..adopted].iter_mut().enumerate() {
+            self.cut(t, plan);
+        }
+        self.tables.truncate(adopted);
+        self.table_counts.truncate(adopted);
+    }
+
+    /// Append a validated rule to `table`, first cutting it and making
+    /// room for every rule the epoch leaves there, once: a table grows
+    /// in one step, not by doubling.
     fn install_staged_rule(
         &mut self,
         table: usize,
-        final_rules: &[usize],
+        plan: &mut TablePlan,
         spec: MatchSpec,
         func: usize,
     ) {
+        self.cut(table, plan);
         let held = self.tables[table].rules.len();
-        let room = final_rules.get(table).map_or(0, |n| n.saturating_sub(held));
+        let room = plan.rules.saturating_sub(held);
         if room > self.tables[table].rules.capacity() - held {
             self.tables[table].reserve(room);
             self.table_counts[table].rule_hits.reserve(room);
@@ -292,17 +380,17 @@ impl Enclave {
         self.install_rule(TableId(table), spec, FuncId(func));
     }
 
-    /// Apply one validated op that was staged as it came: any but an
-    /// `InstallFunction`. A rule makes room for the `final_rules` of its
-    /// table.
-    fn apply_valid(&mut self, op: EnclaveOp, final_rules: &[usize]) {
+    /// Apply one validated op that was staged as it came and names no new
+    /// table: a general rule, a rule removal, a table clear or a state
+    /// write. An op on a table cuts it first.
+    fn apply_valid(&mut self, op: EnclaveOp, tables: &mut [TablePlan]) {
         match op {
-            EnclaveOp::Reset => self.reset_config(),
-            EnclaveOp::CreateTable => {
-                self.create_table();
+            EnclaveOp::ClearTable { table } => {
+                self.cut(table, &mut tables[table]);
+                self.clear_table(TableId(table));
             }
-            EnclaveOp::ClearTable { table } => self.clear_table(TableId(table)),
             EnclaveOp::RemoveRule { table, rule } => {
+                self.cut(table, &mut tables[table]);
                 let removed = self.remove_rule(TableId(table), rule);
                 debug_assert!(removed, "validated rule index");
             }
@@ -315,9 +403,11 @@ impl Enclave {
                 values,
             } => self.set_array(FuncId(func), array, values),
             EnclaveOp::InstallRule { table, spec, func } => {
-                self.install_staged_rule(table, final_rules, spec, func)
+                self.install_staged_rule(table, &mut tables[table], spec, func)
             }
-            EnclaveOp::InstallFunction(_) => unreachable!("staged linked, as a function step"),
+            EnclaveOp::Reset | EnclaveOp::CreateTable | EnclaveOp::InstallFunction(_) => {
+                unreachable!("applied by `apply_staged`")
+            }
         }
     }
 }

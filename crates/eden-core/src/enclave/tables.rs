@@ -173,6 +173,13 @@ impl RuleList {
         self.general.clear();
     }
 
+    /// Keep the first `len` rules and drop the rest.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.words.truncate(len);
+        let kept = self.general.partition_point(|&(p, _)| (p as usize) < len);
+        self.general.truncate(kept);
+    }
+
     /// Make room for `additional` more rules.
     pub fn reserve(&mut self, additional: usize) {
         self.words.reserve(additional);
@@ -275,12 +282,6 @@ impl MatchActionTable {
             .push(mix(self.digest(), rule_hash(&self.rules, idx)));
     }
 
-    pub(super) fn clear(&mut self) {
-        self.rules.clear();
-        self.class_index.clear();
-        self.prefix.clear();
-    }
-
     /// Digest of the rules in order (0 for an empty table; the enclave's
     /// digest folds the rule count in beside it).
     pub(super) fn digest(&self) -> u64 {
@@ -323,6 +324,40 @@ impl MatchActionTable {
             h = mix(h, rule_hash(&self.rules, i));
             self.prefix.push(h);
         }
+    }
+
+    /// Keep the first `len` rules and drop the rest: their words, their
+    /// place on the side list, their prefix digests and the class-index
+    /// entries they hold. A class whose first rule is dropped has no rule
+    /// before `len`, so its entry goes; every other entry stays as it is.
+    /// Costs the shorter of the kept prefix and the dropped tail in index
+    /// operations: when the tail is longer, the index is cleared and the
+    /// prefix inserted again, as a rebuild would.
+    pub(super) fn truncate(&mut self, len: usize) {
+        let words = self.rules.words();
+        if len >= words.len() {
+            return;
+        }
+        if words.len() - len > len {
+            self.class_index.clear();
+            for (i, w) in words[..len].iter().enumerate() {
+                if let Some(c) = w.class() {
+                    if let Err(vacant) = self.class_index.probe(c.0) {
+                        self.class_index.insert(c.0, i as u32, Some(vacant));
+                    }
+                }
+            }
+        } else {
+            for (i, w) in words.iter().enumerate().skip(len) {
+                if let Some(c) = w.class() {
+                    if self.class_index.get(c.0) == Some(i as u32) {
+                        self.class_index.remove(c.0);
+                    }
+                }
+            }
+        }
+        self.rules.truncate(len);
+        self.prefix.truncate(len);
     }
 
     /// First-match-wins rule lookup via the class index. Inlined (with
@@ -405,6 +440,12 @@ impl TableCounts {
         }
     }
 
+    /// Read zero again, as a table made now would.
+    pub(super) fn zero(&mut self) {
+        self.totals = TableLookups::default();
+        self.rule_hits.fill(RuleHits::default());
+    }
+
     pub(super) fn merge(&mut self, d: &TableCounts) {
         self.totals.merge(&d.totals);
         for (total, hits) in self.rule_hits.iter_mut().zip(&d.rule_hits) {
@@ -435,5 +476,81 @@ pub(super) fn lookup(
             c.totals.missed += 1;
             Lookup::Miss
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A table of single-class rules for `classes`, in order, each
+    /// selecting function 0.
+    fn table(classes: &[u32]) -> MatchActionTable {
+        let mut t = MatchActionTable::default();
+        for &c in classes {
+            t.push_rule(MatchSpec::Class(ClassId(c)), 0);
+        }
+        t
+    }
+
+    /// `t` resolves every class as a table built from `classes` does, and
+    /// digests equal to it.
+    fn assert_rebuilt(t: &MatchActionTable, classes: &[u32]) {
+        let fresh = table(classes);
+        assert_eq!(t.rules, fresh.rules);
+        assert_eq!(t.prefix, fresh.prefix);
+        assert_eq!(t.class_index.len(), fresh.class_index.len());
+        for c in 0..8 {
+            assert_eq!(t.find(&[c]), fresh.find(&[c]), "class {c} in {classes:?}");
+        }
+    }
+
+    /// Class 1's first rule sits in the dropped tail and the table then
+    /// gets a later class-1 rule: the entry of the dropped rule must not
+    /// stand in for it. Each tail length takes one of the two paths: the
+    /// index loses the tail's entries, or it is cleared and refilled from
+    /// the prefix.
+    #[test]
+    fn a_class_whose_first_rule_is_dropped_resolves_to_its_later_rule() {
+        for (held, keep) in [(&[2, 4, 1, 3][..], 2), (&[2, 1, 3, 4, 5][..], 1)] {
+            let mut t = table(held);
+            t.truncate(keep);
+            assert_rebuilt(&t, &held[..keep]);
+            t.push_rule(MatchSpec::Class(ClassId(6)), 0);
+            t.push_rule(MatchSpec::Class(ClassId(1)), 0);
+            let mut shipped = held[..keep].to_vec();
+            shipped.extend([6, 1]);
+            assert_rebuilt(&t, &shipped);
+            assert_eq!(t.find(&[1]), Some(keep + 1));
+        }
+    }
+
+    /// A class with rules both in the kept prefix and in the dropped tail
+    /// keeps its first; a class with every rule in the tail is gone.
+    #[test]
+    fn a_class_whose_rules_are_all_dropped_is_gone() {
+        for (held, keep) in [(&[1, 2, 3, 1, 3][..], 3), (&[1, 3, 1, 3, 2][..], 1)] {
+            let mut t = table(held);
+            t.truncate(keep);
+            assert_rebuilt(&t, &held[..keep]);
+            assert_eq!(t.find(&[1]), Some(0));
+            assert_eq!(t.find(&[2]).is_some(), held[..keep].contains(&2));
+            assert_eq!(t.find(&[3]).is_some(), held[..keep].contains(&3));
+        }
+    }
+
+    /// General rules leave the side list with their rules.
+    #[test]
+    fn truncating_drops_the_general_rules_behind_the_cut() {
+        let mut t = table(&[1]);
+        t.push_rule(MatchSpec::Any, 0);
+        t.push_rule(MatchSpec::Class(ClassId(2)), 0);
+        t.push_rule(MatchSpec::AnyOf(vec![ClassId(3)]), 0);
+        t.truncate(2);
+        assert_eq!(t.rules.general().len(), 1);
+        assert_eq!(t.find(&[3]), Some(1), "the Any rule");
+        t.truncate(1);
+        assert!(t.rules.general().is_empty());
+        assert_rebuilt(&t, &[1]);
     }
 }

@@ -43,10 +43,10 @@ pub use eden_telemetry::StatsSnapshot;
 pub use enclave::{
     native_function, Config, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
     LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, SlotLink, SlotTarget, TableId,
-    MAX_ARRAY_LEN,
+    MAX_ARRAY_LEN, MAX_FUNCTIONS, MAX_RULES_PER_TABLE, MAX_TABLES,
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;
-pub use ops::{ApplyError, EnclaveOp, ShippedFunction};
+pub use ops::{ApplyError, Cap, EnclaveOp, ShippedFunction};
 pub use stage::{FieldValue, Matcher, Stage, StageInfo, StageRule};
 pub use state::FunctionState;

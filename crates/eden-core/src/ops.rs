@@ -68,6 +68,38 @@ pub struct ShippedFunction {
     pub concurrency: Concurrency,
 }
 
+/// A bound on a configuration's size, checked op by op wherever an op is
+/// checked: a refusal names it ([`ApplyError::OverCap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cap {
+    /// [`MAX_TABLES`](crate::MAX_TABLES) tables.
+    Tables,
+    /// [`MAX_FUNCTIONS`](crate::MAX_FUNCTIONS) functions.
+    Functions,
+    /// [`MAX_RULES_PER_TABLE`](crate::MAX_RULES_PER_TABLE) rules in one
+    /// table.
+    RulesPerTable,
+}
+
+impl Cap {
+    /// The most the configuration may hold.
+    pub fn limit(self) -> usize {
+        match self {
+            Cap::Tables => crate::MAX_TABLES,
+            Cap::Functions => crate::MAX_FUNCTIONS,
+            Cap::RulesPerTable => crate::MAX_RULES_PER_TABLE,
+        }
+    }
+
+    fn what(self) -> &'static str {
+        match self {
+            Cap::Tables => "tables",
+            Cap::Functions => "functions",
+            Cap::RulesPerTable => "rules in a table",
+        }
+    }
+}
+
 /// Why an epoch failed to stage. Reported back to the controller in a
 /// `Nack`, which aborts the two-phase update cluster-wide.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +117,8 @@ pub enum ApplyError {
     /// A `SetArray` of `len` values, past
     /// [`MAX_ARRAY_LEN`](crate::MAX_ARRAY_LEN).
     ArrayTooLong { op: usize, len: usize },
+    /// The op would take the configuration past `cap`.
+    OverCap { op: usize, cap: Cap },
     /// Shipped bytecode failed to decode or re-verify.
     BadBytecode { op: usize, reason: String },
     /// A shipped function verified but does not link: over the enclave's
@@ -132,6 +166,9 @@ impl std::fmt::Display for ApplyError {
             }
             ApplyError::ArrayTooLong { op, len } => {
                 write!(f, "op {op}: an array of {len} values is too long")
+            }
+            ApplyError::OverCap { op, cap } => {
+                write!(f, "op {op}: past the cap of {} {}", cap.limit(), cap.what())
             }
             ApplyError::BadBytecode { op, reason } => {
                 write!(f, "op {op}: bad bytecode: {reason}")

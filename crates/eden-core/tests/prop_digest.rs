@@ -94,14 +94,56 @@ impl Model {
         ops
     }
 
-    /// The digest of this configuration built from nothing.
-    fn digest(&self, pool: &[EnclaveOp]) -> u64 {
+    /// A fresh enclave that committed this configuration.
+    fn fresh(&self, pool: &[EnclaveOp]) -> Enclave {
         let mut fresh = Enclave::new(EnclaveConfig::default());
         fresh
             .stage_epoch(1, self.full_ops(pool))
             .expect("model is valid");
         assert!(fresh.commit_epoch(1));
-        fresh.config_digest()
+        fresh
+    }
+
+    /// The digest of this configuration built from nothing.
+    fn digest(&self, pool: &[EnclaveOp]) -> u64 {
+        self.fresh(pool).config_digest()
+    }
+
+    /// Make `change` to the configuration, indices reduced modulo what
+    /// exists.
+    fn diverge(&mut self, change: &Divergence) {
+        let tables = self.tables.len();
+        match change {
+            Divergence::DropRule { table, at } => {
+                let rules = &mut self.tables[table % tables];
+                if !rules.is_empty() {
+                    let at = at % rules.len();
+                    rules.remove(at);
+                }
+            }
+            Divergence::InsertRule {
+                table,
+                at,
+                spec,
+                func,
+            } => {
+                let rules = &mut self.tables[table % tables];
+                let at = at % (rules.len() + 1);
+                rules.insert(at, (spec.clone(), func % self.funcs.len().max(1)));
+            }
+            Divergence::AddTable if tables < 4 => self.tables.push(Vec::new()),
+            Divergence::DropTable if tables > 1 => {
+                self.tables.pop();
+            }
+            Divergence::AddTable | Divergence::DropTable => {}
+            // function 0 stays a `prio` program, which `Bad::Slot` needs
+            Divergence::SwapFunction { at, variant } => {
+                if self.funcs.len() > 1 {
+                    let at = 1 + at % (self.funcs.len() - 1);
+                    self.funcs[at] = variant % 4;
+                }
+            }
+        }
     }
 
     /// Apply `op` as the enclave would (indices already in range).
@@ -175,6 +217,31 @@ impl Edit {
     }
 }
 
+/// One change to the configuration that a diverging Reset-led epoch
+/// ships: the epoch keeps the tables' common prefix and rebuilds the rest.
+#[derive(Debug, Clone)]
+enum Divergence {
+    DropRule {
+        table: usize,
+        at: usize,
+    },
+    /// A general `spec` puts a general rule at the point of divergence.
+    InsertRule {
+        table: usize,
+        at: usize,
+        spec: MatchSpec,
+        func: usize,
+    },
+    AddTable,
+    DropTable,
+    /// Another program at the same index (not function 0): every rule's
+    /// word stays.
+    SwapFunction {
+        at: usize,
+        variant: usize,
+    },
+}
+
 /// An op no configuration the steps build accepts: each selector is past
 /// anything there is.
 #[derive(Debug, Clone)]
@@ -234,6 +301,8 @@ enum Step {
     Refused(Vec<Edit>, Bad),
     /// The whole configuration again, as one Reset-led epoch.
     Full,
+    /// The configuration changed and shipped as one Reset-led epoch.
+    Diverge(Vec<Divergence>),
     /// Traffic and state writes: none of it structure.
     Touch(i64),
 }
@@ -267,6 +336,22 @@ fn edit() -> impl Strategy<Value = Edit> {
     })
 }
 
+fn divergence() -> impl Strategy<Value = Divergence> {
+    let sel = || 0usize..64;
+    (0u8..10, sel(), sel(), spec()).prop_map(|(kind, table, at, spec)| match kind {
+        0 => Divergence::AddTable,
+        1 => Divergence::DropTable,
+        2 => Divergence::SwapFunction { at, variant: table },
+        3..=5 => Divergence::DropRule { table, at },
+        _ => Divergence::InsertRule {
+            table,
+            at,
+            spec,
+            func: table + at,
+        },
+    })
+}
+
 fn bad() -> impl Strategy<Value = Bad> {
     (0u8..6).prop_map(|kind| match kind {
         0 => Bad::Table,
@@ -280,12 +365,14 @@ fn bad() -> impl Strategy<Value = Bad> {
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     let delta = proptest::collection::vec(edit(), 1..6);
-    let step = (0u8..16, edit(), delta, -9i64..10, bad()).prop_map(
-        |(kind, edit, delta, v, bad)| match kind {
+    let diverge = proptest::collection::vec(divergence(), 1..4);
+    let step = (0u8..18, edit(), delta, -9i64..10, bad(), diverge).prop_map(
+        |(kind, edit, delta, v, bad, diverge)| match kind {
             0 => Step::Full,
             1 => Step::Touch(v),
             2..=4 => Step::Delta(delta),
             5 => Step::Refused(delta, bad),
+            6..=7 => Step::Diverge(diverge),
             _ => Step::Direct(edit),
         },
     );
@@ -335,6 +422,20 @@ fn hit_rule(e: &mut Enclave, classes: &[u32]) -> Option<usize> {
     let hit = bumped.next();
     assert_eq!(bumped.next(), None, "one packet, at most one table-0 hit");
     hit
+}
+
+/// `e`, which has just committed `model` as a Reset-led epoch, is what a
+/// fresh enclave that committed it is: the same rules and tables, every
+/// table and rule counter zero, and every table stamped with the active
+/// epoch.
+fn assert_as_fresh(e: &Enclave, model: &Model, pool: &[EnclaveOp]) -> Result<(), TestCaseError> {
+    let (have, want) = (e.stats_snapshot(), model.fresh(pool).stats_snapshot());
+    prop_assert!(have.tables.iter().all(|t| t.counts == Default::default()));
+    prop_assert!(have.rules.iter().all(|r| r.counts == Default::default()));
+    prop_assert_eq!(have.tables, want.tables);
+    prop_assert_eq!(have.rules, want.rules);
+    prop_assert!(e.serves_single_epoch());
+    Ok(())
 }
 
 fn matches(spec: &MatchSpec, classes: &[u32]) -> bool {
@@ -424,6 +525,18 @@ proptest! {
                     e.stage_epoch(epoch, full).expect("valid epoch");
                     prop_assert!(e.commit_epoch(epoch));
                     prop_assert_eq!(e.config_digest(), before, "same structure, rebuilt");
+                    assert_as_fresh(&e, &model, &pool)?;
+                }
+                Step::Diverge(changes) => {
+                    for change in &changes {
+                        model.diverge(change);
+                    }
+                    let epoch = e.active_epoch() + 1;
+                    let full = model.full_ops(&pool);
+                    config = config.apply(&full).expect("valid epoch");
+                    e.stage_epoch(epoch, full).expect("valid epoch");
+                    prop_assert!(e.commit_epoch(epoch));
+                    assert_as_fresh(&e, &model, &pool)?;
                 }
                 Step::Touch(v) => {
                     let before = e.config_digest();

@@ -807,6 +807,18 @@ mod tests {
     }
 
     #[test]
+    fn a_table_past_the_cap_is_refused() {
+        let mut app = ControllerApp::new(CtrlConfig::default(), &[1]);
+        let tables = eden_core::MAX_TABLES + 1;
+        let refused = app.set_desired(crate::testnet::tables_ops(tables));
+        let (op, cap) = (tables, eden_core::Cap::Tables);
+        assert_eq!(refused, Err(ApplyError::OverCap { op, cap }));
+        assert_eq!(app.desired_epoch(), 0, "nothing was adopted");
+        let at_cap = crate::testnet::tables_ops(tables - 1);
+        assert_eq!(app.set_desired(at_cap), Ok(1));
+    }
+
+    #[test]
     fn history_is_bounded_and_a_forgotten_base_gets_the_full_prepare() {
         let mut c = pair();
         assert_eq!(push(&mut c, 10), 1);

@@ -176,9 +176,9 @@ fn stage<P: Participant>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testnet::{array_ops, table_ops};
+    use crate::testnet::{array_ops, table_ops, tables_ops};
     use crate::{AggConfig, AggregatorApp, EnclaveAgent};
-    use eden_core::{EnclaveConfig, MAX_ARRAY_LEN};
+    use eden_core::{EnclaveConfig, MAX_ARRAY_LEN, MAX_TABLES};
 
     /// The role is written once: a host's agent and an aggregator's
     /// parent face give the same reply to every step of one sequence.
@@ -236,35 +236,46 @@ mod tests {
         assert_eq!(agg.committed_epoch(), 3);
     }
 
-    /// An array past the cap is refused by the op check both stage with:
-    /// a host and an aggregator nack it alike, and stage nothing.
+    /// An array past its cap, and a configuration past the table cap, are
+    /// refused by the op check both stage with: a host and an aggregator
+    /// nack them alike, and stage nothing. At the cap, both take it.
     #[test]
-    fn an_array_past_the_cap_is_nacked_by_a_host_and_an_aggregator() {
-        let prepare = |len| CtrlMsg::Prepare {
-            epoch: 1,
-            ops: array_ops(len),
-        };
-        let mut agent = EnclaveAgent::new(Enclave::new(EnclaveConfig::default()));
-        let mut agg = AggregatorApp::new(AggConfig::default(), &[11]);
-        let from_agent = agent.handle(1, prepare(MAX_ARRAY_LEN + 1).into(), 0).body;
-        let from_agg = agg.handle_parent_msg(1, prepare(MAX_ARRAY_LEN + 1));
-        assert_eq!(from_agent, from_agg);
-        let CtrlReply::Nack { reason, .. } = from_agent else {
-            panic!("{from_agent:?}");
-        };
-        assert_eq!(reason, "op 2: an array of 4097 values is too long");
-        assert_eq!(agent.enclave().staged_epoch(), None);
-        let commit = CtrlMsg::Commit { epoch: 1 };
-        let not_prepared = agg.handle_parent_msg(2, commit.clone());
-        assert!(matches!(not_prepared, CtrlReply::Nack { .. }));
-        // at the cap, both take it
-        let from_agent = agent.handle(3, prepare(MAX_ARRAY_LEN).into(), 0).body;
-        assert_eq!(from_agent, agg.handle_parent_msg(3, prepare(MAX_ARRAY_LEN)));
-        assert!(matches!(from_agent, CtrlReply::Ack { .. }));
-        assert!(matches!(
-            agg.handle_parent_msg(4, commit),
-            CtrlReply::Ack { .. }
-        ));
-        assert_eq!(agg.committed_epoch(), 1);
+    fn an_op_past_a_cap_is_nacked_by_a_host_and_an_aggregator() {
+        type Ops = fn(usize) -> Vec<EnclaveOp>;
+        let cases: [(Ops, usize, &str); 2] = [
+            (
+                array_ops,
+                MAX_ARRAY_LEN,
+                "op 2: an array of 4097 values is too long",
+            ),
+            (tables_ops, MAX_TABLES, "op 65: past the cap of 64 tables"),
+        ];
+        for (ops, cap, why) in cases {
+            let prepare = |len| CtrlMsg::Prepare {
+                epoch: 1,
+                ops: ops(len),
+            };
+            let mut agent = EnclaveAgent::new(Enclave::new(EnclaveConfig::default()));
+            let mut agg = AggregatorApp::new(AggConfig::default(), &[11]);
+            let from_agent = agent.handle(1, prepare(cap + 1).into(), 0).body;
+            let from_agg = agg.handle_parent_msg(1, prepare(cap + 1));
+            assert_eq!(from_agent, from_agg);
+            let CtrlReply::Nack { reason, .. } = from_agent else {
+                panic!("{from_agent:?}");
+            };
+            assert_eq!(reason, why);
+            assert_eq!(agent.enclave().staged_epoch(), None);
+            let commit = CtrlMsg::Commit { epoch: 1 };
+            let not_prepared = agg.handle_parent_msg(2, commit.clone());
+            assert!(matches!(not_prepared, CtrlReply::Nack { .. }));
+            let from_agent = agent.handle(3, prepare(cap).into(), 0).body;
+            assert_eq!(from_agent, agg.handle_parent_msg(3, prepare(cap)));
+            assert!(matches!(from_agent, CtrlReply::Ack { .. }));
+            assert!(matches!(
+                agg.handle_parent_msg(4, commit),
+                CtrlReply::Ack { .. }
+            ));
+            assert_eq!(agg.committed_epoch(), 1);
+        }
     }
 }

@@ -128,6 +128,14 @@ pub(crate) fn table_ops(prio: u8, classes: std::ops::Range<u32>) -> Vec<EnclaveO
     ops
 }
 
+/// A Reset-led configuration: one function, and `tables` tables in all.
+pub(crate) fn tables_ops(tables: usize) -> Vec<EnclaveOp> {
+    let mut ops = prio_epoch(5);
+    ops.pop();
+    ops.extend((1..tables).map(|_| EnclaveOp::CreateTable));
+    ops
+}
+
 /// A Reset-led configuration: one function with a global array, and a
 /// `SetArray` of `len` values into it.
 pub(crate) fn array_ops(len: usize) -> Vec<EnclaveOp> {

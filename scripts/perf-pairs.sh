@@ -15,10 +15,12 @@
 # COSCHED=1 runs the two sides of a pair at once instead, both pinned with
 # `taskset` to the same CPU (pair k to CPU (k - 1) mod the CPUs this shell
 # may use), so both meet the same neighbours on a shared box; it then also
-# prints, per pair, the change/parent ratio of cpu_ns_per_op, setup_s and
-# rss_mb. Only the two child processes are pinned. Wall-clock metrics
-# (ops_per_s, op_ns_p50) halve under the shared CPU and are comparable
-# only between the two sides of one pair.
+# prints, per pair, the change/parent ratio of each of the five end-to-end
+# metrics, and a last line with each metric's median ratio and its
+# [min, max] over the pairs. Only the two child processes are pinned.
+# Wall-clock metrics (ops_per_s, op_ns_p50) halve under the shared CPU:
+# their absolute medians above mean little, and only the ratios, taken
+# within a pair, compare the two sides.
 #
 # Prints one line per run, then per metric: both medians, the parent's
 # quartiles, the change's quartiles, the difference of the medians as a
@@ -29,7 +31,7 @@
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,28p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 seconds=$4 pairs=$5
@@ -144,21 +146,43 @@ done | awk -v spec="$repo/BENCHMARK.json" '
     }'
 if [ "$cosched" = 1 ]; then
     echo
-    echo "# co-scheduled: change/parent per pair"
+    echo "# co-scheduled: change/parent per pair, then each metric's median ratio [min, max]"
     for k in $(seq 1 "$pairs"); do
         for side in parent change; do
-            awk -v side="$side" '$1 == "cpu_ns_per_op" || $1 == "setup_s" || $1 == "rss_mb" { print side, $1, $2 }' \
+            awk -v k="$k" -v side="$side" \
+                '/^[a-z][a-z0-9_.-]* [-0-9.e+]+ / && n < 5 { print k, side, $1, $2; n++ }' \
                 "$out/$workload-pair$k-$side.txt"
-        done | awk -v k="$k" '
-            $1 == "parent" { p[$2] = $3 }
-            $1 == "change" { c[$2] = $3 }
-            END {
+        done
+    done | awk '
+        $2 == "parent" { p[$1, $3] = $4 }
+        $2 == "change" { c[$1, $3] = $4 }
+        !($3 in seen) { seen[$3] = 1; order[++metrics] = $3 }
+        $1 > pairs { pairs = $1 }
+        END {
+            for (k = 1; k <= pairs; k++) {
                 line = "pair " k ":"
-                n = split("cpu_ns_per_op setup_s rss_mb", m, " ")
-                for (i = 1; i <= n; i++)
-                    line = line sprintf("  %s %s", m[i], (m[i] in p) && p[m[i]] != 0 ? sprintf("%.3f", c[m[i]] / p[m[i]]) : "-")
+                for (m = 1; m <= metrics; m++) {
+                    name = order[m]
+                    if (((k, name) in p) && ((k, name) in c) && p[k, name] != 0) {
+                        r = c[k, name] / p[k, name]
+                        ratios[name, ++n[name]] = r
+                        line = line sprintf("  %s %.3f", name, r)
+                    } else {
+                        line = line sprintf("  %s -", name)
+                    }
+                }
                 print line
-            }'
-    done
+            }
+            line = "median:"
+            for (m = 1; m <= metrics; m++) {
+                name = order[m]; cnt = n[name]
+                if (!cnt) { line = line sprintf("  %s -", name); continue }
+                for (i = 1; i <= cnt; i++) a[i] = ratios[name, i]
+                for (i = 2; i <= cnt; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
+                med = cnt % 2 ? a[(cnt + 1) / 2] : (a[cnt / 2] + a[cnt / 2 + 1]) / 2
+                line = line sprintf("  %s %.3f [%.3f, %.3f]", name, med, a[1], a[cnt])
+            }
+            print line
+        }'
 fi
 echo "# runs kept in $out"

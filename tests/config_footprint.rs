@@ -1,12 +1,13 @@
 //! What a configuration costs a host to hold (§5.4: the enclave may sit on
-//! a NIC), counted in live heap bytes.
+//! a NIC), counted in live heap bytes and allocation calls.
 //!
 //! A counting global allocator wraps `System` and keeps a running total of
 //! the bytes its own thread holds: `alloc` adds, `dealloc` subtracts,
 //! `realloc` adds the difference. The difference of two readings is what
-//! the code between them left allocated.
+//! the code between them left allocated. A second total counts the
+//! allocation calls (`alloc`, `alloc_zeroed`, `realloc`) the thread makes.
 //!
-//! Three bounds, on the configuration the control plane ships most — a
+//! Four bounds, on the configuration the control plane ships most — a
 //! Reset-led epoch of one function and [`RULES`] single-class rules:
 //!
 //! - committed, it holds at most [`COMMITTED_MAX`] bytes beyond an empty
@@ -17,6 +18,12 @@
 //!   old and the new configuration at once), at most [`STAGED_MAX`] bytes
 //!   more: each rule one step of word and table ([`STAGED_BYTES_PER_RULE`]),
 //!   beside the function linked at validation;
+//! - committing that epoch again, to an enclave that holds it, makes no
+//!   more allocation calls than committing its one function alone does:
+//!   a `Reset` keeps the tables, and a rule it ships again costs a
+//!   compare. Both measure 5 calls. When a `Reset` dropped the tables,
+//!   the epoch's commit measured 9: the rule list, the prefix digests,
+//!   the class index and the hit counters, each made again;
 //! - an enclave that has run no packet holds no interpreter: the first
 //!   packet makes one.
 //!
@@ -35,6 +42,7 @@ struct Counting;
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn add(bytes: i64) {
@@ -42,23 +50,30 @@ fn add(bytes: i64) {
     let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
 }
 
+fn call() {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
 // SAFETY: every call is forwarded to `System` unchanged; the counting
 // touches only a const-initialised thread local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         add(layout.size() as i64);
+        call();
         // SAFETY: the caller upholds `alloc`'s contract; forwarded as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         add(layout.size() as i64);
+        call();
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         add(new_size as i64 - layout.size() as i64);
+        call();
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,6 +94,14 @@ fn held<T>(f: impl FnOnce() -> T) -> (T, i64) {
     let before = LIVE.with(Cell::get);
     let out = f();
     (out, LIVE.with(Cell::get) - before)
+}
+
+/// Run `f` and return what it returned and the allocation calls it made
+/// on this thread.
+fn calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
 }
 
 /// Rules in the epoch: `ctrl-churn`'s table.
@@ -185,10 +208,26 @@ fn a_configuration_costs_its_packed_words() {
         staged <= STAGED_MAX,
         "staging the epoch again held {staged} B, at most {STAGED_MAX} B"
     );
-    let ((), committed_again) = held(|| assert!(e.commit_epoch(2)));
+    let (((), committed_again), commit_calls) = calls(|| held(|| assert!(e.commit_epoch(2))));
     assert!(
         committed_again <= 0,
         "the commit releases what it replaced: {committed_again} B"
+    );
+
+    // what committing the function costs on its own, staged outside the
+    // count as the epoch above was
+    let mut alone = Enclave::new(EnclaveConfig::default());
+    commit(&mut alone, 1, &bare);
+    alone.stage_epoch(2, &bare[..]).expect("a valid epoch");
+    let ((), function_calls) = calls(|| assert!(alone.commit_epoch(2)));
+    eprintln!(
+        "committing the epoch again: {commit_calls} allocation calls, \
+         the function alone {function_calls}"
+    );
+    assert!(
+        commit_calls <= function_calls,
+        "committing {RULES} rules the enclave holds made {commit_calls} allocation calls, \
+         its one function alone {function_calls}"
     );
 
     // no packet, no interpreter: the first one makes it
