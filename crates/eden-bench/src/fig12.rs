@@ -284,6 +284,48 @@ pub fn run(batches: usize, per_batch: usize) -> RunResult {
     }
 }
 
+/// What the whole Eden pipeline (the interpreted enclave) adds to the
+/// stack work of a packet, in ns, once per pair of batches: each pair
+/// times a batch of the baseline arm and one of the interpreter arm back
+/// to back, the first of the two alternating from pair to pair, so both
+/// arms of a pair meet the same machine. A warm-up batch of each runs
+/// first.
+pub fn interpreter_overhead_pairs(pairs: usize, per_batch: usize) -> Vec<f64> {
+    let mut enclave = build_enclave(true);
+    let mut rng = SimRng::new(7);
+    let mut sink = 0u64;
+    let mut n = 0u64;
+    let mut batch = |interpreted: bool| {
+        let start = Instant::now();
+        for _ in 0..per_batch {
+            sink = sink.wrapping_add(if interpreted {
+                let mut p = tagged_packet(n, 12);
+                let _ = enclave.process(&mut p, &mut rng, Time::from_nanos(n));
+                baseline_work(&p)
+            } else {
+                baseline_work(&make_packet(n))
+            });
+            n += 1;
+        }
+        start.elapsed().as_nanos() as f64 / per_batch as f64
+    };
+    batch(false);
+    batch(true);
+    let diffs = (0..pairs)
+        .map(|k| {
+            let interpreted_first = k % 2 == 1;
+            let (first, second) = (batch(interpreted_first), batch(!interpreted_first));
+            if interpreted_first {
+                first - second
+            } else {
+                second - first
+            }
+        })
+        .collect();
+    std::hint::black_box(sink);
+    diffs
+}
+
 /// The generic state every catalogue array gets in the ablations: two
 /// `(limit, value)` rows, 1 MB then unbounded. The bare interpreter's
 /// packets (≤ 93 KB) stop at row 0, the enclave's 5 MB messages at row 1.

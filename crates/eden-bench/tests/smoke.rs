@@ -180,20 +180,27 @@ fn fig09_priorities_cut_small_flow_fct() {
 
 #[test]
 fn fig12_interpreter_overhead_is_modest() {
-    let r = fig12::run(40, 2_000);
+    // Decided on interleaved batch pairs: a box that slows down mid-run
+    // slows both arms of a pair, and the median of the pairs' differences
+    // ignores the few pairs it split.
+    let diffs = fig12::interpreter_overhead_pairs(40, 1_000);
+    let added = Summary::new(diffs.clone()).percentile(50.0);
+    let wins = diffs.iter().filter(|&&d| d > 0.0).count();
     println!(
-        "per-packet ns: base {:.0} api {:.0} native-enclave {:.0} interp {:.0}",
-        r.baseline_ns, r.api_ns, r.enclave_ns, r.interpreter_ns
+        "Eden adds {added:.0} ns/packet at the median of {} pairs; the interpreter arm was slower in {wins}",
+        diffs.len()
     );
-    assert!(r.interpreter_ns > r.baseline_ns, "layers add cost");
+    assert!(
+        added > 0.0,
+        "layers add cost: median difference {added:.0}ns"
+    );
     // The paper's figure shows <10% total overhead against a full kernel
     // stack; machines (and debug builds) vary, so bound the *absolute*
     // added cost instead: the whole Eden pipeline must stay within a few
     // microseconds per packet even unoptimized.
     assert!(
-        r.interpreter_ns - r.baseline_ns < 20_000.0,
-        "Eden pipeline must stay cheap: adds {:.0}ns/packet",
-        r.interpreter_ns - r.baseline_ns
+        added < 20_000.0,
+        "Eden pipeline must stay cheap: adds {added:.0}ns/packet"
     );
 }
 

@@ -71,7 +71,7 @@ pub(crate) use host::InvocationHost;
 use link::Linked;
 pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
 use pipeline::LaneScratch;
-pub use tables::{FiveTupleMatch, MatchSpec, RuleList, TableId};
+pub use tables::{FiveTupleMatch, MatchSpec, RuleList, RuleRef, TableId};
 use tables::{MatchActionTable, TableCounts};
 
 /// Which direction of the host stack a packet is traversing.
@@ -978,7 +978,7 @@ mod tests {
             assert_eq!(e.config_digest(), want, "step {step}");
             for t in &e.tables {
                 for classes in [&[][..], &[0], &[1], &[2], &[3], &[4], &[5], &[7], &[5, 0]] {
-                    let first = t.rules.iter().position(|(s, _)| s.matches(classes));
+                    let first = (0..t.rules.len()).position(|i| t.rules.spec(i).matches(classes));
                     assert_eq!(t.find(classes), first, "step {step}, classes {classes:?}");
                 }
             }

@@ -87,6 +87,36 @@ impl RuleWord {
     }
 }
 
+/// One rule as [`RuleList::iter`] visits it: a class rule as its class,
+/// a general rule (`Any`, `AnyOf`) as its spec, borrowed from the list.
+/// Made from a word without building a [`MatchSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RuleRef<'a> {
+    /// A rule matching one class.
+    Class(ClassId),
+    /// Any other rule.
+    General(&'a MatchSpec),
+}
+
+impl RuleRef<'_> {
+    /// The rule's spec as an owned value.
+    pub fn to_spec(self) -> MatchSpec {
+        match self {
+            RuleRef::Class(c) => MatchSpec::Class(c),
+            RuleRef::General(spec) => spec.clone(),
+        }
+    }
+}
+
+impl<'a> From<&'a MatchSpec> for RuleRef<'a> {
+    fn from(spec: &'a MatchSpec) -> RuleRef<'a> {
+        match spec {
+            MatchSpec::Class(c) => RuleRef::Class(*c),
+            general => RuleRef::General(general),
+        }
+    }
+}
+
 /// An ordered rule list (first match wins) as 8-byte words, with the
 /// general rules' specs on a side list in rule order. Equal lists hold
 /// equal rules.
@@ -132,9 +162,32 @@ impl RuleList {
         }
     }
 
-    /// Every rule as `(spec, function)`, in order.
-    pub fn iter(&self) -> impl Iterator<Item = (Cow<'_, MatchSpec>, usize)> + '_ {
-        (0..self.len()).map(|i| (self.spec(i), self.func(i)))
+    /// Every rule as `(rule, function)`, in order: one pass over the
+    /// words beside one over the side list.
+    pub fn iter(&self) -> impl Iterator<Item = (RuleRef<'_>, usize)> + '_ {
+        let mut general = self.general.iter();
+        self.words.iter().map(move |w| {
+            let rule = match w.class() {
+                Some(c) => RuleRef::Class(c),
+                None => RuleRef::General(&general.next().expect("a general rule's spec").1),
+            };
+            (rule, w.func())
+        })
+    }
+
+    /// How many leading rules `self` and `other` share. The words are
+    /// compared, and a general rule's spec beside its word: two general
+    /// rules selecting one function have equal words.
+    pub fn common_prefix(&self, other: &RuleList) -> usize {
+        let words = self.words.iter().zip(&other.words);
+        let words = words.take_while(|(a, b)| a == b).count();
+        // before `words` both lists hold their general rules at the same
+        // places, so the side lists pair up entry by entry
+        let general = self.general.iter().zip(&other.general);
+        general
+            .take_while(|((at, _), _)| (*at as usize) < words)
+            .find(|((_, a), (_, b))| a != b)
+            .map_or(words, |((at, _), _)| *at as usize)
     }
 
     /// The general rules as `(position, spec)`, in rule order.
@@ -193,7 +246,7 @@ impl RuleList {
 
 impl PartialEq for RuleList {
     fn eq(&self, other: &RuleList) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        self.len() == other.len() && self.common_prefix(other) == self.len()
     }
 }
 
@@ -552,5 +605,115 @@ mod tests {
         t.truncate(1);
         assert!(t.rules.general().is_empty());
         assert_rebuilt(&t, &[1]);
+    }
+
+    mod common_prefix {
+        use super::*;
+        use proptest::prelude::*;
+
+        type Rules = Vec<(MatchSpec, usize)>;
+
+        /// Few classes and functions, so equal words are the norm: two
+        /// general rules of one function have equal words whatever their
+        /// specs.
+        fn spec() -> impl Strategy<Value = MatchSpec> {
+            let class = (0u32..3).prop_map(ClassId);
+            prop_oneof![
+                class.clone().prop_map(MatchSpec::Class),
+                Just(MatchSpec::Any),
+                proptest::collection::vec(class, 0..3).prop_map(MatchSpec::AnyOf),
+            ]
+        }
+
+        fn general() -> impl Strategy<Value = MatchSpec> {
+            let class = (0u32..3).prop_map(ClassId);
+            prop_oneof![
+                Just(MatchSpec::Any),
+                proptest::collection::vec(class, 0..3).prop_map(MatchSpec::AnyOf),
+            ]
+        }
+
+        fn rules() -> impl Strategy<Value = Rules> {
+            proptest::collection::vec((spec(), 0usize..2), 0..10)
+        }
+
+        fn list(rules: &[(MatchSpec, usize)]) -> RuleList {
+            let mut l = RuleList::default();
+            for (spec, func) in rules {
+                l.push(spec.clone(), *func);
+            }
+            l
+        }
+
+        /// The longest common prefix, spec by spec.
+        fn model(a: &[(MatchSpec, usize)], b: &[(MatchSpec, usize)]) -> usize {
+            a.iter().zip(b).take_while(|(x, y)| x == y).count()
+        }
+
+        /// `other` is `base`'s first `keep` rules, then `tail`; with `respec`,
+        /// a general rule of the shared part takes another general spec
+        /// (its word stays as it was), and with `cut`, `other` stops at a
+        /// prefix of `base`.
+        fn derive(
+            base: &[(MatchSpec, usize)],
+            keep: usize,
+            tail: Rules,
+            respec: Option<(usize, MatchSpec)>,
+            cut: bool,
+        ) -> Rules {
+            let mut other = base[..keep.min(base.len())].to_vec();
+            if !cut {
+                other.extend(tail);
+            }
+            if let Some((at, spec)) = respec {
+                if let Some(rule) = other.get_mut(at) {
+                    if !matches!(rule.0, MatchSpec::Class(_)) {
+                        rule.0 = spec;
+                    }
+                }
+            }
+            other
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn is_the_spec_by_spec_longest_common_prefix(
+                base in rules(),
+                keep in 0usize..12,
+                tail in rules(),
+                respec in proptest::option::of((0usize..10, general())),
+                cut in proptest::bool::ANY,
+            ) {
+                let other = derive(&base, keep, tail, respec, cut);
+                let (a, b) = (list(&base), list(&other));
+                let want = model(&base, &other);
+                prop_assert_eq!(a.common_prefix(&b), want);
+                prop_assert_eq!(b.common_prefix(&a), want);
+                prop_assert_eq!(a.common_prefix(&a), base.len());
+                prop_assert_eq!(a == b, base == other);
+                let visited: Rules = b.iter().map(|(r, f)| (r.to_spec(), f)).collect();
+                prop_assert_eq!(visited, other);
+            }
+        }
+
+        /// The two cases a word comparison alone gets wrong or right: equal
+        /// words whose general specs differ, and a list that is a prefix
+        /// of the other.
+        #[test]
+        fn general_specs_count_and_a_prefix_is_its_length() {
+            let base = vec![
+                (MatchSpec::Class(ClassId(1)), 0),
+                (MatchSpec::Any, 1),
+                (MatchSpec::Class(ClassId(2)), 1),
+            ];
+            let mut other = base.clone();
+            other[1].0 = MatchSpec::AnyOf(vec![ClassId(2)]);
+            assert_eq!(list(&base).words(), list(&other).words());
+            assert_eq!(list(&base).common_prefix(&list(&other)), 1);
+            assert_ne!(list(&base), list(&other));
+            assert_eq!(list(&base[..2]).common_prefix(&list(&base)), 2);
+        }
     }
 }

@@ -42,7 +42,7 @@ pub use controller::{Controller, PathSpec};
 pub use eden_telemetry::StatsSnapshot;
 pub use enclave::{
     native_function, Config, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
-    LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, SlotLink, SlotTarget, TableId,
+    LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, RuleRef, SlotLink, SlotTarget, TableId,
     MAX_ARRAY_LEN, MAX_FUNCTIONS, MAX_RULES_PER_TABLE, MAX_TABLES,
 };
 pub use headermap::{read_header_field, write_header_field};

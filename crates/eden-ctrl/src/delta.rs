@@ -40,7 +40,7 @@ use crate::proto::{self, CtrlMsg, ProtoError, Request};
 /// globals and the arrays. Refused like any message that does not fit the
 /// wire.
 pub fn encode_full(config: &Config, epoch: u64) -> Result<Vec<u8>, ProtoError> {
-    proto::encode_prepare_with(epoch, |w| {
+    proto::encode_prepare_with(epoch, full_capacity(config), |w| {
         w.op(&EnclaveOp::Reset);
         for f in config.functions() {
             w.function(f);
@@ -49,8 +49,8 @@ pub fn encode_full(config: &Config, epoch: u64) -> Result<Vec<u8>, ProtoError> {
             w.op(&EnclaveOp::CreateTable);
         }
         for (table, rules) in config.tables().iter().enumerate() {
-            for (spec, func) in rules.iter() {
-                w.rule(table, &spec, func);
+            for (rule, func) in rules.iter() {
+                w.rule(table, rule, func);
             }
         }
         for (&(func, slot), &value) in config.globals() {
@@ -60,6 +60,23 @@ pub fn encode_full(config: &Config, epoch: u64) -> Result<Vec<u8>, ProtoError> {
             w.array(func, array, values);
         }
     })
+}
+
+/// Room for [`encode_full`]'s bytes, counted once from what dominates
+/// them: a class rule's 14 bytes (a general rule takes more, and the
+/// buffer grows), a function's bytecode with room for its name and
+/// schema, a global's 17 bytes, an array's values. Past that the buffer
+/// grows as any other.
+fn full_capacity(config: &Config) -> usize {
+    const HEAD: usize = 32; // tag, epoch, op count, `Reset`, trace room
+    const FUNCTION: usize = 64; // tag, name, lengths, a small schema
+    let rules: usize = config.tables().iter().map(RuleList::len).sum();
+    let code: usize = config
+        .functions()
+        .map(|f| FUNCTION + f.bytecode.len())
+        .sum();
+    let arrays: usize = config.arrays().values().map(|v| 13 + 8 * v.len()).sum();
+    HEAD + config.tables().len() + 14 * rules + code + 17 * config.globals().len() + arrays
 }
 
 /// Plan the op sequence converting `base` into `target`, or `None` when
@@ -99,22 +116,16 @@ pub fn diff(base: &Config, target: &Config) -> Option<Vec<EnclaveOp>> {
     let empty = RuleList::default();
     for (table, want) in target.tables().iter().enumerate() {
         let have = base.tables().get(table).unwrap_or(&empty);
-        // rule by rule: a general rule's spec is compared, not its place
-        // on either list's side list
-        let lcp = have
-            .iter()
-            .zip(want.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
+        let lcp = have.common_prefix(want);
         // Remove the divergent tail highest-index-first so positions
         // stay valid as rules shift down.
         for rule in (lcp..have.len()).rev() {
             ops.push(EnclaveOp::RemoveRule { table, rule });
         }
-        for (spec, func) in want.iter().skip(lcp) {
+        for (rule, func) in want.iter().skip(lcp) {
             ops.push(EnclaveOp::InstallRule {
                 table,
-                spec: spec.into_owned(),
+                spec: rule.to_spec(),
                 func,
             });
         }
@@ -579,6 +590,181 @@ mod tests {
             encode_full(&Config::new(), 1).unwrap(),
             proto::encode_prepare(1, &[EnclaveOp::Reset]).unwrap()
         );
+    }
+
+    /// Random configurations of two functions, up to four tables, class
+    /// and general rules (some taken back), a global and an array, built
+    /// as op lists and read back through their [`Config`].
+    mod random {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            Table,
+            Rule(usize, MatchSpec, usize),
+            Remove(usize, usize),
+            Global(i64),
+            Array(Vec<i64>),
+        }
+
+        fn spec() -> impl Strategy<Value = MatchSpec> {
+            let class = || (0u32..6).prop_map(|c| MatchSpec::Class(ClassId(c)));
+            let classes = proptest::collection::vec((0u32..6).prop_map(ClassId), 0..3);
+            prop_oneof![
+                class(),
+                class(),
+                class(),
+                Just(MatchSpec::Any),
+                classes.prop_map(MatchSpec::AnyOf),
+            ]
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                Just(Step::Table),
+                (0usize..4, spec(), 0usize..2).prop_map(|(t, s, f)| Step::Rule(t, s, f)),
+                (0usize..4, spec(), 0usize..2).prop_map(|(t, s, f)| Step::Rule(t, s, f)),
+                (0usize..4, spec(), 0usize..2).prop_map(|(t, s, f)| Step::Rule(t, s, f)),
+                (0usize..4, 0usize..16).prop_map(|(t, r)| Step::Remove(t, r)),
+                (-3i64..3).prop_map(Step::Global),
+                proptest::collection::vec(-3i64..3, 0..4).prop_map(Step::Array),
+            ]
+        }
+
+        /// `steps` as ops after a Reset and the two functions, each index
+        /// taken modulo what exists when the step is reached.
+        fn ops(steps: &[Step]) -> Vec<EnclaveOp> {
+            let mut ops = vec![EnclaveOp::Reset, install(3), counter()];
+            let mut lens = vec![0usize];
+            for step in steps {
+                ops.push(match step.clone() {
+                    Step::Table if lens.len() < 4 => {
+                        lens.push(0);
+                        EnclaveOp::CreateTable
+                    }
+                    Step::Table => continue,
+                    Step::Rule(t, spec, func) => {
+                        let table = t % lens.len();
+                        lens[table] += 1;
+                        EnclaveOp::InstallRule { table, spec, func }
+                    }
+                    Step::Remove(t, r) => {
+                        let table = t % lens.len();
+                        if lens[table] == 0 {
+                            continue;
+                        }
+                        lens[table] -= 1;
+                        let rule = r % (lens[table] + 1);
+                        EnclaveOp::RemoveRule { table, rule }
+                    }
+                    Step::Global(value) => EnclaveOp::SetGlobal {
+                        func: 1,
+                        slot: 0,
+                        value,
+                    },
+                    Step::Array(values) => EnclaveOp::SetArray {
+                        func: 1,
+                        array: 0,
+                        values,
+                    },
+                });
+            }
+            ops
+        }
+
+        fn config(steps: &[Step]) -> Config {
+            Config::from_ops(&ops(steps)).expect("a valid configuration")
+        }
+
+        /// Every rule of `rules` as an op, from its spec.
+        fn rule_ops(table: usize, rules: &RuleList) -> impl Iterator<Item = EnclaveOp> + '_ {
+            (0..rules.len()).map(move |i| EnclaveOp::InstallRule {
+                table,
+                spec: rules.spec(i).into_owned(),
+                func: rules.func(i),
+            })
+        }
+
+        /// `config` written op by op in the Reset-led order `encode_full`
+        /// documents.
+        fn reset_led(config: &Config) -> Vec<EnclaveOp> {
+            let mut ops = vec![EnclaveOp::Reset];
+            let functions = config.functions().cloned().map(Box::new);
+            ops.extend(functions.map(EnclaveOp::InstallFunction));
+            ops.extend((1..config.tables().len()).map(|_| EnclaveOp::CreateTable));
+            for (table, rules) in config.tables().iter().enumerate() {
+                ops.extend(rule_ops(table, rules));
+            }
+            for (&(func, slot), &value) in config.globals() {
+                ops.push(EnclaveOp::SetGlobal { func, slot, value });
+            }
+            for (&(func, array), values) in config.arrays() {
+                let values = values.clone();
+                ops.push(EnclaveOp::SetArray {
+                    func,
+                    array,
+                    values,
+                });
+            }
+            ops
+        }
+
+        /// [`diff`] as it reads rule by rule: the longest common prefix of
+        /// each table taken spec by spec.
+        fn diff_by_spec(base: &Config, target: &Config) -> Option<Vec<EnclaveOp>> {
+            let mut ops = diff(base, target)?;
+            ops.retain(|op| {
+                !matches!(
+                    op,
+                    EnclaveOp::InstallRule { .. } | EnclaveOp::RemoveRule { .. }
+                )
+            });
+            let at = ops
+                .iter()
+                .position(|op| {
+                    matches!(op, EnclaveOp::SetGlobal { .. } | EnclaveOp::SetArray { .. })
+                })
+                .unwrap_or(ops.len());
+            let mut rules = Vec::new();
+            let empty = RuleList::default();
+            for (table, want) in target.tables().iter().enumerate() {
+                let have = base.tables().get(table).unwrap_or(&empty);
+                let specs = |l: &RuleList| -> Vec<(MatchSpec, usize)> {
+                    (0..l.len())
+                        .map(|i| (l.spec(i).into_owned(), l.func(i)))
+                        .collect()
+                };
+                let (h, w) = (specs(have), specs(want));
+                let lcp = h.iter().zip(&w).take_while(|(a, b)| a == b).count();
+                let removed = (lcp..h.len()).rev();
+                rules.extend(removed.map(|rule| EnclaveOp::RemoveRule { table, rule }));
+                rules.extend(rule_ops(table, want).skip(lcp));
+            }
+            ops.splice(at..at, rules);
+            Some(ops)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn the_full_prepare_and_the_diff_match_their_op_by_op_forms(
+                base in proptest::collection::vec(step(), 0..30),
+                more in proptest::collection::vec(step(), 0..12),
+                other in proptest::collection::vec(step(), 0..30),
+            ) {
+                let grown: Vec<Step> = base.iter().chain(&more).cloned().collect();
+                let (base, grown, other) = (config(&base), config(&grown), config(&other));
+                for c in [&base, &grown, &other] {
+                    let full = encode_full(c, 9).expect("fits");
+                    prop_assert_eq!(&full, &proto::encode_prepare(9, &reset_led(c)).unwrap());
+                }
+                for (from, to) in [(&base, &grown), (&grown, &base), (&base, &other), (&other, &grown)] {
+                    prop_assert_eq!(diff(from, to), diff_by_spec(from, to));
+                }
+            }
+        }
     }
 
     /// A history whose current version is `table_ops(5, 0..rules)` as

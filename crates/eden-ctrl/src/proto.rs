@@ -33,8 +33,9 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use std::borrow::Cow;
+use std::iter;
 
-use eden_core::{ClassId, EnclaveOp, MatchSpec, ShippedFunction};
+use eden_core::{ClassId, EnclaveOp, MatchSpec, RuleRef, ShippedFunction};
 use eden_lang::{Access, Concurrency, HeaderField, ReplMode, Schema, Scope};
 use eden_repl::{FuncDelta, FuncView, SeqEntry, SeqOp, SeqSnapshot, SeqTarget};
 use eden_telemetry::le::{self, Reader, Writer};
@@ -445,7 +446,7 @@ fn put_op(w: &mut Writer, op: &EnclaveOp) {
             w.count(4, *table);
         }
         EnclaveOp::InstallFunction(f) => put_function(w, f),
-        EnclaveOp::InstallRule { table, spec, func } => put_rule(w, *table, spec, *func),
+        EnclaveOp::InstallRule { table, spec, func } => put_rule(w, *table, spec.into(), *func),
         EnclaveOp::RemoveRule { table, rule } => {
             w.u8(5);
             w.count(4, *table);
@@ -474,12 +475,32 @@ fn put_function(w: &mut Writer, f: &ShippedFunction) {
     w.tag(&CONCURRENCY, &f.concurrency);
 }
 
-/// An `InstallRule` op, from its fields.
-fn put_rule(w: &mut Writer, table: usize, spec: &MatchSpec, func: usize) {
-    w.u8(4);
-    w.count(4, table);
-    put_spec(w, spec);
-    w.count(4, func);
+/// Wire bytes of an `InstallRule` of one class: the op tag, the table,
+/// the spec tag, the class and the function.
+const CLASS_RULE: usize = 14;
+
+/// An `InstallRule` op, from its fields. A class rule is one append of
+/// its [`CLASS_RULE`] bytes, the same bytes [`put_spec`] and the counts
+/// would write.
+fn put_rule(w: &mut Writer, table: usize, rule: RuleRef<'_>, func: usize) {
+    match rule {
+        RuleRef::Class(c) => {
+            let (table, func) = (w.narrow(4, table), w.narrow(4, func));
+            let mut b = [0; CLASS_RULE];
+            b[0] = 4;
+            b[1..5].copy_from_slice(&table[..4]);
+            b[5] = 1;
+            b[6..10].copy_from_slice(&c.0.to_le_bytes());
+            b[10..].copy_from_slice(&func[..4]);
+            w.raw(&b);
+        }
+        RuleRef::General(spec) => {
+            w.u8(4);
+            w.count(4, table);
+            put_spec(w, spec);
+            w.count(4, func);
+        }
+    }
 }
 
 /// A `SetArray` op, from its fields.
@@ -490,8 +511,9 @@ fn put_array(w: &mut Writer, func: usize, array: usize, values: &[i64]) {
     put_i64s(w, values);
 }
 
-fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
-    Ok(match r.u8()? {
+/// Read one op onto the end of `ops`.
+fn get_op(r: &mut Reader<'_>, ops: &mut Vec<EnclaveOp>) -> Result<(), ProtoError> {
+    let op = match r.u8()? {
         0 => EnclaveOp::Reset,
         1 => EnclaveOp::CreateTable,
         2 => EnclaveOp::ClearTable { table: r.count(4)? },
@@ -507,12 +529,30 @@ fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
                 concurrency,
             }))
         }
-        4 => {
-            let table = r.count(4)?;
-            let spec = get_spec(r)?;
-            let func = r.count(4)?;
-            EnclaveOp::InstallRule { table, spec, func }
-        }
+        4 => match r.peek_array::<{ CLASS_RULE - 1 }>() {
+            // a class rule, read in one step: the bytes after the tag
+            Some(b) if b[4] == 1 => {
+                r.take(CLASS_RULE - 1)?;
+                let le = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+                // made in place, after the room for it: an op made before
+                // `push` checks for room is built on the stack and copied
+                // out with loads wider than its fields' stores, which stall
+                ops.extend(iter::once_with(|| EnclaveOp::InstallRule {
+                    table: le(0) as usize,
+                    spec: MatchSpec::Class(ClassId(le(5))),
+                    func: le(9) as usize,
+                }));
+                return Ok(());
+            }
+            // any other spec, or too few bytes left: field by field, so a
+            // short or malformed rule fails as it always has
+            _ => {
+                let table = r.count(4)?;
+                let spec = get_spec(r)?;
+                let func = r.count(4)?;
+                EnclaveOp::InstallRule { table, spec, func }
+            }
+        },
         5 => EnclaveOp::RemoveRule {
             table: r.count(4)?,
             rule: r.count(4)?,
@@ -529,7 +569,9 @@ fn get_op(r: &mut Reader<'_>) -> Result<EnclaveOp, ProtoError> {
             values: get_i64s(r)?,
         },
         other => return Err(ProtoError::BadTag(other)),
-    })
+    };
+    ops.push(op);
+    Ok(())
 }
 
 /// An epoch's ops.
@@ -538,7 +580,12 @@ fn put_ops(w: &mut Writer, ops: &[EnclaveOp]) {
 }
 
 fn get_ops(r: &mut Reader<'_>) -> Result<Vec<EnclaveOp>, ProtoError> {
-    r.seq(2, get_op)
+    let n = r.count(2)?;
+    let mut ops = r.vec_for(n);
+    for _ in 0..n {
+        get_op(r, &mut ops)?;
+    }
+    Ok(ops)
 }
 
 /// Array elements, counted in four bytes.
@@ -1036,7 +1083,7 @@ impl<B, R> From<B> for Frame<B, R> {
 impl Request {
     pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
         let body = |w: &mut Writer| put_msg(w, &self.body);
-        encode(body, &self.repl, put_view, self.trace.as_ref())
+        encode(0, body, &self.repl, put_view, self.trace.as_ref())
     }
 
     pub fn decode(buf: &[u8]) -> Result<Request, ProtoError> {
@@ -1047,7 +1094,7 @@ impl Request {
 impl Response {
     pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
         let body = |w: &mut Writer| put_reply(w, &self.body);
-        encode(body, &self.repl, put_delta, self.trace.as_ref())
+        encode(0, body, &self.repl, put_delta, self.trace.as_ref())
     }
 
     pub fn decode(buf: &[u8]) -> Result<Response, ProtoError> {
@@ -1059,7 +1106,7 @@ impl Response {
 /// caller that keeps the ops: the root encodes each version of desired
 /// state from the ops it was given, without cloning them into a message.
 pub fn encode_prepare(epoch: u64, ops: &[EnclaveOp]) -> Result<Vec<u8>, ProtoError> {
-    encode_prepare_with(epoch, |w| {
+    encode_prepare_with(epoch, 0, |w| {
         for op in ops {
             w.op(op);
         }
@@ -1069,9 +1116,11 @@ pub fn encode_prepare(epoch: u64, ops: &[EnclaveOp]) -> Result<Vec<u8>, ProtoErr
 /// The untraced [`Request`] carrying a `Prepare` of `epoch` whose ops
 /// `write_ops` writes: how a configuration held as something other than
 /// an op list ships in full without first being rebuilt as one. The op
-/// count is the number of ops written, filled in after them.
+/// count is the number of ops written, filled in after them. The buffer
+/// starts with room for `capacity` bytes.
 pub(crate) fn encode_prepare_with(
     epoch: u64,
+    capacity: usize,
     write_ops: impl FnOnce(&mut OpWriter<'_>),
 ) -> Result<Vec<u8>, ProtoError> {
     let body = |w: &mut Writer| {
@@ -1084,7 +1133,7 @@ pub(crate) fn encode_prepare_with(
         let count = ops.count;
         w.fill_count(at, 2, count);
     };
-    encode(body, &[], put_view, None)
+    encode(capacity, body, &[], put_view, None)
 }
 
 /// The ops of a `Prepare` being written by [`encode_prepare_with`], each
@@ -1105,8 +1154,8 @@ impl OpWriter<'_> {
         self.count += 1;
     }
     /// An `InstallRule`, without building the op.
-    pub(crate) fn rule(&mut self, table: usize, spec: &MatchSpec, func: usize) {
-        put_rule(self.w, table, spec, func);
+    pub(crate) fn rule(&mut self, table: usize, rule: RuleRef<'_>, func: usize) {
+        put_rule(self.w, table, rule, func);
         self.count += 1;
     }
     /// A `SetArray`, without building the op.
@@ -1133,18 +1182,20 @@ fn put_trailer(w: &mut Writer, t: &TraceContext) {
     w.u8(u8::from(t.sampled));
 }
 
-/// The one encoder: body, replication section, trace trailer. Refuses
+/// The one encoder: body, replication section, trace trailer, into a
+/// buffer that starts with room for `capacity` bytes. Refuses
 /// ([`ProtoError::TooLong`]) what cannot go on the wire as written: a
 /// count that does not fit its prefix, or a message over [`MAX_FRAGS`]
 /// fragments. Every message must leave room for a trace trailer, so
 /// tracing a round never pushes a configuration that fit over the limit.
 fn encode<R>(
+    capacity: usize,
     body: impl FnOnce(&mut Writer),
     repl: &[R],
     put_item: impl FnMut(&mut Writer, &R),
     trace: Option<&TraceContext>,
 ) -> Result<Vec<u8>, ProtoError> {
-    let mut w = Writer::default();
+    let mut w = Writer::with_capacity(capacity);
     body(&mut w);
     put_repl(&mut w, repl, put_item);
     if let Some(t) = trace {
@@ -1325,7 +1376,9 @@ impl Reassembler {
             return Ok(None);
         }
         let done = self.pending.remove(pos);
-        let mut payload = Vec::new();
+        // one allocation of the whole payload, not one per doubling
+        let len = done.parts.iter().flatten().map(Vec::len).sum();
+        let mut payload = Vec::with_capacity(len);
         for part in done.parts {
             payload.extend_from_slice(&part.expect("all fragments received"));
         }
@@ -1899,6 +1952,59 @@ mod tests {
         for r in replies {
             assert_eq!(decode_reply(&encode_reply(&r)).unwrap(), r);
         }
+    }
+
+    /// One op's bytes, and what reading them back gives.
+    fn op_bytes(op: &EnclaveOp) -> Vec<u8> {
+        let mut w = Writer::default();
+        put_op(&mut w, op);
+        w.finish().expect("fits")
+    }
+
+    fn read_op(bytes: &[u8]) -> Result<Vec<EnclaveOp>, ProtoError> {
+        let mut ops = Vec::new();
+        get_op(&mut Reader::new(bytes), &mut ops)?;
+        Ok(ops)
+    }
+
+    /// Every op kind, and a rule of every spec, reads back as itself
+    /// from its own bytes, and fails as `Truncated` wherever those bytes
+    /// are cut. A class rule is its 14 bytes in field order.
+    #[test]
+    fn every_op_round_trips_and_every_cut_is_truncated() {
+        let class_rule = EnclaveOp::InstallRule {
+            table: 0x0403_0201,
+            spec: MatchSpec::Class(ClassId(0x0807_0605)),
+            func: 0x0C0B_0A09,
+        };
+        let mut ops = sample_ops();
+        ops.push(EnclaveOp::InstallRule {
+            table: 2,
+            spec: MatchSpec::Any,
+            func: 1,
+        });
+        ops.push(class_rule.clone());
+        for op in &ops {
+            let bytes = op_bytes(op);
+            assert_eq!(read_op(&bytes), Ok(vec![op.clone()]), "{op:?}");
+            for cut in 0..bytes.len() {
+                let got = read_op(&bytes[..cut]);
+                assert_eq!(got, Err(ProtoError::Truncated), "{op:?} cut at {cut}");
+            }
+        }
+        let bytes = op_bytes(&class_rule);
+        assert_eq!(bytes, [4, 1, 2, 3, 4, 1, 5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(bytes.len(), CLASS_RULE);
+        // only 13 of them: what is left after the tag is one byte short
+        assert_eq!(read_op(&bytes[..13]), Err(ProtoError::Truncated));
+        // a bad spec tag is named, however few bytes follow it
+        assert_eq!(read_op(&[4, 0, 0, 0, 0, 9]), Err(ProtoError::BadTag(9)));
+        let wide = [4, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(read_op(&wide), Err(ProtoError::BadTag(9)));
+        // a class rule whose table does not fit four bytes is refused
+        let mut w = Writer::default();
+        put_rule(&mut w, 1 << 32, RuleRef::Class(ClassId(1)), 0);
+        assert_eq!(w.finish(), None);
     }
 
     #[test]

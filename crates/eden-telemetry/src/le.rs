@@ -105,8 +105,10 @@ impl Writer {
     /// `n`'s little-endian bytes, of which a `width`-byte field takes the
     /// first `width`. The one place a length is narrowed to its wire
     /// width: one that does not fit marks the writer instead of wrapping.
+    /// Public for a codec that assembles a fixed-size item before one
+    /// [`raw`](Writer::raw) append.
     #[inline]
-    fn narrow(&mut self, width: usize, n: usize) -> [u8; 8] {
+    pub fn narrow(&mut self, width: usize, n: usize) -> [u8; 8] {
         let n = n as u64;
         self.overflowed |= width < 8 && n >> (8 * width) != 0;
         n.to_le_bytes()
@@ -253,6 +255,14 @@ impl<'a> Reader<'a> {
     pub fn tag<T: Copy>(&mut self, table: &[T]) -> Result<T, Error> {
         let b = self.u8()?;
         table.get(usize::from(b)).copied().ok_or(Error::BadTag(b))
+    }
+
+    /// The next `N` bytes without consuming them, or `None` when fewer
+    /// are left: how a decoder reads a fixed-size item in one step.
+    #[inline]
+    pub fn peek_array<const N: usize>(&self) -> Option<[u8; N]> {
+        let b = self.buf.get(self.pos..self.pos + N)?;
+        Some(b.try_into().expect("N bytes"))
     }
 
     /// The next u16 without consuming it: how a decoder tells an optional

@@ -2,6 +2,7 @@
 """Where the samples of a scripts/sigprof.c run sit.
 
     scripts/sigprof-report.py <binary> <samples-file> [--top N] [--callers] [--libs]
+    scripts/sigprof-report.py <binary> <samples-file> --inclusive [--under SYM] [--top N]
     scripts/sigprof-report.py <binary> <samples-file> --symbol SUBSTRING
     scripts/sigprof-report.py <binary> <samples-file> --allocs [--top N]
 
@@ -31,6 +32,18 @@ innermost first and joined by `<-`; the allocator's own
 frames (`alloc::`, `__rust_`, `__rdl_`, ...) are skipped, and stacks
 that name the same functions are summed.
 
+With --inclusive (a run recorded with SIGPROF_DEPTH > 1): one line per
+function of <binary>, by the share of all samples whose recorded stack
+(the interrupted function and its callers, up to the recorded depth)
+holds it; a function on a stack twice counts once. A caller more than
+SIGPROF_DEPTH - 1 frames above the sampled instruction is not seen, so
+deep callers read low. With --under SYM as well: only the samples whose
+stack holds a function whose demangled name contains SYM, and only the
+functions below its innermost such frame (its callees, direct or not),
+with samples outside the binary listed as one line per mapped file; the
+shares are still of all samples, and the first line is SYM's own
+inclusive share.
+
 Every report starts with the run's page faults (getrusage at exit).
 
 With --symbol: the function whose demangled name contains SUBSTRING and
@@ -47,6 +60,7 @@ import bisect
 import collections
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -143,6 +157,10 @@ def main():
                     help="charge samples outside the binary to their first caller inside it")
     ap.add_argument("--libs", action="store_true",
                     help="name samples in shared libraries by the nearest exported symbol below")
+    ap.add_argument("--inclusive", action="store_true",
+                    help="share of the samples whose stack holds each function (SIGPROF_DEPTH > 1)")
+    ap.add_argument("--under", metavar="SYM",
+                    help="with --inclusive: only the callees of the function matching SYM")
     ap.add_argument("--allocs", action="store_true",
                     help="large allocations by call stack (a run with SIGPROF_ALLOCS=1)")
     args = ap.parse_args()
@@ -184,6 +202,10 @@ def main():
         print(f"# {total / 1e9:.3f} GB requested in allocations of >= 2 KiB, {args.binary}")
         for chain, (bytes_, calls) in sorted(by_stack.items(), key=lambda kv: -kv[1][0])[:args.top]:
             print(f"{100 * bytes_ / total:6.2f}%  {bytes_ / 1e9:8.3f} GB  {calls:9d} calls  {chain}")
+        return
+
+    if args.inclusive:
+        inclusive(args, samples, maps, syms, symbol_of)
         return
 
     libs = Libraries(maps) if args.libs else None
@@ -234,5 +256,37 @@ def main():
         print(f"{share}  {m.group(1)}: {m.group(2)}")
 
 
+def inclusive(args, samples, maps, syms, symbol_of):
+    """Print --inclusive shares, all functions or those under --under."""
+    if not any(len(s) > 1 for s in samples):
+        sys.exit("--inclusive needs stacks: record with SIGPROF_DEPTH > 1")
+    counts = collections.Counter()
+    within = 0  # samples whose stack holds --under's function
+    for pc, *stack in samples:
+        # innermost first; a return address points past its call
+        frames = [symbol_of(pc)] + [symbol_of(ret - 1) for ret in stack]
+        if args.under:
+            hit = next((d for d, i in enumerate(frames)
+                        if i is not None and args.under in syms[i][1]), None)
+            if hit is None:
+                continue
+            within += 1
+            frames = frames[:hit]
+        seen = {i for i in frames if i is not None}
+        if frames and frames[0] is None:
+            path = next((f for s, e, _, f in maps if s <= pc < e), "") or "unmapped"
+            seen.add("[" + os.path.basename(path.strip("[]")) + "]")
+        counts.update(seen)
+    total = len(samples)
+    name = lambda k: syms[k][1] if isinstance(k, int) else k
+    print(f"# {total} samples, {args.binary}, inclusive")
+    if args.under:
+        print(f"{100 * within / total:6.2f}%  {within:7d}  [{args.under}, inclusive]")
+    for k, n in counts.most_common(args.top):
+        print(f"{100 * n / total:6.2f}%  {n:7d}  {name(k)}")
+
+
 if __name__ == "__main__":
+    # a report piped into `head` ends quietly when `head` is done
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()
