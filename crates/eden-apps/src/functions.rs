@@ -33,9 +33,11 @@
 //! | Deep packet inspection (payload)    | —                                  | missing: the VM sees header fields and metadata only, no payload bytes |
 //! | TCP offload / transport rewrite     | —                                  | missing: needs segment-level rewrite below the enclave hook |
 
-use eden_core::{InstalledFunction, NativeEnv, NativeFn};
+use eden_core::{
+    ClassId, Enclave, EnclaveConfig, EnclaveOp, InstalledFunction, NativeEnv, NativeFn,
+};
 use eden_lang::xfsm::{arr, arr_field, arr_len, glob, lit, local, msg, now, pkt};
-use eden_lang::{compile, Access, Concurrency, HeaderField, ReplMode, Schema};
+use eden_lang::{compile, Access, CompiledFunction, Concurrency, HeaderField, ReplMode, Schema};
 use eden_lang::{Helper, XAction, XBin, XState, Xfsm};
 use eden_vm::{Outcome, VmError};
 
@@ -61,6 +63,16 @@ impl FunctionBundle {
 
     /// Compile the DSL form.
     pub fn interpreted(&self) -> InstalledFunction {
+        InstalledFunction::interpreted(self.name, self.compiled())
+    }
+
+    /// The DSL form as the control plane ships it: one
+    /// [`EnclaveOp::InstallFunction`].
+    pub fn shipped(&self) -> EnclaveOp {
+        EnclaveOp::ship(self.name, &self.compiled())
+    }
+
+    fn compiled(&self) -> CompiledFunction {
         let compiled = compile(self.name, &self.source, &self.schema()).unwrap_or_else(|e| {
             panic!("{} does not compile: {}", self.name, e.render(&self.source))
         });
@@ -69,13 +81,117 @@ impl FunctionBundle {
             "{}: derived concurrency drifted from the documented one",
             self.name
         );
-        InstalledFunction::interpreted(self.name, compiled)
+        compiled
     }
 
     /// Build the native form.
     pub fn native(&self) -> InstalledFunction {
         InstalledFunction::native(self.name, (self.native)(), self.schema(), self.concurrency)
     }
+
+    /// The case-study state this bundle's logic expects, as
+    /// `SetGlobal`/`SetArray` ops on function `func`.
+    pub fn state_ops(&self, func: usize) -> Vec<EnclaveOp> {
+        let (globals, arrays) = case_state(self.name);
+        let globals =
+            globals
+                .iter()
+                .map(|&(slot, value)| EnclaveOp::SetGlobal { func, slot, value });
+        let arrays = arrays.iter().map(|&(array, values)| EnclaveOp::SetArray {
+            func,
+            array,
+            values: values.to_vec(),
+        });
+        globals.chain(arrays).collect()
+    }
+}
+
+/// A bundle's case-study state: `(slot, value)` globals and `(array,
+/// values)` arrays.
+type CaseState = (&'static [(usize, i64)], &'static [(usize, &'static [i64])]);
+
+/// The case-study state of every catalogue bundle that takes any.
+fn case_state(name: &str) -> CaseState {
+    const THRESHOLDS: &[i64] = &[10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1];
+    match name {
+        "pias" | "pias-fig7" | "sff" => (&[], &[(0, THRESHOLDS)]),
+        "fixed-priority" => (&[(0, 3)], &[]),
+        "wcmp" | "message-wcmp" => (&[(0, 11)], &[(0, &[101, 10, 102, 1])]),
+        "pulsar" => (&[], &[(0, &[0, 1, 2])]),
+        // a budget the 3000-packet agreement stream crosses mid-run, so
+        // both forms take the drop path
+        "dist-rate-limit" => (&[(0, 500_000_000)], &[(0, &[0, 1, 2])]),
+        "conn-steer" => (&[], &[(0, &[5, 2, 9]), (1, &[71, 72, 73])]),
+        "qjump" => (&[], &[(0, &[7, 0, 4, 1, 0, -1])]),
+        "replica-select" => (&[], &[(0, &[50, 51, 52])]),
+        "port-knock" => (&[(1, 1001), (2, 1002), (3, 1003), (4, 22)], &[]),
+        "l4lb" => (&[], &[(0, &[71, 72, 73]), (1, &[0, 0, 0])]),
+        "conga" => (&[], &[(0, &[5, 2, 9])]),
+        // ports 22 and 1001 carry weights; a threshold low enough that
+        // the agreement stream trips flows into block
+        "ids" => (&[(0, 40)], &[(0, &[22, 7, 1001, 5])]),
+        // the agreement stream revisits each of its 7 flows every 7 ns, so
+        // a 6 ns idle expires a flow on every revisit
+        "stateful-firewall" => (&[(0, 6)], &[]),
+        // a 200 ns window of 100,000 bytes
+        "rate-limit" => (&[(0, 200), (1, 100_000)], &[]),
+        // flow-counter and conntrack take no controller state
+        _ => (&[], &[]),
+    }
+}
+
+/// Which of a bundle's two forms a host runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Form {
+    /// The DSL source, compiled and shipped as bytecode.
+    Interpreted,
+    /// The Rust closure, which cannot ship: installed by `&mut`.
+    Native,
+}
+
+/// An enclave holding `bundles` as functions `0..`, configured by `ops`,
+/// which name them. Interpreted, the whole configuration is one op list
+/// through [`Enclave::apply`], the list the control plane would ship. A
+/// native closure cannot ship, so a native host installs its functions by
+/// `&mut` first and then applies the same `ops` (DESIGN, "One configuration path").
+pub fn host(
+    bundles: &[FunctionBundle],
+    form: Form,
+    config: EnclaveConfig,
+    ops: Vec<EnclaveOp>,
+) -> Enclave {
+    let mut enclave = Enclave::new(config);
+    let mut all = Vec::with_capacity(bundles.len() + ops.len());
+    for bundle in bundles {
+        match form {
+            Form::Interpreted => all.push(bundle.shipped()),
+            Form::Native => {
+                enclave.install_function(bundle.native());
+            }
+        }
+    }
+    all.extend(ops);
+    if let Err(e) = enclave.apply(all) {
+        panic!("a host's ops do not apply: {e}");
+    }
+    enclave
+}
+
+/// What a catalogue host holds beside its functions: class `i + 1` →
+/// function `i`, each with bundle `i`'s case-study state.
+pub fn catalogue_rules(bundles: &[FunctionBundle]) -> Vec<EnclaveOp> {
+    let mut ops = Vec::new();
+    for (i, bundle) in bundles.iter().enumerate() {
+        ops.push(EnclaveOp::class_rule(ClassId(i as u32 + 1), i));
+        ops.extend(bundle.state_ops(i));
+    }
+    ops
+}
+
+/// An enclave running `bundles` in `form`, class `i + 1` → bundle `i`,
+/// each with its case-study state.
+pub fn catalogue_enclave(bundles: &[FunctionBundle], form: Form, config: EnclaveConfig) -> Enclave {
+    host(bundles, form, config, catalogue_rules(bundles))
 }
 
 // ======================================================================
@@ -1382,73 +1498,18 @@ pub fn catalogue() -> Vec<FunctionBundle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_core::{ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
     use netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
     use transport::HookVerdict;
 
-    /// Install `bundle` (given form) into a fresh enclave matching class 1,
-    /// with case-study-ish state.
+    /// `bundle` (given form) in a fresh enclave matching class 1, with
+    /// its case-study state.
     fn build(bundle: &FunctionBundle, native: bool) -> Enclave {
-        let mut e = Enclave::new(EnclaveConfig::default());
         let form = if native {
-            bundle.native()
+            Form::Native
         } else {
-            bundle.interpreted()
+            Form::Interpreted
         };
-        let f = e.install_function(form);
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-        match bundle.name {
-            "pias" | "pias-fig7" | "sff" => {
-                e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
-            }
-            "fixed-priority" => e.set_global(f, 0, 3),
-            "wcmp" | "message-wcmp" => {
-                e.set_array(f, 0, vec![101, 10, 102, 1]);
-                e.set_global(f, 0, 11);
-            }
-            "pulsar" => e.set_array(f, 0, vec![0, 1, 2]),
-            "dist-rate-limit" => {
-                // budget sized so the 3000-packet agreement stream crosses
-                // it mid-run and exercises the drop path in both forms
-                e.set_global(f, 0, 500_000_000);
-                e.set_array(f, 0, vec![0, 1, 2]);
-            }
-            "conn-steer" => {
-                e.set_array(f, 0, vec![5, 2, 9]);
-                e.set_array(f, 1, vec![71, 72, 73]);
-            }
-            "qjump" => e.set_array(f, 0, vec![7, 0, 4, 1, 0, -1]),
-            "replica-select" => e.set_array(f, 0, vec![50, 51, 52]),
-            "port-knock" => {
-                e.set_global(f, 1, 1001);
-                e.set_global(f, 2, 1002);
-                e.set_global(f, 3, 1003);
-                e.set_global(f, 4, 22);
-            }
-            "l4lb" => {
-                e.set_array(f, 0, vec![71, 72, 73]);
-                e.set_array(f, 1, vec![0, 0, 0]);
-            }
-            "conga" => e.set_array(f, 0, vec![5, 2, 9]),
-            "ids" => {
-                // ports 22 and 1001 carry weights; threshold low enough
-                // that the 3000-packet stream trips flows into block
-                e.set_global(f, 0, 40);
-                e.set_array(f, 0, vec![22, 7, 1001, 5]);
-            }
-            "stateful-firewall" => {
-                // the agreement stream revisits each of the 7 flows every
-                // 7 ns, so a 6 ns idle expires a flow on every revisit —
-                // establish and timeout both run thousands of times
-                e.set_global(f, 0, 6);
-            }
-            "rate-limit" => {
-                e.set_global(f, 0, 200); // window ns
-                e.set_global(f, 1, 100_000); // bytes per window
-            }
-            _ => {}
-        }
-        e
+        catalogue_enclave(std::slice::from_ref(bundle), form, EnclaveConfig::default())
     }
 
     fn packet(rng: &mut SimRng, i: u64) -> Packet {

@@ -11,9 +11,10 @@
 //!
 //! Run with `cargo bench -p eden-bench --bench table1_functions`.
 
-use eden_apps::functions::catalogue;
+use eden_apps::functions::{catalogue, host, Form};
+use eden_bench::fig12::catalogue_row_ops;
 use eden_bench::report::Table;
-use eden_core::{ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden_core::{ClassId, EnclaveConfig, EnclaveOp};
 use eden_lang::{compile, HeaderField, Scope};
 use netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
 
@@ -57,24 +58,15 @@ fn main() {
         let computes = compiled.program.ops().len() > 3;
 
         // demonstrate out-of-the-box: install and run both engines
-        let works = [false, true].iter().all(|&native| {
-            let mut e = Enclave::new(EnclaveConfig {
+        let works = [Form::Interpreted, Form::Native].into_iter().all(|form| {
+            let config = EnclaveConfig {
                 fail_open: true,
                 ..Default::default()
-            });
-            let f = e.install_function(if native {
-                bundle.native()
-            } else {
-                bundle.interpreted()
-            });
-            e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-            // give every array/global sane contents
-            for (i, _) in schema.arrays().iter().enumerate() {
-                e.set_array(f, i, vec![1_000_000, 1, i64::MAX, 0]);
-            }
-            for s in 0..schema.scope_len(Scope::Global) {
-                e.set_global(f, s, 1);
-            }
+            };
+            // every array and global with sane contents
+            let mut ops = vec![EnclaveOp::class_rule(ClassId(1), 0)];
+            ops.extend(catalogue_row_ops(&bundle, 0));
+            let mut e = host(std::slice::from_ref(&bundle), form, config, ops);
             let mut rng = SimRng::new(1);
             let mut faults = 0;
             for i in 0..100u64 {

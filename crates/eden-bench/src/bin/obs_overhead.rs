@@ -18,9 +18,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use eden_apps::functions;
+use eden_apps::functions::{self, catalogue_enclave, Form};
 use eden_bench::report::{emit_json, interleaved};
-use eden_core::{ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden_core::{Enclave, EnclaveConfig};
 use eden_telemetry::Json;
 use netsim::{wire, EdenMeta, Packet, SimRng, TcpHeader, Time};
 
@@ -59,15 +59,11 @@ fn make_packet(i: u64) -> Packet {
 }
 
 fn build_enclave(trace_sample: u32) -> Enclave {
-    let bundle = functions::sff();
-    let mut e = Enclave::new(EnclaveConfig {
+    let config = EnclaveConfig {
         trace_sample,
         ..EnclaveConfig::default()
-    });
-    let f = e.install_function(bundle.interpreted());
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
-    e
+    };
+    catalogue_enclave(&[functions::sff()], Form::Interpreted, config)
 }
 
 /// One timed batch through `e`; returns per-packet nanoseconds. Spans are

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use eden_bench::report::{emit_json, interleaved};
-use eden_core::{ClassId, Enclave, EnclaveConfig, InstalledFunction, MatchSpec, TableId};
+use eden_core::{ClassId, Enclave, EnclaveConfig, EnclaveOp};
 use eden_lang::{compile, Access, HeaderField, ReplMode, Schema};
 use eden_repl::FuncView;
 use eden_telemetry::Json;
@@ -84,10 +84,17 @@ fn build_enclave(replicated: bool) -> Enclave {
     let compiled = compile("repl_gate", SOURCE, &schema)
         .unwrap_or_else(|e| panic!("gate function does not compile: {}", e.render(SOURCE)));
     let mut e = Enclave::new(EnclaveConfig::default());
-    let f = e.install_function(InstalledFunction::interpreted("repl_gate", compiled));
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    // a budget no run exhausts, so both arms stay on the debit path
-    e.set_global(f, 0, i64::MAX / 2);
+    e.apply([
+        EnclaveOp::ship("repl_gate", &compiled),
+        EnclaveOp::class_rule(ClassId(1), 0),
+        // a budget no run exhausts, so both arms stay on the debit path
+        EnclaveOp::SetGlobal {
+            func: 0,
+            slot: 0,
+            value: i64::MAX / 2,
+        },
+    ])
+    .expect("the gate host's ops apply");
     if replicated {
         // install a non-trivial remote view so replicated loads fold a
         // real synced snapshot, not the empty default

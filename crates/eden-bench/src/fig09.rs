@@ -15,9 +15,9 @@
 //! reaches the wire.
 
 use eden_apps::apps::reqresp::{BackgroundSender, RequestClient, Worker};
-use eden_apps::functions::{self, FunctionBundle};
+use eden_apps::functions::{self, host, Form, FunctionBundle};
 use eden_apps::workload::{flow_class, FlowClass, FlowSizeDist, PoissonArrivals};
-use eden_core::{Controller, Enclave, EnclaveConfig, InstalledFunction, MatchSpec, Stage, TableId};
+use eden_core::{ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, Stage};
 use eden_lang::{compile, Schema};
 use netsim::{LinkSpec, Network, NodeId, SimRng, Switch, SwitchConfig, Time};
 use transport::{app_timer_token, Host, Stack, StackConfig};
@@ -40,6 +40,16 @@ pub enum Engine {
     Native,
     /// Bytecode through the Eden interpreter.
     Eden,
+}
+
+impl Engine {
+    /// The bundle form this engine runs.
+    pub fn form(self) -> Form {
+        match self {
+            Engine::Native => Form::Native,
+            Engine::Eden => Form::Interpreted,
+        }
+    }
 }
 
 /// Experiment knobs (defaults follow the paper's setup, scaled in time).
@@ -109,30 +119,49 @@ fn blind_schema(bundle: &FunctionBundle) -> Schema {
     blind
 }
 
-/// Build the scheduling function for one (scheme, engine) arm; `None` for
-/// the native baseline (no enclave at all).
-fn build_function(scheme: Scheme, engine: Engine) -> Option<InstalledFunction> {
-    let bundle = match scheme {
+/// The bundle a scheme's sender hosts run.
+fn bundle(scheme: Scheme) -> FunctionBundle {
+    match scheme {
         Scheme::Baseline | Scheme::Pias => functions::pias(),
         Scheme::Sff => functions::sff(),
-    };
+    }
+}
+
+/// What a sender host holds beside its function: every packet of class
+/// `all` runs function 0 over the thresholds of the three flow classes
+/// (§5.1): small → 7, intermediate → 5, background → 1.
+pub fn sender_rules(all: ClassId) -> Vec<EnclaveOp> {
+    let thresholds = Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1]));
+    vec![
+        EnclaveOp::class_rule(all, 0),
+        EnclaveOp::SetArray {
+            func: 0,
+            array: 0,
+            values: thresholds,
+        },
+    ]
+}
+
+/// A sender host's enclave for one (scheme, engine) arm: its function,
+/// then [`sender_rules`]; `None` for the native baseline (no enclave at
+/// all).
+fn sender_enclave(scheme: Scheme, engine: Engine, all: ClassId) -> Option<Enclave> {
+    let (bundle, rules) = (bundle(scheme), sender_rules(all));
+    let config = EnclaveConfig::default();
     match (scheme, engine) {
         (Scheme::Baseline, Engine::Native) => None,
         (Scheme::Baseline, Engine::Eden) => {
             // classification + interpretation run; output unmapped
             let schema = blind_schema(&bundle);
             let compiled = compile(bundle.name, &bundle.source, &schema).expect("compiles");
-            Some(InstalledFunction::interpreted("baseline-blind", compiled))
+            let function = EnclaveOp::ship("baseline-blind", &compiled);
+            let mut enclave = Enclave::new(config);
+            let ops = [vec![function], rules].concat();
+            enclave.apply(ops).expect("the baseline's ops apply");
+            Some(enclave)
         }
-        (_, Engine::Eden) => Some(bundle.interpreted()),
-        (_, Engine::Native) => Some(bundle.native()),
+        (_, engine) => Some(host(&[bundle], engine.form(), config, rules)),
     }
-}
-
-/// Thresholds for the three flow classes (§5.1): small → 7, intermediate
-/// → 5, background → 1.
-fn thresholds() -> Vec<i64> {
-    Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1]))
 }
 
 /// Run one arm of Figure 9.
@@ -190,11 +219,7 @@ pub fn run(scheme: Scheme, engine: Engine, cfg: &Config) -> RunResult {
 
     // --- enclaves on every sender (worker + background) -------------------
     for &node in &senders {
-        if let Some(function) = build_function(scheme, engine) {
-            let mut enclave = Enclave::new(EnclaveConfig::default());
-            let f = enclave.install_function(function);
-            enclave.install_rule(TableId(0), MatchSpec::Class(all_class), f);
-            enclave.set_array(f, 0, thresholds());
+        if let Some(enclave) = sender_enclave(scheme, engine, all_class) {
             install_enclave(&mut net, node, enclave);
         }
     }

@@ -10,8 +10,8 @@
 //! dup-ACK machinery. Native and Eden must be statistically identical.
 
 use eden_apps::apps::bulk::{BulkSender, MeteredSink};
-use eden_apps::functions;
-use eden_core::{Controller, Enclave, EnclaveConfig, MatchSpec, PathSpec, TableId};
+use eden_apps::functions::{self, host};
+use eden_core::{ClassId, Controller, EnclaveOp, PathSpec};
 use netsim::{LinkSpec, Network, Switch, SwitchConfig, Time};
 use transport::{app_timer_token, Host, Stack, StackConfig, TcpConfig};
 
@@ -56,6 +56,44 @@ impl Default for Config {
             switch_buffer_bytes: 150_000,
         }
     }
+}
+
+/// What the sender host holds beside its `wcmp` function: every packet
+/// of class `lb` runs function 0, over per-path weights the controller
+/// computes from Figure 1's two paths (10 and 1 Gbps) and their sum.
+pub fn sender_rules(balancer: Balancer, lb: ClassId) -> Vec<EnclaveOp> {
+    let paths = [
+        PathSpec {
+            label: 1,
+            bottleneck_bps: 10_000_000_000,
+        },
+        PathSpec {
+            label: 2,
+            bottleneck_bps: 1_000_000_000,
+        },
+    ];
+    let weights = match balancer {
+        Balancer::Wcmp => Controller::wcmp_weights(&paths, 100),
+        Balancer::Ecmp => Controller::ecmp_weights(&paths),
+    };
+    let flat: Vec<i64> = weights
+        .iter()
+        .flat_map(|&(label, w)| [i64::from(label), i64::from(w)])
+        .collect();
+    let total: i64 = weights.iter().map(|&(_, w)| i64::from(w)).sum();
+    vec![
+        EnclaveOp::class_rule(lb, 0),
+        EnclaveOp::SetArray {
+            func: 0,
+            array: 0,
+            values: flat,
+        },
+        EnclaveOp::SetGlobal {
+            func: 0,
+            slot: 0,
+            value: total,
+        },
+    ]
 }
 
 /// Run one arm; returns aggregate goodput in bits/second over the window.
@@ -114,34 +152,13 @@ pub fn run(balancer: Balancer, engine: Engine, cfg: &Config) -> f64 {
     }
 
     // --- sender enclave: (W)CMP over the LB class -------------------------
-    let paths = [
-        PathSpec {
-            label: 1,
-            bottleneck_bps: 10_000_000_000,
-        },
-        PathSpec {
-            label: 2,
-            bottleneck_bps: 1_000_000_000,
-        },
-    ];
-    let weights = match balancer {
-        Balancer::Wcmp => Controller::wcmp_weights(&paths, 100),
-        Balancer::Ecmp => Controller::ecmp_weights(&paths),
-    };
-    let bundle = functions::wcmp();
-    let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = enclave.install_function(match engine {
-        Engine::Eden => bundle.interpreted(),
-        Engine::Native => bundle.native(),
-    });
-    enclave.install_rule(TableId(0), MatchSpec::Class(lb_class), f);
-    let flat: Vec<i64> = weights
-        .iter()
-        .flat_map(|&(label, w)| [i64::from(label), i64::from(w)])
-        .collect();
-    let total: i64 = weights.iter().map(|&(_, w)| i64::from(w)).sum();
-    enclave.set_array(f, 0, flat);
-    enclave.set_global(f, 0, total);
+    let rules = sender_rules(balancer, lb_class);
+    let enclave = host(
+        &[functions::wcmp()],
+        engine.form(),
+        Default::default(),
+        rules,
+    );
     net.node_mut::<Host<BulkSender>>(sender)
         .stack
         .set_hook(enclave);

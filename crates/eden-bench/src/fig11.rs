@@ -8,9 +8,9 @@
 //! *operation* size at the client's rate limiter, equalizing the tenants.
 
 use eden_apps::apps::storage::{StorageServer, TenantClient};
-use eden_apps::functions::{self, MSG_TYPE_READ, MSG_TYPE_WRITE};
+use eden_apps::functions::{self, Form, MSG_TYPE_READ, MSG_TYPE_WRITE};
 use eden_apps::stages::storage_stage;
-use eden_core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden_core::{ClassId, Controller, EnclaveOp};
 use netsim::{LinkSpec, Network, Switch, SwitchConfig, Time};
 use transport::{app_timer_token, Host, Stack, StackConfig, TcpConfig};
 
@@ -71,6 +71,20 @@ pub struct RunResult {
     /// Server-side counters.
     pub server_ops: u64,
     pub server_peak_queue: usize,
+}
+
+/// What the READ tenant's host holds beside its `pulsar` function: every
+/// IO-class packet runs function 0, charging tenant 0's requests to
+/// rate-limited queue `queue` of the host's stack.
+pub fn reader_rules(io: ClassId, queue: usize) -> Vec<EnclaveOp> {
+    vec![
+        EnclaveOp::class_rule(io, 0),
+        EnclaveOp::SetArray {
+            func: 0,
+            array: 0,
+            values: vec![queue as i64],
+        },
+    ]
 }
 
 /// Run one bar of Figure 11.
@@ -146,12 +160,14 @@ pub fn run(mode: Mode, cfg: &Config) -> RunResult {
         let queue = host
             .stack
             .add_limiter(cfg.read_limit_bps, u64::from(cfg.io_size));
-        let bundle = functions::pulsar();
-        let mut enclave = Enclave::new(EnclaveConfig::default());
-        let f = enclave.install_function(bundle.interpreted());
-        enclave.install_rule(TableId(0), MatchSpec::Class(classes.io), f);
-        enclave.set_array(f, 0, vec![queue as i64]);
-        host.stack.set_hook(enclave);
+        let rules = reader_rules(classes.io, queue);
+        let pulsar = [functions::pulsar()];
+        host.stack.set_hook(functions::host(
+            &pulsar,
+            Form::Interpreted,
+            Default::default(),
+            rules,
+        ));
     }
 
     // --- run ----------------------------------------------------------------

@@ -34,8 +34,8 @@
 
 use std::time::Instant;
 
-use eden_apps::functions::{self, FunctionBundle};
-use eden_core::{ClassId, Controller, Enclave, EnclaveConfig, MatchSpec, Stage, TableId};
+use eden_apps::functions::{self, catalogue_enclave, host, Form, FunctionBundle};
+use eden_core::{ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, Stage};
 use eden_telemetry::{Json, ToJson};
 use netsim::{wire, EdenMeta, Packet, SimRng, Summary, TcpHeader, Time};
 
@@ -161,17 +161,8 @@ fn baseline_work(p: &Packet) -> u64 {
 
 /// The layer arms' enclave: SFF behind class 1 over a three-row priority
 /// ladder that a 5 MB message walks to the end.
-fn build_enclave(interpreted: bool) -> Enclave {
-    let bundle = functions::sff();
-    let mut e = Enclave::new(EnclaveConfig::default());
-    let f = e.install_function(if interpreted {
-        bundle.interpreted()
-    } else {
-        bundle.native()
-    });
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
-    e
+fn build_enclave(form: Form) -> Enclave {
+    catalogue_enclave(&[functions::sff()], form, EnclaveConfig::default())
 }
 
 /// Packets a [`measure`] call runs: one warm-up batch plus the timed ones.
@@ -248,13 +239,13 @@ pub fn run(batches: usize, per_batch: usize) -> RunResult {
 
     // 3. + enclave with the native SFF function, 4. the interpreter instead
     let native = process(
-        &mut build_enclave(false),
+        &mut build_enclave(Form::Native),
         12,
         batches,
         per_batch,
         baseline_work,
     );
-    let mut interp_enclave = build_enclave(true);
+    let mut interp_enclave = build_enclave(Form::Interpreted);
     let interp = process(&mut interp_enclave, 12, batches, per_batch, baseline_work);
     let steps = interp_enclave.stats_snapshot().vm.steps;
 
@@ -291,7 +282,7 @@ pub fn run(batches: usize, per_batch: usize) -> RunResult {
 /// arms of a pair meet the same machine. A warm-up batch of each runs
 /// first.
 pub fn interpreter_overhead_pairs(pairs: usize, per_batch: usize) -> Vec<f64> {
-    let mut enclave = build_enclave(true);
+    let mut enclave = build_enclave(Form::Interpreted);
     let mut rng = SimRng::new(7);
     let mut sink = 0u64;
     let mut n = 0u64;
@@ -330,6 +321,25 @@ pub fn interpreter_overhead_pairs(pairs: usize, per_batch: usize) -> Vec<f64> {
 /// `(limit, value)` rows, 1 MB then unbounded. The bare interpreter's
 /// packets (≤ 93 KB) stop at row 0, the enclave's 5 MB messages at row 1.
 const CATALOGUE_ROW: [i64; 4] = [1_000_000, 1, i64::MAX, 0];
+
+/// The generic catalogue state of the ablations as ops on function
+/// `func`: every schema array holds `CATALOGUE_ROW`, every global is 1 (so
+/// divisors are never zero).
+pub fn catalogue_row_ops(bundle: &FunctionBundle, func: usize) -> Vec<EnclaveOp> {
+    let schema = bundle.schema();
+    let arrays = (0..schema.arrays().len()).map(|array| EnclaveOp::SetArray {
+        func,
+        array,
+        values: CATALOGUE_ROW.to_vec(),
+    });
+    let globals =
+        (0..schema.scope_len(eden_lang::Scope::Global)).map(|slot| EnclaveOp::SetGlobal {
+            func,
+            slot,
+            value: 1,
+        });
+    arrays.chain(globals).collect()
+}
 
 /// A bare `VecHost` with the generic catalogue state the ablations use:
 /// every schema array populated with `CATALOGUE_ROW`, every global set
@@ -494,13 +504,12 @@ pub fn table_scaling(batches: usize, per_batch: usize) -> Vec<(usize, f64)> {
     [1usize, 8, 32]
         .into_iter()
         .map(|rules| {
-            let mut enclave = Enclave::new(EnclaveConfig::default());
-            let f = enclave.install_function(functions::fixed_priority().native());
-            enclave.set_global(f, 0, 3);
-            for miss in 0..rules - 1 {
-                enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1000 + miss as u32)), f);
-            }
-            enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+            let bundle = functions::fixed_priority();
+            let mut ops = bundle.state_ops(0);
+            let rule = |class| EnclaveOp::class_rule(ClassId(class), 0);
+            ops.extend((0..rules as u32 - 1).map(|miss| rule(1000 + miss)));
+            ops.push(rule(1));
+            let mut enclave = host(&[bundle], Form::Native, EnclaveConfig::default(), ops);
             (rules, process_ns(&mut enclave, batches, per_batch))
         })
         .collect()
@@ -516,10 +525,16 @@ pub fn msg_state_scaling(batches: usize, per_batch: usize) -> Vec<(u64, f64, f64
     [16u64, 4_096, 65_000]
         .into_iter()
         .map(|live| {
-            let mut enclave = Enclave::new(EnclaveConfig::default());
-            let f = enclave.install_function(functions::pias().interpreted());
-            enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-            enclave.set_array(f, 0, vec![i64::MAX, 1]);
+            let ops = vec![
+                EnclaveOp::class_rule(ClassId(1), 0),
+                EnclaveOp::SetArray {
+                    func: 0,
+                    array: 0,
+                    values: vec![i64::MAX, 1],
+                },
+            ];
+            let config = EnclaveConfig::default();
+            let mut enclave = host(&[functions::pias()], Form::Interpreted, config, ops);
             let mut rng = SimRng::new(1);
             for m in 0..live {
                 let _ = enclave.process(&mut tagged_packet(m, live), &mut rng, Time::from_nanos(m));
@@ -548,33 +563,30 @@ pub struct EngineRatio {
 /// ingress context and `port-knock` an exact packet sequence; both are
 /// left out.
 pub fn engine_ratios(batches: usize, per_batch: usize) -> Vec<EngineRatio> {
-    let enclave = |bundle: &FunctionBundle, interpreted: bool| {
-        let mut e = Enclave::new(EnclaveConfig::default());
-        let f = e.install_function(if interpreted {
-            bundle.interpreted()
-        } else {
-            bundle.native()
-        });
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-        let schema = bundle.schema();
-        for i in 0..schema.arrays().len() {
-            e.set_array(f, i, CATALOGUE_ROW.to_vec());
-        }
-        for slot in 0..schema.scope_len(eden_lang::Scope::Global) {
-            e.set_global(f, slot, 1);
-        }
-        e
+    let enclave = |bundle: &FunctionBundle, form: Form| {
+        let mut ops = vec![EnclaveOp::class_rule(ClassId(1), 0)];
+        ops.extend(catalogue_row_ops(bundle, 0));
+        host(
+            std::slice::from_ref(bundle),
+            form,
+            EnclaveConfig::default(),
+            ops,
+        )
     };
     functions::catalogue()
         .into_iter()
         .filter(|b| !matches!(b.name, "conntrack" | "port-knock"))
         .map(|bundle| {
-            let mut interp = enclave(&bundle, true);
+            let mut interp = enclave(&bundle, Form::Interpreted);
             let interp_ns = process_ns(&mut interp, batches, per_batch);
             let steps = interp.stats_snapshot().vm.steps;
             EngineRatio {
                 function: bundle.name,
-                native_ns_per_packet: process_ns(&mut enclave(&bundle, false), batches, per_batch),
+                native_ns_per_packet: process_ns(
+                    &mut enclave(&bundle, Form::Native),
+                    batches,
+                    per_batch,
+                ),
                 interp_ns_per_packet: interp_ns,
                 interp_steps_per_packet: steps as f64 / packets_run(batches, per_batch),
             }

@@ -7,26 +7,23 @@
 //!
 //! * the class-name registry (fully qualified `stage.rule-set.class` names
 //!   → data-path ids);
-//! * compilation of action functions from DSL source to bytecode, shipped
-//!   to enclaves;
 //! * stage programming through the Table 3 API;
+//! * planning enclave configurations: compiling action functions from DSL
+//!   source into the [`EnclaveOp`]s that ship them;
 //! * the control-plane halves of the case studies: WCMP path-weight
-//!   computation from topology (§2.1.1), PIAS priority thresholds from the
-//!   datacenter's flow-size distribution (§2.1.3), and Pulsar tenant→queue
-//!   maps (§2.1.2).
+//!   computation from topology (§2.1.1) and PIAS priority thresholds from
+//!   the datacenter's flow-size distribution (§2.1.3).
 //!
-//! In the simulator the controller reaches stages/enclaves/switches by
-//! `&mut` reference during setup or between simulation epochs; the *API
-//! surface* is the paper's, the RPC plumbing is not modelled.
+//! The controller plans and does not install: a host takes the planned op
+//! list through [`Enclave::apply`](crate::Enclave::apply), or `eden-ctrl`
+//! ships the same list in-band as an epoch (DESIGN, "One configuration path").
 
-use eden_lang::{compile, CompileError, CompiledFunction, Schema};
-use eden_telemetry::StatsSnapshot;
+use eden_lang::{compile, CompileError, Schema};
 
-use crate::action::{FuncId, InstalledFunction};
 use crate::class::{ClassId, ClassRegistry};
-use crate::enclave::{Enclave, MatchSpec};
-use crate::ops::{EnclaveOp, ShippedFunction};
-use crate::stage::{Matcher, Stage, StageInfo};
+use crate::enclave::MatchSpec;
+use crate::ops::EnclaveOp;
+use crate::stage::{Matcher, Stage};
 
 /// A candidate network path for weighted load balancing: the controller
 /// reduces topology to (label, bottleneck capacity) pairs per
@@ -63,19 +60,9 @@ impl Controller {
         self.registry.name(id)
     }
 
-    /// Borrow the registry.
-    pub fn registry(&self) -> &ClassRegistry {
-        &self.registry
-    }
-
     // ------------------------------------------------------------------
     // stage programming (Table 3)
     // ------------------------------------------------------------------
-
-    /// S0: discover a stage's classification surface.
-    pub fn get_stage_info<'a>(&self, stage: &'a Stage) -> &'a StageInfo {
-        stage.get_info()
-    }
 
     /// S1: install `<classifier> → [class_name, {…}]` in `rule_set` of
     /// `stage`. The class name is qualified as
@@ -112,61 +99,18 @@ impl Controller {
     // enclave programming (§3.4.5)
     // ------------------------------------------------------------------
 
-    /// Compile DSL `source` against `schema` (controller-side; only
-    /// bytecode ships to the data plane).
-    pub fn compile_function(
-        &self,
-        name: &str,
-        source: &str,
-        schema: &Schema,
-    ) -> Result<CompiledFunction, CompileError> {
-        compile(name, source, schema)
-    }
-
-    /// Compile and install an interpreted action function into `enclave`.
-    pub fn install_program(
-        &self,
-        enclave: &mut Enclave,
-        name: &str,
-        source: &str,
-        schema: &Schema,
-    ) -> Result<FuncId, CompileError> {
-        let compiled = self.compile_function(name, source, schema)?;
-        Ok(enclave.install_function(InstalledFunction::interpreted(name, compiled)))
-    }
-
-    /// Compile `source` and serialize the bytecode for shipping to a remote
-    /// enclave (the paper's dynamic injection path, §3.4.3). The enclave
-    /// side decodes with [`eden_vm::decode_program`], which re-verifies.
-    pub fn ship_function(
-        &self,
-        name: &str,
-        source: &str,
-        schema: &Schema,
-    ) -> Result<Vec<u8>, CompileError> {
-        let compiled = self.compile_function(name, source, schema)?;
-        Ok(eden_vm::encode_program(&compiled.program))
-    }
-
-    /// Compile `source` into a protocol op ready to ship inside an epoch:
-    /// the [`EnclaveOp::InstallFunction`] carrying verified bytecode plus
-    /// the schema and derived concurrency the enclave needs to host it.
-    /// This is how the distributed control plane (`eden-ctrl`) installs
-    /// programs — [`install_program`](Self::install_program) is the
-    /// same-process shortcut.
+    /// Compile `source` into a protocol op ready to ship: the
+    /// [`EnclaveOp::InstallFunction`] carrying verified bytecode plus the
+    /// schema and derived concurrency the enclave needs to host it. Only
+    /// bytecode reaches the data plane, whether a host applies the op
+    /// itself or `eden-ctrl` ships it.
     pub fn plan_function(
         &self,
         name: &str,
         source: &str,
         schema: &Schema,
     ) -> Result<EnclaveOp, CompileError> {
-        let compiled = self.compile_function(name, source, schema)?;
-        Ok(EnclaveOp::InstallFunction(Box::new(ShippedFunction {
-            name: name.to_string(),
-            bytecode: eden_vm::encode_program(&compiled.program),
-            schema: schema.clone(),
-            concurrency: compiled.concurrency,
-        })))
+        Ok(EnclaveOp::ship(name, &compile(name, source, schema)?))
     }
 
     /// A whole Reset-led desired state around one function: `Reset`, the
@@ -188,30 +132,6 @@ impl Controller {
                 func: 0,
             },
         ])
-    }
-
-    // ------------------------------------------------------------------
-    // statistics pull (§3.2: the controller polls enclaves for stats)
-    // ------------------------------------------------------------------
-
-    /// Pull a point-in-time [`StatsSnapshot`] from `enclave`.
-    /// Non-perturbing: the enclave's counters keep accumulating.
-    pub fn pull_stats(&self, enclave: &Enclave) -> StatsSnapshot {
-        enclave.stats_snapshot()
-    }
-
-    /// Pull a snapshot from the enclave installed on `stack`, merged with
-    /// the stack's own telemetry: per-flow TCP counters and host-level
-    /// drop counters. Returns `None` when no [`Enclave`] hook is
-    /// installed.
-    pub fn pull_host_stats(&self, stack: &mut transport::Stack) -> Option<StatsSnapshot> {
-        let flows = stack.flow_counters();
-        let host = stack.host_counters();
-        let enclave = stack.hook_mut::<Enclave>()?;
-        let mut snap = enclave.stats_snapshot();
-        snap.flows = flows;
-        snap.host = Some(host);
-        Some(snap)
     }
 
     // ------------------------------------------------------------------
@@ -275,20 +195,6 @@ impl Controller {
             (1024 * 1024, i64::from(priorities[1])),
             (i64::MAX, i64::from(priorities[2])),
         ]
-    }
-
-    /// Pulsar (§2.1.2): a tenant → rate-limited queue map. Creates one
-    /// limiter per tenant on `stack` at the given rate and returns the
-    /// flattened `queueMap` array (indexed by tenant id).
-    pub fn pulsar_queue_map(
-        stack: &mut transport::Stack,
-        tenant_rates_bps: &[u64],
-        burst_bytes: u64,
-    ) -> Vec<i64> {
-        tenant_rates_bps
-            .iter()
-            .map(|&rate| stack.add_limiter(rate, burst_bytes) as i64)
-            .collect()
     }
 
     /// Flatten `(a, b)` rows into the interleaved layout of a two-field

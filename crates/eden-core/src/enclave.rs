@@ -73,6 +73,7 @@ pub use link::{LinkError, LinkInfo, PktSlot, SlotLink, SlotTarget};
 use pipeline::LaneScratch;
 pub use tables::{FiveTupleMatch, MatchSpec, RuleList, RuleRef, TableId};
 use tables::{MatchActionTable, TableCounts};
+pub use telemetry::pull_host_stats;
 
 /// Which direction of the host stack a packet is traversing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1501,18 +1502,20 @@ mod tests {
     }
 
     #[test]
-    fn apply_op_validates_against_current_shape() {
+    fn apply_validates_against_current_shape_all_or_nothing() {
         let mut e = Enclave::new(EnclaveConfig::default());
-        assert!(e
-            .apply_op(EnclaveOp::InstallRule {
-                table: 0,
-                spec: MatchSpec::Any,
-                func: 0,
-            })
-            .is_err());
-        e.apply_op(EnclaveOp::CreateTable).expect("valid");
+        let rule = EnclaveOp::InstallRule {
+            table: 1,
+            spec: MatchSpec::Any,
+            func: 0,
+        };
+        assert!(e.apply([rule.clone()]).is_err());
+        // the table the rule names exists by then, the function does not
+        assert!(e.apply([EnclaveOp::CreateTable, rule]).is_err());
+        assert_eq!(e.tables.len(), 1, "a refused list changes nothing");
+        e.apply([EnclaveOp::CreateTable]).expect("valid");
         assert_eq!(e.tables.len(), 2);
-        e.apply_op(EnclaveOp::Reset).expect("valid");
+        e.apply([EnclaveOp::Reset]).expect("valid");
         assert_eq!(e.tables.len(), 1);
         assert!(e.functions.is_empty());
     }

@@ -165,11 +165,13 @@ impl Enclave {
         }
     }
 
-    /// Validate and apply one op immediately, outside any epoch (local
-    /// administration; the control plane goes through
-    /// [`stage_epoch`](Self::stage_epoch) / [`commit_epoch`](Self::commit_epoch)).
-    pub fn apply_op(&mut self, op: EnclaveOp) -> Result<(), ApplyError> {
-        let staged = self.validate_ops(self.active_epoch, vec![op])?;
+    /// Validate `ops` as one unit and apply them now, outside any epoch:
+    /// all or nothing, through the checks and the apply path of an epoch.
+    /// The local twin of the control plane's `set_desired(ops)`, which
+    /// ships the same list through [`stage_epoch`](Self::stage_epoch) /
+    /// [`commit_epoch`](Self::commit_epoch).
+    pub fn apply(&mut self, ops: impl Into<Vec<EnclaveOp>>) -> Result<(), ApplyError> {
+        let staged = self.validate_ops(self.active_epoch, ops.into())?;
         self.apply_staged(staged);
         Ok(())
     }
@@ -272,7 +274,7 @@ impl Enclave {
     /// Apply a validated epoch's steps in order. Infallible by
     /// construction: validation checked every index against the shape
     /// each step meets. The one apply path, of a commit and of
-    /// [`apply_op`](Self::apply_op) alike.
+    /// [`apply`](Self::apply) alike.
     ///
     /// A `Reset` keeps the tables and holds them. Table 0, and then each
     /// table a `CreateTable` makes, adopts the next held table, with a

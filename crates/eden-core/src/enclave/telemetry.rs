@@ -9,14 +9,26 @@ use eden_telemetry::{
 use super::{Enclave, STAGE_NAMES};
 use crate::action::ActionImpl;
 
+/// Pull a snapshot from the enclave installed on `stack`, merged with the
+/// stack's own telemetry: per-flow TCP counters and host-level drop
+/// counters. `None` when no [`Enclave`] hook is installed. Non-perturbing:
+/// every counter keeps accumulating.
+pub fn pull_host_stats(stack: &mut transport::Stack) -> Option<StatsSnapshot> {
+    let flows = stack.flow_counters();
+    let host = stack.host_counters();
+    let mut snap = stack.hook_mut::<Enclave>()?.stats_snapshot();
+    snap.flows = flows;
+    snap.host = Some(host);
+    Some(snap)
+}
+
 impl Enclave {
     /// Copy every data-path counter into a point-in-time
     /// [`StatsSnapshot`]: enclave totals, per-table and per-rule match
     /// counts, per-function invocation/fault/verdict counts, and the
     /// interpreter pool's accumulated cost (summed over lanes). `flows` is
-    /// empty and `host` is `None` — the controller merges those in from
-    /// the host stack (see
-    /// [`Controller::pull_host_stats`](crate::Controller::pull_host_stats)).
+    /// empty and `host` is `None`: [`pull_host_stats`] merges those in
+    /// from the host stack.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let tables = self
             .table_counts

@@ -17,10 +17,12 @@
 //!   the concurrency rules derived from the paper's state annotations.
 //!
 //! * **[`Controller`]** (§3.2) — the logically centralized coordination
-//!   point. It owns the class-name registry, compiles action functions from
-//!   DSL source, programs stages (Table 3's API) and enclaves, and hosts
-//!   the control-plane halves of the case studies: WCMP path weights, PIAS
-//!   priority thresholds, Pulsar tenant queue maps.
+//!   point. It owns the class-name registry, programs stages (Table 3's
+//!   API), plans enclave configurations as [`EnclaveOp`] lists (compiling
+//!   action functions from DSL source into shippable bytecode), and hosts
+//!   the control-plane halves of the case studies: WCMP path weights and
+//!   PIAS priority thresholds. An enclave takes a planned list through
+//!   [`Enclave::apply`].
 //!
 //! The enclave implements [`transport::PacketHook`], so installing Eden on
 //! a simulated host is one line: `stack.set_hook(enclave)`.
@@ -41,9 +43,9 @@ pub use class::{ClassId, ClassRegistry};
 pub use controller::{Controller, PathSpec};
 pub use eden_telemetry::StatsSnapshot;
 pub use enclave::{
-    native_function, Config, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch, FlowDirection,
-    LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, RuleRef, SlotLink, SlotTarget, TableId,
-    MAX_ARRAY_LEN, MAX_FUNCTIONS, MAX_RULES_PER_TABLE, MAX_TABLES,
+    native_function, pull_host_stats, Config, Enclave, EnclaveConfig, EnclaveStats, FiveTupleMatch,
+    FlowDirection, LinkError, LinkInfo, MatchSpec, PktSlot, RuleList, RuleRef, SlotLink,
+    SlotTarget, TableId, MAX_ARRAY_LEN, MAX_FUNCTIONS, MAX_RULES_PER_TABLE, MAX_TABLES,
 };
 pub use headermap::{read_header_field, write_header_field};
 pub use lanes::LanePool;

@@ -10,8 +10,9 @@
 //! ([`Enclave::commit_epoch`](crate::Enclave::commit_epoch)), so the data
 //! path never observes a rule table mixing configuration from two epochs.
 
-use eden_lang::{Concurrency, Schema};
+use eden_lang::{CompiledFunction, Concurrency, Schema};
 
+use crate::class::ClassId;
 use crate::enclave::{LinkError, MatchSpec};
 
 /// One enclave configuration operation, as carried by the control plane.
@@ -55,6 +56,29 @@ pub enum EnclaveOp {
         array: usize,
         values: Vec<i64>,
     },
+}
+
+impl EnclaveOp {
+    /// The op that installs `compiled` as `name`: its program encoded as
+    /// bytecode, beside the schema and concurrency it was compiled for.
+    pub fn ship(name: &str, compiled: &CompiledFunction) -> EnclaveOp {
+        EnclaveOp::InstallFunction(Box::new(ShippedFunction {
+            name: name.to_string(),
+            bytecode: eden_vm::encode_program(&compiled.program),
+            schema: compiled.schema.clone(),
+            concurrency: compiled.concurrency,
+        }))
+    }
+
+    /// The rule that runs function `func` on every packet of `class`, in
+    /// table 0.
+    pub fn class_rule(class: ClassId, func: usize) -> EnclaveOp {
+        EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Class(class),
+            func,
+        }
+    }
 }
 
 /// A compiled function as the control plane ships it: verified bytecode

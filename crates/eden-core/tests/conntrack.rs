@@ -3,7 +3,7 @@
 
 use eden_apps::functions;
 use eden_core::{
-    ClassId, Enclave, EnclaveConfig, FiveTupleMatch, FlowDirection, MatchSpec, TableId,
+    ClassId, Enclave, EnclaveConfig, EnclaveOp, FiveTupleMatch, FlowDirection, MatchSpec, TableId,
 };
 use netsim::{Packet, SimRng, TcpHeader, Time};
 use transport::HookVerdict;
@@ -129,24 +129,15 @@ fn ingress_disabled_by_default() {
 fn shipped_bytecode_behaves_like_locally_compiled() {
     // controller → wire → enclave: the conntrack program survives
     // serialization and still enforces the firewall.
-    let controller = eden_core::Controller::new();
     let bundle = functions::conntrack();
-    let blob = controller
-        .ship_function("conntrack", &bundle.source, &bundle.schema())
+    let shipped = eden_core::Controller::new()
+        .plan_function("conntrack", &bundle.source, &bundle.schema())
         .expect("compiles and encodes");
-    let function = eden_core::InstalledFunction::from_shipped(&eden_core::ShippedFunction {
-        name: "conntrack".into(),
-        bytecode: blob,
-        schema: bundle.schema(),
-        concurrency: bundle.concurrency,
-    })
-    .expect("decodes and verifies");
 
     let mut e = Enclave::new(EnclaveConfig {
         process_ingress: true,
         ..Default::default()
     });
-    let f = e.install_function(function);
     e.add_flow_rule(
         FiveTupleMatch {
             proto: Some(6),
@@ -154,7 +145,8 @@ fn shipped_bytecode_behaves_like_locally_compiled() {
         },
         ClassId(1),
     );
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+    e.apply([shipped, EnclaveOp::class_rule(ClassId(1), 0)])
+        .expect("decodes, verifies and links");
 
     let mut rng = SimRng::new(1);
     let mut attack = pkt(66, 6666, 10, 22);

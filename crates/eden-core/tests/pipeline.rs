@@ -4,13 +4,47 @@
 //! switch.
 
 use eden_core::{
-    ClassId, Controller, Enclave, EnclaveConfig, FiveTupleMatch, InstalledFunction, MatchSpec,
-    Matcher, NativeEnv, Stage, TableId,
+    ClassId, Controller, Enclave, EnclaveConfig, EnclaveOp, FiveTupleMatch, FuncId,
+    InstalledFunction, MatchSpec, Matcher, NativeEnv, Stage, TableId,
 };
 use eden_lang::{Access, Concurrency, HeaderField, Schema};
 use eden_vm::Outcome;
 use netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
 use transport::HookVerdict;
+
+/// An `InstallRule` op.
+fn rule(table: usize, spec: MatchSpec, func: usize) -> EnclaveOp {
+    EnclaveOp::InstallRule { table, spec, func }
+}
+
+/// Plan `source` as function 0 on every packet of `class`, with `state`
+/// after it, and apply the ops to `enclave` as one list.
+fn host(
+    controller: &Controller,
+    enclave: &mut Enclave,
+    (name, source, schema): (&str, &str, &Schema),
+    class: ClassId,
+    state: Vec<EnclaveOp>,
+) {
+    let mut ops = vec![
+        controller.plan_function(name, source, schema).unwrap(),
+        rule(0, MatchSpec::Class(class), 0),
+    ];
+    ops.extend(state);
+    enclave.apply(ops).expect("valid ops");
+}
+
+/// [`host`] for PIAS, over case study 1's three thresholds.
+fn pias_host(controller: &Controller, enclave: &mut Enclave, source: &str, class: ClassId) {
+    let values = Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1]));
+    let thresholds = EnclaveOp::SetArray {
+        func: 0,
+        array: 0,
+        values,
+    };
+    let function = ("pias", source, &pias_schema());
+    host(controller, enclave, function, class, vec![thresholds])
+}
 
 fn pias_schema() -> Schema {
     Schema::new()
@@ -121,16 +155,7 @@ fn stage_to_enclave_pias_pipeline() {
 
     // --- enclave side: PIAS on GET traffic -------------------------------
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let schema = pias_schema();
-    let pias = controller
-        .install_program(&mut enclave, "pias", PIAS_SRC, &schema)
-        .expect("compiles");
-    enclave.install_rule(TableId(0), MatchSpec::Class(get_class), pias);
-    enclave.set_array(
-        pias,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    pias_host(&controller, &mut enclave, PIAS_SRC, get_class);
 
     // message priority desire defaults to 0 (respected directly): make the
     // msg state's Priority field 1 via... it defaults to 0, so desired=0 is
@@ -174,15 +199,7 @@ fn pias_demotes_growing_messages() {
     let mut controller = Controller::new();
     let c = controller.class("app.r1.FLOW");
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "pias", PIAS_NO_DESIRE, &pias_schema())
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    pias_host(&controller, &mut enclave, PIAS_NO_DESIRE, c);
 
     let mut rng = SimRng::new(1);
     let mut priorities_seen = Vec::new();
@@ -208,15 +225,7 @@ fn per_message_state_is_isolated() {
     let mut controller = Controller::new();
     let c = controller.class("app.r1.FLOW");
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "pias", PIAS_NO_DESIRE, &pias_schema())
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    pias_host(&controller, &mut enclave, PIAS_NO_DESIRE, c);
     let mut rng = SimRng::new(1);
 
     // grow message 1 past the first threshold
@@ -228,7 +237,7 @@ fn per_message_state_is_isolated() {
     let mut p = tagged_packet(2, vec![c.0], 1460);
     enclave.process(&mut p, &mut rng, Time::ZERO);
     assert_eq!(p.priority(), 7, "new message unaffected by message 1");
-    assert_eq!(enclave.function_state(f).live_messages(), 2);
+    assert_eq!(enclave.function_state(FuncId(0)).live_messages(), 2);
 }
 
 #[test]
@@ -241,15 +250,7 @@ fn native_and_interpreted_agree() {
 
     let build_interp = |controller: &Controller| {
         let mut e = Enclave::new(EnclaveConfig::default());
-        let f = controller
-            .install_program(&mut e, "pias", PIAS_NO_DESIRE, &pias_schema())
-            .unwrap();
-        e.install_rule(TableId(0), MatchSpec::Class(c), f);
-        e.set_array(
-            f,
-            0,
-            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-        );
+        pias_host(controller, &mut e, PIAS_NO_DESIRE, c);
         e
     };
 
@@ -304,15 +305,7 @@ fn flow_rules_classify_unmodified_traffic() {
     let mut controller = Controller::new();
     let c = controller.class("enclave.flows.WEB");
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "pias", PIAS_NO_DESIRE, &pias_schema())
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    pias_host(&controller, &mut enclave, PIAS_NO_DESIRE, c);
     enclave.add_flow_rule(
         FiveTupleMatch {
             dst_port: Some(80),
@@ -383,27 +376,33 @@ fn faulting_function_fails_open_and_isolates() {
     let src = "fun (p, m, g) -> p.Size / (p.Size - p.Size) // div by zero\n";
     // note: expression result is discarded; the div traps at runtime
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "broken", src, &schema)
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
+    host(
+        &controller,
+        &mut enclave,
+        ("broken", src, &schema),
+        c,
+        vec![],
+    );
 
     let mut rng = SimRng::new(1);
     let mut p = tagged_packet(1, vec![c.0], 100);
     let v = enclave.process(&mut p, &mut rng, Time::ZERO);
     assert_eq!(v, HookVerdict::Pass, "fail-open forwards");
     assert_eq!(enclave.stats.faults, 1);
-    assert_eq!(enclave.stats_snapshot().functions[f.0].counts.faults, 1);
+    assert_eq!(enclave.stats_snapshot().functions[0].counts.faults, 1);
 
     // fail-closed configuration drops instead
     let mut enclave = Enclave::new(EnclaveConfig {
         fail_open: false,
         ..Default::default()
     });
-    let f = controller
-        .install_program(&mut enclave, "broken", src, &schema)
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
+    host(
+        &controller,
+        &mut enclave,
+        ("broken", src, &schema),
+        c,
+        vec![],
+    );
     let mut p = tagged_packet(1, vec![c.0], 100);
     let v = enclave.process(&mut p, &mut rng, Time::ZERO);
     assert_eq!(v, HookVerdict::Drop);
@@ -421,15 +420,15 @@ fn goto_table_chains_functions() {
     let second = "fun (p, m, g) -> p.Label <- 77";
 
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let t1 = enclave.create_table();
-    let f1 = controller
-        .install_program(&mut enclave, "first", first, &schema)
-        .unwrap();
-    let f2 = controller
-        .install_program(&mut enclave, "second", second, &schema)
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f1);
-    enclave.install_rule(t1, MatchSpec::Any, f2);
+    enclave
+        .apply([
+            EnclaveOp::CreateTable,
+            controller.plan_function("first", first, &schema).unwrap(),
+            controller.plan_function("second", second, &schema).unwrap(),
+            rule(0, MatchSpec::Class(c), 0),
+            rule(1, MatchSpec::Any, 1),
+        ])
+        .expect("valid ops");
 
     let mut rng = SimRng::new(1);
     let mut p = tagged_packet(1, vec![c.0], 100);
@@ -445,10 +444,7 @@ fn drop_verdict_from_dsl() {
     let schema = Schema::new();
     let src = "fun (p, m, g) -> drop ()";
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "fw", src, &schema)
-        .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
+    host(&controller, &mut enclave, ("fw", src, &schema), c, vec![]);
 
     let mut rng = SimRng::new(1);
     let mut p = tagged_packet(1, vec![c.0], 100);

@@ -13,8 +13,8 @@
 use crate::minimize::ddmin;
 use crate::report::{Failure, OracleReport};
 use crate::rng::FuzzRng;
-use eden_apps::functions::{catalogue, FunctionBundle};
-use eden_core::{ClassId, Enclave, EnclaveConfig, EnclaveStats, FuncId, MatchSpec, TableId};
+use eden_apps::functions::{catalogue, catalogue_enclave, Form, FunctionBundle};
+use eden_core::{Enclave, EnclaveConfig, EnclaveStats, FuncId};
 use netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
 
 const MINIMIZE_BUDGET: usize = 200;
@@ -77,70 +77,10 @@ fn build_packet(s: &PktSpec) -> Packet {
     p
 }
 
-/// Install `bundle` with the case-study state its logic expects,
-/// matching class 1.
-fn build_enclave(
-    bundle: &FunctionBundle,
-    native: bool,
-    config: EnclaveConfig,
-) -> (Enclave, FuncId) {
-    let mut e = Enclave::new(config);
-    let f = e.install_function(if native {
-        bundle.native()
-    } else {
-        bundle.interpreted()
-    });
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    set_case_state(&mut e, f, bundle.name);
-    (e, f)
-}
-
-/// Give function `f`, an installed copy of the catalogue bundle `name`,
-/// the case-study state its logic expects (the same values the eden-apps
-/// conformance tests use). Bundles that need none are left as they are.
-pub fn set_case_state(e: &mut Enclave, f: FuncId, name: &str) {
-    match name {
-        "pias" | "pias-fig7" | "sff" => {
-            e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
-        }
-        "fixed-priority" => e.set_global(f, 0, 3),
-        "wcmp" | "message-wcmp" => {
-            e.set_array(f, 0, vec![101, 10, 102, 1]);
-            e.set_global(f, 0, 11);
-        }
-        "pulsar" => e.set_array(f, 0, vec![0, 1, 2]),
-        "dist-rate-limit" => {
-            e.set_global(f, 0, 500_000_000);
-            e.set_array(f, 0, vec![0, 1, 2]);
-        }
-        "conn-steer" => {
-            e.set_array(f, 0, vec![5, 2, 9]);
-            e.set_array(f, 1, vec![71, 72, 73]);
-        }
-        "qjump" => e.set_array(f, 0, vec![7, 0, 4, 1, 0, -1]),
-        "replica-select" => e.set_array(f, 0, vec![50, 51, 52]),
-        "port-knock" => {
-            e.set_global(f, 1, 1001);
-            e.set_global(f, 2, 1002);
-            e.set_global(f, 3, 1003);
-            e.set_global(f, 4, 22);
-        }
-        "l4lb" => {
-            e.set_array(f, 0, vec![71, 72, 73]);
-            e.set_array(f, 1, vec![0, 0, 0]);
-        }
-        "conga" => e.set_array(f, 0, vec![5, 2, 9]),
-        "ids" => {
-            e.set_global(f, 0, 40);
-            e.set_array(f, 0, vec![22, 7, 1001, 5]);
-        }
-        "stateful-firewall" => e.set_global(f, 0, 6),
-        "rate-limit" => {
-            e.set_global(f, 0, 200);
-            e.set_global(f, 1, 100_000);
-        }
-        _ => {}
-    }
+/// `bundle` in `form` with the case-study state its logic expects, as
+/// function 0 matching class 1.
+fn build_enclave(bundle: &FunctionBundle, form: Form, config: EnclaveConfig) -> Enclave {
+    catalogue_enclave(std::slice::from_ref(bundle), form, config)
 }
 
 fn batchy_config() -> EnclaveConfig {
@@ -207,8 +147,9 @@ fn diff_state(a: &mut Enclave, b: &mut Enclave, f: FuncId, what: &str) -> Option
 /// Leg 1: interpreted and native forms over the same stream; `None`
 /// means agreement.
 fn diff_interp_native(bundle: &FunctionBundle, specs: &[PktSpec], seed: u64) -> Option<String> {
-    let (mut interp, f) = build_enclave(bundle, false, EnclaveConfig::default());
-    let (mut native, _) = build_enclave(bundle, true, EnclaveConfig::default());
+    let (f, config) = (FuncId(0), EnclaveConfig::default());
+    let mut interp = build_enclave(bundle, Form::Interpreted, config);
+    let mut native = build_enclave(bundle, Form::Native, config);
     // the function was admitted on its static envelope; hold every run to it
     let bound = interp
         .link_info(f)
@@ -262,8 +203,9 @@ fn diff_batch_serial(
     seed: u64,
     chunk: usize,
 ) -> Option<String> {
-    let (mut serial, f) = build_enclave(bundle, false, batchy_config());
-    let (mut batched, _) = build_enclave(bundle, false, batchy_config());
+    let f = FuncId(0);
+    let mut serial = build_enclave(bundle, Form::Interpreted, batchy_config());
+    let mut batched = build_enclave(bundle, Form::Interpreted, batchy_config());
     let mut serial_rng = SimRng::new(seed);
     let mut batched_rng = SimRng::new(seed);
 
@@ -311,7 +253,7 @@ fn render_specs(bundle: &FunctionBundle, specs: &[PktSpec], seed: u64, chunk: us
 /// report.
 fn capture_flight(bundle: &FunctionBundle, specs: &[PktSpec], seed: u64) -> Option<String> {
     use eden_telemetry::ToJson;
-    let (mut e, _) = build_enclave(bundle, false, EnclaveConfig::default());
+    let mut e = build_enclave(bundle, Form::Interpreted, EnclaveConfig::default());
     let mut rng = SimRng::new(seed);
     for (i, s) in specs.iter().enumerate() {
         let mut p = build_packet(s);

@@ -15,7 +15,7 @@
 //! the link error if a default enclave would refuse the function.
 
 use eden::apps::functions;
-use eden::core::{Enclave, EnclaveConfig, InstalledFunction, SlotTarget};
+use eden::core::{Enclave, EnclaveConfig, EnclaveOp, FuncId, SlotTarget};
 use eden::lang::Scope;
 use eden::vm::disassemble;
 
@@ -87,16 +87,11 @@ fn main() {
 
     // what an enclave with the default limits makes of it at install
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let func = match enclave
-        .try_install_function(InstalledFunction::interpreted("inspect", compiled.clone()))
-    {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("a default enclave refuses this function: {e}");
-            std::process::exit(1);
-        }
-    };
-    let info = enclave.link_info(func);
+    if let Err(e) = enclave.apply([EnclaveOp::ship("inspect", &compiled)]) {
+        eprintln!("a default enclave refuses this function: {e}");
+        std::process::exit(1);
+    }
+    let info = enclave.link_info(FuncId(0));
 
     println!("== static envelope (what the enclave admits it on) ==");
     match info.envelope.and_then(|e| e.bound) {

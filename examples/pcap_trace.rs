@@ -7,13 +7,14 @@
 //! Run with `cargo run --release --example pcap_trace`.
 
 use eden::apps::apps::bulk::{BulkSender, MeteredSink};
-use eden::apps::functions;
-use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden::apps::functions::{self, Form};
+use eden::core::Controller;
 use eden::netsim::pcap::PcapTrace;
 use eden::netsim::{LinkSpec, Network, Packet, Switch, SwitchConfig, Time};
 use eden::transport::{
     app_timer_token, HookEnv, HookVerdict, Host, PacketHook, Stack, StackConfig,
 };
+use eden_bench::fig10::{self, Balancer};
 
 /// Ingress tap: records every arriving frame into a pcap trace.
 struct Tap {
@@ -63,13 +64,10 @@ fn main() {
         s.install_label(2, pr); // the tag itself is what we want on file
     }
 
-    // WCMP 10:1 at the sender
-    let bundle = functions::wcmp();
-    let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = enclave.install_function(bundle.interpreted());
-    enclave.install_rule(TableId(0), MatchSpec::Class(lb), f);
-    enclave.set_array(f, 0, vec![1, 10, 2, 1]);
-    enclave.set_global(f, 0, 11);
+    // WCMP 10:1 at the sender: Figure 10's sender host
+    let rules = fig10::sender_rules(Balancer::Wcmp, lb);
+    let wcmp = [functions::wcmp()];
+    let enclave = functions::host(&wcmp, Form::Interpreted, Default::default(), rules);
     net.node_mut::<Host<BulkSender>>(sender)
         .stack
         .set_hook(enclave);

@@ -9,7 +9,7 @@
 //! Run with `cargo run --example port_knocking`.
 
 use eden::apps::functions;
-use eden::core::{ClassId, Enclave, EnclaveConfig, FiveTupleMatch, MatchSpec, TableId};
+use eden::core::{ClassId, Enclave, EnclaveConfig, EnclaveOp, FiveTupleMatch};
 use eden::netsim::{Packet, SimRng, TcpHeader, Time};
 use eden::transport::HookVerdict;
 
@@ -39,7 +39,6 @@ fn main() {
     // five-tuple rule (no application changes needed — Table 2's last row),
     // then run the knock state machine.
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = enclave.install_function(bundle.interpreted());
     let class = ClassId(1);
     enclave.add_flow_rule(
         FiveTupleMatch {
@@ -48,12 +47,11 @@ fn main() {
         },
         class,
     );
-    enclave.install_rule(TableId(0), MatchSpec::Class(class), f);
-    // knock sequence and protected port, installed by the controller
-    enclave.set_global(f, 1, 1001);
-    enclave.set_global(f, 2, 1002);
-    enclave.set_global(f, 3, 1003);
-    enclave.set_global(f, 4, 22);
+    // the knock sequence 1001, 1002, 1003 opens protected port 22: the
+    // bundle's case-study state, installed by the controller
+    let mut ops = vec![bundle.shipped(), EnclaveOp::class_rule(class, 0)];
+    ops.extend(bundle.state_ops(0));
+    enclave.apply(ops).expect("the server's ops apply");
 
     let mut rng = SimRng::new(1);
     let mut t = 0u64;

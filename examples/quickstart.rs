@@ -11,8 +11,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, Matcher, Stage, TableId};
-use eden::lang::{Access, HeaderField, Schema};
+use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, Matcher, Stage};
+use eden::lang::{compile, Access, HeaderField, Schema};
 use eden::vm::{disassemble, encode_program};
 use netsim::{Packet, SimRng, TcpHeader, Time};
 
@@ -76,9 +76,7 @@ fn main() {
             Access::ReadOnly,
         );
 
-    let compiled = controller
-        .compile_function("pias", PIAS_SRC, &schema)
-        .expect("figure 7 compiles");
+    let compiled = compile("pias", PIAS_SRC, &schema).expect("figure 7 compiles");
     println!(
         "compiled: {} ops, concurrency = {}, ships as {} bytes",
         compiled.program.ops().len(),
@@ -87,16 +85,20 @@ fn main() {
     );
     println!("{}", disassemble(&compiled.program));
 
+    // the controller plans the host's configuration as one op list: the
+    // function as shipped bytecode, its rule, and the PIAS thresholds
+    let thresholds = Controller::fixed_thresholds([7, 5, 1]);
+    let ops = vec![
+        EnclaveOp::ship("pias", &compiled),
+        EnclaveOp::class_rule(get_class, 0),
+        EnclaveOp::SetArray {
+            func: 0,
+            array: 0,
+            values: Controller::flatten_pairs(&thresholds),
+        },
+    ];
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "pias", PIAS_SRC, &schema)
-        .expect("installs");
-    enclave.install_rule(TableId(0), MatchSpec::Class(get_class), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    enclave.apply(ops).expect("installs");
 
     // --- 3. classify a message and run its packets -----------------------
     let meta = stage.classify(&[

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use eden::apps::apps::kv::{KvClient, KvReplica};
 use eden::apps::functions;
-use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, Matcher, Stage, TableId};
+use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, Matcher, Stage};
 use eden::netsim::{LinkSpec, Network, Switch, SwitchConfig, Time};
 use eden::transport::{app_timer_token, Host, Stack, StackConfig};
 
@@ -60,11 +60,18 @@ fn main() {
     }
 
     // --- client enclave: rewrite dst by key hash ---------------------------
-    let bundle = functions::replica_select();
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = enclave.install_function(bundle.interpreted());
-    enclave.install_rule(TableId(0), MatchSpec::Class(get_class), f);
-    enclave.set_array(f, 0, REPLICAS.iter().map(|&ip| i64::from(ip)).collect());
+    enclave
+        .apply([
+            functions::replica_select().shipped(),
+            EnclaveOp::class_rule(get_class, 0),
+            EnclaveOp::SetArray {
+                func: 0,
+                array: 0,
+                values: REPLICAS.iter().map(|&ip| i64::from(ip)).collect(),
+            },
+        ])
+        .expect("the client's ops apply");
     net.node_mut::<Host<KvClient>>(client)
         .stack
         .set_hook(enclave);

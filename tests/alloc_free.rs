@@ -24,16 +24,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use eden::apps::functions::catalogue;
-use eden::core::{
-    ClassId, Enclave, EnclaveConfig, EnclaveOp, FuncId, InstalledFunction, MatchSpec,
-    ShippedFunction, TableId,
-};
+use eden::apps::functions::{catalogue, catalogue_rules};
+use eden::core::{ClassId, Enclave, EnclaveConfig, EnclaveOp, FuncId, MatchSpec, ShippedFunction};
 use eden::lang::{compile, Concurrency, Schema};
 use eden::netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
 use eden::repl::SEQ_PENDING_CAP;
 use eden::transport::HookVerdict;
-use eden_fuzz::oracle_exec::set_case_state;
 
 struct Counting;
 
@@ -125,30 +121,29 @@ fn enclave() -> (Enclave, Vec<u32>) {
         trace_sample: 0,
         ..EnclaveConfig::default()
     });
-    let mut classes = Vec::new();
-    for (i, bundle) in catalogue().iter().enumerate() {
-        let class = 1 + i as u32;
-        let f = e.install_function(bundle.interpreted());
-        set_case_state(&mut e, f, bundle.name);
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(class)), f);
-        classes.push(class);
-    }
+    let bundles = catalogue();
+    let classes: Vec<u32> = (1..=bundles.len() as u32).collect();
     assert_eq!(classes.len(), 19);
     let punt =
         compile("punt", "fun (p, m, g) -> toController ()", &Schema::new()).expect("punt compiles");
-    let f = e.install_function(InstalledFunction::interpreted("punt", punt));
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(PUNT)), f);
     let mut b = eden::vm::ProgramBuilder::new();
     b.push(1).push(0).div().pop().halt();
-    let trap = InstalledFunction::from_shipped(&ShippedFunction {
+    let trap = EnclaveOp::InstallFunction(Box::new(ShippedFunction {
         name: "divzero".into(),
         bytecode: eden::vm::encode_program(&b.build().expect("builds")),
         schema: Schema::new(),
         concurrency: Concurrency::Parallel,
-    })
-    .expect("verifies");
-    let f = e.install_function(trap);
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(TRAP)), f);
+    }));
+    let rule = |class, func| EnclaveOp::InstallRule {
+        table: 0,
+        spec: MatchSpec::Class(ClassId(class)),
+        func,
+    };
+    let mut ops: Vec<EnclaveOp> = bundles.iter().map(|b| b.shipped()).collect();
+    ops.extend(catalogue_rules(&bundles));
+    ops.extend([EnclaveOp::ship("punt", &punt), rule(PUNT, 19)]);
+    ops.extend([trap, rule(TRAP, 20)]);
+    e.apply(ops).expect("the catalogue host applies");
     (e, classes)
 }
 

@@ -142,11 +142,11 @@ fn sabotaged_leaf_falls_back_to_full_resync() {
     // the last report.
     fleet
         .enclave(0)
-        .apply_op(EnclaveOp::InstallRule {
+        .apply([EnclaveOp::InstallRule {
             table: 0,
             spec: MatchSpec::Any,
             func: 0,
-        })
+        }])
         .expect("sabotage applies");
 
     // Push the next epoch immediately — before a heartbeat can refresh

@@ -3,7 +3,7 @@
 //! order. If any link of that chain breaks, small flows stop overtaking
 //! bulk flows and this test fails.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
 use eden::netsim::{LinkSpec, Network, Switch, SwitchConfig, Time};
 use eden::transport::{app_timer_token, App, ConnId, Host, Stack, StackConfig};
 use netsim::{Ctx, EdenMeta};
@@ -88,14 +88,22 @@ fn enclave_priorities_reach_the_switch_scheduler() {
             lanes: 4,
             ..EnclaveConfig::default()
         });
-        let f = e.install_function(eden::core::InstalledFunction::interpreted(
-            "sff",
+        e.apply([
             controller
-                .compile_function("sff", &bundle.source, &bundle.schema())
+                .plan_function("sff", &bundle.source, &bundle.schema())
                 .expect("compiles"),
-        ));
-        e.install_rule(TableId(0), MatchSpec::AnyOf(vec![bulk, small]), f);
-        e.set_array(f, 0, vec![10 * 1024, 7, i64::MAX, 0]);
+            EnclaveOp::InstallRule {
+                table: 0,
+                spec: MatchSpec::AnyOf(vec![bulk, small]),
+                func: 0,
+            },
+            EnclaveOp::SetArray {
+                func: 0,
+                array: 0,
+                values: vec![10 * 1024, 7, i64::MAX, 0],
+            },
+        ])
+        .expect("valid ops");
         e
     };
 

@@ -7,7 +7,7 @@
 //! anything or losing per-message state.
 
 use eden::apps::functions;
-use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp};
 use eden::netsim::{EdenMeta, LinkSpec, Network, Switch, SwitchConfig, Time};
 use eden::transport::{app_timer_token, App, ConnId, Host, Stack, StackConfig};
 use netsim::Ctx;
@@ -166,12 +166,21 @@ fn controller_retunes_and_replaces_functions_mid_run() {
 
     // sender enclave: SFF with priority 5 for everything ≤ 1MB
     let bundle = functions::sff();
+    let ladder = |prio| EnclaveOp::SetArray {
+        func: 0,
+        array: 0,
+        values: vec![1 << 20, prio, i64::MAX, 0],
+    };
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = controller
-        .install_program(&mut enclave, "sff", &bundle.source, &bundle.schema())
-        .expect("compiles");
-    enclave.install_rule(TableId(0), MatchSpec::Class(class), f);
-    enclave.set_array(f, 0, vec![1 << 20, 5, i64::MAX, 0]);
+    enclave
+        .apply([
+            controller
+                .plan_function("sff", &bundle.source, &bundle.schema())
+                .expect("compiles"),
+            EnclaveOp::class_rule(class, 0),
+            ladder(5),
+        ])
+        .expect("valid ops");
     net.node_mut::<Host<Ticker>>(sender).stack.set_hook(enclave);
     net.node_mut::<Host<PrioritySink>>(sink)
         .stack
@@ -187,7 +196,7 @@ fn controller_retunes_and_replaces_functions_mid_run() {
     {
         let host = net.node_mut::<Host<Ticker>>(sender);
         let enclave = host.stack.hook_mut::<Enclave>().expect("enclave installed");
-        enclave.set_array(f, 0, vec![1 << 20, 7, i64::MAX, 0]);
+        enclave.apply([ladder(7)]).expect("valid ops");
     }
     net.run_until(Time::from_millis(10));
 
@@ -196,21 +205,21 @@ fn controller_retunes_and_replaces_functions_mid_run() {
         let host = net.node_mut::<Host<Ticker>>(sender);
         let enclave = host.stack.hook_mut::<Enclave>().expect("enclave installed");
         let fixed = functions::fixed_priority();
-        let blob = controller
-            .ship_function("fixed", &fixed.source, &fixed.schema())
+        let shipped = controller
+            .plan_function("fixed", &fixed.source, &fixed.schema())
             .expect("ships");
-        let f2 = enclave.install_function(
-            eden::core::InstalledFunction::from_shipped(&eden::core::ShippedFunction {
-                name: "fixed".into(),
-                bytecode: blob,
-                schema: fixed.schema(),
-                concurrency: fixed.concurrency,
-            })
-            .expect("decodes"),
-        );
-        enclave.set_global(f2, 0, 2);
-        enclave.clear_table(TableId(0));
-        enclave.install_rule(TableId(0), MatchSpec::Class(class), f2);
+        enclave
+            .apply([
+                shipped,
+                EnclaveOp::SetGlobal {
+                    func: 1,
+                    slot: 0,
+                    value: 2,
+                },
+                EnclaveOp::ClearTable { table: 0 },
+                EnclaveOp::class_rule(class, 1),
+            ])
+            .expect("decodes, verifies and links");
     }
     net.run_until(Time::from_millis(15));
 

@@ -4,7 +4,7 @@
 //! and the fabric monitor samples switch queues — all without changing
 //! what the data path does.
 
-use eden::core::{Controller, Enclave, EnclaveConfig, MatchSpec, TableId};
+use eden::core::{pull_host_stats, Controller, Enclave, EnclaveConfig, EnclaveOp};
 use eden::netsim::{LinkSpec, Network, QueueMonitor, Switch, SwitchConfig, Time};
 use eden::telemetry::{FlightKind, ToJson};
 use eden::transport::{app_timer_token, App, ConnId, Host, Stack, StackConfig};
@@ -55,14 +55,20 @@ fn controller_pulls_snapshot_from_running_enclave() {
 
     let bundle = eden::apps::functions::sff();
     let mut enclave = Enclave::new(EnclaveConfig::default());
-    let f = enclave.install_function(eden::core::InstalledFunction::interpreted(
-        "sff",
-        controller
-            .compile_function("sff", &bundle.source, &bundle.schema())
-            .expect("compiles"),
-    ));
-    enclave.install_rule(TableId(0), MatchSpec::Class(class), f);
-    enclave.set_array(f, 0, vec![10 * 1024, 7, i64::MAX, 0]);
+    let ladder = EnclaveOp::SetArray {
+        func: 0,
+        array: 0,
+        values: vec![10 * 1024, 7, i64::MAX, 0],
+    };
+    enclave
+        .apply([
+            controller
+                .plan_function("sff", &bundle.source, &bundle.schema())
+                .expect("compiles"),
+            EnclaveOp::class_rule(class, 0),
+            ladder,
+        ])
+        .expect("valid ops");
     enclave.set_opcode_profiling(true);
 
     let mut net = Network::new(9);
@@ -104,9 +110,7 @@ fn controller_pulls_snapshot_from_running_enclave() {
 
     // --- the controller's stats pull -----------------------------------
     let stack = &mut net.node_mut::<Host<BulkSender>>(sender).stack;
-    let snap = controller
-        .pull_host_stats(stack)
-        .expect("sender stack has an enclave hook");
+    let snap = pull_host_stats(stack).expect("sender stack has an enclave hook");
 
     assert!(snap.enclave.packets > 0, "enclave saw traffic");
     assert!(snap.enclave.conserved(), "conservation invariant");
@@ -151,10 +155,10 @@ fn controller_pulls_snapshot_from_running_enclave() {
     }
 
     // plain pull from the enclave alone also works (flows/host empty)
-    let hook_snap = {
-        let e = stack.hook_mut::<Enclave>().expect("hook present");
-        controller.pull_stats(e)
-    };
+    let hook_snap = stack
+        .hook_mut::<Enclave>()
+        .expect("hook present")
+        .stats_snapshot();
     assert_eq!(hook_snap.enclave.packets, snap.enclave.packets);
     assert!(hook_snap.flows.is_empty());
     assert!(hook_snap.host.is_none());
